@@ -11,10 +11,8 @@
 // select the current package context or are ignored. A failed benchmark run
 // (no result lines, or a line containing "FAIL") exits with status 1.
 //
-// The output carries a "meta" section recording GOMAXPROCS, the CPU count,
-// and the shard counts seen in benchmark names, and every sharded benchmark
-// ("/S=k" sub-benchmarks, "...Sharded" twins) gets a derived
-// speedup-vs-serial metric computed from its serial sibling's ns/op.
+// The output carries a "meta" section recording GOMAXPROCS and the CPU
+// count of the machine the run was taken on.
 //
 // -prev FILE annotates every metric with its value from a previous results
 // file (matched by package, benchmark, and unit), recording the perf
@@ -30,9 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -55,13 +51,13 @@ type benchJSON struct {
 }
 
 // metaJSON records the machine context of the run, so a committed results
-// file is honest about what the parallel numbers mean: a speedup-vs-serial
-// near 1.0 on a 1-CPU host measures coordination overhead, not a failure to
-// scale.
+// file is honest about what the Runner's parallel numbers mean: on a 1-CPU
+// host the worker pool measures scheduling overhead, not a failure to scale.
+// benchjson runs in the same pipeline (and so on the same machine) as the
+// bench run itself.
 type metaJSON struct {
-	GoMaxProcs  int   `json:"gomaxprocs"`
-	NumCPU      int   `json:"numcpu"`
-	ShardCounts []int `json:"shard_counts,omitempty"`
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"numcpu"`
 }
 
 // document is the top-level output shape.
@@ -155,78 +151,6 @@ func annotatePrev(doc *document, prev document) {
 	}
 }
 
-// shardRe matches the shard-count component of a sub-benchmark name, e.g.
-// the "S=4" in "BenchmarkShardEngine/S=4-8".
-var shardRe = regexp.MustCompile(`S=(\d+)`)
-
-// serialSibling returns the name of the serial twin a sharded benchmark is
-// measured against, or "" when the benchmark has none (including when it is
-// itself the serial twin). Two naming conventions are recognized:
-// sub-benchmarks per shard count ("/S=k" → "/S=1") and twin top-level
-// benchmarks ("...Sharded-8" → "...Serial-8"). The -GOMAXPROCS suffix is
-// part of the name and is preserved, so siblings never match across
-// different GOMAXPROCS runs.
-func serialSibling(name string) string {
-	if m := shardRe.FindStringSubmatch(name); m != nil {
-		if m[1] == "1" {
-			return ""
-		}
-		return shardRe.ReplaceAllString(name, "S=1")
-	}
-	if strings.Contains(name, "Sharded") {
-		return strings.Replace(name, "Sharded", "Serial", 1)
-	}
-	return ""
-}
-
-// deriveSpeedups appends a speedup-vs-serial metric to every sharded
-// benchmark with a serial sibling in the same package: the sibling's ns/op
-// divided by the benchmark's own. Derived before -prev annotation, so the
-// committed results also carry the speedup trajectory.
-func deriveSpeedups(doc *document) {
-	type key struct{ pkg, name string }
-	nsOf := make(map[key]float64)
-	for _, b := range doc.Benchmarks {
-		for _, m := range b.Metrics {
-			if m.Unit == "ns/op" {
-				nsOf[key{b.Package, b.Name}] = m.Value
-				break
-			}
-		}
-	}
-	for i := range doc.Benchmarks {
-		b := &doc.Benchmarks[i]
-		serial := serialSibling(b.Name)
-		if serial == "" {
-			continue
-		}
-		base, ok := nsOf[key{b.Package, serial}]
-		own := nsOf[key{b.Package, b.Name}]
-		if !ok || base <= 0 || own <= 0 {
-			continue
-		}
-		b.Metrics = append(b.Metrics, metricJSON{Unit: "speedup-vs-serial", Value: base / own})
-	}
-}
-
-// buildMeta records the converter's machine context plus every shard count
-// seen in the benchmark names. benchjson runs in the same pipeline (and so
-// on the same machine) as the bench run itself.
-func buildMeta(doc document) *metaJSON {
-	meta := &metaJSON{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	seen := make(map[int]bool)
-	for _, b := range doc.Benchmarks {
-		if m := shardRe.FindStringSubmatch(b.Name); m != nil {
-			if s, err := strconv.Atoi(m[1]); err == nil && !seen[s] {
-				seen[s] = true
-				meta.ShardCounts = append(meta.ShardCounts, s)
-			}
-		}
-	}
-	sort.Ints(meta.ShardCounts)
-	return meta
-}
-
 func main() {
 	out := flag.String("o", "", "write JSON to this file instead of stdout")
 	prevPath := flag.String("prev", "", "previous results JSON; annotates each metric with its prior value")
@@ -249,8 +173,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	deriveSpeedups(&doc)
-	doc.Meta = buildMeta(doc)
+	doc.Meta = &metaJSON{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	if havePrev {
 		annotatePrev(&doc, prev)
 	}

@@ -80,92 +80,3 @@ func TestParseRejectsFailAndEmpty(t *testing.T) {
 		t.Fatal("empty run not rejected")
 	}
 }
-
-const shardedSample = `pkg: gbcr/internal/sim
-BenchmarkShardEngine/S=1-4         10        9000000 ns/op
-BenchmarkShardEngine/S=2-4         10        5000000 ns/op
-BenchmarkShardEngine/S=4-4         10        3000000 ns/op
-pkg: gbcr
-BenchmarkFig5HPLDelaySerial-4       1        8000000 ns/op
-BenchmarkFig5HPLDelaySharded-4      1        2000000 ns/op
-BenchmarkFig5HPLDelay-4             1        2100000 ns/op
-ok      gbcr    1.0s
-`
-
-func TestSerialSibling(t *testing.T) {
-	cases := []struct{ name, want string }{
-		{"BenchmarkShardEngine/S=4-8", "BenchmarkShardEngine/S=1-8"},
-		{"BenchmarkShardEngine/S=1-8", ""},
-		{"BenchmarkFig5HPLDelaySharded-4", "BenchmarkFig5HPLDelaySerial-4"},
-		{"BenchmarkFig5HPLDelaySerial-4", ""},
-		{"BenchmarkFig5HPLDelay-4", ""},
-	}
-	for _, c := range cases {
-		if got := serialSibling(c.name); got != c.want {
-			t.Errorf("serialSibling(%q) = %q, want %q", c.name, got, c.want)
-		}
-	}
-}
-
-func speedupOf(t *testing.T, b benchJSON) float64 {
-	t.Helper()
-	for _, m := range b.Metrics {
-		if m.Unit == "speedup-vs-serial" {
-			return m.Value
-		}
-	}
-	return 0
-}
-
-func TestDeriveSpeedupsAndMeta(t *testing.T) {
-	doc, err := parse(strings.NewReader(shardedSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deriveSpeedups(&doc)
-	if got := speedupOf(t, doc.Benchmarks[1]); got != 9.0/5.0 {
-		t.Fatalf("S=2 speedup: %v", got)
-	}
-	if got := speedupOf(t, doc.Benchmarks[2]); got != 3.0 {
-		t.Fatalf("S=4 speedup: %v", got)
-	}
-	if got := speedupOf(t, doc.Benchmarks[4]); got != 4.0 {
-		t.Fatalf("Sharded twin speedup: %v", got)
-	}
-	// Serial siblings and unrelated benchmarks carry no derived metric.
-	for _, i := range []int{0, 3, 5} {
-		if speedupOf(t, doc.Benchmarks[i]) != 0 {
-			t.Fatalf("benchmark %d should have no speedup: %+v", i, doc.Benchmarks[i])
-		}
-	}
-	meta := buildMeta(doc)
-	if meta.GoMaxProcs < 1 || meta.NumCPU < 1 {
-		t.Fatalf("meta machine context: %+v", meta)
-	}
-	if len(meta.ShardCounts) != 3 || meta.ShardCounts[0] != 1 || meta.ShardCounts[2] != 4 {
-		t.Fatalf("meta shard counts: %v", meta.ShardCounts)
-	}
-}
-
-func TestAnnotatePrevCoversDerived(t *testing.T) {
-	doc, err := parse(strings.NewReader(shardedSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deriveSpeedups(&doc)
-	prev := document{Benchmarks: []benchJSON{
-		{Package: "gbcr/internal/sim", Name: "BenchmarkShardEngine/S=4-4", Metrics: []metricJSON{
-			{Unit: "speedup-vs-serial", Value: 2.5},
-		}},
-	}}
-	annotatePrev(&doc, prev)
-	for _, m := range doc.Benchmarks[2].Metrics {
-		if m.Unit == "speedup-vs-serial" {
-			if m.Prev == nil || *m.Prev != 2.5 {
-				t.Fatalf("derived metric prev: %+v", m)
-			}
-			return
-		}
-	}
-	t.Fatal("derived metric missing")
-}

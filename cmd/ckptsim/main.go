@@ -15,7 +15,7 @@
 //	ckptsim -workload ring -protocol uncoord -interval 5 -faults crash@12s
 //	ckptsim -workload ring -storage hierarchy -replicas 2 -interval 5 -faults 'memloss@17s:count=2'
 //	ckptsim -workload ring -storage burst -interval 5 -faults 'bboutage@20s+5s'
-//	ckptsim -workload commgroups -group 8 -at 10,20,30,40 -shards 4  # sharded executor
+//	ckptsim -workload commgroups -group 8 -at 10,20,30,40   # one cell per time, merged outputs
 //
 // Invalid flags and failed runs exit with status 1 and a one-line message.
 package main
@@ -24,6 +24,8 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -53,7 +55,6 @@ func main() {
 		group     = flag.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
 		proto     = flag.String("protocol", "group", "coordination protocol: group, wholejob, uncoord")
 		at        = flag.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
-		shards    = flag.Int("shards", 1, "cells-per-shard parallel executor width; merged outputs are byte-identical to -shards 1")
 		foot      = flag.Int64("footprint", 180, "per-process footprint in MB (commgroups/barrier/ring/allgather/stencil)")
 		iters     = flag.Int("iters", 900, "iterations (commgroups/ring/allgather/stencil)")
 		dynamic   = flag.Bool("dynamic", false, "dynamic group formation from the communication pattern")
@@ -77,7 +78,9 @@ func main() {
 	// -seed would misreport what the run measured.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	failureRun := *mtbf > 0 || *faults != ""
+	mtbfT := seconds("mtbf", *mtbf)
+	intervalT := seconds("interval", *interval)
+	failureRun := mtbfT > 0 || *faults != ""
 	if set["interval"] && !failureRun {
 		fail("-interval only applies to failure runs; add -mtbf or -faults")
 	}
@@ -129,23 +132,16 @@ func main() {
 		fail("-storage %s requires a blocking protocol; uncoord commits per rank on central-write completion", mode)
 	}
 
-	// Issuance times and executor width. Multiple -at values form a cell
-	// matrix; -shards runs it on the static sharded executor. Combinations a
-	// shard cannot honor are rejected, not ignored: a failure run is one
-	// serial restart chain (there is nothing to shard), and a shard with no
-	// cells would misreport the executor width that ran.
+	// Issuance times. Multiple -at values form a cell matrix that runs on
+	// the Runner's worker pool. Combinations it cannot honor are rejected,
+	// not ignored: a failure run is one serial restart chain, so there are
+	// no cells to spread.
 	ats := parseTimes(*at)
-	shardedRun := *shards > 1 || len(ats) > 1
-	if *shards < 1 {
-		fail("-shards must be >= 1, got %d", *shards)
+	multiCell := len(ats) > 1
+	if multiCell && failureRun {
+		fail("-at lists do not apply to failure runs; an availability run is one serial restart chain")
 	}
-	if shardedRun && failureRun {
-		fail("-shards/-at lists do not apply to failure runs; an availability run is one serial restart chain")
-	}
-	if *shards > len(ats) {
-		fail("%d shards but only %d cells (-at values); a shard with no cells cannot honor the request", *shards, len(ats))
-	}
-	if shardedRun && *verbose {
+	if multiCell && *verbose {
 		fail("-v only applies to single-cell runs; use -trace for the merged timeline")
 	}
 
@@ -163,12 +159,6 @@ func main() {
 	}
 	if *iters <= 0 {
 		fail("-iters must be positive, got %d", *iters)
-	}
-	if *mtbf < 0 {
-		fail("-mtbf must not be negative, got %v", *mtbf)
-	}
-	if *interval < 0 {
-		fail("-interval must not be negative, got %v", *interval)
 	}
 
 	var w workload.Workload
@@ -228,48 +218,22 @@ func main() {
 		}
 	}
 
-	if shardedRun {
+	if multiCell {
 		cells := make([]harness.Cell, len(ats))
 		for i, t := range ats {
 			cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: t}
 		}
-		run, err := harness.RunSharded(cells, harness.ShardedOptions{
-			Shards: *shards,
+		run, err := harness.NewRunner(0).RunCaptured(cells, harness.Capture{
 			Trace:  *showTrace,
 			JSONL:  *traceJSON != "",
 			Chrome: *traceChr != "",
-			Exec:   *traceChr != "",
 		})
 		if err != nil {
 			fail("%v", err)
 		}
-		if *traceJSON != "" {
-			var buf bytes.Buffer
-			if err := run.WriteJSONL(&buf); err != nil {
-				fail("encoding %s: %v", *traceJSON, err)
-			}
-			if err := os.WriteFile(*traceJSON, buf.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
-		if *traceChr != "" {
-			var buf bytes.Buffer
-			if err := run.WriteChrome(&buf); err != nil {
-				fail("encoding %s: %v", *traceChr, err)
-			}
-			if err := os.WriteFile(*traceChr, buf.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
-		if *metrics != "" {
-			var buf bytes.Buffer
-			if err := run.Aggregate().WriteJSON(&buf); err != nil {
-				fail("encoding %s: %v", *metrics, err)
-			}
-			if err := os.WriteFile(*metrics, buf.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
+		export(*traceJSON, run.WriteJSONL)
+		export(*traceChr, run.WriteChrome)
+		export(*metrics, run.Aggregate().WriteJSON)
 		fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), ranks)
 		fmt.Printf("protocol:              %s\n", protocolName(kind, *group, ranks, *dynamic))
 		if mode.Tiered() {
@@ -279,7 +243,6 @@ func main() {
 				fmt.Printf("storage:               %s\n", mode)
 			}
 		}
-		fmt.Printf("sharded executor:      S=%d over %d cells\n", run.Shards, len(cells))
 		for i, res := range run.Results {
 			fmt.Printf("cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
 				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
@@ -327,24 +290,8 @@ func main() {
 				fail("%v", err)
 			}
 		}
-		if *traceChr != "" {
-			var buf bytes.Buffer
-			if err := chrome.Render(&buf); err != nil {
-				fail("encoding %s: %v", *traceChr, err)
-			}
-			if err := os.WriteFile(*traceChr, buf.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
-		if *metrics != "" {
-			var buf bytes.Buffer
-			if err := bus.Metrics().Snapshot().WriteJSON(&buf); err != nil {
-				fail("encoding %s: %v", *metrics, err)
-			}
-			if err := os.WriteFile(*metrics, buf.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
+		export(*traceChr, func(w io.Writer) error { return chrome.Render(w) })
+		export(*metrics, func(w io.Writer) error { return bus.Metrics().Snapshot().WriteJSON(w) })
 	}
 
 	if failureRun {
@@ -354,12 +301,12 @@ func main() {
 		}
 		scn := loadScenario(*faults)
 		if set["mtbf"] {
-			scn.MTBF = sim.Seconds(*mtbf)
+			scn.MTBF = mtbfT
 		}
 		if set["seed"] || scn.Seed == 0 {
 			scn.Seed = *seed
 		}
-		iv := sim.Seconds(*interval)
+		iv := intervalT
 		if iv <= 0 {
 			if scn.MTBF <= 0 {
 				fail("-faults without a scenario MTBF needs an explicit -interval")
@@ -457,12 +404,38 @@ func parseTimes(arg string) []sim.Time {
 		if err != nil {
 			fail("-at: %q is not a number", p)
 		}
-		if v < 0 {
-			fail("-at must not be negative, got %v", v)
-		}
-		out = append(out, sim.Seconds(v))
+		out = append(out, seconds("at", v))
 	}
 	return out
+}
+
+// export renders one output into memory and writes it to path, so a failed
+// encoding never leaves a truncated file; an unset flag (empty path) is a
+// no-op.
+func export(path string, render func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		fail("encoding %s: %v", path, err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		fail("%v", err)
+	}
+}
+
+// seconds converts a seconds-valued flag to simulated time, rejecting what
+// the int64-nanosecond clock cannot represent: NaN, ±Inf, and magnitudes
+// that overflow it. Negative times are rejected as well.
+func seconds(flagName string, v float64) sim.Time {
+	if math.IsNaN(v) || v*float64(sim.Second) >= math.MaxInt64 {
+		fail("-%s must be a finite time below %v, got %v", flagName, sim.Time(math.MaxInt64), v)
+	}
+	if v < 0 {
+		fail("-%s must not be negative, got %v", flagName, v)
+	}
+	return sim.Seconds(v)
 }
 
 // loadScenario parses the -faults argument: the name of a file holding a

@@ -1,0 +1,110 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bin is the ckptsim binary under test, built once by TestMain.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ckptsim-test")
+	if err != nil {
+		panic(err)
+	}
+	bin = filepath.Join(dir, "ckptsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		os.RemoveAll(dir)
+		panic("building ckptsim: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// TestRejectedInput pins the CLI contract for malformed input: exit status
+// 1, nothing on stdout, and exactly one "ckptsim: ..." line on stderr —
+// never a panic, a stack overflow, or a run that reports garbage.
+func TestRejectedInput(t *testing.T) {
+	ring := []string{"-workload", "ring", "-n", "8", "-iters", "50"}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"at NaN", append(ring, "-at", "NaN")},
+		{"at Inf", append(ring, "-at", "Inf")},
+		{"at overflows the clock", append(ring, "-at", "1e30")},
+		{"at overflows inside a list", append(ring, "-at", "1,1e30")},
+		{"at negative", append(ring, "-at", "-1")},
+		{"mtbf Inf", append(ring, "-mtbf", "Inf")},
+		{"interval NaN", append(ring, "-mtbf", "60", "-interval", "NaN")},
+		{"unknown workload", []string{"-workload", "nosuch"}},
+		{"interval without mtbf", append(ring, "-interval", "5")},
+		{"v with an at list", append(ring, "-v", "-at", "1,2")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("want exit status 1, got %v\nstderr: %s", err, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "ckptsim: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+				t.Errorf("want one \"ckptsim: ...\" line on stderr, got %q", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("rejected run wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestMultiCellOutputsIndependentOfWidth runs the same -at list on a one-
+// and a four-wide worker pool: every merged export must be byte-identical.
+func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
+	files := []string{"trace.jsonl", "trace.json", "metrics.json"}
+	run := func(gomaxprocs string) (stdout []byte, exports [][]byte) {
+		dir := t.TempDir()
+		cmd := exec.Command(bin, "-workload", "commgroups", "-n", "8", "-comm", "4", "-group", "4",
+			"-iters", "250", "-footprint", "20", "-at", "5,10,15,20",
+			"-trace-json", filepath.Join(dir, files[0]),
+			"-trace-chrome", filepath.Join(dir, files[1]),
+			"-metrics-json", filepath.Join(dir, files[2]))
+		cmd.Env = append(os.Environ(), "GOMAXPROCS="+gomaxprocs)
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%s: %v", gomaxprocs, err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) == 0 {
+				t.Fatalf("GOMAXPROCS=%s: %s is empty", gomaxprocs, f)
+			}
+			exports = append(exports, data)
+		}
+		return stdout, exports
+	}
+	out1, exp1 := run("1")
+	out4, exp4 := run("4")
+	if !bytes.Equal(out1, out4) {
+		t.Errorf("stdout differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", out1, out4)
+	}
+	for i, f := range files {
+		if !bytes.Equal(exp1[i], exp4[i]) {
+			t.Errorf("%s differs between GOMAXPROCS=1 and 4 (%d vs %d bytes)", f, len(exp1[i]), len(exp4[i]))
+		}
+	}
+}

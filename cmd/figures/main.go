@@ -8,10 +8,9 @@
 //	figures -only extprotocols -protocol group,uncoord
 //
 // Sweep matrices run concurrently on a worker pool bounded by GOMAXPROCS;
-// -workers overrides the bound (1 forces serial execution), and -shards
-// switches to the static sharded executor of the given width instead.
-// Results are bit-identical at any worker or shard count. Errors exit with
-// status 1 and a one-line message.
+// -workers overrides the bound (1 forces serial execution). Results are
+// bit-identical at any worker count. Errors exit with status 1 and a
+// one-line message.
 package main
 
 import (
@@ -44,20 +43,11 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset: fig1,fig3,fig4,fig5,fig6,fig7,ablations,extensions,extprotocols,exttiers (default: all)")
 	asJSON := flag.Bool("json", false, "emit every figure's data series as JSON on stdout")
 	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "run cells on the static sharded executor with this width instead of the worker pool (0 = off)")
 	metrics := flag.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
 	protoFlag := flag.String("protocol", "", "comma-separated protocol kinds for the extprotocols table (default: all; e.g. group,wholejob,uncoord)")
 	flag.Parse()
 	if *workers < 0 {
 		fail(fmt.Errorf("-workers must not be negative, got %d", *workers))
-	}
-	// -workers and -shards pick competing schedulers; passing both would
-	// silently drop one, so the combination is rejected.
-	if *shards < 0 {
-		fail(fmt.Errorf("-shards must not be negative, got %d", *shards))
-	}
-	if *shards > 0 && *workers > 0 {
-		fail(fmt.Errorf("-workers and -shards are mutually exclusive; the sharded executor fixes its own width"))
 	}
 	kinds := protocol.Kinds()
 	if *protoFlag != "" {
@@ -98,10 +88,6 @@ func main() {
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	g := figures.NewGenerator(*workers)
-	if *shards > 0 {
-		g = figures.NewShardedGenerator(*shards)
-		fmt.Fprintf(os.Stderr, "[sharded executor: S=%d]\n", *shards)
-	}
 	var agg *obs.Aggregate
 	if *metrics != "" {
 		// The merge is commutative, so the aggregate is identical at any

@@ -7,11 +7,14 @@ import (
 	"strings"
 )
 
-// ShardConfine establishes the confinement contract the future sharded
-// (parallel-across-groups) kernel relies on: state in sim-reachable packages
-// is owned by exactly one shard and crosses shard/rank boundaries only
-// through kernel events — unless a declaration explicitly opts in to shared
-// mutability with
+// ShardConfine establishes the confinement contract concurrent cells rely
+// on. The harness Runner measures cells side by side, one kernel per worker
+// goroutine, so package-level mutable state in a sim-reachable package is
+// shared between live kernels, and a goroutine or concurrency primitive
+// outside the kernel's hand-off escapes its one-goroutine-at-a-time
+// guarantee. State is therefore owned by exactly one kernel and crosses rank
+// boundaries only through kernel events — unless a declaration explicitly
+// opts in to shared mutability with
 //
 //	// shared: <channel|mutex|atomic> [rationale]
 //
@@ -21,11 +24,11 @@ import (
 //   - struct fields and local declarations of concurrency-bearing types
 //     (channels, sync.Mutex/RWMutex/Once/WaitGroup/Cond/Map, sync/atomic
 //     types) without a // shared: annotation;
-//   - goroutine launches (a second goroutine is a second shard by
-//     definition) without one;
+//   - goroutine launches (a second goroutine runs beside the kernel, not
+//     under it) without one;
 //   - package-level variables that any function in the package writes —
-//     under a sharded kernel every package-level write is a cross-shard
-//     write.
+//     with several kernels live at once every package-level write is a
+//     write to state another cell can see.
 //
 // The declared mechanism must match the type: a channel field must say
 // "shared: channel", a mutex "shared: mutex", an atomic "shared: atomic" —
@@ -158,8 +161,8 @@ func checkLocalSharing(pass *Pass, body *ast.BlockStmt, requireShared func(token
 }
 
 // checkPackageVars flags package-level variables that are written from any
-// function body in the package — under a sharded kernel a package-level
-// write is a cross-shard write — plus any package-level variable of a
+// function body in the package — with concurrent cells a package-level
+// write is visible to every live kernel — plus any package-level variable of a
 // concurrency-bearing type, which is shared machinery by construction.
 // Initialization in the var declaration itself is not a write; read-only
 // tables of plain types stay unannotated.

@@ -23,7 +23,6 @@ import (
 // A Runner is safe for concurrent use by multiple goroutines.
 type Runner struct {
 	workers int
-	sharded bool // static round-robin scheduling instead of the work-stealing pool
 
 	// shared: mutex serializes the memo table and aggregate across worker goroutines
 	mu        sync.Mutex
@@ -69,24 +68,8 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, baselines: make(map[string]*baselineEntry)}
 }
 
-// NewShardedRunner returns a Runner that schedules statically: shard s owns
-// the cell indices congruent to s modulo shards (ForEachSharded) instead of
-// drawing from a shared work queue. Results are bit-identical either way —
-// cells are independent — but the static partition gives merged outputs
-// stable shard attribution and makes the schedule itself reproducible.
-// shards <= 0 selects GOMAXPROCS.
-func NewShardedRunner(shards int) *Runner {
-	r := NewRunner(shards)
-	r.sharded = true
-	return r
-}
-
 // Workers reports the worker-pool bound.
 func (r *Runner) Workers() int { return r.workers }
-
-// Sharded reports whether the Runner schedules statically (NewShardedRunner)
-// rather than on the work-stealing pool.
-func (r *Runner) Sharded() bool { return r.sharded }
 
 // CacheStats reports baseline-cache hits and misses so far. A hit includes
 // waiting on an in-flight computation of the same key.
@@ -129,20 +112,27 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 // Measure runs one checkpointed cell, taking the baseline from the cache.
 // With an aggregate installed, the cell's metrics are merged into it.
 func (r *Runner) Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	base, err := r.Baseline(cfg, w)
+	return r.measure(Cell{Config: cfg, Workload: w, IssuedAt: issuedAt}, nil)
+}
+
+// measure is Measure with an optional caller-owned bus attached to the
+// checkpointed run (RunCaptured's per-cell sinks hang off it).
+func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
+	base, err := r.Baseline(c.Config, c.Workload)
 	if err != nil {
 		return Result{}, err
 	}
 	agg := r.aggregate()
-	if agg == nil {
-		return MeasureWithBaseline(cfg, w, issuedAt, base)
+	if bus == nil && agg != nil {
+		bus = obs.NewBus()
 	}
-	bus := obs.NewBus()
-	res, err := measureWithBaselineObs(cfg, w, issuedAt, base, bus)
+	res, err := measureWithBaselineObs(c.Config, c.Workload, c.IssuedAt, base, bus)
 	if err != nil {
 		return res, err
 	}
-	agg.Merge(bus.Metrics().Snapshot())
+	if agg != nil {
+		agg.Merge(bus.Metrics().Snapshot())
+	}
 	return res, nil
 }
 
@@ -162,10 +152,9 @@ type Cell struct {
 func (r *Runner) Run(cells []Cell) ([]Result, error) {
 	out := make([]Result, len(cells))
 	err := r.ForEach(len(cells), func(i int) error {
-		res, err := r.Measure(cells[i].Config, cells[i].Workload, cells[i].IssuedAt)
+		res, err := r.measure(cells[i], nil)
 		if err != nil {
-			return fmt.Errorf("cell %d (%s group=%d at=%v): %w",
-				i, cells[i].Workload.Name(), cells[i].Config.CR.GroupSize, cells[i].IssuedAt, err)
+			return fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
 		}
 		out[i] = res
 		return nil
@@ -181,9 +170,6 @@ func (r *Runner) Run(cells []Cell) ([]Result, error) {
 func (r *Runner) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
-	}
-	if r.sharded {
-		return ForEachSharded(r.workers, n, fn)
 	}
 	workers := r.workers
 	if workers > n {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -18,7 +17,7 @@ import (
 
 // equivCells is the equivalence matrix: all three protocols, two group
 // sizes, repeated issuance times (exercising baseline dedup), and the
-// tiered-storage hierarchy. Eight cells so S=8 puts one cell per shard.
+// tiered-storage hierarchy. Eight cells so width 8 puts one cell per worker.
 func equivCells() []Cell {
 	const n = 4
 	w := workload.CommGroups{N: n, CommGroupSize: 2, Iters: 60,
@@ -50,22 +49,19 @@ func equivCells() []Cell {
 	}
 }
 
-// shardedOutputs captures every merged artifact of one RunSharded
-// execution.
-type shardedOutputs struct {
+// capturedOutputs holds every merged artifact of one RunCaptured execution.
+type capturedOutputs struct {
 	timeline, jsonl, chrome, metrics []byte
 	results                          []Result
 }
 
-func captureSharded(t *testing.T, cells []Cell, shards int) shardedOutputs {
+func captureAtWidth(t *testing.T, cells []Cell, workers int) capturedOutputs {
 	t.Helper()
-	run, err := RunSharded(cells, ShardedOptions{
-		Shards: shards, Trace: true, JSONL: true, Chrome: true,
-	})
+	run, err := NewRunner(workers).RunCaptured(cells, Capture{Trace: true, JSONL: true, Chrome: true})
 	if err != nil {
-		t.Fatalf("RunSharded(S=%d): %v", shards, err)
+		t.Fatalf("RunCaptured(workers=%d): %v", workers, err)
 	}
-	var out shardedOutputs
+	var out capturedOutputs
 	var buf bytes.Buffer
 	if err := run.RenderTimeline(&buf); err != nil {
 		t.Fatal(err)
@@ -90,21 +86,22 @@ func captureSharded(t *testing.T, cells []Cell, shards int) shardedOutputs {
 	return out
 }
 
-// TestShardedEquivalenceMatrix is the committed regression for the
-// acceptance criterion: byte-identical obs traces (text timeline, JSONL,
-// Chrome) and equal metrics aggregates and CycleReports between S=1 and
-// S∈{2,4,8}, across all three protocols, two issuance times, and the
-// tiered-storage hierarchy. Run under -race in CI (shard-equivalence job).
+// TestShardedEquivalenceMatrix is the committed regression for the merged
+// multi-cell outputs: byte-identical obs traces (text timeline, JSONL,
+// Chrome) and equal metrics aggregates and CycleReports between a serial
+// Runner and worker-pool widths S ∈ {1,2,4,8}, across all three protocols,
+// two issuance times, and the tiered-storage hierarchy. Run under -race in
+// CI.
 func TestShardedEquivalenceMatrix(t *testing.T) {
 	cells := equivCells()
-	want := captureSharded(t, cells, 1)
+	want := captureAtWidth(t, cells, 1)
 	if len(want.results) != len(cells) {
 		t.Fatalf("got %d results for %d cells", len(want.results), len(cells))
 	}
-	for _, shards := range []int{2, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
-			got := captureSharded(t, cells, shards)
+	for _, workers := range []int{1, 2, 4, 8} {
+		workers := workers
+		t.Run(fmt.Sprintf("S=%d", workers), func(t *testing.T) {
+			got := captureAtWidth(t, cells, workers)
 			if !bytes.Equal(got.timeline, want.timeline) {
 				t.Errorf("text timeline differs from serial (%d vs %d bytes)",
 					len(got.timeline), len(want.timeline))
@@ -118,8 +115,8 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 					len(got.chrome), len(want.chrome))
 			}
 			if !bytes.Equal(got.metrics, want.metrics) {
-				t.Errorf("metrics aggregate differs from serial:\nserial: %s\nS=%d:  %s",
-					want.metrics, shards, got.metrics)
+				t.Errorf("metrics aggregate differs from serial:\nserial: %s\nworkers=%d: %s",
+					want.metrics, workers, got.metrics)
 			}
 			if !reflect.DeepEqual(got.results, want.results) {
 				t.Errorf("results (cycle reports included) differ from serial")
@@ -128,10 +125,10 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestShardedFaultScenarioEquivalence shards a batch of -faults
-// availability scenarios across executors: each scenario is one serial
-// restart chain (RunScenario), and the batch's traces and results must be
-// identical at any shard count.
+// TestShardedFaultScenarioEquivalence spreads a batch of -faults availability
+// scenarios over the worker pool: each scenario is one serial restart chain
+// (RunScenario), and the batch's traces and results must be identical at
+// any worker count.
 func TestShardedFaultScenarioEquivalence(t *testing.T) {
 	const n = 4
 	w := scenarioRing(n)
@@ -145,10 +142,10 @@ func TestShardedFaultScenarioEquivalence(t *testing.T) {
 	for i, spec := range specs {
 		scns[i] = mustParse(t, spec)
 	}
-	runBatch := func(shards int) ([][]byte, []AvailabilityResult) {
+	runBatch := func(workers int) ([][]byte, []AvailabilityResult) {
 		traces := make([][]byte, len(specs))
 		results := make([]AvailabilityResult, len(specs))
-		err := ForEachSharded(shards, len(specs), func(i int) error {
+		err := NewRunner(workers).ForEach(len(specs), func(i int) error {
 			cfg := smallCluster(n)
 			cfg.CR.GroupSize = 2
 			cfg.CR.DefaultFootprint = 5 << 20
@@ -171,108 +168,29 @@ func TestShardedFaultScenarioEquivalence(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("batch (S=%d): %v", shards, err)
+			t.Fatalf("batch (workers=%d): %v", workers, err)
 		}
 		return traces, results
 	}
 	wantTraces, wantResults := runBatch(1)
-	for _, shards := range []int{2, 4} {
-		gotTraces, gotResults := runBatch(shards)
+	for _, workers := range []int{2, 4} {
+		gotTraces, gotResults := runBatch(workers)
 		for i := range specs {
 			if !bytes.Equal(gotTraces[i], wantTraces[i]) {
-				t.Errorf("S=%d scenario %d: trace differs from serial (%d vs %d bytes)",
-					shards, i, len(gotTraces[i]), len(wantTraces[i]))
+				t.Errorf("workers=%d scenario %d: trace differs from serial (%d vs %d bytes)",
+					workers, i, len(gotTraces[i]), len(wantTraces[i]))
 			}
 		}
 		if !reflect.DeepEqual(gotResults, wantResults) {
-			t.Errorf("S=%d: availability results differ from serial", shards)
+			t.Errorf("workers=%d: availability results differ from serial", workers)
 		}
 	}
 }
 
-// TestShardedRunnerSweepMatchesPool pins the static-sharded Runner against
-// the work-stealing pool: bit-identical sweep results.
-func TestShardedRunnerSweepMatchesPool(t *testing.T) {
-	const n = 4
-	cfg := smallCluster(n)
-	cfg.CR.DefaultFootprint = 20 << 20
-	w := workload.CommGroups{N: n, CommGroupSize: 2, Iters: 40,
-		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
-	groups := []int{0, 2}
-	times := []sim.Time{1 * sim.Second, 2 * sim.Second}
-	pool, err := NewRunner(2).Sweep(cfg, w, groups, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := NewShardedRunner(2)
-	if !sharded.Sharded() {
-		t.Fatal("NewShardedRunner is not marked sharded")
-	}
-	got, err := sharded.Sweep(cfg, w, groups, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, pool) {
-		t.Fatal("sharded Runner sweep differs from pool Runner sweep")
-	}
-}
-
-// TestForEachSharded covers the scheduling primitive: full coverage,
-// static assignment, panic capture, and validation.
-func TestForEachSharded(t *testing.T) {
-	const n = 13
-	owner := make([]int, n)
-	if err := ForEachSharded(4, n, func(i int) error {
-		owner[i] = i%4 + 1 // record which shard would own i (static: i mod shards)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range owner {
-		if o == 0 {
-			t.Fatalf("index %d never ran", i)
-		}
-	}
-	sentinel := errors.New("cell 7 failed")
-	err := ForEachSharded(3, n, func(i int) error {
-		if i == 9 {
-			return errors.New("cell 9 failed")
-		}
-		if i == 7 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want first error in index order (cell 7), got %v", err)
-	}
-	err = ForEachSharded(2, 4, func(i int) error {
-		if i == 2 {
-			panic("boom")
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("panic not captured: %v", err)
-	}
-	if err := ForEachSharded(0, 4, func(int) error { return nil }); err == nil {
-		t.Fatal("shards=0 accepted")
-	}
-	if err := ForEachSharded(8, 0, func(int) error { t.Error("ran"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunShardedValidation covers the executor's rejection paths.
-func TestRunShardedValidation(t *testing.T) {
-	cells := equivCells()[:2]
-	if _, err := RunSharded(cells, ShardedOptions{Shards: 0}); err == nil {
-		t.Fatal("shards=0 accepted")
-	}
-	if _, err := RunSharded(cells, ShardedOptions{Shards: 3}); err == nil {
-		t.Fatal("more shards than cells accepted")
-	}
-	run, err := RunSharded(cells, ShardedOptions{Shards: 2})
+// TestCapturedRunWithoutCaptures covers the render rejection paths: an
+// output that was not captured is an error, not an empty file.
+func TestCapturedRunWithoutCaptures(t *testing.T) {
+	run, err := NewRunner(2).RunCaptured(equivCells()[:2], Capture{})
 	if err != nil {
 		t.Fatal(err)
 	}

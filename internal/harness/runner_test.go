@@ -193,9 +193,9 @@ func TestForEachPanicBecomesError(t *testing.T) {
 
 func TestForEachFirstErrorInIndexOrder(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	var calls atomic.Int32
-	err := NewRunner(4).ForEach(8, func(i int) error {
-		calls.Add(1)
+	var calls [8]atomic.Int32
+	err := NewRunner(4).ForEach(len(calls), func(i int) error {
+		calls[i].Add(1)
 		if i >= 3 {
 			return fmt.Errorf("index %d: %w", i, sentinel)
 		}
@@ -204,8 +204,13 @@ func TestForEachFirstErrorInIndexOrder(t *testing.T) {
 	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "index 3") {
 		t.Fatalf("want the index-3 error regardless of schedule, got: %v", err)
 	}
-	if calls.Load() != 8 {
-		t.Fatalf("ForEach must run every index, ran %d of 8", calls.Load())
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Fatalf("ForEach must run every index exactly once, index %d ran %d times", i, n)
+		}
+	}
+	if err := NewRunner(4).ForEach(0, func(int) error { t.Error("ran with n == 0"); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 

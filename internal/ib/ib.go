@@ -85,25 +85,6 @@ func (cfg Config) backoffCap() sim.Time {
 	return 16 * cfg.handshakeTimeout()
 }
 
-// MinLinkLatency reports the smallest one-way latency any message can
-// experience on this fabric: the floor of the in-band wire latency and the
-// out-of-band management latency, considering only configured (positive)
-// channels. It is the conservative lookahead for the sharded simulation
-// engine — no influence crosses a fabric boundary faster than this, so a
-// shard granted a window of this width cannot miss a cross-shard arrival.
-// An unconfigured fabric (both latencies zero) reports zero; callers
-// needing a positive lookahead must reject such configs.
-func (cfg Config) MinLinkLatency() sim.Time {
-	min := cfg.Latency
-	if cfg.OOBLatency > 0 && (min <= 0 || cfg.OOBLatency < min) {
-		min = cfg.OOBLatency
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
 // PaperConfig returns fabric parameters matching the evaluation testbed:
 // Mellanox DDR HCAs (~1.5 GB/s links, ~4 us latency) with connection
 // management over an out-of-band channel (~150 us per message).

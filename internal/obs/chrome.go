@@ -53,10 +53,6 @@ func NewChrome() *ChromeSink {
 // per-rank lanes and never collides with rank+1 numbering.
 const faultTID = 1 << 20
 
-// shardTID is the base track id for sharded-engine diagnostics: shard s
-// renders on track shardTID+s, between the rank lanes and the faults track.
-const shardTID = 1 << 19
-
 // tid maps a world rank to a stable track id: 0 is the system track, rank r
 // is track r+1. Fault-layer events override this with faultTID.
 func tid(rank int) int {
@@ -79,15 +75,10 @@ func (s *ChromeSink) Emit(e Event) {
 		ph, scope = "E", ""
 	}
 	track := tid(e.Rank)
-	switch e.Layer {
-	case LayerFault:
+	if e.Layer == LayerFault {
 		// Injected faults get their own track regardless of which rank they
 		// target; the target rank stays visible via the args below.
 		track = faultTID
-	case LayerShard:
-		// Engine diagnostics: Rank carries the shard index, and each shard
-		// gets its own track above the rank lanes.
-		track = shardTID + e.Rank
 	}
 	ce := chromeEvent{
 		Name:  e.What,
@@ -151,8 +142,6 @@ func (s *ChromeSink) renderEvents() []chromeEvent {
 		switch {
 		case id == faultTID:
 			name = "faults"
-		case id >= shardTID:
-			name = fmt.Sprintf("shard %d", id-shardTID)
 		case id > 0:
 			name = fmt.Sprintf("rank %d", id-1)
 		}

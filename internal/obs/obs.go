@@ -32,12 +32,6 @@ type Layer uint8
 // dropped connection-management packets, snapshot corruption — emit on it so
 // every exported timeline shows what was done to the run alongside how the
 // run reacted.
-// LayerShard is the sharded engine itself (internal/sim's ShardSet):
-// window advances, lookahead stalls, and cross-shard message traffic. Shard
-// events set Rank to the shard index. They travel on their own ShardTrace
-// lanes rather than the model bus — window boundaries depend on real-time
-// interleaving, so folding them into the model timeline would break the
-// byte-identical serial-vs-sharded trace contract.
 const (
 	LayerKernel Layer = iota
 	LayerStorage
@@ -45,10 +39,9 @@ const (
 	LayerMPI
 	LayerCR
 	LayerFault
-	LayerShard
 )
 
-var layerNames = [...]string{"kernel", "storage", "ib", "mpi", "cr", "fault", "shard"}
+var layerNames = [...]string{"kernel", "storage", "ib", "mpi", "cr", "fault"}
 
 func (l Layer) String() string {
 	if int(l) < len(layerNames) {

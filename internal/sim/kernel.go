@@ -49,12 +49,12 @@ func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 // disables tracing.
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
-// take pulls an event from the free list (bumping its generation, which
-// invalidates any handles to its previous life) or allocates a fresh one.
-// The caller stamps timestamp and sequence.
+// alloc takes an event from the free list (bumping its generation, which
+// invalidates any handles to its previous life) or allocates a fresh one,
+// and stamps it with the next sequence number.
 //
 // alloc-free
-func (k *Kernel) take() *event {
+func (k *Kernel) alloc(t Time) *event {
 	var e *event
 	if n := len(k.q.free); n > 0 {
 		e = k.q.free[n-1]
@@ -67,49 +67,10 @@ func (k *Kernel) take() *event {
 		//lint:allow-allocfree pool refill on a cold miss; the steady state recycles every event
 		e = &event{k: k}
 	}
-	return e
-}
-
-// alloc takes an event and stamps it with the next local sequence number.
-//
-// alloc-free
-func (k *Kernel) alloc(t Time) *event {
-	e := k.take()
 	k.seq++
 	e.at = t
 	e.seq = k.seq
 	return e
-}
-
-// injectedSeqBit marks an event sequence number as belonging to a
-// cross-shard message rather than the local counter. Message events carry a
-// deterministic key derived from their (source shard, link sequence)
-// identity instead of consuming a local sequence number, so the local
-// counter — and with it the tie-break order of every locally scheduled
-// event — is identical no matter when the sharded engine happens to inject
-// a message. The high bit also makes every message event sort after all
-// local events at the same instant, a documented invariant of the merge.
-const injectedSeqBit = uint64(1) << 63
-
-// injectAt schedules fn at absolute time at with an explicit, caller-owned
-// sequence key (the sharded engine's deterministic cross-shard message
-// identity). It bypasses the local sequence counter entirely; see
-// injectedSeqBit. Callers must inject batches in increasing (at, seq) order
-// so the same-instant run-queue fast path keeps its FIFO-equals-key-order
-// invariant.
-func (k *Kernel) injectAt(at Time, seq uint64, fn func()) error {
-	if at < k.now {
-		return fmt.Errorf("sim: injecting event at %v before now %v", at, k.now)
-	}
-	if seq&injectedSeqBit == 0 {
-		return fmt.Errorf("sim: injected sequence %#x lacks the injected-seq bit", seq)
-	}
-	e := k.take()
-	e.at = at
-	e.seq = seq
-	e.fn = fn
-	k.q.schedule(e, k.now)
-	return nil
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
@@ -232,55 +193,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 	}
 	return nil
 }
-
-// RunBefore executes events with timestamps strictly less than limit and
-// returns with the clock at the last fired event (it does not advance the
-// clock to limit). The exclusive bound is what makes it safe as the sharded
-// engine's window primitive: a cross-shard message granted for delivery at
-// exactly limit can still be injected afterwards, because no event at limit
-// has fired yet. On return the same-instant run queue is provably empty —
-// every event at the current instant had a timestamp < limit and was fired
-// inside the loop — so a subsequent sorted injection batch preserves the
-// run queue's FIFO-equals-key-order invariant. Unlike Run, it performs no
-// deadlock check: parked processes may be waiting for messages a later
-// window will deliver.
-//
-// alloc-free
-func (k *Kernel) RunBefore(limit Time) error {
-	for k.failure == nil {
-		e := k.q.next()
-		if e == nil || e.at >= limit {
-			break
-		}
-		k.q.pop(e)
-		k.now = e.at
-		e.fired = true
-		k.processed++
-		if k.tracer != nil {
-			k.tracer.Event(k.now)
-		}
-		k.dispatch(e)
-		k.q.recycle(e)
-	}
-	return k.failure
-}
-
-// NextEventTime reports the timestamp of the earliest pending event, or
-// false when the queue is empty. The sharded engine publishes it as the
-// shard's local promise input.
-//
-// alloc-free
-func (k *Kernel) NextEventTime() (Time, bool) {
-	if e := k.q.next(); e != nil {
-		return e.at, true
-	}
-	return 0, false
-}
-
-// LiveProcs reports how many spawned processes have not finished. The
-// sharded engine uses it after all shards drain to diagnose a cross-shard
-// deadlock (processes parked waiting for messages that will never arrive).
-func (k *Kernel) LiveProcs() int { return k.live }
 
 // Shutdown terminates every live process so their goroutines exit. Call it
 // when abandoning a simulation mid-run (e.g. after injecting a failure);

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -524,6 +525,8 @@ func TestTimeString(t *testing.T) {
 		{3 * Millisecond, "3ms"},
 		{2 * Second, "2s"},
 		{-2 * Second, "-2s"},
+		{math.MaxInt64, "9.22337e+09s"},
+		{math.MinInt64, "-9.22337e+09s"}, // -t == t here; must not recurse forever
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

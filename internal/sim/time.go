@@ -7,7 +7,10 @@
 // whole simulation is deterministic and data-race-free without locks.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, in nanoseconds since the start of the
 // simulation. It is also used for durations.
@@ -39,6 +42,11 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string {
 	switch {
 	case t < 0:
+		if t == math.MinInt64 {
+			// -t overflows back to t; one nanosecond nearer zero negates
+			// safely and prints the same six significant digits.
+			t++
+		}
 		return "-" + (-t).String()
 	case t < Microsecond:
 		return fmt.Sprintf("%dns", int64(t))

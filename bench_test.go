@@ -65,18 +65,6 @@ func BenchmarkFig3GroupSize(b *testing.B) {
 	b.ReportMetric(metric(b, t, "Comm 8", "8"), "s-delay-group8")
 }
 
-// BenchmarkFig3GroupSizeSerial regenerates Figure 3 with the worker pool
-// forced to a single worker. Comparing it against BenchmarkFig3GroupSize
-// (GOMAXPROCS workers) shows the wall-clock gain of the concurrent Runner
-// on multi-core machines; the tables are bit-identical either way.
-func BenchmarkFig3GroupSizeSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.NewGenerator(1).Fig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig4Placement regenerates Figure 4: effective delay against the
 // checkpoint issuance time relative to a global barrier.
 func BenchmarkFig4Placement(b *testing.B) {
@@ -97,17 +85,6 @@ func BenchmarkFig5HPLDelay(b *testing.B) {
 	}
 	b.ReportMetric(metric(b, t, "All(32)", "50"), "s-all-at-50s")
 	b.ReportMetric(metric(b, t, "Group(4)", "50"), "s-group4-at-50s")
-}
-
-// BenchmarkFig5HPLDelaySerial is the single-worker twin of
-// BenchmarkFig5HPLDelay, for measuring the Runner's sweep speedup on the
-// paper's largest matrix (6 group sizes x 8 issuance times).
-func BenchmarkFig5HPLDelaySerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.NewGenerator(1).Fig5(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFig6HPLSummary regenerates Figure 6: per-group-size mean/min/max

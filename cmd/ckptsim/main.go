@@ -15,9 +15,11 @@
 //	ckptsim -workload ring -protocol uncoord -interval 5 -faults crash@12s
 //	ckptsim -workload ring -storage hierarchy -replicas 2 -interval 5 -faults 'memloss@17s:count=2'
 //	ckptsim -workload ring -storage burst -interval 5 -faults 'bboutage@20s+5s'
+//	ckptsim -workload ring -storage local -interval 5 -faults 'memloss@17s'   # Section 2.1 staging
 //	ckptsim -workload commgroups -group 8 -at 10,20,30,40   # one cell per time, merged outputs
 //
-// Invalid flags and failed runs exit with status 1 and a one-line message.
+// Invalid flags and failed runs exit with status 1 and a one-line message; a
+// failed run still writes the trace and metrics files it was asked for.
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 		interval  = flag.Float64("interval", 0, "periodic checkpoint interval in seconds (with -mtbf or -faults)")
 		seed      = flag.Int64("seed", 1, "failure-injection seed (with -mtbf or -faults)")
 		faults    = flag.String("faults", "", "fault scenario: a spec like 'crash@12s;outage@20s+5s;mtbf=90s' or a file holding one")
-		storeMode = flag.String("storage", "central", "checkpoint storage: central, burst, ram, hierarchy")
+		storeMode = flag.String("storage", "central", "checkpoint storage: central, burst, ram, hierarchy, local (node-local disk staging)")
 		replicas  = flag.Int("replicas", 0, "RAM-tier partner replicas per rank (with -storage ram or hierarchy; 0 = default 2)")
 	)
 	flag.Parse()
@@ -116,20 +118,17 @@ func main() {
 
 	// Storage-hierarchy selection. Like the group-structure flags, unusable
 	// combinations are rejected rather than ignored: -replicas without a
-	// RAM-bearing mode, or a tiered mode under a protocol whose commit model
-	// the hierarchy does not support.
+	// RAM-bearing mode here; a tiered mode under a protocol whose commit model
+	// the hierarchy does not support by cfg.Validate, once cfg is assembled.
 	mode := tier.Mode(*storeMode)
 	if !mode.Valid() {
-		fail("unknown -storage %q (want central, burst, ram, or hierarchy)", *storeMode)
+		fail("unknown -storage %q (want central, burst, ram, hierarchy, or local)", *storeMode)
 	}
 	if set["replicas"] && !mode.HasRAM() {
 		fail("-replicas only applies to -storage ram or hierarchy; %s has no RAM replication tier", mode)
 	}
 	if *replicas < 0 {
 		fail("-replicas must not be negative, got %d", *replicas)
-	}
-	if mode.Tiered() && kind == protocol.Uncoordinated {
-		fail("-storage %s requires a blocking protocol; uncoord commits per rank on central-write completion", mode)
 	}
 
 	// Issuance times. Multiple -at values form a cell matrix that runs on
@@ -234,15 +233,7 @@ func main() {
 		export(*traceJSON, run.WriteJSONL)
 		export(*traceChr, run.WriteChrome)
 		export(*metrics, run.Aggregate().WriteJSON)
-		fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), ranks)
-		fmt.Printf("protocol:              %s\n", protocolName(kind, *group, ranks, *dynamic))
-		if mode.Tiered() {
-			if mode.HasRAM() {
-				fmt.Printf("storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
-			} else {
-				fmt.Printf("storage:               %s\n", mode)
-			}
-		}
+		header(w, cfg)
 		for i, res := range run.Results {
 			fmt.Printf("cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
 				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
@@ -282,14 +273,13 @@ func main() {
 		}
 	}
 	writeOutputs := func() {
-		if *traceJSON != "" {
+		export(*traceJSON, func(w io.Writer) error {
 			if jsonl.Err() != nil {
-				fail("encoding %s: %v", *traceJSON, jsonl.Err())
+				return jsonl.Err()
 			}
-			if err := os.WriteFile(*traceJSON, jsonlB.Bytes(), 0o644); err != nil {
-				fail("%v", err)
-			}
-		}
+			_, err := w.Write(jsonlB.Bytes())
+			return err
+		})
 		export(*traceChr, func(w io.Writer) error { return chrome.Render(w) })
 		export(*metrics, func(w io.Writer) error { return bus.Metrics().Snapshot().WriteJSON(w) })
 	}
@@ -314,19 +304,11 @@ func main() {
 			iv = scn.MTBF / 4
 		}
 		fr, err := harness.RunScenario(cfg, rw, scn, iv, bus)
+		writeOutputs() // a failed run's timeline is the one worth reading
 		if err != nil {
 			fail("%v", err)
 		}
-		writeOutputs()
-		fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), ranks)
-		fmt.Printf("protocol:              %s\n", protocolName(kind, *group, ranks, *dynamic))
-		if mode.Tiered() {
-			if mode.HasRAM() {
-				fmt.Printf("storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
-			} else {
-				fmt.Printf("storage:               %s\n", mode)
-			}
-		}
+		header(w, cfg)
 		if scn.MTBF > 0 {
 			fmt.Printf("checkpoint interval:   %v (MTBF %v)\n", iv, scn.MTBF)
 		} else {
@@ -345,8 +327,13 @@ func main() {
 			fmt.Printf("corrupt epochs skipped: %d\n", fr.CorruptSkipped)
 		}
 		if mode.Tiered() && fr.Failures > 0 {
-			fmt.Printf("recovered from tiers:  ram=%d burst=%d central=%d\n",
-				fr.RecoveredRAM, fr.RecoveredBurst, fr.RecoveredCentral)
+			by := map[tier.Level]int{tier.RAM: fr.RecoveredRAM, tier.Local: fr.RecoveredLocal,
+				tier.Burst: fr.RecoveredBurst, tier.Central: fr.RecoveredCentral}
+			fmt.Print("recovered from tiers: ")
+			for _, level := range mode.Levels() {
+				fmt.Printf(" %s=%d", level, by[level])
+			}
+			fmt.Println()
 		}
 		if *showTrace {
 			fmt.Println("\nfault injections:")
@@ -358,12 +345,11 @@ func main() {
 	}
 
 	res, err := harness.MeasureObserved(cfg, w, ats[0], bus)
+	writeOutputs()
 	if err != nil {
 		fail("%v", err)
 	}
-	writeOutputs()
-	fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), ranks)
-	fmt.Printf("protocol:              %s\n", protocolName(kind, *group, ranks, *dynamic))
+	header(w, cfg)
 	fmt.Printf("checkpoint issued at:  %v\n", res.IssuedAt)
 	fmt.Printf("baseline completion:   %v\n", res.Baseline)
 	fmt.Printf("with checkpoint:       %v\n", res.WithCkpt)
@@ -371,6 +357,9 @@ func main() {
 	fmt.Printf("individual ckpt time:  %v mean, %v max\n",
 		res.Report.MeanIndividual(), res.Report.MaxIndividual())
 	fmt.Printf("total ckpt time:       %v\n", res.Total())
+	if mode.Tiered() {
+		fmt.Printf("vulnerability window:  %v\n", res.Report.VulnerabilityWindow())
+	}
 	fmt.Printf("storage share:         %.1f%%\n", 100*res.Report.StorageShare())
 	fmt.Printf("groups:                %v\n", res.Report.Groups)
 	if *showTrace {
@@ -453,6 +442,19 @@ func loadScenario(arg string) fault.Scenario {
 		fail("%v", err)
 	}
 	return scn
+}
+
+// header prints the lines every report starts with: what ran, under which
+// protocol, and — when a hierarchy is installed — against which storage.
+func header(w workload.Workload, cfg harness.ClusterConfig) {
+	fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), cfg.N)
+	fmt.Printf("protocol:              %s\n", protocolName(cfg.CR.Protocol, cfg.CR.GroupSize, cfg.N, cfg.CR.Dynamic))
+	switch mode := cfg.Tiers.Mode; {
+	case mode.HasRAM():
+		fmt.Printf("storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
+	case mode.Tiered():
+		fmt.Printf("storage:               %s\n", mode)
+	}
 }
 
 func protocolName(kind protocol.Kind, group, ranks int, dynamic bool) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -47,6 +48,8 @@ func TestRejectedInput(t *testing.T) {
 		{"unknown workload", []string{"-workload", "nosuch"}},
 		{"interval without mtbf", append(ring, "-interval", "5")},
 		{"v with an at list", append(ring, "-v", "-at", "1,2")},
+		{"replicas under local staging", append(ring, "-storage", "local", "-replicas", "2")},
+		{"local staging under uncoord", append(ring, "-storage", "local", "-protocol", "uncoord")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +108,51 @@ func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 	for i, f := range files {
 		if !bytes.Equal(exp1[i], exp4[i]) {
 			t.Errorf("%s differs between GOMAXPROCS=1 and 4 (%d vs %d bytes)", f, len(exp1[i]), len(exp4[i]))
+		}
+	}
+}
+
+// TestLocalStagingAccepted: -storage local is a storage mode like the others.
+func TestLocalStagingAccepted(t *testing.T) {
+	out, err := exec.Command(bin, "-workload", "ring", "-n", "4", "-group", "2", "-iters", "100",
+		"-footprint", "20", "-storage", "local", "-at", "1").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out, []byte("storage:               local\n")) {
+		t.Errorf("report does not name the storage mode:\n%s", out)
+	}
+}
+
+// TestFailedRunStillWritesTrace: a scenario run that fails (here: a central
+// outage outlasting the coordinator's retry budget) exits 1 with one line and
+// still leaves the requested timeline, the one file needed to see why.
+func TestFailedRunStillWritesTrace(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-workload", "ring", "-n", "8", "-group", "2", "-iters", "200",
+		"-interval", "2", "-storage", "burst", "-faults", "outage@2s+30s", "-trace-json", trace)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("want exit status 1, got %v\nstderr: %s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "consecutive times; giving up") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("want the one-line give-up diagnostic, got %q", msg)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	if len(data) == 0 || len(lines) < 100 {
+		t.Fatalf("trace of the failed run has %d lines", len(lines))
+	}
+	for i, line := range lines {
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("trace line %d is not JSON: %v", i+1, err)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 
 	"gbcr/internal/sim"
-	"gbcr/internal/storage"
 )
 
 // Snapshot is one process's checkpoint image.
@@ -72,18 +71,6 @@ func (s *Snapshot) Corrupt() {
 	default:
 		s.checksum ^= 1
 	}
-}
-
-// WriteTo writes the snapshot image to storage on behalf of p, blocking for
-// the transfer, and returns the elapsed write time. The image size is the
-// memory footprint plus the state blobs.
-func (s *Snapshot) WriteTo(p *sim.Proc, st *storage.System) (sim.Time, error) {
-	return st.Write(p, s.Size())
-}
-
-// ReadFrom reads the snapshot image back from storage (restart path).
-func (s *Snapshot) ReadFrom(p *sim.Proc, st *storage.System) (sim.Time, error) {
-	return st.Read(p, s.Size())
 }
 
 // Size is the snapshot's storage image size in bytes.

@@ -43,8 +43,8 @@ func TestSnapshotWriteReadTiming(t *testing.T) {
 	var wrote, read sim.Time
 	k.Spawn("p", func(p *sim.Proc) {
 		var werr, rerr error
-		wrote, werr = s.WriteTo(p, st)
-		read, rerr = s.ReadFrom(p, st)
+		wrote, werr = st.Write(p, s.Size())
+		read, rerr = st.Read(p, s.Size())
 		if werr != nil || rerr != nil {
 			t.Errorf("write err %v, read err %v", werr, rerr)
 		}

@@ -6,10 +6,10 @@
 // reads come from the fastest tier that still holds one.
 //
 // Tier names are plain strings supplied by the caller (the storage/tier
-// package uses "ram", "burst", "central"); blcr itself is tier-agnostic. A
-// snapshot with no residency ever recorded is in legacy single-service mode
-// and is implicitly resident at central storage, so stores used without a
-// hierarchy behave exactly as before.
+// package uses "ram", "local", "burst", "central"); blcr itself is
+// tier-agnostic. A snapshot with no residency ever recorded is in legacy
+// single-service mode and is implicitly resident at central storage, so stores
+// used without a hierarchy behave exactly as before.
 
 package blcr
 
@@ -129,17 +129,17 @@ func (st *Store) DropTierCopies(epoch, rank int, tier string) int {
 	return len(set)
 }
 
-// DropNodeReplicas removes every copy held on one node at one tier across
-// all archived snapshots — the residency side of a node loss, where the
-// node's memory contents vanish with it. It returns how many copies were
-// lost.
-func (st *Store) DropNodeReplicas(tier string, node int) int {
+// DropNodeReplicas removes every copy held on one node, at every tier and
+// across all archived snapshots — the residency side of a node loss, where
+// the node's memory and disk contents vanish with it. Copies at shared
+// services (node -1) are never on a compute node and survive. It returns how
+// many copies were lost.
+func (st *Store) DropNodeReplicas(node int) int {
 	lost := 0
-	for e := 1; e <= st.maxEpoch; e++ {
-		for rank := 0; rank < st.n; rank++ {
-			if st.DropReplica(e, rank, tier, node) {
-				lost++
-			}
+	//lint:allow-simdeterminism every copy set is visited once and the count is order-independent
+	for key := range st.res.copies {
+		if st.DropReplica(key.epoch, key.rank, key.tier, node) {
+			lost++
 		}
 	}
 	return lost

@@ -70,7 +70,7 @@ func TestLatestVerifiedSkipsEpochWithAllCopiesLost(t *testing.T) {
 	}
 	// A 2-node memory loss destroys every RAM copy of epoch 2; epoch 1
 	// survives at burst and central.
-	lost := st.DropNodeReplicas("ram", 0) + st.DropNodeReplicas("ram", 1)
+	lost := st.DropNodeReplicas(0) + st.DropNodeReplicas(1)
 	if lost != 8 { // 2 ranks x 2 copies x 2 epochs
 		t.Fatalf("DropNodeReplicas removed %d copies, want 8", lost)
 	}

@@ -51,6 +51,10 @@ type Controller struct {
 	// already returned; nil otherwise.
 	finishedStep func()
 
+	// write is this cycle's snapshot write once started; an abort cancels it,
+	// so a discarded epoch's image never lands at a tier the failure spared.
+	write *storage.Transfer
+
 	// bufStart snapshots the rank's buffering counters at cycle start so
 	// endCycle can attribute the cycle's deferral activity to its record;
 	// the deltas are kept per cycle and folded into the records when the
@@ -304,6 +308,9 @@ func (c *Controller) onAbort(m msgAbort) {
 	c.cycleActive = false
 	c.finishedStep = nil
 	c.rank.SetHelper(false)
+	if c.write != nil {
+		c.write.Cancel(fmt.Errorf("cr: cycle %d aborted", m.cycle)) // a no-op once finished
+	}
 	c.unparkSelf()
 	c.releaseAligned()
 }
@@ -425,12 +432,14 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	rec.WriteStart = k.Now()
 	c.phase(protocol.PhaseWrite)
 	c.emit(obs.Begin, "ckpt-write", fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
-	if c.co.cfg.Staged {
-		// Two-phase: node-local write now (unshared disk), background
-		// drain to central storage after.
-		p.Sleep(c.localWriteTime(snap.Size()))
-		c.startDrain(snap.Size())
-	} else if _, err := c.writeSnapshot(p, snap); err != nil {
+	cycle := c.cycle
+	tr, err := c.startWrite(snap)
+	if err == nil {
+		tr.Wait(p)
+		err = tr.Err()
+	}
+	stale := c.abortFlag || c.cycle != cycle
+	if err != nil && !stale {
 		c.emit(obs.End, "ckpt-write", "")
 		if errors.Is(err, storage.ErrUnavailable) {
 			// Mid-cycle storage failure: hand the cycle back to the
@@ -449,9 +458,10 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	}
 	rec.WriteEnd = k.Now()
 	c.emit(obs.End, "ckpt-write", "")
-	if c.abortFlag {
+	if stale {
 		// The cycle aborted (another member failed) while our write was in
-		// flight; the snapshot belongs to the discarded epoch.
+		// flight; the snapshot belongs to the discarded epoch. A retried cycle
+		// that already began has cleared abortFlag: hence the comparison.
 		c.abortReturn()
 		return
 	}
@@ -622,31 +632,18 @@ func (c *Controller) writeFinishedSnapshot(rec *CkptRecord) {
 	rec.WriteStart = k.Now()
 	c.phase(protocol.PhaseWrite)
 	cycle := c.cycle
-	done := func() {
-		rec.WriteEnd = k.Now()
-		c.epoch++
-		c.mySaved = true
-		c.putSnapshot(snap)
-		c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
-		c.inCkpt = false
-		rec.ResumeAt = k.Now()
-		c.records = append(c.records, *rec)
-		c.observeRecord(*rec)
-		c.releaseAligned()
-	}
-	if c.co.cfg.Staged {
-		k.After(c.localWriteTime(snap.Size()), func() {
-			c.startDrain(snap.Size())
-			done()
-		})
-		return
-	}
-	tr, err := c.startSnapshotWrite(snap)
+	tr, err := c.startWrite(snap)
 	if err != nil {
 		k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
 		return
 	}
 	tr.OnDone(func() {
+		if c.cycle != cycle || !c.cycleActive {
+			// The cycle aborted while the write was in flight; the snapshot
+			// belongs to the discarded epoch.
+			c.inCkpt = false
+			return
+		}
 		if werr := tr.Err(); werr != nil {
 			if errors.Is(werr, storage.ErrUnavailable) {
 				c.emit(obs.Instant, "write-failed", werr.Error())
@@ -657,33 +654,31 @@ func (c *Controller) writeFinishedSnapshot(rec *CkptRecord) {
 			k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", c.rank.World(), werr))
 			return
 		}
-		if c.cycle != cycle || !c.cycleActive {
-			// The cycle aborted while the write was in flight; the snapshot
-			// belongs to the discarded epoch.
-			c.inCkpt = false
-			return
-		}
-		done()
+		rec.WriteEnd = k.Now()
+		c.epoch++
+		c.mySaved = true
+		c.putSnapshot(snap)
+		c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
+		c.inCkpt = false
+		rec.ResumeAt = k.Now()
+		c.records = append(c.records, *rec)
+		c.observeRecord(*rec)
+		c.releaseAligned()
 	})
 }
 
-// writeSnapshot performs the blocking snapshot write for a running rank:
-// through the storage hierarchy when one is installed — acknowledging at its
-// fastest durable tier — and directly to the central service otherwise.
-func (c *Controller) writeSnapshot(p *sim.Proc, snap *blcr.Snapshot) (sim.Time, error) {
+// startWrite begins storing snap — through the storage hierarchy when one is
+// installed, acknowledging at its fastest durable tier, and directly at the
+// central service otherwise — and remembers the transfer so an abort can
+// cancel it. Application-context callers Wait on the result.
+func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err error) {
 	if h := c.co.tiers; h != nil {
-		return h.Write(p, snap.Epoch, snap.Rank, snap.Size())
+		tr, err = h.StartWrite(snap.Epoch, snap.Rank, snap.Size())
+	} else {
+		tr, err = c.co.store.Start(snap.Size())
 	}
-	return snap.WriteTo(p, c.co.store)
-}
-
-// startSnapshotWrite begins the event-context snapshot write for a finished
-// rank, routed the same way as writeSnapshot.
-func (c *Controller) startSnapshotWrite(snap *blcr.Snapshot) (*storage.Transfer, error) {
-	if h := c.co.tiers; h != nil {
-		return h.StartWrite(snap.Epoch, snap.Rank, snap.Size())
-	}
-	return c.co.store.Start(snap.Size())
+	c.write = tr
+	return tr, err
 }
 
 // uncoordSafePoint is the member procedure of the uncoordinated protocol, run
@@ -719,7 +714,11 @@ func (c *Controller) uncoordSafePoint(e *mpi.Env) {
 	// cycle-wide rollback to coordinate, so the rank retries locally with the
 	// same capped backoff the blocking protocols apply cycle-wide.
 	for attempts := 0; ; {
-		_, err := snap.WriteTo(p, c.co.store)
+		tr, err := c.startWrite(snap)
+		if err == nil {
+			tr.Wait(p)
+			err = tr.Err()
+		}
 		if err == nil {
 			break
 		}
@@ -797,7 +796,7 @@ func (c *Controller) writeUncoordFinishedSnapshot(rec *CkptRecord) {
 	attempts := 0
 	var attempt func()
 	attempt = func() {
-		tr, err := c.co.store.Start(snap.Size())
+		tr, err := c.startWrite(snap)
 		if err != nil {
 			k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
 			return
@@ -837,39 +836,6 @@ func (c *Controller) writeUncoordFinishedSnapshot(rec *CkptRecord) {
 		})
 	}
 	attempt()
-}
-
-// localWriteTime is the node-local disk write time for a staged snapshot.
-func (c *Controller) localWriteTime(size int64) sim.Time {
-	bw := c.co.cfg.LocalDiskBW
-	if bw <= 0 {
-		bw = 60 << 20
-	}
-	return sim.Time(float64(size) / bw * float64(sim.Second))
-}
-
-// startDrain begins the background transfer of a staged snapshot from
-// local disk to central storage and reports completion to the coordinator.
-func (c *Controller) startDrain(size int64) {
-	cycle := c.cycle
-	rank := c.rank.World()
-	c.emit(obs.Begin, "ckpt-drain", fmt.Sprintf("%.0f MB to central storage", float64(size)/(1<<20)))
-	tr, err := c.co.store.Start(size)
-	if err != nil {
-		c.co.k.Fail(fmt.Errorf("cr: rank %d starting drain: %w", rank, err))
-		return
-	}
-	tr.OnDone(func() {
-		if err := tr.Err(); err != nil {
-			// Staged mode has no abort path: the group already resumed on the
-			// strength of the local write, so a failed drain loses the epoch.
-			// Fail loudly rather than pretend the checkpoint is durable.
-			c.co.k.Fail(fmt.Errorf("cr: rank %d drain failed (staged mode cannot retry): %w", rank, err))
-			return
-		}
-		c.emit(obs.End, "ckpt-drain", "")
-		c.sendCo(msgDrained{cycle: cycle, rank: rank})
-	})
 }
 
 // sendCo reports to the coordinator. The coordinator endpoint is created

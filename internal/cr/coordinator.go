@@ -56,11 +56,6 @@ type Coordinator struct {
 	epoch        int
 	cycleRetries int
 	aborts       int
-	epochOf      map[int]int // staged mode: cycle -> target epoch for late drains
-
-	// Staged-mode drain tracking, per cycle (drains can outlive the cycle).
-	drains     map[int]map[int]bool
-	repByCycle map[int]*CycleReport
 
 	// OnCycleDone, if non-nil, is invoked when a global checkpoint
 	// completes.
@@ -80,14 +75,13 @@ type Coordinator struct {
 	// cycleMetrics holds one registry per cycle: the controllers observe
 	// phase durations and buffering deltas into it, and the cycle's
 	// CycleReport reads its summary numbers from it. Entries are retained
-	// for the life of the coordinator because reports keep pointers and
-	// staged drains can land observations after the cycle closes.
+	// for the life of the coordinator because reports keep pointers.
 	cycleMetrics map[int]*obs.Metrics
 }
 
 // SetObs attaches an observability bus (nil detaches). The protocol timeline
 // — cycle request/turn/group-done/cycle-done on the system track, per-rank
-// phase spans (sync, teardown, write, resume-wait, drain) — is emitted as
+// phase spans (sync, teardown, write, resume-wait) — is emitted as
 // cr-layer events, and per-cycle phase numbers are mirrored into the bus's
 // registry.
 func (co *Coordinator) SetObs(b *obs.Bus) { co.bus = b }
@@ -132,9 +126,6 @@ func New(k *sim.Kernel, job *mpi.Job, store *storage.System, cfg Config) (*Coord
 		ep:           ep,
 		proto:        proto,
 		snaps:        blcr.NewStore(job.Size()),
-		drains:       make(map[int]map[int]bool),
-		repByCycle:   make(map[int]*CycleReport),
-		epochOf:      make(map[int]int),
 		cycleMetrics: make(map[int]*obs.Metrics),
 	}
 	if cfg.Protocol != "" {
@@ -174,17 +165,18 @@ func (co *Coordinator) SetTiers(h *tier.Hierarchy) {
 	h.Bind(co.snaps)
 }
 
-// Tiers returns the installed storage hierarchy, or nil.
-func (co *Coordinator) Tiers() *tier.Hierarchy { return co.tiers }
-
 // Reports returns the completed cycle reports with per-rank records filled
 // in. Call it after the simulation has quiesced: the last group's resume
 // records land shortly after the cycle completes; reading earlier returns
-// an error.
+// an error. Under a storage hierarchy DrainedAt is read here, so it reflects
+// the drains that have landed by the time of the call.
 func (co *Coordinator) Reports() ([]*CycleReport, error) {
 	for _, rep := range co.reports {
 		if err := co.fillRecords(rep); err != nil {
 			return nil, err
+		}
+		if co.tiers != nil {
+			rep.DrainedAt = co.tiers.ColdAt(rep.epoch)
 		}
 	}
 	return co.reports, nil
@@ -345,22 +337,6 @@ func (co *Coordinator) onMsg(src int, payload any) {
 		}
 	case msgWriteFailed:
 		co.onWriteFailed(m)
-	case msgDrained:
-		set := co.drains[m.cycle]
-		if set == nil {
-			set = make(map[int]bool)
-			co.drains[m.cycle] = set
-		}
-		set[m.rank] = true
-		rep := co.repByCycle[m.cycle]
-		if rep != nil && len(set) == co.job.Size() {
-			co.emit("all-drained", fmt.Sprintf("cycle %d durable", m.cycle))
-			co.markComplete(co.epochOf[m.cycle])
-			rep.DrainedAt = co.k.Now()
-			delete(co.drains, m.cycle)
-			delete(co.repByCycle, m.cycle)
-			delete(co.epochOf, m.cycle)
-		}
 	default:
 		co.k.Fail(fmt.Errorf("cr: coordinator got unexpected message %T from %d", payload, src))
 	}
@@ -436,28 +412,17 @@ func (co *Coordinator) groupCovered(set map[int]bool, group int) bool {
 func (co *Coordinator) finishCycle() {
 	co.emit("cycle-done", fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
 	co.broadcast(msgCycleDone{cycle: co.cycle})
+	co.epoch++
+	co.cycleRetries = 0
 	rep := &CycleReport{
 		Cycle:     co.cycle,
 		Groups:    co.groups,
 		RequestAt: co.requestAt,
 		DoneAt:    co.k.Now(),
+		epoch:     co.epoch,
 		metrics:   co.metricsFor(co.cycle),
 	}
-	co.epoch++
-	co.cycleRetries = 0
-	if co.cfg.Staged {
-		// Durability lags resumption: the global checkpoint completes only
-		// when every background drain finishes.
-		co.repByCycle[co.cycle] = rep
-		co.epochOf[co.cycle] = co.epoch
-		if set := co.drains[co.cycle]; len(set) == co.job.Size() {
-			co.markComplete(co.epoch)
-			rep.DrainedAt = co.k.Now()
-			delete(co.drains, co.cycle)
-			delete(co.repByCycle, co.cycle)
-			delete(co.epochOf, co.cycle)
-		}
-	} else if co.proto.Blocking() {
+	if co.proto.Blocking() {
 		co.markComplete(co.epoch)
 	}
 	// Non-blocking protocols have no global commit: every member snapshot

@@ -81,18 +81,6 @@ type Config struct {
 	// incremental snapshot writes (page-table metadata and always-hot
 	// pages). Zero means 0.05.
 	IncrementalFloor float64
-	// Staged enables two-phase checkpointing: snapshots land on node-local
-	// disk first (fast, unshared) and drain to central storage in the
-	// background. Section 2.1 argues against it — new large clusters are
-	// diskless, and a crash before the drain completes loses the
-	// checkpoint — so this mode exists to quantify the trade-off: the
-	// effective delay collapses to the local-write time, but the global
-	// checkpoint is only durable when every drain finishes
-	// (CycleReport.VulnerabilityWindow).
-	Staged bool
-	// LocalDiskBW is the node-local disk bandwidth in bytes/second used by
-	// staged checkpoints. Zero means 60 MB/s (a 2007-era SATA disk).
-	LocalDiskBW float64
 	// RetryBackoff is the initial delay before retrying a checkpoint cycle
 	// aborted by a member's write failure (storage outage mid-cycle). The
 	// delay doubles per consecutive abort, capped at RetryBackoffCap. Zero
@@ -158,7 +146,6 @@ func (cfg Config) protocolOptions(n int, logging bool) protocol.Options {
 		N:         n,
 		GroupSize: cfg.GroupSize,
 		Dynamic:   cfg.Dynamic,
-		Staged:    cfg.Staged,
 		Logging:   logging,
 	}
 }
@@ -233,14 +220,9 @@ type (
 	msgReady struct {
 		cycle, rank int
 	}
-	// msgSaved tells the coordinator a member's snapshot is on storage
-	// (or, in staged mode, on its local disk).
+	// msgSaved tells the coordinator a member's snapshot is on storage (under
+	// a storage hierarchy: acknowledged at its fastest accepting tier).
 	msgSaved struct {
-		cycle, rank int
-	}
-	// msgDrained tells the coordinator a staged snapshot finished draining
-	// from local disk to central storage.
-	msgDrained struct {
 		cycle, rank int
 	}
 	// msgWriteFailed tells the coordinator a member's snapshot write was
@@ -296,10 +278,15 @@ type CycleReport struct {
 	Groups    [][]int
 	RequestAt sim.Time
 	DoneAt    sim.Time
-	// DrainedAt is when every staged snapshot finished draining to central
-	// storage (zero unless Config.Staged).
+	// DrainedAt is when the last rank's image of this checkpoint reached the
+	// cold tier of a storage hierarchy (tier.Hierarchy.ColdAt). Zero for
+	// direct central writes, and while a drain is in flight or abandoned.
 	DrainedAt sim.Time
 	Records   []CkptRecord // one per rank, indexed by world rank
+
+	// epoch is the global checkpoint this cycle committed; it trails Cycle
+	// once cycles abort.
+	epoch int
 
 	// metrics is the cycle's registry: every controller observes its phase
 	// durations and buffering deltas into it. It is the primary source for
@@ -334,8 +321,9 @@ func (r *CycleReport) hist(name string) *obs.Histogram {
 func (r *CycleReport) Total() sim.Time { return r.DoneAt - r.RequestAt }
 
 // VulnerabilityWindow is how long after the processes resumed the new
-// checkpoint remained non-durable (staged mode only): a node crash in this
-// window falls back to the previous checkpoint.
+// checkpoint existed only above a storage hierarchy's cold tier (zero for
+// direct central writes). Under node-local staging a node loss in this window
+// falls back to the previous checkpoint.
 func (r *CycleReport) VulnerabilityWindow() sim.Time {
 	if r.DrainedAt == 0 {
 		return 0

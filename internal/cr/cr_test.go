@@ -13,6 +13,7 @@ import (
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
+	"gbcr/internal/storage/tier"
 )
 
 const testMB = 1 << 20
@@ -55,6 +56,20 @@ func newCluster(t testing.TB, n int, cfg Config) *testCluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// newStagingCluster is newCluster with Section 2.1 local-disk staging
+// installed: snapshots acknowledge at the node's own 60 MB/s disk and drain
+// to the 100 MB/s central service in the background.
+func newStagingCluster(t testing.TB, n int, cfg Config) (*testCluster, *tier.Hierarchy) {
+	t.Helper()
+	c := newCluster(t, n, cfg)
+	h, err := tier.NewHierarchy(c.k, tier.Config{Mode: tier.ModeLocal}, n, c.st, ib.PaperConfig().LinkBW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.co.SetTiers(h)
+	return c, h
 }
 
 // computeLoop is a pure-compute workload body: iters chunks of the given
@@ -645,61 +660,85 @@ func TestQuickEpochInvariant(t *testing.T) {
 	}
 }
 
-func TestStagedCheckpointing(t *testing.T) {
+func TestLocalStagingCheckpointing(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
-	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 60 * testMB
-	cfg.Staged = true
-	cfg.LocalDiskBW = 60 * testMB // 1 s local write per rank
-	c := newCluster(t, n, cfg)
-	c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
-	c.co.ScheduleCheckpoint(sim.Second)
-	runSim(t, c.k)
-	rep := c.reports(t)[0]
-	// Each rank's downtime is the local write (~1 s), independent of the
-	// group size; the shared-storage contention moves to the drains.
-	for i, rec := range rep.Records {
-		if d := rec.Individual(); d < 900*sim.Millisecond || d > 1500*sim.Millisecond {
-			t.Fatalf("rank %d staged downtime %v, want ~1s local write", i, d)
+	for _, gs := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.GroupSize = gs
+		cfg.DefaultFootprint = 60 * testMB // 1 s on the node's own 60 MB/s disk
+		c, _ := newStagingCluster(t, n, cfg)
+		c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
+		c.co.ScheduleCheckpoint(sim.Second)
+		runSim(t, c.k)
+		rep := c.reports(t)[0]
+		// Each rank's downtime is the local write (~1 s), independent of the
+		// group size; the shared-storage contention moves to the drains.
+		for i, rec := range rep.Records {
+			if d := rec.Individual(); d < 900*sim.Millisecond || d > 1500*sim.Millisecond {
+				t.Fatalf("group size %d: rank %d staged downtime %v, want ~1s local write", gs, i, d)
+			}
 		}
-	}
-	// The checkpoint only becomes durable when all drains complete:
-	// 4 ranks x 60 MB over 100 MB/s shared storage = 2.4 s of draining.
-	if !c.co.Snapshots().Complete(1) {
-		t.Fatal("drains never completed")
-	}
-	if w := rep.VulnerabilityWindow(); w <= 0 {
-		t.Fatalf("vulnerability window %v, want > 0 for staged mode", w)
-	}
-	if rep.DrainedAt <= rep.DoneAt {
-		t.Fatal("DrainedAt must lag DoneAt in staged mode")
+		// The epoch commits at the acknowledgement; it stops depending on the
+		// nodes that took it only when all drains complete: 4 ranks x 60 MB
+		// over 100 MB/s shared storage = 2.4 s of draining.
+		if !c.co.Snapshots().Complete(1) {
+			t.Fatalf("group size %d: epoch never committed", gs)
+		}
+		if w := rep.VulnerabilityWindow(); w <= 0 {
+			t.Fatalf("group size %d: vulnerability window %v, want > 0 under staging", gs, w)
+		}
+		if rep.DrainedAt <= rep.DoneAt {
+			t.Fatalf("group size %d: DrainedAt %v must lag DoneAt %v under staging", gs, rep.DrainedAt, rep.DoneAt)
+		}
 	}
 }
 
-func TestStagedDrainGatesRestartEpoch(t *testing.T) {
-	// A staged checkpoint is not restartable until drained: Latest() must
-	// not return the epoch while drains are in flight.
+func TestLocalStagingDrainGatesRestartLine(t *testing.T) {
+	// While a staged checkpoint drains, its only copies sit on the nodes that
+	// took it: a process crash restarts from them, a node loss falls back to
+	// the previous line, and once the drain lands the central copy covers
+	// both.
 	const n = 2
 	cfg := DefaultConfig()
 	cfg.GroupSize = 1
-	cfg.DefaultFootprint = 100 * testMB
-	cfg.Staged = true
-	cfg.LocalDiskBW = 1000 * testMB // local write nearly instant
-	c := newCluster(t, n, cfg)
-	c.j.LaunchAll(computeLoop(100, 100*sim.Millisecond))
+	cfg.DefaultFootprint = 60 * testMB
+	c, h := newStagingCluster(t, n, cfg)
+	c.j.LaunchAll(computeLoop(200, 100*sim.Millisecond))
+	// Cycle 1 acks ~3 s and is drained by ~4.5 s. Cycle 2's two 1 s local
+	// writes ack by ~12 s; rank 0's drain (60 MB at up to 100 MB/s) starts at
+	// ~11 s and both have landed well before 16 s.
 	c.co.ScheduleCheckpoint(sim.Second)
-	// Probe completeness mid-drain: drains need 2x100MB/100MBps = 2 s.
-	var during, after bool
-	c.k.At(2*sim.Second, func() { during = c.co.Snapshots().Complete(1) })
-	c.k.At(9*sim.Second, func() { after = c.co.Snapshots().Complete(1) })
+	c.co.ScheduleCheckpoint(10 * sim.Second)
+	snaps := c.co.Snapshots()
+	order := h.OrderNames()
+	line := func() int { e, _, _ := snaps.LatestVerified(); return e }
+	src := func(epoch, rank int) string { s, _ := snaps.RecoverySource(epoch, rank, order); return s }
+	c.k.At(12100*sim.Millisecond, func() {
+		if !snaps.Complete(2) || h.ColdAt(2) != 0 {
+			t.Errorf("test premise: at 12.1 s epoch 2 must be committed (%v) and still draining (cold at %v)",
+				snaps.Complete(2), h.ColdAt(2))
+		}
+		// Process crash mid-drain: every rank's local copy survives.
+		if line() != 2 || src(2, 0) != "local" || src(2, 1) != "local" {
+			t.Errorf("mid-drain crash: line %d from %s/%s, want epoch 2 from local/local", line(), src(2, 0), src(2, 1))
+		}
+		// Node 1 lost mid-drain: its image of epoch 2 existed nowhere else.
+		snaps.DropNodeReplicas(1)
+		if line() != 1 || src(1, 0) != "central" || src(1, 1) != "central" {
+			t.Errorf("mid-drain node loss: line %d from %s/%s, want epoch 1 from central/central", line(), src(1, 0), src(1, 1))
+		}
+	})
+	c.k.At(16*sim.Second, func() {
+		if h.ColdAt(2) == 0 {
+			t.Error("test premise: epoch 2 must be drained at 16 s")
+		}
+		// Node 0 lost after the drain: epoch 2 recovers from central.
+		snaps.DropNodeReplicas(0)
+		if line() != 2 || src(2, 0) != "central" {
+			t.Errorf("post-drain node loss: line %d, rank 0 from %s; want epoch 2 from central", line(), src(2, 0))
+		}
+	})
 	runSim(t, c.k)
-	if during {
-		t.Fatal("epoch marked complete while drains were still in flight")
-	}
-	if !after {
-		t.Fatal("epoch never completed after drains")
-	}
 }
 
 func TestFailureMidCycleFallsBackToPreviousEpoch(t *testing.T) {
@@ -995,17 +1034,15 @@ func TestCycleBufferingAccountingReal(t *testing.T) {
 	}
 }
 
-func TestStagedPolledWithFinishedRank(t *testing.T) {
+func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 	// The kitchen-sink combination: polled discipline, staged writes, and a
 	// rank that finished before the request.
 	const n = 3
 	cfg := DefaultConfig()
 	cfg.GroupSize = 2
 	cfg.Polled = true
-	cfg.Staged = true
-	cfg.LocalDiskBW = 100 * testMB
 	cfg.DefaultFootprint = 20 * testMB
-	c := newCluster(t, n, cfg)
+	c, _ := newStagingCluster(t, n, cfg)
 	sums := make([]int64, n)
 	c.j.Launch(0, func(e *mpi.Env) {
 		e.Compute(200 * sim.Millisecond) // finishes before the checkpoint
@@ -1037,7 +1074,7 @@ func TestStagedPolledWithFinishedRank(t *testing.T) {
 		t.Fatal("staged cycle must report a vulnerability window")
 	}
 	if !c.co.Snapshots().Complete(1) {
-		t.Fatal("drains incomplete")
+		t.Fatal("epoch never committed")
 	}
 	for i := 1; i < n; i++ {
 		partner := 3 - i

@@ -60,8 +60,6 @@ type Options struct {
 	GroupSize int
 	// Dynamic selects runtime group formation from traffic patterns.
 	Dynamic bool
-	// Staged selects two-phase local-disk staging of snapshots.
-	Staged bool
 	// Logging reports whether sender-based message logging is enabled on the
 	// MPI layer (mpi.Config.LogMessages).
 	Logging bool

@@ -38,9 +38,6 @@ func (uncoordinated) Validate(o Options) error {
 	if o.GroupSize > 0 && o.GroupSize < o.N {
 		return fmt.Errorf("protocol: uncoordinated protocol does not form groups; drop GroupSize %d", o.GroupSize)
 	}
-	if o.Staged {
-		return fmt.Errorf("protocol: uncoordinated protocol does not support staged snapshots")
-	}
 	if !o.Logging {
 		return fmt.Errorf("protocol: uncoordinated protocol requires sender-based message logging; set mpi.Config.LogMessages")
 	}

@@ -177,12 +177,13 @@ func (in *Injector) armOutage(t Target, f Fault, offset sim.Time) {
 	})
 }
 
-// armMemLoss schedules a node-memory-loss fault: a fail-stop job loss that
-// also destroys the RAM-tier checkpoint copies held by Count consecutive
-// nodes starting at the target rank. The residency drop happens in the same
-// kernel event as the crash, so the restart line is computed against the
-// surviving copies only. Without a RAM tier the drop is vacuous and the
-// fault degenerates to a plain crash.
+// armMemLoss schedules a node-loss fault: a fail-stop job loss that also
+// destroys every node-resident checkpoint copy (RAM replicas, local-disk
+// staging) held by Count consecutive nodes starting at the target rank. The
+// residency drop happens in the same kernel event as the crash, so the
+// restart line is computed against the surviving copies only. Without a
+// node-resident tier the drop is vacuous and the fault degenerates to a plain
+// crash.
 func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 	d := f.At - offset
 	if d < 0 {
@@ -199,12 +200,11 @@ func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 			count = 1
 		}
 		lost := 0
-		store := t.Coord.Snapshots()
 		for node := first; node < first+count; node++ {
-			lost += store.DropNodeReplicas(string(tier.RAM), node)
+			lost += t.Coord.Snapshots().DropNodeReplicas(node)
 		}
 		in.emit(t.K.Now(), obs.Instant, "memloss",
-			fmt.Sprintf("nodes %d..%d lost, %d ram copies destroyed", first, first+count-1, lost),
+			fmt.Sprintf("nodes %d..%d lost, %d node-resident copies destroyed", first, first+count-1, lost),
 			int64(count))
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
 	})
@@ -279,8 +279,7 @@ func cmTypeMatches(want, kind string) bool {
 // modelling bit rot found at restart time (corrupting earlier would merely
 // make the commit itself fail, a different fault). Corruption waits for the
 // snapshot to be a restart candidate — a committed epoch (blocking
-// protocols; staged-mode drain lag is respected) or a per-rank durable
-// snapshot (uncoordinated protocol). wall stamps the emitted event with the
+// protocols) or a per-rank durable snapshot (uncoordinated protocol). wall stamps the emitted event with the
 // runner's global clock.
 func (in *Injector) OnEpochCommitted(store *blcr.Store, epoch int, wall sim.Time) {
 	for i, f := range in.scn.Faults {

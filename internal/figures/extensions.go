@@ -172,9 +172,10 @@ func (g *Generator) ExtensionIncremental() (*Table, error) {
 }
 
 // ExtensionStaging quantifies the local-disk staging alternative the paper
-// rejects in Section 2.1: the delay collapses to the local-write time, but
-// the checkpoint stays non-durable until the background drains finish — a
-// node crash in that window loses it (and diskless nodes cannot stage at
+// rejects in Section 2.1 (tier.ModeLocal): the delay collapses to the
+// local-write time, but until the background drains finish the only copy of
+// the checkpoint sits on the node that took it — a node loss in that window
+// falls back to the previous checkpoint (and diskless nodes cannot stage at
 // all).
 func (g *Generator) ExtensionStaging() (*Table, error) {
 	t := &Table{
@@ -190,18 +191,18 @@ func (g *Generator) ExtensionStaging() (*Table, error) {
 	}
 	var cells []harness.Cell
 	for _, mode := range []struct {
-		label  string
-		gs     int
-		staged bool
+		label   string
+		gs      int
+		storage tier.Mode // zero: direct central writes, baseline shared with the other figures
 	}{
-		{"direct, All(32)", 0, false},
-		{"direct, Group(8)", 8, false},
-		{"staged, All(32)", 0, true},
-		{"staged, Group(8)", 8, true},
+		{"direct, All(32)", 0, ""},
+		{"direct, Group(8)", 8, ""},
+		{"staged, All(32)", 0, tier.ModeLocal},
+		{"staged, Group(8)", 8, tier.ModeLocal},
 	} {
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = mode.gs
-		cfg.CR.Staged = mode.staged
+		cfg.Tiers.Mode = mode.storage
 		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
 		t.Rows = append(t.Rows, mode.label)
 	}

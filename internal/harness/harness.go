@@ -68,13 +68,8 @@ func (cfg ClusterConfig) Validate() error {
 	if err := cfg.Tiers.Validate(cfg.N); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
-	if cfg.Tiers.Mode.Tiered() {
-		if !proto.Blocking() {
-			return fmt.Errorf("harness: storage mode %q requires a blocking protocol; the uncoordinated protocol commits per rank on central-write completion", cfg.Tiers.Mode)
-		}
-		if cfg.CR.Staged {
-			return fmt.Errorf("harness: storage mode %q already stages writes through faster tiers; disable cr.Config.Staged", cfg.Tiers.Mode)
-		}
+	if cfg.Tiers.Mode.Tiered() && !proto.Blocking() {
+		return fmt.Errorf("harness: storage mode %q requires a blocking protocol; the uncoordinated protocol commits per rank on central-write completion", cfg.Tiers.Mode)
 	}
 	return nil
 }

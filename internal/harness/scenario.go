@@ -40,11 +40,12 @@ type AvailabilityResult struct {
 	// Attempts is the number of launches (Failures + 1 when the job
 	// finished).
 	Attempts int
-	// RecoveredRAM, RecoveredBurst, and RecoveredCentral count per-rank
-	// restart read-backs by the storage tier that served them (summed across
-	// all restarts). Legacy clusters without a hierarchy count every
-	// read-back as central.
+	// RecoveredRAM, RecoveredLocal, RecoveredBurst, and RecoveredCentral
+	// count per-rank restart read-backs by the storage tier that served them
+	// (summed across all restarts). Legacy clusters without a hierarchy count
+	// every read-back as central.
 	RecoveredRAM     int
+	RecoveredLocal   int
 	RecoveredBurst   int
 	RecoveredCentral int
 	// FinalInst is the workload instance of the attempt that finished, so
@@ -155,9 +156,6 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		default:
 			return res, err
 		}
-		// Staged-mode drains may commit an epoch after the cycle-done hook;
-		// give late corruption faults their chance before restart decisions.
-		inj.OnEpochCommitted(c.Coord.Snapshots(), c.Coord.Epoch(), offset+c.K.Now())
 		res.Checkpoints += c.Coord.Epoch()
 		res.CycleAborts += c.Coord.Aborts()
 		if err == nil && c.Job.Finished() {
@@ -182,9 +180,9 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 			}
 			// readback is the serial estimate of the concurrent read-back
 			// from the shared tiers (all ranks read at once at the aggregate
-			// rate); ramMax is the parallel estimate for RAM partner reads,
-			// which ride disjoint fabric links.
-			var readback, ramMax sim.Time
+			// rate); parMax is the parallel estimate for the node-resident
+			// tiers, whose reads ride disjoint fabric links and disks.
+			var readback, parMax sim.Time
 			for i := 0; i < cfg.N; i++ {
 				s := line.Snaps[i]
 				if s == nil {
@@ -203,25 +201,27 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 					// untracked source degrades to the cold tier estimate.
 					src = string(tier.Central)
 				}
-				rt := c.Tiers.ReadTime(tier.Level(src), s.Size())
-				switch tier.Level(src) {
+				level := tier.Level(src)
+				if rt := c.Tiers.ReadTime(level, s.Size()); c.Tiers.ParallelRead(level) {
+					parMax = max(parMax, rt)
+				} else {
+					readback += rt
+				}
+				switch level {
 				case tier.RAM:
 					res.RecoveredRAM++
-					if rt > ramMax {
-						ramMax = rt
-					}
+				case tier.Local:
+					res.RecoveredLocal++
 				case tier.Burst:
 					res.RecoveredBurst++
-					readback += rt
 				default:
 					res.RecoveredCentral++
-					readback += rt
 				}
 				bus.Emit(obs.Event{At: res.Wall, Rank: i, Layer: obs.LayerStorage,
 					Type: obs.Instant, What: "tier-recover", Detail: src, Arg: s.Size()})
 				bus.Metrics().Counter(obs.LayerStorage, "tier_recover_"+src).Inc()
 			}
-			res.Wall += readback + ramMax
+			res.Wall += readback + parMax
 		}
 		// With no usable line in this attempt's archive, the previous
 		// attempt's states (or nil: from scratch) carry over unchanged.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,9 +135,69 @@ func TestScenarioBBOutageRequiresBurstTier(t *testing.T) {
 	}
 }
 
+// TestScenarioAbortUnderSurvivingTierWrite is the abort-race regression: a
+// long central outage fills the burst buffer (nothing drains, so nothing is
+// evictable), one member's write spills through to central and fails, and
+// the cycle aborts while another member's burst write is still in flight.
+// That write used to land after the retried cycle had begun and commit the
+// discarded epoch's snapshot into it, parking the rank forever ("sim:
+// deadlock"). The run must end in the coordinator's give-up diagnostic or
+// complete. (That the cancelled write leaves no reservation or residency
+// behind is pinned in storage/tier: TestCancelledAckWriteLeavesNothingBehind.)
+func TestScenarioAbortUnderSurvivingTierWrite(t *testing.T) {
+	const n = 8
+	for _, mode := range []tier.Mode{tier.ModeBurst, tier.ModeHierarchy} {
+		cfg := PaperCluster(n)
+		cfg.CR.GroupSize = 2
+		cfg.Tiers.Mode = mode
+		w := workload.Ring{N: n, Iters: 200, Chunk: 50 * sim.Millisecond, FootprintMB: 180}
+		_, err := RunScenario(cfg, w, mustParse(t, "outage@2s+30s"), 2*sim.Second, nil)
+		switch {
+		case err == nil:
+		case strings.Contains(err.Error(), "deadlock"):
+			t.Errorf("%s: %v", mode, err)
+		case !strings.Contains(err.Error(), "consecutive times; giving up"):
+			t.Errorf("%s: unexpected failure: %v", mode, err)
+		}
+	}
+}
+
+// TestScenarioLocalStagingRecovery pins Section 2.1's argument on the local
+// tier: a process crash restarts every rank from its own disk, a node loss
+// takes the node's staged copies with it and the job falls back to what had
+// already drained to central.
+func TestScenarioLocalStagingRecovery(t *testing.T) {
+	const n = 4
+	w := scenarioRing(n)
+	run := func(spec string) AvailabilityResult {
+		t.Helper()
+		res, err := RunScenario(tieredCluster(n, tier.ModeLocal, 0), w, mustParse(t, spec), 500*sim.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != 1 {
+			t.Fatalf("%s: failures = %d, want 1", spec, res.Failures)
+		}
+		inst := res.FinalInst.(*workload.RingInstance)
+		for me := 0; me < n; me++ {
+			if want := workload.ExpectedRingSum(n, w.Iters, me); inst.Sums[me] != want {
+				t.Fatalf("%s: rank %d: sum %d after recovery, want %d", spec, me, inst.Sums[me], want)
+			}
+		}
+		return res
+	}
+	if res := run("crash@2s"); res.RecoveredLocal != n {
+		t.Errorf("process crash: recovered local=%d central=%d, want all %d from local disk",
+			res.RecoveredLocal, res.RecoveredCentral, n)
+	}
+	if res := run("memloss@2s:rank=1"); res.RecoveredLocal+res.RecoveredCentral != n || res.RecoveredCentral == 0 {
+		t.Errorf("node loss: recovered local=%d central=%d, want %d in total with the lost node's rank from central",
+			res.RecoveredLocal, res.RecoveredCentral, n)
+	}
+}
+
 // TestValidateRejectsTiersWithUncoord: the hierarchy's commit gate needs a
-// global epoch commit, which the uncoordinated protocol does not have; the
-// staged write path is likewise superseded by the hierarchy.
+// global epoch commit, which the uncoordinated protocol does not have.
 func TestValidateRejectsTiersWithUncoord(t *testing.T) {
 	cfg := tieredCluster(4, tier.ModeRAM, 1)
 	cfg.CR.Protocol = protocol.Uncoordinated
@@ -144,11 +205,6 @@ func TestValidateRejectsTiersWithUncoord(t *testing.T) {
 	cfg.MPI.LogMessages = true
 	if err := cfg.Validate(); err == nil {
 		t.Error("tiers + uncoordinated protocol accepted")
-	}
-	cfg = tieredCluster(4, tier.ModeRAM, 1)
-	cfg.CR.Staged = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("tiers + staged writes accepted")
 	}
 	if err := tieredCluster(3, tier.ModeRAM, 3).Validate(); err == nil {
 		t.Error("replicas+1 > n accepted")
@@ -190,7 +246,7 @@ func TestScenarioTieredTraceDeterministic(t *testing.T) {
 // rerun from the tier-resolved recovery line reproduces the failure-free
 // results bit for bit.
 func TestQuickScenarioCrashEquivalenceTiered(t *testing.T) {
-	modes := []tier.Mode{tier.ModeBurst, tier.ModeRAM, tier.ModeHierarchy}
+	modes := []tier.Mode{tier.ModeBurst, tier.ModeRAM, tier.ModeHierarchy, tier.ModeLocal}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(4) + 3
@@ -212,9 +268,10 @@ func TestQuickScenarioCrashEquivalenceTiered(t *testing.T) {
 		w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,
 			Chunk: 20 * sim.Millisecond, FootprintMB: 5}
 		var spec string
-		if mode.HasRAM() && rng.Intn(2) == 0 {
+		if (mode.HasRAM() || mode == tier.ModeLocal) && rng.Intn(2) == 0 {
 			// A memory loss of 1..k+1 consecutive nodes: sometimes survivable
-			// in RAM, sometimes forcing a lower-tier or older-epoch restart.
+			// in RAM, sometimes forcing a lower-tier or older-epoch restart
+			// (always, for the unreplicated local disk).
 			spec = fmt.Sprintf("memloss@%dms:rank=%d,count=%d",
 				rng.Intn(1700)+300, rng.Intn(n), rng.Intn(replicas+1)+1)
 		} else {

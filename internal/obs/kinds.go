@@ -63,7 +63,6 @@ const (
 	KindCkptSync       = "ckpt-sync"
 	KindCkptTeardown   = "ckpt-teardown"
 	KindCkptWrite      = "ckpt-write"
-	KindCkptDrain      = "ckpt-drain"
 	KindCkptResumeWait = "ckpt-resume-wait"
 	KindWriteFailed    = "write-failed"
 	KindAbortResume    = "abort-resume"
@@ -73,7 +72,6 @@ const (
 	KindRequest    = "request"
 	KindTurn       = "turn"
 	KindGroupDone  = "group-done"
-	KindAllDrained = "all-drained"
 	KindCycleAbort = "cycle-abort" // coordinator decision and per-rank reaction
 	KindCycleRetry = "cycle-retry"
 	KindCycleDone  = "cycle-done"
@@ -97,9 +95,9 @@ var allKinds = []string{
 	KindCMRetransmit, KindFlushStart, KindDiscReq,
 	KindBufferMsg, KindBufferReq, KindOutboxDrain, KindDupDrop, KindMatchEager,
 	KindRdvGrant, KindHelperTick,
-	KindSafePoint, KindCkptSync, KindCkptTeardown, KindCkptWrite, KindCkptDrain,
+	KindSafePoint, KindCkptSync, KindCkptTeardown, KindCkptWrite,
 	KindCkptResumeWait, KindWriteFailed, KindAbortResume, KindResume,
-	KindRequest, KindTurn, KindGroupDone, KindAllDrained, KindCycleAbort,
+	KindRequest, KindTurn, KindGroupDone, KindCycleAbort,
 	KindCycleRetry, KindCycleDone,
 	KindCrash, KindOutage, KindCorrupt, KindMemLoss, KindBBOutage,
 }

@@ -89,3 +89,49 @@ func TestSetAvailabilityClamps(t *testing.T) {
 		t.Fatalf("availability = %v, want 1 after clamp", s.Availability())
 	}
 }
+
+func TestCancelFreesBandwidthForTheOthers(t *testing.T) {
+	// Two 100-byte writers share 100 B/s. The first is cancelled at 1 s with
+	// 50 bytes moved each; the survivor's remaining 50 bytes then run at the
+	// full rate and land at 1.5 s instead of 2 s.
+	k := sim.NewKernel(1)
+	s := newSystem(t, k, simpleCfg())
+	cause := errors.New("owner gave up")
+	var cancelled, survivor *Transfer
+	k.After(0, func() {
+		cancelled, _ = s.Start(100)
+		survivor, _ = s.Start(100)
+		k.After(sim.Second, func() { cancelled.Cancel(cause) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(cancelled.Err(), cause) || cancelled.Elapsed() != sim.Second {
+		t.Fatalf("cancelled transfer: err %v after %v, want the cause after 1s", cancelled.Err(), cancelled.Elapsed())
+	}
+	if survivor.Err() != nil || !almost(survivor.Elapsed(), 1500*sim.Millisecond) {
+		t.Fatalf("survivor: err %v after %v, want success after ~1.5s", survivor.Err(), survivor.Elapsed())
+	}
+	cancelled.Cancel(cause) // finished: a no-op
+	if s.Aborted() != 1 || s.ActiveClients() != 0 {
+		t.Fatalf("aborted = %d, active = %d; want 1, 0", s.Aborted(), s.ActiveClients())
+	}
+}
+
+func TestCancelDuringOpenNeverStarts(t *testing.T) {
+	k := sim.NewKernel(1)
+	cfg := simpleCfg()
+	cfg.OpenLatency = 10 * sim.Millisecond
+	s := newSystem(t, k, cfg)
+	var tr *Transfer
+	k.After(0, func() {
+		tr, _ = s.Start(100)
+		tr.Cancel(errors.New("owner gave up"))
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Err() == nil || s.MaxConcurrent() != 0 {
+		t.Fatalf("transfer cancelled during its open: err %v, max concurrent %d; want an error and 0", tr.Err(), s.MaxConcurrent())
+	}
+}

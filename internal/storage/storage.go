@@ -253,6 +253,9 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 			Type: obs.Instant, What: "xfer-start", Arg: n})
 	}
 	start := func() {
+		if t.completed {
+			return // cancelled while the open was in flight
+		}
 		if s.availability == 0 {
 			// The service went down between Start and the open completing
 			// (or was already down): fail the transfer rather than hang.
@@ -437,12 +440,7 @@ func (t *Transfer) finish() {
 		s.k.Fail(fmt.Errorf("storage: completion fired with %.1f bytes left", t.remaining))
 		return
 	}
-	for i, a := range s.active {
-		if a == t {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			break
-		}
-	}
+	s.remove(t)
 	t.complete()
 	s.reschedule()
 }
@@ -456,6 +454,30 @@ func (t *Transfer) OnDone(fn func()) {
 		return
 	}
 	t.onDone = append(t.onDone, fn)
+}
+
+// Cancel abandons an in-flight transfer on its owner's initiative (a cycle
+// aborting under a member's write): it stops consuming bandwidth and ends
+// like an outage abort, with Err() reporting err. A no-op once finished.
+func (t *Transfer) Cancel(err error) {
+	if t.completed {
+		return
+	}
+	s := t.sys
+	s.settle()
+	s.remove(t)
+	t.abort(err)
+	s.reschedule()
+}
+
+// remove takes t out of the active set (a no-op while its open is pending).
+func (s *System) remove(t *Transfer) {
+	for i, a := range s.active {
+		if a == t {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			return
+		}
+	}
 }
 
 // abort terminates the transfer with err: its completion event is cancelled,

@@ -100,8 +100,3 @@ func (t *burstTier) evictOne() bool {
 	}
 	return false
 }
-
-// setAvailability forwards an availability factor to the buffer's rate
-// model: a burst-buffer outage window aborts in-flight burst writes exactly
-// like a central outage aborts central writes.
-func (t *burstTier) setAvailability(factor float64) { t.sys.SetAvailability(factor) }

@@ -45,6 +45,9 @@ func (t *centralTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer
 		if tr.Err() != nil {
 			return
 		}
+		if arch.TierIntact(epoch, rank, string(Central)) == 0 {
+			t.h.noteCold(epoch)
+		}
 		arch.AddReplica(epoch, rank, string(Central), -1)
 	})
 	return tr, nil

@@ -20,22 +20,31 @@ import (
 //     it reaches central storage, as background kernel events whose
 //     transfers share bandwidth with foreground traffic;
 //   - restart reads come from the fastest tier that still holds an intact
-//     copy, resolved through the blcr residency ledger.
+//     copy, resolved through the blcr residency ledger; a lost node takes its
+//     node-resident copies with it (blcr.Store.DropNodeReplicas).
 //
 // All methods run in kernel context, like the storage package they build on.
 type Hierarchy struct {
 	k     *sim.Kernel
-	cfg   Config
 	bus   *obs.Bus
 	arch  *blcr.Store
 	tiers []Tier
 	n     int
+
+	cold map[int]coldMark // per epoch: progress toward the cold tier
 
 	// accounting
 	drains        int
 	drainFailures int
 	spills        int
 	evictions     int
+}
+
+// coldMark counts the ranks whose image of one epoch has reached the cold
+// tier, and when the latest of them did.
+type coldMark struct {
+	ranks int
+	at    sim.Time
 }
 
 // NewHierarchy builds the tier stack for an n-rank job. central is the
@@ -53,22 +62,25 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 	if central == nil {
 		return nil, fmt.Errorf("tier: nil central storage system")
 	}
-	h := &Hierarchy{k: k, cfg: cfg, n: n}
-	if cfg.Mode.HasRAM() {
-		rt, err := newRAMTier(h, k, n, cfg.ReplicaCount(), cfg.ramBW(linkBW))
+	h := &Hierarchy{k: k, n: n, cold: make(map[int]coldMark)}
+	for _, level := range cfg.Mode.Levels() {
+		var t Tier
+		var err error
+		switch level {
+		case RAM:
+			t, err = newNodeTier(h, k, n, RAM, cfg.ReplicaCount(), cfg.ReplicaCount(), cfg.ramBW(linkBW))
+		case Local:
+			t, err = newNodeTier(h, k, n, Local, 0, 1, localDiskBW)
+		case Burst:
+			t, err = newBurstTier(h, k, cfg)
+		case Central:
+			t = &centralTier{h: h, sys: central}
+		}
 		if err != nil {
 			return nil, err
 		}
-		h.tiers = append(h.tiers, rt)
+		h.tiers = append(h.tiers, t)
 	}
-	if cfg.Mode.HasBurst() {
-		bt, err := newBurstTier(h, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		h.tiers = append(h.tiers, bt)
-	}
-	h.tiers = append(h.tiers, &centralTier{h: h, sys: central})
 	return h, nil
 }
 
@@ -84,12 +96,6 @@ func (h *Hierarchy) SetObs(b *obs.Bus) {
 	}
 	h.bus = b
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// Tiers returns the tier stack fastest-first.
-func (h *Hierarchy) Tiers() []Tier { return h.tiers }
 
 // OrderNames returns the tier stack's residency names fastest-first, the
 // search order for blcr.Store.RecoverySource.
@@ -187,19 +193,6 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 	return nil, fmt.Errorf("tier: no tier accepted the write for epoch %d rank %d", epoch, rank)
 }
 
-// Write performs a blocking checkpoint write on behalf of p, returning the
-// elapsed time to the acknowledgement tier's durability. Failures surface
-// like central-storage write failures (an error wrapping
-// storage.ErrUnavailable during outage windows).
-func (h *Hierarchy) Write(p *sim.Proc, epoch, rank int, size int64) (sim.Time, error) {
-	tr, err := h.StartWrite(epoch, rank, size)
-	if err != nil {
-		return 0, err
-	}
-	tr.Wait(p)
-	return tr.Elapsed(), tr.Err()
-}
-
 // ack runs when the image is durable at tier idx: it announces the
 // acknowledgement and schedules the drain toward the cold tier.
 func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
@@ -266,6 +259,24 @@ func (h *Hierarchy) retryDrain(from, epoch, rank int, size int64, tries int, cau
 	h.k.After(delay, func() { h.drainNext(from, epoch, rank, size, tries) })
 }
 
+// noteCold records that one more rank's image of epoch reached the cold tier
+// (called by the central tier on a first arrival).
+func (h *Hierarchy) noteCold(epoch int) {
+	if c := h.cold[epoch]; c.ranks < h.n {
+		h.cold[epoch] = coldMark{ranks: c.ranks + 1, at: h.k.Now()}
+	}
+}
+
+// ColdAt returns the instant the last rank's image of epoch reached the cold
+// tier — from then on no node loss can cost the epoch — or 0 while some
+// rank's drain is still in flight (or was abandoned).
+func (h *Hierarchy) ColdAt(epoch int) sim.Time {
+	if c := h.cold[epoch]; c.ranks == h.n {
+		return c.at
+	}
+	return 0
+}
+
 // noteSpill records a capacity fall-through.
 func (h *Hierarchy) noteSpill(from, to Level, epoch, rank int, size int64) {
 	h.spills++
@@ -286,7 +297,8 @@ func (h *Hierarchy) noteEvict(epoch, rank int, size int64) {
 
 // CheckCommit verifies an epoch's replication degree before the coordinator
 // commits it: every rank must hold a full copy set at some tier — k partner
-// replicas plus the self copy for RAM, one copy for the shared tiers.
+// replicas plus the self copy for RAM, one copy for the local disk and the
+// shared tiers.
 // Commit never waits for the central drain; this is the gate that replaces
 // central completion.
 func (h *Hierarchy) CheckCommit(epoch int) error {
@@ -297,8 +309,8 @@ func (h *Hierarchy) CheckCommit(epoch int) error {
 		ok := false
 		for _, t := range h.tiers {
 			need := 1
-			if t.Level() == RAM {
-				need = h.cfg.ReplicaCount() + 1
+			if nt, ok := t.(*nodeTier); ok {
+				need = nt.partners + 1
 			}
 			if h.arch.TierIntact(epoch, rank, string(t.Level())) >= need {
 				ok = true

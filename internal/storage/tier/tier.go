@@ -1,8 +1,9 @@
 // Package tier composes the central storage model into a multi-tier
 // checkpoint hierarchy: a partner-replicated RAM tier (ReStore-style k-way
-// in-memory replication over the InfiniBand fabric), a shared burst-buffer
-// tier with bounded capacity and eviction, and the paper's central PVFS2-like
-// service as the cold tier.
+// in-memory replication over the InfiniBand fabric), the node-local disk of
+// the Section 2.1 staging alternative, a shared burst-buffer tier with bounded
+// capacity and eviction, and the paper's central PVFS2-like service as the
+// cold tier.
 //
 // A Hierarchy acknowledges a checkpoint write at the fastest tier that
 // accepts it — commit gates on that tier's replication degree, not on central
@@ -14,10 +15,11 @@
 // central storage when they did not.
 //
 // Every tier reuses the fluid-flow rate model of the storage package: the
-// RAM tier is a storage.System whose per-client cap is the fabric link
-// bandwidth, the burst tier is a storage.System with the buffer appliance's
-// aggregate and per-client rates, and the cold tier is the cluster's shared
-// central System itself, so drains are visible in its schedules.
+// node-resident tiers (RAM, local disk) are a storage.System whose per-client
+// cap is the fabric link or disk bandwidth, the burst tier is a storage.System
+// with the buffer appliance's aggregate and per-client rates, and the cold
+// tier is the cluster's shared central System itself, so drains are visible
+// in its schedules.
 package tier
 
 import (
@@ -40,6 +42,8 @@ type Level string
 const (
 	// RAM is the partner-replicated node-memory tier.
 	RAM Level = "ram"
+	// Local is the rank's own node-local disk: one unreplicated copy.
+	Local Level = "local"
 	// Burst is the shared burst-buffer tier.
 	Burst Level = "burst"
 	// Central is the paper's central PVFS2-like service.
@@ -61,20 +65,28 @@ const (
 	ModeRAM Mode = "ram"
 	// ModeHierarchy uses all three tiers: RAM → burst → central.
 	ModeHierarchy Mode = "hierarchy"
+	// ModeLocal is the Section 2.1 staging alternative: local disk → central.
+	// The only copy is node-resident until the drain lands, so a node loss
+	// inside that window falls back to the previous epoch.
+	ModeLocal Mode = "local"
 )
+
+// stacks lists each mode's tiers fastest-first. Every stack ends at Central.
+var stacks = map[Mode][]Level{
+	"":            {Central},
+	ModeCentral:   {Central},
+	ModeBurst:     {Burst, Central},
+	ModeRAM:       {RAM, Central},
+	ModeHierarchy: {RAM, Burst, Central},
+	ModeLocal:     {Local, Central},
+}
 
 // Valid reports whether the mode is one of the known values (including the
 // legacy zero value).
-func (m Mode) Valid() bool {
-	switch m {
-	case "", ModeCentral, ModeBurst, ModeRAM, ModeHierarchy:
-		return true
-	}
-	return false
-}
+func (m Mode) Valid() bool { return stacks[m] != nil }
 
 // Tiered reports whether the mode builds a storage hierarchy at all.
-func (m Mode) Tiered() bool { return m.Valid() && m != "" && m != ModeCentral }
+func (m Mode) Tiered() bool { return len(stacks[m]) > 1 }
 
 // HasRAM reports whether the mode includes the RAM replication tier.
 func (m Mode) HasRAM() bool { return m == ModeRAM || m == ModeHierarchy }
@@ -82,17 +94,13 @@ func (m Mode) HasRAM() bool { return m == ModeRAM || m == ModeHierarchy }
 // HasBurst reports whether the mode includes the burst-buffer tier.
 func (m Mode) HasBurst() bool { return m == ModeBurst || m == ModeHierarchy }
 
-// Levels returns the mode's tiers fastest-first. Every mode ends at Central.
+// Levels returns the mode's tiers fastest-first; an unknown mode has only
+// the cold tier. Callers must not modify the result.
 func (m Mode) Levels() []Level {
-	switch m {
-	case ModeBurst:
-		return []Level{Burst, Central}
-	case ModeRAM:
-		return []Level{RAM, Central}
-	case ModeHierarchy:
-		return []Level{RAM, Burst, Central}
+	if s := stacks[m]; s != nil {
+		return s
 	}
-	return []Level{Central}
+	return stacks[ModeCentral]
 }
 
 // Config parameterizes a hierarchy. All fields are scalars so the struct
@@ -122,6 +130,9 @@ const (
 	defaultBurstCapacity = 2 << 30
 	defaultBurstAggBW    = float64(1 << 30)
 	defaultBurstClientBW = float64(512 * storage.MB)
+
+	// localDiskBW is one node's own disk, write and read-back: 2007-era SATA.
+	localDiskBW = float64(60 * storage.MB)
 
 	// burstOpenLatency is the burst buffer's per-transfer setup cost: faster
 	// than central's metadata round trip, not free.
@@ -176,7 +187,7 @@ func (c Config) ramBW(linkBW float64) float64 {
 // Validate checks the configuration against a job of n ranks.
 func (c Config) Validate(n int) error {
 	if !c.Mode.Valid() {
-		return fmt.Errorf("tier: unknown storage mode %q (want central, burst, ram, or hierarchy)", c.Mode)
+		return fmt.Errorf("tier: unknown storage mode %q (want central, burst, ram, hierarchy, or local)", c.Mode)
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("tier: replicas must be >= 0, got %d", c.Replicas)
@@ -205,7 +216,7 @@ type Tier interface {
 	// ReadTime estimates one image's restart read-back from this tier.
 	ReadTime(size int64) sim.Time
 	// ParallelRead reports whether concurrent rank read-backs proceed over
-	// independent links (RAM partner replicas) rather than sharing one
-	// service, so restart accounting takes the max instead of the sum.
+	// independent links or disks (the node-resident tiers) rather than sharing
+	// one service, so restart accounting takes the max instead of the sum.
 	ParallelRead() bool
 }

@@ -38,6 +38,17 @@ func newRig(t testing.TB, cfg Config, n int, centralBW, linkBW float64) *rig {
 	return &rig{k: k, central: central, arch: arch, h: h}
 }
 
+// writeWait starts a hierarchy write on behalf of p and blocks until its
+// acknowledgement, returning the elapsed time to the ack tier's durability.
+func writeWait(p *sim.Proc, h *Hierarchy, epoch, rank int, size int64) (sim.Time, error) {
+	tr, err := h.StartWrite(epoch, rank, size)
+	if err != nil {
+		return 0, err
+	}
+	tr.Wait(p)
+	return tr.Elapsed(), tr.Err()
+}
+
 // write performs one blocking hierarchy write from a spawned proc and runs
 // the kernel until all follow-on drains settle.
 func (r *rig) write(t testing.TB, epoch, rank int, size int64) sim.Time {
@@ -45,7 +56,7 @@ func (r *rig) write(t testing.TB, epoch, rank int, size int64) sim.Time {
 	var el sim.Time
 	r.k.Spawn("w", func(p *sim.Proc) {
 		var err error
-		el, err = r.h.Write(p, epoch, rank, size)
+		el, err = writeWait(p, r.h, epoch, rank, size)
 		if err != nil {
 			t.Errorf("write epoch %d rank %d: %v", epoch, rank, err)
 		}
@@ -67,6 +78,7 @@ func TestModePredicates(t *testing.T) {
 		{ModeBurst, true, true, false, true, 2},
 		{ModeRAM, true, true, true, false, 2},
 		{ModeHierarchy, true, true, true, true, 3},
+		{ModeLocal, true, true, false, false, 2},
 		{"bogus", false, false, false, false, 1},
 	} {
 		if tc.mode.Valid() != tc.valid || tc.mode.Tiered() != tc.tiered ||
@@ -268,7 +280,7 @@ func TestWriteBeforeBindRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Spawn("w", func(p *sim.Proc) {
-		if _, err := h.Write(p, 1, 0, 100); err == nil {
+		if _, err := writeWait(p, h, 1, 0, 100); err == nil {
 			t.Error("write before Bind accepted")
 		}
 	})
@@ -305,7 +317,7 @@ func TestBurstOutageAbortsAckWrite(t *testing.T) {
 	}
 	var wErr error
 	r.k.Spawn("w", func(p *sim.Proc) {
-		_, wErr = r.h.Write(p, 1, 0, 100)
+		_, wErr = writeWait(p, r.h, 1, 0, 100)
 	})
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
@@ -315,5 +327,85 @@ func TestBurstOutageAbortsAckWrite(t *testing.T) {
 	}
 	if got := r.arch.TierIntact(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("aborted write registered %d burst copies", got)
+	}
+}
+
+func TestLocalStagesOnTheRanksOwnDisk(t *testing.T) {
+	// Two ranks stage 60 MB at once. Node disks are unshared, so each ack
+	// takes 1 s at the disk's 60 MB/s however many ranks write; the two drains
+	// then share a 60 MB/s central service and land together at 3 s.
+	const size = 60 * storage.MB
+	r := newRig(t, Config{Mode: ModeLocal}, 2, 60*storage.MB, 1e9)
+	for rank := 0; rank < 2; rank++ {
+		rank := rank
+		r.k.Spawn("w", func(p *sim.Proc) {
+			el, err := writeWait(p, r.h, 1, rank, size)
+			if err != nil || el != sim.Second {
+				t.Errorf("rank %d: local ack took %v (err %v), want 1s", rank, el, err)
+			}
+			if err := r.h.CheckCommit(1); (err == nil) != (rank == 1) {
+				t.Errorf("commit gate after rank %d's ack: %v", rank, err)
+			}
+			if r.h.ColdAt(1) != 0 {
+				t.Errorf("epoch reported cold at %v with the drains still in flight", r.h.ColdAt(1))
+			}
+		})
+	}
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.h.ColdAt(1); got != 3*sim.Second {
+		t.Errorf("ColdAt = %v, want 3s (the last drain's landing)", got)
+	}
+	for rank := 0; rank < 2; rank++ {
+		if src, _ := r.arch.RecoverySource(1, rank, r.h.OrderNames()); src != string(Local) {
+			t.Errorf("rank %d recovers from %q, want local", rank, src)
+		}
+		// The single staged copy is on the rank's own node and goes with it.
+		if lost := r.arch.DropNodeReplicas(rank); lost != 1 {
+			t.Errorf("node %d held %d copies, want 1", rank, lost)
+		}
+		if src, _ := r.arch.RecoverySource(1, rank, r.h.OrderNames()); src != string(Central) {
+			t.Errorf("rank %d recovers from %q after losing its node, want central", rank, src)
+		}
+	}
+}
+
+func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
+	// A cycle that aborts under an in-flight ack write cancels it: the burst
+	// reservation is returned, no residency is registered, and no drain starts.
+	cfg := Config{Mode: ModeBurst, BurstCapacity: 1000,
+		BurstAggregateBW: 100, BurstClientBW: 100}
+	r := newRig(t, cfg, 2, 1000, 1000)
+	burst := r.h.tiers[0].(*burstTier)
+	cause := errors.New("cycle aborted")
+	r.k.After(0, func() {
+		tr, err := r.h.StartWrite(1, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if burst.Used() != 100 {
+			t.Errorf("in-flight write reserves %d bytes, want 100", burst.Used())
+		}
+		r.k.After(500*sim.Millisecond, func() { tr.Cancel(cause) })
+		tr.OnDone(func() {
+			if !errors.Is(tr.Err(), cause) || r.k.Now() != 500*sim.Millisecond {
+				t.Errorf("write ended at %v with %v, want the cancellation at 500ms", r.k.Now(), tr.Err())
+			}
+		})
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if burst.Used() != 0 || len(burst.resident) != 0 {
+		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.Used(), len(burst.resident))
+	}
+	for _, level := range r.h.OrderNames() {
+		if got := r.arch.TierIntact(1, 0, level); got != 0 {
+			t.Errorf("cancelled write registered %d %s copies", got, level)
+		}
+	}
+	if r.h.Drains() != 0 || r.central.Transfers() != 0 {
+		t.Errorf("cancelled write started a drain (%d drains, %d central transfers)", r.h.Drains(), r.central.Transfers())
 	}
 }

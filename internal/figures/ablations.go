@@ -140,14 +140,13 @@ type stridedPairs struct {
 func (w stridedPairs) Name() string { return fmt.Sprintf("stridedpairs(n=%d)", w.n) }
 
 func (w stridedPairs) Launch(j *mpi.Job) (workload.Instance, error) {
-	payload := make([]byte, 1024)
 	for i := 0; i < w.n; i++ {
 		j.Launch(i, func(e *mpi.Env) {
 			world := e.World()
 			partner := (e.Rank() + w.n/2) % w.n
 			for it := 0; it < w.iters; it++ {
 				e.Compute(w.chunk)
-				e.Sendrecv(world, partner, 1, payload, partner, 1)
+				e.SendrecvSize(world, partner, 1, 1024, partner, 1)
 			}
 		})
 	}

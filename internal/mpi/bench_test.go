@@ -66,3 +66,29 @@ func BenchmarkAllreduce32(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkBcast32SizeOnly1M measures a 32-rank broadcast of a 1 MiB
+// size-only payload: 31 rendezvous transfers whose host cost (ns/op and
+// B/op) must not depend on the megabyte.
+func BenchmarkBcast32SizeOnly1M(b *testing.B) {
+	k := sim.NewKernel(1)
+	f, err := ib.New(k, ib.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := NewJob(k, f, DefaultConfig(), 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := b.N
+	j.LaunchAll(func(e *Env) {
+		w := e.World()
+		for i := 0; i < n; i++ {
+			e.BcastSize(w, 0, 1<<20)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

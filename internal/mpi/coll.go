@@ -51,7 +51,7 @@ func (e *Env) Barrier(c *Comm) {
 		dst := (me + k) % n
 		src := (me - k%n + n) % n
 		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, nil)
+		sreq := e.isendInternal(c, dst, tag, payload{})
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
 	}
@@ -60,13 +60,25 @@ func (e *Env) Barrier(c *Comm) {
 // Bcast distributes root's data to all members (binomial tree). Every rank
 // returns the payload; only root's input is significant.
 func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
+	return e.bcast(c, root, content(data)).data
+}
+
+// BcastSize is Bcast for a workload that models the broadcast's cost and
+// never reads its content: root's n bytes are charged at every hop and none
+// are allocated. Every rank returns the length it received; only root's n is
+// significant.
+func (e *Env) BcastSize(c *Comm, root int, n int64) int64 {
+	return e.bcast(c, root, e.sized(n)).size
+}
+
+func (e *Env) bcast(c *Comm, root int, p payload) payload {
 	e.checkMember(c)
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
 	n, me := c.Size(), c.myRank
 	if n == 1 {
-		return data
+		return p
 	}
 	rel := (me - root + n) % n
 	// Receive from parent.
@@ -76,7 +88,7 @@ func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
 			src := (me - mask + n) % n
 			rreq := e.irecvInternal(c, src, tag)
 			e.waitInternal(rreq)
-			data = rreq.data
+			p = rreq.payload
 			break
 		}
 		mask <<= 1
@@ -86,12 +98,12 @@ func (e *Env) Bcast(c *Comm, root int, data []byte) []byte {
 	for mask > 0 {
 		if rel+mask < n {
 			dst := (me + mask) % n
-			sreq := e.isendInternal(c, dst, tag, data)
+			sreq := e.isendInternal(c, dst, tag, p)
 			e.waitInternal(sreq)
 		}
 		mask >>= 1
 	}
-	return data
+	return p
 }
 
 // ReduceF64 combines equal-length vectors element-wise with op onto root
@@ -129,7 +141,7 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 		} else {
 			dstRel := rel &^ mask
 			dst := (dstRel + root) % n
-			sreq := e.isendInternal(c, dst, tag, F64ToBytes(acc))
+			sreq := e.isendInternal(c, dst, tag, content(F64ToBytes(acc)))
 			e.waitInternal(sreq)
 			break
 		}
@@ -155,26 +167,35 @@ func (e *Env) AllreduceF64(c *Comm, in []float64, op Op) []float64 {
 // Allgather collects each member's payload on every member, indexed by comm
 // rank (ring algorithm, n-1 steps).
 func (e *Env) Allgather(c *Comm, data []byte) [][]byte {
+	return e.allgather(c, content(data))
+}
+
+// AllgatherSize is Allgather for a workload that models the exchange's cost
+// and never reads its content: each member contributes n bytes that are
+// charged at every step of the ring and never allocated.
+func (e *Env) AllgatherSize(c *Comm, n int64) {
+	e.allgather(c, e.sized(n))
+}
+
+func (e *Env) allgather(c *Comm, p payload) [][]byte {
 	e.checkMember(c)
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
 	n, me := c.Size(), c.myRank
 	out := make([][]byte, n)
-	out[me] = data
-	if n == 1 {
-		return out
-	}
+	out[me] = p.data
 	right := (me + 1) % n
 	left := (me - 1 + n) % n
-	// In step s we forward the block that originated at (me - s + n) % n.
+	// In step s we forward the block that originated at (me - s + n) % n:
+	// our own first, then whatever the previous step received.
 	for s := 0; s < n-1; s++ {
-		blk := (me - s + n) % n
 		rreq := e.irecvInternal(c, left, tag)
-		sreq := e.isendInternal(c, right, tag, out[blk])
+		sreq := e.isendInternal(c, right, tag, p)
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
-		out[(me-s-1+n)%n] = rreq.data
+		p = rreq.payload
+		out[(me-s-1+n)%n] = p.data
 	}
 	return out
 }
@@ -188,7 +209,7 @@ func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
 	tag := c.nextCollTag()
 	n, me := c.Size(), c.myRank
 	if me != root {
-		sreq := e.isendInternal(c, root, tag, data)
+		sreq := e.isendInternal(c, root, tag, content(data))
 		e.waitInternal(sreq)
 		return nil
 	}
@@ -223,7 +244,7 @@ func (e *Env) Scatter(c *Comm, root int, blocks [][]byte) []byte {
 		reqs := make([]*Request, 0, n-1)
 		for i := 0; i < n; i++ {
 			if i != root {
-				reqs = append(reqs, e.isendInternal(c, i, tag, blocks[i]))
+				reqs = append(reqs, e.isendInternal(c, i, tag, content(blocks[i])))
 			}
 		}
 		for _, rq := range reqs {
@@ -295,7 +316,7 @@ func (e *Env) Alltoall(c *Comm, blocks [][]byte) [][]byte {
 		dst := (me + s) % n
 		src := (me - s + n) % n
 		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, blocks[dst])
+		sreq := e.isendInternal(c, dst, tag, content(blocks[dst]))
 		e.waitInternal(sreq)
 		e.waitInternal(rreq)
 		out[src] = rreq.data
@@ -364,7 +385,7 @@ func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
 		}
 	}
 	if me < n-1 {
-		sreq := e.isendInternal(c, me+1, tag, F64ToBytes(acc))
+		sreq := e.isendInternal(c, me+1, tag, content(F64ToBytes(acc)))
 		e.waitInternal(sreq)
 	}
 	return acc

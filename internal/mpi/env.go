@@ -22,7 +22,7 @@ type Request struct {
 	peerComm  int // comm rank of peer (or ANY for receives)
 	peerWorld int // world rank of peer (send only)
 	tag       int
-	data      []byte
+	payload   // what a send carries; what a completed receive got
 	complete  bool
 	status    Status
 	recvID    uint64
@@ -34,7 +34,8 @@ type Request struct {
 // Done reports whether the operation has completed.
 func (req *Request) Done() bool { return req.complete }
 
-// Data returns a completed receive's payload.
+// Data returns a completed receive's payload bytes: nil if the sender
+// supplied none (Status().Size still reports the length).
 func (req *Request) Data() []byte { return req.data }
 
 // Status returns a completed receive's envelope.
@@ -182,19 +183,33 @@ func (e *Env) Isend(c *Comm, dst, tag int, data []byte) *Request {
 	}
 	e.enter()
 	defer e.exit()
-	return e.isendInternal(c, dst, tag, data)
+	return e.isendInternal(c, dst, tag, content(data))
+}
+
+// sized is the payload of a size-only send of n bytes: the length the model
+// charges for, with no bytes behind it. A negative n fails the run.
+func (e *Env) sized(n int64) payload {
+	if n < 0 {
+		e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: negative message size %d", e.r.world, n))
+		n = 0
+	}
+	return payload{size: n}
 }
 
 // isendInternal posts a send without the library entry/exit bookkeeping;
 // collectives use it while already inside the library.
-func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
+func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	r := e.r
 	world := c.World(dst)
-	if world == r.world {
-		//lint:allow-panic self-send is unsupported by this model and is an application bug
-		panic(fmt.Sprintf("mpi: rank %d sending to itself", r.world))
-	}
 	req := &Request{r: r, isSend: true, comm: c, peerComm: dst, peerWorld: world, tag: tag}
+	if world == r.world {
+		// Self-send is unsupported by this model and is an application bug:
+		// fail the run and hand back a finished request so the caller's wait
+		// returns.
+		r.job.k.Fail(fmt.Errorf("mpi: rank %d sending to itself", r.world))
+		req.complete = true
+		return req
+	}
 	r.trafficTo[world]++
 	r.sendSeqTo[world]++
 	seq := r.sendSeqTo[world]
@@ -210,26 +225,22 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 			bw = 2 << 30
 		}
 		r.stats.MsgsLogged++
-		r.stats.BytesLogged += int64(len(data))
-		logged := make([]byte, len(data))
-		copy(logged, data)
+		r.stats.BytesLogged += p.size
 		r.msgLog[world] = append(r.msgLog[world],
-			logEntry{Comm: c.id, SrcComm: c.myRank, Tag: tag, Seq: seq, Data: logged})
-		e.p.Sleep(sim.Time(float64(len(data)) / bw * float64(sim.Second)))
+			logEntry{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()})
+		e.p.Sleep(sim.Time(float64(p.size) / bw * float64(sim.Second)))
 	}
-	if int64(len(data)) <= r.job.cfg.EagerThreshold {
+	if p.size <= r.job.cfg.EagerThreshold {
 		// Eager: copy into a communication buffer; the request completes
 		// immediately (buffered-send semantics). If the destination is
 		// gated this is the paper's *message buffering*.
-		buf := make([]byte, len(data))
-		copy(buf, data)
 		req.complete = true
 		r.stats.EagerSent++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_sent").Inc()
 		r.post(world, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(buf)),
-			payload: wireEager{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, data: buf},
+			kind: outEager,
+			size: eagerHdrSize + p.size,
+			pkt:  wireEager{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()},
 		})
 		return req
 	}
@@ -240,13 +251,13 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, data []byte) *Request {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_sent").Inc()
 	r.reqSeq++
 	id := r.reqSeq
-	req.data = data
+	req.payload = p
 	r.sendReqs[id] = req
 	r.post(world, outItem{
 		kind: outCtl,
 		size: ctlPktSize,
-		payload: wireRTS{comm: c.id, srcComm: c.myRank, tag: tag,
-			size: int64(len(data)), seq: seq, sendID: id},
+		pkt: wireRTS{comm: c.id, srcComm: c.myRank, tag: tag,
+			size: p.size, seq: seq, sendID: id},
 	})
 	return req
 }
@@ -338,7 +349,7 @@ func (e *Env) Send(c *Comm, dst, tag int, data []byte) {
 	}
 	e.enter()
 	defer e.exit()
-	req := e.isendInternal(c, dst, tag, data)
+	req := e.isendInternal(c, dst, tag, content(data))
 	e.waitInternal(req)
 }
 
@@ -363,11 +374,7 @@ func (e *Env) iprobeInternal(c *Comm, src, tag int) (bool, Status) {
 	probe := &Request{r: e.r, comm: c, peerComm: src, tag: tag}
 	for _, msg := range e.r.unexpected {
 		if probe.matches(msg) {
-			size := msg.size
-			if msg.eager {
-				size = int64(len(msg.data))
-			}
-			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: size}
+			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
 		}
 	}
 	return false, Status{}
@@ -391,11 +398,24 @@ func (e *Env) Probe(c *Comm, src, tag int) Status {
 // Sendrecv exchanges messages with possibly different peers, avoiding the
 // deadlock of paired blocking calls.
 func (e *Env) Sendrecv(c *Comm, dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status) {
+	rreq := e.sendrecv(c, dst, sendTag, content(data), src, recvTag)
+	return rreq.data, rreq.status
+}
+
+// SendrecvSize is Sendrecv for a workload that models the exchange's cost
+// and never reads its content: n bytes are charged on the wire, in the
+// eager/rendezvous choice and in the sender log, and none are allocated.
+func (e *Env) SendrecvSize(c *Comm, dst, sendTag int, n int64, src, recvTag int) Status {
+	return e.sendrecv(c, dst, sendTag, e.sized(n), src, recvTag).status
+}
+
+// sendrecv returns the completed receive.
+func (e *Env) sendrecv(c *Comm, dst, sendTag int, p payload, src, recvTag int) *Request {
 	e.enter()
 	defer e.exit()
 	rreq := e.irecvInternal(c, src, recvTag)
-	sreq := e.isendInternal(c, dst, sendTag, data)
+	sreq := e.isendInternal(c, dst, sendTag, p)
 	e.waitInternal(sreq)
 	e.waitInternal(rreq)
-	return rreq.data, rreq.status
+	return rreq
 }

@@ -1,0 +1,371 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gbcr/internal/ib"
+	"gbcr/internal/obs"
+	"gbcr/internal/sim"
+)
+
+// newJobWith is newTestJob with a configuration.
+func newJobWith(t testing.TB, n int, cfg Config) (*sim.Kernel, *Job) {
+	t.Helper()
+	k := sim.NewKernel(1)
+	f, err := ib.New(k, ib.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewJob(k, f, cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, j
+}
+
+// loggedConfig is the default configuration with sender-based logging on.
+func loggedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.LogMessages = true
+	return cfg
+}
+
+// exchangeOutcome is everything a run of exchangeJob exposes.
+type exchangeOutcome struct {
+	timeline string
+	stats    []RankStats
+	finish   sim.Time
+	events   uint64
+	recvSize []int64 // per rank: Status.Size of the ring receive
+}
+
+// exchangeJob runs the three calls content-free workloads make — a ring
+// Sendrecv, a Bcast and an Allgather — on four ranks, with n-byte payloads
+// that are either real zero-filled buffers or lengths only. gated holds rank
+// 0's sends to rank 1 behind a closed checkpoint gate for the first second.
+func exchangeJob(t *testing.T, n int64, sizeOnly, logged, gated bool) exchangeOutcome {
+	t.Helper()
+	const ranks = 4
+	cfg := DefaultConfig()
+	cfg.LogMessages = logged
+	k, j := newJobWith(t, ranks, cfg)
+	var timeline bytes.Buffer
+	bus := obs.NewBus(obs.NewJSONL(&timeline)) // every ib- and mpi-layer event
+	j.Fabric().SetObs(bus)
+	j.SetObs(bus)
+	if gated {
+		h := &spHooks{gate: map[int]bool{1: true}}
+		j.Rank(0).SetHooks(h)
+		k.At(sim.Second, func() {
+			h.gate[1] = false
+			j.Rank(0).ReleaseDst(1)
+		})
+	}
+	out := exchangeOutcome{recvSize: make([]int64, ranks)}
+	j.LaunchAll(func(e *Env) {
+		w := e.World()
+		me := e.Rank()
+		right, left := (me+1)%ranks, (me-1+ranks)%ranks
+		for it := 0; it < 3; it++ {
+			e.Compute(sim.Millisecond)
+			if sizeOnly {
+				out.recvSize[me] = e.SendrecvSize(w, right, 1, n, left, 1).Size
+				if got := e.BcastSize(w, it%ranks, n); got != n {
+					t.Errorf("rank %d: BcastSize returned %d, want %d", me, got, n)
+				}
+				e.AllgatherSize(w, n)
+				continue
+			}
+			_, st := e.Sendrecv(w, right, 1, make([]byte, n), left, 1)
+			out.recvSize[me] = st.Size
+			e.Bcast(w, it%ranks, make([]byte, n))
+			e.Allgather(w, make([]byte, n))
+		}
+	})
+	run(t, k)
+	out.timeline = timeline.String()
+	for i := 0; i < ranks; i++ {
+		out.stats = append(out.stats, j.Rank(i).Stats())
+	}
+	out.finish = j.FinishTime()
+	out.events = k.EventsProcessed()
+	return out
+}
+
+// A size-only message is indistinguishable, in everything the simulation
+// observes, from a zero-filled one of the same length.
+func TestSizeOnlyEqualsZeroFilled(t *testing.T) {
+	eager := DefaultConfig().EagerThreshold
+	sizes := []struct {
+		name string
+		n    int64
+	}{
+		{"empty", 0},
+		{"eager-1KiB", 1 << 10},
+		{"eager-at-threshold", eager},
+		{"rendezvous-past-threshold", eager + 1},
+		{"rendezvous-64KiB", 64 << 10},
+		{"rendezvous-1MiB", 1 << 20},
+	}
+	modes := []struct {
+		name          string
+		logged, gated bool
+	}{
+		{"plain", false, false},
+		{"logged", true, false},
+		{"gated", false, true},
+	}
+	for _, sz := range sizes {
+		for _, m := range modes {
+			t.Run(sz.name+"/"+m.name, func(t *testing.T) {
+				filled := exchangeJob(t, sz.n, false, m.logged, m.gated)
+				sized := exchangeJob(t, sz.n, true, m.logged, m.gated)
+				if filled.timeline != sized.timeline {
+					t.Errorf("obs timelines differ:\n%s", firstDiff(filled.timeline, sized.timeline))
+				}
+				if len(filled.timeline) == 0 {
+					t.Error("empty timeline: the comparison proves nothing")
+				}
+				for i := range filled.stats {
+					if filled.stats[i] != sized.stats[i] {
+						t.Errorf("rank %d stats differ:\n zero-filled %+v\n size-only   %+v",
+							i, filled.stats[i], sized.stats[i])
+					}
+					if sized.recvSize[i] != sz.n {
+						t.Errorf("rank %d size-only receive: Status.Size = %d, want %d", i, sized.recvSize[i], sz.n)
+					}
+				}
+				if filled.finish != sized.finish {
+					t.Errorf("finish time: zero-filled %v, size-only %v", filled.finish, sized.finish)
+				}
+				if filled.events != sized.events {
+					t.Errorf("events processed: zero-filled %d, size-only %d", filled.events, sized.events)
+				}
+				if m.logged && sized.stats[0].BytesLogged == 0 && sz.n > 0 {
+					t.Error("size-only sends were not charged to the log")
+				}
+				if m.gated && sized.stats[0].MsgsBuffered+sized.stats[0].ReqsBuffered == 0 {
+					t.Error("the gate deferred nothing")
+				}
+			})
+		}
+	}
+}
+
+// firstDiff reports the first line at which two timelines part.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d:\n zero-filled %s\n size-only   %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("lengths %d vs %d lines", len(al), len(bl))
+}
+
+// captureQueued puts one n-byte eager message in each place CaptureLibState
+// looks — rank 0's unexpected queue, its outbox (held by a closed gate) and
+// its sender log — and returns rank 0's captured library state.
+func captureQueued(t *testing.T, mk func(n int64) payload, n int64) []byte {
+	t.Helper()
+	k, j := newJobWith(t, 2, loggedConfig())
+	h := &spHooks{gate: map[int]bool{1: true}}
+	j.Rank(0).SetHooks(h)
+	send := func(e *Env, w *Comm, dst int) {
+		e.enter()
+		defer e.exit()
+		e.waitInternal(e.isendInternal(w, dst, 0, mk(n)))
+	}
+	var state []byte
+	j.Launch(0, func(e *Env) {
+		w := e.World()
+		send(e, w, 1)
+		e.Compute(10 * sim.Millisecond) // rank 1's message arrives unexpected
+		r := e.RankState()
+		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.msgLog[1]) != 1 {
+			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1 each",
+				len(r.unexpected), r.OutboxLen(1), len(r.msgLog[1]))
+		}
+		var err error
+		if state, err = r.CaptureLibState(); err != nil {
+			t.Error(err)
+		}
+		h.gate[1] = false
+		r.ReleaseDst(1)
+		e.Recv(w, 1, 0)
+	})
+	j.Launch(1, func(e *Env) {
+		w := e.World()
+		send(e, w, 0)
+		e.Recv(w, 0, 0)
+	})
+	run(t, k)
+	return state
+}
+
+// Lib-state bytes are part of the timing model (their length is added to the
+// storage write), so a size-only message must be captured exactly as a
+// zero-filled one, and come back from a restore as that content.
+func TestCaptureSizeOnlyAsZeros(t *testing.T) {
+	const n = 1 << 10
+	filled := captureQueued(t, func(n int64) payload { return content(make([]byte, n)) }, n)
+	sized := captureQueued(t, func(n int64) payload { return payload{size: n} }, n)
+	if len(sized) < 3*n {
+		t.Fatalf("captured %d bytes: three %d-byte messages are not all in there", len(sized), n)
+	}
+	if !bytes.Equal(filled, sized) {
+		t.Fatalf("lib state differs: zero-filled %d bytes, size-only %d bytes", len(filled), len(sized))
+	}
+
+	// Round trip: restore onto a fresh rank whose gate keeps the outbox in
+	// place, and capture again.
+	_, j := newJobWith(t, 2, loggedConfig())
+	r := j.Rank(0)
+	r.SetHooks(&spHooks{gate: map[int]bool{1: true}})
+	if err := r.RestoreLibState(sized); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		where string
+		payload
+	}{
+		{"unexpected", r.unexpected[0].payload},
+		{"outbox", r.outbox[1][0].pkt.(wireEager).payload},
+		{"log", r.msgLog[1][0].payload},
+	} {
+		if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
+			t.Errorf("restored %s message: size %d, %d data bytes; want %d zero bytes", q.where, q.size, len(q.data), n)
+		}
+	}
+	r.commIndex = 1 // restore resets it for the body to re-create World(); the captured body had
+	again, err := r.CaptureLibState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, sized) {
+		t.Fatal("capture → restore → capture is not the identity")
+	}
+}
+
+// allocatedBy reports the heap bytes allocated while building and running a
+// job.
+func allocatedBy(t *testing.T, ranks int, cfg Config, body func(e *Env)) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k, j := newJobWith(t, ranks, cfg)
+	j.LaunchAll(body)
+	run(t, k)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// What a size-only message costs the host does not depend on its length. The
+// two lengths fall either side of the eager threshold, so the runs differ by
+// the rendezvous handshake's bookkeeping — a few hundred bytes a message —
+// and the slack allows for that; a single materialised 1 MiB payload is
+// sixteen times the slack.
+func TestSizeOnlyAllocationIndependentOfLength(t *testing.T) {
+	const slack = 64 << 10
+	cases := []struct {
+		name  string
+		ranks int
+		cfg   Config
+		body  func(n int64) func(e *Env)
+	}{
+		{"bcast32", 32, DefaultConfig(), func(n int64) func(e *Env) {
+			return func(e *Env) {
+				w := e.World()
+				for i := 0; i < 4; i++ {
+					e.BcastSize(w, 0, n)
+				}
+			}
+		}},
+		{"logged-send", 2, loggedConfig(), func(n int64) func(e *Env) {
+			return func(e *Env) {
+				w := e.World()
+				peer := 1 - e.Rank()
+				for i := 0; i < 16; i++ {
+					e.SendrecvSize(w, peer, 0, n, peer, 0)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocatedBy(t, tc.ranks, tc.cfg, tc.body(1<<10)) // warm the runtime's own caches
+			small := allocatedBy(t, tc.ranks, tc.cfg, tc.body(1<<10))
+			large := allocatedBy(t, tc.ranks, tc.cfg, tc.body(1<<20))
+			t.Logf("allocated: %d B at 1 KiB, %d B at 1 MiB", small, large)
+			if large > small+slack {
+				t.Errorf("allocation grows with payload length: %d B at 1 KiB, %d B at 1 MiB", small, large)
+			}
+		})
+	}
+}
+
+// A receiver cannot tell in advance which kind of send it will match: a
+// size-only message completes an ordinary receive with nil data and the
+// sender's length.
+func TestSizeOnlyReceiveHasNoData(t *testing.T) {
+	for _, n := range []int64{1 << 10, 1 << 20} {
+		k, j := newTestJob(t, 2)
+		var got []byte
+		var st, back Status
+		j.Launch(0, func(e *Env) {
+			back = e.SendrecvSize(e.World(), 1, 0, n, 1, 0)
+		})
+		j.Launch(1, func(e *Env) {
+			got, st = e.Sendrecv(e.World(), 0, 0, []byte("x"), 0, 0)
+		})
+		run(t, k)
+		if got != nil || st.Size != n {
+			t.Errorf("n=%d: received %d data bytes, Status.Size %d; want nil data and the length", n, len(got), st.Size)
+		}
+		if back.Size != 1 {
+			t.Errorf("n=%d: the content-carrying reply reported Size %d, want 1", n, back.Size)
+		}
+	}
+}
+
+func TestNegativeSizeFailsRun(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(e *Env)
+	}{
+		{"SendrecvSize", func(e *Env) { e.SendrecvSize(e.World(), 1-e.Rank(), 0, -1, 1-e.Rank(), 0) }},
+		{"BcastSize", func(e *Env) { e.BcastSize(e.World(), 0, -1) }},
+		{"AllgatherSize", func(e *Env) { e.AllgatherSize(e.World(), -1) }},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			k, j := newTestJob(t, 2)
+			j.LaunchAll(tc.call)
+			err := k.Run()
+			if err == nil || !strings.Contains(err.Error(), "negative message size -1") {
+				t.Fatalf("Run() = %v, want a negative-size error", err)
+			}
+		})
+	}
+}
+
+func TestSelfSendFailsRun(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	returned := false
+	j.Launch(0, func(e *Env) {
+		e.Send(e.World(), 0, 0, []byte("me"))
+		returned = true
+	})
+	j.Launch(1, func(e *Env) {})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "rank 0 sending to itself") {
+		t.Fatalf("Run() = %v, want a self-send error", err)
+	}
+	if !returned {
+		t.Fatal("the failed send left its caller blocked")
+	}
+}

@@ -15,7 +15,32 @@ const (
 	dataHdrSize  = 32
 )
 
-// Wire payload types carried by the fabric.
+// payload is what a message carries: a length, and the bytes themselves only
+// if the sender supplied them. Everything the model charges — wire size, the
+// eager/rendezvous choice, the logging copy, the buffered and logged byte
+// counters, Status.Size — comes from size; data is allocated and copied only
+// when there is some. data is nil (a size-only message, whose receiver gets
+// nil data) or has len(data) == size.
+type payload struct {
+	size int64
+	data []byte
+}
+
+// content is the payload of a send whose bytes the receiver will read.
+func content(data []byte) payload { return payload{size: int64(len(data)), data: data} }
+
+// clone returns a payload that shares no memory with p: the communication
+// buffer of an eager send, a sender-log entry, a replayed delivery.
+func (p payload) clone() payload {
+	if p.data != nil {
+		buf := make([]byte, len(p.data))
+		copy(buf, p.data)
+		p.data = buf
+	}
+	return p
+}
+
+// Wire packet types carried by the fabric.
 type (
 	// wireEager carries a small message's payload with its match envelope.
 	// seq is the per-(sender,receiver) sequence number used for duplicate
@@ -28,7 +53,7 @@ type (
 		srcComm int // sender's comm rank
 		tag     int
 		seq     int64
-		data    []byte
+		payload
 	}
 	// wireRTS announces a rendezvous send. seq is as in wireEager.
 	wireRTS struct {
@@ -44,7 +69,8 @@ type (
 		sendID uint64
 		recvID uint64
 	}
-	// wireData is the zero-copy bulk transfer (the RDMA write).
+	// wireData is the zero-copy bulk transfer (the RDMA write). Its length
+	// is not carried: the receiver has it from the RTS.
 	wireData struct {
 		recvID uint64
 		data   []byte
@@ -58,8 +84,7 @@ type inMsg struct {
 	srcWorld int
 	tag      int
 	eager    bool
-	data     []byte // eager payload
-	size     int64  // rendezvous announced size
+	payload         // eager: the message; rendezvous: the announced size, no data yet
 	sendID   uint64 // rendezvous sender request id
 }
 
@@ -75,10 +100,10 @@ const (
 // outItem is a packet bound for dst, possibly deferred by connection state
 // or a checkpoint gate.
 type outItem struct {
-	kind    outKind
-	size    int64
-	payload any
-	onTx    func(txEnd sim.Time) // sender-side completion for zero-copy data
+	kind outKind
+	size int64 // bytes on the wire, header included
+	pkt  any
+	onTx func(txEnd sim.Time) // sender-side completion for zero-copy data
 }
 
 // post sends a packet toward world rank dst, deferring it in the outbox when
@@ -100,7 +125,7 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 	if r.hooks != nil && !r.hooks.SendAllowed(dst) {
 		return false
 	}
-	err := r.ep.Send(dst, it.size, it.payload)
+	err := r.ep.Send(dst, it.size, it.pkt)
 	switch err {
 	case nil:
 		if it.onTx != nil {
@@ -144,7 +169,7 @@ func (r *Rank) deferItem(dst int, it outItem) {
 	m := r.job.bus.Metrics()
 	switch it.kind {
 	case outEager:
-		n := int64(len(it.payload.(wireEager).data))
+		n := it.pkt.(wireEager).size
 		r.stats.MsgsBuffered++
 		r.stats.BytesBuffered += n
 		m.Counter(obs.LayerMPI, "msgs_buffered").Inc()
@@ -179,11 +204,11 @@ func (r *Rank) drainOutbox(dst int) {
 
 // onMessage dispatches an in-band arrival. It runs during Progress, i.e.
 // under the library's progress discipline.
-func (r *Rank) onMessage(src int, size int64, payload any) {
+func (r *Rank) onMessage(src int, size int64, pkt any) {
 	if r.DeliverHook != nil {
 		r.DeliverHook(src)
 	}
-	switch m := payload.(type) {
+	switch m := pkt.(type) {
 	case wireEager:
 		r.arriveEager(src, m)
 	case wireRTS:
@@ -194,7 +219,7 @@ func (r *Rank) onMessage(src int, size int64, payload any) {
 		r.arriveData(m)
 	default:
 		//lint:allow-panic the wire payload set is closed; an unknown type is a simulator bug
-		panic(fmt.Sprintf("mpi: rank %d received unknown payload %T", r.world, payload))
+		panic(fmt.Sprintf("mpi: rank %d received unknown payload %T", r.world, pkt))
 	}
 }
 
@@ -223,10 +248,10 @@ func (r *Rank) arriveEager(srcWorld int, m wireEager) {
 		return
 	}
 	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
-		tag: m.tag, eager: true, data: m.data}
+		tag: m.tag, eager: true, payload: m.payload}
 	if req := r.matchPosted(msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
-		r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), int64(len(m.data)))
+		r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
 		r.deliver(req, msg)
 		return
 	}
@@ -242,14 +267,14 @@ func (r *Rank) arriveRTS(srcWorld int, m wireRTS) {
 		id := r.reqSeq
 		r.recvReqs[id] = &Request{r: r, discard: true}
 		r.post(srcWorld, outItem{
-			kind:    outCtl,
-			size:    ctlPktSize,
-			payload: wireCTS{sendID: m.sendID, recvID: id},
+			kind: outCtl,
+			size: ctlPktSize,
+			pkt:  wireCTS{sendID: m.sendID, recvID: id},
 		})
 		return
 	}
 	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
-		tag: m.tag, size: m.size, sendID: m.sendID}
+		tag: m.tag, payload: payload{size: m.size}, sendID: m.sendID}
 	if req := r.matchPosted(msg); req != nil {
 		r.grantRendezvous(req, msg)
 		return
@@ -276,9 +301,9 @@ func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	req.recvID = id
 	r.recvReqs[id] = req
 	r.post(msg.srcWorld, outItem{
-		kind:    outCtl,
-		size:    ctlPktSize,
-		payload: wireCTS{sendID: msg.sendID, recvID: id},
+		kind: outCtl,
+		size: ctlPktSize,
+		pkt:  wireCTS{sendID: msg.sendID, recvID: id},
 	})
 }
 
@@ -291,9 +316,9 @@ func (r *Rank) arriveCTS(m wireCTS) {
 	}
 	delete(r.sendReqs, m.sendID)
 	r.post(req.peerWorld, outItem{
-		kind:    outData,
-		size:    dataHdrSize + int64(len(req.data)),
-		payload: wireData{recvID: m.recvID, data: req.data},
+		kind: outData,
+		size: dataHdrSize + req.size,
+		pkt:  wireData{recvID: m.recvID, data: req.data},
 		// Zero-copy: the sender's buffer is reusable at local transmit
 		// completion.
 		onTx: func(txEnd sim.Time) {
@@ -313,7 +338,7 @@ func (r *Rank) arriveData(m wireData) {
 	if req.discard {
 		return // duplicate rendezvous re-send: the payload is dropped
 	}
-	req.data = m.data
+	req.payload = payload{size: req.status.Size, data: m.data}
 	r.completeReq(req)
 }
 
@@ -343,8 +368,8 @@ func (r *Rank) matchUnexpected(req *Request) *inMsg {
 
 // deliver completes a receive with an eager payload.
 func (r *Rank) deliver(req *Request, msg *inMsg) {
-	req.data = msg.data
-	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: int64(len(msg.data))}
+	req.payload = msg.payload
+	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
 	r.completeReq(req)
 }
 

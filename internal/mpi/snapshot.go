@@ -70,11 +70,25 @@ const libStateV2Magic = "gbcr/libstate/v2\n"
 // logEntry is one sender-log record: the payload copy made at send time plus
 // the envelope needed to replay it as an eager delivery.
 type logEntry struct {
-	Comm    int64
-	SrcComm int
-	Tag     int
-	Seq     int64
-	Data    []byte
+	comm    int64
+	srcComm int
+	tag     int
+	seq     int64
+	payload
+}
+
+// captured returns the bytes a snapshot records for p: its content, or for a
+// size-only payload that many zero bytes, built for the encoder and dropped
+// with it. The gob structs keep their v1/v2 shape (a new field would put its
+// name in every snapshot's type descriptor), and their length is part of the
+// timing model: Snapshot.Size() adds len(LibState) to the storage write. A
+// size-only message therefore costs the same image bytes as a zero-filled
+// one, and RestoreLibState brings it back as zero-filled content.
+func (p payload) captured() []byte {
+	if p.data == nil {
+		return make([]byte, p.size)
+	}
+	return p.data
 }
 
 // seqEntry serializes one peer's sequence counter (maps are gob-encoded in
@@ -119,6 +133,8 @@ type libStateV2 struct {
 // at a quiesced boundary: no posted receives, no pending rendezvous
 // transfers, and only eager traffic in the queues — the discipline
 // functional-restart workloads follow (timing-only runs never call it).
+// Size-only messages are written as zero bytes of their length (see
+// payload.captured).
 func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
@@ -135,7 +151,7 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
 		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.data,
+			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
 		})
 	}
 	// Serialize outboxes in sorted destination order: map iteration order
@@ -149,12 +165,12 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 	sort.Ints(dsts)
 	for _, dst := range dsts {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.payload.(wireEager)
+			we, ok := it.pkt.(wireEager)
 			if !ok {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOut{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.data,
+				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.captured(),
 			})
 		}
 	}
@@ -175,17 +191,17 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
 		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.data,
+			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
 		})
 	}
 	for _, dst := range sortedPeers(r.outbox) {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.payload.(wireEager)
+			we, ok := it.pkt.(wireEager)
 			if !ok {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOutV2{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.data,
+				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(),
 			})
 		}
 	}
@@ -194,7 +210,7 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 	for _, dst := range sortedPeers(r.msgLog) {
 		for _, le := range r.msgLog[dst] {
 			st.Log = append(st.Log, savedLog{
-				Dst: dst, Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Data,
+				Dst: dst, Comm: le.comm, SrcComm: le.srcComm, Tag: le.tag, Seq: le.seq, Data: le.captured(),
 			})
 		}
 	}
@@ -243,14 +259,14 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	for _, m := range st.Unexpected {
 		r.unexpected = append(r.unexpected, &inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
-			tag: m.Tag, eager: true, data: m.Data,
+			tag: m.Tag, eager: true, payload: content(m.Data),
 		})
 	}
 	for _, o := range st.Outbox {
 		r.post(o.Dst, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(o.Data)),
-			payload: wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, data: o.Data},
+			kind: outEager,
+			size: eagerHdrSize + int64(len(o.Data)),
+			pkt:  wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, payload: content(o.Data)},
 		})
 	}
 	return nil
@@ -269,7 +285,7 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	for _, m := range st.Unexpected {
 		r.unexpected = append(r.unexpected, &inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
-			tag: m.Tag, eager: true, data: m.Data,
+			tag: m.Tag, eager: true, payload: content(m.Data),
 		})
 	}
 	for _, se := range st.SendSeq {
@@ -280,13 +296,13 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	}
 	for _, le := range st.Log {
 		r.msgLog[le.Dst] = append(r.msgLog[le.Dst],
-			logEntry{Comm: le.Comm, SrcComm: le.SrcComm, Tag: le.Tag, Seq: le.Seq, Data: le.Data})
+			logEntry{comm: le.Comm, srcComm: le.SrcComm, tag: le.Tag, seq: le.Seq, payload: content(le.Data)})
 	}
 	for _, o := range st.Outbox {
 		r.post(o.Dst, outItem{
-			kind:    outEager,
-			size:    eagerHdrSize + int64(len(o.Data)),
-			payload: wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, seq: o.Seq, data: o.Data},
+			kind: outEager,
+			size: eagerHdrSize + int64(len(o.Data)),
+			pkt:  wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, seq: o.Seq, payload: content(o.Data)},
 		})
 	}
 	return nil
@@ -306,15 +322,13 @@ func (j *Job) ReplayLogs() int {
 		for _, dst := range sortedPeers(s.msgLog) {
 			d := j.ranks[dst]
 			for _, le := range s.msgLog[dst] {
-				if le.Seq <= d.recvSeqOf[src] {
+				if le.seq <= d.recvSeqOf[src] {
 					continue
 				}
-				d.recvSeqOf[src] = le.Seq
-				data := make([]byte, len(le.Data))
-				copy(data, le.Data)
+				d.recvSeqOf[src] = le.seq
 				d.unexpected = append(d.unexpected, &inMsg{
-					comm: le.Comm, srcComm: le.SrcComm, srcWorld: src,
-					tag: le.Tag, eager: true, data: data,
+					comm: le.comm, srcComm: le.srcComm, srcWorld: src,
+					tag: le.tag, eager: true, payload: le.clone(),
 				})
 				injected++
 			}

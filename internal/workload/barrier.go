@@ -31,7 +31,7 @@ func (w BarrierPhases) Name() string {
 
 // Launch implements Workload.
 func (w BarrierPhases) Launch(j *mpi.Job) (Instance, error) {
-	msg := w.MsgBytes
+	msg := int64(w.MsgBytes)
 	if msg <= 0 {
 		msg = 1024
 	}
@@ -47,14 +47,13 @@ func (w BarrierPhases) Launch(j *mpi.Job) (Instance, error) {
 			if len(gr) > 1 {
 				c = e.NewComm(gr)
 			}
-			payload := make([]byte, msg)
 			for ph := 0; ph < w.Phases; ph++ {
 				for it := 0; it < itersPerPhase; it++ {
 					e.Compute(w.Chunk)
 					if c != nil {
 						n := c.Size()
 						me := c.Rank()
-						e.Sendrecv(c, (me+1)%n, 1, payload, (me-1+n)%n, 1)
+						e.SendrecvSize(c, (me+1)%n, 1, msg, (me-1+n)%n, 1)
 					}
 				}
 				e.Barrier(world)

@@ -28,7 +28,7 @@ func (w CommGroups) Name() string {
 
 // Launch implements Workload.
 func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
-	msg := w.MsgBytes
+	msg := int64(w.MsgBytes)
 	if msg <= 0 {
 		msg = 1024
 	}
@@ -39,7 +39,6 @@ func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
 			if len(gr) > 1 {
 				c = e.NewComm(gr)
 			}
-			payload := make([]byte, msg)
 			for it := 0; it < w.Iters; it++ {
 				e.Compute(w.Chunk)
 				if c != nil {
@@ -47,7 +46,7 @@ func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
 					// blocking synchronization among its members.
 					n := c.Size()
 					me := c.Rank()
-					e.Sendrecv(c, (me+1)%n, 1, payload, (me-1+n)%n, 1)
+					e.SendrecvSize(c, (me+1)%n, 1, msg, (me-1+n)%n, 1)
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package hpl
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gbcr/internal/ib"
@@ -210,6 +211,33 @@ func TestTimedModelRuntime(t *testing.T) {
 	if fp := inst.Footprint(0); fp != 100<<20 {
 		t.Fatalf("final footprint %d", fp)
 	}
+}
+
+func TestTimedLaunchRejectsBadConfig(t *testing.T) {
+	ok := Timed{P: 2, Q: 2, Steps: 1, Step0: sim.Second, PanelKB: 64, UpdateKB: 16, BaseFootprintMB: 100}
+	cases := []struct {
+		name string
+		edit func(w *Timed)
+		want string
+	}{
+		{"grid does not match job", func(w *Timed) { w.P = 3 }, "does not match"},
+		{"negative PanelKB", func(w *Timed) { w.PanelKB = -1 }, "negative payload size"},
+		{"negative UpdateKB", func(w *Timed) { w.UpdateKB = -1 }, "negative payload size"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ok
+			tc.edit(&w)
+			_, j := newJob(t, 4)
+			if _, err := w.Launch(j); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Launch() error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	_, j := newJob(t, 4)
+	zero := ok
+	zero.PanelKB, zero.UpdateKB = 0, 0
+	launch(t, zero, j) // empty broadcasts are legal
 }
 
 func TestTimedFootprintGrows(t *testing.T) {

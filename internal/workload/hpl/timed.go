@@ -71,6 +71,9 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 	if j.Size() != n {
 		return nil, fmt.Errorf("hpl: job size %d does not match %dx%d grid", j.Size(), w.P, w.Q)
 	}
+	if w.PanelKB < 0 || w.UpdateKB < 0 {
+		return nil, fmt.Errorf("hpl: negative payload size (PanelKB=%d, UpdateKB=%d)", w.PanelKB, w.UpdateKB)
+	}
 	inst := &TimedInstance{cfg: w, step: make([]int, n)}
 	for r := 0; r < n; r++ {
 		r := r
@@ -93,8 +96,8 @@ func (inst *TimedInstance) run(e *mpi.Env) {
 	}
 	rowComm := e.NewComm(rowRanks)
 	colComm := e.NewComm(colRanks)
-	panel := make([]byte, w.PanelKB<<10)
-	update := make([]byte, w.UpdateKB<<10)
+	// The model needs the broadcasts' cost, not their content: lengths only.
+	panel, update := int64(w.PanelKB)<<10, int64(w.UpdateKB)<<10
 	colEvery := w.ColEvery
 	if colEvery <= 0 {
 		colEvery = 1
@@ -103,10 +106,10 @@ func (inst *TimedInstance) run(e *mpi.Env) {
 		inst.step[me] = k
 		// Panel broadcast along the grid row: the frequent traffic, the
 		// "communication group of four" the paper refers to.
-		e.Bcast(rowComm, k%w.Q, panel)
+		e.BcastSize(rowComm, k%w.Q, panel)
 		// Periodic column-wise row-swap exchange coupling the grid rows.
 		if k%colEvery == colEvery-1 {
-			e.Bcast(colComm, k%w.P, update)
+			e.BcastSize(colComm, k%w.P, update)
 		}
 		// Trailing-submatrix update: quadratic decay.
 		rem := float64(w.Steps-k) / float64(w.Steps)

@@ -271,13 +271,16 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 	if j.Size() != w.N {
 		return nil, fmt.Errorf("motif: job size %d does not match N=%d", j.Size(), w.N)
 	}
-	payload := make([]byte, w.ExchangeKB<<10)
+	if w.ExchangeKB < 0 {
+		return nil, fmt.Errorf("motif: negative payload size (ExchangeKB=%d)", w.ExchangeKB)
+	}
+	exchange := int64(w.ExchangeKB) << 10
 	for r := 0; r < w.N; r++ {
 		j.Launch(r, func(e *mpi.Env) {
 			world := e.World()
 			for _, chunk := range w.Chunks {
 				e.Compute(chunk)
-				e.Allgather(world, payload)
+				e.AllgatherSize(world, exchange)
 			}
 		})
 	}

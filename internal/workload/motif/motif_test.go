@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gbcr/internal/ib"
@@ -153,6 +154,28 @@ func TestTimedModelRuntime(t *testing.T) {
 	}
 	if inst.Footprint(2) != 50<<20 {
 		t.Fatal("footprint")
+	}
+}
+
+func TestTimedLaunchRejectsBadConfig(t *testing.T) {
+	ok := Timed{N: 4, Chunks: []sim.Time{sim.Second}, ExchangeKB: 16, FootprintMB: 50}
+	cases := []struct {
+		name string
+		edit func(w *Timed)
+		want string
+	}{
+		{"N does not match job", func(w *Timed) { w.N = 5 }, "does not match"},
+		{"negative ExchangeKB", func(w *Timed) { w.ExchangeKB = -1 }, "negative payload size"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ok
+			tc.edit(&w)
+			_, j := newJob(t, 4)
+			if _, err := w.Launch(j); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Launch() error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

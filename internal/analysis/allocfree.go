@@ -192,7 +192,9 @@ func checkAllocFreeCall(pass *Pass, call *ast.CallExpr, annotated map[*types.Fun
 	case fn.Pkg() == nil:
 		// Error() on the error builtin and friends; nothing to verify.
 	case fn.Pkg() == pass.Pkg:
-		if !annotated[fn] {
+		// Origin: a method of an instantiated generic type is annotated on
+		// its declaration.
+		if !annotated[fn.Origin()] {
 			pass.Reportf(call.Pos(), "calls %s, which is not marked // alloc-free", fn.Name())
 		}
 	default:

@@ -148,6 +148,19 @@ func variadicArgs() {
 // alloc-free
 func variadic(xs ...int) {}
 
+type queue[T any] struct{ buf []T }
+
+// alloc-free
+func (q *queue[T]) first() T { return q.buf[0] }
+
+func (q *queue[T]) last() T { return q.buf[len(q.buf)-1] }
+
+// alloc-free
+func genericCallee(q *queue[int]) int {
+	// The annotation on a generic type's method covers every instantiation.
+	return q.first() + q.last() // want `calls last, which is not marked // alloc-free`
+}
+
 func unannotated() []*item {
 	// No annotation, no contract: allocate freely.
 	return append([]*item{}, &item{}, new(item))

@@ -17,6 +17,7 @@ package ib
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gbcr/internal/obs"
@@ -202,6 +203,57 @@ type workItem struct {
 	payload any
 }
 
+// flight is a packet on the wire: the work item it becomes on arrival and
+// the endpoint it arrives at.
+type flight struct {
+	dst *Endpoint
+	it  workItem
+}
+
+// fifo is a queue that keeps its backing array: pop advances a head index
+// and clears the slot it vacates (the payload it held may be recycled by its
+// owner), and the array is rewound whenever the queue drains, so a queue
+// that empties between bursts never allocates after warm-up.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+// alloc-free
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// live returns the queued elements, oldest first, aliasing the queue.
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+
+// push appends v.
+//
+// alloc-free
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
+		// Never fully drained, yet at least half consumed: slide the live
+		// tail down rather than growing behind a dead prefix.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	//lint:allow-allocfree amortised: the array grows to the deepest backlog seen and is then reused
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the oldest element; the queue must not be empty.
+//
+// alloc-free
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
 // Stats counts endpoint activity.
 type Stats struct {
 	ConnectsInitiated int
@@ -223,8 +275,19 @@ type Endpoint struct {
 
 	conns      map[int]*conn
 	egressFree sim.Time
-	work       []workItem
+	work       fifo[workItem]
 	deferred   []workItem
+
+	// Packets this endpoint has put on the wire, one queue per channel. Each
+	// has one kernel event pending per element, and the events fire in
+	// queue order: arrival times are monotone per source (in-band: serial
+	// egress plus a constant latency; out-of-band: now plus a constant) and
+	// the kernel fires equal times in scheduling order. So the event that
+	// fires always belongs to the head, and it needs no closure to say which
+	// packet it carries — deliverNext/deliverNextOOB are bound once here.
+	inflight, inflightOOB fifo[flight]
+	deliverNext           func()
+	deliverNextOOB        func()
 
 	stats Stats
 
@@ -261,6 +324,8 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 		return nil, fmt.Errorf("ib: duplicate endpoint id %d", id)
 	}
 	ep := &Endpoint{f: f, id: id, conns: make(map[int]*conn)}
+	ep.deliverNext = func() { ep.deliver(&ep.inflight) }
+	ep.deliverNextOOB = func() { ep.deliver(&ep.inflightOOB) }
 	f.eps[id] = ep
 	return ep, nil
 }
@@ -302,26 +367,30 @@ func (ep *Endpoint) Peers() []int {
 // transmit sends a packet in-band: the NIC serializes egress at LinkBW, then
 // the packet arrives after the wire latency. Per-destination FIFO order is
 // guaranteed (serial egress + constant latency).
+//
+// alloc-free
 func (ep *Endpoint) transmit(dst int, size int64, payload any) error {
 	peer := ep.f.eps[dst]
 	if peer == nil {
+		//lint:allow-allocfree error path: an unknown destination ends the run
 		return fmt.Errorf("ib: endpoint %d sending to unknown endpoint %d", ep.id, dst)
 	}
 	k := ep.f.k
-	start := k.Now()
+	start := k.Now() //lint:allow-allocfree sim.Kernel.Now is a field read
 	if ep.egressFree > start {
 		start = ep.egressFree
 	}
 	tx := sim.Time(float64(size) / ep.f.cfg.LinkBW * float64(sim.Second))
 	ep.egressFree = start + tx
 	arrival := ep.egressFree + ep.f.cfg.Latency
-	src := ep.id
-	k.At(arrival, func() { peer.receive(workItem{src: src, size: size, payload: payload}) })
+	ep.inflight.push(flight{peer, workItem{src: ep.id, size: size, payload: payload}})
+	k.At(arrival, ep.deliverNext) //lint:allow-allocfree sim.Kernel.At is // alloc-free in its own package
 	ep.stats.MessagesSent++
 	ep.stats.BytesSent += size
-	m := ep.f.bus.Metrics()
-	m.Counter(obs.LayerIB, "msgs").Inc()
-	m.Counter(obs.LayerIB, "bytes").Add(size)
+	// The registry allocates a counter the first time it is named, never after.
+	m := ep.f.bus.Metrics()                   //lint:allow-allocfree obs: a nil-safe field read
+	m.Counter(obs.LayerIB, "msgs").Inc()      //lint:allow-allocfree obs: lookup of an existing counter
+	m.Counter(obs.LayerIB, "bytes").Add(size) //lint:allow-allocfree obs: lookup of an existing counter
 	return nil
 }
 
@@ -332,13 +401,20 @@ func (ep *Endpoint) SendOOB(dst int, payload any) error {
 	if peer == nil {
 		return fmt.Errorf("ib: endpoint %d sending OOB to unknown endpoint %d", ep.id, dst)
 	}
-	src := ep.id
 	ep.stats.OOBSent++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "oob_msgs").Inc()
-	ep.f.k.After(ep.f.cfg.OOBLatency, func() {
-		peer.receive(workItem{src: src, oob: true, payload: payload})
-	})
+	ep.inflightOOB.push(flight{peer, workItem{src: ep.id, oob: true, payload: payload}})
+	ep.f.k.After(ep.f.cfg.OOBLatency, ep.deliverNextOOB)
 	return nil
+}
+
+// deliver hands the packet now due on one of this endpoint's channels to its
+// destination.
+//
+// alloc-free
+func (ep *Endpoint) deliver(q *fifo[flight]) {
+	fl := q.pop()
+	fl.dst.receive(fl.it)
 }
 
 // cmKind names a protocol payload for the drop filter, or "" for
@@ -495,31 +571,48 @@ func (ep *Endpoint) Send(dst int, size int64, payload any) error {
 // processed immediately — MVAPICH2 runs connection management on a dedicated
 // asynchronous thread — while in-band traffic (data, flush markers) queues
 // until the owner calls Progress, following the MPI progress rule.
+//
+// alloc-free
 func (ep *Endpoint) receive(it workItem) {
 	switch it.payload.(type) {
 	case cmConnReq, cmConnRep, cmConnRtu, cmDiscReq, cmDiscRep:
+		//lint:allow-allocfree connection management allocates per connection, not per message
 		ep.process(it)
 		return
 	}
 	if it.oob && ep.OnOOBImmediate != nil && ep.OnOOBImmediate(it.src, it.payload) {
 		return
 	}
-	ep.work = append(ep.work, it)
+	ep.work.push(it)
 	if ep.OnWork != nil {
 		ep.OnWork()
 	}
 }
 
 // PendingWork reports whether Progress has queued packets to process.
-func (ep *Endpoint) PendingWork() bool { return len(ep.work) > 0 }
+func (ep *Endpoint) PendingWork() bool { return ep.work.len() > 0 }
 
 // Progress processes all queued arrivals: connection-management handshakes,
 // flush markers, and application deliveries (via OnMessage/OnOOB).
+//
+// alloc-free
 func (ep *Endpoint) Progress() {
-	for len(ep.work) > 0 {
-		it := ep.work[0]
-		ep.work = ep.work[1:]
-		ep.process(it)
+	for ep.work.len() > 0 {
+		//lint:allow-allocfree process hands application packets to OnMessage/OnOOB, which own their budget; its control branches allocate per connection
+		ep.process(ep.work.pop())
+	}
+}
+
+// EachQueued calls fn with the payload of every packet this endpoint has on
+// the wire (either channel), has received and not yet processed, or has
+// deferred: everywhere the fabric still holds a payload its owner must not
+// recycle. Validators use it.
+func (ep *Endpoint) EachQueued(fn func(payload any)) {
+	for _, fl := range slices.Concat(ep.inflight.live(), ep.inflightOOB.live()) {
+		fn(fl.it.payload)
+	}
+	for _, it := range slices.Concat(ep.work.live(), ep.deferred) {
+		fn(it.payload)
 	}
 }
 
@@ -529,7 +622,9 @@ func (ep *Endpoint) Reexamine() {
 	if len(ep.deferred) == 0 {
 		return
 	}
-	ep.work = append(ep.work, ep.deferred...)
+	for _, it := range ep.deferred {
+		ep.work.push(it)
+	}
 	ep.deferred = nil
 	ep.Progress()
 }

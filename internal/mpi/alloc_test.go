@@ -1,0 +1,99 @@
+package mpi
+
+import (
+	"runtime"
+	"testing"
+
+	"gbcr/internal/sim"
+)
+
+// steadyMallocs runs round as an endless loop on every rank of a job, lets it
+// warm the free lists, FIFOs and kernel pools, and then reports the heap
+// objects allocated while rank 0 finishes at least 50 more rounds, together
+// with how many it did finish. No sink is attached.
+func steadyMallocs(t *testing.T, ranks int, round func(e *Env, w *Comm, i int)) (mallocs uint64, rounds int) {
+	t.Helper()
+	k, j := newTestJob(t, ranks)
+	t.Cleanup(k.Shutdown) // the bodies never return
+	done := 0
+	j.LaunchAll(func(e *Env) {
+		w := e.World()
+		for i := 0; ; i++ {
+			round(e, w, i)
+			if e.Rank() == 0 {
+				done++
+			}
+		}
+	})
+	advance := func() {
+		for target := done + 50; done < target; {
+			if err := k.RunUntil(k.Now() + sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	advance()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := done
+	advance()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, done - start
+}
+
+// The message path allocates nothing in steady state: a point-to-point
+// message is a recycled request at each end, a recycled packet, FIFO slots in
+// the fabric and a pooled kernel event — over eager and rendezvous, blocking
+// calls and collectives alike. The one exception is the model's own: an eager
+// send that carries content copies it into a communication buffer
+// (payload.clone), one allocation a message.
+func TestSteadyStateMessageAllocs(t *testing.T) {
+	pingPong := func(data []byte) func(e *Env, w *Comm, i int) {
+		return func(e *Env, w *Comm, _ int) {
+			if peer := 1 - e.Rank(); e.Rank() == 0 {
+				e.Send(w, peer, 0, data)
+				e.Recv(w, peer, 0)
+			} else {
+				e.Recv(w, peer, 0)
+				e.Send(w, peer, 0, data)
+			}
+		}
+	}
+	ring := func(n int64) func(e *Env, w *Comm, i int) {
+		return func(e *Env, w *Comm, _ int) {
+			size := e.Size()
+			e.SendrecvSize(w, (e.Rank()+1)%size, 0, n, (e.Rank()+size-1)%size, 0)
+		}
+	}
+	// An eager broadcast never blocks its root, so the root rotates: every
+	// rank must receive round i before it can lead round i+1.
+	bcast := func(n int64) func(e *Env, w *Comm, i int) {
+		return func(e *Env, w *Comm, i int) { e.BcastSize(w, i%e.Size(), n) }
+	}
+	cases := []struct {
+		name     string
+		ranks    int
+		round    func(e *Env, w *Comm, i int)
+		perRound uint64 // allocations one round is allowed, summed over ranks
+	}{
+		{"eager size-only 8 B SendrecvSize ring", 4, ring(8), 0},
+		{"eager empty Send/Recv ping-pong", 2, pingPong(nil), 0},
+		{"eager 8 B content ping-pong", 2, pingPong(make([]byte, 8)), 2}, // two messages, one clone each
+		{"rendezvous size-only 1 MiB SendrecvSize ring", 4, ring(1 << 20), 0},
+		{"Barrier on 32 ranks", 32, func(e *Env, w *Comm, _ int) { e.Barrier(w) }, 0},
+		{"BcastSize 1 KiB on 32 ranks", 32, bcast(1 << 10), 0},
+		{"BcastSize 1 MiB on 32 ranks", 32, bcast(1 << 20), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mallocs, rounds := steadyMallocs(t, tc.ranks, tc.round)
+			// Whole allocations per round, as testing.AllocsPerRun reports
+			// them: the runtime's own stray allocation (a GC worker starting,
+			// the race detector) rounds away, one reintroduced per message
+			// is at least two a round.
+			if got := mallocs / uint64(rounds); got != tc.perRound {
+				t.Errorf("%d allocations over %d rounds = %d per round, want %d", mallocs, rounds, got, tc.perRound)
+			}
+		})
+	}
+}

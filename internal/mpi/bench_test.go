@@ -7,9 +7,12 @@ import (
 	"gbcr/internal/sim"
 )
 
-// BenchmarkPingPong measures simulated-message throughput through the full
-// stack (matching, protocol, fabric events) in wall-clock terms.
-func BenchmarkPingPong(b *testing.B) {
+// benchPingPong times b.N round trips between two ranks; a round trip is two
+// calls of leg on each rank, one with send set. The job is built, both ranks
+// launched, the connection established and a few round trips made before the
+// timer starts, so ns/op and allocs/op are what a round trip costs in steady
+// state.
+func benchPingPong(b *testing.B, leg func(e *Env, w *Comm, peer int, send bool)) {
 	k := sim.NewKernel(1)
 	f, err := ib.New(k, ib.PaperConfig())
 	if err != nil {
@@ -20,26 +23,56 @@ func BenchmarkPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := b.N
-	payload := make([]byte, 256)
-	j.Launch(0, func(e *Env) {
+	j.LaunchAll(func(e *Env) {
 		w := e.World()
+		peer, leads := 1-e.Rank(), e.Rank() == 0
+		roundTrip := func() {
+			leg(e, w, peer, leads)
+			leg(e, w, peer, !leads)
+		}
+		for i := 0; i < 8; i++ { // free lists and FIFOs reach their steady depth
+			roundTrip()
+		}
+		e.Compute(10 * sim.Millisecond) // the warm-up ends well inside this
 		for i := 0; i < n; i++ {
-			e.Send(w, 1, 0, payload)
-			e.Recv(w, 1, 0)
+			roundTrip()
 		}
 	})
-	j.Launch(1, func(e *Env) {
-		w := e.World()
-		for i := 0; i < n; i++ {
-			e.Recv(w, 0, 0)
-			e.Send(w, 0, 0, payload)
-		}
-	})
+	if err := k.RunUntil(5 * sim.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+	b.StopTimer() // ReportMetric allocates its map
 	b.ReportMetric(float64(2*n)/b.Elapsed().Seconds(), "simmsgs/s")
+}
+
+// BenchmarkPingPong measures simulated-message throughput through the full
+// stack (matching, protocol, fabric events) in wall-clock terms, with 256
+// bytes of content a message: the one allocation a message is its eager
+// communication buffer.
+func BenchmarkPingPong(b *testing.B) {
+	payload := make([]byte, 256)
+	benchPingPong(b, func(e *Env, w *Comm, peer int, send bool) {
+		if send {
+			e.Send(w, peer, 0, payload)
+		} else {
+			e.Recv(w, peer, 0)
+		}
+	})
+}
+
+// BenchmarkPingPongSizeOnly8 is the size-only counterpart of the ladder's
+// mpi.pingpong_8b_ns rung (bench/, which carries 8 bytes of content): 8-byte
+// messages with no bytes behind them, two SendrecvSize exchanges per round
+// trip, zero allocations.
+func BenchmarkPingPongSizeOnly8(b *testing.B) {
+	benchPingPong(b, func(e *Env, w *Comm, peer int, _ bool) {
+		e.SendrecvSize(w, peer, 0, 8, peer, 0)
+	})
 }
 
 // BenchmarkAllreduce32 measures a 32-rank allreduce through the stack.

@@ -50,10 +50,7 @@ func (e *Env) Barrier(c *Comm) {
 	for k := 1; k < n; k <<= 1 {
 		dst := (me + k) % n
 		src := (me - k%n + n) % n
-		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, payload{})
-		e.waitInternal(sreq)
-		e.waitInternal(rreq)
+		e.exchange(c, dst, tag, payload{}, src, tag)
 	}
 }
 
@@ -86,9 +83,7 @@ func (e *Env) bcast(c *Comm, root int, p payload) payload {
 	for mask < n {
 		if rel&mask != 0 {
 			src := (me - mask + n) % n
-			rreq := e.irecvInternal(c, src, tag)
-			e.waitInternal(rreq)
-			p = rreq.payload
+			p, _ = e.await(e.irecvInternal(c, src, tag))
 			break
 		}
 		mask <<= 1
@@ -98,8 +93,7 @@ func (e *Env) bcast(c *Comm, root int, p payload) payload {
 	for mask > 0 {
 		if rel+mask < n {
 			dst := (me + mask) % n
-			sreq := e.isendInternal(c, dst, tag, p)
-			e.waitInternal(sreq)
+			e.await(e.isendInternal(c, dst, tag, p))
 		}
 		mask >>= 1
 	}
@@ -127,9 +121,8 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 			srcRel := rel | mask
 			if srcRel < n {
 				src := (srcRel + root) % n
-				rreq := e.irecvInternal(c, src, tag)
-				e.waitInternal(rreq)
-				part := BytesToF64(rreq.data)
+				got, _ := e.await(e.irecvInternal(c, src, tag))
+				part := BytesToF64(got.data)
 				if len(part) != len(acc) {
 					//lint:allow-panic mismatched reduce buffers are an application bug; real MPI aborts
 					panic("mpi: ReduceF64 length mismatch across ranks")
@@ -141,8 +134,7 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 		} else {
 			dstRel := rel &^ mask
 			dst := (dstRel + root) % n
-			sreq := e.isendInternal(c, dst, tag, content(F64ToBytes(acc)))
-			e.waitInternal(sreq)
+			e.await(e.isendInternal(c, dst, tag, content(F64ToBytes(acc))))
 			break
 		}
 		mask <<= 1
@@ -190,11 +182,7 @@ func (e *Env) allgather(c *Comm, p payload) [][]byte {
 	// In step s we forward the block that originated at (me - s + n) % n:
 	// our own first, then whatever the previous step received.
 	for s := 0; s < n-1; s++ {
-		rreq := e.irecvInternal(c, left, tag)
-		sreq := e.isendInternal(c, right, tag, p)
-		e.waitInternal(sreq)
-		e.waitInternal(rreq)
-		p = rreq.payload
+		p, _ = e.exchange(c, right, tag, p, left, tag)
 		out[(me-s-1+n)%n] = p.data
 	}
 	return out
@@ -209,8 +197,7 @@ func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
 	tag := c.nextCollTag()
 	n, me := c.Size(), c.myRank
 	if me != root {
-		sreq := e.isendInternal(c, root, tag, content(data))
-		e.waitInternal(sreq)
+		e.await(e.isendInternal(c, root, tag, content(data)))
 		return nil
 	}
 	out := make([][]byte, n)
@@ -222,8 +209,8 @@ func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
 		}
 	}
 	for _, rq := range reqs {
-		e.waitInternal(rq)
-		out[rq.status.Source] = rq.data
+		p, st := e.await(rq)
+		out[st.Source] = p.data
 	}
 	return out
 }
@@ -248,13 +235,12 @@ func (e *Env) Scatter(c *Comm, root int, blocks [][]byte) []byte {
 			}
 		}
 		for _, rq := range reqs {
-			e.waitInternal(rq)
+			e.await(rq)
 		}
 		return blocks[root]
 	}
-	rreq := e.irecvInternal(c, root, tag)
-	e.waitInternal(rreq)
-	return rreq.data
+	p, _ := e.await(e.irecvInternal(c, root, tag))
+	return p.data
 }
 
 // CollectiveCheckpoint agrees collectively whether a checkpoint request is
@@ -315,11 +301,8 @@ func (e *Env) Alltoall(c *Comm, blocks [][]byte) [][]byte {
 	for s := 1; s < n; s++ {
 		dst := (me + s) % n
 		src := (me - s + n) % n
-		rreq := e.irecvInternal(c, src, tag)
-		sreq := e.isendInternal(c, dst, tag, content(blocks[dst]))
-		e.waitInternal(sreq)
-		e.waitInternal(rreq)
-		out[src] = rreq.data
+		p, _ := e.exchange(c, dst, tag, content(blocks[dst]), src, tag)
+		out[src] = p.data
 	}
 	return out
 }
@@ -373,9 +356,8 @@ func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
 	acc := make([]float64, len(in))
 	copy(acc, in)
 	if me > 0 {
-		rreq := e.irecvInternal(c, me-1, tag)
-		e.waitInternal(rreq)
-		prev := BytesToF64(rreq.data)
+		got, _ := e.await(e.irecvInternal(c, me-1, tag))
+		prev := BytesToF64(got.data)
 		if len(prev) != len(acc) {
 			//lint:allow-panic mismatched scan buffers are an application bug; real MPI aborts
 			panic("mpi: ScanF64 length mismatch across ranks")
@@ -385,8 +367,7 @@ func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
 		}
 	}
 	if me < n-1 {
-		sreq := e.isendInternal(c, me+1, tag, content(F64ToBytes(acc)))
-		e.waitInternal(sreq)
+		e.await(e.isendInternal(c, me+1, tag, content(F64ToBytes(acc))))
 	}
 	return acc
 }

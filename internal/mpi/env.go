@@ -29,6 +29,35 @@ type Request struct {
 	// discard marks a sink for a duplicate rendezvous re-send after a
 	// logging restart: the granted transfer's data is dropped on arrival.
 	discard bool
+	// txDone is completeTx as a func value, bound the first time this request
+	// is a rendezvous send and kept across recycling.
+	txDone func()
+}
+
+// completeTx fires at local transmit completion of a rendezvous send's data.
+func (req *Request) completeTx() { req.r.completeReq(req) }
+
+// getReq returns a blank request. The library's own blocking calls take
+// theirs from here and hand them back with putReq; Isend and Irecv take one
+// and never return it, so a handle a caller holds is never recycled.
+//
+// alloc-free
+func (r *Rank) getReq() *Request {
+	req := r.reqFree.get()
+	req.r = r
+	return req
+}
+
+// putReq recycles a completed request that no queue refers to and whose
+// results the caller has copied out. Call it on the normal return path only,
+// never in a defer: a process killed mid-wait must leave its requests where
+// posted/sendReqs/recvReqs still point at them.
+//
+// alloc-free
+func (r *Rank) putReq(req *Request) {
+	tx := req.txDone
+	r.reqFree.put(req)
+	req.txDone = tx
 }
 
 // Done reports whether the operation has completed.
@@ -42,6 +71,8 @@ func (req *Request) Data() []byte { return req.data }
 func (req *Request) Status() Status { return req.status }
 
 // matches reports whether an incoming message satisfies this posted receive.
+//
+// alloc-free
 func (req *Request) matches(msg *inMsg) bool {
 	if req.isSend || req.comm.id != msg.comm {
 		return false
@@ -201,7 +232,8 @@ func (e *Env) sized(n int64) payload {
 func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	r := e.r
 	world := c.World(dst)
-	req := &Request{r: r, isSend: true, comm: c, peerComm: dst, peerWorld: world, tag: tag}
+	req := r.getReq()
+	req.isSend, req.comm, req.peerComm, req.peerWorld, req.tag = true, c, dst, world, tag
 	if world == r.world {
 		// Self-send is unsupported by this model and is an application bug:
 		// fail the run and hand back a finished request so the caller's wait
@@ -237,11 +269,9 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		req.complete = true
 		r.stats.EagerSent++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_sent").Inc()
-		r.post(world, outItem{
-			kind: outEager,
-			size: eagerHdrSize + p.size,
-			pkt:  wireEager{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()},
-		})
+		pkt := r.job.newPkt(pktEager)
+		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = c.id, c.myRank, tag, seq, p.clone()
+		r.post(world, outItem{kind: outEager, size: eagerHdrSize + p.size, pkt: pkt})
 		return req
 	}
 	// Rendezvous: zero-copy; the request holds the user buffer and stays
@@ -253,12 +283,9 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	id := r.reqSeq
 	req.payload = p
 	r.sendReqs[id] = req
-	r.post(world, outItem{
-		kind: outCtl,
-		size: ctlPktSize,
-		pkt: wireRTS{comm: c.id, srcComm: c.myRank, tag: tag,
-			size: p.size, seq: seq, sendID: id},
-	})
+	rts := r.job.newPkt(pktRTS)
+	rts.comm, rts.srcComm, rts.tag, rts.seq, rts.sendID, rts.size = c.id, c.myRank, tag, seq, id, p.size
+	r.post(world, outItem{kind: outCtl, size: ctlPktSize, pkt: rts})
 	return req
 }
 
@@ -272,12 +299,13 @@ func (e *Env) Irecv(c *Comm, src, tag int) *Request {
 
 func (e *Env) irecvInternal(c *Comm, src, tag int) *Request {
 	r := e.r
-	req := &Request{r: r, comm: c, peerComm: src, tag: tag}
-	if msg := r.matchUnexpected(req); msg != nil {
+	req := r.getReq()
+	req.comm, req.peerComm, req.tag = c, src, tag
+	if msg, ok := r.matchUnexpected(req); ok {
 		if msg.eager {
-			r.deliver(req, msg)
+			r.deliver(req, &msg)
 		} else {
-			r.grantRendezvous(req, msg)
+			r.grantRendezvous(req, &msg)
 		}
 		return req
 	}
@@ -296,10 +324,19 @@ func (e *Env) Wait(req *Request) Status {
 
 func (e *Env) waitInternal(req *Request) {
 	for !req.complete {
-		if e.p.Park(fmt.Sprintf("MPI wait (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.waitReason) {
 			e.runSafePoint()
 		}
 	}
+}
+
+// await blocks until one of the library's own requests completes, then
+// recycles it and returns what it held.
+func (e *Env) await(req *Request) (payload, Status) {
+	e.waitInternal(req)
+	p, st := req.payload, req.status
+	e.r.putReq(req)
+	return p, st
 }
 
 // Waitall blocks until every request completes.
@@ -334,7 +371,7 @@ func (e *Env) Waitany(reqs ...*Request) int {
 				return i
 			}
 		}
-		if e.p.Park(fmt.Sprintf("MPI waitany (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.anyReason) {
 			e.runSafePoint()
 		}
 	}
@@ -349,17 +386,15 @@ func (e *Env) Send(c *Comm, dst, tag int, data []byte) {
 	}
 	e.enter()
 	defer e.exit()
-	req := e.isendInternal(c, dst, tag, content(data))
-	e.waitInternal(req)
+	e.await(e.isendInternal(c, dst, tag, content(data)))
 }
 
 // Recv is a blocking receive returning the payload and its envelope.
 func (e *Env) Recv(c *Comm, src, tag int) ([]byte, Status) {
 	e.enter()
 	defer e.exit()
-	req := e.irecvInternal(c, src, tag)
-	e.waitInternal(req)
-	return req.data, req.status
+	p, st := e.await(e.irecvInternal(c, src, tag))
+	return p.data, st
 }
 
 // Iprobe reports, without blocking or consuming the message, whether a
@@ -371,9 +406,9 @@ func (e *Env) Iprobe(c *Comm, src, tag int) (bool, Status) {
 }
 
 func (e *Env) iprobeInternal(c *Comm, src, tag int) (bool, Status) {
-	probe := &Request{r: e.r, comm: c, peerComm: src, tag: tag}
-	for _, msg := range e.r.unexpected {
-		if probe.matches(msg) {
+	probe := Request{comm: c, peerComm: src, tag: tag}
+	for i := range e.r.unexpected {
+		if msg := &e.r.unexpected[i]; probe.matches(msg) {
 			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
 		}
 	}
@@ -389,7 +424,7 @@ func (e *Env) Probe(c *Comm, src, tag int) Status {
 		if ok, st := e.iprobeInternal(c, src, tag); ok {
 			return st
 		}
-		if e.p.Park(fmt.Sprintf("MPI probe (rank %d)", e.r.world)) {
+		if e.p.Park(e.r.probeReason) {
 			e.runSafePoint()
 		}
 	}
@@ -398,24 +433,29 @@ func (e *Env) Probe(c *Comm, src, tag int) Status {
 // Sendrecv exchanges messages with possibly different peers, avoiding the
 // deadlock of paired blocking calls.
 func (e *Env) Sendrecv(c *Comm, dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status) {
-	rreq := e.sendrecv(c, dst, sendTag, content(data), src, recvTag)
-	return rreq.data, rreq.status
+	p, st := e.sendrecv(c, dst, sendTag, content(data), src, recvTag)
+	return p.data, st
 }
 
 // SendrecvSize is Sendrecv for a workload that models the exchange's cost
 // and never reads its content: n bytes are charged on the wire, in the
 // eager/rendezvous choice and in the sender log, and none are allocated.
 func (e *Env) SendrecvSize(c *Comm, dst, sendTag int, n int64, src, recvTag int) Status {
-	return e.sendrecv(c, dst, sendTag, e.sized(n), src, recvTag).status
+	_, st := e.sendrecv(c, dst, sendTag, e.sized(n), src, recvTag)
+	return st
 }
 
-// sendrecv returns the completed receive.
-func (e *Env) sendrecv(c *Comm, dst, sendTag int, p payload, src, recvTag int) *Request {
+// sendrecv returns what the completed receive got.
+func (e *Env) sendrecv(c *Comm, dst, sendTag int, p payload, src, recvTag int) (payload, Status) {
 	e.enter()
 	defer e.exit()
+	return e.exchange(c, dst, sendTag, p, src, recvTag)
+}
+
+// exchange is sendrecv without the library entry/exit bookkeeping; the
+// collectives' pairwise steps use it while already inside the library.
+func (e *Env) exchange(c *Comm, dst, sendTag int, p payload, src, recvTag int) (payload, Status) {
 	rreq := e.irecvInternal(c, src, recvTag)
-	sreq := e.isendInternal(c, dst, sendTag, p)
-	e.waitInternal(sreq)
-	e.waitInternal(rreq)
-	return rreq
+	e.await(e.isendInternal(c, dst, sendTag, p))
+	return e.await(rreq)
 }

@@ -14,6 +14,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"gbcr/internal/ib"
 	"gbcr/internal/obs"
@@ -93,6 +94,8 @@ type Job struct {
 	cfg    Config
 	bus    *obs.Bus
 	ranks  []*Rank
+
+	pktFree freeList[wirePkt] // see newPkt, onMessage
 }
 
 // SetObs attaches an observability bus (nil detaches). Protocol decisions —
@@ -122,17 +125,21 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
+		id := strconv.Itoa(i)
 		r := &Rank{
-			job:       j,
-			world:     i,
-			ep:        ep,
-			sendReqs:  make(map[uint64]*Request),
-			recvReqs:  make(map[uint64]*Request),
-			outbox:    make(map[int][]outItem),
-			trafficTo: make(map[int]int64),
-			sendSeqTo: make(map[int]int64),
-			recvSeqOf: make(map[int]int64),
-			msgLog:    make(map[int][]logEntry),
+			job:         j,
+			world:       i,
+			ep:          ep,
+			waitReason:  "MPI wait (rank " + id + ")",
+			anyReason:   "MPI waitany (rank " + id + ")",
+			probeReason: "MPI probe (rank " + id + ")",
+			sendReqs:    make(map[uint64]*Request),
+			recvReqs:    make(map[uint64]*Request),
+			outbox:      make(map[int][]outItem),
+			trafficTo:   make(map[int]int64),
+			sendSeqTo:   make(map[int]int64),
+			recvSeqOf:   make(map[int]int64),
+			msgLog:      make(map[int][]logEntry),
 		}
 		r.ep.OnWork = r.onWork
 		r.ep.OnMessage = r.onMessage
@@ -236,7 +243,11 @@ type Rank struct {
 	sendReqs   map[uint64]*Request // pending rendezvous sends by id
 	recvReqs   map[uint64]*Request // rendezvous receives awaiting data by id
 	posted     []*Request          // posted receive queue (FIFO)
-	unexpected []*inMsg            // unexpected message queue (FIFO)
+	unexpected []inMsg             // unexpected message queue (FIFO)
+	reqFree    freeList[Request]   // see getReq/putReq
+
+	// Park reasons, formatted once: a blocked rank parks per message.
+	waitReason, anyReason, probeReason string
 
 	// Send path.
 	outbox    map[int][]outItem // per-destination deferred packets

@@ -661,79 +661,6 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 }
 
-// Property: random point-to-point traffic is delivered intact, exactly once,
-// in order per (src,dst,tag).
-func TestQuickRandomP2P(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(4) + 2
-		k := sim.NewKernel(seed)
-		fab, err := ib.New(k, ib.PaperConfig())
-		if err != nil {
-			return false
-		}
-		j, err := NewJob(k, fab, DefaultConfig(), n)
-		if err != nil {
-			return false
-		}
-		// Plan: each rank sends a random number of messages to each higher
-		// rank; receivers drain with wildcard recvs and verify later.
-		plan := make([][]int, n) // plan[src][i] = dst for message i
-		expect := make(map[int]int)
-		for src := 0; src < n; src++ {
-			cnt := rng.Intn(6)
-			for i := 0; i < cnt; i++ {
-				dst := rng.Intn(n)
-				if dst == src {
-					continue
-				}
-				plan[src] = append(plan[src], dst)
-				expect[dst]++
-			}
-		}
-		type recvd struct{ src, seq int }
-		got := make([][]recvd, n)
-		j.LaunchAll(func(e *Env) {
-			me := e.Rank()
-			w := e.World()
-			var reqs []*Request
-			for seq, dst := range plan[me] {
-				sz := rng.Intn(64 << 10)
-				data := make([]byte, 8, 8+sz)
-				copy(data, I64ToBytes([]int64{int64(seq)}))
-				data = data[:8+sz]
-				reqs = append(reqs, e.Isend(w, dst, 1, data))
-			}
-			for r := 0; r < expect[me]; r++ {
-				data, st := e.Recv(w, ANY, 1)
-				seq := int(BytesToI64(data[:8])[0])
-				got[me] = append(got[me], recvd{st.Source, seq})
-			}
-			e.Waitall(reqs...)
-		})
-		if err := k.Run(); err != nil {
-			return false
-		}
-		// Per (src,dst) the sequence numbers must be increasing.
-		for dst := 0; dst < n; dst++ {
-			last := make(map[int]int)
-			for _, rc := range got[dst] {
-				if prev, ok := last[rc.src]; ok && rc.seq <= prev {
-					return false
-				}
-				last[rc.src] = rc.seq
-			}
-			if len(got[dst]) != expect[dst] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: AllreduceF64 sum equals the serial sum for random sizes.
 func TestQuickAllreduceMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {

@@ -234,7 +234,7 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 		payload
 	}{
 		{"unexpected", r.unexpected[0].payload},
-		{"outbox", r.outbox[1][0].pkt.(wireEager).payload},
+		{"outbox", r.outbox[1][0].pkt.payload},
 		{"log", r.msgLog[1][0].payload},
 	} {
 		if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {

@@ -2,10 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"gbcr/internal/ib"
 	"gbcr/internal/obs"
-	"gbcr/internal/sim"
 )
 
 // Wire-level header sizes (bytes), roughly matching MVAPICH2 packet headers.
@@ -40,44 +40,78 @@ func (p payload) clone() payload {
 	return p
 }
 
-// Wire packet types carried by the fabric.
-type (
-	// wireEager carries a small message's payload with its match envelope.
-	// seq is the per-(sender,receiver) sequence number used for duplicate
-	// suppression after a message-logging restart; it rides in the header
-	// (the wire size depends only on the payload length, so stamping it
-	// changes no timing). Zero means unstamped (state restored from a v1
-	// snapshot).
-	wireEager struct {
-		comm    int64
-		srcComm int // sender's comm rank
-		tag     int
-		seq     int64
-		payload
-	}
-	// wireRTS announces a rendezvous send. seq is as in wireEager.
-	wireRTS struct {
-		comm    int64
-		srcComm int
-		tag     int
-		size    int64
-		seq     int64
-		sendID  uint64
-	}
-	// wireCTS grants a rendezvous transfer.
-	wireCTS struct {
-		sendID uint64
-		recvID uint64
-	}
-	// wireData is the zero-copy bulk transfer (the RDMA write). Its length
-	// is not carried: the receiver has it from the RTS.
-	wireData struct {
-		recvID uint64
-		data   []byte
-	}
+// pktKind tags what a wirePkt is.
+type pktKind uint8
+
+const (
+	pktEager pktKind = iota // a small message, payload and match envelope together
+	pktRTS                  // announces a rendezvous send
+	pktCTS                  // grants a rendezvous transfer
+	pktData                 // the zero-copy bulk transfer (the RDMA write)
 )
 
-// inMsg is an arrived-but-unmatched message envelope in the unexpected queue.
+// wirePkt is the one packet type the fabric carries for this library. It
+// travels as a pointer, which fits the fabric's `any` without boxing, and
+// comes from the job's free list: the sender fills it, the outbox and then
+// the fabric hold it, and the receiver returns it at the end of onMessage
+// (DESIGN §4.15).
+//
+// comm/srcComm/tag are the match envelope (eager, RTS). seq is the
+// per-(sender,receiver) sequence number used for duplicate suppression after
+// a message-logging restart (eager, RTS); it rides in the header — the wire
+// size depends only on the payload length, so stamping it changes no timing —
+// and zero means unstamped (state restored from a v1 snapshot). sendID names
+// the sender's request (RTS, CTS), recvID the receiver's (CTS, data). The
+// payload is the message (eager), the announced length with no data (RTS),
+// or the bulk bytes (data; the receiver takes the length from the RTS).
+type wirePkt struct {
+	kind    pktKind
+	comm    int64
+	srcComm int // sender's comm rank
+	tag     int
+	seq     int64
+	sendID  uint64
+	recvID  uint64
+	payload
+}
+
+// freeList recycles *T values: put blanks one nothing refers to any more, and
+// get prefers such a one to a new one, so get always returns a zero T.
+type freeList[T any] []*T
+
+// alloc-free
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		//lint:allow-allocfree refill on a cold miss; the steady state recycles
+		return new(T)
+	}
+	v := (*f)[n-1]
+	(*f)[n-1] = nil
+	*f = (*f)[:n-1]
+	return v
+}
+
+// alloc-free
+func (f *freeList[T]) put(v *T) {
+	var zero T
+	*v = zero
+	//lint:allow-allocfree amortised: the list grows to the most values ever out at once
+	*f = append(*f, v)
+}
+
+// newPkt takes a blank packet of the given kind from the job's free list.
+//
+// alloc-free
+func (j *Job) newPkt(kind pktKind) *wirePkt {
+	p := j.pktFree.get()
+	p.kind = kind
+	return p
+}
+
+// inMsg is an arrived-but-unmatched message envelope. It is built on the
+// stack at arrival and copied into the unexpected queue only if no posted
+// receive matches.
 type inMsg struct {
 	comm     int64
 	srcComm  int
@@ -102,8 +136,10 @@ const (
 type outItem struct {
 	kind outKind
 	size int64 // bytes on the wire, header included
-	pkt  any
-	onTx func(txEnd sim.Time) // sender-side completion for zero-copy data
+	pkt  *wirePkt
+	// req is the send a data packet completes: zero-copy, so the sender's
+	// buffer is reusable at local transmit completion.
+	req *Request
 }
 
 // post sends a packet toward world rank dst, deferring it in the outbox when
@@ -128,8 +164,8 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 	err := r.ep.Send(dst, it.size, it.pkt)
 	switch err {
 	case nil:
-		if it.onTx != nil {
-			it.onTx(r.ep.EgressFree())
+		if it.req != nil {
+			r.job.k.At(r.ep.EgressFree(), it.req.txDone)
 		}
 		if r.PostHook != nil {
 			r.PostHook(dst)
@@ -169,16 +205,20 @@ func (r *Rank) deferItem(dst int, it outItem) {
 	m := r.job.bus.Metrics()
 	switch it.kind {
 	case outEager:
-		n := it.pkt.(wireEager).size
+		n := it.pkt.size
 		r.stats.MsgsBuffered++
 		r.stats.BytesBuffered += n
 		m.Counter(obs.LayerMPI, "msgs_buffered").Inc()
 		m.Counter(obs.LayerMPI, "bytes_buffered").Add(n)
-		r.emit("buffer-msg", fmt.Sprintf("dst=%d", dst), n)
+		if r.job.bus.HasSinks() {
+			r.emit("buffer-msg", fmt.Sprintf("dst=%d", dst), n)
+		}
 	default:
 		r.stats.ReqsBuffered++
 		m.Counter(obs.LayerMPI, "reqs_buffered").Inc()
-		r.emit("buffer-req", fmt.Sprintf("dst=%d", dst), it.size)
+		if r.job.bus.HasSinks() {
+			r.emit("buffer-req", fmt.Sprintf("dst=%d", dst), it.size)
+		}
 	}
 }
 
@@ -186,13 +226,14 @@ func (r *Rank) deferItem(dst int, it outItem) {
 // the first that still cannot be sent.
 func (r *Rank) drainOutbox(dst int) {
 	q := r.outbox[dst]
-	if len(q) > 0 {
+	if len(q) > 0 && r.job.bus.HasSinks() {
 		r.emit("outbox-drain", fmt.Sprintf("dst=%d", dst), int64(len(q)))
 	}
 	for len(q) > 0 {
 		if !r.trySend(dst, q[0]) {
 			break
 		}
+		q[0] = outItem{} // the fabric owns the packet now
 		q = q[1:]
 	}
 	if len(q) == 0 {
@@ -202,25 +243,30 @@ func (r *Rank) drainOutbox(dst int) {
 	}
 }
 
-// onMessage dispatches an in-band arrival. It runs during Progress, i.e.
-// under the library's progress discipline.
+// onMessage dispatches an in-band arrival and then recycles its packet:
+// every arrive* copies what it keeps, so nothing refers to the packet once it
+// returns. It runs during Progress, i.e. under the library's progress
+// discipline.
 func (r *Rank) onMessage(src int, size int64, pkt any) {
 	if r.DeliverHook != nil {
 		r.DeliverHook(src)
 	}
-	switch m := pkt.(type) {
-	case wireEager:
-		r.arriveEager(src, m)
-	case wireRTS:
-		r.arriveRTS(src, m)
-	case wireCTS:
-		r.arriveCTS(m)
-	case wireData:
-		r.arriveData(m)
-	default:
-		//lint:allow-panic the wire payload set is closed; an unknown type is a simulator bug
+	m, ok := pkt.(*wirePkt)
+	if !ok {
+		//lint:allow-panic this library puts only wirePkts on its endpoints; anything else is a simulator bug
 		panic(fmt.Sprintf("mpi: rank %d received unknown payload %T", r.world, pkt))
 	}
+	switch m.kind {
+	case pktEager:
+		r.arriveEager(src, m)
+	case pktRTS:
+		r.arriveRTS(src, m)
+	case pktCTS:
+		r.arriveCTS(m)
+	case pktData:
+		r.arriveData(m)
+	}
+	r.job.pktFree.put(m)
 }
 
 // noteSeq incorporates an arriving message's sequence number and reports
@@ -236,47 +282,44 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 	if seq <= r.recvSeqOf[srcWorld] {
 		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
-		r.emit("dup-drop", fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
+		if r.job.bus.HasSinks() {
+			r.emit("dup-drop", fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
+		}
 		return true
 	}
 	r.recvSeqOf[srcWorld] = seq
 	return false
 }
 
-func (r *Rank) arriveEager(srcWorld int, m wireEager) {
+func (r *Rank) arriveEager(srcWorld int, m *wirePkt) {
 	if r.noteSeq(srcWorld, m.seq) {
 		return
 	}
-	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
 		tag: m.tag, eager: true, payload: m.payload}
-	if req := r.matchPosted(msg); req != nil {
+	if req := r.matchPosted(&msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
-		r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
-		r.deliver(req, msg)
+		if r.job.bus.HasSinks() {
+			r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
+		}
+		r.deliver(req, &msg)
 		return
 	}
 	r.addUnexpected(msg)
 }
 
-func (r *Rank) arriveRTS(srcWorld int, m wireRTS) {
+func (r *Rank) arriveRTS(srcWorld int, m *wirePkt) {
 	if r.noteSeq(srcWorld, m.seq) {
 		// The sender still blocks on its re-sent rendezvous: grant the
 		// transfer into a discard sink so its request completes, and drop
 		// the bulk data on arrival.
-		r.reqSeq++
-		id := r.reqSeq
-		r.recvReqs[id] = &Request{r: r, discard: true}
-		r.post(srcWorld, outItem{
-			kind: outCtl,
-			size: ctlPktSize,
-			pkt:  wireCTS{sendID: m.sendID, recvID: id},
-		})
+		r.sendCTS(srcWorld, m.sendID, &Request{r: r, discard: true})
 		return
 	}
-	msg := &inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
 		tag: m.tag, payload: payload{size: m.size}, sendID: m.sendID}
-	if req := r.matchPosted(msg); req != nil {
-		r.grantRendezvous(req, msg)
+	if req := r.matchPosted(&msg); req != nil {
+		r.grantRendezvous(req, &msg)
 		return
 	}
 	r.addUnexpected(msg)
@@ -284,7 +327,7 @@ func (r *Rank) arriveRTS(srcWorld int, m wireRTS) {
 
 // addUnexpected queues an unmatched arrival and wakes the application in
 // case it is blocked in a Probe.
-func (r *Rank) addUnexpected(msg *inMsg) {
+func (r *Rank) addUnexpected(msg inMsg) {
 	r.unexpected = append(r.unexpected, msg)
 	if r.proc != nil {
 		r.proc.Unpark()
@@ -294,41 +337,43 @@ func (r *Rank) addUnexpected(msg *inMsg) {
 // grantRendezvous registers the receive and sends CTS back to the sender.
 func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_granted").Inc()
-	r.emit("rdv-grant", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
+	if r.job.bus.HasSinks() {
+		r.emit("rdv-grant", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
+	}
 	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
+	r.sendCTS(msg.srcWorld, msg.sendID, req)
+}
+
+// sendCTS registers req as the sink of the sender's transfer sendID and
+// grants it.
+func (r *Rank) sendCTS(srcWorld int, sendID uint64, req *Request) {
 	r.reqSeq++
-	id := r.reqSeq
-	req.recvID = id
-	r.recvReqs[id] = req
-	r.post(msg.srcWorld, outItem{
-		kind: outCtl,
-		size: ctlPktSize,
-		pkt:  wireCTS{sendID: msg.sendID, recvID: id},
-	})
+	req.recvID = r.reqSeq
+	r.recvReqs[req.recvID] = req
+	cts := r.job.newPkt(pktCTS)
+	cts.sendID, cts.recvID = sendID, req.recvID
+	r.post(srcWorld, outItem{kind: outCtl, size: ctlPktSize, pkt: cts})
 }
 
 // arriveCTS starts the bulk transfer for a granted rendezvous send.
-func (r *Rank) arriveCTS(m wireCTS) {
+func (r *Rank) arriveCTS(m *wirePkt) {
 	req := r.sendReqs[m.sendID]
 	if req == nil {
 		//lint:allow-panic a CTS always answers our own RTS; an unknown id is protocol corruption
 		panic(fmt.Sprintf("mpi: rank %d got CTS for unknown send %d", r.world, m.sendID))
 	}
 	delete(r.sendReqs, m.sendID)
-	r.post(req.peerWorld, outItem{
-		kind: outData,
-		size: dataHdrSize + req.size,
-		pkt:  wireData{recvID: m.recvID, data: req.data},
-		// Zero-copy: the sender's buffer is reusable at local transmit
-		// completion.
-		onTx: func(txEnd sim.Time) {
-			r.job.k.At(txEnd, func() { r.completeReq(req) })
-		},
-	})
+	if req.txDone == nil {
+		req.txDone = req.completeTx // bound once; survives recycling
+	}
+	data := r.job.newPkt(pktData)
+	data.recvID = m.recvID
+	data.payload = req.payload
+	r.post(req.peerWorld, outItem{kind: outData, size: dataHdrSize + req.size, pkt: data, req: req})
 }
 
 // arriveData completes a rendezvous receive.
-func (r *Rank) arriveData(m wireData) {
+func (r *Rank) arriveData(m *wirePkt) {
 	req := r.recvReqs[m.recvID]
 	if req == nil {
 		//lint:allow-panic bulk data always answers our own CTS; an unknown id is protocol corruption
@@ -343,11 +388,16 @@ func (r *Rank) arriveData(m wireData) {
 }
 
 // matchPosted finds and removes the first posted receive matching the
-// message (MPI matching: FIFO over posting order, with wildcards).
+// message (MPI matching: FIFO over posting order, with wildcards). Like
+// matchUnexpected it leaves no reference behind: slices.Delete shifts in
+// place and zeroes the slot it vacates, so the backing array cannot keep a
+// recycled request or a delivered payload reachable.
+//
+// alloc-free
 func (r *Rank) matchPosted(msg *inMsg) *Request {
 	for i, req := range r.posted {
 		if req.matches(msg) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.posted = slices.Delete(r.posted, i, i+1) //lint:allow-allocfree slices.Delete reuses the backing array
 			return req
 		}
 	}
@@ -356,17 +406,22 @@ func (r *Rank) matchPosted(msg *inMsg) *Request {
 
 // matchUnexpected finds and removes the first unexpected message matching a
 // newly posted receive (FIFO over arrival order).
-func (r *Rank) matchUnexpected(req *Request) *inMsg {
-	for i, msg := range r.unexpected {
-		if req.matches(msg) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return msg
+//
+// alloc-free
+func (r *Rank) matchUnexpected(req *Request) (msg inMsg, ok bool) {
+	for i := range r.unexpected {
+		if req.matches(&r.unexpected[i]) {
+			msg = r.unexpected[i]
+			r.unexpected = slices.Delete(r.unexpected, i, i+1) //lint:allow-allocfree slices.Delete reuses the backing array
+			return msg, true
 		}
 	}
-	return nil
+	return inMsg{}, false
 }
 
 // deliver completes a receive with an eager payload.
+//
+// alloc-free
 func (r *Rank) deliver(req *Request, msg *inMsg) {
 	req.payload = msg.payload
 	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
@@ -375,9 +430,11 @@ func (r *Rank) deliver(req *Request, msg *inMsg) {
 
 // completeReq marks a request complete and wakes the application if it is
 // blocked in a wait.
+//
+// alloc-free
 func (r *Rank) completeReq(req *Request) {
 	req.complete = true
 	if r.proc != nil {
-		r.proc.Unpark()
+		r.proc.Unpark() //lint:allow-allocfree sim.Proc.Unpark is // alloc-free in its own package
 	}
 }

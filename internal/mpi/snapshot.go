@@ -165,8 +165,8 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 	sort.Ints(dsts)
 	for _, dst := range dsts {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.pkt.(wireEager)
-			if !ok {
+			we := it.pkt
+			if we.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOut{
@@ -196,8 +196,8 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 	}
 	for _, dst := range sortedPeers(r.outbox) {
 		for _, it := range r.outbox[dst] {
-			we, ok := it.pkt.(wireEager)
-			if !ok {
+			we := it.pkt
+			if we.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOutV2{
@@ -257,17 +257,15 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
-		r.unexpected = append(r.unexpected, &inMsg{
+		r.unexpected = append(r.unexpected, inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
 			tag: m.Tag, eager: true, payload: content(m.Data),
 		})
 	}
 	for _, o := range st.Outbox {
-		r.post(o.Dst, outItem{
-			kind: outEager,
-			size: eagerHdrSize + int64(len(o.Data)),
-			pkt:  wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, payload: content(o.Data)},
-		})
+		pkt := r.job.newPkt(pktEager)
+		pkt.comm, pkt.srcComm, pkt.tag, pkt.payload = o.Comm, o.SrcComm, o.Tag, content(o.Data)
+		r.post(o.Dst, outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
 }
@@ -283,7 +281,7 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
-		r.unexpected = append(r.unexpected, &inMsg{
+		r.unexpected = append(r.unexpected, inMsg{
 			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
 			tag: m.Tag, eager: true, payload: content(m.Data),
 		})
@@ -299,11 +297,9 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 			logEntry{comm: le.Comm, srcComm: le.SrcComm, tag: le.Tag, seq: le.Seq, payload: content(le.Data)})
 	}
 	for _, o := range st.Outbox {
-		r.post(o.Dst, outItem{
-			kind: outEager,
-			size: eagerHdrSize + int64(len(o.Data)),
-			pkt:  wireEager{comm: o.Comm, srcComm: o.SrcComm, tag: o.Tag, seq: o.Seq, payload: content(o.Data)},
-		})
+		pkt := r.job.newPkt(pktEager)
+		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = o.Comm, o.SrcComm, o.Tag, o.Seq, content(o.Data)
+		r.post(o.Dst, outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
 }
@@ -326,7 +322,7 @@ func (j *Job) ReplayLogs() int {
 					continue
 				}
 				d.recvSeqOf[src] = le.seq
-				d.unexpected = append(d.unexpected, &inMsg{
+				d.unexpected = append(d.unexpected, inMsg{
 					comm: le.comm, srcComm: le.srcComm, srcWorld: src,
 					tag: le.tag, eager: true, payload: le.clone(),
 				})

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-json race bench bench-json bench-smoke figures figures-txt examples cover clean
+.PHONY: all check build test vet lint lint-json race bench bench-json bench-smoke figures figures-txt examples cover loc clean
 
 all: check
 
@@ -17,7 +17,7 @@ vet:
 	$(GO) vet ./...
 
 # Project analyzers (simdeterminism, nopanic, guardedby, lockorder,
-# shardconfine, allocfree, obscomplete, errpropagation, hotpath).
+# shardconfine, allocfree, obscomplete, errpropagation).
 # gbcrlint speaks the vet-tool protocol, so the same binary also works as
 # `go vet -vettool=$$(which gbcrlint) ./...`. Exit status: 0 clean,
 # 1 operational error, 2 findings.
@@ -80,6 +80,16 @@ examples:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# Non-test, non-fixture Go lines per package tree under internal/ and cmd/
+# (a sub-package counts toward its parent: internal/cr includes cr/protocol),
+# then the analyzer fixtures. ROADMAP's code-diet items quote this table.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { split($$2, p, "/"); n[p[1] "/" p[2]] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+	@find internal/analysis/testdata -name '*.go' -exec cat {} + | wc -l | \
+		awk '{ printf "%6d internal/analysis/testdata (fixtures)\n", $$1 }'
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,6 @@
 // Command gbcrlint runs the repository's analyzer suite (simdeterminism,
 // nopanic, guardedby, lockorder, shardconfine, allocfree, obscomplete,
-// errpropagation, hotpath — see internal/analysis).
+// errpropagation — see internal/analysis).
 //
 // It works in two modes:
 //
@@ -96,10 +96,6 @@ func scopeFor(path string) []*analysis.Analyzer {
 	}
 	if strings.HasPrefix(path, analysis.ModulePath+"/internal/") {
 		out = append(out, analysis.NoPanic)
-	}
-	if path == analysis.ModulePath+"/internal/sim" {
-		// The kernel's own scheduling paths must stay allocation-free.
-		out = append(out, analysis.HotPath)
 	}
 	// lockorder generalizes guardedby package-wide; allocfree gates itself
 	// on // alloc-free annotations, so both apply everywhere.

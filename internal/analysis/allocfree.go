@@ -27,7 +27,7 @@ import (
 //     allocate freely;
 //   - calls through function values (e.fn()) and interface methods
 //     (k.obs.ProcParked(...)) — the dynamic callee owns its own allocation
-//     budget; the Observer/Sink/Tracer docs state that contract.
+//     budget; the Observer/Sink docs state that contract.
 //
 // Allocations that are provably amortized (pool refills, slice growth that
 // the steady state never hits) are suppressed case by case with
@@ -185,7 +185,7 @@ func checkAllocFreeCall(pass *Pass, call *ast.CallExpr, annotated map[*types.Fun
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 		// Interface-method call: implementations own their budget (the
-		// Observer/Sink/Tracer contract).
+		// Observer/Sink contract).
 		return true
 	}
 	switch {

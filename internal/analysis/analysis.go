@@ -171,7 +171,7 @@ func withoutTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SimDeterminism, NoPanic, GuardedBy, ErrPropagation, HotPath,
+		SimDeterminism, NoPanic, GuardedBy, ErrPropagation,
 		ShardConfine, LockOrder, AllocFree, ObsComplete,
 	}
 }

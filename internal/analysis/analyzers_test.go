@@ -23,10 +23,6 @@ func TestErrPropagation(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.ErrPropagation, "droppy")
 }
 
-func TestHotPath(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.HotPath, "hotpath")
-}
-
 func TestShardConfine(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.ShardConfine, "shardconf")
 }

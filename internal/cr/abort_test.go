@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"gbcr/internal/cr/protocol"
+	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
@@ -108,5 +110,85 @@ func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 				t.Fatalf("rank %d never reported phase %q", r, phase)
 			}
 		}
+	}
+}
+
+// finishedRankUnderOutage is the scenario of the two tests below: ranks 0-2
+// loop over compute and an explicit checkpoint boundary; rank 3 sends rank 2
+// one message and returns, so it sits in finalize holding a connection when
+// the checkpoint is requested at 2 s, and the 100 MB/s store is down from
+// 2.5 s to 3.5 s, across the first 100 MB writes.
+func finishedRankUnderOutage(t *testing.T, cfg Config, mpiCfg mpi.Config) *testCluster {
+	t.Helper()
+	const n = 4
+	cfg.Polled = true
+	cfg.DefaultFootprint = 100 * testMB
+	c, err := buildClusterMPI(sim.NewKernel(1), n, cfg, mpiCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n-1; i++ {
+		i := i
+		c.j.Launch(i, func(e *mpi.Env) {
+			if i == 2 {
+				e.Recv(e.World(), 3, 0)
+			}
+			for it := 0; it < 120; it++ {
+				e.Compute(100 * sim.Millisecond)
+				e.MaybeCheckpoint()
+			}
+		})
+	}
+	c.j.Launch(3, func(e *mpi.Env) { e.Send(e.World(), 2, 0, []byte("bye")) })
+	c.co.ScheduleCheckpoint(2 * sim.Second)
+	c.k.At(2500*sim.Millisecond, func() { c.st.SetAvailability(0) })
+	c.k.At(3500*sim.Millisecond, func() { c.st.SetAvailability(1) })
+	runSim(t, c.k)
+	if c.co.Epoch() != 1 {
+		t.Fatalf("epoch = %d, want 1", c.co.Epoch())
+	}
+	for r := 0; r < n; r++ {
+		ctl := c.co.Controller(r)
+		if ctl.Epoch() != 1 || len(ctl.Records()) != 1 {
+			t.Fatalf("rank %d: epoch %d, %d records; want one checkpoint", r, ctl.Epoch(), len(ctl.Records()))
+		}
+	}
+	return c
+}
+
+// TestFinishedRankCheckpointsOnceAfterAbort: the outage aborts the cycle while
+// group 1 — the finished rank 3 and rank 2 — still waits for its turn. The
+// retried cycle must checkpoint rank 3 once: a finished-rank driver left over
+// from the aborted cycle and woken by the retry's connection teardown used to
+// write a second image and fail the run on the duplicate snapshot.
+func TestFinishedRankCheckpointsOnceAfterAbort(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GroupSize = 2
+	c := finishedRankUnderOutage(t, cfg, mpi.DefaultConfig())
+	if c.co.Aborts() == 0 {
+		t.Fatal("outage mid-write caused no cycle abort")
+	}
+	if !c.co.Snapshots().Complete(1) {
+		t.Fatal("epoch 1 never committed")
+	}
+}
+
+// TestUncoordFinishedRankRetriesLocally is the uncoordinated twin: every rank
+// writes at once, the outage fails all four writes, and each rank — the
+// finished one from kernel events — retries alone until the store is back.
+// Nothing aborts, and the finished rank files one record.
+func TestUncoordFinishedRankRetriesLocally(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Protocol = protocol.Uncoordinated
+	cfg.HelperEnabled = false
+	mpiCfg := mpi.DefaultConfig()
+	mpiCfg.LogMessages = true
+	c := finishedRankUnderOutage(t, cfg, mpiCfg)
+	if c.co.Aborts() != 0 {
+		t.Fatalf("aborts = %d, want 0 (uncoordinated writes retry locally)", c.co.Aborts())
+	}
+	rec := c.co.Controller(3).Records()[0]
+	if rec.WriteStart > 2500*sim.Millisecond || rec.WriteEnd < 3500*sim.Millisecond {
+		t.Fatalf("finished rank wrote %v..%v; its write should span the outage", rec.WriteStart, rec.WriteEnd)
 	}
 }

@@ -17,6 +17,14 @@ import (
 // implements mpi.CRHooks (safe points and the send gate) and reacts to
 // coordinator messages immediately on arrival, like the controller thread in
 // the MVAPICH2 framework.
+//
+// The paper's checkpoint procedure (Section 3: Initial Synchronization,
+// Pre-checkpoint Coordination, Local Checkpointing, Post-checkpoint
+// Coordination) is written once per execution context — AtSafePoint parks the
+// application process through it, checkpointFinishedRank runs it from kernel
+// events for a rank that has no process left to park — and both are built
+// from the same steps: newRecord, teardownBusy, takeSnapshot, writeFailed,
+// commit, resume. Each asks the protocol whether phases 1, 2 and 4 exist.
 type Controller struct {
 	co   *Coordinator
 	rank *mpi.Rank
@@ -47,8 +55,9 @@ type Controller struct {
 	resumeFlag  bool
 	abortFlag   bool
 
-	// finishedStep drives the inline checkpoint of a rank whose body
-	// already returned; nil otherwise.
+	// finishedStep advances a finished rank through phases 1 and 2; msgGo and
+	// connection events run it. Nil outside those phases: it is cleared when
+	// the teardown completes and when the cycle aborts.
 	finishedStep func()
 
 	// write is this cycle's snapshot write once started; an abort cancels it,
@@ -89,11 +98,15 @@ func (c *Controller) Rank() *mpi.Rank { return c.rank }
 // ConnMeta tags outgoing connection requests with the current epoch.
 func (c *Controller) ConnMeta() int64 { return int64(c.epoch) }
 
-// onConnEvent wakes the process during checkpoint teardown so it can
-// re-evaluate connection states.
+// onConnEvent re-evaluates connection states during checkpoint teardown: it
+// wakes the parked process, or steps a finished rank.
 func (c *Controller) onConnEvent(peer int) {
-	if c.inCkpt && c.rank.Proc() != nil {
-		c.rank.Proc().Unpark()
+	if !c.inCkpt {
+		return
+	}
+	c.unparkSelf()
+	if c.finishedStep != nil {
+		c.finishedStep()
 	}
 }
 
@@ -185,20 +198,6 @@ func (c *Controller) emit(t obs.Type, what, detail string) {
 		Type: t, What: what, Detail: detail})
 }
 
-// observeRecord feeds a completed per-rank record into the cycle's registry —
-// the authoritative source for the CycleReport summary numbers — and mirrors
-// the same observations onto the attached bus for -metrics-json export.
-func (c *Controller) observeRecord(rec CkptRecord) {
-	for _, m := range []*obs.Metrics{c.co.metricsFor(rec.Cycle), c.co.bus.Metrics()} {
-		m.Histogram(obs.LayerCR, "individual").Observe(rec.Individual())
-		m.Histogram(obs.LayerCR, "storage_write").Observe(rec.StorageTime())
-		m.Histogram(obs.LayerCR, "sync").Observe(rec.GoAt - rec.SafePointAt)
-		m.Histogram(obs.LayerCR, "teardown").Observe(rec.TeardownDone - rec.GoAt)
-		m.Counter(obs.LayerCR, "snapshots").Inc()
-		m.Counter(obs.LayerCR, "snapshot_bytes").Add(rec.Footprint)
-	}
-}
-
 func (c *Controller) unparkSelf() {
 	if p := c.rank.Proc(); p != nil {
 		p.Unpark()
@@ -227,57 +226,47 @@ func (c *Controller) startCycle(m msgCkptRequest) {
 	c.goFlag = false
 	c.resumeFlag = false
 	c.abortFlag = false
-	if !c.co.proto.Blocking() {
-		// Uncoordinated: no helper, no turns, no quiesce barrier. The rank
-		// heads for its own safe point immediately — interrupting in signal
-		// mode, at its own next boundary in polled mode — and checkpoints
-		// alone.
-		if c.rank.Finished() {
-			c.uncoordFinishedRank()
-		} else {
-			c.activating = true
-			if c.co.cfg.Polled {
-				c.rank.RequestSafePointPolled()
-			} else {
-				c.rank.RequestSafePoint()
-			}
-		}
-		return
-	}
-	if c.co.cfg.HelperEnabled {
+	blocking := c.co.proto.Blocking()
+	if blocking && c.co.cfg.HelperEnabled {
 		// Passive coordination: bound protocol-processing delay while the
 		// application computes (Section 4.4).
 		c.rank.SetHelper(true)
 	}
-	if c.co.cfg.Polled {
-		// Polled (restartable) mode: every rank quiesces at its next
-		// boundary before any group writes. Boundary-only safe points
-		// cannot interrupt a blocked receive, so the per-group stop of the
-		// signal protocol could deadlock against the consistency gate; a
-		// global quiesce followed by staggered group writes is the sound
-		// equivalent (the SCR-style application-level discipline).
-		if c.rank.Finished() {
-			c.checkpointFinishedRank()
-		} else {
-			c.activating = true
-			c.rank.RequestSafePointPolled()
-		}
+	// Uncoordinated: no helper, no turns, no quiesce barrier — the rank heads
+	// for its own safe point immediately and checkpoints alone. Polled
+	// (restartable) mode: every rank quiesces at its next boundary before any
+	// group writes. Boundary-only safe points cannot interrupt a blocked
+	// receive, so the per-group stop of the signal protocol could deadlock
+	// against the consistency gate; a global quiesce followed by staggered
+	// group writes is the sound equivalent (the SCR-style application-level
+	// discipline). Signal mode under a blocking protocol stops on msgTurn.
+	if !blocking || c.co.cfg.Polled {
+		c.stop()
 	}
 }
 
 func (c *Controller) onTurn(m msgTurn) {
 	c.turnStarted[m.group] = true
-	if m.group != c.myGroup || c.co.cfg.Polled {
-		return // polled mode already requested safe points at cycle start
+	if m.group == c.myGroup && !c.co.cfg.Polled {
+		c.stop() // polled mode already stopped at cycle start
 	}
-	if c.rank.Finished() {
-		// The process already sits in finalize; checkpoint it inline with
-		// an empty execution state.
+}
+
+// stop heads the rank for its checkpoint. A process that already sits in
+// finalize is checkpointed inline from kernel events; a running one is asked
+// for a safe point — at its next boundary in polled mode, by interrupt (the
+// BLCR signal) otherwise — and runs AtSafePoint there.
+func (c *Controller) stop() {
+	switch {
+	case c.rank.Finished():
 		c.checkpointFinishedRank()
-		return
+	case c.co.cfg.Polled:
+		c.activating = true
+		c.rank.RequestSafePointPolled()
+	default:
+		c.activating = true
+		c.rank.RequestSafePoint()
 	}
-	c.activating = true
-	c.rank.RequestSafePoint()
 }
 
 func (c *Controller) onGroupDone(m msgGroupDone) {
@@ -307,6 +296,9 @@ func (c *Controller) onAbort(m msgAbort) {
 	c.goFlag = false
 	c.cycleActive = false
 	c.finishedStep = nil
+	if c.rank.Finished() {
+		c.inCkpt = false // no process will wake to run abortReturn
+	}
 	c.rank.SetHelper(false)
 	if c.write != nil {
 		c.write.Cancel(fmt.Errorf("cr: cycle %d aborted", m.cycle)) // a no-op once finished
@@ -317,7 +309,6 @@ func (c *Controller) onAbort(m msgAbort) {
 
 func (c *Controller) endCycle() {
 	c.cycleActive = false
-	c.finishedStep = nil
 	c.rank.SetHelper(false)
 	c.releaseAligned()
 	// Record the cycle's deferral activity; the coordinator folds it into
@@ -330,11 +321,10 @@ func (c *Controller) endCycle() {
 		bytes: now.BytesBuffered - c.bufStart.BytesBuffered,
 	}
 	c.bufByCycle[c.cycle] = d
-	for _, m := range []*obs.Metrics{c.co.metricsFor(c.cycle), c.co.bus.Metrics()} {
-		m.Counter(obs.LayerCR, "buffered_msgs").Add(int64(d.msgs))
-		m.Counter(obs.LayerCR, "buffered_reqs").Add(int64(d.reqs))
-		m.Counter(obs.LayerCR, "buffered_bytes").Add(d.bytes)
-	}
+	m := c.co.bus.Metrics()
+	m.Counter(obs.LayerCR, "buffered_msgs").Add(int64(d.msgs))
+	m.Counter(obs.LayerCR, "buffered_reqs").Add(int64(d.reqs))
+	m.Counter(obs.LayerCR, "buffered_bytes").Add(d.bytes)
 }
 
 // bufDelta is one rank's deferral activity during one cycle.
@@ -372,49 +362,53 @@ func (c *Controller) abortReturn() {
 	c.releaseAligned()
 }
 
-// AtSafePoint is the member's checkpoint procedure, run in application
-// context: the four phases of the checkpointing cycle.
+// AtSafePoint is the member's checkpoint procedure in application context:
+// the four phases of the checkpointing cycle, each wait a park of the
+// process. A non-blocking protocol has no phases 1, 2 and 4 — the rank
+// freezes, writes, and resumes alone; consistency with the rest of the job
+// then comes from sender-based message logging at the MPI layer.
 func (c *Controller) AtSafePoint(e *mpi.Env) {
 	if !c.activating {
 		return // spurious (stale interrupt)
 	}
 	c.activating = false
-	if !c.co.proto.Blocking() {
-		c.uncoordSafePoint(e)
-		return
-	}
 	c.inCkpt = true
-	p := e.Proc()
-	k := c.co.k
-	world := c.rank.World()
+	p, k := e.Proc(), c.co.k
+	blocking := c.co.proto.Blocking()
 	c.emit(obs.Instant, "safe-point", "")
-	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: k.Now()}
+	rec := c.newRecord()
 
-	// Phase 1: Initial Synchronization — report readiness, wait for the
-	// whole group to stop.
-	c.phase(protocol.PhaseSync)
-	c.emit(obs.Begin, "ckpt-sync", "")
-	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
-	ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
-	rec.GoAt = k.Now()
-	c.emit(obs.End, "ckpt-sync", "")
-	if !ok {
-		c.abortReturn()
-		return
-	}
-	c.phase(protocol.PhaseTeardown)
-	c.emit(obs.Begin, "ckpt-teardown",
-		fmt.Sprintf("%d connections to tear down", len(c.rank.Endpoint().Peers())))
+	if blocking {
+		// Phase 1: Initial Synchronization — report readiness, wait for the
+		// whole group to stop.
+		c.phase(protocol.PhaseSync)
+		c.emit(obs.Begin, "ckpt-sync", "")
+		c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
+		ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
+		rec.GoAt = k.Now()
+		c.emit(obs.End, "ckpt-sync", "")
+		if !ok {
+			c.abortReturn()
+			return
+		}
 
-	// Phase 2: Pre-checkpoint Coordination — flush in-transit messages and
-	// tear down all connections (passive peers answer via CM thread and
-	// helper-driven progress).
-	c.teardownConnections(p)
-	rec.TeardownDone = k.Now()
-	c.emit(obs.End, "ckpt-teardown", "")
-	if c.abortFlag {
-		c.abortReturn()
-		return
+		// Phase 2: Pre-checkpoint Coordination — flush in-transit messages and
+		// tear down all connections (passive peers answer via CM thread and
+		// helper-driven progress).
+		c.phase(protocol.PhaseTeardown)
+		if c.co.bus.HasSinks() {
+			c.emit(obs.Begin, "ckpt-teardown",
+				fmt.Sprintf("%d connections to tear down", len(c.rank.Endpoint().Peers())))
+		}
+		for c.teardownBusy() {
+			p.Park("cr: connection teardown")
+		}
+		rec.TeardownDone = k.Now()
+		c.emit(obs.End, "ckpt-teardown", "")
+		if c.abortFlag {
+			c.abortReturn()
+			return
+		}
 	}
 
 	// Phase 3: Local Checkpointing — BLCR-style snapshot written to the
@@ -423,113 +417,191 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	if c.co.cfg.LocalSetup > 0 {
 		p.Sleep(c.co.cfg.LocalSetup)
 	}
-	snap, err := c.takeSnapshot()
-	if err != nil {
-		k.Fail(fmt.Errorf("cr: rank %d: %w", world, err))
+	snap := c.takeSnapshot(&rec)
+	if snap == nil {
 		return
 	}
-	rec.Footprint = snap.Footprint
-	rec.WriteStart = k.Now()
-	c.phase(protocol.PhaseWrite)
-	c.emit(obs.Begin, "ckpt-write", fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
-	cycle := c.cycle
-	tr, err := c.startWrite(snap)
-	if err == nil {
-		tr.Wait(p)
-		err = tr.Err()
+	if c.co.bus.HasSinks() {
+		c.emit(obs.Begin, "ckpt-write", fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
 	}
-	stale := c.abortFlag || c.cycle != cycle
-	if err != nil && !stale {
-		c.emit(obs.End, "ckpt-write", "")
-		if errors.Is(err, storage.ErrUnavailable) {
-			// Mid-cycle storage failure: hand the cycle back to the
-			// coordinator for a group-wide abort and retry, then wait here
-			// for the abort to arrive before resuming execution.
-			c.emit(obs.Instant, "write-failed", err.Error())
-			c.sendCo(msgWriteFailed{cycle: c.cycle, rank: world})
+	for attempt := 1; ; attempt++ {
+		tr, err := c.startWrite(snap)
+		if err == nil {
+			tr.Wait(p)
+			err = tr.Err()
+		}
+		if c.abortFlag || c.cycle != rec.Cycle {
+			// The cycle aborted (another member failed) while our write was in
+			// flight; the snapshot belongs to the discarded epoch. A retried
+			// cycle that already began has cleared abortFlag: hence the
+			// comparison.
+			c.emit(obs.End, "ckpt-write", "")
+			c.abortReturn()
+			return
+		}
+		if err == nil {
+			break
+		}
+		if blocking {
+			c.emit(obs.End, "ckpt-write", "") // the member's write phase ends with the attempt
+		}
+		backoff, ok := c.writeFailed(err, attempt)
+		if !ok {
+			return
+		}
+		if blocking {
+			// The coordinator retries the whole cycle: wait here for its abort
+			// to arrive before resuming execution.
 			for !c.abortFlag {
 				p.Park("cr: awaiting cycle abort")
 			}
 			c.abortReturn()
 			return
 		}
-		k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", world, err))
-		return
+		p.Sleep(backoff)
 	}
 	rec.WriteEnd = k.Now()
 	c.emit(obs.End, "ckpt-write", "")
-	if stale {
-		// The cycle aborted (another member failed) while our write was in
-		// flight; the snapshot belongs to the discarded epoch. A retried cycle
-		// that already began has cleared abortFlag: hence the comparison.
-		c.abortReturn()
-		return
-	}
-	c.epoch++
-	c.mySaved = true
-	c.putSnapshot(snap)
-	c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
+	c.commit(snap)
 
 	// Phase 4: Post-checkpoint Coordination — wait for the group to finish;
 	// connections rebuild on demand as execution resumes.
 	c.phase(protocol.PhaseResume)
-	c.emit(obs.Begin, "ckpt-resume-wait", "")
-	ok = c.waitFlag(p, &c.resumeFlag, "cr: post-checkpoint coordination")
-	c.inCkpt = false
-	rec.ResumeAt = k.Now()
-	c.emit(obs.End, "ckpt-resume-wait", "")
-	if !ok {
-		// Aborted after our save: onAbort already rolled back the epoch and
-		// dropped mySaved; resume without a record.
-		c.emit(obs.Instant, "abort-resume", "")
-		c.releaseAligned()
-		return
-	}
-	c.emit(obs.Instant, "resume", fmt.Sprintf("downtime %v", rec.ResumeAt-rec.SafePointAt))
-	c.records = append(c.records, rec)
-	c.observeRecord(rec)
-	c.releaseAligned()
-}
-
-// teardownConnections drives every established connection through the
-// flush-and-disconnect protocol and waits for the handshakes to settle.
-// Half-open outgoing connections (deferred by an epoch-mismatched peer) are
-// left alone: they carry no data and complete after the recovery line passes.
-func (c *Controller) teardownConnections(p *sim.Proc) {
-	ep := c.rank.Endpoint()
-	for {
-		busy := false
-		for _, peer := range ep.Peers() {
-			switch ep.State(peer) {
-			case ib.StateConnected:
-				ep.Disconnect(peer)
-				busy = true
-			case ib.StateAccepting, ib.StateDraining, ib.StateDisconnecting:
-				busy = true
-			}
-		}
-		if !busy {
+	if blocking {
+		c.emit(obs.Begin, "ckpt-resume-wait", "")
+		ok := c.waitFlag(p, &c.resumeFlag, "cr: post-checkpoint coordination")
+		c.emit(obs.End, "ckpt-resume-wait", "")
+		if !ok {
+			// Aborted after our save: onAbort already rolled back the epoch and
+			// dropped mySaved; resume without a record.
+			c.abortReturn()
 			return
 		}
-		p.Park("cr: connection teardown")
+	}
+	c.resume(rec)
+}
+
+// checkpointFinishedRank is the member's checkpoint procedure in event
+// context, for a rank whose body already returned: the process is idle in
+// finalize and cannot park, so each wait of AtSafePoint becomes the event
+// that ends it — msgGo and connection events through finishedStep, one timer
+// for the local setup, the transfer's completion. With no execution to
+// resume, the rank does not wait for its group: it resumes as its write ends.
+func (c *Controller) checkpointFinishedRank() {
+	k := c.co.k
+	blocking := c.co.proto.Blocking()
+	c.inCkpt = true
+	rec := c.newRecord()
+	// onAbort deactivates the cycle before it cancels the write, so every
+	// continuation below sees an abort as a stale cycle and stands down.
+	stale := func() bool { return c.cycle != rec.Cycle || !c.cycleActive }
+
+	// Phase 3, entered once phases 1 and 2 (if the protocol has them) are done.
+	var write func(snap *blcr.Snapshot, attempt int)
+	write = func(snap *blcr.Snapshot, attempt int) {
+		tr, err := c.startWrite(snap)
+		if err != nil {
+			k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
+			return
+		}
+		tr.OnDone(func() {
+			if stale() {
+				return // the snapshot belongs to the discarded epoch
+			}
+			if err := tr.Err(); err != nil {
+				if backoff, ok := c.writeFailed(err, attempt); ok && !blocking {
+					k.After(backoff, func() { write(snap, attempt+1) })
+				}
+				return // blocking: the coordinator's abort ends this attempt
+			}
+			rec.WriteEnd = k.Now()
+			c.commit(snap)
+			c.phase(protocol.PhaseResume)
+			c.resume(rec)
+		})
+	}
+	localCheckpoint := func() {
+		k.After(c.co.cfg.LocalSetup, func() {
+			if stale() {
+				return // the cycle aborted while the local setup ran
+			}
+			if snap := c.takeSnapshot(&rec); snap != nil {
+				write(snap, 1)
+			}
+		})
+	}
+	if !blocking {
+		localCheckpoint()
+		return
+	}
+
+	// Phases 1 and 2: report readiness, then on msgGo disconnect and re-check
+	// on each connection event until every handshake has settled.
+	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
+	c.finishedStep = func() {
+		if !c.goFlag {
+			return
+		}
+		if rec.GoAt == 0 {
+			rec.GoAt = k.Now() // the first run past the gate is msgGo's
+		}
+		if c.teardownBusy() {
+			return
+		}
+		c.finishedStep = nil
+		rec.TeardownDone = k.Now()
+		localCheckpoint()
 	}
 }
 
-// takeSnapshot captures the process image.
-func (c *Controller) takeSnapshot() (*blcr.Snapshot, error) {
+// newRecord opens the rank's record of this cycle at its safe point. Phases
+// the protocol lacks collapse to that instant.
+func (c *Controller) newRecord() CkptRecord {
+	now := c.co.k.Now()
+	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: now}
+	if !c.co.proto.Blocking() {
+		rec.GoAt, rec.TeardownDone = now, now
+	}
+	return rec
+}
+
+// teardownBusy drives every established connection into the
+// flush-and-disconnect protocol and reports whether any handshake has yet to
+// settle. Half-open outgoing connections (deferred by an epoch-mismatched
+// peer) are left alone: they carry no data and complete after the recovery
+// line passes.
+func (c *Controller) teardownBusy() bool {
+	ep := c.rank.Endpoint()
+	busy := false
+	for _, peer := range ep.Peers() {
+		switch ep.State(peer) {
+		case ib.StateConnected:
+			ep.Disconnect(peer)
+			busy = true
+		case ib.StateAccepting, ib.StateDraining, ib.StateDisconnecting:
+			busy = true
+		}
+	}
+	return busy
+}
+
+// takeSnapshot captures the process image and opens the record's write
+// phase. A capture failure fails the run and returns nil.
+func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 	var app, lib []byte
 	if c.co.cfg.CaptureState {
+		var err error
 		if c.CaptureFn != nil {
-			var err error
-			app, err = c.CaptureFn()
-			if err != nil {
-				return nil, fmt.Errorf("capturing application state: %w", err)
+			if app, err = c.CaptureFn(); err != nil {
+				err = fmt.Errorf("capturing application state: %w", err)
 			}
 		}
-		var err error
-		lib, err = c.rank.CaptureLibState()
+		if err == nil {
+			lib, err = c.rank.CaptureLibState()
+		}
 		if err != nil {
-			return nil, err
+			c.co.k.Fail(fmt.Errorf("cr: rank %d: %w", c.rank.World(), err))
+			return nil
 		}
 	}
 	fp := c.co.cfg.DefaultFootprint
@@ -539,17 +611,16 @@ func (c *Controller) takeSnapshot() (*blcr.Snapshot, error) {
 	if c.co.cfg.Incremental && c.epoch > 0 {
 		fp = c.incrementalSize(fp)
 	}
-	c.lastCkptAt = c.co.k.Now()
-	return blcr.New(c.rank.World(), c.epoch+1, c.co.k.Now(), fp, app, lib), nil
+	now := c.co.k.Now()
+	c.lastCkptAt = now
+	rec.Footprint, rec.WriteStart = fp, now
+	c.phase(protocol.PhaseWrite)
+	return blcr.New(c.rank.World(), c.epoch+1, now, fp, app, lib)
 }
 
-// putSnapshot archives a snapshot; a duplicate means the protocol
-// double-checkpointed this rank and the run is aborted.
-func (c *Controller) putSnapshot(snap *blcr.Snapshot) {
-	if err := c.co.snaps.Put(snap); err != nil {
-		c.co.k.Fail(err)
-	}
-}
+// incrementalFloor is the minimum fraction of the full footprint an
+// incremental snapshot writes (page-table metadata and always-hot pages).
+const incrementalFloor = 0.05
 
 // incrementalSize models the dirty-page image written by an incremental
 // checkpoint: a floor of always-written metadata plus memory dirtied since
@@ -559,112 +630,12 @@ func (c *Controller) incrementalSize(full int64) int64 {
 	if dirtyBW <= 0 {
 		dirtyBW = 20 << 20
 	}
-	floor := c.co.cfg.IncrementalFloor
-	if floor <= 0 {
-		floor = 0.05
-	}
 	elapsed := (c.co.k.Now() - c.lastCkptAt).Seconds()
-	dirty := int64(floor*float64(full) + dirtyBW*elapsed)
+	dirty := int64(incrementalFloor*float64(full) + dirtyBW*elapsed)
 	if dirty > full {
 		return full
 	}
 	return dirty
-}
-
-// checkpointFinishedRank checkpoints a rank whose body already returned: it
-// tears down connections and writes its image without application
-// participation (the process is idle in finalize).
-func (c *Controller) checkpointFinishedRank() {
-	k := c.co.k
-	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: k.Now()}
-	c.inCkpt = true
-	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
-	// Proceed on msgGo by polling conn states event-driven: disconnect now
-	// and re-check on each connection event.
-	var tryFinish func()
-	writing := false
-	step := func() {
-		if !c.goFlag || writing {
-			return
-		}
-		ep := c.rank.Endpoint()
-		busy := false
-		for _, peer := range ep.Peers() {
-			switch ep.State(peer) {
-			case ib.StateConnected:
-				ep.Disconnect(peer)
-				busy = true
-			case ib.StateAccepting, ib.StateDraining, ib.StateDisconnecting:
-				busy = true
-			}
-		}
-		if busy {
-			return
-		}
-		rec.TeardownDone = k.Now()
-		writing = true
-		cycle := c.cycle
-		k.After(c.co.cfg.LocalSetup, func() {
-			if c.cycle != cycle || !c.cycleActive {
-				return // the cycle aborted while the local setup ran
-			}
-			c.writeFinishedSnapshot(&rec)
-		})
-	}
-	tryFinish = step
-	// Hook connection events and the go flag to drive the steps.
-	prevUp, prevDown := c.rank.ConnUpHook, c.rank.ConnDownHook
-	c.rank.ConnUpHook = func(peer int) { prevUp(peer); tryFinish() }
-	c.rank.ConnDownHook = func(peer int) { prevDown(peer); tryFinish() }
-	c.finishedStep = tryFinish
-	tryFinish()
-}
-
-// writeFinishedSnapshot completes a finished rank's inline checkpoint.
-func (c *Controller) writeFinishedSnapshot(rec *CkptRecord) {
-	k := c.co.k
-	snap, err := c.takeSnapshot()
-	if err != nil {
-		k.Fail(fmt.Errorf("cr: rank %d: %w", c.rank.World(), err))
-		return
-	}
-	rec.Footprint = snap.Footprint
-	rec.WriteStart = k.Now()
-	c.phase(protocol.PhaseWrite)
-	cycle := c.cycle
-	tr, err := c.startWrite(snap)
-	if err != nil {
-		k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
-		return
-	}
-	tr.OnDone(func() {
-		if c.cycle != cycle || !c.cycleActive {
-			// The cycle aborted while the write was in flight; the snapshot
-			// belongs to the discarded epoch.
-			c.inCkpt = false
-			return
-		}
-		if werr := tr.Err(); werr != nil {
-			if errors.Is(werr, storage.ErrUnavailable) {
-				c.emit(obs.Instant, "write-failed", werr.Error())
-				c.sendCo(msgWriteFailed{cycle: cycle, rank: c.rank.World()})
-				c.inCkpt = false
-				return
-			}
-			k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", c.rank.World(), werr))
-			return
-		}
-		rec.WriteEnd = k.Now()
-		c.epoch++
-		c.mySaved = true
-		c.putSnapshot(snap)
-		c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
-		c.inCkpt = false
-		rec.ResumeAt = k.Now()
-		c.records = append(c.records, *rec)
-		c.observeRecord(*rec)
-		c.releaseAligned()
-	})
 }
 
 // startWrite begins storing snap — through the storage hierarchy when one is
@@ -681,161 +652,71 @@ func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err 
 	return tr, err
 }
 
-// uncoordSafePoint is the member procedure of the uncoordinated protocol, run
-// in application context: no synchronization, no teardown — the rank freezes,
-// writes its image, marks it durable per rank, and resumes immediately.
-// Consistency with the rest of the job comes from sender-based message
-// logging at the MPI layer, not from blocking.
-func (c *Controller) uncoordSafePoint(e *mpi.Env) {
-	c.inCkpt = true
-	p := e.Proc()
-	k := c.co.k
+// writeFailed classifies a failed snapshot write, attempt counting from 1.
+// Anything but a storage outage is a simulator error and fails the run (ok
+// false). Who retries an outage is the protocol's commit rule: a blocking
+// protocol hands the cycle back to the coordinator for a group-wide abort and
+// retry, and the member awaits that abort; otherwise there is no cycle-wide
+// rollback to coordinate, so the rank retries alone after backoff — the same
+// capped backoff, bounded by the same MaxCycleRetries, the coordinator
+// applies cycle-wide.
+func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok bool) {
 	world := c.rank.World()
-	c.emit(obs.Instant, "safe-point", "")
-	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: k.Now()}
-	// The sync and teardown phases collapse to instants: the rank goes
-	// straight from its safe point to the local write.
-	rec.GoAt = rec.SafePointAt
-	rec.TeardownDone = rec.SafePointAt
+	blocking := c.co.proto.Blocking()
+	switch {
+	case !errors.Is(err, storage.ErrUnavailable):
+		c.co.k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", world, err))
+		return 0, false
+	case !blocking && attempt > c.co.cfg.maxCycleRetries():
+		c.co.k.Fail(fmt.Errorf("cr: rank %d snapshot write failed %d consecutive times; giving up",
+			world, attempt))
+		return 0, false
+	}
+	c.emit(obs.Instant, "write-failed", err.Error())
+	if blocking {
+		c.sendCo(msgWriteFailed{cycle: c.cycle, rank: world})
+		return 0, true
+	}
+	return writeRetryBackoff(attempt), true
+}
 
-	if c.co.cfg.LocalSetup > 0 {
-		p.Sleep(c.co.cfg.LocalSetup)
-	}
-	snap, err := c.takeSnapshot()
-	if err != nil {
-		k.Fail(fmt.Errorf("cr: rank %d: %w", world, err))
-		return
-	}
-	rec.Footprint = snap.Footprint
-	rec.WriteStart = k.Now()
-	c.phase(protocol.PhaseWrite)
-	c.emit(obs.Begin, "ckpt-write", fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
-	// A failed write aborts nothing but this rank's own attempt: there is no
-	// cycle-wide rollback to coordinate, so the rank retries locally with the
-	// same capped backoff the blocking protocols apply cycle-wide.
-	for attempts := 0; ; {
-		tr, err := c.startWrite(snap)
-		if err == nil {
-			tr.Wait(p)
-			err = tr.Err()
-		}
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, storage.ErrUnavailable) {
-			k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", world, err))
-			return
-		}
-		attempts++
-		if attempts > c.co.cfg.maxCycleRetries() {
-			k.Fail(fmt.Errorf("cr: rank %d snapshot write failed %d consecutive times; giving up",
-				world, attempts))
-			return
-		}
-		c.emit(obs.Instant, "write-failed", err.Error())
-		p.Sleep(c.co.cfg.writeRetryBackoff(attempts))
-	}
-	rec.WriteEnd = k.Now()
-	c.emit(obs.End, "ckpt-write", "")
+// commit makes a written snapshot this rank's checkpoint: the epoch advances
+// (optimistically under a blocking protocol — onAbort rolls it back), the
+// image is archived, and the coordinator is told. A protocol without a global
+// commit marks the image durable per rank here: it is a restart candidate as
+// soon as its own write completed. An archive error means the protocol
+// double-checkpointed this rank, and fails the run.
+func (c *Controller) commit(snap *blcr.Snapshot) {
 	c.epoch++
 	c.mySaved = true
-	c.putSnapshot(snap)
-	c.markRankDurable(snap)
-	c.sendCo(msgSaved{cycle: c.cycle, rank: world})
-
-	// No post-checkpoint coordination: resume the instant the write lands.
-	c.phase(protocol.PhaseResume)
-	c.inCkpt = false
-	rec.ResumeAt = k.Now()
-	c.emit(obs.Instant, "resume", fmt.Sprintf("downtime %v", rec.ResumeAt-rec.SafePointAt))
-	c.records = append(c.records, rec)
-	c.observeRecord(rec)
-	c.releaseAligned()
-}
-
-// markRankDurable records the per-rank commit of the uncoordinated protocol:
-// the snapshot is a restart candidate as soon as its own write completed.
-func (c *Controller) markRankDurable(snap *blcr.Snapshot) {
-	if err := c.co.snaps.SetRankDurable(snap.Epoch, snap.Rank); err != nil {
+	err := c.co.snaps.Put(snap)
+	if err == nil && !c.co.proto.Blocking() {
+		err = c.co.snaps.SetRankDurable(snap.Epoch, snap.Rank)
+	}
+	if err != nil {
 		c.co.k.Fail(err)
 	}
+	c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
 }
 
-// uncoordFinishedRank checkpoints a finished rank under the uncoordinated
-// protocol: no teardown and no coordination, just the local-setup delay and
-// an asynchronous write (the process is idle in finalize).
-func (c *Controller) uncoordFinishedRank() {
-	k := c.co.k
-	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: k.Now()}
-	rec.GoAt = rec.SafePointAt
-	rec.TeardownDone = rec.SafePointAt
-	c.inCkpt = true
-	cycle := c.cycle
-	k.After(c.co.cfg.LocalSetup, func() {
-		if c.cycle != cycle || !c.cycleActive {
-			c.inCkpt = false
-			return
-		}
-		c.writeUncoordFinishedSnapshot(&rec)
-	})
-}
-
-// writeUncoordFinishedSnapshot completes a finished rank's uncoordinated
-// checkpoint, retrying a storage outage locally with capped backoff.
-func (c *Controller) writeUncoordFinishedSnapshot(rec *CkptRecord) {
-	k := c.co.k
-	snap, err := c.takeSnapshot()
-	if err != nil {
-		k.Fail(fmt.Errorf("cr: rank %d: %w", c.rank.World(), err))
-		return
+// resume ends the rank's downtime and files its record — the accounting of
+// record for the cycle, mirrored into the bus registry (a no-op without a
+// bus) for -metrics-json export.
+func (c *Controller) resume(rec CkptRecord) {
+	c.inCkpt = false
+	rec.ResumeAt = c.co.k.Now()
+	if c.co.bus.HasSinks() {
+		c.emit(obs.Instant, "resume", fmt.Sprintf("downtime %v", rec.Individual()))
 	}
-	rec.Footprint = snap.Footprint
-	rec.WriteStart = k.Now()
-	c.phase(protocol.PhaseWrite)
-	cycle := c.cycle
-	attempts := 0
-	var attempt func()
-	attempt = func() {
-		tr, err := c.startWrite(snap)
-		if err != nil {
-			k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
-			return
-		}
-		tr.OnDone(func() {
-			if werr := tr.Err(); werr != nil {
-				if !errors.Is(werr, storage.ErrUnavailable) {
-					k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", c.rank.World(), werr))
-					return
-				}
-				attempts++
-				if attempts > c.co.cfg.maxCycleRetries() {
-					k.Fail(fmt.Errorf("cr: rank %d snapshot write failed %d consecutive times; giving up",
-						c.rank.World(), attempts))
-					return
-				}
-				c.emit(obs.Instant, "write-failed", werr.Error())
-				k.After(c.co.cfg.writeRetryBackoff(attempts), attempt)
-				return
-			}
-			if c.cycle != cycle || !c.cycleActive {
-				c.inCkpt = false
-				return
-			}
-			rec.WriteEnd = k.Now()
-			c.epoch++
-			c.mySaved = true
-			c.putSnapshot(snap)
-			c.markRankDurable(snap)
-			c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
-			c.phase(protocol.PhaseResume)
-			c.inCkpt = false
-			rec.ResumeAt = k.Now()
-			c.records = append(c.records, *rec)
-			c.observeRecord(*rec)
-			c.releaseAligned()
-		})
-	}
-	attempt()
+	c.records = append(c.records, rec)
+	m := c.co.bus.Metrics()
+	m.Histogram(obs.LayerCR, "individual").Observe(rec.Individual())
+	m.Histogram(obs.LayerCR, "storage_write").Observe(rec.StorageTime())
+	m.Histogram(obs.LayerCR, "sync").Observe(rec.GoAt - rec.SafePointAt)
+	m.Histogram(obs.LayerCR, "teardown").Observe(rec.TeardownDone - rec.GoAt)
+	m.Counter(obs.LayerCR, "snapshots").Inc()
+	m.Counter(obs.LayerCR, "snapshot_bytes").Add(rec.Footprint)
+	c.releaseAligned()
 }
 
 // sendCo reports to the coordinator. The coordinator endpoint is created

@@ -72,18 +72,13 @@ type Coordinator struct {
 	// bus receives the protocol timeline (cycle control on the system
 	// track, per-rank phase spans) when a sink is attached; nil is fine.
 	bus *obs.Bus
-	// cycleMetrics holds one registry per cycle: the controllers observe
-	// phase durations and buffering deltas into it, and the cycle's
-	// CycleReport reads its summary numbers from it. Entries are retained
-	// for the life of the coordinator because reports keep pointers.
-	cycleMetrics map[int]*obs.Metrics
 }
 
 // SetObs attaches an observability bus (nil detaches). The protocol timeline
 // — cycle request/turn/group-done/cycle-done on the system track, per-rank
 // phase spans (sync, teardown, write, resume-wait) — is emitted as
-// cr-layer events, and per-cycle phase numbers are mirrored into the bus's
-// registry.
+// cr-layer events, and every rank's phase durations and buffering deltas are
+// observed into the bus's registry.
 func (co *Coordinator) SetObs(b *obs.Bus) { co.bus = b }
 
 // emit records a cr-layer coordinator event on the system track.
@@ -92,25 +87,13 @@ func (co *Coordinator) emit(what, detail string) {
 		Type: obs.Instant, What: what, Detail: detail})
 }
 
-// metricsFor returns cycle's registry, creating it on first use. Unlike the
-// bus (optional, user-attached), the per-cycle registry always exists: it is
-// the authoritative source of CycleReport's phase summaries.
-func (co *Coordinator) metricsFor(cycle int) *obs.Metrics {
-	m := co.cycleMetrics[cycle]
-	if m == nil {
-		m = obs.NewMetrics()
-		co.cycleMetrics[cycle] = m
-	}
-	return m
-}
-
 // New attaches a coordinator and per-rank controllers to a job. It must be
 // called before ranks are launched so the hooks observe all activity.
 func New(k *sim.Kernel, job *mpi.Job, store *storage.System, cfg Config) (*Coordinator, error) {
 	if cfg.DefaultFootprint <= 0 {
 		cfg.DefaultFootprint = DefaultConfig().DefaultFootprint
 	}
-	proto, err := cfg.resolveProtocol(job.Size(), job.Config().LogMessages)
+	proto, err := cfg.ResolveProtocol(job.Size(), job.Config().LogMessages)
 	if err != nil {
 		return nil, fmt.Errorf("cr: %w", err)
 	}
@@ -119,14 +102,13 @@ func New(k *sim.Kernel, job *mpi.Job, store *storage.System, cfg Config) (*Coord
 		return nil, fmt.Errorf("cr: registering coordinator endpoint: %w", err)
 	}
 	co := &Coordinator{
-		k:            k,
-		job:          job,
-		store:        store,
-		cfg:          cfg,
-		ep:           ep,
-		proto:        proto,
-		snaps:        blcr.NewStore(job.Size()),
-		cycleMetrics: make(map[int]*obs.Metrics),
+		k:     k,
+		job:   job,
+		store: store,
+		cfg:   cfg,
+		ep:    ep,
+		proto: proto,
+		snaps: blcr.NewStore(job.Size()),
 	}
 	if cfg.Protocol != "" {
 		// Tag cycle events with the explicitly-selected protocol so traces
@@ -250,10 +232,11 @@ func (co *Coordinator) RequestCheckpoint() {
 	co.turn = 0
 	co.ready = make(map[int]bool)
 	co.saved = make(map[int]bool)
-	co.metricsFor(co.cycle) // the cycle's registry exists from request on
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles").Inc()
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles_"+string(co.proto.Kind())).Inc()
-	co.emit("request", fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
+	if co.bus.HasSinks() {
+		co.emit("request", fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
+	}
 	co.broadcast(msgCkptRequest{cycle: co.cycle, groups: co.groups})
 	if !co.proto.Blocking() {
 		// Uncoordinated: no turns and no readiness barrier. Every controller
@@ -326,7 +309,9 @@ func (co *Coordinator) onMsg(src int, payload any) {
 			return
 		}
 		if co.groupCovered(co.saved, co.turn) {
-			co.emit("group-done", fmt.Sprintf("group %d", co.turn))
+			if co.bus.HasSinks() {
+				co.emit("group-done", fmt.Sprintf("group %d", co.turn))
+			}
 			co.broadcast(msgGroupDone{cycle: co.cycle, group: co.turn})
 			co.turn++
 			if co.turn < len(co.groups) {
@@ -345,7 +330,9 @@ func (co *Coordinator) onMsg(src int, payload any) {
 // startTurn announces a group's turn; in polled mode its members are already
 // quiesced and receive their go immediately.
 func (co *Coordinator) startTurn(turn int) {
-	co.emit("turn", fmt.Sprintf("group %d %v", turn, co.groups[turn]))
+	if co.bus.HasSinks() {
+		co.emit("turn", fmt.Sprintf("group %d %v", turn, co.groups[turn]))
+	}
 	co.broadcast(msgTurn{cycle: co.cycle, group: turn})
 	if co.cfg.Polled {
 		co.sendGroup(turn, msgGo{cycle: co.cycle, group: turn})
@@ -383,7 +370,9 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	co.aborts++
 	co.cycleRetries++
 	co.bus.Metrics().Counter(obs.LayerCR, "cycle_aborts").Inc()
-	co.emit("cycle-abort", fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
+	if co.bus.HasSinks() {
+		co.emit("cycle-abort", fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
+	}
 	if err := co.snaps.Discard(target); err != nil {
 		co.k.Fail(err)
 		return
@@ -395,8 +384,10 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 			target, co.cycleRetries))
 		return
 	}
-	backoff := co.cfg.writeRetryBackoff(co.cycleRetries)
-	co.emit("cycle-retry", fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
+	backoff := writeRetryBackoff(co.cycleRetries)
+	if co.bus.HasSinks() {
+		co.emit("cycle-retry", fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
+	}
 	co.k.After(backoff, co.RequestCheckpoint)
 }
 
@@ -410,7 +401,9 @@ func (co *Coordinator) groupCovered(set map[int]bool, group int) bool {
 }
 
 func (co *Coordinator) finishCycle() {
-	co.emit("cycle-done", fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
+	if co.bus.HasSinks() {
+		co.emit("cycle-done", fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
+	}
 	co.broadcast(msgCycleDone{cycle: co.cycle})
 	co.epoch++
 	co.cycleRetries = 0
@@ -420,7 +413,6 @@ func (co *Coordinator) finishCycle() {
 		RequestAt: co.requestAt,
 		DoneAt:    co.k.Now(),
 		epoch:     co.epoch,
-		metrics:   co.metricsFor(co.cycle),
 	}
 	if co.proto.Blocking() {
 		co.markComplete(co.epoch)

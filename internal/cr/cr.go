@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"gbcr/internal/cr/protocol"
-	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
 
@@ -77,50 +76,26 @@ type Config struct {
 	// DirtyBW is the rate at which a running process dirties memory
 	// (bytes per second of execution). Zero means 20 MB/s.
 	DirtyBW float64
-	// IncrementalFloor is the minimum fraction of the full footprint an
-	// incremental snapshot writes (page-table metadata and always-hot
-	// pages). Zero means 0.05.
-	IncrementalFloor float64
-	// RetryBackoff is the initial delay before retrying a checkpoint cycle
-	// aborted by a member's write failure (storage outage mid-cycle). The
-	// delay doubles per consecutive abort, capped at RetryBackoffCap. Zero
-	// means 100 ms.
-	RetryBackoff sim.Time
-	// RetryBackoffCap caps the exponential retry backoff. Zero means
-	// 16×RetryBackoff.
-	RetryBackoffCap sim.Time
 	// MaxCycleRetries caps consecutive aborted cycles before the coordinator
 	// declares the storage system unusable and fails the run. Zero means 8.
 	MaxCycleRetries int
 }
 
-// retryBackoff resolves the initial cycle-retry delay default.
-func (cfg Config) retryBackoff() sim.Time {
-	if cfg.RetryBackoff > 0 {
-		return cfg.RetryBackoff
-	}
-	return 100 * sim.Millisecond
-}
-
-// retryBackoffCap resolves the retry backoff ceiling default.
-func (cfg Config) retryBackoffCap() sim.Time {
-	if cfg.RetryBackoffCap > 0 {
-		return cfg.RetryBackoffCap
-	}
-	return 16 * cfg.retryBackoff()
-}
+// retryBackoff is the delay before the first retry of a checkpoint aborted by
+// a write failure (storage outage mid-cycle); it doubles per consecutive
+// failure up to retryBackoffCap.
+const (
+	retryBackoff    = 100 * sim.Millisecond
+	retryBackoffCap = 16 * retryBackoff
+)
 
 // writeRetryBackoff returns the capped exponential backoff before the
 // attempt-th retry of a failed snapshot write (cycle-wide abort-retry for the
 // blocking protocols, per-rank local retry for the uncoordinated one).
-func (cfg Config) writeRetryBackoff(attempt int) sim.Time {
-	backoff := cfg.retryBackoff()
-	ceiling := cfg.retryBackoffCap()
-	for i := 1; i < attempt && backoff < ceiling; i++ {
+func writeRetryBackoff(attempt int) sim.Time {
+	backoff := retryBackoff
+	for i := 1; i < attempt && backoff < retryBackoffCap; i++ {
 		backoff *= 2
-	}
-	if backoff > ceiling {
-		backoff = ceiling
 	}
 	return backoff
 }
@@ -150,20 +125,14 @@ func (cfg Config) protocolOptions(n int, logging bool) protocol.Options {
 	}
 }
 
-// resolveProtocol resolves and validates the configured protocol for an
-// n-rank job. A group configuration whose static schedule degenerates to a
-// single group (GroupSize zero or >= n, not dynamic) delegates to the
-// explicit whole-job protocol — the ICPP'06 baseline was always this engine
-// path, so the delegation is exact.
 // ResolveProtocol resolves and validates the configured coordination
-// protocol for an n-rank job; logging is mpi.Config.LogMessages. The harness
-// uses it to front-run constructor errors and to read the protocol's phase
-// vocabulary before a cluster exists.
+// protocol for an n-rank job; logging is mpi.Config.LogMessages. A group
+// configuration whose static schedule degenerates to a single group
+// (GroupSize zero or >= n, not dynamic) delegates to the explicit whole-job
+// protocol — the ICPP'06 baseline was always this engine path, so the
+// delegation is exact. The harness calls it to front-run constructor errors
+// and to read the protocol's phase vocabulary before a cluster exists.
 func (cfg Config) ResolveProtocol(n int, logging bool) (protocol.Protocol, error) {
-	return cfg.resolveProtocol(n, logging)
-}
-
-func (cfg Config) resolveProtocol(n int, logging bool) (protocol.Protocol, error) {
 	kind := cfg.Protocol
 	if kind == "" || kind == protocol.Group {
 		if !cfg.Dynamic && (cfg.GroupSize <= 0 || cfg.GroupSize >= n) {
@@ -287,33 +256,6 @@ type CycleReport struct {
 	// epoch is the global checkpoint this cycle committed; it trails Cycle
 	// once cycles abort.
 	epoch int
-
-	// metrics is the cycle's registry: every controller observes its phase
-	// durations and buffering deltas into it. It is the primary source for
-	// the summary accessors below; Records is the fallback (and the
-	// cross-check in tests).
-	metrics *obs.Metrics
-}
-
-// Metrics returns the cycle's registry of phase histograms and buffering
-// counters (cr-layer: individual, storage_write, sync, teardown;
-// buffered_msgs/reqs/bytes, snapshots, snapshot_bytes). Nil for reports
-// constructed outside a coordinator.
-func (r *CycleReport) Metrics() *obs.Metrics { return r.metrics }
-
-// hist returns the named cr-layer histogram when the cycle's registry holds a
-// complete set of observations — exactly one per rank record. Incomplete
-// registries (report read before the last group resumed, or a report built
-// by hand in tests) make the accessors fall back to Records.
-func (r *CycleReport) hist(name string) *obs.Histogram {
-	if r.metrics == nil || len(r.Records) == 0 {
-		return nil
-	}
-	h := r.metrics.Histogram(obs.LayerCR, name)
-	if h.Count() != int64(len(r.Records)) {
-		return nil
-	}
-	return h
 }
 
 // Total is the paper's Total Checkpoint Time: request issued to global
@@ -333,9 +275,6 @@ func (r *CycleReport) VulnerabilityWindow() sim.Time {
 
 // MaxIndividual returns the largest per-process downtime in the cycle.
 func (r *CycleReport) MaxIndividual() sim.Time {
-	if h := r.hist("individual"); h != nil {
-		return h.Max()
-	}
 	var m sim.Time
 	for _, rec := range r.Records {
 		if d := rec.Individual(); d > m {
@@ -347,9 +286,6 @@ func (r *CycleReport) MaxIndividual() sim.Time {
 
 // MeanIndividual returns the average per-process downtime in the cycle.
 func (r *CycleReport) MeanIndividual() sim.Time {
-	if h := r.hist("individual"); h != nil {
-		return h.Sum() / sim.Time(h.Count())
-	}
 	if len(r.Records) == 0 {
 		return 0
 	}
@@ -363,11 +299,6 @@ func (r *CycleReport) MeanIndividual() sim.Time {
 // BufferedTotals sums the cycle's message- and request-buffering activity
 // across ranks (Section 4.3).
 func (r *CycleReport) BufferedTotals() (msgs, reqs int, bytes int64) {
-	if r.hist("individual") != nil {
-		return int(r.metrics.Counter(obs.LayerCR, "buffered_msgs").Value()),
-			int(r.metrics.Counter(obs.LayerCR, "buffered_reqs").Value()),
-			r.metrics.Counter(obs.LayerCR, "buffered_bytes").Value()
-	}
 	for _, rec := range r.Records {
 		msgs += rec.BufferedMsgs
 		reqs += rec.BufferedReqs
@@ -379,12 +310,6 @@ func (r *CycleReport) BufferedTotals() (msgs, reqs int, bytes int64) {
 // StorageShare reports the fraction of total downtime spent in storage
 // writes — the paper observes this is over 95% for the regular protocol.
 func (r *CycleReport) StorageShare() float64 {
-	if ih, sh := r.hist("individual"), r.hist("storage_write"); ih != nil && sh != nil {
-		if ih.Sum() == 0 {
-			return 0
-		}
-		return float64(sh.Sum()) / float64(ih.Sum())
-	}
 	var ind, st sim.Time
 	for _, rec := range r.Records {
 		ind += rec.Individual()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/ib"
 	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
@@ -28,6 +29,12 @@ type testCluster struct {
 
 // buildCluster wires storage, fabric, job, and coordinator on k.
 func buildCluster(k *sim.Kernel, n int, cfg Config) (*testCluster, error) {
+	return buildClusterMPI(k, n, cfg, mpi.DefaultConfig())
+}
+
+// buildClusterMPI is buildCluster with a non-default library configuration
+// (the uncoordinated protocol needs message logging).
+func buildClusterMPI(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config) (*testCluster, error) {
 	st, err := storage.New(k, storage.Config{AggregateBW: 100 * testMB, ClientBW: 100 * testMB})
 	if err != nil {
 		return nil, err
@@ -36,7 +43,7 @@ func buildCluster(k *sim.Kernel, n int, cfg Config) (*testCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	j, err := mpi.NewJob(k, f, mpi.DefaultConfig(), n)
+	j, err := mpi.NewJob(k, f, mpiCfg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -421,23 +428,51 @@ func TestHelperThreadAblation(t *testing.T) {
 	}
 }
 
+// TestFinishedRankCheckpoints: a rank whose body returned before the request
+// is checkpointed from kernel events, under a blocking protocol and under the
+// uncoordinated one, and its record is as well-formed as a live rank's.
 func TestFinishedRankCheckpoints(t *testing.T) {
 	const n = 3
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 10 * testMB
-	c := newCluster(t, n, cfg)
-	c.j.Launch(0, func(e *mpi.Env) {
-		e.Compute(100 * sim.Millisecond) // finishes before the checkpoint
-	})
-	c.j.Launch(1, computeLoop(30, 100*sim.Millisecond))
-	c.j.Launch(2, computeLoop(30, 100*sim.Millisecond))
-	c.co.ScheduleCheckpoint(sim.Second)
-	runSim(t, c.k)
-	if len(c.reports(t)) != 1 {
-		t.Fatal("cycle did not complete with a finished rank")
-	}
-	if !c.co.Snapshots().Complete(1) {
-		t.Fatal("snapshot set incomplete")
+	for _, kind := range []protocol.Kind{protocol.WholeJob, protocol.Uncoordinated} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Protocol = kind
+			cfg.DefaultFootprint = 10 * testMB
+			mpiCfg := mpi.DefaultConfig()
+			mpiCfg.LogMessages = kind == protocol.Uncoordinated
+			c, err := buildClusterMPI(sim.NewKernel(1), n, cfg, mpiCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.j.Launch(0, func(e *mpi.Env) {
+				e.Compute(100 * sim.Millisecond) // finishes before the checkpoint
+			})
+			c.j.Launch(1, computeLoop(30, 100*sim.Millisecond))
+			c.j.Launch(2, computeLoop(30, 100*sim.Millisecond))
+			c.co.ScheduleCheckpoint(sim.Second)
+			runSim(t, c.k)
+			reps := c.reports(t)
+			if len(reps) != 1 {
+				t.Fatal("cycle did not complete with a finished rank")
+			}
+			if line := c.co.Protocol().RestartLine(c.co.Snapshots()); line.Empty() || line.Snaps[0] == nil {
+				t.Fatal("finished rank has no restartable snapshot")
+			}
+			for r, rec := range reps[0].Records {
+				at := []sim.Time{rec.SafePointAt, rec.GoAt, rec.TeardownDone, rec.WriteStart, rec.WriteEnd, rec.ResumeAt}
+				for i := 1; i < len(at); i++ {
+					if at[i] < at[i-1] {
+						t.Fatalf("rank %d record out of order: %+v", r, rec)
+					}
+				}
+				if rec.SafePointAt < sim.Second || rec.Footprint != 10*testMB {
+					t.Fatalf("rank %d record: %+v", r, rec)
+				}
+			}
+			if rec := reps[0].Records[0]; rec.ResumeAt != rec.WriteEnd {
+				t.Fatalf("finished rank waited for its group: %+v", rec)
+			}
+		})
 	}
 }
 

@@ -68,12 +68,10 @@ type Options struct {
 // Line is a restart line: the snapshots a restarted job resumes from.
 type Line struct {
 	// Snaps has one entry per rank; nil means that rank restarts from
-	// scratch (its initial state).
+	// scratch (its initial state). The blocking protocols always select one
+	// uniform epoch; the uncoordinated recovery line may mix epochs across
+	// ranks.
 	Snaps []*blcr.Snapshot
-	// Epochs is the epoch each rank resumes from (0 = from scratch). The
-	// blocking protocols always select one uniform epoch; the uncoordinated
-	// recovery line may mix epochs across ranks.
-	Epochs []int
 	// Skipped counts archived epochs rejected (corrupted or incomplete)
 	// while computing the line.
 	Skipped int
@@ -87,30 +85,6 @@ func (l Line) Empty() bool {
 		}
 	}
 	return true
-}
-
-// Epoch returns the highest epoch on the line: the most recent checkpoint
-// any rank resumes from.
-func (l Line) Epoch() int {
-	best := 0
-	for _, e := range l.Epochs {
-		if e > best {
-			best = e
-		}
-	}
-	return best
-}
-
-// ReadbackBytes is the total snapshot image size the restart must read from
-// storage.
-func (l Line) ReadbackBytes() int64 {
-	var total int64
-	for _, s := range l.Snaps {
-		if s != nil {
-			total += s.Size()
-		}
-	}
-	return total
 }
 
 // Protocol is one coordination scheme's policy surface. Implementations are
@@ -155,32 +129,17 @@ func ForKind(k Kind) (Protocol, error) {
 // Kinds lists the available protocols.
 func Kinds() []Kind { return []Kind{Group, WholeJob, Uncoordinated} }
 
-// HasPhase reports whether phase is in the protocol's vocabulary.
-func HasPhase(p Protocol, phase string) bool {
-	for _, ph := range p.Phases() {
-		if ph == phase {
-			return true
-		}
-	}
-	return false
-}
-
 // completeLine is the shared restart-line rule of the blocking protocols:
 // the newest committed epoch whose every snapshot still verifies, uniform
 // across ranks. It is the read side of the atomic two-phase epoch commit.
 func completeLine(snaps *blcr.Store) Line {
 	epoch, byRank, skipped := snaps.LatestVerified()
-	line := Line{
-		Snaps:   make([]*blcr.Snapshot, snaps.Size()),
-		Epochs:  make([]int, snaps.Size()),
-		Skipped: skipped,
-	}
+	line := Line{Snaps: make([]*blcr.Snapshot, snaps.Size()), Skipped: skipped}
 	if epoch == 0 {
 		return line
 	}
-	for rank := 0; rank < snaps.Size(); rank++ {
+	for rank := range line.Snaps {
 		line.Snaps[rank] = byRank[rank]
-		line.Epochs[rank] = epoch
 	}
 	return line
 }

@@ -65,11 +65,10 @@ func (uncoordinated) RequiresLogging() bool { return true }
 // rank's. Message-log replay bridges the resulting epoch skew.
 func (uncoordinated) RestartLine(snaps *blcr.Store) Line {
 	n := snaps.Size()
-	line := Line{Snaps: make([]*blcr.Snapshot, n), Epochs: make([]int, n)}
+	line := Line{Snaps: make([]*blcr.Snapshot, n)}
 	for rank := 0; rank < n; rank++ {
-		epoch, s, skipped := snaps.LatestRankDurable(rank)
+		_, s, skipped := snaps.LatestRankDurable(rank)
 		line.Snaps[rank] = s
-		line.Epochs[rank] = epoch
 		line.Skipped += skipped
 	}
 	return line

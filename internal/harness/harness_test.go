@@ -327,6 +327,36 @@ func TestMeasureObservedRecordsTimeline(t *testing.T) {
 	}
 }
 
+// TestFinishedRankPhaseMetrics: on a cell where the second group's ranks
+// return before their turn, the records a finished rank files feed the bus
+// registry phase durations like a live rank's — it once left GoAt unset, so
+// cr/sync took a negative sample and cr/teardown an absolute time.
+func TestFinishedRankPhaseMetrics(t *testing.T) {
+	cfg := smallCluster(8)
+	cfg.CR.GroupSize = 4
+	w := workload.CommGroups{N: 8, CommGroupSize: 4, Iters: 20,
+		Chunk: 5 * sim.Millisecond, FootprintMB: 20}
+	bus := obs.NewBus()
+	res, err := MeasureObserved(cfg, w, 40*sim.Millisecond, bus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late := res.Report.Records[7]; late.SafePointAt < res.Baseline {
+		t.Fatalf("rank 7 stopped at %v, before the job's end at %v: no finished rank in this cell",
+			late.SafePointAt, res.Baseline)
+	}
+	m := bus.Metrics()
+	if n := m.Histogram(obs.LayerCR, "sync").Count(); n != 8 {
+		t.Fatalf("cr/sync has %d samples, want one per rank", n)
+	}
+	if min := m.Histogram(obs.LayerCR, "sync").Min(); min < 0 {
+		t.Fatalf("cr/sync min = %v", min)
+	}
+	if max := m.Histogram(obs.LayerCR, "teardown").Max(); max >= sim.Second {
+		t.Fatalf("cr/teardown max = %v", max)
+	}
+}
+
 // Property: restart equivalence holds across random group sizes, checkpoint
 // times, failure times, and protocol options.
 func TestQuickRestartEquivalence(t *testing.T) {

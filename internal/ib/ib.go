@@ -45,45 +45,22 @@ type Config struct {
 	OOBLatency sim.Time
 	// CtlSize is the wire size of in-band control packets (flush markers).
 	CtlSize int64
-	// HandshakeTimeout is the base retransmission timeout for connection
-	// management and flush packets. Zero selects 4×OOBLatency (or 1 ms if
-	// OOBLatency is zero). Retransmission timers are armed only while a drop
-	// filter is installed, so fault-free runs schedule no timer events.
-	HandshakeTimeout sim.Time
-	// HandshakeRetries caps how many times one packet is retransmitted
-	// before the endpoint declares the peer unreachable and fails the
-	// simulation. Zero selects 8.
-	HandshakeRetries int
-	// HandshakeBackoffCap caps the exponential backoff between
-	// retransmissions. Zero selects 16×HandshakeTimeout.
-	HandshakeBackoffCap sim.Time
 }
 
-// handshakeTimeout resolves the base retransmission timeout default.
+// handshakeRetries caps how many times one connection-management or flush
+// packet is retransmitted before the endpoint declares the peer unreachable
+// and fails the simulation.
+const handshakeRetries = 8
+
+// handshakeTimeout is the base retransmission timeout for connection
+// management and flush packets: 4×OOBLatency (1 ms if OOBLatency is zero).
+// Retransmission timers are armed only while a drop filter is installed, so
+// fault-free runs schedule no timer events.
 func (cfg Config) handshakeTimeout() sim.Time {
-	if cfg.HandshakeTimeout > 0 {
-		return cfg.HandshakeTimeout
-	}
 	if cfg.OOBLatency > 0 {
 		return 4 * cfg.OOBLatency
 	}
 	return sim.Millisecond
-}
-
-// handshakeRetries resolves the retransmission-attempt cap default.
-func (cfg Config) handshakeRetries() int {
-	if cfg.HandshakeRetries > 0 {
-		return cfg.HandshakeRetries
-	}
-	return 8
-}
-
-// backoffCap resolves the backoff ceiling default.
-func (cfg Config) backoffCap() sim.Time {
-	if cfg.HandshakeBackoffCap > 0 {
-		return cfg.HandshakeBackoffCap
-	}
-	return 16 * cfg.handshakeTimeout()
 }
 
 // PaperConfig returns fabric parameters matching the evaluation testbed:
@@ -504,12 +481,9 @@ func (ep *Endpoint) armRetransmit(c *conn) {
 	}
 	ep.disarm(c)
 	d := ep.f.cfg.handshakeTimeout()
-	ceiling := ep.f.cfg.backoffCap()
+	ceiling := 16 * d
 	for i := 0; i < c.retries && d < ceiling; i++ {
 		d *= 2
-	}
-	if d > ceiling {
-		d = ceiling
 	}
 	peer := c.peer
 	c.retry = ep.f.k.After(d, func() { ep.retransmit(peer) })
@@ -526,7 +500,7 @@ func (ep *Endpoint) retransmit(peer int) {
 		return
 	}
 	c.retry = sim.Event{}
-	if c.retries >= ep.f.cfg.handshakeRetries() {
+	if c.retries >= handshakeRetries {
 		ep.f.k.Fail(fmt.Errorf("ib: endpoint %d handshake with %d stuck in state %v after %d retransmits",
 			ep.id, peer, c.state, c.retries))
 		return

@@ -327,9 +327,6 @@ func (r *Rank) RequestSafePoint() {
 	}
 }
 
-// SafePointPending reports whether a safe-point request is outstanding.
-func (r *Rank) SafePointPending() bool { return r.pendingSP }
-
 // SetIndependentCkpt marks the rank's checkpoint coordination as
 // uncoordinated: CollectiveCheckpoint serves only this rank's own pending
 // request, with no collective agreement. The C/R layer sets it when the
@@ -349,9 +346,6 @@ func (r *Rank) SetHelper(on bool) {
 		r.helperTick = sim.Event{}
 	}
 }
-
-// HelperOn reports whether the helper thread is active.
-func (r *Rank) HelperOn() bool { return r.helperOn }
 
 // onWork is the endpoint's packet-arrival notification. Processing follows
 // the MPI progress rule: immediate when the application is inside the

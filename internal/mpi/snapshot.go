@@ -34,9 +34,6 @@ func (r *Rank) Traffic() map[int]int64 {
 // checkpointed execution left off.
 func (c *Comm) AdvanceCollSeq(n int) { c.collSeq = n }
 
-// CollSeq reports the number of collectives issued on this communicator.
-func (c *Comm) CollSeq() int { return c.collSeq }
-
 // Serializable mirrors of internal queue entries (gob requires exported
 // fields).
 type savedMsg struct {

@@ -21,7 +21,6 @@ type Kernel struct {
 	live      int
 	failure   error
 	rng       *rand.Rand
-	tracer    Tracer
 	obs       Observer
 	running   *Proc
 }
@@ -44,10 +43,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // EventsProcessed reports how many events have fired, a measure of
 // simulation work done.
 func (k *Kernel) EventsProcessed() uint64 { return k.processed }
-
-// SetTracer installs a tracer that observes kernel activity. A nil tracer
-// disables tracing.
-func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
 // alloc takes an event from the free list (bumping its generation, which
 // invalidates any handles to its previous life) or allocates a fresh one,
@@ -170,9 +165,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 		k.now = e.at
 		e.fired = true
 		k.processed++
-		if k.tracer != nil {
-			k.tracer.Event(k.now)
-		}
 		k.dispatch(e)
 		k.q.recycle(e)
 	}
@@ -249,13 +241,6 @@ func (k *Kernel) switchTo(p *Proc) {
 // Running returns the currently executing process, or nil when the kernel is
 // running an event callback that is not a process wake-up.
 func (k *Kernel) Running() *Proc { return k.running }
-
-// Tracer observes kernel activity. Implementations must not re-enter the
-// kernel.
-type Tracer interface {
-	// Event is called before each event callback fires, with the new clock.
-	Event(now Time)
-}
 
 // Observer receives process scheduling notifications: spawn, park, unpark,
 // and completion. It is the kernel-level feed of the observability layer

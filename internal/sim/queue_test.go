@@ -204,10 +204,12 @@ func TestStaleHandleSafety(t *testing.T) {
 // in order.
 func TestCancelHeavyCompaction(t *testing.T) {
 	k := NewKernel(1)
+	var fired []Time
+	record := func() { fired = append(fired, k.Now()) }
 	var handles []Event
 	n := 1024
 	for i := 0; i < n; i++ {
-		handles = append(handles, k.At(Time(1000+i), nop))
+		handles = append(handles, k.At(Time(1000+i), record))
 	}
 	for i, h := range handles {
 		if i%4 != 0 {
@@ -223,9 +225,7 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	if k.q.nCanceled*2 > k.q.len() && k.q.len() >= compactMin {
 		t.Fatalf("nCanceled = %d of %d queued: compaction invariant violated", k.q.nCanceled, k.q.len())
 	}
-	var fired []Time
-	k.At(2500, func() {})
-	k.SetTracer(traceFn(func(now Time) { fired = append(fired, now) }))
+	k.At(2500, record)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,6 @@ func TestCancelHeavyCompaction(t *testing.T) {
 		}
 	}
 }
-
-// traceFn adapts a function to the Tracer interface.
-type traceFn func(now Time)
-
-func (f traceFn) Event(now Time) { f(now) }
 
 // TestRunqOrderAgainstHeap pins the merge rule between the two structures:
 // an event scheduled at the current instant (run queue) and an event that was

@@ -602,31 +602,6 @@ func TestQuickNoLostWakeups(t *testing.T) {
 	}
 }
 
-// recordingTracer counts kernel events.
-type recordingTracer struct {
-	events int
-	last   Time
-}
-
-func (t *recordingTracer) Event(now Time) {
-	t.events++
-	t.last = now
-}
-
-func TestTracerObservesEvents(t *testing.T) {
-	k := NewKernel(1)
-	tr := &recordingTracer{}
-	k.SetTracer(tr)
-	k.At(5, func() {})
-	k.At(10, func() {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.events != 2 || tr.last != 10 {
-		t.Fatalf("tracer saw %d events, last at %v", tr.events, tr.last)
-	}
-}
-
 func TestInterruptOnFinishedProcIsHarmless(t *testing.T) {
 	k := NewKernel(1)
 	p := k.Spawn("p", func(p *Proc) {})

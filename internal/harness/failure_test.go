@@ -1,0 +1,127 @@
+package harness
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"gbcr/internal/fault"
+	"gbcr/internal/mpi"
+	"gbcr/internal/sim"
+	"gbcr/internal/workload"
+)
+
+// stuck is a workload whose ranks all wait for a message nobody sends, so a
+// plain run of it deadlocks with every rank parked. With giveUp > 0, rank 0
+// first fails the run at that time — for RunScenario, whose periodic
+// checkpoints keep a stuck job's event queue from ever draining.
+type stuck struct{ giveUp sim.Time }
+
+func (stuck) Name() string { return "stuck" }
+
+func (w stuck) Launch(j *mpi.Job) (workload.Instance, error) { return w.LaunchFrom(j, nil) }
+
+func (w stuck) LaunchFrom(j *mpi.Job, _ [][]byte) (workload.Instance, error) {
+	j.LaunchAll(func(e *mpi.Env) {
+		if w.giveUp > 0 && e.Rank() == 0 {
+			e.Compute(w.giveUp)
+			e.Proc().K().Fail(errors.New("rank 0 gave up"))
+		}
+		e.Recv(e.World(), mpi.ANY, 0)
+	})
+	return stuckInstance{}, nil
+}
+
+type stuckInstance struct{ workload.ConstFootprint }
+
+func (stuckInstance) Capture(int) ([]byte, error) { return nil, nil }
+
+// stuckOnRestart runs as a Ring until it is restarted, then as stuck.
+type stuckOnRestart struct{ workload.Ring }
+
+func (stuckOnRestart) LaunchFrom(j *mpi.Job, states [][]byte) (workload.Instance, error) {
+	return stuck{}.LaunchFrom(j, states)
+}
+
+// TestFailedRunReleasesGoroutines: every harness entry point that gives up on
+// a kernel after an error must shut it down, or each failed cell of a sweep
+// strands one goroutine (and stack) per rank for the life of the process.
+func TestFailedRunReleasesGoroutines(t *testing.T) {
+	const n = 16
+	cases := []struct {
+		name    string
+		run     func() error
+		wantErr string
+	}{
+		{"Cluster.run", func() error {
+			_, err := Baseline(smallCluster(n), stuck{})
+			return err
+		}, "deadlock"},
+		{"RunWithFailure restart", func() error {
+			cfg := smallCluster(n)
+			cfg.CR.DefaultFootprint = 5 << 20
+			w := stuckOnRestart{workload.Ring{N: n, Iters: 60, Chunk: 50 * sim.Millisecond, FootprintMB: 5}}
+			_, err := RunWithFailure(cfg, w, []sim.Time{500 * sim.Millisecond}, 2*sim.Second)
+			return err
+		}, "restarted run"},
+		{"RunScenario", func() error {
+			_, err := RunScenario(smallCluster(n), stuck{giveUp: sim.Second}, fault.Scenario{}, 10*sim.Second, nil)
+			return err
+		}, "rank 0 gave up"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			err := tc.run()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
+			}
+			// Give the runtime a moment to retire exited goroutines.
+			for i := 0; i < 50; i++ {
+				if runtime.NumGoroutine() <= before {
+					return
+				}
+				runtime.Gosched()
+				//lint:allow-simdeterminism real-time yield for a host-concurrency test, not simulated time
+				time.Sleep(time.Millisecond)
+			}
+			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+		})
+	}
+}
+
+func explodingCallback() { panic("callback boom") }
+
+// TestForEachCallbackPanicBecomesError: a panic out of a kernel event
+// callback happens on whichever goroutine was driving the event loop —
+// usually a parked rank's. It must still come out of Kernel.Run on the
+// worker's goroutine, where ForEach turns it into that cell's error.
+func TestForEachCallbackPanicBecomesError(t *testing.T) {
+	err := NewRunner(2).ForEach(3, func(i int) error {
+		c, err := NewCluster(smallCluster(4))
+		if err != nil {
+			return err
+		}
+		defer c.K.Shutdown()
+		if _, err := c.launch(stuck{}); err != nil {
+			return err
+		}
+		if i == 1 {
+			c.K.At(sim.Second, explodingCallback) // every rank is parked by now
+		}
+		if err := c.K.Run(); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("cell %d: Run = %v, want a deadlock", i, err)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("callback panic was swallowed")
+	}
+	for _, want := range []string{"harness: cell 1 panicked: ", "callback boom", "explodingCallback"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+}

@@ -169,6 +169,7 @@ func (c *Cluster) launch(w workload.Workload) (workload.Instance, error) {
 // label names the run in errors; it is not an obs event kind.
 func (c *Cluster) run(label string) error {
 	if err := c.K.Run(); err != nil {
+		c.K.Shutdown() // a failed run leaves its ranks parked; release their goroutines
 		return fmt.Errorf("harness: %s run failed: %w", label, err)
 	}
 	if !c.Job.Finished() {

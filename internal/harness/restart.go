@@ -52,6 +52,7 @@ func RunWithFailure(cfg ClusterConfig, w workload.Restartable, ckptAt []sim.Time
 	// The failure: the simulation is abandoned at failAt — every process,
 	// its memory, and the network are lost. Only storage survives.
 	if err := c.K.RunUntil(failAt); err != nil {
+		c.K.Shutdown()
 		return FailureResult{}, fmt.Errorf("harness: run until failure: %w", err)
 	}
 	epoch, snaps := c.Coord.Snapshots().Latest()
@@ -104,6 +105,7 @@ func RunWithFailure(cfg ClusterConfig, w workload.Restartable, ckptAt []sim.Time
 		})
 	}
 	if err := c2.K.Run(); err != nil {
+		c2.K.Shutdown() // a failed restart leaves its ranks parked
 		return FailureResult{}, fmt.Errorf("harness: restarted run: %w", err)
 	}
 	return FailureResult{

@@ -154,6 +154,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		case errors.Is(err, fault.ErrRankCrash):
 			// An injected crash killed the job; fall through to restart.
 		default:
+			c.K.Shutdown() // any other failure abandons the attempt with its ranks parked
 			return res, err
 		}
 		res.Checkpoints += c.Coord.Epoch()

@@ -13,8 +13,9 @@ func benchNop() {}
 
 // BenchmarkParkUnparkPingPong measures the closure-free wake path: two
 // processes alternately unpark each other at the same instant, so every
-// round trip is a run-queue event plus two coroutine hand-offs and zero
-// clock movement.
+// round trip is two run-queue events plus two goroutine hand-offs (ping →
+// pong → ping, each parker waking the other directly) and zero clock
+// movement.
 func BenchmarkParkUnparkPingPong(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N

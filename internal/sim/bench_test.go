@@ -23,9 +23,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 	b.ReportMetric(float64(fired), "events")
 }
 
-// BenchmarkProcSwitch measures the coroutine hand-off cost (sleep-wake
-// cycles between kernel and process goroutines).
-func BenchmarkProcSwitch(b *testing.B) {
+// BenchmarkSelfWake measures a park that ends in a wake of the same process:
+// a lone sleeper fires its own timer in the loop it drives while parked, so
+// an op is one park, one event and no goroutine hand-off.
+func BenchmarkSelfWake(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
 	k.Spawn("p", func(p *Proc) {
@@ -33,6 +34,26 @@ func BenchmarkProcSwitch(b *testing.B) {
 			p.Sleep(10)
 		}
 	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcHandOff measures the process switch proper: two processes
+// sleep alternately (offset by half a period), so each park's next event
+// wakes the other one — one park, one event and one goroutine hand-off per op.
+func BenchmarkProcHandOff(b *testing.B) {
+	k := NewKernel(1)
+	n := b.N
+	for _, offset := range []Time{0, 5} {
+		k.Spawn("p", func(p *Proc) {
+			p.Sleep(offset)
+			for i := 0; i < n/2; i++ {
+				p.Sleep(10)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

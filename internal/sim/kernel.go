@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -11,27 +12,36 @@ import (
 // the event queue, and all processes. A Kernel is not safe for use from
 // multiple OS threads; all interaction happens either before Run or from
 // within event callbacks and process bodies, which the kernel serializes.
+//
+// Control is held by exactly one goroutine at a time — the Run caller or one
+// process — and the event loop (drive) has no goroutine of its own: whoever
+// gives up control fires events until one makes a process runnable.
 type Kernel struct {
 	now       Time
 	seq       uint64
 	processed uint64
+	handOffs  uint64
+	limit     Time // the RunUntil in progress fires no event beyond it; < 0 means none
 	q         eventQueue
-	yielded   chan struct{} // shared: channel control hand-off between kernel and process goroutines
+	yielded   chan struct{} // shared: channel control hand-off from a process goroutine back to the Run caller
 	procs     []*Proc
 	live      int
 	failure   error
 	rng       *rand.Rand
 	obs       Observer
 	running   *Proc
+	caught    func() // recoverCallback, bound once so drive's defer allocates nothing
 }
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		yielded: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
+	k.caught = k.recoverCallback
+	return k
 }
 
 // Now reports the current simulated time.
@@ -43,6 +53,11 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // EventsProcessed reports how many events have fired, a measure of
 // simulation work done.
 func (k *Kernel) EventsProcessed() uint64 { return k.processed }
+
+// HandOffs reports how many times control has passed from one goroutine to
+// another (one per channel send): the host-side price of the run's process
+// switches. A process woken by an event it fired itself costs none.
+func (k *Kernel) HandOffs() uint64 { return k.handOffs }
 
 // alloc takes an event from the free list (bumping its generation, which
 // invalidates any handles to its previous life) or allocates a fresh one,
@@ -108,25 +123,6 @@ func (k *Kernel) atWake(t Time, p *Proc, tok uint64, kind wakeKind) Event {
 	return Event{e: e, gen: e.gen}
 }
 
-// dispatch runs one fired event: the wake fast path when a target process
-// is stored, the general callback otherwise.
-//
-// alloc-free
-func (k *Kernel) dispatch(e *event) {
-	p := e.wake
-	if p == nil {
-		e.fn()
-		return
-	}
-	if e.wakeKind == wakeStart {
-		if p.state == procReady {
-			k.switchTo(p)
-		}
-		return
-	}
-	p.tryWake(e.wakeTok, e.wakeKind)
-}
-
 // Fail aborts the simulation with err at the next opportunity. It is used by
 // process wrappers on panic and may be used by models to signal fatal
 // conditions.
@@ -147,33 +143,30 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 // limit). When it returns because of the limit, the clock is advanced to
 // limit and remaining events stay queued; a subsequent call resumes.
 //
+// The caller drives the event loop until an event makes a process runnable,
+// hands it control and waits: from then on parking and exiting processes
+// drive in its place (Proc.yield), and control comes back only when the loop
+// has stopped — queue drained, limit reached, or failure set. What that means
+// (deadlock, limit, error, a callback's panic) is decided here alone.
+//
 // alloc-free
 func (k *Kernel) RunUntil(limit Time) error {
-	for k.failure == nil {
-		// Peek-then-commit: next discards canceled events as it finds them
-		// (each examined once) and pop removes the committed event without
-		// rescanning.
-		e := k.q.next()
-		if e == nil {
-			break
-		}
-		if limit >= 0 && e.at > limit {
-			k.now = limit
-			return k.failure
-		}
-		k.q.pop(e)
-		k.now = e.at
-		e.fired = true
-		k.processed++
-		k.dispatch(e)
-		k.q.recycle(e)
+	k.limit = limit
+	if p := k.drive(); p != nil {
+		k.handTo(p)
+		<-k.yielded
+	}
+	if cp, ok := k.failure.(*callbackPanic); ok {
+		//lint:allow-panic re-raises an event callback's panic, recovered on whichever stack drove the loop, where Run's caller can see it
+		panic(cp)
 	}
 	if k.failure != nil {
 		return k.failure
 	}
 	if limit >= 0 {
 		// Bounded runs may legitimately leave processes parked awaiting
-		// events the caller will inject later; only advance the clock.
+		// events the caller will inject later; only advance the clock, and
+		// never rewind it to an earlier limit.
 		if k.now < limit {
 			k.now = limit
 		}
@@ -186,10 +179,91 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return nil
 }
 
+// drive is the event loop. It runs on whichever goroutine holds control, with
+// no process running, and fires events in (at, seq) order until one makes a
+// process runnable: that process is returned, already marked running, and the
+// caller either is it (a self-wake: just return) or hands it control. nil
+// means the loop has stopped — queue drained, limit reached, or failure set —
+// and control belongs to the Run caller.
+//
+// A wake event is recycled before control moves (the woken process may run on
+// another goroutine at once), a callback event after its fn returns.
+//
+// alloc-free
+func (k *Kernel) drive() *Proc {
+	k.running = nil
+	defer k.caught()
+	for k.failure == nil {
+		// Peek-then-commit: next discards canceled events as it finds them
+		// (each examined once) and pop removes the committed event without
+		// rescanning.
+		e := k.q.next()
+		if e == nil || (k.limit >= 0 && e.at > k.limit) {
+			break
+		}
+		k.q.pop(e)
+		k.now = e.at
+		e.fired = true
+		k.processed++
+		p := e.wake
+		if p == nil {
+			e.fn()
+			k.q.recycle(e)
+			continue
+		}
+		tok, kind := e.wakeTok, e.wakeKind
+		k.q.recycle(e)
+		if p.tryWake(tok, kind) {
+			k.running = p
+			p.state = procRunning
+			return p
+		}
+	}
+	return nil
+}
+
+// handTo passes control to next, or back to the Run caller when next is nil.
+// The sender must then block on its own channel or exit.
+//
+// alloc-free
+func (k *Kernel) handTo(next *Proc) {
+	k.handOffs++
+	if next == nil {
+		k.yielded <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
+}
+
+// callbackPanic is the failure left by an event callback that panicked. The
+// loop may have been running on a bystander process's stack, so drive
+// recovers there and RunUntil re-raises it on the Run caller's; the carried
+// stack is the only trace of where the callback was.
+type callbackPanic struct {
+	value any
+	stack []byte
+}
+
+func (c *callbackPanic) Error() string {
+	return fmt.Sprintf("sim: event callback panicked: %v\n%s", c.value, c.stack)
+}
+
+// recoverCallback is drive's deferred recover, reached through the pre-bound
+// k.caught. It overrides an earlier failure: the panic must reach the Run
+// caller.
+func (k *Kernel) recoverCallback() {
+	if r := recover(); r != nil {
+		k.failure = &callbackPanic{value: r, stack: debug.Stack()}
+	}
+}
+
 // Shutdown terminates every live process so their goroutines exit. Call it
 // when abandoning a simulation mid-run (e.g. after injecting a failure);
 // using the kernel afterwards is invalid. It must not be called from inside
 // Run, an event callback, or a process body.
+//
+// Setting failure first is what keeps it simple: a killed process's exit tail
+// drives nothing and hands straight back.
 func (k *Kernel) Shutdown() {
 	if k.failure == nil {
 		k.failure = fmt.Errorf("sim: kernel shut down")
@@ -200,15 +274,18 @@ func (k *Kernel) Shutdown() {
 		}
 		p.killed = true
 		switch p.state {
-		case procParked:
+		case procParked: // the park point panics with the kill sentinel
 			p.parkTok = 0
 			p.timer.Cancel()
 			p.timer = Event{}
-			p.state = procReady
-			k.switchTo(p) // the park point panics with the kill sentinel
-		case procReady:
-			k.switchTo(p) // the wrapper observes killed before the body runs
+		case procReady: // the wrapper observes killed before the body runs
+		default:
+			continue
 		}
+		k.running = p
+		p.state = procRunning
+		k.handTo(p)
+		<-k.yielded // p's goroutine has exited
 	}
 }
 
@@ -224,18 +301,6 @@ func (k *Kernel) deadlockError() error {
 	sort.Strings(blocked)
 	return fmt.Errorf("sim: deadlock with %d live process(es):\n  %s",
 		len(blocked), strings.Join(blocked, "\n  "))
-}
-
-// switchTo transfers control to p and blocks until p yields back.
-//
-// alloc-free
-func (k *Kernel) switchTo(p *Proc) {
-	prev := k.running
-	k.running = p
-	p.state = procRunning
-	p.resume <- struct{}{}
-	<-k.yielded
-	k.running = prev
 }
 
 // Running returns the currently executing process, or nil when the kernel is

@@ -21,12 +21,14 @@ const (
 	wakeTimer wakeKind = iota
 	wakeUnpark
 	wakeInterrupt
-	wakeStart // Spawn's initial hand-off; dispatched by the kernel, not tryWake
+	wakeStart // Spawn's initial hand-off
 )
 
 // Proc is a simulated process: a goroutine scheduled cooperatively by the
 // kernel. Process bodies may only call Proc and Kernel methods from their own
-// goroutine while they hold control.
+// goroutine while they hold control. A process that gives control up — by
+// parking or by returning — runs the kernel's event loop on its own goroutine
+// until some process (possibly itself) becomes runnable.
 //
 // Blocking follows permit semantics similar to runtime parkers: Unpark on a
 // non-parked process stores a permit that makes the next Park return
@@ -36,7 +38,7 @@ type Proc struct {
 	k           *Kernel
 	id          int
 	name        string
-	resume      chan struct{} // shared: channel control hand-off between kernel and this process's goroutine
+	resume      chan struct{} // shared: channel control hand-off to this process's goroutine from whichever goroutine drove the loop
 	state       procState
 	blockReason string
 
@@ -68,7 +70,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	if k.obs != nil {
 		k.obs.ProcSpawned(k.now, name)
 	}
-	// shared: channel the process trampoline; it runs only while the kernel waits on yielded/resume
+	// shared: channel the process trampoline; it runs only while every other goroutine waits on yielded/resume
 	go func() {
 		<-p.resume
 		defer func() {
@@ -85,7 +87,10 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 			for _, fn := range p.exitHook {
 				fn()
 			}
-			k.yielded <- struct{}{}
+			// The exiting process drives in place of a parking one. After
+			// Shutdown or a panic, failure is set: drive fires nothing and
+			// control goes straight back to the Run caller.
+			k.handTo(k.drive())
 		}()
 		if p.killed {
 			return
@@ -115,12 +120,17 @@ func (p *Proc) Done() bool { return p.state == procDone }
 // returns.
 func (p *Proc) OnExit(fn func()) { p.exitHook = append(p.exitHook, fn) }
 
-// yield hands control back to the kernel and blocks until resumed.
+// yield gives up control until p is runnable again. The parking process runs
+// the event loop itself: an event that wakes p returns without touching a
+// channel; one that wakes another process costs a single hand-off to it, and
+// a stopped loop one back to the Run caller, after which p waits on resume.
 //
 // alloc-free
 func (p *Proc) yield() {
-	p.k.yielded <- struct{}{}
-	<-p.resume
+	if next := p.k.drive(); next != p {
+		p.k.handTo(next)
+		<-p.resume
+	}
 }
 
 // checkContext panics if the calling goroutine is not the running process.
@@ -158,17 +168,21 @@ func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 	return p.kind
 }
 
-// tryWake transitions a parked process to running. It must be called from
-// kernel (event-callback) context. Wake-ups arriving while the process is
-// not parked are converted to a permit (unpark) or pending interrupt so
-// they are not lost. An unpark or interrupt that was queued for an earlier
-// park of a process that has since re-parked is delivered to the current
-// park as a spurious wake (Park's contract makes callers loop), so queued
-// wake-ups never collapse into the single permit bit. The token guards only
-// the timer path: a timed wake is valid solely for the park that armed it.
+// tryWake applies a fired wake event to p and reports whether it made p
+// runnable; the event loop then gives p control. Wake-ups arriving while the
+// process is not parked are converted to a permit (unpark) or pending
+// interrupt so they are not lost. An unpark or interrupt that was queued for
+// an earlier park of a process that has since re-parked is delivered to the
+// current park as a spurious wake (Park's contract makes callers loop), so
+// queued wake-ups never collapse into the single permit bit. The token guards
+// only the timer path: a timed wake is valid solely for the park that armed
+// it.
 //
 // alloc-free
-func (p *Proc) tryWake(tok uint64, kind wakeKind) {
+func (p *Proc) tryWake(tok uint64, kind wakeKind) bool {
+	if kind == wakeStart {
+		return p.state == procReady
+	}
 	if p.state != procParked || (kind == wakeTimer && p.parkTok != tok) {
 		switch kind {
 		case wakeUnpark:
@@ -176,7 +190,7 @@ func (p *Proc) tryWake(tok uint64, kind wakeKind) {
 		case wakeInterrupt:
 			p.intPend = true
 		}
-		return
+		return false
 	}
 	p.parkTok = 0
 	if kind != wakeTimer {
@@ -189,7 +203,7 @@ func (p *Proc) tryWake(tok uint64, kind wakeKind) {
 	if p.k.obs != nil {
 		p.k.obs.ProcUnparked(p.k.now, p.name)
 	}
-	p.k.switchTo(p)
+	return true
 }
 
 // Park blocks until Unpark or Interrupt, or returns immediately when a permit

@@ -704,20 +704,22 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		}
 		k.Shutdown()
 	}
-	// Give the runtime a moment to retire exited goroutines.
-	for i := 0; i < 50; i++ {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		runtimeGosched()
-	}
-	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+	expectGoroutines(t, before+2)
 }
 
-func runtimeGosched() {
-	runtime.Gosched()
-	//lint:allow-simdeterminism real-time yield for a host-concurrency test, not simulated time
-	time.Sleep(time.Millisecond)
+// expectGoroutines fails the test unless the goroutine count drops to max,
+// giving the runtime a moment to retire exited goroutines.
+func expectGoroutines(t *testing.T, max int) {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		if runtime.NumGoroutine() <= max {
+			return
+		}
+		runtime.Gosched()
+		//lint:allow-simdeterminism real-time yield for a host-concurrency test, not simulated time
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d live, want <= %d", runtime.NumGoroutine(), max)
 }
 
 func TestShutdownRunsExitHooks(t *testing.T) {

@@ -43,8 +43,7 @@ type Controller struct {
 	cycleActive bool
 	cycle       int
 	baseEpoch   int
-	groups      [][]int
-	groupOf     map[int]int
+	groupOf     []int // rank → group, -1 in none; the coordinator's, shared read-only by every controller
 	myGroup     int
 	turnStarted []bool
 	groupDone   []bool
@@ -127,8 +126,8 @@ func (c *Controller) SendAllowed(dst int) bool {
 		// messages are covered by the sender log, not by blocking.
 		return true
 	}
-	g, ok := c.groupOf[dst]
-	if !ok {
+	g := c.groupOf[dst]
+	if g < 0 {
 		return true
 	}
 	if g == c.myGroup {
@@ -158,7 +157,7 @@ func (c *Controller) acceptConn(peer int, meta int64) bool {
 		return true
 	}
 	peerView := c.baseEpoch
-	if g, ok := c.groupOf[peer]; ok && c.groupDone[g] {
+	if g := c.groupOf[peer]; g >= 0 && c.groupDone[g] {
 		peerView++
 	}
 	return peerView == c.epoch
@@ -209,17 +208,8 @@ func (c *Controller) startCycle(m msgCkptRequest) {
 	c.bufStart = c.rank.Stats()
 	c.cycle = m.cycle
 	c.baseEpoch = c.epoch
-	c.groups = m.groups
-	c.groupOf = make(map[int]int)
-	c.myGroup = -1
-	for gi, g := range m.groups {
-		for _, r := range g {
-			c.groupOf[r] = gi
-			if r == c.rank.World() {
-				c.myGroup = gi
-			}
-		}
-	}
+	c.groupOf = m.groupOf
+	c.myGroup = m.groupOf[c.rank.World()]
 	c.turnStarted = make([]bool, len(m.groups))
 	c.groupDone = make([]bool, len(m.groups))
 	c.mySaved = false

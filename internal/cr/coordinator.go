@@ -237,7 +237,16 @@ func (co *Coordinator) RequestCheckpoint() {
 	if co.bus.HasSinks() {
 		co.emit("request", fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
 	}
-	co.broadcast(msgCkptRequest{cycle: co.cycle, groups: co.groups})
+	groupOf := make([]int, n)
+	for r := range groupOf {
+		groupOf[r] = -1
+	}
+	for gi, g := range co.groups {
+		for _, r := range g {
+			groupOf[r] = gi
+		}
+	}
+	co.broadcast(msgCkptRequest{cycle: co.cycle, groups: co.groups, groupOf: groupOf})
 	if !co.proto.Blocking() {
 		// Uncoordinated: no turns and no readiness barrier. Every controller
 		// heads for its own safe point on the request (interrupting in

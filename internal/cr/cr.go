@@ -160,10 +160,12 @@ const CoordinatorID = -1
 // controller-to-coordinator messages likewise.
 type (
 	// msgCkptRequest opens a checkpointing cycle and publishes the group
-	// schedule to every rank.
+	// schedule to every rank. groupOf is its inverse, rank → group (-1: in no
+	// group), built once per cycle; receivers keep it and must not write it.
 	msgCkptRequest struct {
-		cycle  int
-		groups [][]int
+		cycle   int
+		groups  [][]int
+		groupOf []int
 	}
 	// msgTurn announces that a group's checkpoint begins. Members reach a
 	// safe point; everyone else stops sending to that group.

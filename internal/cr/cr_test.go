@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -1121,4 +1122,44 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 			t.Fatalf("rank %d sum %d, want %d", i, sums[i], want)
 		}
 	}
+}
+
+// cycleAllocBytes runs an n-rank pure-compute job up to just before a
+// Group(4) checkpoint request, then through the whole cycle, and returns the
+// host bytes allocated in between.
+func cycleAllocBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.GroupSize = 4
+	cfg.DefaultFootprint = testMB
+	c := newCluster(t, n, cfg)
+	defer c.k.Shutdown()
+	c.j.LaunchAll(computeLoop(1<<30, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	if err := c.k.RunUntil(sim.Second - 1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := c.k.RunUntil(sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if c.co.Epoch() != 1 {
+		t.Fatalf("%d ranks: cycle did not commit by %v", n, sim.Minute)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCycleAllocationLinearInRanks: what one checkpoint cycle allocates on
+// the host grows with the job, not with its square — no rank keeps a private
+// copy of per-job state (each controller once built its own rank → group map
+// every cycle).
+func TestCycleAllocationLinearInRanks(t *testing.T) {
+	at32, at64 := cycleAllocBytes(t, 32), cycleAllocBytes(t, 64)
+	if float64(at64) > 2.2*float64(at32) {
+		t.Fatalf("a cycle allocates %d B at 64 ranks, %d B at 32: %.2fx, want <= 2.2x",
+			at64, at32, float64(at64)/float64(at32))
+	}
+	t.Logf("cycle allocation: %d B at 32 ranks, %d B at 64 (%.2fx)", at32, at64, float64(at64)/float64(at32))
 }

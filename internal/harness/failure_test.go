@@ -95,9 +95,8 @@ func TestFailedRunReleasesGoroutines(t *testing.T) {
 func explodingCallback() { panic("callback boom") }
 
 // TestForEachCallbackPanicBecomesError: a panic out of a kernel event
-// callback happens on whichever goroutine was driving the event loop —
-// usually a parked rank's. It must still come out of Kernel.Run on the
-// worker's goroutine, where ForEach turns it into that cell's error.
+// callback unwinds through Kernel.Run on the worker's goroutine, where
+// ForEach turns it into that cell's error, callback frame included.
 func TestForEachCallbackPanicBecomesError(t *testing.T) {
 	err := NewRunner(2).ForEach(3, func(i int) error {
 		c, err := NewCluster(smallCluster(4))

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"gbcr/internal/cr"
@@ -203,11 +204,12 @@ func (r *Runner) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// protect runs fn(i), converting a panic into an error.
+// protect runs fn(i), converting a panic into an error that carries the
+// panicking stack (its frames are still below the deferred recover).
 func protect(i int, fn func(i int) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("harness: cell %d panicked: %v", i, p)
+			err = fmt.Errorf("harness: cell %d panicked: %v\n%s", i, p, debug.Stack())
 		}
 	}()
 	return fn(i)

@@ -63,7 +63,7 @@ func TestZeroAllocAtNowCycle(t *testing.T) {
 }
 
 // TestZeroAllocParkUnparkRoundTrip: a full Park/Unpark round trip — wake
-// event, coroutine hand-off to the process, re-park, hand-off back.
+// event, coroutine switch to the process, re-park, switch back.
 func TestZeroAllocParkUnparkRoundTrip(t *testing.T) {
 	k := NewKernel(1)
 	p := k.Spawn("pinger", func(p *Proc) {

@@ -13,9 +13,8 @@ func benchNop() {}
 
 // BenchmarkParkUnparkPingPong measures the closure-free wake path: two
 // processes alternately unpark each other at the same instant, so every
-// round trip is two run-queue events plus two goroutine hand-offs (ping →
-// pong → ping, each parker waking the other directly) and zero clock
-// movement.
+// round trip is two run-queue events plus two resumes (loop → pong → loop →
+// ping, four coroutine switches) and zero clock movement.
 func BenchmarkParkUnparkPingPong(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N

@@ -24,8 +24,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkSelfWake measures a park that ends in a wake of the same process:
-// a lone sleeper fires its own timer in the loop it drives while parked, so
-// an op is one park, one event and no goroutine hand-off.
+// an op is one park, one event and one resume. It cost no switch at all while
+// the parking process ran the event loop itself (≈ 45 ns); a coroutine can
+// only switch back to the loop that resumed it, so a self-wake now makes the
+// same round trip as any other wake (≈ 230 ns). Deliberate: DESIGN §4.17.
 func BenchmarkSelfWake(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
@@ -42,7 +44,8 @@ func BenchmarkSelfWake(b *testing.B) {
 
 // BenchmarkProcHandOff measures the process switch proper: two processes
 // sleep alternately (offset by half a period), so each park's next event
-// wakes the other one — one park, one event and one goroutine hand-off per op.
+// wakes the other one — one park, one event and one resume (two coroutine
+// switches) per op.
 func BenchmarkProcHandOff(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N

@@ -1,0 +1,327 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// These tests pin the contract of the coroutine kernel — who fires events,
+// who sees a callback's panic, what Shutdown owes every kind of live process,
+// what a spawn costs — rather than its nanoseconds.
+
+// TestRunUntilNeverRewindsClock: a later RunUntil with an earlier limit must
+// not move the clock back past events that already fired.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	k := NewKernel(1)
+	k.At(10, nop)
+	k.At(30, nop)
+	if err := k.RunUntil(20); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 20 {
+		t.Fatalf("RunUntil(20): now = %v, want 20", k.Now())
+	}
+	if err := k.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 20 {
+		t.Fatalf("RunUntil(5) after RunUntil(20): now = %v, want 20 (clock ran backwards)", k.Now())
+	}
+	k.At(k.Now(), nop) // must not be "scheduling into the past"
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 30 {
+		t.Fatalf("final clock = %v, want 30", k.Now())
+	}
+}
+
+// explodingCallback is a named function so the panicking stack can be checked
+// for it.
+func explodingCallback() { panic("callback exploded") }
+
+// TestCallbackPanicReachesRunCaller: an event callback that panics with
+// processes parked unwinds to Run's caller natively — the original value, the
+// callback's own frame still on the stack — and neither unwinds nor blames a
+// process.
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	k := NewKernel(1)
+	deferredRan := 0
+	for _, name := range []string{"a", "b"} {
+		k.Spawn(name, func(p *Proc) {
+			defer func() { deferredRan++ }()
+			p.Park("bystander")
+		})
+	}
+	k.At(10, explodingCallback)
+
+	var recovered any
+	var stack string
+	func() {
+		defer func() {
+			recovered = recover()
+			stack = string(debug.Stack()) // the panicking frames are still below this one
+		}()
+		err := k.Run()
+		t.Errorf("Run returned (%v); want the callback's panic", err)
+	}()
+	if recovered != "callback exploded" {
+		t.Fatalf("recovered %#v, want the callback's own panic value", recovered)
+	}
+	if !strings.Contains(stack, "explodingCallback") {
+		t.Errorf("the callback's frame is not on the panicking stack:\n%s", stack)
+	}
+	if deferredRan != 0 {
+		t.Errorf("%d bystander process(es) were unwound by the callback's panic", deferredRan)
+	}
+	if k.failure != nil {
+		t.Errorf("a callback's panic was recorded as a failure: %v", k.failure)
+	}
+	// The processes are still parked; Shutdown must be able to release them
+	// (and only now do their defers run).
+	k.Shutdown()
+	if deferredRan != 2 {
+		t.Errorf("Shutdown after a callback panic unwound %d of 2 processes", deferredRan)
+	}
+}
+
+// TestCallbacksRunWithNoProcessRunning: every kind of callback — a timer set
+// before Run, an After armed by a process, an exit hook — runs on the event
+// loop with Running() == nil, however many processes are live around it.
+func TestCallbacksRunWithNoProcessRunning(t *testing.T) {
+	k := NewKernel(1)
+	ran := map[string]int{}
+	callback := func(kind string) func() {
+		return func() {
+			ran[kind]++
+			if r := k.Running(); r != nil {
+				t.Errorf("Running() = %q inside %s callback, want nil", r.Name(), kind)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.OnExit(callback("exit hook"))
+			for j := 0; j < 10; j++ {
+				k.After(5, callback("After"))
+				p.Sleep(10)
+				if k.Running() != p {
+					t.Errorf("Running() != %q inside its own body", p.Name())
+				}
+			}
+		})
+	}
+	for i := 0; i < 10; i++ {
+		k.At(Time(5+10*i), callback("timer"))
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		kind string
+		n    int
+	}{{"timer", 10}, {"After", 40}, {"exit hook", 4}} {
+		if ran[want.kind] != want.n {
+			t.Errorf("%s callbacks ran %d times, want %d", want.kind, ran[want.kind], want.n)
+		}
+	}
+}
+
+// TestSelfUnparkFromOwnEvent: a process that parks and is unparked by a
+// same-instant event it scheduled itself comes straight back.
+func TestSelfUnparkFromOwnEvent(t *testing.T) {
+	k := NewKernel(1)
+	var self *Proc
+	unparkSelf := func() { self.Unpark() }
+	rounds := 0
+	self = k.Spawn("p", func(p *Proc) {
+		for rounds < 100 {
+			k.At(k.Now(), unparkSelf)
+			p.Park("self-unpark")
+			rounds++
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rounds != 100 || k.Now() != 0 {
+		t.Fatalf("rounds = %d at %v, want 100 at 0", rounds, k.Now())
+	}
+}
+
+// TestPingPongAlternates: two processes unparking each other take strict
+// turns — each wake resumes exactly the process it names, and control comes
+// back to the loop between them.
+func TestPingPongAlternates(t *testing.T) {
+	const n = 500
+	k := NewKernel(1)
+	var turns []byte
+	var pa, pb *Proc
+	pa = k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Park("ping")
+			turns = append(turns, 'a')
+			pb.Unpark()
+		}
+	})
+	pb = k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			pa.Unpark()
+			p.Park("pong")
+			turns = append(turns, 'b')
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Repeat("ab", n); string(turns) != want {
+		t.Fatalf("turns were not strictly alternating: %.40s…", turns)
+	}
+}
+
+// TestLoopYieldsToScheduler: on one P, a goroutine made runnable beside a
+// running kernel gets the P within yieldEvery events, long before the
+// runtime's 10 ms forced preemption — coroutine switches never enter the
+// scheduler, so without the loop's yield the collector's background workers
+// would wait for that preemption.
+func TestLoopYieldsToScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := NewKernel(1)
+	var pa, pb *Proc
+	pa = k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < yieldEvery; i++ {
+			p.Park("ping")
+			pb.Unpark()
+		}
+	})
+	pb = k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < yieldEvery; i++ {
+			pa.Unpark()
+			p.Park("pong")
+		}
+	})
+	var ran atomic.Bool
+	go ran.Store(true)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran.Load() {
+		t.Fatalf("a runnable goroutine never got the P in %d events", k.EventsProcessed())
+	}
+}
+
+// TestShutdownEveryProcessState: Shutdown owes a not-started, a parked and a
+// sleeping process the same thing — defers run, exit hooks run (as callbacks),
+// the goroutine behind the coroutine is released — and skips finished ones.
+func TestShutdownEveryProcessState(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	var exited, unwound []string
+	track := func(p *Proc) {
+		p.OnExit(func() {
+			exited = append(exited, p.Name())
+			if k.Running() != nil {
+				t.Errorf("Running() != nil in %s's exit hook", p.Name())
+			}
+		})
+	}
+	body := func(block func(p *Proc)) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { unwound = append(unwound, p.Name()) }()
+			block(p)
+		}
+	}
+	track(k.Spawn("finished", body(func(p *Proc) {})))
+	track(k.Spawn("parked", body(func(p *Proc) { p.Park("forever") })))
+	for i := 0; i < 32; i++ {
+		track(k.Spawn(fmt.Sprintf("sleeper%02d", i), body(func(p *Proc) {
+			for {
+				p.Sleep(10)
+			}
+		})))
+	}
+	if err := k.RunUntil(255); err != nil {
+		t.Fatal(err)
+	}
+	// Spawned after the last RunUntil: its start event never fires.
+	track(k.Spawn("not-started", body(func(p *Proc) { t.Error("a killed not-started process ran its body") })))
+	if len(exited) != 1 || len(unwound) != 1 {
+		t.Fatalf("before Shutdown: exited %v, unwound %v; want only \"finished\"", exited, unwound)
+	}
+	k.Shutdown()
+	if len(exited) != 35 {
+		t.Errorf("exit hooks ran for %d of 35 processes: %v", len(exited), exited)
+	}
+	if len(unwound) != 34 { // the not-started body has no defer to run
+		t.Errorf("defers ran for %d of 34 started processes: %v", len(unwound), unwound)
+	}
+	if exited[len(exited)-1] != "not-started" {
+		t.Errorf("last exit hook was %q, want \"not-started\" (spawn order)", exited[len(exited)-1])
+	}
+	for _, p := range k.procs {
+		if !p.Done() {
+			t.Errorf("%s still live after Shutdown", p.Name())
+		}
+	}
+	expectGoroutines(t, before)
+}
+
+// TestSpawnFromProcessBody: a coroutine may create coroutines. A child
+// spawned mid-body starts only after its parent gives control up, at the
+// same instant, and may itself spawn.
+func TestSpawnFromProcessBody(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	k.Spawn("parent", func(p *Proc) {
+		p.Sleep(10)
+		k.Spawn("child", func(c *Proc) {
+			order = append(order, fmt.Sprintf("child@%v", c.Now()))
+			k.Spawn("grandchild", func(g *Proc) {
+				g.Sleep(1)
+				order = append(order, fmt.Sprintf("grandchild@%v", g.Now()))
+			})
+			c.Sleep(5)
+			order = append(order, fmt.Sprintf("child-done@%v", c.Now()))
+		})
+		order = append(order, "parent-continues")
+		p.Sleep(100)
+		order = append(order, fmt.Sprintf("parent-done@%v", p.Now()))
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(order, " ")
+	want := fmt.Sprintf("parent-continues child@%v grandchild@%v child-done@%v parent-done@%v",
+		Time(10), Time(11), Time(15), Time(110))
+	if got != want {
+		t.Fatalf("order = %s\n want   %s", got, want)
+	}
+}
+
+// TestSpawnRunExitAllocCeiling pins what a process costs to create, run to
+// its end and retire: the Proc, its trampoline closure, and iter.Pull's
+// coroutine (the runtime's coro and goroutine, Pull's captured state and its
+// closures). A per-park allocation would show up in the alloc tests; a second
+// closure or channel per Spawn shows up here.
+func TestSpawnRunExitAllocCeiling(t *testing.T) {
+	k := NewKernel(1)
+	body := func(p *Proc) { p.Sleep(1) }
+	cycle := func() {
+		k.Spawn("p", body)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 600; i++ { // grow k.procs past what the measured runs append
+		cycle()
+	}
+	k.procs = k.procs[:0]
+	const ceiling = 14 // 13 on go1.24: 3 of ours, 10 of iter.Pull
+	if avg := testing.AllocsPerRun(200, cycle); avg > ceiling {
+		t.Fatalf("spawn-run-exit allocates %v/op, want <= %d", avg, ceiling)
+	}
+}

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime/debug"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -13,35 +13,29 @@ import (
 // multiple OS threads; all interaction happens either before Run or from
 // within event callbacks and process bodies, which the kernel serializes.
 //
-// Control is held by exactly one goroutine at a time — the Run caller or one
-// process — and the event loop (drive) has no goroutine of its own: whoever
-// gives up control fires events until one makes a process runnable.
+// Processes are coroutines of the Run caller: it alone fires events, and a
+// wake that makes a process runnable resumes it until it parks or finishes.
 type Kernel struct {
 	now       Time
 	seq       uint64
 	processed uint64
-	handOffs  uint64
-	limit     Time // the RunUntil in progress fires no event beyond it; < 0 means none
 	q         eventQueue
-	yielded   chan struct{} // shared: channel control hand-off from a process goroutine back to the Run caller
 	procs     []*Proc
 	live      int
 	failure   error
 	rng       *rand.Rand
 	obs       Observer
-	running   *Proc
-	caught    func() // recoverCallback, bound once so drive's defer allocates nothing
+	running   *Proc // nil while the event loop or a callback has control
 }
+
+// yieldEvery is how many events fire between two runtime.Gosched calls of the
+// event loop (one pass over an empty run queue, ≈ 2 ns an event); see RunUntil.
+const yieldEvery = 64
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	k := &Kernel{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-	k.caught = k.recoverCallback
-	return k
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now reports the current simulated time.
@@ -53,11 +47,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // EventsProcessed reports how many events have fired, a measure of
 // simulation work done.
 func (k *Kernel) EventsProcessed() uint64 { return k.processed }
-
-// HandOffs reports how many times control has passed from one goroutine to
-// another (one per channel send): the host-side price of the run's process
-// switches. A process woken by an event it fired itself costs none.
-func (k *Kernel) HandOffs() uint64 { return k.handOffs }
 
 // alloc takes an event from the free list (bumping its generation, which
 // invalidates any handles to its previous life) or allocates a fresh one,
@@ -143,22 +132,46 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 // limit). When it returns because of the limit, the clock is advanced to
 // limit and remaining events stay queued; a subsequent call resumes.
 //
-// The caller drives the event loop until an event makes a process runnable,
-// hands it control and waits: from then on parking and exiting processes
-// drive in its place (Proc.yield), and control comes back only when the loop
-// has stopped — queue drained, limit reached, or failure set. What that means
-// (deadlock, limit, error, a callback's panic) is decided here alone.
+// This is the event loop, and only the caller's goroutine ever runs it:
+// events fire in (at, seq) order, a callback runs right here, and a wake that
+// makes a process runnable resumes its coroutine and carries on when it comes
+// back, parked or finished. A callback's panic therefore unwinds straight to
+// the caller, no process stack in between.
+//
+// A coroutine switch never enters the Go scheduler, so the loop yields every
+// yieldEvery events: on one P the collector's background goroutines (mark
+// worker, sweeper, scavenger) would otherwise wait for the runtime's 10 ms
+// forced preemption, and the heap's high-water mark would follow the wall clock.
 //
 // alloc-free
 func (k *Kernel) RunUntil(limit Time) error {
-	k.limit = limit
-	if p := k.drive(); p != nil {
-		k.handTo(p)
-		<-k.yielded
-	}
-	if cp, ok := k.failure.(*callbackPanic); ok {
-		//lint:allow-panic re-raises an event callback's panic, recovered on whichever stack drove the loop, where Run's caller can see it
-		panic(cp)
+	for k.failure == nil {
+		// Peek-then-commit: next discards canceled events as it finds them
+		// (each examined once) and pop removes the committed event without
+		// rescanning.
+		e := k.q.next()
+		if e == nil || (limit >= 0 && e.at > limit) {
+			break
+		}
+		k.q.pop(e)
+		k.now = e.at
+		e.fired = true
+		k.processed++
+		if k.processed%yieldEvery == 0 {
+			//lint:allow-allocfree a scheduler pass allocates nothing; the analyzer cannot see into the runtime
+			runtime.Gosched()
+		}
+		p := e.wake
+		if p == nil {
+			e.fn()
+			k.q.recycle(e)
+			continue
+		}
+		tok, kind := e.wakeTok, e.wakeKind
+		k.q.recycle(e) // before the process runs: it may schedule at once
+		if p.tryWake(tok, kind) {
+			k.resume(p)
+		}
 	}
 	if k.failure != nil {
 		return k.failure
@@ -179,113 +192,43 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return nil
 }
 
-// drive is the event loop. It runs on whichever goroutine holds control, with
-// no process running, and fires events in (at, seq) order until one makes a
-// process runnable: that process is returned, already marked running, and the
-// caller either is it (a self-wake: just return) or hands it control. nil
-// means the loop has stopped — queue drained, limit reached, or failure set —
-// and control belongs to the Run caller.
-//
-// A wake event is recycled before control moves (the woken process may run on
-// another goroutine at once), a callback event after its fn returns.
+// resume switches to p's coroutine and returns when p parks or finishes: the
+// only place a process gains control, called by the event loop and Shutdown.
 //
 // alloc-free
-func (k *Kernel) drive() *Proc {
+func (k *Kernel) resume(p *Proc) {
+	k.running = p
+	p.state = procRunning
+	p.next()
 	k.running = nil
-	defer k.caught()
-	for k.failure == nil {
-		// Peek-then-commit: next discards canceled events as it finds them
-		// (each examined once) and pop removes the committed event without
-		// rescanning.
-		e := k.q.next()
-		if e == nil || (k.limit >= 0 && e.at > k.limit) {
-			break
-		}
-		k.q.pop(e)
-		k.now = e.at
-		e.fired = true
-		k.processed++
-		p := e.wake
-		if p == nil {
-			e.fn()
-			k.q.recycle(e)
-			continue
-		}
-		tok, kind := e.wakeTok, e.wakeKind
-		k.q.recycle(e)
-		if p.tryWake(tok, kind) {
-			k.running = p
-			p.state = procRunning
-			return p
-		}
-	}
-	return nil
 }
 
-// handTo passes control to next, or back to the Run caller when next is nil.
-// The sender must then block on its own channel or exit.
+// Shutdown terminates every live process so the goroutines backing their
+// coroutines are released: a coroutine never resumed to its end is a leaked
+// goroutine, started or not. Call it when abandoning a simulation mid-run
+// (e.g. after injecting a failure); using the kernel afterwards is invalid.
+// It must not be called from inside Run, an event callback, or a process body.
 //
-// alloc-free
-func (k *Kernel) handTo(next *Proc) {
-	k.handOffs++
-	if next == nil {
-		k.yielded <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
-}
-
-// callbackPanic is the failure left by an event callback that panicked. The
-// loop may have been running on a bystander process's stack, so drive
-// recovers there and RunUntil re-raises it on the Run caller's; the carried
-// stack is the only trace of where the callback was.
-type callbackPanic struct {
-	value any
-	stack []byte
-}
-
-func (c *callbackPanic) Error() string {
-	return fmt.Sprintf("sim: event callback panicked: %v\n%s", c.value, c.stack)
-}
-
-// recoverCallback is drive's deferred recover, reached through the pre-bound
-// k.caught. It overrides an earlier failure: the panic must reach the Run
-// caller.
-func (k *Kernel) recoverCallback() {
-	if r := recover(); r != nil {
-		k.failure = &callbackPanic{value: r, stack: debug.Stack()}
-	}
-}
-
-// Shutdown terminates every live process so their goroutines exit. Call it
-// when abandoning a simulation mid-run (e.g. after injecting a failure);
-// using the kernel afterwards is invalid. It must not be called from inside
-// Run, an event callback, or a process body.
-//
-// Setting failure first is what keeps it simple: a killed process's exit tail
-// drives nothing and hands straight back.
+// Each live process is marked killed and resumed once: a parked one panics
+// with the kill sentinel at its park point and unwinds through its defers, a
+// not-started one sees the mark before its body runs. Both end in the
+// trampoline's tail, so exit hooks run.
 func (k *Kernel) Shutdown() {
 	if k.failure == nil {
 		k.failure = fmt.Errorf("sim: kernel shut down")
 	}
 	for _, p := range k.procs {
-		if p.state == procDone {
-			continue
-		}
-		p.killed = true
 		switch p.state {
-		case procParked: // the park point panics with the kill sentinel
+		case procParked:
 			p.parkTok = 0
 			p.timer.Cancel()
 			p.timer = Event{}
-		case procReady: // the wrapper observes killed before the body runs
+		case procReady:
 		default:
 			continue
 		}
-		k.running = p
-		p.state = procRunning
-		k.handTo(p)
-		<-k.yielded // p's goroutine has exited
+		p.killed = true
+		k.resume(p)
 	}
 }
 
@@ -303,8 +246,8 @@ func (k *Kernel) deadlockError() error {
 		len(blocked), strings.Join(blocked, "\n  "))
 }
 
-// Running returns the currently executing process, or nil when the kernel is
-// running an event callback that is not a process wake-up.
+// Running returns the currently executing process, or nil when the caller is
+// not a process body: an event callback, an exit hook, or code outside Run.
 func (k *Kernel) Running() *Proc { return k.running }
 
 // Observer receives process scheduling notifications: spawn, park, unpark,

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -21,14 +24,14 @@ const (
 	wakeTimer wakeKind = iota
 	wakeUnpark
 	wakeInterrupt
-	wakeStart // Spawn's initial hand-off
+	wakeStart // Spawn's first resume
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// kernel. Process bodies may only call Proc and Kernel methods from their own
-// goroutine while they hold control. A process that gives control up — by
-// parking or by returning — runs the kernel's event loop on its own goroutine
-// until some process (possibly itself) becomes runnable.
+// Proc is a simulated process: a coroutine (iter.Pull) that the kernel's event
+// loop resumes when a wake makes it runnable and that switches back when it
+// parks or returns. Process bodies may only call Proc and Kernel methods while
+// they hold control. Nothing but process code ever runs on a process's stack:
+// events fired while it is parked run on the Run caller's.
 //
 // Blocking follows permit semantics similar to runtime parkers: Unpark on a
 // non-parked process stores a permit that makes the next Park return
@@ -38,7 +41,8 @@ type Proc struct {
 	k           *Kernel
 	id          int
 	name        string
-	resume      chan struct{} // shared: channel control hand-off to this process's goroutine from whichever goroutine drove the loop
+	next        func() (struct{}, bool) // switch to the coroutine; Kernel.resume only
+	yield       func(struct{}) bool     // switch back to whoever called next; the park point only
 	state       procState
 	blockReason string
 
@@ -56,13 +60,13 @@ type Proc struct {
 type killSentinel struct{}
 
 // Spawn creates a process that will start running at the current simulated
-// time (once the kernel reaches the start event).
+// time (once the kernel reaches the start event). Its coroutine exists from
+// here on and ends only when the body returns or Shutdown kills it.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		k:           k,
 		id:          len(k.procs),
 		name:        name,
-		resume:      make(chan struct{}),
 		blockReason: "not started",
 	}
 	k.procs = append(k.procs, p)
@@ -70,9 +74,10 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	if k.obs != nil {
 		k.obs.ProcSpawned(k.now, name)
 	}
-	// shared: channel the process trampoline; it runs only while every other goroutine waits on yielded/resume
-	go func() {
-		<-p.resume
+	// The process trampoline. It recovers everything the body can throw, so
+	// nothing but an exit hook's panic ever propagates out of next.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isKill := r.(killSentinel); !isKill {
@@ -81,22 +86,19 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 			}
 			p.state = procDone
 			k.live--
+			k.running = nil // exit hooks are callbacks, not process code
 			if k.obs != nil {
 				k.obs.ProcDone(k.now, p.name)
 			}
 			for _, fn := range p.exitHook {
 				fn()
 			}
-			// The exiting process drives in place of a parking one. After
-			// Shutdown or a panic, failure is set: drive fires nothing and
-			// control goes straight back to the Run caller.
-			k.handTo(k.drive())
 		}()
 		if p.killed {
 			return
 		}
 		body(p)
-	}()
+	})
 	k.atWake(k.now, p, 0, wakeStart)
 	return p
 }
@@ -120,20 +122,7 @@ func (p *Proc) Done() bool { return p.state == procDone }
 // returns.
 func (p *Proc) OnExit(fn func()) { p.exitHook = append(p.exitHook, fn) }
 
-// yield gives up control until p is runnable again. The parking process runs
-// the event loop itself: an event that wakes p returns without touching a
-// channel; one that wakes another process costs a single hand-off to it, and
-// a stopped loop one back to the Run caller, after which p waits on resume.
-//
-// alloc-free
-func (p *Proc) yield() {
-	if next := p.k.drive(); next != p {
-		p.k.handTo(next)
-		<-p.resume
-	}
-}
-
-// checkContext panics if the calling goroutine is not the running process.
+// checkContext panics if the caller is not the running process.
 //
 // alloc-free
 func (p *Proc) checkContext(op string) {
@@ -160,7 +149,7 @@ func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 	if until >= 0 {
 		p.timer = p.k.atWake(until, p, tok, wakeTimer)
 	}
-	p.yield()
+	p.yield(struct{}{}) // back to the event loop until a wake resumes p
 	if p.killed {
 		//lint:allow-panic killSentinel is the Kill unwind mechanism, recovered by the process trampoline
 		panic(killSentinel{})
@@ -169,7 +158,7 @@ func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 }
 
 // tryWake applies a fired wake event to p and reports whether it made p
-// runnable; the event loop then gives p control. Wake-ups arriving while the
+// runnable; the event loop then resumes p. Wake-ups arriving while the
 // process is not parked are converted to a permit (unpark) or pending
 // interrupt so they are not lost. An unpark or interrupt that was queued for
 // an earlier park of a process that has since re-parked is delivered to the

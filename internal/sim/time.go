@@ -1,12 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel schedules a set of cooperative processes (Proc), each backed by
-// a goroutine, with a strict hand-off discipline: at any instant exactly one
-// goroutine — Run's caller or a single process — holds control, and whoever
-// gives it up runs the event loop until a process is runnable (there is no
-// kernel goroutine). Network models, storage models, and the MPI layer are
-// built on top of this kernel, so the whole simulation is deterministic and
-// data-race-free without locks.
+// The kernel schedules a set of cooperative processes (Proc), each a
+// coroutine of the goroutine that calls Run: that goroutine alone runs the
+// event loop and fires callbacks, resumes a process when an event makes it
+// runnable, and gets control back when the process parks or returns. Network
+// models, storage models, and the MPI layer are built on top of this kernel,
+// so the whole simulation is deterministic and data-race-free without locks.
 package sim
 
 import (

@@ -197,6 +197,7 @@ type Transfer struct {
 	read      bool
 	last      sim.Time
 	done      sim.Event
+	finishFn  func() // t.finish, bound once: every rate recompute re-arms done with it
 	completed bool
 	err       error
 	started   sim.Time
@@ -235,6 +236,7 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 		last:      s.k.Now(),
 		started:   s.k.Now(),
 	}
+	t.finishFn = t.finish
 	if j := s.cfg.ShareJitter; j > 0 {
 		t.weight = 1 + j*(2*s.k.Rand().Float64()-1)
 	}
@@ -424,8 +426,7 @@ func (s *System) reschedule() {
 	for _, t := range s.active {
 		t.done.Cancel()
 		dur := sim.Time(math.Ceil(t.remaining / t.rate * float64(sim.Second)))
-		tt := t
-		t.done = s.k.After(dur, func() { tt.finish() })
+		t.done = s.k.After(dur, t.finishFn)
 	}
 }
 

@@ -16,18 +16,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project analyzers (simdeterminism, nopanic, guardedby, lockorder,
-# shardconfine, allocfree, obscomplete, errpropagation).
-# gbcrlint speaks the vet-tool protocol, so the same binary also works as
-# `go vet -vettool=$$(which gbcrlint) ./...`. Exit status: 0 clean,
-# 1 operational error, 2 findings.
+# Project analyzers (simdeterminism, nopanic, guardedby, errpropagation,
+# confine, allocfree, obscomplete, unused), human-readable on stderr.
+# gbcrlint loads the whole module from source, which is what lets unused
+# see every caller. Exit status: 0 clean, 1 operational error, 2 findings.
 lint:
 	$(GO) build -o bin/gbcrlint ./cmd/gbcrlint
 	./bin/gbcrlint ./...
 
 # Same suite, but findings land in lint-findings.json as a JSON array
-# (always valid JSON, [] when clean) for CI to archive; the exit contract
-# is unchanged, so this still gates.
+# (always valid JSON, [] when clean); the exit contract is unchanged, so
+# this gates too. It is the form CI's check job runs and archives.
 lint-json:
 	$(GO) build -o bin/gbcrlint ./cmd/gbcrlint
 	./bin/gbcrlint -json ./... > lint-findings.json

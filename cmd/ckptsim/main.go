@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,6 +43,26 @@ import (
 	"gbcr/internal/workload/hpl"
 	"gbcr/internal/workload/motif"
 )
+
+// shapeFlags lists which of the workload-shape flags (-n, -comm, -footprint,
+// -iters) each workload reads; hpl and motif are the paper's fixed problems.
+var shapeFlags = map[string][]string{
+	"commgroups": {"n", "comm", "footprint", "iters"},
+	"barrier":    {"n", "comm", "footprint"},
+	"hpl":        nil,
+	"motif":      nil,
+	"ring":       {"n", "footprint", "iters"},
+	"allgather":  {"n", "footprint", "iters"},
+	"stencil":    {"n", "footprint", "iters"},
+}
+
+// shapeFlagList renders a workload's shape flags for a message.
+func shapeFlagList(workload string) string {
+	if len(shapeFlags[workload]) == 0 {
+		return "none of the shape flags (its size is fixed)"
+	}
+	return "only -" + strings.Join(shapeFlags[workload], ", -")
+}
 
 // fail prints a one-line message and exits with status 1.
 func fail(format string, args ...any) {
@@ -189,6 +210,14 @@ func main() {
 			Chunk: 50 * sim.Millisecond, FootprintMB: *foot}
 	default:
 		fail("unknown workload %q (want commgroups, barrier, hpl, motif, ring, allgather, or stencil)", *name)
+	}
+	// Like -interval and -group above, a shape flag the workload does not
+	// read is rejected, not ignored: "-workload hpl -n 7" would otherwise
+	// print a 32-rank result as if it had been asked for.
+	for _, f := range []string{"n", "comm", "footprint", "iters"} {
+		if set[f] && !slices.Contains(shapeFlags[*name], f) {
+			fail("-%s does not apply to -workload %s, which reads %s", f, *name, shapeFlagList(*name))
+		}
 	}
 	if *group > ranks {
 		fail("-group %d exceeds the job size %d", *group, ranks)

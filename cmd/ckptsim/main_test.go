@@ -50,6 +50,13 @@ func TestRejectedInput(t *testing.T) {
 		{"v with an at list", append(ring, "-v", "-at", "1,2")},
 		{"replicas under local staging", append(ring, "-storage", "local", "-replicas", "2")},
 		{"local staging under uncoord", append(ring, "-storage", "local", "-protocol", "uncoord")},
+		{"n under hpl", []string{"-workload", "hpl", "-n", "7"}},
+		{"footprint under motif", []string{"-workload", "motif", "-footprint", "10"}},
+		{"comm under ring", append(ring, "-comm", "4", "-at", "1")},
+		{"iters under barrier", []string{"-workload", "barrier", "-iters", "10"}},
+		{"fault rank outside the job", append(ring, "-interval", "2", "-faults", "crash@1s:rank=99")},
+		{"outage factor NaN", append(ring, "-interval", "2", "-faults", "outage@1s+1s:factor=NaN")},
+		{"mtbf negative in a scenario", append(ring, "-interval", "2", "-faults", "mtbf=-5s")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,16 +1,12 @@
 // Command gbcrlint runs the repository's analyzer suite (simdeterminism,
-// nopanic, guardedby, lockorder, shardconfine, allocfree, obscomplete,
-// errpropagation — see internal/analysis).
+// nopanic, guardedby, errpropagation, confine, allocfree, obscomplete,
+// unused — see internal/analysis):
 //
-// It works in two modes:
+//	gbcrlint [-json] [./...]
 //
-//	gbcrlint [-json] [./...]    # standalone: loads the module from source
-//	go vet -vettool=$(which gbcrlint) ./...
-//
-// The second form speaks cmd/go's vet-tool protocol: it answers -V=full
-// and -flags probes, then is invoked once per package with a JSON config
-// file describing the compilation unit (file list, import map, export
-// data).
+// It loads the module from source with analysis.Loader, the suite's one
+// loader, because unused is a whole-program check: it runs once, over every
+// package of the module together, and only when no pattern narrows the run.
 //
 // Exit status is a contract scripts may rely on:
 //
@@ -20,21 +16,15 @@
 //	2  findings were reported
 //
 // Findings normally go to stderr as "file:line:col: [analyzer] message"
-// lines. With -json (standalone mode only) they go to stdout instead, as a
-// JSON array of {file, line, col, analyzer, message} objects — "[]" when
-// clean — so CI can archive and diff them mechanically; operational errors
-// stay on stderr.
+// lines. With -json they go to stdout instead, as a JSON array of
+// {file, line, col, analyzer, message} objects — "[]" when clean — so CI
+// can archive and diff them mechanically; operational errors stay on
+// stderr.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,43 +34,24 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	// cmd/go probes the tool before using it: -V=full must report a
-	// version line, -flags the set of supported analyzer flags (none).
-	if len(args) == 1 && args[0] == "-V=full" {
-		fmt.Println("gbcrlint version v0.2.0")
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
 	jsonOut := false
-	rest := args[:0:0]
-	for _, a := range args {
+	var rest []string
+	for _, a := range os.Args[1:] {
 		if a == "-json" || a == "--json" {
 			jsonOut = true
 			continue
 		}
 		rest = append(rest, a)
 	}
-	os.Exit(standalone(rest, jsonOut))
+	os.Exit(lint(rest, jsonOut))
 }
 
 // scopeFor selects which analyzers apply to a package, by import path.
 // The analyzers themselves are scope-free; policy lives here so the same
 // checks can run over arbitrary fixture packages in tests.
 func scopeFor(path string) []*analysis.Analyzer {
-	// Normalize the test variants go vet presents:
-	// "p [p.test]" (augmented) and "p_test" (external test package).
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
+	// The loader presents an external test package as "p_test".
 	path = strings.TrimSuffix(path, "_test")
-	path = strings.TrimSuffix(path, ".test")
 
 	var out []*analysis.Analyzer
 	if simScoped(path) {
@@ -89,17 +60,17 @@ func scopeFor(path string) []*analysis.Analyzer {
 	if simScoped(path) ||
 		path == analysis.ModulePath+"/internal/obs" ||
 		path == analysis.ModulePath+"/internal/fault" {
-		// Sim-reachable state must be shard-confined before the parallel
-		// kernel lands, and the event/phase vocabularies these packages
-		// emit must stay closed.
-		out = append(out, analysis.ShardConfine, analysis.ObsComplete)
+		// Cells run side by side on the Runner's pool, so state these
+		// packages could share between kernels must be declared, and the
+		// event/phase vocabularies they emit must stay closed.
+		out = append(out, analysis.Confine, analysis.ObsComplete)
 	}
 	if strings.HasPrefix(path, analysis.ModulePath+"/internal/") {
 		out = append(out, analysis.NoPanic)
 	}
-	// lockorder generalizes guardedby package-wide; allocfree gates itself
-	// on // alloc-free annotations, so both apply everywhere.
-	out = append(out, analysis.GuardedBy, analysis.LockOrder, analysis.AllocFree, analysis.ErrPropagation)
+	// guardedby and allocfree gate themselves on annotations, so they apply
+	// everywhere; unused is not per-package (see runSuite).
+	out = append(out, analysis.GuardedBy, analysis.AllocFree, analysis.ErrPropagation)
 	return out
 }
 
@@ -129,10 +100,10 @@ type diagJSON struct {
 	Message  string `json:"message"`
 }
 
-// standalone loads the whole module from source, runs the suite, and
-// reports findings on stderr (or stdout as JSON). Exit status follows the
-// documented contract: 0 clean, 1 operational error, 2 findings.
-func standalone(args []string, jsonOut bool) int {
+// lint loads the module from source, runs the suite, and reports findings
+// on stderr (or stdout as JSON). Exit status follows the documented
+// contract: 0 clean, 1 operational error, 2 findings.
+func lint(args []string, jsonOut bool) int {
 	root, module, err := findModule(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbcrlint:", err)
@@ -170,7 +141,8 @@ func runSuite(root, module string, args []string) ([]diagJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	if filter := packageFilter(args, module); filter != nil {
+	filter := packageFilter(args, module)
+	if filter != nil {
 		kept := paths[:0]
 		for _, p := range paths {
 			if filter(p) {
@@ -185,28 +157,40 @@ func runSuite(root, module string, args []string) ([]diagJSON, error) {
 		paths = kept
 	}
 	diags := []diagJSON{}
+	run := func(a *analysis.Analyzer, lp *analysis.LoadedPackage) error {
+		found, err := analysis.Run(a, loader.Fset, lp.Files, lp.Types, lp.Info)
+		for _, d := range found {
+			pos := loader.Fset.Position(d.Pos)
+			diags = append(diags, diagJSON{
+				File:     pos.Filename,
+				Line:     pos.Line,
+				Col:      pos.Column,
+				Analyzer: a.Name,
+				Message:  d.Message,
+			})
+		}
+		return err
+	}
+	var program []*analysis.LoadedPackage
 	for _, path := range paths {
 		loaded, err := loader.Load(path)
 		if err != nil {
 			return nil, err
 		}
+		program = append(program, loaded...)
 		for _, lp := range loaded {
 			for _, a := range scopeFor(lp.Path) {
-				found, err := analysis.Run(a, loader.Fset, lp.Files, lp.Types, lp.Info)
-				if err != nil {
+				if err := run(a, lp); err != nil {
 					return nil, err
 				}
-				for _, d := range found {
-					pos := loader.Fset.Position(d.Pos)
-					diags = append(diags, diagJSON{
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Analyzer: a.Name,
-						Message:  d.Message,
-					})
-				}
 			}
+		}
+	}
+	// A reference can come from any package, so unused is only meaningful
+	// with the whole module loaded.
+	if filter == nil {
+		if err := run(analysis.Unused, analysis.Merge(program)); err != nil {
+			return nil, err
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -290,104 +274,4 @@ func findModule(dir string) (root, module string, err error) {
 		}
 		abs = parent
 	}
-}
-
-// vetConfig mirrors the JSON cmd/go writes for each vet invocation.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	GoVersion                 string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one compilation unit described by a cmd/go vet config.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gbcrlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "gbcrlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The suite computes no facts, but cmd/go reads the output file to
-	// cache dependency results, so always leave an (empty) one behind.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "gbcrlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "gbcrlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	// Resolve imports through the export data cmd/go compiled for us.
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	tconf := types.Config{Importer: importer.ForCompiler(fset, cfg.Compiler, lookup)}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "gbcrlint:", err)
-		return 1
-	}
-
-	exit := 0
-	for _, a := range scopeFor(cfg.ImportPath) {
-		found, err := analysis.Run(a, fset, files, pkg, info)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbcrlint:", err)
-			return 1
-		}
-		for _, d := range found {
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), a.Name, d.Message)
-			exit = 2
-		}
-	}
-	return exit
 }

@@ -21,7 +21,8 @@ func TestRunSuiteJSONRoundTrip(t *testing.T) {
 	var analyzers []string
 	for _, d := range diags {
 		analyzers = append(analyzers, d.Analyzer)
-		if !strings.HasSuffix(filepath.ToSlash(d.File), "testdata/mod/pkg/pkg.go") {
+		if file := filepath.ToSlash(d.File); !strings.HasSuffix(file, "testdata/mod/pkg/pkg.go") &&
+			!strings.HasSuffix(file, "testdata/mod/internal/lib/lib.go") {
 			t.Errorf("finding in unexpected file %q", d.File)
 		}
 		if d.Line <= 0 || d.Col <= 0 {
@@ -32,13 +33,19 @@ func TestRunSuiteJSONRoundTrip(t *testing.T) {
 		}
 	}
 	sort.Strings(analyzers)
-	if want := []string{"guardedby", "lockorder"}; !reflect.DeepEqual(analyzers, want) {
+	if want := []string{"guardedby", "unused"}; !reflect.DeepEqual(analyzers, want) {
 		t.Fatalf("analyzers = %v, want %v", analyzers, want)
 	}
 	if !sort.SliceIsSorted(diags, func(i, j int) bool {
-		return diags[i].Line < diags[j].Line
+		return diags[i].File < diags[j].File
 	}) {
 		t.Errorf("findings not ordered by position: %+v", diags)
+	}
+	// unused is a whole-program check: a run narrowed to some packages
+	// cannot see every reference, so it must not report.
+	narrowed, err := runSuite(filepath.Join("testdata", "mod"), "lintfixture", []string{"./internal/..."})
+	if err != nil || len(narrowed) != 0 {
+		t.Errorf("narrowed run = %+v, %v; want no findings", narrowed, err)
 	}
 
 	data, err := json.Marshal(diags)
@@ -71,5 +78,21 @@ func TestRunSuiteJSONRoundTrip(t *testing.T) {
 	// run: exit 0 is reserved for packages that were actually analyzed.
 	if _, err := runSuite(filepath.Join("testdata", "mod"), "lintfixture", []string{"nomatch"}); err == nil {
 		t.Errorf("runSuite with unmatched pattern succeeded, want error")
+	}
+}
+
+// TestLiveTreeClean runs the whole suite, unused included, over this
+// module: the tree the analyzers guard carries no finding.
+func TestLiveTreeClean(t *testing.T) {
+	root, module, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := runSuite(root, module, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	}
 }

@@ -1,5 +1,5 @@
-// Package pkg is a gbcrlint fixture module with two known findings (one
-// guardedby, one lockorder), exercised by the -json round-trip test.
+// Package pkg is a gbcrlint fixture module with one known finding
+// (guardedby), exercised by the -json round-trip test.
 package pkg
 
 import "sync"
@@ -11,11 +11,4 @@ type state struct {
 
 func read(s *state) int {
 	return s.n
-}
-
-func deadlock(s *state) {
-	s.mu.Lock()
-	s.mu.Lock()
-	s.mu.Unlock()
-	s.mu.Unlock()
 }

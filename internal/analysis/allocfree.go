@@ -17,8 +17,8 @@ import (
 // string concatenation and string<->[]byte conversions, and interface boxing
 // of non-pointer values — plus any call whose allocation behavior it cannot
 // see: a same-package call to a function not itself marked alloc-free, or
-// any static call across a package boundary (the contract is package-local;
-// cross-package callees are invisible under go vet's export-data model).
+// any static call across a package boundary (the contract is package-local:
+// a Pass sees one package's syntax).
 //
 // Two shapes are deliberately exempt, as the contract's boundaries:
 //

@@ -44,7 +44,12 @@ type Analyzer struct {
 	// IncludeTests selects whether _test.go files are analyzed.
 	IncludeTests bool
 
-	// Run performs the check on one package, reporting findings through
+	// WholeProgram marks a check that cannot be decided one package at a
+	// time: it runs once, over the Merge of every loaded package.
+	WholeProgram bool
+
+	// Run performs the check on one package (or, for a WholeProgram
+	// analyzer, the merged program), reporting findings through
 	// pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -166,14 +171,6 @@ func withoutTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 		}
 	}
 	return out
-}
-
-// All returns the full analyzer suite in a stable order.
-func All() []*Analyzer {
-	return []*Analyzer{
-		SimDeterminism, NoPanic, GuardedBy, ErrPropagation,
-		ShardConfine, LockOrder, AllocFree, ObsComplete,
-	}
 }
 
 // calleeFunc resolves the *types.Func a call expression invokes, looking

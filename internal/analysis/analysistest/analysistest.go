@@ -25,6 +25,8 @@ var wantRE = regexp.MustCompile("(\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)")
 
 // Run loads each fixture package from dir (typically "testdata/src") and
 // applies the analyzer, comparing diagnostics against // want comments.
+//
+//lint:allow-unused the fixture driver: its callers are the analyzers' tests, by design
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
@@ -33,6 +35,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Errorf("loading fixture %s: %v", pkg, err)
 			continue
+		}
+		if a.WholeProgram {
+			loaded = []*analysis.LoadedPackage{analysis.Merge(loaded)}
 		}
 		for _, lp := range loaded {
 			diags, err := analysis.Run(a, loader.Fset, lp.Files, lp.Types, lp.Info)

@@ -23,12 +23,8 @@ func TestErrPropagation(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.ErrPropagation, "droppy")
 }
 
-func TestShardConfine(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.ShardConfine, "shardconf")
-}
-
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.LockOrder, "lockorder")
+func TestConfine(t *testing.T) {
+	analysistest.Run(t, "testdata/src", analysis.Confine, "confine")
 }
 
 func TestAllocFree(t *testing.T) {
@@ -37,4 +33,8 @@ func TestAllocFree(t *testing.T) {
 
 func TestObsComplete(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.ObsComplete, "obscheck", "obs", "protocol")
+}
+
+func TestUnused(t *testing.T) {
+	analysistest.Run(t, "testdata/src", analysis.Unused, "unused/internal/lib")
 }

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,10 +22,29 @@ type LoadedPackage struct {
 	Info  *types.Info
 }
 
+// Merge folds packages into the one unit a WholeProgram analyzer runs over:
+// every file, and an Info holding the union of their Defs and Uses
+// (identifiers are distinct nodes, so the union is well defined). Types is
+// nil. One declaration is a different types.Object in each unit that sees
+// it — Load checks a package with its tests, Import without — so such
+// analyzers compare objects by position, never by identity.
+func Merge(pkgs []*LoadedPackage) *LoadedPackage {
+	m := &LoadedPackage{Info: &types.Info{
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
+	}}
+	for _, lp := range pkgs {
+		m.Files = append(m.Files, lp.Files...)
+		maps.Copy(m.Info.Defs, lp.Info.Defs)
+		maps.Copy(m.Info.Uses, lp.Info.Uses)
+	}
+	return m
+}
+
 // A Loader parses and type-checks first-party packages rooted at a
 // directory, resolving standard-library imports from source so no export
-// data or network is needed. It is the driver for the standalone gbcrlint
-// mode and for the analysistest fixtures (rooted at testdata/src with an
+// data or network is needed. It is the suite's one loader: gbcrlint runs on
+// it, and so do the analysistest fixtures (rooted at testdata/src with an
 // empty module prefix).
 type Loader struct {
 	Fset   *token.FileSet
@@ -73,6 +93,8 @@ func (l *Loader) dirFor(path string) string {
 // Import implements types.Importer. First-party packages are type-checked
 // from source without their test files; the rest comes from the standard
 // library importer.
+//
+//lint:allow-unused go/types calls it through types.Importer, an interface declared outside the program
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil

@@ -32,8 +32,7 @@ import (
 // it would silently never fire.
 //
 // Both vocabularies are discovered by constant-name prefix from the imported
-// package's type information, which works identically from source
-// (standalone gbcrlint, analysistest) and from export data (go vet).
+// package's type information.
 var ObsComplete = &Analyzer{
 	Name: "obscomplete",
 	Doc: "report obs event kinds missing from the Kind* vocabulary, duplicate kinds, " +

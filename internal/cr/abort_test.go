@@ -65,7 +65,6 @@ func TestCycleAbortBounded(t *testing.T) {
 	const n = 2
 	cfg := DefaultConfig()
 	cfg.DefaultFootprint = 10 * testMB
-	cfg.MaxCycleRetries = 3
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)

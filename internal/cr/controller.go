@@ -648,7 +648,7 @@ func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err 
 // protocol hands the cycle back to the coordinator for a group-wide abort and
 // retry, and the member awaits that abort; otherwise there is no cycle-wide
 // rollback to coordinate, so the rank retries alone after backoff — the same
-// capped backoff, bounded by the same MaxCycleRetries, the coordinator
+// capped backoff, bounded by the same maxCycleRetries, the coordinator
 // applies cycle-wide.
 func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok bool) {
 	world := c.rank.World()
@@ -657,7 +657,7 @@ func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok b
 	case !errors.Is(err, storage.ErrUnavailable):
 		c.co.k.Fail(fmt.Errorf("cr: rank %d writing snapshot: %w", world, err))
 		return 0, false
-	case !blocking && attempt > c.co.cfg.maxCycleRetries():
+	case !blocking && attempt > maxCycleRetries:
 		c.co.k.Fail(fmt.Errorf("cr: rank %d snapshot write failed %d consecutive times; giving up",
 			world, attempt))
 		return 0, false

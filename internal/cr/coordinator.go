@@ -370,7 +370,7 @@ func (co *Coordinator) markComplete(epoch int) {
 // onWriteFailed aborts the in-progress cycle after a member's snapshot write
 // failed: the partial epoch is discarded, every rank rolls back, and the
 // checkpoint is retried after a capped exponential backoff, bounded by
-// MaxCycleRetries consecutive attempts.
+// maxCycleRetries consecutive attempts.
 func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	if !co.active || m.cycle != co.cycle {
 		return // stale: the cycle already aborted or completed
@@ -388,7 +388,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	}
 	co.broadcast(msgAbort{cycle: co.cycle})
 	co.active = false
-	if co.cycleRetries > co.cfg.maxCycleRetries() {
+	if co.cycleRetries > maxCycleRetries {
 		co.k.Fail(fmt.Errorf("cr: checkpoint epoch %d aborted %d consecutive times; giving up",
 			target, co.cycleRetries))
 		return

@@ -76,9 +76,6 @@ type Config struct {
 	// DirtyBW is the rate at which a running process dirties memory
 	// (bytes per second of execution). Zero means 20 MB/s.
 	DirtyBW float64
-	// MaxCycleRetries caps consecutive aborted cycles before the coordinator
-	// declares the storage system unusable and fails the run. Zero means 8.
-	MaxCycleRetries int
 }
 
 // retryBackoff is the delay before the first retry of a checkpoint aborted by
@@ -89,6 +86,11 @@ const (
 	retryBackoffCap = 16 * retryBackoff
 )
 
+// maxCycleRetries caps consecutive aborted cycles (or, without a coordinator
+// to abort, one rank's consecutive write retries) before the storage system
+// is declared unusable and the run fails.
+const maxCycleRetries = 8
+
 // writeRetryBackoff returns the capped exponential backoff before the
 // attempt-th retry of a failed snapshot write (cycle-wide abort-retry for the
 // blocking protocols, per-rank local retry for the uncoordinated one).
@@ -98,14 +100,6 @@ func writeRetryBackoff(attempt int) sim.Time {
 		backoff *= 2
 	}
 	return backoff
-}
-
-// maxCycleRetries resolves the consecutive-abort cap default.
-func (cfg Config) maxCycleRetries() int {
-	if cfg.MaxCycleRetries > 0 {
-		return cfg.MaxCycleRetries
-	}
-	return 8
 }
 
 // DefaultConfig returns a regular-protocol configuration with the helper

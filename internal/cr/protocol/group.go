@@ -42,10 +42,6 @@ func (groupBased) Plan(o Options, traffic []map[int]int64) [][]int {
 // Blocking implements Protocol.
 func (groupBased) Blocking() bool { return true }
 
-// RequiresLogging implements Protocol: consistency comes from deferral, not
-// logging (Section 4.3).
-func (groupBased) RequiresLogging() bool { return false }
-
 // RestartLine implements Protocol: the newest fully-committed, verified
 // epoch, uniform across ranks.
 func (groupBased) RestartLine(snaps *blcr.Store) Line { return completeLine(snaps) }

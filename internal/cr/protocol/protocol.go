@@ -105,9 +105,6 @@ type Protocol interface {
 	// cross-line traffic during a cycle. Non-blocking protocols checkpoint
 	// every rank independently and rely on logging for consistency.
 	Blocking() bool
-	// RequiresLogging reports whether the protocol depends on sender-based
-	// message logging for restart consistency.
-	RequiresLogging() bool
 	// RestartLine selects the snapshots a restarted job resumes from.
 	RestartLine(snaps *blcr.Store) Line
 }

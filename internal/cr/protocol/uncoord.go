@@ -57,9 +57,6 @@ func (uncoordinated) Plan(o Options, _ []map[int]int64) [][]int {
 // Blocking implements Protocol.
 func (uncoordinated) Blocking() bool { return false }
 
-// RequiresLogging implements Protocol.
-func (uncoordinated) RequiresLogging() bool { return true }
-
 // RestartLine implements Protocol: the per-rank recovery line — each rank's
 // newest durable snapshot that still verifies, independently of every other
 // rank's. Message-log replay bridges the resulting epoch skew.

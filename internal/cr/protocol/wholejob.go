@@ -42,9 +42,6 @@ func (wholeJob) Plan(o Options, _ []map[int]int64) [][]int {
 // Blocking implements Protocol.
 func (wholeJob) Blocking() bool { return true }
 
-// RequiresLogging implements Protocol.
-func (wholeJob) RequiresLogging() bool { return false }
-
 // RestartLine implements Protocol: identical to the group protocol — both
 // commit whole epochs atomically.
 func (wholeJob) RestartLine(snaps *blcr.Store) Line { return completeLine(snaps) }

@@ -159,7 +159,7 @@ func (f Fault) validate() error {
 		if f.At < 0 || f.Duration <= 0 {
 			return errors.New("outage needs a time and a positive duration (@dur+dur)")
 		}
-		if f.Factor < 0 || f.Factor >= 1 {
+		if !(f.Factor >= 0 && f.Factor < 1) { // written so that NaN fails it
 			return fmt.Errorf("outage factor %g outside [0, 1)", f.Factor)
 		}
 	case CMDrop:

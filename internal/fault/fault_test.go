@@ -85,6 +85,8 @@ func TestParseErrors(t *testing.T) {
 		"crash@abc",                 // bad duration
 		"outage@5s",                 // no window length
 		"outage@5s+2s:factor=1.5",   // factor out of range
+		"outage@1s+1s:factor=NaN",   // NaN is not in [0, 1)
+		"bboutage@1s+1s:factor=nan", // nor for the burst buffer
 		"cmdrop:type=NAK",           // unknown packet type
 		"cmdrop:count=-1",           // negative count
 		"corrupt:epoch=1",           // corrupt needs a rank
@@ -92,6 +94,8 @@ func TestParseErrors(t *testing.T) {
 		"crash@5s:color=red",        // unknown option
 		"crash@5s:rank",             // malformed option
 		"mtbf=banana",               // bad setting value
+		"mtbf=0s",                   // "no MTBF" is said by omitting it
+		"mtbf=-5s",                  // negative mean time between failures
 		"seed=pi",                   // bad seed
 		"crash@5s;outage@1s",        // error in later segment
 		"memloss",                   // memloss needs a trigger time
@@ -136,6 +140,34 @@ func TestCMTypeMatches(t *testing.T) {
 	for _, c := range cases {
 		if got := cmTypeMatches(c.want, c.kind); got != c.match {
 			t.Errorf("cmTypeMatches(%q, %q) = %v, want %v", c.want, c.kind, got, c.match)
+		}
+	}
+}
+
+// TestCheckRanks: a rank the job does not have is rejected for every kind
+// that names one; "any rank" (-1) and ranks in range pass.
+func TestCheckRanks(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		n    int
+		ok   bool
+	}{
+		{"crash@1s;outage@2s+1s", 8, true},
+		{"crash@1s:rank=7", 8, true},
+		{"crash@1s:rank=8", 8, false},
+		{"crash:phase=write,rank=99", 8, false},
+		{"memloss@1s:rank=99", 8, false},
+		{"memloss@1s:rank=7,count=3", 8, true}, // the named node exists; the count runs off the end
+		{"cmdrop@1s:type=REQ,rank=99", 8, false},
+		{"corrupt:epoch=1,rank=99", 8, false},
+		{"corrupt:epoch=1,rank=3", 4, true},
+	} {
+		scn, err := Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.spec, err)
+		}
+		if err := scn.CheckRanks(c.n); (err == nil) != c.ok {
+			t.Errorf("CheckRanks(%d) on %q = %v, want ok=%v", c.n, c.spec, err, c.ok)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"gbcr/internal/blcr"
 	"gbcr/internal/cr"
 	"gbcr/internal/ib"
+	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
@@ -17,7 +18,10 @@ import (
 // itself outlives attempts so one-shot faults fire exactly once across the
 // whole availability run.
 type Target struct {
-	K       *sim.Kernel
+	K *sim.Kernel
+	// Job is the application. A timed crash or node loss that lands after it
+	// has finished finds nothing left to kill and does not fire.
+	Job     *mpi.Job
 	Storage *storage.System
 	Fabric  *ib.Fabric
 	Coord   *cr.Coordinator
@@ -119,6 +123,9 @@ func (in *Injector) armTimedCrash(t Target, i int, f Fault, offset sim.Time) {
 		d = 0
 	}
 	t.K.After(d, func() {
+		if t.Job.Finished() {
+			return
+		}
 		in.fired[i] = true
 		in.emit(t.K.Now(), obs.Instant, "crash", crashDetail(f), int64(f.Rank))
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
@@ -190,6 +197,9 @@ func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 		d = 0
 	}
 	t.K.After(d, func() {
+		if t.Job.Finished() {
+			return
+		}
 		in.fired[i] = true
 		first := f.Rank
 		if first < 0 {

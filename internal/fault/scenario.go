@@ -77,6 +77,19 @@ func (s Scenario) CheckPhases(allowed []string) error {
 	return nil
 }
 
+// CheckRanks rejects faults naming a rank an n-rank job does not have: such
+// a crash reports a rank that is not there, and a cmdrop filter, a memory
+// loss or a corruption aimed at one hits nothing. Parse cannot know n; the
+// runner calls this beside CheckPhases.
+func (s Scenario) CheckRanks(n int) error {
+	for _, f := range s.Faults {
+		if f.Rank >= n {
+			return fmt.Errorf("fault: %v names rank %d, but the job has ranks 0..%d", f, f.Rank, n-1)
+		}
+	}
+	return nil
+}
+
 // Parse reads a scenario spec: semicolon-separated segments, each either a
 // fault or a scenario-level setting.
 //
@@ -113,6 +126,9 @@ func Parse(spec string) (Scenario, error) {
 			d, err := time.ParseDuration(strings.TrimPrefix(seg, "mtbf="))
 			if err != nil {
 				return Scenario{}, fmt.Errorf("fault: bad mtbf in %q: %w", seg, err)
+			}
+			if d <= 0 {
+				return Scenario{}, fmt.Errorf("fault: mtbf must be positive in %q (omit it for no stochastic failures)", seg)
 			}
 			scn.MTBF = sim.Time(d)
 		case strings.HasPrefix(seg, "seed="):

@@ -261,21 +261,11 @@ func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, ba
 	}, nil
 }
 
-// Measure runs baseline and checkpointed executions and reports the delay
-// metrics.
-func Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	return MeasureWithBaseline(cfg, w, issuedAt, base)
-}
-
-// MeasureObserved is Measure with an observability bus attached to the
-// checkpointed run (bus may be nil): events from every layer flow to the
-// bus's sinks and its registry accumulates the run's metrics. The baseline
-// run is not observed, so the exported timeline covers exactly the
-// checkpointed execution.
+// MeasureObserved runs baseline and checkpointed executions and reports the
+// delay metrics, with an observability bus attached to the checkpointed run
+// (bus may be nil): events from every layer flow to the bus's sinks and its
+// registry accumulates the run's metrics. The baseline run is not observed,
+// so the exported timeline covers exactly the checkpointed execution.
 func MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, bus *obs.Bus) (Result, error) {
 	base, err := Baseline(cfg, w)
 	if err != nil {
@@ -289,6 +279,8 @@ func MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, 
 // protocol ("All"). The result is indexed [groupSize][issuedAt] in the given
 // orders. It is the reference implementation for Runner.Sweep, which runs
 // the same matrix concurrently with bit-identical results.
+//
+//lint:allow-unused the serial reference the runner-equivalence tests compare Runner.Sweep against
 func Sweep(cfg ClusterConfig, w workload.Workload, groupSizes []int, times []sim.Time) ([][]Result, error) {
 	base, err := Baseline(cfg, w)
 	if err != nil {

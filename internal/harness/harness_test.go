@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
@@ -27,7 +28,7 @@ func TestMeasureCommGroups(t *testing.T) {
 	cfg := smallCluster(8)
 	w := workload.CommGroups{N: 8, CommGroupSize: 4, Iters: 100,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 50}
-	res, err := Measure(cfg, w, 2*sim.Second)
+	res, err := MeasureObserved(cfg, w, 2*sim.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestRunWithPeriodicCheckpointsUnderFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithPeriodicCheckpoints(cfg, w, 600*sim.Millisecond, 1500*sim.Millisecond, 7)
+	res, err := RunScenario(cfg, w, fault.Scenario{MTBF: 1500 * sim.Millisecond, Seed: 7}, 600*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestPeriodicCheckpointsNoFailures(t *testing.T) {
 	cfg.CR.DefaultFootprint = 2 << 20
 	w := workload.Ring{N: n, Iters: 60, Chunk: 20 * sim.Millisecond, FootprintMB: 2}
 	// Effectively infinite MTBF: no failures, several checkpoints.
-	res, err := RunWithPeriodicCheckpoints(cfg, w, 300*sim.Millisecond, 1000*sim.Hour, 3)
+	res, err := RunScenario(cfg, w, fault.Scenario{MTBF: 1000 * sim.Hour, Seed: 3}, 300*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
-	"gbcr/internal/storage"
 	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 )
@@ -79,6 +78,9 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	if err := scn.CheckPhases(proto.Phases()); err != nil {
 		return AvailabilityResult{}, err
 	}
+	if err := scn.CheckRanks(cfg.N); err != nil {
+		return AvailabilityResult{}, err
+	}
 	// A burst-buffer outage on a cluster with no burst tier would silently
 	// inject nothing; reject it like an unknown phase.
 	if scn.HasKind(fault.BurstBufferOutage) && !cfg.Tiers.Mode.HasBurst() {
@@ -130,7 +132,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 			// different epochs.
 			res.Replayed += c.Job.ReplayLogs()
 		}
-		inj.Arm(fault.Target{K: c.K, Storage: c.Storage, Fabric: c.Fabric, Coord: c.Coord, Tiers: c.Tiers}, offset)
+		inj.Arm(fault.Target{K: c.K, Job: c.Job, Storage: c.Storage, Fabric: c.Fabric, Coord: c.Coord, Tiers: c.Tiers}, offset)
 		// Periodic checkpoints: the next request is scheduled when the
 		// previous cycle completes, so cycles never overlap even if one runs
 		// longer than the interval. Aborted cycles reschedule themselves.
@@ -193,7 +195,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 				libStates[i] = s.LibState
 				if c.Tiers == nil {
 					res.RecoveredCentral++
-					readback += sim.Seconds(float64(s.Size()) / centralReadBW(cfg.Storage))
+					readback += sim.Seconds(float64(s.Size()) / cfg.Storage.AggregateBW)
 					continue
 				}
 				src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
@@ -229,14 +231,4 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		c.K.Shutdown() // release the dead attempt's process goroutines
 	}
 	return res, fmt.Errorf("harness: job did not complete within %d attempts", maxAttempts)
-}
-
-// centralReadBW is the central service's restart read-back rate: the
-// direction-tagged read cap when one is configured, the shared aggregate
-// otherwise.
-func centralReadBW(cfg storage.Config) float64 {
-	if cfg.ReadAggregateBW > 0 {
-		return cfg.ReadAggregateBW
-	}
-	return cfg.AggregateBW
 }

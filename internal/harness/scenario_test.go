@@ -104,6 +104,31 @@ func TestScenarioCorruptionFallsBack(t *testing.T) {
 	}
 }
 
+// TestScenarioFaultAfterFinishDoesNotFire: a timed crash or node loss
+// scheduled past the job's end has nothing left to kill — no failure is
+// counted, and the wall time is the failure-free one, not the fault's.
+func TestScenarioFaultAfterFinishDoesNotFire(t *testing.T) {
+	const n = 4
+	cfg := smallCluster(n)
+	cfg.CR.GroupSize = 2
+	cfg.CR.DefaultFootprint = 5 << 20
+	w := scenarioRing(n)
+	clean, err := RunScenario(cfg, w, fault.Scenario{}, 600*sim.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"crash@100s", "memloss@100s:rank=1", "crash@9223372036s"} {
+		res, err := RunScenario(cfg, w, mustParse(t, spec), 600*sim.Millisecond, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if res.Failures != 0 || res.Wall != clean.Wall {
+			t.Errorf("%s: failures = %d, wall = %v; want 0 and the failure-free %v",
+				spec, res.Failures, res.Wall, clean.Wall)
+		}
+	}
+}
+
 // scenarioTrace runs one faulted scenario with JSONL and Chrome sinks and
 // returns both serializations.
 func scenarioTrace(t *testing.T) (jsonl, chrome []byte) {

@@ -76,6 +76,8 @@ func (p Params) EffectiveDelayBounds() (lo, hi sim.Time) {
 // Thunderbird reproduces the Section 3.1 estimate: the Sandia Thunderbird
 // cluster (4,480 nodes with 8,960 CPUs, 6.0 GB/s storage throughput)
 // checkpointing 1 GB per process needs about 1493 seconds.
+//
+//lint:allow-unused the paper's own Section 3.1 worked example; model_test.go pins its 1493 s
 func Thunderbird() Params {
 	return Params{
 		Procs:       8960, // one process per CPU
@@ -100,6 +102,8 @@ func OptimalInterval(checkpointCost, mtbf sim.Time) sim.Time {
 // checkpointing plus post-failure rework when checkpointing every interval
 // with the given per-checkpoint cost on a machine with the given MTBF
 // (first-order model: cost/interval + interval/(2·MTBF)).
+//
+//lint:allow-unused the first-order overhead equation OptimalInterval minimizes; model_test.go checks one against the other
 func ExpectedOverheadFraction(checkpointCost, interval, mtbf sim.Time) float64 {
 	if interval <= 0 || mtbf <= 0 {
 		return math.Inf(1)

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"gbcr/internal/sim"
 )
@@ -15,12 +14,6 @@ var (
 	OpSum Op = func(a, b float64) float64 { return a + b }
 	OpMax Op = func(a, b float64) float64 {
 		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin Op = func(a, b float64) float64 {
-		if a < b {
 			return a
 		}
 		return b
@@ -188,61 +181,6 @@ func (e *Env) allgather(c *Comm, p payload) [][]byte {
 	return out
 }
 
-// Gather collects each member's payload on root, indexed by comm rank
-// (linear). Non-root ranks return nil.
-func (e *Env) Gather(c *Comm, root int, data []byte) [][]byte {
-	e.checkMember(c)
-	e.enter()
-	defer e.exit()
-	tag := c.nextCollTag()
-	n, me := c.Size(), c.myRank
-	if me != root {
-		e.await(e.isendInternal(c, root, tag, content(data)))
-		return nil
-	}
-	out := make([][]byte, n)
-	out[me] = data
-	reqs := make([]*Request, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != root {
-			reqs = append(reqs, e.irecvInternal(c, i, tag))
-		}
-	}
-	for _, rq := range reqs {
-		p, st := e.await(rq)
-		out[st.Source] = p.data
-	}
-	return out
-}
-
-// Scatter distributes blocks[i] from root to comm rank i (linear) and
-// returns the local block. Only root's blocks argument is significant.
-func (e *Env) Scatter(c *Comm, root int, blocks [][]byte) []byte {
-	e.checkMember(c)
-	e.enter()
-	defer e.exit()
-	tag := c.nextCollTag()
-	n, me := c.Size(), c.myRank
-	if me == root {
-		if len(blocks) != n {
-			//lint:allow-panic malformed scatter buffers are an application bug; real MPI aborts
-			panic("mpi: Scatter needs one block per member")
-		}
-		reqs := make([]*Request, 0, n-1)
-		for i := 0; i < n; i++ {
-			if i != root {
-				reqs = append(reqs, e.isendInternal(c, i, tag, content(blocks[i])))
-			}
-		}
-		for _, rq := range reqs {
-			e.await(rq)
-		}
-		return blocks[root]
-	}
-	p, _ := e.await(e.irecvInternal(c, root, tag))
-	return p.data
-}
-
 // CollectiveCheckpoint agrees collectively whether a checkpoint request is
 // pending on any member and, if so, serves the safe point here on every one
 // of them — the SCR-style application-level discipline that puts all ranks'
@@ -282,92 +220,4 @@ func (e *Env) CollectiveCheckpoint(c *Comm) {
 		e.p.Sleep(10 * sim.Microsecond)
 	}
 	e.MaybeCheckpoint()
-}
-
-// Alltoall exchanges blocks[i] with member i on every member (pairwise
-// exchange, n-1 steps) and returns the received blocks indexed by source.
-func (e *Env) Alltoall(c *Comm, blocks [][]byte) [][]byte {
-	e.checkMember(c)
-	e.enter()
-	defer e.exit()
-	tag := c.nextCollTag()
-	n, me := c.Size(), c.myRank
-	if len(blocks) != n {
-		//lint:allow-panic malformed alltoall buffers are an application bug; real MPI aborts
-		panic("mpi: Alltoall needs one block per member")
-	}
-	out := make([][]byte, n)
-	out[me] = blocks[me]
-	for s := 1; s < n; s++ {
-		dst := (me + s) % n
-		src := (me - s + n) % n
-		p, _ := e.exchange(c, dst, tag, content(blocks[dst]), src, tag)
-		out[src] = p.data
-	}
-	return out
-}
-
-// Split partitions a communicator collectively, like MPI_Comm_split: every
-// member calls Split with a color and key; members with equal color form a
-// new communicator, ordered by (key, parent rank). A negative color returns
-// nil for that member (MPI_UNDEFINED). All members must call Split at the
-// same point.
-func (e *Env) Split(c *Comm, color, key int) *Comm {
-	e.checkMember(c)
-	// Gather every member's (color, key) via an allgather.
-	pairs := e.Allgather(c, I64ToBytes([]int64{int64(color), int64(key)}))
-	if color < 0 {
-		// Still burn a creation index so later comms stay aligned across
-		// members that did get a communicator.
-		e.r.commIndex++
-		return nil
-	}
-	type member struct {
-		key, parentRank int
-	}
-	var members []member
-	for rank, raw := range pairs {
-		v := BytesToI64(raw)
-		if int(v[0]) == color {
-			members = append(members, member{key: int(v[1]), parentRank: rank})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].parentRank < members[j].parentRank
-	})
-	worldRanks := make([]int, len(members))
-	for i, m := range members {
-		worldRanks[i] = c.World(m.parentRank)
-	}
-	return e.NewComm(worldRanks)
-}
-
-// ScanF64 computes an inclusive prefix reduction: member i receives
-// op(in_0, in_1, ..., in_i) element-wise (linear chain).
-func (e *Env) ScanF64(c *Comm, in []float64, op Op) []float64 {
-	e.checkMember(c)
-	e.enter()
-	defer e.exit()
-	tag := c.nextCollTag()
-	n, me := c.Size(), c.myRank
-	acc := make([]float64, len(in))
-	copy(acc, in)
-	if me > 0 {
-		got, _ := e.await(e.irecvInternal(c, me-1, tag))
-		prev := BytesToF64(got.data)
-		if len(prev) != len(acc) {
-			//lint:allow-panic mismatched scan buffers are an application bug; real MPI aborts
-			panic("mpi: ScanF64 length mismatch across ranks")
-		}
-		for i := range acc {
-			acc[i] = op(prev[i], acc[i])
-		}
-	}
-	if me < n-1 {
-		e.await(e.isendInternal(c, me+1, tag, content(F64ToBytes(acc))))
-	}
-	return acc
 }

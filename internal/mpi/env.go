@@ -252,15 +252,11 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// fully logged", and zero-copy cannot be used). The entry survives
 		// in the sender's snapshot and is replayed to receivers restored
 		// from an earlier epoch.
-		bw := r.job.cfg.MemCopyBW
-		if bw <= 0 {
-			bw = 2 << 30
-		}
 		r.stats.MsgsLogged++
 		r.stats.BytesLogged += p.size
 		r.msgLog[world] = append(r.msgLog[world],
 			logEntry{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()})
-		e.p.Sleep(sim.Time(float64(p.size) / bw * float64(sim.Second)))
+		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
 	}
 	if p.size <= r.job.cfg.EagerThreshold {
 		// Eager: copy into a communication buffer; the request completes
@@ -348,35 +344,6 @@ func (e *Env) Waitall(reqs ...*Request) {
 	}
 }
 
-// Test progresses the library and reports whether the request has
-// completed, without blocking.
-func (e *Env) Test(req *Request) bool {
-	e.enter()
-	defer e.exit()
-	return req.complete
-}
-
-// Waitany blocks until at least one of the requests completes and returns
-// its index (the lowest-indexed completed request).
-func (e *Env) Waitany(reqs ...*Request) int {
-	if len(reqs) == 0 {
-		//lint:allow-panic waiting on an empty request set is an application bug; real MPI aborts
-		panic("mpi: Waitany with no requests")
-	}
-	e.enter()
-	defer e.exit()
-	for {
-		for i, req := range reqs {
-			if req.complete {
-				return i
-			}
-		}
-		if e.p.Park(e.r.anyReason) {
-			e.runSafePoint()
-		}
-	}
-}
-
 // Send is a blocking send: for eager messages it returns once the payload is
 // buffered; for rendezvous messages it returns at local completion.
 func (e *Env) Send(c *Comm, dst, tag int, data []byte) {
@@ -395,39 +362,6 @@ func (e *Env) Recv(c *Comm, src, tag int) ([]byte, Status) {
 	defer e.exit()
 	p, st := e.await(e.irecvInternal(c, src, tag))
 	return p.data, st
-}
-
-// Iprobe reports, without blocking or consuming the message, whether a
-// matching message has arrived, along with its envelope.
-func (e *Env) Iprobe(c *Comm, src, tag int) (bool, Status) {
-	e.enter()
-	defer e.exit()
-	return e.iprobeInternal(c, src, tag)
-}
-
-func (e *Env) iprobeInternal(c *Comm, src, tag int) (bool, Status) {
-	probe := Request{comm: c, peerComm: src, tag: tag}
-	for i := range e.r.unexpected {
-		if msg := &e.r.unexpected[i]; probe.matches(msg) {
-			return true, Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
-		}
-	}
-	return false, Status{}
-}
-
-// Probe blocks until a matching message is available and returns its
-// envelope without consuming it.
-func (e *Env) Probe(c *Comm, src, tag int) Status {
-	e.enter()
-	defer e.exit()
-	for {
-		if ok, st := e.iprobeInternal(c, src, tag); ok {
-			return st
-		}
-		if e.p.Park(e.r.probeReason) {
-			e.runSafePoint()
-		}
-	}
 }
 
 // Sendrecv exchanges messages with possibly different peers, avoiding the

@@ -39,15 +39,16 @@ type Config struct {
 	// to deferral that Section 4.3 of the paper argues against. Every
 	// payload is copied into a per-destination sender log at send time (so
 	// zero-copy rendezvous is effectively disabled), charging the copy at
-	// MemCopyBW on the sender's critical path. The log is captured with the
+	// memCopyBW on the sender's critical path. The log is captured with the
 	// library state and replayed on restart (Job.ReplayLogs), which is what
 	// lets the uncoordinated protocol recover from per-rank checkpoints
 	// taken at different epochs.
 	LogMessages bool
-	// MemCopyBW is the memory-copy bandwidth used for logging copies.
-	// Zero means 2 GB/s.
-	MemCopyBW float64
 }
+
+// memCopyBW is the memory-copy bandwidth a logging copy is charged at, in
+// bytes per second.
+const memCopyBW = 2 << 30
 
 // DefaultConfig returns the library defaults used throughout the evaluation.
 func DefaultConfig() Config {
@@ -125,21 +126,18 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
-		id := strconv.Itoa(i)
 		r := &Rank{
-			job:         j,
-			world:       i,
-			ep:          ep,
-			waitReason:  "MPI wait (rank " + id + ")",
-			anyReason:   "MPI waitany (rank " + id + ")",
-			probeReason: "MPI probe (rank " + id + ")",
-			sendReqs:    make(map[uint64]*Request),
-			recvReqs:    make(map[uint64]*Request),
-			outbox:      make(map[int][]outItem),
-			trafficTo:   make(map[int]int64),
-			sendSeqTo:   make(map[int]int64),
-			recvSeqOf:   make(map[int]int64),
-			msgLog:      make(map[int][]logEntry),
+			job:        j,
+			world:      i,
+			ep:         ep,
+			waitReason: "MPI wait (rank " + strconv.Itoa(i) + ")",
+			sendReqs:   make(map[uint64]*Request),
+			recvReqs:   make(map[uint64]*Request),
+			outbox:     make(map[int][]outItem),
+			trafficTo:  make(map[int]int64),
+			sendSeqTo:  make(map[int]int64),
+			recvSeqOf:  make(map[int]int64),
+			msgLog:     make(map[int][]logEntry),
 		}
 		r.ep.OnWork = r.onWork
 		r.ep.OnMessage = r.onMessage
@@ -246,8 +244,8 @@ type Rank struct {
 	unexpected []inMsg             // unexpected message queue (FIFO)
 	reqFree    freeList[Request]   // see getReq/putReq
 
-	// Park reasons, formatted once: a blocked rank parks per message.
-	waitReason, anyReason, probeReason string
+	// Park reason, formatted once: a blocked rank parks per message.
+	waitReason string
 
 	// Send path.
 	outbox    map[int][]outItem // per-destination deferred packets

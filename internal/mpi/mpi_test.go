@@ -291,59 +291,6 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	const n = 4
-	k, j := newTestJob(t, n)
-	var gathered [][]byte
-	scattered := make([][]byte, n)
-	j.LaunchAll(func(e *Env) {
-		w := e.World()
-		g := e.Gather(w, 1, []byte{byte(e.Rank() * 10)})
-		if e.Rank() == 1 {
-			gathered = g
-		}
-		var blocks [][]byte
-		if e.Rank() == 2 {
-			blocks = make([][]byte, n)
-			for i := range blocks {
-				blocks[i] = []byte{byte(100 + i)}
-			}
-		}
-		scattered[e.Rank()] = e.Scatter(w, 2, blocks)
-	})
-	run(t, k)
-	for i := 0; i < n; i++ {
-		if gathered[i][0] != byte(i*10) {
-			t.Fatalf("gather block %d = %v", i, gathered[i])
-		}
-		if scattered[i][0] != byte(100+i) {
-			t.Fatalf("scatter block %d = %v", i, scattered[i])
-		}
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 4
-	k, j := newTestJob(t, n)
-	got := make([][][]byte, n)
-	j.LaunchAll(func(e *Env) {
-		blocks := make([][]byte, n)
-		for i := range blocks {
-			blocks[i] = []byte{byte(e.Rank()), byte(i)}
-		}
-		got[e.Rank()] = e.Alltoall(e.World(), blocks)
-	})
-	run(t, k)
-	for me := 0; me < n; me++ {
-		for src := 0; src < n; src++ {
-			b := got[me][src]
-			if b[0] != byte(src) || b[1] != byte(me) {
-				t.Fatalf("alltoall[%d][%d] = %v", me, src, b)
-			}
-		}
-	}
-}
-
 func TestComputeDuration(t *testing.T) {
 	k, j := newTestJob(t, 1)
 	var end sim.Time
@@ -708,141 +655,40 @@ func TestQuickAllreduceMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestIprobe(t *testing.T) {
-	k, j := newTestJob(t, 2)
-	var before, after bool
-	var st Status
-	j.Launch(0, func(e *Env) {
-		e.Compute(100 * sim.Millisecond)
-		e.Send(e.World(), 1, 9, []byte("probe me"))
-	})
-	j.Launch(1, func(e *Env) {
-		w := e.World()
-		before, _ = e.Iprobe(w, 0, 9)
-		e.Compute(200 * sim.Millisecond)
-		after, st = e.Iprobe(w, 0, 9)
-		// The message must still be consumable after probing.
-		data, _ := e.Recv(w, 0, 9)
-		if string(data) != "probe me" {
-			t.Errorf("probe consumed the message: %q", data)
-		}
-	})
-	run(t, k)
-	if before {
-		t.Fatal("Iprobe saw a message before it was sent")
-	}
-	if !after || st.Size != int64(len("probe me")) || st.Source != 0 || st.Tag != 9 {
-		t.Fatalf("Iprobe after arrival: ok=%v st=%+v", after, st)
-	}
-}
-
-func TestProbeBlocksUntilArrival(t *testing.T) {
-	k, j := newTestJob(t, 2)
-	var probedAt sim.Time
-	var st Status
-	j.Launch(0, func(e *Env) {
-		e.Compute(300 * sim.Millisecond)
-		e.Send(e.World(), 1, 2, make([]byte, 64<<10)) // rendezvous-sized
-	})
-	j.Launch(1, func(e *Env) {
-		w := e.World()
-		st = e.Probe(w, 0, ANY)
-		probedAt = e.Now()
-		data, _ := e.Recv(w, 0, st.Tag)
-		if len(data) != 64<<10 {
-			t.Errorf("recv after probe: %d bytes", len(data))
-		}
-	})
-	run(t, k)
-	if probedAt < 300*sim.Millisecond {
-		t.Fatalf("probe returned at %v before the send", probedAt)
-	}
-	// Probe on a rendezvous reports the announced size.
-	if st.Size != 64<<10 || st.Tag != 2 {
-		t.Fatalf("probe status: %+v", st)
-	}
-}
-
-func TestTestNonblocking(t *testing.T) {
-	k, j := newTestJob(t, 2)
-	var before, after bool
-	j.Launch(0, func(e *Env) {
-		req := e.Irecv(e.World(), 1, 0)
-		before = e.Test(req)
-		e.Compute(200 * sim.Millisecond)
-		after = e.Test(req)
-	})
-	j.Launch(1, func(e *Env) {
-		e.Compute(50 * sim.Millisecond)
-		e.Send(e.World(), 0, 0, []byte("x"))
-	})
-	run(t, k)
-	if before {
-		t.Fatal("Test true before the send")
-	}
-	if !after {
-		t.Fatal("Test false after the message arrived")
-	}
-}
-
-func TestWaitanyReturnsFirstDone(t *testing.T) {
-	k, j := newTestJob(t, 3)
-	var idx int
-	var at sim.Time
-	j.Launch(0, func(e *Env) {
-		w := e.World()
-		slow := e.Irecv(w, 1, 0)
-		fast := e.Irecv(w, 2, 0)
-		idx = e.Waitany(slow, fast)
-		at = e.Now()
-		e.Waitall(slow, fast)
-	})
-	j.Launch(1, func(e *Env) {
-		e.Compute(500 * sim.Millisecond)
-		e.Send(e.World(), 0, 0, []byte("slow"))
-	})
-	j.Launch(2, func(e *Env) {
-		e.Compute(100 * sim.Millisecond)
-		e.Send(e.World(), 0, 0, []byte("fast"))
-	})
-	run(t, k)
-	if idx != 1 {
-		t.Fatalf("Waitany returned %d, want 1 (the fast request)", idx)
-	}
-	if at > 150*sim.Millisecond {
-		t.Fatalf("Waitany returned at %v, should not wait for the slow request", at)
-	}
-}
-
 func TestLoggingModeOverheadAndStats(t *testing.T) {
-	k := sim.NewKernel(1)
-	f, err := ib.New(k, ib.PaperConfig())
-	if err != nil {
-		t.Fatal(err)
+	// sendAt returns when rank 0's 1 MiB send completes, and its stats.
+	sendAt := func(logged bool) (sim.Time, RankStats) {
+		k := sim.NewKernel(1)
+		f, err := ib.New(k, ib.PaperConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.LogMessages = logged
+		j, err := NewJob(k, f, cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sendDone sim.Time
+		j.Launch(0, func(e *Env) {
+			e.Send(e.World(), 1, 0, make([]byte, 1<<20))
+			sendDone = e.Now()
+		})
+		j.Launch(1, func(e *Env) {
+			e.Recv(e.World(), 0, 0)
+		})
+		run(t, k)
+		return sendDone, j.Rank(0).Stats()
 	}
-	cfg := DefaultConfig()
-	cfg.LogMessages = true
-	cfg.MemCopyBW = 1 << 30 // 1 GB/s: a 1 MB copy costs ~1 ms
-	j, err := NewJob(k, f, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sendDone sim.Time
-	j.Launch(0, func(e *Env) {
-		e.Send(e.World(), 1, 0, make([]byte, 1<<20))
-		sendDone = e.Now()
-	})
-	j.Launch(1, func(e *Env) {
-		e.Recv(e.World(), 0, 0)
-	})
-	run(t, k)
-	s := j.Rank(0).Stats()
+	plain, _ := sendAt(false)
+	logged, s := sendAt(true)
 	if s.MsgsLogged != 1 || s.BytesLogged != 1<<20 {
 		t.Fatalf("logging stats: %+v", s)
 	}
-	// The copy alone costs ~1 ms before anything hits the wire.
-	if sendDone < sim.Millisecond {
-		t.Fatalf("send completed at %v, logging copy not charged", sendDone)
+	// The copy is charged before anything hits the wire: 1 MiB at memCopyBW
+	// (2 GiB/s) is 1/2048 s ≈ 0.49 ms.
+	if d := logged - plain; d < 480*sim.Microsecond || d > 500*sim.Microsecond {
+		t.Fatalf("logging copy delayed the send by %v (plain %v, logged %v), want ≈ 0.49 ms", d, plain, logged)
 	}
 }
 
@@ -864,105 +710,6 @@ func TestCaptureLibStateRejectsPendingState(t *testing.T) {
 		t.Fatal("capture with a posted receive must fail")
 	}
 	_ = rendezvousErr
-}
-
-func TestSplitByColor(t *testing.T) {
-	const n = 6
-	k, j := newTestJob(t, n)
-	sums := make([]float64, n)
-	sizes := make([]int, n)
-	j.LaunchAll(func(e *Env) {
-		w := e.World()
-		me := e.Rank()
-		// Even/odd split, keyed by reverse rank to exercise reordering.
-		sub := e.Split(w, me%2, -me)
-		sizes[me] = sub.Size()
-		// Members of each color sum their world ranks.
-		out := e.AllreduceF64(sub, []float64{float64(me)}, OpSum)
-		sums[me] = out[0]
-	})
-	run(t, k)
-	for me := 0; me < n; me++ {
-		if sizes[me] != 3 {
-			t.Fatalf("rank %d sub size %d", me, sizes[me])
-		}
-		want := 0.0 + 2 + 4
-		if me%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if sums[me] != want {
-			t.Fatalf("rank %d color sum %v, want %v", me, sums[me], want)
-		}
-	}
-}
-
-func TestSplitKeyOrdersRanks(t *testing.T) {
-	const n = 4
-	k, j := newTestJob(t, n)
-	orders := make([]int, n)
-	j.LaunchAll(func(e *Env) {
-		w := e.World()
-		me := e.Rank()
-		sub := e.Split(w, 0, -me) // one color, reverse-rank keys
-		orders[me] = sub.Rank()
-	})
-	run(t, k)
-	for me := 0; me < n; me++ {
-		if orders[me] != n-1-me {
-			t.Fatalf("rank %d got sub-rank %d, want %d", me, orders[me], n-1-me)
-		}
-	}
-}
-
-func TestSplitUndefinedColor(t *testing.T) {
-	const n = 4
-	k, j := newTestJob(t, n)
-	var nilCount int
-	results := make([]float64, n)
-	j.LaunchAll(func(e *Env) {
-		w := e.World()
-		me := e.Rank()
-		color := 0
-		if me == 3 {
-			color = -1 // opts out
-		}
-		sub := e.Split(w, color, 0)
-		if sub == nil {
-			nilCount++
-			// The opted-out rank must still be able to create aligned
-			// communicators afterwards.
-			_ = e.NewComm([]int{3})
-			return
-		}
-		results[me] = e.AllreduceF64(sub, []float64{1}, OpSum)[0]
-	})
-	run(t, k)
-	if nilCount != 1 {
-		t.Fatalf("nil comms: %d", nilCount)
-	}
-	for me := 0; me < 3; me++ {
-		if results[me] != 3 {
-			t.Fatalf("rank %d subgroup size sum %v", me, results[me])
-		}
-	}
-}
-
-func TestScanPrefixSums(t *testing.T) {
-	const n = 6
-	k, j := newTestJob(t, n)
-	got := make([][]float64, n)
-	j.LaunchAll(func(e *Env) {
-		in := []float64{float64(e.Rank() + 1), 1}
-		got[e.Rank()] = e.ScanF64(e.World(), in, OpSum)
-	})
-	run(t, k)
-	for me := 0; me < n; me++ {
-		wantA := float64((me + 1) * (me + 2) / 2)
-		wantB := float64(me + 1)
-		if got[me][0] != wantA || got[me][1] != wantB {
-			t.Fatalf("rank %d scan = %v, want [%v %v]", me, got[me], wantA, wantB)
-		}
-	}
 }
 
 func TestAccessorsAndIntrospection(t *testing.T) {

@@ -325,8 +325,9 @@ func (r *Rank) arriveRTS(srcWorld int, m *wirePkt) {
 	r.addUnexpected(msg)
 }
 
-// addUnexpected queues an unmatched arrival and wakes the application in
-// case it is blocked in a Probe.
+// addUnexpected queues an unmatched arrival and wakes the application. No
+// blocked call polls this queue; the wake stays because it is a kernel event
+// whose sequence number every golden and bench digest pins.
 func (r *Rank) addUnexpected(msg inMsg) {
 	r.unexpected = append(r.unexpected, msg)
 	if r.proc != nil {

@@ -101,19 +101,3 @@ var allKinds = []string{
 	KindCycleRetry, KindCycleDone,
 	KindCrash, KindOutage, KindCorrupt, KindMemLoss, KindBBOutage,
 }
-
-// known is the vocabulary as a set, built once.
-var known = func() map[string]bool {
-	m := make(map[string]bool, len(allKinds))
-	for _, k := range allKinds {
-		m[k] = true
-	}
-	return m
-}()
-
-// Known reports whether what is a registered event kind.
-func Known(what string) bool { return known[what] }
-
-// AllKinds returns the registered event-kind vocabulary in declaration
-// order. The returned slice is a copy.
-func AllKinds() []string { return append([]string(nil), allKinds...) }

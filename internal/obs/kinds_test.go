@@ -4,7 +4,7 @@ import "testing"
 
 // TestKindVocabularyIsASet asserts the registered vocabulary has no
 // duplicate values (the obscomplete analyzer enforces the same on the
-// constant block itself) and that membership answers match the list.
+// constant block itself).
 func TestKindVocabularyIsASet(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, k := range allKinds {
@@ -15,20 +15,5 @@ func TestKindVocabularyIsASet(t *testing.T) {
 			t.Fatalf("kind %q registered twice", k)
 		}
 		seen[k] = true
-		if !Known(k) {
-			t.Fatalf("Known(%q) = false for a registered kind", k)
-		}
-	}
-	if Known("no-such-kind") {
-		t.Fatalf("Known accepted an unregistered kind")
-	}
-	if got := AllKinds(); len(got) != len(allKinds) {
-		t.Fatalf("AllKinds() returned %d kinds, want %d", len(got), len(allKinds))
-	}
-	// The copy must be independent of the registry.
-	cp := AllKinds()
-	cp[0] = "mutated"
-	if !Known(KindSpawn) || allKinds[0] != KindSpawn {
-		t.Fatalf("AllKinds() exposed the internal slice")
 	}
 }

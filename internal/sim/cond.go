@@ -41,42 +41,3 @@ func (c *Cond) Broadcast() {
 		w.Unpark()
 	}
 }
-
-// Len reports the number of parked waiters.
-func (c *Cond) Len() int { return len(c.waiters) }
-
-// WaitGroup counts outstanding work items for simulated processes.
-// The zero value is ready to use.
-type WaitGroup struct {
-	n    int
-	cond Cond
-}
-
-// Add adds delta to the counter. It panics if the counter goes negative.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		//lint:allow-panic a negative counter is a kernel-usage bug the scheduler cannot recover from
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		wg.cond.Broadcast()
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait parks p until the counter reaches zero. Interrupts received while
-// waiting are re-posted as pending once the wait completes.
-func (wg *WaitGroup) Wait(p *Proc) {
-	interrupted := false
-	for wg.n > 0 {
-		if wg.cond.Wait(p, "waitgroup") {
-			interrupted = true
-		}
-	}
-	if interrupted {
-		p.intPend = true
-	}
-}

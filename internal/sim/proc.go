@@ -39,7 +39,6 @@ const (
 // callers must re-check their condition in a loop.
 type Proc struct {
 	k           *Kernel
-	id          int
 	name        string
 	next        func() (struct{}, bool) // switch to the coroutine; Kernel.resume only
 	yield       func(struct{}) bool     // switch back to whoever called next; the park point only
@@ -65,7 +64,6 @@ type killSentinel struct{}
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		k:           k,
-		id:          len(k.procs),
 		name:        name,
 		blockReason: "not started",
 	}
@@ -105,9 +103,6 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the process's kernel-assigned index.
-func (p *Proc) ID() int { return p.id }
 
 // K returns the owning kernel.
 func (p *Proc) K() *Kernel { return p.k }

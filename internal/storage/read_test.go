@@ -48,57 +48,6 @@ func TestReadDirectionTaggedEvents(t *testing.T) {
 	}
 }
 
-func TestReadClientBWCapsReadersOnly(t *testing.T) {
-	cfg := simpleCfg()
-	cfg.ReadClientBW = 50
-	k := sim.NewKernel(1)
-	s := newSystem(t, k, cfg)
-	var wrote, read sim.Time
-	k.Spawn("p", func(p *sim.Proc) {
-		wrote = write(t, s, p, 100)
-		el, err := s.Read(p, 100)
-		if err != nil {
-			t.Error(err)
-		}
-		read = el
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !almost(wrote, sim.Second) {
-		t.Fatalf("write took %v, want ~1s (write path uncapped)", wrote)
-	}
-	if !almost(read, 2*sim.Second) {
-		t.Fatalf("read took %v, want ~2s (50 B/s read cap)", read)
-	}
-}
-
-func TestReadAggregateBWScalesConcurrentReads(t *testing.T) {
-	cfg := Config{AggregateBW: 1000, ClientBW: 100, ReadAggregateBW: 100}
-	k := sim.NewKernel(1)
-	s := newSystem(t, k, cfg)
-	var done [2]sim.Time
-	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("r", func(p *sim.Proc) {
-			if _, err := s.Read(p, 100); err != nil {
-				t.Error(err)
-			}
-			done[i] = p.Now()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Each reader's fair share is 100 B/s, but the read class is capped at
-	// 100 B/s combined: 50 B/s each, 2s per 100 bytes.
-	for i, d := range done {
-		if !almost(d, 2*sim.Second) {
-			t.Fatalf("reader %d finished at %v, want ~2s", i, d)
-		}
-	}
-}
-
 func TestStartReadZeroAndNegative(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newSystem(t, k, simpleCfg())

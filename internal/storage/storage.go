@@ -46,14 +46,6 @@ type Config struct {
 	// of concurrent clients, modelling congestion and unbalanced sharing at
 	// high client counts. Nil means a constant 1.0.
 	Efficiency func(clients int) float64
-	// ReadAggregateBW optionally caps the combined rate of concurrent read
-	// transfers (restart read-back) in bytes/second, modelling a service
-	// whose read path saturates differently from its write path. Zero means
-	// reads are limited only by the shared AggregateBW pool.
-	ReadAggregateBW float64
-	// ReadClientBW optionally caps a single reader's rate in bytes/second.
-	// Zero means readers use ClientBW, like writers.
-	ReadClientBW float64
 	// ShareJitter models the noise of Section 3.1 ("system noise, network
 	// congestion, and unbalanced share of throughput... can significantly
 	// increase the delay"): each transfer draws a capability factor from
@@ -300,9 +292,8 @@ func (s *System) Write(p *sim.Proc, n int64) (sim.Time, error) {
 }
 
 // Read performs a blocking read of n bytes on behalf of p. Reads share the
-// aggregate pool with writes but are direction-tagged: they emit
-// read-start/read-end events and honour the ReadAggregateBW/ReadClientBW
-// caps when those are set.
+// aggregate pool and the per-client cap with writes and are direction-tagged:
+// they emit read-start/read-end events.
 func (s *System) Read(p *sim.Proc, n int64) (sim.Time, error) {
 	t, err := s.StartRead(n)
 	if err != nil {
@@ -325,9 +316,6 @@ func (t *Transfer) Wait(p *sim.Proc) {
 		p.Interrupt()
 	}
 }
-
-// Done reports whether the transfer has completed.
-func (t *Transfer) Done() bool { return t.completed }
 
 // Elapsed returns the wall time the transfer took (including open latency),
 // or the time spent so far if it is still running.
@@ -364,19 +352,6 @@ func (s *System) settle() {
 	}
 }
 
-// fairRate computes the per-client rate under max-min sharing with n active
-// clients.
-func (s *System) fairRate(n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	agg := s.cfg.AggregateBW * s.availability
-	if s.cfg.Efficiency != nil {
-		agg *= s.cfg.Efficiency(n)
-	}
-	return math.Min(s.cfg.ClientBW, agg/float64(n))
-}
-
 // reschedule assigns fresh rates and completion events to all active
 // transfers. Must be called with settled state. Under ShareJitter the
 // aggregate is divided weight-proportionally instead of evenly.
@@ -397,31 +372,7 @@ func (s *System) reschedule() {
 		sumW += t.weight
 	}
 	for _, t := range s.active {
-		clientCap := s.cfg.ClientBW
-		if t.read && s.cfg.ReadClientBW > 0 {
-			clientCap = s.cfg.ReadClientBW
-		}
-		t.rate = math.Min(clientCap*t.weight, agg*t.weight/sumW)
-	}
-	// Reads may be further capped as a class: if the combined read rate
-	// exceeds ReadAggregateBW, scale every read down proportionally. Write
-	// rates are untouched, so write-only schedules are bit-identical to a
-	// system with no read caps configured.
-	if s.cfg.ReadAggregateBW > 0 {
-		var sumRead float64
-		for _, t := range s.active {
-			if t.read {
-				sumRead += t.rate
-			}
-		}
-		if sumRead > s.cfg.ReadAggregateBW {
-			scale := s.cfg.ReadAggregateBW / sumRead
-			for _, t := range s.active {
-				if t.read {
-					t.rate *= scale
-				}
-			}
-		}
+		t.rate = math.Min(s.cfg.ClientBW*t.weight, agg*t.weight/sumW)
 	}
 	for _, t := range s.active {
 		t.done.Cancel()

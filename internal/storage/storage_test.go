@@ -280,9 +280,10 @@ func TestPaperEquation3(t *testing.T) {
 	const n, g, footprint = 16, 4, 64 * MB
 	cfg := Config{AggregateBW: 140 * MB, ClientBW: 116 * MB}
 	s := newSystem(t, k, cfg)
-	var gate [n / g]sim.WaitGroup
-	for gi := range gate {
-		gate[gi].Add(g)
+	var writing [n / g]int // members of each group that have not finished
+	var gate [n / g]sim.Cond
+	for gi := range writing {
+		writing[gi] = g
 	}
 	var individual [n]sim.Time
 	var last sim.Time
@@ -290,14 +291,16 @@ func TestPaperEquation3(t *testing.T) {
 		i := i
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			grp := i / g
-			if grp > 0 {
-				gate[grp-1].Wait(p) // wait for previous group to finish
+			for grp > 0 && writing[grp-1] > 0 {
+				gate[grp-1].Wait(p, "previous group") // to finish
 			}
 			start := p.Now()
 			write(t, s, p, footprint)
 			individual[i] = p.Now() - start
 			last = p.Now()
-			gate[grp].Done()
+			if writing[grp]--; writing[grp] == 0 {
+				gate[grp].Broadcast()
+			}
 		})
 	}
 	if err := k.Run(); err != nil {

@@ -21,15 +21,9 @@ func (t *centralTier) Level() Level       { return Central }
 func (t *centralTier) ParallelRead() bool { return false }
 
 // ReadTime matches the legacy restart estimate: each rank's read-back costs
-// size/aggregate, summed across concurrent readers by the caller. The
-// direction-tagged read cap applies when configured.
+// size/aggregate, summed across concurrent readers by the caller.
 func (t *centralTier) ReadTime(size int64) sim.Time {
-	cfg := t.sys.Config()
-	bw := cfg.AggregateBW
-	if cfg.ReadAggregateBW > 0 {
-		bw = cfg.ReadAggregateBW
-	}
-	return sim.Seconds(float64(size) / bw)
+	return sim.Seconds(float64(size) / t.sys.Config().AggregateBW)
 }
 
 func (t *centralTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {

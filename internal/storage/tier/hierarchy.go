@@ -68,7 +68,7 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 		var err error
 		switch level {
 		case RAM:
-			t, err = newNodeTier(h, k, n, RAM, cfg.ReplicaCount(), cfg.ReplicaCount(), cfg.ramBW(linkBW))
+			t, err = newNodeTier(h, k, n, RAM, cfg.ReplicaCount(), cfg.ReplicaCount(), linkBW)
 		case Local:
 			t, err = newNodeTier(h, k, n, Local, 0, 1, localDiskBW)
 		case Burst:

@@ -115,14 +115,7 @@ func main() {
 	// group protocol; passing them with another kind is rejected, not
 	// ignored, so the printed protocol line always matches what ran.
 	kind := protocol.Kind(*proto)
-	knownKind := false
-	for _, k := range protocol.Kinds() {
-		if kind == k {
-			knownKind = true
-			break
-		}
-	}
-	if !knownKind {
+	if _, err := protocol.ForKind(kind); err != nil || kind == "" {
 		fail("unknown -protocol %q (want group, wholejob, or uncoord)", *proto)
 	}
 	if kind != protocol.Group {

@@ -57,6 +57,13 @@ func TestRejectedInput(t *testing.T) {
 		{"fault rank outside the job", append(ring, "-interval", "2", "-faults", "crash@1s:rank=99")},
 		{"outage factor NaN", append(ring, "-interval", "2", "-faults", "outage@1s+1s:factor=NaN")},
 		{"mtbf negative in a scenario", append(ring, "-interval", "2", "-faults", "mtbf=-5s")},
+		{"fault option its kind does not read", append(ring, "-interval", "2", "-faults", "crash@1s:factor=0.5")},
+		{"fault epoch without a phase", append(ring, "-interval", "2", "-faults", "crash@1s:epoch=2")},
+		{"fault rank negative", append(ring, "-interval", "2", "-faults", "crash@1s:rank=-3")},
+		{"memloss count zero", append(ring, "-interval", "2", "-faults", "memloss@1s:count=0")},
+		{"fault phase unknown", append(ring, "-interval", "2", "-faults", "crash:phase=bogus")},
+		{"fault phase outside the protocol", append(ring, "-interval", "2", "-protocol", "uncoord", "-faults", "crash:phase=sync")},
+		{"unknown protocol", append(ring, "-protocol", "chandy")},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

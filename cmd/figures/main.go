@@ -54,14 +54,7 @@ func main() {
 		kinds = nil
 		for _, s := range strings.Split(*protoFlag, ",") {
 			kind := protocol.Kind(strings.TrimSpace(s))
-			ok := false
-			for _, k := range protocol.Kinds() {
-				if kind == k {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if _, err := protocol.ForKind(kind); err != nil || kind == "" {
 				fail(fmt.Errorf("unknown protocol %q in -protocol (want group, wholejob, uncoord)", s))
 			}
 			kinds = append(kinds, kind)
@@ -86,6 +79,9 @@ func main() {
 		}
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
+	if *protoFlag != "" && !sel("extprotocols") {
+		fail(fmt.Errorf("-protocol only applies to the extprotocols table; add extprotocols to -only"))
+	}
 
 	g := figures.NewGenerator(*workers)
 	var agg *obs.Aggregate

@@ -1,6 +1,6 @@
 // Command gbcrlint runs the repository's analyzer suite (simdeterminism,
-// nopanic, guardedby, errpropagation, confine, allocfree, obscomplete,
-// unused — see internal/analysis):
+// nopanic, guardedby, errpropagation, confine, allocfree, unused — see
+// internal/analysis):
 //
 //	gbcrlint [-json] [./...]
 //
@@ -61,9 +61,8 @@ func scopeFor(path string) []*analysis.Analyzer {
 		path == analysis.ModulePath+"/internal/obs" ||
 		path == analysis.ModulePath+"/internal/fault" {
 		// Cells run side by side on the Runner's pool, so state these
-		// packages could share between kernels must be declared, and the
-		// event/phase vocabularies they emit must stay closed.
-		out = append(out, analysis.Confine, analysis.ObsComplete)
+		// packages could share between kernels must be declared.
+		out = append(out, analysis.Confine)
 	}
 	if strings.HasPrefix(path, analysis.ModulePath+"/internal/") {
 		out = append(out, analysis.NoPanic)

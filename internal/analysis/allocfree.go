@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -274,14 +273,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// stringConstValue extracts the constant string value of an expression, if
-// it has one (a literal, a named constant, or a constant expression).
-func stringConstValue(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

@@ -31,10 +31,6 @@ func TestAllocFree(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.AllocFree, "allocfree")
 }
 
-func TestObsComplete(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.ObsComplete, "obscheck", "obs", "protocol")
-}
-
 func TestUnused(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.Unused, "unused/internal/lib")
 }

@@ -192,7 +192,7 @@ func (c *Controller) onOOB(src int, payload any) bool {
 
 // emit records a cr-layer event on this rank's track. Begin/End pairs with
 // the same what render as duration spans in the Chrome export.
-func (c *Controller) emit(t obs.Type, what, detail string) {
+func (c *Controller) emit(t obs.Type, what obs.Kind, detail string) {
 	c.co.bus.Emit(obs.Event{At: c.co.k.Now(), Rank: c.rank.World(), Layer: obs.LayerCR,
 		Type: t, What: what, Detail: detail})
 }
@@ -277,7 +277,7 @@ func (c *Controller) onAbort(m msgAbort) {
 	if m.cycle != c.cycle || !c.cycleActive {
 		return
 	}
-	c.emit(obs.Instant, "cycle-abort", "")
+	c.emit(obs.Instant, obs.KindCycleAbort, "")
 	if c.mySaved {
 		c.epoch--
 		c.mySaved = false
@@ -337,9 +337,9 @@ func (c *Controller) releaseAligned() {
 
 // phase reports a per-rank protocol phase entry to the coordinator's
 // PhaseHook (fault-injection targeting); a no-op without a hook.
-func (c *Controller) phase(name string) {
+func (c *Controller) phase(p protocol.Phase) {
 	if c.co.PhaseHook != nil {
-		c.co.PhaseHook(c.rank.World(), name, c.co.epoch+1)
+		c.co.PhaseHook(c.rank.World(), p, c.co.epoch+1)
 	}
 }
 
@@ -348,7 +348,7 @@ func (c *Controller) phase(name string) {
 // produced no checkpoint).
 func (c *Controller) abortReturn() {
 	c.inCkpt = false
-	c.emit(obs.Instant, "abort-resume", "")
+	c.emit(obs.Instant, obs.KindAbortResume, "")
 	c.releaseAligned()
 }
 
@@ -365,18 +365,18 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	c.inCkpt = true
 	p, k := e.Proc(), c.co.k
 	blocking := c.co.proto.Blocking()
-	c.emit(obs.Instant, "safe-point", "")
+	c.emit(obs.Instant, obs.KindSafePoint, "")
 	rec := c.newRecord()
 
 	if blocking {
 		// Phase 1: Initial Synchronization — report readiness, wait for the
 		// whole group to stop.
 		c.phase(protocol.PhaseSync)
-		c.emit(obs.Begin, "ckpt-sync", "")
+		c.emit(obs.Begin, obs.KindCkptSync, "")
 		c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
 		ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
 		rec.GoAt = k.Now()
-		c.emit(obs.End, "ckpt-sync", "")
+		c.emit(obs.End, obs.KindCkptSync, "")
 		if !ok {
 			c.abortReturn()
 			return
@@ -387,14 +387,14 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		// helper-driven progress).
 		c.phase(protocol.PhaseTeardown)
 		if c.co.bus.HasSinks() {
-			c.emit(obs.Begin, "ckpt-teardown",
+			c.emit(obs.Begin, obs.KindCkptTeardown,
 				fmt.Sprintf("%d connections to tear down", len(c.rank.Endpoint().Peers())))
 		}
 		for c.teardownBusy() {
 			p.Park("cr: connection teardown")
 		}
 		rec.TeardownDone = k.Now()
-		c.emit(obs.End, "ckpt-teardown", "")
+		c.emit(obs.End, obs.KindCkptTeardown, "")
 		if c.abortFlag {
 			c.abortReturn()
 			return
@@ -412,7 +412,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		return
 	}
 	if c.co.bus.HasSinks() {
-		c.emit(obs.Begin, "ckpt-write", fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
+		c.emit(obs.Begin, obs.KindCkptWrite, fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
 	}
 	for attempt := 1; ; attempt++ {
 		tr, err := c.startWrite(snap)
@@ -425,7 +425,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			// flight; the snapshot belongs to the discarded epoch. A retried
 			// cycle that already began has cleared abortFlag: hence the
 			// comparison.
-			c.emit(obs.End, "ckpt-write", "")
+			c.emit(obs.End, obs.KindCkptWrite, "")
 			c.abortReturn()
 			return
 		}
@@ -433,7 +433,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			break
 		}
 		if blocking {
-			c.emit(obs.End, "ckpt-write", "") // the member's write phase ends with the attempt
+			c.emit(obs.End, obs.KindCkptWrite, "") // the member's write phase ends with the attempt
 		}
 		backoff, ok := c.writeFailed(err, attempt)
 		if !ok {
@@ -451,16 +451,16 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		p.Sleep(backoff)
 	}
 	rec.WriteEnd = k.Now()
-	c.emit(obs.End, "ckpt-write", "")
+	c.emit(obs.End, obs.KindCkptWrite, "")
 	c.commit(snap)
 
 	// Phase 4: Post-checkpoint Coordination — wait for the group to finish;
 	// connections rebuild on demand as execution resumes.
 	c.phase(protocol.PhaseResume)
 	if blocking {
-		c.emit(obs.Begin, "ckpt-resume-wait", "")
+		c.emit(obs.Begin, obs.KindCkptResumeWait, "")
 		ok := c.waitFlag(p, &c.resumeFlag, "cr: post-checkpoint coordination")
-		c.emit(obs.End, "ckpt-resume-wait", "")
+		c.emit(obs.End, obs.KindCkptResumeWait, "")
 		if !ok {
 			// Aborted after our save: onAbort already rolled back the epoch and
 			// dropped mySaved; resume without a record.
@@ -527,6 +527,7 @@ func (c *Controller) checkpointFinishedRank() {
 
 	// Phases 1 and 2: report readiness, then on msgGo disconnect and re-check
 	// on each connection event until every handshake has settled.
+	c.phase(protocol.PhaseSync)
 	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
 	c.finishedStep = func() {
 		if !c.goFlag {
@@ -534,6 +535,7 @@ func (c *Controller) checkpointFinishedRank() {
 		}
 		if rec.GoAt == 0 {
 			rec.GoAt = k.Now() // the first run past the gate is msgGo's
+			c.phase(protocol.PhaseTeardown)
 		}
 		if c.teardownBusy() {
 			return
@@ -662,7 +664,7 @@ func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok b
 			world, attempt))
 		return 0, false
 	}
-	c.emit(obs.Instant, "write-failed", err.Error())
+	c.emit(obs.Instant, obs.KindWriteFailed, err.Error())
 	if blocking {
 		c.sendCo(msgWriteFailed{cycle: c.cycle, rank: world})
 		return 0, true
@@ -696,7 +698,7 @@ func (c *Controller) resume(rec CkptRecord) {
 	c.inCkpt = false
 	rec.ResumeAt = c.co.k.Now()
 	if c.co.bus.HasSinks() {
-		c.emit(obs.Instant, "resume", fmt.Sprintf("downtime %v", rec.Individual()))
+		c.emit(obs.Instant, obs.KindResume, fmt.Sprintf("downtime %v", rec.Individual()))
 	}
 	c.records = append(c.records, rec)
 	m := c.co.bus.Metrics()

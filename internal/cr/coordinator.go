@@ -62,12 +62,12 @@ type Coordinator struct {
 	OnCycleDone func(rep *CycleReport)
 
 	// PhaseHook, if non-nil, observes every per-rank protocol phase entry:
-	// phase is drawn from the protocol's phase vocabulary (Protocol.Phases —
-	// "sync", "teardown", "write", "resume" for the blocking protocols,
-	// "write", "resume" for the uncoordinated one), and epoch is the epoch
-	// the cycle is building (committed epochs + 1). The fault injector uses
-	// it to target "rank R during phase P of epoch E".
-	PhaseHook func(rank int, phase string, epoch int)
+	// phase is drawn from the protocol's phase vocabulary (Protocol.Phases:
+	// all four for the blocking protocols, write and resume for the
+	// uncoordinated one), and epoch is the epoch the cycle is building
+	// (committed epochs + 1). The fault injector uses it to target "rank R
+	// during phase P of epoch E".
+	PhaseHook func(rank int, phase protocol.Phase, epoch int)
 
 	// bus receives the protocol timeline (cycle control on the system
 	// track, per-rank phase spans) when a sink is attached; nil is fine.
@@ -82,7 +82,7 @@ type Coordinator struct {
 func (co *Coordinator) SetObs(b *obs.Bus) { co.bus = b }
 
 // emit records a cr-layer coordinator event on the system track.
-func (co *Coordinator) emit(what, detail string) {
+func (co *Coordinator) emit(what obs.Kind, detail string) {
 	co.bus.Emit(obs.Event{At: co.k.Now(), Rank: -1, Layer: obs.LayerCR,
 		Type: obs.Instant, What: what, Detail: detail})
 }
@@ -235,7 +235,7 @@ func (co *Coordinator) RequestCheckpoint() {
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles").Inc()
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles_"+string(co.proto.Kind())).Inc()
 	if co.bus.HasSinks() {
-		co.emit("request", fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
+		co.emit(obs.KindRequest, fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
 	}
 	groupOf := make([]int, n)
 	for r := range groupOf {
@@ -319,7 +319,7 @@ func (co *Coordinator) onMsg(src int, payload any) {
 		}
 		if co.groupCovered(co.saved, co.turn) {
 			if co.bus.HasSinks() {
-				co.emit("group-done", fmt.Sprintf("group %d", co.turn))
+				co.emit(obs.KindGroupDone, fmt.Sprintf("group %d", co.turn))
 			}
 			co.broadcast(msgGroupDone{cycle: co.cycle, group: co.turn})
 			co.turn++
@@ -340,7 +340,7 @@ func (co *Coordinator) onMsg(src int, payload any) {
 // quiesced and receive their go immediately.
 func (co *Coordinator) startTurn(turn int) {
 	if co.bus.HasSinks() {
-		co.emit("turn", fmt.Sprintf("group %d %v", turn, co.groups[turn]))
+		co.emit(obs.KindTurn, fmt.Sprintf("group %d %v", turn, co.groups[turn]))
 	}
 	co.broadcast(msgTurn{cycle: co.cycle, group: turn})
 	if co.cfg.Polled {
@@ -380,7 +380,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	co.cycleRetries++
 	co.bus.Metrics().Counter(obs.LayerCR, "cycle_aborts").Inc()
 	if co.bus.HasSinks() {
-		co.emit("cycle-abort", fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
+		co.emit(obs.KindCycleAbort, fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
 	}
 	if err := co.snaps.Discard(target); err != nil {
 		co.k.Fail(err)
@@ -395,7 +395,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	}
 	backoff := writeRetryBackoff(co.cycleRetries)
 	if co.bus.HasSinks() {
-		co.emit("cycle-retry", fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
+		co.emit(obs.KindCycleRetry, fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
 	}
 	co.k.After(backoff, co.RequestCheckpoint)
 }
@@ -411,7 +411,7 @@ func (co *Coordinator) groupCovered(set map[int]bool, group int) bool {
 
 func (co *Coordinator) finishCycle() {
 	if co.bus.HasSinks() {
-		co.emit("cycle-done", fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
+		co.emit(obs.KindCycleDone, fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
 	}
 	co.broadcast(msgCycleDone{cycle: co.cycle})
 	co.epoch++

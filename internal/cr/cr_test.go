@@ -1,10 +1,10 @@
 package cr
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -819,42 +819,38 @@ func TestTraceTimeline(t *testing.T) {
 	runSim(t, c.k)
 	// The coordinator's cycle events appear in protocol order on the system
 	// track.
-	var cycleEvents []string
+	var cycleEvents []obs.Kind
 	for _, e := range mem.ByRank(-1) {
 		if e.Layer == obs.LayerCR {
 			cycleEvents = append(cycleEvents, e.What)
 		}
 	}
-	want := []string{"request", "turn", "group-done", "turn", "group-done", "cycle-done"}
-	if fmt.Sprint(cycleEvents) != fmt.Sprint(want) {
+	want := []obs.Kind{obs.KindRequest, obs.KindTurn, obs.KindGroupDone, obs.KindTurn, obs.KindGroupDone, obs.KindCycleDone}
+	if !slices.Equal(cycleEvents, want) {
 		t.Fatalf("cycle events %v, want %v", cycleEvents, want)
 	}
 	// Every rank walked through the full phase sequence, with Begin/End
 	// spans properly paired.
-	wantPhases := []string{
-		"safe-point",
-		"ckpt-sync{", "}ckpt-sync",
-		"ckpt-teardown{", "}ckpt-teardown",
-		"ckpt-write{", "}ckpt-write",
-		"ckpt-resume-wait{", "}ckpt-resume-wait",
-		"resume",
+	type step struct {
+		t obs.Type
+		k obs.Kind
+	}
+	wantPhases := []step{
+		{obs.Instant, obs.KindSafePoint},
+		{obs.Begin, obs.KindCkptSync}, {obs.End, obs.KindCkptSync},
+		{obs.Begin, obs.KindCkptTeardown}, {obs.End, obs.KindCkptTeardown},
+		{obs.Begin, obs.KindCkptWrite}, {obs.End, obs.KindCkptWrite},
+		{obs.Begin, obs.KindCkptResumeWait}, {obs.End, obs.KindCkptResumeWait},
+		{obs.Instant, obs.KindResume},
 	}
 	for r := 0; r < n; r++ {
-		var phases []string
+		var phases []step
 		for _, e := range mem.ByRank(r) {
-			if e.Layer != obs.LayerCR {
-				continue
-			}
-			switch e.Type {
-			case obs.Begin:
-				phases = append(phases, e.What+"{")
-			case obs.End:
-				phases = append(phases, "}"+e.What)
-			default:
-				phases = append(phases, e.What)
+			if e.Layer == obs.LayerCR {
+				phases = append(phases, step{e.Type, e.What})
 			}
 		}
-		if fmt.Sprint(phases) != fmt.Sprint(wantPhases) {
+		if !slices.Equal(phases, wantPhases) {
 			t.Fatalf("rank %d phases %v, want %v", r, phases, wantPhases)
 		}
 	}

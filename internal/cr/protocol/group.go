@@ -10,7 +10,7 @@ import (
 // protocols: Initial Synchronization, Pre-checkpoint Coordination (channel
 // flush + connection teardown), Local Checkpointing, Post-checkpoint
 // Coordination.
-var blockingPhases = []string{PhaseSync, PhaseTeardown, PhaseWrite, PhaseResume}
+var blockingPhases = []Phase{PhaseSync, PhaseTeardown, PhaseWrite, PhaseResume}
 
 // groupBased is the paper's group-based blocking coordination.
 type groupBased struct{}
@@ -19,7 +19,7 @@ type groupBased struct{}
 func (groupBased) Kind() Kind { return Group }
 
 // Phases implements Protocol.
-func (groupBased) Phases() []string { return blockingPhases }
+func (groupBased) Phases() []Phase { return blockingPhases }
 
 // Validate implements Protocol. The group protocol accepts every engine
 // option: it is the scheme the engine was built around.

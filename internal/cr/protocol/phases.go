@@ -1,32 +1,45 @@
 package protocol
 
-// Per-rank phase vocabulary. Every phase name a Protocol implementation may
-// return from Phases() — and every phase the engine reports through the
-// coordinator's PhaseHook — is registered here as a `Phase*` constant. The
-// obscomplete analyzer enforces the contract statically:
-//
-//   - a string literal inside a Phases() method (or a *Phases package var)
-//     is flagged: vocabularies must be built from these constants, so a
-//     protocol cannot invent a phase name the fault injector and the
-//     documentation do not know about;
-//   - a registered phase constant that no engine code passes to a
-//     phase-reporting call is flagged where the emit sites live, closing
-//     the gap where a protocol declares a phase that is never reported
-//     (fault specs targeting it would silently never fire).
-//
-// The constants are untyped strings, so Phases() keeps its []string
-// signature and fault specs (parsed from user input) compare directly.
+import "fmt"
+
+// Phase is one step of the paper's per-rank checkpointing cycle (§3). The
+// set is closed and it is a type: Protocol.Phases, the coordinator's
+// PhaseHook and fault.Fault.Phase all carry a Phase, so a protocol cannot
+// declare, and the engine cannot report, a phase the fault injector does not
+// know. The zero value is no phase (a fault without a phase trigger).
+type Phase uint8
+
 const (
 	// PhaseSync is Initial Synchronization: the rank reached its safe
 	// point and waits for its whole group to stop.
-	PhaseSync = "sync"
+	PhaseSync Phase = iota + 1
 	// PhaseTeardown is Pre-checkpoint Coordination: in-transit messages
 	// are flushed and connections torn down.
-	PhaseTeardown = "teardown"
+	PhaseTeardown
 	// PhaseWrite is Local Checkpointing: the BLCR-style snapshot is
 	// written to storage.
-	PhaseWrite = "write"
+	PhaseWrite
 	// PhaseResume is Post-checkpoint Coordination: the rank waits for its
 	// group (blocking protocols) or resumes immediately (uncoordinated).
-	PhaseResume = "resume"
+	PhaseResume
 )
+
+var phaseNames = [...]string{PhaseSync: "sync", PhaseTeardown: "teardown", PhaseWrite: "write", PhaseResume: "resume"}
+
+func (p Phase) String() string {
+	if p > 0 && int(p) < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return "phase?"
+}
+
+// ParsePhase resolves a phase name typed by a user. The one place that
+// happens is a fault spec's crash trigger, which the message says.
+func ParsePhase(name string) (Phase, error) {
+	for p := PhaseSync; int(p) < len(phaseNames); p++ {
+		if phaseNames[p] == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown crash phase %q (want sync, teardown, write, or resume)", name)
+}

@@ -94,7 +94,7 @@ type Protocol interface {
 	Kind() Kind
 	// Phases is the per-rank phase vocabulary in cycle order. Fault specs
 	// targeting a phase outside this vocabulary are configuration errors.
-	Phases() []string
+	Phases() []Phase
 	// Validate rejects option combinations the protocol cannot honor.
 	Validate(o Options) error
 	// Plan forms the cycle schedule: groups checkpoint in slice order, ranks

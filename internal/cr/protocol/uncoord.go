@@ -25,7 +25,7 @@ func (uncoordinated) Kind() Kind { return Uncoordinated }
 
 // Phases implements Protocol: no sync and no teardown — a member goes
 // straight from its safe point to the local write.
-func (uncoordinated) Phases() []string { return []string{PhaseWrite, PhaseResume} }
+func (uncoordinated) Phases() []Phase { return []Phase{PhaseWrite, PhaseResume} }
 
 // Validate implements Protocol.
 func (uncoordinated) Validate(o Options) error {

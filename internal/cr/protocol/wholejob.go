@@ -17,7 +17,7 @@ type wholeJob struct{}
 func (wholeJob) Kind() Kind { return WholeJob }
 
 // Phases implements Protocol.
-func (wholeJob) Phases() []string { return blockingPhases }
+func (wholeJob) Phases() []Phase { return blockingPhases }
 
 // Validate implements Protocol: options that would partition the job
 // contradict the protocol's one-group definition.

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/sim"
 )
 
@@ -85,8 +86,8 @@ type Fault struct {
 	// fail-stop for the whole job either way.
 	Rank int
 	// Phase triggers a RankCrash when the target rank enters this protocol
-	// phase ("sync", "teardown", "write", "resume") instead of at a time.
-	Phase string
+	// phase instead of at a time; zero is no phase trigger.
+	Phase protocol.Phase
 	// Epoch scopes Phase triggers and SnapshotCorrupt to one checkpoint
 	// epoch (0 = any for Phase; required for SnapshotCorrupt).
 	Epoch int
@@ -121,8 +122,8 @@ func (f Fault) String() string {
 	if f.Rank >= 0 {
 		add("rank", fmt.Sprintf("%d", f.Rank))
 	}
-	if f.Phase != "" {
-		add("phase", f.Phase)
+	if f.Phase != 0 {
+		add("phase", f.Phase.String())
 	}
 	if f.Epoch > 0 {
 		add("epoch", fmt.Sprintf("%d", f.Epoch))
@@ -147,13 +148,11 @@ func (f Fault) String() string {
 func (f Fault) validate() error {
 	switch f.Kind {
 	case RankCrash:
-		if f.Phase == "" && f.At <= 0 {
+		if f.Phase == 0 && f.At <= 0 {
 			return errors.New("crash needs a time (@dur) or a phase trigger")
 		}
-		switch f.Phase {
-		case "", "sync", "teardown", "write", "resume":
-		default:
-			return fmt.Errorf("unknown crash phase %q (want sync, teardown, write, or resume)", f.Phase)
+		if f.Phase == 0 && f.Epoch != 0 {
+			return errors.New("crash epoch=N scopes a phase trigger; add phase=")
 		}
 	case StorageOutage, BurstBufferOutage:
 		if f.At < 0 || f.Duration <= 0 {
@@ -168,9 +167,6 @@ func (f Fault) validate() error {
 		default:
 			return fmt.Errorf("unknown cmdrop type %q (want REQ, REP, RTU, DISC, or FLUSH)", f.CMType)
 		}
-		if f.Count < 0 {
-			return fmt.Errorf("cmdrop count %d is negative", f.Count)
-		}
 	case SnapshotCorrupt:
 		if f.Epoch <= 0 {
 			return errors.New("corrupt needs epoch=N (the epoch to damage)")
@@ -181,12 +177,6 @@ func (f Fault) validate() error {
 	case NodeMemoryLoss:
 		if f.At <= 0 {
 			return errors.New("memloss needs a trigger time (@dur)")
-		}
-		if f.Phase != "" {
-			return errors.New("memloss fires at a time, not a phase")
-		}
-		if f.Count < 0 {
-			return fmt.Errorf("memloss count %d is negative", f.Count)
 		}
 	default:
 		return fmt.Errorf("unknown fault kind %v", f.Kind)

@@ -102,9 +102,29 @@ func TestParseErrors(t *testing.T) {
 		"memloss@5s:phase=write",    // memloss fires at a time, not a phase
 		"bboutage@5s",               // no window length
 		"bboutage@5s+2s:factor=1.5", // factor out of range
+		// Options the fault's kind does not read (kindOptions), and values
+		// that used to run as "any" or as the default, are not dropped.
+		"crash@1s:factor=0.5",
+		"crash@1s:type=REQ,count=7",
+		"outage@1s+1s:rank=3,phase=write",
+		"degrade@1s+1s:count=2",
+		"bboutage@1s+1s:epoch=1",
+		"cmdrop@1s:phase=write",
+		"corrupt:epoch=1,rank=0,count=3",
+		"memloss@1s:epoch=2",
+		"crash@1s:epoch=2",           // epoch scopes a phase trigger; there is none
+		"crash@1s:rank=-3",           // "any rank" is said by omitting rank
+		"crash:phase=write,epoch=-1", // "any epoch" by omitting epoch
+		"crash:phase=write,epoch=0",  // epochs count from 1
+		"corrupt:epoch=1,rank=-1",    // corrupt needs a real rank
+		"memloss@1s:count=0",         // a node loss loses at least one node
+		"cmdrop:count=0",             // a drop drops at least one packet
 	} {
-		if _, err := Parse(spec); err == nil {
+		_, err := Parse(spec)
+		if err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
+		} else if msg := err.Error(); !strings.HasPrefix(msg, "fault: ") || !strings.Contains(msg, ` in "`) || strings.Contains(msg, "\n") {
+			t.Errorf("Parse(%q): %q is not the one-line `fault: ... in \"<segment>\"` form", spec, msg)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"gbcr/internal/blcr"
 	"gbcr/internal/cr"
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/ib"
 	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
@@ -63,7 +64,7 @@ func NewInjector(scn Scenario, bus *obs.Bus) *Injector {
 	return in
 }
 
-func (in *Injector) emit(at sim.Time, typ obs.Type, what, detail string, arg int64) {
+func (in *Injector) emit(at sim.Time, typ obs.Type, what obs.Kind, detail string, arg int64) {
 	in.bus.Emit(obs.Event{At: at, Rank: -1, Layer: obs.LayerFault, Type: typ, What: what, Detail: detail, Arg: arg})
 	if typ != obs.End {
 		in.bus.Metrics().Counter(obs.LayerFault, "injected").Inc()
@@ -84,7 +85,7 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 			if in.fired[i] {
 				continue
 			}
-			if f.Phase != "" {
+			if f.Phase != 0 {
 				phaseCrashes = append(phaseCrashes, i)
 				continue
 			}
@@ -127,14 +128,14 @@ func (in *Injector) armTimedCrash(t Target, i int, f Fault, offset sim.Time) {
 			return
 		}
 		in.fired[i] = true
-		in.emit(t.K.Now(), obs.Instant, "crash", crashDetail(f), int64(f.Rank))
+		in.emit(t.K.Now(), obs.Instant, obs.KindCrash, crashDetail(f), int64(f.Rank))
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
 	})
 }
 
 func (in *Injector) armPhaseCrashes(t Target, idx []int) {
 	prev := t.Coord.PhaseHook
-	t.Coord.PhaseHook = func(rank int, phase string, epoch int) {
+	t.Coord.PhaseHook = func(rank int, phase protocol.Phase, epoch int) {
 		if prev != nil {
 			prev(rank, phase, epoch)
 		}
@@ -150,7 +151,7 @@ func (in *Injector) armPhaseCrashes(t Target, idx []int) {
 				continue
 			}
 			in.fired[i] = true
-			in.emit(t.K.Now(), obs.Instant, "crash", crashDetail(f), int64(rank))
+			in.emit(t.K.Now(), obs.Instant, obs.KindCrash, crashDetail(f), int64(rank))
 			t.K.Fail(fmt.Errorf("rank %d crashed in phase %q of epoch %d: %w",
 				rank, phase, epoch, ErrRankCrash))
 			return
@@ -159,7 +160,7 @@ func (in *Injector) armPhaseCrashes(t Target, idx []int) {
 }
 
 func crashDetail(f Fault) string {
-	if f.Phase != "" {
+	if f.Phase != 0 {
 		return fmt.Sprintf("phase=%s epoch=%d", f.Phase, f.Epoch)
 	}
 	return "timed"
@@ -175,12 +176,12 @@ func (in *Injector) armOutage(t Target, f Fault, offset sim.Time) {
 		begin = 0 // attempt starts mid-window
 	}
 	t.K.After(begin, func() {
-		in.emit(t.K.Now(), obs.Begin, "outage", fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
+		in.emit(t.K.Now(), obs.Begin, obs.KindOutage, fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
 		t.Storage.SetAvailability(f.Factor)
 	})
 	t.K.After(end, func() {
 		t.Storage.SetAvailability(1)
-		in.emit(t.K.Now(), obs.End, "outage", "", 0)
+		in.emit(t.K.Now(), obs.End, obs.KindOutage, "", 0)
 	})
 }
 
@@ -213,7 +214,7 @@ func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 		for node := first; node < first+count; node++ {
 			lost += t.Coord.Snapshots().DropNodeReplicas(node)
 		}
-		in.emit(t.K.Now(), obs.Instant, "memloss",
+		in.emit(t.K.Now(), obs.Instant, obs.KindMemLoss,
 			fmt.Sprintf("nodes %d..%d lost, %d node-resident copies destroyed", first, first+count-1, lost),
 			int64(count))
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
@@ -238,12 +239,12 @@ func (in *Injector) armBBOutage(t Target, f Fault, offset sim.Time) {
 		begin = 0 // attempt starts mid-window
 	}
 	t.K.After(begin, func() {
-		in.emit(t.K.Now(), obs.Begin, "bb-outage", fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
+		in.emit(t.K.Now(), obs.Begin, obs.KindBBOutage, fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
 		sys.SetAvailability(f.Factor)
 	})
 	t.K.After(end, func() {
 		sys.SetAvailability(1)
-		in.emit(t.K.Now(), obs.End, "bb-outage", "", 0)
+		in.emit(t.K.Now(), obs.End, obs.KindBBOutage, "", 0)
 	})
 }
 
@@ -261,7 +262,7 @@ func (in *Injector) armDrops(t Target, idx []int, offset sim.Time) {
 				continue
 			}
 			in.left[i]--
-			in.emit(t.K.Now(), obs.Instant, "cm-drop", kind, int64(dst))
+			in.emit(t.K.Now(), obs.Instant, obs.KindCMDrop, kind, int64(dst))
 			return true
 		}
 		return false
@@ -300,7 +301,7 @@ func (in *Injector) OnEpochCommitted(store *blcr.Store, epoch int, wall sim.Time
 		if s := store.Get(f.Epoch, f.Rank); s != nil {
 			s.Corrupt()
 			in.fired[i] = true
-			in.emit(wall, obs.Instant, "corrupt", fmt.Sprintf("epoch=%d", f.Epoch), int64(f.Rank))
+			in.emit(wall, obs.Instant, obs.KindCorrupt, fmt.Sprintf("epoch=%d", f.Epoch), int64(f.Rank))
 		}
 	}
 }

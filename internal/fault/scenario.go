@@ -2,10 +2,12 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/sim"
 )
 
@@ -54,23 +56,12 @@ func (s Scenario) HasKind(k Kind) bool {
 }
 
 // CheckPhases rejects phase-triggered crashes naming a phase outside the
-// active protocol's vocabulary. Parse validates against the union of all
-// protocols' phases; the runner calls this once the protocol is known (e.g.
-// "crash:phase=sync" cannot fire under the uncoordinated protocol, which has
-// no synchronization phase).
-func (s Scenario) CheckPhases(allowed []string) error {
+// active protocol's vocabulary. Parse accepts any protocol.Phase; the runner
+// calls this once the protocol is known (e.g. "crash:phase=sync" cannot fire
+// under the uncoordinated protocol, which has no synchronization phase).
+func (s Scenario) CheckPhases(allowed []protocol.Phase) error {
 	for _, f := range s.Faults {
-		if f.Kind != RankCrash || f.Phase == "" {
-			continue
-		}
-		ok := false
-		for _, p := range allowed {
-			if p == f.Phase {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if f.Phase != 0 && !slices.Contains(allowed, f.Phase) {
 			return fmt.Errorf("fault: crash phase %q is not in the active protocol's vocabulary %v", f.Phase, allowed)
 		}
 	}
@@ -103,7 +94,8 @@ func (s Scenario) CheckRanks(n int) error {
 // multi-tier storage hierarchy: the former is a crash that also destroys the
 // RAM-tier copies of count consecutive nodes, the latter an availability
 // window on the burst-buffer tier. Keys: rank, phase, epoch, factor, type,
-// count. Examples:
+// count; a key the fault's kind does not read (kindOptions) is an error, not
+// ignored. Examples:
 //
 //	crash@12s
 //	crash:phase=write,epoch=1,rank=3
@@ -194,7 +186,7 @@ func parseFault(seg string) (Fault, error) {
 			if !ok {
 				return Fault{}, fmt.Errorf("fault: bad option %q in %q (want key=val)", kv, seg)
 			}
-			if err := applyOpt(&f, key, val); err != nil {
+			if err := applyOpt(&f, head, key, val); err != nil {
 				return Fault{}, fmt.Errorf("fault: %w in %q", err, seg)
 			}
 		}
@@ -205,20 +197,43 @@ func parseFault(seg string) (Fault, error) {
 	return f, nil
 }
 
-func applyOpt(f *Fault, key, val string) error {
+// kindOptions lists the options each fault kind reads (injector.go is the
+// reader). An option outside its kind's list is rejected, the rule ckptsim
+// applies to workload-shape flags: dropped silently, the spec a report echoes
+// would not be the spec that was typed.
+var kindOptions = [...][]string{
+	RankCrash:         {"rank", "phase", "epoch"},
+	StorageOutage:     {"factor"},
+	CMDrop:            {"rank", "type", "count"},
+	SnapshotCorrupt:   {"rank", "epoch"},
+	NodeMemoryLoss:    {"rank", "count"},
+	BurstBufferOutage: {"factor"},
+}
+
+// applyOpt sets one key=val option on f; head is the kind as it was typed.
+// "Any rank", "any epoch" and the default count are said by omitting the
+// option, so zero and negative values are errors too.
+func applyOpt(f *Fault, head, key, val string) error {
+	if !slices.Contains(kindOptions[f.Kind], key) {
+		return fmt.Errorf("%s has no option %q (it reads %s)", head, key, strings.Join(kindOptions[f.Kind], ", "))
+	}
 	switch key {
 	case "rank":
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("bad rank %q", val)
+		if err != nil || n < 0 {
+			return fmt.Errorf("bad rank %q (want 0 or more; omit it for any rank)", val)
 		}
 		f.Rank = n
 	case "phase":
-		f.Phase = val
+		p, err := protocol.ParsePhase(val)
+		if err != nil {
+			return err
+		}
+		f.Phase = p
 	case "epoch":
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("bad epoch %q", val)
+		if err != nil || n < 1 {
+			return fmt.Errorf("bad epoch %q (want 1 or more; omit it for any epoch)", val)
 		}
 		f.Epoch = n
 	case "factor":
@@ -231,12 +246,10 @@ func applyOpt(f *Fault, key, val string) error {
 		f.CMType = strings.ToUpper(val)
 	case "count":
 		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("bad count %q", val)
+		if err != nil || n < 1 {
+			return fmt.Errorf("bad count %q (want 1 or more)", val)
 		}
 		f.Count = n
-	default:
-		return fmt.Errorf("unknown option %q", key)
 	}
 	return nil
 }

@@ -221,7 +221,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 					res.RecoveredCentral++
 				}
 				bus.Emit(obs.Event{At: res.Wall, Rank: i, Layer: obs.LayerStorage,
-					Type: obs.Instant, What: "tier-recover", Detail: src, Arg: s.Size()})
+					Type: obs.Instant, What: obs.KindTierRecover, Detail: src, Arg: s.Size()})
 				bus.Metrics().Counter(obs.LayerStorage, "tier_recover_"+src).Inc()
 			}
 			res.Wall += readback + parMax

@@ -65,9 +65,9 @@ func TestScenarioAbortRetryCrashRestart(t *testing.T) {
 	var crashSeen, outageSeen bool
 	for _, e := range mem.ByLayer(obs.LayerFault) {
 		switch e.What {
-		case "crash":
+		case obs.KindCrash:
 			crashSeen = true
-		case "outage":
+		case obs.KindOutage:
 			outageSeen = true
 		}
 	}
@@ -190,7 +190,11 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 		// phase-targeted crashes must come from the drawn protocol.
 		kind := protocol.Kinds()[rng.Intn(len(protocol.Kinds()))]
 		cfg.CR.Protocol = kind
-		phases := []string{"sync", "teardown", "write", "resume"}
+		proto, err := protocol.ForKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases := proto.Phases()
 		switch kind {
 		case protocol.Group:
 			cfg.CR.GroupSize = rng.Intn(n + 1)
@@ -200,7 +204,6 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 			cfg.CR.GroupSize = 0
 			cfg.CR.HelperEnabled = false
 			cfg.MPI.LogMessages = true
-			phases = []string{"write", "resume"}
 		}
 		w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,
 			Chunk: 20 * sim.Millisecond, FootprintMB: 5}

@@ -105,7 +105,7 @@ func TestScenarioBBOutageAbortsAndRetries(t *testing.T) {
 	}
 	var outageSeen bool
 	for _, e := range mem.ByLayer(obs.LayerFault) {
-		if e.What == "bb-outage" {
+		if e.What == obs.KindBBOutage {
 			outageSeen = true
 		}
 	}

@@ -117,7 +117,7 @@ func (f *Fabric) Config() Config { return f.cfg }
 func (f *Fabric) SetObs(b *obs.Bus) { f.bus = b }
 
 // emit records an ib-layer instant on the endpoint's track.
-func (ep *Endpoint) emit(what string, peer int) {
+func (ep *Endpoint) emit(what obs.Kind, peer int) {
 	ep.f.bus.Emit(obs.Event{At: ep.f.k.Now(), Rank: ep.id, Layer: obs.LayerIB,
 		Type: obs.Instant, What: what, Arg: int64(peer)})
 }
@@ -162,14 +162,12 @@ type (
 
 // conn is one endpoint's side of a connection.
 type conn struct {
-	peer        int
-	state       ConnState
-	meta        int64
-	initiator   bool // this side called Disconnect
-	sentFlush   bool
-	gotFlushAck bool
-	retry       sim.Event // pending retransmission timer, zero if disarmed
-	retries     int       // retransmissions already sent in this state
+	peer      int
+	state     ConnState
+	meta      int64
+	sentFlush bool
+	retry     sim.Event // pending retransmission timer, zero if disarmed
+	retries   int       // retransmissions already sent in this state
 }
 
 // workItem is an arrived-but-unprocessed packet.
@@ -239,7 +237,6 @@ type Stats struct {
 	MessagesSent      int
 	BytesSent         int64
 	OOBSent           int
-	CtlProcessed      int
 	MessagesDelivered int
 	Retransmits       int
 	PacketsDropped    int
@@ -430,7 +427,7 @@ func (ep *Endpoint) dropped(dst int, payload any) bool {
 	ep.stats.PacketsDropped++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "cm_drops").Inc()
 	ep.f.bus.Emit(obs.Event{At: ep.f.k.Now(), Rank: ep.id, Layer: obs.LayerIB,
-		Type: obs.Instant, What: "cm-drop", Detail: kind, Arg: int64(dst)})
+		Type: obs.Instant, What: obs.KindCMDrop, Detail: kind, Arg: int64(dst)})
 	return true
 }
 
@@ -509,7 +506,7 @@ func (ep *Endpoint) retransmit(peer int) {
 	ep.stats.Retransmits++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "retransmits").Inc()
 	ep.f.bus.Emit(obs.Event{At: ep.f.k.Now(), Rank: ep.id, Layer: obs.LayerIB,
-		Type: obs.Instant, What: "cm-retransmit", Detail: c.state.String(), Arg: int64(peer)})
+		Type: obs.Instant, What: obs.KindCMRetransmit, Detail: c.state.String(), Arg: int64(peer)})
 	switch c.state {
 	case StateConnecting:
 		ep.sendCM(peer, cmConnReq{meta: c.meta})
@@ -610,26 +607,19 @@ func (ep *Endpoint) DeferredConnects() int { return len(ep.deferred) }
 func (ep *Endpoint) process(it workItem) {
 	switch pl := it.payload.(type) {
 	case cmConnReq:
-		ep.stats.CtlProcessed++
 		ep.handleConnReq(it, pl)
 	case cmConnRep:
-		ep.stats.CtlProcessed++
 		ep.handleConnRep(it.src)
 	case cmConnRtu:
-		ep.stats.CtlProcessed++
 		ep.handleConnRtu(it.src)
 	case cmDiscReq:
-		ep.stats.CtlProcessed++
 		ep.handleDiscReq(it.src)
 	case cmDiscRep:
-		ep.stats.CtlProcessed++
 		ep.handleDiscRep(it.src)
 	case ctlFlush:
-		ep.stats.CtlProcessed++
 		ep.promoteOnInband(it.src)
 		ep.handleFlush(it.src)
 	case ctlFlushAck:
-		ep.stats.CtlProcessed++
 		ep.promoteOnInband(it.src)
 		ep.handleFlushAck(it.src)
 	default:
@@ -660,7 +650,7 @@ func (ep *Endpoint) promoteOnInband(peer int) {
 	ep.disarm(c)
 	c.retries = 0
 	c.state = StateConnected
-	ep.emit("conn-up", peer)
+	ep.emit(obs.KindConnUp, peer)
 	if ep.OnConnUp != nil {
 		ep.OnConnUp(peer)
 	}
@@ -683,7 +673,7 @@ func (ep *Endpoint) Connect(peer int, meta int64) error {
 	ep.conns[peer] = c
 	ep.stats.ConnectsInitiated++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "connects").Inc()
-	ep.emit("cm-req", peer)
+	ep.emit(obs.KindCMReq, peer)
 	ep.sendCM(peer, cmConnReq{meta: meta})
 	ep.armRetransmit(c)
 	return nil
@@ -703,7 +693,7 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 				c.retries = 0
 				ep.stats.ConnectsAccepted++
 				ep.f.bus.Metrics().Counter(obs.LayerIB, "accepts").Inc()
-				ep.emit("cm-rep", peer)
+				ep.emit(obs.KindCMRep, peer)
 				ep.sendCM(peer, cmConnRep{})
 				ep.armRetransmit(c)
 			}
@@ -712,7 +702,7 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 		case StateAccepting:
 			// Duplicate REQ: our REP was lost and the initiator timed out.
 			// Re-answer; our own retransmission timer keeps its schedule.
-			ep.emit("cm-rep", peer)
+			ep.emit(obs.KindCMRep, peer)
 			ep.sendCM(peer, cmConnRep{})
 			return
 		default:
@@ -723,14 +713,14 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 	if ep.AcceptConn != nil && !ep.AcceptConn(peer, req.meta) {
 		ep.deferred = append(ep.deferred, it)
 		ep.f.bus.Metrics().Counter(obs.LayerIB, "deferred_connects").Inc()
-		ep.emit("cm-defer", peer)
+		ep.emit(obs.KindCMDefer, peer)
 		return
 	}
 	c = &conn{peer: peer, state: StateAccepting, meta: req.meta}
 	ep.conns[peer] = c
 	ep.stats.ConnectsAccepted++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "accepts").Inc()
-	ep.emit("cm-rep", peer)
+	ep.emit(obs.KindCMRep, peer)
 	ep.sendCM(peer, cmConnRep{})
 	ep.armRetransmit(c)
 }
@@ -752,7 +742,7 @@ func (ep *Endpoint) handleConnRep(peer int) {
 	ep.disarm(c)
 	c.retries = 0
 	c.state = StateConnected
-	ep.emit("conn-up", peer)
+	ep.emit(obs.KindConnUp, peer)
 	ep.sendCM(peer, cmConnRtu{})
 	if ep.OnConnUp != nil {
 		ep.OnConnUp(peer)
@@ -767,7 +757,7 @@ func (ep *Endpoint) handleConnRtu(peer int) {
 	ep.disarm(c)
 	c.retries = 0
 	c.state = StateConnected
-	ep.emit("conn-up", peer)
+	ep.emit(obs.KindConnUp, peer)
 	if ep.OnConnUp != nil {
 		ep.OnConnUp(peer)
 	}
@@ -783,10 +773,9 @@ func (ep *Endpoint) Disconnect(peer int) {
 		return
 	}
 	c.state = StateDraining
-	c.initiator = true
 	c.sentFlush = true
 	c.retries = 0
-	ep.emit("flush-start", peer)
+	ep.emit(obs.KindFlushStart, peer)
 	ep.sendCtl(peer, ep.f.cfg.CtlSize, ctlFlush{})
 	ep.armRetransmit(c)
 }
@@ -817,9 +806,8 @@ func (ep *Endpoint) handleFlushAck(peer int) {
 	}
 	ep.disarm(c)
 	c.retries = 0
-	c.gotFlushAck = true
 	c.state = StateDisconnecting
-	ep.emit("disc-req", peer)
+	ep.emit(obs.KindDiscReq, peer)
 	ep.sendCM(peer, cmDiscReq{})
 	ep.armRetransmit(c)
 }
@@ -853,7 +841,7 @@ func (ep *Endpoint) closeConn(peer int) {
 	delete(ep.conns, peer)
 	ep.stats.Disconnects++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "disconnects").Inc()
-	ep.emit("conn-down", peer)
+	ep.emit(obs.KindConnDown, peer)
 	if ep.OnConnDown != nil {
 		ep.OnConnDown(peer)
 	}

@@ -76,14 +76,12 @@ type CRHooks interface {
 type RankStats struct {
 	EagerSent      int
 	RendezvousSent int
-	BytesSent      int64
 	MsgsBuffered   int   // paper: message buffering events
 	BytesBuffered  int64 // payload bytes held while buffered
 	ReqsBuffered   int   // paper: request buffering events
 	MsgsLogged     int   // sender-based logging events (LogMessages mode)
 	BytesLogged    int64 // payload bytes copied into the message log
 	DupsDiscarded  int   // duplicate re-sends dropped after a logging restart
-	Interrupts     int
 	HelperTicks    int
 	CollectivesRun int
 }
@@ -106,7 +104,7 @@ type Job struct {
 func (j *Job) SetObs(b *obs.Bus) { j.bus = b }
 
 // emit records an mpi-layer instant on rank r's track.
-func (r *Rank) emit(what, detail string, arg int64) {
+func (r *Rank) emit(what obs.Kind, detail string, arg int64) {
 	r.job.bus.Emit(obs.Event{At: r.job.k.Now(), Rank: r.world, Layer: obs.LayerMPI,
 		Type: obs.Instant, What: what, Detail: detail, Arg: arg})
 }
@@ -320,7 +318,6 @@ func (r *Rank) RequestSafePoint() {
 	r.spPolled = false
 	r.spSeq++
 	if r.proc != nil {
-		r.stats.Interrupts++
 		r.proc.Interrupt()
 	}
 }
@@ -390,7 +387,7 @@ func (r *Rank) helperTickFire() {
 	}
 	r.stats.HelperTicks++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "helper_ticks").Inc()
-	r.emit("helper-tick", "", 0)
+	r.emit(obs.KindHelperTick, "", 0)
 	if !r.inMPI {
 		r.progressNow()
 	}

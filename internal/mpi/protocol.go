@@ -170,7 +170,6 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 		if r.PostHook != nil {
 			r.PostHook(dst)
 		}
-		r.stats.BytesSent += it.size
 		return true
 	case ib.ErrNotConnected:
 		if r.ep.State(dst) == ib.StateClosed {
@@ -211,13 +210,13 @@ func (r *Rank) deferItem(dst int, it outItem) {
 		m.Counter(obs.LayerMPI, "msgs_buffered").Inc()
 		m.Counter(obs.LayerMPI, "bytes_buffered").Add(n)
 		if r.job.bus.HasSinks() {
-			r.emit("buffer-msg", fmt.Sprintf("dst=%d", dst), n)
+			r.emit(obs.KindBufferMsg, fmt.Sprintf("dst=%d", dst), n)
 		}
 	default:
 		r.stats.ReqsBuffered++
 		m.Counter(obs.LayerMPI, "reqs_buffered").Inc()
 		if r.job.bus.HasSinks() {
-			r.emit("buffer-req", fmt.Sprintf("dst=%d", dst), it.size)
+			r.emit(obs.KindBufferReq, fmt.Sprintf("dst=%d", dst), it.size)
 		}
 	}
 }
@@ -227,7 +226,7 @@ func (r *Rank) deferItem(dst int, it outItem) {
 func (r *Rank) drainOutbox(dst int) {
 	q := r.outbox[dst]
 	if len(q) > 0 && r.job.bus.HasSinks() {
-		r.emit("outbox-drain", fmt.Sprintf("dst=%d", dst), int64(len(q)))
+		r.emit(obs.KindOutboxDrain, fmt.Sprintf("dst=%d", dst), int64(len(q)))
 	}
 	for len(q) > 0 {
 		if !r.trySend(dst, q[0]) {
@@ -283,7 +282,7 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
 		if r.job.bus.HasSinks() {
-			r.emit("dup-drop", fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
+			r.emit(obs.KindDupDrop, fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
 		}
 		return true
 	}
@@ -300,7 +299,7 @@ func (r *Rank) arriveEager(srcWorld int, m *wirePkt) {
 	if req := r.matchPosted(&msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
 		if r.job.bus.HasSinks() {
-			r.emit("match-eager", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
+			r.emit(obs.KindMatchEager, fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
 		}
 		r.deliver(req, &msg)
 		return
@@ -339,7 +338,7 @@ func (r *Rank) addUnexpected(msg inMsg) {
 func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_granted").Inc()
 	if r.job.bus.HasSinks() {
-		r.emit("rdv-grant", fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
+		r.emit(obs.KindRdvGrant, fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
 	}
 	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
 	r.sendCTS(msg.srcWorld, msg.sendID, req)

@@ -81,7 +81,7 @@ func (s *ChromeSink) Emit(e Event) {
 		track = faultTID
 	}
 	ce := chromeEvent{
-		Name:  e.What,
+		Name:  e.What.String(),
 		Cat:   e.Layer.String(),
 		Phase: ph,
 		TS:    float64(e.At) / 1e3, // ns -> us

@@ -13,7 +13,7 @@ type jsonEvent struct {
 	Rank   int    `json:"rank"`
 	Layer  Layer  `json:"layer"`
 	Type   Type   `json:"type"`
-	What   string `json:"what"`
+	What   Kind   `json:"what"`
 	Detail string `json:"detail,omitempty"`
 	Arg    int64  `json:"arg,omitempty"`
 }

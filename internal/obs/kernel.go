@@ -49,7 +49,7 @@ func (o *kernelObserver) ProcSpawned(now sim.Time, name string) {
 	}
 	o.spawns.Inc()
 	o.bus.Emit(Event{At: now, Rank: procRank(name), Layer: LayerKernel, Type: Instant,
-		What: "spawn", Detail: name})
+		What: KindSpawn, Detail: name})
 }
 
 func (o *kernelObserver) ProcParked(now sim.Time, name, reason string) {
@@ -58,15 +58,15 @@ func (o *kernelObserver) ProcParked(now sim.Time, name, reason string) {
 	}
 	o.parks.Inc()
 	o.bus.Emit(Event{At: now, Rank: procRank(name), Layer: LayerKernel, Type: Begin,
-		What: "park", Detail: reason})
+		What: KindPark, Detail: reason})
 }
 
 func (o *kernelObserver) ProcUnparked(now sim.Time, name string) {
 	o.bus.Emit(Event{At: now, Rank: procRank(name), Layer: LayerKernel, Type: End,
-		What: "park"})
+		What: KindPark})
 }
 
 func (o *kernelObserver) ProcDone(now sim.Time, name string) {
 	o.bus.Emit(Event{At: now, Rank: procRank(name), Layer: LayerKernel, Type: Instant,
-		What: "done", Detail: name})
+		What: KindDone, Detail: name})
 }

@@ -13,7 +13,7 @@ func (e Event) String() string {
 	if e.Rank >= 0 {
 		who = fmt.Sprintf("rank%-3d", e.Rank)
 	}
-	what := e.What
+	what := e.What.String()
 	switch e.Type {
 	case Begin:
 		what += "{"

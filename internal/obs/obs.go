@@ -99,7 +99,7 @@ type Event struct {
 	Rank   int
 	Layer  Layer
 	Type   Type
-	What   string
+	What   Kind
 	Detail string
 	Arg    int64
 }

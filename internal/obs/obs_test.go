@@ -18,23 +18,23 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // (system and rank), all three event types, and the optional fields.
 func sampleEvents() []Event {
 	return []Event{
-		{At: 0, Rank: -1, Layer: LayerCR, Type: Instant, What: "request", Detail: "cycle 1, groups [[0 1]]"},
-		{At: sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: Begin, What: "park", Detail: "cr: initial synchronization"},
-		{At: 2 * sim.Millisecond, Rank: 1, Layer: LayerIB, Type: Instant, What: "cm-req", Arg: 0},
-		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: End, What: "park"},
-		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: "ckpt-write", Detail: "20 MB"},
-		{At: 4 * sim.Millisecond, Rank: -1, Layer: LayerStorage, Type: Instant, What: "xfer-start", Arg: 20 << 20},
-		{At: 90 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: End, What: "ckpt-write"},
-		{At: 91 * sim.Millisecond, Rank: 1, Layer: LayerMPI, Type: Instant, What: "buffer-msg", Detail: "dst=0", Arg: 4096},
+		{At: 0, Rank: -1, Layer: LayerCR, Type: Instant, What: KindRequest, Detail: "cycle 1, groups [[0 1]]"},
+		{At: sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: Begin, What: KindPark, Detail: "cr: initial synchronization"},
+		{At: 2 * sim.Millisecond, Rank: 1, Layer: LayerIB, Type: Instant, What: KindCMReq, Arg: 0},
+		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: End, What: KindPark},
+		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: KindCkptWrite, Detail: "20 MB"},
+		{At: 4 * sim.Millisecond, Rank: -1, Layer: LayerStorage, Type: Instant, What: KindXferStart, Arg: 20 << 20},
+		{At: 90 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: End, What: KindCkptWrite},
+		{At: 91 * sim.Millisecond, Rank: 1, Layer: LayerMPI, Type: Instant, What: KindBufferMsg, Detail: "dst=0", Arg: 4096},
 		// The fault layer's event vocabulary (internal/fault): an "outage"
 		// span while storage is lost or degraded, "cm-drop" per swallowed
 		// connection-management packet, "crash" per injected fail-stop kill,
 		// and "corrupt" when a committed snapshot is damaged in the archive.
-		{At: 95 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Begin, What: "outage", Detail: "factor=0"},
-		{At: 96 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: "cm-drop", Detail: "REQ", Arg: 1},
-		{At: 97 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: End, What: "outage"},
-		{At: 98 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: "crash", Detail: "phase=write epoch=2", Arg: 1},
-		{At: 99 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: "corrupt", Detail: "epoch=1"},
+		{At: 95 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Begin, What: KindOutage, Detail: "factor=0"},
+		{At: 96 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: KindCMDrop, Detail: "REQ", Arg: 1},
+		{At: 97 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: End, What: KindOutage},
+		{At: 98 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: KindCrash, Detail: "phase=write epoch=2", Arg: 1},
+		{At: 99 * sim.Millisecond, Rank: -1, Layer: LayerFault, Type: Instant, What: KindCorrupt, Detail: "epoch=1"},
 	}
 }
 
@@ -42,7 +42,7 @@ func TestNilBusAndInstrumentsAreNoOps(t *testing.T) {
 	// Every call here must be a safe no-op: a nil bus is the disabled path
 	// every instrumented layer relies on.
 	var bus *Bus
-	bus.Emit(Event{What: "ignored"})
+	bus.Emit(Event{What: KindSpawn})
 	bus.AddSink(&MemorySink{})
 	if bus.HasSinks() {
 		t.Fatal("nil bus reports sinks")
@@ -239,9 +239,9 @@ func TestChromeSinkStructure(t *testing.T) {
 // timestamp so the file stays balanced, and Render stays idempotent.
 func TestChromeSinkClosesDanglingSpans(t *testing.T) {
 	ch := NewChrome()
-	ch.Emit(Event{At: 10 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: "ckpt-write"})
-	ch.Emit(Event{At: 12 * sim.Millisecond, Rank: 0, Layer: LayerMPI, Type: Begin, What: "recv-wait"})
-	ch.Emit(Event{At: 15 * sim.Millisecond, Rank: 1, Layer: LayerCR, Type: Instant, What: "crash"})
+	ch.Emit(Event{At: 10 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: KindCkptWrite})
+	ch.Emit(Event{At: 12 * sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: Begin, What: KindPark})
+	ch.Emit(Event{At: 15 * sim.Millisecond, Rank: 1, Layer: LayerCR, Type: Instant, What: KindCrash})
 	render := func() chromeFile {
 		var buf bytes.Buffer
 		if err := ch.Render(&buf); err != nil {
@@ -359,7 +359,7 @@ func TestProcRankParsing(t *testing.T) {
 // every instrumented hot path pays when observation is off.
 func BenchmarkEmitDisabled(b *testing.B) {
 	var bus *Bus
-	e := Event{At: 1, Rank: 0, Layer: LayerIB, Type: Instant, What: "x"}
+	e := Event{At: 1, Rank: 0, Layer: LayerIB, Type: Instant, What: KindConnUp}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bus.Emit(e)
@@ -370,7 +370,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 // BenchmarkEmitMemory is the enabled-path cost for comparison.
 func BenchmarkEmitMemory(b *testing.B) {
 	bus := NewBus(&MemorySink{})
-	e := Event{At: 1, Rank: 0, Layer: LayerIB, Type: Instant, What: "x"}
+	e := Event{At: 1, Rank: 0, Layer: LayerIB, Type: Instant, What: KindConnUp}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bus.Emit(e)

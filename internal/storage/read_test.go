@@ -8,7 +8,7 @@ import (
 )
 
 // countWhat tallies storage-layer events by What on one memory sink.
-func countWhat(mem *obs.MemorySink, what string) int {
+func countWhat(mem *obs.MemorySink, what obs.Kind) int {
 	n := 0
 	for _, e := range mem.ByLayer(obs.LayerStorage) {
 		if e.What == what {
@@ -37,13 +37,13 @@ func TestReadDirectionTaggedEvents(t *testing.T) {
 		t.Fatalf("Reads = %d, Transfers = %d; want 1, 1", s.Reads(), s.Transfers())
 	}
 	for _, c := range []struct {
-		what string
+		what obs.Kind
 		want int
 	}{
-		{"read-start", 1}, {"read-end", 1}, {"xfer-start", 0}, {"xfer-end", 0},
+		{obs.KindReadStart, 1}, {obs.KindReadEnd, 1}, {obs.KindXferStart, 0}, {obs.KindXferEnd, 0},
 	} {
 		if got := countWhat(mem, c.what); got != c.want {
-			t.Errorf("%d %q events, want %d", got, c.what, c.want)
+			t.Errorf("%d %v events, want %d", got, c.what, c.want)
 		}
 	}
 }

@@ -163,7 +163,7 @@ func (s *System) SetAvailability(factor float64) {
 	s.availability = factor
 	s.bus.Metrics().Counter(obs.LayerStorage, "availability_changes").Inc()
 	s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "availability", Detail: fmt.Sprintf("factor=%g", factor),
+		Type: obs.Instant, What: obs.KindAvailability, Detail: fmt.Sprintf("factor=%g", factor),
 		Arg: int64(factor * 100)})
 	if factor == 0 {
 		// Full outage: abort everything in flight. Iterate over a snapshot —
@@ -239,12 +239,12 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 		s.bus.Metrics().Counter(obs.LayerStorage, "reads").Inc()
 		s.bus.Metrics().Counter(obs.LayerStorage, "read_bytes").Add(n)
 		s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: "read-start", Arg: n})
+			Type: obs.Instant, What: obs.KindReadStart, Arg: n})
 	} else {
 		s.bus.Metrics().Counter(obs.LayerStorage, "transfers").Inc()
 		s.bus.Metrics().Counter(obs.LayerStorage, "bytes").Add(n)
 		s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: "xfer-start", Arg: n})
+			Type: obs.Instant, What: obs.KindXferStart, Arg: n})
 	}
 	start := func() {
 		if t.completed {
@@ -362,7 +362,7 @@ func (s *System) reschedule() {
 	}
 	s.bus.Metrics().Counter(obs.LayerStorage, "rate_recomputes").Inc()
 	s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "rate-recompute", Arg: int64(n)})
+		Type: obs.Instant, What: obs.KindRateRecompute, Arg: int64(n)})
 	agg := s.cfg.AggregateBW * s.availability
 	if s.cfg.Efficiency != nil {
 		agg *= s.cfg.Efficiency(n)
@@ -449,7 +449,7 @@ func (t *Transfer) abort(err error) {
 	s.aborted++
 	s.bus.Metrics().Counter(obs.LayerStorage, "xfer_aborts").Inc()
 	s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "xfer-abort", Arg: int64(t.remaining)})
+		Type: obs.Instant, What: obs.KindXferAbort, Arg: int64(t.remaining)})
 	t.waiters.Broadcast()
 	for _, fn := range t.onDone {
 		fn()
@@ -465,7 +465,7 @@ func (t *Transfer) complete() {
 	if t.read {
 		s.bus.Metrics().Histogram(obs.LayerStorage, "read_time").Observe(t.Elapsed())
 		s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: "read-end", Arg: int64(t.total)})
+			Type: obs.Instant, What: obs.KindReadEnd, Arg: int64(t.total)})
 		t.waiters.Broadcast()
 		for _, fn := range t.onDone {
 			fn()
@@ -475,7 +475,7 @@ func (t *Transfer) complete() {
 	}
 	s.bus.Metrics().Histogram(obs.LayerStorage, "xfer_time").Observe(t.Elapsed())
 	s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "xfer-end", Arg: int64(t.total)})
+		Type: obs.Instant, What: obs.KindXferEnd, Arg: int64(t.total)})
 	t.waiters.Broadcast()
 	for _, fn := range t.onDone {
 		fn()

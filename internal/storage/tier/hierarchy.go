@@ -199,7 +199,7 @@ func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
 	level := h.tiers[idx].Level()
 	h.bus.Metrics().Counter(obs.LayerStorage, "tier_writes_"+string(level)).Inc()
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "tier-write", Detail: string(level), Arg: size})
+		Type: obs.Instant, What: obs.KindTierWrite, Detail: string(level), Arg: size})
 	h.drainNext(idx, epoch, rank, size, 0)
 }
 
@@ -224,10 +224,10 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 		return
 	}
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Begin, What: "tier-drain", Detail: string(src) + "->" + string(dst), Arg: size})
+		Type: obs.Begin, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
 	tr.OnDone(func() {
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-			Type: obs.End, What: "tier-drain", Detail: string(src) + "->" + string(dst), Arg: size})
+			Type: obs.End, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
 		if err := tr.Err(); err != nil {
 			h.retryDrain(from, epoch, rank, size, tries, err)
 			return
@@ -248,7 +248,7 @@ func (h *Hierarchy) retryDrain(from, epoch, rank int, size int64, tries int, cau
 		h.drainFailures++
 		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drain_failures").Inc()
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: "tier-drain",
+			Type: obs.Instant, What: obs.KindTierDrain,
 			Detail: fmt.Sprintf("abandoned after %d tries: %v", tries, cause), Arg: size})
 		return
 	}
@@ -282,7 +282,7 @@ func (h *Hierarchy) noteSpill(from, to Level, epoch, rank int, size int64) {
 	h.spills++
 	h.bus.Metrics().Counter(obs.LayerStorage, "tier_spills").Inc()
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "tier-spill",
+		Type: obs.Instant, What: obs.KindTierSpill,
 		Detail: fmt.Sprintf("%s full, writing through to %s (epoch %d)", from, to, epoch), Arg: size})
 }
 
@@ -291,7 +291,7 @@ func (h *Hierarchy) noteEvict(epoch, rank int, size int64) {
 	h.evictions++
 	h.bus.Metrics().Counter(obs.LayerStorage, "tier_evictions").Inc()
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: "tier-evict",
+		Type: obs.Instant, What: obs.KindTierEvict,
 		Detail: fmt.Sprintf("epoch %d drained, releasing buffer space", epoch), Arg: size})
 }
 

@@ -74,7 +74,7 @@ type Controller struct {
 }
 
 func newController(co *Coordinator, rank *mpi.Rank) *Controller {
-	c := &Controller{co: co, rank: rank, bufByCycle: make(map[int]bufDelta)}
+	c := &Controller{co: co, rank: rank}
 	rank.SetHooks(c)
 	rank.SetIndependentCkpt(!co.proto.Blocking())
 	ep := rank.Endpoint()
@@ -309,6 +309,9 @@ func (c *Controller) endCycle() {
 		msgs:  now.MsgsBuffered - c.bufStart.MsgsBuffered,
 		reqs:  now.ReqsBuffered - c.bufStart.ReqsBuffered,
 		bytes: now.BytesBuffered - c.bufStart.BytesBuffered,
+	}
+	if c.bufByCycle == nil {
+		c.bufByCycle = make(map[int]bufDelta)
 	}
 	c.bufByCycle[c.cycle] = d
 	m := c.co.bus.Metrics()
@@ -565,15 +568,15 @@ func (c *Controller) newRecord() CkptRecord {
 func (c *Controller) teardownBusy() bool {
 	ep := c.rank.Endpoint()
 	busy := false
-	for _, peer := range ep.Peers() {
-		switch ep.State(peer) {
+	ep.EachConn(func(peer int, state ib.ConnState) {
+		switch state {
 		case ib.StateConnected:
 			ep.Disconnect(peer)
 			busy = true
 		case ib.StateAccepting, ib.StateDraining, ib.StateDisconnecting:
 			busy = true
 		}
-	}
+	})
 	return busy
 }
 

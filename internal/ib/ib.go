@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
@@ -160,9 +159,12 @@ type (
 	ctlFlushAck struct{}
 )
 
-// conn is one endpoint's side of a connection.
+// conn is one endpoint's side of a connection: everything the endpoint keeps
+// about one peer it talks to, the remote endpoint included, so a send finds
+// its destination in the same lookup that checks the connection's state.
 type conn struct {
 	peer      int
+	remote    *Endpoint
 	state     ConnState
 	meta      int64
 	sentFlush bool
@@ -247,7 +249,12 @@ type Endpoint struct {
 	f  *Fabric
 	id int
 
-	conns      map[int]*conn
+	// conns holds the non-closed connections in ascending peer order, found
+	// by binary search (connTo). An endpoint talks to a handful of peers, and
+	// every connection is torn down and rebuilt around a checkpoint: a sorted
+	// slice costs nothing until the first connect, needs no hashing per
+	// message, and is already in the order Peers and EachConn promise.
+	conns      []*conn
 	egressFree sim.Time
 	work       fifo[workItem]
 	deferred   []workItem
@@ -297,7 +304,7 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 	if _, dup := f.eps[id]; dup {
 		return nil, fmt.Errorf("ib: duplicate endpoint id %d", id)
 	}
-	ep := &Endpoint{f: f, id: id, conns: make(map[int]*conn)}
+	ep := &Endpoint{f: f, id: id}
 	ep.deliverNext = func() { ep.deliver(&ep.inflight) }
 	ep.deliverNextOOB = func() { ep.deliver(&ep.inflightOOB) }
 	f.eps[id] = ep
@@ -316,9 +323,44 @@ func (ep *Endpoint) EgressFree() sim.Time { return ep.egressFree }
 // Stats returns a copy of the endpoint's activity counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
 
+// find returns the index of peer's connection in ep.conns, or, when there is
+// none, the index at which it would be inserted.
+//
+// alloc-free
+func (ep *Endpoint) find(peer int) (int, bool) {
+	lo, hi := 0, len(ep.conns)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ep.conns[mid].peer < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(ep.conns) && ep.conns[lo].peer == peer
+}
+
+// connTo returns the connection toward peer, or nil if there is none.
+//
+// alloc-free
+func (ep *Endpoint) connTo(peer int) *conn {
+	if i, ok := ep.find(peer); ok {
+		return ep.conns[i]
+	}
+	return nil
+}
+
+// open records a new connection toward peer, whose endpoint is remote.
+func (ep *Endpoint) open(peer int, remote *Endpoint, state ConnState, meta int64) *conn {
+	c := &conn{peer: peer, remote: remote, state: state, meta: meta}
+	i, _ := ep.find(peer)
+	ep.conns = slices.Insert(ep.conns, i, c)
+	return c
+}
+
 // State reports the connection state toward peer.
 func (ep *Endpoint) State(peer int) ConnState {
-	if c := ep.conns[peer]; c != nil {
+	if c := ep.connTo(peer); c != nil {
 		return c.state
 	}
 	return StateClosed
@@ -327,28 +369,31 @@ func (ep *Endpoint) State(peer int) ConnState {
 // Connected reports whether data can be sent to peer right now.
 func (ep *Endpoint) Connected(peer int) bool { return ep.State(peer) == StateConnected }
 
-// Peers returns the ids of all peers with a non-closed connection, sorted.
+// Peers returns the ids of all peers with a non-closed connection, ascending.
 func (ep *Endpoint) Peers() []int {
-	out := make([]int, 0, len(ep.conns))
-	//lint:allow-simdeterminism keys are sorted below before the slice is returned
-	for p := range ep.conns {
-		out = append(out, p)
+	out := make([]int, len(ep.conns))
+	for i, c := range ep.conns {
+		out[i] = c.peer
 	}
-	sort.Ints(out)
 	return out
 }
 
-// transmit sends a packet in-band: the NIC serializes egress at LinkBW, then
-// the packet arrives after the wire latency. Per-destination FIFO order is
-// guaranteed (serial egress + constant latency).
+// EachConn calls fn with every non-closed connection's peer and state, in
+// ascending peer order. fn may change a connection's state (Disconnect) but
+// must not open or close one.
+func (ep *Endpoint) EachConn(fn func(peer int, state ConnState)) {
+	for _, c := range ep.conns {
+		fn(c.peer, c.state)
+	}
+}
+
+// transmit sends a packet in-band to the endpoint at the far end of a
+// connection: the NIC serializes egress at LinkBW, then the packet arrives
+// after the wire latency. Per-destination FIFO order is guaranteed (serial
+// egress + constant latency).
 //
 // alloc-free
-func (ep *Endpoint) transmit(dst int, size int64, payload any) error {
-	peer := ep.f.eps[dst]
-	if peer == nil {
-		//lint:allow-allocfree error path: an unknown destination ends the run
-		return fmt.Errorf("ib: endpoint %d sending to unknown endpoint %d", ep.id, dst)
-	}
+func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 	k := ep.f.k
 	start := k.Now() //lint:allow-allocfree sim.Kernel.Now is a field read
 	if ep.egressFree > start {
@@ -365,7 +410,6 @@ func (ep *Endpoint) transmit(dst int, size int64, payload any) error {
 	m := ep.f.bus.Metrics()                   //lint:allow-allocfree obs: a nil-safe field read
 	m.Counter(obs.LayerIB, "msgs").Inc()      //lint:allow-allocfree obs: lookup of an existing counter
 	m.Counter(obs.LayerIB, "bytes").Add(size) //lint:allow-allocfree obs: lookup of an existing counter
-	return nil
 }
 
 // SendOOB sends a payload over the out-of-band management channel. It does
@@ -444,12 +488,12 @@ func (ep *Endpoint) sendCM(dst int, payload any) {
 	}
 }
 
-// sendCtl transmits an internal in-band control packet (flush protocol),
-// failing the simulation on a fabric invariant violation like sendCM. A
-// dropped control packet still serializes on the NIC egress — it is lost on
-// the wire, not suppressed at the source — so drain timing stays honest.
-func (ep *Endpoint) sendCtl(dst int, size int64, payload any) {
-	if ep.dropped(dst, payload) {
+// sendCtl transmits an internal in-band control packet (flush protocol) over
+// c. A dropped control packet still serializes on the NIC egress — it is lost
+// on the wire, not suppressed at the source — so drain timing stays honest.
+func (ep *Endpoint) sendCtl(c *conn, payload any) {
+	size := ep.f.cfg.CtlSize
+	if ep.dropped(c.peer, payload) {
 		start := ep.f.k.Now()
 		if ep.egressFree > start {
 			start = ep.egressFree
@@ -457,9 +501,7 @@ func (ep *Endpoint) sendCtl(dst int, size int64, payload any) {
 		ep.egressFree = start + sim.Time(float64(size)/ep.f.cfg.LinkBW*float64(sim.Second))
 		return
 	}
-	if err := ep.transmit(dst, size, payload); err != nil {
-		ep.f.k.Fail(err)
-	}
+	ep.transmit(c.remote, size, payload)
 }
 
 // disarm cancels c's pending retransmission timer, if any.
@@ -492,7 +534,7 @@ func (ep *Endpoint) armRetransmit(c *conn) {
 // clear diagnosis once the retry budget is exhausted (a lost CM packet must
 // stall progress measurably, never hang it silently).
 func (ep *Endpoint) retransmit(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil {
 		return
 	}
@@ -516,7 +558,7 @@ func (ep *Endpoint) retransmit(peer int) {
 		if !c.sentFlush {
 			return // passive side: the initiator's retransmits drive recovery
 		}
-		ep.sendCtl(peer, ep.f.cfg.CtlSize, ctlFlush{})
+		ep.sendCtl(c, ctlFlush{})
 	case StateDisconnecting:
 		ep.sendCM(peer, cmDiscReq{})
 	default:
@@ -527,15 +569,18 @@ func (ep *Endpoint) retransmit(peer int) {
 
 // Send transmits an application payload of the given wire size to dst over
 // an established connection.
+//
+// alloc-free
 func (ep *Endpoint) Send(dst int, size int64, payload any) error {
-	c := ep.conns[dst]
+	c := ep.connTo(dst)
 	switch {
 	case c == nil || c.state == StateClosed, c.state == StateConnecting, c.state == StateAccepting:
 		return ErrNotConnected
 	case c.state == StateDraining || c.state == StateDisconnecting:
 		return ErrDraining
 	}
-	return ep.transmit(dst, size, payload)
+	ep.transmit(c.remote, size, payload)
+	return nil
 }
 
 // receive handles an arrived packet. Connection-management packets are
@@ -643,7 +688,7 @@ func (ep *Endpoint) process(it workItem) {
 // RTU. The arrival itself proves the connection is established (the real
 // hardware analogue: the queue pair is already in RTR after the REP).
 func (ep *Endpoint) promoteOnInband(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil || c.state != StateAccepting {
 		return
 	}
@@ -663,14 +708,14 @@ func (ep *Endpoint) Connect(peer int, meta int64) error {
 	if peer == ep.id {
 		return fmt.Errorf("ib: endpoint %d connecting to itself", ep.id)
 	}
-	if ep.f.eps[peer] == nil {
+	remote := ep.f.eps[peer]
+	if remote == nil {
 		return fmt.Errorf("ib: endpoint %d connecting to unknown endpoint %d", ep.id, peer)
 	}
-	if ep.conns[peer] != nil {
+	if ep.connTo(peer) != nil {
 		return nil
 	}
-	c := &conn{peer: peer, state: StateConnecting, meta: meta}
-	ep.conns[peer] = c
+	c := ep.open(peer, remote, StateConnecting, meta)
 	ep.stats.ConnectsInitiated++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "connects").Inc()
 	ep.emit(obs.KindCMReq, peer)
@@ -681,7 +726,7 @@ func (ep *Endpoint) Connect(peer int, meta int64) error {
 
 func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 	peer := it.src
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c != nil {
 		switch c.state {
 		case StateConnecting:
@@ -716,8 +761,8 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 		ep.emit(obs.KindCMDefer, peer)
 		return
 	}
-	c = &conn{peer: peer, state: StateAccepting, meta: req.meta}
-	ep.conns[peer] = c
+	// The REQ came from a registered endpoint: only those can send.
+	c = ep.open(peer, ep.f.eps[peer], StateAccepting, req.meta)
 	ep.stats.ConnectsAccepted++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "accepts").Inc()
 	ep.emit(obs.KindCMRep, peer)
@@ -726,7 +771,7 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 }
 
 func (ep *Endpoint) handleConnRep(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil {
 		return
 	}
@@ -750,7 +795,7 @@ func (ep *Endpoint) handleConnRep(peer int) {
 }
 
 func (ep *Endpoint) handleConnRtu(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil || c.state != StateAccepting {
 		return
 	}
@@ -768,7 +813,7 @@ func (ep *Endpoint) handleConnRtu(peer int) {
 // handshake destroys the connection. OnConnDown fires on both sides when
 // complete. Disconnect on a non-established connection is a no-op.
 func (ep *Endpoint) Disconnect(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil || c.state != StateConnected {
 		return
 	}
@@ -776,12 +821,12 @@ func (ep *Endpoint) Disconnect(peer int) {
 	c.sentFlush = true
 	c.retries = 0
 	ep.emit(obs.KindFlushStart, peer)
-	ep.sendCtl(peer, ep.f.cfg.CtlSize, ctlFlush{})
+	ep.sendCtl(c, ctlFlush{})
 	ep.armRetransmit(c)
 }
 
 func (ep *Endpoint) handleFlush(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil {
 		return
 	}
@@ -796,11 +841,11 @@ func (ep *Endpoint) handleFlush(peer int) {
 	default:
 		return
 	}
-	ep.sendCtl(peer, ep.f.cfg.CtlSize, ctlFlushAck{})
+	ep.sendCtl(c, ctlFlushAck{})
 }
 
 func (ep *Endpoint) handleFlushAck(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil || c.state != StateDraining || !c.sentFlush {
 		return
 	}
@@ -813,7 +858,7 @@ func (ep *Endpoint) handleFlushAck(peer int) {
 }
 
 func (ep *Endpoint) handleDiscReq(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil {
 		// Already closed (crossing disconnects); stay idempotent.
 		ep.sendCM(peer, cmDiscRep{})
@@ -827,7 +872,7 @@ func (ep *Endpoint) handleDiscReq(peer int) {
 }
 
 func (ep *Endpoint) handleDiscRep(peer int) {
-	c := ep.conns[peer]
+	c := ep.connTo(peer)
 	if c == nil || c.state != StateDisconnecting {
 		return
 	}
@@ -835,10 +880,10 @@ func (ep *Endpoint) handleDiscRep(peer int) {
 }
 
 func (ep *Endpoint) closeConn(peer int) {
-	if c := ep.conns[peer]; c != nil {
-		ep.disarm(c)
+	if i, ok := ep.find(peer); ok {
+		ep.disarm(ep.conns[i])
+		ep.conns = slices.Delete(ep.conns, i, i+1)
 	}
-	delete(ep.conns, peer)
 	ep.stats.Disconnects++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "disconnects").Inc()
 	ep.emit(obs.KindConnDown, peer)

@@ -401,12 +401,15 @@ func TestDuplicateEndpointError(t *testing.T) {
 	}
 }
 
+// Peers and EachConn list connections in ascending peer order whatever order
+// they were opened in — a negative id (the checkpoint coordinator's) included
+// — and a closed connection is gone from both.
 func TestPeersSorted(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := newFabric(t, k, PaperConfig())
 	a := addEP(t, f, 0)
 	a.OnWork = a.Progress
-	for _, id := range []int{5, 2, 9} {
+	for _, id := range []int{5, -1, 9, 2, 7, 1} {
 		ep := addEP(t, f, id)
 		ep.OnWork = ep.Progress
 		connect(t, a, id, 0)
@@ -414,9 +417,68 @@ func TestPeersSorted(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprint(a.Peers())
-	if got != "[2 5 9]" {
+	if got := fmt.Sprint(a.Peers()); got != "[-1 1 2 5 7 9]" {
 		t.Fatalf("Peers() = %v", got)
+	}
+	a.Disconnect(5)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(a.Peers()); got != "[-1 1 2 7 9]" {
+		t.Fatalf("Peers() after closing 5 = %v", got)
+	}
+	if s := a.State(5); s != StateClosed {
+		t.Fatalf("State(5) = %v after disconnect", s)
+	}
+	var each []int
+	a.EachConn(func(peer int, state ConnState) {
+		each = append(each, peer)
+		if state != StateConnected || state != a.State(peer) {
+			t.Errorf("EachConn: peer %d in state %v, State says %v", peer, state, a.State(peer))
+		}
+	})
+	if fmt.Sprint(each) != fmt.Sprint(a.Peers()) {
+		t.Fatalf("EachConn visited %v, Peers() = %v", each, a.Peers())
+	}
+}
+
+// Property: under random opens, closes and lookups, the connection table
+// agrees with a map[int] reference and stays in ascending peer order.
+func TestQuickConnTableMatchesMap(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := sim.NewKernel(seed)
+		ep := addEP(t, newFabric(t, k, PaperConfig()), 0)
+		ref := make(map[int]*conn)
+		for op := 0; op < 300; op++ {
+			peer := rng.Intn(33) - 16
+			switch c := ref[peer]; {
+			case c == nil && rng.Intn(2) == 0:
+				ref[peer] = ep.open(peer, nil, StateConnecting, 0)
+			case c != nil && rng.Intn(3) == 0:
+				ep.closeConn(peer)
+				delete(ref, peer)
+			}
+			if got := ep.connTo(peer); got != ref[peer] {
+				t.Errorf("seed %d: connTo(%d) = %p, reference has %p", seed, peer, got, ref[peer])
+				return false
+			}
+			peers := ep.Peers()
+			if len(peers) != len(ref) {
+				t.Errorf("seed %d: table holds %v, reference %d connections", seed, peers, len(ref))
+				return false
+			}
+			for i, p := range peers {
+				if ref[p] == nil || (i > 0 && peers[i-1] >= p) {
+					t.Errorf("seed %d: table %v out of order or holding a closed peer", seed, peers)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -653,9 +715,7 @@ func TestStrayControlPacketsIgnored(t *testing.T) {
 	k.At(5*sim.Millisecond, func() {
 		// Stray flush/ack toward an established connection's peer with no
 		// drain in progress: handleFlushAck must ignore it.
-		if err := a.transmit(1, 64, ctlFlushAck{}); err != nil {
-			t.Errorf("stray flush-ack: %v", err)
-		}
+		a.transmit(b, 64, ctlFlushAck{})
 		// Stray DiscRep with no disconnect in progress.
 		if err := a.SendOOB(1, cmDiscRep{}); err != nil {
 			t.Errorf("stray disc-rep: %v", err)

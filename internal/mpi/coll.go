@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gbcr/internal/sim"
 )
@@ -115,13 +117,13 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 			if srcRel < n {
 				src := (srcRel + root) % n
 				got, _ := e.await(e.irecvInternal(c, src, tag))
-				part := BytesToF64(got.data)
-				if len(part) != len(acc) {
+				if len(got.data) != 8*len(acc) {
 					//lint:allow-panic mismatched reduce buffers are an application bug; real MPI aborts
 					panic("mpi: ReduceF64 length mismatch across ranks")
 				}
+				// Fold the child's vector straight from the received bytes.
 				for i := range acc {
-					acc[i] = op(acc[i], part[i])
+					acc[i] = op(acc[i], math.Float64frombits(binary.LittleEndian.Uint64(got.data[8*i:])))
 				}
 			}
 		} else {

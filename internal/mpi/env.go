@@ -242,9 +242,10 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		req.complete = true
 		return req
 	}
-	r.trafficTo[world]++
-	r.sendSeqTo[world]++
-	seq := r.sendSeqTo[world]
+	pr := r.peer(world)
+	pr.traffic++
+	pr.sendSeq++
+	seq := pr.sendSeq
 	if r.job.cfg.LogMessages {
 		// Sender-based logging: copy the payload into the log before it
 		// may leave, paying the copy on the critical path (this is why the
@@ -254,9 +255,10 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// from an earlier epoch.
 		r.stats.MsgsLogged++
 		r.stats.BytesLogged += p.size
-		r.msgLog[world] = append(r.msgLog[world],
+		pr.log = append(pr.log,
 			logEntry{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()})
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
+		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}
 	if p.size <= r.job.cfg.EagerThreshold {
 		// Eager: copy into a communication buffer; the request completes
@@ -267,7 +269,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_sent").Inc()
 		pkt := r.job.newPkt(pktEager)
 		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = c.id, c.myRank, tag, seq, p.clone()
-		r.post(world, outItem{kind: outEager, size: eagerHdrSize + p.size, pkt: pkt})
+		r.post(pr, outItem{kind: outEager, size: eagerHdrSize + p.size, pkt: pkt})
 		return req
 	}
 	// Rendezvous: zero-copy; the request holds the user buffer and stays
@@ -278,10 +280,13 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	r.reqSeq++
 	id := r.reqSeq
 	req.payload = p
+	if r.sendReqs == nil {
+		r.sendReqs = make(map[uint64]*Request)
+	}
 	r.sendReqs[id] = req
 	rts := r.job.newPkt(pktRTS)
 	rts.comm, rts.srcComm, rts.tag, rts.seq, rts.sendID, rts.size = c.id, c.myRank, tag, seq, id, p.size
-	r.post(world, outItem{kind: outCtl, size: ctlPktSize, pkt: rts})
+	r.post(pr, outItem{kind: outCtl, size: ctlPktSize, pkt: rts})
 	return req
 }
 

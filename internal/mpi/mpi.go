@@ -14,6 +14,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"gbcr/internal/ib"
@@ -129,13 +130,6 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 			world:      i,
 			ep:         ep,
 			waitReason: "MPI wait (rank " + strconv.Itoa(i) + ")",
-			sendReqs:   make(map[uint64]*Request),
-			recvReqs:   make(map[uint64]*Request),
-			outbox:     make(map[int][]outItem),
-			trafficTo:  make(map[int]int64),
-			sendSeqTo:  make(map[int]int64),
-			recvSeqOf:  make(map[int]int64),
-			msgLog:     make(map[int][]logEntry),
 		}
 		r.ep.OnWork = r.onWork
 		r.ep.OnMessage = r.onMessage
@@ -236,8 +230,8 @@ type Rank struct {
 
 	// Matching state.
 	reqSeq     uint64
-	sendReqs   map[uint64]*Request // pending rendezvous sends by id
-	recvReqs   map[uint64]*Request // rendezvous receives awaiting data by id
+	sendReqs   map[uint64]*Request // pending rendezvous sends by id; made by the first one
+	recvReqs   map[uint64]*Request // rendezvous receives awaiting data by id; made by the first one
 	posted     []*Request          // posted receive queue (FIFO)
 	unexpected []inMsg             // unexpected message queue (FIFO)
 	reqFree    freeList[Request]   // see getReq/putReq
@@ -245,17 +239,13 @@ type Rank struct {
 	// Park reason, formatted once: a blocked rank parks per message.
 	waitReason string
 
-	// Send path.
-	outbox    map[int][]outItem // per-destination deferred packets
-	trafficTo map[int]int64     // per-destination message counts (group heuristic)
-
-	// Message-logging state. Sequence numbers are stamped on every in-band
-	// message regardless of LogMessages (per-pair FIFO makes them strictly
-	// increasing, so the duplicate check below never fires in normal
-	// execution); the payload log itself is kept only in LogMessages mode.
-	sendSeqTo map[int]int64      // per-destination: last sequence number sent
-	recvSeqOf map[int]int64      // per-source: highest sequence incorporated
-	msgLog    map[int][]logEntry // per-destination sender-based message log
+	// peers holds one record per rank this one has exchanged a message with,
+	// in ascending world order, found by binary search (peer, peerIfAny). A
+	// rank talks to a handful of the job's ranks: a sorted slice costs nothing
+	// until the first message, one lookup a message serves every per-peer
+	// field, and snapshots and replay walk it in the order they must write.
+	// A dense table indexed by world rank would be O(N) a rank, O(N²) a job.
+	peers []peer
 
 	// Checkpoint integration.
 	hooks     CRHooks
@@ -279,6 +269,67 @@ type Rank struct {
 	DeliverHook func(src int)
 
 	stats RankStats
+}
+
+// peer is what a rank keeps about one other rank. A record exists once the
+// pair has exchanged a message (or a lookup needed somewhere to write), and a
+// field says nothing until it is non-zero: snapshots, Traffic and ReplayLogs
+// list a peer under a field only then, so a record that was merely looked up
+// leaves no trace in any image.
+//
+// Sequence numbers are stamped on every in-band message regardless of
+// LogMessages (per-pair FIFO makes them strictly increasing, so noteSeq's
+// duplicate check never fires in normal execution); the payload log itself is
+// kept only in LogMessages mode.
+type peer struct {
+	world   int
+	traffic int64      // messages sent to it (the group-formation heuristic)
+	sendSeq int64      // last sequence number sent to it
+	recvSeq int64      // highest sequence number incorporated from it
+	outbox  []outItem  // packets deferred toward it, oldest first
+	log     []logEntry // sender-based message log of what was sent to it
+}
+
+// findPeer returns the index of world's record in r.peers, or, when there is
+// none, the index at which it would be inserted.
+//
+// alloc-free
+func (r *Rank) findPeer(world int) (int, bool) {
+	lo, hi := 0, len(r.peers)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.peers[mid].world < world {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(r.peers) && r.peers[lo].world == world
+}
+
+// peerIfAny returns world's record, or nil if the pair has none: the lookup
+// of a caller that only reads.
+//
+// alloc-free
+func (r *Rank) peerIfAny(world int) *peer {
+	if i, ok := r.findPeer(world); ok {
+		return &r.peers[i]
+	}
+	return nil
+}
+
+// peer returns world's record, inserting a blank one if the pair has none.
+// The pointer is good until the next insertion — that is, until anything that
+// can run another peer/post: a park, a hook, trySend. Find it again after.
+//
+// alloc-free
+func (r *Rank) peer(world int) *peer {
+	i, ok := r.findPeer(world)
+	if !ok {
+		//lint:allow-allocfree cold: once per pair of ranks that talk, never per message
+		r.peers = slices.Insert(r.peers, i, peer{world: world})
+	}
+	return &r.peers[i]
 }
 
 // World returns the rank's world number.
@@ -417,4 +468,9 @@ func (r *Rank) onConnDown(peer int) {
 func (r *Rank) ReleaseDst(dst int) { r.drainOutbox(dst) }
 
 // OutboxLen reports how many packets are deferred toward dst.
-func (r *Rank) OutboxLen(dst int) int { return len(r.outbox[dst]) }
+func (r *Rank) OutboxLen(dst int) int {
+	if pr := r.peerIfAny(dst); pr != nil {
+		return len(pr.outbox)
+	}
+	return 0
+}

@@ -186,9 +186,9 @@ func captureQueued(t *testing.T, mk func(n int64) payload, n int64) []byte {
 		send(e, w, 1)
 		e.Compute(10 * sim.Millisecond) // rank 1's message arrives unexpected
 		r := e.RankState()
-		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.msgLog[1]) != 1 {
+		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != 1 {
 			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1 each",
-				len(r.unexpected), r.OutboxLen(1), len(r.msgLog[1]))
+				len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log))
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {
@@ -234,8 +234,8 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 		payload
 	}{
 		{"unexpected", r.unexpected[0].payload},
-		{"outbox", r.outbox[1][0].pkt.payload},
-		{"log", r.msgLog[1][0].payload},
+		{"outbox", r.peer(1).outbox[0].pkt.payload},
+		{"log", r.peer(1).log[0].payload},
 	} {
 		if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
 			t.Errorf("restored %s message: size %d, %d data bytes; want %d zero bytes", q.where, q.size, len(q.data), n)

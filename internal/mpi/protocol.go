@@ -142,18 +142,19 @@ type outItem struct {
 	req *Request
 }
 
-// post sends a packet toward world rank dst, deferring it in the outbox when
-// the checkpoint layer gates the destination or no connection is available.
-// Per-destination FIFO order is preserved across deferrals.
-func (r *Rank) post(dst int, it outItem) {
-	if len(r.outbox[dst]) > 0 {
-		// Keep order behind already-deferred packets.
-		r.deferItem(dst, it)
-		return
+// post sends a packet toward the peer pr records, deferring it in the outbox
+// when the checkpoint layer gates the destination or no connection is
+// available. Per-destination FIFO order is preserved across deferrals: a
+// packet queues behind already-deferred ones.
+func (r *Rank) post(pr *peer, it outItem) {
+	if len(pr.outbox) == 0 {
+		dst := pr.world
+		if r.trySend(dst, it) {
+			return
+		}
+		pr = r.peer(dst) // trySend ran hooks
 	}
-	if !r.trySend(dst, it) {
-		r.deferItem(dst, it)
-	}
+	r.deferItem(pr, it)
 }
 
 // trySend attempts to put the packet on the wire now. It reports success.
@@ -199,8 +200,9 @@ func (r *Rank) connMeta() int64 {
 	return 0
 }
 
-func (r *Rank) deferItem(dst int, it outItem) {
-	r.outbox[dst] = append(r.outbox[dst], it)
+func (r *Rank) deferItem(pr *peer, it outItem) {
+	pr.outbox = append(pr.outbox, it)
+	dst := pr.world
 	m := r.job.bus.Metrics()
 	switch it.kind {
 	case outEager:
@@ -224,22 +226,22 @@ func (r *Rank) deferItem(dst int, it outItem) {
 // drainOutbox re-attempts deferred packets toward dst in order, stopping at
 // the first that still cannot be sent.
 func (r *Rank) drainOutbox(dst int) {
-	q := r.outbox[dst]
-	if len(q) > 0 && r.job.bus.HasSinks() {
+	pr := r.peerIfAny(dst)
+	if pr == nil || len(pr.outbox) == 0 {
+		return
+	}
+	q := pr.outbox
+	if r.job.bus.HasSinks() {
 		r.emit(obs.KindOutboxDrain, fmt.Sprintf("dst=%d", dst), int64(len(q)))
 	}
-	for len(q) > 0 {
-		if !r.trySend(dst, q[0]) {
-			break
-		}
+	for len(q) > 0 && r.trySend(dst, q[0]) {
 		q[0] = outItem{} // the fabric owns the packet now
 		q = q[1:]
 	}
 	if len(q) == 0 {
-		delete(r.outbox, dst)
-	} else {
-		r.outbox[dst] = q
+		q = nil // a drained queue keeps no array
 	}
+	r.peerIfAny(dst).outbox = q // trySend ran hooks: pr may have moved
 }
 
 // onMessage dispatches an in-band arrival and then recycles its packet:
@@ -278,7 +280,8 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 	if seq == 0 {
 		return false
 	}
-	if seq <= r.recvSeqOf[srcWorld] {
+	pr := r.peer(srcWorld)
+	if seq <= pr.recvSeq {
 		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
 		if r.job.bus.HasSinks() {
@@ -286,7 +289,7 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 		}
 		return true
 	}
-	r.recvSeqOf[srcWorld] = seq
+	pr.recvSeq = seq
 	return false
 }
 
@@ -349,10 +352,13 @@ func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 func (r *Rank) sendCTS(srcWorld int, sendID uint64, req *Request) {
 	r.reqSeq++
 	req.recvID = r.reqSeq
+	if r.recvReqs == nil {
+		r.recvReqs = make(map[uint64]*Request)
+	}
 	r.recvReqs[req.recvID] = req
 	cts := r.job.newPkt(pktCTS)
 	cts.sendID, cts.recvID = sendID, req.recvID
-	r.post(srcWorld, outItem{kind: outCtl, size: ctlPktSize, pkt: cts})
+	r.post(r.peer(srcWorld), outItem{kind: outCtl, size: ctlPktSize, pkt: cts})
 }
 
 // arriveCTS starts the bulk transfer for a granted rendezvous send.
@@ -369,7 +375,7 @@ func (r *Rank) arriveCTS(m *wirePkt) {
 	data := r.job.newPkt(pktData)
 	data.recvID = m.recvID
 	data.payload = req.payload
-	r.post(req.peerWorld, outItem{kind: outData, size: dataHdrSize + req.size, pkt: data, req: req})
+	r.post(r.peer(req.peerWorld), outItem{kind: outData, size: dataHdrSize + req.size, pkt: data, req: req})
 }
 
 // arriveData completes a rendezvous receive.

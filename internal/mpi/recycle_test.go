@@ -127,11 +127,10 @@ func checkRecycling(j *Job) error {
 				return err
 			}
 		}
-		//lint:allow-simdeterminism a membership check; order picks only which violation is reported
-		for dst, q := range r.outbox {
-			for _, it := range q {
+		for _, pr := range r.peers {
+			for _, it := range pr.outbox {
 				if freePkt[it.pkt] {
-					return fmt.Errorf("rank %d: packet %p is on the free list and in the outbox to %d", r.world, it.pkt, dst)
+					return fmt.Errorf("rank %d: packet %p is on the free list and in the outbox to %d", r.world, it.pkt, pr.world)
 				}
 				if it.req != nil {
 					if err := live("an outbox item", it.req); err != nil {
@@ -383,7 +382,7 @@ func TestDrainOutboxClearsVacatedSlots(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			e.Send(w, 1, 0, []byte("held"))
 		}
-		held := r.outbox[1]
+		held := r.peer(1).outbox
 		if len(held) != 3 {
 			t.Errorf("outbox holds %d packets, want 3", len(held))
 		}

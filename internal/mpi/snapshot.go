@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 )
 
 // RequestSafePointPolled asks for a safe point without interrupting the
@@ -21,10 +20,11 @@ func (r *Rank) RequestSafePointPolled() {
 // Traffic returns a copy of the per-destination message counts, the
 // communication-pattern heuristic used by dynamic group formation.
 func (r *Rank) Traffic() map[int]int64 {
-	out := make(map[int]int64, len(r.trafficTo))
-	//lint:allow-simdeterminism copying map to map is order-independent
-	for d, n := range r.trafficTo {
-		out[d] = n
+	out := make(map[int]int64, len(r.peers))
+	for i := range r.peers {
+		if pr := &r.peers[i]; pr.traffic != 0 {
+			out[pr.world] = pr.traffic
+		}
 	}
 	return out
 }
@@ -88,8 +88,7 @@ func (p payload) captured() []byte {
 	return p.data
 }
 
-// seqEntry serializes one peer's sequence counter (maps are gob-encoded in
-// iteration order, which would make snapshot bytes nondeterministic).
+// seqEntry serializes one peer's sequence counter.
 type seqEntry struct {
 	Peer int
 	Seq  int64
@@ -151,23 +150,18 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
 		})
 	}
-	// Serialize outboxes in sorted destination order: map iteration order
-	// would otherwise leak into the gob bytes (and the replay order of
-	// restored sends), making snapshots differ across identical runs.
-	dsts := make([]int, 0, len(r.outbox))
-	//lint:allow-simdeterminism keys are sorted below before use
-	for dst := range r.outbox {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	for _, dst := range dsts {
-		for _, it := range r.outbox[dst] {
+	// Outboxes go in ascending destination order — the order of r.peers — so
+	// the gob bytes, and the replay order of restored sends, depend on whom
+	// the rank talked to and not on when it first did.
+	for i := range r.peers {
+		pr := &r.peers[i]
+		for _, it := range pr.outbox {
 			we := it.pkt
 			if we.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOut{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.captured(),
+				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.captured(),
 			})
 		}
 	}
@@ -179,8 +173,9 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 }
 
 // captureLibStateV2 is the LogMessages-mode capture: the v1 queues plus the
-// per-peer sequence counters and the sender-based message log, all in sorted
-// peer order so the bytes are deterministic.
+// per-peer sequence counters and the sender-based message log, all in
+// ascending peer order, a peer listed under a field only where that field is
+// non-zero.
 func (r *Rank) captureLibStateV2() ([]byte, error) {
 	st := libStateV2{CommIndex: r.commIndex}
 	for _, m := range r.unexpected {
@@ -191,23 +186,26 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
 		})
 	}
-	for _, dst := range sortedPeers(r.outbox) {
-		for _, it := range r.outbox[dst] {
+	for i := range r.peers {
+		pr := &r.peers[i]
+		for _, it := range pr.outbox {
 			we := it.pkt
 			if we.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			st.Outbox = append(st.Outbox, savedOutV2{
-				Dst: dst, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(),
+				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(),
 			})
 		}
-	}
-	st.SendSeq = sortedSeqEntries(r.sendSeqTo)
-	st.RecvSeq = sortedSeqEntries(r.recvSeqOf)
-	for _, dst := range sortedPeers(r.msgLog) {
-		for _, le := range r.msgLog[dst] {
+		if pr.sendSeq != 0 {
+			st.SendSeq = append(st.SendSeq, seqEntry{Peer: pr.world, Seq: pr.sendSeq})
+		}
+		if pr.recvSeq != 0 {
+			st.RecvSeq = append(st.RecvSeq, seqEntry{Peer: pr.world, Seq: pr.recvSeq})
+		}
+		for _, le := range pr.log {
 			st.Log = append(st.Log, savedLog{
-				Dst: dst, Comm: le.comm, SrcComm: le.srcComm, Tag: le.tag, Seq: le.seq, Data: le.captured(),
+				Dst: pr.world, Comm: le.comm, SrcComm: le.srcComm, Tag: le.tag, Seq: le.seq, Data: le.captured(),
 			})
 		}
 	}
@@ -217,25 +215,6 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// sortedPeers returns a map's peer keys in ascending order.
-func sortedPeers[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	//lint:allow-simdeterminism keys are sorted below before use
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-func sortedSeqEntries(m map[int]int64) []seqEntry {
-	out := make([]seqEntry, 0, len(m))
-	for _, peer := range sortedPeers(m) {
-		out = append(out, seqEntry{Peer: peer, Seq: m[peer]})
-	}
-	return out
 }
 
 // RestoreLibState reconstructs queues captured by CaptureLibState on a fresh
@@ -262,7 +241,7 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	for _, o := range st.Outbox {
 		pkt := r.job.newPkt(pktEager)
 		pkt.comm, pkt.srcComm, pkt.tag, pkt.payload = o.Comm, o.SrcComm, o.Tag, content(o.Data)
-		r.post(o.Dst, outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
+		r.post(r.peer(o.Dst), outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
 }
@@ -284,19 +263,20 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 		})
 	}
 	for _, se := range st.SendSeq {
-		r.sendSeqTo[se.Peer] = se.Seq
+		r.peer(se.Peer).sendSeq = se.Seq
 	}
 	for _, se := range st.RecvSeq {
-		r.recvSeqOf[se.Peer] = se.Seq
+		r.peer(se.Peer).recvSeq = se.Seq
 	}
 	for _, le := range st.Log {
-		r.msgLog[le.Dst] = append(r.msgLog[le.Dst],
+		pr := r.peer(le.Dst)
+		pr.log = append(pr.log,
 			logEntry{comm: le.Comm, srcComm: le.SrcComm, tag: le.Tag, seq: le.Seq, payload: content(le.Data)})
 	}
 	for _, o := range st.Outbox {
 		pkt := r.job.newPkt(pktEager)
 		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = o.Comm, o.SrcComm, o.Tag, o.Seq, content(o.Data)
-		r.post(o.Dst, outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
+		r.post(r.peer(o.Dst), outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
 }
@@ -312,13 +292,20 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 func (j *Job) ReplayLogs() int {
 	injected := 0
 	for src, s := range j.ranks {
-		for _, dst := range sortedPeers(s.msgLog) {
-			d := j.ranks[dst]
-			for _, le := range s.msgLog[dst] {
-				if le.seq <= d.recvSeqOf[src] {
+		for i := range s.peers {
+			to := &s.peers[i]
+			if len(to.log) == 0 {
+				continue
+			}
+			// d is never s (a rank does not send to itself), so looking up
+			// its record of src cannot move the slice being walked.
+			d := j.ranks[to.world]
+			from := d.peer(src)
+			for _, le := range to.log {
+				if le.seq <= from.recvSeq {
 					continue
 				}
-				d.recvSeqOf[src] = le.seq
+				from.recvSeq = le.seq
 				d.unexpected = append(d.unexpected, inMsg{
 					comm: le.comm, srcComm: le.srcComm, srcWorld: src,
 					tag: le.tag, eager: true, payload: le.clone(),

@@ -61,6 +61,11 @@ func TestRejectedInput(t *testing.T) {
 		{"fault epoch without a phase", append(ring, "-interval", "2", "-faults", "crash@1s:epoch=2")},
 		{"fault rank negative", append(ring, "-interval", "2", "-faults", "crash@1s:rank=-3")},
 		{"memloss count zero", append(ring, "-interval", "2", "-faults", "memloss@1s:count=0")},
+		{"crash with a window", append(ring, "-interval", "2", "-faults", "crash@5s+3s")},
+		{"crash with a time and a phase", append(ring, "-interval", "2", "-faults", "crash@5s:phase=write")},
+		{"corrupt with a time", append(ring, "-interval", "2", "-faults", "corrupt@5s:epoch=1,rank=0")},
+		{"memloss with a window", append(ring, "-interval", "2", "-faults", "memloss@5s+2s")},
+		{"cmdrop with a window", append(ring, "-interval", "2", "-faults", "cmdrop@3s+1s:type=REQ")},
 		{"fault phase unknown", append(ring, "-interval", "2", "-faults", "crash:phase=bogus")},
 		{"fault phase outside the protocol", append(ring, "-interval", "2", "-protocol", "uncoord", "-faults", "crash:phase=sync")},
 		{"unknown protocol", append(ring, "-protocol", "chandy")},

@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"maps"
+	"os"
 
 	"gbcr/internal/harness"
 	"gbcr/internal/sim"
@@ -17,26 +19,17 @@ func main() {
 	mine := motif.Mine{Graphs: 48, Vertices: 14, Degree: 3, Labels: 5,
 		MinSup: 16, MaxLen: 3, Seed: 7}
 	c, err := harness.NewCluster(harness.PaperCluster(8))
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	launched, err := mine.Launch(c.Job)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	inst := launched.(*motif.MineInstance)
-	if err := c.K.Run(); err != nil {
-		panic(err)
-	}
+	must(c.K.Run())
 	serial := mine.MineSerial()
-	match := len(serial) == len(inst.Frequent)
-	for k, v := range serial {
-		if inst.Frequent[k] != v {
-			match = false
-		}
-	}
 	fmt.Printf("real miner %s: %d frequent patterns, parallel==serial: %v\n",
-		mine.Name(), len(inst.Frequent), match)
+		mine.Name(), len(inst.Frequent), maps.Equal(serial, inst.Frequent))
+	if !maps.Equal(serial, inst.Frequent) {
+		must(fmt.Errorf("parallel miner found %v, serial %v", inst.Frequent, serial))
+	}
 	for _, p := range inst.SortedPatterns()[:min(5, len(inst.Frequent))] {
 		fmt.Printf("  pattern %-12s support %d/%d\n", p, inst.Frequent[p], mine.Graphs)
 	}
@@ -46,18 +39,14 @@ func main() {
 	w := motif.PaperTimed()
 	cfg := harness.PaperCluster(w.N)
 	base, err := harness.Baseline(cfg, w)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	fmt.Printf("\ntimed MotifMiner (%s), baseline completion %v\n", w.Name(), base)
 	fmt.Println("checkpoint at t=30s:")
 	for _, gs := range []int{0, 16, 8, 4, 2, 1} {
 		run := cfg
 		run.CR.GroupSize = gs
 		res, err := harness.MeasureWithBaseline(run, w, 30*sim.Second, base)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		label := "All(32)   "
 		if gs > 0 {
 			label = fmt.Sprintf("Group(%-2d) ", gs)
@@ -67,9 +56,10 @@ func main() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// must exits with err on one stderr line.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "motifminer:", err)
+		os.Exit(1)
 	}
-	return b
 }

@@ -9,28 +9,21 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"gbcr/internal/figures"
 )
 
 func main() {
 	t, err := figures.NewGenerator(0).Fig4()
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	fmt.Println(t)
 	eff, err := t.Row("Effective Ckpt Delay")
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	ind, err := t.Row("Individual Ckpt Time")
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	tot, err := t.Row("Total Ckpt Time")
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	best, worst := eff[0], eff[0]
 	for _, v := range eff {
 		if v < best {
@@ -43,4 +36,12 @@ func main() {
 	fmt.Printf("individual time %.1fs <= effective delay [%.1fs .. %.1fs] <= total time %.1fs\n",
 		ind[0], best, worst, tot[0])
 	fmt.Println("place checkpoints right after a synchronization point, not before one")
+}
+
+// must exits with err on one stderr line.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "placement:", err)
+		os.Exit(1)
+	}
 }

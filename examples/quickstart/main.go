@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"gbcr/internal/cr"
 	"gbcr/internal/harness"
@@ -22,9 +23,7 @@ func main() {
 
 	runOnce := func(checkpoint bool) (sim.Time, *cr.CycleReport) {
 		c, err := harness.NewCluster(cfg)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		// Each rank: 60 iterations of 100 ms compute followed by an
 		// exchange with its partner (pairs align with the checkpoint
 		// groups, so other pairs keep computing during each group's
@@ -43,15 +42,11 @@ func main() {
 		if checkpoint {
 			c.Coord.ScheduleCheckpoint(2 * sim.Second)
 		}
-		if err := c.K.Run(); err != nil {
-			panic(err)
-		}
+		must(c.K.Run())
 		var rep *cr.CycleReport
 		if checkpoint {
 			reps, err := c.Coord.Reports()
-			if err != nil {
-				panic(err)
-			}
+			must(err)
 			rep = reps[0]
 		}
 		return c.Job.FinishTime(), rep
@@ -69,4 +64,12 @@ func main() {
 	fmt.Printf("  total ckpt time:         %v\n", rep.Total())
 	fmt.Printf("  storage share of delay:  %.1f%%\n", 100*rep.StorageShare())
 	fmt.Printf("  groups scheduled:        %v\n", rep.Groups)
+}
+
+// must exits with err on one stderr line.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 }

@@ -1,13 +1,16 @@
-// Restart example: run a ring application with group-based checkpointing,
-// kill the whole job mid-run, restart every rank from the last complete
-// global checkpoint (taken group by group, so the snapshots were written at
-// different wall-clock times), and verify the recovered execution produces
-// exactly the failure-free results.
+// Restart example: run a ring application with periodic group-based
+// checkpointing, lose the whole job to a crash mid-run, restart every rank
+// from the last committed checkpoint (taken group by group, so the snapshots
+// were written at different wall-clock times), and verify the recovered
+// execution produces exactly the failure-free results.
 package main
 
 import (
 	"fmt"
+	"os"
+	"slices"
 
+	"gbcr/internal/fault"
 	"gbcr/internal/harness"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
@@ -19,43 +22,36 @@ func main() {
 	cfg.CR.GroupSize = 2
 	cfg.CR.LocalSetup = 50 * sim.Millisecond
 	w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 16}
+	const interval = sim.Second
 
-	// Failure-free reference.
-	ref, err := harness.NewCluster(cfg)
-	if err != nil {
-		panic(err)
-	}
-	launched, err := w.Launch(ref.Job)
-	if err != nil {
-		panic(err)
-	}
-	refInst := launched.(*workload.RingInstance)
-	if err := ref.K.Run(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("failure-free run finished at %v\n", ref.Job.FinishTime())
+	ref, err := harness.RunScenario(cfg, w, fault.Scenario{}, interval, nil)
+	must(err)
+	fmt.Printf("failure-free run, checkpointed every %v, finished at %v\n", interval, ref.Wall)
 
-	// Checkpoint at 1s, lose the whole job at 3s, restart from storage.
-	fr, err := harness.RunWithFailure(cfg, w,
-		[]sim.Time{sim.Second}, 3*sim.Second)
-	if err != nil {
-		panic(err)
+	// Lose the whole job at 3s; it restarts from storage.
+	scn, err := fault.Parse("crash@3s")
+	must(err)
+	res, err := harness.RunScenario(cfg, w, scn, interval, nil)
+	must(err)
+	if res.Failures != 1 {
+		must(fmt.Errorf("%v lost the job %d times, want once", scn, res.Failures))
 	}
-	inst := fr.RestartInst.(*workload.RingInstance)
-	fmt.Printf("job killed at %v; restarted from global checkpoint epoch %d\n",
-		fr.FailedAt, fr.Epoch)
-	fmt.Printf("snapshot read-back from storage took %v\n", fr.ReadbackTime)
-	fmt.Printf("restarted run finished after %v more simulated time\n", fr.RestartTime)
+	fmt.Printf("%v: job lost and restarted from the last committed epoch (%d snapshots read back)\n",
+		scn, res.RecoveredCentral)
+	fmt.Printf("restarted run finished at %v (%v lost to the crash and read-back)\n", res.Wall, res.Wall-ref.Wall)
 
-	ok := true
-	for me := 0; me < n; me++ {
-		if inst.Sums[me] != refInst.Sums[me] {
-			ok = false
-			fmt.Printf("  rank %d MISMATCH: %d vs %d\n", me, inst.Sums[me], refInst.Sums[me])
-		}
+	got, want := res.FinalInst.(*workload.RingInstance).Sums, ref.FinalInst.(*workload.RingInstance).Sums
+	if !slices.Equal(got, want) {
+		must(fmt.Errorf("recovered sums %v, failure-free %v: the recovery line is inconsistent", got, want))
 	}
-	if ok {
-		fmt.Println("all ranks' results identical to the failure-free run: the")
-		fmt.Println("staggered group-by-group snapshots form a consistent recovery line")
+	fmt.Println("all ranks' results identical to the failure-free run: the")
+	fmt.Println("staggered group-by-group snapshots form a consistent recovery line")
+}
+
+// must exits with err on one stderr line.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "restart:", err)
+		os.Exit(1)
 	}
 }

@@ -119,6 +119,12 @@ func TestParseErrors(t *testing.T) {
 		"corrupt:epoch=1,rank=-1",    // corrupt needs a real rank
 		"memloss@1s:count=0",         // a node loss loses at least one node
 		"cmdrop:count=0",             // a drop drops at least one packet
+		// Times and windows the fault's kind does not read (kindTiming).
+		"crash@5s+3s",
+		"crash@5s:phase=write",
+		"corrupt@5s:epoch=1,rank=0",
+		"memloss@5s+2s",
+		"cmdrop@3s+1s:type=REQ",
 	} {
 		_, err := Parse(spec)
 		if err == nil {

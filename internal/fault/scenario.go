@@ -94,8 +94,8 @@ func (s Scenario) CheckRanks(n int) error {
 // multi-tier storage hierarchy: the former is a crash that also destroys the
 // RAM-tier copies of count consecutive nodes, the latter an availability
 // window on the burst-buffer tier. Keys: rank, phase, epoch, factor, type,
-// count; a key the fault's kind does not read (kindOptions) is an error, not
-// ignored. Examples:
+// count; a key the fault's kind does not read (kindOptions), or a time or
+// window it does not read (kindTiming), is an error, not ignored. Examples:
 //
 //	crash@12s
 //	crash:phase=write,epoch=1,rank=3
@@ -144,6 +144,7 @@ func parseFault(seg string) (Fault, error) {
 	f := Fault{Rank: -1}
 	head, opts, hasOpts := strings.Cut(seg, ":")
 	head, at, hasAt := strings.Cut(head, "@")
+	atPart, durPart, hasDur := strings.Cut(at, "+")
 	switch head {
 	case "crash":
 		f.Kind = RankCrash
@@ -166,7 +167,6 @@ func parseFault(seg string) (Fault, error) {
 		return Fault{}, fmt.Errorf("fault: unknown kind %q in %q", head, seg)
 	}
 	if hasAt {
-		atPart, durPart, hasDur := strings.Cut(at, "+")
 		d, err := time.ParseDuration(atPart)
 		if err != nil {
 			return Fault{}, fmt.Errorf("fault: bad time in %q: %w", seg, err)
@@ -191,10 +191,31 @@ func parseFault(seg string) (Fault, error) {
 			}
 		}
 	}
+	tm := kindTiming[f.Kind]
+	switch {
+	case hasAt && f.Kind == RankCrash && f.Phase != 0:
+		return Fault{}, fmt.Errorf("fault: crash fires at a time or at a phase, not both, in %q", seg)
+	case hasAt && !tm.at:
+		return Fault{}, fmt.Errorf("fault: %s reads no trigger time (@dur) in %q", head, seg)
+	case hasDur && !tm.window:
+		return Fault{}, fmt.Errorf("fault: %s reads no window (+dur) in %q", head, seg)
+	}
 	if err := f.validate(); err != nil {
 		return Fault{}, fmt.Errorf("fault: %w in %q", err, seg)
 	}
 	return f, nil
+}
+
+// kindTiming says whether each fault kind reads a trigger time ("@T") and a
+// window ("+D"); injector.go is the reader, and like an unread option an
+// unread time or window is rejected. A crash reads @T only without a phase.
+var kindTiming = [...]struct{ at, window bool }{
+	RankCrash:         {true, false},
+	StorageOutage:     {true, true},
+	CMDrop:            {true, false},
+	SnapshotCorrupt:   {false, false},
+	NodeMemoryLoss:    {true, false},
+	BurstBufferOutage: {true, true},
 }
 
 // kindOptions lists the options each fault kind reads (injector.go is the

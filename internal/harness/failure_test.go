@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -38,44 +39,39 @@ type stuckInstance struct{ workload.ConstFootprint }
 
 func (stuckInstance) Capture(int) ([]byte, error) { return nil, nil }
 
-// stuckOnRestart runs as a Ring until it is restarted, then as stuck.
-type stuckOnRestart struct{ workload.Ring }
-
-func (stuckOnRestart) LaunchFrom(j *mpi.Job, states [][]byte) (workload.Instance, error) {
-	return stuck{}.LaunchFrom(j, states)
-}
-
 // TestFailedRunReleasesGoroutines: every harness entry point that gives up on
-// a kernel after an error must shut it down, or each failed cell of a sweep
-// strands one goroutine (and stack) per rank for the life of the process.
+// a kernel — after an error, or after a crash it restarts from — must shut it
+// down, or each failed cell or attempt strands one goroutine (and stack) per
+// rank for the life of the process.
 func TestFailedRunReleasesGoroutines(t *testing.T) {
 	const n = 16
 	cases := []struct {
 		name    string
 		run     func() error
-		wantErr string
+		wantErr string // "" for a run that must succeed
 	}{
 		{"Cluster.run", func() error {
 			_, err := Baseline(smallCluster(n), stuck{})
 			return err
 		}, "deadlock"},
-		{"RunWithFailure restart", func() error {
-			cfg := smallCluster(n)
-			cfg.CR.DefaultFootprint = 5 << 20
-			w := stuckOnRestart{workload.Ring{N: n, Iters: 60, Chunk: 50 * sim.Millisecond, FootprintMB: 5}}
-			_, err := RunWithFailure(cfg, w, []sim.Time{500 * sim.Millisecond}, 2*sim.Second)
-			return err
-		}, "restarted run"},
 		{"RunScenario", func() error {
 			_, err := RunScenario(smallCluster(n), stuck{giveUp: sim.Second}, fault.Scenario{}, 10*sim.Second, nil)
 			return err
 		}, "rank 0 gave up"},
+		{"RunScenario crash restart", func() error {
+			res, err := RunScenario(smallCluster(n), scenarioRing(n), fault.Scenario{
+				Faults: []fault.Fault{{Kind: fault.RankCrash, Rank: -1, At: 2 * sim.Second}}}, sim.Second, nil)
+			if err == nil && res.Failures != 1 {
+				err = fmt.Errorf("failures = %d, want 1", res.Failures)
+			}
+			return err
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			err := tc.run()
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 				t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
 			}
 			// Give the runtime a moment to retire exited goroutines.

@@ -2,17 +2,14 @@ package harness
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
 	"gbcr/internal/workload"
-	"gbcr/internal/workload/motif"
 )
 
 // smallCluster keeps test runtimes low: modest storage bandwidth, small
@@ -70,97 +67,6 @@ func TestSweepGroupSizeHalving(t *testing.T) {
 	}
 }
 
-func TestRestartRingEquivalence(t *testing.T) {
-	// The end-to-end consistency check: kill the job mid-run after a
-	// group-based checkpoint and verify the restarted execution produces
-	// exactly the failure-free results.
-	const n, iters = 6, 60
-	for _, gs := range []int{0, 1, 2, 3} {
-		cfg := smallCluster(n)
-		cfg.CR.GroupSize = gs
-		cfg.CR.DefaultFootprint = 10 << 20
-		w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 10}
-		fr, err := RunWithFailure(cfg, w,
-			[]sim.Time{800 * sim.Millisecond}, 1700*sim.Millisecond)
-		if err != nil {
-			t.Fatalf("groupsize=%d: %v", gs, err)
-		}
-		inst := fr.RestartInst.(*workload.RingInstance)
-		for me := 0; me < n; me++ {
-			want := workload.ExpectedRingSum(n, iters, me)
-			if inst.Sums[me] != want {
-				t.Fatalf("groupsize=%d rank %d: restarted sum %d, want %d (recovery line inconsistent)",
-					gs, me, inst.Sums[me], want)
-			}
-		}
-		if fr.Epoch != 1 {
-			t.Fatalf("groupsize=%d: restarted from epoch %d", gs, fr.Epoch)
-		}
-	}
-}
-
-func TestRestartAllgatherEquivalence(t *testing.T) {
-	const n, iters = 4, 40
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 2
-	w := workload.AllgatherLoop{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 10}
-	// Failure-free reference.
-	ref, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	launched, err := w.Launch(ref.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refInst := launched.(*workload.AllgatherInstance)
-	if err := ref.K.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := RunWithFailure(cfg, w, []sim.Time{700 * sim.Millisecond}, 1500*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := fr.RestartInst.(*workload.AllgatherInstance)
-	for me := 0; me < n; me++ {
-		if inst.Hashes[me] != refInst.Hashes[me] {
-			t.Fatalf("rank %d: restarted hash %x, reference %x", me, inst.Hashes[me], refInst.Hashes[me])
-		}
-	}
-}
-
-func TestRestartSecondCheckpointPreferred(t *testing.T) {
-	// With two completed checkpoints, restart uses the later one.
-	const n, iters = 4, 80
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 2
-	cfg.CR.DefaultFootprint = 5 << 20
-	w := workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: 5}
-	fr, err := RunWithFailure(cfg, w,
-		[]sim.Time{500 * sim.Millisecond, 2 * sim.Second}, 3500*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Epoch != 2 {
-		t.Fatalf("restarted from epoch %d, want 2", fr.Epoch)
-	}
-	inst := fr.RestartInst.(*workload.RingInstance)
-	for me := 0; me < n; me++ {
-		if inst.Sums[me] != workload.ExpectedRingSum(n, iters, me) {
-			t.Fatalf("rank %d corrupted after epoch-2 restart", me)
-		}
-	}
-}
-
-func TestRestartWithoutCheckpointFails(t *testing.T) {
-	cfg := smallCluster(2)
-	w := workload.Ring{N: 2, Iters: 50, Chunk: 50 * sim.Millisecond, FootprintMB: 5}
-	_, err := RunWithFailure(cfg, w, nil, sim.Second)
-	if err == nil {
-		t.Fatal("expected an error when failing before any checkpoint")
-	}
-}
-
 func TestPaperClusterDefaults(t *testing.T) {
 	cfg := PaperCluster(32)
 	if cfg.N != 32 || cfg.Storage.Servers != 4 {
@@ -172,37 +78,6 @@ func TestPaperClusterDefaults(t *testing.T) {
 	}
 	if c.Job.Size() != 32 {
 		t.Fatal("job size")
-	}
-}
-
-func TestRestartStencilEquivalence(t *testing.T) {
-	const n = 5
-	w := workload.Stencil{N: n, Cells: 8, Iters: 50, Chunk: 40 * sim.Millisecond, FootprintMB: 8}
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 2
-	// Failure-free reference.
-	ref, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	launched, err := w.Launch(ref.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refInst := launched.(*workload.StencilInstance)
-	if err := ref.K.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := RunWithFailure(cfg, w, []sim.Time{600 * sim.Millisecond}, 1400*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := fr.RestartInst.(*workload.StencilInstance)
-	for me := 0; me < n; me++ {
-		if inst.Checksums[me] != refInst.Checksums[me] {
-			t.Fatalf("rank %d: restarted checksum %v, reference %v",
-				me, inst.Checksums[me], refInst.Checksums[me])
-		}
 	}
 }
 
@@ -255,33 +130,6 @@ func TestPeriodicCheckpointsNoFailures(t *testing.T) {
 	}
 	if res.Checkpoints < 2 {
 		t.Fatalf("periodic scheduling broken: %d checkpoints", res.Checkpoints)
-	}
-}
-
-func TestRestartRealMinerEquivalence(t *testing.T) {
-	// Kill a real data-mining run mid-level and restart it from a
-	// group-staggered checkpoint: the mined pattern set must be identical
-	// to the failure-free run's (and hence to the serial reference).
-	const n = 4
-	m := motif.Mine{Graphs: 32, Vertices: 12, Degree: 3, Labels: 4,
-		MinSup: 10, MaxLen: 3, Seed: 5}
-	w := motif.MineResumable{Mine: m, LevelCompute: 400 * sim.Millisecond}
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 2
-	want := m.MineSerial()
-	fr, err := RunWithFailure(cfg, w, []sim.Time{600 * sim.Millisecond}, 1100*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := fr.RestartInst.(*motif.ResumableInstance)
-	if len(inst.Frequent) != len(want) {
-		t.Fatalf("restarted miner found %d patterns, serial %d", len(inst.Frequent), len(want))
-	}
-	//lint:allow-simdeterminism order-independent verification; every entry is checked
-	for pat, sup := range want {
-		if inst.Frequent[pat] != sup {
-			t.Fatalf("pattern %q: restarted %d, serial %d", pat, inst.Frequent[pat], sup)
-		}
 	}
 }
 
@@ -355,43 +203,6 @@ func TestFinishedRankPhaseMetrics(t *testing.T) {
 	}
 	if max := m.Histogram(obs.LayerCR, "teardown").Max(); max >= sim.Second {
 		t.Fatalf("cr/teardown max = %v", max)
-	}
-}
-
-// Property: restart equivalence holds across random group sizes, checkpoint
-// times, failure times, and protocol options.
-func TestQuickRestartEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(5) + 2
-		iters := rng.Intn(40) + 40
-		cfg := smallCluster(n)
-		cfg.Seed = seed
-		cfg.CR.GroupSize = rng.Intn(n + 1)
-		cfg.CR.HelperEnabled = rng.Intn(3) != 0
-		cfg.CR.DefaultFootprint = int64(rng.Intn(15)+1) << 20
-		w := workload.Ring{N: n, Iters: iters,
-			Chunk: sim.Time(rng.Intn(40)+20) * sim.Millisecond, FootprintMB: 8}
-		ckptAt := sim.Time(rng.Intn(500)+300) * sim.Millisecond
-		// The failure must land after the cycle completes; the slowest
-		// configuration (singleton groups) takes well under 2.2 s here.
-		failAt := ckptAt + sim.Time(rng.Intn(500)+2200)*sim.Millisecond
-		fr, err := RunWithFailure(cfg, w, []sim.Time{ckptAt}, failAt)
-		if err != nil {
-			t.Logf("seed %d (n=%d gs=%d): %v", seed, n, cfg.CR.GroupSize, err)
-			return false
-		}
-		inst := fr.RestartInst.(*workload.RingInstance)
-		for me := 0; me < n; me++ {
-			if inst.Sums[me] != workload.ExpectedRingSum(n, iters, me) {
-				t.Logf("seed %d rank %d mismatch", seed, me)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
+	"gbcr/internal/workload/motif"
 )
 
 // scenarioRing is the workload used by the scenario tests: ~3s of compute
@@ -76,31 +77,110 @@ func TestScenarioAbortRetryCrashRestart(t *testing.T) {
 	}
 }
 
-// TestScenarioCorruptionFallsBack: epoch 2's archive is corrupted after its
-// commit; the post-crash restart must skip it, fall back to epoch 1, and
-// still reproduce the failure-free results exactly.
+// TestRestartEquivalence is the paper's consistency claim end to end: the
+// whole job is lost to crash@T after the first commit, every rank restarts
+// from the group-staggered recovery line, and the results equal the
+// failure-free run's. A crash before the first checkpoint restarts from
+// scratch and replays the failure-free run after the lost T exactly.
+func TestRestartEquivalence(t *testing.T) {
+	ring := workload.Ring{N: 6, Iters: 60, Chunk: 50 * sim.Millisecond, FootprintMB: 10}
+	ringWant := make([]int64, ring.N)
+	for me := range ringWant {
+		ringWant[me] = workload.ExpectedRingSum(ring.N, ring.Iters, me)
+	}
+	ringSums := func(i workload.Instance) string { return fmt.Sprint(i.(*workload.RingInstance).Sums) }
+	mine := motif.Mine{Graphs: 32, Vertices: 12, Degree: 3, Labels: 4,
+		MinSup: 10, MaxLen: 3, Seed: 5, LevelCompute: 400 * sim.Millisecond}
+	type row struct {
+		name     string
+		n, group int
+		w        workload.Restartable
+		results  func(workload.Instance) string
+		want     string // pins the failure-free results too when set
+		interval sim.Time
+		crash    string
+		scratch  bool // the crash lands before the first checkpoint
+	}
+	var rows []row
+	for _, gs := range []int{0, 1, 2, 3} {
+		rows = append(rows, row{fmt.Sprintf("ring group=%d", gs), ring.N, gs, ring, ringSums, fmt.Sprint(ringWant),
+			800 * sim.Millisecond, "crash@1700ms", false})
+	}
+	rows = append(rows,
+		row{"allgather", 4, 2, workload.AllgatherLoop{N: 4, Iters: 40, Chunk: 50 * sim.Millisecond, FootprintMB: 10},
+			func(i workload.Instance) string { return fmt.Sprint(i.(*workload.AllgatherInstance).Hashes) }, "",
+			700 * sim.Millisecond, "crash@1500ms", false},
+		row{"stencil", 5, 2, workload.Stencil{N: 5, Cells: 8, Iters: 50, Chunk: 40 * sim.Millisecond, FootprintMB: 8},
+			func(i workload.Instance) string { return fmt.Sprint(i.(*workload.StencilInstance).Checksums) }, "",
+			600 * sim.Millisecond, "crash@1400ms", false},
+		row{"motif miner", 4, 2, mine,
+			func(i workload.Instance) string { return fmt.Sprint(i.(*motif.MineInstance).Frequent) }, fmt.Sprint(mine.MineSerial()),
+			600 * sim.Millisecond, "crash@1100ms", false},
+		row{"crash before first checkpoint", ring.N, 2, ring, ringSums, fmt.Sprint(ringWant),
+			sim.Second, "crash@500ms", true},
+	)
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCluster(tc.n)
+			cfg.CR.GroupSize = tc.group
+			clean, err := RunScenario(cfg, tc.w, fault.Scenario{}, tc.interval, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scn := mustParse(t, tc.crash)
+			res, err := RunScenario(cfg, tc.w, scn, tc.interval, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.crash, err)
+			}
+			if res.Failures != 1 {
+				t.Fatalf("%s: failures = %d, want 1", tc.crash, res.Failures)
+			}
+			got, ref := tc.results(res.FinalInst), tc.results(clean.FinalInst)
+			if got != ref || tc.want != "" && ref != tc.want {
+				t.Fatalf("%s: restarted results %s, failure-free %s, want %s (recovery line inconsistent)",
+					tc.crash, got, ref, tc.want)
+			}
+			// From scratch the lost T is pure waste; from a checkpoint some
+			// of it is kept.
+			at := scn.Faults[0].At
+			if lost := res.Wall - clean.Wall; tc.scratch && lost != at || !tc.scratch && lost >= at {
+				t.Fatalf("%s: wall %v against failure-free %v: lost %v (restart from scratch: %v)",
+					tc.crash, res.Wall, clean.Wall, lost, tc.scratch)
+			}
+		})
+	}
+}
+
+// TestScenarioCorruptionFallsBack: restart takes the newest committed epoch,
+// and when epoch 2's archive is corrupted after its commit it must skip it,
+// fall back to epoch 1 — losing more work — and still reproduce the
+// failure-free results exactly.
 func TestScenarioCorruptionFallsBack(t *testing.T) {
 	const n = 4
 	cfg := smallCluster(n)
 	cfg.CR.GroupSize = 2
 	cfg.CR.DefaultFootprint = 5 << 20
 	w := scenarioRing(n)
-	scn := mustParse(t, "corrupt:epoch=2,rank=1;crash@2s")
-	res, err := RunScenario(cfg, w, scn, 500*sim.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures != 1 {
-		t.Fatalf("failures = %d, want 1", res.Failures)
-	}
-	if res.CorruptSkipped == 0 {
-		t.Fatal("restart did not skip the corrupted epoch")
-	}
-	inst := res.FinalInst.(*workload.RingInstance)
-	for me := 0; me < n; me++ {
-		if want := workload.ExpectedRingSum(n, w.Iters, me); inst.Sums[me] != want {
-			t.Fatalf("rank %d: sum %d after corrupt-fallback restart, want %d", me, inst.Sums[me], want)
+	run := func(spec string, skipped int) AvailabilityResult {
+		res, err := RunScenario(cfg, w, mustParse(t, spec), 500*sim.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Failures != 1 || res.CorruptSkipped != skipped {
+			t.Fatalf("%s: failures = %d, corrupt skipped = %d; want 1 and %d", spec, res.Failures, res.CorruptSkipped, skipped)
+		}
+		inst := res.FinalInst.(*workload.RingInstance)
+		for me := 0; me < n; me++ {
+			if want := workload.ExpectedRingSum(n, w.Iters, me); inst.Sums[me] != want {
+				t.Fatalf("%s: rank %d: sum %d after restart, want %d", spec, me, inst.Sums[me], want)
+			}
+		}
+		return res
+	}
+	newest := run("crash@2s", 0)
+	fallback := run("corrupt:epoch=2,rank=1;crash@2s", 1)
+	if newest.Wall >= fallback.Wall {
+		t.Fatalf("restart from the newest epoch took %v, from the older one %v", newest.Wall, fallback.Wall)
 	}
 }
 
@@ -176,8 +256,9 @@ func TestScenarioTraceDeterministic(t *testing.T) {
 }
 
 // Property: restart equivalence survives crashes at random times and at
-// random protocol phases — whatever instant or phase the fault subsystem
-// kills the job in, the rerun from the latest verified epoch reproduces the
+// random protocol phases, under random protocols, group sizes, helper
+// settings, footprints and compute chunks — whatever instant or phase the
+// fault subsystem kills the job in, the rerun from the latest verified epoch reproduces the
 // failure-free results bit for bit.
 func TestQuickScenarioCrashEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -185,7 +266,8 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 		n := rng.Intn(4) + 2
 		cfg := smallCluster(n)
 		cfg.Seed = seed
-		cfg.CR.DefaultFootprint = 5 << 20
+		cfg.CR.HelperEnabled = rng.Intn(3) != 0
+		cfg.CR.DefaultFootprint = int64(rng.Intn(15)+1) << 20
 		// Draw a protocol from the whole zoo; the phase vocabulary for
 		// phase-targeted crashes must come from the drawn protocol.
 		kind := protocol.Kinds()[rng.Intn(len(protocol.Kinds()))]
@@ -206,7 +288,7 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 			cfg.MPI.LogMessages = true
 		}
 		w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,
-			Chunk: 20 * sim.Millisecond, FootprintMB: 5}
+			Chunk: sim.Time(rng.Intn(40)+20) * sim.Millisecond, FootprintMB: 5}
 		var spec string
 		if rng.Intn(2) == 0 {
 			// Timed crash, anywhere from mid-first-interval to near the end.

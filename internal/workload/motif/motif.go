@@ -4,16 +4,20 @@
 //
 // Two forms:
 //
-//   - Mine: a real level-wise parallel frequent-substructure miner over a
-//     synthetic labeled-graph dataset (molecules), validating the MPI layer
-//     with genuine computation: graphs are distributed across ranks, local
-//     supports are combined with an allreduce each level, and the frequent
-//     set is extended level by level.
+//   - Mine: a real, restartable level-wise parallel frequent-substructure
+//     miner over a synthetic labeled-graph dataset (molecules), validating
+//     the MPI layer with genuine computation: graphs are distributed across
+//     ranks, local supports are combined with an allreduce each level, and
+//     the frequent set is extended level by level. Each level starts with a
+//     collective checkpoint poll that captures the whole mining position, so
+//     a killed run resumes mid-mining and finds the same pattern set.
 //   - Timed: the same communication skeleton with paper-scale compute and
 //     footprint, used to regenerate Figure 7.
 package motif
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -31,6 +35,9 @@ type Mine struct {
 	MinSup   int // minimum support (number of graphs)
 	MaxLen   int // maximum pattern length
 	Seed     int64
+	// LevelCompute models the per-level computation beyond the actual DFS
+	// counting (the paper calls MotifMiner "very computation intensive").
+	LevelCompute sim.Time
 }
 
 // Name implements the workload interface.
@@ -72,6 +79,17 @@ func (m Mine) genGraph(g int) graph {
 	return gr
 }
 
+// block generates rank r's share of the dataset in an n-rank run.
+func (m Mine) block(r, n int) []graph {
+	lo := r * m.Graphs / n
+	hi := (r + 1) * m.Graphs / n
+	graphs := make([]graph, 0, hi-lo)
+	for g := lo; g < hi; g++ {
+		graphs = append(graphs, m.genGraph(g))
+	}
+	return graphs
+}
+
 // contains reports whether the graph has a simple path whose vertex labels
 // spell pattern.
 func (gr graph) contains(pattern []int) bool {
@@ -102,6 +120,19 @@ func (gr graph) contains(pattern []int) bool {
 	return false
 }
 
+// supports counts, for each candidate, the graphs that contain it.
+func supports(graphs []graph, cands [][]int) []float64 {
+	out := make([]float64, len(cands))
+	for ci, c := range cands {
+		for _, gr := range graphs {
+			if gr.contains(c) {
+				out[ci]++
+			}
+		}
+	}
+	return out
+}
+
 // patKey renders a pattern as a map key.
 func patKey(p []int) string {
 	b := make([]byte, 0, len(p)*3)
@@ -111,123 +142,146 @@ func patKey(p []int) string {
 	return string(b)
 }
 
+// mineState is one rank's mining position: the level about to be counted
+// and its candidates, plus what earlier levels found. It is the snapshot.
+type mineState struct {
+	Level      int
+	FreqLabels []int
+	Frequent   map[string]int
+	Cands      [][]int
+}
+
+// start is the position before level 1: every single label is a candidate.
+func (m Mine) start() *mineState {
+	st := &mineState{Level: 1, Frequent: make(map[string]int)}
+	for l := 0; l < m.Labels; l++ {
+		st.Cands = append(st.Cands, []int{l})
+	}
+	return st
+}
+
+// done reports whether the level-wise loop has finished.
+func (m Mine) done(st *mineState) bool { return st.Level > m.MaxLen || len(st.Cands) == 0 }
+
+// advance records the level's frequent candidates, given their global
+// supports, and moves st to the next level's candidates.
+func (m Mine) advance(st *mineState, sup []float64) {
+	var next [][]int
+	for ci, c := range st.Cands {
+		if int(sup[ci]) < m.MinSup {
+			continue
+		}
+		st.Frequent[patKey(c)] = int(sup[ci])
+		if st.Level == 1 {
+			st.FreqLabels = append(st.FreqLabels, c[0])
+		}
+		if st.Level > 1 && st.Level < m.MaxLen {
+			for _, l := range st.FreqLabels {
+				next = append(next, append(append([]int{}, c...), l))
+			}
+		}
+	}
+	if st.Level == 1 && st.Level < m.MaxLen {
+		for _, a := range st.FreqLabels {
+			for _, b := range st.FreqLabels {
+				next = append(next, []int{a, b})
+			}
+		}
+	}
+	st.Cands = next
+	st.Level++
+}
+
 // MineSerial computes the frequent-pattern set on a single process — the
 // reference for the parallel run.
 func (m Mine) MineSerial() map[string]int {
-	graphs := make([]graph, m.Graphs)
-	for g := range graphs {
-		graphs[g] = m.genGraph(g)
+	graphs := m.block(0, 1)
+	st := m.start()
+	for !m.done(st) {
+		m.advance(st, supports(graphs, st.Cands))
 	}
-	count := func(cands [][]int) []int {
-		out := make([]int, len(cands))
-		for ci, c := range cands {
-			for _, gr := range graphs {
-				if gr.contains(c) {
-					out[ci]++
-				}
-			}
-		}
-		return out
-	}
-	return m.levelwise(count)
-}
-
-// levelwise runs the level-wise candidate generation loop with the given
-// counting oracle.
-func (m Mine) levelwise(count func([][]int) []int) map[string]int {
-	frequent := make(map[string]int)
-	// Level 1: single labels.
-	var cands [][]int
-	for l := 0; l < m.Labels; l++ {
-		cands = append(cands, []int{l})
-	}
-	var freqLabels []int
-	for level := 1; level <= m.MaxLen && len(cands) > 0; level++ {
-		counts := count(cands)
-		var next [][]int
-		for ci, c := range cands {
-			if counts[ci] < m.MinSup {
-				continue
-			}
-			frequent[patKey(c)] = counts[ci]
-			if level == 1 {
-				freqLabels = append(freqLabels, c[0])
-			}
-			if level < m.MaxLen {
-				for _, l := range freqLabels {
-					ext := append(append([]int{}, c...), l)
-					next = append(next, ext)
-				}
-			}
-		}
-		if level == 1 {
-			// Regenerate level-2 candidates now that freqLabels is known.
-			next = next[:0]
-			for _, a := range freqLabels {
-				for _, b := range freqLabels {
-					next = append(next, []int{a, b})
-				}
-			}
-		}
-		cands = next
-	}
-	return frequent
+	return st.Frequent
 }
 
 // MineInstance is one parallel mining run.
 type MineInstance struct {
-	cfg Mine
+	m      Mine
+	states []*mineState
 	// Frequent is the mined pattern set with supports; identical on every
 	// rank after the run (this copy is rank 0's).
 	Frequent map[string]int
 	bytes    []int64
 }
 
-// Launch implements the workload interface: graphs are distributed
+// Launch implements the workload interface.
+func (m Mine) Launch(j *mpi.Job) (workload.Instance, error) { return m.LaunchFrom(j, nil) }
+
+// LaunchFrom implements workload.Restartable: graphs are distributed
 // block-wise across ranks; each level's supports are combined with an
-// allreduce.
-func (m Mine) Launch(j *mpi.Job) (workload.Instance, error) {
-	inst := &MineInstance{cfg: m, bytes: make([]int64, j.Size())}
+// allreduce. A rank with a captured state resumes from it.
+func (m Mine) LaunchFrom(j *mpi.Job, appStates [][]byte) (workload.Instance, error) {
 	n := j.Size()
+	inst := &MineInstance{m: m, states: make([]*mineState, n), bytes: make([]int64, n)}
 	for r := 0; r < n; r++ {
-		r := r
-		j.Launch(r, func(e *mpi.Env) {
-			world := e.World()
-			// My block of the dataset.
-			lo := r * m.Graphs / n
-			hi := (r + 1) * m.Graphs / n
-			graphs := make([]graph, 0, hi-lo)
-			for g := lo; g < hi; g++ {
-				graphs = append(graphs, m.genGraph(g))
+		st := m.start()
+		restored := appStates != nil && appStates[r] != nil
+		if restored {
+			st = &mineState{Frequent: make(map[string]int)} // gob omits an empty map
+			if err := gob.NewDecoder(bytes.NewReader(appStates[r])).Decode(st); err != nil {
+				return nil, fmt.Errorf("motif: state for rank %d: %w", r, err)
 			}
-			inst.bytes[r] = int64(hi-lo) * int64(m.Vertices) * 64
-			count := func(cands [][]int) []int {
-				local := make([]float64, len(cands))
-				for ci, c := range cands {
-					for _, gr := range graphs {
-						if gr.contains(c) {
-							local[ci]++
-						}
-					}
-				}
-				global := e.AllreduceF64(world, local, mpi.OpSum)
-				out := make([]int, len(cands))
-				for i, v := range global {
-					out[i] = int(v)
-				}
-				return out
-			}
-			freq := m.levelwise(count)
-			if r == 0 {
-				inst.Frequent = freq
-			}
-		})
+		}
+		inst.states[r] = st
+		j.Launch(r, func(e *mpi.Env) { inst.run(e, st, restored) })
 	}
 	return inst, nil
 }
 
+// run is one rank's level-wise loop. Each level consumes four collective
+// tags: the CollectiveCheckpoint allreduce (2) and the support allreduce
+// (2). A restored rank additionally consumed the capture poll's two tags
+// and resumes just after it (see workload.Ring.LaunchFrom).
+func (inst *MineInstance) run(e *mpi.Env, st *mineState, restored bool) {
+	m := inst.m
+	r := e.Rank()
+	world := e.World()
+	adv := 4 * (st.Level - 1)
+	if restored {
+		adv += 2
+	}
+	world.AdvanceCollSeq(adv)
+	skipPoll := restored
+	// The dataset block is not part of the snapshot: input data is
+	// re-readable after restart.
+	graphs := m.block(r, e.Size())
+	inst.bytes[r] = int64(len(graphs)) * int64(m.Vertices) * 64
+	for !m.done(st) {
+		if skipPoll {
+			skipPoll = false
+		} else {
+			e.CollectiveCheckpoint(world)
+		}
+		if m.LevelCompute > 0 {
+			e.Compute(m.LevelCompute)
+		}
+		m.advance(st, e.AllreduceF64(world, supports(graphs, st.Cands), mpi.OpSum))
+	}
+	if r == 0 {
+		inst.Frequent = st.Frequent
+	}
+}
+
 // Footprint implements the workload Instance interface.
 func (inst *MineInstance) Footprint(rank int) int64 { return inst.bytes[rank] }
+
+// Capture implements workload.RestartableInstance.
+func (inst *MineInstance) Capture(rank int) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(inst.states[rank]); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // SortedPatterns returns the frequent patterns in deterministic order.
 func (inst *MineInstance) SortedPatterns() []string {

@@ -74,21 +74,27 @@ func TestSerialMineFindsPatterns(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: the parallel miner finds the serial pattern set
+// on every job size, with and without per-level compute.
 func TestParallelMatchesSerial(t *testing.T) {
 	want := testMine().MineSerial()
 	for _, n := range []int{1, 2, 3, 4, 8} {
-		k, j := newJob(t, n)
-		inst := launch(t, testMine(), j).(*MineInstance)
-		if err := k.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(inst.Frequent) != len(want) {
-			t.Fatalf("n=%d: %d patterns, serial found %d", n, len(inst.Frequent), len(want))
-		}
-		//lint:allow-simdeterminism order-independent verification; every entry is checked
-		for pat, sup := range want {
-			if inst.Frequent[pat] != sup {
-				t.Fatalf("n=%d: pattern %q support %d, serial %d", n, pat, inst.Frequent[pat], sup)
+		for _, lc := range []sim.Time{0, 50 * sim.Millisecond} {
+			k, j := newJob(t, n)
+			m := testMine()
+			m.LevelCompute = lc
+			inst := launch(t, m, j).(*MineInstance)
+			if err := k.Run(); err != nil {
+				t.Fatalf("n=%d level compute %v: %v", n, lc, err)
+			}
+			if len(inst.Frequent) != len(want) {
+				t.Fatalf("n=%d level compute %v: %d patterns, serial found %d", n, lc, len(inst.Frequent), len(want))
+			}
+			//lint:allow-simdeterminism order-independent verification; every entry is checked
+			for pat, sup := range want {
+				if inst.Frequent[pat] != sup {
+					t.Fatalf("n=%d level compute %v: pattern %q support %d, serial %d", n, lc, pat, inst.Frequent[pat], sup)
+				}
 			}
 		}
 	}
@@ -193,32 +199,12 @@ func TestPaperTimedShape(t *testing.T) {
 	}
 }
 
-func TestResumableMatchesSerial(t *testing.T) {
-	want := testMine().MineSerial()
-	for _, n := range []int{1, 3, 4} {
-		k, j := newJob(t, n)
-		w := MineResumable{Mine: testMine(), LevelCompute: 50 * sim.Millisecond}
-		inst := launch(t, w, j).(*ResumableInstance)
-		if err := k.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if fmt.Sprint(len(inst.Frequent)) != fmt.Sprint(len(want)) {
-			t.Fatalf("n=%d: %d patterns vs serial %d", n, len(inst.Frequent), len(want))
-		}
-		//lint:allow-simdeterminism order-independent verification; every entry is checked
-		for pat, sup := range want {
-			if inst.Frequent[pat] != sup {
-				t.Fatalf("n=%d: %q support %d vs serial %d", n, pat, inst.Frequent[pat], sup)
-			}
-		}
-	}
-}
-
 func TestResumableCaptureRoundtrip(t *testing.T) {
 	const n = 2
 	k, j := newJob(t, n)
-	w := MineResumable{Mine: testMine(), LevelCompute: 10 * sim.Millisecond}
-	inst := launch(t, w, j).(*ResumableInstance)
+	w := testMine()
+	w.LevelCompute = 10 * sim.Millisecond
+	inst := launch(t, w, j).(*MineInstance)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +213,7 @@ func TestResumableCaptureRoundtrip(t *testing.T) {
 		states[i] = capture(t, inst, i)
 	}
 	k2, j2 := newJob(t, n)
-	inst2 := launchFrom(t, w, j2, states).(*ResumableInstance)
+	inst2 := launchFrom(t, w, j2, states).(*MineInstance)
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ type Request struct {
 	payload   // what a send carries; what a completed receive got
 	complete  bool
 	status    Status
-	recvID    uint64
 	// discard marks a sink for a duplicate rendezvous re-send after a
 	// logging restart: the granted transfer's data is dropped on arrival.
 	discard bool
@@ -51,7 +50,7 @@ func (r *Rank) getReq() *Request {
 // putReq recycles a completed request that no queue refers to and whose
 // results the caller has copied out. Call it on the normal return path only,
 // never in a defer: a process killed mid-wait must leave its requests where
-// posted/sendReqs/recvReqs still point at them.
+// posted or the rendezvous table still point at them.
 //
 // alloc-free
 func (r *Rank) putReq(req *Request) {
@@ -208,13 +207,25 @@ func (e *Env) Compute(d sim.Time) {
 
 // Isend starts a nonblocking send of data to comm rank dst.
 func (e *Env) Isend(c *Comm, dst, tag int, data []byte) *Request {
-	if tag >= collTagBase || (tag < 0 && tag != ANY) {
-		//lint:allow-panic an invalid tag is an application bug; real MPI aborts
-		panic(fmt.Sprintf("mpi: invalid application tag %d", tag))
+	if !e.appTag(tag) {
+		req := e.r.getReq()
+		req.complete = true
+		return req
 	}
 	e.enter()
 	defer e.exit()
 	return e.isendInternal(c, dst, tag, content(data))
+}
+
+// appTag reports whether an application may send with tag. An invalid tag is
+// an application bug (real MPI aborts): it fails the run, and the caller
+// returns as if the send had completed, like a self-send.
+func (e *Env) appTag(tag int) bool {
+	if tag >= collTagBase || (tag < 0 && tag != ANY) {
+		e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: invalid application tag %d", e.r.world, tag))
+		return false
+	}
+	return true
 }
 
 // sized is the payload of a size-only send of n bytes: the length the model
@@ -277,15 +288,9 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	// paper's *request buffering*.
 	r.stats.RendezvousSent++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_sent").Inc()
-	r.reqSeq++
-	id := r.reqSeq
 	req.payload = p
-	if r.sendReqs == nil {
-		r.sendReqs = make(map[uint64]*Request)
-	}
-	r.sendReqs[id] = req
 	rts := r.job.newPkt(pktRTS)
-	rts.comm, rts.srcComm, rts.tag, rts.seq, rts.sendID, rts.size = c.id, c.myRank, tag, seq, id, p.size
+	rts.comm, rts.srcComm, rts.tag, rts.seq, rts.sendID, rts.size = c.id, c.myRank, tag, seq, r.rdvPut(req), p.size
 	r.post(pr, outItem{kind: outCtl, size: ctlPktSize, pkt: rts})
 	return req
 }
@@ -352,9 +357,8 @@ func (e *Env) Waitall(reqs ...*Request) {
 // Send is a blocking send: for eager messages it returns once the payload is
 // buffered; for rendezvous messages it returns at local completion.
 func (e *Env) Send(c *Comm, dst, tag int, data []byte) {
-	if tag >= collTagBase || (tag < 0 && tag != ANY) {
-		//lint:allow-panic an invalid tag is an application bug; real MPI aborts
-		panic(fmt.Sprintf("mpi: invalid application tag %d", tag))
+	if !e.appTag(tag) {
+		return
 	}
 	e.enter()
 	defer e.exit()

@@ -564,17 +564,6 @@ func TestDeadlockDiagnosis(t *testing.T) {
 	}
 }
 
-func TestInvalidTagPanics(t *testing.T) {
-	k, j := newTestJob(t, 2)
-	j.Launch(0, func(e *Env) {
-		e.Send(e.World(), 1, collTagBase, nil)
-	})
-	j.Launch(1, func(e *Env) {})
-	if err := k.Run(); err == nil {
-		t.Fatal("reserved tag accepted")
-	}
-}
-
 func TestCodecRoundtrip(t *testing.T) {
 	f := func(v []float64) bool {
 		got := BytesToF64(F64ToBytes(v))

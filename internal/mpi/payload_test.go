@@ -369,3 +369,35 @@ func TestSelfSendFailsRun(t *testing.T) {
 		t.Fatal("the failed send left its caller blocked")
 	}
 }
+
+// An application tag at or above the collectives' range, or a negative one
+// other than ANY, fails the run; the call returns as a self-send's does.
+func TestInvalidTagFailsRun(t *testing.T) {
+	calls := []struct {
+		name string
+		tag  int
+		call func(e *Env, tag int)
+	}{
+		{"Isend", -2, func(e *Env, tag int) { e.Wait(e.Isend(e.World(), 1, tag, []byte("x"))) }},
+		{"Send", collTagBase, func(e *Env, tag int) { e.Send(e.World(), 1, tag, []byte("x")) }},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			k, j := newTestJob(t, 2)
+			returned := false
+			j.Launch(0, func(e *Env) {
+				tc.call(e, tc.tag)
+				returned = true
+			})
+			j.Launch(1, func(e *Env) {})
+			err := k.Run()
+			want := fmt.Sprintf("rank 0: invalid application tag %d", tc.tag)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run() = %v, want an error containing %q", err, want)
+			}
+			if !returned {
+				t.Fatal("the failed send left its caller blocked")
+			}
+		})
+	}
+}

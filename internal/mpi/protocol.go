@@ -347,28 +347,73 @@ func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.sendCTS(msg.srcWorld, msg.sendID, req)
 }
 
+// rdvSlot is one entry of a rank's rendezvous table: the request a peer's CTS
+// or bulk data will name, or, while empty, a link in the free chain. An id
+// handed to a peer is gen<<32 | index; releasing the slot bumps gen, so an id
+// from before can never name what the slot holds next (the sim.Event idiom).
+// Links and the chain head (Rank.rdvFree) are index+1, zero ending the chain,
+// so a zero Rank has a valid empty table.
+type rdvSlot struct {
+	req  *Request
+	gen  uint32
+	next uint32
+}
+
+// rdvPut parks req in an empty slot, growing the table only when none is
+// free, and returns the slot's id.
+//
+// alloc-free
+func (r *Rank) rdvPut(req *Request) uint64 {
+	i := r.rdvFree
+	if i == 0 {
+		//lint:allow-allocfree amortised: the table grows to the most rendezvous ever pending at once
+		r.rdv = append(r.rdv, rdvSlot{})
+		i = uint32(len(r.rdv))
+	}
+	s := &r.rdv[i-1]
+	r.rdvFree, s.next, s.req = s.next, 0, req
+	return uint64(s.gen)<<32 | uint64(i-1)
+}
+
+// rdvTake releases the slot id names and returns its request: a send's when
+// a CTS names it (send), a receive's when bulk data does. An id that is past
+// the table, stale, or names the other direction's slot is protocol
+// corruption: it fails the run and rdvTake returns nil.
+//
+// alloc-free
+func (r *Rank) rdvTake(id uint64, send bool) *Request {
+	i, gen := uint32(id), uint32(id>>32)
+	if int(i) < len(r.rdv) {
+		if s := &r.rdv[i]; s.gen == gen && s.req != nil && s.req.isSend == send {
+			req := s.req
+			s.req, s.gen, s.next = nil, gen+1, r.rdvFree
+			r.rdvFree = i + 1
+			return req
+		}
+	}
+	what := "data"
+	if send {
+		what = "CTS"
+	}
+	//lint:allow-allocfree cold: the run is over
+	r.job.k.Fail(fmt.Errorf("mpi: rank %d got %s naming unknown rendezvous id %#x", r.world, what, id))
+	return nil
+}
+
 // sendCTS registers req as the sink of the sender's transfer sendID and
 // grants it.
 func (r *Rank) sendCTS(srcWorld int, sendID uint64, req *Request) {
-	r.reqSeq++
-	req.recvID = r.reqSeq
-	if r.recvReqs == nil {
-		r.recvReqs = make(map[uint64]*Request)
-	}
-	r.recvReqs[req.recvID] = req
 	cts := r.job.newPkt(pktCTS)
-	cts.sendID, cts.recvID = sendID, req.recvID
+	cts.sendID, cts.recvID = sendID, r.rdvPut(req)
 	r.post(r.peer(srcWorld), outItem{kind: outCtl, size: ctlPktSize, pkt: cts})
 }
 
 // arriveCTS starts the bulk transfer for a granted rendezvous send.
 func (r *Rank) arriveCTS(m *wirePkt) {
-	req := r.sendReqs[m.sendID]
+	req := r.rdvTake(m.sendID, true)
 	if req == nil {
-		//lint:allow-panic a CTS always answers our own RTS; an unknown id is protocol corruption
-		panic(fmt.Sprintf("mpi: rank %d got CTS for unknown send %d", r.world, m.sendID))
+		return
 	}
-	delete(r.sendReqs, m.sendID)
 	if req.txDone == nil {
 		req.txDone = req.completeTx // bound once; survives recycling
 	}
@@ -380,14 +425,9 @@ func (r *Rank) arriveCTS(m *wirePkt) {
 
 // arriveData completes a rendezvous receive.
 func (r *Rank) arriveData(m *wirePkt) {
-	req := r.recvReqs[m.recvID]
-	if req == nil {
-		//lint:allow-panic bulk data always answers our own CTS; an unknown id is protocol corruption
-		panic(fmt.Sprintf("mpi: rank %d got data for unknown recv %d", r.world, m.recvID))
-	}
-	delete(r.recvReqs, m.recvID)
-	if req.discard {
-		return // duplicate rendezvous re-send: the payload is dropped
+	req := r.rdvTake(m.recvID, false)
+	if req == nil || req.discard {
+		return // unknown id (the run has failed), or a duplicate re-send: the payload is dropped
 	}
 	req.payload = payload{size: req.status.Size, data: m.data}
 	r.completeReq(req)

@@ -78,10 +78,11 @@ func (p p2pPlan) delivered(dst int, got []recvd) error {
 
 // checkRecycling asserts the ownership rules of DESIGN §4.15 on a job at
 // rest, finished or killed: nothing on a free list is blank-less, listed
-// twice, or still reachable from a queue — a request from posted, sendReqs,
-// recvReqs or an outbox item; a packet from an outbox or from anywhere the
-// fabric holds payloads — and the matching queues keep no reference in the
-// slots they vacated.
+// twice, or still reachable from a queue — a request from posted, a
+// rendezvous slot or an outbox item; a packet from an outbox or from anywhere
+// the fabric holds payloads — and the matching queues keep no reference in
+// the slots they vacated. The rendezvous free chain holds every empty slot
+// once and no occupied one, and a finished job leaves no slot occupied.
 func checkRecycling(j *Job) error {
 	freePkt := make(map[*wirePkt]bool)
 	for _, p := range j.pktFree {
@@ -99,7 +100,7 @@ func checkRecycling(j *Job) error {
 			if freeReq[req] {
 				return fmt.Errorf("rank %d: request %p is on the free list twice", r.world, req)
 			}
-			if req.r != nil || req.complete || req.isSend || req.comm != nil || req.data != nil || req.recvID != 0 {
+			if req.r != nil || req.complete || req.isSend || req.comm != nil || req.data != nil || req.discard {
 				return fmt.Errorf("rank %d: free request %p is not blank: %+v", r.world, req, *req)
 			}
 			freeReq[req] = true
@@ -115,16 +116,28 @@ func checkRecycling(j *Job) error {
 				return err
 			}
 		}
-		//lint:allow-simdeterminism a membership check; order picks only which violation is reported
-		for _, req := range r.sendReqs {
-			if err := live("sendReqs", req); err != nil {
-				return err
+		chained := make([]bool, len(r.rdv))
+		for i := r.rdvFree; i != 0; i = r.rdv[i-1].next {
+			switch {
+			case int(i) > len(r.rdv):
+				return fmt.Errorf("rank %d: rendezvous free chain links to slot %d of %d", r.world, i-1, len(r.rdv))
+			case r.rdv[i-1].req != nil:
+				return fmt.Errorf("rank %d: occupied rendezvous slot %d is on the free chain", r.world, i-1)
+			case chained[i-1]:
+				return fmt.Errorf("rank %d: rendezvous free chain visits slot %d twice", r.world, i-1)
 			}
+			chained[i-1] = true
 		}
-		//lint:allow-simdeterminism a membership check; order picks only which violation is reported
-		for _, req := range r.recvReqs {
-			if err := live("recvReqs", req); err != nil {
-				return err
+		for i, s := range r.rdv {
+			switch {
+			case s.req == nil && !chained[i]:
+				return fmt.Errorf("rank %d: empty rendezvous slot %d is off the free chain", r.world, i)
+			case s.req != nil && j.Finished():
+				return fmt.Errorf("rank %d: the job finished with rendezvous slot %d pending", r.world, i)
+			case s.req != nil:
+				if err := live(fmt.Sprintf("rendezvous slot %d", i), s.req); err != nil {
+					return err
+				}
 			}
 		}
 		for _, pr := range r.peers {

@@ -135,8 +135,10 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
 	}
-	if len(r.sendReqs) > 0 || len(r.recvReqs) > 0 {
-		return nil, fmt.Errorf("mpi: rank %d has pending rendezvous at capture", r.world)
+	for _, s := range r.rdv {
+		if s.req != nil {
+			return nil, fmt.Errorf("mpi: rank %d has pending rendezvous at capture", r.world)
+		}
 	}
 	if r.job.cfg.LogMessages {
 		return r.captureLibStateV2()

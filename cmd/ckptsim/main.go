@@ -231,12 +231,10 @@ func main() {
 		cfg.CR.HelperEnabled = false
 		cfg.MPI.LogMessages = true
 	}
-	if mode.Tiered() {
-		cfg.Tiers.Mode = mode
-		cfg.Tiers.Replicas = *replicas
-		if err := cfg.Validate(); err != nil {
-			fail("%v", err)
-		}
+	cfg.Tiers.Mode = mode
+	cfg.Tiers.Replicas = *replicas
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
 	}
 
 	if multiCell {
@@ -467,7 +465,7 @@ func loadScenario(arg string) fault.Scenario {
 }
 
 // header prints the lines every report starts with: what ran, under which
-// protocol, and — when a hierarchy is installed — against which storage.
+// protocol, and — for a multi-level storage stack — against which storage.
 func header(w workload.Workload, cfg harness.ClusterConfig) {
 	fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), cfg.N)
 	fmt.Printf("protocol:              %s\n", protocolName(cfg.CR.Protocol, cfg.CR.GroupSize, cfg.N, cfg.CR.Dynamic))

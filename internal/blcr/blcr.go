@@ -90,9 +90,11 @@ type Store struct {
 	// restart candidate as soon as its own write completed.
 	durable  map[int]map[int]bool
 	maxEpoch int
-	// res tracks per-tier physical copies when a storage hierarchy is in
-	// use; see residency.go. Empty for legacy single-service stores.
-	res residencyLedger
+	// res is the residency ledger, indexed by epoch and then rank: the
+	// physical copies a storage hierarchy placed (residency.go). A nil row is
+	// an untracked epoch. tiers names the ledger's tier ids, id i+1 at i.
+	res   [][]copySet
+	tiers []string
 }
 
 // NewStore creates a store for an n-rank job.
@@ -102,7 +104,6 @@ func NewStore(n int) *Store {
 		epochs:   make(map[int]map[int]*Snapshot),
 		complete: make(map[int]bool),
 		durable:  make(map[int]map[int]bool),
-		res:      newResidencyLedger(),
 	}
 }
 
@@ -187,7 +188,7 @@ func (st *Store) RankDurable(epoch, rank int) bool {
 }
 
 // LatestRankDurable returns one rank's newest durable snapshot that still
-// passes Verify and keeps at least one intact tier copy, walking down past
+// passes Verify and keeps at least one tier copy, walking down past
 // corrupted or lost epochs. skipped counts the durable snapshots rejected on
 // the way; (0, nil, skipped) means the rank must restart from scratch.
 func (st *Store) LatestRankDurable(rank int) (epoch int, s *Snapshot, skipped int) {

@@ -1,132 +1,145 @@
 // Multi-tier residency ledger: which physical copies of each archived
-// snapshot exist, at which storage tier, on which node, and whether each copy
-// is still intact. The ledger is what makes the storage hierarchy's recovery
-// semantics honest — a committed epoch is only a restart candidate while at
-// least one intact copy of every rank's image survives somewhere, and restart
-// reads come from the fastest tier that still holds one.
+// snapshot exist, at which storage tier, and on which node. The ledger is
+// what makes the storage hierarchy's recovery semantics honest — a committed
+// epoch is only a restart candidate while at least one copy of every rank's
+// image survives somewhere, and restart reads come from the fastest tier that
+// still holds one.
 //
 // Tier names are plain strings supplied by the caller (the storage/tier
 // package uses "ram", "local", "burst", "central"); blcr itself is
-// tier-agnostic. A snapshot with no residency ever recorded is in legacy
-// single-service mode and is implicitly resident at central storage, so stores
-// used without a hierarchy behave exactly as before.
+// tier-agnostic. Every simulated cluster writes through a tier.Hierarchy, so
+// its archive records every copy. An epoch with no copy ever recorded is
+// untracked and counts as recoverable: that is the rule for a stand-alone
+// store no hierarchy writes to.
 
 package blcr
 
-import "sort"
-
-// copyKey identifies one tier's copy set of one snapshot.
-type copyKey struct {
-	epoch, rank int
-	tier        string
-}
-
-// rankEpoch indexes per-snapshot residency summaries.
-type rankEpoch struct {
-	epoch, rank int
-}
-
-// replica is one physical copy: the node holding it (-1 for a shared service
-// like the burst buffer or central storage) and whether it is still intact.
+// replica is one physical copy: the tier holding it, as the store's tier id
+// (tierID; 0 marks an empty slot), and the node it lives on (-1 for a shared
+// service like the burst buffer or central storage). Eight bytes, so that a
+// copy set is 32 and an epoch's row n × 32.
 type replica struct {
-	node   int
-	intact bool
+	tier, node int32
 }
 
-// residencyLedger tracks physical copies per (epoch, rank, tier).
-type residencyLedger struct {
-	copies map[copyKey][]replica
-	// tracked marks snapshots that ever had residency recorded: those are in
-	// tiered mode and must keep at least one intact copy to stay
-	// recoverable. Entries are never cleared — losing every copy makes the
-	// snapshot unrecoverable, not legacy.
-	tracked map[rankEpoch]bool
-	// intact counts intact copies across all tiers per snapshot, maintained
-	// incrementally so recoverability checks are O(1).
-	intact map[rankEpoch]int
+// copySet is one rank's copies of one epoch, the first stored inline.
+type copySet struct {
+	first replica   // empty when the set is
+	more  []replica // the copies after the first
 }
 
-func newResidencyLedger() residencyLedger {
-	return residencyLedger{
-		copies:  make(map[copyKey][]replica),
-		tracked: make(map[rankEpoch]bool),
-		intact:  make(map[rankEpoch]int),
+func (c *copySet) len() int {
+	if c.first.tier == 0 {
+		return 0
+	}
+	return 1 + len(c.more)
+}
+
+func (c *copySet) at(i int) *replica {
+	if i == 0 {
+		return &c.first
+	}
+	return &c.more[i-1]
+}
+
+func (c *copySet) find(r replica) int {
+	for i := 0; i < c.len(); i++ {
+		if *c.at(i) == r {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *copySet) add(r replica) {
+	if c.first.tier == 0 {
+		c.first = r
+	} else {
+		c.more = append(c.more, r)
 	}
 }
 
-// AddReplica records that an intact copy of (epoch, rank)'s image now exists
-// at the given tier on the given node (-1 for a shared service). Re-adding an
-// existing intact copy is a no-op; re-adding a lost or corrupted copy
-// restores it (a re-drain rewrote it).
+// remove drops copy i, moving the last copy into its place.
+func (c *copySet) remove(i int) {
+	last := len(c.more)
+	*c.at(i) = *c.at(last)
+	if last == 0 {
+		c.first = replica{}
+	} else {
+		c.more = c.more[:last-1]
+	}
+}
+
+// dropIf removes every copy drop matches and returns how many went.
+func (c *copySet) dropIf(drop func(replica) bool) int {
+	lost := 0
+	for i := 0; i < c.len(); {
+		if drop(*c.at(i)) {
+			c.remove(i)
+			lost++
+			continue
+		}
+		i++
+	}
+	return lost
+}
+
+// tierID returns the id of a tier name, numbering a new name from 1 in
+// order of first use when add is set. 0 means the name is unknown.
+func (st *Store) tierID(tier string, add bool) int32 {
+	for i, name := range st.tiers {
+		if name == tier {
+			return int32(i + 1)
+		}
+	}
+	if !add {
+		return 0
+	}
+	st.tiers = append(st.tiers, tier)
+	return int32(len(st.tiers))
+}
+
+// copies returns (epoch, rank)'s copy set, or nil when the epoch is
+// untracked.
+func (st *Store) copies(epoch, rank int) *copySet {
+	if epoch <= 0 || epoch >= len(st.res) || st.res[epoch] == nil {
+		return nil
+	}
+	return &st.res[epoch][rank]
+}
+
+// AddReplica records that a copy of (epoch, rank)'s image now exists at the
+// given tier on the given node (-1 for a shared service). Re-adding an
+// existing copy is a no-op. The first copy of an epoch allocates its per-rank
+// row.
 func (st *Store) AddReplica(epoch, rank int, tier string, node int) {
-	key := copyKey{epoch: epoch, rank: rank, tier: tier}
-	set := st.res.copies[key]
-	for i := range set {
-		if set[i].node == node {
-			if !set[i].intact {
-				set[i].intact = true
-				st.res.intact[rankEpoch{epoch, rank}]++
-			}
-			return
-		}
+	if epoch >= len(st.res) {
+		st.res = append(st.res, make([][]copySet, epoch+1-len(st.res))...)
 	}
-	set = append(set, replica{node: node, intact: true})
-	// Keep the copy set sorted by node so every walk over it is
-	// deterministic regardless of registration order.
-	sort.Slice(set, func(i, j int) bool { return set[i].node < set[j].node })
-	st.res.copies[key] = set
-	st.res.tracked[rankEpoch{epoch, rank}] = true
-	st.res.intact[rankEpoch{epoch, rank}]++
+	if st.res[epoch] == nil {
+		st.res[epoch] = make([]copySet, st.n)
+	}
+	r := replica{tier: st.tierID(tier, true), node: int32(node)}
+	if set := &st.res[epoch][rank]; set.find(r) < 0 {
+		set.add(r)
+	}
 }
 
-// DropReplica removes one copy (intact or not) and reports whether it
-// existed.
+// DropReplica removes one copy and reports whether it existed.
 func (st *Store) DropReplica(epoch, rank int, tier string, node int) bool {
-	key := copyKey{epoch: epoch, rank: rank, tier: tier}
-	set := st.res.copies[key]
-	for i := range set {
-		if set[i].node == node {
-			if set[i].intact {
-				st.res.intact[rankEpoch{epoch, rank}]--
-			}
-			st.res.copies[key] = append(set[:i], set[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// CorruptReplica marks one copy as damaged in place (bit rot, torn drain). It
-// reports whether an intact copy was found to corrupt.
-func (st *Store) CorruptReplica(epoch, rank int, tier string, node int) bool {
-	key := copyKey{epoch: epoch, rank: rank, tier: tier}
-	set := st.res.copies[key]
-	for i := range set {
-		if set[i].node == node && set[i].intact {
-			set[i].intact = false
-			st.res.intact[rankEpoch{epoch, rank}]--
-			return true
-		}
-	}
-	return false
+	set, r := st.copies(epoch, rank), replica{tier: st.tierID(tier, false), node: int32(node)}
+	return set != nil && set.dropIf(func(c replica) bool { return c == r }) > 0
 }
 
 // DropTierCopies removes every copy of (epoch, rank) at one tier — an
 // eviction or a RAM double-buffer release — and returns how many copies were
 // dropped.
 func (st *Store) DropTierCopies(epoch, rank int, tier string) int {
-	key := copyKey{epoch: epoch, rank: rank, tier: tier}
-	set := st.res.copies[key]
-	if len(set) == 0 {
+	set, id := st.copies(epoch, rank), st.tierID(tier, false)
+	if set == nil {
 		return 0
 	}
-	for i := range set {
-		if set[i].intact {
-			st.res.intact[rankEpoch{epoch, rank}]--
-		}
-	}
-	delete(st.res.copies, key)
-	return len(set)
+	return set.dropIf(func(r replica) bool { return r.tier == id })
 }
 
 // DropNodeReplicas removes every copy held on one node, at every tier and
@@ -136,56 +149,43 @@ func (st *Store) DropTierCopies(epoch, rank int, tier string) int {
 // many copies were lost.
 func (st *Store) DropNodeReplicas(node int) int {
 	lost := 0
-	//lint:allow-simdeterminism every copy set is visited once and the count is order-independent
-	for key := range st.res.copies {
-		if st.DropReplica(key.epoch, key.rank, key.tier, node) {
-			lost++
+	for _, row := range st.res {
+		for rank := range row {
+			lost += row[rank].dropIf(func(r replica) bool { return r.node == int32(node) })
 		}
 	}
 	return lost
 }
 
-// TierIntact counts the intact copies of (epoch, rank) at one tier.
-func (st *Store) TierIntact(epoch, rank int, tier string) int {
-	set := st.res.copies[copyKey{epoch: epoch, rank: rank, tier: tier}]
+// TierCopies counts the copies of (epoch, rank) at one tier.
+func (st *Store) TierCopies(epoch, rank int, tier string) int {
+	set, id := st.copies(epoch, rank), st.tierID(tier, false)
+	if set == nil {
+		return 0
+	}
 	n := 0
-	for i := range set {
-		if set[i].intact {
+	for i := 0; i < set.len(); i++ {
+		if set.at(i).tier == id {
 			n++
 		}
 	}
 	return n
 }
 
-// Tracked reports whether (epoch, rank) ever had tier residency recorded,
-// i.e. whether it lives under a storage hierarchy rather than the legacy
-// single central service.
-func (st *Store) Tracked(epoch, rank int) bool {
-	return st.res.tracked[rankEpoch{epoch, rank}]
-}
-
-// recoverable reports whether at least one intact copy of (epoch, rank)
-// survives. Snapshots without residency tracking are implicitly resident at
-// the central service and always recoverable (legacy behavior).
+// recoverable reports whether at least one copy of (epoch, rank) survives,
+// or the epoch is untracked.
 func (st *Store) recoverable(epoch, rank int) bool {
-	key := rankEpoch{epoch, rank}
-	if !st.res.tracked[key] {
-		return true
-	}
-	return st.res.intact[key] > 0
+	set := st.copies(epoch, rank)
+	return set == nil || set.len() > 0
 }
 
 // RecoverySource returns the first tier in order (fastest-first) that still
-// holds an intact copy of (epoch, rank). Untracked snapshots report
-// ("central", true): the legacy service is their implicit home. ok is false
-// only when every copy of a tracked snapshot has been lost — callers should
-// have filtered such epochs out via LatestVerified already.
+// holds a copy of (epoch, rank). ok is false when no tier in order does:
+// every copy was lost, or the epoch is untracked. A cluster's restart line
+// selects only epochs with a surviving copy, so its lookups always succeed.
 func (st *Store) RecoverySource(epoch, rank int, order []string) (string, bool) {
-	if !st.Tracked(epoch, rank) {
-		return "central", true
-	}
 	for _, tier := range order {
-		if st.TierIntact(epoch, rank, tier) > 0 {
+		if st.TierCopies(epoch, rank, tier) > 0 {
 			return tier, true
 		}
 	}

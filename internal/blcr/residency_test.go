@@ -30,8 +30,8 @@ func TestRecoverySourceFallsThroughTiers(t *testing.T) {
 	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "burst" {
 		t.Fatalf("RecoverySource = (%q, %v), want (burst, true)", src, ok)
 	}
-	// A corrupted burst copy is present but unusable: fall through to central.
-	st.CorruptReplica(1, 0, "burst", -1)
+	// The burst copy evicted: fall through to central.
+	st.DropReplica(1, 0, "burst", -1)
 	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "central" {
 		t.Fatalf("RecoverySource = (%q, %v), want (central, true)", src, ok)
 	}
@@ -42,15 +42,20 @@ func TestRecoverySourceFallsThroughTiers(t *testing.T) {
 	}
 }
 
-func TestRecoverySourceUntrackedIsLegacyCentral(t *testing.T) {
+// TestUntrackedEpochIsRecoverable: a stand-alone store that no hierarchy
+// writes to records no copies; its committed epochs are restart candidates
+// all the same, but no tier is named as their source.
+func TestUntrackedEpochIsRecoverable(t *testing.T) {
 	st := NewStore(2)
 	fullEpoch(t, st, 2, 1)
-	// No residency recorded: legacy single-service mode.
-	if st.Tracked(1, 0) {
-		t.Fatal("legacy snapshot reports Tracked")
+	if epoch, _, skipped := st.LatestVerified(); epoch != 1 || skipped != 0 {
+		t.Fatalf("LatestVerified = (%d, skipped %d), want (1, 0)", epoch, skipped)
 	}
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "central" {
-		t.Fatalf("RecoverySource = (%q, %v), want (central, true)", src, ok)
+	if epoch, s, _ := st.LatestRankDurable(0); epoch != 1 || s == nil {
+		t.Fatalf("LatestRankDurable = (%d, %v), want epoch 1", epoch, s)
+	}
+	if src, ok := st.RecoverySource(1, 0, fastestFirst); ok {
+		t.Fatalf("RecoverySource = (%q, %v) with no copy recorded, want ok=false", src, ok)
 	}
 }
 
@@ -108,16 +113,22 @@ func TestAddReplicaIdempotentAndRestoring(t *testing.T) {
 	fullEpoch(t, st, 2, 1)
 	st.AddReplica(1, 0, "ram", 1)
 	st.AddReplica(1, 0, "ram", 1) // duplicate: no double count
-	if got := st.TierIntact(1, 0, "ram"); got != 1 {
-		t.Fatalf("TierIntact = %d after duplicate add, want 1", got)
+	if got := st.TierCopies(1, 0, "ram"); got != 1 {
+		t.Fatalf("TierCopies = %d after duplicate add, want 1", got)
 	}
-	st.CorruptReplica(1, 0, "ram", 1)
-	if got := st.TierIntact(1, 0, "ram"); got != 0 {
-		t.Fatalf("TierIntact = %d after corruption, want 0", got)
+	if !st.DropReplica(1, 0, "ram", 1) || st.DropReplica(1, 0, "ram", 1) {
+		t.Fatal("DropReplica must find the copy once")
 	}
-	// A re-drain rewrites the damaged copy in place.
+	if got := st.TierCopies(1, 0, "ram"); got != 0 {
+		t.Fatalf("TierCopies = %d after the drop, want 0", got)
+	}
+	// The epoch stays tracked: with its only copy gone it is unrecoverable.
+	if epoch, _, skipped := st.LatestVerified(); epoch != 0 || skipped != 1 {
+		t.Fatalf("LatestVerified = (%d, skipped %d) with every copy lost, want (0, 1)", epoch, skipped)
+	}
+	// A re-drain writes the copy again.
 	st.AddReplica(1, 0, "ram", 1)
-	if got := st.TierIntact(1, 0, "ram"); got != 1 {
-		t.Fatalf("TierIntact = %d after restoring add, want 1", got)
+	if got := st.TierCopies(1, 0, "ram"); got != 1 {
+		t.Fatalf("TierCopies = %d after restoring add, want 1", got)
 	}
 }

@@ -633,16 +633,11 @@ func (c *Controller) incrementalSize(full int64) int64 {
 	return dirty
 }
 
-// startWrite begins storing snap — through the storage hierarchy when one is
-// installed, acknowledging at its fastest durable tier, and directly at the
-// central service otherwise — and remembers the transfer so an abort can
-// cancel it. Application-context callers Wait on the result.
+// startWrite begins storing snap through the storage stack, acknowledging at
+// its fastest durable tier, and remembers the transfer so an abort can cancel
+// it. Application-context callers Wait on the result.
 func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err error) {
-	if h := c.co.tiers; h != nil {
-		tr, err = h.StartWrite(snap.Epoch, snap.Rank, snap.Size())
-	} else {
-		tr, err = c.co.store.Start(snap.Size())
-	}
+	tr, err = c.co.tiers.StartWrite(snap.Epoch, snap.Rank, snap.Size())
 	c.write = tr
 	return tr, err
 }

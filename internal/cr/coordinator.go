@@ -9,7 +9,6 @@ import (
 	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
-	"gbcr/internal/storage"
 	"gbcr/internal/storage/tier"
 )
 
@@ -19,17 +18,16 @@ import (
 type Coordinator struct {
 	k     *sim.Kernel
 	job   *mpi.Job
-	store *storage.System
 	cfg   Config
 	ep    *ib.Endpoint
 	ctls  []*Controller
 	snaps *blcr.Store
 
-	// tiers, when set, routes snapshot writes through a multi-tier storage
-	// hierarchy instead of the central service: writes acknowledge at the
-	// fastest durable tier and epoch commit gates on replication degree
-	// there, while the central drain continues in the background. Nil keeps
-	// the legacy direct-to-central path.
+	// tiers is the storage stack every snapshot write goes through: writes
+	// acknowledge at its fastest durable tier and epoch commit gates on the
+	// replication degree there, while any drain toward central storage
+	// continues in the background. Under ModeCentral it is the one level
+	// [central].
 	tiers *tier.Hierarchy
 
 	// proto is the resolved coordination protocol; tag is the protocol label
@@ -87,9 +85,12 @@ func (co *Coordinator) emit(what obs.Kind, detail string) {
 		Type: obs.Instant, What: what, Detail: detail})
 }
 
-// New attaches a coordinator and per-rank controllers to a job. It must be
-// called before ranks are launched so the hooks observe all activity.
-func New(k *sim.Kernel, job *mpi.Job, store *storage.System, cfg Config) (*Coordinator, error) {
+// New attaches a coordinator and per-rank controllers to a job, writing
+// snapshots through the storage stack h, which it binds to the snapshot
+// archive so the archive's residency ledger records every copy h places. It
+// must be called before ranks are launched so the hooks observe all
+// activity.
+func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinator, error) {
 	if cfg.DefaultFootprint <= 0 {
 		cfg.DefaultFootprint = DefaultConfig().DefaultFootprint
 	}
@@ -104,12 +105,13 @@ func New(k *sim.Kernel, job *mpi.Job, store *storage.System, cfg Config) (*Coord
 	co := &Coordinator{
 		k:     k,
 		job:   job,
-		store: store,
+		tiers: h,
 		cfg:   cfg,
 		ep:    ep,
 		proto: proto,
 		snaps: blcr.NewStore(job.Size()),
 	}
+	h.Bind(co.snaps)
 	if cfg.Protocol != "" {
 		// Tag cycle events with the explicitly-selected protocol so traces
 		// of different protocols are distinguishable side by side.
@@ -135,30 +137,18 @@ func (co *Coordinator) Protocol() protocol.Protocol { return co.proto }
 // Snapshots returns the archive of completed checkpoints.
 func (co *Coordinator) Snapshots() *blcr.Store { return co.snaps }
 
-// SetTiers installs a multi-tier storage hierarchy and binds it to the
-// snapshot archive so every copy the hierarchy places is recorded in the
-// archive's residency ledger. Call before ranks run; nil is a no-op (the
-// legacy direct-to-central write path stays in effect).
-func (co *Coordinator) SetTiers(h *tier.Hierarchy) {
-	if h == nil {
-		return
-	}
-	co.tiers = h
-	h.Bind(co.snaps)
-}
-
 // Reports returns the completed cycle reports with per-rank records filled
 // in. Call it after the simulation has quiesced: the last group's resume
 // records land shortly after the cycle completes; reading earlier returns
-// an error. Under a storage hierarchy DrainedAt is read here, so it reflects
-// the drains that have landed by the time of the call.
+// an error. DrainedAt is read here, so it reflects the drains that have
+// landed by the time of the call.
 func (co *Coordinator) Reports() ([]*CycleReport, error) {
 	for _, rep := range co.reports {
 		if err := co.fillRecords(rep); err != nil {
 			return nil, err
 		}
-		if co.tiers != nil {
-			rep.DrainedAt = co.tiers.ColdAt(rep.epoch)
+		if at := co.tiers.ColdAt(rep.epoch); at > rep.DoneAt {
+			rep.DrainedAt = at
 		}
 	}
 	return co.reports, nil
@@ -351,16 +341,14 @@ func (co *Coordinator) startTurn(turn int) {
 // markComplete commits an epoch's global checkpoint; a failure means the
 // protocol lost or corrupted a snapshot and the simulation result would be
 // wrong. MarkComplete re-verifies every member snapshot, so this is the
-// commit point of the two-phase protocol. Under a storage hierarchy the
-// commit additionally gates on replication degree — every rank's image must
-// hold its full copy set at some tier — but never on the central drain,
-// which continues in the background.
+// commit point of the two-phase protocol. The commit also gates on
+// replication degree — every rank's image must hold its full copy set at
+// some tier — but never on a drain to central storage, which continues in
+// the background.
 func (co *Coordinator) markComplete(epoch int) {
-	if co.tiers != nil {
-		if err := co.tiers.CheckCommit(epoch); err != nil {
-			co.k.Fail(err)
-			return
-		}
+	if err := co.tiers.CheckCommit(epoch); err != nil {
+		co.k.Fail(err)
+		return
 	}
 	if err := co.snaps.MarkComplete(epoch); err != nil {
 		co.k.Fail(err)

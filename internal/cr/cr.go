@@ -185,8 +185,8 @@ type (
 	msgReady struct {
 		cycle, rank int
 	}
-	// msgSaved tells the coordinator a member's snapshot is on storage (under
-	// a storage hierarchy: acknowledged at its fastest accepting tier).
+	// msgSaved tells the coordinator a member's snapshot is on storage:
+	// acknowledged at the fastest tier of the stack that accepted it.
 	msgSaved struct {
 		cycle, rank int
 	}
@@ -243,9 +243,11 @@ type CycleReport struct {
 	Groups    [][]int
 	RequestAt sim.Time
 	DoneAt    sim.Time
-	// DrainedAt is when the last rank's image of this checkpoint reached the
-	// cold tier of a storage hierarchy (tier.Hierarchy.ColdAt). Zero for
-	// direct central writes, and while a drain is in flight or abandoned.
+	// DrainedAt is when the last rank's image of this checkpoint reached
+	// central storage (tier.Hierarchy.ColdAt), set only when that came after
+	// DoneAt. It is zero when every image was already central at commit — a
+	// one-level central stack, or writes that spilled through to central —
+	// and while a drain is in flight or abandoned.
 	DrainedAt sim.Time
 	Records   []CkptRecord // one per rank, indexed by world rank
 
@@ -258,10 +260,10 @@ type CycleReport struct {
 // checkpoint complete.
 func (r *CycleReport) Total() sim.Time { return r.DoneAt - r.RequestAt }
 
-// VulnerabilityWindow is how long after the processes resumed the new
-// checkpoint existed only above a storage hierarchy's cold tier (zero for
-// direct central writes). Under node-local staging a node loss in this window
-// falls back to the previous checkpoint.
+// VulnerabilityWindow is how long after the cycle completed the new
+// checkpoint existed only above central storage: DrainedAt - DoneAt, never
+// negative, and zero when DrainedAt is. Under node-local staging a node loss
+// in this window falls back to the previous checkpoint.
 func (r *CycleReport) VulnerabilityWindow() sim.Time {
 	if r.DrainedAt == 0 {
 		return 0

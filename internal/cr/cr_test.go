@@ -24,6 +24,7 @@ const testMB = 1 << 20
 type testCluster struct {
 	k  *sim.Kernel
 	st *storage.System
+	h  *tier.Hierarchy
 	j  *mpi.Job
 	co *Coordinator
 }
@@ -36,6 +37,11 @@ func buildCluster(k *sim.Kernel, n int, cfg Config) (*testCluster, error) {
 // buildClusterMPI is buildCluster with a non-default library configuration
 // (the uncoordinated protocol needs message logging).
 func buildClusterMPI(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config) (*testCluster, error) {
+	return buildStack(k, n, cfg, mpiCfg, tier.ModeCentral)
+}
+
+// buildStack wires the whole stack with the given storage mode.
+func buildStack(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config, mode tier.Mode) (*testCluster, error) {
 	st, err := storage.New(k, storage.Config{AggregateBW: 100 * testMB, ClientBW: 100 * testMB})
 	if err != nil {
 		return nil, err
@@ -48,11 +54,15 @@ func buildClusterMPI(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config) (*test
 	if err != nil {
 		return nil, err
 	}
-	co, err := New(k, j, st, cfg)
+	h, err := tier.NewHierarchy(k, tier.Config{Mode: mode}, n, st, ib.PaperConfig().LinkBW)
 	if err != nil {
 		return nil, err
 	}
-	return &testCluster{k: k, st: st, j: j, co: co}, nil
+	co, err := New(k, j, h, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &testCluster{k: k, st: st, h: h, j: j, co: co}, nil
 }
 
 // newCluster builds an n-rank cluster with 100 MB/s aggregate storage (no
@@ -71,13 +81,11 @@ func newCluster(t testing.TB, n int, cfg Config) *testCluster {
 // to the 100 MB/s central service in the background.
 func newStagingCluster(t testing.TB, n int, cfg Config) (*testCluster, *tier.Hierarchy) {
 	t.Helper()
-	c := newCluster(t, n, cfg)
-	h, err := tier.NewHierarchy(c.k, tier.Config{Mode: tier.ModeLocal}, n, c.st, ib.PaperConfig().LinkBW)
+	c, err := buildStack(sim.NewKernel(1), n, cfg, mpi.DefaultConfig(), tier.ModeLocal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.co.SetTiers(h)
-	return c, h
+	return c, c.h
 }
 
 // computeLoop is a pure-compute workload body: iters chunks of the given

@@ -26,9 +26,10 @@ type Target struct {
 	Storage *storage.System
 	Fabric  *ib.Fabric
 	Coord   *cr.Coordinator
-	// Tiers is the multi-tier storage hierarchy when the cluster has one;
-	// nil otherwise. BurstBufferOutage faults require a burst tier and are
-	// rejected by runners when none exists.
+	// Tiers is the cluster's checkpoint storage stack, never nil: under
+	// central storage it is the one level [central]. BurstBufferOutage
+	// faults require a burst tier and are rejected by runners when the stack
+	// has none.
 	Tiers *tier.Hierarchy
 }
 

@@ -193,10 +193,10 @@ func (g *Generator) ExtensionStaging() (*Table, error) {
 	for _, mode := range []struct {
 		label   string
 		gs      int
-		storage tier.Mode // zero: direct central writes, baseline shared with the other figures
+		storage tier.Mode
 	}{
-		{"direct, All(32)", 0, ""},
-		{"direct, Group(8)", 8, ""},
+		{"direct, All(32)", 0, tier.ModeCentral},
+		{"direct, Group(8)", 8, tier.ModeCentral},
 		{"staged, All(32)", 0, tier.ModeLocal},
 		{"staged, Group(8)", 8, tier.ModeLocal},
 	} {
@@ -331,14 +331,11 @@ func (g *Generator) ExtensionAvailability() (*Table, error) {
 }
 
 // tierZooConfig builds the micro-cluster configuration for one storage mode
-// of the multi-tier comparison. ModeCentral leaves Tiers at its zero value,
-// so that row runs the legacy direct-to-central path.
+// of the multi-tier comparison.
 func tierZooConfig(mode tier.Mode) harness.ClusterConfig {
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.LocalSetup = 100 * sim.Millisecond
-	if mode != tier.ModeCentral {
-		cfg.Tiers.Mode = mode
-	}
+	cfg.Tiers.Mode = mode
 	return cfg
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gbcr/internal/cr"
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
@@ -51,6 +52,26 @@ func goldenCycle(t *testing.T, groupSize int) (trace, report []byte) {
 	return buf.Bytes(), append(rep, '\n')
 }
 
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from its golden (%d vs %d bytes)", path, len(got), len(want))
+	}
+}
+
 // TestWholeJobPathGolden pins the group=0 and group=n configurations — the
 // runs that the explicit whole-job protocol now serves — byte-for-byte
 // against traces and cycle reports captured before coordination moved behind
@@ -62,30 +83,50 @@ func TestWholeJobPathGolden(t *testing.T) {
 		gs := gs
 		t.Run(fmt.Sprintf("group=%d", gs), func(t *testing.T) {
 			trace, rep := goldenCycle(t, gs)
-			for _, out := range []struct {
-				suffix string
-				got    []byte
-			}{
-				{"trace.jsonl", trace},
-				{"report.json", rep},
-			} {
-				suffix, got := out.suffix, out.got
-				path := filepath.Join("testdata", fmt.Sprintf("default_g%d.%s", gs, suffix))
-				if *updateGolden {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden (run with -update to create): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s diverged from pre-refactor golden (%d vs %d bytes)",
-						path, len(got), len(want))
-				}
+			checkGolden(t, fmt.Sprintf("default_g%d.trace.jsonl", gs), trace)
+			checkGolden(t, fmt.Sprintf("default_g%d.report.json", gs), rep)
+		})
+	}
+}
+
+// TestRestartGolden pins a crash and restart under central storage
+// byte-for-byte: the whole AvailabilityResult (recovery counts and the
+// finished ranks' sums included) and the JSONL trace of every attempt, for a
+// blocking protocol restarting from a committed epoch and for the
+// uncoordinated one restarting from a per-rank line with log replay.
+func TestRestartGolden(t *testing.T) {
+	const n = 4
+	for _, kind := range []protocol.Kind{protocol.Group, protocol.Uncoordinated} {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := smallCluster(n)
+			cfg.CR.Protocol = kind
+			cfg.CR.GroupSize = 2
+			if kind == protocol.Uncoordinated {
+				cfg.CR.GroupSize = 0
+				cfg.CR.HelperEnabled = false
+				cfg.MPI.LogMessages = true
 			}
+			var buf bytes.Buffer
+			js := obs.NewJSONL(&buf)
+			w := workload.Ring{N: n, Iters: 60, Chunk: 20 * sim.Millisecond, FootprintMB: 5}
+			res, err := RunScenario(cfg, w, mustParse(t, "crash@900ms:rank=1"),
+				300*sim.Millisecond, obs.NewBus(js))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if js.Err() != nil {
+				t.Fatal(js.Err())
+			}
+			if res.Failures != 1 {
+				t.Fatalf("failures = %d, want 1", res.Failures)
+			}
+			rep, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fmt.Sprintf("restart_%s.trace.jsonl", kind), buf.Bytes())
+			checkGolden(t, fmt.Sprintf("restart_%s.result.json", kind), append(rep, '\n'))
 		})
 	}
 }

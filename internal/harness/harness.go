@@ -33,9 +33,8 @@ type ClusterConfig struct {
 	Fabric  ib.Config
 	MPI     mpi.Config
 	CR      cr.Config
-	// Tiers selects the checkpoint storage hierarchy. The zero value keeps
-	// the legacy direct-to-central path (no hierarchy is built), so existing
-	// configurations and their traces are untouched.
+	// Tiers selects the checkpoint storage stack. The zero value is the
+	// one-level stack [central]: every write goes to Storage.
 	Tiers tier.Config
 }
 
@@ -99,8 +98,8 @@ type Cluster struct {
 	Fabric  *ib.Fabric
 	Job     *mpi.Job
 	Coord   *cr.Coordinator
-	// Tiers is the checkpoint storage hierarchy, or nil for the legacy
-	// direct-to-central path.
+	// Tiers is the checkpoint storage stack every snapshot write and
+	// restart read-back goes through; its cold tier is Storage.
 	Tiers *tier.Hierarchy
 }
 
@@ -122,17 +121,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	co, err := cr.New(k, j, st, cfg.CR)
+	h, err := tier.NewHierarchy(k, cfg.Tiers, cfg.N, st, cfg.Fabric.LinkBW)
 	if err != nil {
 		return nil, err
 	}
-	var h *tier.Hierarchy
-	if cfg.Tiers.Mode.Tiered() {
-		h, err = tier.NewHierarchy(k, cfg.Tiers, cfg.N, st, cfg.Fabric.LinkBW)
-		if err != nil {
-			return nil, err
-		}
-		co.SetTiers(h)
+	co, err := cr.New(k, j, h, cfg.CR)
+	if err != nil {
+		return nil, err
 	}
 	return &Cluster{K: k, Storage: st, Fabric: f, Job: j, Coord: co, Tiers: h}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"gbcr/internal/cr"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
+	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 )
 
@@ -81,14 +82,16 @@ func (r *Runner) CacheStats() (hits, misses int) {
 }
 
 // BaselineKey canonicalizes a cell into its baseline-cache key. A baseline
-// run never starts a checkpoint cycle, so no cr.Config field can influence
-// its completion time; the whole CR section is therefore normalized to the
-// zero value, which is what lets a sweep over checkpoint group sizes share
-// one baseline. Every other ClusterConfig field (topology, seed, storage,
+// run never starts a checkpoint cycle, so it writes no checkpoint and no
+// cr.Config or tier.Config field can influence its completion time; the CR
+// and Tiers sections are therefore normalized to the zero value, which is
+// what lets a sweep over checkpoint group sizes or storage modes share one
+// baseline. Every other ClusterConfig field (topology, seed, storage,
 // fabric, MPI) and every exported workload parameter is part of the key.
 func BaselineKey(cfg ClusterConfig, w workload.Workload) string {
 	c := cfg
 	c.CR = cr.Config{}
+	c.Tiers = tier.Config{}
 	return fmt.Sprintf("%+v|%s|%#v", c, w.Name(), w)
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gbcr/internal/sim"
+	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 	"gbcr/internal/workload/hpl"
 )
@@ -107,6 +108,16 @@ func TestBaselineCacheHits(t *testing.T) {
 	}
 	if hits, misses := r.CacheStats(); hits != 2 || misses != 1 {
 		t.Fatalf("after CR-only change: hits=%d misses=%d, want 2/1", hits, misses)
+	}
+
+	// So is the storage stack: a baseline writes no checkpoint.
+	staged := cfg
+	staged.Tiers = tier.Config{Mode: tier.ModeHierarchy, Replicas: 1}
+	if _, err := r.Baseline(staged, w); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := r.CacheStats(); hits != 3 || misses != 1 {
+		t.Fatalf("after Tiers-only change: hits=%d misses=%d, want 3/1", hits, misses)
 	}
 }
 

@@ -41,8 +41,7 @@ type AvailabilityResult struct {
 	Attempts int
 	// RecoveredRAM, RecoveredLocal, RecoveredBurst, and RecoveredCentral
 	// count per-rank restart read-backs by the storage tier that served them
-	// (summed across all restarts). Legacy clusters without a hierarchy count
-	// every read-back as central.
+	// (summed across all restarts).
 	RecoveredRAM     int
 	RecoveredLocal   int
 	RecoveredBurst   int
@@ -177,10 +176,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		if !line.Empty() {
 			appStates = make([][]byte, cfg.N)
 			libStates = make([][]byte, cfg.N)
-			var order []string
-			if c.Tiers != nil {
-				order = c.Tiers.OrderNames()
-			}
+			order := c.Tiers.OrderNames()
 			// readback is the serial estimate of the concurrent read-back
 			// from the shared tiers (all ranks read at once at the aggregate
 			// rate); parMax is the parallel estimate for the node-resident
@@ -193,16 +189,10 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 				}
 				appStates[i] = s.AppState
 				libStates[i] = s.LibState
-				if c.Tiers == nil {
-					res.RecoveredCentral++
-					readback += sim.Seconds(float64(s.Size()) / cfg.Storage.AggregateBW)
-					continue
-				}
 				src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
 				if !ok {
-					// The restart line only selects recoverable epochs; an
-					// untracked source degrades to the cold tier estimate.
-					src = string(tier.Central)
+					c.K.Shutdown()
+					return res, fmt.Errorf("harness: restart line holds rank %d's epoch %d, which has no copy at any tier", i, s.Epoch)
 				}
 				level := tier.Level(src)
 				if rt := c.Tiers.ReadTime(level, s.Size()); c.Tiers.ParallelRead(level) {
@@ -220,9 +210,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 				default:
 					res.RecoveredCentral++
 				}
-				bus.Emit(obs.Event{At: res.Wall, Rank: i, Layer: obs.LayerStorage,
-					Type: obs.Instant, What: obs.KindTierRecover, Detail: src, Arg: s.Size()})
-				bus.Metrics().Counter(obs.LayerStorage, "tier_recover_"+src).Inc()
+				c.Tiers.Recovered(res.Wall, i, level, s.Size())
 			}
 			res.Wall += readback + parMax
 		}

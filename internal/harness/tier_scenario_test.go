@@ -196,6 +196,25 @@ func TestScenarioLocalStagingRecovery(t *testing.T) {
 	}
 }
 
+// TestSpilledCheckpointHasNoVulnerabilityWindow: a one-byte burst buffer
+// spills every write through to central storage, so each image is cold
+// before the cycle completes. The window after the processes resumed is
+// zero, never negative.
+func TestSpilledCheckpointHasNoVulnerabilityWindow(t *testing.T) {
+	cfg := smallCluster(4)
+	cfg.Tiers = tier.Config{Mode: tier.ModeBurst, BurstCapacity: 1}
+	w := workload.CommGroups{N: 4, CommGroupSize: 2, Iters: 60,
+		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
+	res, err := MeasureObserved(cfg, w, sim.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := res.Report; rep.DrainedAt != 0 || rep.VulnerabilityWindow() != 0 {
+		t.Errorf("DrainedAt %v, DoneAt %v, window %v; want no window once every image is cold at commit",
+			rep.DrainedAt, rep.DoneAt, rep.VulnerabilityWindow())
+	}
+}
+
 // TestValidateRejectsTiersWithUncoord: the hierarchy's commit gate needs a
 // global epoch commit, which the uncoordinated protocol does not have.
 func TestValidateRejectsTiersWithUncoord(t *testing.T) {

@@ -187,15 +187,17 @@ type Transfer struct {
 	rate      float64
 	weight    float64
 	read      bool
+	opened    bool // the open latency has elapsed; until then finishFn runs the open step
 	last      sim.Time
 	done      sim.Event
-	finishFn  func() // t.finish, bound once: every rate recompute re-arms done with it
+	finishFn  func() // t.finish, bound once: it runs the open step and every completion a rate recompute arms
 	completed bool
 	err       error
 	started   sim.Time
 	finished  sim.Time
 	waiters   sim.Cond
 	onDone    []func()
+	doneBuf   [1]func() // onDone's first slot: most transfers have one callback
 }
 
 // Err returns the transfer's terminal error: nil for a successful (or still
@@ -229,6 +231,7 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 		started:   s.k.Now(),
 	}
 	t.finishFn = t.finish
+	t.onDone = t.doneBuf[:0]
 	if j := s.cfg.ShareJitter; j > 0 {
 		t.weight = 1 + j*(2*s.k.Rand().Float64()-1)
 	}
@@ -246,34 +249,39 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 		s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
 			Type: obs.Instant, What: obs.KindXferStart, Arg: n})
 	}
-	start := func() {
-		if t.completed {
-			return // cancelled while the open was in flight
-		}
-		if s.availability == 0 {
-			// The service went down between Start and the open completing
-			// (or was already down): fail the transfer rather than hang.
-			t.abort(fmt.Errorf("transfer rejected by storage outage at %v: %w",
-				s.k.Now(), ErrUnavailable))
-			return
-		}
-		if t.remaining <= 0 {
-			t.complete()
-			return
-		}
-		s.settle()
-		s.active = append(s.active, t)
-		if len(s.active) > s.maxConcurrent {
-			s.maxConcurrent = len(s.active)
-		}
-		s.reschedule()
-	}
 	if s.cfg.OpenLatency > 0 {
-		s.k.After(s.cfg.OpenLatency, start)
+		s.k.After(s.cfg.OpenLatency, t.finishFn)
 	} else {
-		start()
+		t.open()
 	}
 	return t, nil
+}
+
+// open ends the transfer's open latency: it joins the active set and the
+// rates are recomputed.
+func (t *Transfer) open() {
+	t.opened = true
+	if t.completed {
+		return // cancelled while the open was in flight
+	}
+	s := t.sys
+	if s.availability == 0 {
+		// The service went down between Start and the open completing
+		// (or was already down): fail the transfer rather than hang.
+		t.abort(fmt.Errorf("transfer rejected by storage outage at %v: %w",
+			s.k.Now(), ErrUnavailable))
+		return
+	}
+	if t.remaining <= 0 {
+		t.complete()
+		return
+	}
+	s.settle()
+	s.active = append(s.active, t)
+	if len(s.active) > s.maxConcurrent {
+		s.maxConcurrent = len(s.active)
+	}
+	s.reschedule()
 }
 
 // Write performs a blocking write of n bytes on behalf of p and returns the
@@ -381,8 +389,12 @@ func (s *System) reschedule() {
 	}
 }
 
-// finish handles a completion event for t.
+// finish handles the open event and then every completion event for t.
 func (t *Transfer) finish() {
+	if !t.opened {
+		t.open()
+		return
+	}
 	s := t.sys
 	s.settle()
 	// Tolerate sub-byte residue from fixed-point event rounding. More than
@@ -451,34 +463,30 @@ func (t *Transfer) abort(err error) {
 	s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindXferAbort, Arg: int64(t.remaining)})
 	t.waiters.Broadcast()
-	for _, fn := range t.onDone {
-		fn()
-	}
-	t.onDone = nil
+	t.fireDone()
 }
 
 func (t *Transfer) complete() {
 	t.remaining = 0
 	t.completed = true
 	t.finished = t.sys.k.Now()
-	s := t.sys
+	hist, what := "xfer_time", obs.KindXferEnd
 	if t.read {
-		s.bus.Metrics().Histogram(obs.LayerStorage, "read_time").Observe(t.Elapsed())
-		s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: obs.KindReadEnd, Arg: int64(t.total)})
-		t.waiters.Broadcast()
-		for _, fn := range t.onDone {
-			fn()
-		}
-		t.onDone = nil
-		return
+		hist, what = "read_time", obs.KindReadEnd
 	}
-	s.bus.Metrics().Histogram(obs.LayerStorage, "xfer_time").Observe(t.Elapsed())
+	s := t.sys
+	s.bus.Metrics().Histogram(obs.LayerStorage, hist).Observe(t.Elapsed())
 	s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: obs.KindXferEnd, Arg: int64(t.total)})
+		Type: obs.Instant, What: what, Arg: int64(t.total)})
 	t.waiters.Broadcast()
+	t.fireDone()
+}
+
+// fireDone runs the OnDone callbacks once, in registration order, and drops
+// them.
+func (t *Transfer) fireDone() {
 	for _, fn := range t.onDone {
 		fn()
 	}
-	t.onDone = nil
+	t.onDone, t.doneBuf[0] = nil, nil
 }

@@ -13,8 +13,8 @@ import (
 // accepted (so concurrent writers cannot oversubscribe the buffer) and
 // released if the transfer aborts or the image is later evicted.
 //
-// Eviction is oldest-first over resident images, but only images with an
-// intact central copy are evictable — the buffer never throws away the last
+// Eviction is oldest-first over resident images, but only images with a
+// central copy are evictable — the buffer never throws away the last
 // copy of a checkpoint. When nothing evictable remains, StartWrite declines
 // with ErrFull and the hierarchy spills the write through to central.
 type burstTier struct {
@@ -57,10 +57,6 @@ func (t *burstTier) ReadTime(size int64) sim.Time {
 func (t *burstTier) Used() int64 { return t.used }
 
 func (t *burstTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {
-	arch := t.h.arch
-	if arch == nil {
-		return nil, fmt.Errorf("tier: burst write before Bind")
-	}
 	for t.used+size > t.capacity {
 		if !t.evictOne() {
 			return nil, fmt.Errorf("tier: burst buffer holds %d of %d bytes, nothing evictable: %w",
@@ -73,23 +69,24 @@ func (t *burstTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 		t.used -= size
 		return nil, err
 	}
-	tr.OnDone(func() {
-		if tr.Err() != nil {
-			t.used -= size
-			return
-		}
-		arch.AddReplica(epoch, rank, string(Burst), -1)
-		t.resident = append(t.resident, burstEntry{epoch: epoch, rank: rank, size: size})
-	})
 	return tr, nil
 }
 
-// evictOne drops the oldest resident image whose central copy is intact and
+func (t *burstTier) landed(epoch, rank int, size int64, ok bool) {
+	if !ok {
+		t.used -= size
+		return
+	}
+	t.h.arch.AddReplica(epoch, rank, string(Burst), -1)
+	t.resident = append(t.resident, burstEntry{epoch: epoch, rank: rank, size: size})
+}
+
+// evictOne drops the oldest resident image that has a central copy and
 // reports whether one was found.
 func (t *burstTier) evictOne() bool {
 	for i := range t.resident {
 		e := t.resident[i]
-		if t.h.arch.TierIntact(e.epoch, e.rank, string(Central)) == 0 {
+		if t.h.arch.TierCopies(e.epoch, e.rank, string(Central)) == 0 {
 			continue
 		}
 		t.h.arch.DropTierCopies(e.epoch, e.rank, string(Burst))

@@ -19,9 +19,14 @@ import (
 //   - once acknowledged, the image drains asynchronously tier by tier until
 //     it reaches central storage, as background kernel events whose
 //     transfers share bandwidth with foreground traffic;
-//   - restart reads come from the fastest tier that still holds an intact
-//     copy, resolved through the blcr residency ledger; a lost node takes its
+//   - restart reads come from the fastest tier that still holds a copy,
+//     resolved through the blcr residency ledger; a lost node takes its
 //     node-resident copies with it (blcr.Store.DropNodeReplicas).
+//
+// ModeCentral is the one-level stack [central]: writes acknowledge at central
+// storage and nothing drains, but the ledger records every copy all the same,
+// so commit checks and restarts have one path for every mode. A one-level
+// stack emits no tier-layer events or counters (tiered).
 //
 // All methods run in kernel context, like the storage package they build on.
 type Hierarchy struct {
@@ -31,7 +36,7 @@ type Hierarchy struct {
 	tiers []Tier
 	n     int
 
-	cold map[int]coldMark // per epoch: progress toward the cold tier
+	cold []coldMark // indexed by epoch: progress toward the cold tier
 
 	// accounting
 	drains        int
@@ -56,13 +61,10 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
 	}
-	if !cfg.Mode.Tiered() {
-		return nil, fmt.Errorf("tier: mode %q builds no hierarchy", cfg.Mode)
-	}
 	if central == nil {
 		return nil, fmt.Errorf("tier: nil central storage system")
 	}
-	h := &Hierarchy{k: k, n: n, cold: make(map[int]coldMark)}
+	h := &Hierarchy{k: k, n: n}
 	for _, level := range cfg.Mode.Levels() {
 		var t Tier
 		var err error
@@ -88,14 +90,14 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 // copy the hierarchy places. Writes before Bind are rejected.
 func (h *Hierarchy) Bind(arch *blcr.Store) { h.arch = arch }
 
-// SetObs attaches an observability bus (nil detaches). Safe on a nil
-// hierarchy so cluster wiring can call it unconditionally.
-func (h *Hierarchy) SetObs(b *obs.Bus) {
-	if h == nil {
-		return
-	}
-	h.bus = b
-}
+// SetObs attaches an observability bus (nil detaches).
+func (h *Hierarchy) SetObs(b *obs.Bus) { h.bus = b }
+
+// tiered reports whether the stack has more than one level. Only then does
+// the hierarchy report its own activity — tier-write and tier-recover events
+// and their counters — so a one-level stack's trace and metrics are those of
+// its central writes alone.
+func (h *Hierarchy) tiered() bool { return len(h.tiers) > 1 }
 
 // OrderNames returns the tier stack's residency names fastest-first, the
 // search order for blcr.Store.RecoverySource.
@@ -122,12 +124,8 @@ func (h *Hierarchy) Spills() int { return h.spills }
 func (h *Hierarchy) Evictions() int { return h.evictions }
 
 // BurstSystem returns the burst tier's rate model for fault injection
-// (availability windows), or nil when the mode has no burst tier. Safe on a
-// nil hierarchy.
+// (availability windows), or nil when the mode has no burst tier.
 func (h *Hierarchy) BurstSystem() *storage.System {
-	if h == nil {
-		return nil
-	}
 	for _, t := range h.tiers {
 		if bt, ok := t.(*burstTier); ok {
 			return bt.sys
@@ -171,6 +169,9 @@ func (h *Hierarchy) ParallelRead(level Level) bool {
 // tier down; an availability failure of the ack tier surfaces through the
 // transfer's Err, feeding the caller's abort-and-retry path. Event context.
 func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {
+	if h.arch == nil {
+		return nil, fmt.Errorf("tier: write before Bind")
+	}
 	for i, t := range h.tiers {
 		tr, err := t.StartWrite(epoch, rank, size)
 		if err != nil {
@@ -180,12 +181,16 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 			}
 			return nil, err
 		}
-		idx := i
+		// One callback a write: the tier settles the transfer first, then
+		// the hierarchy acknowledges it. Capturing int32s keeps the closure
+		// in the 48-byte size class, where ints would make it 64.
+		e, r, idx := int32(epoch), int32(rank), int32(i)
 		tr.OnDone(func() {
-			if tr.Err() != nil {
-				return
+			ok := tr.Err() == nil
+			h.tiers[idx].landed(int(e), int(r), size, ok)
+			if ok {
+				h.ack(int(idx), int(e), int(r), size)
 			}
-			h.ack(idx, epoch, rank, size)
 		})
 		return tr, nil
 	}
@@ -196,11 +201,24 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 // ack runs when the image is durable at tier idx: it announces the
 // acknowledgement and schedules the drain toward the cold tier.
 func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
-	level := h.tiers[idx].Level()
-	h.bus.Metrics().Counter(obs.LayerStorage, "tier_writes_"+string(level)).Inc()
-	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: obs.KindTierWrite, Detail: string(level), Arg: size})
+	if h.tiered() {
+		level := h.tiers[idx].Level()
+		h.bus.Metrics().Counter(obs.LayerStorage, "tier_writes_"+string(level)).Inc()
+		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
+			Type: obs.Instant, What: obs.KindTierWrite, Detail: string(level), Arg: size})
+	}
 	h.drainNext(idx, epoch, rank, size, 0)
+}
+
+// Recovered reports one rank's restart read-back of size bytes from level,
+// at instant at of the caller's clock. A one-level stack reports nothing.
+func (h *Hierarchy) Recovered(at sim.Time, rank int, level Level, size int64) {
+	if !h.tiered() {
+		return
+	}
+	h.bus.Emit(obs.Event{At: at, Rank: rank, Layer: obs.LayerStorage,
+		Type: obs.Instant, What: obs.KindTierRecover, Detail: string(level), Arg: size})
+	h.bus.Metrics().Counter(obs.LayerStorage, "tier_recover_"+string(level)).Inc()
 }
 
 // drainNext moves (epoch, rank)'s image from tier from to the next tier
@@ -226,6 +244,7 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 		Type: obs.Begin, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
 	tr.OnDone(func() {
+		h.tiers[next].landed(epoch, rank, size, tr.Err() == nil)
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 			Type: obs.End, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
 		if err := tr.Err(); err != nil {
@@ -262,8 +281,12 @@ func (h *Hierarchy) retryDrain(from, epoch, rank int, size int64, tries int, cau
 // noteCold records that one more rank's image of epoch reached the cold tier
 // (called by the central tier on a first arrival).
 func (h *Hierarchy) noteCold(epoch int) {
-	if c := h.cold[epoch]; c.ranks < h.n {
-		h.cold[epoch] = coldMark{ranks: c.ranks + 1, at: h.k.Now()}
+	if epoch >= len(h.cold) {
+		h.cold = append(h.cold, make([]coldMark, epoch+1-len(h.cold))...)
+	}
+	if c := &h.cold[epoch]; c.ranks < h.n {
+		c.ranks++
+		c.at = h.k.Now()
 	}
 }
 
@@ -271,8 +294,8 @@ func (h *Hierarchy) noteCold(epoch int) {
 // tier — from then on no node loss can cost the epoch — or 0 while some
 // rank's drain is still in flight (or was abandoned).
 func (h *Hierarchy) ColdAt(epoch int) sim.Time {
-	if c := h.cold[epoch]; c.ranks == h.n {
-		return c.at
+	if epoch < len(h.cold) && h.cold[epoch].ranks == h.n {
+		return h.cold[epoch].at
 	}
 	return 0
 }
@@ -312,7 +335,7 @@ func (h *Hierarchy) CheckCommit(epoch int) error {
 			if nt, ok := t.(*nodeTier); ok {
 				need = nt.partners + 1
 			}
-			if h.arch.TierIntact(epoch, rank, string(t.Level())) >= need {
+			if h.arch.TierCopies(epoch, rank, string(t.Level())) >= need {
 				ok = true
 				break
 			}

@@ -12,7 +12,7 @@ import (
 //
 // RAM is partner-replicated node memory. Each rank's image is kept in its own
 // memory and pushed to k partner nodes on a placement ring (ranks r+1 … r+k
-// mod N), so any k concurrent node losses leave at least one intact copy.
+// mod N), so any k concurrent node losses leave at least one copy.
 // Replication is one fluid-flow transfer of k×size bytes: the copies leave
 // through the writer's single fabric link, so egress serializes them, while
 // different ranks replicate in parallel on disjoint links (AggregateBW =
@@ -56,27 +56,20 @@ func (t *nodeTier) ReadTime(size int64) sim.Time {
 }
 
 func (t *nodeTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {
-	arch := t.h.arch
-	if arch == nil {
-		return nil, fmt.Errorf("tier: %s write before Bind", t.level)
+	return t.sys.Start(int64(t.wire) * size)
+}
+
+func (t *nodeTier) landed(epoch, rank int, size int64, ok bool) {
+	if !ok {
+		return
 	}
-	tr, err := t.sys.Start(int64(t.wire) * size)
-	if err != nil {
-		return nil, err
+	arch, level := t.h.arch, string(t.level)
+	for i := 0; i <= t.partners; i++ {
+		arch.AddReplica(epoch, rank, level, (rank+i)%t.n)
 	}
-	level := string(t.level)
-	tr.OnDone(func() {
-		if tr.Err() != nil {
-			return
-		}
-		for i := 0; i <= t.partners; i++ {
-			arch.AddReplica(epoch, rank, level, (rank+i)%t.n)
-		}
-		// Double-buffer release: the freshly durable image supersedes the
-		// rank's older copies at this level.
-		for e := epoch - 1; e >= 1; e-- {
-			arch.DropTierCopies(e, rank, level)
-		}
-	})
-	return tr, nil
+	// Double-buffer release: the freshly durable image supersedes the
+	// rank's older copies at this level.
+	for e := epoch - 1; e >= 1; e-- {
+		arch.DropTierCopies(e, rank, level)
+	}
 }

@@ -51,13 +51,12 @@ const (
 )
 
 // Mode selects which tiers a cluster's checkpoint path uses. The zero value
-// behaves like ModeCentral: no hierarchy is built and the stack takes the
-// legacy direct-to-central path, byte-identical to a build without this
-// package.
+// is ModeCentral.
 type Mode string
 
 const (
-	// ModeCentral writes straight to central storage (the default).
+	// ModeCentral is the one-level stack [central]: every write goes
+	// straight to central storage (the default).
 	ModeCentral Mode = "central"
 	// ModeBurst acknowledges at the burst buffer and drains to central.
 	ModeBurst Mode = "burst"
@@ -82,10 +81,11 @@ var stacks = map[Mode][]Level{
 }
 
 // Valid reports whether the mode is one of the known values (including the
-// legacy zero value).
+// zero value, central).
 func (m Mode) Valid() bool { return stacks[m] != nil }
 
-// Tiered reports whether the mode builds a storage hierarchy at all.
+// Tiered reports whether the mode stacks more than one level, so that
+// writes acknowledge above central storage and drain down to it.
 func (m Mode) Tiered() bool { return len(stacks[m]) > 1 }
 
 // HasRAM reports whether the mode includes the RAM replication tier.
@@ -107,7 +107,7 @@ func (m Mode) Levels() []Level {
 // stays a stable part of harness memo keys. Zero values select the
 // documented defaults.
 type Config struct {
-	// Mode selects the tier stack; the zero value is legacy central-only.
+	// Mode selects the tier stack; the zero value is central.
 	Mode Mode
 	// Replicas is k, the number of partner copies each rank's snapshot gets
 	// in the RAM tier beyond its own (placement ring: ranks r+1 … r+k mod
@@ -201,11 +201,15 @@ type Tier interface {
 	// blcr ledger.
 	Level() Level
 	// StartWrite begins storing (epoch, rank)'s image of size bytes and
-	// returns the in-flight transfer; the tier registers residency when the
-	// transfer completes successfully. A non-nil error means the tier
+	// returns the in-flight transfer. A non-nil error means the tier
 	// declined synchronously — an error wrapping ErrFull when nothing
 	// evictable remains. Event context.
 	StartWrite(epoch, rank int, size int64) (*storage.Transfer, error)
+	// landed settles a transfer StartWrite returned, once it has ended: on
+	// success (ok) the tier records residency, on failure it releases what
+	// it reserved. The hierarchy calls it before anything else learns the
+	// write ended.
+	landed(epoch, rank int, size int64, ok bool)
 	// ReadTime estimates one image's restart read-back from this tier.
 	ReadTime(size int64) sim.Time
 	// ParallelRead reports whether concurrent rank read-backs proceed over

@@ -112,8 +112,8 @@ func TestRAMReplicaPlacementRing(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeRAM, Replicas: 2}, 4, 1000, 1000)
 	r.write(t, 1, 3, 100)
 	// Rank 3's copy set: itself plus partners on the ring wrapping to 0, 1.
-	if got := r.arch.TierIntact(1, 3, string(RAM)); got != 3 {
-		t.Fatalf("rank 3 has %d intact RAM copies, want 3 (k+1)", got)
+	if got := r.arch.TierCopies(1, 3, string(RAM)); got != 3 {
+		t.Fatalf("rank 3 has %d RAM copies, want 3 (k+1)", got)
 	}
 	for _, node := range []int{3, 0, 1} {
 		if !r.arch.DropReplica(1, 3, string(RAM), node) {
@@ -138,19 +138,19 @@ func TestRAMEgressSerializesReplicas(t *testing.T) {
 func TestRAMDoubleBufferReleasesOldEpoch(t *testing.T) {
 	r := newRig(t, Config{Mode: ModeRAM, Replicas: 1}, 2, 1000, 1000)
 	r.write(t, 1, 0, 100)
-	if got := r.arch.TierIntact(1, 0, string(RAM)); got != 2 {
+	if got := r.arch.TierCopies(1, 0, string(RAM)); got != 2 {
 		t.Fatalf("epoch 1 has %d RAM copies, want 2", got)
 	}
 	r.write(t, 2, 0, 100)
-	if got := r.arch.TierIntact(1, 0, string(RAM)); got != 0 {
+	if got := r.arch.TierCopies(1, 0, string(RAM)); got != 0 {
 		t.Fatalf("epoch 1 keeps %d RAM copies after epoch 2 durable, want 0", got)
 	}
-	if got := r.arch.TierIntact(2, 0, string(RAM)); got != 2 {
+	if got := r.arch.TierCopies(2, 0, string(RAM)); got != 2 {
 		t.Fatalf("epoch 2 has %d RAM copies, want 2", got)
 	}
 	// The drained central copy keeps epoch 1 recoverable despite the
 	// double-buffer release.
-	if got := r.arch.TierIntact(1, 0, string(Central)); got != 1 {
+	if got := r.arch.TierCopies(1, 0, string(Central)); got != 1 {
 		t.Fatalf("epoch 1 has %d central copies after drain, want 1", got)
 	}
 }
@@ -162,8 +162,8 @@ func TestDrainCascadeReachesCentral(t *testing.T) {
 		level Level
 		n     int
 	}{{RAM, 2}, {Burst, 1}, {Central, 1}} {
-		if got := r.arch.TierIntact(1, 0, string(want.level)); got != want.n {
-			t.Errorf("%s holds %d intact copies, want %d", want.level, got, want.n)
+		if got := r.arch.TierCopies(1, 0, string(want.level)); got != want.n {
+			t.Errorf("%s holds %d copies, want %d", want.level, got, want.n)
 		}
 	}
 	// Two drain hops: ram -> burst, burst -> central.
@@ -205,13 +205,13 @@ func TestBurstEvictsDrainedImages(t *testing.T) {
 	if r.h.Evictions() != 1 {
 		t.Fatalf("Evictions = %d, want 1", r.h.Evictions())
 	}
-	if got := r.arch.TierIntact(1, 0, string(Burst)); got != 0 {
+	if got := r.arch.TierCopies(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("evicted epoch 1 keeps %d burst copies", got)
 	}
-	if got := r.arch.TierIntact(1, 0, string(Central)); got != 1 {
+	if got := r.arch.TierCopies(1, 0, string(Central)); got != 1 {
 		t.Fatalf("epoch 1 has %d central copies, want 1 (eviction requires a drained copy)", got)
 	}
-	if got := r.arch.TierIntact(2, 0, string(Burst)); got != 1 {
+	if got := r.arch.TierCopies(2, 0, string(Burst)); got != 1 {
 		t.Fatalf("epoch 2 has %d burst copies, want 1", got)
 	}
 }
@@ -226,10 +226,10 @@ func TestBurstFullSpillsThroughToCentral(t *testing.T) {
 	if r.h.Spills() != 1 {
 		t.Fatalf("Spills = %d, want 1", r.h.Spills())
 	}
-	if got := r.arch.TierIntact(1, 0, string(Burst)); got != 0 {
+	if got := r.arch.TierCopies(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("spilled image has %d burst copies", got)
 	}
-	if got := r.arch.TierIntact(1, 0, string(Central)); got != 1 {
+	if got := r.arch.TierCopies(1, 0, string(Central)); got != 1 {
 		t.Fatalf("spilled image has %d central copies, want 1", got)
 	}
 	if err := r.h.CheckCommit(1); err == nil || !strings.Contains(err.Error(), "rank 1") {
@@ -247,7 +247,7 @@ func TestDrainRetriesThroughOutage(t *testing.T) {
 	if r.h.Drains() != 1 || r.h.DrainFailures() != 0 {
 		t.Fatalf("Drains = %d, DrainFailures = %d; want 1, 0", r.h.Drains(), r.h.DrainFailures())
 	}
-	if got := r.arch.TierIntact(1, 0, string(Central)); got != 1 {
+	if got := r.arch.TierCopies(1, 0, string(Central)); got != 1 {
 		t.Fatalf("epoch 1 has %d central copies after retried drain, want 1", got)
 	}
 }
@@ -292,17 +292,85 @@ func TestWriteBeforeBindRejected(t *testing.T) {
 	}
 }
 
-func TestNewHierarchyRejectsUntieredMode(t *testing.T) {
+// TestCentralStack: ModeCentral, and the zero Mode, build the one-level
+// stack [central]. Its writes are recorded as shared copies on node -1, pass
+// the commit gate, and survive any node loss.
+func TestCentralStack(t *testing.T) {
+	for _, mode := range []Mode{"", ModeCentral} {
+		r := newRig(t, Config{Mode: mode}, 2, 1000, 1000)
+		if got := r.h.OrderNames(); len(got) != 1 || got[0] != string(Central) {
+			t.Fatalf("mode %q stacks %v, want [central]", mode, got)
+		}
+		for rank := 0; rank < 2; rank++ {
+			r.write(t, 1, rank, 100)
+			if !r.arch.DropReplica(1, rank, string(Central), -1) {
+				t.Fatalf("mode %q: rank %d has no central copy on node -1", mode, rank)
+			}
+			r.arch.AddReplica(1, rank, string(Central), -1)
+		}
+		if err := r.h.CheckCommit(1); err != nil {
+			t.Fatalf("mode %q: %v", mode, err)
+		}
+		for node := 0; node < 2; node++ {
+			if lost := r.arch.DropNodeReplicas(node); lost != 0 {
+				t.Errorf("mode %q: losing node %d dropped %d central copies", mode, node, lost)
+			}
+		}
+		if err := r.h.CheckCommit(1); err != nil {
+			t.Errorf("mode %q: central copies lost with a node: %v", mode, err)
+		}
+		if r.h.Drains() != 0 || r.central.Transfers() != 2 {
+			t.Errorf("mode %q: %d drains, %d central transfers; want 0 and 2", mode, r.h.Drains(), r.central.Transfers())
+		}
+	}
 	k := sim.NewKernel(1)
-	central, err := storage.New(k, storage.Config{AggregateBW: 1000, ClientBW: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewHierarchy(k, Config{Mode: ModeCentral}, 4, central, 1000); err == nil {
-		t.Error("central mode built a hierarchy")
-	}
 	if _, err := NewHierarchy(k, Config{Mode: ModeRAM}, 4, nil, 1000); err == nil {
 		t.Error("nil central system accepted")
+	}
+}
+
+// TestCentralStackAllocs pins what the ledger costs a central write: one
+// 32-rank epoch through the one-level stack (StartWrite, landing, CheckCommit)
+// allocates at most one more object per write, plus a few per epoch, than
+// the same 32 writes started on the storage system directly.
+func TestCentralStackAllocs(t *testing.T) {
+	const n, size = 32, 100
+	direct := testing.AllocsPerRun(20, func() {
+		k := sim.NewKernel(1)
+		central, err := storage.New(k, storage.Config{AggregateBW: 1000, ClientBW: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.After(0, func() {
+			for rank := 0; rank < n; rank++ {
+				if _, err := central.Start(size); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stacked := testing.AllocsPerRun(20, func() {
+		r := newRig(t, Config{Mode: ModeCentral}, n, 1000, 1000)
+		r.k.After(0, func() {
+			for rank := 0; rank < n; rank++ {
+				if _, err := r.h.StartWrite(1, rank, size); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := r.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.h.CheckCommit(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := direct + n + 16; stacked > limit {
+		t.Errorf("central epoch through the stack allocates %.0f, want at most %.0f (direct %.0f + %d writes + 16)",
+			stacked, limit, direct, n)
 	}
 }
 
@@ -325,7 +393,7 @@ func TestBurstOutageAbortsAckWrite(t *testing.T) {
 	if !errors.Is(wErr, storage.ErrUnavailable) {
 		t.Fatalf("ack write during burst outage returned %v, want ErrUnavailable", wErr)
 	}
-	if got := r.arch.TierIntact(1, 0, string(Burst)); got != 0 {
+	if got := r.arch.TierCopies(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("aborted write registered %d burst copies", got)
 	}
 }
@@ -401,7 +469,7 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.Used(), len(burst.resident))
 	}
 	for _, level := range r.h.OrderNames() {
-		if got := r.arch.TierIntact(1, 0, level); got != 0 {
+		if got := r.arch.TierCopies(1, 0, level); got != 0 {
 			t.Errorf("cancelled write registered %d %s copies", got, level)
 		}
 	}

@@ -191,10 +191,11 @@ func (c *Controller) onOOB(src int, payload any) bool {
 }
 
 // emit records a cr-layer event on this rank's track. Begin/End pairs with
-// the same what render as duration spans in the Chrome export.
-func (c *Controller) emit(t obs.Type, what obs.Kind, detail string) {
+// the same what render as duration spans in the Chrome export. val is what a
+// structured kind's text is rendered from (obs.Event.Text), 0 for the rest.
+func (c *Controller) emit(t obs.Type, what obs.Kind, val int64) {
 	c.co.bus.Emit(obs.Event{At: c.co.k.Now(), Rank: c.rank.World(), Layer: obs.LayerCR,
-		Type: t, What: what, Detail: detail})
+		Type: t, What: what, Val: val})
 }
 
 func (c *Controller) unparkSelf() {
@@ -277,7 +278,7 @@ func (c *Controller) onAbort(m msgAbort) {
 	if m.cycle != c.cycle || !c.cycleActive {
 		return
 	}
-	c.emit(obs.Instant, obs.KindCycleAbort, "")
+	c.emit(obs.Instant, obs.KindCycleAbort, 0)
 	if c.mySaved {
 		c.epoch--
 		c.mySaved = false
@@ -351,7 +352,7 @@ func (c *Controller) phase(p protocol.Phase) {
 // produced no checkpoint).
 func (c *Controller) abortReturn() {
 	c.inCkpt = false
-	c.emit(obs.Instant, obs.KindAbortResume, "")
+	c.emit(obs.Instant, obs.KindAbortResume, 0)
 	c.releaseAligned()
 }
 
@@ -368,18 +369,18 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	c.inCkpt = true
 	p, k := e.Proc(), c.co.k
 	blocking := c.co.proto.Blocking()
-	c.emit(obs.Instant, obs.KindSafePoint, "")
+	c.emit(obs.Instant, obs.KindSafePoint, 0)
 	rec := c.newRecord()
 
 	if blocking {
 		// Phase 1: Initial Synchronization — report readiness, wait for the
 		// whole group to stop.
 		c.phase(protocol.PhaseSync)
-		c.emit(obs.Begin, obs.KindCkptSync, "")
+		c.emit(obs.Begin, obs.KindCkptSync, 0)
 		c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
 		ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
 		rec.GoAt = k.Now()
-		c.emit(obs.End, obs.KindCkptSync, "")
+		c.emit(obs.End, obs.KindCkptSync, 0)
 		if !ok {
 			c.abortReturn()
 			return
@@ -389,15 +390,12 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		// tear down all connections (passive peers answer via CM thread and
 		// helper-driven progress).
 		c.phase(protocol.PhaseTeardown)
-		if c.co.bus.HasSinks() {
-			c.emit(obs.Begin, obs.KindCkptTeardown,
-				fmt.Sprintf("%d connections to tear down", len(c.rank.Endpoint().Peers())))
-		}
+		c.emit(obs.Begin, obs.KindCkptTeardown, int64(c.rank.Endpoint().NumConns()))
 		for c.teardownBusy() {
 			p.Park("cr: connection teardown")
 		}
 		rec.TeardownDone = k.Now()
-		c.emit(obs.End, obs.KindCkptTeardown, "")
+		c.emit(obs.End, obs.KindCkptTeardown, 0)
 		if c.abortFlag {
 			c.abortReturn()
 			return
@@ -414,9 +412,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	if snap == nil {
 		return
 	}
-	if c.co.bus.HasSinks() {
-		c.emit(obs.Begin, obs.KindCkptWrite, fmt.Sprintf("%.0f MB", float64(snap.Size())/(1<<20)))
-	}
+	c.emit(obs.Begin, obs.KindCkptWrite, snap.Size())
 	for attempt := 1; ; attempt++ {
 		tr, err := c.startWrite(snap)
 		if err == nil {
@@ -428,7 +424,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			// flight; the snapshot belongs to the discarded epoch. A retried
 			// cycle that already began has cleared abortFlag: hence the
 			// comparison.
-			c.emit(obs.End, obs.KindCkptWrite, "")
+			c.emit(obs.End, obs.KindCkptWrite, 0)
 			c.abortReturn()
 			return
 		}
@@ -436,7 +432,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			break
 		}
 		if blocking {
-			c.emit(obs.End, obs.KindCkptWrite, "") // the member's write phase ends with the attempt
+			c.emit(obs.End, obs.KindCkptWrite, 0) // the member's write phase ends with the attempt
 		}
 		backoff, ok := c.writeFailed(err, attempt)
 		if !ok {
@@ -454,16 +450,16 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		p.Sleep(backoff)
 	}
 	rec.WriteEnd = k.Now()
-	c.emit(obs.End, obs.KindCkptWrite, "")
+	c.emit(obs.End, obs.KindCkptWrite, 0)
 	c.commit(snap)
 
 	// Phase 4: Post-checkpoint Coordination — wait for the group to finish;
 	// connections rebuild on demand as execution resumes.
 	c.phase(protocol.PhaseResume)
 	if blocking {
-		c.emit(obs.Begin, obs.KindCkptResumeWait, "")
+		c.emit(obs.Begin, obs.KindCkptResumeWait, 0)
 		ok := c.waitFlag(p, &c.resumeFlag, "cr: post-checkpoint coordination")
-		c.emit(obs.End, obs.KindCkptResumeWait, "")
+		c.emit(obs.End, obs.KindCkptResumeWait, 0)
 		if !ok {
 			// Aborted after our save: onAbort already rolled back the epoch and
 			// dropped mySaved; resume without a record.
@@ -662,7 +658,8 @@ func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok b
 			world, attempt))
 		return 0, false
 	}
-	c.emit(obs.Instant, obs.KindWriteFailed, err.Error())
+	c.co.bus.Emit(obs.Event{At: c.co.k.Now(), Rank: world, Layer: obs.LayerCR,
+		Type: obs.Instant, What: obs.KindWriteFailed, Detail: err.Error()})
 	if blocking {
 		c.sendCo(msgWriteFailed{cycle: c.cycle, rank: world})
 		return 0, true
@@ -695,9 +692,7 @@ func (c *Controller) commit(snap *blcr.Snapshot) {
 func (c *Controller) resume(rec CkptRecord) {
 	c.inCkpt = false
 	rec.ResumeAt = c.co.k.Now()
-	if c.co.bus.HasSinks() {
-		c.emit(obs.Instant, obs.KindResume, fmt.Sprintf("downtime %v", rec.Individual()))
-	}
+	c.emit(obs.Instant, obs.KindResume, int64(rec.Individual()))
 	c.records = append(c.records, rec)
 	m := c.co.bus.Metrics()
 	m.Histogram(obs.LayerCR, "individual").Observe(rec.Individual())

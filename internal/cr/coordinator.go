@@ -33,9 +33,11 @@ type Coordinator struct {
 	// proto is the resolved coordination protocol; tag is the protocol label
 	// appended to cycle events when a protocol was selected explicitly
 	// (empty for default-config runs, keeping their traces byte-identical to
-	// the pre-protocol-interface engine).
-	proto protocol.Protocol
-	tag   string
+	// the pre-protocol-interface engine). cyclesName names the per-protocol
+	// cycle counter, built once.
+	proto      protocol.Protocol
+	tag        string
+	cyclesName string
 
 	active    bool
 	cycle     int
@@ -79,10 +81,11 @@ type Coordinator struct {
 // observed into the bus's registry.
 func (co *Coordinator) SetObs(b *obs.Bus) { co.bus = b }
 
-// emit records a cr-layer coordinator event on the system track.
-func (co *Coordinator) emit(what obs.Kind, detail string) {
+// emit records a cr-layer coordinator event on the system track: val for a
+// structured kind (obs.Event.Text), detail for the rest.
+func (co *Coordinator) emit(what obs.Kind, val int64, detail string) {
 	co.bus.Emit(obs.Event{At: co.k.Now(), Rank: -1, Layer: obs.LayerCR,
-		Type: obs.Instant, What: what, Detail: detail})
+		Type: obs.Instant, What: what, Val: val, Detail: detail})
 }
 
 // New attaches a coordinator and per-rank controllers to a job, writing
@@ -103,13 +106,14 @@ func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinat
 		return nil, fmt.Errorf("cr: registering coordinator endpoint: %w", err)
 	}
 	co := &Coordinator{
-		k:     k,
-		job:   job,
-		tiers: h,
-		cfg:   cfg,
-		ep:    ep,
-		proto: proto,
-		snaps: blcr.NewStore(job.Size()),
+		k:          k,
+		job:        job,
+		tiers:      h,
+		cfg:        cfg,
+		ep:         ep,
+		proto:      proto,
+		snaps:      blcr.NewStore(job.Size()),
+		cyclesName: "cycles_" + string(proto.Kind()),
 	}
 	h.Bind(co.snaps)
 	if cfg.Protocol != "" {
@@ -223,9 +227,9 @@ func (co *Coordinator) RequestCheckpoint() {
 	co.ready = make(map[int]bool)
 	co.saved = make(map[int]bool)
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles").Inc()
-	co.bus.Metrics().Counter(obs.LayerCR, "cycles_"+string(co.proto.Kind())).Inc()
+	co.bus.Metrics().Counter(obs.LayerCR, co.cyclesName).Inc()
 	if co.bus.HasSinks() {
-		co.emit(obs.KindRequest, fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
+		co.emit(obs.KindRequest, 0, fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
 	}
 	groupOf := make([]int, n)
 	for r := range groupOf {
@@ -308,9 +312,7 @@ func (co *Coordinator) onMsg(src int, payload any) {
 			return
 		}
 		if co.groupCovered(co.saved, co.turn) {
-			if co.bus.HasSinks() {
-				co.emit(obs.KindGroupDone, fmt.Sprintf("group %d", co.turn))
-			}
+			co.emit(obs.KindGroupDone, int64(co.turn), "")
 			co.broadcast(msgGroupDone{cycle: co.cycle, group: co.turn})
 			co.turn++
 			if co.turn < len(co.groups) {
@@ -330,7 +332,7 @@ func (co *Coordinator) onMsg(src int, payload any) {
 // quiesced and receive their go immediately.
 func (co *Coordinator) startTurn(turn int) {
 	if co.bus.HasSinks() {
-		co.emit(obs.KindTurn, fmt.Sprintf("group %d %v", turn, co.groups[turn]))
+		co.emit(obs.KindTurn, 0, fmt.Sprintf("group %d %v", turn, co.groups[turn]))
 	}
 	co.broadcast(msgTurn{cycle: co.cycle, group: turn})
 	if co.cfg.Polled {
@@ -368,7 +370,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	co.cycleRetries++
 	co.bus.Metrics().Counter(obs.LayerCR, "cycle_aborts").Inc()
 	if co.bus.HasSinks() {
-		co.emit(obs.KindCycleAbort, fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
+		co.emit(obs.KindCycleAbort, 0, fmt.Sprintf("cycle %d epoch %d: rank %d write failed", co.cycle, target, m.rank))
 	}
 	if err := co.snaps.Discard(target); err != nil {
 		co.k.Fail(err)
@@ -383,7 +385,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	}
 	backoff := writeRetryBackoff(co.cycleRetries)
 	if co.bus.HasSinks() {
-		co.emit(obs.KindCycleRetry, fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
+		co.emit(obs.KindCycleRetry, 0, fmt.Sprintf("epoch %d attempt %d in %v", target, co.cycleRetries+1, backoff))
 	}
 	co.k.After(backoff, co.RequestCheckpoint)
 }
@@ -398,9 +400,7 @@ func (co *Coordinator) groupCovered(set map[int]bool, group int) bool {
 }
 
 func (co *Coordinator) finishCycle() {
-	if co.bus.HasSinks() {
-		co.emit(obs.KindCycleDone, fmt.Sprintf("cycle %d%s", co.cycle, co.tag))
-	}
+	co.emit(obs.KindCycleDone, int64(co.cycle), co.tag)
 	co.broadcast(msgCycleDone{cycle: co.cycle})
 	co.epoch++
 	co.cycleRetries = 0

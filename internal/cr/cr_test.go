@@ -351,14 +351,14 @@ func TestConnectionsRebuiltAfterCycle(t *testing.T) {
 	// After the run, ring neighbours must have re-established connections.
 	for me := 0; me < n; me++ {
 		ep := c.j.Rank(me).Endpoint()
-		if len(ep.Peers()) == 0 {
+		if ep.NumConns() == 0 {
 			t.Fatalf("rank %d has no connections after the cycle", me)
 		}
-		for _, p := range ep.Peers() {
-			if ep.State(p) != ib.StateConnected {
-				t.Fatalf("rank %d conn to %d in state %v", me, p, ep.State(p))
+		ep.EachConn(func(p int, state ib.ConnState) {
+			if state != ib.StateConnected {
+				t.Fatalf("rank %d conn to %d in state %v", me, p, state)
 			}
-		}
+		})
 	}
 }
 
@@ -378,12 +378,12 @@ func TestConnectionsClosedAtSnapshot(t *testing.T) {
 		origFn := ctl.FootprintFn
 		ctl.FootprintFn = func() int64 {
 			ep := c.j.Rank(i).Endpoint()
-			for _, p := range ep.Peers() {
-				switch ep.State(p) {
+			ep.EachConn(func(_ int, state ib.ConnState) {
+				switch state {
 				case ib.StateConnected, ib.StateAccepting, ib.StateDraining, ib.StateDisconnecting:
 					violations++
 				}
-			}
+			})
 			if ep.PendingWork() {
 				violations++
 			}

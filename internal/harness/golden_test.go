@@ -25,9 +25,17 @@ func goldenCycle(t *testing.T, groupSize int) (trace, report []byte) {
 	const n = 4
 	cfg := smallCluster(n)
 	cfg.CR.GroupSize = groupSize
-	cfg.CR.DefaultFootprint = 20 << 20
 	w := workload.CommGroups{N: n, CommGroupSize: 2, Iters: 60,
 		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
+	return goldenMeasure(t, cfg, w)
+}
+
+// goldenMeasure runs one observed checkpointed measurement at 1 s with 20 MB
+// images and returns the JSONL event trace plus a JSON dump of the cycle
+// report.
+func goldenMeasure(t *testing.T, cfg ClusterConfig, w workload.Workload) (trace, report []byte) {
+	t.Helper()
+	cfg.CR.DefaultFootprint = 20 << 20
 	var buf bytes.Buffer
 	js := obs.NewJSONL(&buf)
 	res, err := MeasureObserved(cfg, w, 1*sim.Second, obs.NewBus(js))
@@ -129,4 +137,61 @@ func TestRestartGolden(t *testing.T) {
 			checkGolden(t, fmt.Sprintf("restart_%s.result.json", kind), append(rep, '\n'))
 		})
 	}
+}
+
+// TestRendezvousBufferingGolden pins the rendezvous path under a checkpoint:
+// 16 KiB exchanges (past the 8 KiB eager threshold) inside one 4-rank
+// communication group checkpointed as two groups of 2, so a granted
+// rendezvous ("rdv-grant") and a control packet held at a group boundary
+// ("buffer-req") both appear in the trace.
+func TestRendezvousBufferingGolden(t *testing.T) {
+	const n = 4
+	cfg := smallCluster(n)
+	cfg.CR.GroupSize = 2
+	w := workload.CommGroups{N: n, CommGroupSize: n, Iters: 60,
+		Chunk: 50 * sim.Millisecond, MsgBytes: 16 << 10, FootprintMB: 20}
+	trace, rep := goldenMeasure(t, cfg, w)
+	for _, what := range []string{`"rdv-grant"`, `"buffer-req"`} {
+		if !bytes.Contains(trace, []byte(what)) {
+			t.Errorf("trace has no %s event", what)
+		}
+	}
+	checkGolden(t, "rendezvous_g2.trace.jsonl", trace)
+	checkGolden(t, "rendezvous_g2.report.json", rep)
+}
+
+// TestCycleAbortGolden pins a checkpoint cycle aborted by a storage outage
+// and retried: Ring on 8 ranks in groups of 2 at paper scale, with central
+// storage lost from 2.2 s to 2.6 s while the first cycle's writes are in
+// flight. The trace carries the coordinator's "cycle-abort" and
+// "cycle-retry", each member's "write-failed" or "cycle-abort" reaction, and
+// the "abort-resume" of every stopped rank.
+func TestCycleAbortGolden(t *testing.T) {
+	const n = 8
+	cfg := PaperCluster(n)
+	cfg.CR.GroupSize = 2
+	var buf bytes.Buffer
+	js := obs.NewJSONL(&buf)
+	w := workload.Ring{N: n, Iters: 42, Chunk: 50 * sim.Millisecond, FootprintMB: 180}
+	res, err := RunScenario(cfg, w, mustParse(t, "outage@2200ms+400ms"), 2*sim.Second, obs.NewBus(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.Err() != nil {
+		t.Fatal(js.Err())
+	}
+	if res.CycleAborts != 1 {
+		t.Fatalf("cycle aborts = %d, want 1", res.CycleAborts)
+	}
+	for _, what := range []string{`"cycle-abort"`, `"cycle-retry"`, `"write-failed"`, `"abort-resume"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(what)) {
+			t.Errorf("trace has no %s event", what)
+		}
+	}
+	rep, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "abort_ring8_g2.trace.jsonl", buf.Bytes())
+	checkGolden(t, "abort_ring8_g2.result.json", append(rep, '\n'))
 }

@@ -369,14 +369,9 @@ func (ep *Endpoint) State(peer int) ConnState {
 // Connected reports whether data can be sent to peer right now.
 func (ep *Endpoint) Connected(peer int) bool { return ep.State(peer) == StateConnected }
 
-// Peers returns the ids of all peers with a non-closed connection, ascending.
-func (ep *Endpoint) Peers() []int {
-	out := make([]int, len(ep.conns))
-	for i, c := range ep.conns {
-		out[i] = c.peer
-	}
-	return out
-}
+// NumConns reports how many peers this endpoint has a non-closed connection
+// with; EachConn visits them.
+func (ep *Endpoint) NumConns() int { return len(ep.conns) }
 
 // EachConn calls fn with every non-closed connection's peer and state, in
 // ascending peer order. fn may change a connection's state (Disconnect) but

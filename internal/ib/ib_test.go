@@ -401,9 +401,21 @@ func TestDuplicateEndpointError(t *testing.T) {
 	}
 }
 
-// Peers and EachConn list connections in ascending peer order whatever order
-// they were opened in — a negative id (the checkpoint coordinator's) included
-// — and a closed connection is gone from both.
+// peersOf lists ep's connected peers through EachConn, checking NumConns
+// counts the same set.
+func peersOf(t *testing.T, ep *Endpoint) []int {
+	t.Helper()
+	var peers []int
+	ep.EachConn(func(peer int, _ ConnState) { peers = append(peers, peer) })
+	if ep.NumConns() != len(peers) {
+		t.Errorf("NumConns() = %d, EachConn visited %v", ep.NumConns(), peers)
+	}
+	return peers
+}
+
+// EachConn lists connections in ascending peer order whatever order they
+// were opened in — a negative id (the checkpoint coordinator's) included —
+// and a closed connection is gone from it and from NumConns.
 func TestPeersSorted(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := newFabric(t, k, PaperConfig())
@@ -417,29 +429,24 @@ func TestPeersSorted(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(a.Peers()); got != "[-1 1 2 5 7 9]" {
-		t.Fatalf("Peers() = %v", got)
+	if got := fmt.Sprint(peersOf(t, a)); got != "[-1 1 2 5 7 9]" {
+		t.Fatalf("EachConn visited %v", got)
 	}
 	a.Disconnect(5)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(a.Peers()); got != "[-1 1 2 7 9]" {
-		t.Fatalf("Peers() after closing 5 = %v", got)
+	if got := fmt.Sprint(peersOf(t, a)); got != "[-1 1 2 7 9]" {
+		t.Fatalf("EachConn visited %v after closing 5", got)
 	}
 	if s := a.State(5); s != StateClosed {
 		t.Fatalf("State(5) = %v after disconnect", s)
 	}
-	var each []int
 	a.EachConn(func(peer int, state ConnState) {
-		each = append(each, peer)
 		if state != StateConnected || state != a.State(peer) {
 			t.Errorf("EachConn: peer %d in state %v, State says %v", peer, state, a.State(peer))
 		}
 	})
-	if fmt.Sprint(each) != fmt.Sprint(a.Peers()) {
-		t.Fatalf("EachConn visited %v, Peers() = %v", each, a.Peers())
-	}
 }
 
 // Property: under random opens, closes and lookups, the connection table
@@ -463,7 +470,7 @@ func TestQuickConnTableMatchesMap(t *testing.T) {
 				t.Errorf("seed %d: connTo(%d) = %p, reference has %p", seed, peer, got, ref[peer])
 				return false
 			}
-			peers := ep.Peers()
+			peers := peersOf(t, ep)
 			if len(peers) != len(ref) {
 				t.Errorf("seed %d: table holds %v, reference %d connections", seed, peers, len(ref))
 				return false

@@ -4,16 +4,24 @@ import (
 	"runtime"
 	"testing"
 
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
 
-// steadyMallocs runs round as an endless loop on every rank of a job, lets it
-// warm the free lists, FIFOs and kernel pools, and then reports the heap
-// objects allocated while rank 0 finishes at least 50 more rounds, together
-// with how many it did finish. No sink is attached.
-func steadyMallocs(t *testing.T, ranks int, round func(e *Env, w *Comm, i int)) (mallocs uint64, rounds int) {
+// countSink counts events and reads nothing else of them: the shape of a
+// checker or a counter attached to a run.
+type countSink struct{ n int }
+
+func (s *countSink) Emit(obs.Event) { s.n++ }
+
+// steadyMallocs runs round as an endless loop on every rank of a job observed
+// through bus (nil for none), lets it warm the free lists, FIFOs and kernel
+// pools, and then reports the heap objects allocated while rank 0 finishes at
+// least 50 more rounds, together with how many it did finish.
+func steadyMallocs(t *testing.T, ranks int, bus *obs.Bus, round func(e *Env, w *Comm, i int)) (mallocs uint64, rounds int) {
 	t.Helper()
 	k, j := newTestJob(t, ranks)
+	j.SetObs(bus)
 	t.Cleanup(k.Shutdown) // the bodies never return
 	done := 0
 	j.LaunchAll(func(e *Env) {
@@ -46,7 +54,11 @@ func steadyMallocs(t *testing.T, ranks int, round func(e *Env, w *Comm, i int)) 
 // the fabric and a pooled kernel event — over eager and rendezvous, blocking
 // calls and collectives alike. The one exception is the model's own: an eager
 // send that carries content copies it into a communication buffer
-// (payload.clone), one allocation a message.
+// (payload.clone), one allocation a message. Each case runs unobserved and
+// again with a counting sink attached, and both read the same budget: an emit
+// site passes values and only a sink that prints formats them
+// (obs.Event.Text), so observing a run does not put allocation back on the
+// message path.
 func TestSteadyStateMessageAllocs(t *testing.T) {
 	pingPong := func(data []byte) func(e *Env, w *Comm, i int) {
 		return func(e *Env, w *Comm, _ int) {
@@ -86,13 +98,26 @@ func TestSteadyStateMessageAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mallocs, rounds := steadyMallocs(t, tc.ranks, tc.round)
-			// Whole allocations per round, as testing.AllocsPerRun reports
-			// them: the runtime's own stray allocation (a GC worker starting,
-			// the race detector) rounds away, one reintroduced per message
-			// is at least two a round.
-			if got := mallocs / uint64(rounds); got != tc.perRound {
-				t.Errorf("%d allocations over %d rounds = %d per round, want %d", mallocs, rounds, got, tc.perRound)
+			for _, observed := range []bool{false, true} {
+				var bus *obs.Bus
+				sink := &countSink{}
+				name := "no sink"
+				if observed {
+					bus, name = obs.NewBus(sink), "counting sink"
+				}
+				t.Run(name, func(t *testing.T) {
+					mallocs, rounds := steadyMallocs(t, tc.ranks, bus, tc.round)
+					// Whole allocations per round, as testing.AllocsPerRun
+					// reports them: the runtime's own stray allocation (a GC
+					// worker starting, the race detector) rounds away, one
+					// reintroduced per message is at least two a round.
+					if got := mallocs / uint64(rounds); got != tc.perRound {
+						t.Errorf("%d allocations over %d rounds = %d per round, want %d", mallocs, rounds, got, tc.perRound)
+					}
+					if observed && sink.n == 0 {
+						t.Error("the counting sink saw no event")
+					}
+				})
 			}
 		})
 	}

@@ -22,19 +22,25 @@ var (
 	}
 )
 
-// checkMember panics if the calling rank is not in the communicator.
-func (e *Env) checkMember(c *Comm) {
+// checkMember reports whether the calling rank is in the communicator, and
+// counts the collective if it is. A collective on a communicator the rank is
+// not in is an application bug (real MPI aborts): it fails the run, and the
+// collective returns at once with nothing received.
+func (e *Env) checkMember(c *Comm) bool {
 	if c.myRank < 0 {
-		//lint:allow-panic a collective on a communicator the rank is not in is an application bug; real MPI aborts
-		panic(fmt.Sprintf("mpi: rank %d is not a member of comm %d", e.r.world, c.id))
+		e.r.job.k.Fail(fmt.Errorf("mpi: rank %d is not a member of comm %d", e.r.world, c.id))
+		return false
 	}
 	e.r.stats.CollectivesRun++
+	return true
 }
 
 // Barrier blocks until every member of the communicator has entered it
 // (dissemination algorithm, ceil(log2 n) rounds).
 func (e *Env) Barrier(c *Comm) {
-	e.checkMember(c)
+	if !e.checkMember(c) {
+		return
+	}
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
@@ -64,7 +70,9 @@ func (e *Env) BcastSize(c *Comm, root int, n int64) int64 {
 }
 
 func (e *Env) bcast(c *Comm, root int, p payload) payload {
-	e.checkMember(c)
+	if !e.checkMember(c) {
+		return payload{}
+	}
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
@@ -97,9 +105,11 @@ func (e *Env) bcast(c *Comm, root int, p payload) payload {
 
 // ReduceF64 combines equal-length vectors element-wise with op onto root
 // (binomial tree). Only root's return value is significant; other ranks
-// return nil.
+// return nil. Vectors of different lengths fail the run (real MPI aborts).
 func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
-	e.checkMember(c)
+	if !e.checkMember(c) {
+		return nil
+	}
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
@@ -118,8 +128,8 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 				src := (srcRel + root) % n
 				got, _ := e.await(e.irecvInternal(c, src, tag))
 				if len(got.data) != 8*len(acc) {
-					//lint:allow-panic mismatched reduce buffers are an application bug; real MPI aborts
-					panic("mpi: ReduceF64 length mismatch across ranks")
+					e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: ReduceF64 of %d values got %d", e.r.world, len(acc), len(got.data)/8))
+					return nil
 				}
 				// Fold the child's vector straight from the received bytes.
 				for i := range acc {
@@ -165,7 +175,9 @@ func (e *Env) AllgatherSize(c *Comm, n int64) {
 }
 
 func (e *Env) allgather(c *Comm, p payload) [][]byte {
-	e.checkMember(c)
+	if !e.checkMember(c) {
+		return nil
+	}
 	e.enter()
 	defer e.exit()
 	tag := c.nextCollTag()
@@ -199,7 +211,9 @@ func (e *Env) CollectiveCheckpoint(c *Comm) {
 		// the restarted run's decision and stall ranks on requests that no
 		// longer exist. The two tags the allreduce would have used are
 		// still consumed so collective numbering is protocol-independent.
-		e.checkMember(c)
+		if !e.checkMember(c) {
+			return
+		}
 		c.nextCollTag()
 		c.nextCollTag()
 		e.MaybeCheckpoint()
@@ -213,7 +227,7 @@ func (e *Env) CollectiveCheckpoint(c *Comm) {
 	// decision would make every already-served member stall here for the
 	// following cycle's request.
 	res := e.AllreduceF64(c, []float64{float64(e.r.spSeq)}, OpMax)
-	if int64(res[0]) <= e.r.spServed {
+	if len(res) == 0 || int64(res[0]) <= e.r.spServed { // empty: the allreduce failed the run
 		return
 	}
 	// Another member saw the request; ours may still be in flight on the

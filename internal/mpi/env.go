@@ -178,31 +178,20 @@ func (e *Env) MaybeCheckpoint() {
 // Compute models application computation for duration d. It is a progress
 // point at entry and exit, and — like computation under BLCR — it can be
 // interrupted by a checkpoint signal, run the checkpoint, and resume the
-// remaining work.
+// remaining work. The computation itself runs outside the library.
 func (e *Env) Compute(d sim.Time) {
-	r := e.r
-	r.inMPI = true
-	r.progressNow()
-	if r.pendingSP && !r.spPolled {
-		e.runSafePoint()
-	}
-	r.inMPI = false
-	rem := d
-	for rem > 0 {
+	e.enter()
+	e.r.inMPI = false
+	for rem := d; rem > 0; {
 		left, interrupted := e.p.SleepI(rem)
 		rem = left
 		if interrupted {
-			r.inMPI = true
-			r.progressNow() // drain arrivals before the safe point
-			if r.pendingSP && !r.spPolled {
-				e.runSafePoint()
-			}
-			r.inMPI = false
+			e.enter()
+			e.r.inMPI = false
 		}
 	}
-	r.inMPI = true
-	r.progressNow()
-	r.inMPI = false
+	e.r.inMPI = true
+	e.exit()
 }
 
 // Isend starts a nonblocking send of data to comm rank dst.

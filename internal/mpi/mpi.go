@@ -104,10 +104,11 @@ type Job struct {
 // bus's registry accumulates library counters.
 func (j *Job) SetObs(b *obs.Bus) { j.bus = b }
 
-// emit records an mpi-layer instant on rank r's track.
-func (r *Rank) emit(what obs.Kind, detail string, arg int64) {
+// emit records an mpi-layer instant on rank r's track. It takes values, not
+// text: the sinks render them (obs.Event.Text).
+func (r *Rank) emit(what obs.Kind, peer int, arg, val int64) {
 	r.job.bus.Emit(obs.Event{At: r.job.k.Now(), Rank: r.world, Layer: obs.LayerMPI,
-		Type: obs.Instant, What: what, Detail: detail, Arg: arg})
+		Type: obs.Instant, What: what, Peer: int32(peer), Arg: arg, Val: val})
 }
 
 // NewJob creates a job with n ranks, registering endpoint i for rank i on
@@ -440,7 +441,7 @@ func (r *Rank) helperTickFire() {
 	}
 	r.stats.HelperTicks++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "helper_ticks").Inc()
-	r.emit(obs.KindHelperTick, "", 0)
+	r.emit(obs.KindHelperTick, 0, 0, 0)
 	if !r.inMPI {
 		r.progressNow()
 	}

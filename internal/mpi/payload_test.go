@@ -401,3 +401,52 @@ func TestInvalidTagFailsRun(t *testing.T) {
 		})
 	}
 }
+
+// A collective on a communicator the caller is not in fails the run with one
+// mpi error, and every collective returns to its caller rather than unwinding
+// the process.
+func TestForeignCommCollectiveFailsRun(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(e *Env, c *Comm)
+	}{
+		{"Barrier", func(e *Env, c *Comm) { e.Barrier(c) }},
+		{"BcastSize", func(e *Env, c *Comm) { e.BcastSize(c, 0, 8) }},
+		{"AllreduceF64", func(e *Env, c *Comm) { e.AllreduceF64(c, []float64{1}, OpSum) }},
+		{"AllgatherSize", func(e *Env, c *Comm) { e.AllgatherSize(c, 8) }},
+		{"CollectiveCheckpoint", func(e *Env, c *Comm) { e.CollectiveCheckpoint(c) }},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			k, j := newTestJob(t, 2)
+			returned := false
+			j.Launch(0, func(e *Env) {
+				tc.call(e, e.NewComm([]int{1}))
+				returned = true
+			})
+			j.Launch(1, func(e *Env) {})
+			err := k.Run()
+			if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 0 is not a member of comm ") ||
+				strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Run() = %v, want one line naming the foreign communicator", err)
+			}
+			if !returned {
+				t.Fatal("the failed collective did not return to its caller")
+			}
+		})
+	}
+}
+
+// Reduce vectors of different lengths fail the run with one mpi error at the
+// rank that receives the odd one out, not a panic of its process.
+func TestReduceLengthMismatchFailsRun(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	j.LaunchAll(func(e *Env) {
+		e.ReduceF64(e.World(), 0, make([]float64, 2+e.Rank()), OpSum)
+	})
+	err := k.Run()
+	want := "mpi: rank 0: ReduceF64 of 2 values got 3"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+}

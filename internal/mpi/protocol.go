@@ -202,7 +202,6 @@ func (r *Rank) connMeta() int64 {
 
 func (r *Rank) deferItem(pr *peer, it outItem) {
 	pr.outbox = append(pr.outbox, it)
-	dst := pr.world
 	m := r.job.bus.Metrics()
 	switch it.kind {
 	case outEager:
@@ -211,15 +210,11 @@ func (r *Rank) deferItem(pr *peer, it outItem) {
 		r.stats.BytesBuffered += n
 		m.Counter(obs.LayerMPI, "msgs_buffered").Inc()
 		m.Counter(obs.LayerMPI, "bytes_buffered").Add(n)
-		if r.job.bus.HasSinks() {
-			r.emit(obs.KindBufferMsg, fmt.Sprintf("dst=%d", dst), n)
-		}
+		r.emit(obs.KindBufferMsg, pr.world, n, 0)
 	default:
 		r.stats.ReqsBuffered++
 		m.Counter(obs.LayerMPI, "reqs_buffered").Inc()
-		if r.job.bus.HasSinks() {
-			r.emit(obs.KindBufferReq, fmt.Sprintf("dst=%d", dst), it.size)
-		}
+		r.emit(obs.KindBufferReq, pr.world, it.size, 0)
 	}
 }
 
@@ -231,9 +226,7 @@ func (r *Rank) drainOutbox(dst int) {
 		return
 	}
 	q := pr.outbox
-	if r.job.bus.HasSinks() {
-		r.emit(obs.KindOutboxDrain, fmt.Sprintf("dst=%d", dst), int64(len(q)))
-	}
+	r.emit(obs.KindOutboxDrain, dst, int64(len(q)), 0)
 	for len(q) > 0 && r.trySend(dst, q[0]) {
 		q[0] = outItem{} // the fabric owns the packet now
 		q = q[1:]
@@ -284,9 +277,7 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 	if seq <= pr.recvSeq {
 		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
-		if r.job.bus.HasSinks() {
-			r.emit(obs.KindDupDrop, fmt.Sprintf("src=%d seq=%d", srcWorld, seq), seq)
-		}
+		r.emit(obs.KindDupDrop, srcWorld, seq, 0)
 		return true
 	}
 	pr.recvSeq = seq
@@ -301,9 +292,7 @@ func (r *Rank) arriveEager(srcWorld int, m *wirePkt) {
 		tag: m.tag, eager: true, payload: m.payload}
 	if req := r.matchPosted(&msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
-		if r.job.bus.HasSinks() {
-			r.emit(obs.KindMatchEager, fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), m.size)
-		}
+		r.emit(obs.KindMatchEager, msg.srcComm, m.size, int64(msg.tag))
 		r.deliver(req, &msg)
 		return
 	}
@@ -340,9 +329,7 @@ func (r *Rank) addUnexpected(msg inMsg) {
 // grantRendezvous registers the receive and sends CTS back to the sender.
 func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_granted").Inc()
-	if r.job.bus.HasSinks() {
-		r.emit(obs.KindRdvGrant, fmt.Sprintf("src=%d tag=%d", msg.srcComm, msg.tag), msg.size)
-	}
+	r.emit(obs.KindRdvGrant, msg.srcComm, msg.size, int64(msg.tag))
 	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
 	r.sendCTS(msg.srcWorld, msg.sendID, req)
 }

@@ -89,14 +89,15 @@ func (s *ChromeSink) Emit(e Event) {
 		TID:   track,
 		Scope: scope,
 	}
-	if e.Type == End {
-		// "E" events close the most recent "B" on the same track; repeating
-		// name/args is redundant and bloats the file.
-		ce.Args = nil
-	} else if e.Detail != "" || e.Arg != 0 {
-		ce.Args = make(map[string]any, 2)
-		if e.Detail != "" {
-			ce.Args["detail"] = e.Detail
+	// "E" events close the most recent "B" on the same track; repeating
+	// name/args is redundant and bloats the file.
+	if e.Type != End {
+		detail := e.Text()
+		if detail != "" || e.Arg != 0 {
+			ce.Args = make(map[string]any, 2)
+		}
+		if detail != "" {
+			ce.Args["detail"] = detail
 		}
 		if e.Arg != 0 {
 			ce.Args["arg"] = e.Arg

@@ -7,7 +7,8 @@ import (
 
 // jsonEvent is the JSON Lines wire form of an Event. At is nanoseconds of
 // simulated time, so the output is exact and byte-identical across
-// same-seed runs.
+// same-seed runs. Detail is Event.Text: Peer and Val are rendered into it,
+// not written as keys of their own.
 type jsonEvent struct {
 	At     int64  `json:"at_ns"`
 	Rank   int    `json:"rank"`
@@ -37,7 +38,7 @@ func (s *JSONLSink) Emit(e Event) {
 	}
 	b, err := json.Marshal(jsonEvent{
 		At: int64(e.At), Rank: e.Rank, Layer: e.Layer, Type: e.Type,
-		What: e.What, Detail: e.Detail, Arg: e.Arg,
+		What: e.What, Detail: e.Text(), Arg: e.Arg,
 	})
 	if err != nil {
 		s.err = err

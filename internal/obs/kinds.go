@@ -1,5 +1,12 @@
 package obs
 
+import (
+	"fmt"
+	"strconv"
+
+	"gbcr/internal/sim"
+)
+
 // Kind names what happened: the closed vocabulary of event kinds every layer
 // of the stack emits, and the identifier sinks, goldens and dashboards match
 // against. It is a type, like Layer and Type, so an emit site can only name
@@ -121,3 +128,42 @@ func (k Kind) String() string {
 
 // MarshalText renders the kind name for JSON exports.
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Text returns the event's human context: the detail the text timeline
+// prints in parentheses and the JSONL and Chrome exports write as "detail".
+// A structured kind is rendered here from the values its emit site passed,
+// the one place its wording lives; any other kind's is Detail. An End event's
+// text is its Detail too: a structured span's values describe its Begin.
+//
+//	buffer-msg, buffer-req, outbox-drain   dst=Peer
+//	dup-drop                               src=Peer seq=Arg
+//	match-eager, rdv-grant                 src=Peer tag=Val
+//	ckpt-teardown                          Val connections to tear down
+//	ckpt-write                             Val bytes, as whole MB
+//	resume                                 downtime Val, a sim.Time
+//	group-done                             group Val
+//	cycle-done                             cycle Val, then Detail (the protocol tag)
+func (e Event) Text() string {
+	if e.Type == End {
+		return e.Detail
+	}
+	switch e.What {
+	case KindBufferMsg, KindBufferReq, KindOutboxDrain:
+		return "dst=" + strconv.Itoa(int(e.Peer))
+	case KindDupDrop:
+		return "src=" + strconv.Itoa(int(e.Peer)) + " seq=" + strconv.FormatInt(e.Arg, 10)
+	case KindMatchEager, KindRdvGrant: // one a message: strconv, not Sprintf
+		return "src=" + strconv.Itoa(int(e.Peer)) + " tag=" + strconv.FormatInt(e.Val, 10)
+	case KindCkptTeardown:
+		return fmt.Sprintf("%d connections to tear down", e.Val)
+	case KindCkptWrite:
+		return fmt.Sprintf("%.0f MB", float64(e.Val)/(1<<20))
+	case KindResume:
+		return fmt.Sprintf("downtime %v", sim.Time(e.Val))
+	case KindGroupDone:
+		return fmt.Sprintf("group %d", e.Val)
+	case KindCycleDone:
+		return fmt.Sprintf("cycle %d%s", e.Val, e.Detail)
+	}
+	return e.Detail
+}

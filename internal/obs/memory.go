@@ -21,8 +21,8 @@ func (e Event) String() string {
 		what = "}" + what
 	}
 	s := fmt.Sprintf("%-12v %-7s %-8s %s", e.At, who, e.Layer, what)
-	if e.Detail != "" {
-		s += " (" + e.Detail + ")"
+	if d := e.Text(); d != "" {
+		s += " (" + d + ")"
 	}
 	return s
 }

@@ -3,12 +3,16 @@
 // through storage, the IB fabric, the MPI library, and the checkpoint
 // protocol, plus a sim-time metrics registry.
 //
-// It supersedes the old internal/trace package (which covered only the C/R
-// layer with a text renderer). Every layer emits typed Events into a *Bus;
-// pluggable Sinks consume them: MemorySink (in-memory log + text timeline),
-// JSONLSink (JSON Lines), and ChromeSink (Chrome trace-event format, viewable
-// in chrome://tracing or Perfetto, with one track per rank and C/R phases as
-// duration spans).
+// Every layer emits typed Events into a *Bus; pluggable Sinks consume them:
+// MemorySink (in-memory log + text timeline), JSONLSink (JSON Lines), and
+// ChromeSink (Chrome trace-event format, viewable in chrome://tracing or
+// Perfetto, with one track per rank and C/R phases as duration spans).
+//
+// An emit site passes values, not text: a per-message or per-rank event
+// carries its peer, tag, size or duration in Event fields, and the one
+// per-kind formatter, Event.Text, renders the detail string where a sink
+// writes one. So attaching a sink that never reads text — a counter, a
+// checker — costs no formatting and no allocation on the message path.
 //
 // The disabled path is a single pointer check: a nil *Bus ignores Emit, and a
 // nil *Counter / *Histogram ignores Add/Observe, so instrumented code needs
@@ -91,17 +95,24 @@ func (t Type) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 // Event is one timeline entry. Rank is the world rank of the emitting
 // process, or -1 for system-wide activity (the coordinator, the storage
 // service, the kernel itself). What is a stable, machine-matchable
-// identifier; Detail is optional human context; Arg is an optional numeric
-// payload (bytes, peer id, client count) so hot paths need not format
-// strings.
+// identifier; Arg is an optional numeric payload (bytes, peer id, client
+// count) that every sink exports as is.
+//
+// The human context a sink prints is Text. A structured kind (see Text)
+// carries it as values — Peer, the other rank of a message, and Val, one
+// more integer such as a tag or an image size — so its emit site formats
+// nothing and an in-process sink reads numbers; any other kind carries it
+// as the optional string Detail.
 type Event struct {
 	At     sim.Time
 	Rank   int
 	Layer  Layer
 	Type   Type
 	What   Kind
+	Peer   int32
 	Detail string
 	Arg    int64
+	Val    int64
 }
 
 // Sink consumes events. Implementations must not re-enter the simulation;

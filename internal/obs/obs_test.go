@@ -22,10 +22,10 @@ func sampleEvents() []Event {
 		{At: sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: Begin, What: KindPark, Detail: "cr: initial synchronization"},
 		{At: 2 * sim.Millisecond, Rank: 1, Layer: LayerIB, Type: Instant, What: KindCMReq, Arg: 0},
 		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerKernel, Type: End, What: KindPark},
-		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: KindCkptWrite, Detail: "20 MB"},
+		{At: 3 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: Begin, What: KindCkptWrite, Val: 20 << 20},
 		{At: 4 * sim.Millisecond, Rank: -1, Layer: LayerStorage, Type: Instant, What: KindXferStart, Arg: 20 << 20},
 		{At: 90 * sim.Millisecond, Rank: 0, Layer: LayerCR, Type: End, What: KindCkptWrite},
-		{At: 91 * sim.Millisecond, Rank: 1, Layer: LayerMPI, Type: Instant, What: KindBufferMsg, Detail: "dst=0", Arg: 4096},
+		{At: 91 * sim.Millisecond, Rank: 1, Layer: LayerMPI, Type: Instant, What: KindBufferMsg, Peer: 0, Arg: 4096},
 		// The fault layer's event vocabulary (internal/fault): an "outage"
 		// span while storage is lost or degraded, "cm-drop" per swallowed
 		// connection-management packet, "crash" per injected fail-stop kill,

@@ -34,6 +34,7 @@ type Hierarchy struct {
 	bus   *obs.Bus
 	arch  *blcr.Store
 	tiers []Tier
+	names []tierNames // parallel to tiers when tiered, else nil
 	n     int
 
 	cold []coldMark // indexed by epoch: progress toward the cold tier
@@ -43,6 +44,15 @@ type Hierarchy struct {
 	drainFailures int
 	spills        int
 	evictions     int
+}
+
+// tierNames are one tier's counter names and the label of the drain into it,
+// built with a tiered stack so no write, drain or recovery concatenates a
+// string. A one-level stack counts and labels nothing (tiered) and builds
+// none.
+type tierNames struct {
+	writes, recovers, drains string
+	drainIn                  string // "<tier above>-><this tier>"; empty for the first
 }
 
 // coldMark counts the ranks whose image of one epoch has reached the cold
@@ -82,6 +92,17 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 			return nil, err
 		}
 		h.tiers = append(h.tiers, t)
+	}
+	if h.tiered() {
+		h.names = make([]tierNames, len(h.tiers))
+		for i, t := range h.tiers {
+			level := string(t.Level())
+			h.names[i] = tierNames{writes: "tier_writes_" + level,
+				recovers: "tier_recover_" + level, drains: "tier_drains_" + level}
+			if i > 0 {
+				h.names[i].drainIn = string(h.tiers[i-1].Level()) + "->" + level
+			}
+		}
 	}
 	return h, nil
 }
@@ -203,7 +224,7 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
 	if h.tiered() {
 		level := h.tiers[idx].Level()
-		h.bus.Metrics().Counter(obs.LayerStorage, "tier_writes_"+string(level)).Inc()
+		h.bus.Metrics().Counter(obs.LayerStorage, h.names[idx].writes).Inc()
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 			Type: obs.Instant, What: obs.KindTierWrite, Detail: string(level), Arg: size})
 	}
@@ -218,7 +239,11 @@ func (h *Hierarchy) Recovered(at sim.Time, rank int, level Level, size int64) {
 	}
 	h.bus.Emit(obs.Event{At: at, Rank: rank, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindTierRecover, Detail: string(level), Arg: size})
-	h.bus.Metrics().Counter(obs.LayerStorage, "tier_recover_"+string(level)).Inc()
+	for i, t := range h.tiers {
+		if t.Level() == level {
+			h.bus.Metrics().Counter(obs.LayerStorage, h.names[i].recovers).Inc()
+		}
+	}
 }
 
 // drainNext moves (epoch, rank)'s image from tier from to the next tier
@@ -230,29 +255,29 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 	if next >= len(h.tiers) {
 		return
 	}
-	src, dst := h.tiers[from].Level(), h.tiers[next].Level()
 	tr, err := h.tiers[next].StartWrite(epoch, rank, size)
 	if err != nil {
 		if errors.Is(err, ErrFull) && next+1 < len(h.tiers) {
-			h.noteSpill(dst, h.tiers[next+1].Level(), epoch, rank, size)
+			h.noteSpill(h.tiers[next].Level(), h.tiers[next+1].Level(), epoch, rank, size)
 			h.drainNext(next, epoch, rank, size, 0)
 			return
 		}
 		h.retryDrain(from, epoch, rank, size, tries, err)
 		return
 	}
+	names := &h.names[next]
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Begin, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
+		Type: obs.Begin, What: obs.KindTierDrain, Detail: names.drainIn, Arg: size})
 	tr.OnDone(func() {
 		h.tiers[next].landed(epoch, rank, size, tr.Err() == nil)
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-			Type: obs.End, What: obs.KindTierDrain, Detail: string(src) + "->" + string(dst), Arg: size})
+			Type: obs.End, What: obs.KindTierDrain, Detail: names.drainIn, Arg: size})
 		if err := tr.Err(); err != nil {
 			h.retryDrain(from, epoch, rank, size, tries, err)
 			return
 		}
 		h.drains++
-		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drains_"+string(dst)).Inc()
+		h.bus.Metrics().Counter(obs.LayerStorage, names.drains).Inc()
 		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drain_bytes").Add(size)
 		h.drainNext(next, epoch, rank, size, 0)
 	})

@@ -52,7 +52,9 @@ func steadyMallocs(t *testing.T, ranks int, bus *obs.Bus, round func(e *Env, w *
 // The message path allocates nothing in steady state: a point-to-point
 // message is a recycled request at each end, a recycled packet, FIFO slots in
 // the fabric and a pooled kernel event — over eager and rendezvous, blocking
-// calls and collectives alike. The one exception is the model's own: an eager
+// calls and collectives alike, the library's own coordination traffic
+// included: the safe-point poll's value rides in the payload's word. The one
+// exception is the model's own: an eager
 // send that carries content copies it into a communication buffer
 // (payload.clone), one allocation a message. Each case runs unobserved and
 // again with a counting sink attached, and both read the same budget: an emit
@@ -95,6 +97,8 @@ func TestSteadyStateMessageAllocs(t *testing.T) {
 		{"Barrier on 32 ranks", 32, func(e *Env, w *Comm, _ int) { e.Barrier(w) }, 0},
 		{"BcastSize 1 KiB on 32 ranks", 32, bcast(1 << 10), 0},
 		{"BcastSize 1 MiB on 32 ranks", 32, bcast(1 << 20), 0},
+		// What every restartable workload runs once an iteration.
+		{"CollectiveCheckpoint poll on 32 ranks", 32, func(e *Env, w *Comm, _ int) { e.CollectiveCheckpoint(w) }, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -107,58 +106,55 @@ func (e *Env) bcast(c *Comm, root int, p payload) payload {
 // (binomial tree). Only root's return value is significant; other ranks
 // return nil. Vectors of different lengths fail the run (real MPI aborts).
 func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
-	if !e.checkMember(c) {
+	acc, ok := e.reduce(c, root, content(F64ToBytes(in)), op)
+	if !ok || c.myRank != root {
 		return nil
 	}
-	e.enter()
-	defer e.exit()
-	tag := c.nextCollTag()
-	n, me := c.Size(), c.myRank
-	acc := make([]float64, len(in))
-	copy(acc, in)
-	if n == 1 {
-		return acc
-	}
-	rel := (me - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask == 0 {
-			srcRel := rel | mask
-			if srcRel < n {
-				src := (srcRel + root) % n
-				got, _ := e.await(e.irecvInternal(c, src, tag))
-				if len(got.data) != 8*len(acc) {
-					e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: ReduceF64 of %d values got %d", e.r.world, len(acc), len(got.data)/8))
-					return nil
-				}
-				// Fold the child's vector straight from the received bytes.
-				for i := range acc {
-					acc[i] = op(acc[i], math.Float64frombits(binary.LittleEndian.Uint64(got.data[8*i:])))
-				}
-			}
-		} else {
-			dstRel := rel &^ mask
-			dst := (dstRel + root) % n
-			e.await(e.isendInternal(c, dst, tag, content(F64ToBytes(acc))))
-			break
-		}
-		mask <<= 1
-	}
-	if me == root {
-		return acc
-	}
-	return nil
+	return BytesToF64(acc.data)
 }
 
 // AllreduceF64 combines vectors element-wise with op and returns the result
 // on every rank (reduce to comm rank 0, then broadcast).
 func (e *Env) AllreduceF64(c *Comm, in []float64, op Op) []float64 {
-	red := e.ReduceF64(c, 0, in, op)
-	var payload []byte
-	if c.myRank == 0 {
-		payload = F64ToBytes(red)
+	return BytesToF64(e.allreduce(c, content(F64ToBytes(in)), op).data)
+}
+
+// allreduce is reduce onto comm rank 0 and a broadcast of its result. After
+// a failed reduce rank 0 broadcasts an empty payload.
+func (e *Env) allreduce(c *Comm, p payload, op Op) payload {
+	p, _ = e.reduce(c, 0, p, op)
+	return e.bcast(c, 0, p)
+}
+
+// reduce folds the members' payloads onto root along a binomial tree: each
+// rank folds its children's payloads into acc (payload.fold) and sends the
+// result to its parent. Only root's result is significant. It reports false,
+// with an empty payload, when the caller is not a member or a child's payload
+// is not acc's length; either fails the run.
+func (e *Env) reduce(c *Comm, root int, acc payload, op Op) (payload, bool) {
+	if !e.checkMember(c) {
+		return payload{}, false
 	}
-	return BytesToF64(e.Bcast(c, 0, payload))
+	e.enter()
+	defer e.exit()
+	tag := c.nextCollTag()
+	n, me := c.Size(), c.myRank
+	rel := (me - root + n) % n
+	for mask := 1; mask < n; mask <<= 1 {
+		if rel&mask != 0 {
+			e.await(e.isendInternal(c, (rel&^mask+root)%n, tag, acc))
+			break
+		}
+		if srcRel := rel | mask; srcRel < n {
+			got, _ := e.await(e.irecvInternal(c, (srcRel+root)%n, tag))
+			if got.size != acc.size {
+				e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: ReduceF64 of %d values got %d", e.r.world, acc.size/8, got.size/8))
+				return payload{}, false
+			}
+			acc.fold(got, op)
+		}
+	}
+	return acc, true
 }
 
 // Allgather collects each member's payload on every member, indexed by comm
@@ -226,8 +222,10 @@ func (e *Env) CollectiveCheckpoint(c *Comm) {
 	// safe-point service can be misaligned by an iteration, and a boolean
 	// decision would make every already-served member stall here for the
 	// following cycle's request.
-	res := e.AllreduceF64(c, []float64{float64(e.r.spSeq)}, OpMax)
-	if len(res) == 0 || int64(res[0]) <= e.r.spServed { // empty: the allreduce failed the run
+	// The value rides in the payload's word, so the agreement allocates
+	// nothing.
+	res := e.allreduce(c, payload{size: 8, word: math.Float64bits(float64(e.r.spSeq))}, OpMax)
+	if res.size != 8 || int64(res.f64(0)) <= e.r.spServed { // not 8 bytes: the agreement failed the run
 		return
 	}
 	// Another member saw the request; ours may still be in flight on the

@@ -16,18 +16,20 @@ type Status struct {
 
 // Request is a nonblocking operation handle.
 type Request struct {
-	r         *Rank
-	isSend    bool
+	r *Rank
+	// The flags share one word: spread between the fields they took 24 B,
+	// and the payload's word would have taken Request past 128 B.
+	isSend   bool
+	complete bool
+	// discard marks a sink for a duplicate rendezvous re-send after a
+	// logging restart: the granted transfer's data is dropped on arrival.
+	discard   bool
 	comm      *Comm
 	peerComm  int // comm rank of peer (or ANY for receives)
 	peerWorld int // world rank of peer (send only)
 	tag       int
 	payload   // what a send carries; what a completed receive got
-	complete  bool
 	status    Status
-	// discard marks a sink for a duplicate rendezvous re-send after a
-	// logging restart: the granted transfer's data is dropped on arrival.
-	discard bool
 	// txDone is completeTx as a func value, bound the first time this request
 	// is a rendezvous send and kept across recycling.
 	txDone func()
@@ -76,7 +78,7 @@ func (req *Request) matches(msg *inMsg) bool {
 	if req.isSend || req.comm.id != msg.comm {
 		return false
 	}
-	if req.peerComm != ANY && req.peerComm != msg.srcComm {
+	if req.peerComm != ANY && req.peerComm != int(msg.srcComm) {
 		return false
 	}
 	if req.tag != ANY && req.tag != msg.tag {
@@ -234,10 +236,15 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	world := c.World(dst)
 	req := r.getReq()
 	req.isSend, req.comm, req.peerComm, req.peerWorld, req.tag = true, c, dst, world, tag
+	// A destination outside the communicator, or self-send (unsupported by
+	// this model), is an application bug (real MPI aborts): fail the run and
+	// hand back a finished request so the caller's wait returns.
+	if world < 0 {
+		r.job.k.Fail(fmt.Errorf("mpi: rank %d: send to comm rank %d out of range [0,%d)", r.world, dst, c.Size()))
+		req.complete = true
+		return req
+	}
 	if world == r.world {
-		// Self-send is unsupported by this model and is an application bug:
-		// fail the run and hand back a finished request so the caller's wait
-		// returns.
 		r.job.k.Fail(fmt.Errorf("mpi: rank %d sending to itself", r.world))
 		req.complete = true
 		return req
@@ -256,7 +263,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		r.stats.MsgsLogged++
 		r.stats.BytesLogged += p.size
 		pr.log = append(pr.log,
-			logEntry{comm: c.id, srcComm: c.myRank, tag: tag, seq: seq, payload: p.clone()})
+			logEntry{comm: c.id, srcComm: int32(c.myRank), tag: int32(tag), seq: seq, payload: p.clone()})
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
 		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}
@@ -296,6 +303,13 @@ func (e *Env) irecvInternal(c *Comm, src, tag int) *Request {
 	r := e.r
 	req := r.getReq()
 	req.comm, req.peerComm, req.tag = c, src, tag
+	if src != ANY && c.World(src) < 0 {
+		// As for a send: fail the run rather than wait for a rank that
+		// cannot send.
+		r.job.k.Fail(fmt.Errorf("mpi: rank %d: receive from comm rank %d out of range [0,%d)", r.world, src, c.Size()))
+		req.complete = true
+		return req
+	}
 	if msg, ok := r.matchUnexpected(req); ok {
 		if msg.eager {
 			r.deliver(req, &msg)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -251,6 +252,141 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 	}
 }
 
+// pollAgree is the safe-point poll's agreement (CollectiveCheckpoint) on v:
+// the value rides in the payload's word.
+func pollAgree(e *Env, w *Comm, v float64) float64 {
+	return e.allreduce(w, payload{size: 8, word: math.Float64bits(v)}, OpMax).f64(0)
+}
+
+// A poll message held in the unexpected queue, an outbox or the sender log is
+// captured as the 8 bytes F64ToBytes gives its value, comes back from a
+// restore as that content, and the restored job's polls fold it. Three ranks
+// poll twice with values 7, 8 and 9; rank 0, the root, gates rank 1, so at
+// its capture between the polls it holds poll 1's broadcast to rank 1 in the
+// outbox, rank 2's poll 2 contribution as unexpected and, when logging, both
+// of poll 1's broadcasts in the log.
+func TestCapturePollWordAsContent(t *testing.T) {
+	const agreed = 9
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LogMessages = logged
+			k, j := newJobWith(t, 3, cfg)
+			h := &spHooks{gate: map[int]bool{1: true}}
+			j.Rank(0).SetHooks(h)
+			var state, asContent []byte
+			got := make([]float64, 6)
+			j.LaunchAll(func(e *Env) {
+				w := e.World()
+				me := e.Rank()
+				got[me] = pollAgree(e, w, float64(7+me))
+				if me != 0 {
+					got[3+me] = pollAgree(e, w, float64(7+me))
+					return
+				}
+				e.Compute(10 * sim.Millisecond) // rank 2's poll 2 contribution arrives
+				r := e.RankState()
+				wantLog := 0
+				if logged {
+					wantLog = 1
+				}
+				if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != wantLog || len(r.peer(2).log) != wantLog {
+					t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d+%d, want 1, 1, %d+%d",
+						len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log), len(r.peer(2).log), wantLog, wantLog)
+				}
+				var err error
+				if state, err = r.CaptureLibState(); err != nil {
+					t.Error(err)
+				}
+				// The same state with every poll message as content.
+				toContent := func(where string, p *payload) {
+					if p.data != nil || p.size != 8 || p.word == 0 {
+						t.Errorf("%s poll message is %+v, want its value in the word", where, *p)
+					}
+					*p = content(F64ToBytes([]float64{p.f64(0)}))
+				}
+				for i := range r.unexpected {
+					toContent("unexpected", &r.unexpected[i].payload)
+				}
+				for i := range r.peers {
+					for _, it := range r.peers[i].outbox {
+						toContent("outbox", &it.pkt.payload)
+					}
+					for l := range r.peers[i].log {
+						toContent("log", &r.peers[i].log[l].payload)
+					}
+				}
+				if asContent, err = r.CaptureLibState(); err != nil {
+					t.Error(err)
+				}
+				h.gate[1] = false
+				r.ReleaseDst(1)
+				got[3] = pollAgree(e, w, 7)
+			})
+			run(t, k)
+			for i, v := range got {
+				if v != agreed {
+					t.Errorf("rank %d poll %d agreed on %v, want %v", i%3, 1+i/3, v, float64(agreed))
+				}
+			}
+			if !bytes.Equal(state, asContent) {
+				t.Fatalf("lib state differs: %d bytes with words, %d with content", len(state), len(asContent))
+			}
+
+			// Round trip: restore onto a fresh rank whose gate keeps the
+			// outbox in place, and capture again.
+			_, j2 := newJobWith(t, 3, cfg)
+			r := j2.Rank(0)
+			r.SetHooks(&spHooks{gate: map[int]bool{1: true}})
+			if err := r.RestoreLibState(state); err != nil {
+				t.Fatal(err)
+			}
+			r.commIndex = 1 // restore resets it for the body to re-create World(); the captured body had
+			again, err := r.CaptureLibState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, state) {
+				t.Fatal("capture → restore → capture is not the identity")
+			}
+
+			// The restored job resumes where rank 0 captured: rank 1 still
+			// waits for poll 1's broadcast, rank 2 for poll 2's, and rank 0
+			// holds rank 2's poll 2 contribution, which now carries content.
+			k3, j3 := newJobWith(t, 3, cfg)
+			r = j3.Rank(0)
+			if err := r.RestoreLibState(state); err != nil {
+				t.Fatal(err)
+			}
+			for _, pr := range r.peers { // the others' own snapshots would say the same
+				j3.Rank(pr.world).peer(0).sendSeq = pr.recvSeq
+			}
+			got = make([]float64, 4)
+			j3.LaunchAll(func(e *Env) {
+				w := e.World()
+				switch e.Rank() {
+				case 0:
+					w.AdvanceCollSeq(2)
+					got[0] = pollAgree(e, w, 7)
+				case 1:
+					w.AdvanceCollSeq(1)
+					got[1] = e.bcast(w, 0, payload{}).f64(0)
+					got[2] = pollAgree(e, w, 8)
+				case 2:
+					w.AdvanceCollSeq(3)
+					got[3] = e.bcast(w, 0, payload{}).f64(0)
+				}
+			})
+			run(t, k3)
+			for i, v := range got {
+				if v != agreed {
+					t.Errorf("restored job: result %d is %v, want %v", i, v, float64(agreed))
+				}
+			}
+		})
+	}
+}
+
 // allocatedBy reports the heap bytes allocated while building and running a
 // job.
 func allocatedBy(t *testing.T, ranks int, cfg Config, body func(e *Env)) uint64 {
@@ -367,6 +503,41 @@ func TestSelfSendFailsRun(t *testing.T) {
 	}
 	if !returned {
 		t.Fatal("the failed send left its caller blocked")
+	}
+}
+
+// A peer rank outside the communicator fails the run with one mpi error and
+// returns as a self-send does, instead of panicking the sender's process or
+// leaving the receiver waiting for a rank that cannot send.
+func TestBadRankFailsRun(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(e *Env)
+		want string
+	}{
+		{"Send to 99", func(e *Env) { e.Send(e.World(), 99, 0, []byte("x")) },
+			"mpi: rank 0: send to comm rank 99 out of range [0,4)"},
+		{"Recv from 99", func(e *Env) { e.Recv(e.World(), 99, 0) },
+			"mpi: rank 0: receive from comm rank 99 out of range [0,4)"},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			k, j := newTestJob(t, 4)
+			returned := false
+			j.Launch(0, func(e *Env) {
+				tc.call(e)
+				returned = true
+			})
+			for i := 1; i < 4; i++ {
+				j.Launch(i, func(e *Env) {})
+			}
+			if err := k.Run(); err == nil || err.Error() != tc.want {
+				t.Fatalf("Run() = %v, want %q", err, tc.want)
+			}
+			if !returned {
+				t.Fatal("the failed call left its caller blocked")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"gbcr/internal/ib"
@@ -19,18 +21,25 @@ const (
 // if the sender supplied them. Everything the model charges — wire size, the
 // eager/rendezvous choice, the logging copy, the buffered and logged byte
 // counters, Status.Size — comes from size; data is allocated and copied only
-// when there is some. data is nil (a size-only message, whose receiver gets
+// when there is some. data is nil (a data-less message, whose receiver gets
 // nil data) or has len(data) == size.
+//
+// The bytes of a data-less payload are word's 8 little-endian bytes followed
+// by zeros: a size-only message is word == 0, and the library's own 8-byte
+// agreements (CollectiveCheckpoint) carry their value in word, so they
+// allocate nothing anywhere on their path.
 type payload struct {
 	size int64
 	data []byte
+	word uint64
 }
 
 // content is the payload of a send whose bytes the receiver will read.
 func content(data []byte) payload { return payload{size: int64(len(data)), data: data} }
 
 // clone returns a payload that shares no memory with p: the communication
-// buffer of an eager send, a sender-log entry, a replayed delivery.
+// buffer of an eager send, a sender-log entry, a replayed delivery. The word
+// is copied by value.
 func (p payload) clone() payload {
 	if p.data != nil {
 		buf := make([]byte, len(p.data))
@@ -38,6 +47,31 @@ func (p payload) clone() payload {
 		p.data = buf
 	}
 	return p
+}
+
+// f64 returns element i of p read as a little-endian float64 vector, from
+// data when there is some and by the rule above otherwise.
+func (p payload) f64(i int) float64 {
+	if p.data != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(p.data[8*i:]))
+	}
+	if i == 0 {
+		return math.Float64frombits(p.word)
+	}
+	return 0
+}
+
+// fold combines got into p element-wise with op, both read as float64
+// vectors of p's length: in place in p's bytes, or in its word when it has
+// none. It is the per-hop step of Env.reduce.
+func (p *payload) fold(got payload, op Op) {
+	if p.data == nil {
+		p.word = math.Float64bits(op(p.f64(0), got.f64(0)))
+		return
+	}
+	for i := 0; 8*i < len(p.data); i++ {
+		binary.LittleEndian.PutUint64(p.data[8*i:], math.Float64bits(op(p.f64(i), got.f64(i))))
+	}
 }
 
 // pktKind tags what a wirePkt is.
@@ -111,11 +145,12 @@ func (j *Job) newPkt(kind pktKind) *wirePkt {
 
 // inMsg is an arrived-but-unmatched message envelope. It is built on the
 // stack at arrival and copied into the unexpected queue only if no posted
-// receive matches.
+// receive matches. The two ranks are int32 so that the payload's word leaves
+// it at 80 B.
 type inMsg struct {
 	comm     int64
-	srcComm  int
-	srcWorld int
+	srcComm  int32
+	srcWorld int32
 	tag      int
 	eager    bool
 	payload         // eager: the message; rendezvous: the announced size, no data yet
@@ -288,11 +323,11 @@ func (r *Rank) arriveEager(srcWorld int, m *wirePkt) {
 	if r.noteSeq(srcWorld, m.seq) {
 		return
 	}
-	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+	msg := inMsg{comm: m.comm, srcComm: int32(m.srcComm), srcWorld: int32(srcWorld),
 		tag: m.tag, eager: true, payload: m.payload}
 	if req := r.matchPosted(&msg); req != nil {
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_matched").Inc()
-		r.emit(obs.KindMatchEager, msg.srcComm, m.size, int64(msg.tag))
+		r.emit(obs.KindMatchEager, int(msg.srcComm), m.size, int64(msg.tag))
 		r.deliver(req, &msg)
 		return
 	}
@@ -307,7 +342,7 @@ func (r *Rank) arriveRTS(srcWorld int, m *wirePkt) {
 		r.sendCTS(srcWorld, m.sendID, &Request{r: r, discard: true})
 		return
 	}
-	msg := inMsg{comm: m.comm, srcComm: m.srcComm, srcWorld: srcWorld,
+	msg := inMsg{comm: m.comm, srcComm: int32(m.srcComm), srcWorld: int32(srcWorld),
 		tag: m.tag, payload: payload{size: m.size}, sendID: m.sendID}
 	if req := r.matchPosted(&msg); req != nil {
 		r.grantRendezvous(req, &msg)
@@ -329,9 +364,9 @@ func (r *Rank) addUnexpected(msg inMsg) {
 // grantRendezvous registers the receive and sends CTS back to the sender.
 func (r *Rank) grantRendezvous(req *Request, msg *inMsg) {
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_granted").Inc()
-	r.emit(obs.KindRdvGrant, msg.srcComm, msg.size, int64(msg.tag))
-	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
-	r.sendCTS(msg.srcWorld, msg.sendID, req)
+	r.emit(obs.KindRdvGrant, int(msg.srcComm), msg.size, int64(msg.tag))
+	req.status = Status{Source: int(msg.srcComm), Tag: msg.tag, Size: msg.size}
+	r.sendCTS(int(msg.srcWorld), msg.sendID, req)
 }
 
 // rdvSlot is one entry of a rank's rendezvous table: the request a peer's CTS
@@ -416,7 +451,7 @@ func (r *Rank) arriveData(m *wirePkt) {
 	if req == nil || req.discard {
 		return // unknown id (the run has failed), or a duplicate re-send: the payload is dropped
 	}
-	req.payload = payload{size: req.status.Size, data: m.data}
+	req.payload = payload{size: req.status.Size, data: m.data, word: m.word}
 	r.completeReq(req)
 }
 
@@ -457,7 +492,7 @@ func (r *Rank) matchUnexpected(req *Request) (msg inMsg, ok bool) {
 // alloc-free
 func (r *Rank) deliver(req *Request, msg *inMsg) {
 	req.payload = msg.payload
-	req.status = Status{Source: msg.srcComm, Tag: msg.tag, Size: msg.size}
+	req.status = Status{Source: int(msg.srcComm), Tag: msg.tag, Size: msg.size}
 	r.completeReq(req)
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 )
@@ -65,27 +66,34 @@ type libState struct {
 const libStateV2Magic = "gbcr/libstate/v2\n"
 
 // logEntry is one sender-log record: the payload copy made at send time plus
-// the envelope needed to replay it as an eager delivery.
+// the envelope needed to replay it as an eager delivery. srcComm and tag are
+// int32 (a tag stays below 2^31 until a communicator has run 2^30
+// collectives) so that the payload's word leaves it at 64 B.
 type logEntry struct {
 	comm    int64
-	srcComm int
-	tag     int
+	srcComm int32
+	tag     int32
 	seq     int64
 	payload
 }
 
 // captured returns the bytes a snapshot records for p: its content, or for a
-// size-only payload that many zero bytes, built for the encoder and dropped
-// with it. The gob structs keep their v1/v2 shape (a new field would put its
-// name in every snapshot's type descriptor), and their length is part of the
-// timing model: Snapshot.Size() adds len(LibState) to the storage write. A
-// size-only message therefore costs the same image bytes as a zero-filled
-// one, and RestoreLibState brings it back as zero-filled content.
+// data-less payload its bytes by the payload rule — the word's 8 bytes, then
+// zeros to its length — built for the encoder and dropped with it. The gob
+// structs keep their v1/v2 shape (a new field would put its name in every
+// snapshot's type descriptor), and their length is part of the timing model:
+// Snapshot.Size() adds len(LibState) to the storage write. A data-less
+// message therefore costs the same image bytes as the content it stands for,
+// and RestoreLibState brings it back as that content.
 func (p payload) captured() []byte {
-	if p.data == nil {
-		return make([]byte, p.size)
+	if p.data != nil {
+		return p.data
 	}
-	return p.data
+	b := make([]byte, p.size)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], p.word)
+	copy(b, w[:])
+	return b
 }
 
 // seqEntry serializes one peer's sequence counter.
@@ -125,12 +133,19 @@ type libStateV2 struct {
 }
 
 // CaptureLibState serializes the rank's library state for a snapshot: the
-// unexpected-message queue and the deferred-send outbox. It must be called
-// at a quiesced boundary: no posted receives, no pending rendezvous
-// transfers, and only eager traffic in the queues — the discipline
-// functional-restart workloads follow (timing-only runs never call it).
-// Size-only messages are written as zero bytes of their length (see
-// payload.captured).
+// unexpected-message queue and the deferred-send outbox, and in LogMessages
+// mode (the v2 format) the per-peer sequence counters and the sender-based
+// message log, all in ascending peer order, a peer listed under a field only
+// where that field is non-zero. It must be called at a quiesced boundary: no
+// posted receives, no pending rendezvous transfers, and only eager traffic in
+// the queues — the discipline functional-restart workloads follow
+// (timing-only runs never call it). A data-less message is written as the
+// bytes the payload rule gives it (see payload.captured).
+//
+// Every gob slice is allocated once, with room for all its entries: under
+// uncoord the whole sender log is re-serialised at every capture, and growing
+// it by doubling was about a third of what logged_uncoord allocates. Gob
+// writes no capacity, so the bytes are the same.
 func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
@@ -140,54 +155,29 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has pending rendezvous at capture", r.world)
 		}
 	}
-	if r.job.cfg.LogMessages {
-		return r.captureLibStateV2()
-	}
-	st := libState{CommIndex: r.commIndex}
+	logging := r.job.cfg.LogMessages
+	st := libStateV2{Unexpected: make([]savedMsg, 0, len(r.unexpected)), CommIndex: r.commIndex}
 	for _, m := range r.unexpected {
 		if !m.eager {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
 		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
+			Comm: m.comm, SrcComm: int(m.srcComm), SrcWorld: int(m.srcWorld), Tag: m.tag, Data: m.captured(),
 		})
 	}
-	// Outboxes go in ascending destination order — the order of r.peers — so
-	// the gob bytes, and the replay order of restored sends, depend on whom
-	// the rank talked to and not on when it first did.
+	deferred, logged := 0, 0
 	for i := range r.peers {
-		pr := &r.peers[i]
-		for _, it := range pr.outbox {
-			we := it.pkt
-			if we.kind != pktEager {
-				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
-			}
-			st.Outbox = append(st.Outbox, savedOut{
-				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Data: we.captured(),
-			})
-		}
+		deferred += len(r.peers[i].outbox)
+		logged += len(r.peers[i].log)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
+	st.Outbox = make([]savedOutV2, 0, deferred)
+	if logging {
+		st.SendSeq, st.RecvSeq = make([]seqEntry, 0, len(r.peers)), make([]seqEntry, 0, len(r.peers))
+		st.Log = make([]savedLog, 0, logged)
 	}
-	return buf.Bytes(), nil
-}
-
-// captureLibStateV2 is the LogMessages-mode capture: the v1 queues plus the
-// per-peer sequence counters and the sender-based message log, all in
-// ascending peer order, a peer listed under a field only where that field is
-// non-zero.
-func (r *Rank) captureLibStateV2() ([]byte, error) {
-	st := libStateV2{CommIndex: r.commIndex}
-	for _, m := range r.unexpected {
-		if !m.eager {
-			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
-		}
-		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: m.srcComm, SrcWorld: m.srcWorld, Tag: m.tag, Data: m.captured(),
-		})
-	}
+	// Peers in ascending order make the gob bytes, and the replay order of
+	// restored sends, depend on whom the rank talked to and not on when it
+	// first did.
 	for i := range r.peers {
 		pr := &r.peers[i]
 		for _, it := range pr.outbox {
@@ -199,6 +189,9 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(),
 			})
 		}
+		if !logging {
+			continue
+		}
 		if pr.sendSeq != 0 {
 			st.SendSeq = append(st.SendSeq, seqEntry{Peer: pr.world, Seq: pr.sendSeq})
 		}
@@ -207,60 +200,45 @@ func (r *Rank) captureLibStateV2() ([]byte, error) {
 		}
 		for _, le := range pr.log {
 			st.Log = append(st.Log, savedLog{
-				Dst: pr.world, Comm: le.comm, SrcComm: le.srcComm, Tag: le.tag, Seq: le.seq, Data: le.captured(),
+				Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(),
 			})
 		}
 	}
 	var buf bytes.Buffer
-	buf.WriteString(libStateV2Magic)
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
+	if logging {
+		buf.WriteString(libStateV2Magic)
+		err := gob.NewEncoder(&buf).Encode(st)
+		return buf.Bytes(), err
 	}
-	return buf.Bytes(), nil
+	// Gob names the types in its stream: v1 bytes need the v1 types.
+	v1 := libState{Unexpected: st.Unexpected, Outbox: make([]savedOut, len(st.Outbox)), CommIndex: st.CommIndex}
+	for i, o := range st.Outbox {
+		v1.Outbox[i] = savedOut{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
+	}
+	err := gob.NewEncoder(&buf).Encode(v1)
+	return buf.Bytes(), err
 }
 
-// RestoreLibState reconstructs queues captured by CaptureLibState on a fresh
+// RestoreLibState reconstructs the state CaptureLibState recorded on a fresh
 // rank (before its body is launched). Deferred sends are re-posted; they
-// re-establish connections on demand as the restarted job runs.
+// re-establish connections on demand as the restarted job runs, with their
+// original sequence numbers, so a copy that also arrives via log replay is
+// discarded by the receiver's duplicate check. A v1 image decodes into the v2
+// struct — gob matches fields by name — and leaves what v1 lacks zero: no
+// counters, no log, and unstamped sends.
 func (r *Rank) RestoreLibState(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	if bytes.HasPrefix(data, []byte(libStateV2Magic)) {
-		return r.restoreLibStateV2(data[len(libStateV2Magic):])
-	}
-	var st libState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	r.commIndex = 0 // the restarted body re-creates its communicators
-	for _, m := range st.Unexpected {
-		r.unexpected = append(r.unexpected, inMsg{
-			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
-			tag: m.Tag, eager: true, payload: content(m.Data),
-		})
-	}
-	for _, o := range st.Outbox {
-		pkt := r.job.newPkt(pktEager)
-		pkt.comm, pkt.srcComm, pkt.tag, pkt.payload = o.Comm, o.SrcComm, o.Tag, content(o.Data)
-		r.post(r.peer(o.Dst), outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
-	}
-	return nil
-}
-
-// restoreLibStateV2 reconstructs LogMessages-mode state: queues, per-peer
-// sequence counters, and the sender log. Deferred sends re-post with their
-// original sequence numbers, so a copy that also arrives via log replay is
-// discarded by the receiver's duplicate check.
-func (r *Rank) restoreLibStateV2(data []byte) error {
 	var st libStateV2
+	data, _ = bytes.CutPrefix(data, []byte(libStateV2Magic))
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {
 		r.unexpected = append(r.unexpected, inMsg{
-			comm: m.Comm, srcComm: m.SrcComm, srcWorld: m.SrcWorld,
+			comm: m.Comm, srcComm: int32(m.SrcComm), srcWorld: int32(m.SrcWorld),
 			tag: m.Tag, eager: true, payload: content(m.Data),
 		})
 	}
@@ -273,7 +251,7 @@ func (r *Rank) restoreLibStateV2(data []byte) error {
 	for _, le := range st.Log {
 		pr := r.peer(le.Dst)
 		pr.log = append(pr.log,
-			logEntry{comm: le.Comm, srcComm: le.SrcComm, tag: le.Tag, seq: le.Seq, payload: content(le.Data)})
+			logEntry{comm: le.Comm, srcComm: int32(le.SrcComm), tag: int32(le.Tag), seq: le.Seq, payload: content(le.Data)})
 	}
 	for _, o := range st.Outbox {
 		pkt := r.job.newPkt(pktEager)
@@ -309,8 +287,8 @@ func (j *Job) ReplayLogs() int {
 				}
 				from.recvSeq = le.seq
 				d.unexpected = append(d.unexpected, inMsg{
-					comm: le.comm, srcComm: le.srcComm, srcWorld: src,
-					tag: le.tag, eager: true, payload: le.clone(),
+					comm: le.comm, srcComm: le.srcComm, srcWorld: int32(src),
+					tag: int(le.tag), eager: true, payload: le.clone(),
 				})
 				injected++
 			}

@@ -84,13 +84,13 @@ cover:
 # (a sub-package counts toward its parent: internal/cr includes cr/protocol),
 # then the analyzer fixtures. ROADMAP's code-diet items quote this table, and
 # its decision 3 is a ceiling here: the target fails (in CI too) when
-# internal/{cr,analysis,mpi} together grow past 5,900 lines again.
+# internal/{cr,analysis,mpi} together grow past 5,700 lines again.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec wc -l {} + | \
 		awk '$$2 != "total" { split($$2, p, "/"); n[p[1] "/" p[2]] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				diet = n["internal/cr"] + n["internal/analysis"] + n["internal/mpi"]; \
-				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 5900\n", t, diet; exit diet > 5900 }'
+				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 5700\n", t, diet; exit diet > 5700 }'
 	@find internal/analysis/testdata -name '*.go' -exec cat {} + | wc -l | \
 		awk '{ printf "%6d internal/analysis/testdata (fixtures)\n", $$1 }'
 

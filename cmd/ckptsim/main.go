@@ -115,7 +115,7 @@ func main() {
 	// group protocol; passing them with another kind is rejected, not
 	// ignored, so the printed protocol line always matches what ran.
 	kind := protocol.Kind(*proto)
-	if _, err := protocol.ForKind(kind); err != nil || kind == "" {
+	if !kind.Valid() {
 		fail("unknown -protocol %q (want group, wholejob, or uncoord)", *proto)
 	}
 	if kind != protocol.Group {
@@ -228,7 +228,6 @@ func main() {
 	case protocol.Uncoordinated:
 		cfg.CR.GroupSize = 0
 		cfg.CR.Dynamic = false
-		cfg.CR.HelperEnabled = false
 		cfg.MPI.LogMessages = true
 	}
 	cfg.Tiers.Mode = mode

@@ -54,7 +54,7 @@ func main() {
 		kinds = nil
 		for _, s := range strings.Split(*protoFlag, ",") {
 			kind := protocol.Kind(strings.TrimSpace(s))
-			if _, err := protocol.ForKind(kind); err != nil || kind == "" {
+			if !kind.Valid() {
 				fail(fmt.Errorf("unknown protocol %q in -protocol (want group, wholejob, uncoord)", s))
 			}
 			kinds = append(kinds, kind)

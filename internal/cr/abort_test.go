@@ -97,7 +97,6 @@ func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 			case protocol.Group:
 				cfg.GroupSize = 2
 			case protocol.Uncoordinated:
-				cfg.HelperEnabled = false
 				mpiCfg.LogMessages = true
 			}
 			c := finishedRankCluster(t, cfg, mpiCfg)
@@ -196,7 +195,6 @@ func TestFinishedRankCheckpointsOnceAfterAbort(t *testing.T) {
 func TestUncoordFinishedRankRetriesLocally(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Protocol = protocol.Uncoordinated
-	cfg.HelperEnabled = false
 	mpiCfg := mpi.DefaultConfig()
 	mpiCfg.LogMessages = true
 	c := finishedRankUnderOutage(t, cfg, mpiCfg)

@@ -580,7 +580,7 @@ func (c *Controller) teardownBusy() bool {
 // phase. A capture failure fails the run and returns nil.
 func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 	var app, lib []byte
-	if c.co.cfg.CaptureState {
+	if c.co.cfg.Polled {
 		var err error
 		if c.CaptureFn != nil {
 			if app, err = c.CaptureFn(); err != nil {

@@ -32,10 +32,9 @@ type Coordinator struct {
 
 	// proto is the resolved coordination protocol; tag is the protocol label
 	// appended to cycle events when a protocol was selected explicitly
-	// (empty for default-config runs, keeping their traces byte-identical to
-	// the pre-protocol-interface engine). cyclesName names the per-protocol
-	// cycle counter, built once.
-	proto      protocol.Protocol
+	// (empty for default-config runs, whose traces carry no protocol name).
+	// cyclesName names the per-protocol cycle counter, built once.
+	proto      protocol.Kind
 	tag        string
 	cyclesName string
 
@@ -62,7 +61,7 @@ type Coordinator struct {
 	OnCycleDone func(rep *CycleReport)
 
 	// PhaseHook, if non-nil, observes every per-rank protocol phase entry:
-	// phase is drawn from the protocol's phase vocabulary (Protocol.Phases:
+	// phase is drawn from the protocol's phase vocabulary (Kind.Phases:
 	// all four for the blocking protocols, write and resume for the
 	// uncoordinated one), and epoch is the epoch the cycle is building
 	// (committed epochs + 1). The fault injector uses it to target "rank R
@@ -113,7 +112,7 @@ func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinat
 		ep:         ep,
 		proto:      proto,
 		snaps:      blcr.NewStore(job.Size()),
-		cyclesName: "cycles_" + string(proto.Kind()),
+		cyclesName: "cycles_" + string(proto),
 	}
 	h.Bind(co.snaps)
 	if cfg.Protocol != "" {
@@ -136,7 +135,7 @@ func (co *Coordinator) Controller(rank int) *Controller { return co.ctls[rank] }
 
 // Protocol returns the resolved coordination protocol. Restart paths use it
 // to select the restart line, the fault layer to resolve phase names.
-func (co *Coordinator) Protocol() protocol.Protocol { return co.proto }
+func (co *Coordinator) Protocol() protocol.Kind { return co.proto }
 
 // Snapshots returns the archive of completed checkpoints.
 func (co *Coordinator) Snapshots() *blcr.Store { return co.snaps }

@@ -34,8 +34,8 @@ type Config struct {
 	// Protocol selects the coordination protocol (see cr/protocol): "group"
 	// (default), "wholejob", or "uncoord". The empty value resolves to the
 	// group-based protocol; a GroupSize of zero (or >= the job size) under
-	// the default then delegates to the whole-job implementation, which is
-	// the same engine path the implicit special case always took.
+	// the default then resolves to the whole-job protocol, which is the same
+	// engine path the implicit special case always took.
 	Protocol protocol.Kind
 	// GroupSize is the static checkpoint group size. Zero (or >= the job
 	// size) means all processes checkpoint at once: the regular coordinated
@@ -46,17 +46,16 @@ type Config struct {
 	// size and is the fallback when the application communicates globally.
 	Dynamic bool
 	// HelperEnabled activates the passive-coordination helper thread on
-	// ranks outside the checkpointing group (Section 4.4). Disabling it is
-	// the asynchronous-progress ablation.
+	// ranks outside the checkpointing group (Section 4.4), under blocking
+	// protocols only. Disabling it is the asynchronous-progress ablation.
 	HelperEnabled bool
-	// Polled makes safe-point requests non-interrupting: they are served at
-	// the application's next library call or MaybeCheckpoint boundary.
-	// Functional-restart runs use this; timing runs interrupt like a BLCR
-	// signal.
+	// Polled selects the functional-restart discipline: safe-point requests
+	// do not interrupt but are served at the application's next library call
+	// or MaybeCheckpoint boundary, and every snapshot records the
+	// application and library state a restart resumes from. Timing runs
+	// leave it off: they interrupt like a BLCR signal and write images of
+	// the footprint's size only.
 	Polled bool
-	// CaptureState records application and library state blobs in each
-	// snapshot (required for functional restart; timing runs skip it).
-	CaptureState bool
 	// DefaultFootprint is the per-process checkpoint image size used when a
 	// rank has no footprint function installed.
 	DefaultFootprint int64
@@ -122,11 +121,11 @@ func (cfg Config) protocolOptions(n int, logging bool) protocol.Options {
 // ResolveProtocol resolves and validates the configured coordination
 // protocol for an n-rank job; logging is mpi.Config.LogMessages. A group
 // configuration whose static schedule degenerates to a single group
-// (GroupSize zero or >= n, not dynamic) delegates to the explicit whole-job
+// (GroupSize zero or >= n, not dynamic) resolves to the explicit whole-job
 // protocol — the ICPP'06 baseline was always this engine path, so the
-// delegation is exact. The harness calls it to front-run constructor errors
+// resolution is exact. The harness calls it to front-run constructor errors
 // and to read the protocol's phase vocabulary before a cluster exists.
-func (cfg Config) ResolveProtocol(n int, logging bool) (protocol.Protocol, error) {
+func (cfg Config) ResolveProtocol(n int, logging bool) (protocol.Kind, error) {
 	kind := cfg.Protocol
 	if kind == "" || kind == protocol.Group {
 		if !cfg.Dynamic && (cfg.GroupSize <= 0 || cfg.GroupSize >= n) {
@@ -135,14 +134,10 @@ func (cfg Config) ResolveProtocol(n int, logging bool) (protocol.Protocol, error
 			kind = protocol.Group
 		}
 	}
-	p, err := protocol.ForKind(kind)
-	if err != nil {
-		return nil, err
+	if err := kind.Validate(cfg.protocolOptions(n, logging)); err != nil {
+		return "", err
 	}
-	if err := p.Validate(cfg.protocolOptions(n, logging)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return kind, nil
 }
 
 // CoordinatorID is the endpoint id the global coordinator uses on the

@@ -3,7 +3,7 @@ package protocol
 import "fmt"
 
 // Phase is one step of the paper's per-rank checkpointing cycle (§3). The
-// set is closed and it is a type: Protocol.Phases, the coordinator's
+// set is closed and it is a type: Kind.Phases, the coordinator's
 // PhaseHook and fault.Fault.Phase all carry a Phase, so a protocol cannot
 // declare, and the engine cannot report, a phase the fault injector does not
 // know. The zero value is no phase (a fault without a phase trigger).

@@ -1,6 +1,6 @@
-// Package protocol defines the pluggable coordination-protocol boundary of
-// the checkpoint/restart stack. A Protocol bundles the decisions that
-// distinguish one C/R coordination scheme from another:
+// Package protocol is the coordination-protocol policy of the
+// checkpoint/restart stack. A Kind names one scheme, and its methods hold the
+// decisions that distinguish it from the others:
 //
 //   - how a cycle's schedule is planned (which ranks checkpoint together,
 //     and in what order);
@@ -11,15 +11,16 @@
 //   - restart-line selection (which archived snapshots a restarted job
 //     resumes from).
 //
-// Restart-line selection lives behind the interface because it is the dual
-// of the commit rule: a protocol that commits whole epochs atomically may
-// only ever restart from a complete epoch, while a protocol with per-rank
-// durability must compute a per-rank recovery line. Letting the harness pick
-// snapshots directly would silently couple it to one commit scheme.
+// Restart-line selection is policy because it is the dual of the commit
+// rule: a protocol that commits whole epochs atomically may only ever restart
+// from a complete epoch, while a protocol with per-rank durability must
+// compute a per-rank recovery line.
 //
-// The engine that executes a protocol (coordinator, controllers, OOB
-// messaging, safe points) stays in package cr; implementations here are pure
-// policy over plain data, so they stay trivially deterministic and testable.
+// The set of kinds is closed. The engine that executes a protocol
+// (coordinator, controllers, OOB messaging, safe points) stays in package cr
+// and branches on Blocking, so a new scheme is a new constant here plus the
+// engine branches it needs. The methods are pure policy over plain data, so
+// they stay trivially deterministic and testable.
 package protocol
 
 import (
@@ -28,8 +29,9 @@ import (
 	"gbcr/internal/blcr"
 )
 
-// Kind names a coordination protocol. The zero value selects the default
-// (group-based blocking coordination, the paper's contribution).
+// Kind names a coordination protocol. The zero value is not a kind of its
+// own: cr.Config.ResolveProtocol reads it as Group (group-based blocking
+// coordination, the paper's contribution).
 type Kind string
 
 // The protocol zoo.
@@ -38,17 +40,27 @@ const (
 	// groups take turns, cross-group traffic is deferred, and an epoch
 	// commits atomically once every rank saved.
 	Group Kind = "group"
-	// WholeJob is the ICPP'06 baseline: every rank checkpoints at once, a
-	// single group covering the job. It is the explicit form of the
-	// group-protocol special case GroupSize 0 (or >= N).
+	// WholeJob is the ICPP'06 baseline: one group covering the job, so the
+	// entire application stops, flushes, writes, and resumes as a unit. It
+	// runs the same four-phase member machine as Group, with one turn and no
+	// cross-group gating; it is the explicit form of the group-protocol
+	// special case GroupSize 0 (or >= N).
 	WholeJob Kind = "wholejob"
 	// Uncoordinated is uncoordinated C/R with sender-based message logging:
 	// ranks checkpoint independently (no synchronization, no send gating, no
-	// connection teardown), every sent message is logged, and restart
-	// computes a per-rank recovery line, replaying logged messages that the
-	// restarted receivers had not yet incorporated.
+	// connection teardown), so a member's cycle collapses to write-then-resume.
+	// Every sent message is logged, each snapshot is a restart candidate once
+	// its own write completes (per-rank durability, no epoch commit), and
+	// restart computes a per-rank recovery line, replaying logged messages
+	// that the restarted receivers had not yet incorporated.
 	Uncoordinated Kind = "uncoord"
 )
+
+// Kinds lists the available protocols.
+func Kinds() []Kind { return []Kind{Group, WholeJob, Uncoordinated} }
+
+// kindNames spells each kind out in Validate's messages.
+var kindNames = map[Kind]string{Group: "group", WholeJob: "whole-job", Uncoordinated: "uncoordinated"}
 
 // Options is the protocol-relevant slice of the C/R configuration, handed to
 // Validate and Plan. It mirrors cr.Config fields rather than importing them
@@ -87,56 +99,100 @@ func (l Line) Empty() bool {
 	return true
 }
 
-// Protocol is one coordination scheme's policy surface. Implementations are
-// stateless values; all state lives in the engine and the snapshot store.
-type Protocol interface {
-	// Kind names the protocol.
-	Kind() Kind
-	// Phases is the per-rank phase vocabulary in cycle order. Fault specs
-	// targeting a phase outside this vocabulary are configuration errors.
-	Phases() []Phase
-	// Validate rejects option combinations the protocol cannot honor.
-	Validate(o Options) error
-	// Plan forms the cycle schedule: groups checkpoint in slice order, ranks
-	// within a group together. traffic (per-rank destination message counts)
-	// is only consulted by dynamic formation and may be nil otherwise.
-	Plan(o Options, traffic []map[int]int64) [][]int
-	// Blocking reports whether the protocol synchronizes ranks and gates
-	// cross-line traffic during a cycle. Non-blocking protocols checkpoint
-	// every rank independently and rely on logging for consistency.
-	Blocking() bool
-	// RestartLine selects the snapshots a restarted job resumes from.
-	RestartLine(snaps *blcr.Store) Line
-}
+// Valid reports whether k names a protocol. The empty Kind is not one.
+func (k Kind) Valid() bool { return kindNames[k] != "" }
 
-// ForKind resolves a protocol by name; the empty Kind resolves to Group.
-func ForKind(k Kind) (Protocol, error) {
-	switch k {
-	case "", Group:
-		return groupBased{}, nil
-	case WholeJob:
-		return wholeJob{}, nil
-	case Uncoordinated:
-		return uncoordinated{}, nil
-	default:
-		return nil, fmt.Errorf("protocol: unknown protocol %q (have %v)", k, Kinds())
+// Blocking reports whether the protocol synchronizes ranks and gates
+// cross-line traffic during a cycle. A non-blocking protocol checkpoints
+// every rank independently and relies on logging for consistency.
+func (k Kind) Blocking() bool { return k != Uncoordinated }
+
+// Phases is the per-rank phase vocabulary in cycle order. Fault specs
+// targeting a phase outside it are configuration errors. The blocking
+// protocols run the MVAPICH2-style four-phase cycle: Initial Synchronization,
+// Pre-checkpoint Coordination (channel flush + connection teardown), Local
+// Checkpointing, Post-checkpoint Coordination. The uncoordinated one has no
+// sync and no teardown: a member goes straight from its safe point to the
+// local write. Callers share the slice and must not write it.
+func (k Kind) Phases() []Phase {
+	if !k.Blocking() {
+		return cyclePhases[2:]
 	}
+	return cyclePhases
 }
 
-// Kinds lists the available protocols.
-func Kinds() []Kind { return []Kind{Group, WholeJob, Uncoordinated} }
+var cyclePhases = []Phase{PhaseSync, PhaseTeardown, PhaseWrite, PhaseResume}
 
-// completeLine is the shared restart-line rule of the blocking protocols:
-// the newest committed epoch whose every snapshot still verifies, uniform
-// across ranks. It is the read side of the atomic two-phase epoch commit.
-func completeLine(snaps *blcr.Store) Line {
-	epoch, byRank, skipped := snaps.LatestVerified()
-	line := Line{Snaps: make([]*blcr.Snapshot, snaps.Size()), Skipped: skipped}
-	if epoch == 0 {
+// Validate rejects option combinations the protocol cannot honor. The group
+// protocol accepts every engine option: it is the scheme the engine was built
+// around. Options that would partition the job contradict the whole-job
+// protocol's one-group definition, and the uncoordinated one forms no groups
+// and needs logging.
+func (k Kind) Validate(o Options) error {
+	if !k.Valid() {
+		return fmt.Errorf("protocol: unknown protocol %q (have %v)", k, Kinds())
+	}
+	if o.N <= 0 {
+		return fmt.Errorf("protocol: %s protocol needs at least one rank, got %d", kindNames[k], o.N)
+	}
+	partial := o.GroupSize > 0 && o.GroupSize < o.N
+	switch {
+	case k == WholeJob && o.Dynamic:
+		return fmt.Errorf("protocol: whole-job protocol does not form dynamic groups")
+	case k == WholeJob && partial:
+		return fmt.Errorf("protocol: whole-job protocol cannot honor group size %d (< %d ranks); use the group protocol", o.GroupSize, o.N)
+	case k == Uncoordinated && o.Dynamic:
+		return fmt.Errorf("protocol: uncoordinated protocol does not form groups; drop Dynamic")
+	case k == Uncoordinated && partial:
+		return fmt.Errorf("protocol: uncoordinated protocol does not form groups; drop GroupSize %d", o.GroupSize)
+	case k == Uncoordinated && !o.Logging:
+		return fmt.Errorf("protocol: uncoordinated protocol requires sender-based message logging; set mpi.Config.LogMessages")
+	}
+	return nil
+}
+
+// Plan forms the cycle schedule: groups checkpoint in slice order, ranks
+// within a group together. The group protocol forms them statically or from
+// traffic (Section 4.1); traffic (per-rank destination message counts) is
+// only consulted by dynamic formation and may be nil otherwise. The whole-job
+// protocol plans one group of all ranks, and the uncoordinated one makes
+// every rank a singleton with no ordering: all "groups" run concurrently.
+func (k Kind) Plan(o Options, traffic []map[int]int64) [][]int {
+	switch {
+	case k == Uncoordinated:
+		groups := make([][]int, o.N)
+		for r := range groups {
+			groups[r] = []int{r}
+		}
+		return groups
+	case k == WholeJob:
+		return FormStaticGroups(o.N, 0)
+	case o.Dynamic:
+		return FormDynamicGroups(o.N, o.GroupSize, traffic)
+	}
+	return FormStaticGroups(o.N, o.GroupSize)
+}
+
+// RestartLine selects the snapshots a restarted job resumes from. The
+// blocking protocols commit whole epochs atomically, so their line is the
+// newest committed epoch whose every snapshot still verifies, uniform across
+// ranks. The uncoordinated line is per rank: each rank's newest durable
+// snapshot that still verifies, independently of every other rank's, with
+// message-log replay bridging the resulting epoch skew.
+func (k Kind) RestartLine(snaps *blcr.Store) Line {
+	line := Line{Snaps: make([]*blcr.Snapshot, snaps.Size())}
+	if !k.Blocking() {
+		for rank := range line.Snaps {
+			_, s, skipped := snaps.LatestRankDurable(rank)
+			line.Snaps[rank] = s
+			line.Skipped += skipped
+		}
 		return line
 	}
+	_, byRank, skipped := snaps.LatestVerified() // byRank is nil without a usable epoch
 	for rank := range line.Snaps {
 		line.Snaps[rank] = byRank[rank]
 	}
+	line.Skipped = skipped
 	return line
 }

@@ -423,9 +423,7 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 // protocolZooConfig builds the micro-cluster configuration for one member of
 // the protocol zoo: group-based blocking as the paper runs it (checkpoint
 // group 8), whole-job blocking (the ICPP'06 baseline), and uncoordinated
-// checkpointing, which requires sender-based message logging and runs
-// without the helper thread (there is no passive-coordination state to
-// bound).
+// checkpointing, which requires sender-based message logging.
 func protocolZooConfig(kind protocol.Kind) harness.ClusterConfig {
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.Protocol = kind
@@ -437,7 +435,6 @@ func protocolZooConfig(kind protocol.Kind) harness.ClusterConfig {
 		cfg.CR.GroupSize = 0
 	case protocol.Uncoordinated:
 		cfg.CR.GroupSize = 0
-		cfg.CR.HelperEnabled = false
 		cfg.MPI.LogMessages = true
 	}
 	return cfg

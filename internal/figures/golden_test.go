@@ -14,9 +14,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // TestFigureTablesGolden pins the default-path group-based figure tables
 // byte-for-byte: Fig1 (storage scaling), Fig3 (group-size sweep), and Fig5
 // (application checkpoint times) must render and marshal to exactly the
-// committed goldens. The goldens were captured before coordination moved
-// behind the Protocol interface, so this is the refactor's no-behavior-change
-// proof for the figure pipeline. Regenerate deliberately with
+// committed goldens. The goldens were captured before coordination policy
+// moved into package cr/protocol, and they still pin it, so they are the
+// no-behavior-change proof for the figure pipeline. Regenerate deliberately with
 // `go test ./internal/figures -run Golden -update`.
 //
 // extstaging was captured from cr's private staging path before §2.1 staging

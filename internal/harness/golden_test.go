@@ -82,8 +82,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestWholeJobPathGolden pins the group=0 and group=n configurations — the
 // runs that the explicit whole-job protocol now serves — byte-for-byte
-// against traces and cycle reports captured before coordination moved behind
-// the Protocol interface. Any drift in event wording, ordering, timing, or
+// against traces and cycle reports captured before coordination policy moved
+// into package cr/protocol. Any drift in event wording, ordering, timing, or
 // per-rank records is a regression. Regenerate deliberately with
 // `go test ./internal/harness -run Golden -update`.
 func TestWholeJobPathGolden(t *testing.T) {
@@ -112,7 +112,6 @@ func TestRestartGolden(t *testing.T) {
 			cfg.CR.GroupSize = 2
 			if kind == protocol.Uncoordinated {
 				cfg.CR.GroupSize = 0
-				cfg.CR.HelperEnabled = false
 				cfg.MPI.LogMessages = true
 			}
 			var buf bytes.Buffer

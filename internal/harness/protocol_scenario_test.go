@@ -24,7 +24,6 @@ func protocolCluster(n int, kind protocol.Kind) ClusterConfig {
 		cfg.CR.GroupSize = 0
 	case protocol.Uncoordinated:
 		cfg.CR.GroupSize = 0
-		cfg.CR.HelperEnabled = false
 		cfg.MPI.LogMessages = true
 	}
 	cfg.CR.DefaultFootprint = 5 << 20

@@ -32,7 +32,6 @@ func equivCells() []Cell {
 	wholejob.CR.Protocol = protocol.WholeJob
 	uncoord := group(0)
 	uncoord.CR.Protocol = protocol.Uncoordinated
-	uncoord.CR.HelperEnabled = false
 	uncoord.MPI.LogMessages = true
 	tiered := group(2)
 	tiered.Tiers.Mode = tier.ModeHierarchy

@@ -67,7 +67,6 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	interval sim.Time, bus *obs.Bus) (AvailabilityResult, error) {
 
 	cfg.CR.Polled = true
-	cfg.CR.CaptureState = true
 	proto, err := cfg.CR.ResolveProtocol(cfg.N, cfg.MPI.LogMessages)
 	if err != nil {
 		return AvailabilityResult{}, err

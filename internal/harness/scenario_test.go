@@ -272,11 +272,7 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 		// phase-targeted crashes must come from the drawn protocol.
 		kind := protocol.Kinds()[rng.Intn(len(protocol.Kinds()))]
 		cfg.CR.Protocol = kind
-		proto, err := protocol.ForKind(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phases := proto.Phases()
+		phases := kind.Phases()
 		switch kind {
 		case protocol.Group:
 			cfg.CR.GroupSize = rng.Intn(n + 1)
@@ -284,7 +280,6 @@ func TestQuickScenarioCrashEquivalence(t *testing.T) {
 			cfg.CR.GroupSize = 0
 		case protocol.Uncoordinated:
 			cfg.CR.GroupSize = 0
-			cfg.CR.HelperEnabled = false
 			cfg.MPI.LogMessages = true
 		}
 		w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,

@@ -220,7 +220,6 @@ func TestSpilledCheckpointHasNoVulnerabilityWindow(t *testing.T) {
 func TestValidateRejectsTiersWithUncoord(t *testing.T) {
 	cfg := tieredCluster(4, tier.ModeRAM, 1)
 	cfg.CR.Protocol = protocol.Uncoordinated
-	cfg.CR.HelperEnabled = false
 	cfg.MPI.LogMessages = true
 	if err := cfg.Validate(); err == nil {
 		t.Error("tiers + uncoordinated protocol accepted")

@@ -235,27 +235,15 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 // for concurrent use.
 type Aggregate struct {
 	// shared: mutex serializes merges from concurrent Runner workers
-	mu       sync.Mutex
-	counters map[metricKey]int64      // guarded by mu
-	hists    map[metricKey]histMerged // guarded by mu
-	ckeys    []metricKey              // guarded by mu
-	hkeys    []metricKey              // guarded by mu
-}
-
-type histMerged struct {
-	count         int64
-	sum, min, max sim.Time
+	mu sync.Mutex
+	m  *Metrics // guarded by mu
 }
 
 // NewAggregate returns an empty aggregate.
-func NewAggregate() *Aggregate {
-	return &Aggregate{
-		counters: make(map[metricKey]int64),
-		hists:    make(map[metricKey]histMerged),
-	}
-}
+func NewAggregate() *Aggregate { return &Aggregate{m: NewMetrics()} }
 
-// Merge folds one snapshot into the aggregate.
+// Merge folds one snapshot into the aggregate. Empty histograms are skipped,
+// so a histogram no run observed into is not exported.
 func (a *Aggregate) Merge(s Snapshot) {
 	if a == nil {
 		return
@@ -263,55 +251,30 @@ func (a *Aggregate) Merge(s Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, c := range s.Counters {
-		k := metricKey{c.Layer, c.Name}
-		if _, ok := a.counters[k]; !ok {
-			a.ckeys = append(a.ckeys, k)
-		}
-		a.counters[k] += c.Value
+		a.m.Counter(c.Layer, c.Name).Add(c.Value)
 	}
-	for _, h := range s.Histograms {
-		if h.Count == 0 {
+	for _, v := range s.Histograms {
+		if v.Count == 0 {
 			continue
 		}
-		k := metricKey{h.Layer, h.Name}
-		cur, ok := a.hists[k]
-		if !ok {
-			a.hkeys = append(a.hkeys, k)
-			cur = histMerged{min: sim.Time(h.Min), max: sim.Time(h.Max)}
+		h := a.m.Histogram(v.Layer, v.Name)
+		if h.count == 0 || sim.Time(v.Min) < h.min {
+			h.min = sim.Time(v.Min)
 		}
-		if sim.Time(h.Min) < cur.min {
-			cur.min = sim.Time(h.Min)
+		if h.count == 0 || sim.Time(v.Max) > h.max {
+			h.max = sim.Time(v.Max)
 		}
-		if sim.Time(h.Max) > cur.max {
-			cur.max = sim.Time(h.Max)
-		}
-		cur.count += h.Count
-		cur.sum += sim.Time(h.Sum)
-		a.hists[k] = cur
+		h.count += v.Count
+		h.sum += sim.Time(v.Sum)
 	}
 }
 
 // Snapshot exports the aggregated values, sorted by (layer, name).
 func (a *Aggregate) Snapshot() Snapshot {
-	var s Snapshot
 	if a == nil {
-		return s
+		return Snapshot{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ckeys := append([]metricKey(nil), a.ckeys...)
-	sortKeys(ckeys)
-	for _, k := range ckeys {
-		s.Counters = append(s.Counters, CounterValue{Layer: k.layer, Name: k.name, Value: a.counters[k]})
-	}
-	hkeys := append([]metricKey(nil), a.hkeys...)
-	sortKeys(hkeys)
-	for _, k := range hkeys {
-		h := a.hists[k]
-		s.Histograms = append(s.Histograms, HistogramValue{
-			Layer: k.layer, Name: k.name, Count: h.count,
-			Sum: int64(h.sum), Min: int64(h.min), Max: int64(h.max),
-		})
-	}
-	return s
+	return a.m.Snapshot()
 }

@@ -34,9 +34,7 @@ func main() {
 			partner := me ^ 1
 			for i := 0; i < 60; i++ {
 				e.Compute(100 * sim.Millisecond)
-				payload := mpi.I64ToBytes([]int64{int64(me*100 + i)})
-				data, _ := e.Sendrecv(world, partner, 1, payload, partner, 1)
-				_ = data
+				e.SendrecvWord(world, partner, 1, uint64(me*100+i), partner, 1)
 			}
 		})
 		if checkpoint {

@@ -251,6 +251,17 @@ func TestEffectiveDelayReduction(t *testing.T) {
 	}
 }
 
+// firstI64 decodes the first int64 of a received message; a malformed one
+// fails the run and reads as 0.
+func firstI64(e *mpi.Env, b []byte) int64 {
+	v, err := mpi.BytesToI64(b)
+	if err != nil {
+		e.Proc().K().Fail(err)
+		return 0
+	}
+	return v[0]
+}
+
 // ringWorkload exchanges eager messages around a ring each iteration and
 // records the sum of received values.
 func ringWorkload(n, iters int, chunk sim.Time, sums []int64) func(*mpi.Env) {
@@ -262,7 +273,7 @@ func ringWorkload(n, iters int, chunk sim.Time, sums []int64) func(*mpi.Env) {
 		for i := 0; i < iters; i++ {
 			e.Compute(chunk)
 			data, _ := e.Sendrecv(w, right, 1, mpi.I64ToBytes([]int64{int64(me*1000 + i)}), left, 1)
-			sum += mpi.BytesToI64(data)[0]
+			sum += firstI64(e, data)
 		}
 		sums[me] = sum
 	}
@@ -543,7 +554,7 @@ func TestDynamicGroupsEndToEnd(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			e.Compute(50 * sim.Millisecond)
 			data, _ := e.Sendrecv(w, partner, 1, mpi.I64ToBytes([]int64{int64(me + i)}), partner, 1)
-			sum += mpi.BytesToI64(data)[0]
+			sum += firstI64(e, data)
 		}
 		results[me] = sum
 	})
@@ -1006,7 +1017,7 @@ func TestQuickCollectivesAcrossCheckpoint(t *testing.T) {
 						in = mpi.I64ToBytes([]int64{int64(i * 7)})
 					}
 					out := e.Bcast(w, i%n, in)
-					if mpi.BytesToI64(out)[0] != int64(i*7) {
+					if firstI64(e, out) != int64(i*7) {
 						good = false
 					}
 				case 2:
@@ -1017,7 +1028,7 @@ func TestQuickCollectivesAcrossCheckpoint(t *testing.T) {
 				case 3:
 					blocks := e.Allgather(w, mpi.I64ToBytes([]int64{int64(me + i)}))
 					for src, b := range blocks {
-						if mpi.BytesToI64(b)[0] != int64(src+i) {
+						if firstI64(e, b) != int64(src+i) {
 							good = false
 						}
 					}
@@ -1099,7 +1110,7 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 				partner := 3 - i
 				data, _ := e.Sendrecv(sub, sub.CommRankOf(partner), 1,
 					mpi.I64ToBytes([]int64{int64(i*100 + it)}), sub.CommRankOf(partner), 1)
-				sum += mpi.BytesToI64(data)[0]
+				sum += firstI64(e, data)
 			}
 			sums[i] = sum
 		})

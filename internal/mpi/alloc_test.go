@@ -91,6 +91,10 @@ func TestSteadyStateMessageAllocs(t *testing.T) {
 		perRound uint64 // allocations one round is allowed, summed over ranks
 	}{
 		{"eager size-only 8 B SendrecvSize ring", 4, ring(8), 0},
+		{"eager 8 B word SendrecvWord ring", 4, func(e *Env, w *Comm, i int) {
+			size := e.Size()
+			e.SendrecvWord(w, (e.Rank()+1)%size, 0, uint64(i), (e.Rank()+size-1)%size, 0)
+		}, 0},
 		{"eager empty Send/Recv ping-pong", 2, pingPong(nil), 0},
 		{"eager 8 B content ping-pong", 2, pingPong(make([]byte, 8)), 2}, // two messages, one clone each
 		{"rendezvous size-only 1 MiB SendrecvSize ring", 4, ring(1 << 20), 0},

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 )
 
@@ -14,17 +15,18 @@ func F64ToBytes(v []float64) []byte {
 	return out
 }
 
-// BytesToF64 decodes a float64 slice.
-func BytesToF64(b []byte) []float64 {
+// BytesToF64 decodes a float64 slice. A length that is not a multiple of 8
+// is a malformed datatype, which real MPI aborts on: the error is the
+// caller's to fail the run with.
+func BytesToF64(b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
-		//lint:allow-panic MPI would abort the job on a malformed datatype; this models an application bug
-		panic("mpi: float64 payload not a multiple of 8 bytes")
+		return nil, fmt.Errorf("mpi: float64 payload of %d bytes is not a multiple of 8", len(b))
 	}
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out
+	return out, nil
 }
 
 // I64ToBytes encodes an int64 slice for transmission.
@@ -36,15 +38,14 @@ func I64ToBytes(v []int64) []byte {
 	return out
 }
 
-// BytesToI64 decodes an int64 slice.
-func BytesToI64(b []byte) []int64 {
+// BytesToI64 decodes an int64 slice; see BytesToF64 for the error.
+func BytesToI64(b []byte) ([]int64, error) {
 	if len(b)%8 != 0 {
-		//lint:allow-panic MPI would abort the job on a malformed datatype; this models an application bug
-		panic("mpi: int64 payload not a multiple of 8 bytes")
+		return nil, fmt.Errorf("mpi: int64 payload of %d bytes is not a multiple of 8", len(b))
 	}
 	out := make([]int64, len(b)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out
+	return out, nil
 }

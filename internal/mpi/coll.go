@@ -110,13 +110,23 @@ func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
 	if !ok || c.myRank != root {
 		return nil
 	}
-	return BytesToF64(acc.data)
+	return e.decodeF64(acc.data)
 }
 
 // AllreduceF64 combines vectors element-wise with op and returns the result
 // on every rank (reduce to comm rank 0, then broadcast).
 func (e *Env) AllreduceF64(c *Comm, in []float64, op Op) []float64 {
-	return BytesToF64(e.allreduce(c, content(F64ToBytes(in)), op).data)
+	return e.decodeF64(e.allreduce(c, content(F64ToBytes(in)), op).data)
+}
+
+// decodeF64 is BytesToF64 for a collective's result: a malformed length fails
+// the run and decodes to nil.
+func (e *Env) decodeF64(b []byte) []float64 {
+	v, err := BytesToF64(b)
+	if err != nil {
+		e.r.job.k.Fail(err)
+	}
+	return v
 }
 
 // allreduce is reduce onto comm rank 0 and a broadcast of its result. After

@@ -391,6 +391,19 @@ func (e *Env) SendrecvSize(c *Comm, dst, sendTag int, n int64, src, recvTag int)
 	return st
 }
 
+// SendrecvWord is Sendrecv for an 8-byte scalar: w is charged and captured
+// as its 8 little-endian bytes, and rides the message without a buffer, so
+// the exchange allocates nothing. It returns the word received. A received
+// message that is not 8 bytes long fails the run, and the word is 0.
+func (e *Env) SendrecvWord(c *Comm, dst, sendTag int, w uint64, src, recvTag int) (uint64, Status) {
+	p, st := e.sendrecv(c, dst, sendTag, payload{size: 8, word: w}, src, recvTag)
+	if p.size != 8 {
+		e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: SendrecvWord received %d bytes, want 8", e.r.world, p.size))
+		return 0, st
+	}
+	return p.u64(0), st
+}
+
 // sendrecv returns what the completed receive got.
 func (e *Env) sendrecv(c *Comm, dst, sendTag int, p payload, src, recvTag int) (payload, Status) {
 	e.enter()

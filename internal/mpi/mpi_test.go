@@ -566,8 +566,8 @@ func TestDeadlockDiagnosis(t *testing.T) {
 
 func TestCodecRoundtrip(t *testing.T) {
 	f := func(v []float64) bool {
-		got := BytesToF64(F64ToBytes(v))
-		if len(got) != len(v) {
+		got, err := BytesToF64(F64ToBytes(v))
+		if err != nil || len(got) != len(v) {
 			return false
 		}
 		for i := range v {
@@ -581,8 +581,8 @@ func TestCodecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := func(v []int64) bool {
-		got := BytesToI64(I64ToBytes(v))
-		if len(got) != len(v) {
+		got, err := BytesToI64(I64ToBytes(v))
+		if err != nil || len(got) != len(v) {
 			return false
 		}
 		for i := range v {
@@ -594,6 +594,18 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A length that is not a multiple of 8 is an error for the caller to fail the
+// run with, not a panic.
+func TestCodecRejectsRaggedLength(t *testing.T) {
+	b := make([]byte, 12)
+	if v, err := BytesToF64(b); err == nil || v != nil {
+		t.Errorf("BytesToF64 of 12 bytes = %v, %v; want an error", v, err)
+	}
+	if v, err := BytesToI64(b); err == nil || v != nil {
+		t.Errorf("BytesToI64 of 12 bytes = %v, %v; want an error", v, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"runtime"
@@ -169,11 +170,11 @@ func firstDiff(a, b string) string {
 }
 
 // captureQueued puts one n-byte eager message in each place CaptureLibState
-// looks — rank 0's unexpected queue, its outbox (held by a closed gate) and
-// its sender log — and returns rank 0's captured library state.
-func captureQueued(t *testing.T, mk func(n int64) payload, n int64) []byte {
+// looks — rank 0's unexpected queue, its outbox (held by a closed gate) and,
+// when cfg logs, its sender log — and returns rank 0's captured library state.
+func captureQueued(t *testing.T, cfg Config, mk func(n int64) payload, n int64) []byte {
 	t.Helper()
-	k, j := newJobWith(t, 2, loggedConfig())
+	k, j := newJobWith(t, 2, cfg)
 	h := &spHooks{gate: map[int]bool{1: true}}
 	j.Rank(0).SetHooks(h)
 	send := func(e *Env, w *Comm, dst int) {
@@ -187,9 +188,13 @@ func captureQueued(t *testing.T, mk func(n int64) payload, n int64) []byte {
 		send(e, w, 1)
 		e.Compute(10 * sim.Millisecond) // rank 1's message arrives unexpected
 		r := e.RankState()
-		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != 1 {
-			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1 each",
-				len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log))
+		wantLog := 0
+		if cfg.LogMessages {
+			wantLog = 1
+		}
+		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != wantLog {
+			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1, 1, %d",
+				len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log), wantLog)
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {
@@ -213,8 +218,8 @@ func captureQueued(t *testing.T, mk func(n int64) payload, n int64) []byte {
 // zero-filled one, and come back from a restore as that content.
 func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 	const n = 1 << 10
-	filled := captureQueued(t, func(n int64) payload { return content(make([]byte, n)) }, n)
-	sized := captureQueued(t, func(n int64) payload { return payload{size: n} }, n)
+	filled := captureQueued(t, loggedConfig(), func(n int64) payload { return content(make([]byte, n)) }, n)
+	sized := captureQueued(t, loggedConfig(), func(n int64) payload { return payload{size: n} }, n)
 	if len(sized) < 3*n {
 		t.Fatalf("captured %d bytes: three %d-byte messages are not all in there", len(sized), n)
 	}
@@ -249,6 +254,100 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 	}
 	if !bytes.Equal(again, sized) {
 		t.Fatal("capture → restore → capture is not the identity")
+	}
+}
+
+// A SendrecvWord message held in the unexpected queue, an outbox (v1 and v2)
+// or the sender log (v2) is captured as exactly the 8 bytes I64ToBytes gives
+// its value, and after a restore — the log replayed where there is one —
+// SendrecvWord reads the value back from that content.
+func TestCaptureSendrecvWordAsContent(t *testing.T) {
+	const v = 0x0102030405060708
+	want := I64ToBytes([]int64{v})
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LogMessages = logged
+			state := captureQueued(t, cfg, func(int64) payload { return payload{size: 8, word: v} }, 8)
+			var st libStateV2
+			if err := gob.NewDecoder(bytes.NewReader(bytes.TrimPrefix(state, []byte(libStateV2Magic)))).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			captured := [][]byte{st.Unexpected[0].Data, st.Outbox[0].Data}
+			if logged {
+				captured = append(captured, st.Log[0].Data)
+			} else if len(st.Log) != 0 {
+				t.Errorf("v1 capture carries %d log entries", len(st.Log))
+			}
+			for i, b := range captured {
+				if !bytes.Equal(b, want) {
+					t.Errorf("captured message %d is % x, want % x", i, b, want)
+				}
+			}
+
+			k, j := newJobWith(t, 2, cfg)
+			if err := j.Rank(0).RestoreLibState(state); err != nil {
+				t.Fatal(err)
+			}
+			if logged && j.ReplayLogs() != 1 {
+				t.Fatal("the logged word was not replayed")
+			}
+			got := make([]uint64, 2)
+			j.LaunchAll(func(e *Env) {
+				peer := 1 - e.Rank()
+				got[e.Rank()], _ = e.SendrecvWord(e.World(), peer, 0, v, peer, 0)
+			})
+			run(t, k)
+			for r, g := range got {
+				if g != v {
+					t.Errorf("restored rank %d: SendrecvWord returned %#x, want %#x", r, g, uint64(v))
+				}
+			}
+		})
+	}
+}
+
+// SendrecvWord matched by a message that is not 8 bytes long fails the run
+// with one mpi error and returns 0, instead of panicking its process.
+func TestSendrecvWordLengthMismatchFailsRun(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	got := uint64(1)
+	j.Launch(0, func(e *Env) {
+		got, _ = e.SendrecvWord(e.World(), 1, 0, 7, 1, 0)
+	})
+	j.Launch(1, func(e *Env) {
+		e.Sendrecv(e.World(), 0, 0, make([]byte, 16), 0, 0)
+	})
+	want := "mpi: rank 0: SendrecvWord received 16 bytes, want 8"
+	if err := k.Run(); err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+	if got != 0 {
+		t.Errorf("SendrecvWord returned %d, want 0", got)
+	}
+}
+
+// Capture builds every data-less payload's bytes in one arena, so what it
+// allocates does not grow with the number of logged words: under uncoord the
+// whole log is re-serialised at every capture. The gob encoder's buffer and
+// the output buffer double as they fill, a dozen more allocations at 1,000
+// entries than at 10; a buffer an entry would be 990 more.
+func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
+	allocs := func(n int) float64 {
+		_, j := newJobWith(t, 2, loggedConfig())
+		r := j.Rank(0)
+		pr := r.peer(1)
+		for i := 1; i <= n; i++ {
+			pr.log = append(pr.log, logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := r.CaptureLibState(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many > few+50 {
+		t.Errorf("CaptureLibState makes %v allocations with 10 data-less log entries, %v with 1,000", few, many)
 	}
 }
 

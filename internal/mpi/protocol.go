@@ -25,9 +25,10 @@ const (
 // nil data) or has len(data) == size.
 //
 // The bytes of a data-less payload are word's 8 little-endian bytes followed
-// by zeros: a size-only message is word == 0, and the library's own 8-byte
-// agreements (CollectiveCheckpoint) carry their value in word, so they
-// allocate nothing anywhere on their path.
+// by zeros: a size-only message is word == 0, and 8-byte scalars — the
+// library's own agreements (CollectiveCheckpoint) and an application's
+// SendrecvWord — carry their value in word, so they allocate nothing anywhere
+// on their path.
 type payload struct {
 	size int64
 	data []byte
@@ -49,17 +50,21 @@ func (p payload) clone() payload {
 	return p
 }
 
-// f64 returns element i of p read as a little-endian float64 vector, from
-// data when there is some and by the rule above otherwise.
-func (p payload) f64(i int) float64 {
+// u64 returns 8-byte element i of p read little-endian, from data when there
+// is some — a message restored from a snapshot, replayed from a log or sent
+// by a []byte caller — and by the rule above otherwise.
+func (p payload) u64(i int) uint64 {
 	if p.data != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(p.data[8*i:]))
+		return binary.LittleEndian.Uint64(p.data[8*i:])
 	}
 	if i == 0 {
-		return math.Float64frombits(p.word)
+		return p.word
 	}
 	return 0
 }
+
+// f64 returns element i of p read as a little-endian float64 vector.
+func (p payload) f64(i int) float64 { return math.Float64frombits(p.u64(i)) }
 
 // fold combines got into p element-wise with op, both read as float64
 // vectors of p's length: in place in p's bytes, or in its word when it has

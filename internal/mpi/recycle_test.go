@@ -49,7 +49,10 @@ func (p p2pPlan) run(e *Env, w *Comm, rng *rand.Rand, id int, got *[]recvd) erro
 	}
 	for i := 0; i < p.expect[me]; i++ {
 		data, st := e.Recv(w, ANY, 1)
-		hdr := BytesToI64(data[:16])
+		hdr, err := BytesToI64(data[:16])
+		if err != nil {
+			return err
+		}
 		if int(hdr[0]) != id || st.Size != int64(len(data)) {
 			return fmt.Errorf("rank %d received a message of plan %d, %d bytes with Status.Size %d; want plan %d",
 				me, hdr[0], len(data), st.Size, id)

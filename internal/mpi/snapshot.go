@@ -79,21 +79,31 @@ type logEntry struct {
 
 // captured returns the bytes a snapshot records for p: its content, or for a
 // data-less payload its bytes by the payload rule — the word's 8 bytes, then
-// zeros to its length — built for the encoder and dropped with it. The gob
+// zeros to its length — carved from the front of *arena, the zeroed buffer
+// one capture builds all of them in and drops with the encoder. The gob
 // structs keep their v1/v2 shape (a new field would put its name in every
 // snapshot's type descriptor), and their length is part of the timing model:
 // Snapshot.Size() adds len(LibState) to the storage write. A data-less
 // message therefore costs the same image bytes as the content it stands for,
 // and RestoreLibState brings it back as that content.
-func (p payload) captured() []byte {
+func (p payload) captured(arena *[]byte) []byte {
 	if p.data != nil {
 		return p.data
 	}
-	b := make([]byte, p.size)
+	b := (*arena)[:p.size:p.size]
+	*arena = (*arena)[p.size:]
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], p.word)
 	copy(b, w[:])
 	return b
+}
+
+// arenaLen is how many bytes captured carves from the arena for p.
+func (p payload) arenaLen() int64 {
+	if p.data != nil {
+		return 0
+	}
+	return p.size
 }
 
 // seqEntry serializes one peer's sequence counter.
@@ -145,7 +155,10 @@ type libStateV2 struct {
 // Every gob slice is allocated once, with room for all its entries: under
 // uncoord the whole sender log is re-serialised at every capture, and growing
 // it by doubling was about a third of what logged_uncoord allocates. Gob
-// writes no capacity, so the bytes are the same.
+// writes no capacity, so the bytes are the same. For the same reason the
+// data-less payloads' bytes come from one arena sized in the counting pass,
+// not one buffer an entry: a logged SendrecvWord is one such entry per
+// message.
 func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
@@ -156,19 +169,36 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		}
 	}
 	logging := r.job.cfg.LogMessages
-	st := libStateV2{Unexpected: make([]savedMsg, 0, len(r.unexpected)), CommIndex: r.commIndex}
+	var zeros int64
 	for _, m := range r.unexpected {
 		if !m.eager {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
-		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: int(m.srcComm), SrcWorld: int(m.srcWorld), Tag: m.tag, Data: m.captured(),
-		})
+		zeros += m.arenaLen()
 	}
 	deferred, logged := 0, 0
 	for i := range r.peers {
-		deferred += len(r.peers[i].outbox)
-		logged += len(r.peers[i].log)
+		pr := &r.peers[i]
+		deferred += len(pr.outbox)
+		for _, it := range pr.outbox {
+			if it.pkt.kind != pktEager {
+				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
+			}
+			zeros += it.pkt.arenaLen()
+		}
+		if logging {
+			logged += len(pr.log)
+			for _, le := range pr.log {
+				zeros += le.arenaLen()
+			}
+		}
+	}
+	arena := make([]byte, zeros)
+	st := libStateV2{Unexpected: make([]savedMsg, 0, len(r.unexpected)), CommIndex: r.commIndex}
+	for _, m := range r.unexpected {
+		st.Unexpected = append(st.Unexpected, savedMsg{
+			Comm: m.comm, SrcComm: int(m.srcComm), SrcWorld: int(m.srcWorld), Tag: m.tag, Data: m.captured(&arena),
+		})
 	}
 	st.Outbox = make([]savedOutV2, 0, deferred)
 	if logging {
@@ -182,11 +212,8 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		pr := &r.peers[i]
 		for _, it := range pr.outbox {
 			we := it.pkt
-			if we.kind != pktEager {
-				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
-			}
 			st.Outbox = append(st.Outbox, savedOutV2{
-				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(),
+				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(&arena),
 			})
 		}
 		if !logging {
@@ -200,7 +227,7 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		}
 		for _, le := range pr.log {
 			st.Log = append(st.Log, savedLog{
-				Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(),
+				Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(&arena),
 			})
 		}
 	}

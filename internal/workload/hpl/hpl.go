@@ -79,6 +79,17 @@ func (inst *SolveInstance) Footprint(rank int) int64 { return inst.localBytes[ra
 
 type blockKey struct{ i, j int }
 
+// decode is mpi.BytesToF64 for a rank body, which has no caller to return an
+// error to: a malformed length fails the run and reports false.
+func decode(e *mpi.Env, b []byte) ([]float64, bool) {
+	v, err := mpi.BytesToF64(b)
+	if err != nil {
+		e.Proc().K().Fail(err)
+		return nil, false
+	}
+	return v, true
+}
+
 // run is one rank's factorization.
 func (inst *SolveInstance) run(e *mpi.Env) {
 	s := inst.cfg
@@ -122,6 +133,7 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 
 		// 1. The diagonal owner factorizes A_kk in place (combined LU).
 		var diag []float64
+		var ok bool
 		if myr == pr && myc == pc {
 			diag = local[blockKey{k, k}]
 			luFactor(diag, nb)
@@ -129,7 +141,9 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 		// 2. Broadcast the factored diagonal down the owner process column
 		// so sub-diagonal blocks can form L_ik = A_ik U_kk^{-1}.
 		if myc == pc {
-			diag = mpi.BytesToF64(e.Bcast(colComm, pr, mpi.F64ToBytes(diag)))
+			if diag, ok = decode(e, e.Bcast(colComm, pr, mpi.F64ToBytes(diag))); !ok {
+				return
+			}
 			for bi := k + 1; bi < nblk; bi++ {
 				if blk, ok := local[blockKey{bi, k}]; ok {
 					solveXU(blk, diag, nb)
@@ -139,7 +153,9 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 		// 3. Broadcast it along the owner process row so right-of-diagonal
 		// blocks can form U_kj = L_kk^{-1} A_kj.
 		if myr == pr {
-			diag = mpi.BytesToF64(e.Bcast(rowComm, pc, mpi.F64ToBytes(diag)))
+			if diag, ok = decode(e, e.Bcast(rowComm, pc, mpi.F64ToBytes(diag))); !ok {
+				return
+			}
 			for bj := k + 1; bj < nblk; bj++ {
 				if blk, ok := local[blockKey{k, bj}]; ok {
 					solveLX(blk, diag, nb)
@@ -157,7 +173,9 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 			if myc == pc {
 				buf = mpi.F64ToBytes(local[blockKey{bi, k}])
 			}
-			lblocks[bi] = mpi.BytesToF64(e.Bcast(rowComm, pc, buf))
+			if lblocks[bi], ok = decode(e, e.Bcast(rowComm, pc, buf)); !ok {
+				return
+			}
 		}
 		ublocks := make(map[int][]float64)
 		for bj := k + 1; bj < nblk; bj++ {
@@ -168,7 +186,9 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 			if myr == pr {
 				buf = mpi.F64ToBytes(local[blockKey{k, bj}])
 			}
-			ublocks[bj] = mpi.BytesToF64(e.Bcast(colComm, pr, buf))
+			if ublocks[bj], ok = decode(e, e.Bcast(colComm, pr, buf)); !ok {
+				return
+			}
 		}
 		// 5. Trailing update: A_ij -= L_ik · U_kj.
 		//lint:allow-simdeterminism each block updates independently; any order gives the same matrix
@@ -214,7 +234,11 @@ func (inst *SolveInstance) verify(e *mpi.Env, local map[blockKey][]float64) {
 				place(bi, bj, local[blockKey{bi, bj}])
 			} else {
 				data, _ := e.Recv(world, owner, 1000+bi*nblk+bj)
-				place(bi, bj, mpi.BytesToF64(data))
+				blk, ok := decode(e, data)
+				if !ok {
+					return
+				}
+				place(bi, bj, blk)
 			}
 		}
 	}

@@ -29,8 +29,8 @@ type Restartable interface {
 }
 
 // Ring is a restart-capable iterative kernel: each iteration computes, then
-// exchanges an eager message around a ring, accumulating a checksum of
-// received values. Snapshots are taken at iteration boundaries
+// exchanges an eager 8-byte word around a ring (SendrecvWord), accumulating a
+// checksum of received values. Snapshots are taken at iteration boundaries
 // (MaybeCheckpoint), so the captured state is exactly {iteration, sum}.
 type Ring struct {
 	N           int
@@ -95,9 +95,8 @@ func (w Ring) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 					e.CollectiveCheckpoint(world)
 				}
 				e.Compute(w.Chunk)
-				out := mpi.I64ToBytes([]int64{int64(me)*1_000_000 + int64(st.Iter)})
-				data, _ := e.Sendrecv(world, right, 1, out, left, 1)
-				st.Sum += mpi.BytesToI64(data)[0]
+				got, _ := e.SendrecvWord(world, right, 1, uint64(int64(me)*1_000_000+int64(st.Iter)), left, 1)
+				st.Sum += int64(got)
 			}
 			inst.Sums[me] = st.Sum
 		})
@@ -190,7 +189,12 @@ func (w AllgatherLoop) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, err
 				e.Compute(w.Chunk)
 				blocks := e.Allgather(world, mpi.I64ToBytes([]int64{int64(me)*1_000_000 + int64(st.Iter)}))
 				for _, b := range blocks {
-					st.Hash = st.Hash*1099511628211 + uint64(mpi.BytesToI64(b)[0])
+					v, err := mpi.BytesToI64(b)
+					if err != nil {
+						e.Proc().K().Fail(err)
+						return
+					}
+					st.Hash = st.Hash*1099511628211 + uint64(v[0])
 				}
 			}
 			inst.Hashes[me] = st.Hash

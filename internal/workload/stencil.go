@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"gbcr/internal/mpi"
 	"gbcr/internal/sim"
@@ -85,6 +86,7 @@ func (w Stencil) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 			skipPoll := restored
 			me := e.Rank()
 			left, right := me-1, me+1
+			var next []float64
 			for ; st.Iter < w.Iters; st.Iter++ {
 				if skipPoll {
 					skipPoll = false
@@ -92,19 +94,21 @@ func (w Stencil) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 					e.CollectiveCheckpoint(world)
 				}
 				e.Compute(w.Chunk)
-				// Halo exchange with physical boundaries at the ends.
+				// Halo exchange with physical boundaries at the ends; a halo
+				// cell is one float64, so it rides the payload word.
 				if left >= 0 {
-					data, _ := e.Sendrecv(world, left, 1,
-						mpi.F64ToBytes(st.Field[1:2]), left, 1)
-					st.Field[0] = mpi.BytesToF64(data)[0]
+					got, _ := e.SendrecvWord(world, left, 1, math.Float64bits(st.Field[1]), left, 1)
+					st.Field[0] = math.Float64frombits(got)
 				}
 				if right < w.N {
-					data, _ := e.Sendrecv(world, right, 1,
-						mpi.F64ToBytes(st.Field[w.Cells:w.Cells+1]), right, 1)
-					st.Field[w.Cells+1] = mpi.BytesToF64(data)[0]
+					got, _ := e.SendrecvWord(world, right, 1, math.Float64bits(st.Field[w.Cells]), right, 1)
+					st.Field[w.Cells+1] = math.Float64frombits(got)
 				}
-				// Jacobi sweep over the interior.
-				next := make([]float64, len(st.Field))
+				// Jacobi sweep over the interior into the other strip, which
+				// is made on the first sweep (a restored strip comes alone).
+				if len(next) != len(st.Field) {
+					next = make([]float64, len(st.Field))
+				}
 				copy(next, st.Field)
 				for c := 1; c <= w.Cells; c++ {
 					if (me == 0 && c == 1) || (me == w.N-1 && c == w.Cells) {
@@ -112,7 +116,7 @@ func (w Stencil) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 					}
 					next[c] = 0.5*st.Field[c] + 0.25*(st.Field[c-1]+st.Field[c+1])
 				}
-				st.Field = next
+				st.Field, next = next, st.Field
 			}
 			var sum float64
 			for _, v := range st.Field[1 : w.Cells+1] {

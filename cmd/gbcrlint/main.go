@@ -1,6 +1,5 @@
 // Command gbcrlint runs the repository's analyzer suite (simdeterminism,
-// nopanic, guardedby, errpropagation, confine, allocfree, unused — see
-// internal/analysis):
+// nopanic, errpropagation, unused — see internal/analysis):
 //
 //	gbcrlint [-json] [./...]
 //
@@ -57,20 +56,11 @@ func scopeFor(path string) []*analysis.Analyzer {
 	if simScoped(path) {
 		out = append(out, analysis.SimDeterminism)
 	}
-	if simScoped(path) ||
-		path == analysis.ModulePath+"/internal/obs" ||
-		path == analysis.ModulePath+"/internal/fault" {
-		// Cells run side by side on the Runner's pool, so state these
-		// packages could share between kernels must be declared.
-		out = append(out, analysis.Confine)
-	}
 	if strings.HasPrefix(path, analysis.ModulePath+"/internal/") {
 		out = append(out, analysis.NoPanic)
 	}
-	// guardedby and allocfree gate themselves on annotations, so they apply
-	// everywhere; unused is not per-package (see runSuite).
-	out = append(out, analysis.GuardedBy, analysis.AllocFree, analysis.ErrPropagation)
-	return out
+	// unused is not per-package (see runSuite).
+	return append(out, analysis.ErrPropagation)
 }
 
 // simKernelPackages are the packages reachable from the sim kernel, whose

@@ -33,7 +33,7 @@ func TestRunSuiteJSONRoundTrip(t *testing.T) {
 		}
 	}
 	sort.Strings(analyzers)
-	if want := []string{"guardedby", "unused"}; !reflect.DeepEqual(analyzers, want) {
+	if want := []string{"errpropagation", "unused"}; !reflect.DeepEqual(analyzers, want) {
 		t.Fatalf("analyzers = %v, want %v", analyzers, want)
 	}
 	if !sort.SliceIsSorted(diags, func(i, j int) bool {

@@ -1,14 +1,11 @@
 // Package pkg is a gbcrlint fixture module with one known finding
-// (guardedby), exercised by the -json round-trip test.
+// (errpropagation), exercised by the -json round-trip test.
 package pkg
 
-import "sync"
+import "errors"
 
-type state struct {
-	mu sync.Mutex
-	n  int // guarded by mu
-}
+func check() error { return errors.New("pkg: check failed") }
 
-func read(s *state) int {
-	return s.n
+func run() {
+	check()
 }

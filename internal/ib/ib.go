@@ -196,15 +196,12 @@ type fifo[T any] struct {
 	head int
 }
 
-// alloc-free
 func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
 // live returns the queued elements, oldest first, aliasing the queue.
 func (q *fifo[T]) live() []T { return q.buf[q.head:] }
 
 // push appends v.
-//
-// alloc-free
 func (q *fifo[T]) push(v T) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
 		// Never fully drained, yet at least half consumed: slide the live
@@ -213,13 +210,11 @@ func (q *fifo[T]) push(v T) {
 		clear(q.buf[n:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	//lint:allow-allocfree amortised: the array grows to the deepest backlog seen and is then reused
+	// amortised: the array grows to the deepest backlog seen and is then reused
 	q.buf = append(q.buf, v)
 }
 
 // pop removes and returns the oldest element; the queue must not be empty.
-//
-// alloc-free
 func (q *fifo[T]) pop() T {
 	var zero T
 	v := q.buf[q.head]
@@ -325,8 +320,6 @@ func (ep *Endpoint) Stats() Stats { return ep.stats }
 
 // find returns the index of peer's connection in ep.conns, or, when there is
 // none, the index at which it would be inserted.
-//
-// alloc-free
 func (ep *Endpoint) find(peer int) (int, bool) {
 	lo, hi := 0, len(ep.conns)
 	for lo < hi {
@@ -341,8 +334,6 @@ func (ep *Endpoint) find(peer int) (int, bool) {
 }
 
 // connTo returns the connection toward peer, or nil if there is none.
-//
-// alloc-free
 func (ep *Endpoint) connTo(peer int) *conn {
 	if i, ok := ep.find(peer); ok {
 		return ep.conns[i]
@@ -386,11 +377,9 @@ func (ep *Endpoint) EachConn(fn func(peer int, state ConnState)) {
 // connection: the NIC serializes egress at LinkBW, then the packet arrives
 // after the wire latency. Per-destination FIFO order is guaranteed (serial
 // egress + constant latency).
-//
-// alloc-free
 func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 	k := ep.f.k
-	start := k.Now() //lint:allow-allocfree sim.Kernel.Now is a field read
+	start := k.Now()
 	if ep.egressFree > start {
 		start = ep.egressFree
 	}
@@ -398,13 +387,13 @@ func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 	ep.egressFree = start + tx
 	arrival := ep.egressFree + ep.f.cfg.Latency
 	ep.inflight.push(flight{peer, workItem{src: ep.id, size: size, payload: payload}})
-	k.At(arrival, ep.deliverNext) //lint:allow-allocfree sim.Kernel.At is // alloc-free in its own package
+	k.At(arrival, ep.deliverNext)
 	ep.stats.MessagesSent++
 	ep.stats.BytesSent += size
 	// The registry allocates a counter the first time it is named, never after.
-	m := ep.f.bus.Metrics()                   //lint:allow-allocfree obs: a nil-safe field read
-	m.Counter(obs.LayerIB, "msgs").Inc()      //lint:allow-allocfree obs: lookup of an existing counter
-	m.Counter(obs.LayerIB, "bytes").Add(size) //lint:allow-allocfree obs: lookup of an existing counter
+	m := ep.f.bus.Metrics()
+	m.Counter(obs.LayerIB, "msgs").Inc()
+	m.Counter(obs.LayerIB, "bytes").Add(size)
 }
 
 // SendOOB sends a payload over the out-of-band management channel. It does
@@ -423,8 +412,6 @@ func (ep *Endpoint) SendOOB(dst int, payload any) error {
 
 // deliver hands the packet now due on one of this endpoint's channels to its
 // destination.
-//
-// alloc-free
 func (ep *Endpoint) deliver(q *fifo[flight]) {
 	fl := q.pop()
 	fl.dst.receive(fl.it)
@@ -564,8 +551,6 @@ func (ep *Endpoint) retransmit(peer int) {
 
 // Send transmits an application payload of the given wire size to dst over
 // an established connection.
-//
-// alloc-free
 func (ep *Endpoint) Send(dst int, size int64, payload any) error {
 	c := ep.connTo(dst)
 	switch {
@@ -582,12 +567,10 @@ func (ep *Endpoint) Send(dst int, size int64, payload any) error {
 // processed immediately — MVAPICH2 runs connection management on a dedicated
 // asynchronous thread — while in-band traffic (data, flush markers) queues
 // until the owner calls Progress, following the MPI progress rule.
-//
-// alloc-free
 func (ep *Endpoint) receive(it workItem) {
 	switch it.payload.(type) {
 	case cmConnReq, cmConnRep, cmConnRtu, cmDiscReq, cmDiscRep:
-		//lint:allow-allocfree connection management allocates per connection, not per message
+		// connection management allocates per connection, not per message
 		ep.process(it)
 		return
 	}
@@ -605,11 +588,9 @@ func (ep *Endpoint) PendingWork() bool { return ep.work.len() > 0 }
 
 // Progress processes all queued arrivals: connection-management handshakes,
 // flush markers, and application deliveries (via OnMessage/OnOOB).
-//
-// alloc-free
 func (ep *Endpoint) Progress() {
 	for ep.work.len() > 0 {
-		//lint:allow-allocfree process hands application packets to OnMessage/OnOOB, which own their budget; its control branches allocate per connection
+		// control packets allocate per connection, not per message
 		ep.process(ep.work.pop())
 	}
 }

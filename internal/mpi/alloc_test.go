@@ -103,6 +103,16 @@ func TestSteadyStateMessageAllocs(t *testing.T) {
 		{"BcastSize 1 MiB on 32 ranks", 32, bcast(1 << 20), 0},
 		// What every restartable workload runs once an iteration.
 		{"CollectiveCheckpoint poll on 32 ranks", 32, func(e *Env, w *Comm, _ int) { e.CollectiveCheckpoint(w) }, 0},
+		// The Ring's iteration between checkpoints, and the checkpoint layer's
+		// release of a destination with nothing deferred toward it.
+		{"Compute, word exchange and MaybeCheckpoint ring", 4, func(e *Env, w *Comm, i int) {
+			size := e.Size()
+			next := (e.Rank() + 1) % size
+			e.Compute(sim.Microsecond)
+			e.SendrecvWord(w, next, 0, uint64(i), (e.Rank()+size-1)%size, 0)
+			e.MaybeCheckpoint()
+			e.r.ReleaseDst(next)
+		}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,8 +41,6 @@ func (req *Request) completeTx() { req.r.completeReq(req) }
 // getReq returns a blank request. The library's own blocking calls take
 // theirs from here and hand them back with putReq; Isend and Irecv take one
 // and never return it, so a handle a caller holds is never recycled.
-//
-// alloc-free
 func (r *Rank) getReq() *Request {
 	req := r.reqFree.get()
 	req.r = r
@@ -53,8 +51,6 @@ func (r *Rank) getReq() *Request {
 // results the caller has copied out. Call it on the normal return path only,
 // never in a defer: a process killed mid-wait must leave its requests where
 // posted or the rendezvous table still point at them.
-//
-// alloc-free
 func (r *Rank) putReq(req *Request) {
 	tx := req.txDone
 	r.reqFree.put(req)
@@ -72,8 +68,6 @@ func (req *Request) Data() []byte { return req.data }
 func (req *Request) Status() Status { return req.status }
 
 // matches reports whether an incoming message satisfies this posted receive.
-//
-// alloc-free
 func (req *Request) matches(msg *inMsg) bool {
 	if req.isSend || req.comm.id != msg.comm {
 		return false

@@ -295,8 +295,6 @@ type peer struct {
 
 // findPeer returns the index of world's record in r.peers, or, when there is
 // none, the index at which it would be inserted.
-//
-// alloc-free
 func (r *Rank) findPeer(world int) (int, bool) {
 	lo, hi := 0, len(r.peers)
 	for lo < hi {
@@ -312,8 +310,6 @@ func (r *Rank) findPeer(world int) (int, bool) {
 
 // peerIfAny returns world's record, or nil if the pair has none: the lookup
 // of a caller that only reads.
-//
-// alloc-free
 func (r *Rank) peerIfAny(world int) *peer {
 	if i, ok := r.findPeer(world); ok {
 		return &r.peers[i]
@@ -324,12 +320,10 @@ func (r *Rank) peerIfAny(world int) *peer {
 // peer returns world's record, inserting a blank one if the pair has none.
 // The pointer is good until the next insertion — that is, until anything that
 // can run another peer/post: a park, a hook, trySend. Find it again after.
-//
-// alloc-free
 func (r *Rank) peer(world int) *peer {
 	i, ok := r.findPeer(world)
 	if !ok {
-		//lint:allow-allocfree cold: once per pair of ranks that talk, never per message
+		// cold: once per pair of ranks that talk, never per message
 		r.peers = slices.Insert(r.peers, i, peer{world: world})
 	}
 	return &r.peers[i]

@@ -118,11 +118,10 @@ type wirePkt struct {
 // get prefers such a one to a new one, so get always returns a zero T.
 type freeList[T any] []*T
 
-// alloc-free
 func (f *freeList[T]) get() *T {
 	n := len(*f)
 	if n == 0 {
-		//lint:allow-allocfree refill on a cold miss; the steady state recycles
+		// refill on a cold miss; the steady state recycles
 		return new(T)
 	}
 	v := (*f)[n-1]
@@ -131,17 +130,14 @@ func (f *freeList[T]) get() *T {
 	return v
 }
 
-// alloc-free
 func (f *freeList[T]) put(v *T) {
 	var zero T
 	*v = zero
-	//lint:allow-allocfree amortised: the list grows to the most values ever out at once
+	// amortised: the list grows to the most values ever out at once
 	*f = append(*f, v)
 }
 
 // newPkt takes a blank packet of the given kind from the job's free list.
-//
-// alloc-free
 func (j *Job) newPkt(kind pktKind) *wirePkt {
 	p := j.pktFree.get()
 	p.kind = kind
@@ -388,12 +384,10 @@ type rdvSlot struct {
 
 // rdvPut parks req in an empty slot, growing the table only when none is
 // free, and returns the slot's id.
-//
-// alloc-free
 func (r *Rank) rdvPut(req *Request) uint64 {
 	i := r.rdvFree
 	if i == 0 {
-		//lint:allow-allocfree amortised: the table grows to the most rendezvous ever pending at once
+		// amortised: the table grows to the most rendezvous ever pending at once
 		r.rdv = append(r.rdv, rdvSlot{})
 		i = uint32(len(r.rdv))
 	}
@@ -406,8 +400,6 @@ func (r *Rank) rdvPut(req *Request) uint64 {
 // a CTS names it (send), a receive's when bulk data does. An id that is past
 // the table, stale, or names the other direction's slot is protocol
 // corruption: it fails the run and rdvTake returns nil.
-//
-// alloc-free
 func (r *Rank) rdvTake(id uint64, send bool) *Request {
 	i, gen := uint32(id), uint32(id>>32)
 	if int(i) < len(r.rdv) {
@@ -422,7 +414,6 @@ func (r *Rank) rdvTake(id uint64, send bool) *Request {
 	if send {
 		what = "CTS"
 	}
-	//lint:allow-allocfree cold: the run is over
 	r.job.k.Fail(fmt.Errorf("mpi: rank %d got %s naming unknown rendezvous id %#x", r.world, what, id))
 	return nil
 }
@@ -465,12 +456,10 @@ func (r *Rank) arriveData(m *wirePkt) {
 // matchUnexpected it leaves no reference behind: slices.Delete shifts in
 // place and zeroes the slot it vacates, so the backing array cannot keep a
 // recycled request or a delivered payload reachable.
-//
-// alloc-free
 func (r *Rank) matchPosted(msg *inMsg) *Request {
 	for i, req := range r.posted {
 		if req.matches(msg) {
-			r.posted = slices.Delete(r.posted, i, i+1) //lint:allow-allocfree slices.Delete reuses the backing array
+			r.posted = slices.Delete(r.posted, i, i+1)
 			return req
 		}
 	}
@@ -479,13 +468,11 @@ func (r *Rank) matchPosted(msg *inMsg) *Request {
 
 // matchUnexpected finds and removes the first unexpected message matching a
 // newly posted receive (FIFO over arrival order).
-//
-// alloc-free
 func (r *Rank) matchUnexpected(req *Request) (msg inMsg, ok bool) {
 	for i := range r.unexpected {
 		if req.matches(&r.unexpected[i]) {
 			msg = r.unexpected[i]
-			r.unexpected = slices.Delete(r.unexpected, i, i+1) //lint:allow-allocfree slices.Delete reuses the backing array
+			r.unexpected = slices.Delete(r.unexpected, i, i+1)
 			return msg, true
 		}
 	}
@@ -493,8 +480,6 @@ func (r *Rank) matchUnexpected(req *Request) (msg inMsg, ok bool) {
 }
 
 // deliver completes a receive with an eager payload.
-//
-// alloc-free
 func (r *Rank) deliver(req *Request, msg *inMsg) {
 	req.payload = msg.payload
 	req.status = Status{Source: int(msg.srcComm), Tag: msg.tag, Size: msg.size}
@@ -503,11 +488,9 @@ func (r *Rank) deliver(req *Request, msg *inMsg) {
 
 // completeReq marks a request complete and wakes the application if it is
 // blocked in a wait.
-//
-// alloc-free
 func (r *Rank) completeReq(req *Request) {
 	req.complete = true
 	if r.proc != nil {
-		r.proc.Unpark() //lint:allow-allocfree sim.Proc.Unpark is // alloc-free in its own package
+		r.proc.Unpark()
 	}
 }

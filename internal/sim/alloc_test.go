@@ -113,6 +113,39 @@ func TestZeroAllocSleepCycle(t *testing.T) {
 	k.Shutdown()
 }
 
+// TestZeroAllocInterruptedSleep: the checkpoint signal's path — Interrupt
+// cuts a SleepI short and the process consumes the interrupt and computes on
+// — and a Pending check on an armed timer (the helper thread's tick).
+func TestZeroAllocInterruptedSleep(t *testing.T) {
+	k := NewKernel(1)
+	p := k.Spawn("computer", func(p *Proc) {
+		for {
+			p.SleepI(1000)
+			p.InterruptPending(true)
+		}
+	})
+	far := k.After(1_000_000_000, nop)
+	if err := k.RunUntil(k.Now()); err != nil { // start the proc; it sleeps
+		t.Fatal(err)
+	}
+	cycle := func() {
+		p.Interrupt()
+		if !far.Pending() {
+			t.Fatal("the far-off timer is no longer pending")
+		}
+		if err := k.RunUntil(k.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm the pool and the heap's backing array
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("interrupted SleepI cycle allocates %v/op, want 0", avg)
+	}
+	k.Shutdown()
+}
+
 // TestZeroAllocWithNoopObserver: the observer hooks themselves must not
 // allocate — with an observer attached that does nothing, the park/unpark
 // round trip stays at zero.

@@ -33,31 +33,14 @@ type event struct {
 // generation of the event it was issued for, so a handle kept after its
 // event completed can never touch the unrelated event that later reuses the
 // slot: Cancel on a stale handle is a no-op and Pending reports false.
-// Fired, Canceled, and Time answer for the original event until the slot is
-// reused; after reuse the handle reports a generic completed state (Fired
-// true, Canceled false, Time zero). Code that needs an always-accurate
-// "still scheduled?" answer must use Pending.
 type Event struct {
 	e   *event
 	gen uint64
 }
 
-// Time reports when the event is scheduled to fire, or 0 for an empty or
-// stale handle.
-//
-// alloc-free
-func (ev Event) Time() Time {
-	if ev.e == nil || ev.e.gen != ev.gen {
-		return 0
-	}
-	return ev.e.at
-}
-
 // Cancel prevents the event from firing. Canceling an event that has
 // already fired or was already canceled — including one whose storage has
 // been recycled for a newer event — is a safe no-op.
-//
-// alloc-free
 func (ev Event) Cancel() {
 	e := ev.e
 	if e == nil || e.gen != ev.gen || e.fired || e.canceled {
@@ -68,34 +51,8 @@ func (ev Event) Cancel() {
 	e.k.q.maybeCompact()
 }
 
-// Canceled reports whether the event was canceled before firing.
-//
-// alloc-free
-func (ev Event) Canceled() bool {
-	e := ev.e
-	return e != nil && e.gen == ev.gen && e.canceled
-}
-
-// Fired reports whether the event's callback has run. A stale handle (the
-// event completed and its slot was reused) reports true.
-//
-// alloc-free
-func (ev Event) Fired() bool {
-	e := ev.e
-	if e == nil {
-		return false
-	}
-	if e.gen != ev.gen {
-		return true
-	}
-	return e.fired
-}
-
 // Pending reports whether the event is still scheduled: neither fired nor
-// canceled. Unlike Fired and Canceled it is accurate for empty and stale
-// handles too, so it is the right test for "is my timer still armed".
-//
-// alloc-free
+// canceled. An empty or stale handle reports false.
 func (ev Event) Pending() bool {
 	e := ev.e
 	return e != nil && e.gen == ev.gen && !e.fired && !e.canceled

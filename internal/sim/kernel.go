@@ -51,8 +51,6 @@ func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 // alloc takes an event from the free list (bumping its generation, which
 // invalidates any handles to its previous life) or allocates a fresh one,
 // and stamps it with the next sequence number.
-//
-// alloc-free
 func (k *Kernel) alloc(t Time) *event {
 	var e *event
 	if n := len(k.q.free); n > 0 {
@@ -63,7 +61,7 @@ func (k *Kernel) alloc(t Time) *event {
 		e.canceled = false
 		e.fired = false
 	} else {
-		//lint:allow-allocfree pool refill on a cold miss; the steady state recycles every event
+		// pool refill on a cold miss; the steady state recycles every event
 		e = &event{k: k}
 	}
 	k.seq++
@@ -75,8 +73,6 @@ func (k *Kernel) alloc(t Time) *event {
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in the simulation logic and panics. Events at exactly the current
 // time take the run-queue fast path and skip heap discipline.
-//
-// alloc-free
 func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		//lint:allow-panic scheduling into the past corrupts the event queue; no caller can handle it
@@ -89,8 +85,6 @@ func (k *Kernel) At(t Time, fn func()) Event {
 }
 
 // After schedules fn to run d after the current time.
-//
-// alloc-free
 func (k *Kernel) After(d Time, fn func()) Event {
 	if d < 0 {
 		d = 0
@@ -101,8 +95,6 @@ func (k *Kernel) After(d Time, fn func()) Event {
 // atWake schedules a closure-free wake of p at absolute time t: the wake
 // target, token, and kind live in the pooled event itself, so Unpark,
 // Interrupt, timer wakes, and Spawn starts allocate nothing.
-//
-// alloc-free
 func (k *Kernel) atWake(t Time, p *Proc, tok uint64, kind wakeKind) Event {
 	e := k.alloc(t)
 	e.wake = p
@@ -124,8 +116,6 @@ func (k *Kernel) Fail(err error) {
 // Run executes events until the queue drains or the simulation fails.
 // It returns an error if a process panicked, Fail was called, or live
 // processes remain blocked with no pending events (deadlock).
-//
-// alloc-free
 func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with timestamps <= limit (limit < 0 means no
@@ -142,8 +132,6 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 // yieldEvery events: on one P the collector's background goroutines (mark
 // worker, sweeper, scavenger) would otherwise wait for the runtime's 10 ms
 // forced preemption, and the heap's high-water mark would follow the wall clock.
-//
-// alloc-free
 func (k *Kernel) RunUntil(limit Time) error {
 	for k.failure == nil {
 		// Peek-then-commit: next discards canceled events as it finds them
@@ -158,7 +146,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 		e.fired = true
 		k.processed++
 		if k.processed%yieldEvery == 0 {
-			//lint:allow-allocfree a scheduler pass allocates nothing; the analyzer cannot see into the runtime
 			runtime.Gosched()
 		}
 		p := e.wake
@@ -186,7 +173,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 		return nil
 	}
 	if k.live > 0 {
-		//lint:allow-allocfree the deadlock diagnostic is a terminal path; it formats freely
 		return k.deadlockError()
 	}
 	return nil
@@ -194,8 +180,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 
 // resume switches to p's coroutine and returns when p parks or finishes: the
 // only place a process gains control, called by the event loop and Shutdown.
-//
-// alloc-free
 func (k *Kernel) resume(p *Proc) {
 	k.running = p
 	p.state = procRunning

@@ -118,8 +118,6 @@ func (p *Proc) Done() bool { return p.state == procDone }
 func (p *Proc) OnExit(fn func()) { p.exitHook = append(p.exitHook, fn) }
 
 // checkContext panics if the caller is not the running process.
-//
-// alloc-free
 func (p *Proc) checkContext(op string) {
 	if p.k.running != p {
 		//lint:allow-panic blocking outside the running process deadlocks the scheduler; no caller can handle it
@@ -129,8 +127,6 @@ func (p *Proc) checkContext(op string) {
 
 // parkInternal blocks the process until woken. until >= 0 arms a timer wake
 // at that absolute time. Returns the reason the process was woken.
-//
-// alloc-free
 func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 	p.checkContext("park")
 	p.parkSeq++
@@ -161,8 +157,6 @@ func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 // queued wake-ups never collapse into the single permit bit. The token guards
 // only the timer path: a timed wake is valid solely for the park that armed
 // it.
-//
-// alloc-free
 func (p *Proc) tryWake(tok uint64, kind wakeKind) bool {
 	if kind == wakeStart {
 		return p.state == procReady
@@ -194,8 +188,6 @@ func (p *Proc) tryWake(tok uint64, kind wakeKind) bool {
 // or pending interrupt is stored. It reports whether the process was woken by
 // an interrupt. Park may return spuriously; callers must loop on their
 // condition.
-//
-// alloc-free
 func (p *Proc) Park(reason string) (interrupted bool) {
 	p.checkContext("Park")
 	if p.intPend {
@@ -211,8 +203,6 @@ func (p *Proc) Park(reason string) (interrupted bool) {
 
 // Unpark wakes p if it is parked, or stores a permit so its next Park returns
 // immediately. It may be called from event callbacks or from other processes.
-//
-// alloc-free
 func (p *Proc) Unpark() {
 	if p.state == procParked {
 		p.k.atWake(p.k.now, p, p.parkTok, wakeUnpark)
@@ -224,8 +214,6 @@ func (p *Proc) Unpark() {
 // Interrupt wakes p if it is parked (Park and SleepI report the interrupt;
 // Sleep keeps it pending), or marks an interrupt pending so the next
 // interruptible blocking point observes it.
-//
-// alloc-free
 func (p *Proc) Interrupt() {
 	if p.state == procParked {
 		p.k.atWake(p.k.now, p, p.parkTok, wakeInterrupt)
@@ -236,8 +224,6 @@ func (p *Proc) Interrupt() {
 
 // InterruptPending reports whether an interrupt is waiting to be delivered,
 // consuming it if consume is true.
-//
-// alloc-free
 func (p *Proc) InterruptPending(consume bool) bool {
 	was := p.intPend
 	if consume {
@@ -249,8 +235,6 @@ func (p *Proc) InterruptPending(consume bool) bool {
 // Sleep blocks for d simulated time. It is not interruptible: interrupts and
 // unparks received while sleeping are stored (as pending interrupt / permit)
 // and the sleep continues to its deadline.
-//
-// alloc-free
 func (p *Proc) Sleep(d Time) {
 	p.checkContext("Sleep")
 	deadline := p.k.now + d
@@ -267,8 +251,6 @@ func (p *Proc) Sleep(d Time) {
 // SleepI blocks for d simulated time or until interrupted, whichever comes
 // first. It returns the unslept remainder and whether an interrupt cut the
 // sleep short. A pending interrupt makes it return immediately.
-//
-// alloc-free
 func (p *Proc) SleepI(d Time) (remaining Time, interrupted bool) {
 	p.checkContext("SleepI")
 	if p.intPend {

@@ -33,16 +33,12 @@ type eventQueue struct {
 
 // evLess orders events by (at, seq); the seq tie-break makes event ordering
 // — and therefore the whole simulation — deterministic.
-//
-// alloc-free
 func evLess(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // schedule inserts e: the run queue when it fires at the current instant
 // (seq order is FIFO order there), the heap otherwise.
-//
-// alloc-free
 func (q *eventQueue) schedule(e *event, now Time) {
 	if e.at == now {
 		q.pushRunq(e)
@@ -54,8 +50,6 @@ func (q *eventQueue) schedule(e *event, now Time) {
 // next returns the earliest pending event without removing it, or nil when
 // none remain. Canceled events reaching the front are recycled as they are
 // found, so each is examined exactly once across all calls.
-//
-// alloc-free
 func (q *eventQueue) next() *event {
 	for q.runqLen > 0 && q.runq[q.runqHead].canceled {
 		q.nCanceled--
@@ -81,8 +75,6 @@ func (q *eventQueue) next() *event {
 
 // pop removes e, which must be the event the immediately preceding next
 // call returned (peek-then-commit: no structure is rescanned).
-//
-// alloc-free
 func (q *eventQueue) pop(e *event) {
 	if q.runqLen > 0 && q.runq[q.runqHead] == e {
 		q.popRunq()
@@ -93,27 +85,17 @@ func (q *eventQueue) pop(e *event) {
 
 // recycle clears an event's references (so closures and procs can be
 // collected) and returns it to the free list for the kernel's allocator.
-//
-// alloc-free
 func (q *eventQueue) recycle(e *event) {
 	e.fn = nil
 	e.wake = nil
-	//lint:allow-allocfree free-list growth is amortized; the steady state pops before it pushes
+	// free-list growth is amortized; the steady state pops before it pushes
 	q.free = append(q.free, e)
 }
 
-// len reports how many events are queued, including not-yet-discarded
-// canceled ones.
-//
-// alloc-free
-func (q *eventQueue) len() int { return len(q.heap) + q.runqLen }
-
 // pushRunq appends to the ring, growing it when full.
-//
-// alloc-free
 func (q *eventQueue) pushRunq(e *event) {
 	if q.runqLen == len(q.runq) {
-		//lint:allow-allocfree ring growth is amortized doubling; the steady state never grows
+		// ring growth is amortized doubling; the steady state never grows
 		q.growRunq()
 	}
 	q.runq[(q.runqHead+q.runqLen)&(len(q.runq)-1)] = e
@@ -121,8 +103,6 @@ func (q *eventQueue) pushRunq(e *event) {
 }
 
 // popRunq removes and returns the ring's front element.
-//
-// alloc-free
 func (q *eventQueue) popRunq() *event {
 	e := q.runq[q.runqHead]
 	q.runq[q.runqHead] = nil
@@ -147,14 +127,12 @@ func (q *eventQueue) growRunq() {
 
 // 4-ary heap: children of node i are 4i+1..4i+4, parent is (i-1)/4.
 
-// alloc-free
 func (q *eventQueue) heapPush(e *event) {
-	//lint:allow-allocfree heap growth is amortized doubling; the steady state reuses capacity
+	// heap growth is amortized doubling; the steady state reuses capacity
 	q.heap = append(q.heap, e)
 	q.siftUp(len(q.heap) - 1)
 }
 
-// alloc-free
 func (q *eventQueue) heapPopTop() *event {
 	h := q.heap
 	top := h[0]
@@ -171,8 +149,6 @@ func (q *eventQueue) heapPopTop() *event {
 
 // siftUp moves the element at index i up to its heap position, shifting
 // ancestors down (one store per level, not a swap).
-//
-// alloc-free
 func (q *eventQueue) siftUp(i int) {
 	h := q.heap
 	e := h[i]
@@ -188,8 +164,6 @@ func (q *eventQueue) siftUp(i int) {
 }
 
 // siftDown moves the element at index i down to its heap position.
-//
-// alloc-free
 func (q *eventQueue) siftDown(i int) {
 	h := q.heap
 	n := len(h)
@@ -225,8 +199,6 @@ const compactMin = 64
 // maybeCompact sweeps canceled events out of the heap once they outnumber
 // the live ones: one pass filters them into the free list, then the
 // survivors are re-heapified bottom-up in O(n).
-//
-// alloc-free
 func (q *eventQueue) maybeCompact() {
 	if len(q.heap) < compactMin || q.nCanceled*2 <= len(q.heap) {
 		return
@@ -238,7 +210,6 @@ func (q *eventQueue) maybeCompact() {
 			q.nCanceled--
 			q.recycle(e)
 		} else {
-			//lint:allow-allocfree append into h[:0] reuses the heap's own backing array
 			live = append(live, e)
 		}
 	}

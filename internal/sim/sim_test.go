@@ -57,8 +57,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() || e.Fired() {
-		t.Fatal("cancel state wrong")
+	if e.Pending() {
+		t.Fatal("canceled event still pending")
 	}
 }
 
@@ -582,7 +582,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired || !e.Fired() {
+	if !fired || e.Pending() {
 		t.Fatal("event should have fired before the cancel")
 	}
 }
@@ -617,11 +617,20 @@ func TestFailAbortsRun(t *testing.T) {
 	}
 }
 
+// TestEventTimeAccessor: a handle is pending until its event fires, and the
+// callback runs at the time it was scheduled for.
 func TestEventTimeAccessor(t *testing.T) {
 	k := NewKernel(1)
-	e := k.At(42, func() {})
-	if e.Time() != 42 {
-		t.Fatalf("Time() = %v", e.Time())
+	at := Time(-1)
+	e := k.At(42, func() { at = k.Now() })
+	if !e.Pending() {
+		t.Fatal("scheduled event not pending")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != 42 || e.Pending() {
+		t.Fatalf("fired at %v, pending after the run = %v; want 42, false", at, e.Pending())
 	}
 }
 

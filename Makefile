@@ -2,16 +2,20 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-json race bench bench-json bench-smoke figures figures-txt examples cover loc clean
+.PHONY: all check build fmt test vet lint lint-json race bench bench-json bench-smoke figures figures-txt examples cover loc clean
 
 all: check
 
-# Full gate: compile, vet, the project analyzers, tests, and the race
-# detector over the concurrent experiment Runner.
-check: build vet lint test race
+# Full gate: compile, formatting, vet, the project analyzers, tests, and the
+# race detector over the concurrent experiment Runner.
+check: build fmt vet lint test race
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -84,7 +88,7 @@ cover:
 # (a sub-package counts toward its parent: internal/cr includes cr/protocol),
 # then the analyzer fixtures. ROADMAP's code-diet items quote this table. The
 # target fails (in CI too) when internal/{cr,analysis,mpi} together grow past
-# 5,100 lines, or the analyzer suite (internal/analysis, its fixtures and
+# 5,000 lines, or the analyzer suite (internal/analysis, its fixtures and
 # cmd/gbcrlint) past 1,600.
 loc:
 	@fixtures=$$(find internal/analysis/testdata -name '*.go' -exec cat {} + | wc -l); \
@@ -93,10 +97,10 @@ loc:
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				diet = n["internal/cr"] + n["internal/analysis"] + n["internal/mpi"]; \
 				suite = n["internal/analysis"] + fx + n["cmd/gbcrlint"]; \
-				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 5100\n", t, diet; \
+				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 5000\n", t, diet; \
 				printf "%6d internal/analysis/testdata (fixtures)\n", fx; \
 				printf "%6d internal/analysis + fixtures + cmd/gbcrlint, ceiling 1600\n", suite; \
-				exit diet > 5100 || suite > 1600 }'
+				exit diet > 5000 || suite > 1600 }'
 
 clean:
 	$(GO) clean ./...

@@ -37,10 +37,10 @@ var bannedTimeFuncs = map[string]bool{
 // randConstructors build deterministic sources from explicit seeds; every
 // other package-level rand function draws from the shared global source.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
 }
 

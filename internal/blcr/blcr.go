@@ -82,49 +82,65 @@ func (s *Snapshot) Size() int64 {
 // with an epoch marked complete only when every rank's snapshot is present —
 // the "global checkpoint is marked complete" step of the protocol.
 type Store struct {
-	n        int
-	epochs   map[int]map[int]*Snapshot
-	complete map[int]bool
-	// durable marks per-rank durability (epoch → rank set) for protocols
-	// without a global commit: uncoordinated C/R treats a snapshot as a
-	// restart candidate as soon as its own write completed.
-	durable  map[int]map[int]bool
-	maxEpoch int
-	// res is the residency ledger, indexed by epoch and then rank: the
-	// physical copies a storage hierarchy placed (residency.go). A nil row is
-	// an untracked epoch. tiers names the ledger's tier ids, id i+1 at i.
-	res   [][]copySet
+	n int
+	// rows holds one row per epoch, indexed by epoch; row 0 is unused.
+	rows []epochRow
+	// tiers names the residency ledger's tier ids, id i+1 at i
+	// (residency.go).
 	tiers []string
 }
 
-// NewStore creates a store for an n-rank job.
-func NewStore(n int) *Store {
-	return &Store{
-		n:        n,
-		epochs:   make(map[int]map[int]*Snapshot),
-		complete: make(map[int]bool),
-		durable:  make(map[int]map[int]bool),
-	}
+// epochRow is one epoch of the archive. Each rank-indexed slice stays nil
+// until its first write.
+type epochRow struct {
+	snaps    []*Snapshot
+	complete bool
+	// durable marks per-rank durability for protocols without a global
+	// commit: uncoordinated C/R treats a snapshot as a restart candidate as
+	// soon as its own write completed.
+	durable []bool
+	// copies are the physical copies a storage hierarchy placed
+	// (residency.go); nil is an untracked epoch.
+	copies []copySet
 }
+
+// NewStore creates a store for an n-rank job.
+func NewStore(n int) *Store { return &Store{n: n} }
 
 // Size returns the number of ranks the store archives for.
 func (st *Store) Size() int { return st.n }
 
-// Put archives a snapshot. A duplicate (rank, epoch) means the protocol
-// double-checkpointed a member and is reported as an error.
-func (st *Store) Put(s *Snapshot) error {
-	m := st.epochs[s.Epoch]
-	if m == nil {
-		m = make(map[int]*Snapshot)
-		st.epochs[s.Epoch] = m
+// row returns an epoch's row, or nil when nothing of it was ever recorded.
+func (st *Store) row(epoch int) *epochRow {
+	if epoch <= 0 || epoch >= len(st.rows) {
+		return nil
 	}
-	if m[s.Rank] != nil {
+	return &st.rows[epoch]
+}
+
+// grow returns an epoch's row, extending the archive to hold it; epoch > 0.
+func (st *Store) grow(epoch int) *epochRow {
+	for len(st.rows) <= epoch {
+		st.rows = append(st.rows, epochRow{})
+	}
+	return &st.rows[epoch]
+}
+
+// Put archives a snapshot. A rank outside the job, an epoch below 1, or a
+// duplicate (rank, epoch) — the protocol double-checkpointed a member — is
+// reported as an error.
+func (st *Store) Put(s *Snapshot) error {
+	if s.Rank < 0 || s.Rank >= st.n || s.Epoch <= 0 {
+		return fmt.Errorf("blcr: snapshot rank %d epoch %d outside a %d-rank store", s.Rank, s.Epoch, st.n)
+	}
+	row := st.grow(s.Epoch)
+	if row.snaps == nil {
+		row.snaps = make([]*Snapshot, st.n)
+	}
+	if row.snaps[s.Rank] != nil {
 		return fmt.Errorf("blcr: duplicate snapshot rank %d epoch %d", s.Rank, s.Epoch)
 	}
-	m[s.Rank] = s
-	if s.Epoch > st.maxEpoch {
-		st.maxEpoch = s.Epoch
-	}
+	row.snaps[s.Rank] = s
 	return nil
 }
 
@@ -133,12 +149,8 @@ func (st *Store) Put(s *Snapshot) error {
 // fails verification — an epoch must never become a restart candidate on the
 // strength of writes alone.
 func (st *Store) MarkComplete(epoch int) error {
-	if len(st.epochs[epoch]) != st.n {
-		return fmt.Errorf("blcr: epoch %d marked complete with %d/%d snapshots",
-			epoch, len(st.epochs[epoch]), st.n)
-	}
 	for rank := 0; rank < st.n; rank++ {
-		s := st.epochs[epoch][rank]
+		s := st.Get(epoch, rank)
 		if s == nil {
 			return fmt.Errorf("blcr: epoch %d missing snapshot for rank %d", epoch, rank)
 		}
@@ -146,7 +158,7 @@ func (st *Store) MarkComplete(epoch int) error {
 			return fmt.Errorf("blcr: epoch %d commit rejected: %w", epoch, err)
 		}
 	}
-	st.complete[epoch] = true
+	st.grow(epoch).complete = true
 	return nil
 }
 
@@ -155,36 +167,41 @@ func (st *Store) MarkComplete(epoch int) error {
 // not linger as half-written state. Discarding a committed epoch is an
 // error.
 func (st *Store) Discard(epoch int) error {
-	if st.complete[epoch] {
+	if st.Complete(epoch) {
 		return fmt.Errorf("blcr: refusing to discard committed epoch %d", epoch)
 	}
-	delete(st.epochs, epoch)
+	if row := st.row(epoch); row != nil {
+		row.snaps = nil
+	}
 	return nil
 }
 
 // Complete reports whether the epoch's global checkpoint is complete.
-func (st *Store) Complete(epoch int) bool { return st.complete[epoch] }
+func (st *Store) Complete(epoch int) bool {
+	row := st.row(epoch)
+	return row != nil && row.complete
+}
 
 // SetRankDurable marks one rank's snapshot at an epoch as durable: the
 // per-rank commit of protocols without a global commit point (uncoordinated
 // C/R). The snapshot must have been Put first.
 func (st *Store) SetRankDurable(epoch, rank int) error {
-	if st.epochs[epoch][rank] == nil {
+	if st.Get(epoch, rank) == nil {
 		return fmt.Errorf("blcr: marking absent snapshot rank %d epoch %d durable", rank, epoch)
 	}
-	set := st.durable[epoch]
-	if set == nil {
-		set = make(map[int]bool)
-		st.durable[epoch] = set
+	row := st.row(epoch)
+	if row.durable == nil {
+		row.durable = make([]bool, st.n)
 	}
-	set[rank] = true
+	row.durable[rank] = true
 	return nil
 }
 
 // RankDurable reports whether a rank's snapshot at an epoch is a restart
 // candidate: individually marked durable, or part of a committed epoch.
 func (st *Store) RankDurable(epoch, rank int) bool {
-	return st.durable[epoch][rank] || st.complete[epoch]
+	row := st.row(epoch)
+	return row != nil && (row.complete || row.durable != nil && row.durable[rank])
 }
 
 // LatestRankDurable returns one rank's newest durable snapshot that still
@@ -192,12 +209,9 @@ func (st *Store) RankDurable(epoch, rank int) bool {
 // corrupted or lost epochs. skipped counts the durable snapshots rejected on
 // the way; (0, nil, skipped) means the rank must restart from scratch.
 func (st *Store) LatestRankDurable(rank int) (epoch int, s *Snapshot, skipped int) {
-	for e := st.maxEpoch; e > 0; e-- {
-		if !st.RankDurable(e, rank) {
-			continue
-		}
-		snap := st.epochs[e][rank]
-		if snap == nil {
+	for e := len(st.rows) - 1; e > 0; e-- {
+		snap := st.Get(e, rank)
+		if snap == nil || !st.RankDurable(e, rank) {
 			continue
 		}
 		if snap.Verify() != nil || !st.recoverable(e, rank) {
@@ -209,51 +223,49 @@ func (st *Store) LatestRankDurable(rank int) (epoch int, s *Snapshot, skipped in
 	return 0, nil, skipped
 }
 
-// Latest returns the most recent complete epoch and its snapshots (rank →
-// snapshot), or (0, nil) if none is complete.
-func (st *Store) Latest() (int, map[int]*Snapshot) {
-	best := 0
-	//lint:allow-simdeterminism taking the maximum key is order-independent
-	for e, ok := range st.complete {
-		if ok && e > best {
-			best = e
+// Latest returns the most recent complete epoch and its snapshots, indexed
+// by rank, or (0, nil) if none is complete. The slice is the archive's own:
+// callers must not write it.
+func (st *Store) Latest() (int, []*Snapshot) {
+	for e := len(st.rows) - 1; e > 0; e-- {
+		if st.rows[e].complete {
+			return e, st.rows[e].snaps
 		}
 	}
-	if best == 0 {
-		return 0, nil
-	}
-	return best, st.epochs[best]
+	return 0, nil
 }
 
 // Get returns the snapshot for a rank at an epoch, or nil.
 func (st *Store) Get(epoch, rank int) *Snapshot {
-	return st.epochs[epoch][rank]
+	row := st.row(epoch)
+	if row == nil || row.snaps == nil || rank < 0 || rank >= st.n {
+		return nil
+	}
+	return row.snaps[rank]
 }
 
 // LatestVerified returns the most recent committed epoch whose every
 // snapshot still passes Verify and remains recoverable from at least one
 // storage tier, skipping past epochs that were committed but have since been
 // corrupted in the archive or whose copies were all lost to node failures.
-// skipped counts the committed epochs rejected on the way down;
-// (0, nil, skipped) means no usable epoch remains.
-func (st *Store) LatestVerified() (epoch int, snaps map[int]*Snapshot, skipped int) {
-	// Walk down from the newest committed epoch; epochs are small dense
-	// positive integers, so the countdown visits every candidate.
-	best, _ := st.Latest()
-	for e := best; e > 0; e-- {
-		if !st.complete[e] {
+// The snapshots are indexed by rank, and the slice is the archive's own:
+// callers must not write it. skipped counts the committed epochs rejected on
+// the way down; (0, nil, skipped) means no usable epoch remains.
+func (st *Store) LatestVerified() (epoch int, snaps []*Snapshot, skipped int) {
+	for e := len(st.rows) - 1; e > 0; e-- {
+		row := &st.rows[e]
+		if !row.complete {
 			continue
 		}
 		good := true
-		for rank := 0; rank < st.n; rank++ {
-			s := st.epochs[e][rank]
-			if s == nil || s.Verify() != nil || !st.recoverable(e, rank) {
+		for rank, s := range row.snaps { // a committed row holds every rank
+			if s.Verify() != nil || !st.recoverable(e, rank) {
 				good = false
 				break
 			}
 		}
 		if good {
-			return e, st.epochs[e], skipped
+			return e, row.snaps, skipped
 		}
 		skipped++
 	}

@@ -107,6 +107,27 @@ func TestStoreDuplicateError(t *testing.T) {
 	}
 }
 
+// TestStorePutRejectsOutOfRange: a rank outside [0, n) or an epoch below 1
+// is an error, and the rejected Put leaves the store as it was.
+func TestStorePutRejectsOutOfRange(t *testing.T) {
+	const n = 4
+	st := NewStore(n)
+	put(t, st, New(0, 1, 0, 100, nil, nil))
+	for _, s := range []*Snapshot{New(-1, 1, 0, 100, nil, nil), New(n, 1, 0, 100, nil, nil), New(0, 0, 0, 100, nil, nil)} {
+		if err := st.Put(s); err == nil {
+			t.Fatalf("Put(rank %d, epoch %d) accepted in a %d-rank store", s.Rank, s.Epoch, n)
+		}
+	}
+	if len(st.rows) != 2 || st.Get(1, 0) == nil {
+		t.Fatalf("store changed by rejected Puts: %d rows", len(st.rows))
+	}
+	for r := 1; r < n; r++ {
+		if st.Get(1, r) != nil || st.Get(0, r) != nil {
+			t.Fatalf("rank %d holds a snapshot after rejected Puts", r)
+		}
+	}
+}
+
 func TestStoreIncompleteMarkError(t *testing.T) {
 	st := NewStore(2)
 	put(t, st, New(0, 1, 0, 100, nil, nil))

@@ -17,7 +17,7 @@ package blcr
 // replica is one physical copy: the tier holding it, as the store's tier id
 // (tierID; 0 marks an empty slot), and the node it lives on (-1 for a shared
 // service like the burst buffer or central storage). Eight bytes, so that a
-// copy set is 32 and an epoch's row n × 32.
+// copy set is 32 and an epoch's copies n × 32.
 type replica struct {
 	tier, node int32
 }
@@ -102,25 +102,24 @@ func (st *Store) tierID(tier string, add bool) int32 {
 // copies returns (epoch, rank)'s copy set, or nil when the epoch is
 // untracked.
 func (st *Store) copies(epoch, rank int) *copySet {
-	if epoch <= 0 || epoch >= len(st.res) || st.res[epoch] == nil {
+	row := st.row(epoch)
+	if row == nil || row.copies == nil {
 		return nil
 	}
-	return &st.res[epoch][rank]
+	return &row.copies[rank]
 }
 
 // AddReplica records that a copy of (epoch, rank)'s image now exists at the
 // given tier on the given node (-1 for a shared service). Re-adding an
-// existing copy is a no-op. The first copy of an epoch allocates its per-rank
-// row.
+// existing copy is a no-op. The first copy of an epoch allocates its
+// per-rank copy sets.
 func (st *Store) AddReplica(epoch, rank int, tier string, node int) {
-	if epoch >= len(st.res) {
-		st.res = append(st.res, make([][]copySet, epoch+1-len(st.res))...)
-	}
-	if st.res[epoch] == nil {
-		st.res[epoch] = make([]copySet, st.n)
+	row := st.grow(epoch)
+	if row.copies == nil {
+		row.copies = make([]copySet, st.n)
 	}
 	r := replica{tier: st.tierID(tier, true), node: int32(node)}
-	if set := &st.res[epoch][rank]; set.find(r) < 0 {
+	if set := &row.copies[rank]; set.find(r) < 0 {
 		set.add(r)
 	}
 }
@@ -149,9 +148,9 @@ func (st *Store) DropTierCopies(epoch, rank int, tier string) int {
 // many copies were lost.
 func (st *Store) DropNodeReplicas(node int) int {
 	lost := 0
-	for _, row := range st.res {
-		for rank := range row {
-			lost += row[rank].dropIf(func(r replica) bool { return r.node == int32(node) })
+	for e := range st.rows {
+		for rank := range st.rows[e].copies {
+			lost += st.rows[e].copies[rank].dropIf(func(r replica) bool { return r.node == int32(node) })
 		}
 	}
 	return lost

@@ -162,10 +162,15 @@ func finishedRankUnderOutage(t *testing.T, cfg Config, mpiCfg mpi.Config) *testC
 	if c.co.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", c.co.Epoch())
 	}
-	for r := 0; r < c.j.Size(); r++ {
-		ctl := c.co.Controller(r)
-		if ctl.Epoch() != 1 || len(ctl.Records()) != 1 {
-			t.Fatalf("rank %d: epoch %d, %d records; want one checkpoint", r, ctl.Epoch(), len(ctl.Records()))
+	// An aborted cycle leaves no report: only the one that committed does.
+	reps := c.reports(t)
+	if len(reps) != 1 {
+		t.Fatalf("reports: %d, want 1", len(reps))
+	}
+	for r, rec := range reps[0].Records {
+		if c.co.Controller(r).Epoch() != 1 || rec.Cycle != reps[0].Cycle {
+			t.Fatalf("rank %d: epoch %d, record of cycle %d; want one checkpoint in cycle %d",
+				r, c.co.Controller(r).Epoch(), rec.Cycle, reps[0].Cycle)
 		}
 	}
 	return c
@@ -201,7 +206,7 @@ func TestUncoordFinishedRankRetriesLocally(t *testing.T) {
 	if c.co.Aborts() != 0 {
 		t.Fatalf("aborts = %d, want 0 (uncoordinated writes retry locally)", c.co.Aborts())
 	}
-	rec := c.co.Controller(3).Records()[0]
+	rec := c.reports(t)[0].Records[3]
 	if rec.WriteStart > 2500*sim.Millisecond || rec.WriteEnd < 3500*sim.Millisecond {
 		t.Fatalf("finished rank wrote %v..%v; its write should span the outage", rec.WriteStart, rec.WriteEnd)
 	}

@@ -41,7 +41,7 @@ type Controller struct {
 
 	// Cycle state.
 	cycleActive bool
-	cycle       int
+	rep         *CycleReport // the cycle's; this rank writes only its own slot
 	baseEpoch   int
 	groupOf     []int // rank → group, -1 in none; the coordinator's, shared read-only by every controller
 	myGroup     int
@@ -64,13 +64,8 @@ type Controller struct {
 	write *storage.Transfer
 
 	// bufStart snapshots the rank's buffering counters at cycle start so
-	// endCycle can attribute the cycle's deferral activity to its record;
-	// the deltas are kept per cycle and folded into the records when the
-	// coordinator assembles reports.
-	bufStart   mpi.RankStats
-	bufByCycle map[int]bufDelta
-
-	records []CkptRecord
+	// endCycle can attribute the cycle's deferral activity to its record.
+	bufStart mpi.RankStats
 }
 
 func newController(co *Coordinator, rank *mpi.Rank) *Controller {
@@ -87,9 +82,6 @@ func newController(co *Coordinator, rank *mpi.Rank) *Controller {
 
 // Epoch returns the number of checkpoints this process has completed.
 func (c *Controller) Epoch() int { return c.epoch }
-
-// Records returns the per-cycle participation records.
-func (c *Controller) Records() []CkptRecord { return c.records }
 
 // Rank returns the MPI rank this controller is attached to.
 func (c *Controller) Rank() *mpi.Rank { return c.rank }
@@ -207,12 +199,12 @@ func (c *Controller) unparkSelf() {
 func (c *Controller) startCycle(m msgCkptRequest) {
 	c.cycleActive = true
 	c.bufStart = c.rank.Stats()
-	c.cycle = m.cycle
+	c.rep = m.rep
 	c.baseEpoch = c.epoch
 	c.groupOf = m.groupOf
 	c.myGroup = m.groupOf[c.rank.World()]
-	c.turnStarted = make([]bool, len(m.groups))
-	c.groupDone = make([]bool, len(m.groups))
+	c.turnStarted = make([]bool, len(m.rep.Groups))
+	c.groupDone = make([]bool, len(m.rep.Groups))
 	c.mySaved = false
 	c.goFlag = false
 	c.resumeFlag = false
@@ -275,7 +267,7 @@ func (c *Controller) onGroupDone(m msgGroupDone) {
 // abortFlag, and deferral gates reopen. The retried cycle arrives as a fresh
 // msgCkptRequest.
 func (c *Controller) onAbort(m msgAbort) {
-	if m.cycle != c.cycle || !c.cycleActive {
+	if !c.cycleActive || m.cycle != c.rep.Cycle {
 		return
 	}
 	c.emit(obs.Instant, obs.KindCycleAbort, 0)
@@ -302,29 +294,16 @@ func (c *Controller) endCycle() {
 	c.cycleActive = false
 	c.rank.SetHelper(false)
 	c.releaseAligned()
-	// Record the cycle's deferral activity; the coordinator folds it into
-	// the cycle report (this rank's own record may not exist yet — its
-	// process resumes after this handler).
-	now := c.rank.Stats()
-	d := bufDelta{
-		msgs:  now.MsgsBuffered - c.bufStart.MsgsBuffered,
-		reqs:  now.ReqsBuffered - c.bufStart.ReqsBuffered,
-		bytes: now.BytesBuffered - c.bufStart.BytesBuffered,
-	}
-	if c.bufByCycle == nil {
-		c.bufByCycle = make(map[int]bufDelta)
-	}
-	c.bufByCycle[c.cycle] = d
+	// File the cycle's deferral activity into this rank's record, which its
+	// process may not have resumed yet: resume touches only ResumeAt.
+	now, rec := c.rank.Stats(), &c.rep.Records[c.rank.World()]
+	rec.BufferedMsgs = now.MsgsBuffered - c.bufStart.MsgsBuffered
+	rec.BufferedReqs = now.ReqsBuffered - c.bufStart.ReqsBuffered
+	rec.BufferedBytes = now.BytesBuffered - c.bufStart.BytesBuffered
 	m := c.co.bus.Metrics()
-	m.Counter(obs.LayerCR, "buffered_msgs").Add(int64(d.msgs))
-	m.Counter(obs.LayerCR, "buffered_reqs").Add(int64(d.reqs))
-	m.Counter(obs.LayerCR, "buffered_bytes").Add(d.bytes)
-}
-
-// bufDelta is one rank's deferral activity during one cycle.
-type bufDelta struct {
-	msgs, reqs int
-	bytes      int64
+	m.Counter(obs.LayerCR, "buffered_msgs").Add(int64(rec.BufferedMsgs))
+	m.Counter(obs.LayerCR, "buffered_reqs").Add(int64(rec.BufferedReqs))
+	m.Counter(obs.LayerCR, "buffered_bytes").Add(rec.BufferedBytes)
 }
 
 // releaseAligned re-attempts deferred sends and deferred connection requests
@@ -348,8 +327,8 @@ func (c *Controller) phase(p protocol.Phase) {
 }
 
 // abortReturn is the common exit for a member whose cycle aborted while it
-// was stopped: execution resumes without a record (the aborted cycle
-// produced no checkpoint).
+// was stopped: execution resumes, and its record goes with the aborted
+// cycle's report.
 func (c *Controller) abortReturn() {
 	c.inCkpt = false
 	c.emit(obs.Instant, obs.KindAbortResume, 0)
@@ -377,7 +356,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		// whole group to stop.
 		c.phase(protocol.PhaseSync)
 		c.emit(obs.Begin, obs.KindCkptSync, 0)
-		c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
+		c.sendCo(msgReady{cycle: c.rep.Cycle, rank: c.rank.World()})
 		ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
 		rec.GoAt = k.Now()
 		c.emit(obs.End, obs.KindCkptSync, 0)
@@ -408,7 +387,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	if c.co.cfg.LocalSetup > 0 {
 		p.Sleep(c.co.cfg.LocalSetup)
 	}
-	snap := c.takeSnapshot(&rec)
+	snap := c.takeSnapshot(rec)
 	if snap == nil {
 		return
 	}
@@ -419,7 +398,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			tr.Wait(p)
 			err = tr.Err()
 		}
-		if c.abortFlag || c.cycle != rec.Cycle {
+		if c.abortFlag || c.rep.Cycle != rec.Cycle {
 			// The cycle aborted (another member failed) while our write was in
 			// flight; the snapshot belongs to the discarded epoch. A retried
 			// cycle that already began has cleared abortFlag: hence the
@@ -462,7 +441,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		c.emit(obs.End, obs.KindCkptResumeWait, 0)
 		if !ok {
 			// Aborted after our save: onAbort already rolled back the epoch and
-			// dropped mySaved; resume without a record.
+			// dropped mySaved.
 			c.abortReturn()
 			return
 		}
@@ -483,7 +462,7 @@ func (c *Controller) checkpointFinishedRank() {
 	rec := c.newRecord()
 	// onAbort deactivates the cycle before it cancels the write, so every
 	// continuation below sees an abort as a stale cycle and stands down.
-	stale := func() bool { return c.cycle != rec.Cycle || !c.cycleActive }
+	stale := func() bool { return c.rep.Cycle != rec.Cycle || !c.cycleActive }
 
 	// Phase 3, entered once phases 1 and 2 (if the protocol has them) are done.
 	var write func(snap *blcr.Snapshot, attempt int)
@@ -514,7 +493,7 @@ func (c *Controller) checkpointFinishedRank() {
 			if stale() {
 				return // the cycle aborted while the local setup ran
 			}
-			if snap := c.takeSnapshot(&rec); snap != nil {
+			if snap := c.takeSnapshot(rec); snap != nil {
 				write(snap, 1)
 			}
 		})
@@ -527,7 +506,7 @@ func (c *Controller) checkpointFinishedRank() {
 	// Phases 1 and 2: report readiness, then on msgGo disconnect and re-check
 	// on each connection event until every handshake has settled.
 	c.phase(protocol.PhaseSync)
-	c.sendCo(msgReady{cycle: c.cycle, rank: c.rank.World()})
+	c.sendCo(msgReady{cycle: c.rep.Cycle, rank: c.rank.World()})
 	c.finishedStep = func() {
 		if !c.goFlag {
 			return
@@ -545,11 +524,13 @@ func (c *Controller) checkpointFinishedRank() {
 	}
 }
 
-// newRecord opens the rank's record of this cycle at its safe point. Phases
-// the protocol lacks collapse to that instant.
-func (c *Controller) newRecord() CkptRecord {
+// newRecord opens the rank's record of this cycle, its slot of the cycle's
+// report, at its safe point. Phases the protocol lacks collapse to that
+// instant.
+func (c *Controller) newRecord() *CkptRecord {
 	now := c.co.k.Now()
-	rec := CkptRecord{Cycle: c.cycle, Group: c.myGroup, SafePointAt: now}
+	rec := &c.rep.Records[c.rank.World()]
+	*rec = CkptRecord{Cycle: c.rep.Cycle, Group: c.myGroup, SafePointAt: now}
 	if !c.co.proto.Blocking() {
 		rec.GoAt, rec.TeardownDone = now, now
 	}
@@ -661,7 +642,7 @@ func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok b
 	c.co.bus.Emit(obs.Event{At: c.co.k.Now(), Rank: world, Layer: obs.LayerCR,
 		Type: obs.Instant, What: obs.KindWriteFailed, Detail: err.Error()})
 	if blocking {
-		c.sendCo(msgWriteFailed{cycle: c.cycle, rank: world})
+		c.sendCo(msgWriteFailed{cycle: c.rep.Cycle, rank: world})
 		return 0, true
 	}
 	return writeRetryBackoff(attempt), true
@@ -683,17 +664,16 @@ func (c *Controller) commit(snap *blcr.Snapshot) {
 	if err != nil {
 		c.co.k.Fail(err)
 	}
-	c.sendCo(msgSaved{cycle: c.cycle, rank: c.rank.World()})
+	c.sendCo(msgSaved{cycle: c.rep.Cycle, rank: c.rank.World()})
 }
 
-// resume ends the rank's downtime and files its record — the accounting of
-// record for the cycle, mirrored into the bus registry (a no-op without a
+// resume ends the rank's downtime and completes its record — the accounting
+// of record for the cycle, mirrored into the bus registry (a no-op without a
 // bus) for -metrics-json export.
-func (c *Controller) resume(rec CkptRecord) {
+func (c *Controller) resume(rec *CkptRecord) {
 	c.inCkpt = false
 	rec.ResumeAt = c.co.k.Now()
 	c.emit(obs.Instant, obs.KindResume, int64(rec.Individual()))
-	c.records = append(c.records, rec)
 	m := c.co.bus.Metrics()
 	m.Histogram(obs.LayerCR, "individual").Observe(rec.Individual())
 	m.Histogram(obs.LayerCR, "storage_write").Observe(rec.StorageTime())

@@ -38,14 +38,15 @@ type Coordinator struct {
 	tag        string
 	cyclesName string
 
-	active    bool
-	cycle     int
-	groups    [][]int
-	turn      int
-	ready     map[int]bool
-	saved     map[int]bool
-	requestAt sim.Time
-	reports   []*CycleReport
+	// cur is the report of the cycle in progress, nil between cycles. ready
+	// and saved count the msgReady and msgSaved of the turn — of the whole
+	// job under the polled quiesce and uncoord: a member sends each at most
+	// once per turn of a live cycle.
+	cur          *CycleReport
+	cycle        int
+	turn         int
+	ready, saved int
+	reports      []*CycleReport
 
 	// Two-phase commit state: epoch counts committed global checkpoints and
 	// diverges from cycle once a cycle aborts (the retried cycle gets a new
@@ -140,15 +141,17 @@ func (co *Coordinator) Protocol() protocol.Kind { return co.proto }
 // Snapshots returns the archive of completed checkpoints.
 func (co *Coordinator) Snapshots() *blcr.Store { return co.snaps }
 
-// Reports returns the completed cycle reports with per-rank records filled
-// in. Call it after the simulation has quiesced: the last group's resume
-// records land shortly after the cycle completes; reading earlier returns
-// an error. DrainedAt is read here, so it reflects the drains that have
-// landed by the time of the call.
+// Reports returns the completed cycle reports. Call it after the simulation
+// has quiesced: the last group resumes, completing its records (ResumeAt,
+// after the write, so never zero), shortly after the cycle completes; reading
+// earlier returns an error. DrainedAt is read here, so it reflects the drains
+// that have landed by the time of the call.
 func (co *Coordinator) Reports() ([]*CycleReport, error) {
 	for _, rep := range co.reports {
-		if err := co.fillRecords(rep); err != nil {
-			return nil, err
+		for rank, rec := range rep.Records {
+			if rec.ResumeAt == 0 {
+				return nil, fmt.Errorf("cr: rank %d has no record for cycle %d (report read too early?)", rank, rep.Cycle)
+			}
 		}
 		if at := co.tiers.ColdAt(rep.epoch); at > rep.DoneAt {
 			rep.DrainedAt = at
@@ -157,34 +160,8 @@ func (co *Coordinator) Reports() ([]*CycleReport, error) {
 	return co.reports, nil
 }
 
-func (co *Coordinator) fillRecords(rep *CycleReport) error {
-	if rep.Records != nil {
-		return nil
-	}
-	records := make([]CkptRecord, co.job.Size())
-	for i, ctl := range co.ctls {
-		found := false
-		for _, rec := range ctl.records {
-			if rec.Cycle == rep.Cycle {
-				records[i] = rec
-				if d, ok := ctl.bufByCycle[rep.Cycle]; ok {
-					records[i].BufferedMsgs = d.msgs
-					records[i].BufferedReqs = d.reqs
-					records[i].BufferedBytes = d.bytes
-				}
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("cr: rank %d has no record for cycle %d (report read too early?)", i, rep.Cycle)
-		}
-	}
-	rep.Records = records
-	return nil
-}
-
 // Active reports whether a checkpoint cycle is in progress.
-func (co *Coordinator) Active() bool { return co.active }
+func (co *Coordinator) Active() bool { return co.cur != nil }
 
 // Epoch returns the number of committed global checkpoints. It lags behind
 // the cycle count once cycles abort: only a cycle whose every snapshot is
@@ -206,13 +183,11 @@ func (co *Coordinator) ScheduleCheckpoint(t sim.Time) {
 // (statically or from the observed communication pattern), the schedule is
 // broadcast, and the first group's turn begins.
 func (co *Coordinator) RequestCheckpoint() {
-	if co.active {
+	if co.cur != nil {
 		co.k.Fail(fmt.Errorf("cr: overlapping checkpoint cycles"))
 		return
 	}
-	co.active = true
 	co.cycle++
-	co.requestAt = co.k.Now()
 	n := co.job.Size()
 	var traffic []map[int]int64
 	if co.cfg.Dynamic {
@@ -221,25 +196,28 @@ func (co *Coordinator) RequestCheckpoint() {
 			traffic[i] = co.job.Rank(i).Traffic()
 		}
 	}
-	co.groups = co.proto.Plan(co.cfg.protocolOptions(n, co.job.Config().LogMessages), traffic)
-	co.turn = 0
-	co.ready = make(map[int]bool)
-	co.saved = make(map[int]bool)
+	co.cur = &CycleReport{
+		Cycle:     co.cycle,
+		Groups:    co.proto.Plan(co.cfg.protocolOptions(n, co.job.Config().LogMessages), traffic),
+		RequestAt: co.k.Now(),
+		Records:   make([]CkptRecord, n),
+	}
+	co.turn, co.ready, co.saved = 0, 0, 0
 	co.bus.Metrics().Counter(obs.LayerCR, "cycles").Inc()
 	co.bus.Metrics().Counter(obs.LayerCR, co.cyclesName).Inc()
 	if co.bus.HasSinks() {
-		co.emit(obs.KindRequest, 0, fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.groups))
+		co.emit(obs.KindRequest, 0, fmt.Sprintf("cycle %d%s, groups %v", co.cycle, co.tag, co.cur.Groups))
 	}
 	groupOf := make([]int, n)
 	for r := range groupOf {
 		groupOf[r] = -1
 	}
-	for gi, g := range co.groups {
+	for gi, g := range co.cur.Groups {
 		for _, r := range g {
 			groupOf[r] = gi
 		}
 	}
-	co.broadcast(msgCkptRequest{cycle: co.cycle, groups: co.groups, groupOf: groupOf})
+	co.broadcast(msgCkptRequest{rep: co.cur, groupOf: groupOf})
 	if !co.proto.Blocking() {
 		// Uncoordinated: no turns and no readiness barrier. Every controller
 		// heads for its own safe point on the request (interrupting in
@@ -264,7 +242,7 @@ func (co *Coordinator) broadcast(payload any) {
 }
 
 func (co *Coordinator) sendGroup(group int, payload any) {
-	for _, r := range co.groups[group] {
+	for _, r := range co.cur.Groups[group] {
 		co.send(r, payload)
 	}
 }
@@ -278,43 +256,49 @@ func (co *Coordinator) send(rank int, payload any) {
 	}
 }
 
+// stale reports whether a message names a cycle that aborted or completed.
+func (co *Coordinator) stale(cycle int) bool {
+	return co.cur == nil || cycle != co.cur.Cycle
+}
+
 func (co *Coordinator) onMsg(src int, payload any) {
 	switch m := payload.(type) {
 	case msgReady:
-		if !co.active || m.cycle != co.cycle || co.turn >= len(co.groups) {
+		if co.stale(m.cycle) {
 			return
 		}
-		co.ready[m.rank] = true
+		co.ready++
 		if co.cfg.Polled {
 			// Global quiesce barrier: start the first group only when
-			// every rank is stopped at a boundary.
-			if len(co.ready) == co.job.Size() && co.turn == 0 {
+			// every rank is stopped at a boundary. startTurn resets the
+			// count, and no rank reports ready twice in a cycle.
+			if co.ready == co.job.Size() {
 				co.startTurn(0)
 			}
 			return
 		}
-		if co.groupCovered(co.ready, co.turn) {
+		if co.ready == len(co.cur.Groups[co.turn]) {
 			co.sendGroup(co.turn, msgGo{cycle: co.cycle, group: co.turn})
 		}
 	case msgSaved:
-		if !co.active || m.cycle != co.cycle || co.turn >= len(co.groups) {
+		if co.stale(m.cycle) {
 			return
 		}
-		co.saved[m.rank] = true
+		co.saved++
 		if !co.proto.Blocking() {
 			// Uncoordinated: there is no turn order; the cycle closes when
 			// the last independent write lands. Each snapshot already became
 			// durable (per-rank) when its write completed.
-			if len(co.saved) == co.job.Size() {
+			if co.saved == co.job.Size() {
 				co.finishCycle()
 			}
 			return
 		}
-		if co.groupCovered(co.saved, co.turn) {
+		if co.saved == len(co.cur.Groups[co.turn]) {
 			co.emit(obs.KindGroupDone, int64(co.turn), "")
 			co.broadcast(msgGroupDone{cycle: co.cycle, group: co.turn})
 			co.turn++
-			if co.turn < len(co.groups) {
+			if co.turn < len(co.cur.Groups) {
 				co.startTurn(co.turn)
 			} else {
 				co.finishCycle()
@@ -330,8 +314,9 @@ func (co *Coordinator) onMsg(src int, payload any) {
 // startTurn announces a group's turn; in polled mode its members are already
 // quiesced and receive their go immediately.
 func (co *Coordinator) startTurn(turn int) {
+	co.ready, co.saved = 0, 0
 	if co.bus.HasSinks() {
-		co.emit(obs.KindTurn, 0, fmt.Sprintf("group %d %v", turn, co.groups[turn]))
+		co.emit(obs.KindTurn, 0, fmt.Sprintf("group %d %v", turn, co.cur.Groups[turn]))
 	}
 	co.broadcast(msgTurn{cycle: co.cycle, group: turn})
 	if co.cfg.Polled {
@@ -361,8 +346,8 @@ func (co *Coordinator) markComplete(epoch int) {
 // checkpoint is retried after a capped exponential backoff, bounded by
 // maxCycleRetries consecutive attempts.
 func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
-	if !co.active || m.cycle != co.cycle {
-		return // stale: the cycle already aborted or completed
+	if co.stale(m.cycle) {
+		return
 	}
 	target := co.epoch + 1
 	co.aborts++
@@ -376,7 +361,7 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 		return
 	}
 	co.broadcast(msgAbort{cycle: co.cycle})
-	co.active = false
+	co.cur = nil // an aborted cycle leaves no report
 	if co.cycleRetries > maxCycleRetries {
 		co.k.Fail(fmt.Errorf("cr: checkpoint epoch %d aborted %d consecutive times; giving up",
 			target, co.cycleRetries))
@@ -389,34 +374,20 @@ func (co *Coordinator) onWriteFailed(m msgWriteFailed) {
 	co.k.After(backoff, co.RequestCheckpoint)
 }
 
-func (co *Coordinator) groupCovered(set map[int]bool, group int) bool {
-	for _, r := range co.groups[group] {
-		if !set[r] {
-			return false
-		}
-	}
-	return true
-}
-
 func (co *Coordinator) finishCycle() {
 	co.emit(obs.KindCycleDone, int64(co.cycle), co.tag)
 	co.broadcast(msgCycleDone{cycle: co.cycle})
 	co.epoch++
 	co.cycleRetries = 0
-	rep := &CycleReport{
-		Cycle:     co.cycle,
-		Groups:    co.groups,
-		RequestAt: co.requestAt,
-		DoneAt:    co.k.Now(),
-		epoch:     co.epoch,
-	}
+	rep := co.cur
+	rep.DoneAt, rep.epoch = co.k.Now(), co.epoch
 	if co.proto.Blocking() {
 		co.markComplete(co.epoch)
 	}
 	// Non-blocking protocols have no global commit: every member snapshot
 	// was marked durable per rank as its own write completed.
 	co.reports = append(co.reports, rep)
-	co.active = false
+	co.cur = nil
 	if co.OnCycleDone != nil {
 		co.OnCycleDone(rep)
 	}

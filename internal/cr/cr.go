@@ -148,12 +148,12 @@ const CoordinatorID = -1
 // processed immediately on arrival (the controller-thread model);
 // controller-to-coordinator messages likewise.
 type (
-	// msgCkptRequest opens a checkpointing cycle and publishes the group
-	// schedule to every rank. groupOf is its inverse, rank → group (-1: in no
-	// group), built once per cycle; receivers keep it and must not write it.
+	// msgCkptRequest opens a checkpointing cycle and hands every rank the
+	// cycle's report: rep.Groups is the group schedule, and groupOf its
+	// inverse, rank → group (-1: in no group), built once per cycle.
+	// Receivers keep both and write only their own slot of rep.Records.
 	msgCkptRequest struct {
-		cycle   int
-		groups  [][]int
+		rep     *CycleReport
 		groupOf []int
 	}
 	// msgTurn announces that a group's checkpoint begins. Members reach a
@@ -244,7 +244,7 @@ type CycleReport struct {
 	// one-level central stack, or writes that spilled through to central —
 	// and while a drain is in flight or abandoned.
 	DrainedAt sim.Time
-	Records   []CkptRecord // one per rank, indexed by world rank
+	Records   []CkptRecord // one slot per world rank, filed by its controller
 
 	// epoch is the global checkpoint this cycle committed; it trails Cycle
 	// once cycles abort.

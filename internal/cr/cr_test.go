@@ -924,6 +924,35 @@ func TestIncrementalCapsAtFullFootprint(t *testing.T) {
 	}
 }
 
+// TestReportsReadTooEarly: every rank files its record into its slot of the
+// cycle's report, the last one as its group resumes after the cycle
+// completed. Read from OnCycleDone, the last group's slots are still open
+// and Reports says so; once the run quiesces every slot is filed.
+func TestReportsReadTooEarly(t *testing.T) {
+	const n = 4
+	cfg := DefaultConfig()
+	cfg.GroupSize = 2
+	cfg.DefaultFootprint = 10 * testMB
+	c := newCluster(t, n, cfg)
+	var early error
+	c.co.OnCycleDone = func(*CycleReport) { _, early = c.co.Reports() }
+	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	runSim(t, c.k)
+	if early == nil || !strings.Contains(early.Error(), "report read too early?") {
+		t.Fatalf("Reports at cycle completion: err = %v, want the too-early error", early)
+	}
+	reps := c.reports(t)
+	if len(reps) != 1 || len(reps[0].Records) != n {
+		t.Fatalf("reports: %d, want one with %d records", len(reps), n)
+	}
+	for r, rec := range reps[0].Records {
+		if rec.Cycle != reps[0].Cycle || rec.ResumeAt < rec.WriteEnd {
+			t.Fatalf("rank %d record not filed for cycle %d: %+v", r, reps[0].Cycle, rec)
+		}
+	}
+}
+
 func TestReportAndControllerAccessors(t *testing.T) {
 	const n = 2
 	cfg := DefaultConfig()
@@ -950,7 +979,7 @@ func TestReportAndControllerAccessors(t *testing.T) {
 		t.Fatalf("coordination time %v out of range", rec.CoordinationTime())
 	}
 	ctl := c.co.Controller(1)
-	if ctl.Rank() != c.j.Rank(1) || len(ctl.Records()) != 1 || ctl.Epoch() != 1 {
+	if ctl.Rank() != c.j.Rank(1) || rep.Records[1].Cycle != rep.Cycle || ctl.Epoch() != 1 {
 		t.Fatal("controller accessors")
 	}
 	if ctl.ConnMeta() != 1 {

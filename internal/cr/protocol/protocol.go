@@ -81,8 +81,8 @@ type Options struct {
 type Line struct {
 	// Snaps has one entry per rank; nil means that rank restarts from
 	// scratch (its initial state). The blocking protocols always select one
-	// uniform epoch; the uncoordinated recovery line may mix epochs across
-	// ranks.
+	// uniform epoch, and hand out the archive's own slice: callers must not
+	// write it. The uncoordinated recovery line may mix epochs across ranks.
 	Snaps []*blcr.Snapshot
 	// Skipped counts archived epochs rejected (corrupted or incomplete)
 	// while computing the line.
@@ -180,19 +180,18 @@ func (k Kind) Plan(o Options, traffic []map[int]int64) [][]int {
 // snapshot that still verifies, independently of every other rank's, with
 // message-log replay bridging the resulting epoch skew.
 func (k Kind) RestartLine(snaps *blcr.Store) Line {
-	line := Line{Snaps: make([]*blcr.Snapshot, snaps.Size())}
-	if !k.Blocking() {
-		for rank := range line.Snaps {
-			_, s, skipped := snaps.LatestRankDurable(rank)
-			line.Snaps[rank] = s
-			line.Skipped += skipped
+	if k.Blocking() {
+		_, byRank, skipped := snaps.LatestVerified()
+		if byRank == nil { // no usable epoch: every rank restarts from scratch
+			byRank = make([]*blcr.Snapshot, snaps.Size())
 		}
-		return line
+		return Line{Snaps: byRank, Skipped: skipped}
 	}
-	_, byRank, skipped := snaps.LatestVerified() // byRank is nil without a usable epoch
+	line := Line{Snaps: make([]*blcr.Snapshot, snaps.Size())}
 	for rank := range line.Snaps {
-		line.Snaps[rank] = byRank[rank]
+		_, s, skipped := snaps.LatestRankDurable(rank)
+		line.Snaps[rank] = s
+		line.Skipped += skipped
 	}
-	line.Skipped = skipped
 	return line
 }

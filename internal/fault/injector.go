@@ -92,7 +92,7 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 			}
 			in.armTimedCrash(t, i, f, offset)
 		case StorageOutage:
-			in.armOutage(t, f, offset)
+			in.armWindow(t, t.Storage, obs.KindOutage, f, offset)
 		case CMDrop:
 			if in.left[i] > 0 {
 				drops = append(drops, i)
@@ -105,7 +105,8 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 			}
 			in.armMemLoss(t, i, f, offset)
 		case BurstBufferOutage:
-			in.armBBOutage(t, f, offset)
+			// Runners reject bboutage scenarios on stacks without a burst tier.
+			in.armWindow(t, t.Tiers.BurstSystem(), obs.KindBBOutage, f, offset)
 		}
 	}
 	if len(phaseCrashes) > 0 {
@@ -167,22 +168,25 @@ func crashDetail(f Fault) string {
 	return "timed"
 }
 
-func (in *Injector) armOutage(t Target, f Fault, offset sim.Time) {
+// armWindow schedules an availability window on one storage system: the
+// central service for an outage, the burst-buffer tier for a bboutage (kind
+// names the window's events). A nil system means no window.
+func (in *Injector) armWindow(t Target, sys *storage.System, kind obs.Kind, f Fault, offset sim.Time) {
 	begin := f.At - offset
 	end := f.At + f.Duration - offset
-	if end <= 0 {
-		return // window entirely inside earlier attempts
+	if sys == nil || end <= 0 {
+		return // no such tier, or the window lay entirely inside earlier attempts
 	}
 	if begin < 0 {
 		begin = 0 // attempt starts mid-window
 	}
 	t.K.After(begin, func() {
-		in.emit(t.K.Now(), obs.Begin, obs.KindOutage, fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
-		t.Storage.SetAvailability(f.Factor)
+		in.emit(t.K.Now(), obs.Begin, kind, fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
+		sys.SetAvailability(f.Factor)
 	})
 	t.K.After(end, func() {
-		t.Storage.SetAvailability(1)
-		in.emit(t.K.Now(), obs.End, obs.KindOutage, "", 0)
+		sys.SetAvailability(1)
+		in.emit(t.K.Now(), obs.End, kind, "", 0)
 	})
 }
 
@@ -219,33 +223,6 @@ func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 			fmt.Sprintf("nodes %d..%d lost, %d node-resident copies destroyed", first, first+count-1, lost),
 			int64(count))
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
-	})
-}
-
-// armBBOutage schedules an availability window on the burst-buffer tier,
-// mirroring armOutage's treatment of the central service. Runners reject
-// bboutage scenarios on clusters without a burst tier, so a nil system here
-// only means the window ended before this attempt started.
-func (in *Injector) armBBOutage(t Target, f Fault, offset sim.Time) {
-	sys := t.Tiers.BurstSystem()
-	if sys == nil {
-		return
-	}
-	begin := f.At - offset
-	end := f.At + f.Duration - offset
-	if end <= 0 {
-		return // window entirely inside earlier attempts
-	}
-	if begin < 0 {
-		begin = 0 // attempt starts mid-window
-	}
-	t.K.After(begin, func() {
-		in.emit(t.K.Now(), obs.Begin, obs.KindBBOutage, fmt.Sprintf("factor=%g", f.Factor), int64(f.Factor*100))
-		sys.SetAvailability(f.Factor)
-	})
-	t.K.After(end, func() {
-		sys.SetAvailability(1)
-		in.emit(t.K.Now(), obs.End, obs.KindBBOutage, "", 0)
 	})
 }
 

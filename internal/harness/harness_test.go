@@ -69,7 +69,7 @@ func TestSweepGroupSizeHalving(t *testing.T) {
 
 func TestPaperClusterDefaults(t *testing.T) {
 	cfg := PaperCluster(32)
-	if cfg.N != 32 || cfg.Storage.Servers != 4 {
+	if cfg.N != 32 {
 		t.Fatalf("paper cluster: %+v", cfg)
 	}
 	c, err := NewCluster(cfg)

@@ -36,9 +36,6 @@ type Config struct {
 	// ClientBW caps the rate of any single client in bytes/second (the
 	// paper's testbed: a single writer obtains ~115 MB/s over IPoIB).
 	ClientBW float64
-	// Servers is the number of storage servers, used for reporting only;
-	// striping is implicit in AggregateBW.
-	Servers int
 	// OpenLatency is a fixed per-transfer setup cost (file create/open,
 	// metadata round trip).
 	OpenLatency sim.Time
@@ -64,7 +61,6 @@ func PaperConfig() Config {
 	return Config{
 		AggregateBW: 140 * MB,
 		ClientBW:    116 * MB,
-		Servers:     4,
 		OpenLatency: 2 * sim.Millisecond,
 		// Mild congestion droop at high client counts, as observed in
 		// Figure 1 where aggregate throughput sags slightly at 32 clients.

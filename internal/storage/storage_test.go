@@ -11,7 +11,7 @@ import (
 )
 
 func simpleCfg() Config {
-	return Config{AggregateBW: 100, ClientBW: 100, Servers: 1}
+	return Config{AggregateBW: 100, ClientBW: 100}
 }
 
 // newSystem builds a System, failing the test on a config error.
@@ -442,9 +442,6 @@ func TestQuickByteConservation(t *testing.T) {
 
 func TestPaperConfigDefaults(t *testing.T) {
 	cfg := PaperConfig()
-	if cfg.Servers != 4 {
-		t.Fatalf("Servers = %d, want 4 (PVFS2 servers in the paper)", cfg.Servers)
-	}
 	if cfg.AggregateBW != 140*MB {
 		t.Fatalf("AggregateBW = %v", cfg.AggregateBW)
 	}

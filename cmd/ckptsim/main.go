@@ -17,6 +17,7 @@
 //	ckptsim -workload ring -storage burst -interval 5 -faults 'bboutage@20s+5s'
 //	ckptsim -workload ring -storage local -interval 5 -faults 'memloss@17s'   # Section 2.1 staging
 //	ckptsim -workload commgroups -group 8 -at 10,20,30,40   # one cell per time, merged outputs
+//	ckptsim -workload ring -mtbf 20 -interval 8 -memprofile m.out   # host allocation profile
 //
 // Invalid flags and failed runs exit with status 1 and a one-line message; a
 // failed run still writes the trace and metrics files it was asked for.
@@ -33,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gbcr/cmd/internal/prof"
 	"gbcr/internal/cr/protocol"
 	"gbcr/internal/fault"
 	"gbcr/internal/harness"
@@ -64,9 +66,17 @@ func shapeFlagList(workload string) string {
 	return "only -" + strings.Join(shapeFlags[workload], ", -")
 }
 
+// stopProfiles ends the -cpuprofile and -memprofile profiles once they have
+// started; fail calls it, so a failed run still writes them.
+var stopProfiles = func() error { return nil }
+
 // fail prints a one-line message and exits with status 1.
 func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ckptsim: "+format+"\n", args...)
+	msg := fmt.Sprintf(format, args...)
+	if err := stopProfiles(); err != nil {
+		msg += "; writing profiles: " + err.Error()
+	}
+	fmt.Fprintf(os.Stderr, "ckptsim: %s\n", msg)
 	os.Exit(1)
 }
 
@@ -93,6 +103,8 @@ func main() {
 		faults    = flag.String("faults", "", "fault scenario: a spec like 'crash@12s;outage@20s+5s;mtbf=90s' or a file holding one")
 		storeMode = flag.String("storage", "central", "checkpoint storage: central, burst, ram, hierarchy, local (node-local disk staging)")
 		replicas  = flag.Int("replicas", 0, "RAM-tier partner replicas per rank (with -storage ram or hierarchy; 0 = default 2)")
+		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	)
 	flag.Parse()
 
@@ -235,6 +247,16 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fail("%v", err)
 	}
+	stop, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fail("%v", err)
+	}
+	stopProfiles = stop
+	defer func() {
+		if err := stop(); err != nil {
+			fail("writing profiles: %v", err)
+		}
+	}()
 
 	if multiCell {
 		cells := make([]harness.Cell, len(ats))

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,6 +71,7 @@ func TestRejectedInput(t *testing.T) {
 		{"fault phase unknown", append(ring, "-interval", "2", "-faults", "crash:phase=bogus")},
 		{"fault phase outside the protocol", append(ring, "-interval", "2", "-protocol", "uncoord", "-faults", "crash:phase=sync")},
 		{"unknown protocol", append(ring, "-protocol", "chandy")},
+		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,6 +175,30 @@ func TestFailedRunStillWritesTrace(t *testing.T) {
 		var ev map[string]any
 		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatalf("trace line %d is not JSON: %v", i+1, err)
+		}
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile each leave a non-empty
+// pprof file, which is gzip-compressed protobuf.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if out, err := exec.Command(bin, "-workload", "ring", "-n", "8", "-iters", "100", "-mtbf", "20", "-interval", "8",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err == nil {
+			data, err = io.ReadAll(zr)
+		}
+		if err != nil || len(data) == 0 {
+			t.Errorf("%s: %d bytes uncompressed, %v", filepath.Base(path), len(data), err)
 		}
 	}
 }

@@ -6,6 +6,7 @@
 //
 //	figures [-only fig1,fig3,fig4,fig5,fig6,fig7,ablations,extensions,extprotocols,exttiers] [-json] [-workers N]
 //	figures -only extprotocols -protocol group,uncoord
+//	figures -only fig3 -cpuprofile cpu.out -memprofile mem.out
 //
 // Sweep matrices run concurrently on a worker pool bounded by GOMAXPROCS;
 // -workers overrides the bound (1 forces serial execution). Results are
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"gbcr/cmd/internal/prof"
 	"gbcr/internal/cr/protocol"
 	"gbcr/internal/figures"
 	"gbcr/internal/obs"
@@ -34,7 +36,14 @@ type figureJSON struct {
 	Tables []*figures.Table `json:"tables"`
 }
 
+// stopProfiles ends the -cpuprofile and -memprofile profiles once they have
+// started; fail calls it, so a failed run still writes them.
+var stopProfiles = func() error { return nil }
+
 func fail(err error) {
+	if perr := stopProfiles(); perr != nil {
+		err = fmt.Errorf("%w; writing profiles: %v", err, perr)
+	}
 	fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 	os.Exit(1)
 }
@@ -45,6 +54,8 @@ func main() {
 	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	metrics := flag.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
 	protoFlag := flag.String("protocol", "", "comma-separated protocol kinds for the extprotocols table (default: all; e.g. group,wholejob,uncoord)")
+	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProf := flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	flag.Parse()
 	if *workers < 0 {
 		fail(fmt.Errorf("-workers must not be negative, got %d", *workers))
@@ -82,6 +93,17 @@ func main() {
 	if *protoFlag != "" && !sel("extprotocols") {
 		fail(fmt.Errorf("-protocol only applies to the extprotocols table; add extprotocols to -only"))
 	}
+
+	stop, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	stopProfiles = stop
+	defer func() {
+		if err := stop(); err != nil {
+			fail(err)
+		}
+	}()
 
 	g := figures.NewGenerator(*workers)
 	var agg *obs.Aggregate

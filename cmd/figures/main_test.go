@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,6 +42,7 @@ func TestRejectedInput(t *testing.T) {
 		{"negative workers", []string{"-only", "fig1", "-workers", "-1"}},
 		{"unknown protocol", []string{"-only", "extprotocols", "-protocol", "group,chandy"}},
 		{"protocol without extprotocols", []string{"-only", "fig1", "-protocol", "uncoord"}},
+		{"profile in a missing directory", []string{"-only", "fig1", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "c.out")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,5 +62,28 @@ func TestRejectedInput(t *testing.T) {
 				t.Errorf("rejected run wrote to stdout: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile each leave a non-empty
+// pprof file, which is gzip-compressed protobuf.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if out, err := exec.Command(bin, "-only", "fig1", "-cpuprofile", cpu, "-memprofile", mem).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err == nil {
+			data, err = io.ReadAll(zr)
+		}
+		if err != nil || len(data) == 0 {
+			t.Errorf("%s: %d bytes uncompressed, %v", filepath.Base(path), len(data), err)
+		}
 	}
 }

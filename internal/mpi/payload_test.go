@@ -215,46 +215,88 @@ func captureQueued(t *testing.T, cfg Config, mk func(n int64) payload, n int64) 
 
 // Lib-state bytes are part of the timing model (their length is added to the
 // storage write), so a size-only message must be captured exactly as a
-// zero-filled one, and come back from a restore as that content.
+// zero-filled one, and come back from a restore as that content. Either
+// format's image is plain gob: what a fresh encoder writes for the mirror
+// struct a fresh decoder reads from it.
 func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 	const n = 1 << 10
-	filled := captureQueued(t, loggedConfig(), func(n int64) payload { return content(make([]byte, n)) }, n)
-	sized := captureQueued(t, loggedConfig(), func(n int64) payload { return payload{size: n} }, n)
-	if len(sized) < 3*n {
-		t.Fatalf("captured %d bytes: three %d-byte messages are not all in there", len(sized), n)
-	}
-	if !bytes.Equal(filled, sized) {
-		t.Fatalf("lib state differs: zero-filled %d bytes, size-only %d bytes", len(filled), len(sized))
-	}
+	for _, logged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("logged=%v", logged), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LogMessages = logged
+			filled := captureQueued(t, cfg, func(n int64) payload { return content(make([]byte, n)) }, n)
+			sized := captureQueued(t, cfg, func(n int64) payload { return payload{size: n} }, n)
+			if len(sized) < 2*n {
+				t.Fatalf("captured %d bytes: two %d-byte messages are not all in there", len(sized), n)
+			}
+			if !bytes.Equal(filled, sized) {
+				t.Fatalf("lib state differs: zero-filled %d bytes, size-only %d bytes", len(filled), len(sized))
+			}
+			if fresh := freshGobImage(t, sized); !bytes.Equal(sized, fresh) {
+				t.Fatalf("captured % x, a fresh gob encoder writes % x", sized, fresh)
+			}
 
-	// Round trip: restore onto a fresh rank whose gate keeps the outbox in
-	// place, and capture again.
-	_, j := newJobWith(t, 2, loggedConfig())
-	r := j.Rank(0)
-	r.SetHooks(&spHooks{gate: map[int]bool{1: true}})
-	if err := r.RestoreLibState(sized); err != nil {
-		t.Fatal(err)
+			// Round trip: restore onto a fresh rank whose gate keeps the
+			// outbox in place, and capture again.
+			_, j := newJobWith(t, 2, cfg)
+			r := j.Rank(0)
+			r.SetHooks(&spHooks{gate: map[int]bool{1: true}})
+			if err := r.RestoreLibState(sized); err != nil {
+				t.Fatal(err)
+			}
+			restored := []struct {
+				where string
+				payload
+			}{
+				{"unexpected", r.unexpected[0].payload},
+				{"outbox", r.peer(1).outbox[0].pkt.payload},
+			}
+			if logged {
+				restored = append(restored, struct {
+					where string
+					payload
+				}{"log", r.peer(1).log[0].payload})
+			}
+			for _, q := range restored {
+				if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
+					t.Errorf("restored %s message: size %d, %d data bytes; want %d zero bytes", q.where, q.size, len(q.data), n)
+				}
+			}
+			r.commIndex = 1 // restore resets it for the body to re-create World(); the captured body had
+			again, err := r.CaptureLibState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, sized) {
+				t.Fatal("capture → restore → capture is not the identity")
+			}
+		})
 	}
-	for _, q := range []struct {
-		where string
-		payload
-	}{
-		{"unexpected", r.unexpected[0].payload},
-		{"outbox", r.peer(1).outbox[0].pkt.payload},
-		{"log", r.peer(1).log[0].payload},
-	} {
-		if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
-			t.Errorf("restored %s message: size %d, %d data bytes; want %d zero bytes", q.where, q.size, len(q.data), n)
+}
+
+// freshGobImage decodes a lib-state image into its format's mirror struct
+// with a fresh gob decoder and returns what a fresh gob encoder writes for
+// that struct, behind the same magic.
+func freshGobImage(t *testing.T, image []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var err error
+	if body, v2 := bytes.CutPrefix(image, []byte(libStateV2Magic)); v2 {
+		buf.WriteString(libStateV2Magic)
+		var st libStateV2
+		if err = gob.NewDecoder(bytes.NewReader(body)).Decode(&st); err == nil {
+			err = gob.NewEncoder(&buf).Encode(&st)
+		}
+	} else {
+		var st libState
+		if err = gob.NewDecoder(bytes.NewReader(image)).Decode(&st); err == nil {
+			err = gob.NewEncoder(&buf).Encode(&st)
 		}
 	}
-	r.commIndex = 1 // restore resets it for the body to re-create World(); the captured body had
-	again, err := r.CaptureLibState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, sized) {
-		t.Fatal("capture → restore → capture is not the identity")
-	}
+	return buf.Bytes()
 }
 
 // A SendrecvWord message held in the unexpected queue, an outbox (v1 and v2)
@@ -329,9 +371,10 @@ func TestSendrecvWordLengthMismatchFailsRun(t *testing.T) {
 
 // Capture builds every data-less payload's bytes in one arena, so what it
 // allocates does not grow with the number of logged words: under uncoord the
-// whole log is re-serialised at every capture. The gob encoder's buffer and
-// the output buffer double as they fill, a dozen more allocations at 1,000
-// entries than at 10; a buffer an entry would be 990 more.
+// whole log is re-serialised at every capture. The codec's encoder keeps its
+// buffer from one capture to the next and the image is allocated at its
+// final size, so 1,000 entries cost no more allocations than 10; a buffer an
+// entry would be 990 more.
 func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, j := newJobWith(t, 2, loggedConfig())
@@ -346,8 +389,97 @@ func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 			}
 		})
 	}
-	if few, many := allocs(10), allocs(1000); many > few+50 {
+	if few, many := allocs(10), allocs(1000); many > few {
 		t.Errorf("CaptureLibState makes %v allocations with 10 data-less log entries, %v with 1,000", few, many)
+	}
+}
+
+// libFixture is rank 0 of a 4-rank job holding one unexpected word message
+// and, toward each of its three peers, both sequence counters and 20 logged
+// words; only the v2 format records the last two.
+func libFixture(t testing.TB, cfg Config) *Rank {
+	_, j := newJobWith(t, 4, cfg)
+	r := j.Rank(0)
+	r.unexpected = append(r.unexpected, inMsg{srcWorld: 1, tag: 3, eager: true, payload: payload{size: 8, word: 7}})
+	for p := 1; p < 4; p++ {
+		pr := r.peer(p)
+		pr.sendSeq, pr.recvSeq = 20, 5
+		for i := 1; i <= 20; i++ {
+			pr.log = append(pr.log, logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+		}
+	}
+	return r
+}
+
+// A capture allocates its mirror structs and slices, one arena and the
+// image, and a v1 restore what it rebuilds: the library state's gob types
+// are not sent or compiled again per image.
+func TestLibStateCodecAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		logged bool
+		max    float64
+	}{{false, 4}, {true, 7}} {
+		cfg := DefaultConfig()
+		cfg.LogMessages = tc.logged
+		r := libFixture(t, cfg)
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := r.CaptureLibState(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > tc.max {
+			t.Errorf("logged=%v: CaptureLibState makes %v allocations, want at most %v", tc.logged, n, tc.max)
+		}
+	}
+
+	img, err := libFixture(t, DefaultConfig()).CaptureLibState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	fresh := make([]*Rank, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range fresh {
+		_, j := newJobWith(t, 4, DefaultConfig())
+		fresh[i] = j.Rank(0)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := fresh[0].RestoreLibState(img); err != nil {
+			t.Fatal(err)
+		}
+		fresh = fresh[1:]
+	}); n > 10 {
+		t.Errorf("a v1 RestoreLibState makes %v allocations, want at most 10", n)
+	}
+}
+
+// A lib-state image that fails to decode is an error naming the rank; a
+// damaged image leaves nothing behind, so a good one restores right after.
+func TestRestoreLibStateErrorNamesRank(t *testing.T) {
+	for _, logged := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.LogMessages = logged
+		good, err := libFixture(t, cfg).CaptureLibState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := bytes.Clone(good)
+		flipped[0] ^= 0xff // what blcr.Snapshot.Corrupt does
+		for _, bad := range []struct {
+			name string
+			img  []byte
+		}{{"flipped", flipped}, {"truncated", good[:len(good)-5]}} {
+			_, j := newJobWith(t, 4, cfg)
+			err := j.Rank(2).RestoreLibState(bad.img)
+			if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 2: library state: ") {
+				t.Errorf("logged=%v, %s image: RestoreLibState = %v, want an error naming rank 2", logged, bad.name, err)
+			}
+			r := j.Rank(3)
+			if err := r.RestoreLibState(good); err != nil {
+				t.Fatalf("logged=%v: a good image after the %s one: %v", logged, bad.name, err)
+			}
+			if len(r.unexpected) != 1 || r.unexpected[0].tag != 3 {
+				t.Errorf("logged=%v: a good image after the %s one restored %d unexpected messages", logged, bad.name, len(r.unexpected))
+			}
+		}
 	}
 }
 

@@ -3,8 +3,9 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+
+	"gbcr/internal/blcr"
 )
 
 // RequestSafePointPolled asks for a safe point without interrupting the
@@ -80,7 +81,7 @@ type logEntry struct {
 // captured returns the bytes a snapshot records for p: its content, or for a
 // data-less payload its bytes by the payload rule — the word's 8 bytes, then
 // zeros to its length — carved from the front of *arena, the zeroed buffer
-// one capture builds all of them in and drops with the encoder. The gob
+// one capture builds all of them in and drops after encoding. The gob
 // structs keep their v1/v2 shape (a new field would put its name in every
 // snapshot's type descriptor), and their length is part of the timing model:
 // Snapshot.Size() adds len(LibState) to the storage write. A data-less
@@ -141,6 +142,12 @@ type libStateV2 struct {
 	RecvSeq    []seqEntry
 	Log        []savedLog
 }
+
+// The two image formats' codecs: each sends its gob types once per process.
+var (
+	libStateCodec   blcr.Codec[libState]
+	libStateV2Codec blcr.Codec[libStateV2]
+)
 
 // CaptureLibState serializes the rank's library state for a snapshot: the
 // unexpected-message queue and the deferred-send outbox, and in LogMessages
@@ -231,36 +238,43 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			})
 		}
 	}
-	var buf bytes.Buffer
 	if logging {
-		buf.WriteString(libStateV2Magic)
-		err := gob.NewEncoder(&buf).Encode(st)
-		return buf.Bytes(), err
+		v2 := st // the encoder's copy: st itself stays off the heap on the v1 path
+		return libStateV2Codec.Append([]byte(libStateV2Magic), &v2)
 	}
 	// Gob names the types in its stream: v1 bytes need the v1 types.
 	v1 := libState{Unexpected: st.Unexpected, Outbox: make([]savedOut, len(st.Outbox)), CommIndex: st.CommIndex}
 	for i, o := range st.Outbox {
 		v1.Outbox[i] = savedOut{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
 	}
-	err := gob.NewEncoder(&buf).Encode(v1)
-	return buf.Bytes(), err
+	return libStateCodec.Append(nil, &v1)
 }
 
 // RestoreLibState reconstructs the state CaptureLibState recorded on a fresh
 // rank (before its body is launched). Deferred sends are re-posted; they
 // re-establish connections on demand as the restarted job runs, with their
 // original sequence numbers, so a copy that also arrives via log replay is
-// discarded by the receiver's duplicate check. A v1 image decodes into the v2
-// struct — gob matches fields by name — and leaves what v1 lacks zero: no
-// counters, no log, and unstamped sends.
+// discarded by the receiver's duplicate check. A v1 image's fields are copied
+// into the v2 struct, leaving what v1 lacks zero: no counters, no log, and
+// unstamped sends.
 func (r *Rank) RestoreLibState(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
 	var st libStateV2
-	data, _ = bytes.CutPrefix(data, []byte(libStateV2Magic))
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
+	var err error
+	if body, ok := bytes.CutPrefix(data, []byte(libStateV2Magic)); ok {
+		err = libStateV2Codec.Decode(body, &st)
+	} else {
+		var v1 libState
+		err = libStateCodec.Decode(data, &v1)
+		st.Unexpected, st.Outbox, st.CommIndex = v1.Unexpected, make([]savedOutV2, len(v1.Outbox)), v1.CommIndex
+		for i, o := range v1.Outbox {
+			st.Outbox[i] = savedOutV2{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("mpi: rank %d: library state: %w", r.world, err)
 	}
 	r.commIndex = 0 // the restarted body re-creates its communicators
 	for _, m := range st.Unexpected {

@@ -16,11 +16,10 @@
 package motif
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
+	"gbcr/internal/blcr"
 	"gbcr/internal/mpi"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
@@ -151,6 +150,8 @@ type mineState struct {
 	Cands      [][]int
 }
 
+var mineCodec blcr.Codec[mineState]
+
 // start is the position before level 1: every single label is a candidate.
 func (m Mine) start() *mineState {
 	st := &mineState{Level: 1, Frequent: make(map[string]int)}
@@ -227,7 +228,7 @@ func (m Mine) LaunchFrom(j *mpi.Job, appStates [][]byte) (workload.Instance, err
 		restored := appStates != nil && appStates[r] != nil
 		if restored {
 			st = &mineState{Frequent: make(map[string]int)} // gob omits an empty map
-			if err := gob.NewDecoder(bytes.NewReader(appStates[r])).Decode(st); err != nil {
+			if err := mineCodec.Decode(appStates[r], st); err != nil {
 				return nil, fmt.Errorf("motif: state for rank %d: %w", r, err)
 			}
 		}
@@ -276,11 +277,7 @@ func (inst *MineInstance) Footprint(rank int) int64 { return inst.bytes[rank] }
 
 // Capture implements workload.RestartableInstance.
 func (inst *MineInstance) Capture(rank int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(inst.states[rank]); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return mineCodec.Append(nil, inst.states[rank])
 }
 
 // SortedPatterns returns the frequent patterns in deterministic order.

@@ -1,10 +1,9 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"gbcr/internal/blcr"
 	"gbcr/internal/mpi"
 	"gbcr/internal/sim"
 )
@@ -44,6 +43,8 @@ type ringState struct {
 	Sum  int64
 }
 
+var ringCodec blcr.Codec[ringState]
+
 // RingInstance is one run of Ring.
 type RingInstance struct {
 	w      Ring
@@ -63,7 +64,7 @@ func (w Ring) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 	for i := 0; i < w.N; i++ {
 		st := &ringState{}
 		if appStates != nil && appStates[i] != nil {
-			if err := gob.NewDecoder(bytes.NewReader(appStates[i])).Decode(st); err != nil {
+			if err := ringCodec.Decode(appStates[i], st); err != nil {
 				return nil, fmt.Errorf("workload: ring state for rank %d: %w", i, err)
 			}
 		}
@@ -109,11 +110,7 @@ func (inst *RingInstance) Footprint(rank int) int64 { return inst.w.FootprintMB 
 
 // Capture implements RestartableInstance.
 func (inst *RingInstance) Capture(rank int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(inst.states[rank]); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return ringCodec.Append(nil, inst.states[rank])
 }
 
 // ExpectedRingSum returns the failure-free checksum for a rank.
@@ -141,6 +138,8 @@ type agState struct {
 	Hash uint64
 }
 
+var agCodec blcr.Codec[agState]
+
 // AllgatherInstance is one run of AllgatherLoop.
 type AllgatherInstance struct {
 	w      AllgatherLoop
@@ -160,7 +159,7 @@ func (w AllgatherLoop) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, err
 	for i := 0; i < w.N; i++ {
 		st := &agState{}
 		if appStates != nil && appStates[i] != nil {
-			if err := gob.NewDecoder(bytes.NewReader(appStates[i])).Decode(st); err != nil {
+			if err := agCodec.Decode(appStates[i], st); err != nil {
 				return nil, fmt.Errorf("workload: allgather state for rank %d: %w", i, err)
 			}
 		}
@@ -208,9 +207,5 @@ func (inst *AllgatherInstance) Footprint(rank int) int64 { return inst.w.Footpri
 
 // Capture implements RestartableInstance.
 func (inst *AllgatherInstance) Capture(rank int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(inst.states[rank]); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return agCodec.Append(nil, inst.states[rank])
 }

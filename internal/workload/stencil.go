@@ -1,11 +1,10 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
+	"gbcr/internal/blcr"
 	"gbcr/internal/mpi"
 	"gbcr/internal/sim"
 )
@@ -28,6 +27,8 @@ type stencilState struct {
 	Iter  int
 	Field []float64 // strip including one halo cell on each side
 }
+
+var stencilCodec blcr.Codec[stencilState]
 
 // StencilInstance is one run of Stencil.
 type StencilInstance struct {
@@ -64,7 +65,7 @@ func (w Stencil) LaunchFrom(j *mpi.Job, appStates [][]byte) (Instance, error) {
 	for i := 0; i < w.N; i++ {
 		st := &stencilState{}
 		if appStates != nil && appStates[i] != nil {
-			if err := gob.NewDecoder(bytes.NewReader(appStates[i])).Decode(st); err != nil {
+			if err := stencilCodec.Decode(appStates[i], st); err != nil {
 				return nil, fmt.Errorf("workload: stencil state for rank %d: %w", i, err)
 			}
 		} else {
@@ -133,9 +134,5 @@ func (inst *StencilInstance) Footprint(rank int) int64 { return inst.w.Footprint
 
 // Capture implements RestartableInstance.
 func (inst *StencilInstance) Capture(rank int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(inst.states[rank]); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return stencilCodec.Append(nil, inst.states[rank])
 }

@@ -208,6 +208,34 @@ func TestRingCaptureRoundtrip(t *testing.T) {
 	}
 }
 
+// A Ring image is one allocation to write and at most one to read: the
+// codec sends ringState's gob types once per process, not once per image.
+func TestRingCodecAllocs(t *testing.T) {
+	inst := &RingInstance{states: []*ringState{{Iter: 41, Sum: 1 << 40}}}
+	img, err := inst.Capture(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := inst.Capture(0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Ring Capture makes %v allocations, want 1", n)
+	}
+	var st ringState
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ringCodec.Decode(img, &st); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("decoding a Ring image makes %v allocations, want at most 1", n)
+	}
+	if st != *inst.states[0] {
+		t.Errorf("decoded %+v, captured %+v", st, *inst.states[0])
+	}
+}
+
 func TestAllgatherLoopHashes(t *testing.T) {
 	const n, iters = 4, 15
 	k, j := newJob(t, n)

@@ -146,6 +146,36 @@ func TestLocalStagingAccepted(t *testing.T) {
 	}
 }
 
+// TestProtocolCrashExports: under every protocol a crashed run recovers,
+// reports its one failure, and writes both trace exports as valid JSON, so
+// the sinks' one detail formatter runs under each protocol.
+func TestProtocolCrashExports(t *testing.T) {
+	for _, proto := range []string{"group", "wholejob", "uncoord"} {
+		dir := t.TempDir()
+		jsonl, chrome := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "trace.json")
+		out, err := exec.Command(bin, "-workload", "ring", "-n", "8", "-iters", "200", "-interval", "2",
+			"-protocol", proto, "-faults", "crash@3s", "-trace-json", jsonl, "-trace-chrome", chrome).Output()
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if !bytes.Contains(out, []byte("failures survived:     1\n")) {
+			t.Errorf("%s: want one failure survived, got:\n%s", proto, out)
+		}
+		trace, err := os.ReadFile(jsonl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+			if !json.Valid(line) {
+				t.Fatalf("%s: trace line %d is not JSON: %s", proto, i+1, line)
+			}
+		}
+		if data, err := os.ReadFile(chrome); err != nil || !json.Valid(data) {
+			t.Errorf("%s: Chrome trace does not parse (%d bytes, %v)", proto, len(data), err)
+		}
+	}
+}
+
 // TestFailedRunStillWritesTrace: a scenario run that fails (here: a central
 // outage outlasting the coordinator's retry budget) exits 1 with one line and
 // still leaves the requested timeline, the one file needed to see why.

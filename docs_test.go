@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,8 @@ var (
 	docFlagRE  = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
 	flagDefRE  = regexp.MustCompile(`flag\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
 	metricRE   = regexp.MustCompile(`"name": "(\w+\.\w+)"`)
+	// changesEntryRE is one numbered CHANGES.md entry, one line.
+	changesEntryRE = regexp.MustCompile(`(?m)^(- \*\*PR (\d+).*)$`)
 )
 
 // TestDocsResolve keeps the prose from outliving the code: in README.md,
@@ -116,5 +119,34 @@ func TestDocsResolve(t *testing.T) {
 				checkFlags(m[1], m[2])
 			}
 		}
+	}
+}
+
+// TestDocsBudget holds the kept documents to their size caps: every
+// CHANGES.md entry numbered 31 or later is at most 1,500 bytes, and
+// ROADMAP.md at most 32 KiB.
+func TestDocsBudget(t *testing.T) {
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, m := range changesEntryRE.FindAllStringSubmatch(string(changes), -1) {
+		if pr, err := strconv.Atoi(m[2]); err == nil && pr >= 31 {
+			entries++
+			if len(m[1]) > 1500 {
+				t.Errorf("CHANGES.md: entry %d is %d bytes, over 1,500", pr, len(m[1]))
+			}
+		}
+	}
+	if entries == 0 {
+		t.Error("CHANGES.md: no entry numbered 31 or later")
+	}
+	roadmap, err := os.Stat("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roadmap.Size() > 32<<10 {
+		t.Errorf("ROADMAP.md is %d bytes, over 32,768", roadmap.Size())
 	}
 }

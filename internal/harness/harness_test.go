@@ -5,10 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
+	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 )
 
@@ -81,55 +81,22 @@ func TestPaperClusterDefaults(t *testing.T) {
 	}
 }
 
-func TestRunWithPeriodicCheckpointsUnderFailures(t *testing.T) {
-	const n = 4
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 2
-	cfg.CR.DefaultFootprint = 5 << 20
-	w := workload.Ring{N: n, Iters: 150, Chunk: 20 * sim.Millisecond, FootprintMB: 5}
-	// Baseline without failures for reference.
-	base, err := Baseline(cfg, w)
+// TestSpilledCheckpointHasNoVulnerabilityWindow: a one-byte burst buffer
+// spills every write through to central storage, so each image is cold
+// before the cycle completes. The window after the processes resumed is
+// zero, never negative.
+func TestSpilledCheckpointHasNoVulnerabilityWindow(t *testing.T) {
+	cfg := smallCluster(4)
+	cfg.Tiers = tier.Config{Mode: tier.ModeBurst, BurstCapacity: 1}
+	w := workload.CommGroups{N: 4, CommGroupSize: 2, Iters: 60,
+		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
+	res, err := MeasureObserved(cfg, w, sim.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(cfg, w, fault.Scenario{MTBF: 1500 * sim.Millisecond, Seed: 7}, 600*sim.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures == 0 {
-		t.Fatal("test premise: no failures injected (raise mtbf pressure)")
-	}
-	if res.Checkpoints == 0 {
-		t.Fatal("no checkpoints completed")
-	}
-	if res.Wall <= base {
-		t.Fatalf("wall %v not above failure-free baseline %v despite %d failures",
-			res.Wall, base, res.Failures)
-	}
-	// With checkpoint-restart, total time stays bounded: without recovery
-	// the job could never finish at MTBF << runtime; with it, the wall time
-	// is within a small multiple of the baseline.
-	if res.Wall > 6*base {
-		t.Fatalf("wall %v too large vs baseline %v (recovery not effective)", res.Wall, base)
-	}
-}
-
-func TestPeriodicCheckpointsNoFailures(t *testing.T) {
-	const n = 3
-	cfg := smallCluster(n)
-	cfg.CR.GroupSize = 0
-	cfg.CR.DefaultFootprint = 2 << 20
-	w := workload.Ring{N: n, Iters: 60, Chunk: 20 * sim.Millisecond, FootprintMB: 2}
-	// Effectively infinite MTBF: no failures, several checkpoints.
-	res, err := RunScenario(cfg, w, fault.Scenario{MTBF: 1000 * sim.Hour, Seed: 3}, 300*sim.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures != 0 {
-		t.Fatalf("unexpected failures: %d", res.Failures)
-	}
-	if res.Checkpoints < 2 {
-		t.Fatalf("periodic scheduling broken: %d checkpoints", res.Checkpoints)
+	if rep := res.Report; rep.DrainedAt != 0 || rep.VulnerabilityWindow() != 0 {
+		t.Errorf("DrainedAt %v, DoneAt %v, window %v; want no window once every image is cold at commit",
+			rep.DrainedAt, rep.DoneAt, rep.VulnerabilityWindow())
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gbcr/internal/cr/protocol"
-	"gbcr/internal/fault"
-	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
@@ -121,68 +118,6 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 				t.Errorf("results (cycle reports included) differ from serial")
 			}
 		})
-	}
-}
-
-// TestShardedFaultScenarioEquivalence spreads a batch of -faults availability
-// scenarios over the worker pool: each scenario is one serial restart chain
-// (RunScenario), and the batch's traces and results must be identical at
-// any worker count.
-func TestShardedFaultScenarioEquivalence(t *testing.T) {
-	const n = 4
-	w := scenarioRing(n)
-	specs := []string{
-		"crash:phase=write,epoch=2,rank=1;seed=3",
-		"crash:phase=sync,epoch=1,rank=0;seed=5",
-		"outage@650ms+200ms;crash:phase=write,epoch=2,rank=2;seed=7",
-		"memloss@2s:count=2;seed=5",
-	}
-	scns := make([]fault.Scenario, len(specs))
-	for i, spec := range specs {
-		scns[i] = mustParse(t, spec)
-	}
-	runBatch := func(workers int) ([][]byte, []AvailabilityResult) {
-		traces := make([][]byte, len(specs))
-		results := make([]AvailabilityResult, len(specs))
-		err := NewRunner(workers).ForEach(len(specs), func(i int) error {
-			cfg := smallCluster(n)
-			cfg.CR.GroupSize = 2
-			cfg.CR.DefaultFootprint = 5 << 20
-			if strings.Contains(specs[i], "memloss") {
-				cfg.Tiers.Mode = tier.ModeHierarchy
-				cfg.Tiers.Replicas = 2
-			}
-			var buf bytes.Buffer
-			js := obs.NewJSONL(&buf)
-			res, err := RunScenario(cfg, w, scns[i], 600*sim.Millisecond, obs.NewBus(js))
-			if err != nil {
-				return fmt.Errorf("scenario %d: %w", i, err)
-			}
-			if js.Err() != nil {
-				return js.Err()
-			}
-			res.FinalInst = nil // instances carry pointers; compare the numbers
-			traces[i] = buf.Bytes()
-			results[i] = res
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("batch (workers=%d): %v", workers, err)
-		}
-		return traces, results
-	}
-	wantTraces, wantResults := runBatch(1)
-	for _, workers := range []int{2, 4} {
-		gotTraces, gotResults := runBatch(workers)
-		for i := range specs {
-			if !bytes.Equal(gotTraces[i], wantTraces[i]) {
-				t.Errorf("workers=%d scenario %d: trace differs from serial (%d vs %d bytes)",
-					workers, i, len(gotTraces[i]), len(wantTraces[i]))
-			}
-		}
-		if !reflect.DeepEqual(gotResults, wantResults) {
-			t.Errorf("workers=%d: availability results differ from serial", workers)
-		}
 	}
 }
 

@@ -67,6 +67,11 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	interval sim.Time, bus *obs.Bus) (AvailabilityResult, error) {
 
 	cfg.CR.Polled = true
+	// A bad cluster is reported before a bad scenario, so one configuration
+	// gets one error whatever faults it is run under.
+	if err := cfg.Validate(); err != nil {
+		return AvailabilityResult{}, err
+	}
 	proto, err := cfg.CR.ResolveProtocol(cfg.N, cfg.MPI.LogMessages)
 	if err != nil {
 		return AvailabilityResult{}, err

@@ -123,8 +123,8 @@ func TestDocsResolve(t *testing.T) {
 }
 
 // TestDocsBudget holds the kept documents to their size caps: every
-// CHANGES.md entry numbered 31 or later is at most 1,500 bytes, and
-// ROADMAP.md at most 32 KiB.
+// CHANGES.md entry numbered 31 or later is at most 1,500 bytes, ROADMAP.md
+// at most 32 KiB, and DESIGN.md at most 96,000 bytes.
 func TestDocsBudget(t *testing.T) {
 	changes, err := os.ReadFile("CHANGES.md")
 	if err != nil {
@@ -142,11 +142,16 @@ func TestDocsBudget(t *testing.T) {
 	if entries == 0 {
 		t.Error("CHANGES.md: no entry numbered 31 or later")
 	}
-	roadmap, err := os.Stat("ROADMAP.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if roadmap.Size() > 32<<10 {
-		t.Errorf("ROADMAP.md is %d bytes, over 32,768", roadmap.Size())
+	for _, doc := range []struct {
+		path string
+		max  int64
+	}{{"ROADMAP.md", 32 << 10}, {"DESIGN.md", 96000}} {
+		fi, err := os.Stat(doc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > doc.max {
+			t.Errorf("%s is %d bytes, over %d", doc.path, fi.Size(), doc.max)
+		}
 	}
 }

@@ -128,12 +128,12 @@ func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 func finishedRankCluster(t *testing.T, cfg Config, mpiCfg mpi.Config) *testCluster {
 	t.Helper()
 	const n = 4
-	cfg.Polled = true
 	cfg.DefaultFootprint = 100 * testMB
 	c, err := buildClusterMPI(sim.NewKernel(1), n, cfg, mpiCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.co.SetCapture(noAppState)
 	for i := 0; i < n-1; i++ {
 		i := i
 		c.j.Launch(i, func(e *mpi.Env) {

@@ -33,8 +33,6 @@ type Controller struct {
 	// workloads install it (HPL's footprint shrinks over the run). Nil
 	// means Config.DefaultFootprint.
 	FootprintFn func() int64
-	// CaptureFn serializes application state for functional restart.
-	CaptureFn func() ([]byte, error)
 
 	epoch      int      // completed checkpoints
 	lastCkptAt sim.Time // when the previous snapshot was taken (incremental)
@@ -223,14 +221,14 @@ func (c *Controller) startCycle(m msgCkptRequest) {
 	// against the consistency gate; a global quiesce followed by staggered
 	// group writes is the sound equivalent (the SCR-style application-level
 	// discipline). Signal mode under a blocking protocol stops on msgTurn.
-	if !blocking || c.co.cfg.Polled {
+	if !blocking || c.co.polled() {
 		c.stop()
 	}
 }
 
 func (c *Controller) onTurn(m msgTurn) {
 	c.turnStarted[m.group] = true
-	if m.group == c.myGroup && !c.co.cfg.Polled {
+	if m.group == c.myGroup && !c.co.polled() {
 		c.stop() // polled mode already stopped at cycle start
 	}
 }
@@ -243,7 +241,7 @@ func (c *Controller) stop() {
 	switch {
 	case c.rank.Finished():
 		c.checkpointFinishedRank()
-	case c.co.cfg.Polled:
+	case c.co.polled():
 		c.activating = true
 		c.rank.RequestSafePointPolled()
 	default:
@@ -561,14 +559,11 @@ func (c *Controller) teardownBusy() bool {
 // phase. A capture failure fails the run and returns nil.
 func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 	var app, lib []byte
-	if c.co.cfg.Polled {
+	if c.co.polled() {
 		var err error
-		if c.CaptureFn != nil {
-			if app, err = c.CaptureFn(); err != nil {
-				err = fmt.Errorf("capturing application state: %w", err)
-			}
-		}
-		if err == nil {
+		if app, err = c.co.capture(c.rank.World()); err != nil {
+			err = fmt.Errorf("capturing application state: %w", err)
+		} else {
 			lib, err = c.rank.CaptureLibState()
 		}
 		if err != nil {
@@ -590,18 +585,20 @@ func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 	return blcr.New(c.rank.World(), c.epoch+1, now, fp, app, lib)
 }
 
-// incrementalFloor is the minimum fraction of the full footprint an
-// incremental snapshot writes (page-table metadata and always-hot pages).
-const incrementalFloor = 0.05
+const (
+	// incrementalFloor is the minimum fraction of the full footprint an
+	// incremental snapshot writes (page-table metadata and always-hot pages).
+	incrementalFloor = 0.05
+	// dirtyBW is the rate at which a running process dirties memory, in
+	// bytes per second of execution (1 MB/s: ~50 MB between the incremental
+	// extension's checkpoints).
+	dirtyBW = 1 << 20
+)
 
 // incrementalSize models the dirty-page image written by an incremental
 // checkpoint: a floor of always-written metadata plus memory dirtied since
 // the previous snapshot, capped at the full footprint.
 func (c *Controller) incrementalSize(full int64) int64 {
-	dirtyBW := c.co.cfg.DirtyBW
-	if dirtyBW <= 0 {
-		dirtyBW = 20 << 20
-	}
 	elapsed := (c.co.k.Now() - c.lastCkptAt).Seconds()
 	dirty := int64(incrementalFloor*float64(full) + dirtyBW*elapsed)
 	if dirty > full {

@@ -69,6 +69,8 @@ type Coordinator struct {
 	// during phase P of epoch E".
 	PhaseHook func(rank int, phase protocol.Phase, epoch int)
 
+	capture func(rank int) ([]byte, error) // see SetCapture; nil in signal mode
+
 	// bus receives the protocol timeline (cycle control on the system
 	// track, per-rank phase spans) when a sink is attached; nil is fine.
 	bus *obs.Bus
@@ -80,6 +82,16 @@ type Coordinator struct {
 // cr-layer events, and every rank's phase durations and buffering deltas are
 // observed into the bus's registry.
 func (co *Coordinator) SetObs(b *obs.Bus) { co.bus = b }
+
+// SetCapture installs fn to serialize each rank's application state for
+// functional restart, and with it the polled discipline: safe-point requests
+// wait for the application's next library call or MaybeCheckpoint boundary,
+// and every snapshot records the application and library state. Without it,
+// checkpoints interrupt like a BLCR signal and write footprint-sized images.
+func (co *Coordinator) SetCapture(fn func(rank int) ([]byte, error)) { co.capture = fn }
+
+// polled reports whether a capture function selected the polled discipline.
+func (co *Coordinator) polled() bool { return co.capture != nil }
 
 // emit records a cr-layer coordinator event on the system track: val for a
 // structured kind (obs.Event.Text), detail for the rest.
@@ -225,7 +237,7 @@ func (co *Coordinator) RequestCheckpoint() {
 		// msgSaved when its write lands.
 		return
 	}
-	if !co.cfg.Polled {
+	if !co.polled() {
 		// Signal mode: group 0 is interrupted immediately; other groups
 		// keep computing (passive coordination).
 		co.startTurn(0)
@@ -268,7 +280,7 @@ func (co *Coordinator) onMsg(src int, payload any) {
 			return
 		}
 		co.ready++
-		if co.cfg.Polled {
+		if co.polled() {
 			// Global quiesce barrier: start the first group only when
 			// every rank is stopped at a boundary. startTurn resets the
 			// count, and no rank reports ready twice in a cycle.
@@ -319,7 +331,7 @@ func (co *Coordinator) startTurn(turn int) {
 		co.emit(obs.KindTurn, 0, fmt.Sprintf("group %d %v", turn, co.cur.Groups[turn]))
 	}
 	co.broadcast(msgTurn{cycle: co.cycle, group: turn})
-	if co.cfg.Polled {
+	if co.polled() {
 		co.sendGroup(turn, msgGo{cycle: co.cycle, group: turn})
 	}
 }

@@ -49,13 +49,6 @@ type Config struct {
 	// ranks outside the checkpointing group (Section 4.4), under blocking
 	// protocols only. Disabling it is the asynchronous-progress ablation.
 	HelperEnabled bool
-	// Polled selects the functional-restart discipline: safe-point requests
-	// do not interrupt but are served at the application's next library call
-	// or MaybeCheckpoint boundary, and every snapshot records the
-	// application and library state a restart resumes from. Timing runs
-	// leave it off: they interrupt like a BLCR signal and write images of
-	// the footprint's size only.
-	Polled bool
 	// DefaultFootprint is the per-process checkpoint image size used when a
 	// rank has no footprint function installed.
 	DefaultFootprint int64
@@ -69,12 +62,9 @@ type Config struct {
 	// Incremental enables incremental checkpointing — the future-work
 	// direction the paper names (cf. TICK): after a process's first full
 	// snapshot, later snapshots write only the memory dirtied since the
-	// previous checkpoint, modeled as floor + DirtyBW × elapsed, capped at
+	// previous checkpoint, modeled as floor + dirtyBW × elapsed, capped at
 	// the full footprint.
 	Incremental bool
-	// DirtyBW is the rate at which a running process dirties memory
-	// (bytes per second of execution). Zero means 20 MB/s.
-	DirtyBW float64
 }
 
 // retryBackoff is the delay before the first retry of a checkpoint aborted by
@@ -94,11 +84,7 @@ const maxCycleRetries = 8
 // attempt-th retry of a failed snapshot write (cycle-wide abort-retry for the
 // blocking protocols, per-rank local retry for the uncoordinated one).
 func writeRetryBackoff(attempt int) sim.Time {
-	backoff := retryBackoff
-	for i := 1; i < attempt && backoff < retryBackoffCap; i++ {
-		backoff *= 2
-	}
-	return backoff
+	return sim.Backoff(retryBackoff, attempt-1, retryBackoffCap)
 }
 
 // DefaultConfig returns a regular-protocol configuration with the helper

@@ -88,6 +88,10 @@ func newStagingCluster(t testing.TB, n int, cfg Config) (*testCluster, *tier.Hie
 	return c, c.h
 }
 
+// noAppState is a capture function for workloads without application
+// state: installing it selects the polled discipline.
+func noAppState(int) ([]byte, error) { return nil, nil }
+
 // computeLoop is a pure-compute workload body: iters chunks of the given
 // duration.
 func computeLoop(iters int, chunk sim.Time) func(*mpi.Env) {
@@ -881,7 +885,6 @@ func TestIncrementalSnapshotSizing(t *testing.T) {
 	cfg.GroupSize = 0
 	cfg.DefaultFootprint = 100 * testMB
 	cfg.Incremental = true
-	cfg.DirtyBW = 1 * testMB // 1 MB/s of dirtied memory
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(120, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
@@ -910,16 +913,16 @@ func TestIncrementalSnapshotSizing(t *testing.T) {
 func TestIncrementalCapsAtFullFootprint(t *testing.T) {
 	const n = 1
 	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 10 * testMB
+	const full = 2 * testMB // less than dirtyBW re-dirties in ~4 s
+	cfg.DefaultFootprint = full
 	cfg.Incremental = true
-	cfg.DirtyBW = 100 * testMB // dirties everything between checkpoints
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
 	c.co.ScheduleCheckpoint(5 * sim.Second)
 	runSim(t, c.k)
 	reps := c.reports(t)
-	if got := reps[1].Records[0].Footprint; got != 10*testMB {
+	if got := reps[1].Records[0].Footprint; got != full {
 		t.Fatalf("incremental image %d exceeded or undershot the full footprint", got)
 	}
 }
@@ -1120,9 +1123,9 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 	const n = 3
 	cfg := DefaultConfig()
 	cfg.GroupSize = 2
-	cfg.Polled = true
 	cfg.DefaultFootprint = 20 * testMB
 	c, _ := newStagingCluster(t, n, cfg)
+	c.co.SetCapture(noAppState)
 	sums := make([]int64, n)
 	c.j.Launch(0, func(e *mpi.Env) {
 		e.Compute(200 * sim.Millisecond) // finishes before the checkpoint

@@ -234,7 +234,8 @@ func (g *Generator) PhaseBreakdown() (*Table, error) {
 // redistribution is absorbed until the straggler tail, which is a small
 // fraction of the total. The paper's concern therefore points at
 // NON-work-conserving effects (congestion collapse, server imbalance),
-// which degrade AggregateBW itself (the Efficiency hook).
+// which degrade AggregateBW itself (storage.Config.Droop; the table's note
+// keeps its old name, the Efficiency hook).
 func (g *Generator) AblationNoise() (*Table, error) {
 	t := &Table{
 		Title:     "Ablation (S3.1): unbalanced storage sharing (straggler noise)",

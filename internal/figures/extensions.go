@@ -133,7 +133,6 @@ func (g *Generator) ExtensionIncremental() (*Table, error) {
 		cfg.CR.GroupSize = mode.gs
 		cfg.CR.DefaultFootprint = microFootprint << 20
 		cfg.CR.Incremental = mode.incr
-		cfg.CR.DirtyBW = 1 << 20 // 1 MB/s: ~50 MB re-dirtied per 40 s interval
 		c, err := harness.NewCluster(cfg)
 		if err != nil {
 			return err

@@ -81,7 +81,7 @@ const noFault = "none"
 var ringSpecs = []string{noFault, "crash@2s", "crash@900ms:rank=1",
 	"outage@650ms+200ms", "outage@650ms+200ms;crash:phase=write,epoch=2,rank=1;seed=3", "bboutage@400ms+600ms",
 	"cmdrop:type=REQ,count=2;crash@2s", "memloss@2s:count=2;seed=5", "memloss@2s:rank=1",
-	"corrupt:epoch=2,rank=1;crash@2s", "mtbf=1500ms;seed=7",
+	"corrupt:epoch=2,rank=1;crash@2s", "corrupt:epoch=3,rank=1;crash@2s", "mtbf=1500ms;seed=7",
 	"crash@100s", "memloss@100s:rank=1", "crash@9223372036s"}
 
 // row is one workload of the matrix and the cells it runs.
@@ -210,6 +210,9 @@ func matrix() []row {
 				p := PaperCluster(c.N)
 				c.Storage, c.CR.LocalSetup = p.Storage, p.CR.LocalSetup
 			}},
+		// A non-positive interval is rejected before anything is scheduled.
+		{name: "interval0", n: 4, w: ring4, interval: 0, kinds: onlyGroup, modes: onlyCentral, specs: []string{noFault}},
+		{name: "interval-neg", n: 4, w: ring4, interval: -sim.Second, kinds: onlyGroup, modes: onlyCentral, specs: []string{noFault}},
 		{name: "nolog", n: 4, w: ring4, interval: 600 * sim.Millisecond, kinds: onlyUncoord, modes: onlyCentral,
 			specs: []string{noFault}, tweak: func(c *ClusterConfig) { c.MPI.LogMessages = false }},
 		{name: "wholejob-g2", n: 4, w: ring4, interval: 600 * sim.Millisecond, kinds: []protocol.Kind{protocol.WholeJob},

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +21,39 @@ func smallCluster(n int) ClusterConfig {
 	cfg.Storage = storage.Config{AggregateBW: 100 << 20, ClientBW: 100 << 20}
 	cfg.CR.LocalSetup = 0 // keep cycle timing simple for the unit tests
 	return cfg
+}
+
+// TestClusterConfigOptions pins the cluster's settable options: the
+// exported leaf fields of ClusterConfig, found by reflection. A field that
+// only one value is ever set to is a constant of its package, not an option.
+func TestClusterConfigOptions(t *testing.T) {
+	want := []string{"N", "Seed",
+		"Storage.AggregateBW", "Storage.ClientBW", "Storage.OpenLatency", "Storage.Droop", "Storage.ShareJitter",
+		"Fabric.LinkBW", "Fabric.OOBLatency",
+		"MPI.LogMessages",
+		"CR.Protocol", "CR.GroupSize", "CR.Dynamic", "CR.HelperEnabled", "CR.DefaultFootprint", "CR.LocalSetup", "CR.Incremental",
+		"Tiers.Mode", "Tiers.Replicas"}
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(prefix+f.Name+".", f.Type)
+			} else {
+				got = append(got, prefix+f.Name)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(ClusterConfig{}))
+	if !slices.Equal(got, want) {
+		t.Errorf("ClusterConfig's %d settable fields are\n  %v\nwant the %d\n  %v\n"+
+			"a new option needs two non-test callers that set it to different values; until then it is a constant",
+			len(got), got, len(want), want)
+	}
 }
 
 func TestMeasureCommGroups(t *testing.T) {
@@ -81,15 +116,15 @@ func TestPaperClusterDefaults(t *testing.T) {
 	}
 }
 
-// TestSpilledCheckpointHasNoVulnerabilityWindow: a one-byte burst buffer
-// spills every write through to central storage, so each image is cold
-// before the cycle completes. The window after the processes resumed is
-// zero, never negative.
+// TestSpilledCheckpointHasNoVulnerabilityWindow: a 2100 MB image never
+// fits the 2 GiB burst buffer, so every write spills through to central
+// storage and each image is cold before the cycle completes. The window
+// after the processes resumed is zero, never negative.
 func TestSpilledCheckpointHasNoVulnerabilityWindow(t *testing.T) {
 	cfg := smallCluster(4)
-	cfg.Tiers = tier.Config{Mode: tier.ModeBurst, BurstCapacity: 1}
+	cfg.Tiers = tier.Config{Mode: tier.ModeBurst}
 	w := workload.CommGroups{N: 4, CommGroupSize: 2, Iters: 60,
-		Chunk: 50 * sim.Millisecond, FootprintMB: 20}
+		Chunk: 50 * sim.Millisecond, FootprintMB: 2100}
 	res, err := MeasureObserved(cfg, w, sim.Second, nil)
 	if err != nil {
 		t.Fatal(err)

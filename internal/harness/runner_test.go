@@ -140,7 +140,8 @@ func TestBaselineCacheMisses(t *testing.T) {
 		{"storage client bw", func() ClusterConfig { c := base; c.Storage.ClientBW /= 2; return c }(), w},
 		{"fabric link bw", func() ClusterConfig { c := base; c.Fabric.LinkBW /= 2; return c }(), w},
 		{"seed", func() ClusterConfig { c := base; c.Seed++; return c }(), w},
-		{"mpi config", func() ClusterConfig { c := base; c.MPI.EagerThreshold++; return c }(), w},
+		{"storage droop", func() ClusterConfig { c := base; c.Storage.Droop *= 2; return c }(), w},
+		{"mpi config", func() ClusterConfig { c := base; c.MPI.LogMessages = true; return c }(), w},
 		{"workload iters", base, wSlower},
 		{"workload footprint", base, wFatter},
 	}

@@ -66,11 +66,13 @@ type AvailabilityResult struct {
 func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	interval sim.Time, bus *obs.Bus) (AvailabilityResult, error) {
 
-	cfg.CR.Polled = true
 	// A bad cluster is reported before a bad scenario, so one configuration
 	// gets one error whatever faults it is run under.
 	if err := cfg.Validate(); err != nil {
 		return AvailabilityResult{}, err
+	}
+	if interval <= 0 {
+		return AvailabilityResult{}, fmt.Errorf("harness: checkpoint interval must be positive, got %v", interval)
 	}
 	proto, err := cfg.CR.ResolveProtocol(cfg.N, cfg.MPI.LogMessages)
 	if err != nil {
@@ -118,6 +120,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		if !ok {
 			return res, fmt.Errorf("harness: %s is not restartable", w.Name())
 		}
+		c.Coord.SetCapture(ri.Capture)
 		for i := 0; i < cfg.N; i++ {
 			i := i
 			if libStates != nil {
@@ -125,7 +128,6 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 					return res, err
 				}
 			}
-			c.Coord.Controller(i).CaptureFn = func() ([]byte, error) { return ri.Capture(i) }
 			c.Coord.Controller(i).FootprintFn = func() int64 { return inst.Footprint(i) }
 		}
 		if libStates != nil {

@@ -34,17 +34,20 @@ var (
 
 // Config parameterizes the fabric.
 type Config struct {
-	// Latency is the in-band one-way wire latency (a few microseconds on
-	// the paper's DDR hardware).
-	Latency sim.Time
 	// LinkBW is each NIC's link bandwidth in bytes/second.
 	LinkBW float64
 	// OOBLatency is the one-way latency of the out-of-band management
 	// channel used for connection handshakes and job-level coordination.
 	OOBLatency sim.Time
-	// CtlSize is the wire size of in-band control packets (flush markers).
-	CtlSize int64
 }
+
+const (
+	// latency is the in-band one-way wire latency on the paper's DDR
+	// hardware.
+	latency = 4 * sim.Microsecond
+	// ctlSize is the wire size of in-band control packets (flush markers).
+	ctlSize = 64
+)
 
 // handshakeRetries caps how many times one connection-management or flush
 // packet is retransmitted before the endpoint declares the peer unreachable
@@ -63,14 +66,13 @@ func (cfg Config) handshakeTimeout() sim.Time {
 }
 
 // PaperConfig returns fabric parameters matching the evaluation testbed:
-// Mellanox DDR HCAs (~1.5 GB/s links, ~4 us latency) with connection
-// management over an out-of-band channel (~150 us per message).
+// Mellanox DDR HCAs (~1.5 GB/s links) with connection management over an
+// out-of-band channel (~150 us per message). The ~4 us wire latency is the
+// constant latency.
 func PaperConfig() Config {
 	return Config{
-		Latency:    4 * sim.Microsecond,
 		LinkBW:     1400 * MB,
 		OOBLatency: 150 * sim.Microsecond,
-		CtlSize:    64,
 	}
 }
 
@@ -385,7 +387,7 @@ func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 	}
 	tx := sim.Time(float64(size) / ep.f.cfg.LinkBW * float64(sim.Second))
 	ep.egressFree = start + tx
-	arrival := ep.egressFree + ep.f.cfg.Latency
+	arrival := ep.egressFree + latency
 	ep.inflight.push(flight{peer, workItem{src: ep.id, size: size, payload: payload}})
 	k.At(arrival, ep.deliverNext)
 	ep.stats.MessagesSent++
@@ -474,16 +476,15 @@ func (ep *Endpoint) sendCM(dst int, payload any) {
 // c. A dropped control packet still serializes on the NIC egress — it is lost
 // on the wire, not suppressed at the source — so drain timing stays honest.
 func (ep *Endpoint) sendCtl(c *conn, payload any) {
-	size := ep.f.cfg.CtlSize
 	if ep.dropped(c.peer, payload) {
 		start := ep.f.k.Now()
 		if ep.egressFree > start {
 			start = ep.egressFree
 		}
-		ep.egressFree = start + sim.Time(float64(size)/ep.f.cfg.LinkBW*float64(sim.Second))
+		ep.egressFree = start + sim.Time(ctlSize/ep.f.cfg.LinkBW*float64(sim.Second))
 		return
 	}
-	ep.transmit(c.remote, size, payload)
+	ep.transmit(c.remote, ctlSize, payload)
 }
 
 // disarm cancels c's pending retransmission timer, if any.
@@ -502,10 +503,7 @@ func (ep *Endpoint) armRetransmit(c *conn) {
 	}
 	ep.disarm(c)
 	d := ep.f.cfg.handshakeTimeout()
-	ceiling := 16 * d
-	for i := 0; i < c.retries && d < ceiling; i++ {
-		d *= 2
-	}
+	d = sim.Backoff(d, c.retries, 16*d)
 	peer := c.peer
 	c.retry = ep.f.k.After(d, func() { ep.retransmit(peer) })
 }

@@ -111,8 +111,8 @@ func TestDataDeliveryTimingAndOrder(t *testing.T) {
 		t.Fatalf("delivery order wrong: %+v", got)
 	}
 	tx := sim.Time(float64(size) / cfg.LinkBW * float64(sim.Second))
-	want1 := sim.Millisecond + tx + cfg.Latency
-	want2 := sim.Millisecond + 2*tx + cfg.Latency
+	want1 := sim.Millisecond + tx + latency
+	want2 := sim.Millisecond + 2*tx + latency
 	if got[0].at != want1 || got[1].at != want2 {
 		t.Fatalf("arrivals %v,%v want %v,%v (egress serialization)",
 			got[0].at, got[1].at, want1, want2)

@@ -261,7 +261,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
 		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}
-	if p.size <= r.job.cfg.EagerThreshold {
+	if p.size <= eagerThreshold {
 		// Eager: copy into a communication buffer; the request completes
 		// immediately (buffered-send semantics). If the destination is
 		// gated this is the paper's *message buffering*.

@@ -28,14 +28,6 @@ const ANY = -1
 
 // Config parameterizes the MPI library.
 type Config struct {
-	// EagerThreshold is the largest payload sent eagerly (copied into a
-	// communication buffer and pushed); larger messages use the zero-copy
-	// rendezvous protocol. MVAPICH2's default is on the order of 8 KiB.
-	EagerThreshold int64
-	// HelperInterval bounds how long protocol processing can starve while
-	// the application computes and the helper thread is active (the paper
-	// uses 100 ms).
-	HelperInterval sim.Time
 	// LogMessages enables sender-based message logging — the alternative
 	// to deferral that Section 4.3 of the paper argues against. Every
 	// payload is copied into a per-destination sender log at send time (so
@@ -47,17 +39,24 @@ type Config struct {
 	LogMessages bool
 }
 
+const (
+	// eagerThreshold is the largest payload sent eagerly (copied into a
+	// communication buffer and pushed); larger messages use the zero-copy
+	// rendezvous protocol. MVAPICH2's default is on the order of 8 KiB.
+	eagerThreshold = 8 << 10
+	// helperInterval bounds how long protocol processing can starve while
+	// the application computes and the helper thread is active (the paper
+	// uses 100 ms).
+	helperInterval = 100 * sim.Millisecond
+)
+
 // memCopyBW is the memory-copy bandwidth a logging copy is charged at, in
 // bytes per second.
 const memCopyBW = 2 << 30
 
-// DefaultConfig returns the library defaults used throughout the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		EagerThreshold: 8 << 10,
-		HelperInterval: 100 * sim.Millisecond,
-	}
-}
+// DefaultConfig returns the library defaults used throughout the evaluation:
+// no message logging.
+func DefaultConfig() Config { return Config{} }
 
 // CRHooks is implemented by the checkpoint/restart layer to participate in
 // the library's control flow.
@@ -114,12 +113,6 @@ func (r *Rank) emit(what obs.Kind, peer int, arg, val int64) {
 // NewJob creates a job with n ranks, registering endpoint i for rank i on
 // the fabric.
 func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
-	if cfg.EagerThreshold <= 0 {
-		cfg.EagerThreshold = DefaultConfig().EagerThreshold
-	}
-	if cfg.HelperInterval <= 0 {
-		cfg.HelperInterval = DefaultConfig().HelperInterval
-	}
 	j := &Job{k: k, fabric: fabric, cfg: cfg}
 	for i := 0; i < n; i++ {
 		ep, err := fabric.AddEndpoint(i)
@@ -411,13 +404,13 @@ func (r *Rank) progressNow() {
 }
 
 // ensureHelperTick schedules a progress check no later than
-// lastProgress+HelperInterval.
+// lastProgress+helperInterval.
 func (r *Rank) ensureHelperTick() {
 	if r.helperTick.Pending() {
 		return
 	}
 	k := r.job.k
-	due := r.lastProgress + r.job.cfg.HelperInterval
+	due := r.lastProgress + helperInterval
 	if due < k.Now() {
 		due = k.Now()
 	}
@@ -440,7 +433,7 @@ func (r *Rank) helperTickFire() {
 		r.progressNow()
 	}
 	if r.ep.PendingWork() {
-		r.helperTick = r.job.k.After(r.job.cfg.HelperInterval, r.helperTickFire)
+		r.helperTick = r.job.k.After(helperInterval, r.helperTickFire)
 	}
 }
 

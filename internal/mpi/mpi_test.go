@@ -416,7 +416,7 @@ func TestHelperThreadBoundsProgress(t *testing.T) {
 		e.Wait(req)
 	})
 	run(t, k)
-	limit := 100*sim.Millisecond + 3*j.Config().HelperInterval
+	limit := 100*sim.Millisecond + 3*helperInterval
 	if sendDone > limit {
 		t.Fatalf("helper thread did not bound progress: send done at %v, want < %v", sendDone, limit)
 	}

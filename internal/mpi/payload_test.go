@@ -101,7 +101,7 @@ func exchangeJob(t *testing.T, n int64, sizeOnly, logged, gated bool) exchangeOu
 // A size-only message is indistinguishable, in everything the simulation
 // observes, from a zero-filled one of the same length.
 func TestSizeOnlyEqualsZeroFilled(t *testing.T) {
-	eager := DefaultConfig().EagerThreshold
+	const eager = eagerThreshold
 	sizes := []struct {
 		name string
 		n    int64

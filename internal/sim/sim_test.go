@@ -706,3 +706,40 @@ func TestShutdownRunsExitHooks(t *testing.T) {
 		t.Fatal("exit hook skipped on shutdown")
 	}
 }
+
+// TestBackoff: the helper equals, retry by retry, the three capped
+// exponential backoffs it replaced — the checkpoint write retry, the tier
+// drain retry, and the fabric's handshake retransmission.
+func TestBackoff(t *testing.T) {
+	writeRetry := func(attempt int) Time { // attempt counts from 1
+		d := 100 * Millisecond
+		for i := 1; i < attempt && d < 1600*Millisecond; i++ {
+			d *= 2
+		}
+		return d
+	}
+	drainRetry := func(tries int) Time { // tries counts from 1
+		return min(200*Millisecond<<(tries-1), 3200*Millisecond)
+	}
+	handshake := func(retries int) Time {
+		d := 600 * Microsecond
+		for i := 0; i < retries && d < 16*600*Microsecond; i++ {
+			d *= 2
+		}
+		return d
+	}
+	for n := 0; n <= 10; n++ {
+		for _, c := range []struct {
+			name      string
+			got, want Time
+		}{
+			{"write retry", Backoff(100*Millisecond, n, 1600*Millisecond), writeRetry(n + 1)},
+			{"drain retry", Backoff(200*Millisecond, n, 3200*Millisecond), drainRetry(n + 1)},
+			{"handshake", Backoff(600*Microsecond, n, 16*600*Microsecond), handshake(n)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s n=%d: Backoff %v, old formula %v", c.name, n, c.got, c.want)
+			}
+		}
+	}
+}

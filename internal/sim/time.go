@@ -53,3 +53,13 @@ func (t Time) String() string {
 		return fmt.Sprintf("%.6gs", t.Seconds())
 	}
 }
+
+// Backoff returns base doubled n times, capped at limit: the delay before
+// the n-th retry of a capped exponential backoff (n = 0 is the first).
+func Backoff(base Time, n int, limit Time) Time {
+	d := base
+	for ; n > 0 && d < limit; n-- {
+		d *= 2
+	}
+	return min(d, limit)
+}

@@ -39,10 +39,11 @@ type Config struct {
 	// OpenLatency is a fixed per-transfer setup cost (file create/open,
 	// metadata round trip).
 	OpenLatency sim.Time
-	// Efficiency optionally scales AggregateBW as a function of the number
-	// of concurrent clients, modelling congestion and unbalanced sharing at
-	// high client counts. Nil means a constant 1.0.
-	Efficiency func(clients int) float64
+	// Droop is the share of AggregateBW lost per doubling of the concurrent
+	// clients beyond four, modelling congestion and unbalanced sharing at
+	// high client counts: n > 4 clients share AggregateBW·(1 - Droop·log2(n/4)).
+	// Zero means no droop.
+	Droop float64
 	// ShareJitter models the noise of Section 3.1 ("system noise, network
 	// congestion, and unbalanced share of throughput... can significantly
 	// increase the delay"): each transfer draws a capability factor from
@@ -63,14 +64,9 @@ func PaperConfig() Config {
 		ClientBW:    116 * MB,
 		OpenLatency: 2 * sim.Millisecond,
 		// Mild congestion droop at high client counts, as observed in
-		// Figure 1 where aggregate throughput sags slightly at 32 clients.
-		Efficiency: func(clients int) float64 {
-			if clients <= 4 {
-				return 1.0
-			}
-			// Lose ~1% of aggregate throughput per doubling beyond 4.
-			return 1.0 - 0.01*math.Log2(float64(clients)/4)
-		},
+		// Figure 1 where aggregate throughput sags slightly at 32 clients:
+		// ~1% per doubling beyond 4.
+		Droop: 0.01,
 	}
 }
 
@@ -368,8 +364,8 @@ func (s *System) reschedule() {
 	s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindRateRecompute, Arg: int64(n)})
 	agg := s.cfg.AggregateBW * s.availability
-	if s.cfg.Efficiency != nil {
-		agg *= s.cfg.Efficiency(n)
+	if n > 4 && s.cfg.Droop != 0 {
+		agg *= 1 - s.cfg.Droop*math.Log2(float64(n)/4)
 	}
 	var sumW float64
 	for _, t := range s.active {

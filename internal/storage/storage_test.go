@@ -445,11 +445,33 @@ func TestPaperConfigDefaults(t *testing.T) {
 	if cfg.AggregateBW != 140*MB {
 		t.Fatalf("AggregateBW = %v", cfg.AggregateBW)
 	}
-	if cfg.Efficiency(1) != 1.0 || cfg.Efficiency(4) != 1.0 {
-		t.Fatal("efficiency should be 1.0 at low client counts")
+	if cfg.Droop <= 0 || cfg.Droop >= 0.05 {
+		t.Fatalf("Droop = %v, want a slight droop", cfg.Droop)
 	}
-	if e := cfg.Efficiency(32); e >= 1.0 || e < 0.9 {
-		t.Fatalf("efficiency(32) = %v, want slight droop", e)
+}
+
+// TestDroop: up to four concurrent writers share the whole aggregate; eight
+// lose Droop of it for the one doubling beyond four.
+func TestDroop(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want sim.Time
+	}{{4, 4 * sim.Second}, {8, sim.Seconds(8 / 0.99)}} {
+		k := sim.NewKernel(1)
+		s := newSystem(t, k, Config{AggregateBW: 100, ClientBW: 100, Droop: 0.01})
+		var last sim.Time
+		for i := 0; i < tc.n; i++ {
+			k.Spawn("w", func(p *sim.Proc) {
+				write(t, s, p, 100)
+				last = max(last, p.Now())
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !almost(last, tc.want) {
+			t.Errorf("%d writers of 100 bytes finished at %v, want ~%v", tc.n, last, tc.want)
+		}
 	}
 }
 

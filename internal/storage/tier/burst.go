@@ -20,7 +20,6 @@ import (
 type burstTier struct {
 	h        *Hierarchy
 	sys      *storage.System
-	capacity int64
 	used     int64
 	resident []burstEntry // arrival order: eviction scans oldest-first
 }
@@ -31,16 +30,16 @@ type burstEntry struct {
 	size        int64
 }
 
-func newBurstTier(h *Hierarchy, k *sim.Kernel, cfg Config) (*burstTier, error) {
+func newBurstTier(h *Hierarchy, k *sim.Kernel) (*burstTier, error) {
 	sys, err := storage.New(k, storage.Config{
-		AggregateBW: cfg.burstAggBW(),
-		ClientBW:    cfg.burstClientBW(),
+		AggregateBW: burstAggBW,
+		ClientBW:    burstClientBW,
 		OpenLatency: burstOpenLatency,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("tier: burst tier: %w", err)
 	}
-	return &burstTier{h: h, sys: sys, capacity: cfg.burstCapacity()}, nil
+	return &burstTier{h: h, sys: sys}, nil
 }
 
 func (t *burstTier) Level() Level       { return Burst }
@@ -57,10 +56,10 @@ func (t *burstTier) ReadTime(size int64) sim.Time {
 func (t *burstTier) Used() int64 { return t.used }
 
 func (t *burstTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {
-	for t.used+size > t.capacity {
+	for t.used+size > burstCapacity {
 		if !t.evictOne() {
 			return nil, fmt.Errorf("tier: burst buffer holds %d of %d bytes, nothing evictable: %w",
-				t.used, t.capacity, ErrFull)
+				t.used, burstCapacity, ErrFull)
 		}
 	}
 	t.used += size

@@ -38,12 +38,6 @@ type Hierarchy struct {
 	n     int
 
 	cold []coldMark // indexed by epoch: progress toward the cold tier
-
-	// accounting
-	drains        int
-	drainFailures int
-	spills        int
-	evictions     int
 }
 
 // tierNames are one tier's counter names and the label of the drain into it,
@@ -84,7 +78,7 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 		case Local:
 			t, err = newNodeTier(h, k, n, Local, 0, 1, localDiskBW)
 		case Burst:
-			t, err = newBurstTier(h, k, cfg)
+			t, err = newBurstTier(h, k)
 		case Central:
 			t = &centralTier{h: h, sys: central}
 		}
@@ -129,20 +123,6 @@ func (h *Hierarchy) OrderNames() []string {
 	}
 	return names
 }
-
-// Drains reports how many tier-to-tier drain transfers completed.
-func (h *Hierarchy) Drains() int { return h.drains }
-
-// DrainFailures reports how many drains were abandoned after exhausting
-// their retry budget.
-func (h *Hierarchy) DrainFailures() int { return h.drainFailures }
-
-// Spills reports how many writes fell through a full tier to the next one.
-func (h *Hierarchy) Spills() int { return h.spills }
-
-// Evictions reports how many drained images the burst tier evicted to make
-// room.
-func (h *Hierarchy) Evictions() int { return h.evictions }
 
 // BurstSystem returns the burst tier's rate model for fault injection
 // (availability windows), or nil when the mode has no burst tier.
@@ -276,7 +256,6 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 			h.retryDrain(from, epoch, rank, size, tries, err)
 			return
 		}
-		h.drains++
 		h.bus.Metrics().Counter(obs.LayerStorage, names.drains).Inc()
 		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drain_bytes").Add(size)
 		h.drainNext(next, epoch, rank, size, 0)
@@ -289,17 +268,13 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 func (h *Hierarchy) retryDrain(from, epoch, rank int, size int64, tries int, cause error) {
 	tries++
 	if tries >= maxDrainTries {
-		h.drainFailures++
 		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drain_failures").Inc()
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 			Type: obs.Instant, What: obs.KindTierDrain,
 			Detail: fmt.Sprintf("abandoned after %d tries: %v", tries, cause), Arg: size})
 		return
 	}
-	delay := drainRetryBase << (tries - 1)
-	if delay > drainRetryCap {
-		delay = drainRetryCap
-	}
+	delay := sim.Backoff(drainRetryBase, tries-1, drainRetryCap)
 	h.k.After(delay, func() { h.drainNext(from, epoch, rank, size, tries) })
 }
 
@@ -327,7 +302,6 @@ func (h *Hierarchy) ColdAt(epoch int) sim.Time {
 
 // noteSpill records a capacity fall-through.
 func (h *Hierarchy) noteSpill(from, to Level, epoch, rank int, size int64) {
-	h.spills++
 	h.bus.Metrics().Counter(obs.LayerStorage, "tier_spills").Inc()
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindTierSpill,
@@ -336,7 +310,6 @@ func (h *Hierarchy) noteSpill(from, to Level, epoch, rank int, size int64) {
 
 // noteEvict records a burst-buffer eviction (called by the burst tier).
 func (h *Hierarchy) noteEvict(epoch, rank int, size int64) {
-	h.evictions++
 	h.bus.Metrics().Counter(obs.LayerStorage, "tier_evictions").Inc()
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindTierEvict,

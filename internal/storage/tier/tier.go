@@ -113,23 +113,16 @@ type Config struct {
 	// in the RAM tier beyond its own (placement ring: ranks r+1 … r+k mod
 	// N). The tier survives any k concurrent node losses. 0 means 2.
 	Replicas int
-	// BurstCapacity bounds the burst buffer in bytes. 0 means 2 GiB.
-	//lint:allow-unused tier_test.go needs a byte-sized buffer to reach eviction and spill
-	BurstCapacity int64
-	// BurstAggregateBW is the buffer appliance's total throughput in
-	// bytes/second. 0 means 1 GiB/s.
-	//lint:allow-unused tier_test.go needs byte-sized buffers (byte-per-second rates) to reach eviction and spill
-	BurstAggregateBW float64
-	// BurstClientBW caps one writer's burst-buffer rate. 0 means 512 MB/s.
-	//lint:allow-unused tier_test.go needs byte-sized buffers (byte-per-second rates) to reach eviction and spill
-	BurstClientBW float64
 }
 
 const (
-	defaultReplicas      = 2
-	defaultBurstCapacity = 2 << 30
-	defaultBurstAggBW    = float64(1 << 30)
-	defaultBurstClientBW = float64(512 * storage.MB)
+	defaultReplicas = 2
+
+	// The burst buffer: its capacity in bytes, the appliance's total
+	// throughput and one writer's cap, in bytes/second.
+	burstCapacity = 2 << 30
+	burstAggBW    = float64(1 << 30)
+	burstClientBW = float64(512 * storage.MB)
 
 	// localDiskBW is one node's own disk, write and read-back: 2007-era SATA.
 	localDiskBW = float64(60 * storage.MB)
@@ -156,27 +149,6 @@ func (c Config) ReplicaCount() int {
 	return c.Replicas
 }
 
-func (c Config) burstCapacity() int64 {
-	if c.BurstCapacity <= 0 {
-		return defaultBurstCapacity
-	}
-	return c.BurstCapacity
-}
-
-func (c Config) burstAggBW() float64 {
-	if c.BurstAggregateBW <= 0 {
-		return defaultBurstAggBW
-	}
-	return c.BurstAggregateBW
-}
-
-func (c Config) burstClientBW() float64 {
-	if c.BurstClientBW <= 0 {
-		return defaultBurstClientBW
-	}
-	return c.BurstClientBW
-}
-
 // Validate checks the configuration against a job of n ranks.
 func (c Config) Validate(n int) error {
 	if !c.Mode.Valid() {
@@ -188,9 +160,6 @@ func (c Config) Validate(n int) error {
 	if c.Mode.HasRAM() && c.ReplicaCount() >= n {
 		return fmt.Errorf("tier: %d RAM replicas need at least %d distinct partner nodes, job has only %d ranks",
 			c.ReplicaCount(), c.ReplicaCount()+1, n)
-	}
-	if c.BurstCapacity < 0 {
-		return fmt.Errorf("tier: burst capacity must be >= 0, got %d", c.BurstCapacity)
 	}
 	return nil
 }

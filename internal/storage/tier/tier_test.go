@@ -6,17 +6,24 @@ import (
 	"testing"
 
 	"gbcr/internal/blcr"
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
 )
 
+// gib is one gibibyte: burst-tier images are sized against the buffer's
+// 2 GiB capacity. Payloads are lengths, so large images cost nothing.
+const gib = 1 << 30
+
 // rig is one assembled hierarchy test fixture: a kernel, the shared central
-// system the cold tier wraps, the bound snapshot archive, and the hierarchy.
+// system the cold tier wraps, the bound snapshot archive, the hierarchy, and
+// the bus whose registry counts its activity.
 type rig struct {
 	k       *sim.Kernel
 	central *storage.System
 	arch    *blcr.Store
 	h       *Hierarchy
+	bus     *obs.Bus
 }
 
 // newRig builds a hierarchy over an n-rank archive. centralBW is the shared
@@ -35,7 +42,15 @@ func newRig(t testing.TB, cfg Config, n int, centralBW, linkBW float64) *rig {
 	}
 	arch := blcr.NewStore(n)
 	h.Bind(arch)
-	return &rig{k: k, central: central, arch: arch, h: h}
+	bus := obs.NewBus()
+	h.SetObs(bus)
+	return &rig{k: k, central: central, arch: arch, h: h, bus: bus}
+}
+
+// count reads one of the hierarchy's storage-layer counters
+// (tier_drains_<level>, tier_drain_failures, tier_spills, tier_evictions).
+func (r *rig) count(name string) int64 {
+	return r.bus.Metrics().Counter(obs.LayerStorage, name).Value()
 }
 
 // writeWait starts a hierarchy write on behalf of p and blocks until its
@@ -103,9 +118,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Mode: ModeRAM, Replicas: 3}).Validate(4); err != nil {
 		t.Errorf("replicas+1 == n rejected: %v", err)
 	}
-	if err := (Config{Mode: ModeBurst, BurstCapacity: -1}).Validate(4); err == nil {
-		t.Error("negative burst capacity accepted")
-	}
 }
 
 func TestRAMReplicaPlacementRing(t *testing.T) {
@@ -167,8 +179,8 @@ func TestDrainCascadeReachesCentral(t *testing.T) {
 		}
 	}
 	// Two drain hops: ram -> burst, burst -> central.
-	if r.h.Drains() != 2 {
-		t.Errorf("Drains = %d, want 2", r.h.Drains())
+	if b, c := r.count("tier_drains_burst"), r.count("tier_drains_central"); b != 1 || c != 1 {
+		t.Errorf("drains into burst %d, into central %d; want 1 each", b, c)
 	}
 	if src, ok := r.arch.RecoverySource(1, 0, r.h.OrderNames()); !ok || src != string(RAM) {
 		t.Errorf("RecoverySource = (%q, %v), want (ram, true)", src, ok)
@@ -197,13 +209,11 @@ func TestCheckCommitGatesOnFullCopySet(t *testing.T) {
 }
 
 func TestBurstEvictsDrainedImages(t *testing.T) {
-	cfg := Config{Mode: ModeBurst, BurstCapacity: 100,
-		BurstAggregateBW: 1000, BurstClientBW: 1000}
-	r := newRig(t, cfg, 2, 1000, 1000)
-	r.write(t, 1, 0, 60) // fills past half; drains to central
-	r.write(t, 2, 0, 60) // needs room: epoch 1 is drained, so it is evicted
-	if r.h.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", r.h.Evictions())
+	r := newRig(t, Config{Mode: ModeBurst}, 2, gib, gib)
+	r.write(t, 1, 0, 6*gib/5) // 1.2 GiB fills past half; drains to central
+	r.write(t, 2, 0, 6*gib/5) // needs room: epoch 1 is drained, so it is evicted
+	if got := r.count("tier_evictions"); got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if got := r.arch.TierCopies(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("evicted epoch 1 keeps %d burst copies", got)
@@ -219,12 +229,10 @@ func TestBurstEvictsDrainedImages(t *testing.T) {
 func TestBurstFullSpillsThroughToCentral(t *testing.T) {
 	// An image larger than the whole buffer can never fit: the burst tier
 	// declines with ErrFull and the hierarchy writes through to central.
-	cfg := Config{Mode: ModeBurst, BurstCapacity: 100,
-		BurstAggregateBW: 1000, BurstClientBW: 1000}
-	r := newRig(t, cfg, 2, 1000, 1000)
-	r.write(t, 1, 0, 200)
-	if r.h.Spills() != 1 {
-		t.Fatalf("Spills = %d, want 1", r.h.Spills())
+	r := newRig(t, Config{Mode: ModeBurst}, 2, gib, gib)
+	r.write(t, 1, 0, 3*gib)
+	if got := r.count("tier_spills"); got != 1 {
+		t.Fatalf("spills = %d, want 1", got)
 	}
 	if got := r.arch.TierCopies(1, 0, string(Burst)); got != 0 {
 		t.Fatalf("spilled image has %d burst copies", got)
@@ -244,8 +252,8 @@ func TestDrainRetriesThroughOutage(t *testing.T) {
 	r.central.SetAvailability(0)
 	r.k.After(500*sim.Millisecond, func() { r.central.SetAvailability(1) })
 	r.write(t, 1, 0, 100)
-	if r.h.Drains() != 1 || r.h.DrainFailures() != 0 {
-		t.Fatalf("Drains = %d, DrainFailures = %d; want 1, 0", r.h.Drains(), r.h.DrainFailures())
+	if d, f := r.count("tier_drains_central"), r.count("tier_drain_failures"); d != 1 || f != 0 {
+		t.Fatalf("drains = %d, drain failures = %d; want 1, 0", d, f)
 	}
 	if got := r.arch.TierCopies(1, 0, string(Central)); got != 1 {
 		t.Fatalf("epoch 1 has %d central copies after retried drain, want 1", got)
@@ -257,8 +265,8 @@ func TestDrainAbandonedAfterRetryBudget(t *testing.T) {
 	r.central.SetAvailability(0) // never restored
 	r.write(t, 1, 0, 100)
 	r.write(t, 1, 1, 100)
-	if r.h.DrainFailures() != 2 {
-		t.Fatalf("DrainFailures = %d, want 2", r.h.DrainFailures())
+	if got := r.count("tier_drain_failures"); got != 2 {
+		t.Fatalf("drain failures = %d, want 2", got)
 	}
 	// Abandonment is not data loss: the RAM copy set still commits.
 	if err := r.h.CheckCommit(1); err != nil {
@@ -319,8 +327,8 @@ func TestCentralStack(t *testing.T) {
 		if err := r.h.CheckCommit(1); err != nil {
 			t.Errorf("mode %q: central copies lost with a node: %v", mode, err)
 		}
-		if r.h.Drains() != 0 || r.central.Transfers() != 2 {
-			t.Errorf("mode %q: %d drains, %d central transfers; want 0 and 2", mode, r.h.Drains(), r.central.Transfers())
+		if d := r.count("tier_drains_central"); d != 0 || r.central.Transfers() != 2 {
+			t.Errorf("mode %q: %d drains, %d central transfers; want 0 and 2", mode, d, r.central.Transfers())
 		}
 	}
 	k := sim.NewKernel(1)
@@ -375,9 +383,7 @@ func TestCentralStackAllocs(t *testing.T) {
 }
 
 func TestBurstOutageAbortsAckWrite(t *testing.T) {
-	cfg := Config{Mode: ModeBurst, BurstCapacity: 1000,
-		BurstAggregateBW: 1000, BurstClientBW: 1000}
-	r := newRig(t, cfg, 2, 1000, 1000)
+	r := newRig(t, Config{Mode: ModeBurst}, 2, 1000, 1000)
 	if sys := r.h.BurstSystem(); sys == nil {
 		t.Fatal("burst mode has no BurstSystem")
 	} else {
@@ -442,18 +448,17 @@ func TestLocalStagesOnTheRanksOwnDisk(t *testing.T) {
 func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 	// A cycle that aborts under an in-flight ack write cancels it: the burst
 	// reservation is returned, no residency is registered, and no drain starts.
-	cfg := Config{Mode: ModeBurst, BurstCapacity: 1000,
-		BurstAggregateBW: 100, BurstClientBW: 100}
-	r := newRig(t, cfg, 2, 1000, 1000)
+	// The 1 GiB image takes 2 s at one writer's 512 MB/s.
+	r := newRig(t, Config{Mode: ModeBurst}, 2, gib, gib)
 	burst := r.h.tiers[0].(*burstTier)
 	cause := errors.New("cycle aborted")
 	r.k.After(0, func() {
-		tr, err := r.h.StartWrite(1, 0, 100)
+		tr, err := r.h.StartWrite(1, 0, gib)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if burst.Used() != 100 {
-			t.Errorf("in-flight write reserves %d bytes, want 100", burst.Used())
+		if burst.Used() != gib {
+			t.Errorf("in-flight write reserves %d bytes, want %d", burst.Used(), gib)
 		}
 		r.k.After(500*sim.Millisecond, func() { tr.Cancel(cause) })
 		tr.OnDone(func() {
@@ -473,7 +478,7 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 			t.Errorf("cancelled write registered %d %s copies", got, level)
 		}
 	}
-	if r.h.Drains() != 0 || r.central.Transfers() != 0 {
-		t.Errorf("cancelled write started a drain (%d drains, %d central transfers)", r.h.Drains(), r.central.Transfers())
+	if d := r.count("tier_drains_central"); d != 0 || r.central.Transfers() != 0 {
+		t.Errorf("cancelled write started a drain (%d drains, %d central transfers)", d, r.central.Transfers())
 	}
 }

@@ -88,7 +88,7 @@ cover:
 # (a sub-package counts toward its parent: internal/cr includes cr/protocol),
 # then the analyzer fixtures. ROADMAP's code-diet items quote this table. The
 # target fails (in CI too) when internal/{cr,analysis,mpi} together grow past
-# 5,000 lines, or the analyzer suite (internal/analysis, its fixtures and
+# 4,900 lines, or the analyzer suite (internal/analysis, its fixtures and
 # cmd/gbcrlint) past 1,600.
 loc:
 	@fixtures=$$(find internal/analysis/testdata -name '*.go' -exec cat {} + | wc -l); \
@@ -97,10 +97,10 @@ loc:
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
 				diet = n["internal/cr"] + n["internal/analysis"] + n["internal/mpi"]; \
 				suite = n["internal/analysis"] + fx + n["cmd/gbcrlint"]; \
-				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 5000\n", t, diet; \
+				printf "%6d total\n%6d internal/{cr,analysis,mpi}, ceiling 4900\n", t, diet; \
 				printf "%6d internal/analysis/testdata (fixtures)\n", fx; \
 				printf "%6d internal/analysis + fixtures + cmd/gbcrlint, ceiling 1600\n", suite; \
-				exit diet > 5000 || suite > 1600 }'
+				exit diet > 4900 || suite > 1600 }'
 
 clean:
 	$(GO) clean ./...

@@ -1,11 +1,11 @@
 package gbcr
 
 import (
+	"slices"
 	"testing"
 
 	"gbcr/internal/figures"
 	"gbcr/internal/harness"
-	"gbcr/internal/model"
 	"gbcr/internal/sim"
 	"gbcr/internal/workload"
 )
@@ -35,11 +35,12 @@ func gen(b *testing.B, fn func(*figures.Generator) (*figures.Table, error)) *fig
 // metric reads a labeled cell and fails the benchmark on a bad label.
 func metric(b *testing.B, t *figures.Table, row, col string) float64 {
 	b.Helper()
-	v, err := t.Cell(row, col)
-	if err != nil {
-		b.Fatal(err)
+	v, err := t.Row(row)
+	ci := slices.Index(t.Cols, col)
+	if err != nil || ci < 0 {
+		b.Fatalf("no cell (%q, %q) in %q: %v", row, col, t.Title, err)
 	}
-	return v
+	return v[ci]
 }
 
 // BenchmarkFig1StorageBandwidth regenerates Figure 1: bandwidth per client
@@ -174,12 +175,9 @@ func BenchmarkModelVsSim(b *testing.B) {
 			b.Fatal(err)
 		}
 		meas = res.Report.MeanIndividual().Seconds()
-		p := model.Params{
-			Procs: 32, GroupSize: 8, Footprint: 180 << 20,
-			AggregateBW: float64(cfg.Storage.AggregateBW),
-			ClientBW:    float64(cfg.Storage.ClientBW),
-		}
-		pred = p.IndividualTime().Seconds()
+		// Equation (3a): the group's 8 writers share the aggregate
+		// throughput, each capped at the client rate.
+		pred = 180 << 20 / min(cfg.Storage.AggregateBW/8, cfg.Storage.ClientBW)
 	}
 	b.ReportMetric(meas, "s-measured-individual")
 	b.ReportMetric(pred, "s-eq3a-predicted")

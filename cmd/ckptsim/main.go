@@ -224,7 +224,10 @@ func main() {
 			fail("-%s does not apply to -workload %s, which reads %s", f, *name, shapeFlagList(*name))
 		}
 	}
-	if *group > ranks {
+	// The default group size shrinks to a smaller job; an explicit one must fit.
+	if !set["group"] {
+		*group = min(*group, ranks)
+	} else if *group > ranks {
 		fail("-group %d exceeds the job size %d", *group, ranks)
 	}
 

@@ -71,6 +71,7 @@ func TestRejectedInput(t *testing.T) {
 		{"fault phase unknown", append(ring, "-interval", "2", "-faults", "crash:phase=bogus")},
 		{"fault phase outside the protocol", append(ring, "-interval", "2", "-protocol", "uncoord", "-faults", "crash:phase=sync")},
 		{"unknown protocol", append(ring, "-protocol", "chandy")},
+		{"group past the job", []string{"-workload", "ring", "-n", "4", "-iters", "20", "-group", "8", "-at", "0.5"}},
 		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
 	}
 	for _, tc := range cases {
@@ -143,6 +144,24 @@ func TestLocalStagingAccepted(t *testing.T) {
 	}
 	if !bytes.Contains(out, []byte("storage:               local\n")) {
 		t.Errorf("report does not name the storage mode:\n%s", out)
+	}
+}
+
+// TestDefaultGroupFitsSmallJobs: the default -group 8 shrinks to a job of
+// fewer ranks under every protocol, while an explicit -group past the job is
+// still rejected.
+func TestDefaultGroupFitsSmallJobs(t *testing.T) {
+	small := []string{"-workload", "ring", "-n", "4", "-iters", "20", "-at", "0.5"}
+	for _, proto := range []string{"group", "wholejob", "uncoord"} {
+		if out, err := exec.Command(bin, append(small, "-protocol", proto)...).CombinedOutput(); err != nil {
+			t.Errorf("-protocol %s: %v\n%s", proto, err, out)
+		}
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, append(small, "-group", "8")...)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || stderr.String() != "ckptsim: -group 8 exceeds the job size 4\n" {
+		t.Errorf("explicit -group 8 on 4 ranks: %v, stderr %q", err, stderr.String())
 	}
 }
 

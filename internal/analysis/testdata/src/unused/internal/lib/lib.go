@@ -16,7 +16,7 @@ type Config struct {
 // settings is not named Config or Options: its fields are not options.
 type settings struct{ depth int }
 
-func init() { fmt.Sprint(Wired(), measure(circle{}), settings{}) }
+func init() { fmt.Sprint(Wired(), measure(circle{}), span(circle{}), settings{}, circle{}.Radius()) }
 
 func Wired() Config { return Config{Set: 1} }
 
@@ -52,5 +52,22 @@ type circle struct{}
 func (circle) area() float64      { return 3 }
 func (circle) perimeter() float64 { return 6 }
 func (circle) String() string     { return "circle" }
+
+// Radius is exported and called from non-test code above.
+func (circle) Radius() float64 { return 1 }
+
+// Diameter is exported and only a test calls it directly, but an interface
+// declares the name, so the pass does not guess.
+func (circle) Diameter() float64 { return 2 }
+
+type sized interface{ Diameter() float64 }
+
+func span(s sized) float64 { return s.Diameter() }
+
+// Scale is exported and only a test calls it: tested, never called.
+func (circle) Scale() float64 { return 1 } // want `unwired: only _test.go files reference lib.circle.Scale`
+
+// Limit is exported and only a test reads it.
+const Limit = 8 // want `unwired: only _test.go files reference lib.Limit`
 
 func measure(s shaper) float64 { return s.area() }

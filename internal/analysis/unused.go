@@ -15,8 +15,8 @@ import (
 //
 //   - dead: a package-level name or a method with no reference anywhere
 //     outside its own declaration, tests included;
-//   - unwired: an exported type or package-level function that only
-//     _test.go files reference — tested, never called;
+//   - unwired: an exported name — type, function, method, constant or
+//     variable — that only _test.go files reference: tested, never called;
 //   - neverset: a field of a struct named Config or Options that no
 //     non-test code assigns (keyed composite literal, assignment, ++/--, or
 //     address taken) — an option with one value in use.
@@ -53,9 +53,8 @@ type unusedDecl struct {
 type unusedKind int
 
 const (
-	plainDecl  unusedKind = iota // dead applies
-	wiredDecl                    // type or package-level function: if exported, unwired applies too
-	methodDecl                   // concrete method: dead applies unless an interface could call it
+	plainDecl  unusedKind = iota // dead applies, and unwired if exported
+	methodDecl                   // concrete method: as plainDecl unless an interface could call it
 	fieldDecl                    // Config/Options field: neverset applies
 )
 
@@ -83,9 +82,6 @@ func runUnused(pass *Pass) error {
 	for _, f := range pass.Files {
 		isTest := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		candidate := func(id *ast.Ident, name string, kind unusedKind) {
-			if kind == wiredDecl && !id.IsExported() {
-				kind = plainDecl
-			}
 			obj := info.Defs[id]
 			if !isTest && obj != nil && id.Name != "_" && id.Name != "init" &&
 				strings.Contains("/"+obj.Pkg().Path()+"/", "/internal/") {
@@ -136,7 +132,7 @@ func runUnused(pass *Pass) error {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					candidate(d.Name, d.Name.Name, wiredDecl)
+					candidate(d.Name, d.Name.Name, plainDecl)
 				} else if len(d.Recv.List) == 1 {
 					recv := strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*")
 					candidate(d.Name, recv+"."+d.Name.Name, methodDecl)
@@ -157,7 +153,7 @@ func runUnused(pass *Pass) error {
 						}
 					case *ast.TypeSpec:
 						self = s.Name.Pos()
-						candidate(s.Name, s.Name.Name, wiredDecl)
+						candidate(s.Name, s.Name.Name, plainDecl)
 						var members []*ast.Field
 						kind := plainDecl // an interface's own methods
 						switch t := s.Type.(type) {
@@ -191,7 +187,7 @@ func runUnused(pass *Pass) error {
 		case d.kind == methodDecl && ifaceMethods[d.id.Name], reflectiveMethods[d.id.Name]:
 		case !u.prod && !u.test:
 			pass.Reportf(d.id.Pos(), "dead: nothing references %s", name)
-		case !u.prod && d.kind == wiredDecl:
+		case !u.prod && d.id.IsExported():
 			pass.Reportf(d.id.Pos(), "unwired: only _test.go files reference %s", name)
 		}
 	}

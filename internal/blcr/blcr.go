@@ -223,18 +223,6 @@ func (st *Store) LatestRankDurable(rank int) (epoch int, s *Snapshot, skipped in
 	return 0, nil, skipped
 }
 
-// Latest returns the most recent complete epoch and its snapshots, indexed
-// by rank, or (0, nil) if none is complete. The slice is the archive's own:
-// callers must not write it.
-func (st *Store) Latest() (int, []*Snapshot) {
-	for e := len(st.rows) - 1; e > 0; e-- {
-		if st.rows[e].complete {
-			return e, st.rows[e].snaps
-		}
-	}
-	return 0, nil
-}
-
 // Get returns the snapshot for a rank at an epoch, or nil.
 func (st *Store) Get(epoch, rank int) *Snapshot {
 	row := st.row(epoch)

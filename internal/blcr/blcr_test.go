@@ -68,9 +68,9 @@ func TestStoreCompleteness(t *testing.T) {
 	if !st.Complete(1) || st.Complete(2) {
 		t.Fatal("completeness flags wrong")
 	}
-	e, snaps := st.Latest()
+	e, snaps, _ := st.LatestVerified()
 	if e != 1 || len(snaps) != 3 {
-		t.Fatalf("Latest = %d, %d snaps", e, len(snaps))
+		t.Fatalf("LatestVerified = %d, %d snaps", e, len(snaps))
 	}
 	if st.Get(1, 2).Rank != 2 {
 		t.Fatal("Get")
@@ -87,14 +87,14 @@ func TestStoreLatestPrefersNewest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e, _ := st.Latest(); e != 3 {
-		t.Fatalf("Latest epoch %d, want 3", e)
+	if e, _, _ := st.LatestVerified(); e != 3 {
+		t.Fatalf("LatestVerified epoch %d, want 3", e)
 	}
 }
 
 func TestStoreLatestEmpty(t *testing.T) {
 	st := NewStore(2)
-	if e, snaps := st.Latest(); e != 0 || snaps != nil {
+	if e, snaps, _ := st.LatestVerified(); e != 0 || snaps != nil {
 		t.Fatal("empty store should have no latest epoch")
 	}
 }
@@ -221,10 +221,10 @@ func TestLatestVerifiedFallsBackPastCorruption(t *testing.T) {
 			t.Fatalf("fallback epoch snapshot for rank %d unusable", r)
 		}
 	}
-	// Latest() still reports the corrupt epoch: only the verified variant is
+	// The corrupt epoch is still committed: only the verified lookup is
 	// restart-safe.
-	if e, _ := st.Latest(); e != 2 {
-		t.Fatalf("Latest() = %d, want 2", e)
+	if !st.Complete(2) {
+		t.Fatal("corrupt epoch 2 no longer committed")
 	}
 }
 

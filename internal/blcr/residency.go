@@ -124,12 +124,6 @@ func (st *Store) AddReplica(epoch, rank int, tier string, node int) {
 	}
 }
 
-// DropReplica removes one copy and reports whether it existed.
-func (st *Store) DropReplica(epoch, rank int, tier string, node int) bool {
-	set, r := st.copies(epoch, rank), replica{tier: st.tierID(tier, false), node: int32(node)}
-	return set != nil && set.dropIf(func(c replica) bool { return c == r }) > 0
-}
-
 // DropTierCopies removes every copy of (epoch, rank) at one tier — an
 // eviction or a RAM double-buffer release — and returns how many copies were
 // dropped.

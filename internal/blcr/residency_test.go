@@ -25,18 +25,17 @@ func TestRecoverySourceFallsThroughTiers(t *testing.T) {
 		t.Fatalf("RecoverySource = (%q, %v), want (ram, true)", src, ok)
 	}
 	// Both RAM copies lost with their nodes: fall through to burst.
-	st.DropReplica(1, 0, "ram", 0)
-	st.DropReplica(1, 0, "ram", 1)
+	st.DropTierCopies(1, 0, "ram")
 	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "burst" {
 		t.Fatalf("RecoverySource = (%q, %v), want (burst, true)", src, ok)
 	}
 	// The burst copy evicted: fall through to central.
-	st.DropReplica(1, 0, "burst", -1)
+	st.DropTierCopies(1, 0, "burst")
 	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "central" {
 		t.Fatalf("RecoverySource = (%q, %v), want (central, true)", src, ok)
 	}
 	// Every copy gone: the snapshot is unrecoverable.
-	st.DropReplica(1, 0, "central", -1)
+	st.DropTierCopies(1, 0, "central")
 	if src, ok := st.RecoverySource(1, 0, fastestFirst); ok {
 		t.Fatalf("RecoverySource = (%q, %v) after total loss, want ok=false", src, ok)
 	}
@@ -101,7 +100,7 @@ func TestLatestRankDurableHonorsResidency(t *testing.T) {
 	if epoch, _, _ := st.LatestRankDurable(0); epoch != 2 {
 		t.Fatalf("LatestRankDurable = %d, want 2", epoch)
 	}
-	st.DropReplica(2, 0, "ram", 0)
+	st.DropTierCopies(2, 0, "ram")
 	epoch, s, skipped := st.LatestRankDurable(0)
 	if epoch != 1 || s == nil || skipped != 1 {
 		t.Fatalf("LatestRankDurable = (%d, %v, %d) after copy loss, want (1, snap, 1)", epoch, s, skipped)
@@ -116,8 +115,8 @@ func TestAddReplicaIdempotentAndRestoring(t *testing.T) {
 	if got := st.TierCopies(1, 0, "ram"); got != 1 {
 		t.Fatalf("TierCopies = %d after duplicate add, want 1", got)
 	}
-	if !st.DropReplica(1, 0, "ram", 1) || st.DropReplica(1, 0, "ram", 1) {
-		t.Fatal("DropReplica must find the copy once")
+	if st.DropTierCopies(1, 0, "ram") != 1 || st.DropTierCopies(1, 0, "ram") != 0 {
+		t.Fatal("DropTierCopies must find the copy once")
 	}
 	if got := st.TierCopies(1, 0, "ram"); got != 0 {
 		t.Fatalf("TierCopies = %d after the drop, want 0", got)

@@ -39,7 +39,7 @@ func TestCycleAbortRetryCommit(t *testing.T) {
 	if !c.co.Snapshots().Complete(1) {
 		t.Fatal("epoch 1 never committed")
 	}
-	if _, snaps := c.co.Snapshots().Latest(); len(snaps) != n {
+	if _, snaps, _ := c.co.Snapshots().LatestVerified(); len(snaps) != n {
 		t.Fatalf("committed epoch holds %d snapshots, want %d", len(snaps), n)
 	}
 	// Aborted cycles yield no report; only the successful retry does.
@@ -168,9 +168,9 @@ func finishedRankUnderOutage(t *testing.T, cfg Config, mpiCfg mpi.Config) *testC
 		t.Fatalf("reports: %d, want 1", len(reps))
 	}
 	for r, rec := range reps[0].Records {
-		if c.co.Controller(r).Epoch() != 1 || rec.Cycle != reps[0].Cycle {
+		if c.co.Controller(r).epoch != 1 || rec.Cycle != reps[0].Cycle {
 			t.Fatalf("rank %d: epoch %d, record of cycle %d; want one checkpoint in cycle %d",
-				r, c.co.Controller(r).Epoch(), rec.Cycle, reps[0].Cycle)
+				r, c.co.Controller(r).epoch, rec.Cycle, reps[0].Cycle)
 		}
 	}
 	return c

@@ -72,17 +72,11 @@ func newController(co *Coordinator, rank *mpi.Rank) *Controller {
 	rank.SetIndependentCkpt(!co.proto.Blocking())
 	ep := rank.Endpoint()
 	ep.AcceptConn = c.acceptConn
-	ep.OnOOBImmediate = c.onOOB
+	ep.OnOOB = c.onOOB
 	rank.ConnUpHook = c.onConnEvent
 	rank.ConnDownHook = c.onConnEvent
 	return c
 }
-
-// Epoch returns the number of checkpoints this process has completed.
-func (c *Controller) Epoch() int { return c.epoch }
-
-// Rank returns the MPI rank this controller is attached to.
-func (c *Controller) Rank() *mpi.Rank { return c.rank }
 
 // ConnMeta tags outgoing connection requests with the current epoch.
 func (c *Controller) ConnMeta() int64 { return int64(c.epoch) }
@@ -154,7 +148,7 @@ func (c *Controller) acceptConn(peer int, meta int64) bool {
 }
 
 // onOOB handles coordinator traffic immediately on arrival.
-func (c *Controller) onOOB(src int, payload any) bool {
+func (c *Controller) onOOB(src int, payload any) {
 	switch m := payload.(type) {
 	case msgCkptRequest:
 		c.startCycle(m)
@@ -175,9 +169,8 @@ func (c *Controller) onOOB(src int, payload any) bool {
 	case msgAbort:
 		c.onAbort(m)
 	default:
-		return false // not a checkpoint message; deliver normally
+		c.co.k.Fail(fmt.Errorf("cr: rank %d's controller got unexpected message %T from %d", c.rank.World(), payload, src))
 	}
-	return true
 }
 
 // emit records a cr-layer event on this rank's track. Begin/End pairs with

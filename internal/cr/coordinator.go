@@ -133,10 +133,7 @@ func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinat
 		// of different protocols are distinguishable side by side.
 		co.tag = fmt.Sprintf(" [%s]", cfg.Protocol)
 	}
-	co.ep.OnOOBImmediate = func(src int, payload any) bool {
-		co.onMsg(src, payload)
-		return true
-	}
+	co.ep.OnOOB = co.onMsg
 	for i := 0; i < job.Size(); i++ {
 		co.ctls = append(co.ctls, newController(co, job.Rank(i)))
 	}
@@ -172,9 +169,6 @@ func (co *Coordinator) Reports() ([]*CycleReport, error) {
 	return co.reports, nil
 }
 
-// Active reports whether a checkpoint cycle is in progress.
-func (co *Coordinator) Active() bool { return co.cur != nil }
-
 // Epoch returns the number of committed global checkpoints. It lags behind
 // the cycle count once cycles abort: only a cycle whose every snapshot is
 // written and verified commits an epoch.
@@ -182,9 +176,6 @@ func (co *Coordinator) Epoch() int { return co.epoch }
 
 // Aborts returns how many checkpoint cycles were aborted and retried.
 func (co *Coordinator) Aborts() int { return co.aborts }
-
-// Config returns the coordinator configuration.
-func (co *Coordinator) Config() Config { return co.cfg }
 
 // ScheduleCheckpoint arranges for a checkpoint request at absolute time t.
 func (co *Coordinator) ScheduleCheckpoint(t sim.Time) {

@@ -120,6 +120,28 @@ func runSim(t *testing.T, k *sim.Kernel) {
 	}
 }
 
+// TestStrayOOBFailsRun: out-of-band traffic that is not a checkpoint message
+// fails the run, at a rank's controller as at the coordinator.
+func TestStrayOOBFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		dst  int
+		want string
+	}{
+		{0, "cr: rank 0's controller got unexpected message string from 1"},
+		{CoordinatorID, "cr: coordinator got unexpected message string from 1"},
+	} {
+		c := newCluster(t, 2, DefaultConfig())
+		c.j.LaunchAll(computeLoop(4, 100*sim.Millisecond))
+		if err := c.j.Rank(1).Endpoint().SendOOB(tc.dst, "stray"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.k.Run(); err == nil || err.Error() != tc.want {
+			t.Errorf("OOB to %d: Run() = %v, want %q", tc.dst, err, tc.want)
+		}
+		c.k.Shutdown()
+	}
+}
+
 func TestRegularProtocolBasics(t *testing.T) {
 	const n = 4
 	cfg := DefaultConfig()
@@ -276,8 +298,8 @@ func ringWorkload(n, iters int, chunk sim.Time, sums []int64) func(*mpi.Env) {
 		var sum int64
 		for i := 0; i < iters; i++ {
 			e.Compute(chunk)
-			data, _ := e.Sendrecv(w, right, 1, mpi.I64ToBytes([]int64{int64(me*1000 + i)}), left, 1)
-			sum += firstI64(e, data)
+			v, _ := e.SendrecvWord(w, right, 1, uint64(me*1000+i), left, 1)
+			sum += int64(v)
 		}
 		sums[me] = sum
 	}
@@ -522,7 +544,7 @@ func TestTwoSequentialCheckpoints(t *testing.T) {
 	if !c.co.Snapshots().Complete(2) {
 		t.Fatal("second epoch incomplete")
 	}
-	if e, _ := c.co.Snapshots().Latest(); e != 2 {
+	if e, _, _ := c.co.Snapshots().LatestVerified(); e != 2 {
 		t.Fatalf("latest epoch %d", e)
 	}
 }
@@ -557,8 +579,8 @@ func TestDynamicGroupsEndToEnd(t *testing.T) {
 		var sum int64
 		for i := 0; i < iters; i++ {
 			e.Compute(50 * sim.Millisecond)
-			data, _ := e.Sendrecv(w, partner, 1, mpi.I64ToBytes([]int64{int64(me + i)}), partner, 1)
-			sum += firstI64(e, data)
+			v, _ := e.SendrecvWord(w, partner, 1, uint64(me+i), partner, 1)
+			sum += int64(v)
 		}
 		results[me] = sum
 	})
@@ -645,7 +667,7 @@ func installEpochTracer(c *testCluster) *epochTracer {
 		rank.PostHook = func(dst int) {
 			tr.posts++
 			key := [2]int{i, dst}
-			tr.queues[key] = append(tr.queues[key], c.co.Controller(i).Epoch())
+			tr.queues[key] = append(tr.queues[key], c.co.Controller(i).epoch)
 		}
 		rank.DeliverHook = func(src int) {
 			tr.deliveries++
@@ -657,7 +679,7 @@ func installEpochTracer(c *testCluster) *epochTracer {
 			}
 			sendEpoch := q[0]
 			tr.queues[key] = q[1:]
-			if sendEpoch != c.co.Controller(i).Epoch() {
+			if sendEpoch != c.co.Controller(i).epoch {
 				tr.violations++
 			}
 		}
@@ -817,9 +839,9 @@ func TestFailureMidCycleFallsBackToPreviousEpoch(t *testing.T) {
 	if c.co.Snapshots().Complete(2) {
 		t.Fatal("test premise broken: cycle 2 already finished at 5.5s")
 	}
-	epoch, snaps := c.co.Snapshots().Latest()
+	epoch, snaps, _ := c.co.Snapshots().LatestVerified()
 	if epoch != 1 || len(snaps) != n {
-		t.Fatalf("mid-cycle failure: Latest() = epoch %d with %d snaps, want epoch 1", epoch, len(snaps))
+		t.Fatalf("mid-cycle failure: LatestVerified() = epoch %d with %d snaps, want epoch 1", epoch, len(snaps))
 	}
 	//lint:allow-simdeterminism order-independent verification; every entry is checked
 	for _, s := range snaps {
@@ -843,8 +865,8 @@ func TestTraceTimeline(t *testing.T) {
 	// The coordinator's cycle events appear in protocol order on the system
 	// track.
 	var cycleEvents []obs.Kind
-	for _, e := range mem.ByRank(-1) {
-		if e.Layer == obs.LayerCR {
+	for _, e := range mem.ByLayer(obs.LayerCR) {
+		if e.Rank == -1 {
 			cycleEvents = append(cycleEvents, e.What)
 		}
 	}
@@ -868,8 +890,8 @@ func TestTraceTimeline(t *testing.T) {
 	}
 	for r := 0; r < n; r++ {
 		var phases []step
-		for _, e := range mem.ByRank(r) {
-			if e.Layer == obs.LayerCR {
+		for _, e := range mem.ByLayer(obs.LayerCR) {
+			if e.Rank == r {
 				phases = append(phases, step{e.Type, e.What})
 			}
 		}
@@ -963,10 +985,10 @@ func TestReportAndControllerAccessors(t *testing.T) {
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
-	if c.co.Active() {
+	if c.co.cur != nil {
 		t.Fatal("active before the request")
 	}
-	if c.co.Config().DefaultFootprint != 10*testMB {
+	if c.co.cfg.DefaultFootprint != 10*testMB {
 		t.Fatal("config accessor")
 	}
 	runSim(t, c.k)
@@ -982,7 +1004,7 @@ func TestReportAndControllerAccessors(t *testing.T) {
 		t.Fatalf("coordination time %v out of range", rec.CoordinationTime())
 	}
 	ctl := c.co.Controller(1)
-	if ctl.Rank() != c.j.Rank(1) || rep.Records[1].Cycle != rep.Cycle || ctl.Epoch() != 1 {
+	if ctl.rank != c.j.Rank(1) || rep.Records[1].Cycle != rep.Cycle || ctl.epoch != 1 {
 		t.Fatal("controller accessors")
 	}
 	if ctl.ConnMeta() != 1 {
@@ -1139,10 +1161,9 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 			for it := 0; it < 30; it++ {
 				e.CollectiveCheckpoint(sub)
 				e.Compute(50 * sim.Millisecond)
-				partner := 3 - i
-				data, _ := e.Sendrecv(sub, sub.CommRankOf(partner), 1,
-					mpi.I64ToBytes([]int64{int64(i*100 + it)}), sub.CommRankOf(partner), 1)
-				sum += firstI64(e, data)
+				partner := 1 - sub.Rank() // the other member of {1, 2}
+				v, _ := e.SendrecvWord(sub, partner, 1, uint64(i*100+it), partner, 1)
+				sum += int64(v)
 			}
 			sums[i] = sum
 		})

@@ -142,17 +142,3 @@ func FormDynamicGroups(n, maxSize int, traffic []map[int]int64) [][]int {
 	flush()
 	return groups
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -47,12 +47,6 @@ func TestParseScenarioSettings(t *testing.T) {
 	if scn.MTBF != 90*sim.Second || scn.Seed != 42 || len(scn.Faults) != 1 {
 		t.Fatalf("parsed %+v", scn)
 	}
-	if scn.Empty() {
-		t.Fatal("non-empty scenario reported Empty")
-	}
-	if !(Scenario{}).Empty() {
-		t.Fatal("zero scenario not Empty")
-	}
 }
 
 func TestParseDegradeAlias(t *testing.T) {

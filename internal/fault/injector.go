@@ -216,7 +216,8 @@ func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
 			count = 1
 		}
 		lost := 0
-		for node := first; node < first+count; node++ {
+		// Nodes past the job hold nothing; a count may name far more.
+		for node := first; node < first+min(count, t.Job.Size()-first); node++ {
 			lost += t.Coord.Snapshots().DropNodeReplicas(node)
 		}
 		in.emit(t.K.Now(), obs.Instant, obs.KindMemLoss,

@@ -40,9 +40,6 @@ func (s Scenario) String() string {
 	return strings.Join(parts, ";")
 }
 
-// Empty reports whether the scenario injects nothing at all.
-func (s Scenario) Empty() bool { return len(s.Faults) == 0 && s.MTBF <= 0 }
-
 // HasKind reports whether any scripted fault is of the given kind. Runners
 // use it to reject faults that target a subsystem the cluster was built
 // without (a burst-buffer outage on a cluster with no burst tier).

@@ -439,15 +439,10 @@ func protocolZooConfig(kind protocol.Kind) harness.ClusterConfig {
 	return cfg
 }
 
-// ExtensionProtocols compares the protocol zoo end to end on one restartable
-// workload: failure-free checkpoint cost, and recovery behaviour under an
-// identical injected crash, for every protocol kind.
-func (g *Generator) ExtensionProtocols() (*Table, error) {
-	return g.ExtensionProtocolsFor(protocol.Kinds())
-}
-
-// ExtensionProtocolsFor generates the protocol-zoo comparison restricted to
-// the given kinds (cmd/figures -protocol narrows the run this way). Each
+// ExtensionProtocolsFor compares the protocol zoo end to end on one
+// restartable workload: failure-free checkpoint cost, and recovery behaviour
+// under an identical injected crash, for each of the given kinds
+// (cmd/figures -protocol narrows the run this way). Each
 // kind's overhead is measured against its own faithful baseline — the
 // uncoordinated row's baseline already pays for message logging, so its
 // overhead column isolates the checkpointing cost, while ExtensionLogging

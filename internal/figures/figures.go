@@ -45,25 +45,6 @@ type Table struct {
 	Notes     []string    `json:"notes,omitempty"`
 }
 
-// Cell returns the value at (row, col) by label.
-func (t *Table) Cell(row, col string) (float64, error) {
-	ri, ci := -1, -1
-	for i, r := range t.Rows {
-		if r == row {
-			ri = i
-		}
-	}
-	for i, c := range t.Cols {
-		if c == col {
-			ci = i
-		}
-	}
-	if ri < 0 || ci < 0 {
-		return 0, fmt.Errorf("figures: no cell (%q, %q) in %q", row, col, t.Title)
-	}
-	return t.Cells[ri][ci], nil
-}
-
 // Row returns a row's values by label.
 func (t *Table) Row(row string) ([]float64, error) {
 	for i, r := range t.Rows {

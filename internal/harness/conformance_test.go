@@ -192,7 +192,7 @@ func matrix() []row {
 		// A livelock regression: a crash in the resume phase leaves the
 		// crashed rank durable one epoch ahead of its peers, so on restart
 		// the behind ranks replay with its logged sends while it blocks in
-		// Sendrecv until they catch up. A poll that ran a collective
+		// SendrecvWord until they catch up. A poll that ran a collective
 		// agreement would consume the ahead rank's pre-crash contributions
 		// from the log and stall for a request that never comes; the
 		// uncoordinated poll therefore serves locally.

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/fault"
 	"gbcr/internal/mpi"
 	"gbcr/internal/sim"
+	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
 )
 
@@ -118,5 +120,42 @@ func TestForEachCallbackPanicBecomesError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error lacks %q:\n%v", want, err)
 		}
+	}
+}
+
+// TestMemLossCountPastTheJob: a node loss whose count runs far off the end of
+// the job loses the same nodes as one that stops at its last rank, so the run
+// finishes promptly with the same result however large the count.
+func TestMemLossCountPastTheJob(t *testing.T) {
+	r := matrix()[0] // ring4
+	type outcome struct {
+		res AvailabilityResult
+		err error
+	}
+	run := func(spec string) <-chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			res, err := r.run(protocol.Group, tier.ModeHierarchy, mustParse(t, spec), nil)
+			ch <- outcome{res, err}
+		}()
+		return ch
+	}
+	want := <-run("memloss@1s:count=4")
+	var got outcome
+	select {
+	case got = <-run("memloss@1s:count=1000000000000000"):
+	//lint:allow-simdeterminism a host-time deadline turns a hang into a failure
+	case <-time.After(30 * time.Second):
+		t.Fatal("a node loss of 10^15 nodes on a 4-rank job still running after 30 s")
+	}
+	if want.err != nil || got.err != nil {
+		t.Fatalf("count=4: %v; huge count: %v", want.err, got.err)
+	}
+	if ringSums(got.res.FinalInst) != ringSums(want.res.FinalInst) {
+		t.Errorf("results %s, want %s", ringSums(got.res.FinalInst), ringSums(want.res.FinalInst))
+	}
+	got.res.FinalInst, want.res.FinalInst = nil, nil
+	if got.res != want.res || got.res.Failures != 1 {
+		t.Errorf("huge count: %+v\nwant %+v with one failure", got.res, want.res)
 	}
 }

@@ -4,12 +4,13 @@
 // the Effective Checkpoint Delay (Section 5) along with the Individual and
 // Total Checkpoint Times from the cycle report.
 //
-// Two execution engines are provided. The free functions (Baseline, Measure,
-// Sweep) run serially and are the reference implementation; Runner schedules
-// independent measurement cells on a worker pool and memoizes baselines, so
-// large sweep matrices regenerate in parallel with results bit-identical to
-// the serial path. All entry points return errors instead of panicking, so
-// the stack is usable as an embedded service component.
+// Two execution engines are provided. The free functions (Baseline,
+// MeasureObserved, Sweep) run serially and are the reference implementation;
+// Runner schedules independent measurement cells on a worker pool and
+// memoizes baselines, so large sweep matrices regenerate in parallel with
+// results bit-identical to the serial path. All entry points return errors
+// instead of panicking, so the stack is usable as an embedded service
+// component.
 package harness
 
 import (

@@ -149,7 +149,7 @@ func TestMeasureObservedRecordsTimeline(t *testing.T) {
 	if res.EffectiveDelay() <= 0 {
 		t.Fatalf("result: %v", res)
 	}
-	if mem.Len() == 0 {
+	if len(mem.Events()) == 0 {
 		t.Fatal("event timeline empty")
 	}
 	if s := res.String(); !strings.Contains(s, "effective=") {
@@ -157,7 +157,7 @@ func TestMeasureObservedRecordsTimeline(t *testing.T) {
 	}
 	// Every rank appears in the timeline, and every layer emitted.
 	for r := 0; r < 4; r++ {
-		if len(mem.ByRank(r)) == 0 {
+		if len(mem.Filter(func(e obs.Event) bool { return e.Rank == r })) == 0 {
 			t.Fatalf("rank %d missing from timeline", r)
 		}
 	}

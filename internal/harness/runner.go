@@ -70,17 +70,6 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, baselines: make(map[string]*baselineEntry)}
 }
 
-// Workers reports the worker-pool bound.
-func (r *Runner) Workers() int { return r.workers }
-
-// CacheStats reports baseline-cache hits and misses so far. A hit includes
-// waiting on an in-flight computation of the same key.
-func (r *Runner) CacheStats() (hits, misses int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits, r.misses
-}
-
 // BaselineKey canonicalizes a cell into its baseline-cache key. A baseline
 // run never starts a checkpoint cycle, so it writes no checkpoint and no
 // cr.Config or tier.Config field can influence its completion time; the CR
@@ -113,14 +102,10 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 	return e.t, e.err
 }
 
-// Measure runs one checkpointed cell, taking the baseline from the cache.
-// With an aggregate installed, the cell's metrics are merged into it.
-func (r *Runner) Measure(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time) (Result, error) {
-	return r.measure(Cell{Config: cfg, Workload: w, IssuedAt: issuedAt}, nil)
-}
-
-// measure is Measure with an optional caller-owned bus attached to the
-// checkpointed run (RunCaptured's per-cell sinks hang off it).
+// measure runs one checkpointed cell, taking the baseline from the cache,
+// with an optional caller-owned bus attached to the checkpointed run
+// (RunCaptured's per-cell sinks hang off it). With an aggregate installed,
+// the cell's metrics are merged into it.
 func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
 	base, err := r.Baseline(c.Config, c.Workload)
 	if err != nil {

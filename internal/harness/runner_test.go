@@ -65,14 +65,22 @@ func TestRunnerSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// cacheStats reads the baseline cache's hits and misses so far. A hit
+// includes waiting on an in-flight computation of the same key.
+func cacheStats(r *Runner) (hits, misses int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hits, r.misses
+}
+
 func TestRunnerWorkersDefault(t *testing.T) {
-	if got, want := NewRunner(0).Workers(), runtime.GOMAXPROCS(0); got != want {
+	if got, want := NewRunner(0).workers, runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("default workers %d, want GOMAXPROCS %d", got, want)
 	}
-	if got := NewRunner(-3).Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := NewRunner(-3).workers; got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("negative workers %d, want GOMAXPROCS", got)
 	}
-	if got := NewRunner(5).Workers(); got != 5 {
+	if got := NewRunner(5).workers; got != 5 {
 		t.Fatalf("workers %d, want 5", got)
 	}
 }
@@ -94,7 +102,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if first != again {
 		t.Fatalf("cached baseline %v != first %v", again, first)
 	}
-	if hits, misses := r.CacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := cacheStats(r); hits != 1 || misses != 1 {
 		t.Fatalf("after identical repeat: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
@@ -106,7 +114,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if _, err := r.Baseline(grouped, w); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := r.CacheStats(); hits != 2 || misses != 1 {
+	if hits, misses := cacheStats(r); hits != 2 || misses != 1 {
 		t.Fatalf("after CR-only change: hits=%d misses=%d, want 2/1", hits, misses)
 	}
 
@@ -116,7 +124,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if _, err := r.Baseline(staged, w); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := r.CacheStats(); hits != 3 || misses != 1 {
+	if hits, misses := cacheStats(r); hits != 3 || misses != 1 {
 		t.Fatalf("after Tiers-only change: hits=%d misses=%d, want 3/1", hits, misses)
 	}
 }
@@ -160,7 +168,7 @@ func TestBaselineCacheMisses(t *testing.T) {
 	if _, err := r.Baseline(base, wSlower); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := r.CacheStats(); hits != 0 || misses != 2 {
+	if hits, misses := cacheStats(r); hits != 0 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }
@@ -172,10 +180,10 @@ func TestRunnerErrorPropagation(t *testing.T) {
 	w := workload.CommGroups{N: 8, CommGroupSize: 2, Iters: 10,
 		Chunk: 10 * sim.Millisecond, FootprintMB: 10}
 
-	if _, err := r.Measure(bad, w, sim.Second); err == nil {
+	if _, err := r.Run([]Cell{{Config: bad, Workload: w, IssuedAt: sim.Second}}); err == nil {
 		t.Fatal("invalid config must error, not panic")
 	}
-	if _, err := r.Measure(PaperCluster(8), w, -sim.Second); err == nil {
+	if _, err := r.Run([]Cell{{Config: PaperCluster(8), Workload: w, IssuedAt: -sim.Second}}); err == nil {
 		t.Fatal("negative issuance time must error")
 	}
 
@@ -248,7 +256,7 @@ func TestRunnerConcurrentBaselineDedup(t *testing.T) {
 			t.Fatalf("goroutine %d saw baseline %v, others %v", i, ti, times[0])
 		}
 	}
-	if hits, misses := r.CacheStats(); misses != 1 || hits != len(times)-1 {
+	if hits, misses := cacheStats(r); misses != 1 || hits != len(times)-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, len(times)-1)
 	}
 }

@@ -55,7 +55,7 @@ func TestZeroAllocOOB(t *testing.T) {
 	f := newFabric(t, k, PaperConfig())
 	a, b := addEP(t, f, 0), addEP(t, f, 1)
 	seen := 0
-	b.OnOOBImmediate = func(src int, payload any) bool { seen++; return true }
+	b.OnOOB = func(src int, payload any) { seen++ }
 	msg := new(int)
 	burst := func() {
 		for i := 0; i < 4; i++ {

@@ -108,9 +108,6 @@ func New(k *sim.Kernel, cfg Config) (*Fabric, error) {
 	return &Fabric{k: k, cfg: cfg, eps: make(map[int]*Endpoint)}, nil
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // SetObs attaches an observability bus (nil detaches). Connection-management
 // handshakes (REQ/REP/RTU), flush/disconnect transitions, and epoch-deferred
 // connection requests emit ib-layer events on the owning endpoint's track,
@@ -122,9 +119,6 @@ func (ep *Endpoint) emit(what obs.Kind, peer int) {
 	ep.f.bus.Emit(obs.Event{At: ep.f.k.Now(), Rank: ep.id, Layer: obs.LayerIB,
 		Type: obs.Instant, What: what, Arg: int64(peer)})
 }
-
-// Endpoint returns the endpoint with the given id, or nil.
-func (f *Fabric) Endpoint(id int) *Endpoint { return f.eps[id] }
 
 // ConnState describes one side of a connection.
 type ConnState int
@@ -272,9 +266,6 @@ type Endpoint struct {
 	// OnMessage receives application payloads from established (or
 	// draining) connections, in FIFO order per source.
 	OnMessage func(src int, size int64, payload any)
-	// OnOOB receives application out-of-band payloads (e.g. checkpoint
-	// coordination traffic).
-	OnOOB func(src int, payload any)
 	// OnWork is invoked (in kernel context) whenever a packet arrives and
 	// processing work is pending. The owner decides when to call Progress.
 	OnWork func()
@@ -287,12 +278,11 @@ type Endpoint struct {
 	// Reexamine. meta is the opaque value the initiator passed to Connect
 	// (the checkpoint layer uses it to carry the initiator's epoch).
 	AcceptConn func(peer int, meta int64) bool
-	// OnOOBImmediate, if non-nil, sees application out-of-band payloads at
-	// arrival time, before they queue for Progress — the model of the
-	// checkpoint controller thread, which listens on its own channel and is
-	// not subject to the MPI progress rule. Returning true consumes the
-	// message.
-	OnOOBImmediate func(src int, payload any) bool
+	// OnOOB receives application out-of-band payloads (checkpoint
+	// coordination traffic) at arrival time, never queued for Progress — the
+	// model of the checkpoint controller thread, which listens on its own
+	// channel and is not subject to the MPI progress rule.
+	OnOOB func(src int, payload any)
 }
 
 // AddEndpoint registers a new endpoint with the given id (ids need not be
@@ -307,9 +297,6 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 	f.eps[id] = ep
 	return ep, nil
 }
-
-// ID returns the endpoint id.
-func (ep *Endpoint) ID() int { return ep.id }
 
 // EgressFree reports when the NIC's egress becomes idle. Immediately after a
 // successful Send it is the transmit-completion time of that packet; upper
@@ -572,7 +559,10 @@ func (ep *Endpoint) receive(it workItem) {
 		ep.process(it)
 		return
 	}
-	if it.oob && ep.OnOOBImmediate != nil && ep.OnOOBImmediate(it.src, it.payload) {
+	if it.oob {
+		if ep.OnOOB != nil {
+			ep.OnOOB(it.src, it.payload)
+		}
 		return
 	}
 	ep.work.push(it)
@@ -585,7 +575,7 @@ func (ep *Endpoint) receive(it workItem) {
 func (ep *Endpoint) PendingWork() bool { return ep.work.len() > 0 }
 
 // Progress processes all queued arrivals: connection-management handshakes,
-// flush markers, and application deliveries (via OnMessage/OnOOB).
+// flush markers, and application deliveries (via OnMessage).
 func (ep *Endpoint) Progress() {
 	for ep.work.len() > 0 {
 		// control packets allocate per connection, not per message
@@ -597,6 +587,8 @@ func (ep *Endpoint) Progress() {
 // the wire (either channel), has received and not yet processed, or has
 // deferred: everywhere the fabric still holds a payload its owner must not
 // recycle. Validators use it.
+//
+//lint:allow-unused test instrumentation: mpi's recycle validator proves with it that no packet is reused while the fabric holds it
 func (ep *Endpoint) EachQueued(fn func(payload any)) {
 	for _, fl := range slices.Concat(ep.inflight.live(), ep.inflightOOB.live()) {
 		fn(fl.it.payload)
@@ -619,10 +611,6 @@ func (ep *Endpoint) Reexamine() {
 	ep.Progress()
 }
 
-// DeferredConnects reports how many connection requests are parked awaiting
-// Reexamine.
-func (ep *Endpoint) DeferredConnects() int { return len(ep.deferred) }
-
 func (ep *Endpoint) process(it workItem) {
 	switch pl := it.payload.(type) {
 	case cmConnReq:
@@ -642,12 +630,6 @@ func (ep *Endpoint) process(it workItem) {
 		ep.promoteOnInband(it.src)
 		ep.handleFlushAck(it.src)
 	default:
-		if it.oob {
-			if ep.OnOOB != nil {
-				ep.OnOOB(it.src, it.payload)
-			}
-			return
-		}
 		ep.promoteOnInband(it.src)
 		ep.stats.MessagesDelivered++
 		if ep.OnMessage != nil {

@@ -3,7 +3,6 @@ package ib
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -94,7 +93,7 @@ func TestDataDeliveryTimingAndOrder(t *testing.T) {
 		got = append(got, rec{k.Now(), payload})
 	}
 	connect(t, a, 1, 0)
-	cfg := f.Config()
+	cfg := f.cfg
 	const size = 14 * MB // 10ms at 1400 MB/s
 	k.At(sim.Millisecond, func() {
 		if err := a.Send(1, size, "first"); err != nil {
@@ -168,8 +167,8 @@ func TestAcceptConnDeferAndReexamine(t *testing.T) {
 	if up {
 		t.Fatal("connection established despite deferred accept")
 	}
-	if b.DeferredConnects() != 1 {
-		t.Fatalf("DeferredConnects = %d, want 1", b.DeferredConnects())
+	if len(b.deferred) != 1 {
+		t.Fatalf("deferred connects = %d, want 1", len(b.deferred))
 	}
 	var meta int64
 	b.AcceptConn = func(peer int, m int64) bool { meta = m; return true }
@@ -352,7 +351,7 @@ func TestOOBDelivery(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "coordination" || at != f.Config().OOBLatency {
+	if got != "coordination" || at != f.cfg.OOBLatency {
 		t.Fatalf("OOB: got %v at %v", got, at)
 	}
 }
@@ -615,32 +614,32 @@ func TestConnStateString(t *testing.T) {
 	}
 }
 
+// TestOnOOBImmediateConsumes: OnOOB consumes every out-of-band payload at
+// arrival, in send order, without the owner ever calling Progress.
 func TestOnOOBImmediateConsumes(t *testing.T) {
-	k, _, a, b := testPair(t)
-	var immediate, queued []string
-	b.OnOOBImmediate = func(src int, payload any) bool {
-		s := payload.(string)
-		if strings.HasPrefix(s, "ctl:") {
-			immediate = append(immediate, s)
-			return true
+	k, f, a, b := testPair(t)
+	b.OnWork = nil // nobody drives b's progress
+	var seen []string
+	b.OnOOB = func(src int, payload any) {
+		if src != 0 || k.Now() != f.cfg.OOBLatency {
+			t.Errorf("OOB from %d at %v, want from 0 at %v", src, k.Now(), f.cfg.OOBLatency)
 		}
-		return false
+		seen = append(seen, payload.(string))
 	}
-	b.OnOOB = func(src int, payload any) { queued = append(queued, payload.(string)) }
 	if err := a.SendOOB(1, "ctl:checkpoint"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendOOB(1, "app:data"); err != nil {
+	if err := a.SendOOB(1, "ctl:turn"); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(immediate) != 1 || immediate[0] != "ctl:checkpoint" {
-		t.Fatalf("immediate: %v", immediate)
+	if len(seen) != 2 || seen[0] != "ctl:checkpoint" || seen[1] != "ctl:turn" {
+		t.Fatalf("OnOOB saw %v, want [ctl:checkpoint ctl:turn]", seen)
 	}
-	if len(queued) != 1 || queued[0] != "app:data" {
-		t.Fatalf("queued: %v", queued)
+	if b.PendingWork() {
+		t.Fatal("an OOB payload was queued for Progress")
 	}
 }
 
@@ -659,7 +658,7 @@ func TestEgressFreeTracksTransmit(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tx := sim.Time(float64(size) / f.Config().LinkBW * float64(sim.Second))
+	tx := sim.Time(float64(size) / f.cfg.LinkBW * float64(sim.Second))
 	if txEnd != sim.Millisecond+tx {
 		t.Fatalf("EgressFree = %v, want %v", txEnd, sim.Millisecond+tx)
 	}
@@ -681,7 +680,8 @@ func TestDisconnectNonEstablishedIsNoop(t *testing.T) {
 
 func TestStatsOOBCount(t *testing.T) {
 	k, _, a, b := testPair(t)
-	b.OnOOB = func(int, any) {}
+	delivered := 0
+	b.OnOOB = func(int, any) { delivered++ }
 	if err := a.SendOOB(1, "one"); err != nil {
 		t.Fatal(err)
 	}
@@ -691,8 +691,8 @@ func TestStatsOOBCount(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Stats().OOBSent != 2 {
-		t.Fatalf("OOBSent = %d", a.Stats().OOBSent)
+	if a.Stats().OOBSent != 2 || delivered != 2 {
+		t.Fatalf("OOBSent = %d, delivered %d; want 2, 2", a.Stats().OOBSent, delivered)
 	}
 }
 
@@ -700,10 +700,10 @@ func TestFabricAccessorsAndValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := newFabric(t, k, PaperConfig())
 	ep := addEP(t, f, 5)
-	if f.Endpoint(5) != ep || ep.ID() != 5 {
+	if f.eps[5] != ep || ep.id != 5 {
 		t.Fatal("fabric accessors")
 	}
-	if f.Endpoint(99) != nil {
+	if f.eps[99] != nil {
 		t.Fatal("unknown endpoint should be nil")
 	}
 	if ConnState(99).String() == "" {

@@ -1,6 +1,7 @@
 // Package model implements the paper's analytic equations (Section 5) for
-// checkpoint delay, used to cross-check the simulation and to reproduce the
-// back-of-envelope estimates in Section 3.1.
+// checkpoint delay, which its tests check against the back-of-envelope
+// estimates in Section 3.1, and Young's optimal checkpoint interval, which
+// the figures use.
 package model
 
 import (
@@ -48,29 +49,21 @@ func (p Params) perProcBW(m int) float64 {
 	return bw
 }
 
-// IndividualTime implements equations (2a) and (3a): the storage-dominated
+// individualTime implements equations (2a) and (3a): the storage-dominated
 // downtime of one process,
 //
 //	T_individual ≈ footprint × (processes writing concurrently) / B.
-func (p Params) IndividualTime() sim.Time {
+func (p Params) individualTime() sim.Time {
 	g := p.effSize()
 	return sim.Seconds(p.Footprint / p.perProcBW(g))
 }
 
-// TotalTime implements equations (2b) and (3b): for the regular protocol it
+// totalTime implements equations (2b) and (3b): for the regular protocol it
 // equals the individual time; for group-based checkpointing it is the number
 // of groups times the per-group time.
-func (p Params) TotalTime() sim.Time {
+func (p Params) totalTime() sim.Time {
 	g := p.effSize()
 	return sim.Seconds(float64(p.groups()) * p.Footprint / p.perProcBW(g))
-}
-
-// EffectiveDelayBounds returns the bounds from equation (3c): the effective
-// checkpoint delay lies between the individual time (perfect overlap of
-// other groups' compute) and the total time (no overlap, e.g. a checkpoint
-// issued at a global synchronization point).
-func (p Params) EffectiveDelayBounds() (lo, hi sim.Time) {
-	return p.IndividualTime(), p.TotalTime()
 }
 
 // Thunderbird reproduces the Section 3.1 estimate: the Sandia Thunderbird

@@ -8,9 +8,11 @@ import (
 	"gbcr/internal/sim"
 )
 
+const hour = 60 * sim.Minute
+
 func TestThunderbirdEstimate(t *testing.T) {
 	// Section 3.1: "it still needs 1493 seconds (about 25 minutes)".
-	got := Thunderbird().IndividualTime().Seconds()
+	got := Thunderbird().individualTime().Seconds()
 	if math.Abs(got-1493) > 1 {
 		t.Fatalf("Thunderbird estimate %.1f s, paper says 1493 s", got)
 	}
@@ -18,7 +20,7 @@ func TestThunderbirdEstimate(t *testing.T) {
 
 func TestRegularEqualsGrouped1Group(t *testing.T) {
 	p := Params{Procs: 32, GroupSize: 0, Footprint: 180 << 20, AggregateBW: 140 << 20}
-	if p.IndividualTime() != p.TotalTime() {
+	if p.individualTime() != p.totalTime() {
 		t.Fatal("eq(2b): total must equal individual for the regular protocol")
 	}
 }
@@ -30,11 +32,11 @@ func TestGroupScaling(t *testing.T) {
 	p8, p4 := base, base
 	p8.GroupSize = 8
 	p4.GroupSize = 4
-	if math.Abs(p8.IndividualTime().Seconds()/p4.IndividualTime().Seconds()-2) > 1e-9 {
+	if math.Abs(p8.individualTime().Seconds()/p4.individualTime().Seconds()-2) > 1e-9 {
 		t.Fatal("eq(3a): individual time must scale with group size")
 	}
-	if p8.TotalTime() != p4.TotalTime() {
-		t.Fatalf("eq(3b): total %v vs %v must be equal", p8.TotalTime(), p4.TotalTime())
+	if p8.totalTime() != p4.totalTime() {
+		t.Fatalf("eq(3b): total %v vs %v must be equal", p8.totalTime(), p4.totalTime())
 	}
 }
 
@@ -44,13 +46,13 @@ func TestClientCapLimitsSmallGroups(t *testing.T) {
 	p := Params{Procs: 32, GroupSize: 1, Footprint: 180 << 20,
 		AggregateBW: 140 << 20, ClientBW: 116 << 20}
 	wantInd := sim.Seconds(180.0 / 116.0)
-	if d := p.IndividualTime() - wantInd; d < -sim.Millisecond || d > sim.Millisecond {
-		t.Fatalf("individual %v, want %v (client-capped)", p.IndividualTime(), wantInd)
+	if d := p.individualTime() - wantInd; d < -sim.Millisecond || d > sim.Millisecond {
+		t.Fatalf("individual %v, want %v (client-capped)", p.individualTime(), wantInd)
 	}
 	// Total exceeds the regular protocol's: storage is underutilized.
 	reg := p
 	reg.GroupSize = 0
-	if p.TotalTime() <= reg.TotalTime() {
+	if p.totalTime() <= reg.totalTime() {
 		t.Fatal("group size 1 should have a larger total than regular")
 	}
 }
@@ -62,6 +64,9 @@ func TestUnevenGroups(t *testing.T) {
 	}
 }
 
+// TestEffectiveDelayBoundsOrdering: equation (3c) bounds the effective
+// checkpoint delay by the individual time below and the total time above, so
+// the first never exceeds the second.
 func TestEffectiveDelayBoundsOrdering(t *testing.T) {
 	f := func(procs, group uint8, footMB uint16) bool {
 		n := int(procs%64) + 1
@@ -72,7 +77,7 @@ func TestEffectiveDelayBoundsOrdering(t *testing.T) {
 			AggregateBW: 140 << 20,
 			ClientBW:    116 << 20,
 		}
-		lo, hi := p.EffectiveDelayBounds()
+		lo, hi := p.individualTime(), p.totalTime()
 		return lo >= 0 && lo <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -82,7 +87,7 @@ func TestEffectiveDelayBoundsOrdering(t *testing.T) {
 
 func TestOptimalInterval(t *testing.T) {
 	// Young: sqrt(2 * 41s * 4h) for the regular protocol on the testbed.
-	mtbf := 4 * sim.Hour
+	mtbf := 4 * hour
 	regular := OptimalInterval(41*sim.Second, mtbf)
 	grouped := OptimalInterval(11*sim.Second, mtbf)
 	if regular < 1000*sim.Second || regular > 1200*sim.Second {
@@ -101,7 +106,7 @@ func TestOptimalInterval(t *testing.T) {
 }
 
 func TestOptimalIntervalIsOptimal(t *testing.T) {
-	cost, mtbf := 30*sim.Second, 2*sim.Hour
+	cost, mtbf := 30*sim.Second, 2*hour
 	opt := OptimalInterval(cost, mtbf)
 	base := ExpectedOverheadFraction(cost, opt, mtbf)
 	for _, factor := range []float64{0.5, 0.8, 1.25, 2} {
@@ -113,10 +118,10 @@ func TestOptimalIntervalIsOptimal(t *testing.T) {
 }
 
 func TestOptimalIntervalDegenerate(t *testing.T) {
-	if OptimalInterval(0, sim.Hour) != 0 || OptimalInterval(sim.Second, 0) != 0 {
+	if OptimalInterval(0, hour) != 0 || OptimalInterval(sim.Second, 0) != 0 {
 		t.Fatal("degenerate inputs")
 	}
-	if !math.IsInf(ExpectedOverheadFraction(sim.Second, 0, sim.Hour), 1) {
+	if !math.IsInf(ExpectedOverheadFraction(sim.Second, 0, hour), 1) {
 		t.Fatal("zero interval")
 	}
 }

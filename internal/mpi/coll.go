@@ -102,17 +102,6 @@ func (e *Env) bcast(c *Comm, root int, p payload) payload {
 	return p
 }
 
-// ReduceF64 combines equal-length vectors element-wise with op onto root
-// (binomial tree). Only root's return value is significant; other ranks
-// return nil. Vectors of different lengths fail the run (real MPI aborts).
-func (e *Env) ReduceF64(c *Comm, root int, in []float64, op Op) []float64 {
-	acc, ok := e.reduce(c, root, content(F64ToBytes(in)), op)
-	if !ok || c.myRank != root {
-		return nil
-	}
-	return e.decodeF64(acc.data)
-}
-
 // AllreduceF64 combines vectors element-wise with op and returns the result
 // on every rank (reduce to comm rank 0, then broadcast).
 func (e *Env) AllreduceF64(c *Comm, in []float64, op Op) []float64 {
@@ -158,7 +147,7 @@ func (e *Env) reduce(c *Comm, root int, acc payload, op Op) (payload, bool) {
 		if srcRel := rel | mask; srcRel < n {
 			got, _ := e.await(e.irecvInternal(c, (srcRel+root)%n, tag))
 			if got.size != acc.size {
-				e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: ReduceF64 of %d values got %d", e.r.world, acc.size/8, got.size/8))
+				e.r.job.k.Fail(fmt.Errorf("mpi: rank %d: AllreduceF64 of %d values got %d", e.r.world, acc.size/8, got.size/8))
 				return payload{}, false
 			}
 			acc.fold(got, op)

@@ -40,9 +40,6 @@ func commID(index int, ranks []int) int64 {
 	return int64(index)<<32 | int64(h.Sum32())
 }
 
-// ID returns the communicator's context id.
-func (c *Comm) ID() int64 { return c.id }
-
 // Size returns the number of member ranks.
 func (c *Comm) Size() int { return len(c.ranks) }
 
@@ -57,22 +54,4 @@ func (c *Comm) World(commRank int) int {
 		return -1
 	}
 	return c.ranks[commRank]
-}
-
-// CommRankOf translates a world rank to its position in the communicator, or
-// -1 if the world rank is not a member.
-func (c *Comm) CommRankOf(world int) int {
-	for i, w := range c.ranks {
-		if w == world {
-			return i
-		}
-	}
-	return -1
-}
-
-// Ranks returns a copy of the comm-rank-to-world-rank mapping.
-func (c *Comm) Ranks() []int {
-	out := make([]int, len(c.ranks))
-	copy(out, c.ranks)
-	return out
 }

@@ -38,9 +38,8 @@ type Request struct {
 // completeTx fires at local transmit completion of a rendezvous send's data.
 func (req *Request) completeTx() { req.r.completeReq(req) }
 
-// getReq returns a blank request. The library's own blocking calls take
-// theirs from here and hand them back with putReq; Isend and Irecv take one
-// and never return it, so a handle a caller holds is never recycled.
+// getReq returns a blank request. The library's blocking calls take theirs
+// from here and hand them back with putReq.
 func (r *Rank) getReq() *Request {
 	req := r.reqFree.get()
 	req.r = r
@@ -56,16 +55,6 @@ func (r *Rank) putReq(req *Request) {
 	r.reqFree.put(req)
 	req.txDone = tx
 }
-
-// Done reports whether the operation has completed.
-func (req *Request) Done() bool { return req.complete }
-
-// Data returns a completed receive's payload bytes: nil if the sender
-// supplied none (Status().Size still reports the length).
-func (req *Request) Data() []byte { return req.data }
-
-// Status returns a completed receive's envelope.
-func (req *Request) Status() Status { return req.status }
 
 // matches reports whether an incoming message satisfies this posted receive.
 func (req *Request) matches(msg *inMsg) bool {
@@ -94,14 +83,8 @@ func (e *Env) Rank() int { return e.r.world }
 // Size returns the world size.
 func (e *Env) Size() int { return len(e.r.job.ranks) }
 
-// Now returns the current simulated time.
-func (e *Env) Now() sim.Time { return e.p.Now() }
-
 // Proc returns the underlying simulated process.
 func (e *Env) Proc() *sim.Proc { return e.p }
-
-// RankState returns the library-level Rank, for checkpoint-layer use.
-func (e *Env) RankState() *Rank { return e.r }
 
 // World returns a communicator over all ranks. Each call at the same
 // creation index yields the same context id on every rank.
@@ -190,18 +173,6 @@ func (e *Env) Compute(d sim.Time) {
 	e.exit()
 }
 
-// Isend starts a nonblocking send of data to comm rank dst.
-func (e *Env) Isend(c *Comm, dst, tag int, data []byte) *Request {
-	if !e.appTag(tag) {
-		req := e.r.getReq()
-		req.complete = true
-		return req
-	}
-	e.enter()
-	defer e.exit()
-	return e.isendInternal(c, dst, tag, content(data))
-}
-
 // appTag reports whether an application may send with tag. An invalid tag is
 // an application bug (real MPI aborts): it fails the run, and the caller
 // returns as if the send had completed, like a self-send.
@@ -285,14 +256,6 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	return req
 }
 
-// Irecv posts a nonblocking receive from comm rank src (or ANY) with the
-// given tag (or ANY).
-func (e *Env) Irecv(c *Comm, src, tag int) *Request {
-	e.enter()
-	defer e.exit()
-	return e.irecvInternal(c, src, tag)
-}
-
 func (e *Env) irecvInternal(c *Comm, src, tag int) *Request {
 	r := e.r
 	req := r.getReq()
@@ -316,15 +279,8 @@ func (e *Env) irecvInternal(c *Comm, src, tag int) *Request {
 	return req
 }
 
-// Wait blocks until the request completes, returning its status. Checkpoint
-// safe points may run while waiting.
-func (e *Env) Wait(req *Request) Status {
-	e.enter()
-	defer e.exit()
-	e.waitInternal(req)
-	return req.status
-}
-
+// waitInternal blocks until the request completes. Checkpoint safe points
+// may run while waiting.
 func (e *Env) waitInternal(req *Request) {
 	for !req.complete {
 		if e.p.Park(e.r.waitReason) {
@@ -340,15 +296,6 @@ func (e *Env) await(req *Request) (payload, Status) {
 	p, st := req.payload, req.status
 	e.r.putReq(req)
 	return p, st
-}
-
-// Waitall blocks until every request completes.
-func (e *Env) Waitall(reqs ...*Request) {
-	e.enter()
-	defer e.exit()
-	for _, req := range reqs {
-		e.waitInternal(req)
-	}
 }
 
 // Send is a blocking send: for eager messages it returns once the payload is
@@ -370,22 +317,17 @@ func (e *Env) Recv(c *Comm, src, tag int) ([]byte, Status) {
 	return p.data, st
 }
 
-// Sendrecv exchanges messages with possibly different peers, avoiding the
-// deadlock of paired blocking calls.
-func (e *Env) Sendrecv(c *Comm, dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status) {
-	p, st := e.sendrecv(c, dst, sendTag, content(data), src, recvTag)
-	return p.data, st
-}
-
-// SendrecvSize is Sendrecv for a workload that models the exchange's cost
-// and never reads its content: n bytes are charged on the wire, in the
-// eager/rendezvous choice and in the sender log, and none are allocated.
+// SendrecvSize exchanges messages with possibly different peers, avoiding
+// the deadlock of paired blocking calls, for a workload that models the
+// exchange's cost and never reads its content: n bytes are charged on the
+// wire, in the eager/rendezvous choice and in the sender log, and none are
+// allocated.
 func (e *Env) SendrecvSize(c *Comm, dst, sendTag int, n int64, src, recvTag int) Status {
 	_, st := e.sendrecv(c, dst, sendTag, e.sized(n), src, recvTag)
 	return st
 }
 
-// SendrecvWord is Sendrecv for an 8-byte scalar: w is charged and captured
+// SendrecvWord is SendrecvSize for an 8-byte scalar: w is charged and captured
 // as its 8 little-endian bytes, and rides the message without a buffer, so
 // the exchange allocates nothing. It returns the word received. A received
 // message that is not 8 bytes long fails the run, and the word is 0.

@@ -134,9 +134,6 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 	return j, nil
 }
 
-// K returns the kernel the job runs on.
-func (j *Job) K() *sim.Kernel { return j.k }
-
 // Fabric returns the interconnect the job's endpoints live on.
 func (j *Job) Fabric() *ib.Fabric { return j.fabric }
 
@@ -158,9 +155,7 @@ func (j *Job) Launch(i int, body func(e *Env)) *Rank {
 		panic(fmt.Sprintf("mpi: rank %d launched twice", i))
 	}
 	r.proc = j.k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-		env := &Env{r: r, p: p}
-		r.env = env
-		body(env)
+		body(&Env{r: r, p: p})
 		r.finished = true
 		r.finishedAt = p.Now()
 		// A finished rank sits in finalize: it keeps making progress so
@@ -211,7 +206,6 @@ type Rank struct {
 	world int
 	proc  *sim.Proc
 	ep    *ib.Endpoint
-	env   *Env
 
 	finished   bool
 	finishedAt sim.Time
@@ -325,9 +319,6 @@ func (r *Rank) peer(world int) *peer {
 // World returns the rank's world number.
 func (r *Rank) World() int { return r.world }
 
-// Job returns the owning job.
-func (r *Rank) Job() *Job { return r.job }
-
 // Proc returns the simulated process running the rank's application, or nil
 // before Launch.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
@@ -335,18 +326,11 @@ func (r *Rank) Proc() *sim.Proc { return r.proc }
 // Endpoint returns the rank's fabric endpoint.
 func (r *Rank) Endpoint() *ib.Endpoint { return r.ep }
 
-// Env returns the rank's application environment, or nil before the body has
-// started.
-func (r *Rank) Env() *Env { return r.env }
-
 // Stats returns a copy of the rank's counters.
 func (r *Rank) Stats() RankStats { return r.stats }
 
 // Finished reports whether the rank's body has returned.
 func (r *Rank) Finished() bool { return r.finished }
-
-// FinishedAt returns when the rank's body returned.
-func (r *Rank) FinishedAt() sim.Time { return r.finishedAt }
 
 // SetHooks installs the checkpoint layer's hooks.
 func (r *Rank) SetHooks(h CRHooks) { r.hooks = h }
@@ -456,11 +440,3 @@ func (r *Rank) onConnDown(peer int) {
 // calls it when a gated destination becomes legal again (both endpoints past
 // the recovery line).
 func (r *Rank) ReleaseDst(dst int) { r.drainOutbox(dst) }
-
-// OutboxLen reports how many packets are deferred toward dst.
-func (r *Rank) OutboxLen(dst int) int {
-	if pr := r.peerIfAny(dst); pr != nil {
-		return len(pr.outbox)
-	}
-	return 0
-}

@@ -46,7 +46,7 @@ type exchangeOutcome struct {
 }
 
 // exchangeJob runs the three calls content-free workloads make — a ring
-// Sendrecv, a Bcast and an Allgather — on four ranks, with n-byte payloads
+// exchange, a Bcast and an Allgather — on four ranks, with n-byte payloads
 // that are either real zero-filled buffers or lengths only. gated holds rank
 // 0's sends to rank 1 behind a closed checkpoint gate for the first second.
 func exchangeJob(t *testing.T, n int64, sizeOnly, logged, gated bool) exchangeOutcome {
@@ -82,7 +82,7 @@ func exchangeJob(t *testing.T, n int64, sizeOnly, logged, gated bool) exchangeOu
 				e.AllgatherSize(w, n)
 				continue
 			}
-			_, st := e.Sendrecv(w, right, 1, make([]byte, n), left, 1)
+			_, st := e.sendrecv(w, right, 1, content(make([]byte, n)), left, 1)
 			out.recvSize[me] = st.Size
 			e.Bcast(w, it%ranks, make([]byte, n))
 			e.Allgather(w, make([]byte, n))
@@ -187,14 +187,14 @@ func captureQueued(t *testing.T, cfg Config, mk func(n int64) payload, n int64) 
 		w := e.World()
 		send(e, w, 1)
 		e.Compute(10 * sim.Millisecond) // rank 1's message arrives unexpected
-		r := e.RankState()
+		r := e.r
 		wantLog := 0
 		if cfg.LogMessages {
 			wantLog = 1
 		}
-		if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != wantLog {
+		if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || len(r.peer(1).log) != wantLog {
 			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1, 1, %d",
-				len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log), wantLog)
+				len(r.unexpected), outboxLen(r, 1), len(r.peer(1).log), wantLog)
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {
@@ -358,7 +358,7 @@ func TestSendrecvWordLengthMismatchFailsRun(t *testing.T) {
 		got, _ = e.SendrecvWord(e.World(), 1, 0, 7, 1, 0)
 	})
 	j.Launch(1, func(e *Env) {
-		e.Sendrecv(e.World(), 0, 0, make([]byte, 16), 0, 0)
+		e.sendrecv(e.World(), 0, 0, content(make([]byte, 16)), 0, 0)
 	})
 	want := "mpi: rank 0: SendrecvWord received 16 bytes, want 8"
 	if err := k.Run(); err == nil || err.Error() != want {
@@ -516,14 +516,14 @@ func TestCapturePollWordAsContent(t *testing.T) {
 					return
 				}
 				e.Compute(10 * sim.Millisecond) // rank 2's poll 2 contribution arrives
-				r := e.RankState()
+				r := e.r
 				wantLog := 0
 				if logged {
 					wantLog = 1
 				}
-				if len(r.unexpected) != 1 || r.OutboxLen(1) != 1 || len(r.peer(1).log) != wantLog || len(r.peer(2).log) != wantLog {
+				if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || len(r.peer(1).log) != wantLog || len(r.peer(2).log) != wantLog {
 					t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d+%d, want 1, 1, %d+%d",
-						len(r.unexpected), r.OutboxLen(1), len(r.peer(1).log), len(r.peer(2).log), wantLog, wantLog)
+						len(r.unexpected), outboxLen(r, 1), len(r.peer(1).log), len(r.peer(2).log), wantLog, wantLog)
 				}
 				var err error
 				if state, err = r.CaptureLibState(); err != nil {
@@ -687,7 +687,9 @@ func TestSizeOnlyReceiveHasNoData(t *testing.T) {
 			back = e.SendrecvSize(e.World(), 1, 0, n, 1, 0)
 		})
 		j.Launch(1, func(e *Env) {
-			got, st = e.Sendrecv(e.World(), 0, 0, []byte("x"), 0, 0)
+			var p payload
+			p, st = e.sendrecv(e.World(), 0, 0, content([]byte("x")), 0, 0)
+			got = p.data
 		})
 		run(t, k)
 		if got != nil || st.Size != n {
@@ -780,7 +782,7 @@ func TestInvalidTagFailsRun(t *testing.T) {
 		tag  int
 		call func(e *Env, tag int)
 	}{
-		{"Isend", -2, func(e *Env, tag int) { e.Wait(e.Isend(e.World(), 1, tag, []byte("x"))) }},
+		{"SendNegative", -2, func(e *Env, tag int) { e.Send(e.World(), 1, tag, []byte("x")) }},
 		{"Send", collTagBase, func(e *Env, tag int) { e.Send(e.World(), 1, tag, []byte("x")) }},
 	}
 	for _, tc := range calls {
@@ -844,10 +846,10 @@ func TestForeignCommCollectiveFailsRun(t *testing.T) {
 func TestReduceLengthMismatchFailsRun(t *testing.T) {
 	k, j := newTestJob(t, 2)
 	j.LaunchAll(func(e *Env) {
-		e.ReduceF64(e.World(), 0, make([]float64, 2+e.Rank()), OpSum)
+		e.AllreduceF64(e.World(), make([]float64, 2+e.Rank()), OpSum)
 	})
 	err := k.Run()
-	want := "mpi: rank 0: ReduceF64 of 2 values got 3"
+	want := "mpi: rank 0: AllreduceF64 of 2 values got 3"
 	if err == nil || err.Error() != want {
 		t.Fatalf("Run() = %v, want %q", err, want)
 	}

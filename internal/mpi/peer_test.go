@@ -62,7 +62,7 @@ func TestQuickPeerTableMatchesMap(t *testing.T) {
 //
 //	1, 2: a deferred send (outbox, send sequence, log) and a received message
 //	3:    the same, but the gate opened and the outbox drained
-//	4:    only ever looked up — noteSeq of an unstamped packet, OutboxLen,
+//	4:    only ever looked up — noteSeq of an unstamped packet, outboxLen,
 //	      ReleaseDst
 //	5:    a received message and nothing sent
 //
@@ -75,20 +75,20 @@ func captureTouched(t *testing.T, cfg Config, order []int) (state, blank []byte)
 	j.Rank(0).SetHooks(h)
 	senders := []int{1, 2, 3, 5}
 	j.Launch(0, func(e *Env) {
-		w, r := e.World(), e.RankState()
+		w, r := e.World(), e.r
 		for _, dst := range order {
 			e.Send(w, dst, 0, []byte{byte(dst)})
 		}
 		h.gate[3] = false
 		r.ReleaseDst(3)
 		r.ReleaseDst(4)
-		if r.noteSeq(4, 0) || r.OutboxLen(4) != 0 {
+		if r.noteSeq(4, 0) || outboxLen(r, 4) != 0 {
 			t.Error("rank 4 was never sent to, yet has a duplicate or a deferred packet")
 		}
 		e.Compute(10 * sim.Millisecond) // the outbox to 3 drains; the senders' messages arrive
-		if r.OutboxLen(1) != 1 || r.OutboxLen(2) != 1 || r.OutboxLen(3) != 0 || len(r.unexpected) != len(senders) {
+		if outboxLen(r, 1) != 1 || outboxLen(r, 2) != 1 || outboxLen(r, 3) != 0 || len(r.unexpected) != len(senders) {
 			t.Errorf("at capture: outbox 1=%d 2=%d 3=%d, %d unexpected; want 1, 1, 0, %d",
-				r.OutboxLen(1), r.OutboxLen(2), r.OutboxLen(3), len(r.unexpected), len(senders))
+				outboxLen(r, 1), outboxLen(r, 2), outboxLen(r, 3), len(r.unexpected), len(senders))
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {

@@ -34,11 +34,11 @@ func TestForgedRendezvousIDFailsRun(t *testing.T) {
 			var forged uint64
 			returned := false
 			j.Launch(0, func(e *Env) {
-				req := e.Isend(e.World(), 1, 0, make([]byte, 1<<20))
+				req := isend(e, e.World(), 1, 0, make([]byte, 1<<20))
 				first := uint64(r.rdv[0].gen) << 32
 				if tc.reused {
-					e.Wait(req)
-					req = e.Isend(e.World(), 1, 0, make([]byte, 1<<20))
+					wait(e, req)
+					req = isend(e, e.World(), 1, 0, make([]byte, 1<<20))
 				}
 				if len(r.rdv) != 1 || r.rdv[0].req != req {
 					t.Errorf("the pending send is not alone in slot 0: %+v", r.rdv)

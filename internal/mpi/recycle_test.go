@@ -35,7 +35,8 @@ type recvd struct{ src, seq int }
 
 // run is one rank's part of the plan: nonblocking sends of random length
 // either side of the eager threshold (handles the caller keeps), wildcard
-// blocking receives (the library's own recycled requests), then Waitall.
+// blocking receives (the library's own recycled requests), then a wait on
+// every send.
 // Messages carry the plan's id and their index at the sender; what arrives
 // is appended to got. The rng is shared by the ranks, which the kernel runs
 // one at a time in a deterministic order.
@@ -45,7 +46,7 @@ func (p p2pPlan) run(e *Env, w *Comm, rng *rand.Rand, id int, got *[]recvd) erro
 	for seq, dst := range p.dsts[me] {
 		data := make([]byte, 16+rng.Intn(64<<10))
 		copy(data, I64ToBytes([]int64{int64(id), int64(seq)}))
-		reqs = append(reqs, e.Isend(w, dst, 1, data))
+		reqs = append(reqs, isend(e, w, dst, 1, data))
 	}
 	for i := 0; i < p.expect[me]; i++ {
 		data, st := e.Recv(w, ANY, 1)
@@ -59,7 +60,7 @@ func (p p2pPlan) run(e *Env, w *Comm, rng *rand.Rand, id int, got *[]recvd) erro
 		}
 		*got = append(*got, recvd{st.Source, int(hdr[1])})
 	}
-	e.Waitall(reqs...)
+	wait(e, reqs...)
 	return nil
 }
 
@@ -303,7 +304,7 @@ func TestQuickLoggingRestartDuplicates(t *testing.T) {
 						bodyErr = err
 					}
 					e.Barrier(w)
-					st, err := e.RankState().CaptureLibState()
+					st, err := e.r.CaptureLibState()
 					if err != nil {
 						bodyErr = err
 					}
@@ -405,8 +406,8 @@ func TestDrainOutboxClearsVacatedSlots(t *testing.T) {
 		h.gate[1] = false
 		r.ReleaseDst(1)            // connects on demand; the drain follows at conn-up
 		e.Compute(sim.Millisecond) // three out-of-band hops
-		if r.OutboxLen(1) != 0 {
-			t.Errorf("outbox still holds %d packets after release", r.OutboxLen(1))
+		if outboxLen(r, 1) != 0 {
+			t.Errorf("outbox still holds %d packets after release", outboxLen(r, 1))
 		}
 		for i, it := range held {
 			if it.pkt != nil || it.req != nil {

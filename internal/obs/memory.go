@@ -51,14 +51,6 @@ func (m *MemorySink) Events() []Event {
 	return m.events
 }
 
-// Len reports the number of recorded events.
-func (m *MemorySink) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.events)
-}
-
 // Filter returns the events matching pred, in order.
 func (m *MemorySink) Filter(pred func(Event) bool) []Event {
 	var out []Event
@@ -68,11 +60,6 @@ func (m *MemorySink) Filter(pred func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// ByRank returns the events for one rank (-1 for system-wide activity).
-func (m *MemorySink) ByRank(rank int) []Event {
-	return m.Filter(func(e Event) bool { return e.Rank == rank })
 }
 
 // ByLayer returns the events emitted by one layer.

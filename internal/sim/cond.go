@@ -10,7 +10,7 @@ type Cond struct {
 }
 
 // Wait parks the calling process on the condition. It reports whether the
-// wait ended because of an interrupt rather than a Signal/Broadcast.
+// wait ended because of an interrupt rather than a Broadcast.
 func (c *Cond) Wait(p *Proc, reason string) (interrupted bool) {
 	c.waiters = append(c.waiters, p)
 	intr := p.Park(reason)
@@ -21,16 +21,6 @@ func (c *Cond) Wait(p *Proc, reason string) (interrupted bool) {
 		}
 	}
 	return intr
-}
-
-// Signal wakes one waiter, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	w.Unpark()
 }
 
 // Broadcast wakes all current waiters.

@@ -90,27 +90,26 @@ func TestCallbackPanicReachesRunCaller(t *testing.T) {
 }
 
 // TestCallbacksRunWithNoProcessRunning: every kind of callback — a timer set
-// before Run, an After armed by a process, an exit hook — runs on the event
-// loop with Running() == nil, however many processes are live around it.
+// before Run, an After armed by a process — runs on the event loop with no
+// process running, however many processes are live around it.
 func TestCallbacksRunWithNoProcessRunning(t *testing.T) {
 	k := NewKernel(1)
 	ran := map[string]int{}
 	callback := func(kind string) func() {
 		return func() {
 			ran[kind]++
-			if r := k.Running(); r != nil {
-				t.Errorf("Running() = %q inside %s callback, want nil", r.Name(), kind)
+			if r := k.running; r != nil {
+				t.Errorf("running = %q inside %s callback, want nil", r.Name(), kind)
 			}
 		}
 	}
 	for i := 0; i < 4; i++ {
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.OnExit(callback("exit hook"))
 			for j := 0; j < 10; j++ {
 				k.After(5, callback("After"))
 				p.Sleep(10)
-				if k.Running() != p {
-					t.Errorf("Running() != %q inside its own body", p.Name())
+				if k.running != p {
+					t.Errorf("running != %q inside its own body", p.Name())
 				}
 			}
 		})
@@ -124,7 +123,7 @@ func TestCallbacksRunWithNoProcessRunning(t *testing.T) {
 	for _, want := range []struct {
 		kind string
 		n    int
-	}{{"timer", 10}, {"After", 40}, {"exit hook", 4}} {
+	}{{"timer", 10}, {"After", 40}} {
 		if ran[want.kind] != want.n {
 			t.Errorf("%s callbacks ran %d times, want %d", want.kind, ran[want.kind], want.n)
 		}
@@ -214,56 +213,57 @@ func TestLoopYieldsToScheduler(t *testing.T) {
 	}
 }
 
+// doneRecorder is an observer that lists processes in the order they finish.
+type doneRecorder struct {
+	nopObserver
+	done *[]string
+}
+
+func (r doneRecorder) ProcDone(_ Time, name string) { *r.done = append(*r.done, name) }
+
 // TestShutdownEveryProcessState: Shutdown owes a not-started, a parked and a
-// sleeping process the same thing — defers run, exit hooks run (as callbacks),
+// sleeping process the same thing — defers run, the observer hears it finish,
 // the goroutine behind the coroutine is released — and skips finished ones.
 func TestShutdownEveryProcessState(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	var exited, unwound []string
-	track := func(p *Proc) {
-		p.OnExit(func() {
-			exited = append(exited, p.Name())
-			if k.Running() != nil {
-				t.Errorf("Running() != nil in %s's exit hook", p.Name())
-			}
-		})
-	}
+	k.SetObserver(doneRecorder{done: &exited})
 	body := func(block func(p *Proc)) func(p *Proc) {
 		return func(p *Proc) {
 			defer func() { unwound = append(unwound, p.Name()) }()
 			block(p)
 		}
 	}
-	track(k.Spawn("finished", body(func(p *Proc) {})))
-	track(k.Spawn("parked", body(func(p *Proc) { p.Park("forever") })))
+	k.Spawn("finished", body(func(p *Proc) {}))
+	k.Spawn("parked", body(func(p *Proc) { p.Park("forever") }))
 	for i := 0; i < 32; i++ {
-		track(k.Spawn(fmt.Sprintf("sleeper%02d", i), body(func(p *Proc) {
+		k.Spawn(fmt.Sprintf("sleeper%02d", i), body(func(p *Proc) {
 			for {
 				p.Sleep(10)
 			}
-		})))
+		}))
 	}
 	if err := k.RunUntil(255); err != nil {
 		t.Fatal(err)
 	}
 	// Spawned after the last RunUntil: its start event never fires.
-	track(k.Spawn("not-started", body(func(p *Proc) { t.Error("a killed not-started process ran its body") })))
+	k.Spawn("not-started", body(func(p *Proc) { t.Error("a killed not-started process ran its body") }))
 	if len(exited) != 1 || len(unwound) != 1 {
 		t.Fatalf("before Shutdown: exited %v, unwound %v; want only \"finished\"", exited, unwound)
 	}
 	k.Shutdown()
 	if len(exited) != 35 {
-		t.Errorf("exit hooks ran for %d of 35 processes: %v", len(exited), exited)
+		t.Errorf("observer saw %d of 35 processes finish: %v", len(exited), exited)
 	}
 	if len(unwound) != 34 { // the not-started body has no defer to run
 		t.Errorf("defers ran for %d of 34 started processes: %v", len(unwound), unwound)
 	}
 	if exited[len(exited)-1] != "not-started" {
-		t.Errorf("last exit hook was %q, want \"not-started\" (spawn order)", exited[len(exited)-1])
+		t.Errorf("last to finish was %q, want \"not-started\" (spawn order)", exited[len(exited)-1])
 	}
 	for _, p := range k.procs {
-		if !p.Done() {
+		if p.state != procDone {
 			t.Errorf("%s still live after Shutdown", p.Name())
 		}
 	}

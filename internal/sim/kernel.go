@@ -196,7 +196,7 @@ func (k *Kernel) resume(p *Proc) {
 // Each live process is marked killed and resumed once: a parked one panics
 // with the kill sentinel at its park point and unwinds through its defers, a
 // not-started one sees the mark before its body runs. Both end in the
-// trampoline's tail, so exit hooks run.
+// trampoline's tail, so the process is done and the observer hears it.
 func (k *Kernel) Shutdown() {
 	if k.failure == nil {
 		k.failure = fmt.Errorf("sim: kernel shut down")
@@ -229,10 +229,6 @@ func (k *Kernel) deadlockError() error {
 	return fmt.Errorf("sim: deadlock with %d live process(es):\n  %s",
 		len(blocked), strings.Join(blocked, "\n  "))
 }
-
-// Running returns the currently executing process, or nil when the caller is
-// not a process body: an event callback, an exit hook, or code outside Run.
-func (k *Kernel) Running() *Proc { return k.running }
 
 // Observer receives process scheduling notifications: spawn, park, unpark,
 // and completion. It is the kernel-level feed of the observability layer

@@ -45,14 +45,13 @@ type Proc struct {
 	state       procState
 	blockReason string
 
-	parkSeq  uint64   // parks so far; the source of park tokens
-	parkTok  uint64   // identity of the current park, for stale-wake detection
-	timer    Event    // pending timed wake, if any
-	kind     wakeKind // why the last park ended
-	permit   bool     // stored unpark permit
-	intPend  bool     // interrupt delivered while not interruptibly parked
-	killed   bool     // Shutdown in progress: unwind at the next park point
-	exitHook []func()
+	parkSeq uint64   // parks so far; the source of park tokens
+	parkTok uint64   // identity of the current park, for stale-wake detection
+	timer   Event    // pending timed wake, if any
+	kind    wakeKind // why the last park ended
+	permit  bool     // stored unpark permit
+	intPend bool     // interrupt delivered while not interruptibly parked
+	killed  bool     // Shutdown in progress: unwind at the next park point
 }
 
 // killSentinel is the panic value used to unwind a process during Shutdown.
@@ -73,7 +72,7 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 		k.obs.ProcSpawned(k.now, name)
 	}
 	// The process trampoline. It recovers everything the body can throw, so
-	// nothing but an exit hook's panic ever propagates out of next.
+	// nothing ever propagates out of next.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -84,12 +83,8 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 			}
 			p.state = procDone
 			k.live--
-			k.running = nil // exit hooks are callbacks, not process code
 			if k.obs != nil {
 				k.obs.ProcDone(k.now, p.name)
-			}
-			for _, fn := range p.exitHook {
-				fn()
 			}
 		}()
 		if p.killed {
@@ -109,13 +104,6 @@ func (p *Proc) K() *Kernel { return p.k }
 
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.state == procDone }
-
-// OnExit registers fn to run (in simulation context) when the process body
-// returns.
-func (p *Proc) OnExit(fn func()) { p.exitHook = append(p.exitHook, fn) }
 
 // checkContext panics if the caller is not the running process.
 func (p *Proc) checkContext(op string) {

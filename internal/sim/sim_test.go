@@ -371,21 +371,6 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 }
 
-func TestOnExitHook(t *testing.T) {
-	k := NewKernel(1)
-	var exited Time = -1
-	k.Spawn("p", func(p *Proc) {
-		p.OnExit(func() { exited = k.Now() })
-		p.Sleep(42)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if exited != 42 {
-		t.Fatalf("exit hook at %v, want 42", exited)
-	}
-}
-
 func TestCondSignalBroadcast(t *testing.T) {
 	k := NewKernel(1)
 	var cond Cond
@@ -411,34 +396,6 @@ func TestCondSignalBroadcast(t *testing.T) {
 		if w != 10 {
 			t.Fatalf("waiter %d woke at %v, want 10", i, w)
 		}
-	}
-}
-
-func TestCondSignalWakesOne(t *testing.T) {
-	k := NewKernel(1)
-	var cond Cond
-	released := 0
-	woken := 0
-	for i := 0; i < 2; i++ {
-		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for released == 0 {
-				cond.Wait(p, "cond")
-			}
-			woken++
-			released--
-		})
-	}
-	k.At(10, func() {
-		released = 1
-		cond.Signal()
-	})
-	err := k.Run()
-	// One waiter consumes the release; the other remains blocked: deadlock.
-	if err == nil {
-		t.Fatal("expected remaining waiter to deadlock")
-	}
-	if woken != 1 {
-		t.Fatalf("woken = %d, want 1", woken)
 	}
 }
 
@@ -569,7 +526,7 @@ func TestInterruptOnFinishedProcIsHarmless(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if p.state != procDone {
 		t.Fatal("proc not done")
 	}
 }
@@ -639,17 +596,17 @@ func TestRunningAccessor(t *testing.T) {
 	var inside, outside *Proc
 	var p *Proc
 	p = k.Spawn("p", func(self *Proc) {
-		inside = k.Running()
+		inside = k.running
 	})
-	k.At(5, func() { outside = k.Running() })
+	k.At(5, func() { outside = k.running })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if inside != p {
-		t.Fatal("Running() inside proc body should be the proc")
+		t.Fatal("running inside proc body should be the proc")
 	}
 	if outside != nil {
-		t.Fatal("Running() in a plain event should be nil")
+		t.Fatal("running in a plain event should be nil")
 	}
 }
 
@@ -663,7 +620,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 				if i%3 == 0 {
 					p.Park("forever")
 				} else {
-					p.Sleep(Hour)
+					p.Sleep(60 * Minute)
 				}
 			})
 		}
@@ -689,22 +646,6 @@ func expectGoroutines(t *testing.T, max int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d live, want <= %d", runtime.NumGoroutine(), max)
-}
-
-func TestShutdownRunsExitHooks(t *testing.T) {
-	k := NewKernel(1)
-	exited := false
-	k.Spawn("p", func(p *Proc) {
-		p.OnExit(func() { exited = true })
-		p.Park("forever")
-	})
-	if err := k.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	if !exited {
-		t.Fatal("exit hook skipped on shutdown")
-	}
 }
 
 // TestBackoff: the helper equals, retry by retry, the three capped

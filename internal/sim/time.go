@@ -24,7 +24,6 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 	Minute      Time = 60 * Second
-	Hour        Time = 60 * Minute
 )
 
 // Seconds converts a floating-point number of seconds to a Time.

@@ -21,8 +21,8 @@ func TestOutageAbortsInFlightWrite(t *testing.T) {
 	if !errors.Is(gotErr, ErrUnavailable) {
 		t.Fatalf("write error = %v, want ErrUnavailable", gotErr)
 	}
-	if s.Aborted() != 1 {
-		t.Fatalf("aborted = %d, want 1", s.Aborted())
+	if n := count(s, "xfer_aborts"); n != 1 {
+		t.Fatalf("aborted = %d, want 1", n)
 	}
 }
 
@@ -81,12 +81,12 @@ func TestSetAvailabilityClamps(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := newSystem(t, k, simpleCfg())
 	s.SetAvailability(-2)
-	if s.Availability() != 0 {
-		t.Fatalf("availability = %v, want 0 after clamp", s.Availability())
+	if s.availability != 0 {
+		t.Fatalf("availability = %v, want 0 after clamp", s.availability)
 	}
 	s.SetAvailability(7)
-	if s.Availability() != 1 {
-		t.Fatalf("availability = %v, want 1 after clamp", s.Availability())
+	if s.availability != 1 {
+		t.Fatalf("availability = %v, want 1 after clamp", s.availability)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestCancelFreesBandwidthForTheOthers(t *testing.T) {
 		t.Fatalf("survivor: err %v after %v, want success after ~1.5s", survivor.Err(), survivor.Elapsed())
 	}
 	cancelled.Cancel(cause) // finished: a no-op
-	if s.Aborted() != 1 || s.ActiveClients() != 0 {
-		t.Fatalf("aborted = %d, active = %d; want 1, 0", s.Aborted(), s.ActiveClients())
+	if n := count(s, "xfer_aborts"); n != 1 || len(s.active) != 0 {
+		t.Fatalf("aborted = %d, active = %d; want 1, 0", n, len(s.active))
 	}
 }
 

@@ -33,8 +33,8 @@ func TestReadDirectionTaggedEvents(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Reads() != 1 || s.Transfers() != 1 {
-		t.Fatalf("Reads = %d, Transfers = %d; want 1, 1", s.Reads(), s.Transfers())
+	if n := count(s, "reads"); n != 1 || s.Transfers() != 1 {
+		t.Fatalf("reads = %d, Transfers = %d; want 1, 1", n, s.Transfers())
 	}
 	for _, c := range []struct {
 		what obs.Kind

@@ -83,12 +83,9 @@ type System struct {
 	// storage server dropped out of the stripe set).
 	availability float64
 
-	// accounting
-	totalBytes    float64
+	// accounting; the bus's registry counts bytes, reads and aborts
 	transfers     int
-	reads         int
 	maxConcurrent int
-	aborted       int
 }
 
 // New creates a storage system on the given kernel.
@@ -110,28 +107,11 @@ func (s *System) Config() Config { return s.cfg }
 // visible, and the bus's registry accumulates bytes and transfer counts.
 func (s *System) SetObs(b *obs.Bus) { s.bus = b }
 
-// ActiveClients reports how many transfers are currently in progress.
-func (s *System) ActiveClients() int { return len(s.active) }
-
-// TotalBytes reports the total bytes moved by completed and in-progress
-// transfers.
-func (s *System) TotalBytes() float64 { return s.totalBytes }
-
 // Transfers reports how many transfers (reads and writes) have been started.
 func (s *System) Transfers() int { return s.transfers }
 
-// Reads reports how many of the started transfers were direction-tagged
-// reads.
-func (s *System) Reads() int { return s.reads }
-
 // MaxConcurrent reports the peak number of simultaneous transfers observed.
 func (s *System) MaxConcurrent() int { return s.maxConcurrent }
-
-// Aborted reports how many transfers were aborted by availability windows.
-func (s *System) Aborted() int { return s.aborted }
-
-// Availability returns the current availability factor (1 = healthy).
-func (s *System) Availability() float64 { return s.availability }
 
 // SetAvailability changes the service's availability factor, modelling
 // storage-server loss or degradation windows. factor is clamped to [0, 1]:
@@ -228,9 +208,7 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 		t.weight = 1 + j*(2*s.k.Rand().Float64()-1)
 	}
 	s.transfers++
-	s.totalBytes += float64(n)
 	if read {
-		s.reads++
 		s.bus.Metrics().Counter(obs.LayerStorage, "reads").Inc()
 		s.bus.Metrics().Counter(obs.LayerStorage, "read_bytes").Add(n)
 		s.bus.Emit(obs.Event{At: s.k.Now(), Rank: -1, Layer: obs.LayerStorage,
@@ -324,16 +302,6 @@ func (t *Transfer) Elapsed() sim.Time {
 		return t.finished - t.started
 	}
 	return t.sys.k.Now() - t.started
-}
-
-// Bandwidth reports the effective bandwidth of a completed transfer in
-// bytes/second.
-func (t *Transfer) Bandwidth() float64 {
-	el := t.Elapsed()
-	if el <= 0 {
-		return 0
-	}
-	return t.total / el.Seconds()
 }
 
 // settle charges elapsed time against every active transfer's remaining
@@ -450,7 +418,6 @@ func (t *Transfer) abort(err error) {
 	t.err = err
 	t.completed = true
 	t.finished = s.k.Now()
-	s.aborted++
 	s.bus.Metrics().Counter(obs.LayerStorage, "xfer_aborts").Inc()
 	s.bus.Emit(obs.Event{At: t.finished, Rank: -1, Layer: obs.LayerStorage,
 		Type: obs.Instant, What: obs.KindXferAbort, Arg: int64(t.remaining)})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
 
@@ -14,14 +15,21 @@ func simpleCfg() Config {
 	return Config{AggregateBW: 100, ClientBW: 100}
 }
 
-// newSystem builds a System, failing the test on a config error.
+// newSystem builds a System with a bus attached, failing the test on a
+// config error.
 func newSystem(t testing.TB, k *sim.Kernel, cfg Config) *System {
 	t.Helper()
 	s, err := New(k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetObs(obs.NewBus())
 	return s
+}
+
+// count reads one of the storage-layer counters of s's bus.
+func count(s *System, name string) int64 {
+	return s.bus.Metrics().Counter(obs.LayerStorage, name).Value()
 }
 
 // write performs a Write and reports any error on t, keeping the
@@ -218,7 +226,7 @@ func TestBandwidthAccounting(t *testing.T) {
 			return
 		}
 		tr.Wait(p)
-		bw = tr.Bandwidth()
+		bw = 200 / tr.Elapsed().Seconds()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -226,8 +234,8 @@ func TestBandwidthAccounting(t *testing.T) {
 	if math.Abs(bw-100) > 0.5 {
 		t.Fatalf("bandwidth %v, want ~100", bw)
 	}
-	if s.Transfers() != 1 || s.TotalBytes() != 200 {
-		t.Fatalf("accounting: %d transfers, %v bytes", s.Transfers(), s.TotalBytes())
+	if s.Transfers() != 1 || count(s, "bytes") != 200 {
+		t.Fatalf("accounting: %d transfers, %v bytes", s.Transfers(), count(s, "bytes"))
 	}
 }
 
@@ -419,12 +427,12 @@ func TestQuickByteConservation(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		k := sim.NewKernel(7)
 		s := newSystem(t, k, Config{AggregateBW: 500, ClientBW: 250})
-		var want float64
+		var want int64
 		for i, sz := range sizes {
 			if i >= 10 {
 				break
 			}
-			want += float64(sz)
+			want += int64(sz)
 			sz := sz
 			k.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 				write(t, s, p, int64(sz))
@@ -433,7 +441,7 @@ func TestQuickByteConservation(t *testing.T) {
 		if err := k.Run(); err != nil {
 			return false
 		}
-		return s.TotalBytes() == want && s.ActiveClients() == 0
+		return count(s, "bytes") == want && len(s.active) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

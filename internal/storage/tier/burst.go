@@ -52,9 +52,6 @@ func (t *burstTier) ReadTime(size int64) sim.Time {
 	return sim.Seconds(float64(size) / t.sys.Config().AggregateBW)
 }
 
-// Used reports the bytes currently resident or reserved in the buffer.
-func (t *burstTier) Used() int64 { return t.used }
-
 func (t *burstTier) StartWrite(epoch, rank int, size int64) (*storage.Transfer, error) {
 	for t.used+size > burstCapacity {
 		if !t.evictOne() {

@@ -127,12 +127,13 @@ func TestRAMReplicaPlacementRing(t *testing.T) {
 	if got := r.arch.TierCopies(1, 3, string(RAM)); got != 3 {
 		t.Fatalf("rank 3 has %d RAM copies, want 3 (k+1)", got)
 	}
+	// Rank 3's is the only image, so a node loss drops only its copies.
 	for _, node := range []int{3, 0, 1} {
-		if !r.arch.DropReplica(1, 3, string(RAM), node) {
+		if r.arch.DropNodeReplicas(node) != 1 {
 			t.Errorf("expected a RAM copy on node %d", node)
 		}
 	}
-	if r.arch.DropReplica(1, 3, string(RAM), 2) {
+	if r.arch.DropNodeReplicas(2) != 0 {
 		t.Error("unexpected RAM copy on node 2 (not a ring partner of rank 3)")
 	}
 }
@@ -200,9 +201,9 @@ func TestCheckCommitGatesOnFullCopySet(t *testing.T) {
 	if err := r.h.CheckCommit(1); err != nil {
 		t.Fatalf("fully replicated epoch failed the commit gate: %v", err)
 	}
-	// Losing one copy of a k=1 set leaves the other; losing both defeats the
-	// RAM set, but the drained central copy still satisfies the gate.
-	r.arch.DropReplica(1, 0, string(RAM), 0)
+	// Losing both copies of a k=1 set defeats the RAM set, but the drained
+	// central copy still satisfies the gate.
+	r.arch.DropTierCopies(1, 0, string(RAM))
 	if err := r.h.CheckCommit(1); err != nil {
 		t.Fatalf("central copy should satisfy the gate: %v", err)
 	}
@@ -311,10 +312,9 @@ func TestCentralStack(t *testing.T) {
 		}
 		for rank := 0; rank < 2; rank++ {
 			r.write(t, 1, rank, 100)
-			if !r.arch.DropReplica(1, rank, string(Central), -1) {
-				t.Fatalf("mode %q: rank %d has no central copy on node -1", mode, rank)
+			if got := r.arch.TierCopies(1, rank, string(Central)); got != 1 {
+				t.Fatalf("mode %q: rank %d has %d central copies, want 1", mode, rank, got)
 			}
-			r.arch.AddReplica(1, rank, string(Central), -1)
 		}
 		if err := r.h.CheckCommit(1); err != nil {
 			t.Fatalf("mode %q: %v", mode, err)
@@ -457,8 +457,8 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if burst.Used() != gib {
-			t.Errorf("in-flight write reserves %d bytes, want %d", burst.Used(), gib)
+		if burst.used != gib {
+			t.Errorf("in-flight write reserves %d bytes, want %d", burst.used, gib)
 		}
 		r.k.After(500*sim.Millisecond, func() { tr.Cancel(cause) })
 		tr.OnDone(func() {
@@ -470,8 +470,8 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if burst.Used() != 0 || len(burst.resident) != 0 {
-		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.Used(), len(burst.resident))
+	if burst.used != 0 || len(burst.resident) != 0 {
+		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.used, len(burst.resident))
 	}
 	for _, level := range r.h.OrderNames() {
 		if got := r.arch.TierCopies(1, 0, level); got != 0 {

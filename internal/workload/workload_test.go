@@ -94,10 +94,21 @@ func itoa(x int) string {
 	return string(b)
 }
 
+// finishTimes is a kernel observer that records when each process body
+// returns, by process name.
+type finishTimes map[string]sim.Time
+
+func (finishTimes) ProcSpawned(sim.Time, string)         {}
+func (finishTimes) ProcParked(sim.Time, string, string)  {}
+func (finishTimes) ProcUnparked(sim.Time, string)        {}
+func (f finishTimes) ProcDone(now sim.Time, name string) { f[name] = now }
+
 func TestCommGroupsCompletes(t *testing.T) {
 	k, j := newJob(t, 8)
 	w := CommGroups{N: 8, CommGroupSize: 4, Iters: 20, Chunk: 50 * sim.Millisecond, FootprintMB: 16}
 	inst := launch(t, w, j)
+	finished := finishTimes{}
+	k.SetObserver(finished)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +125,7 @@ func TestCommGroupsCompletes(t *testing.T) {
 	for g := 0; g < 2; g++ {
 		var lo, hi sim.Time = 1 << 62, 0
 		for r := g * 4; r < g*4+4; r++ {
-			at := j.Rank(r).FinishedAt()
+			at := finished["rank"+itoa(r)]
 			if at < lo {
 				lo = at
 			}

@@ -147,6 +147,28 @@ func TestLocalStagingAccepted(t *testing.T) {
 	}
 }
 
+// TestNearZeroDegradeRuns: a degrade window whose factor puts a checkpoint
+// write's completion past the end of simulated time stalls the write for the
+// window, as a merely tiny factor does, instead of failing the run: every
+// row exits 0 and reports the wall time of the first.
+func TestNearZeroDegradeRuns(t *testing.T) {
+	var want string
+	for _, factor := range []string{"1e-9", "1e-11", "1e-300"} {
+		out, err := exec.Command(bin, "-workload", "ring", "-n", "4", "-iters", "20", "-interval", "0.5",
+			"-faults", "degrade@1s+1s:factor="+factor).CombinedOutput()
+		if err != nil {
+			t.Fatalf("factor=%s: %v\n%s", factor, err, out)
+		}
+		_, wall, _ := strings.Cut(string(out), "wall time to finish:")
+		wall, _, _ = strings.Cut(wall, "\n")
+		if want == "" {
+			want = wall
+		} else if wall != want {
+			t.Errorf("factor=%s: wall time to finish%s, want%s", factor, wall, want)
+		}
+	}
+}
+
 // TestDefaultGroupFitsSmallJobs: the default -group 8 shrinks to a job of
 // fewer ranks under every protocol, while an explicit -group past the job is
 // still rejected.

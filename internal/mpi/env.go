@@ -227,8 +227,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// from an earlier epoch.
 		r.stats.MsgsLogged++
 		r.stats.BytesLogged += p.size
-		pr.log = append(pr.log,
-			logEntry{comm: c.id, srcComm: int32(c.myRank), tag: int32(tag), seq: seq, payload: p.clone()})
+		pr.log.push(logEntry{comm: c.id, srcComm: int32(c.myRank), tag: int32(tag), seq: seq, payload: p.clone()})
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
 		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}

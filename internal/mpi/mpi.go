@@ -95,6 +95,7 @@ type Job struct {
 	ranks  []*Rank
 
 	pktFree freeList[wirePkt] // see newPkt, onMessage
+	stage   *libStaging       // see staging; nil until a rank's library state is captured or restored
 }
 
 // SetObs attaches an observability bus (nil detaches). Protocol decisions —
@@ -273,11 +274,29 @@ type Rank struct {
 // kept only in LogMessages mode.
 type peer struct {
 	world   int
-	traffic int64      // messages sent to it (the group-formation heuristic)
-	sendSeq int64      // last sequence number sent to it
-	recvSeq int64      // highest sequence number incorporated from it
-	outbox  []outItem  // packets deferred toward it, oldest first
-	log     []logEntry // sender-based message log of what was sent to it
+	traffic int64     // messages sent to it (the group-formation heuristic)
+	sendSeq int64     // last sequence number sent to it
+	recvSeq int64     // highest sequence number incorporated from it
+	outbox  []outItem // packets deferred toward it, oldest first
+	log     sendLog   // sender-based message log of what was sent to it
+}
+
+// sendLog is a peer's sender log, oldest entry first, in chunks of 8, 16, …
+// up to 1,024 entries: no entry is copied as it grows, and truncation can
+// drop whole chunks. A count field would take peer past 80 B, in every job.
+type sendLog struct{ chunks [][]logEntry }
+
+// push appends e to the log.
+func (l *sendLog) push(e logEntry) {
+	c := 4 // so that the first chunk holds 8
+	if n := len(l.chunks); n > 0 {
+		last := &l.chunks[n-1]
+		if c = cap(*last); len(*last) < c {
+			*last = append(*last, e)
+			return
+		}
+	}
+	l.chunks = append(l.chunks, append(make([]logEntry, 0, min(2*c, 1024)), e))
 }
 
 // findPeer returns the index of world's record in r.peers, or, when there is

@@ -5,7 +5,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,9 +194,9 @@ func captureQueued(t *testing.T, cfg Config, mk func(n int64) payload, n int64) 
 		if cfg.LogMessages {
 			wantLog = 1
 		}
-		if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || len(r.peer(1).log) != wantLog {
+		if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.len() != wantLog {
 			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1, 1, %d",
-				len(r.unexpected), outboxLen(r, 1), len(r.peer(1).log), wantLog)
+				len(r.unexpected), outboxLen(r, 1), r.peer(1).log.len(), wantLog)
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {
@@ -255,7 +257,7 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 				restored = append(restored, struct {
 					where string
 					payload
-				}{"log", r.peer(1).log[0].payload})
+				}{"log", r.peer(1).log.chunks[0][0].payload})
 			}
 			for _, q := range restored {
 				if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
@@ -381,7 +383,7 @@ func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 		r := j.Rank(0)
 		pr := r.peer(1)
 		for i := 1; i <= n; i++ {
-			pr.log = append(pr.log, logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+			pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
 		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := r.CaptureLibState(); err != nil {
@@ -391,6 +393,59 @@ func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 	}
 	if few, many := allocs(10), allocs(1000); many > few {
 		t.Errorf("CaptureLibState makes %v allocations with 10 data-less log entries, %v with 1,000", few, many)
+	}
+}
+
+// len returns the number of entries in the log.
+func (l *sendLog) len() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// The sender log grows in chunks and never copies an entry: 10,000 pushes
+// are 16 chunks and the few growths of the chunk list. ReplayLogs walks a
+// log across its chunk boundaries in sequence order, from the first entry
+// the receiver has not incorporated.
+func TestSendLogChunks(t *testing.T) {
+	if n := testing.AllocsPerRun(5, func() {
+		var l sendLog
+		for i := 0; i < 10000; i++ {
+			l.push(logEntry{seq: int64(i)})
+		}
+		if l.len() != 10000 {
+			t.Fatalf("10,000 pushes left %d entries", l.len())
+		}
+	}); n > 25 {
+		t.Errorf("10,000 pushes make %v allocations, want at most 25", n)
+	}
+
+	_, j := newJobWith(t, 2, loggedConfig())
+	pr := j.Rank(0).peer(1)
+	for i := 1; i <= 3000; i++ {
+		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+	}
+	var caps []int
+	for _, c := range pr.log.chunks {
+		caps = append(caps, cap(c))
+	}
+	if want := []int{8, 16, 32, 64, 128, 256, 512, 1024, 1024}; !slices.Equal(caps, want) {
+		t.Fatalf("3,000 entries fill chunks of %v, want %v", caps, want)
+	}
+	const seen = 1500 // inside the 1,024-entry chunk after the doubling ones
+	j.Rank(1).peer(0).recvSeq = seen
+	if n := j.ReplayLogs(); n != 3000-seen {
+		t.Fatalf("ReplayLogs injected %d messages, want %d", n, 3000-seen)
+	}
+	for i, m := range j.Rank(1).unexpected {
+		if want := uint64(seen + 1 + i); m.word != want || m.srcWorld != 0 {
+			t.Fatalf("replayed message %d is word %d from rank %d, want word %d from rank 0", i, m.word, m.srcWorld, want)
+		}
+	}
+	if got := j.Rank(1).peer(0).recvSeq; got != 3000 {
+		t.Errorf("after the replay rank 1 has incorporated up to %d, want 3000", got)
 	}
 }
 
@@ -405,20 +460,21 @@ func libFixture(t testing.TB, cfg Config) *Rank {
 		pr := r.peer(p)
 		pr.sendSeq, pr.recvSeq = 20, 5
 		for i := 1; i <= 20; i++ {
-			pr.log = append(pr.log, logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+			pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
 		}
 	}
 	return r
 }
 
-// A capture allocates its mirror structs and slices, one arena and the
-// image, and a v1 restore what it rebuilds: the library state's gob types
-// are not sent or compiled again per image.
+// A capture allocates the image, and in v1 the v1 struct it converts the
+// staged mirror to; a v1 restore allocates what it rebuilds, and a v2 one on
+// a warm staging what it rebuilds and one arena for all the restored bytes.
+// The library state's gob types are not sent or compiled again per image.
 func TestLibStateCodecAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		logged bool
 		max    float64
-	}{{false, 4}, {true, 7}} {
+	}{{false, 2}, {true, 1}} {
 		cfg := DefaultConfig()
 		cfg.LogMessages = tc.logged
 		r := libFixture(t, cfg)
@@ -448,6 +504,162 @@ func TestLibStateCodecAllocs(t *testing.T) {
 		fresh = fresh[1:]
 	}); n > 10 {
 		t.Errorf("a v1 RestoreLibState makes %v allocations, want at most 10", n)
+	}
+
+	// A v2 image of 1,000 logged words, each written as 8 bytes of content,
+	// restored on fresh ranks of one job: a []byte decoded per entry was
+	// three allocations an entry.
+	_, j := newJobWith(t, 2, loggedConfig())
+	pr := j.Rank(0).peer(1)
+	for i := 1; i <= 1000; i++ {
+		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+	}
+	if img, err = j.Rank(0).CaptureLibState(); err != nil {
+		t.Fatal(err)
+	}
+	_, j = newJobWith(t, runs+1, loggedConfig())
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := j.Rank(next).RestoreLibState(img); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n > 30 {
+		t.Errorf("a v2 RestoreLibState of 1,000 log entries on a warm staging makes %v allocations, want at most 30", n)
+	}
+}
+
+// libImage encodes st as a v2 library-state image.
+func libImage(t *testing.T, st libStateV2) []byte {
+	t.Helper()
+	img, err := libStateV2Codec.Append([]byte(libStateV2Magic), &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// restoredLib is what RestoreLibState rebuilt on a rank, with the deferred
+// packets dereferenced, for reflect.DeepEqual.
+type restoredLib struct {
+	Unexpected []inMsg
+	Peers      []restoredPeer
+}
+
+type restoredPeer struct {
+	World            int
+	SendSeq, RecvSeq int64
+	Log              []logEntry
+	Outbox           []wirePkt
+}
+
+func restoredOf(r *Rank) restoredLib {
+	out := restoredLib{Unexpected: slices.Clone(r.unexpected)}
+	for _, pr := range r.peers {
+		rp := restoredPeer{World: pr.world, SendSeq: pr.sendSeq, RecvSeq: pr.recvSeq}
+		for _, c := range pr.log.chunks {
+			rp.Log = append(rp.Log, c...)
+		}
+		for _, it := range pr.outbox {
+			rp.Outbox = append(rp.Outbox, *it.pkt)
+		}
+		out.Peers = append(out.Peers, rp)
+	}
+	return out
+}
+
+// A v2 restore decodes into its job's staging, which gob fills in place:
+// each restore must come out as it does on a fresh job, whatever the ranks
+// captured or restored before it left there. Rank 0 captures a log of
+// content first. Rank 1 then restores an image whose every field is
+// non-zero, rank 2 one with other bytes, a zero tag and fewer entries, and
+// rank 3 one whose entries are zero or empty; then every image is
+// corrupted. Each rank must still hold what a fresh job restores from a
+// pristine copy, rank 3 no data where its image has none, and rank 0 its
+// log as it sent it.
+func TestStagedRestoreMatchesFresh(t *testing.T) {
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	full := libStateV2{
+		Unexpected: []savedMsg{{Comm: 7, SrcComm: 2, SrcWorld: 3, Tag: 11, Data: fill(24, 'u')}, {Comm: 8, SrcComm: 1, SrcWorld: 2, Tag: 12, Data: fill(8, 'v')}},
+		Outbox:     []savedOutV2{{Dst: 3, Comm: 7, SrcComm: 1, Tag: 13, Seq: 9, Data: fill(40, 'o')}},
+		CommIndex:  4,
+		SendSeq:    []seqEntry{{Peer: 2, Seq: 9}, {Peer: 3, Seq: 4}},
+		RecvSeq:    []seqEntry{{Peer: 2, Seq: 5}, {Peer: 3, Seq: 6}},
+	}
+	for i := 1; i <= 20; i++ {
+		full.Log = append(full.Log, savedLog{Dst: 2 + i%2, Comm: 7, SrcComm: 1, Tag: 20 + i, Seq: int64(i), Data: fill(i, byte(i))})
+	}
+	other := libStateV2{
+		Unexpected: []savedMsg{{Comm: 9, SrcWorld: 3, Data: fill(16, 'w')}},
+		Outbox:     []savedOutV2{{Dst: 2, Comm: 9, Tag: 1, Seq: 2, Data: fill(30, 'p')}},
+		SendSeq:    []seqEntry{{Peer: 3, Seq: 2}},
+		Log:        []savedLog{{Dst: 2, Comm: 9, Seq: 1, Data: fill(12, 'x')}, {Dst: 3, Tag: 2, Seq: 2, Data: fill(5, 'y')}},
+	}
+	empty := libStateV2{
+		Unexpected: []savedMsg{{}, {Tag: 1}},
+		Outbox:     []savedOutV2{{Dst: 0}},
+		SendSeq:    []seqEntry{{Peer: 0, Seq: 1}},
+		RecvSeq:    []seqEntry{{Peer: 0, Seq: 2}},
+		Log:        []savedLog{{Dst: 0}, {Dst: 0, Seq: 1, Data: []byte{}}},
+	}
+	imgs := [][]byte{libImage(t, full), libImage(t, other), libImage(t, empty)}
+	_, staged := newJobWith(t, 4, loggedConfig())
+	sent := staged.Rank(0).peer(1)
+	for i := 1; i <= 30; i++ {
+		sent.log.push(logEntry{seq: int64(i), payload: content(fill(64, 'L'))})
+	}
+	if _, err := staged.Rank(0).CaptureLibState(); err != nil {
+		t.Fatal(err)
+	}
+	for i, img := range imgs {
+		if err := staged.Rank(1 + i).RestoreLibState(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pristine := make([][]byte, len(imgs))
+	for i, img := range imgs {
+		pristine[i] = bytes.Clone(img)
+		for b := range img {
+			img[b] ^= 0xff
+		}
+	}
+	for i, img := range pristine {
+		_, fresh := newJobWith(t, 4, loggedConfig())
+		if err := fresh.Rank(1 + i).RestoreLibState(img); err != nil {
+			t.Fatal(err)
+		}
+		got, want := restoredOf(staged.Rank(1+i)), restoredOf(fresh.Rank(1+i))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d restored on a staging used before:\n%+v\nwant, as on a fresh job:\n%+v", 1+i, got, want)
+		}
+	}
+	for _, c := range staged.Rank(0).peer(1).log.chunks {
+		for _, le := range c {
+			if !bytes.Equal(le.data, fill(64, 'L')) {
+				t.Fatalf("rank 0's logged message %d reads %q after the restores, want the 64 bytes it sent", le.seq, le.data)
+			}
+		}
+	}
+	got := restoredOf(staged.Rank(3))
+	var ps []payload
+	for _, m := range got.Unexpected {
+		ps = append(ps, m.payload)
+	}
+	for _, pr := range got.Peers {
+		for _, le := range pr.Log {
+			ps = append(ps, le.payload)
+		}
+		for _, pkt := range pr.Outbox {
+			ps = append(ps, pkt.payload)
+		}
+	}
+	if len(ps) != 5 {
+		t.Fatalf("the image of empty entries restored %d messages, want 5", len(ps))
+	}
+	for _, p := range ps {
+		if p.data != nil || p.size != 0 {
+			t.Errorf("an empty entry restored as %+v, want a data-less empty message", p)
+		}
 	}
 }
 
@@ -521,9 +733,9 @@ func TestCapturePollWordAsContent(t *testing.T) {
 				if logged {
 					wantLog = 1
 				}
-				if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || len(r.peer(1).log) != wantLog || len(r.peer(2).log) != wantLog {
+				if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.len() != wantLog || r.peer(2).log.len() != wantLog {
 					t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d+%d, want 1, 1, %d+%d",
-						len(r.unexpected), outboxLen(r, 1), len(r.peer(1).log), len(r.peer(2).log), wantLog, wantLog)
+						len(r.unexpected), outboxLen(r, 1), r.peer(1).log.len(), r.peer(2).log.len(), wantLog, wantLog)
 				}
 				var err error
 				if state, err = r.CaptureLibState(); err != nil {
@@ -543,8 +755,10 @@ func TestCapturePollWordAsContent(t *testing.T) {
 					for _, it := range r.peers[i].outbox {
 						toContent("outbox", &it.pkt.payload)
 					}
-					for l := range r.peers[i].log {
-						toContent("log", &r.peers[i].log[l].payload)
+					for _, c := range r.peers[i].log.chunks {
+						for l := range c {
+							toContent("log", &c[l].payload)
+						}
 					}
 				}
 				if asContent, err = r.CaptureLibState(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gbcr/internal/blcr"
 )
@@ -81,12 +82,12 @@ type logEntry struct {
 // captured returns the bytes a snapshot records for p: its content, or for a
 // data-less payload its bytes by the payload rule — the word's 8 bytes, then
 // zeros to its length — carved from the front of *arena, the zeroed buffer
-// one capture builds all of them in and drops after encoding. The gob
-// structs keep their v1/v2 shape (a new field would put its name in every
-// snapshot's type descriptor), and their length is part of the timing model:
-// Snapshot.Size() adds len(LibState) to the storage write. A data-less
-// message therefore costs the same image bytes as the content it stands for,
-// and RestoreLibState brings it back as that content.
+// one capture builds all of them in. The gob structs keep their v1/v2 shape
+// (a new field would put its name in every snapshot's type descriptor), and
+// their length is part of the timing model: Snapshot.Size() adds
+// len(LibState) to the storage write. A data-less message therefore costs
+// the same image bytes as the content it stands for, and RestoreLibState
+// brings it back as that content.
 func (p payload) captured(arena *[]byte) []byte {
 	if p.data != nil {
 		return p.data
@@ -96,6 +97,20 @@ func (p payload) captured(arena *[]byte) []byte {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], p.word)
 	copy(b, w[:])
+	return b
+}
+
+// kept returns restored bytes d as the rank keeps them: nil when empty, as a
+// fresh decode gives them; d itself when arena is nil; else a copy from it.
+func kept(arena *[]byte, d []byte) []byte {
+	switch {
+	case len(d) == 0:
+		return nil
+	case arena == nil:
+		return d
+	}
+	b := (*arena)[:len(d):len(d)]
+	*arena = (*arena)[copy(b, d):]
 	return b
 }
 
@@ -149,6 +164,40 @@ var (
 	libStateV2Codec blcr.Codec[libStateV2]
 )
 
+// libStaging is the gob mirror and the data-less payloads' arena that every
+// capture and v2 restore of a job's ranks reuse. Gob writes no capacity.
+type libStaging struct {
+	st    libStateV2
+	arena []byte
+}
+
+// staging returns the job's staging, made at first use: timing-only jobs have none.
+func (j *Job) staging() *libStaging {
+	if j.stage == nil {
+		j.stage = new(libStaging)
+	}
+	return j.stage
+}
+
+// reset readies the mirror for a decode. Gob decodes a slice within its
+// capacity in place and leaves an omitted field — every zero one — as it
+// was, so every element up to capacity is zeroed but for Data's buffer.
+func (st *libStateV2) reset() {
+	u, o, l := st.Unexpected[:cap(st.Unexpected)], st.Outbox[:cap(st.Outbox)], st.Log[:cap(st.Log)]
+	for i := range u {
+		u[i] = savedMsg{Data: u[i].Data[:0]}
+	}
+	for i := range o {
+		o[i] = savedOutV2{Data: o[i].Data[:0]}
+	}
+	for i := range l {
+		l[i] = savedLog{Data: l[i].Data[:0]}
+	}
+	clear(st.SendSeq[:cap(st.SendSeq)])
+	clear(st.RecvSeq[:cap(st.RecvSeq)])
+	*st = libStateV2{Unexpected: u[:0], Outbox: o[:0], SendSeq: st.SendSeq[:0], RecvSeq: st.RecvSeq[:0], Log: l[:0]}
+}
+
 // CaptureLibState serializes the rank's library state for a snapshot: the
 // unexpected-message queue and the deferred-send outbox, and in LogMessages
 // mode (the v2 format) the per-peer sequence counters and the sender-based
@@ -158,14 +207,6 @@ var (
 // the queues — the discipline functional-restart workloads follow
 // (timing-only runs never call it). A data-less message is written as the
 // bytes the payload rule gives it (see payload.captured).
-//
-// Every gob slice is allocated once, with room for all its entries: under
-// uncoord the whole sender log is re-serialised at every capture, and growing
-// it by doubling was about a third of what logged_uncoord allocates. Gob
-// writes no capacity, so the bytes are the same. For the same reason the
-// data-less payloads' bytes come from one arena sized in the counting pass,
-// not one buffer an entry: a logged SendrecvWord is one such entry per
-// message.
 func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
@@ -183,35 +224,33 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		}
 		zeros += m.arenaLen()
 	}
-	deferred, logged := 0, 0
+	logged := 0
 	for i := range r.peers {
 		pr := &r.peers[i]
-		deferred += len(pr.outbox)
 		for _, it := range pr.outbox {
 			if it.pkt.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 			zeros += it.pkt.arenaLen()
 		}
-		if logging {
-			logged += len(pr.log)
-			for _, le := range pr.log {
+		for _, c := range pr.log.chunks { // empty unless logging
+			logged += len(c)
+			for _, le := range c {
 				zeros += le.arenaLen()
 			}
 		}
 	}
-	arena := make([]byte, zeros)
-	st := libStateV2{Unexpected: make([]savedMsg, 0, len(r.unexpected)), CommIndex: r.commIndex}
+	s := r.job.staging()
+	s.arena = slices.Grow(s.arena[:0], int(zeros))[:zeros]
+	arena, st := s.arena, &s.st
+	clear(arena)
+	st.Unexpected, st.CommIndex = slices.Grow(st.Unexpected[:0], len(r.unexpected)), r.commIndex
 	for _, m := range r.unexpected {
 		st.Unexpected = append(st.Unexpected, savedMsg{
 			Comm: m.comm, SrcComm: int(m.srcComm), SrcWorld: int(m.srcWorld), Tag: m.tag, Data: m.captured(&arena),
 		})
 	}
-	st.Outbox = make([]savedOutV2, 0, deferred)
-	if logging {
-		st.SendSeq, st.RecvSeq = make([]seqEntry, 0, len(r.peers)), make([]seqEntry, 0, len(r.peers))
-		st.Log = make([]savedLog, 0, logged)
-	}
+	st.Outbox, st.SendSeq, st.RecvSeq, st.Log = st.Outbox[:0], st.SendSeq[:0], st.RecvSeq[:0], slices.Grow(st.Log[:0], logged)
 	// Peers in ascending order make the gob bytes, and the replay order of
 	// restored sends, depend on whom the rank talked to and not on when it
 	// first did.
@@ -232,15 +271,17 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		if pr.recvSeq != 0 {
 			st.RecvSeq = append(st.RecvSeq, seqEntry{Peer: pr.world, Seq: pr.recvSeq})
 		}
-		for _, le := range pr.log {
-			st.Log = append(st.Log, savedLog{
-				Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(&arena),
-			})
+		for _, c := range pr.log.chunks {
+			for _, le := range c {
+				st.Log = append(st.Log, savedLog{
+					Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(&arena),
+				})
+			}
 		}
 	}
+	defer func() { clear(st.Unexpected); clear(st.Outbox); clear(st.Log) }() // the staging pins no payload, and no decode writes into one
 	if logging {
-		v2 := st // the encoder's copy: st itself stays off the heap on the v1 path
-		return libStateV2Codec.Append([]byte(libStateV2Magic), &v2)
+		return libStateV2Codec.Append([]byte(libStateV2Magic), st)
 	}
 	// Gob names the types in its stream: v1 bytes need the v1 types.
 	v1 := libState{Unexpected: st.Unexpected, Outbox: make([]savedOut, len(st.Outbox)), CommIndex: st.CommIndex}
@@ -256,19 +297,24 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 // original sequence numbers, so a copy that also arrives via log replay is
 // discarded by the receiver's duplicate check. A v1 image's fields are copied
 // into the v2 struct, leaving what v1 lacks zero: no counters, no log, and
-// unstamped sends.
+// unstamped sends. A v2 image decodes into the job's staging, its bytes then
+// copied into one arena the rank's payloads share.
 func (r *Rank) RestoreLibState(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	var st libStateV2
+	var st *libStateV2
+	var arena *[]byte // nil when st's bytes are the rank's own: a v1 image's
 	var err error
 	if body, ok := bytes.CutPrefix(data, []byte(libStateV2Magic)); ok {
-		err = libStateV2Codec.Decode(body, &st)
+		s := r.job.staging()
+		s.st.reset()
+		a := make([]byte, len(body)) // the image's bytes bound the restored ones
+		st, arena, err = &s.st, &a, libStateV2Codec.Decode(body, &s.st)
 	} else {
 		var v1 libState
 		err = libStateCodec.Decode(data, &v1)
-		st.Unexpected, st.Outbox, st.CommIndex = v1.Unexpected, make([]savedOutV2, len(v1.Outbox)), v1.CommIndex
+		st = &libStateV2{Unexpected: v1.Unexpected, Outbox: make([]savedOutV2, len(v1.Outbox)), CommIndex: v1.CommIndex}
 		for i, o := range v1.Outbox {
 			st.Outbox[i] = savedOutV2{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
 		}
@@ -280,7 +326,7 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	for _, m := range st.Unexpected {
 		r.unexpected = append(r.unexpected, inMsg{
 			comm: m.Comm, srcComm: int32(m.SrcComm), srcWorld: int32(m.SrcWorld),
-			tag: m.Tag, eager: true, payload: content(m.Data),
+			tag: m.Tag, eager: true, payload: content(kept(arena, m.Data)),
 		})
 	}
 	for _, se := range st.SendSeq {
@@ -290,13 +336,13 @@ func (r *Rank) RestoreLibState(data []byte) error {
 		r.peer(se.Peer).recvSeq = se.Seq
 	}
 	for _, le := range st.Log {
-		pr := r.peer(le.Dst)
-		pr.log = append(pr.log,
-			logEntry{comm: le.Comm, srcComm: int32(le.SrcComm), tag: int32(le.Tag), seq: le.Seq, payload: content(le.Data)})
+		r.peer(le.Dst).log.push(logEntry{
+			comm: le.Comm, srcComm: int32(le.SrcComm), tag: int32(le.Tag), seq: le.Seq, payload: content(kept(arena, le.Data)),
+		})
 	}
 	for _, o := range st.Outbox {
 		pkt := r.job.newPkt(pktEager)
-		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = o.Comm, o.SrcComm, o.Tag, o.Seq, content(o.Data)
+		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = o.Comm, o.SrcComm, o.Tag, o.Seq, content(kept(arena, o.Data))
 		r.post(r.peer(o.Dst), outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
@@ -315,23 +361,25 @@ func (j *Job) ReplayLogs() int {
 	for src, s := range j.ranks {
 		for i := range s.peers {
 			to := &s.peers[i]
-			if len(to.log) == 0 {
+			if len(to.log.chunks) == 0 {
 				continue
 			}
 			// d is never s (a rank does not send to itself), so looking up
 			// its record of src cannot move the slice being walked.
 			d := j.ranks[to.world]
 			from := d.peer(src)
-			for _, le := range to.log {
-				if le.seq <= from.recvSeq {
-					continue
+			for _, c := range to.log.chunks {
+				for _, le := range c {
+					if le.seq <= from.recvSeq {
+						continue
+					}
+					from.recvSeq = le.seq
+					d.unexpected = append(d.unexpected, inMsg{
+						comm: le.comm, srcComm: le.srcComm, srcWorld: int32(src),
+						tag: int(le.tag), eager: true, payload: le.clone(),
+					})
+					injected++
 				}
-				from.recvSeq = le.seq
-				d.unexpected = append(d.unexpected, inMsg{
-					comm: le.comm, srcComm: le.srcComm, srcWorld: int32(src),
-					tag: int(le.tag), eager: true, payload: le.clone(),
-				})
-				injected++
 			}
 		}
 	}

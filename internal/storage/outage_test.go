@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"gbcr/internal/sim"
@@ -74,6 +75,36 @@ func TestAvailabilityRestoredMidTransfer(t *testing.T) {
 	}
 	if !almost(el, 3*sim.Second/2) {
 		t.Fatalf("write under mid-transfer recovery took %v, want ~1.5s", el)
+	}
+}
+
+// A degrade factor so small that the write's completion lies past the end of
+// simulated time stalls the write for the window instead of completing it at
+// once (a duration past the int64 range) or overflowing the clock (one just
+// inside it): it finishes one window later than at full rate, within a
+// nanosecond. 100 bytes at 100 B/s take 1 s; a 1 s window at each factor
+// starts half-way, with 50 bytes, 5e8/factor ns at the degraded rate, left.
+func TestNearZeroDegradeStallsTheWrite(t *testing.T) {
+	for _, factor := range []float64{
+		1e-9,  // completes 5e17 ns on: armed, then rescheduled at the window's end
+		1e-11, // 5e19 ns: past the int64 range
+		5e8 / float64(math.MaxInt64-sim.Second/4), // just inside it, but past the clock's end
+		1e-300,
+	} {
+		k := sim.NewKernel(1)
+		s := newSystem(t, k, simpleCfg())
+		k.At(sim.Second/2, func() { s.SetAvailability(factor) })
+		k.At(3*sim.Second/2, func() { s.SetAvailability(1) })
+		var el sim.Time
+		k.Spawn("w", func(p *sim.Proc) {
+			el = write(t, s, p, 100)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("factor %g: %v", factor, err)
+		}
+		if d := el - 2*sim.Second; d < -1 || d > 1 {
+			t.Errorf("factor %g: write took %v, want 2s within 1ns", factor, el)
+		}
 	}
 }
 

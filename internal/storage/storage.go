@@ -342,10 +342,19 @@ func (s *System) reschedule() {
 	for _, t := range s.active {
 		t.rate = math.Min(s.cfg.ClientBW*t.weight, agg*t.weight/sumW)
 	}
+	// A rate so low that the completion lies past the end of simulated time
+	// (a near-zero degrade factor) arms no event: converted, the duration
+	// would overflow the clock. The SetAvailability that ends the window
+	// reschedules it.
+	horizon := float64(math.MaxInt64 - s.k.Now())
 	for _, t := range s.active {
 		t.done.Cancel()
-		dur := sim.Time(math.Ceil(t.remaining / t.rate * float64(sim.Second)))
-		t.done = s.k.After(dur, t.finishFn)
+		t.done = sim.Event{}
+		dur := math.Ceil(t.remaining / t.rate * float64(sim.Second))
+		if dur >= horizon {
+			continue
+		}
+		t.done = s.k.After(sim.Time(dur), t.finishFn)
 	}
 }
 

@@ -73,17 +73,15 @@ func newController(co *Coordinator, rank *mpi.Rank) *Controller {
 	ep := rank.Endpoint()
 	ep.AcceptConn = c.acceptConn
 	ep.OnOOB = c.onOOB
-	rank.ConnUpHook = c.onConnEvent
-	rank.ConnDownHook = c.onConnEvent
 	return c
 }
 
 // ConnMeta tags outgoing connection requests with the current epoch.
 func (c *Controller) ConnMeta() int64 { return int64(c.epoch) }
 
-// onConnEvent re-evaluates connection states during checkpoint teardown: it
+// ConnChanged re-evaluates connection states during checkpoint teardown: it
 // wakes the parked process, or steps a finished rank.
-func (c *Controller) onConnEvent(peer int) {
+func (c *Controller) ConnChanged(peer int) {
 	if !c.inCkpt {
 		return
 	}

@@ -59,7 +59,7 @@ type skewedRing struct{ workload.Ring }
 
 func (w skewedRing) Launch(j *mpi.Job) (workload.Instance, error) { return w.LaunchFrom(j, nil) }
 
-func (w skewedRing) LaunchFrom(j *mpi.Job, states [][]byte) (workload.Instance, error) {
+func (w skewedRing) LaunchFrom(j *mpi.Job, states [][]byte) (workload.RestartableInstance, error) {
 	inst, err := w.Ring.LaunchFrom(j, states)
 	if err != nil {
 		return nil, err

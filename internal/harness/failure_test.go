@@ -26,7 +26,7 @@ func (stuck) Name() string { return "stuck" }
 
 func (w stuck) Launch(j *mpi.Job) (workload.Instance, error) { return w.LaunchFrom(j, nil) }
 
-func (w stuck) LaunchFrom(j *mpi.Job, _ [][]byte) (workload.Instance, error) {
+func (w stuck) LaunchFrom(j *mpi.Job, _ [][]byte) (workload.RestartableInstance, error) {
 	j.LaunchAll(func(e *mpi.Env) {
 		if w.giveUp > 0 && e.Rank() == 0 {
 			e.Compute(w.giveUp)

@@ -154,11 +154,16 @@ func (c *Cluster) launch(w workload.Workload) (workload.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.footprints(inst)
+	return inst, nil
+}
+
+// footprints has every controller ask inst for its rank's footprint at
+// snapshot time.
+func (c *Cluster) footprints(inst workload.Instance) {
 	for i := 0; i < c.Job.Size(); i++ {
-		i := i
 		c.Coord.Controller(i).FootprintFn = func() int64 { return inst.Footprint(i) }
 	}
-	return inst, nil
 }
 
 // run drives the kernel to completion and checks the job finished. The

@@ -116,21 +116,14 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 		if err != nil {
 			return res, err
 		}
-		ri, ok := inst.(workload.RestartableInstance)
-		if !ok {
-			return res, fmt.Errorf("harness: %s is not restartable", w.Name())
-		}
-		c.Coord.SetCapture(ri.Capture)
-		for i := 0; i < cfg.N; i++ {
-			i := i
-			if libStates != nil {
+		c.Coord.SetCapture(inst.Capture)
+		c.footprints(inst)
+		if libStates != nil {
+			for i := 0; i < cfg.N; i++ {
 				if err := c.Job.Rank(i).RestoreLibState(libStates[i]); err != nil {
 					return res, err
 				}
 			}
-			c.Coord.Controller(i).FootprintFn = func() int64 { return inst.Footprint(i) }
-		}
-		if libStates != nil {
 			// Message-logging restart: replay logged messages the restored
 			// receivers had not yet incorporated (a no-op without logs). This
 			// is what reconciles a recovery line whose ranks resumed from

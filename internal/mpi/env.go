@@ -225,7 +225,6 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// fully logged", and zero-copy cannot be used). The entry survives
 		// in the sender's snapshot and is replayed to receivers restored
 		// from an earlier epoch.
-		r.stats.MsgsLogged++
 		r.stats.BytesLogged += p.size
 		pr.log.push(logEntry{comm: c.id, srcComm: int32(c.myRank), tag: int32(tag), seq: seq, payload: p.clone()})
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
@@ -236,7 +235,6 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// immediately (buffered-send semantics). If the destination is
 		// gated this is the paper's *message buffering*.
 		req.complete = true
-		r.stats.EagerSent++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "eager_sent").Inc()
 		pkt := r.job.newPkt(pktEager)
 		pkt.comm, pkt.srcComm, pkt.tag, pkt.seq, pkt.payload = c.id, c.myRank, tag, seq, p.clone()
@@ -246,7 +244,6 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 	// Rendezvous: zero-copy; the request holds the user buffer and stays
 	// incomplete until local transmit completion. If gated, this is the
 	// paper's *request buffering*.
-	r.stats.RendezvousSent++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "rendezvous_sent").Inc()
 	req.payload = p
 	rts := r.job.newPkt(pktRTS)

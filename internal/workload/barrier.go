@@ -31,6 +31,9 @@ func (w BarrierPhases) Name() string {
 
 // Launch implements Workload.
 func (w BarrierPhases) Launch(j *mpi.Job) (Instance, error) {
+	if err := checkSize("barrier", w.N, j); err != nil {
+		return nil, err
+	}
 	msg := int64(w.MsgBytes)
 	if msg <= 0 {
 		msg = 1024

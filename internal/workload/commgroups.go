@@ -28,6 +28,9 @@ func (w CommGroups) Name() string {
 
 // Launch implements Workload.
 func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
+	if err := checkSize("commgroups", w.N, j); err != nil {
+		return nil, err
+	}
 	msg := int64(w.MsgBytes)
 	if msg <= 0 {
 		msg = 1024

@@ -67,7 +67,6 @@ func (s Solve) Launch(j *mpi.Job) (workload.Instance, error) {
 	}
 	inst := &SolveInstance{cfg: s, localBytes: make([]int64, s.P*s.Q)}
 	for r := 0; r < s.P*s.Q; r++ {
-		r := r
 		j.Launch(r, func(e *mpi.Env) { inst.run(e) })
 	}
 	return inst, nil
@@ -96,18 +95,7 @@ func (inst *SolveInstance) run(e *mpi.Env) {
 	nb, nblk := s.NB, s.N/s.NB
 	me := e.Rank()
 	myr, myc := me/s.Q, me%s.Q
-
-	// Row and column communicators (created in the same order everywhere).
-	rowRanks := make([]int, s.Q)
-	for c := 0; c < s.Q; c++ {
-		rowRanks[c] = myr*s.Q + c
-	}
-	colRanks := make([]int, s.P)
-	for r := 0; r < s.P; r++ {
-		colRanks[r] = r*s.Q + myc
-	}
-	rowComm := e.NewComm(rowRanks)
-	colComm := e.NewComm(colRanks)
+	rowComm, colComm := gridComms(e, s.P, s.Q)
 
 	// Generate the local blocks of the 2D block-cyclic distribution.
 	local := make(map[blockKey][]float64)
@@ -247,18 +235,12 @@ func (inst *SolveInstance) verify(e *mpi.Env, local map[blockKey][]float64) {
 	for i := 0; i < s.N; i++ {
 		for j := 0; j < s.N; j++ {
 			var sum float64
-			kmax := i
-			if j < i {
-				kmax = j
-			}
-			for k := 0; k <= kmax; k++ {
+			for k := 0; k <= min(i, j); k++ {
 				l := full[i][k]
 				if k == i {
 					l = 1 // unit diagonal of L
 				}
-				if k <= j {
-					sum += l * full[k][j]
-				}
+				sum += l * full[k][j]
 			}
 			if d := math.Abs(sum-s.elem(i, j)) / float64(s.N); d > maxErr {
 				maxErr = d

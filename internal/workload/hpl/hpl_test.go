@@ -36,26 +36,6 @@ func launch(t testing.TB, w workload.Workload, j *mpi.Job) workload.Instance {
 	return inst
 }
 
-// launchFrom relaunches w from captured per-rank states.
-func launchFrom(t testing.TB, w workload.Restartable, j *mpi.Job, states [][]byte) workload.Instance {
-	t.Helper()
-	inst, err := w.LaunchFrom(j, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
-
-// capture serializes one rank's state, failing the test on error.
-func capture(t testing.TB, inst workload.RestartableInstance, rank int) []byte {
-	t.Helper()
-	b, err := inst.Capture(rank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func runSolve(t *testing.T, cfg Solve) *SolveInstance {
 	t.Helper()
 	k, j := newJob(t, cfg.P*cfg.Q)

@@ -60,6 +60,20 @@ type TimedInstance struct {
 	step []int // per-rank current panel step, read by Footprint
 }
 
+// gridComms makes the rank's row and column communicators of the p×q grid,
+// in the same order on every rank.
+func gridComms(e *mpi.Env, p, q int) (row, col *mpi.Comm) {
+	me := e.Rank()
+	rowRanks, colRanks := make([]int, q), make([]int, p)
+	for c := range rowRanks {
+		rowRanks[c] = me/q*q + c
+	}
+	for r := range colRanks {
+		colRanks[r] = r*q + me%q
+	}
+	return e.NewComm(rowRanks), e.NewComm(colRanks)
+}
+
 // Name implements the workload interface.
 func (w Timed) Name() string {
 	return fmt.Sprintf("hpl(%dx%d,steps=%d)", w.P, w.Q, w.Steps)
@@ -76,7 +90,6 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 	}
 	inst := &TimedInstance{cfg: w, step: make([]int, n)}
 	for r := 0; r < n; r++ {
-		r := r
 		j.Launch(r, func(e *mpi.Env) { inst.run(e) })
 	}
 	return inst, nil
@@ -85,17 +98,7 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 func (inst *TimedInstance) run(e *mpi.Env) {
 	w := inst.cfg
 	me := e.Rank()
-	myr, myc := me/w.Q, me%w.Q
-	rowRanks := make([]int, w.Q)
-	for c := 0; c < w.Q; c++ {
-		rowRanks[c] = myr*w.Q + c
-	}
-	colRanks := make([]int, w.P)
-	for r := 0; r < w.P; r++ {
-		colRanks[r] = r*w.Q + myc
-	}
-	rowComm := e.NewComm(rowRanks)
-	colComm := e.NewComm(colRanks)
+	rowComm, colComm := gridComms(e, w.P, w.Q)
 	// The model needs the broadcasts' cost, not their content: lengths only.
 	panel, update := int64(w.PanelKB)<<10, int64(w.UpdateKB)<<10
 	colEvery := w.ColEvery

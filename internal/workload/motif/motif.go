@@ -206,13 +206,19 @@ func (m Mine) MineSerial() map[string]int {
 
 // MineInstance is one parallel mining run.
 type MineInstance struct {
-	m      Mine
-	states []*mineState
+	workload.Resumable[mineState]
+	m Mine
 	// Frequent is the mined pattern set with supports; identical on every
 	// rank after the run (this copy is rank 0's).
 	Frequent map[string]int
 	bytes    []int64
 }
+
+// mineLoop runs a level an iteration: the poll's allreduce and the support
+// allreduce take two collective tags each.
+var mineLoop = workload.Loop[mineState, *MineInstance]{Name: "motif", Codec: &mineCodec, Tags: 4,
+	Fresh: func(inst *MineInstance, _ int) *mineState { return inst.m.start() },
+	Done:  func(st *mineState) int { return st.Level - 1 }, Run: (*MineInstance).run}
 
 // Launch implements the workload interface.
 func (m Mine) Launch(j *mpi.Job) (workload.Instance, error) { return m.LaunchFrom(j, nil) }
@@ -220,65 +226,37 @@ func (m Mine) Launch(j *mpi.Job) (workload.Instance, error) { return m.LaunchFro
 // LaunchFrom implements workload.Restartable: graphs are distributed
 // block-wise across ranks; each level's supports are combined with an
 // allreduce. A rank with a captured state resumes from it.
-func (m Mine) LaunchFrom(j *mpi.Job, appStates [][]byte) (workload.Instance, error) {
+func (m Mine) LaunchFrom(j *mpi.Job, appStates [][]byte) (workload.RestartableInstance, error) {
 	n := j.Size()
-	inst := &MineInstance{m: m, states: make([]*mineState, n), bytes: make([]int64, n)}
-	for r := 0; r < n; r++ {
-		st := m.start()
-		restored := appStates != nil && appStates[r] != nil
-		if restored {
-			st = &mineState{Frequent: make(map[string]int)} // gob omits an empty map
-			if err := mineCodec.Decode(appStates[r], st); err != nil {
-				return nil, fmt.Errorf("motif: state for rank %d: %w", r, err)
-			}
-		}
-		inst.states[r] = st
-		j.Launch(r, func(e *mpi.Env) { inst.run(e, st, restored) })
-	}
-	return inst, nil
+	return mineLoop.Launch(j, appStates, n, 0, &MineInstance{m: m, bytes: make([]int64, n)})
 }
 
-// run is one rank's level-wise loop. Each level consumes four collective
-// tags: the CollectiveCheckpoint allreduce (2) and the support allreduce
-// (2). A restored rank additionally consumed the capture poll's two tags
-// and resumes just after it (see workload.Ring.LaunchFrom).
-func (inst *MineInstance) run(e *mpi.Env, st *mineState, restored bool) {
+// run is one rank's level-wise loop.
+func (inst *MineInstance) run(e *mpi.Env, st *mineState, p workload.SafePoint) {
 	m := inst.m
 	r := e.Rank()
-	world := e.World()
-	adv := 4 * (st.Level - 1)
-	if restored {
-		adv += 2
+	if st.Frequent == nil {
+		st.Frequent = make(map[string]int) // gob omits an empty map
 	}
-	world.AdvanceCollSeq(adv)
-	skipPoll := restored
 	// The dataset block is not part of the snapshot: input data is
 	// re-readable after restart.
 	graphs := m.block(r, e.Size())
 	inst.bytes[r] = int64(len(graphs)) * int64(m.Vertices) * 64
 	for !m.done(st) {
-		if skipPoll {
-			skipPoll = false
-		} else {
-			e.CollectiveCheckpoint(world)
-		}
+		p.Poll(e)
 		if m.LevelCompute > 0 {
 			e.Compute(m.LevelCompute)
 		}
-		m.advance(st, e.AllreduceF64(world, supports(graphs, st.Cands), mpi.OpSum))
+		m.advance(st, e.AllreduceF64(p.World, supports(graphs, st.Cands), mpi.OpSum))
 	}
 	if r == 0 {
 		inst.Frequent = st.Frequent
 	}
 }
 
-// Footprint implements the workload Instance interface.
+// Footprint implements the workload Instance interface: a rank's image
+// holds its block of the dataset.
 func (inst *MineInstance) Footprint(rank int) int64 { return inst.bytes[rank] }
-
-// Capture implements workload.RestartableInstance.
-func (inst *MineInstance) Capture(rank int) ([]byte, error) {
-	return mineCodec.Append(nil, inst.states[rank])
-}
 
 // SortedPatterns returns the frequent patterns in deterministic order.
 func (inst *MineInstance) SortedPatterns() []string {
@@ -335,11 +313,5 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 			}
 		})
 	}
-	return TimedInstance{fp: w.FootprintMB << 20}, nil
+	return workload.ConstFootprint(w.FootprintMB << 20), nil
 }
-
-// TimedInstance is one run of the timed model.
-type TimedInstance struct{ fp int64 }
-
-// Footprint implements the workload Instance interface.
-func (t TimedInstance) Footprint(rank int) int64 { return t.fp }

@@ -36,26 +36,6 @@ func launch(t testing.TB, w workload.Workload, j *mpi.Job) workload.Instance {
 	return inst
 }
 
-// launchFrom relaunches w from captured per-rank states.
-func launchFrom(t testing.TB, w workload.Restartable, j *mpi.Job, states [][]byte) workload.Instance {
-	t.Helper()
-	inst, err := w.LaunchFrom(j, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
-
-// capture serializes one rank's state, failing the test on error.
-func capture(t testing.TB, inst workload.RestartableInstance, rank int) []byte {
-	t.Helper()
-	b, err := inst.Capture(rank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func testMine() Mine {
 	return Mine{Graphs: 24, Vertices: 12, Degree: 3, Labels: 4, MinSup: 8, MaxLen: 3, Seed: 11}
 }
@@ -196,28 +176,5 @@ func TestPaperTimedShape(t *testing.T) {
 	}
 	if total < 120 || total > 200 {
 		t.Fatalf("paper MotifMiner runtime ~%.0fs, want ~160s (points at 30-120s)", total)
-	}
-}
-
-func TestResumableCaptureRoundtrip(t *testing.T) {
-	const n = 2
-	k, j := newJob(t, n)
-	w := testMine()
-	w.LevelCompute = 10 * sim.Millisecond
-	inst := launch(t, w, j).(*MineInstance)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	states := make([][]byte, n)
-	for i := range states {
-		states[i] = capture(t, inst, i)
-	}
-	k2, j2 := newJob(t, n)
-	inst2 := launchFrom(t, w, j2, states).(*MineInstance)
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(inst2.Frequent) != fmt.Sprint(inst.Frequent) {
-		t.Fatal("restored run changed the pattern set")
 	}
 }

@@ -24,6 +24,23 @@ type Instance interface {
 	Footprint(rank int) int64
 }
 
+// RestartableInstance extends Instance with application-state capture for
+// functional restart.
+type RestartableInstance interface {
+	Instance
+	// Capture serializes the rank's application state; the checkpoint layer
+	// calls it at snapshot time.
+	Capture(rank int) ([]byte, error)
+}
+
+// Restartable extends Workload with relaunch-from-snapshot.
+type Restartable interface {
+	Workload
+	// LaunchFrom launches the workload resuming from per-rank application
+	// states (nil entries start fresh). It errors on undecodable states.
+	LaunchFrom(j *mpi.Job, appStates [][]byte) (RestartableInstance, error)
+}
+
 // ConstFootprint is a fixed-footprint Instance for workloads whose image
 // size does not vary over the run.
 type ConstFootprint int64
@@ -38,10 +55,7 @@ func GroupRanks(n, size, me int) []int {
 		size = n
 	}
 	lo := (me / size) * size
-	hi := lo + size
-	if hi > n {
-		hi = n
-	}
+	hi := min(lo+size, n)
 	out := make([]int, 0, hi-lo)
 	for r := lo; r < hi; r++ {
 		out = append(out, r)

@@ -5,6 +5,7 @@ import (
 
 	"gbcr/internal/ib"
 	"gbcr/internal/mpi"
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
 
@@ -31,26 +32,6 @@ func launch(t testing.TB, w Workload, j *mpi.Job) Instance {
 		t.Fatal(err)
 	}
 	return inst
-}
-
-// launchFrom relaunches w from captured per-rank states.
-func launchFrom(t testing.TB, w Restartable, j *mpi.Job, states [][]byte) Instance {
-	t.Helper()
-	inst, err := w.LaunchFrom(j, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
-}
-
-// capture serializes one rank's state, failing the test on error.
-func capture(t testing.TB, inst RestartableInstance, rank int) []byte {
-	t.Helper()
-	b, err := inst.Capture(rank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 func TestGroupRanks(t *testing.T) {
@@ -141,6 +122,8 @@ func TestCommGroupsCompletes(t *testing.T) {
 
 func TestCommGroupsEmbarrassinglyParallel(t *testing.T) {
 	k, j := newJob(t, 4)
+	bus := obs.NewBus()
+	j.SetObs(bus)
 	w := CommGroups{N: 4, CommGroupSize: 1, Iters: 10, Chunk: 100 * sim.Millisecond, FootprintMB: 16}
 	launch(t, w, j)
 	if err := k.Run(); err != nil {
@@ -150,9 +133,9 @@ func TestCommGroupsEmbarrassinglyParallel(t *testing.T) {
 		t.Fatalf("pure compute should finish at exactly 1s, got %v", ft)
 	}
 	// No messages at all.
-	for i := 0; i < 4; i++ {
-		if s := j.Rank(i).Stats(); s.EagerSent+s.RendezvousSent != 0 {
-			t.Fatalf("rank %d sent messages in EP mode: %+v", i, s)
+	for _, name := range []string{"eager_sent", "rendezvous_sent"} {
+		if n := bus.Metrics().Counter(obs.LayerMPI, name).Value(); n != 0 {
+			t.Fatalf("EP mode counted %d %s", n, name)
 		}
 	}
 }
@@ -190,39 +173,10 @@ func TestRingSums(t *testing.T) {
 	}
 }
 
-func TestRingCaptureRoundtrip(t *testing.T) {
-	const n = 3
-	k, j := newJob(t, n)
-	w := Ring{N: n, Iters: 10, Chunk: 10 * sim.Millisecond, FootprintMB: 8}
-	inst := launch(t, w, j).(*RingInstance)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Relaunch from the final state: bodies see Iter == Iters and exit
-	// immediately with the same sums.
-	states := make([][]byte, n)
-	for i := range states {
-		states[i] = capture(t, inst, i)
-	}
-	k2, j2 := newJob(t, n)
-	inst2 := launchFrom(t, w, j2, states).(*RingInstance)
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for me := 0; me < n; me++ {
-		if inst2.Sums[me] != inst.Sums[me] {
-			t.Fatalf("restored sums differ at rank %d", me)
-		}
-	}
-	if j2.FinishTime() != 0 {
-		t.Fatalf("restored-at-end run should finish instantly, took %v", j2.FinishTime())
-	}
-}
-
 // A Ring image is one allocation to write and at most one to read: the
 // codec sends ringState's gob types once per process, not once per image.
 func TestRingCodecAllocs(t *testing.T) {
-	inst := &RingInstance{states: []*ringState{{Iter: 41, Sum: 1 << 40}}}
+	inst := &RingInstance{Resumable: Resumable[ringState]{codec: &ringCodec, states: []*ringState{{Iter: 41, Sum: 1 << 40}}}}
 	img, err := inst.Capture(0)
 	if err != nil {
 		t.Fatal(err)
@@ -325,32 +279,6 @@ func TestStencilMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestStencilCaptureRestoresMidway(t *testing.T) {
-	w := Stencil{N: 3, Cells: 4, Iters: 10, Chunk: 10 * sim.Millisecond, FootprintMB: 8}
-	// Full run for reference.
-	k1, j1 := newJob(t, w.N)
-	ref := launch(t, w, j1).(*StencilInstance)
-	if err := k1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Run the same thing but capture everyone at the natural end, restore,
-	// and confirm identical checksums with zero extra work.
-	states := make([][]byte, w.N)
-	for i := range states {
-		states[i] = capture(t, ref, i)
-	}
-	k2, j2 := newJob(t, w.N)
-	inst := launchFrom(t, w, j2, states).(*StencilInstance)
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for me := 0; me < w.N; me++ {
-		if inst.Checksums[me] != ref.Checksums[me] {
-			t.Fatalf("rank %d restore mismatch", me)
-		}
-	}
-}
-
 func TestWorkloadNamesAndFootprints(t *testing.T) {
 	names := []struct {
 		got, want string
@@ -366,40 +294,14 @@ func TestWorkloadNamesAndFootprints(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", c.got, c.want)
 		}
 	}
-	ring := (&RingInstance{w: Ring{FootprintMB: 7}})
-	if ring.Footprint(0) != 7<<20 {
-		t.Fatal("ring footprint")
-	}
-	st := (&StencilInstance{w: Stencil{FootprintMB: 3}})
-	if st.Footprint(0) != 3<<20 {
-		t.Fatal("stencil footprint")
-	}
-	ag := (&AllgatherInstance{w: AllgatherLoop{FootprintMB: 5}})
-	if ag.Footprint(0) != 5<<20 {
-		t.Fatal("allgather footprint")
-	}
-}
-
-func TestAllgatherLoopCaptureRoundtrip(t *testing.T) {
-	const n = 3
-	k, j := newJob(t, n)
-	w := AllgatherLoop{N: n, Iters: 8, Chunk: 10 * sim.Millisecond, FootprintMB: 4}
-	inst := launch(t, w, j).(*AllgatherInstance)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	states := make([][]byte, n)
-	for i := range states {
-		states[i] = capture(t, inst, i)
-	}
-	k2, j2 := newJob(t, n)
-	inst2 := launchFrom(t, w, j2, states).(*AllgatherInstance)
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for me := 0; me < n; me++ {
-		if inst2.Hashes[me] != inst.Hashes[me] {
-			t.Fatalf("rank %d hash mismatch after restore", me)
+	for _, c := range []struct {
+		w  Workload
+		mb int64
+	}{{Ring{N: 2, FootprintMB: 7}, 7}, {Stencil{N: 2, Cells: 1, FootprintMB: 3}, 3}, {AllgatherLoop{N: 2, FootprintMB: 5}, 5}} {
+		k, j := newJob(t, 2)
+		if got := launch(t, c.w, j).Footprint(1); got != c.mb<<20 {
+			t.Errorf("%s footprint %d, want %d", c.w.Name(), got, c.mb<<20)
 		}
+		k.Shutdown()
 	}
 }

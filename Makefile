@@ -6,9 +6,11 @@ GO ?= go
 
 all: check
 
-# Full gate: compile, formatting, vet, the project analyzers, tests, and the
-# race detector over the concurrent experiment Runner.
-check: build fmt vet lint test race
+# Full gate: compile, formatting, vet, the project analyzers, tests, the
+# race detector over the concurrent experiment Runner, and the benchmark
+# module's smoke step (./... does not reach bench/, which builds against the
+# library's exported names).
+check: build fmt vet lint test race bench-smoke
 
 build:
 	$(GO) build ./...

@@ -46,6 +46,10 @@ import (
 	"gbcr/internal/workload/motif"
 )
 
+// protocols lists the -protocol spellings: the protocol kinds, and wholejob,
+// the group protocol with one group covering the job.
+var protocols = []string{string(protocol.Group), string(protocol.WholeJob), string(protocol.Uncoordinated)}
+
 // shapeFlags lists which of the workload-shape flags (-n, -comm, -footprint,
 // -iters) each workload reads; hpl and motif are the paper's fixed problems.
 var shapeFlags = map[string][]string{
@@ -86,7 +90,7 @@ func main() {
 		n         = flag.Int("n", 32, "number of ranks (commgroups/barrier/ring/allgather/stencil)")
 		comm      = flag.Int("comm", 8, "communication group size (commgroups/barrier)")
 		group     = flag.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
-		proto     = flag.String("protocol", "group", "coordination protocol: group, wholejob, uncoord")
+		proto     = flag.String("protocol", "group", "coordination protocol: "+strings.Join(protocols, ", "))
 		at        = flag.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
 		foot      = flag.Int64("footprint", 180, "per-process footprint in MB (commgroups/barrier/ring/allgather/stencil)")
 		iters     = flag.Int("iters", 900, "iterations (commgroups/ring/allgather/stencil)")
@@ -127,8 +131,8 @@ func main() {
 	// group protocol; passing them with another kind is rejected, not
 	// ignored, so the printed protocol line always matches what ran.
 	kind := protocol.Kind(*proto)
-	if !kind.Valid() {
-		fail("unknown -protocol %q (want group, wholejob, or uncoord)", *proto)
+	if last := len(protocols) - 1; !slices.Contains(protocols, *proto) {
+		fail("unknown -protocol %q (want %s, or %s)", *proto, strings.Join(protocols[:last], ", "), protocols[last])
 	}
 	if kind != protocol.Group {
 		if set["group"] {
@@ -137,6 +141,7 @@ func main() {
 		if set["dynamic"] {
 			fail("-dynamic only applies to -protocol group; %s does not form groups", kind)
 		}
+		*group = 0 // one group, or none
 	}
 	if kind == protocol.Uncoordinated && set["helper"] {
 		fail("-helper does not apply to -protocol uncoord; there is no passive-coordination state to bound")
@@ -236,15 +241,7 @@ func main() {
 	cfg.CR.GroupSize = *group
 	cfg.CR.Dynamic = *dynamic
 	cfg.CR.HelperEnabled = *helper
-	switch kind {
-	case protocol.WholeJob:
-		cfg.CR.GroupSize = 0
-		cfg.CR.Dynamic = false
-	case protocol.Uncoordinated:
-		cfg.CR.GroupSize = 0
-		cfg.CR.Dynamic = false
-		cfg.MPI.LogMessages = true
-	}
+	cfg.MPI.LogMessages = kind == protocol.Uncoordinated
 	cfg.Tiers.Mode = mode
 	cfg.Tiers.Replicas = *replicas
 	if err := cfg.Validate(); err != nil {
@@ -503,8 +500,6 @@ func header(w workload.Workload, cfg harness.ClusterConfig) {
 
 func protocolName(kind protocol.Kind, group, ranks int, dynamic bool) string {
 	switch {
-	case kind == protocol.WholeJob:
-		return "whole-job blocking (all at once)"
 	case kind == protocol.Uncoordinated:
 		return "uncoordinated + sender-based message logging"
 	case dynamic:

@@ -189,18 +189,24 @@ func TestDefaultGroupFitsSmallJobs(t *testing.T) {
 
 // TestProtocolCrashExports: under every protocol a crashed run recovers,
 // reports its one failure, and writes both trace exports as valid JSON, so
-// the sinks' one detail formatter runs under each protocol.
+// the sinks' one detail formatter runs under each protocol. The whole-job
+// spelling and -protocol group -group 0 run the same simulation: they print
+// the same protocol: line and write the same -trace-json bytes once each
+// run's protocol tag is removed.
 func TestProtocolCrashExports(t *testing.T) {
-	for _, proto := range []string{"group", "wholejob", "uncoord"} {
+	var lines, traces [][]byte // of the two whole-job runs
+	for _, proto := range [][]string{{"group"}, {"wholejob"}, {"group", "-group", "0"}, {"uncoord"}} {
+		name := strings.Join(proto, " ")
 		dir := t.TempDir()
 		jsonl, chrome := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "trace.json")
-		out, err := exec.Command(bin, "-workload", "ring", "-n", "8", "-iters", "200", "-interval", "2",
-			"-protocol", proto, "-faults", "crash@3s", "-trace-json", jsonl, "-trace-chrome", chrome).Output()
+		args := append([]string{"-workload", "ring", "-n", "8", "-iters", "200", "-interval", "2",
+			"-faults", "crash@3s", "-trace-json", jsonl, "-trace-chrome", chrome, "-protocol"}, proto...)
+		out, err := exec.Command(bin, args...).Output()
 		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Contains(out, []byte("failures survived:     1\n")) {
-			t.Errorf("%s: want one failure survived, got:\n%s", proto, out)
+			t.Errorf("%s: want one failure survived, got:\n%s", name, out)
 		}
 		trace, err := os.ReadFile(jsonl)
 		if err != nil {
@@ -208,12 +214,24 @@ func TestProtocolCrashExports(t *testing.T) {
 		}
 		for i, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
 			if !json.Valid(line) {
-				t.Fatalf("%s: trace line %d is not JSON: %s", proto, i+1, line)
+				t.Fatalf("%s: trace line %d is not JSON: %s", name, i+1, line)
 			}
 		}
 		if data, err := os.ReadFile(chrome); err != nil || !json.Valid(data) {
-			t.Errorf("%s: Chrome trace does not parse (%d bytes, %v)", proto, len(data), err)
+			t.Errorf("%s: Chrome trace does not parse (%d bytes, %v)", name, len(data), err)
 		}
+		if name == "wholejob" || name == "group -group 0" {
+			_, line, _ := bytes.Cut(out, []byte("protocol:"))
+			line, _, _ = bytes.Cut(line, []byte("\n"))
+			lines = append(lines, line)
+			traces = append(traces, bytes.ReplaceAll(trace, []byte(" ["+proto[0]+"]"), nil))
+		}
+	}
+	if !bytes.Equal(lines[0], lines[1]) {
+		t.Errorf("protocol: lines differ between the whole-job spellings: %q vs %q", lines[0], lines[1])
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Error("-trace-json differs between the whole-job spellings beyond the protocol tag")
 	}
 }
 

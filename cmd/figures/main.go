@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -53,20 +54,25 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit every figure's data series as JSON on stdout")
 	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	metrics := flag.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
-	protoFlag := flag.String("protocol", "", "comma-separated protocol kinds for the extprotocols table (default: all; e.g. group,wholejob,uncoord)")
+	zoo := figures.ProtocolZoo()
+	names := make([]string, len(zoo))
+	for i, kind := range zoo {
+		names[i] = string(kind)
+	}
+	protoFlag := flag.String("protocol", "", "comma-separated protocol kinds for the extprotocols table (default: all; e.g. "+strings.Join(names, ",")+")")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	memProf := flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	flag.Parse()
 	if *workers < 0 {
 		fail(fmt.Errorf("-workers must not be negative, got %d", *workers))
 	}
-	kinds := protocol.Kinds()
+	kinds := zoo
 	if *protoFlag != "" {
 		kinds = nil
 		for _, s := range strings.Split(*protoFlag, ",") {
 			kind := protocol.Kind(strings.TrimSpace(s))
-			if !kind.Valid() {
-				fail(fmt.Errorf("unknown protocol %q in -protocol (want group, wholejob, uncoord)", s))
+			if !slices.Contains(zoo, kind) {
+				fail(fmt.Errorf("unknown protocol %q in -protocol (want %s)", s, strings.Join(names, ", ")))
 			}
 			kinds = append(kinds, kind)
 		}

@@ -82,13 +82,14 @@ func TestCycleAbortBounded(t *testing.T) {
 	}
 }
 
-// TestPhaseHookObservesProtocolPhases: under every protocol, the hook the
-// fault injector uses sees every rank walk exactly that protocol's Phases(),
-// in order, with the epoch under construction — from both drivers, since
-// ranks 0-2 checkpoint in AtSafePoint and the finished rank 3 from events. A
-// phase a driver does not report is one a fault spec silently cannot target.
+// TestPhaseHookObservesProtocolPhases: under every protocol spelling (group
+// at g=2, wholejob as group at g=N, uncoord), the hook the fault injector
+// uses sees every rank walk exactly that protocol's Phases(), in order, with
+// the epoch under construction — from both drivers, since ranks 0-2
+// checkpoint in AtSafePoint and the finished rank 3 from events. A phase a
+// driver does not report is one a fault spec silently cannot target.
 func TestPhaseHookObservesProtocolPhases(t *testing.T) {
-	for _, kind := range protocol.Kinds() {
+	for _, kind := range []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated} {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Protocol = kind

@@ -30,8 +30,8 @@ type Coordinator struct {
 	// [central].
 	tiers *tier.Hierarchy
 
-	// proto is the resolved coordination protocol; tag is the protocol label
-	// appended to cycle events when a protocol was selected explicitly
+	// proto is the resolved coordination protocol; tag is the protocol as
+	// written, appended to cycle events when one was selected explicitly
 	// (empty for default-config runs, whose traces carry no protocol name).
 	// cyclesName names the per-protocol cycle counter, built once.
 	proto      protocol.Kind

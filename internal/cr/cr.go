@@ -32,10 +32,8 @@ import (
 // Config parameterizes a checkpoint/restart deployment.
 type Config struct {
 	// Protocol selects the coordination protocol (see cr/protocol): "group"
-	// (default), "wholejob", or "uncoord". The empty value resolves to the
-	// group-based protocol; a GroupSize of zero (or >= the job size) under
-	// the default then resolves to the whole-job protocol, which is the same
-	// engine path the implicit special case always took.
+	// (default), "wholejob", or "uncoord". The empty value and "wholejob"
+	// resolve to the group protocol; "wholejob" spells it with one group.
 	Protocol protocol.Kind
 	// GroupSize is the static checkpoint group size. Zero (or >= the job
 	// size) means all processes checkpoint at once: the regular coordinated
@@ -105,20 +103,26 @@ func (cfg Config) protocolOptions(n int, logging bool) protocol.Options {
 }
 
 // ResolveProtocol resolves and validates the configured coordination
-// protocol for an n-rank job; logging is mpi.Config.LogMessages. A group
-// configuration whose static schedule degenerates to a single group
-// (GroupSize zero or >= n, not dynamic) resolves to the explicit whole-job
-// protocol — the ICPP'06 baseline was always this engine path, so the
-// resolution is exact. The harness calls it to front-run constructor errors
-// and to read the protocol's phase vocabulary before a cluster exists.
+// protocol for an n-rank job; logging is mpi.Config.LogMessages. The empty
+// value resolves to Group, and so does the whole-job spelling: the ICPP'06
+// baseline is the group protocol with one group covering the job, so the
+// spelling rejects options that would form any other schedule. The harness calls it
+// to front-run constructor errors and to read the protocol's phase
+// vocabulary before a cluster exists.
 func (cfg Config) ResolveProtocol(n int, logging bool) (protocol.Kind, error) {
 	kind := cfg.Protocol
-	if kind == "" || kind == protocol.Group {
-		if !cfg.Dynamic && (cfg.GroupSize <= 0 || cfg.GroupSize >= n) {
-			kind = protocol.WholeJob
-		} else {
-			kind = protocol.Group
-		}
+	switch {
+	case kind == "":
+		kind = protocol.Group
+	case kind != protocol.WholeJob: // a kind, or an unknown name Validate rejects
+	case n <= 0:
+		return "", fmt.Errorf("protocol: whole-job protocol needs at least one rank, got %d", n)
+	case cfg.Dynamic:
+		return "", fmt.Errorf("protocol: whole-job protocol does not form dynamic groups")
+	case cfg.GroupSize > 0 && cfg.GroupSize < n:
+		return "", fmt.Errorf("protocol: whole-job protocol cannot honor group size %d (< %d ranks); use the group protocol", cfg.GroupSize, n)
+	default:
+		kind = protocol.Group
 	}
 	if err := kind.Validate(cfg.protocolOptions(n, logging)); err != nil {
 		return "", err

@@ -474,9 +474,73 @@ func TestHelperThreadAblation(t *testing.T) {
 	}
 }
 
+// TestResolveProtocol pins what every configuration spelling resolves to on a
+// 4-rank job, × GroupSize {0, 2, N} × Dynamic, without and with message
+// logging: a kind, or the exact rejection. The empty value and the whole-job
+// spelling resolve to the group protocol; wholejob refuses options that
+// would form anything but one group.
+func TestResolveProtocol(t *testing.T) {
+	const (
+		group, uncoord = "group", "uncoord"
+		wjDynamic      = "protocol: whole-job protocol does not form dynamic groups"
+		wjPartial      = "protocol: whole-job protocol cannot honor group size 2 (< 4 ranks); use the group protocol"
+		ucDynamic      = "protocol: uncoordinated protocol does not form groups; drop Dynamic"
+		ucPartial      = "protocol: uncoordinated protocol does not form groups; drop GroupSize 2"
+		ucNoLog        = "protocol: uncoordinated protocol requires sender-based message logging; set mpi.Config.LogMessages"
+	)
+	cases := []struct {
+		spelling       protocol.Kind
+		n, groupSize   int
+		dynamic        bool
+		plain, logging string // the resolved kind or the error, without and with logging
+	}{
+		{"", 4, 0, false, group, group},
+		{"", 4, 0, true, group, group},
+		{"", 4, 2, false, group, group},
+		{"", 4, 2, true, group, group},
+		{"", 4, 4, false, group, group},
+		{"", 4, 4, true, group, group},
+		{protocol.Group, 4, 0, false, group, group},
+		{protocol.Group, 4, 0, true, group, group},
+		{protocol.Group, 4, 2, false, group, group},
+		{protocol.Group, 4, 2, true, group, group},
+		{protocol.Group, 4, 4, false, group, group},
+		{protocol.Group, 4, 4, true, group, group},
+		{protocol.WholeJob, 4, 0, false, group, group},
+		{protocol.WholeJob, 4, 0, true, wjDynamic, wjDynamic},
+		{protocol.WholeJob, 4, 2, false, wjPartial, wjPartial},
+		{protocol.WholeJob, 4, 2, true, wjDynamic, wjDynamic},
+		{protocol.WholeJob, 4, 4, false, group, group},
+		{protocol.WholeJob, 4, 4, true, wjDynamic, wjDynamic},
+		{protocol.Uncoordinated, 4, 0, false, ucNoLog, uncoord},
+		{protocol.Uncoordinated, 4, 0, true, ucDynamic, ucDynamic},
+		{protocol.Uncoordinated, 4, 2, false, ucPartial, ucPartial},
+		{protocol.Uncoordinated, 4, 2, true, ucDynamic, ucDynamic},
+		{protocol.Uncoordinated, 4, 4, false, ucNoLog, uncoord},
+		{protocol.Uncoordinated, 4, 4, true, ucDynamic, ucDynamic},
+		{"", 0, 0, false, "protocol: group protocol needs at least one rank, got 0", "protocol: group protocol needs at least one rank, got 0"},
+		{protocol.WholeJob, 0, 0, false, "protocol: whole-job protocol needs at least one rank, got 0", "protocol: whole-job protocol needs at least one rank, got 0"},
+		{"chandy", 4, 0, false, `protocol: unknown protocol "chandy" (have [group uncoord])`, `protocol: unknown protocol "chandy" (have [group uncoord])`},
+	}
+	for _, c := range cases {
+		cfg := Config{Protocol: c.spelling, GroupSize: c.groupSize, Dynamic: c.dynamic}
+		for i, want := range []string{c.plain, c.logging} {
+			kind, err := cfg.ResolveProtocol(c.n, i == 1)
+			got := string(kind)
+			if err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("%q n=%d g=%d dynamic=%v logging=%v: got %q, want %q", c.spelling, c.n, c.groupSize, c.dynamic, i == 1, got, want)
+			}
+		}
+	}
+}
+
 // TestFinishedRankCheckpoints: a rank whose body returned before the request
-// is checkpointed from kernel events, under a blocking protocol and under the
-// uncoordinated one, and its record is as well-formed as a live rank's.
+// is checkpointed from kernel events, under the group protocol spelled as
+// wholejob (one group) and under the uncoordinated one, and its record is as
+// well-formed as a live rank's.
 func TestFinishedRankCheckpoints(t *testing.T) {
 	const n = 3
 	for _, kind := range []protocol.Kind{protocol.WholeJob, protocol.Uncoordinated} {

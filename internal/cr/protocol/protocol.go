@@ -34,18 +34,12 @@ import (
 // coordination, the paper's contribution).
 type Kind string
 
-// The protocol zoo.
+// The protocol kinds, and the whole-job spelling.
 const (
 	// Group is the paper's group-based blocking coordination: checkpoint
 	// groups take turns, cross-group traffic is deferred, and an epoch
 	// commits atomically once every rank saved.
 	Group Kind = "group"
-	// WholeJob is the ICPP'06 baseline: one group covering the job, so the
-	// entire application stops, flushes, writes, and resumes as a unit. It
-	// runs the same four-phase member machine as Group, with one turn and no
-	// cross-group gating; it is the explicit form of the group-protocol
-	// special case GroupSize 0 (or >= N).
-	WholeJob Kind = "wholejob"
 	// Uncoordinated is uncoordinated C/R with sender-based message logging:
 	// ranks checkpoint independently (no synchronization, no send gating, no
 	// connection teardown), so a member's cycle collapses to write-then-resume.
@@ -54,13 +48,18 @@ const (
 	// restart computes a per-rank recovery line, replaying logged messages
 	// that the restarted receivers had not yet incorporated.
 	Uncoordinated Kind = "uncoord"
+	// WholeJob is not a kind but a configuration spelling of the ICPP'06
+	// baseline: the group protocol with one group covering the job, so the
+	// entire application stops, flushes, writes, and resumes as a unit.
+	// cr.Config.ResolveProtocol resolves it to Group; Validate rejects it.
+	WholeJob Kind = "wholejob"
 )
 
 // Kinds lists the available protocols.
-func Kinds() []Kind { return []Kind{Group, WholeJob, Uncoordinated} }
+func Kinds() []Kind { return []Kind{Group, Uncoordinated} }
 
-// kindNames spells each kind out in Validate's messages.
-var kindNames = map[Kind]string{Group: "group", WholeJob: "whole-job", Uncoordinated: "uncoordinated"}
+// kindNames is the set of kinds, each spelled out for Validate's messages.
+var kindNames = map[Kind]string{Group: "group", Uncoordinated: "uncoordinated"}
 
 // Options is the protocol-relevant slice of the C/R configuration, handed to
 // Validate and Plan. It mirrors cr.Config fields rather than importing them
@@ -68,7 +67,8 @@ var kindNames = map[Kind]string{Group: "group", WholeJob: "whole-job", Uncoordin
 type Options struct {
 	// N is the job size.
 	N int
-	// GroupSize is the static checkpoint group size (0 = whole job).
+	// GroupSize is the static checkpoint group size; 0 or >= N plans one
+	// group covering the job.
 	GroupSize int
 	// Dynamic selects runtime group formation from traffic patterns.
 	Dynamic bool
@@ -99,9 +99,6 @@ func (l Line) Empty() bool {
 	return true
 }
 
-// Valid reports whether k names a protocol. The empty Kind is not one.
-func (k Kind) Valid() bool { return kindNames[k] != "" }
-
 // Blocking reports whether the protocol synchronizes ranks and gates
 // cross-line traffic during a cycle. A non-blocking protocol checkpoints
 // every rank independently and relies on logging for consistency.
@@ -125,11 +122,9 @@ var cyclePhases = []Phase{PhaseSync, PhaseTeardown, PhaseWrite, PhaseResume}
 
 // Validate rejects option combinations the protocol cannot honor. The group
 // protocol accepts every engine option: it is the scheme the engine was built
-// around. Options that would partition the job contradict the whole-job
-// protocol's one-group definition, and the uncoordinated one forms no groups
-// and needs logging.
+// around. The uncoordinated one forms no groups and needs logging.
 func (k Kind) Validate(o Options) error {
-	if !k.Valid() {
+	if kindNames[k] == "" {
 		return fmt.Errorf("protocol: unknown protocol %q (have %v)", k, Kinds())
 	}
 	if o.N <= 0 {
@@ -137,10 +132,6 @@ func (k Kind) Validate(o Options) error {
 	}
 	partial := o.GroupSize > 0 && o.GroupSize < o.N
 	switch {
-	case k == WholeJob && o.Dynamic:
-		return fmt.Errorf("protocol: whole-job protocol does not form dynamic groups")
-	case k == WholeJob && partial:
-		return fmt.Errorf("protocol: whole-job protocol cannot honor group size %d (< %d ranks); use the group protocol", o.GroupSize, o.N)
 	case k == Uncoordinated && o.Dynamic:
 		return fmt.Errorf("protocol: uncoordinated protocol does not form groups; drop Dynamic")
 	case k == Uncoordinated && partial:
@@ -154,9 +145,10 @@ func (k Kind) Validate(o Options) error {
 // Plan forms the cycle schedule: groups checkpoint in slice order, ranks
 // within a group together. The group protocol forms them statically or from
 // traffic (Section 4.1); traffic (per-rank destination message counts) is
-// only consulted by dynamic formation and may be nil otherwise. The whole-job
-// protocol plans one group of all ranks, and the uncoordinated one makes
-// every rank a singleton with no ordering: all "groups" run concurrently.
+// only consulted by dynamic formation and may be nil otherwise. A static
+// GroupSize of 0 or >= N plans one group of all ranks, the whole-job baseline.
+// The uncoordinated protocol makes every rank a singleton with no ordering:
+// all "groups" run concurrently.
 func (k Kind) Plan(o Options, traffic []map[int]int64) [][]int {
 	switch {
 	case k == Uncoordinated:
@@ -165,8 +157,6 @@ func (k Kind) Plan(o Options, traffic []map[int]int64) [][]int {
 			groups[r] = []int{r}
 		}
 		return groups
-	case k == WholeJob:
-		return FormStaticGroups(o.N, 0)
 	case o.Dynamic:
 		return FormDynamicGroups(o.N, o.GroupSize, traffic)
 	}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,8 @@ func lineEpochs(l Line) string {
 // TestKindPolicy pins every decision a Kind makes, one row per kind: the
 // phase vocabulary, whether it blocks, the schedule it plans, the restart
 // line it selects, and each option combination it rejects, with its text.
+// Names that are not kinds, the whole-job spelling among them, are rejected
+// by Validate: only cr.Config.ResolveProtocol reads a spelling.
 func TestKindPolicy(t *testing.T) {
 	const n = 4
 	// Ranks 0-2 and 1-3 talk in pairs, so traffic-formed groups of two differ
@@ -66,6 +69,7 @@ func TestKindPolicy(t *testing.T) {
 		phases   string
 		accepts  Options
 		plan     string // Plan(accepts, nil)
+		whole    string // Plan at GroupSize 0 and at N
 		dynamic  string // Plan(accepts with Dynamic, traffic)
 		line     string // RestartLine(restartStore)
 		rejects  []reject
@@ -73,27 +77,16 @@ func TestKindPolicy(t *testing.T) {
 		{
 			kind: Group, blocking: true, phases: "[sync teardown write resume]",
 			accepts: Options{N: n, GroupSize: 2},
-			plan:    "[[0 1] [2 3]]", dynamic: "[[0 2] [1 3]]",
+			plan:    "[[0 1] [2 3]]", dynamic: "[[0 2] [1 3]]", whole: "[[0 1 2 3]]",
 			line: "[1 1 1] skipped 1",
 			rejects: []reject{
 				{Options{N: 0}, "protocol: group protocol needs at least one rank, got 0"},
 			},
 		},
 		{
-			kind: WholeJob, blocking: true, phases: "[sync teardown write resume]",
-			accepts: Options{N: n, GroupSize: n},
-			plan:    "[[0 1 2 3]]", dynamic: "[[0 1 2 3]]",
-			line: "[1 1 1] skipped 1",
-			rejects: []reject{
-				{Options{N: 0}, "protocol: whole-job protocol needs at least one rank, got 0"},
-				{Options{N: n, Dynamic: true}, "protocol: whole-job protocol does not form dynamic groups"},
-				{Options{N: n, GroupSize: 2}, "protocol: whole-job protocol cannot honor group size 2 (< 4 ranks); use the group protocol"},
-			},
-		},
-		{
 			kind: Uncoordinated, blocking: false, phases: "[write resume]",
 			accepts: Options{N: n, Logging: true},
-			plan:    "[[0] [1] [2] [3]]", dynamic: "[[0] [1] [2] [3]]",
+			plan:    "[[0] [1] [2] [3]]", dynamic: "[[0] [1] [2] [3]]", whole: "[[0] [1] [2] [3]]",
 			line: "[3 2 1] skipped 1",
 			rejects: []reject{
 				{Options{N: -1, Logging: true}, "protocol: uncoordinated protocol needs at least one rank, got -1"},
@@ -105,8 +98,8 @@ func TestKindPolicy(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(string(c.kind), func(t *testing.T) {
-			if !c.kind.Valid() {
-				t.Error("not Valid")
+			if !slices.Contains(Kinds(), c.kind) {
+				t.Error("not in Kinds")
 			}
 			if got := c.kind.Blocking(); got != c.blocking {
 				t.Errorf("Blocking = %v, want %v", got, c.blocking)
@@ -119,6 +112,13 @@ func TestKindPolicy(t *testing.T) {
 			}
 			if got := fmt.Sprint(c.kind.Plan(c.accepts, nil)); got != c.plan {
 				t.Errorf("Plan = %s, want %s", got, c.plan)
+			}
+			for _, g := range []int{0, n} {
+				o := c.accepts
+				o.GroupSize = g
+				if got := fmt.Sprint(c.kind.Plan(o, nil)); got != c.whole {
+					t.Errorf("Plan at GroupSize %d = %s, want %s", g, got, c.whole)
+				}
 			}
 			dyn := c.accepts
 			dyn.Dynamic, dyn.GroupSize = true, 2
@@ -138,12 +138,14 @@ func TestKindPolicy(t *testing.T) {
 			}
 		})
 	}
-	for _, k := range []Kind{"", "chandy"} {
-		if k.Valid() {
-			t.Errorf("%q is Valid", k)
-		}
-		if err := k.Validate(Options{N: n, Logging: true}); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
-			t.Errorf("Validate under %q = %v, want an unknown-protocol error", k, err)
-		}
+	for _, k := range []Kind{"", WholeJob, "chandy"} {
+		t.Run(string(k), func(t *testing.T) {
+			if slices.Contains(Kinds(), k) {
+				t.Errorf("%q is a kind", k)
+			}
+			if err := k.Validate(Options{N: n, Logging: true}); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+				t.Errorf("Validate under %q = %v, want an unknown-protocol error", k, err)
+			}
+		})
 	}
 }

@@ -419,30 +419,38 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 	return t, nil
 }
 
+// ProtocolZoo lists the protocol zoo's members, as the cr.Config.Protocol
+// spellings that select them: group-based blocking as the paper runs it
+// (checkpoint group 8), whole-job blocking (the ICPP'06 baseline: the group
+// protocol with one group), and uncoordinated checkpointing, which requires
+// sender-based message logging.
+func ProtocolZoo() []protocol.Kind {
+	return []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated}
+}
+
 // protocolZooConfig builds the micro-cluster configuration for one member of
-// the protocol zoo: group-based blocking as the paper runs it (checkpoint
-// group 8), whole-job blocking (the ICPP'06 baseline), and uncoordinated
-// checkpointing, which requires sender-based message logging.
-func protocolZooConfig(kind protocol.Kind) harness.ClusterConfig {
+// the protocol zoo, and names its row.
+func protocolZooConfig(kind protocol.Kind) (harness.ClusterConfig, string) {
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.Protocol = kind
 	cfg.CR.LocalSetup = 100 * sim.Millisecond
+	cfg.MPI.LogMessages = kind == protocol.Uncoordinated
 	switch kind {
 	case protocol.Group:
 		cfg.CR.GroupSize = 8
+		return cfg, "group(8) blocking"
 	case protocol.WholeJob:
-		cfg.CR.GroupSize = 0
+		return cfg, "whole-job blocking"
 	case protocol.Uncoordinated:
-		cfg.CR.GroupSize = 0
-		cfg.MPI.LogMessages = true
+		return cfg, "uncoordinated+logging"
 	}
-	return cfg
+	return cfg, string(kind)
 }
 
 // ExtensionProtocolsFor compares the protocol zoo end to end on one
 // restartable workload: failure-free checkpoint cost, and recovery behaviour
-// under an identical injected crash, for each of the given kinds
-// (cmd/figures -protocol narrows the run this way). Each
+// under an identical injected crash, for each of the given members of
+// ProtocolZoo (cmd/figures -protocol narrows the run this way). Each
 // kind's overhead is measured against its own faithful baseline — the
 // uncoordinated row's baseline already pays for message logging, so its
 // overhead column isolates the checkpointing cost, while ExtensionLogging
@@ -468,7 +476,7 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 	t.Cells = make([][]float64, len(kinds))
 	err = g.R.ForEach(len(kinds), func(i int) error {
 		kind := kinds[i]
-		cfg := protocolZooConfig(kind)
+		cfg, label := protocolZooConfig(kind)
 		base, err := g.R.Baseline(cfg, w)
 		if err != nil {
 			return err
@@ -484,16 +492,7 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case protocol.Group:
-			t.Rows[i] = "group(8) blocking"
-		case protocol.WholeJob:
-			t.Rows[i] = "whole-job blocking"
-		case protocol.Uncoordinated:
-			t.Rows[i] = "uncoordinated+logging"
-		default:
-			t.Rows[i] = string(kind)
-		}
+		t.Rows[i] = label
 		t.Cells[i] = []float64{
 			(ff.Wall - base).Seconds() / float64(ff.Checkpoints),
 			100 * float64(ff.Wall-base) / float64(base),

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"gbcr/internal/cr/protocol"
 	"gbcr/internal/harness"
 	"gbcr/internal/sim"
 	hplPkg "gbcr/internal/workload/hpl"
@@ -510,12 +509,12 @@ func TestExtensionAvailability(t *testing.T) {
 }
 
 // TestExtensionProtocols checks the protocol-zoo comparison's shape: all
-// three kinds complete the same faulted workload, their failure-free delays
+// three members complete the same faulted workload, their failure-free delays
 // track the shared storage write (the polled discipline quiesces every rank,
 // so none of them can hide the 1 GB at 140 MB/s), and a crash at the same
 // instant costs each of them a comparable recovery.
 func TestExtensionProtocols(t *testing.T) {
-	e := mustT(t, func() (*Table, error) { return tg.ExtensionProtocolsFor(protocol.Kinds()) })
+	e := mustT(t, func() (*Table, error) { return tg.ExtensionProtocolsFor(ProtocolZoo()) })
 	want := []string{"group(8) blocking", "whole-job blocking", "uncoordinated+logging"}
 	if len(e.Rows) != len(want) {
 		t.Fatalf("rows = %v, want %v", e.Rows, want)

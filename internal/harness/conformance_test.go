@@ -25,9 +25,10 @@ import (
 
 // The conformance matrix checks the paper's consistency claim — a restart
 // from the recovery line reproduces the failure-free run — for every
-// protocol × storage mode × fault. A cell is a workload row × a Kind × a
-// storage mode × a fault spec, run as the subtest <row>/<kind>/<mode>/<spec>,
-// so `go test ./internal/harness -run 'TestConformance$/ring4/uncoord/central/crash@2s$'`
+// protocol × storage mode × fault. A cell is a workload row × a protocol
+// spelling × a storage mode × a fault spec, run as the subtest
+// <row>/<spelling>/<mode>/<spec>, so
+// `go test ./internal/harness -run 'TestConformance$/ring4/uncoord/central/crash@2s$'`
 // replays one cell. Every cell is either rejected with its exact error or
 // ends with the failure-free results; its counters are pinned, one line a
 // cell, in testdata/conformance.txt (regenerate with -update).
@@ -71,6 +72,11 @@ type skewedInstance struct{ *workload.RingInstance }
 
 func (s skewedInstance) Footprint(rank int) int64 { return int64(rank*15+5) << 20 }
 
+// spellings are the matrix's protocol columns: every value
+// cr.Config.Protocol accepts. The wholejob column is the group protocol with
+// one group covering the job, as cr.Config.ResolveProtocol resolves it.
+var spellings = []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated}
+
 var modes = []tier.Mode{tier.ModeCentral, tier.ModeBurst, tier.ModeRAM, tier.ModeHierarchy, tier.ModeLocal}
 
 // noFault names the column without a fault.
@@ -100,9 +106,9 @@ type row struct {
 	tweak func(*ClusterConfig)
 }
 
-// config is the cell's cluster: group at g=2, uncoord with sender-based
-// logging, ram with k=1 and hierarchy with k=2 replicas, then the row's own
-// settings.
+// config is the cell's cluster: group at g=2, wholejob at g=0, uncoord with
+// sender-based logging, ram with k=1 and hierarchy with k=2 replicas, then
+// the row's own settings.
 func (r row) config(kind protocol.Kind, mode tier.Mode) ClusterConfig {
 	cfg := smallCluster(r.n)
 	cfg.CR.Protocol, cfg.Tiers.Mode = kind, mode
@@ -147,7 +153,6 @@ func ringWant(w workload.Ring) string {
 }
 
 func matrix() []row {
-	kinds := protocol.Kinds()
 	specs := append([]string(nil), ringSpecs...)
 	for _, p := range protocol.Group.Phases() {
 		specs = append(specs, "crash:phase="+p.String()+",epoch=2")
@@ -164,15 +169,15 @@ func matrix() []row {
 	mine := motif.Mine{Graphs: 32, Vertices: 12, Degree: 3, Labels: 4,
 		MinSup: 10, MaxLen: 3, Seed: 5, LevelCompute: 400 * sim.Millisecond}
 	return []row{
-		{name: "ring4", n: 4, w: ring4, interval: 600 * sim.Millisecond, kinds: kinds, modes: modes,
+		{name: "ring4", n: 4, w: ring4, interval: 600 * sim.Millisecond, kinds: spellings, modes: modes,
 			specs: specs, results: ringSums, want: ringWant(ring4)},
 		{name: "allgather", n: 4, w: workload.AllgatherLoop{N: 4, Iters: 40, Chunk: 50 * sim.Millisecond, FootprintMB: 10},
-			interval: 700 * sim.Millisecond, kinds: kinds, modes: modes, specs: columns("crash@1500ms"),
+			interval: 700 * sim.Millisecond, kinds: spellings, modes: modes, specs: columns("crash@1500ms"),
 			results: func(i workload.Instance) string { return fmt.Sprint(i.(*workload.AllgatherInstance).Hashes) }},
 		{name: "stencil", n: 5, w: workload.Stencil{N: 5, Cells: 8, Iters: 50, Chunk: 40 * sim.Millisecond, FootprintMB: 8},
-			interval: 600 * sim.Millisecond, kinds: kinds, modes: modes, specs: columns("crash@1400ms"),
+			interval: 600 * sim.Millisecond, kinds: spellings, modes: modes, specs: columns("crash@1400ms"),
 			results: func(i workload.Instance) string { return fmt.Sprint(i.(*workload.StencilInstance).Checksums) }},
-		{name: "mine", n: 4, w: mine, interval: 600 * sim.Millisecond, kinds: kinds, modes: modes, specs: columns("crash@1100ms"),
+		{name: "mine", n: 4, w: mine, interval: 600 * sim.Millisecond, kinds: spellings, modes: modes, specs: columns("crash@1100ms"),
 			results: func(i workload.Instance) string { return fmt.Sprint(i.(*motif.MineInstance).Frequent) },
 			want:    fmt.Sprint(mine.MineSerial())},
 		{name: "ring6g1", n: 6, w: ring6, interval: 800 * sim.Millisecond, kinds: onlyGroup, modes: modes,
@@ -180,7 +185,7 @@ func matrix() []row {
 		{name: "ring6g3", n: 6, w: ring6, interval: 800 * sim.Millisecond, kinds: onlyGroup, modes: modes,
 			specs: columns("crash@1700ms"), results: ringSums, want: ringWant(ring6), tweak: group(3)},
 		// A crash before the first checkpoint restarts from scratch.
-		{name: "scratch", n: 6, w: ring6, interval: sim.Second, kinds: kinds, modes: modes,
+		{name: "scratch", n: 6, w: ring6, interval: sim.Second, kinds: spellings, modes: modes,
 			specs: []string{noFault, "crash@500ms"}, results: ringSums, want: ringWant(ring6)},
 		// The first cycle's request lands at 500ms; rank 0's 5MB write
 		// commits quickly while ranks 1-3 (20/35/50MB) are still writing at
@@ -379,7 +384,7 @@ func buildTraces() (b traceBatch) {
 	}
 	const memloss = "memloss@2s:count=2;seed=5"
 	r := matrix()[0] // ring4
-	for _, kind := range protocol.Kinds() {
+	for _, kind := range spellings {
 		for _, mode := range modes {
 			if r.config(kind, mode).Validate() == nil {
 				b.pairs = append(b.pairs, tracePair{kind, mode})
@@ -452,9 +457,10 @@ func TestScenarioTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestCrossProtocolTraceDeterminism: under one central fault spec, each kind
-// replays its own trace byte for byte, and the three kinds' traces are
-// pairwise distinct.
+// TestCrossProtocolTraceDeterminism: under one central fault spec, each
+// protocol column (group at g=2, wholejob — group at g=N — and uncoord)
+// replays its own trace byte for byte, and the three traces are pairwise
+// distinct.
 func TestCrossProtocolTraceDeterminism(t *testing.T) {
 	b := faultedTraces(t)
 	central := map[protocol.Kind][]byte{}
@@ -470,7 +476,7 @@ func TestCrossProtocolTraceDeterminism(t *testing.T) {
 	if len(central) != 3 || bytes.Equal(central[protocol.Group], central[protocol.WholeJob]) ||
 		bytes.Equal(central[protocol.WholeJob], central[protocol.Uncoordinated]) ||
 		bytes.Equal(central[protocol.Group], central[protocol.Uncoordinated]) {
-		t.Error("the three kinds' central traces are not pairwise distinct")
+		t.Error("the three columns' central traces are not pairwise distinct")
 	}
 }
 
@@ -534,7 +540,7 @@ func randomCells(t *testing.T, tiered bool) {
 			n := rng.Intn(5) + 2
 			kinds, mode := protocol.Kinds(), tier.ModeCentral
 			if tiered { // the tiers need a global epoch commit
-				kinds = []protocol.Kind{protocol.Group, protocol.WholeJob}
+				kinds = []protocol.Kind{protocol.Group}
 				mode = modes[rng.Intn(len(modes)-1)+1]
 			}
 			kind := kinds[rng.Intn(len(kinds))]

@@ -81,7 +81,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestWholeJobPathGolden pins the group=0 and group=n configurations — the
-// runs that the explicit whole-job protocol now serves — byte-for-byte
+// group protocol with one group covering the job — byte-for-byte
 // against traces and cycle reports captured before coordination policy moved
 // into package cr/protocol. Any drift in event wording, ordering, timing, or
 // per-rank records is a regression. Regenerate deliberately with

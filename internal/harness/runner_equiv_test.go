@@ -12,9 +12,10 @@ import (
 	"gbcr/internal/workload"
 )
 
-// equivCells is the equivalence matrix: all three protocols, two group
-// sizes, repeated issuance times (exercising baseline dedup), and the
-// tiered-storage hierarchy. Eight cells so width 8 puts one cell per worker.
+// equivCells is the equivalence matrix: both protocols, the group one at
+// sizes 2, 4 and 0 (one group, the whole job), repeated issuance times
+// (exercising baseline dedup), and the tiered-storage hierarchy. Eight cells
+// so width 8 puts one cell per worker.
 func equivCells() []Cell {
 	const n = 4
 	w := workload.CommGroups{N: n, CommGroupSize: 2, Iters: 60,
@@ -25,8 +26,6 @@ func equivCells() []Cell {
 		cfg.CR.DefaultFootprint = 20 << 20
 		return cfg
 	}
-	wholejob := group(0)
-	wholejob.CR.Protocol = protocol.WholeJob
 	uncoord := group(0)
 	uncoord.CR.Protocol = protocol.Uncoordinated
 	uncoord.MPI.LogMessages = true
@@ -37,8 +36,8 @@ func equivCells() []Cell {
 		{Config: group(2), Workload: w, IssuedAt: 1 * sim.Second},
 		{Config: group(2), Workload: w, IssuedAt: 2 * sim.Second},
 		{Config: group(4), Workload: w, IssuedAt: 1 * sim.Second},
-		{Config: wholejob, Workload: w, IssuedAt: 1 * sim.Second},
-		{Config: wholejob, Workload: w, IssuedAt: 2 * sim.Second},
+		{Config: group(0), Workload: w, IssuedAt: 1 * sim.Second},
+		{Config: group(0), Workload: w, IssuedAt: 2 * sim.Second},
 		{Config: uncoord, Workload: w, IssuedAt: 1 * sim.Second},
 		{Config: tiered, Workload: w, IssuedAt: 1 * sim.Second},
 		{Config: tiered, Workload: w, IssuedAt: 2 * sim.Second},

@@ -15,14 +15,55 @@ func put(t testing.TB, st *Store, s *Snapshot) {
 	}
 }
 
+// Verify catches a flipped bit at every offset of either blob or of any
+// header number, and a byte moved from one blob to the other.
 func TestSnapshotVerify(t *testing.T) {
-	s := New(3, 1, 5*sim.Second, 100<<20, []byte("app"), []byte("lib"))
+	app, lib := []byte("application state"), []byte("library state")
+	s := New(3, 2, 5*sim.Second, 100<<20, app, lib)
+	for _, blob := range [][]byte{app, lib} {
+		for i := range blob {
+			for bit := 0; bit < 8; bit++ {
+				blob[i] ^= 1 << bit
+				if s.Verify() == nil {
+					t.Fatalf("a flip of bit %d at byte %d of %q passed Verify", bit, i, blob)
+				}
+				blob[i] ^= 1 << bit
+			}
+		}
+	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	s.AppState[0] ^= 0xFF
-	if err := s.Verify(); err == nil {
-		t.Fatal("corruption not detected")
+	for bit := 0; bit < 64; bit++ {
+		for _, change := range []struct {
+			field string
+			do    func(c *Snapshot)
+		}{
+			{"Rank", func(c *Snapshot) { c.Rank ^= 1 << bit }},
+			{"Epoch", func(c *Snapshot) { c.Epoch ^= 1 << bit }},
+			{"Footprint", func(c *Snapshot) { c.Footprint ^= 1 << bit }},
+		} {
+			c := *s
+			change.do(&c)
+			if c.Verify() == nil {
+				t.Errorf("a flip of bit %d of %s passed Verify", bit, change.field)
+			}
+		}
+	}
+	c := *s // one byte moved from the end of one blob to the start of the other
+	c.AppState, c.LibState = app[:len(app)-1], append([]byte{app[len(app)-1]}, lib...)
+	if c.Verify() == nil {
+		t.Error("a byte moved across the blobs' boundary passed Verify")
+	}
+}
+
+var sinkSnapshot *Snapshot
+
+// New allocates the Snapshot and nothing else: the checksum formats nothing.
+func TestNewAllocatesOnlyTheSnapshot(t *testing.T) {
+	app, lib := make([]byte, 4096), make([]byte, 100)
+	if n := testing.AllocsPerRun(100, func() { sinkSnapshot = New(1, 2, 3, 4, app, lib) }); n != 1 {
+		t.Errorf("New makes %v allocations, want 1", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -167,5 +168,74 @@ func TestCodecRejectsDamagedImages(t *testing.T) {
 		if err := testCodec.Decode(img, &got); err != nil || !reflect.DeepEqual(got, st) {
 			t.Errorf("after the %s image: Decode = %+v, %v; want %+v", bad.name, got, err, st)
 		}
+	}
+}
+
+// wireState is a struct whose layout TestWireMatchesAppend walks by hand.
+type wireState struct {
+	Entries []codecEntry
+	Sum     int64
+}
+
+var wireCodec Codec[wireState]
+
+// write walks st on w as gob lays out a wireState, with each entry's Data
+// followed by pad zero bytes.
+func (st *wireState) write(w *Wire, pad int64) {
+	f := w.Struct()
+	if f.Slice(0, len(st.Entries)) {
+		for _, e := range st.Entries {
+			w.Entry(e.Data, pad, int64(e.Peer), e.Seq)
+		}
+	}
+	f.Int(1, st.Sum)
+	f.End()
+}
+
+// A Wire walk writes what Append writes for the value it walks — integers at
+// every varint length and sign, omitted zero fields, empty slices, padding —
+// and an image the walk fills short of its count is an error.
+func TestWireMatchesAppend(t *testing.T) {
+	edges := []int64{0, 1, -1, 63, 64, -64, -65, 127, 128, -129, 1 << 20, -1 << 40, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		st := wireState{Sum: edges[rng.Intn(len(edges))]}
+		pad := int64(rng.Intn(3) * rng.Intn(200))
+		want := wireState{Sum: st.Sum}
+		for n := rng.Intn(4); n > 0; n-- {
+			e := codecEntry{Peer: int(edges[rng.Intn(len(edges))]), Seq: edges[rng.Intn(len(edges))]}
+			switch rng.Intn(3) {
+			case 0:
+				e.Data = []byte{}
+			case 1:
+				e.Data = make([]byte, rng.Intn(300))
+				rng.Read(e.Data)
+			}
+			st.Entries = append(st.Entries, e)
+			e.Data = append(bytes.Clone(e.Data), make([]byte, pad)...)
+			want.Entries = append(want.Entries, e)
+		}
+		img, err := wireCodec.Append([]byte("magic"), &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body Wire
+		st.write(&body, pad)
+		w := wireCodec.Writer("magic", &body)
+		st.write(&w, pad)
+		got, err := w.Image()
+		if err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("%+v padded by %d: Wire wrote % x, %v; Append % x", st, pad, got, err, img)
+		}
+	}
+
+	st := wireState{Sum: 5}
+	var body Wire
+	st.write(&body, 0)
+	body.n++ // a count one byte past what the walk writes
+	w := wireCodec.Writer("", &body)
+	st.write(&w, 0)
+	if img, err := w.Image(); err == nil || img != nil {
+		t.Errorf("a walk one byte short: Image = % x, %v; want an error", img, err)
 	}
 }

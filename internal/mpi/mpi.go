@@ -95,7 +95,7 @@ type Job struct {
 	ranks  []*Rank
 
 	pktFree freeList[wirePkt] // see newPkt, onMessage
-	stage   *libStaging       // see staging; nil until a rank's library state is captured or restored
+	stage   *libStateV2       // see staging; nil until a rank's library state is restored from a v2 image
 }
 
 // SetObs attaches an observability bus (nil detaches). Protocol decisions —

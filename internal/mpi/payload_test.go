@@ -371,12 +371,10 @@ func TestSendrecvWordLengthMismatchFailsRun(t *testing.T) {
 	}
 }
 
-// Capture builds every data-less payload's bytes in one arena, so what it
-// allocates does not grow with the number of logged words: under uncoord the
-// whole log is re-serialised at every capture. The codec's encoder keeps its
-// buffer from one capture to the next and the image is allocated at its
-// final size, so 1,000 entries cost no more allocations than 10; a buffer an
-// entry would be 990 more.
+// Capture writes every data-less payload's bytes straight into the image, so
+// what it allocates does not grow with the number of logged words: under
+// uncoord the whole log is re-serialised at every capture. 1,000 entries
+// cost no more allocations than 10; a buffer an entry would be 990 more.
 func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, j := newJobWith(t, 2, loggedConfig())
@@ -466,24 +464,38 @@ func libFixture(t testing.TB, cfg Config) *Rank {
 	return r
 }
 
-// A capture allocates the image, and in v1 the v1 struct it converts the
-// staged mirror to; a v1 restore allocates what it rebuilds, and a v2 one on
-// a warm staging what it rebuilds and one arena for all the restored bytes.
-// The library state's gob types are not sent or compiled again per image.
+// A capture allocates the image and nothing else, in either format; a v1
+// restore allocates what it rebuilds, and a v2 one on a warm staging what it
+// rebuilds and one arena for all the restored bytes. The library state's gob
+// types are not sent or compiled again per image. A capture of 1,000 logged
+// words is 15,337 bytes, as a gob encoder wrote it.
 func TestLibStateCodecAllocs(t *testing.T) {
+	_, words := newJobWith(t, 2, loggedConfig())
+	pr := words.Rank(1).peer(0)
+	pr.sendSeq = 1000
+	for i := 1; i <= 1000; i++ {
+		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+	}
 	for _, tc := range []struct {
-		logged bool
-		max    float64
-	}{{false, 2}, {true, 1}} {
-		cfg := DefaultConfig()
-		cfg.LogMessages = tc.logged
-		r := libFixture(t, cfg)
+		name string
+		r    *Rank
+		len  int // of the image; 0 for any
+	}{
+		{"v1", libFixture(t, DefaultConfig()), 0},
+		{"v2", libFixture(t, loggedConfig()), 0},
+		{"1,000 logged words", words.Rank(1), 15337},
+	} {
+		var img []byte
 		if n := testing.AllocsPerRun(20, func() {
-			if _, err := r.CaptureLibState(); err != nil {
+			var err error
+			if img, err = tc.r.CaptureLibState(); err != nil {
 				t.Fatal(err)
 			}
-		}); n > tc.max {
-			t.Errorf("logged=%v: CaptureLibState makes %v allocations, want at most %v", tc.logged, n, tc.max)
+		}); n != 1 {
+			t.Errorf("%s: CaptureLibState makes %v allocations, want 1", tc.name, n)
+		}
+		if tc.len != 0 && len(img) != tc.len {
+			t.Errorf("%s: the image is %d bytes, want %d", tc.name, len(img), tc.len)
 		}
 	}
 
@@ -506,19 +518,14 @@ func TestLibStateCodecAllocs(t *testing.T) {
 		t.Errorf("a v1 RestoreLibState makes %v allocations, want at most 10", n)
 	}
 
-	// A v2 image of 1,000 logged words, each written as 8 bytes of content,
-	// restored on fresh ranks of one job: a []byte decoded per entry was
-	// three allocations an entry.
-	_, j := newJobWith(t, 2, loggedConfig())
-	pr := j.Rank(0).peer(1)
-	for i := 1; i <= 1000; i++ {
-		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
-	}
-	if img, err = j.Rank(0).CaptureLibState(); err != nil {
+	// The image of 1,000 logged words toward rank 0, each written as 8
+	// bytes of content, restored on fresh ranks 1, 2, … of one job: a
+	// []byte decoded per entry was three allocations an entry.
+	if img, err = words.Rank(1).CaptureLibState(); err != nil {
 		t.Fatal(err)
 	}
-	_, j = newJobWith(t, runs+1, loggedConfig())
-	next := 0
+	_, j := newJobWith(t, runs+2, loggedConfig())
+	next := 1
 	if n := testing.AllocsPerRun(runs, func() {
 		if err := j.Rank(next).RestoreLibState(img); err != nil {
 			t.Fatal(err)
@@ -591,9 +598,9 @@ func TestStagedRestoreMatchesFresh(t *testing.T) {
 	}
 	other := libStateV2{
 		Unexpected: []savedMsg{{Comm: 9, SrcWorld: 3, Data: fill(16, 'w')}},
-		Outbox:     []savedOutV2{{Dst: 2, Comm: 9, Tag: 1, Seq: 2, Data: fill(30, 'p')}},
+		Outbox:     []savedOutV2{{Dst: 0, Comm: 9, Tag: 1, Seq: 2, Data: fill(30, 'p')}},
 		SendSeq:    []seqEntry{{Peer: 3, Seq: 2}},
-		Log:        []savedLog{{Dst: 2, Comm: 9, Seq: 1, Data: fill(12, 'x')}, {Dst: 3, Tag: 2, Seq: 2, Data: fill(5, 'y')}},
+		Log:        []savedLog{{Dst: 0, Comm: 9, Seq: 1, Data: fill(12, 'x')}, {Dst: 3, Tag: 2, Seq: 2, Data: fill(5, 'y')}},
 	}
 	empty := libStateV2{
 		Unexpected: []savedMsg{{}, {Tag: 1}},
@@ -684,7 +691,7 @@ func TestRestoreLibStateErrorNamesRank(t *testing.T) {
 			if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 2: library state: ") {
 				t.Errorf("logged=%v, %s image: RestoreLibState = %v, want an error naming rank 2", logged, bad.name, err)
 			}
-			r := j.Rank(3)
+			r := j.Rank(0)
 			if err := r.RestoreLibState(good); err != nil {
 				t.Fatalf("logged=%v: a good image after the %s one: %v", logged, bad.name, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"gbcr/internal/blcr"
 )
@@ -37,8 +36,10 @@ func (r *Rank) Traffic() map[int]int64 {
 // checkpointed execution left off.
 func (c *Comm) AdvanceCollSeq(n int) { c.collSeq = n }
 
-// Serializable mirrors of internal queue entries (gob requires exported
-// fields).
+// The images' schema: these mirrors of the queue entries give gob its type
+// descriptors and RestoreLibState its decode targets, and writeLibState
+// writes their fields by number. Their shape is fixed: a new field would put
+// its name in every image's descriptors.
 type savedMsg struct {
 	Comm     int64
 	SrcComm  int
@@ -79,25 +80,21 @@ type logEntry struct {
 	payload
 }
 
-// captured returns the bytes a snapshot records for p: its content, or for a
-// data-less payload its bytes by the payload rule — the word's 8 bytes, then
-// zeros to its length — carved from the front of *arena, the zeroed buffer
-// one capture builds all of them in. The gob structs keep their v1/v2 shape
-// (a new field would put its name in every snapshot's type descriptor), and
-// their length is part of the timing model: Snapshot.Size() adds
-// len(LibState) to the storage write. A data-less message therefore costs
-// the same image bytes as the content it stands for, and RestoreLibState
-// brings it back as that content.
-func (p payload) captured(arena *[]byte) []byte {
+// entry writes one queue entry of an image as a struct: ints as its fields
+// 0, 1, …, then p — its content, or for a data-less payload the word's 8
+// bytes and zeros to its length. An image's length is part of the timing
+// model (Snapshot.Size adds len(LibState) to the storage write), so a
+// data-less message costs the bytes of the content it stands for, and
+// RestoreLibState brings it back as that content.
+func entry(w *blcr.Wire, p payload, ints ...int64) {
 	if p.data != nil {
-		return p.data
+		w.Entry(p.data, 0, ints...)
+		return
 	}
-	b := (*arena)[:p.size:p.size]
-	*arena = (*arena)[p.size:]
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], p.word)
-	copy(b, w[:])
-	return b
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], p.word)
+	n := min(p.size, 8)
+	w.Entry(b[:n], p.size-n, ints...)
 }
 
 // kept returns restored bytes d as the rank keeps them: nil when empty, as a
@@ -112,14 +109,6 @@ func kept(arena *[]byte, d []byte) []byte {
 	b := (*arena)[:len(d):len(d)]
 	*arena = (*arena)[copy(b, d):]
 	return b
-}
-
-// arenaLen is how many bytes captured carves from the arena for p.
-func (p payload) arenaLen() int64 {
-	if p.data != nil {
-		return 0
-	}
-	return p.size
 }
 
 // seqEntry serializes one peer's sequence counter.
@@ -164,17 +153,13 @@ var (
 	libStateV2Codec blcr.Codec[libStateV2]
 )
 
-// libStaging is the gob mirror and the data-less payloads' arena that every
-// capture and v2 restore of a job's ranks reuse. Gob writes no capacity.
-type libStaging struct {
-	st    libStateV2
-	arena []byte
-}
-
-// staging returns the job's staging, made at first use: timing-only jobs have none.
-func (j *Job) staging() *libStaging {
+// staging returns the gob mirror every v2 restore of the job's ranks decodes
+// into, made at first use: timing-only jobs have none. Gob writes no
+// capacity, so it keeps its slices and entries' buffers from one restore to
+// the next.
+func (j *Job) staging() *libStateV2 {
 	if j.stage == nil {
-		j.stage = new(libStaging)
+		j.stage = new(libStateV2)
 	}
 	return j.stage
 }
@@ -205,8 +190,8 @@ func (st *libStateV2) reset() {
 // where that field is non-zero. It must be called at a quiesced boundary: no
 // posted receives, no pending rendezvous transfers, and only eager traffic in
 // the queues — the discipline functional-restart workloads follow
-// (timing-only runs never call it). A data-less message is written as the
-// bytes the payload rule gives it (see payload.captured).
+// (timing-only runs never call it). The image is what gob writes for the
+// format's mirror struct, counted and then filled by writeLibState.
 func (r *Rank) CaptureLibState() ([]byte, error) {
 	if len(r.posted) > 0 {
 		return nil, fmt.Errorf("mpi: rank %d has %d posted receives at capture", r.world, len(r.posted))
@@ -216,79 +201,88 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 			return nil, fmt.Errorf("mpi: rank %d has pending rendezvous at capture", r.world)
 		}
 	}
-	logging := r.job.cfg.LogMessages
-	var zeros int64
 	for _, m := range r.unexpected {
 		if !m.eager {
 			return nil, fmt.Errorf("mpi: rank %d has an unexpected rendezvous at capture", r.world)
 		}
-		zeros += m.arenaLen()
 	}
-	logged := 0
+	var n [4]int // Outbox, SendSeq, RecvSeq and Log entries
 	for i := range r.peers {
 		pr := &r.peers[i]
 		for _, it := range pr.outbox {
 			if it.pkt.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
-			zeros += it.pkt.arenaLen()
 		}
-		for _, c := range pr.log.chunks { // empty unless logging
-			logged += len(c)
-			for _, le := range c {
-				zeros += le.arenaLen()
-			}
-		}
-	}
-	s := r.job.staging()
-	s.arena = slices.Grow(s.arena[:0], int(zeros))[:zeros]
-	arena, st := s.arena, &s.st
-	clear(arena)
-	st.Unexpected, st.CommIndex = slices.Grow(st.Unexpected[:0], len(r.unexpected)), r.commIndex
-	for _, m := range r.unexpected {
-		st.Unexpected = append(st.Unexpected, savedMsg{
-			Comm: m.comm, SrcComm: int(m.srcComm), SrcWorld: int(m.srcWorld), Tag: m.tag, Data: m.captured(&arena),
-		})
-	}
-	st.Outbox, st.SendSeq, st.RecvSeq, st.Log = st.Outbox[:0], st.SendSeq[:0], st.RecvSeq[:0], slices.Grow(st.Log[:0], logged)
-	// Peers in ascending order make the gob bytes, and the replay order of
-	// restored sends, depend on whom the rank talked to and not on when it
-	// first did.
-	for i := range r.peers {
-		pr := &r.peers[i]
-		for _, it := range pr.outbox {
-			we := it.pkt
-			st.Outbox = append(st.Outbox, savedOutV2{
-				Dst: pr.world, Comm: we.comm, SrcComm: we.srcComm, Tag: we.tag, Seq: we.seq, Data: we.captured(&arena),
-			})
-		}
-		if !logging {
-			continue
-		}
-		if pr.sendSeq != 0 {
-			st.SendSeq = append(st.SendSeq, seqEntry{Peer: pr.world, Seq: pr.sendSeq})
-		}
-		if pr.recvSeq != 0 {
-			st.RecvSeq = append(st.RecvSeq, seqEntry{Peer: pr.world, Seq: pr.recvSeq})
-		}
+		n[0], n[1], n[2] = n[0]+len(pr.outbox), n[1]+b2i(pr.sendSeq != 0), n[2]+b2i(pr.recvSeq != 0)
 		for _, c := range pr.log.chunks {
-			for _, le := range c {
-				st.Log = append(st.Log, savedLog{
-					Dst: pr.world, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: le.captured(&arena),
-				})
+			n[3] += len(c)
+		}
+	}
+	logging := r.job.cfg.LogMessages
+	var body blcr.Wire
+	r.writeLibState(&body, logging, n)
+	var w blcr.Wire
+	if logging {
+		w = libStateV2Codec.Writer(libStateV2Magic, &body)
+	} else {
+		w = libStateCodec.Writer("", &body) // gob names the types in its stream: v1 bytes need the v1 types
+	}
+	r.writeLibState(&w, logging, n)
+	return w.Image()
+}
+
+// writeLibState writes the body of the library state's image to w: the
+// libStateV2 struct when logging, else the libState one, n the lengths of
+// its lists. Peers in ascending order make the bytes, and the replay order
+// of restored sends, depend on whom the rank talked to and not on when it
+// first did.
+func (r *Rank) writeLibState(w *blcr.Wire, logging bool, n [4]int) {
+	st := w.Struct()
+	if st.Slice(0, len(r.unexpected)) { // Unexpected []savedMsg
+		for _, m := range r.unexpected {
+			entry(w, m.payload, m.comm, int64(m.srcComm), int64(m.srcWorld), int64(m.tag))
+		}
+	}
+	if st.Slice(1, n[0]) { // Outbox []savedOutV2, or []savedOut: no Seq
+		for i := range r.peers {
+			for _, it := range r.peers[i].outbox {
+				p := it.pkt
+				ints := [...]int64{int64(r.peers[i].world), p.comm, int64(p.srcComm), int64(p.tag), p.seq}
+				entry(w, p.payload, ints[:4+b2i(logging)]...)
 			}
 		}
 	}
-	defer func() { clear(st.Unexpected); clear(st.Outbox); clear(st.Log) }() // the staging pins no payload, and no decode writes into one
+	st.Int(2, int64(r.commIndex))
 	if logging {
-		return libStateV2Codec.Append([]byte(libStateV2Magic), st)
+		for fi := 1; fi <= 2; fi++ { // SendSeq, then RecvSeq []seqEntry
+			if st.Slice(2+fi, n[fi]) {
+				for i := range r.peers {
+					if seq := [...]int64{0, r.peers[i].sendSeq, r.peers[i].recvSeq}[fi]; seq != 0 {
+						entry(w, payload{}, int64(r.peers[i].world), seq)
+					}
+				}
+			}
+		}
+		if st.Slice(5, n[3]) { // Log []savedLog
+			for i := range r.peers {
+				for _, c := range r.peers[i].log.chunks {
+					for _, le := range c {
+						entry(w, le.payload, int64(r.peers[i].world), le.comm, int64(le.srcComm), int64(le.tag), le.seq)
+					}
+				}
+			}
+		}
 	}
-	// Gob names the types in its stream: v1 bytes need the v1 types.
-	v1 := libState{Unexpected: st.Unexpected, Outbox: make([]savedOut, len(st.Outbox)), CommIndex: st.CommIndex}
-	for i, o := range st.Outbox {
-		v1.Outbox[i] = savedOut{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
+	st.End()
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return libStateCodec.Append(nil, &v1)
+	return 0
 }
 
 // RestoreLibState reconstructs the state CaptureLibState recorded on a fresh
@@ -307,10 +301,10 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	var arena *[]byte // nil when st's bytes are the rank's own: a v1 image's
 	var err error
 	if body, ok := bytes.CutPrefix(data, []byte(libStateV2Magic)); ok {
-		s := r.job.staging()
-		s.st.reset()
+		st = r.job.staging()
+		st.reset()
 		a := make([]byte, len(body)) // the image's bytes bound the restored ones
-		st, arena, err = &s.st, &a, libStateV2Codec.Decode(body, &s.st)
+		arena, err = &a, libStateV2Codec.Decode(body, st)
 	} else {
 		var v1 libState
 		err = libStateCodec.Decode(data, &v1)
@@ -319,6 +313,11 @@ func (r *Rank) RestoreLibState(data []byte) error {
 			st.Outbox[i] = savedOutV2{Dst: o.Dst, Comm: o.Comm, SrcComm: o.SrcComm, Tag: o.Tag, Data: o.Data}
 		}
 	}
+	err = peerErr(r, err, "Unexpected", st.Unexpected, "SrcWorld", func(m savedMsg) int { return m.SrcWorld })
+	err = peerErr(r, err, "Outbox", st.Outbox, "Dst", func(o savedOutV2) int { return o.Dst })
+	err = peerErr(r, err, "SendSeq", st.SendSeq, "Peer", func(se seqEntry) int { return se.Peer })
+	err = peerErr(r, err, "RecvSeq", st.RecvSeq, "Peer", func(se seqEntry) int { return se.Peer })
+	err = peerErr(r, err, "Log", st.Log, "Dst", func(le savedLog) int { return le.Dst })
 	if err != nil {
 		return fmt.Errorf("mpi: rank %d: library state: %w", r.world, err)
 	}
@@ -346,6 +345,18 @@ func (r *Rank) RestoreLibState(data []byte) error {
 		r.post(r.peer(o.Dst), outItem{kind: outEager, size: eagerHdrSize + pkt.size, pkt: pkt})
 	}
 	return nil
+}
+
+// peerErr returns err, or if that is nil the error of the first of an
+// image's entries whose field names a rank that is not a peer of r: one
+// outside the job, or r itself.
+func peerErr[E any](r *Rank, err error, list string, entries []E, field string, world func(E) int) error {
+	for i := 0; i < len(entries) && err == nil; i++ {
+		if w, n := world(entries[i]), len(r.job.ranks); w == r.world || uint(w) >= uint(n) {
+			err = fmt.Errorf("%s[%d].%s names rank %d, not a peer of rank %d in the %d-rank job", list, i, field, w, r.world, n)
+		}
+	}
+	return err
 }
 
 // ReplayLogs completes an uncoordinated restart: after every rank's library

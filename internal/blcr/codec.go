@@ -180,6 +180,14 @@ func putByte(buf []byte, n int, x byte) int {
 	return n + 1
 }
 
+// put writes b, or on a counting Wire counts it.
+func (w *Wire) put(b []byte) {
+	if w.n+len(b) <= len(w.buf) {
+		copy(w.buf[w.n:], b)
+	}
+	w.n += len(b)
+}
+
 // zigzag is x as gob sends a signed integer: the sign in the low bit.
 func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
@@ -187,24 +195,28 @@ func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 // so that every field delta is one byte — then a []byte holding b and zeros
 // zero bytes, which the image already holds. Gob omits a zero field, opens
 // each other one with its number's delta from the previous field's, and
-// ends the struct with a 0. Its state is in locals, so a queue entry costs
-// the walk one call.
+// ends the struct with a 0.
 func (w *Wire) Entry(b []byte, zeros int64, ints ...int64) {
-	buf, n, last := w.buf, w.n, -1
+	w.n = head(w.buf, w.n, int64(len(b))+zeros, ints)
+	w.put(b)
+	w.n = putByte(w.buf, w.n+int(zeros), 0)
+}
+
+// head writes an Entry up to its []byte's bytes — the non-zero ints, then
+// the []byte's length unless size is 0 — at buf[n:], and returns the index
+// after it.
+func head(buf []byte, n int, size int64, ints []int64) int {
+	last := -1
 	for i, x := range ints {
 		if x != 0 {
 			n = putUint(buf, putByte(buf, n, byte(i-last)), zigzag(x))
 			last = i
 		}
 	}
-	if size := int64(len(b)) + zeros; size != 0 {
+	if size != 0 {
 		n = putUint(buf, putByte(buf, n, byte(len(ints)-last)), uint64(size))
-		if n+len(b) <= len(buf) {
-			copy(buf[n:], b)
-		}
-		n += int(size)
 	}
-	w.n = putByte(buf, n, 0)
+	return n
 }
 
 // Struct starts a struct written field by field, such as an image's top

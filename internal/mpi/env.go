@@ -226,7 +226,7 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		// in the sender's snapshot and is replayed to receivers restored
 		// from an earlier epoch.
 		r.stats.BytesLogged += p.size
-		pr.log.push(logEntry{comm: c.id, srcComm: int32(c.myRank), tag: int32(tag), seq: seq, payload: p.clone()})
+		pr.logged(p, c.id, c.myRank, tag, seq)
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
 		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}

@@ -73,10 +73,11 @@ func (s *imageSource) int64() int64 {
 	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
-// payload is nil, empty, up to 63 bytes of content, or a data-less message of
-// 0 to 200 bytes, returned with the bytes an image records for it.
+// payload is nil, empty, up to 63 bytes of content, a word, or a data-less
+// message of 0 to 200 bytes — past 8, a zero run in a sender log — returned
+// with the bytes an image records for it.
 func (s *imageSource) payload() (payload, []byte) {
-	switch s.byte() % 4 {
+	switch s.byte() % 5 {
 	case 0:
 		return content(nil), nil
 	case 1:
@@ -88,7 +89,10 @@ func (s *imageSource) payload() (payload, []byte) {
 		}
 		return content(d), d
 	}
-	p := payload{size: int64(s.byte()) % 201, word: uint64(s.int64())}
+	p := payload{size: 8, word: uint64(s.int64())}
+	if s.byte()%2 == 0 {
+		p.size = int64(s.byte()) % 201
+	}
 	d := make([]byte, max(p.size, 8))
 	binary.LittleEndian.PutUint64(d, p.word)
 	return p, d[:p.size]
@@ -96,8 +100,8 @@ func (s *imageSource) payload() (payload, []byte) {
 
 // fill gives rank 0 of a 4-rank job the state s draws — unexpected
 // messages, and toward 1–3 peers deferred sends, sequence counters and
-// logged messages — and returns the gob mirror of that state, built
-// independently of CaptureLibState.
+// messages logged as isendInternal logs them — and returns the gob mirror of
+// that state, built independently of CaptureLibState.
 func (s *imageSource) fill(r *Rank) libStateV2 {
 	st := libStateV2{CommIndex: int(s.int64())}
 	r.commIndex = st.CommIndex
@@ -128,11 +132,11 @@ func (s *imageSource) fill(r *Rank) libStateV2 {
 			st.RecvSeq = append(st.RecvSeq, seqEntry{Peer: p, Seq: pr.recvSeq})
 		}
 		for i := s.byte() % 12; i > 0; i-- {
-			le := logEntry{comm: s.int64(), srcComm: int32(s.int64()), tag: int32(s.int64()), seq: s.int64()}
-			var d []byte
-			le.payload, d = s.payload()
-			pr.log.push(le)
-			st.Log = append(st.Log, savedLog{Dst: p, Comm: le.comm, SrcComm: int(le.srcComm), Tag: int(le.tag), Seq: le.seq, Data: d})
+			le := savedLog{Dst: p, Comm: s.int64(), SrcComm: int(s.int64()), Tag: int(s.int64()), Seq: s.int64()}
+			var m payload
+			m, le.Data = s.payload()
+			pr.logged(m, le.Comm, le.SrcComm, le.Tag, le.Seq)
+			st.Log = append(st.Log, le)
 		}
 	}
 	return st
@@ -140,8 +144,11 @@ func (s *imageSource) fill(r *Rank) libStateV2 {
 
 // CaptureLibState writes gob's bytes without gob: for any library state, in
 // either format, its image is what the format's codec writes for the mirror
-// struct, and a restore on a fresh rank re-captures to the same bytes. The
-// seed corpus is in testdata/fuzz/FuzzLibStateImage.
+// struct, and a restore on a fresh rank re-captures to the same bytes. A
+// replay after that restore delivers to each receiver, whose counter is 0,
+// the logged messages whose seq exceeds every one before them toward it —
+// all of them, as a sender stamps them — in order, as the image holds them.
+// The seed corpus is in testdata/fuzz/FuzzLibStateImage.
 func FuzzLibStateImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, logged := range []bool{false, true} {
@@ -186,6 +193,44 @@ func FuzzLibStateImage(f *testing.F) {
 			if !bytes.Equal(again, img) {
 				t.Fatalf("logged=%v: capture → restore → capture wrote\n% x\nafter\n% x", logged, again, img)
 			}
+			checkReplay(t, fresh, st.Log)
+			if again, err = r.CaptureLibState(); err != nil || !bytes.Equal(again, img) {
+				t.Fatalf("logged=%v: a capture after the replayed bytes were overwritten wrote\n% x, %v\nbefore\n% x", logged, again, err, img)
+			}
 		}
 	})
+}
+
+// checkReplay replays the logs of the 4-rank job j, whose rank 0 has
+// restored log and whose other ranks are fresh, checks what each receiver
+// got, and then overwrites those bytes: a receiver owns what it got.
+func checkReplay(t *testing.T, j *Job, log []savedLog) {
+	t.Helper()
+	var want [4][]savedLog
+	var seq [4]int64
+	for _, le := range log {
+		if le.Seq > seq[le.Dst] {
+			seq[le.Dst] = le.Seq
+			want[le.Dst] = append(want[le.Dst], le)
+		}
+	}
+	if n, total := j.ReplayLogs(), len(want[1])+len(want[2])+len(want[3]); n != total {
+		t.Fatalf("ReplayLogs injected %d messages, want %d", n, total)
+	}
+	for d := 1; d < 4; d++ {
+		r := j.Rank(d)
+		if len(r.unexpected) != len(want[d]) || r.peer(0).recvSeq != seq[d] {
+			t.Fatalf("rank %d: replayed %d messages up to seq %d, want %d up to %d", d, len(r.unexpected), r.peer(0).recvSeq, len(want[d]), seq[d])
+		}
+		for i, m := range r.unexpected {
+			le := want[d][i]
+			if m.comm != le.Comm || m.srcComm != int32(le.SrcComm) || m.srcWorld != 0 || m.tag != le.Tag || !m.eager ||
+				m.size != int64(len(le.Data)) || !bytes.Equal(m.data, le.Data) || (m.data == nil) != (len(le.Data) == 0) {
+				t.Fatalf("rank %d: replayed message %d is %+v, want %+v from rank 0", d, i, m, le)
+			}
+			for b := range m.data {
+				m.data[b] ^= 0xff
+			}
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strconv"
 
+	"gbcr/internal/blcr"
 	"gbcr/internal/ib"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
@@ -274,25 +275,19 @@ type peer struct {
 	sendSeq int64     // last sequence number sent to it
 	recvSeq int64     // highest sequence number incorporated from it
 	outbox  []outItem // packets deferred toward it, oldest first
-	log     sendLog   // sender-based message log of what was sent to it
+	log     *blcr.Log // sender-based message log of what was sent to it; nil until a logged send
 }
 
-// sendLog is a peer's sender log, oldest entry first, in chunks of 8, 16, …
-// up to 1,024 entries: no entry is copied as it grows, and truncation can
-// drop whole chunks. A count field would take peer past 80 B, in every job.
-type sendLog struct{ chunks [][]logEntry }
-
-// push appends e to the log.
-func (l *sendLog) push(e logEntry) {
-	c := 4 // so that the first chunk holds 8
-	if n := len(l.chunks); n > 0 {
-		last := &l.chunks[n-1]
-		if c = cap(*last); len(*last) < c {
-			*last = append(*last, e)
-			return
-		}
+// logged appends a message sent to pr to its sender log, as the Log entry of
+// an image carries it: its bytes are encoded once, and every capture copies
+// them.
+func (pr *peer) logged(p payload, comm int64, srcComm, tag int, seq int64) {
+	if pr.log == nil {
+		pr.log = new(blcr.Log)
 	}
-	l.chunks = append(l.chunks, append(make([]logEntry, 0, min(2*c, 1024)), e))
+	var b [8]byte
+	d, zeros := p.imaged(&b)
+	pr.log.Entry(d, zeros, int64(pr.world), comm, int64(srcComm), int64(tag), seq)
 }
 
 // findPeer returns the index of world's record in r.peers, or, when there is

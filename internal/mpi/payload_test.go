@@ -194,9 +194,9 @@ func captureQueued(t *testing.T, cfg Config, mk func(n int64) payload, n int64) 
 		if cfg.LogMessages {
 			wantLog = 1
 		}
-		if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.len() != wantLog {
+		if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.Len() != wantLog {
 			t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d, want 1, 1, %d",
-				len(r.unexpected), outboxLen(r, 1), r.peer(1).log.len(), wantLog)
+				len(r.unexpected), outboxLen(r, 1), r.peer(1).log.Len(), wantLog)
 		}
 		var err error
 		if state, err = r.CaptureLibState(); err != nil {
@@ -257,7 +257,7 @@ func TestCaptureSizeOnlyAsZeros(t *testing.T) {
 				restored = append(restored, struct {
 					where string
 					payload
-				}{"log", r.peer(1).log.chunks[0][0].payload})
+				}{"log", logOf(r.peer(1))[0].payload})
 			}
 			for _, q := range restored {
 				if q.size != n || !bytes.Equal(q.data, make([]byte, n)) {
@@ -371,18 +371,17 @@ func TestSendrecvWordLengthMismatchFailsRun(t *testing.T) {
 	}
 }
 
-// Capture writes every data-less payload's bytes straight into the image, so
-// what it allocates does not grow with the number of logged words: under
-// uncoord the whole log is re-serialised at every capture. 1,000 entries
-// cost no more allocations than 10; a buffer an entry would be 990 more.
+// Capture writes every data-less payload's bytes straight into the image,
+// and copies the log, which holds them in image form, so what it allocates
+// does not grow with the number of logged words: under uncoord the whole log
+// is copied at every capture. 1,000 entries cost no more allocations than
+// 10; a buffer an entry would be 990 more.
 func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 	allocs := func(n int) float64 {
 		_, j := newJobWith(t, 2, loggedConfig())
 		r := j.Rank(0)
 		pr := r.peer(1)
-		for i := 1; i <= n; i++ {
-			pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
-		}
+		logWords(pr, n)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := r.CaptureLibState(); err != nil {
 				t.Fatal(err)
@@ -394,52 +393,63 @@ func TestCaptureAllocsIndependentOfDatalessEntries(t *testing.T) {
 	}
 }
 
-// len returns the number of entries in the log.
-func (l *sendLog) len() int {
-	n := 0
-	for _, c := range l.chunks {
-		n += len(c)
+// logWords logs n words toward pr as isendInternal does, word i with
+// sequence number i.
+func logWords(pr *peer, n int) {
+	for i := 1; i <= n; i++ {
+		pr.logged(payload{size: 8, word: uint64(i)}, 0, 0, 0, int64(i))
 	}
-	return n
 }
 
-// The sender log grows in chunks and never copies an entry: 10,000 pushes
-// are 16 chunks and the few growths of the chunk list. ReplayLogs walks a
-// log across its chunk boundaries in sequence order, from the first entry
-// the receiver has not incorporated.
+// logEntry is a sender-log entry as the tests read it back.
+type logEntry struct {
+	comm, srcComm, tag, seq int64
+	payload
+}
+
+// logOf reads pr's sender log back, oldest entry first.
+func logOf(pr *peer) []logEntry {
+	var out []logEntry
+	var f [5]int64
+	rd := pr.log.Reader()
+	for b, zeros, ok := rd.Next(f[:]); ok; b, zeros, ok = rd.Next(f[:]) {
+		out = append(out, logEntry{comm: f[1], srcComm: f[2], tag: f[3], seq: f[4], payload: logPayload(b, zeros)})
+	}
+	return out
+}
+
+// The sender log holds its entries in image form, in chunks (blcr.Log):
+// 10,000 logged words are a few dozen allocations, not one an entry.
+// ReplayLogs walks a log across its chunk boundaries in sequence order, from
+// the first entry the receiver has not incorporated, and delivers a word as
+// the content an image gives it and a data-less message longer than its
+// word — whose zeros the log never holds — as that message.
 func TestSendLogChunks(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() {
-		var l sendLog
-		for i := 0; i < 10000; i++ {
-			l.push(logEntry{seq: int64(i)})
-		}
-		if l.len() != 10000 {
-			t.Fatalf("10,000 pushes left %d entries", l.len())
+		pr := peer{world: 1}
+		logWords(&pr, 10000)
+		if pr.log.Len() != 10000 {
+			t.Fatalf("10,000 logged words left %d entries", pr.log.Len())
 		}
 	}); n > 25 {
-		t.Errorf("10,000 pushes make %v allocations, want at most 25", n)
+		t.Errorf("10,000 logged words make %v allocations, want at most 25", n)
 	}
 
 	_, j := newJobWith(t, 2, loggedConfig())
 	pr := j.Rank(0).peer(1)
+	size := func(i int) int64 { return 8 + 92*int64(b2i(i%3 == 0)) }
 	for i := 1; i <= 3000; i++ {
-		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+		pr.logged(payload{size: size(i), word: uint64(i)}, 0, 0, 0, int64(i))
 	}
-	var caps []int
-	for _, c := range pr.log.chunks {
-		caps = append(caps, cap(c))
-	}
-	if want := []int{8, 16, 32, 64, 128, 256, 512, 1024, 1024}; !slices.Equal(caps, want) {
-		t.Fatalf("3,000 entries fill chunks of %v, want %v", caps, want)
-	}
-	const seen = 1500 // inside the 1,024-entry chunk after the doubling ones
+	const seen = 1500 // inside the 16 KiB chunk after the smaller ones
 	j.Rank(1).peer(0).recvSeq = seen
 	if n := j.ReplayLogs(); n != 3000-seen {
 		t.Fatalf("ReplayLogs injected %d messages, want %d", n, 3000-seen)
 	}
 	for i, m := range j.Rank(1).unexpected {
-		if want := uint64(seen + 1 + i); m.word != want || m.srcWorld != 0 {
-			t.Fatalf("replayed message %d is word %d from rank %d, want word %d from rank 0", i, m.word, m.srcWorld, want)
+		want := seen + 1 + i
+		if m.u64(0) != uint64(want) || m.srcWorld != 0 || m.size != size(want) || (m.data == nil) != (want%3 == 0) {
+			t.Fatalf("replayed message %d is %+v from rank %d, want word %d of %d bytes from rank 0, data-less if longer than 8", i, m.payload, m.srcWorld, want, size(want))
 		}
 	}
 	if got := j.Rank(1).peer(0).recvSeq; got != 3000 {
@@ -457,9 +467,7 @@ func libFixture(t testing.TB, cfg Config) *Rank {
 	for p := 1; p < 4; p++ {
 		pr := r.peer(p)
 		pr.sendSeq, pr.recvSeq = 20, 5
-		for i := 1; i <= 20; i++ {
-			pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
-		}
+		logWords(pr, 20)
 	}
 	return r
 }
@@ -468,13 +476,38 @@ func libFixture(t testing.TB, cfg Config) *Rank {
 // restore allocates what it rebuilds, and a v2 one on a warm staging what it
 // rebuilds and one arena for all the restored bytes. The library state's gob
 // types are not sent or compiled again per image. A capture of 1,000 logged
-// words is 15,337 bytes, as a gob encoder wrote it.
+// words is 15,337 bytes, as a gob encoder wrote it. The log of those words
+// holds little more than the bytes they add to the image, and filling it
+// allocates no more often than the 11 times the log of 64-byte entries did,
+// which held 65,024 bytes.
 func TestLibStateCodecAllocs(t *testing.T) {
 	_, words := newJobWith(t, 2, loggedConfig())
 	pr := words.Rank(1).peer(0)
 	pr.sendSeq = 1000
-	for i := 1; i <= 1000; i++ {
-		pr.log.push(logEntry{seq: int64(i), payload: payload{size: 8, word: uint64(i)}})
+	logWords(pr, 1000)
+
+	_, bare := newJobWith(t, 2, loggedConfig())
+	bare.Rank(1).peer(0).sendSeq = 1000
+	withLog, err := words.Rank(1).CaptureLibState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := bare.Rank(1).CaptureLibState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fills = 10
+	logs := make([]peer, fills)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range logs {
+		logWords(&logs[i], 1000)
+	}
+	runtime.ReadMemStats(&after)
+	logBytes := len(withLog) - len(without)
+	held, allocs := (after.TotalAlloc-before.TotalAlloc)/fills, (after.Mallocs-before.Mallocs)/fills
+	if 2*held > 3*uint64(logBytes) || allocs > 11 {
+		t.Errorf("filling a log of 1,000 words allocates %d bytes in %d allocations, for %d bytes of image: want at most 1.5 times those bytes in 11", held, allocs, logBytes)
 	}
 	for _, tc := range []struct {
 		name string
@@ -563,10 +596,7 @@ type restoredPeer struct {
 func restoredOf(r *Rank) restoredLib {
 	out := restoredLib{Unexpected: slices.Clone(r.unexpected)}
 	for _, pr := range r.peers {
-		rp := restoredPeer{World: pr.world, SendSeq: pr.sendSeq, RecvSeq: pr.recvSeq}
-		for _, c := range pr.log.chunks {
-			rp.Log = append(rp.Log, c...)
-		}
+		rp := restoredPeer{World: pr.world, SendSeq: pr.sendSeq, RecvSeq: pr.recvSeq, Log: logOf(&pr)}
 		for _, it := range pr.outbox {
 			rp.Outbox = append(rp.Outbox, *it.pkt)
 		}
@@ -613,7 +643,7 @@ func TestStagedRestoreMatchesFresh(t *testing.T) {
 	_, staged := newJobWith(t, 4, loggedConfig())
 	sent := staged.Rank(0).peer(1)
 	for i := 1; i <= 30; i++ {
-		sent.log.push(logEntry{seq: int64(i), payload: content(fill(64, 'L'))})
+		sent.logged(content(fill(64, 'L')), 0, 0, 0, int64(i))
 	}
 	if _, err := staged.Rank(0).CaptureLibState(); err != nil {
 		t.Fatal(err)
@@ -640,11 +670,9 @@ func TestStagedRestoreMatchesFresh(t *testing.T) {
 			t.Errorf("rank %d restored on a staging used before:\n%+v\nwant, as on a fresh job:\n%+v", 1+i, got, want)
 		}
 	}
-	for _, c := range staged.Rank(0).peer(1).log.chunks {
-		for _, le := range c {
-			if !bytes.Equal(le.data, fill(64, 'L')) {
-				t.Fatalf("rank 0's logged message %d reads %q after the restores, want the 64 bytes it sent", le.seq, le.data)
-			}
+	for _, le := range logOf(staged.Rank(0).peer(1)) {
+		if !bytes.Equal(le.data, fill(64, 'L')) {
+			t.Fatalf("rank 0's logged message %d reads %q after the restores, want the 64 bytes it sent", le.seq, le.data)
 		}
 	}
 	got := restoredOf(staged.Rank(3))
@@ -740,15 +768,16 @@ func TestCapturePollWordAsContent(t *testing.T) {
 				if logged {
 					wantLog = 1
 				}
-				if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.len() != wantLog || r.peer(2).log.len() != wantLog {
+				if len(r.unexpected) != 1 || outboxLen(r, 1) != 1 || r.peer(1).log.Len() != wantLog || r.peer(2).log.Len() != wantLog {
 					t.Errorf("queues at capture: unexpected=%d outbox=%d log=%d+%d, want 1, 1, %d+%d",
-						len(r.unexpected), outboxLen(r, 1), r.peer(1).log.len(), r.peer(2).log.len(), wantLog, wantLog)
+						len(r.unexpected), outboxLen(r, 1), r.peer(1).log.Len(), r.peer(2).log.Len(), wantLog, wantLog)
 				}
 				var err error
 				if state, err = r.CaptureLibState(); err != nil {
 					t.Error(err)
 				}
-				// The same state with every poll message as content.
+				// The same state with every poll message as content. The log
+				// holds its messages as the image does: content already.
 				toContent := func(where string, p *payload) {
 					if p.data != nil || p.size != 8 || p.word == 0 {
 						t.Errorf("%s poll message is %+v, want its value in the word", where, *p)
@@ -761,11 +790,6 @@ func TestCapturePollWordAsContent(t *testing.T) {
 				for i := range r.peers {
 					for _, it := range r.peers[i].outbox {
 						toContent("outbox", &it.pkt.payload)
-					}
-					for _, c := range r.peers[i].log.chunks {
-						for l := range c {
-							toContent("log", &c[l].payload)
-						}
 					}
 				}
 				if asContent, err = r.CaptureLibState(); err != nil {

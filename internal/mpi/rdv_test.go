@@ -71,18 +71,17 @@ func TestForgedRendezvousIDFailsRun(t *testing.T) {
 
 // Rank is allocated once per rank per simulation, 960 times a micro_sweep
 // repetition; a wirePkt is one packet in flight, a Request one operation, an
-// inMsg one unexpected-queue slot, a logEntry one sender-log record and a
-// peer one pair of ranks that talk — an entry count kept in its sendLog took
-// it to 88 B, the 96 B class, and cost hpl_sweep, which never logs, 1.5 % of
-// its alloc_mb. A
+// inMsg one unexpected-queue slot and a peer one pair of ranks that talk —
+// an entry count kept in its sender log took it to 88 B, the 96 B class, and
+// cost hpl_sweep, which never logs, 1.5 % of its alloc_mb; the log behind a
+// pointer, nil until a logged send, keeps it at 64. A
 // field appended at the end of Rank once took it from 384 to 392 B, which the
 // allocator rounds up to its 416 B size class, and cost micro_sweep and
 // scale_256 0.6 % of their alloc_mb: a new field goes into padding, or pays
 // for a class on purpose. The payload's word took wirePkt from 88 to 96 B on
 // purpose: both are the allocator's 96 B class. It would have taken Request
-// to 136 B, inMsg to 88 and logEntry to 72 — the next class up, +2.9 %
-// logged_uncoord alloc_mb for logEntry alone — which is why Request packs its
-// flags together and the other two carry int32 ranks.
+// to 136 B and inMsg to 88 — the next class up — which is why Request packs
+// its flags together and inMsg carries int32 ranks.
 func TestMessageStructSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -92,8 +91,7 @@ func TestMessageStructSizes(t *testing.T) {
 		{"wirePkt", unsafe.Sizeof(wirePkt{}), 96},
 		{"Request", unsafe.Sizeof(Request{}), 128},
 		{"inMsg", unsafe.Sizeof(inMsg{}), 80},
-		{"logEntry", unsafe.Sizeof(logEntry{}), 64},
-		{"peer", unsafe.Sizeof(peer{}), 80},
+		{"peer", unsafe.Sizeof(peer{}), 64},
 	} {
 		if tc.size > tc.max {
 			t.Errorf("%s is %d B, want at most %d", tc.name, tc.size, tc.max)

@@ -68,33 +68,36 @@ type libState struct {
 // to the pre-logging library.
 const libStateV2Magic = "gbcr/libstate/v2\n"
 
-// logEntry is one sender-log record: the payload copy made at send time plus
-// the envelope needed to replay it as an eager delivery. srcComm and tag are
-// int32 (a tag stays below 2^31 until a communicator has run 2^30
-// collectives) so that the payload's word leaves it at 64 B.
-type logEntry struct {
-	comm    int64
-	srcComm int32
-	tag     int32
-	seq     int64
-	payload
-}
-
 // entry writes one queue entry of an image as a struct: ints as its fields
-// 0, 1, …, then p — its content, or for a data-less payload the word's 8
-// bytes and zeros to its length. An image's length is part of the timing
-// model (Snapshot.Size adds len(LibState) to the storage write), so a
+// 0, 1, …, then p as imaged gives it. An image's length is part of the
+// timing model (Snapshot.Size adds len(LibState) to the storage write), so a
 // data-less message costs the bytes of the content it stands for, and
 // RestoreLibState brings it back as that content.
 func entry(w *blcr.Wire, p payload, ints ...int64) {
-	if p.data != nil {
-		w.Entry(p.data, 0, ints...)
-		return
-	}
 	var b [8]byte
+	d, zeros := p.imaged(&b)
+	w.Entry(d, zeros, ints...)
+}
+
+// imaged returns p's bytes as an image holds them: its content, or for a
+// data-less payload the word's 8 bytes, put in b, and zeros to its length.
+func (p payload) imaged(b *[8]byte) ([]byte, int64) {
+	if p.data != nil {
+		return p.data, 0
+	}
 	binary.LittleEndian.PutUint64(b[:], p.word)
 	n := min(p.size, 8)
-	w.Entry(b[:n], p.size-n, ints...)
+	return b[:n], p.size - n
+}
+
+// logPayload is the payload a sender-log entry stands for, over the log's
+// memory: its bytes as content, or for a zero run — a data-less message
+// logged since the last restore — that message.
+func logPayload(b []byte, zeros int64) payload {
+	if zeros == 0 {
+		return content(b)
+	}
+	return payload{size: int64(len(b)) + zeros, word: binary.LittleEndian.Uint64(b)}
 }
 
 // kept returns restored bytes d as the rank keeps them: nil when empty, as a
@@ -214,10 +217,7 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
 			}
 		}
-		n[0], n[1], n[2] = n[0]+len(pr.outbox), n[1]+b2i(pr.sendSeq != 0), n[2]+b2i(pr.recvSeq != 0)
-		for _, c := range pr.log.chunks {
-			n[3] += len(c)
-		}
+		n[0], n[1], n[2], n[3] = n[0]+len(pr.outbox), n[1]+b2i(pr.sendSeq != 0), n[2]+b2i(pr.recvSeq != 0), n[3]+pr.log.Len()
 	}
 	logging := r.job.cfg.LogMessages
 	var body blcr.Wire
@@ -264,13 +264,9 @@ func (r *Rank) writeLibState(w *blcr.Wire, logging bool, n [4]int) {
 				}
 			}
 		}
-		if st.Slice(5, n[3]) { // Log []savedLog
+		if st.Slice(5, n[3]) { // Log []savedLog, held in image form
 			for i := range r.peers {
-				for _, c := range r.peers[i].log.chunks {
-					for _, le := range c {
-						entry(w, le.payload, int64(r.peers[i].world), le.comm, int64(le.srcComm), int64(le.tag), le.seq)
-					}
-				}
+				w.Log(r.peers[i].log)
 			}
 		}
 	}
@@ -291,8 +287,9 @@ func b2i(b bool) int {
 // original sequence numbers, so a copy that also arrives via log replay is
 // discarded by the receiver's duplicate check. A v1 image's fields are copied
 // into the v2 struct, leaving what v1 lacks zero: no counters, no log, and
-// unstamped sends. A v2 image decodes into the job's staging, its bytes then
-// copied into one arena the rank's payloads share.
+// unstamped sends. A v2 image decodes into the job's staging, its queues'
+// bytes then copied into one arena the rank's payloads share, and its log's
+// into the sender logs' chunks.
 func (r *Rank) RestoreLibState(data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -303,8 +300,16 @@ func (r *Rank) RestoreLibState(data []byte) error {
 	if body, ok := bytes.CutPrefix(data, []byte(libStateV2Magic)); ok {
 		st = r.job.staging()
 		st.reset()
-		a := make([]byte, len(body)) // the image's bytes bound the restored ones
-		arena, err = &a, libStateV2Codec.Decode(body, st)
+		err = libStateV2Codec.Decode(body, st)
+		n := 0 // the queues' bytes: the log's are copied into its chunks
+		for _, m := range st.Unexpected {
+			n += len(m.Data)
+		}
+		for _, o := range st.Outbox {
+			n += len(o.Data)
+		}
+		a := make([]byte, n)
+		arena = &a
 	} else {
 		var v1 libState
 		err = libStateCodec.Decode(data, &v1)
@@ -335,9 +340,7 @@ func (r *Rank) RestoreLibState(data []byte) error {
 		r.peer(se.Peer).recvSeq = se.Seq
 	}
 	for _, le := range st.Log {
-		r.peer(le.Dst).log.push(logEntry{
-			comm: le.Comm, srcComm: int32(le.SrcComm), tag: int32(le.Tag), seq: le.Seq, payload: content(kept(arena, le.Data)),
-		})
+		r.peer(le.Dst).logged(content(le.Data), le.Comm, le.SrcComm, le.Tag, le.Seq)
 	}
 	for _, o := range st.Outbox {
 		pkt := r.job.newPkt(pktEager)
@@ -369,28 +372,28 @@ func peerErr[E any](r *Rank, err error, list string, entries []E, field string, 
 // not seen. It returns the number of messages injected.
 func (j *Job) ReplayLogs() int {
 	injected := 0
+	var f [5]int64 // a Log entry's Dst, Comm, SrcComm, Tag and Seq
 	for src, s := range j.ranks {
 		for i := range s.peers {
 			to := &s.peers[i]
-			if len(to.log.chunks) == 0 {
+			if to.log == nil {
 				continue
 			}
 			// d is never s (a rank does not send to itself), so looking up
 			// its record of src cannot move the slice being walked.
 			d := j.ranks[to.world]
 			from := d.peer(src)
-			for _, c := range to.log.chunks {
-				for _, le := range c {
-					if le.seq <= from.recvSeq {
-						continue
-					}
-					from.recvSeq = le.seq
-					d.unexpected = append(d.unexpected, inMsg{
-						comm: le.comm, srcComm: le.srcComm, srcWorld: int32(src),
-						tag: int(le.tag), eager: true, payload: le.clone(),
-					})
-					injected++
+			rd := to.log.Reader()
+			for b, zeros, ok := rd.Next(f[:]); ok; b, zeros, ok = rd.Next(f[:]) {
+				if f[4] <= from.recvSeq {
+					continue
 				}
+				from.recvSeq = f[4]
+				d.unexpected = append(d.unexpected, inMsg{
+					comm: f[1], srcComm: int32(f[2]), srcWorld: int32(src), tag: int(f[3]), eager: true,
+					payload: logPayload(b, zeros).clone(),
+				})
+				injected++
 			}
 		}
 	}

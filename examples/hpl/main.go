@@ -16,12 +16,9 @@ import (
 func main() {
 	// Part 1: a real LU solve through the full simulated stack.
 	solve := hpl.Solve{N: 64, NB: 8, P: 2, Q: 2, Seed: 42}
-	c, err := harness.NewCluster(harness.PaperCluster(4))
-	must(err)
-	launched, err := solve.Launch(c.Job)
+	c, launched, err := harness.Run(harness.PaperCluster(4), solve, nil)
 	must(err)
 	inst := launched.(*hpl.SolveInstance)
-	must(c.K.Run())
 	fmt.Printf("real HPL solve %s: max residual %.2e (simulated wall time %v)\n",
 		solve.Name(), inst.MaxResidual, c.Job.FinishTime())
 	if !(inst.MaxResidual <= 1e-9) { // written so that NaN fails it

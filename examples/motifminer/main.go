@@ -18,12 +18,9 @@ func main() {
 	// Part 1: real mining across 8 ranks, validated against a serial run.
 	mine := motif.Mine{Graphs: 48, Vertices: 14, Degree: 3, Labels: 5,
 		MinSup: 16, MaxLen: 3, Seed: 7}
-	c, err := harness.NewCluster(harness.PaperCluster(8))
-	must(err)
-	launched, err := mine.Launch(c.Job)
+	_, launched, err := harness.Run(harness.PaperCluster(8), mine, nil)
 	must(err)
 	inst := launched.(*motif.MineInstance)
-	must(c.K.Run())
 	serial := mine.MineSerial()
 	fmt.Printf("real miner %s: %d frequent patterns, parallel==serial: %v\n",
 		mine.Name(), len(inst.Frequent), maps.Equal(serial, inst.Frequent))

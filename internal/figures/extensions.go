@@ -47,26 +47,21 @@ func (g *Generator) ExtensionLogging() (*Table, error) {
 		RowHeader: "mode",
 		Cols:      []string{"runtime s", "overhead %", "copied GB"},
 	}
+	// 64 MB images, cr's default footprint, not the paper's 180 MB: the
+	// extlogging golden and docs/figures.txt pin the table at this size.
 	w := workload.CommGroups{
 		N: microN, CommGroupSize: 8, Iters: 500,
-		Chunk: 5 * sim.Millisecond, MsgBytes: 1 << 20, FootprintMB: microFootprint,
+		Chunk: 5 * sim.Millisecond, MsgBytes: 1 << 20, FootprintMB: 64,
 	}
 	var base sim.Time
 	for _, logging := range []bool{false, true} {
 		cfg := harness.PaperCluster(microN)
 		cfg.MPI.LogMessages = logging
 		cfg.CR.GroupSize = 8
-		c, err := harness.NewCluster(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("figures: logging extension: %w", err)
-		}
-		if _, err := w.Launch(c.Job); err != nil {
-			return nil, fmt.Errorf("figures: logging extension: %w", err)
-		}
 		// One group-based checkpoint mid-run, so the buffering row shows
 		// how little the deferral approach actually copies.
-		c.Coord.ScheduleCheckpoint(2 * sim.Second)
-		if err := c.K.Run(); err != nil {
+		c, _, err := harness.Run(cfg, w, nil, 2*sim.Second)
+		if err != nil {
 			return nil, fmt.Errorf("figures: logging extension (logging=%v): %w", logging, err)
 		}
 		runtime := c.Job.FinishTime()
@@ -131,19 +126,9 @@ func (g *Generator) ExtensionIncremental() (*Table, error) {
 		mode := modes[i]
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = mode.gs
-		cfg.CR.DefaultFootprint = microFootprint << 20
 		cfg.CR.Incremental = mode.incr
-		c, err := harness.NewCluster(cfg)
+		c, _, err := harness.Run(cfg, w, nil, 10*sim.Second, 60*sim.Second, 110*sim.Second)
 		if err != nil {
-			return err
-		}
-		if _, err := w.Launch(c.Job); err != nil {
-			return err
-		}
-		for _, at := range []sim.Time{10 * sim.Second, 60 * sim.Second, 110 * sim.Second} {
-			c.Coord.ScheduleCheckpoint(at)
-		}
-		if err := c.K.Run(); err != nil {
 			return err
 		}
 		reps, err := c.Coord.Reports()

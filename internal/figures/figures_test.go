@@ -277,6 +277,10 @@ func TestGroupLabel(t *testing.T) {
 
 func TestExtensionLoggingOverhead(t *testing.T) {
 	e := mustT(t, tg.ExtensionLogging)
+	// extlogging and extincremental pin the rendered tables (the decimals
+	// docs/figures.txt carries), captured before the two extensions moved
+	// from hand-built clusters onto harness.Run.
+	checkGolden(t, "extlogging", []byte(e.String()+"\n"))
 	buffering := e.Cells[0]
 	logging := e.Cells[1]
 	// Buffering logs nothing; logging pays measurable runtime overhead and
@@ -294,6 +298,7 @@ func TestExtensionLoggingOverhead(t *testing.T) {
 
 func TestExtensionIncrementalCombines(t *testing.T) {
 	e := mustT(t, tg.ExtensionIncremental)
+	checkGolden(t, "extincremental", []byte(e.String()+"\n"))
 	get := func(row string, col int) float64 {
 		for i, r := range e.Rows {
 			if r == row {

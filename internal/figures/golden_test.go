@@ -49,22 +49,29 @@ func TestFigureTablesGolden(t *testing.T) {
 				got = append(got, js...)
 				got = append(got, '\n')
 			}
-			path := filepath.Join("testdata", c.name+".golden")
-			if *updateGolden {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s output diverged from pre-refactor golden (%d vs %d bytes);\n"+
-					"if the change is intentional, regenerate with -update and justify in the PR",
-					c.name, len(got), len(want))
-			}
+			checkGolden(t, c.name, got)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites the
+// golden under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s output diverged from pre-refactor golden (%d vs %d bytes);\n"+
+			"if the change is intentional, regenerate with -update and justify in the PR",
+			name, len(got), len(want))
 	}
 }

@@ -60,7 +60,7 @@ func (r *Runner) RunCaptured(cells []Cell, opt Capture) (*CapturedRun, error) {
 	if opt.Chrome {
 		run.chromes = make([]*obs.ChromeSink, len(cells))
 	}
-	err := r.ForEach(len(cells), func(i int) error {
+	err := r.ForEach(len(cells), func(i int) (err error) {
 		bus := obs.NewBus()
 		if opt.Trace {
 			run.mems[i] = &obs.MemorySink{}
@@ -78,11 +78,9 @@ func (r *Runner) RunCaptured(cells []Cell, opt Capture) (*CapturedRun, error) {
 			run.chromes[i].ProcessName = cellLabel(i, cells[i])
 			bus.AddSink(run.chromes[i])
 		}
-		res, err := r.measure(cells[i], bus)
-		if err != nil {
+		if run.Results[i], err = r.measure(cells[i], bus); err != nil {
 			return fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
 		}
-		run.Results[i] = res
 		run.agg.Merge(bus.Metrics().Snapshot())
 		return nil
 	})

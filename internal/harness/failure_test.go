@@ -52,8 +52,12 @@ func TestFailedRunReleasesGoroutines(t *testing.T) {
 		run     func() error
 		wantErr string // "" for a run that must succeed
 	}{
-		{"Cluster.run", func() error {
+		{"Baseline", func() error {
 			_, err := Baseline(smallCluster(n), stuck{})
+			return err
+		}, "deadlock"},
+		{"Run", func() error {
+			_, _, err := Run(smallCluster(n), stuck{}, nil, sim.Second)
 			return err
 		}, "deadlock"},
 		{"RunScenario", func() error {
@@ -102,7 +106,7 @@ func TestForEachCallbackPanicBecomesError(t *testing.T) {
 			return err
 		}
 		defer c.K.Shutdown()
-		if _, err := c.launch(stuck{}); err != nil {
+		if _, err := (stuck{}).Launch(c.Job); err != nil {
 			return err
 		}
 		if i == 1 {

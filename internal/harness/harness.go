@@ -4,19 +4,18 @@
 // the Effective Checkpoint Delay (Section 5) along with the Individual and
 // Total Checkpoint Times from the cycle report.
 //
-// Two execution engines are provided. The free functions (Baseline,
-// MeasureObserved, Sweep) run serially and are the reference implementation;
-// Runner schedules independent measurement cells on a worker pool and
-// memoizes baselines, so large sweep matrices regenerate in parallel with
-// results bit-identical to the serial path. All entry points return errors
-// instead of panicking, so the stack is usable as an embedded service
-// component.
+// One function runs every simulation: attempt, which Run wraps for a fresh
+// launch and RunScenario chains across restarts. Runner is a worker pool
+// over it that memoizes baselines; the serial Sweep is the reference its
+// results are bit-identical to. All entry points return errors instead of
+// panicking, so the stack is usable as an embedded service component.
 package harness
 
 import (
 	"fmt"
 
 	"gbcr/internal/cr"
+	"gbcr/internal/cr/protocol"
 	"gbcr/internal/ib"
 	"gbcr/internal/mpi"
 	"gbcr/internal/obs"
@@ -43,35 +42,37 @@ type ClusterConfig struct {
 // cluster. It front-runs the constructor invariants of the storage and
 // fabric layers so callers get an error instead of a panic.
 func (cfg ClusterConfig) Validate() error {
-	if cfg.N <= 0 {
-		return fmt.Errorf("harness: cluster needs at least one rank, got N=%d", cfg.N)
-	}
-	if cfg.Storage.AggregateBW <= 0 {
-		return fmt.Errorf("harness: storage AggregateBW must be positive, got %v", cfg.Storage.AggregateBW)
-	}
-	if cfg.Storage.ClientBW <= 0 {
-		return fmt.Errorf("harness: storage ClientBW must be positive, got %v", cfg.Storage.ClientBW)
-	}
-	if cfg.Fabric.LinkBW <= 0 {
-		return fmt.Errorf("harness: fabric LinkBW must be positive, got %v", cfg.Fabric.LinkBW)
-	}
-	if cfg.CR.GroupSize < 0 {
-		return fmt.Errorf("harness: checkpoint group size must be >= 0, got %d", cfg.CR.GroupSize)
-	}
-	if cfg.CR.GroupSize > cfg.N {
-		return fmt.Errorf("harness: checkpoint group size %d exceeds job size %d", cfg.CR.GroupSize, cfg.N)
+	_, err := cfg.resolve()
+	return err
+}
+
+// resolve is Validate, returning the checkpoint protocol cfg selects.
+func (cfg ClusterConfig) resolve() (protocol.Kind, error) {
+	switch {
+	case cfg.N <= 0:
+		return "", fmt.Errorf("harness: cluster needs at least one rank, got N=%d", cfg.N)
+	case cfg.Storage.AggregateBW <= 0:
+		return "", fmt.Errorf("harness: storage AggregateBW must be positive, got %v", cfg.Storage.AggregateBW)
+	case cfg.Storage.ClientBW <= 0:
+		return "", fmt.Errorf("harness: storage ClientBW must be positive, got %v", cfg.Storage.ClientBW)
+	case cfg.Fabric.LinkBW <= 0:
+		return "", fmt.Errorf("harness: fabric LinkBW must be positive, got %v", cfg.Fabric.LinkBW)
+	case cfg.CR.GroupSize < 0:
+		return "", fmt.Errorf("harness: checkpoint group size must be >= 0, got %d", cfg.CR.GroupSize)
+	case cfg.CR.GroupSize > cfg.N:
+		return "", fmt.Errorf("harness: checkpoint group size %d exceeds job size %d", cfg.CR.GroupSize, cfg.N)
 	}
 	proto, err := cfg.CR.ResolveProtocol(cfg.N, cfg.MPI.LogMessages)
 	if err != nil {
-		return fmt.Errorf("harness: %w", err)
+		return "", fmt.Errorf("harness: %w", err)
 	}
 	if err := cfg.Tiers.Validate(cfg.N); err != nil {
-		return fmt.Errorf("harness: %w", err)
+		return "", fmt.Errorf("harness: %w", err)
 	}
 	if cfg.Tiers.Mode.Tiered() && !proto.Blocking() {
-		return fmt.Errorf("harness: storage mode %q requires a blocking protocol; the uncoordinated protocol commits per rank on central-write completion", cfg.Tiers.Mode)
+		return "", fmt.Errorf("harness: storage mode %q requires a blocking protocol; the uncoordinated protocol commits per rank on central-write completion", cfg.Tiers.Mode)
 	}
-	return nil
+	return proto, nil
 }
 
 // PaperCluster returns the evaluation testbed configuration: 32 compute
@@ -148,37 +149,6 @@ func (c *Cluster) AttachObs(bus *obs.Bus) {
 	c.Coord.SetObs(bus)
 }
 
-// launch wires a workload instance into the cluster's controllers.
-func (c *Cluster) launch(w workload.Workload) (workload.Instance, error) {
-	inst, err := w.Launch(c.Job)
-	if err != nil {
-		return nil, err
-	}
-	c.footprints(inst)
-	return inst, nil
-}
-
-// footprints has every controller ask inst for its rank's footprint at
-// snapshot time.
-func (c *Cluster) footprints(inst workload.Instance) {
-	for i := 0; i < c.Job.Size(); i++ {
-		c.Coord.Controller(i).FootprintFn = func() int64 { return inst.Footprint(i) }
-	}
-}
-
-// run drives the kernel to completion and checks the job finished. The
-// label names the run in errors; it is not an obs event kind.
-func (c *Cluster) run(label string) error {
-	if err := c.K.Run(); err != nil {
-		c.K.Shutdown() // a failed run leaves its ranks parked; release their goroutines
-		return fmt.Errorf("harness: %s run failed: %w", label, err)
-	}
-	if !c.Job.Finished() {
-		return fmt.Errorf("harness: %s run ended with unfinished ranks", label)
-	}
-	return nil
-}
-
 // Result reports one Effective Checkpoint Delay measurement.
 type Result struct {
 	Workload  string
@@ -207,14 +177,8 @@ func (r Result) String() string {
 // Baseline runs the workload with no checkpoint and returns its completion
 // time.
 func Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, error) {
-	c, err := NewCluster(cfg)
+	c, _, err := Run(cfg, w, nil)
 	if err != nil {
-		return 0, err
-	}
-	if _, err := c.launch(w); err != nil {
-		return 0, err
-	}
-	if err := c.run("baseline"); err != nil {
 		return 0, err
 	}
 	return c.Job.FinishTime(), nil
@@ -229,37 +193,20 @@ func MeasureWithBaseline(cfg ClusterConfig, w workload.Workload, issuedAt, basel
 // measureWithBaselineObs is MeasureWithBaseline with an optional bus attached
 // to the checkpointed run.
 func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, baseline sim.Time, bus *obs.Bus) (Result, error) {
-	if issuedAt < 0 {
-		return Result{}, fmt.Errorf("harness: checkpoint issuance time %v is negative", issuedAt)
-	}
-	c, err := NewCluster(cfg)
+	c, _, err := Run(cfg, w, bus, issuedAt)
 	if err != nil {
-		return Result{}, err
-	}
-	c.AttachObs(bus)
-	if _, err := c.launch(w); err != nil {
-		return Result{}, err
-	}
-	c.Coord.ScheduleCheckpoint(issuedAt)
-	if err := c.run("checkpointed"); err != nil {
 		return Result{}, err
 	}
 	reps, err := c.Coord.Reports()
+	if err == nil && len(reps) != 1 {
+		err = fmt.Errorf("expected 1 checkpoint cycle, got %d (issued at %v, job finished at %v)",
+			len(reps), issuedAt, c.Job.FinishTime())
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: checkpointed run: %w", err)
 	}
-	if len(reps) != 1 {
-		return Result{}, fmt.Errorf("harness: expected 1 checkpoint cycle, got %d (issued at %v, job finished at %v)",
-			len(reps), issuedAt, c.Job.FinishTime())
-	}
-	return Result{
-		Workload:  w.Name(),
-		GroupSize: cfg.CR.GroupSize,
-		IssuedAt:  issuedAt,
-		Baseline:  baseline,
-		WithCkpt:  c.Job.FinishTime(),
-		Report:    reps[0],
-	}, nil
+	return Result{Workload: w.Name(), GroupSize: cfg.CR.GroupSize, IssuedAt: issuedAt,
+		Baseline: baseline, WithCkpt: c.Job.FinishTime(), Report: reps[0]}, nil
 }
 
 // MeasureObserved runs baseline and checkpointed executions and reports the

@@ -30,7 +30,6 @@ type Runner struct {
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry // guarded by mu
 	hits      int                       // guarded by mu
-	misses    int                       // guarded by mu
 	agg       *obs.Aggregate            // guarded by mu
 }
 
@@ -43,12 +42,6 @@ func (r *Runner) SetAggregate(agg *obs.Aggregate) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.agg = agg
-}
-
-func (r *Runner) aggregate() *obs.Aggregate {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.agg
 }
 
 // baselineEntry memoizes one baseline run. The sync.Once dedups in-flight
@@ -93,7 +86,6 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 	if ok {
 		r.hits++
 	} else {
-		r.misses++
 		e = &baselineEntry{}
 		r.baselines[key] = e
 	}
@@ -111,18 +103,17 @@ func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	agg := r.aggregate()
+	r.mu.Lock()
+	agg := r.agg
+	r.mu.Unlock()
 	if bus == nil && agg != nil {
 		bus = obs.NewBus()
 	}
 	res, err := measureWithBaselineObs(c.Config, c.Workload, c.IssuedAt, base, bus)
-	if err != nil {
-		return res, err
-	}
-	if agg != nil {
+	if err == nil && agg != nil {
 		agg.Merge(bus.Metrics().Snapshot())
 	}
-	return res, nil
+	return res, err
 }
 
 // Cell is one schedulable measurement: a cluster configuration (whose
@@ -140,13 +131,11 @@ type Cell struct {
 // in cell order is returned along with the results computed so far.
 func (r *Runner) Run(cells []Cell) ([]Result, error) {
 	out := make([]Result, len(cells))
-	err := r.ForEach(len(cells), func(i int) error {
-		res, err := r.measure(cells[i], nil)
-		if err != nil {
-			return fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
+	err := r.ForEach(len(cells), func(i int) (err error) {
+		if out[i], err = r.measure(cells[i], nil); err != nil {
+			err = fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
 		}
-		out[i] = res
-		return nil
+		return err
 	})
 	return out, err
 }

@@ -66,11 +66,12 @@ func TestRunnerSweepMatchesSerial(t *testing.T) {
 }
 
 // cacheStats reads the baseline cache's hits and misses so far. A hit
-// includes waiting on an in-flight computation of the same key.
+// includes waiting on an in-flight computation of the same key; every miss
+// added one entry.
 func cacheStats(r *Runner) (hits, misses int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hits, r.misses
+	return r.hits, len(r.baselines)
 }
 
 func TestRunnerWorkersDefault(t *testing.T) {

@@ -1,11 +1,10 @@
 package harness
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math/rand"
 
-	"gbcr/internal/cr"
 	"gbcr/internal/fault"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
@@ -67,155 +66,107 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	interval sim.Time, bus *obs.Bus) (AvailabilityResult, error) {
 
 	// A bad cluster is reported before a bad scenario, so one configuration
-	// gets one error whatever faults it is run under.
-	if err := cfg.Validate(); err != nil {
-		return AvailabilityResult{}, err
-	}
-	if interval <= 0 {
-		return AvailabilityResult{}, fmt.Errorf("harness: checkpoint interval must be positive, got %v", interval)
-	}
-	proto, err := cfg.CR.ResolveProtocol(cfg.N, cfg.MPI.LogMessages)
+	// gets one error whatever faults it is run under. A phase-triggered
+	// crash must name a phase the active protocol has ("crash:phase=sync"
+	// can never fire under the uncoordinated protocol), and a burst-buffer
+	// outage on a cluster with no burst tier would silently inject nothing.
+	proto, err := cfg.resolve()
 	if err != nil {
 		return AvailabilityResult{}, err
 	}
-	// Phase-triggered crashes must name a phase the active protocol has:
-	// "crash:phase=sync" can never fire under the uncoordinated protocol.
-	if err := scn.CheckPhases(proto.Phases()); err != nil {
+	err = cmp.Or(scn.CheckPhases(proto.Phases()), scn.CheckRanks(cfg.N))
+	switch {
+	case interval <= 0:
+		err = fmt.Errorf("harness: checkpoint interval must be positive, got %v", interval)
+	case err == nil && scn.HasKind(fault.BurstBufferOutage) && !cfg.Tiers.Mode.HasBurst():
+		err = fmt.Errorf("harness: scenario injects a burst-buffer outage but storage mode %q has no burst tier", cfg.Tiers.Mode)
+	}
+	if err != nil {
 		return AvailabilityResult{}, err
 	}
-	if err := scn.CheckRanks(cfg.N); err != nil {
-		return AvailabilityResult{}, err
-	}
-	// A burst-buffer outage on a cluster with no burst tier would silently
-	// inject nothing; reject it like an unknown phase.
-	if scn.HasKind(fault.BurstBufferOutage) && !cfg.Tiers.Mode.HasBurst() {
-		return AvailabilityResult{}, fmt.Errorf("harness: scenario injects a burst-buffer outage but storage mode %q has no burst tier", cfg.Tiers.Mode)
-	}
-	seed := scn.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.NewInjector(scn, bus)
+	rng := rand.New(rand.NewSource(cmp.Or(scn.Seed, 1)))
+	sc := &scenario{w: w, interval: interval, inj: fault.NewInjector(scn, bus)}
 
 	var res AvailabilityResult
-	var appStates [][]byte // nil on the first attempt
-	var libStates [][]byte
 	const maxAttempts = 1000
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for range maxAttempts {
 		res.Attempts++
-		offset := res.Wall
-		c, err := NewCluster(cfg)
-		if err != nil {
-			return res, err
-		}
-		if bus != nil {
-			c.AttachObs(bus)
-		}
-		inst, err := w.LaunchFrom(c.Job, appStates)
-		if err != nil {
-			return res, err
-		}
-		c.Coord.SetCapture(inst.Capture)
-		c.footprints(inst)
-		if libStates != nil {
-			for i := 0; i < cfg.N; i++ {
-				if err := c.Job.Rank(i).RestoreLibState(libStates[i]); err != nil {
-					return res, err
-				}
-			}
-			// Message-logging restart: replay logged messages the restored
-			// receivers had not yet incorporated (a no-op without logs). This
-			// is what reconciles a recovery line whose ranks resumed from
-			// different epochs.
-			res.Replayed += c.Job.ReplayLogs()
-		}
-		inj.Arm(fault.Target{K: c.K, Job: c.Job, Storage: c.Storage, Fabric: c.Fabric, Coord: c.Coord, Tiers: c.Tiers}, offset)
-		// Periodic checkpoints: the next request is scheduled when the
-		// previous cycle completes, so cycles never overlap even if one runs
-		// longer than the interval. Aborted cycles reschedule themselves.
-		c.Coord.ScheduleCheckpoint(interval)
-		c.Coord.OnCycleDone = func(*cr.CycleReport) {
-			inj.OnEpochCommitted(c.Coord.Snapshots(), c.Coord.Epoch(), offset+c.K.Now())
-			if !c.Job.Finished() {
-				c.Coord.ScheduleCheckpoint(c.K.Now() + interval)
-			}
-		}
-
+		sc.offset = res.Wall
 		// Stochastic loss horizon for this attempt; without an MTBF the
 		// attempt runs until it finishes or a scripted crash kills it.
-		limit := sim.Time(-1)
+		sc.limit = -1
 		if scn.MTBF > 0 {
-			limit = sim.Seconds(rng.ExpFloat64() * scn.MTBF.Seconds())
+			sc.limit = sim.Seconds(rng.ExpFloat64() * scn.MTBF.Seconds())
 		}
-		err = c.K.RunUntil(limit)
-		switch {
-		case err == nil:
-		case errors.Is(err, fault.ErrRankCrash):
-			// An injected crash killed the job; fall through to restart.
-		default:
-			c.K.Shutdown() // any other failure abandons the attempt with its ranks parked
+		c, inst, lost, err := attempt(cfg, bus, w, sc)
+		res.Replayed = sc.replayed
+		if err != nil {
 			return res, err
 		}
 		res.Checkpoints += c.Coord.Epoch()
 		res.CycleAborts += c.Coord.Aborts()
-		if err == nil && c.Job.Finished() {
+		if !lost {
 			res.Wall += c.Job.FinishTime()
 			res.FinalInst = inst
 			return res, nil
 		}
-		// The job was lost — at the stochastic horizon, or at the injected
-		// crash instant. The protocol selects the restart line: the newest
-		// verified committed epoch for the blocking protocols, a per-rank
-		// (possibly mixed-epoch) recovery line for the uncoordinated one.
 		res.Wall += c.K.Now()
 		res.Failures++
-		line := c.Coord.Protocol().RestartLine(c.Coord.Snapshots())
-		res.CorruptSkipped += line.Skipped
-		if !line.Empty() {
-			appStates = make([][]byte, cfg.N)
-			libStates = make([][]byte, cfg.N)
-			order := c.Tiers.OrderNames()
-			// readback is the serial estimate of the concurrent read-back
-			// from the shared tiers (all ranks read at once at the aggregate
-			// rate); parMax is the parallel estimate for the node-resident
-			// tiers, whose reads ride disjoint fabric links and disks.
-			var readback, parMax sim.Time
-			for i := 0; i < cfg.N; i++ {
-				s := line.Snaps[i]
-				if s == nil {
-					continue // this rank restarts from scratch
-				}
-				appStates[i] = s.AppState
-				libStates[i] = s.LibState
-				src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
-				if !ok {
-					c.K.Shutdown()
-					return res, fmt.Errorf("harness: restart line holds rank %d's epoch %d, which has no copy at any tier", i, s.Epoch)
-				}
-				level := tier.Level(src)
-				if rt := c.Tiers.ReadTime(level, s.Size()); c.Tiers.ParallelRead(level) {
-					parMax = max(parMax, rt)
-				} else {
-					readback += rt
-				}
-				switch level {
-				case tier.RAM:
-					res.RecoveredRAM++
-				case tier.Local:
-					res.RecoveredLocal++
-				case tier.Burst:
-					res.RecoveredBurst++
-				default:
-					res.RecoveredCentral++
-				}
-				c.Tiers.Recovered(res.Wall, i, level, s.Size())
-			}
-			res.Wall += readback + parMax
-		}
-		// With no usable line in this attempt's archive, the previous
-		// attempt's states (or nil: from scratch) carry over unchanged.
+		err = res.readBack(c, sc)
 		c.K.Shutdown() // release the dead attempt's process goroutines
+		if err != nil {
+			return res, err
+		}
 	}
 	return res, fmt.Errorf("harness: job did not complete within %d attempts", maxAttempts)
+}
+
+// readBack restarts a lost job: the protocol selects the restart line from
+// the dead attempt's archive (the newest verified committed epoch for the
+// blocking protocols, a per-rank, possibly mixed-epoch line for the
+// uncoordinated one), its states become sc's, and each rank's read-back
+// is priced by the tier that serves it and counted in res. With no usable
+// line, the previous states (or nil: from scratch) carry over unchanged.
+func (res *AvailabilityResult) readBack(c *Cluster, sc *scenario) error {
+	line := c.Coord.Protocol().RestartLine(c.Coord.Snapshots())
+	res.CorruptSkipped += line.Skipped
+	if line.Empty() {
+		return nil
+	}
+	sc.app, sc.lib = make([][]byte, len(line.Snaps)), make([][]byte, len(line.Snaps))
+	order := c.Tiers.OrderNames()
+	// readback is the serial estimate of the concurrent read-back from the
+	// shared tiers (all ranks read at once at the aggregate rate); parMax is
+	// the parallel estimate for the node-resident tiers, whose reads ride
+	// disjoint fabric links and disks.
+	var readback, parMax sim.Time
+	for i, s := range line.Snaps {
+		if s == nil {
+			continue // this rank restarts from scratch
+		}
+		sc.app[i], sc.lib[i] = s.AppState, s.LibState
+		src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
+		if !ok {
+			return fmt.Errorf("harness: restart line holds rank %d's epoch %d, which has no copy at any tier", i, s.Epoch)
+		}
+		level := tier.Level(src)
+		if rt := c.Tiers.ReadTime(level, s.Size()); c.Tiers.ParallelRead(level) {
+			parMax = max(parMax, rt)
+		} else {
+			readback += rt
+		}
+		switch level {
+		case tier.RAM:
+			res.RecoveredRAM++
+		case tier.Local:
+			res.RecoveredLocal++
+		case tier.Burst:
+			res.RecoveredBurst++
+		default:
+			res.RecoveredCentral++
+		}
+		c.Tiers.Recovered(res.Wall, i, level, s.Size())
+	}
+	res.Wall += readback + parMax
+	return nil
 }

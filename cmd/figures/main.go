@@ -169,20 +169,8 @@ func main() {
 		return g.Fig6(fig5), nil
 	}))
 	run("fig7", one(g.Fig7))
-	run("ablations", func() ([]*figures.Table, error) {
-		rep, err := g.Ablations()
-		if err != nil {
-			return nil, err
-		}
-		return rep.Tables, nil
-	})
-	run("extensions", func() ([]*figures.Table, error) {
-		rep, err := g.Extensions()
-		if err != nil {
-			return nil, err
-		}
-		return rep.Tables, nil
-	})
+	run("ablations", g.Ablations)
+	run("extensions", g.Extensions)
 	run("extprotocols", one(func() (*figures.Table, error) {
 		return g.ExtensionProtocolsFor(kinds)
 	}))

@@ -87,3 +87,31 @@ func TestProfilesWritten(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersInvisible: the pool width changes neither the tables nor the
+// -metrics-json aggregate. Fig 3's 25 cells all feed the aggregate, so
+// workers 1 and 2 must give the same stdout and the same metrics file.
+func TestWorkersInvisible(t *testing.T) {
+	dir := t.TempDir()
+	var outs, metrics [2][]byte
+	for i, workers := range []string{"1", "2"} {
+		path := filepath.Join(dir, "m"+workers+".json")
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-only", "fig3", "-json", "-metrics-json", path, "-workers", workers)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("-workers %s: %v\n%s", workers, err, stderr.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i], metrics[i] = stdout.Bytes(), data
+	}
+	if len(outs[0]) == 0 || !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("stdout differs between -workers 1 and 2 (%d vs %d bytes)", len(outs[0]), len(outs[1]))
+	}
+	if len(metrics[0]) == 0 || !bytes.Equal(metrics[0], metrics[1]) {
+		t.Errorf("-metrics-json differs between -workers 1 and 2:\n%s\nvs\n%s", metrics[0], metrics[1])
+	}
+}

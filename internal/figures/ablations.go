@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"strings"
 
 	"gbcr/internal/harness"
 	"gbcr/internal/mpi"
@@ -10,41 +9,12 @@ import (
 	"gbcr/internal/workload"
 )
 
-// AblationReport collects the design-choice studies from Section 4.
-type AblationReport struct {
-	Tables []*Table
-}
-
-// String renders all ablation tables.
-func (a *AblationReport) String() string {
-	var b strings.Builder
-	for _, t := range a.Tables {
-		b.WriteString(t.String())
-		b.WriteString("\n")
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
 // Ablations runs the design-choice studies: the asynchronous-progress helper
 // thread (Section 4.4), static vs dynamic group formation (Section 4.1),
 // connection-management cost sensitivity (Section 4.2), and the phase
 // breakdown backing the paper's ">95% storage time" claim (Section 3.1).
-func (g *Generator) Ablations() (*AblationReport, error) {
-	rep := &AblationReport{}
-	for _, gen := range []func() (*Table, error){
-		g.AblationHelper,
-		g.AblationGroupFormation,
-		g.AblationConnCost,
-		g.AblationNoise,
-		g.PhaseBreakdown,
-	} {
-		t, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		rep.Tables = append(rep.Tables, t)
-	}
-	return rep, nil
+func (g *Generator) Ablations() ([]*Table, error) {
+	return tables(g.AblationHelper, g.AblationGroupFormation, g.AblationConnCost, g.AblationNoise, g.PhaseBreakdown)
 }
 
 // AblationHelper measures the effective delay with and without the
@@ -58,6 +28,7 @@ func (g *Generator) AblationHelper() (*Table, error) {
 		ColHeader: "metric",
 		RowHeader: "config",
 		Cols:      []string{"effective delay", "mean teardown"},
+		Rows:      []string{"helper on (100ms)", "helper off"},
 	}
 	// Checkpoint groups of 4 inside communication groups of 8: members hold
 	// connections to out-of-group peers that compute in 2-second chunks, so
@@ -66,31 +37,23 @@ func (g *Generator) AblationHelper() (*Table, error) {
 		N: microN, CommGroupSize: 8, Iters: 40,
 		Chunk: 2 * sim.Second, FootprintMB: microFootprint,
 	}
-	var cells []harness.Cell
-	for _, helper := range []bool{true, false} {
+	helper := []bool{true, false}
+	return g.fill("helper ablation", t, len(helper), func(i int) error {
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = 4
-		cfg.CR.HelperEnabled = helper
-		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-		label := "helper on (100ms)"
-		if !helper {
-			label = "helper off"
+		cfg.CR.HelperEnabled = helper[i]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
 		}
-		t.Rows = append(t.Rows, label)
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: helper ablation: %w", err)
-	}
-	for _, res := range results {
 		var teardown sim.Time
 		for _, rec := range res.Report.Records {
 			teardown += rec.TeardownDone - rec.GoAt
 		}
 		teardown /= sim.Time(len(res.Report.Records))
-		t.Cells = append(t.Cells, []float64{secs(res.EffectiveDelay()), secs(teardown)})
-	}
-	return t, nil
+		t.Cells[i] = []float64{secs(res.EffectiveDelay()), secs(teardown)}
+		return nil
+	})
 }
 
 // AblationGroupFormation compares static rank-order groups against dynamic
@@ -104,29 +67,22 @@ func (g *Generator) AblationGroupFormation() (*Table, error) {
 		ColHeader: "metric",
 		RowHeader: "formation",
 		Cols:      []string{"effective delay"},
+		Rows:      []string{"static (rank order)", "dynamic (comm pattern)"},
 	}
 	const n = microN
 	w := stridedPairs{n: n, iters: 500, chunk: microChunk, footprintMB: microFootprint}
-	var cells []harness.Cell
-	for _, dynamic := range []bool{false, true} {
+	dynamic := []bool{false, true}
+	return g.fill("group-formation ablation", t, len(dynamic), func(i int) error {
 		cfg := harness.PaperCluster(n)
 		cfg.CR.GroupSize = 2
-		cfg.CR.Dynamic = dynamic
-		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-		label := "static (rank order)"
-		if dynamic {
-			label = "dynamic (comm pattern)"
+		cfg.CR.Dynamic = dynamic[i]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
 		}
-		t.Rows = append(t.Rows, label)
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: group-formation ablation: %w", err)
-	}
-	for _, res := range results {
-		t.Cells = append(t.Cells, []float64{secs(res.EffectiveDelay())})
-	}
-	return t, nil
+		t.Cells[i][0] = secs(res.EffectiveDelay())
+		return nil
+	})
 }
 
 // stridedPairs is a pair-exchange workload whose partners are rank i and
@@ -163,34 +119,32 @@ func (g *Generator) AblationConnCost() (*Table, error) {
 		ColHeader: "OOB latency",
 		RowHeader: "metric",
 		Rows:      []string{"effective delay", "mean coordination"},
-		Cells:     make([][]float64, 2),
 	}
 	w := workload.CommGroups{
 		N: microN, CommGroupSize: 8, Iters: 900,
 		Chunk: microChunk, FootprintMB: microFootprint,
 	}
-	var cells []harness.Cell
-	for _, oob := range []sim.Time{50 * sim.Microsecond, 150 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond} {
+	oobs := []sim.Time{50 * sim.Microsecond, 150 * sim.Microsecond, 1 * sim.Millisecond, 10 * sim.Millisecond}
+	for _, oob := range oobs {
 		t.Cols = append(t.Cols, oob.String())
+	}
+	return g.fill("connection-cost ablation", t, len(oobs), func(i int) error {
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = 8
-		cfg.Fabric.OOBLatency = oob
-		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: connection-cost ablation: %w", err)
-	}
-	for _, res := range results {
+		cfg.Fabric.OOBLatency = oobs[i]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
+		}
 		var coord sim.Time
 		for _, rec := range res.Report.Records {
 			coord += rec.CoordinationTime()
 		}
 		coord /= sim.Time(len(res.Report.Records))
-		t.Cells[0] = append(t.Cells[0], secs(res.EffectiveDelay()))
-		t.Cells[1] = append(t.Cells[1], secs(coord))
-	}
-	return t, nil
+		t.Cells[0][i] = secs(res.EffectiveDelay())
+		t.Cells[1][i] = secs(coord)
+		return nil
+	})
 }
 
 // PhaseBreakdown reproduces the Section 3.1 observation: storage access time
@@ -203,27 +157,25 @@ func (g *Generator) PhaseBreakdown() (*Table, error) {
 		ColHeader: "ckpt group",
 		RowHeader: "metric",
 		Rows:      []string{"storage share"},
-		Cells:     make([][]float64, 1),
 	}
 	w := workload.CommGroups{
 		N: microN, CommGroupSize: 8, Iters: 900,
 		Chunk: microChunk, FootprintMB: microFootprint,
 	}
-	var cells []harness.Cell
-	for _, gs := range []int{0, 8, 2} {
+	groupSizes := []int{0, 8, 2}
+	for _, gs := range groupSizes {
 		t.Cols = append(t.Cols, groupLabel(microN, gs))
+	}
+	return g.fill("phase breakdown", t, len(groupSizes), func(i int) error {
 		cfg := harness.PaperCluster(microN)
-		cfg.CR.GroupSize = gs
-		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: phase breakdown: %w", err)
-	}
-	for _, res := range results {
-		t.Cells[0] = append(t.Cells[0], res.Report.StorageShare())
-	}
-	return t, nil
+		cfg.CR.GroupSize = groupSizes[i]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
+		}
+		t.Cells[0][i] = res.Report.StorageShare()
+		return nil
+	})
 }
 
 // AblationNoise probes the Section 3.1 remark that "system noise, network
@@ -251,29 +203,23 @@ func (g *Generator) AblationNoise() (*Table, error) {
 	for _, j := range jitters {
 		t.Cols = append(t.Cols, fmt.Sprintf("%.0f%%", 100*j))
 	}
-	var cells []harness.Cell
-	for _, gs := range []int{0, 8} {
+	groupSizes := []int{0, 8}
+	for _, gs := range groupSizes {
 		t.Rows = append(t.Rows, groupLabel(microN, gs))
-		for _, j := range jitters {
-			cfg := harness.PaperCluster(microN)
-			cfg.CR.GroupSize = gs
-			cfg.Storage.ShareJitter = j
-			cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-		}
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: noise ablation: %w", err)
-	}
-	for ri := 0; ri < len(t.Rows); ri++ {
-		row := make([]float64, len(jitters))
-		for ci := range jitters {
-			row[ci] = secs(results[ri*len(jitters)+ci].EffectiveDelay())
-		}
-		t.Cells = append(t.Cells, row)
 	}
 	t.Notes = append(t.Notes,
 		"finding: a work-conserving server absorbs share imbalance; only non-work-conserving",
 		"degradation (the Efficiency hook) reproduces the paper's 'significantly increase' concern")
-	return t, nil
+	return g.fill("noise ablation", t, len(groupSizes)*len(jitters), func(i int) error {
+		ri, ci := i/len(jitters), i%len(jitters)
+		cfg := harness.PaperCluster(microN)
+		cfg.CR.GroupSize = groupSizes[ri]
+		cfg.Storage.ShareJitter = jitters[ci]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
+		}
+		t.Cells[ri][ci] = secs(res.EffectiveDelay())
+		return nil
+	})
 }

@@ -15,30 +15,16 @@ import (
 // Extensions runs the studies beyond the paper's figures: the message
 // logging alternative it argues against (Section 4.3 / related work) and
 // the incremental-checkpointing combination it names as future work.
-func (g *Generator) Extensions() (*AblationReport, error) {
-	rep := &AblationReport{}
-	for _, gen := range []func() (*Table, error){
-		g.ExtensionLogging,
-		g.ExtensionIncremental,
-		g.ExtensionStaging,
-		g.ExtensionFaultRecovery,
-		g.ExtensionAvailability,
-		g.ExtensionScalability,
-	} {
-		t, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		rep.Tables = append(rep.Tables, t)
-	}
-	return rep, nil
+func (g *Generator) Extensions() ([]*Table, error) {
+	return tables(g.ExtensionLogging, g.ExtensionIncremental, g.ExtensionStaging,
+		g.ExtensionFaultRecovery, g.ExtensionAvailability, g.ExtensionScalability)
 }
 
 // ExtensionLogging quantifies the failure-free cost of sender-based message
 // logging on a communication-intensive workload — the overhead that makes
 // uncoordinated/logging protocols unattractive on high-speed interconnects
 // (Sections 1 and 4.3). The logging row's overhead is relative to the
-// buffering row, so the two runs stay sequential.
+// buffering row, so it is computed once both runs are in.
 func (g *Generator) ExtensionLogging() (*Table, error) {
 	t := &Table{
 		Title:     "Extension (S4.3): message buffering vs sender-based logging, failure-free cost",
@@ -46,6 +32,7 @@ func (g *Generator) ExtensionLogging() (*Table, error) {
 		ColHeader: "metric",
 		RowHeader: "mode",
 		Cols:      []string{"runtime s", "overhead %", "copied GB"},
+		Rows:      []string{"buffering (deferral)", "sender-based logging"},
 	}
 	// 64 MB images, cr's default footprint, not the paper's 180 MB: the
 	// extlogging golden and docs/figures.txt pin the table at this size.
@@ -53,8 +40,12 @@ func (g *Generator) ExtensionLogging() (*Table, error) {
 		N: microN, CommGroupSize: 8, Iters: 500,
 		Chunk: 5 * sim.Millisecond, MsgBytes: 1 << 20, FootprintMB: 64,
 	}
-	var base sim.Time
-	for _, logging := range []bool{false, true} {
+	t.Notes = append(t.Notes,
+		"'copied': payload bytes held by each scheme across the run (one group checkpoint included)",
+		"logging copies every payload always; buffering holds only cross-group traffic during the cycle")
+	var runtimes [2]sim.Time
+	_, err := g.fill("logging extension", t, len(t.Rows), func(i int) error {
+		logging := i == 1
 		cfg := harness.PaperCluster(microN)
 		cfg.MPI.LogMessages = logging
 		cfg.CR.GroupSize = 8
@@ -62,37 +53,29 @@ func (g *Generator) ExtensionLogging() (*Table, error) {
 		// how little the deferral approach actually copies.
 		c, _, err := harness.Run(cfg, w, nil, 2*sim.Second)
 		if err != nil {
-			return nil, fmt.Errorf("figures: logging extension (logging=%v): %w", logging, err)
+			return err
 		}
-		runtime := c.Job.FinishTime()
 		var copied int64
 		if logging {
-			for i := 0; i < microN; i++ {
-				copied += c.Job.Rank(i).Stats().BytesLogged
+			for r := 0; r < microN; r++ {
+				copied += c.Job.Rank(r).Stats().BytesLogged
 			}
 		} else {
 			reps, err := c.Coord.Reports()
 			if err != nil {
-				return nil, fmt.Errorf("figures: logging extension: %w", err)
+				return err
 			}
 			_, _, copied = reps[0].BufferedTotals()
 		}
-		label := "buffering (deferral)"
-		overhead := 0.0
-		if logging {
-			label = "sender-based logging"
-			overhead = 100 * float64(runtime-base) / float64(base)
-		} else {
-			base = runtime
-		}
-		t.Rows = append(t.Rows, label)
-		t.Cells = append(t.Cells, []float64{
-			runtime.Seconds(), overhead, float64(copied) / (1 << 30),
-		})
+		runtimes[i] = c.Job.FinishTime()
+		t.Cells[i][0] = runtimes[i].Seconds()
+		t.Cells[i][2] = float64(copied) / (1 << 30)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.Notes = append(t.Notes,
-		"'copied': payload bytes held by each scheme across the run (one group checkpoint included)",
-		"logging copies every payload always; buffering holds only cross-group traffic during the cycle")
+	t.Cells[1][1] = 100 * float64(runtimes[1]-runtimes[0]) / float64(runtimes[0])
 	return t, nil
 }
 
@@ -112,21 +95,27 @@ func (g *Generator) ExtensionIncremental() (*Table, error) {
 		N: microN, CommGroupSize: 8, Iters: 1800,
 		Chunk: 100 * sim.Millisecond, FootprintMB: microFootprint,
 	}
-	baseline, err := g.R.Baseline(harness.PaperCluster(microN), w)
-	if err != nil {
-		return nil, fmt.Errorf("figures: incremental extension: %w", err)
-	}
 	modes := []struct {
 		incr bool
 		gs   int
 	}{{false, 0}, {false, 8}, {true, 0}, {true, 8}}
-	t.Rows = make([]string, len(modes))
-	t.Cells = make([][]float64, len(modes))
-	err = g.R.ForEach(len(modes), func(i int) error {
-		mode := modes[i]
+	for _, mode := range modes {
+		label := "full"
+		if mode.incr {
+			label = "incremental"
+		}
+		t.Rows = append(t.Rows, fmt.Sprintf("%s, %s", groupLabel(microN, mode.gs), label))
+	}
+	t.Notes = append(t.Notes,
+		"incremental snapshots write only memory dirtied since the last checkpoint (1 MB/s dirty rate)")
+	return g.fill("incremental extension", t, len(modes), func(i int) error {
+		baseline, err := g.R.Baseline(harness.PaperCluster(microN), w)
+		if err != nil {
+			return err
+		}
 		cfg := harness.PaperCluster(microN)
-		cfg.CR.GroupSize = mode.gs
-		cfg.CR.Incremental = mode.incr
+		cfg.CR.GroupSize = modes[i].gs
+		cfg.CR.Incremental = modes[i].incr
 		c, _, err := harness.Run(cfg, w, nil, 10*sim.Second, 60*sim.Second, 110*sim.Second)
 		if err != nil {
 			return err
@@ -135,24 +124,12 @@ func (g *Generator) ExtensionIncremental() (*Table, error) {
 		if err != nil {
 			return err
 		}
-		last := reps[len(reps)-1]
-		label := "full"
-		if mode.incr {
-			label = "incremental"
-		}
-		t.Rows[i] = fmt.Sprintf("%s, %s", groupLabel(microN, mode.gs), label)
 		t.Cells[i] = []float64{
 			(c.Job.FinishTime() - baseline).Seconds(),
-			last.MeanIndividual().Seconds(),
+			reps[len(reps)-1].MeanIndividual().Seconds(),
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: incremental extension: %w", err)
-	}
-	t.Notes = append(t.Notes,
-		"incremental snapshots write only memory dirtied since the last checkpoint (1 MB/s dirty rate)")
-	return t, nil
 }
 
 // ExtensionStaging quantifies the local-disk staging alternative the paper
@@ -173,8 +150,7 @@ func (g *Generator) ExtensionStaging() (*Table, error) {
 		N: microN, CommGroupSize: 8, Iters: 900,
 		Chunk: microChunk, FootprintMB: microFootprint,
 	}
-	var cells []harness.Cell
-	for _, mode := range []struct {
+	modes := []struct {
 		label   string
 		gs      int
 		storage tier.Mode
@@ -183,27 +159,27 @@ func (g *Generator) ExtensionStaging() (*Table, error) {
 		{"direct, Group(8)", 8, tier.ModeCentral},
 		{"staged, All(32)", 0, tier.ModeLocal},
 		{"staged, Group(8)", 8, tier.ModeLocal},
-	} {
-		cfg := harness.PaperCluster(microN)
-		cfg.CR.GroupSize = mode.gs
-		cfg.Tiers.Mode = mode.storage
-		cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
+	}
+	for _, mode := range modes {
 		t.Rows = append(t.Rows, mode.label)
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: staging extension: %w", err)
-	}
-	for _, res := range results {
-		t.Cells = append(t.Cells, []float64{
-			secs(res.EffectiveDelay()),
-			secs(res.Total()),
-			secs(res.Report.VulnerabilityWindow()),
-		})
 	}
 	t.Notes = append(t.Notes,
 		"staging trades a shorter stall for a durability gap; the paper's diskless clusters cannot use it at all")
-	return t, nil
+	return g.fill("staging extension", t, len(modes), func(i int) error {
+		cfg := harness.PaperCluster(microN)
+		cfg.CR.GroupSize = modes[i].gs
+		cfg.Tiers.Mode = modes[i].storage
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
+		}
+		t.Cells[i] = []float64{
+			secs(res.EffectiveDelay()),
+			secs(res.Total()),
+			secs(res.Report.VulnerabilityWindow()),
+		}
+		return nil
+	})
 }
 
 // ExtensionFaultRecovery is the end-to-end payoff experiment: run a job to
@@ -226,14 +202,16 @@ func (g *Generator) ExtensionFaultRecovery() (*Table, error) {
 		t.Cols = append(t.Cols, fmt.Sprintf("%.0f", iv.Seconds()))
 	}
 	groupSizes := []int{0, 4}
-	t.Cells = make([][]float64, len(groupSizes))
 	for _, gs := range groupSizes {
 		t.Rows = append(t.Rows, groupLabel(microN, gs))
 	}
-	for ri := range groupSizes {
-		t.Cells[ri] = make([]float64, len(intervals))
-	}
-	err := g.R.ForEach(len(groupSizes)*len(intervals), func(i int) error {
+	t.Notes = append(t.Notes,
+		"failure-free baseline ~45s; failures are exponential with identical seeds per cell",
+		"Young's U-curve: too-frequent checkpoints waste time, too-rare ones lose work",
+		"the protocols tie here because restartable runs use the polled (SCR-style) discipline,",
+		"which quiesces all ranks before any group writes and so forfeits the pre-turn compute",
+		"overlap; the overlap benefit is what Figures 3-7 measure under the signal protocol")
+	return g.fill("fault-recovery extension", t, len(groupSizes)*len(intervals), func(i int) error {
 		ri, ci := i/len(intervals), i%len(intervals)
 		cfg := harness.PaperCluster(microN)
 		cfg.CR.GroupSize = groupSizes[ri]
@@ -245,16 +223,6 @@ func (g *Generator) ExtensionFaultRecovery() (*Table, error) {
 		t.Cells[ri][ci] = res.Wall.Seconds()
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: fault-recovery extension: %w", err)
-	}
-	t.Notes = append(t.Notes,
-		"failure-free baseline ~45s; failures are exponential with identical seeds per cell",
-		"Young's U-curve: too-frequent checkpoints waste time, too-rare ones lose work",
-		"the protocols tie here because restartable runs use the polled (SCR-style) discipline,",
-		"which quiesces all ranks before any group writes and so forfeits the pre-turn compute",
-		"overlap; the overlap benefit is what Figures 3-7 measure under the signal protocol")
-	return t, nil
 }
 
 // ExtensionAvailability sweeps machine reliability against checkpoint
@@ -274,10 +242,6 @@ func (g *Generator) ExtensionAvailability() (*Table, error) {
 	w := workload.Ring{N: microN, Iters: 450, Chunk: 50 * sim.Millisecond, FootprintMB: 32}
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.LocalSetup = 100 * sim.Millisecond
-	baseline, err := g.R.Baseline(cfg, w)
-	if err != nil {
-		return nil, fmt.Errorf("figures: availability extension: %w", err)
-	}
 	// Per-checkpoint cost for Young's formula: all ranks write their images
 	// at the shared aggregate bandwidth (the regular-protocol cost model).
 	cost := sim.Seconds(float64(microN) * 32 * (1 << 20) / cfg.Storage.AggregateBW)
@@ -287,31 +251,30 @@ func (g *Generator) ExtensionAvailability() (*Table, error) {
 		t.Cols = append(t.Cols, fmt.Sprintf("%.0f", iv.Seconds()))
 	}
 	t.Cols = append(t.Cols, "Young opt")
-	t.Cells = make([][]float64, len(mtbfs))
-	for ri, mtbf := range mtbfs {
+	for _, mtbf := range mtbfs {
 		t.Rows = append(t.Rows, fmt.Sprintf("%.0fs", mtbf.Seconds()))
-		t.Cells[ri] = make([]float64, len(intervals)+1)
-		t.Cells[ri][len(intervals)] = model.OptimalInterval(cost, mtbf).Seconds()
-	}
-	err = g.R.ForEach(len(mtbfs)*len(intervals), func(i int) error {
-		ri, ci := i/len(intervals), i%len(intervals)
-		scn := fault.Scenario{MTBF: mtbfs[ri], Seed: 11}
-		cell := harness.PaperCluster(microN)
-		cell.CR.LocalSetup = 100 * sim.Millisecond
-		res, err := harness.RunScenario(cell, w, scn, intervals[ci], nil)
-		if err != nil {
-			return err
-		}
-		t.Cells[ri][ci] = baseline.Seconds() / res.Wall.Seconds()
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: availability extension: %w", err)
 	}
 	t.Notes = append(t.Notes,
 		"efficiency = failure-free baseline / wall time under exponential failures (identical seeds per cell)",
 		"Young's optimum sqrt(2*cost*MTBF) predicts where each row peaks; shorter MTBF wants shorter intervals")
-	return t, nil
+	return g.fill("availability extension", t, len(mtbfs)*len(intervals), func(i int) error {
+		ri, ci := i/len(intervals), i%len(intervals)
+		baseline, err := g.R.Baseline(cfg, w)
+		if err != nil {
+			return err
+		}
+		res, err := harness.RunScenario(cfg, w, fault.Scenario{MTBF: mtbfs[ri], Seed: 11}, intervals[ci], nil)
+		if err != nil {
+			return err
+		}
+		t.Cells[ri][ci] = baseline.Seconds() / res.Wall.Seconds()
+		// The Young column is computed, not simulated: the row's first
+		// simulation writes it.
+		if ci == 0 {
+			t.Cells[ri][len(intervals)] = model.OptimalInterval(cost, mtbfs[ri]).Seconds()
+		}
+		return nil
+	})
 }
 
 // tierZooConfig builds the micro-cluster configuration for one storage mode
@@ -348,24 +311,33 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figures: tiers extension: %w", err)
 	}
-	// The baseline takes no checkpoints, so it is independent of the storage
-	// mode; one central-mode run serves every row.
-	base, err := g.R.Baseline(tierZooConfig(tier.ModeCentral), w)
-	if err != nil {
-		return nil, fmt.Errorf("figures: tiers extension: %w", err)
-	}
 	modes := []tier.Mode{tier.ModeCentral, tier.ModeBurst, tier.ModeRAM, tier.ModeHierarchy}
-	t.Rows = make([]string, len(modes))
-	t.Cells = make([][]float64, len(modes))
-	err = g.R.ForEach(len(modes), func(i int) error {
-		mode := modes[i]
-		cfg := tierZooConfig(mode)
+	for _, mode := range modes {
+		label := string(mode)
+		if mode.HasRAM() {
+			label = fmt.Sprintf("%s (k=%d)", mode, tierZooConfig(mode).Tiers.ReplicaCount())
+		}
+		t.Rows = append(t.Rows, label)
+	}
+	t.Notes = append(t.Notes,
+		"delay = (failure-free wall - baseline) / epochs committed; commit acks at the fastest durable tier",
+		"recovery = crash-run wall minus failure-free wall for one crash at 17s; the plain crash leaves RAM",
+		"replicas intact, so tiered rows read partner copies back over disjoint fabric links",
+		"Young opt = sqrt(2*delay*MTBF) at MTBF 60s: cheaper acks shift the optimum toward shorter intervals")
+	return g.fill("tiers extension", t, len(modes), func(i int) error {
+		cfg := tierZooConfig(modes[i])
+		// The baseline takes no checkpoints, so it is independent of the
+		// storage mode; one central-mode run serves every row.
+		base, err := g.R.Baseline(tierZooConfig(tier.ModeCentral), w)
+		if err != nil {
+			return err
+		}
 		ff, err := harness.RunScenario(cfg, w, fault.Scenario{}, interval, nil)
 		if err != nil {
 			return err
 		}
 		if ff.Checkpoints == 0 {
-			return fmt.Errorf("%s: failure-free run committed no epochs", mode)
+			return fmt.Errorf("%s: failure-free run committed no epochs", modes[i])
 		}
 		crash, err := harness.RunScenario(cfg, w, crashScn, interval, nil)
 		if err != nil {
@@ -380,10 +352,6 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 			eff[mi] = base.Seconds() / res.Wall.Seconds()
 		}
 		delay := (ff.Wall - base) / sim.Time(ff.Checkpoints)
-		t.Rows[i] = string(mode)
-		if mode.HasRAM() {
-			t.Rows[i] = fmt.Sprintf("%s (k=%d)", mode, cfg.Tiers.ReplicaCount())
-		}
 		t.Cells[i] = []float64{
 			delay.Seconds(),
 			(crash.Wall - ff.Wall).Seconds(),
@@ -393,15 +361,6 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: tiers extension: %w", err)
-	}
-	t.Notes = append(t.Notes,
-		"delay = (failure-free wall - baseline) / epochs committed; commit acks at the fastest durable tier",
-		"recovery = crash-run wall minus failure-free wall for one crash at 17s; the plain crash leaves RAM",
-		"replicas intact, so tiered rows read partner copies back over disjoint fabric links",
-		"Young opt = sqrt(2*delay*MTBF) at MTBF 60s: cheaper acks shift the optimum toward shorter intervals")
-	return t, nil
 }
 
 // ProtocolZoo lists the protocol zoo's members, as the cr.Config.Protocol
@@ -457,11 +416,17 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 	if err != nil {
 		return nil, fmt.Errorf("figures: protocols extension: %w", err)
 	}
-	t.Rows = make([]string, len(kinds))
-	t.Cells = make([][]float64, len(kinds))
-	err = g.R.ForEach(len(kinds), func(i int) error {
-		kind := kinds[i]
-		cfg, label := protocolZooConfig(kind)
+	for _, kind := range kinds {
+		_, label := protocolZooConfig(kind)
+		t.Rows = append(t.Rows, label)
+	}
+	t.Notes = append(t.Notes,
+		"per-kind baselines: the uncoordinated row is measured against a logging-enabled baseline",
+		"recovery = crash-run wall minus failure-free wall for one crash at 17s (lost work + restart read-back)",
+		"availability = failure-free baseline / crash-run wall; restartable runs use the polled discipline,",
+		"so the blocking rows quiesce all ranks at the poll and their delays track the shared storage write")
+	return g.fill("protocols extension", t, len(kinds), func(i int) error {
+		cfg, _ := protocolZooConfig(kinds[i])
 		base, err := g.R.Baseline(cfg, w)
 		if err != nil {
 			return err
@@ -471,13 +436,12 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 			return err
 		}
 		if ff.Checkpoints == 0 {
-			return fmt.Errorf("%s: failure-free run committed no epochs", kind)
+			return fmt.Errorf("%s: failure-free run committed no epochs", kinds[i])
 		}
 		crash, err := harness.RunScenario(cfg, w, crashScn, interval, nil)
 		if err != nil {
 			return err
 		}
-		t.Rows[i] = label
 		t.Cells[i] = []float64{
 			(ff.Wall - base).Seconds() / float64(ff.Checkpoints),
 			100 * float64(ff.Wall-base) / float64(base),
@@ -486,15 +450,6 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: protocols extension: %w", err)
-	}
-	t.Notes = append(t.Notes,
-		"per-kind baselines: the uncoordinated row is measured against a logging-enabled baseline",
-		"recovery = crash-run wall minus failure-free wall for one crash at 17s (lost work + restart read-back)",
-		"availability = failure-free baseline / crash-run wall; restartable runs use the polled discipline,",
-		"so the blocking rows quiesce all ranks at the poll and their delays track the shared storage write")
-	return t, nil
 }
 
 // ExtensionScalability projects the paper's future-work question — behaviour
@@ -515,37 +470,26 @@ func (g *Generator) ExtensionScalability() (*Table, error) {
 	for _, n := range sizes {
 		t.Cols = append(t.Cols, fmt.Sprint(n))
 	}
-	var cells []harness.Cell
-	for _, mode := range []struct {
-		label string
-		gs    int
-	}{{"All(N)", 0}, {"Group(4)", 4}} {
-		t.Rows = append(t.Rows, mode.label)
-		for _, n := range sizes {
-			// Runtime must exceed the largest delay: N*180MB/140MBps.
-			iters := 40 + 14*n
-			w := workload.CommGroups{
-				N: n, CommGroupSize: 4, Iters: iters,
-				Chunk: microChunk, FootprintMB: microFootprint,
-			}
-			cfg := harness.PaperCluster(n)
-			cfg.CR.GroupSize = mode.gs
-			cells = append(cells, harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second})
-		}
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: scalability extension: %w", err)
-	}
-	for ri := 0; ri < len(t.Rows); ri++ {
-		row := make([]float64, len(sizes))
-		for ci := range sizes {
-			row[ci] = secs(results[ri*len(sizes)+ci].EffectiveDelay())
-		}
-		t.Cells = append(t.Cells, row)
-	}
+	t.Rows = []string{"All(N)", "Group(4)"}
+	groupSizes := []int{0, 4}
 	t.Notes = append(t.Notes,
 		"the regular protocol scales O(N) with the job size; group-based stays flat",
 		"(each group of 4 still writes at full aggregate bandwidth while others compute)")
-	return t, nil
+	return g.fill("scalability extension", t, len(groupSizes)*len(sizes), func(i int) error {
+		ri, ci := i/len(sizes), i%len(sizes)
+		n := sizes[ci]
+		// Runtime must exceed the largest delay: N*180MB/140MBps.
+		w := workload.CommGroups{
+			N: n, CommGroupSize: 4, Iters: 40 + 14*n,
+			Chunk: microChunk, FootprintMB: microFootprint,
+		}
+		cfg := harness.PaperCluster(n)
+		cfg.CR.GroupSize = groupSizes[ri]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
+		}
+		t.Cells[ri][ci] = secs(res.EffectiveDelay())
+		return nil
+	})
 }

@@ -19,18 +19,17 @@ func (g *Generator) Fig1() (*Table, error) {
 		ColHeader: "clients",
 		RowHeader: "metric",
 		Rows:      []string{"Bandwidth per Client", "Aggregated Throughput"},
-		Cells:     [][]float64{make([]float64, len(clients)), make([]float64, len(clients))},
 	}
 	const size = 256 * storage.MB
 	for _, n := range clients {
 		t.Cols = append(t.Cols, fmt.Sprint(n))
 	}
-	err := g.R.ForEach(len(clients), func(pt int) error {
+	return g.fill("fig1", t, len(clients), func(pt int) error {
 		n := clients[pt]
 		k := sim.NewKernel(1)
 		st, err := storage.New(k, storage.PaperConfig())
 		if err != nil {
-			return fmt.Errorf("figures: fig1 storage: %w", err)
+			return err
 		}
 		var makespan sim.Time
 		for i := 0; i < n; i++ {
@@ -45,15 +44,11 @@ func (g *Generator) Fig1() (*Table, error) {
 			})
 		}
 		if err := k.Run(); err != nil {
-			return fmt.Errorf("figures: fig1 with %d clients: %w", n, err)
+			return fmt.Errorf("%d clients: %w", n, err)
 		}
 		per := float64(size) / makespan.Seconds() / storage.MB
 		t.Cells[0][pt] = per
 		t.Cells[1][pt] = per * float64(n)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }

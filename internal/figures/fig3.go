@@ -37,37 +37,28 @@ func (g *Generator) Fig3() (*Table, error) {
 		}
 		t.Cols = append(t.Cols, label)
 	}
-	issued := 10 * sim.Second
-	var cells []harness.Cell
 	for _, cg := range commSizes {
 		label := fmt.Sprintf("Comm %d", cg)
 		if cg == 1 {
 			label = "Embar. Parallel"
 		}
 		t.Rows = append(t.Rows, label)
+	}
+	return g.fill("fig3", t, len(commSizes)*len(ckptSizes), func(i int) error {
+		ri, ci := i/len(ckptSizes), i%len(ckptSizes)
 		w := workload.CommGroups{
-			N: microN, CommGroupSize: cg, Iters: 900,
+			N: microN, CommGroupSize: commSizes[ri], Iters: 900,
 			Chunk: microChunk, FootprintMB: microFootprint,
 		}
 		cfg := harness.PaperCluster(microN)
-		for _, gs := range ckptSizes {
-			c := cfg
-			c.CR.GroupSize = gs
-			cells = append(cells, harness.Cell{Config: c, Workload: w, IssuedAt: issued})
+		cfg.CR.GroupSize = ckptSizes[ci]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 10 * sim.Second}, nil)
+		if err != nil {
+			return err
 		}
-	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: fig3: %w", err)
-	}
-	for ri := range commSizes {
-		row := make([]float64, len(ckptSizes))
-		for ci := range ckptSizes {
-			row[ci] = secs(results[ri*len(ckptSizes)+ci].EffectiveDelay())
-		}
-		t.Cells = append(t.Cells, row)
-	}
-	return t, nil
+		t.Cells[ri][ci] = secs(res.EffectiveDelay())
+		return nil
+	})
 }
 
 // Fig4 reproduces Figure 4: checkpoint placement. Communication and
@@ -76,21 +67,12 @@ func (g *Generator) Fig3() (*Table, error) {
 // Individual and Total checkpoint times, approaching the total when the
 // request lands close to the synchronization line at 60 s.
 func (g *Generator) Fig4() (*Table, error) {
-	times := []sim.Time{}
-	for s := 15; s <= 115; s += 10 {
-		times = append(times, sim.Time(s)*sim.Second)
-	}
 	t := &Table{
 		Title:     "Figure 4: Checkpoint Placement (comm group 8, ckpt group 8, barrier every 60s)",
 		Unit:      "s",
 		ColHeader: "issuance time (s)",
 		RowHeader: "metric",
 		Rows:      []string{"Effective Ckpt Delay", "Individual Ckpt Time", "Total Ckpt Time"},
-		Cells: [][]float64{
-			make([]float64, len(times)),
-			make([]float64, len(times)),
-			make([]float64, len(times)),
-		},
 	}
 	w := workload.BarrierPhases{
 		N: microN, CommGroupSize: 8, Chunk: microChunk,
@@ -98,19 +80,19 @@ func (g *Generator) Fig4() (*Table, error) {
 	}
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.GroupSize = 8
-	cells := make([]harness.Cell, len(times))
-	for i, at := range times {
-		t.Cols = append(t.Cols, fmt.Sprint(int(at.Seconds())))
-		cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: at}
+	var times []sim.Time
+	for s := 15; s <= 115; s += 10 {
+		times = append(times, sim.Time(s)*sim.Second)
+		t.Cols = append(t.Cols, fmt.Sprint(s))
 	}
-	results, err := g.R.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("figures: fig4: %w", err)
-	}
-	for i, res := range results {
+	return g.fill("fig4", t, len(times), func(i int) error {
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: times[i]}, nil)
+		if err != nil {
+			return err
+		}
 		t.Cells[0][i] = secs(res.EffectiveDelay())
 		t.Cells[1][i] = secs(res.Report.MeanIndividual())
 		t.Cells[2][i] = secs(res.Total())
-	}
-	return t, nil
+		return nil
+	})
 }

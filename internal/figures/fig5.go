@@ -6,6 +6,7 @@ import (
 
 	"gbcr/internal/harness"
 	"gbcr/internal/sim"
+	"gbcr/internal/workload"
 	"gbcr/internal/workload/hpl"
 	"gbcr/internal/workload/motif"
 )
@@ -14,35 +15,41 @@ import (
 // protocol plus 16/8/4/2/1.
 var hplGroupSizes = []int{0, 16, 8, 4, 2, 1}
 
-// Fig5 reproduces Figure 5: Effective Checkpoint Delay for HPL on the 8×4
-// grid at eight issuance points (50–400 s) across checkpoint group sizes.
-// The 6×8 matrix runs as one concurrent sweep with a shared baseline.
-func (g *Generator) Fig5() (*Table, error) {
-	w := hpl.PaperTimed()
-	n := w.P * w.Q
-	t := &Table{
-		Title:     "Figure 5: Effective Checkpoint Delay at 8 Time Points for HPL (8x4)",
-		Unit:      "s",
-		ColHeader: "issuance time (s)",
-		RowHeader: "ckpt group",
+// groupTimeGrid measures w's Effective Checkpoint Delay on an n-rank paper
+// cluster for each checkpoint group size of hplGroupSizes (rows) at every
+// multiple of step seconds up to last (columns): the grid of Figures 5 and 7.
+func (g *Generator) groupTimeGrid(name, title string, w workload.Workload, n, step, last int) (*Table, error) {
+	t := &Table{Title: title, Unit: "s", ColHeader: "issuance time (s)", RowHeader: "ckpt group"}
+	for _, gs := range hplGroupSizes {
+		t.Rows = append(t.Rows, groupLabel(n, gs))
 	}
 	var times []sim.Time
-	for s := 50; s <= 400; s += 50 {
+	for s := step; s <= last; s += step {
 		times = append(times, sim.Time(s)*sim.Second)
 		t.Cols = append(t.Cols, fmt.Sprint(s))
 	}
-	cfg := harness.PaperCluster(n)
-	sweep, err := g.R.Sweep(cfg, w, hplGroupSizes, times)
-	if err != nil {
-		return nil, fmt.Errorf("figures: fig5: %w", err)
-	}
-	for gi, gs := range hplGroupSizes {
-		t.Rows = append(t.Rows, groupLabel(n, gs))
-		row := make([]float64, len(times))
-		for ti := range times {
-			row[ti] = secs(sweep[gi][ti].EffectiveDelay())
+	return g.fill(name, t, len(hplGroupSizes)*len(times), func(i int) error {
+		ri, ci := i/len(times), i%len(times)
+		cfg := harness.PaperCluster(n)
+		cfg.CR.GroupSize = hplGroupSizes[ri]
+		res, err := g.R.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: times[ci]}, nil)
+		if err != nil {
+			return err
 		}
-		t.Cells = append(t.Cells, row)
+		t.Cells[ri][ci] = secs(res.EffectiveDelay())
+		return nil
+	})
+}
+
+// Fig5 reproduces Figure 5: Effective Checkpoint Delay for HPL on the 8×4
+// grid at eight issuance points (50–400 s) across checkpoint group sizes.
+// The 6×8 grid shares one memoized baseline.
+func (g *Generator) Fig5() (*Table, error) {
+	w := hpl.PaperTimed()
+	n := w.P * w.Q
+	t, err := g.groupTimeGrid("fig5", "Figure 5: Effective Checkpoint Delay at 8 Time Points for HPL (8x4)", w, n, 50, 400)
+	if err != nil {
+		return nil, err
 	}
 	pct, row, col := maxReduction(t)
 	t.Notes = append(t.Notes,
@@ -90,33 +97,12 @@ func (g *Generator) Fig6(fig5 *Table) *Table {
 }
 
 // Fig7 reproduces Figure 7: Effective Checkpoint Delay for MotifMiner at
-// four issuance points (30–120 s) across checkpoint group sizes, as one
-// concurrent sweep.
+// four issuance points (30–120 s) across checkpoint group sizes.
 func (g *Generator) Fig7() (*Table, error) {
 	w := motif.PaperTimed()
-	t := &Table{
-		Title:     "Figure 7: Effective Checkpoint Delay for MotifMiner (32 ranks)",
-		Unit:      "s",
-		ColHeader: "issuance time (s)",
-		RowHeader: "ckpt group",
-	}
-	var times []sim.Time
-	for s := 30; s <= 120; s += 30 {
-		times = append(times, sim.Time(s)*sim.Second)
-		t.Cols = append(t.Cols, fmt.Sprint(s))
-	}
-	cfg := harness.PaperCluster(w.N)
-	sweep, err := g.R.Sweep(cfg, w, hplGroupSizes, times)
+	t, err := g.groupTimeGrid("fig7", "Figure 7: Effective Checkpoint Delay for MotifMiner (32 ranks)", w, w.N, 30, 120)
 	if err != nil {
-		return nil, fmt.Errorf("figures: fig7: %w", err)
-	}
-	for gi, gs := range hplGroupSizes {
-		t.Rows = append(t.Rows, groupLabel(w.N, gs))
-		row := make([]float64, len(times))
-		for ti := range times {
-			row[ti] = secs(sweep[gi][ti].EffectiveDelay())
-		}
-		t.Cells = append(t.Cells, row)
+		return nil, err
 	}
 	pct, row, col := maxReduction(t)
 	t.Notes = append(t.Notes,

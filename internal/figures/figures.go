@@ -5,10 +5,11 @@
 // studies for the design choices in Section 4. Both cmd/figures and the
 // bench harness drive it.
 //
-// All generators hang off a Generator, which owns a harness.Runner: every
-// sweep matrix is scheduled concurrently on its worker pool and baselines
-// are memoized across figures, with results bit-identical to serial
-// execution. Generators return errors instead of panicking.
+// All generators hang off a Generator, which owns a harness.Runner. Each
+// generator lays its table out, then fills it with one call to the Runner's
+// worker pool in which every simulation writes its own cells; baselines are
+// memoized across figures, and the tables are bit-identical at any worker
+// count. Generators return errors instead of panicking.
 package figures
 
 import (
@@ -86,6 +87,40 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
+}
+
+// fill lays t's cells out as len(t.Rows) × len(t.Cols), then runs
+// simulations 0..n-1 on the generator's worker pool. Each simulation writes
+// its own cells and no cell has a second writer, so the table cannot depend
+// on the schedule. An error names the table and the simulation's index.
+func (g *Generator) fill(name string, t *Table, n int, run func(i int) error) (*Table, error) {
+	t.Cells = make([][]float64, len(t.Rows))
+	for ri := range t.Cells {
+		t.Cells[ri] = make([]float64, len(t.Cols))
+	}
+	err := g.R.ForEach(n, func(i int) error {
+		if err := run(i); err != nil {
+			return fmt.Errorf("figures: %s: simulation %d: %w", name, i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// tables runs each generator in turn and collects their tables.
+func tables(gens ...func() (*Table, error)) ([]*Table, error) {
+	var out []*Table
+	for _, gen := range gens {
+		t, err := gen()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // groupLabel names a checkpoint group size the way the paper's figures do.

@@ -42,9 +42,10 @@ func cellLabel(i int, c Cell) string {
 		i, c.Workload.Name(), c.Config.CR.GroupSize, c.IssuedAt)
 }
 
-// RunCaptured measures every cell on the worker pool like Run, with a
-// private observability bus and private sinks per cell, so concurrent cells
-// never share a sink and the merged outputs do not depend on the schedule.
+// RunCaptured measures every cell on the worker pool and returns the
+// results in cell order, with a private observability bus and private sinks
+// per cell, so concurrent cells never share a sink and the merged outputs
+// do not depend on the schedule.
 func (r *Runner) RunCaptured(cells []Cell, opt Capture) (*CapturedRun, error) {
 	run := &CapturedRun{
 		Cells:   cells,
@@ -78,7 +79,7 @@ func (r *Runner) RunCaptured(cells []Cell, opt Capture) (*CapturedRun, error) {
 			run.chromes[i].ProcessName = cellLabel(i, cells[i])
 			bus.AddSink(run.chromes[i])
 		}
-		if run.Results[i], err = r.measure(cells[i], bus); err != nil {
+		if run.Results[i], err = r.Measure(cells[i], bus); err != nil {
 			return fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
 		}
 		run.agg.Merge(bus.Metrics().Snapshot())

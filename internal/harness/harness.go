@@ -6,9 +6,10 @@
 //
 // One function runs every simulation: attempt, which Run wraps for a fresh
 // launch and RunScenario chains across restarts. Runner is a worker pool
-// over it that memoizes baselines; the serial Sweep is the reference its
-// results are bit-identical to. All entry points return errors instead of
-// panicking, so the stack is usable as an embedded service component.
+// that memoizes baselines; its Measure gives the results of a serial
+// Baseline and MeasureWithBaseline at any worker count. All entry points
+// return errors instead of panicking, so the stack is usable as an
+// embedded service component.
 package harness
 
 import (
@@ -220,32 +221,4 @@ func MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, 
 		return Result{}, err
 	}
 	return measureWithBaselineObs(cfg, w, issuedAt, base, bus)
-}
-
-// Sweep measures the effective delay across group sizes and issuance times,
-// serially and on the calling goroutine. groupSizes uses 0 for the regular
-// protocol ("All"). The result is indexed [groupSize][issuedAt] in the given
-// orders. It is the reference implementation for Runner.Sweep, which runs
-// the same matrix concurrently with bit-identical results.
-//
-//lint:allow-unused the serial reference the runner-equivalence tests compare Runner.Sweep against
-func Sweep(cfg ClusterConfig, w workload.Workload, groupSizes []int, times []sim.Time) ([][]Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(groupSizes))
-	for gi, gs := range groupSizes {
-		out[gi] = make([]Result, len(times))
-		for ti, at := range times {
-			c := cfg
-			c.CR.GroupSize = gs
-			res, err := MeasureWithBaseline(c, w, at, base)
-			if err != nil {
-				return nil, fmt.Errorf("harness: sweep cell group=%d at=%v: %w", gs, at, err)
-			}
-			out[gi][ti] = res
-		}
-	}
-	return out, nil
 }

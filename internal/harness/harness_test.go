@@ -83,13 +83,18 @@ func TestSweepGroupSizeHalving(t *testing.T) {
 	cfg := smallCluster(8)
 	w := workload.CommGroups{N: 8, CommGroupSize: 2, Iters: 120,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 100}
-	res, err := Sweep(cfg, w, []int{0, 4, 2}, []sim.Time{3 * sim.Second})
-	if err != nil {
-		t.Fatal(err)
+	r := NewRunner(0)
+	var delays [3]sim.Time
+	for i, gs := range []int{0, 4, 2} {
+		c := cfg
+		c.CR.GroupSize = gs
+		res, err := r.Measure(Cell{Config: c, Workload: w, IssuedAt: 3 * sim.Second}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delays[i] = res.EffectiveDelay()
 	}
-	all := res[0][0].EffectiveDelay()
-	g4 := res[1][0].EffectiveDelay()
-	g2 := res[2][0].EffectiveDelay()
+	all, g4, g2 := delays[0], delays[1], delays[2]
 	if !(all > g4 && g4 > g2) {
 		t.Fatalf("delays not decreasing: all=%v g4=%v g2=%v", all, g4, g2)
 	}

@@ -16,11 +16,12 @@ import (
 // Runner is the concurrent experiment engine. Every measurement cell —
 // one (config, workload, issuance time) simulation — is an independent,
 // deterministic, single-threaded run, so a sweep matrix can be scheduled
-// across a bounded worker pool with results bit-identical to the serial
-// Sweep. The Runner also memoizes baselines: a failure-free run never
-// schedules a checkpoint, so its completion time depends only on the
-// canonicalized cluster configuration and the workload identity, and sweeps
-// or figure regeneration never re-run an identical baseline.
+// across a bounded worker pool (ForEach) with results bit-identical to a
+// serial loop of Baseline and MeasureWithBaseline. The Runner also memoizes
+// baselines: a failure-free run never schedules a checkpoint, so its
+// completion time depends only on the canonicalized cluster configuration
+// and the workload identity, and sweeps or figure regeneration never re-run
+// an identical baseline.
 //
 // A Runner is safe for concurrent use by multiple goroutines.
 type Runner struct {
@@ -94,11 +95,12 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 	return e.t, e.err
 }
 
-// measure runs one checkpointed cell, taking the baseline from the cache,
+// Measure runs one checkpointed cell, taking the baseline from the cache,
 // with an optional caller-owned bus attached to the checkpointed run
 // (RunCaptured's per-cell sinks hang off it). With an aggregate installed,
-// the cell's metrics are merged into it.
-func (r *Runner) measure(c Cell, bus *obs.Bus) (Result, error) {
+// the cell's metrics are merged into it. Cells are independent simulations,
+// so calls from ForEach's workers give the results a serial loop would.
+func (r *Runner) Measure(c Cell, bus *obs.Bus) (Result, error) {
 	base, err := r.Baseline(c.Config, c.Workload)
 	if err != nil {
 		return Result{}, err
@@ -125,26 +127,12 @@ type Cell struct {
 	IssuedAt sim.Time
 }
 
-// Run measures every cell on the worker pool and returns the results in
-// cell order. Cells are independent simulations, so the schedule cannot
-// change any result — only the wall-clock time. On failure the first error
-// in cell order is returned along with the results computed so far.
-func (r *Runner) Run(cells []Cell) ([]Result, error) {
-	out := make([]Result, len(cells))
-	err := r.ForEach(len(cells), func(i int) (err error) {
-		if out[i], err = r.measure(cells[i], nil); err != nil {
-			err = fmt.Errorf("%s: %w", cellLabel(i, cells[i]), err)
-		}
-		return err
-	})
-	return out, err
-}
-
 // ForEach runs fn(0..n-1) on the worker pool and waits for all of them.
-// It is the generic scheduling primitive under Run for experiment grids
-// that are not Measure-shaped (fault-injection runs, client scaling, ...).
-// Panics in fn are captured as errors so a misbehaving cell cannot take
-// down an embedding service. The first error in index order is returned.
+// It is the one scheduling primitive: figure grids call Measure (or run
+// fault-injection scenarios, storage-only runs, ...) from fn, and
+// RunCaptured is built on it. Panics in fn are captured as errors so a
+// misbehaving cell cannot take down an embedding service. The first error
+// in index order is returned.
 func (r *Runner) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -190,32 +178,4 @@ func protect(i int, fn func(i int) error) (err error) {
 		}
 	}()
 	return fn(i)
-}
-
-// Sweep measures the effective delay across group sizes and issuance times
-// concurrently. It is the parallel equivalent of the serial Sweep: same
-// matrix shape, bit-identical results, indexed [groupSize][issuedAt]. The
-// baseline is computed once up front so the fan-out starts with a warm
-// cache.
-func (r *Runner) Sweep(cfg ClusterConfig, w workload.Workload, groupSizes []int, times []sim.Time) ([][]Result, error) {
-	if _, err := r.Baseline(cfg, w); err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, 0, len(groupSizes)*len(times))
-	for _, gs := range groupSizes {
-		for _, at := range times {
-			c := cfg
-			c.CR.GroupSize = gs
-			cells = append(cells, Cell{Config: c, Workload: w, IssuedAt: at})
-		}
-	}
-	flat, err := r.Run(cells)
-	if err != nil {
-		return nil, fmt.Errorf("harness: sweep: %w", err)
-	}
-	out := make([][]Result, len(groupSizes))
-	for gi := range groupSizes {
-		out[gi] = flat[gi*len(times) : (gi+1)*len(times) : (gi+1)*len(times)]
-	}
-	return out, nil
 }

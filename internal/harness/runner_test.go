@@ -21,12 +21,12 @@ func fig3Workload() workload.Workload {
 		Chunk: 100 * sim.Millisecond, FootprintMB: 180}
 }
 
-// TestRunnerSweepMatchesSerial is the determinism contract on the paper's
-// two sweep matrices: the concurrent Runner must return results
-// bit-identical to the serial Sweep reference for the Figure 3 matrix
-// (CommGroups micro-benchmark across checkpoint group sizes) and the
-// Figure 5 matrix (HPL, 6 group sizes x 8 issuance times).
-func TestRunnerSweepMatchesSerial(t *testing.T) {
+// TestRunnerMeasureMatchesSerial is the determinism contract on the paper's
+// two sweep matrices: Measure on ForEach's workers must return results
+// bit-identical to a serial Baseline and MeasureWithBaseline loop for the
+// Figure 3 matrix (CommGroups micro-benchmark across checkpoint group sizes)
+// and the Figure 5 matrix (HPL, 6 group sizes x 8 issuance times).
+func TestRunnerMeasureMatchesSerial(t *testing.T) {
 	hplW := hpl.PaperTimed()
 	cases := []struct {
 		name       string
@@ -50,16 +50,35 @@ func TestRunnerSweepMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := Sweep(tc.cfg, tc.w, tc.groupSizes, tc.times)
+			var cells []Cell
+			for _, gs := range tc.groupSizes {
+				for _, at := range tc.times {
+					c := tc.cfg
+					c.CR.GroupSize = gs
+					cells = append(cells, Cell{Config: c, Workload: tc.w, IssuedAt: at})
+				}
+			}
+			base, err := Baseline(tc.cfg, tc.w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := NewRunner(8).Sweep(tc.cfg, tc.w, tc.groupSizes, tc.times)
+			serial := make([]Result, len(cells))
+			for i, c := range cells {
+				if serial[i], err = MeasureWithBaseline(c.Config, c.Workload, c.IssuedAt, base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := NewRunner(8)
+			par := make([]Result, len(cells))
+			err = r.ForEach(len(cells), func(i int) (err error) {
+				par[i], err = r.Measure(cells[i], nil)
+				return err
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("parallel sweep differs from serial reference:\nserial: %v\nparallel: %v", serial, par)
+				t.Fatalf("parallel Measure differs from the serial loop:\nserial: %v\nparallel: %v", serial, par)
 			}
 		})
 	}
@@ -181,22 +200,18 @@ func TestRunnerErrorPropagation(t *testing.T) {
 	w := workload.CommGroups{N: 8, CommGroupSize: 2, Iters: 10,
 		Chunk: 10 * sim.Millisecond, FootprintMB: 10}
 
-	if _, err := r.Run([]Cell{{Config: bad, Workload: w, IssuedAt: sim.Second}}); err == nil {
+	if _, err := r.Measure(Cell{Config: bad, Workload: w, IssuedAt: sim.Second}, nil); err == nil {
 		t.Fatal("invalid config must error, not panic")
 	}
-	if _, err := r.Run([]Cell{{Config: PaperCluster(8), Workload: w, IssuedAt: -sim.Second}}); err == nil {
+	if _, err := r.Measure(Cell{Config: PaperCluster(8), Workload: w, IssuedAt: -sim.Second}, nil); err == nil {
 		t.Fatal("negative issuance time must error")
 	}
 
 	// A bad cell in a batch reports its index and spares the good cells.
 	good := Cell{Config: PaperCluster(8), Workload: w, IssuedAt: 100 * sim.Millisecond}
-	_, err := r.Run([]Cell{good, {Config: bad, Workload: w, IssuedAt: sim.Second}})
+	_, err := r.RunCaptured([]Cell{good, {Config: bad, Workload: w, IssuedAt: sim.Second}}, Capture{})
 	if err == nil || !strings.Contains(err.Error(), "cell 1") {
 		t.Fatalf("batch error should name cell 1, got: %v", err)
-	}
-
-	if _, err := NewRunner(2).Sweep(bad, w, []int{0, 2}, []sim.Time{sim.Second}); err == nil {
-		t.Fatal("sweep over an invalid config must error")
 	}
 }
 

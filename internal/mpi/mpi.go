@@ -149,12 +149,13 @@ func (j *Job) Config() Config { return j.cfg }
 func (j *Job) Rank(i int) *Rank { return j.ranks[i] }
 
 // Launch starts rank i's application body as a simulated process. The
-// returned Env is also passed to body.
+// returned Env is also passed to body. Launching a rank twice spawns nothing
+// and fails the simulation: the kernel's Run returns the error.
 func (j *Job) Launch(i int, body func(e *Env)) *Rank {
 	r := j.ranks[i]
 	if r.proc != nil {
-		//lint:allow-panic launching a rank twice is a harness bug, not a runtime condition
-		panic(fmt.Sprintf("mpi: rank %d launched twice", i))
+		j.k.Fail(fmt.Errorf("mpi: rank %d launched twice", i))
+		return r
 	}
 	r.proc = j.k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 		body(&Env{r: r, p: p})

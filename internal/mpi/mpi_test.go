@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,21 @@ func outboxLen(r *Rank, dst int) int {
 		return len(pr.outbox)
 	}
 	return 0
+}
+
+// TestLaunchTwiceFails: launching a rank that is already launched keeps its
+// first process, spawns nothing, and fails the run with an error naming it.
+func TestLaunchTwiceFails(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	j.LaunchAll(func(e *Env) {})
+	first := j.Rank(1).proc
+	if r := j.Launch(1, func(e *Env) { t.Error("second body ran") }); r != j.Rank(1) || r.proc != first {
+		t.Fatal("second Launch replaced rank 1's process")
+	}
+	defer k.Shutdown()
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "rank 1 launched twice") {
+		t.Fatalf("Run returned %v, want the rank 1 double-launch error", err)
+	}
 }
 
 func TestEagerSendRecv(t *testing.T) {

@@ -66,8 +66,9 @@ type Controller struct {
 	bufStart mpi.RankStats
 }
 
-func newController(co *Coordinator, rank *mpi.Rank) *Controller {
-	c := &Controller{co: co, rank: rank}
+// attach makes c rank's controller and returns it.
+func (c *Controller) attach(co *Coordinator, rank *mpi.Rank) *Controller {
+	*c = Controller{co: co, rank: rank}
 	rank.SetHooks(c)
 	rank.SetIndependentCkpt(!co.proto.Blocking())
 	ep := rank.Endpoint()

@@ -134,8 +134,10 @@ func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinat
 		co.tag = fmt.Sprintf(" [%s]", cfg.Protocol)
 	}
 	co.ep.OnOOB = co.onMsg
-	for i := 0; i < job.Size(); i++ {
-		co.ctls = append(co.ctls, newController(co, job.Rank(i)))
+	co.ctls = make([]*Controller, job.Size())
+	slab := make([]Controller, job.Size()) // one allocation for every controller
+	for i := range slab {
+		co.ctls[i] = slab[i].attach(co, job.Rank(i))
 	}
 	return co, nil
 }

@@ -2,15 +2,16 @@ package ib
 
 import (
 	"testing"
+	"unsafe"
 
 	"gbcr/internal/sim"
 )
 
 // These gates pin the fabric's per-packet path at zero allocations once its
-// queues are warm, in the style of internal/sim/alloc_test.go: a packet is a
-// slot in the sender's in-flight FIFO, one pooled kernel event firing a
-// func value bound at AddEndpoint, and a slot in the receiver's work queue.
-// Payloads are pointers, as the MPI layer's are, so nothing is boxed.
+// queues are warm, in the style of internal/sim/alloc_test.go: an in-band
+// packet is a slot in the sender's in-flight FIFO, one pooled kernel event
+// firing a func value bound at AddEndpoint, and a slot in the receiver's work
+// queue. Payloads are pointers, as the MPI layer's are, so nothing is boxed.
 
 // TestZeroAllocTransmitDeliverProgress: Send → arrival → Progress →
 // OnMessage, with the receiver polling (the MPI progress rule) so the work
@@ -49,7 +50,7 @@ func TestZeroAllocTransmitDeliverProgress(t *testing.T) {
 }
 
 // TestZeroAllocOOB: the out-of-band channel rides the same closure-free
-// delivery, through its own FIFO.
+// delivery, through the fabric's one out-of-band FIFO (bound at New).
 func TestZeroAllocOOB(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := newFabric(t, k, PaperConfig())
@@ -100,5 +101,164 @@ func TestFIFOReusesAndClears(t *testing.T) {
 	}
 	if q.len() != 1 || q.pop() != v || q.len() != 0 {
 		t.Fatal("queue lost an element")
+	}
+}
+
+// TestZeroAllocReconnect: a checkpoint tears every connection down and
+// rebuilds it. A closed connection keeps its record, so on a warm pair the
+// whole flush → disconnect → connect round allocates nothing, and in between
+// the closed peer is closed to every accessor.
+func TestZeroAllocReconnect(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := newFabric(t, k, PaperConfig())
+	a, b := addEP(t, f, 0), addEP(t, f, 1)
+	a.OnWork, b.OnWork = a.Progress, b.Progress
+	var bad string
+	cycle := func() {
+		a.Disconnect(1)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		visited := 0
+		a.EachConn(func(int, ConnState) { visited++ })
+		if a.State(1) != StateClosed || b.State(0) != StateClosed || a.NumConns() != 0 || visited != 0 {
+			bad = "closed peer still visible after disconnect"
+		}
+		if err := a.Connect(1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !a.Connected(1) || !b.Connected(0) || a.NumConns() != 1 || b.NumConns() != 1 {
+			bad = "reconnect did not establish both sides"
+		}
+	}
+	connect(t, a, 1, 0)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	cycle() // warm the queues and the kernel's event pool
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("disconnect and reconnect allocate %v, want 0", avg)
+	}
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if len(a.conns) != 1 || len(b.conns) != 1 {
+		t.Fatalf("records: %d and %d, want one each", len(a.conns), len(b.conns))
+	}
+}
+
+// TestOOBOrderAcrossEndpoints: out-of-band packets from many senders share
+// one fabric-wide FIFO. Sent at one instant or at interleaved instants, with
+// the wire latency or without it (where every packet goes through the
+// kernel's equal-time order), each receiver sees its packets in send order,
+// from the right source, one latency after they were sent.
+func TestOOBOrderAcrossEndpoints(t *testing.T) {
+	type pkt struct {
+		src, dst int
+		at       sim.Time
+	}
+	for _, cfg := range []Config{PaperConfig(), {LinkBW: PaperConfig().LinkBW}} {
+		for _, spread := range []sim.Time{0, 50 * sim.Microsecond} {
+			k := sim.NewKernel(1)
+			f := newFabric(t, k, cfg)
+			senders := []*Endpoint{addEP(t, f, 0), addEP(t, f, 1), addEP(t, f, 2)}
+			var got, want [2][]*pkt // by receiver, 10 and 11
+			for _, id := range []int{10, 11} {
+				id := id
+				addEP(t, f, id).OnOOB = func(src int, payload any) {
+					p := payload.(*pkt)
+					if p.src != src || p.dst != id || k.Now() != p.at+cfg.OOBLatency {
+						t.Errorf("latency %v spread %v: %+v arrived at %d from %d at %v",
+							cfg.OOBLatency, spread, *p, id, src, k.Now())
+					}
+					got[id-10] = append(got[id-10], p)
+				}
+			}
+			for i := 0; i < 12; i++ {
+				src, dst := senders[(i*2)%3], 10+i%2
+				at := sim.Millisecond + sim.Time(i/3)*spread
+				p := &pkt{src: src.id, dst: dst, at: at}
+				want[dst-10] = append(want[dst-10], p)
+				k.At(at, func() {
+					if err := src.SendOOB(dst, p); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for r, w := range want {
+				if len(got[r]) != len(w) {
+					t.Fatalf("latency %v spread %v: %d got %d packets, want %d",
+						cfg.OOBLatency, spread, 10+r, len(got[r]), len(w))
+				}
+				for i := range w {
+					if got[r][i] != w[i] {
+						t.Errorf("latency %v spread %v: %d's packet %d is %+v, want %+v",
+							cfg.OOBLatency, spread, 10+r, i, *got[r][i], *w[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEachQueuedOwnOOB: the out-of-band FIFO is the fabric's, but EachQueued
+// reports only the packets the endpoint itself sent.
+func TestEachQueuedOwnOOB(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := newFabric(t, k, PaperConfig())
+	a, b, c := addEP(t, f, 0), addEP(t, f, 1), addEP(t, f, 2)
+	b.OnOOB = func(int, any) {}
+	pa1, pa2, pc := new(int), new(int), new(int)
+	for _, s := range []struct {
+		ep *Endpoint
+		p  *int
+	}{{a, pa1}, {c, pc}, {a, pa2}} {
+		if err := s.ep.SendOOB(1, s.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued := func(ep *Endpoint) (ps []any) {
+		ep.EachQueued(func(p any) { ps = append(ps, p) })
+		return ps
+	}
+	if q := queued(a); len(q) != 2 || q[0] != pa1 || q[1] != pa2 {
+		t.Fatalf("sender 0 reports %v, want its two payloads", q)
+	}
+	if q := queued(c); len(q) != 1 || q[0] != pc {
+		t.Fatalf("sender 2 reports %v, want its one payload", q)
+	}
+	if q := queued(b); len(q) != 0 {
+		t.Fatalf("the receiver reports %v before anything arrived", q)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if q := queued(a); len(q) != 0 {
+		t.Fatalf("sender 0 reports %v after delivery", q)
+	}
+}
+
+// TestQueueRecordSizes: a packet on the wire is one queue slot. Its source is
+// the in-band queue's owner, and the OOB queue carries only out-of-band
+// packets, so neither record stores what its queue already says: both fit
+// 32 B. An in-band flight carrying its source and an oob flag was 48 B, and
+// cost hpl_sweep about 0.31 MB a repetition in queue growth.
+func TestQueueRecordSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"flight", unsafe.Sizeof(flight{}), 32},
+		{"oobFlight", unsafe.Sizeof(oobFlight{}), 32},
+	} {
+		if tc.size > tc.max {
+			t.Errorf("%s is %d B, want at most %d", tc.name, tc.size, tc.max)
+		}
 	}
 }

@@ -92,6 +92,14 @@ type Fabric struct {
 	bus        *obs.Bus
 	eps        map[int]*Endpoint
 	dropFilter DropFilter
+
+	// Out-of-band packets on the wire, from every endpoint. Each arrives
+	// OOBLatency after it was sent, so arrival order is send order across
+	// all sources, and the kernel fires equal times in scheduling order:
+	// the event that fires always belongs to the head. deliverOOB is bound
+	// once in New, so sending needs no closure.
+	oob        fifo[oobFlight]
+	deliverOOB func()
 }
 
 // SetDropFilter installs (or, with nil, removes) the protocol-packet drop
@@ -105,7 +113,12 @@ func New(k *sim.Kernel, cfg Config) (*Fabric, error) {
 	if cfg.LinkBW <= 0 {
 		return nil, fmt.Errorf("ib: LinkBW must be positive, got %v", cfg.LinkBW)
 	}
-	return &Fabric{k: k, cfg: cfg, eps: make(map[int]*Endpoint)}, nil
+	f := &Fabric{k: k, cfg: cfg, eps: make(map[int]*Endpoint)}
+	f.deliverOOB = func() {
+		fl := f.oob.pop()
+		fl.dst.receive(workItem{src: fl.src, oob: true, payload: fl.payload})
+	}
+	return f, nil
 }
 
 // SetObs attaches an observability bus (nil detaches). Connection-management
@@ -157,7 +170,9 @@ type (
 
 // conn is one endpoint's side of a connection: everything the endpoint keeps
 // about one peer it talks to, the remote endpoint included, so a send finds
-// its destination in the same lookup that checks the connection's state.
+// its destination in the same lookup that checks the connection's state. A
+// closed connection keeps its record, in StateClosed, and a reconnect
+// reinitialises it in place.
 type conn struct {
 	peer      int
 	remote    *Endpoint
@@ -176,11 +191,19 @@ type workItem struct {
 	payload any
 }
 
-// flight is a packet on the wire: the work item it becomes on arrival and
-// the endpoint it arrives at.
+// flight is an in-band packet on the wire. It sits in its source's queue,
+// so the source is not stored: deliver rebuilds the work item.
 type flight struct {
-	dst *Endpoint
-	it  workItem
+	dst     *Endpoint
+	size    int64
+	payload any
+}
+
+// oobFlight is an out-of-band packet on the wire, in the fabric's one queue.
+type oobFlight struct {
+	src     int
+	dst     *Endpoint
+	payload any
 }
 
 // fifo is a queue that keeps its backing array: pop advances a head index
@@ -240,26 +263,26 @@ type Endpoint struct {
 	f  *Fabric
 	id int
 
-	// conns holds the non-closed connections in ascending peer order, found
-	// by binary search (connTo). An endpoint talks to a handful of peers, and
-	// every connection is torn down and rebuilt around a checkpoint: a sorted
-	// slice costs nothing until the first connect, needs no hashing per
-	// message, and is already in the order Peers and EachConn promise.
+	// conns holds a record for every peer this endpoint has ever connected
+	// with, in ascending peer order, found by binary search (find). An
+	// endpoint talks to a handful of peers, and every connection is torn
+	// down and rebuilt around a checkpoint: a closed record stays, so the
+	// rebuild allocates nothing, and the slice is already in the order
+	// EachConn promises. nopen counts the records not in StateClosed.
 	conns      []*conn
+	nopen      int
 	egressFree sim.Time
 	work       fifo[workItem]
 	deferred   []workItem
 
-	// Packets this endpoint has put on the wire, one queue per channel. Each
-	// has one kernel event pending per element, and the events fire in
-	// queue order: arrival times are monotone per source (in-band: serial
-	// egress plus a constant latency; out-of-band: now plus a constant) and
-	// the kernel fires equal times in scheduling order. So the event that
-	// fires always belongs to the head, and it needs no closure to say which
-	// packet it carries — deliverNext/deliverNextOOB are bound once here.
-	inflight, inflightOOB fifo[flight]
-	deliverNext           func()
-	deliverNextOOB        func()
+	// In-band packets this endpoint has put on the wire. Each has one kernel
+	// event pending, and the events fire in queue order: arrival times are
+	// monotone per source (serial egress plus a constant latency) and the
+	// kernel fires equal times in scheduling order. So the event that fires
+	// always belongs to the head, and it needs no closure to say which packet
+	// it carries — deliverNext is bound once, at AddEndpoint.
+	inflight    fifo[flight]
+	deliverNext func()
 
 	stats Stats
 
@@ -292,8 +315,7 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 		return nil, fmt.Errorf("ib: duplicate endpoint id %d", id)
 	}
 	ep := &Endpoint{f: f, id: id}
-	ep.deliverNext = func() { ep.deliver(&ep.inflight) }
-	ep.deliverNextOOB = func() { ep.deliver(&ep.inflightOOB) }
+	ep.deliverNext = ep.deliver
 	f.eps[id] = ep
 	return ep, nil
 }
@@ -322,19 +344,24 @@ func (ep *Endpoint) find(peer int) (int, bool) {
 	return lo, lo < len(ep.conns) && ep.conns[lo].peer == peer
 }
 
-// connTo returns the connection toward peer, or nil if there is none.
+// connTo returns the connection toward peer, or nil if it is closed.
 func (ep *Endpoint) connTo(peer int) *conn {
-	if i, ok := ep.find(peer); ok {
+	if i, ok := ep.find(peer); ok && ep.conns[i].state != StateClosed {
 		return ep.conns[i]
 	}
 	return nil
 }
 
-// open records a new connection toward peer, whose endpoint is remote.
+// open opens a connection toward peer, whose endpoint is remote, in the
+// peer's closed record if it has one.
 func (ep *Endpoint) open(peer int, remote *Endpoint, state ConnState, meta int64) *conn {
-	c := &conn{peer: peer, remote: remote, state: state, meta: meta}
-	i, _ := ep.find(peer)
-	ep.conns = slices.Insert(ep.conns, i, c)
+	i, ok := ep.find(peer)
+	if !ok {
+		ep.conns = slices.Insert(ep.conns, i, &conn{})
+	}
+	c := ep.conns[i]
+	*c = conn{peer: peer, remote: remote, state: state, meta: meta}
+	ep.nopen++
 	return c
 }
 
@@ -351,14 +378,16 @@ func (ep *Endpoint) Connected(peer int) bool { return ep.State(peer) == StateCon
 
 // NumConns reports how many peers this endpoint has a non-closed connection
 // with; EachConn visits them.
-func (ep *Endpoint) NumConns() int { return len(ep.conns) }
+func (ep *Endpoint) NumConns() int { return ep.nopen }
 
 // EachConn calls fn with every non-closed connection's peer and state, in
 // ascending peer order. fn may change a connection's state (Disconnect) but
 // must not open or close one.
 func (ep *Endpoint) EachConn(fn func(peer int, state ConnState)) {
 	for _, c := range ep.conns {
-		fn(c.peer, c.state)
+		if c.state != StateClosed {
+			fn(c.peer, c.state)
+		}
 	}
 }
 
@@ -375,7 +404,7 @@ func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 	tx := sim.Time(float64(size) / ep.f.cfg.LinkBW * float64(sim.Second))
 	ep.egressFree = start + tx
 	arrival := ep.egressFree + latency
-	ep.inflight.push(flight{peer, workItem{src: ep.id, size: size, payload: payload}})
+	ep.inflight.push(flight{peer, size, payload})
 	k.At(arrival, ep.deliverNext)
 	ep.stats.MessagesSent++
 	ep.stats.BytesSent += size
@@ -394,16 +423,15 @@ func (ep *Endpoint) SendOOB(dst int, payload any) error {
 	}
 	ep.stats.OOBSent++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "oob_msgs").Inc()
-	ep.inflightOOB.push(flight{peer, workItem{src: ep.id, oob: true, payload: payload}})
-	ep.f.k.After(ep.f.cfg.OOBLatency, ep.deliverNextOOB)
+	ep.f.oob.push(oobFlight{ep.id, peer, payload})
+	ep.f.k.After(ep.f.cfg.OOBLatency, ep.f.deliverOOB)
 	return nil
 }
 
-// deliver hands the packet now due on one of this endpoint's channels to its
-// destination.
-func (ep *Endpoint) deliver(q *fifo[flight]) {
-	fl := q.pop()
-	fl.dst.receive(fl.it)
+// deliver hands this endpoint's in-band packet now due to its destination.
+func (ep *Endpoint) deliver() {
+	fl := ep.inflight.pop()
+	fl.dst.receive(workItem{src: ep.id, size: fl.size, payload: fl.payload})
 }
 
 // cmKind names a protocol payload for the drop filter, or "" for
@@ -590,8 +618,13 @@ func (ep *Endpoint) Progress() {
 //
 //lint:allow-unused test instrumentation: mpi's recycle validator proves with it that no packet is reused while the fabric holds it
 func (ep *Endpoint) EachQueued(fn func(payload any)) {
-	for _, fl := range slices.Concat(ep.inflight.live(), ep.inflightOOB.live()) {
-		fn(fl.it.payload)
+	for _, fl := range ep.inflight.live() {
+		fn(fl.payload)
+	}
+	for _, fl := range ep.f.oob.live() {
+		if fl.src == ep.id {
+			fn(fl.payload)
+		}
 	}
 	for _, it := range slices.Concat(ep.work.live(), ep.deferred) {
 		fn(it.payload)
@@ -835,10 +868,13 @@ func (ep *Endpoint) handleDiscRep(peer int) {
 	ep.closeConn(peer)
 }
 
+// closeConn closes the connection toward peer, keeping its record for the
+// next connect.
 func (ep *Endpoint) closeConn(peer int) {
-	if i, ok := ep.find(peer); ok {
-		ep.disarm(ep.conns[i])
-		ep.conns = slices.Delete(ep.conns, i, i+1)
+	if c := ep.connTo(peer); c != nil {
+		ep.disarm(c)
+		c.state = StateClosed
+		ep.nopen--
 	}
 	ep.stats.Disconnects++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "disconnects").Inc()

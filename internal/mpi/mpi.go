@@ -115,13 +115,15 @@ func (r *Rank) emit(what obs.Kind, peer int, arg, val int64) {
 // NewJob creates a job with n ranks, registering endpoint i for rank i on
 // the fabric.
 func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
-	j := &Job{k: k, fabric: fabric, cfg: cfg}
-	for i := 0; i < n; i++ {
+	j := &Job{k: k, fabric: fabric, cfg: cfg, ranks: make([]*Rank, n)}
+	slab := make([]Rank, n) // one allocation for every rank's record
+	for i := range slab {
 		ep, err := fabric.AddEndpoint(i)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
-		r := &Rank{
+		r := &slab[i]
+		*r = Rank{
 			job:        j,
 			world:      i,
 			ep:         ep,
@@ -131,7 +133,7 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 		r.ep.OnMessage = r.onMessage
 		r.ep.OnConnUp = r.onConnUp
 		r.ep.OnConnDown = r.onConnDown
-		j.ranks = append(j.ranks, r)
+		j.ranks[i] = r
 	}
 	return j, nil
 }

@@ -88,6 +88,34 @@ func TestLaunchTwiceFails(t *testing.T) {
 	}
 }
 
+// TestForeignPayloadFailsRun: a packet that is not the library's own, sent
+// by an endpoint outside the job, is dropped and fails the run with an error
+// naming the rank and the payload's type.
+func TestForeignPayloadFailsRun(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	foreign, err := j.Fabric().AddEndpoint(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.OnConnUp = func(peer int) {
+		if err := foreign.Send(peer, 8, new(int)); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := foreign.Connect(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	j.Launch(0, func(e *Env) { e.Recv(e.World(), 1, 0) })
+	j.Launch(1, func(e *Env) {
+		e.Compute(sim.Second)
+		e.Send(e.World(), 0, 0, []byte("late"))
+	})
+	defer k.Shutdown()
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "rank 0 received unknown payload *int from endpoint 99") {
+		t.Fatalf("Run returned %v, want rank 0's unknown-payload error", err)
+	}
+}
+
 func TestEagerSendRecv(t *testing.T) {
 	k, j := newTestJob(t, 2)
 	counter := counted(j)

@@ -276,15 +276,16 @@ func (r *Rank) drainOutbox(dst int) {
 // onMessage dispatches an in-band arrival and then recycles its packet:
 // every arrive* copies what it keeps, so nothing refers to the packet once it
 // returns. It runs during Progress, i.e. under the library's progress
-// discipline.
+// discipline. This library puts only wirePkts on its endpoints, so anything
+// else came from a foreign sender: it is dropped and fails the run.
 func (r *Rank) onMessage(src int, size int64, pkt any) {
 	if r.DeliverHook != nil {
 		r.DeliverHook(src)
 	}
 	m, ok := pkt.(*wirePkt)
 	if !ok {
-		//lint:allow-panic this library puts only wirePkts on its endpoints; anything else is a simulator bug
-		panic(fmt.Sprintf("mpi: rank %d received unknown payload %T", r.world, pkt))
+		r.job.k.Fail(fmt.Errorf("mpi: rank %d received unknown payload %T from endpoint %d", r.world, pkt, src))
+		return
 	}
 	switch m.kind {
 	case pktEager:

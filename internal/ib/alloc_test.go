@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -147,6 +148,52 @@ func TestZeroAllocReconnect(t *testing.T) {
 	}
 	if len(a.conns) != 1 || len(b.conns) != 1 {
 		t.Fatalf("records: %d and %d, want one each", len(a.conns), len(b.conns))
+	}
+}
+
+// TestConnRecordStable: connection records come from the fabric's slab, in
+// chunks of one record an endpoint, and never move. A record keeps its address
+// while its endpoint opens connections toward other peers — past a chunk's
+// end, since both sides of each take one — and through a close and reopen.
+func TestConnRecordStable(t *testing.T) {
+	k := sim.NewKernel(1)
+	f := newFabric(t, k, PaperConfig())
+	eps := []*Endpoint{addEP(t, f, 0)}
+	for id := 1; id <= 5; id++ {
+		eps = append(eps, addEP(t, f, id))
+	}
+	for _, ep := range eps {
+		ep.OnWork = ep.Progress
+	}
+	a := eps[0]
+	connect(t, a, 1, 0)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mine, theirs := a.connTo(1), eps[1].connTo(0)
+	check := func(when string) {
+		if a.connTo(1) != mine || eps[1].connTo(0) != theirs {
+			t.Fatalf("%s: the pair's records moved", when)
+		}
+	}
+	for peer := 2; peer <= 5; peer++ {
+		connect(t, a, peer, 0)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after connecting to %d", peer))
+	}
+	a.Disconnect(1)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	connect(t, a, 1, 0)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a disconnect and reconnect")
+	if a.NumConns() != 5 || len(a.conns) != 5 {
+		t.Fatalf("%d open connections in %d records, want 5 in 5", a.NumConns(), len(a.conns))
 	}
 }
 

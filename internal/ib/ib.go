@@ -100,6 +100,8 @@ type Fabric struct {
 	// once in New, so sending needs no closure.
 	oob        fifo[oobFlight]
 	deliverOOB func()
+
+	connAt []conn // the unused rest of the connection records' current chunk; see newConn
 }
 
 // SetDropFilter installs (or, with nil, removes) the protocol-packet drop
@@ -352,12 +354,24 @@ func (ep *Endpoint) connTo(peer int) *conn {
 	return nil
 }
 
+// newConn returns a blank connection record from the fabric's slab, which is
+// allocated in chunks of one record an endpoint and never regrown: a record's
+// pointer is good for the fabric's life.
+func (f *Fabric) newConn() *conn {
+	if len(f.connAt) == 0 {
+		f.connAt = make([]conn, len(f.eps))
+	}
+	c := &f.connAt[0]
+	f.connAt = f.connAt[1:]
+	return c
+}
+
 // open opens a connection toward peer, whose endpoint is remote, in the
 // peer's closed record if it has one.
 func (ep *Endpoint) open(peer int, remote *Endpoint, state ConnState, meta int64) *conn {
 	i, ok := ep.find(peer)
 	if !ok {
-		ep.conns = slices.Insert(ep.conns, i, &conn{})
+		ep.conns = slices.Insert(ep.conns, i, ep.f.newConn())
 	}
 	c := ep.conns[i]
 	*c = conn{peer: peer, remote: remote, state: state, meta: meta}

@@ -140,3 +140,38 @@ func TestSteadyStateMessageAllocs(t *testing.T) {
 		})
 	}
 }
+
+// A checkpoint gates a destination and later releases it, every cycle. A
+// drained outbox keeps its array, so from the second cycle on deferring
+// packets toward the same peer and draining them allocate nothing: the
+// packets come from the job's free list and return to it at the receiver.
+func TestOutboxKeepsArrayAllocs(t *testing.T) {
+	k, j := newTestJob(t, 2)
+	h := &spHooks{gate: map[int]bool{1: false}}
+	r, b := j.Rank(0), j.Rank(1)
+	r.SetHooks(h)
+	cycle := func() {
+		h.gate[1] = true
+		for i := 0; i < 4; i++ {
+			r.post(r.peer(1), outItem{kind: outEager, size: eagerHdrSize, pkt: j.newPkt(pktEager)})
+		}
+		if outboxLen(r, 1) != 4 {
+			t.Fatalf("the gated outbox holds %d packets, want 4", outboxLen(r, 1))
+		}
+		h.gate[1] = false
+		r.ReleaseDst(1) // the first cycle connects on demand and drains at conn-up
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		b.progressNow() // the packets arrive as unexpected messages and are recycled
+		clear(b.unexpected)
+		b.unexpected = b.unexpected[:0]
+		if outboxLen(r, 1) != 0 {
+			t.Fatalf("the released outbox still holds %d packets", outboxLen(r, 1))
+		}
+	}
+	cycle() // connects, and warms the fabric's queues, the kernel's event pool and the packet free list
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a gate-close and drain cycle allocates %v, want 0", avg)
+	}
+}

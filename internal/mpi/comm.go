@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "strconv"
 
 // collTagBase separates internal collective tags from application tags.
 // Application tags must be smaller than this.
@@ -31,13 +28,18 @@ func (c *Comm) nextCollTag() int {
 
 // commID derives a context id from the creation index and the membership, so
 // mismatched creations fail to match (and surface as a simulation deadlock)
-// instead of silently crossing streams.
+// instead of silently crossing streams. The hash is 32-bit FNV-1a over each
+// member's decimal text and a comma.
 func commID(index int, ranks []int) int64 {
-	h := fnv.New32a()
+	h := uint32(2166136261)
+	var b [24]byte
 	for _, r := range ranks {
-		fmt.Fprintf(h, "%d,", r)
+		for _, c := range strconv.AppendInt(b[:0], int64(r), 10) {
+			h = (h ^ uint32(c)) * 16777619
+		}
+		h = (h ^ ',') * 16777619
 	}
-	return int64(index)<<32 | int64(h.Sum32())
+	return int64(index)<<32 | int64(h)
 }
 
 // Size returns the number of member ranks.

@@ -88,24 +88,16 @@ func (e *Env) Proc() *sim.Proc { return e.p }
 
 // World returns a communicator over all ranks. Each call at the same
 // creation index yields the same context id on every rank.
-func (e *Env) World() *Comm {
-	n := e.Size()
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return e.NewComm(ranks)
-}
+func (e *Env) World() *Comm { return e.NewComm(e.r.job.world) }
 
 // NewComm creates a communicator over the given world ranks. All member
 // ranks must call NewComm with identical membership at the same per-rank
-// creation index (the usual collective-creation discipline).
+// creation index (the usual collective-creation discipline). The
+// communicator keeps worldRanks: the caller must not modify it afterwards.
 func (e *Env) NewComm(worldRanks []int) *Comm {
 	e.r.commIndex++
-	ranks := make([]int, len(worldRanks))
-	copy(ranks, worldRanks)
-	c := &Comm{id: commID(e.r.commIndex, ranks), ranks: ranks, myRank: -1}
-	for i, w := range ranks {
+	c := &Comm{id: commID(e.r.commIndex, worldRanks), ranks: worldRanks, myRank: -1}
+	for i, w := range worldRanks {
 		if w == e.r.world {
 			c.myRank = i
 		}
@@ -228,7 +220,6 @@ func (e *Env) isendInternal(c *Comm, dst, tag int, p payload) *Request {
 		r.stats.BytesLogged += p.size
 		pr.logged(p, c.id, c.myRank, tag, seq)
 		e.p.Sleep(sim.Time(float64(p.size) / memCopyBW * float64(sim.Second)))
-		pr = r.peer(world) // arrivals during the sleep may have inserted records
 	}
 	if p.size <= eagerThreshold {
 		// Eager: copy into a communication buffer; the request completes

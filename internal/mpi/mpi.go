@@ -94,6 +94,8 @@ type Job struct {
 	cfg    Config
 	bus    *obs.Bus
 	ranks  []*Rank
+	world  []int  // the identity rank list every World communicator shares
+	peerAt []peer // the unused rest of the peer records' current chunk; see newPeer
 
 	pktFree freeList[wirePkt] // see newPkt, onMessage
 	stage   *libStateV2       // see staging; nil until a rank's library state is restored from a v2 image
@@ -115,9 +117,10 @@ func (r *Rank) emit(what obs.Kind, peer int, arg, val int64) {
 // NewJob creates a job with n ranks, registering endpoint i for rank i on
 // the fabric.
 func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
-	j := &Job{k: k, fabric: fabric, cfg: cfg, ranks: make([]*Rank, n)}
+	j := &Job{k: k, fabric: fabric, cfg: cfg, ranks: make([]*Rank, n), world: make([]int, n)}
 	slab := make([]Rank, n) // one allocation for every rank's record
 	for i := range slab {
+		j.world[i] = i
 		ep, err := fabric.AddEndpoint(i)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
@@ -234,13 +237,14 @@ type Rank struct {
 	// Park reason, formatted once: a blocked rank parks per message.
 	waitReason string
 
-	// peers holds one record per rank this one has exchanged a message with,
-	// in ascending world order, found by binary search (peer, peerIfAny). A
-	// rank talks to a handful of the job's ranks: a sorted slice costs nothing
-	// until the first message, one lookup a message serves every per-peer
-	// field, and snapshots and replay walk it in the order they must write.
-	// A dense table indexed by world rank would be O(N) a rank, O(N²) a job.
-	peers []peer
+	// peers indexes one record per rank this one has exchanged a message
+	// with, in ascending world order, found by binary search (peer, peerIfAny).
+	// A rank talks to a handful of the job's ranks: a sorted index costs
+	// nothing until the first message, one lookup a message serves every
+	// per-peer field, and snapshots and replay walk it in the order they must
+	// write. A dense table indexed by world rank would be O(N) a rank, O(N²) a
+	// job. The records come from the job's slab (newPeer) and never move.
+	peers []*peer
 
 	// Checkpoint integration.
 	hooks     CRHooks
@@ -293,6 +297,18 @@ func (pr *peer) logged(p payload, comm int64, srcComm, tag int, seq int64) {
 	pr.log.Entry(d, zeros, int64(pr.world), comm, int64(srcComm), int64(tag), seq)
 }
 
+// newPeer returns a blank record for world from the job's slab, which is
+// allocated in chunks of one record a rank and never regrown: a record's
+// pointer is good for the job's life.
+func (j *Job) newPeer(world int) *peer {
+	if len(j.peerAt) == 0 {
+		j.peerAt = make([]peer, len(j.ranks))
+	}
+	pr := &j.peerAt[0]
+	j.peerAt, pr.world = j.peerAt[1:], world
+	return pr
+}
+
 // findPeer returns the index of world's record in r.peers, or, when there is
 // none, the index at which it would be inserted.
 func (r *Rank) findPeer(world int) (int, bool) {
@@ -312,21 +328,19 @@ func (r *Rank) findPeer(world int) (int, bool) {
 // of a caller that only reads.
 func (r *Rank) peerIfAny(world int) *peer {
 	if i, ok := r.findPeer(world); ok {
-		return &r.peers[i]
+		return r.peers[i]
 	}
 	return nil
 }
 
 // peer returns world's record, inserting a blank one if the pair has none.
-// The pointer is good until the next insertion — that is, until anything that
-// can run another peer/post: a park, a hook, trySend. Find it again after.
 func (r *Rank) peer(world int) *peer {
 	i, ok := r.findPeer(world)
 	if !ok {
 		// cold: once per pair of ranks that talk, never per message
-		r.peers = slices.Insert(r.peers, i, peer{world: world})
+		r.peers = slices.Insert(r.peers, i, r.job.newPeer(world))
 	}
-	return &r.peers[i]
+	return r.peers[i]
 }
 
 // World returns the rank's world number.

@@ -596,7 +596,7 @@ type restoredPeer struct {
 func restoredOf(r *Rank) restoredLib {
 	out := restoredLib{Unexpected: slices.Clone(r.unexpected)}
 	for _, pr := range r.peers {
-		rp := restoredPeer{World: pr.world, SendSeq: pr.sendSeq, RecvSeq: pr.recvSeq, Log: logOf(&pr)}
+		rp := restoredPeer{World: pr.world, SendSeq: pr.sendSeq, RecvSeq: pr.recvSeq, Log: logOf(pr)}
 		for _, it := range pr.outbox {
 			rp.Outbox = append(rp.Outbox, *it.pkt)
 		}

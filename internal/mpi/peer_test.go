@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,18 +15,25 @@ import (
 // Property: under random find-or-insert and read-only lookups — negative ids
 // included, as the fabric's endpoint ids may be — the peer table agrees with
 // a map[int] reference and stays in ascending order; a read-only lookup never
-// inserts.
+// inserts, and a record keeps its address through every later insertion,
+// across the job slab's chunks (three records each here) too.
 func TestQuickPeerTableMatchesMap(t *testing.T) {
 	quickSeeds(t, func(seed int64) error {
 		rng := rand.New(rand.NewSource(seed))
-		r := &Rank{}
+		_, j := newTestJob(t, 3)
+		r := j.Rank(0)
 		ref := make(map[int]int64) // a key exists once peer() has been called for it
+		first := make(map[int]*peer)
 		for op := 0; op < 300; op++ {
 			id := rng.Intn(33) - 16
 			if rng.Intn(2) == 0 {
 				n := rng.Int63n(3) // 0: a lookup that writes nothing
-				r.peer(id).traffic += n
+				pr := r.peer(id)
+				pr.traffic += n
 				ref[id] += n
+				if first[id] == nil {
+					first[id] = pr
+				}
 			}
 			want, known := ref[id]
 			switch pr := r.peerIfAny(id); {
@@ -32,6 +41,11 @@ func TestQuickPeerTableMatchesMap(t *testing.T) {
 				return fmt.Errorf("peerIfAny(%d) = %v, reference knows it: %v", id, pr, known)
 			case known && (pr.world != id || pr.traffic != want):
 				return fmt.Errorf("peerIfAny(%d) = %+v, want traffic %d", id, *pr, want)
+			}
+			for w := -16; w <= 16; w++ {
+				if pr := first[w]; pr != nil && r.peerIfAny(w) != pr {
+					return fmt.Errorf("after op %d, rank %d's record moved from %p to %p", op, w, pr, r.peerIfAny(w))
+				}
 			}
 			if len(r.peers) != len(ref) {
 				return fmt.Errorf("table holds %d records, reference %d", len(r.peers), len(ref))
@@ -54,6 +68,45 @@ func TestQuickPeerTableMatchesMap(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// commID hashes the membership's "%d," text with 32-bit FNV-1a by hand. It
+// must give the ids hash/fnv and fmt gave: a context id rides in every packet
+// and every library-state image, so a drift would move images and goldens.
+func TestCommIDMatchesFNV(t *testing.T) {
+	want := func(index int, ranks []int) int64 {
+		h := fnv.New32a()
+		for _, r := range ranks {
+			fmt.Fprintf(h, "%d,", r)
+		}
+		return int64(index)<<32 | int64(h.Sum32())
+	}
+	quickSeeds(t, func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 50; i++ {
+			ranks := make([]int, rng.Intn(40))
+			for k := range ranks {
+				switch rng.Intn(4) {
+				case 0:
+					ranks[k] = -rng.Intn(1 << 20) // a '-' is hashed like any digit
+				case 1:
+					ranks[k] = int(rng.Int63()) - 1<<62
+				default:
+					ranks[k] = rng.Intn(1024)
+				}
+			}
+			index := rng.Intn(100)
+			if got, w := commID(index, ranks), want(index, ranks); got != w {
+				return fmt.Errorf("commID(%d, %v) = %#x, want %#x", index, ranks, got, w)
+			}
+		}
+		return nil
+	})
+	for _, ranks := range [][]int{nil, {0}, {math.MinInt64, math.MaxInt64}} {
+		if got, w := commID(1, ranks), want(1, ranks); got != w {
+			t.Errorf("commID(1, %v) = %#x, want %#x", ranks, got, w)
+		}
+	}
 }
 
 // captureTouched runs a six-rank job in which rank 0 sends one eager message

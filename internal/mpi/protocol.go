@@ -183,12 +183,8 @@ type outItem struct {
 // available. Per-destination FIFO order is preserved across deferrals: a
 // packet queues behind already-deferred ones.
 func (r *Rank) post(pr *peer, it outItem) {
-	if len(pr.outbox) == 0 {
-		dst := pr.world
-		if r.trySend(dst, it) {
-			return
-		}
-		pr = r.peer(dst) // trySend ran hooks
+	if len(pr.outbox) == 0 && r.trySend(pr.world, it) {
+		return
 	}
 	r.deferItem(pr, it)
 }
@@ -222,8 +218,8 @@ func (r *Rank) trySend(dst int, it outItem) bool {
 	case ib.ErrDraining:
 		return false
 	default:
-		//lint:allow-panic the fabric's Send error set is closed; a new value is a simulator bug
-		panic(fmt.Sprintf("mpi: unexpected send error: %v", err))
+		r.job.k.Fail(fmt.Errorf("mpi: rank %d sending to %d: unexpected fabric error: %w", r.world, dst, err))
+		return false
 	}
 }
 
@@ -255,22 +251,23 @@ func (r *Rank) deferItem(pr *peer, it outItem) {
 }
 
 // drainOutbox re-attempts deferred packets toward dst in order, stopping at
-// the first that still cannot be sent.
+// the first that still cannot be sent. The outbox keeps its array for the
+// next deferral: the live tail slides to the front, and the vacated slots are
+// cleared, so no sent packet (the receiver recycles it) or request stays
+// reachable from here.
 func (r *Rank) drainOutbox(dst int) {
 	pr := r.peerIfAny(dst)
 	if pr == nil || len(pr.outbox) == 0 {
 		return
 	}
-	q := pr.outbox
-	r.emit(obs.KindOutboxDrain, dst, int64(len(q)), 0)
-	for len(q) > 0 && r.trySend(dst, q[0]) {
-		q[0] = outItem{} // the fabric owns the packet now
-		q = q[1:]
+	r.emit(obs.KindOutboxDrain, dst, int64(len(pr.outbox)), 0)
+	sent := 0
+	for sent < len(pr.outbox) && r.trySend(dst, pr.outbox[sent]) {
+		sent++
 	}
-	if len(q) == 0 {
-		q = nil // a drained queue keeps no array
-	}
-	r.peerIfAny(dst).outbox = q // trySend ran hooks: pr may have moved
+	n := copy(pr.outbox, pr.outbox[sent:])
+	clear(pr.outbox[n:])
+	pr.outbox = pr.outbox[:n]
 }
 
 // onMessage dispatches an in-band arrival and then recycles its packet:

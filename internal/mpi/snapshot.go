@@ -23,8 +23,8 @@ func (r *Rank) RequestSafePointPolled() {
 // communication-pattern heuristic used by dynamic group formation.
 func (r *Rank) Traffic() map[int]int64 {
 	out := make(map[int]int64, len(r.peers))
-	for i := range r.peers {
-		if pr := &r.peers[i]; pr.traffic != 0 {
+	for _, pr := range r.peers {
+		if pr.traffic != 0 {
 			out[pr.world] = pr.traffic
 		}
 	}
@@ -210,8 +210,7 @@ func (r *Rank) CaptureLibState() ([]byte, error) {
 		}
 	}
 	var n [4]int // Outbox, SendSeq, RecvSeq and Log entries
-	for i := range r.peers {
-		pr := &r.peers[i]
+	for _, pr := range r.peers {
 		for _, it := range pr.outbox {
 			if it.pkt.kind != pktEager {
 				return nil, fmt.Errorf("mpi: rank %d has a deferred non-eager packet at capture", r.world)
@@ -245,10 +244,10 @@ func (r *Rank) writeLibState(w *blcr.Wire, logging bool, n [4]int) {
 		}
 	}
 	if st.Slice(1, n[0]) { // Outbox []savedOutV2, or []savedOut: no Seq
-		for i := range r.peers {
-			for _, it := range r.peers[i].outbox {
+		for _, pr := range r.peers {
+			for _, it := range pr.outbox {
 				p := it.pkt
-				ints := [...]int64{int64(r.peers[i].world), p.comm, int64(p.srcComm), int64(p.tag), p.seq}
+				ints := [...]int64{int64(pr.world), p.comm, int64(p.srcComm), int64(p.tag), p.seq}
 				entry(w, p.payload, ints[:4+b2i(logging)]...)
 			}
 		}
@@ -257,16 +256,16 @@ func (r *Rank) writeLibState(w *blcr.Wire, logging bool, n [4]int) {
 	if logging {
 		for fi := 1; fi <= 2; fi++ { // SendSeq, then RecvSeq []seqEntry
 			if st.Slice(2+fi, n[fi]) {
-				for i := range r.peers {
-					if seq := [...]int64{0, r.peers[i].sendSeq, r.peers[i].recvSeq}[fi]; seq != 0 {
-						entry(w, payload{}, int64(r.peers[i].world), seq)
+				for _, pr := range r.peers {
+					if seq := [...]int64{0, pr.sendSeq, pr.recvSeq}[fi]; seq != 0 {
+						entry(w, payload{}, int64(pr.world), seq)
 					}
 				}
 			}
 		}
 		if st.Slice(5, n[3]) { // Log []savedLog, held in image form
-			for i := range r.peers {
-				w.Log(r.peers[i].log)
+			for _, pr := range r.peers {
+				w.Log(pr.log)
 			}
 		}
 	}
@@ -374,13 +373,10 @@ func (j *Job) ReplayLogs() int {
 	injected := 0
 	var f [5]int64 // a Log entry's Dst, Comm, SrcComm, Tag and Seq
 	for src, s := range j.ranks {
-		for i := range s.peers {
-			to := &s.peers[i]
+		for _, to := range s.peers {
 			if to.log == nil {
 				continue
 			}
-			// d is never s (a rank does not send to itself), so looking up
-			// its record of src cannot move the slice being walked.
 			d := j.ranks[to.world]
 			from := d.peer(src)
 			rd := to.log.Reader()

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build fmt test vet lint lint-json race bench bench-json bench-smoke figures figures-txt examples cover loc clean
+.PHONY: all check build fmt test vet lint lint-json race bench bench-record bench-smoke figures figures-txt examples cover loc clean
 
 all: check
 
@@ -51,15 +51,39 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Regenerate every paper figure once as benchmarks.
+# The layer micro-benchmarks under internal/ (kernel events, fabric sends,
+# MPI collectives, storage writes, ...), each run once. The repo benchmark
+# is bench/run.sh; bench-record below records it.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./internal/...
 
-# Run every benchmark once and capture the results — wall ns/op plus the
-# custom sim-time metrics — as machine-readable JSON. The committed results
-# seed each metric's "prev" field, so the file carries its own trajectory.
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/benchjson -prev BENCH_results.json -o BENCH_results.json
+# Record the repo benchmark into BENCH_results.json: one run of the command
+# BENCHMARK.json names for each workload it lists, at seed 1 for 10 s, kept
+# as one line per workload holding the run's report line (the machine,
+# every repetition's wall and setup time, the digests) and its result line.
+# It writes nothing unless every workload runs and is correct. A change that
+# claims a gain refreshes the record and cites it; the root TestBenchRecord
+# holds it to BENCHMARK.json's workload list.
+define bench_record_py
+import json, subprocess, sys
+decl = json.load(open("BENCHMARK.json"))
+rec = {}
+for w in decl["workloads"]:
+    name = w["name"]
+    print("bench-record:", name, file=sys.stderr)
+    out = subprocess.run(decl["command"] + ["--workload", name, "--seed", "1", "--seconds", "10", "--trace", "0"],
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
+    report, result = map(json.loads, out.splitlines()[-2:])
+    if not result["correct"]:
+        sys.exit("bench-record: " + name + " is not correct")
+    rec[name] = {"report": report, "result": result}
+with open("BENCH_results.json", "w") as f:
+    f.write("{\n" + ",\n".join(json.dumps(k) + ": " + json.dumps(v) for k, v in rec.items()) + "\n}\n")
+endef
+export bench_record_py
+
+bench-record:
+	python3 -c "$$bench_record_py"
 
 # The repo benchmark (BENCHMARK.json) lives in bench/, a module of its own
 # that ./... does not reach: vet it and run its self-tests (~3 s).

@@ -13,7 +13,7 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for the paper-vs-measured
-// comparison. The benchmarks in bench_test.go regenerate every figure in
-// the paper's evaluation section; `go run ./cmd/figures` prints them as
-// tables.
+// comparison. The tests of internal/figures regenerate and check every
+// figure in the paper's evaluation section; `go run ./cmd/figures` prints
+// them as tables.
 package gbcr

@@ -16,14 +16,16 @@ import (
 func main() {
 	// A cluster with the paper's testbed parameters (InfiniBand fabric,
 	// 4-server PVFS2 storage at ~140 MB/s aggregate), 8 ranks, checkpoint
-	// groups of 2.
+	// groups of 2, 100 MB images.
 	cfg := harness.PaperCluster(8)
-	cfg.CR = cr.Config{GroupSize: 2, HelperEnabled: true,
-		DefaultFootprint: 100 << 20, LocalSetup: 100 * sim.Millisecond}
+	cfg.CR = cr.Config{GroupSize: 2, HelperEnabled: true, LocalSetup: 100 * sim.Millisecond}
 
 	runOnce := func(checkpoint bool) (sim.Time, *cr.CycleReport) {
 		c, err := harness.NewCluster(cfg)
 		must(err)
+		for i := 0; i < cfg.N; i++ {
+			c.Coord.Controller(i).FootprintFn = func() int64 { return 100 << 20 }
+		}
 		// Each rank: 60 iterations of 100 ms compute followed by an
 		// exchange with its partner (pairs align with the checkpoint
 		// groups, so other pairs keep computing during each group's

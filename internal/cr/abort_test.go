@@ -17,8 +17,8 @@ import (
 // and once storage returns the retried cycle commits the same target epoch.
 func TestCycleAbortRetryCommit(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 100 * testMB
+	cfg := testDefaults()
+	cfg.Footprint = 100 * testMB
 	c := newCluster(t, n, cfg)
 	mem := &obs.MemorySink{}
 	c.co.SetObs(obs.NewBus(mem))
@@ -64,8 +64,8 @@ func TestCycleAbortRetryCommit(t *testing.T) {
 // a bounded number of times and then fails the run instead of spinning.
 func TestCycleAbortBounded(t *testing.T) {
 	const n = 2
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 10 * testMB
+	cfg := testDefaults()
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
@@ -91,7 +91,7 @@ func TestCycleAbortBounded(t *testing.T) {
 func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 	for _, kind := range []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated} {
 		t.Run(string(kind), func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := testDefaults()
 			cfg.Protocol = kind
 			mpiCfg := mpi.DefaultConfig()
 			switch kind {
@@ -126,10 +126,10 @@ func TestPhaseHookObservesProtocolPhases(t *testing.T) {
 // checkpoint drivers: ranks 0-2 loop over compute and an explicit checkpoint
 // boundary; rank 3 sends rank 2 one message and returns, so it sits in
 // finalize holding a connection when the checkpoint is requested at 2 s.
-func finishedRankCluster(t *testing.T, cfg Config, mpiCfg mpi.Config) *testCluster {
+func finishedRankCluster(t *testing.T, cfg testConfig, mpiCfg mpi.Config) *testCluster {
 	t.Helper()
 	const n = 4
-	cfg.DefaultFootprint = 100 * testMB
+	cfg.Footprint = 100 * testMB
 	c, err := buildClusterMPI(sim.NewKernel(1), n, cfg, mpiCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func finishedRankCluster(t *testing.T, cfg Config, mpiCfg mpi.Config) *testClust
 
 // finishedRankUnderOutage runs finishedRankCluster with the 100 MB/s store
 // down from 2.5 s to 3.5 s, across the first 100 MB writes.
-func finishedRankUnderOutage(t *testing.T, cfg Config, mpiCfg mpi.Config) *testCluster {
+func finishedRankUnderOutage(t *testing.T, cfg testConfig, mpiCfg mpi.Config) *testCluster {
 	t.Helper()
 	c := finishedRankCluster(t, cfg, mpiCfg)
 	c.k.At(2500*sim.Millisecond, func() { c.st.SetAvailability(0) })
@@ -183,7 +183,7 @@ func finishedRankUnderOutage(t *testing.T, cfg Config, mpiCfg mpi.Config) *testC
 // from the aborted cycle and woken by the retry's connection teardown used to
 // write a second image and fail the run on the duplicate snapshot.
 func TestFinishedRankCheckpointsOnceAfterAbort(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
 	c := finishedRankUnderOutage(t, cfg, mpi.DefaultConfig())
 	if c.co.Aborts() == 0 {
@@ -199,7 +199,7 @@ func TestFinishedRankCheckpointsOnceAfterAbort(t *testing.T) {
 // finished one from kernel events — retries alone until the store is back.
 // Nothing aborts, and the finished rank files one record.
 func TestUncoordFinishedRankRetriesLocally(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.Protocol = protocol.Uncoordinated
 	mpiCfg := mpi.DefaultConfig()
 	mpiCfg.LogMessages = true

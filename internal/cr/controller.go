@@ -31,7 +31,7 @@ type Controller struct {
 
 	// FootprintFn supplies the process's memory footprint at snapshot time;
 	// workloads install it (HPL's footprint shrinks over the run). Nil
-	// means Config.DefaultFootprint.
+	// means an empty image.
 	FootprintFn func() int64
 
 	epoch      int      // completed checkpoints
@@ -563,7 +563,7 @@ func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 			return nil
 		}
 	}
-	fp := c.co.cfg.DefaultFootprint
+	var fp int64
 	if c.FootprintFn != nil {
 		fp = c.FootprintFn()
 	}

@@ -106,9 +106,6 @@ func (co *Coordinator) emit(what obs.Kind, val int64, detail string) {
 // must be called before ranks are launched so the hooks observe all
 // activity.
 func New(k *sim.Kernel, job *mpi.Job, h *tier.Hierarchy, cfg Config) (*Coordinator, error) {
-	if cfg.DefaultFootprint <= 0 {
-		cfg.DefaultFootprint = DefaultConfig().DefaultFootprint
-	}
 	proto, err := cfg.ResolveProtocol(job.Size(), job.Config().LogMessages)
 	if err != nil {
 		return nil, fmt.Errorf("cr: %w", err)

@@ -47,9 +47,6 @@ type Config struct {
 	// ranks outside the checkpointing group (Section 4.4), under blocking
 	// protocols only. Disabling it is the asynchronous-progress ablation.
 	HelperEnabled bool
-	// DefaultFootprint is the per-process checkpoint image size used when a
-	// rank has no footprint function installed.
-	DefaultFootprint int64
 	// LocalSetup is the fixed per-process cost of taking the local
 	// snapshot before the storage write begins: BLCR's process freeze,
 	// checkpoint-file creation, metadata registration. It is paid once per
@@ -88,7 +85,7 @@ func writeRetryBackoff(attempt int) sim.Time {
 // DefaultConfig returns a regular-protocol configuration with the helper
 // thread enabled.
 func DefaultConfig() Config {
-	return Config{HelperEnabled: true, DefaultFootprint: 64 << 20}
+	return Config{HelperEnabled: true}
 }
 
 // protocolOptions projects the configuration onto the protocol-policy

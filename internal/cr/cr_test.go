@@ -29,19 +29,29 @@ type testCluster struct {
 	co *Coordinator
 }
 
+// testConfig is the C/R configuration of a test cluster plus the image size
+// every rank's FootprintFn reports.
+type testConfig struct {
+	Config
+	Footprint int64
+}
+
+// testDefaults is DefaultConfig with 64 MB images.
+func testDefaults() testConfig { return testConfig{DefaultConfig(), 64 * testMB} }
+
 // buildCluster wires storage, fabric, job, and coordinator on k.
-func buildCluster(k *sim.Kernel, n int, cfg Config) (*testCluster, error) {
+func buildCluster(k *sim.Kernel, n int, cfg testConfig) (*testCluster, error) {
 	return buildClusterMPI(k, n, cfg, mpi.DefaultConfig())
 }
 
 // buildClusterMPI is buildCluster with a non-default library configuration
 // (the uncoordinated protocol needs message logging).
-func buildClusterMPI(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config) (*testCluster, error) {
+func buildClusterMPI(k *sim.Kernel, n int, cfg testConfig, mpiCfg mpi.Config) (*testCluster, error) {
 	return buildStack(k, n, cfg, mpiCfg, tier.ModeCentral)
 }
 
 // buildStack wires the whole stack with the given storage mode.
-func buildStack(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config, mode tier.Mode) (*testCluster, error) {
+func buildStack(k *sim.Kernel, n int, cfg testConfig, mpiCfg mpi.Config, mode tier.Mode) (*testCluster, error) {
 	st, err := storage.New(k, storage.Config{AggregateBW: 100 * testMB, ClientBW: 100 * testMB})
 	if err != nil {
 		return nil, err
@@ -58,16 +68,19 @@ func buildStack(k *sim.Kernel, n int, cfg Config, mpiCfg mpi.Config, mode tier.M
 	if err != nil {
 		return nil, err
 	}
-	co, err := New(k, j, h, cfg)
+	co, err := New(k, j, h, cfg.Config)
 	if err != nil {
 		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		co.Controller(i).FootprintFn = func() int64 { return cfg.Footprint }
 	}
 	return &testCluster{k: k, st: st, h: h, j: j, co: co}, nil
 }
 
 // newCluster builds an n-rank cluster with 100 MB/s aggregate storage (no
 // per-client cap below that) and the given C/R config.
-func newCluster(t testing.TB, n int, cfg Config) *testCluster {
+func newCluster(t testing.TB, n int, cfg testConfig) *testCluster {
 	t.Helper()
 	c, err := buildCluster(sim.NewKernel(1), n, cfg)
 	if err != nil {
@@ -79,7 +92,7 @@ func newCluster(t testing.TB, n int, cfg Config) *testCluster {
 // newStagingCluster is newCluster with Section 2.1 local-disk staging
 // installed: snapshots acknowledge at the node's own 60 MB/s disk and drain
 // to the 100 MB/s central service in the background.
-func newStagingCluster(t testing.TB, n int, cfg Config) (*testCluster, *tier.Hierarchy) {
+func newStagingCluster(t testing.TB, n int, cfg testConfig) (*testCluster, *tier.Hierarchy) {
 	t.Helper()
 	c, err := buildStack(sim.NewKernel(1), n, cfg, mpi.DefaultConfig(), tier.ModeLocal)
 	if err != nil {
@@ -130,7 +143,7 @@ func TestStrayOOBFailsRun(t *testing.T) {
 		{0, "cr: rank 0's controller got unexpected message string from 1"},
 		{CoordinatorID, "cr: coordinator got unexpected message string from 1"},
 	} {
-		c := newCluster(t, 2, DefaultConfig())
+		c := newCluster(t, 2, testDefaults())
 		c.j.LaunchAll(computeLoop(4, 100*sim.Millisecond))
 		if err := c.j.Rank(1).Endpoint().SendOOB(tc.dst, "stray"); err != nil {
 			t.Fatal(err)
@@ -144,8 +157,8 @@ func TestStrayOOBFailsRun(t *testing.T) {
 
 func TestRegularProtocolBasics(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 100 * testMB
+	cfg := testDefaults()
+	cfg.Footprint = 100 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(50, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(2 * sim.Second)
@@ -187,9 +200,9 @@ func TestRegularProtocolBasics(t *testing.T) {
 
 func TestGroupBasedScheduling(t *testing.T) {
 	const n, g = 8, 2
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = g
-	cfg.DefaultFootprint = 50 * testMB
+	cfg.Footprint = 50 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
@@ -245,16 +258,16 @@ func TestEffectiveDelayReduction(t *testing.T) {
 	const n = 8
 	const iters, chunk = 100, 100 * sim.Millisecond
 	baseline := func() sim.Time {
-		c := newCluster(t, n, DefaultConfig())
+		c := newCluster(t, n, testDefaults())
 		c.j.LaunchAll(computeLoop(iters, chunk))
 		runSim(t, c.k)
 		return c.j.FinishTime()
 	}()
 
 	delay := func(groupSize int) sim.Time {
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = groupSize
-		cfg.DefaultFootprint = 100 * testMB
+		cfg.Footprint = 100 * testMB
 		c := newCluster(t, n, cfg)
 		c.j.LaunchAll(computeLoop(iters, chunk))
 		c.co.ScheduleCheckpoint(2 * sim.Second)
@@ -317,9 +330,9 @@ func ringExpected(n, iters int, me int) int64 {
 func TestApplicationCorrectAcrossCheckpoint(t *testing.T) {
 	const n, iters = 6, 40
 	for _, gs := range []int{0, 1, 2, 3} {
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = gs
-		cfg.DefaultFootprint = 20 * testMB
+		cfg.Footprint = 20 * testMB
 		c := newCluster(t, n, cfg)
 		sums := make([]int64, n)
 		c.j.LaunchAll(ringWorkload(n, iters, 50*sim.Millisecond, sums))
@@ -342,9 +355,9 @@ func TestCrossGroupTrafficDeferred(t *testing.T) {
 	// while it is checkpointing. The messages must be buffered and arrive
 	// intact after both groups checkpoint.
 	const n = 2
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 1
-	cfg.DefaultFootprint = 100 * testMB // 1 s write each
+	cfg.Footprint = 100 * testMB // 1 s write each
 	c := newCluster(t, n, cfg)
 	var got []byte
 	c.j.Launch(0, func(e *mpi.Env) {
@@ -377,9 +390,9 @@ func TestCrossGroupTrafficDeferred(t *testing.T) {
 
 func TestConnectionsRebuiltAfterCycle(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 10 * testMB
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	sums := make([]int64, n)
 	c.j.LaunchAll(ringWorkload(n, 30, 50*sim.Millisecond, sums))
@@ -404,9 +417,9 @@ func TestConnectionsClosedAtSnapshot(t *testing.T) {
 	// write, it must hold no established connections and no unprocessed
 	// in-band packets.
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 10 * testMB
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	violations := 0
 	for i := 0; i < n; i++ {
@@ -424,10 +437,7 @@ func TestConnectionsClosedAtSnapshot(t *testing.T) {
 			if ep.PendingWork() {
 				violations++
 			}
-			if origFn != nil {
-				return origFn()
-			}
-			return cfg.DefaultFootprint
+			return origFn()
 		}
 	}
 	sums := make([]int64, n)
@@ -445,10 +455,10 @@ func TestHelperThreadAblation(t *testing.T) {
 	// helper interval; without it the teardown stalls until the peer's next
 	// library call.
 	teardown := func(helper bool) sim.Time {
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = 1
 		cfg.HelperEnabled = helper
-		cfg.DefaultFootprint = 1 * testMB
+		cfg.Footprint = 1 * testMB
 		c := newCluster(t, 2, cfg)
 		// Establish a connection, then rank 1 computes one long chunk.
 		c.j.Launch(0, func(e *mpi.Env) {
@@ -545,9 +555,9 @@ func TestFinishedRankCheckpoints(t *testing.T) {
 	const n = 3
 	for _, kind := range []protocol.Kind{protocol.WholeJob, protocol.Uncoordinated} {
 		t.Run(string(kind), func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := testDefaults()
 			cfg.Protocol = kind
-			cfg.DefaultFootprint = 10 * testMB
+			cfg.Footprint = 10 * testMB
 			mpiCfg := mpi.DefaultConfig()
 			mpiCfg.LogMessages = kind == protocol.Uncoordinated
 			c, err := buildClusterMPI(sim.NewKernel(1), n, cfg, mpiCfg)
@@ -588,9 +598,9 @@ func TestFinishedRankCheckpoints(t *testing.T) {
 
 func TestTwoSequentialCheckpoints(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 10 * testMB
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	sums := make([]int64, n)
 	c.j.LaunchAll(ringWorkload(n, 60, 50*sim.Millisecond, sums))
@@ -614,8 +624,8 @@ func TestTwoSequentialCheckpoints(t *testing.T) {
 }
 
 func TestOverlappingCheckpointFailsRun(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 100 * testMB
+	cfg := testDefaults()
+	cfg.Footprint = 100 * testMB
 	c := newCluster(t, 2, cfg)
 	c.j.LaunchAll(computeLoop(50, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
@@ -630,10 +640,10 @@ func TestDynamicGroupsEndToEnd(t *testing.T) {
 	// Ranks communicate in pairs; a dynamic-formation checkpoint should
 	// schedule those pairs as groups and the application must stay correct.
 	const n, iters = 6, 40
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.Dynamic = true
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 10 * testMB
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	results := make([]int64, n)
 	c.j.LaunchAll(func(e *mpi.Env) {
@@ -680,9 +690,9 @@ func TestQuickProtocolConsistency(t *testing.T) {
 		n := rng.Intn(6) + 2
 		gs := rng.Intn(n + 1)
 		iters := rng.Intn(20) + 10
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = gs
-		cfg.DefaultFootprint = int64(rng.Intn(20)+1) * testMB
+		cfg.Footprint = int64(rng.Intn(20)+1) * testMB
 		cfg.HelperEnabled = rng.Intn(4) != 0
 		k := sim.NewKernel(seed)
 		c, err := buildCluster(k, n, cfg)
@@ -754,9 +764,9 @@ func installEpochTracer(c *testCluster) *epochTracer {
 func TestEpochInvariantSignalMode(t *testing.T) {
 	const n, iters = 6, 50
 	for _, gs := range []int{0, 1, 2, 3} {
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = gs
-		cfg.DefaultFootprint = 30 * testMB
+		cfg.Footprint = 30 * testMB
 		c := newCluster(t, n, cfg)
 		tr := installEpochTracer(c)
 		sums := make([]int64, n)
@@ -781,9 +791,9 @@ func TestQuickEpochInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(6) + 2
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = rng.Intn(n + 1)
-		cfg.DefaultFootprint = int64(rng.Intn(30)+1) * testMB
+		cfg.Footprint = int64(rng.Intn(30)+1) * testMB
 		cfg.HelperEnabled = rng.Intn(3) != 0
 		k := sim.NewKernel(seed)
 		c, err := buildCluster(k, n, cfg)
@@ -808,9 +818,9 @@ func TestQuickEpochInvariant(t *testing.T) {
 func TestLocalStagingCheckpointing(t *testing.T) {
 	const n = 4
 	for _, gs := range []int{0, 2} {
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = gs
-		cfg.DefaultFootprint = 60 * testMB // 1 s on the node's own 60 MB/s disk
+		cfg.Footprint = 60 * testMB // 1 s on the node's own 60 MB/s disk
 		c, _ := newStagingCluster(t, n, cfg)
 		c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
 		c.co.ScheduleCheckpoint(sim.Second)
@@ -844,9 +854,9 @@ func TestLocalStagingDrainGatesRestartLine(t *testing.T) {
 	// the previous line, and once the drain lands the central copy covers
 	// both.
 	const n = 2
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 1
-	cfg.DefaultFootprint = 60 * testMB
+	cfg.Footprint = 60 * testMB
 	c, h := newStagingCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(200, 100*sim.Millisecond))
 	// Cycle 1 acks ~3 s and is drained by ~4.5 s. Cycle 2's two 1 s local
@@ -890,9 +900,9 @@ func TestFailureMidCycleFallsBackToPreviousEpoch(t *testing.T) {
 	// If the job dies while checkpoint 2 is being taken, restart must use
 	// epoch 1 (the last COMPLETE global checkpoint).
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 50 * testMB
+	cfg.Footprint = 50 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(100, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)     // completes ~2s
@@ -917,9 +927,9 @@ func TestFailureMidCycleFallsBackToPreviousEpoch(t *testing.T) {
 
 func TestTraceTimeline(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 20 * testMB
+	cfg.Footprint = 20 * testMB
 	c := newCluster(t, n, cfg)
 	mem := &obs.MemorySink{}
 	c.co.SetObs(obs.NewBus(mem))
@@ -967,9 +977,9 @@ func TestTraceTimeline(t *testing.T) {
 
 func TestIncrementalSnapshotSizing(t *testing.T) {
 	const n = 2
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 0
-	cfg.DefaultFootprint = 100 * testMB
+	cfg.Footprint = 100 * testMB
 	cfg.Incremental = true
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(120, 100*sim.Millisecond))
@@ -998,9 +1008,9 @@ func TestIncrementalSnapshotSizing(t *testing.T) {
 
 func TestIncrementalCapsAtFullFootprint(t *testing.T) {
 	const n = 1
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	const full = 2 * testMB // less than dirtyBW re-dirties in ~4 s
-	cfg.DefaultFootprint = full
+	cfg.Footprint = full
 	cfg.Incremental = true
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(80, 100*sim.Millisecond))
@@ -1019,9 +1029,9 @@ func TestIncrementalCapsAtFullFootprint(t *testing.T) {
 // and Reports says so; once the run quiesces every slot is filed.
 func TestReportsReadTooEarly(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 10 * testMB
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	var early error
 	c.co.OnCycleDone = func(*CycleReport) { _, early = c.co.Reports() }
@@ -1042,18 +1052,31 @@ func TestReportsReadTooEarly(t *testing.T) {
 	}
 }
 
+// TestNoFootprintFnTakesEmptyImage: a controller without a FootprintFn
+// snapshots an empty image.
+func TestNoFootprintFnTakesEmptyImage(t *testing.T) {
+	c := newCluster(t, 2, testDefaults())
+	c.co.Controller(1).FootprintFn = nil
+	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	runSim(t, c.k)
+	if recs := c.reports(t)[0].Records; recs[0].Footprint != 64*testMB || recs[1].Footprint != 0 {
+		t.Fatalf("footprints %d and %d, want 64 MB and 0", recs[0].Footprint, recs[1].Footprint)
+	}
+}
+
 func TestReportAndControllerAccessors(t *testing.T) {
 	const n = 2
-	cfg := DefaultConfig()
-	cfg.DefaultFootprint = 10 * testMB
+	cfg := testDefaults()
+	cfg.Footprint = 10 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(30, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
 	if c.co.cur != nil {
 		t.Fatal("active before the request")
 	}
-	if c.co.cfg.DefaultFootprint != 10*testMB {
-		t.Fatal("config accessor")
+	if c.co.Controller(0).FootprintFn() != 10*testMB {
+		t.Fatal("footprint accessor")
 	}
 	runSim(t, c.k)
 	rep := c.reports(t)[0]
@@ -1078,9 +1101,9 @@ func TestReportAndControllerAccessors(t *testing.T) {
 
 func TestGanttShowsStaggering(t *testing.T) {
 	const n = 4
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 50 * testMB
+	cfg.Footprint = 50 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.LaunchAll(computeLoop(60, 100*sim.Millisecond))
 	c.co.ScheduleCheckpoint(sim.Second)
@@ -1110,9 +1133,9 @@ func TestQuickCollectivesAcrossCheckpoint(t *testing.T) {
 		n := rng.Intn(5) + 2
 		gs := rng.Intn(n + 1)
 		iters := rng.Intn(10) + 6
-		cfg := DefaultConfig()
+		cfg := testDefaults()
 		cfg.GroupSize = gs
-		cfg.DefaultFootprint = int64(rng.Intn(20)+1) * testMB
+		cfg.Footprint = int64(rng.Intn(20)+1) * testMB
 		k := sim.NewKernel(seed)
 		c, err := buildCluster(k, n, cfg)
 		if err != nil {
@@ -1174,9 +1197,9 @@ func TestQuickCollectivesAcrossCheckpoint(t *testing.T) {
 
 func TestCycleBufferingAccountingReal(t *testing.T) {
 	const n = 2
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 1
-	cfg.DefaultFootprint = 100 * testMB
+	cfg.Footprint = 100 * testMB
 	c := newCluster(t, n, cfg)
 	c.j.Launch(0, func(e *mpi.Env) {
 		for i := 0; i < 3; i++ {
@@ -1207,9 +1230,9 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 	// The kitchen-sink combination: polled discipline, staged writes, and a
 	// rank that finished before the request.
 	const n = 3
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 2
-	cfg.DefaultFootprint = 20 * testMB
+	cfg.Footprint = 20 * testMB
 	c, _ := newStagingCluster(t, n, cfg)
 	c.co.SetCapture(noAppState)
 	sums := make([]int64, n)
@@ -1261,9 +1284,9 @@ func TestLocalStagingPolledWithFinishedRank(t *testing.T) {
 // host bytes allocated in between.
 func cycleAllocBytes(t *testing.T, n int) uint64 {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := testDefaults()
 	cfg.GroupSize = 4
-	cfg.DefaultFootprint = testMB
+	cfg.Footprint = testMB
 	c := newCluster(t, n, cfg)
 	defer c.k.Shutdown()
 	c.j.LaunchAll(computeLoop(1<<30, 100*sim.Millisecond))

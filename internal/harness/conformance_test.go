@@ -548,7 +548,7 @@ func randomCells(t *testing.T, tiered bool) {
 			cfg.Seed = rng.Int63n(1000) + 1
 			cfg.CR.Protocol = kind
 			cfg.CR.HelperEnabled = rng.Intn(3) != 0
-			cfg.CR.DefaultFootprint = int64(rng.Intn(15)+1) << 20
+			footprintMB := int64(rng.Intn(15) + 1)
 			switch kind {
 			case protocol.Group:
 				cfg.CR.GroupSize = rng.Intn(n + 1)
@@ -560,7 +560,7 @@ func randomCells(t *testing.T, tiered bool) {
 				cfg.Tiers.Replicas = rng.Intn(min(2, n-1)) + 1
 			}
 			w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,
-				Chunk: sim.Time(rng.Intn(40)+20) * sim.Millisecond, FootprintMB: 5}
+				Chunk: sim.Time(rng.Intn(40)+20) * sim.Millisecond, FootprintMB: footprintMB}
 			shapes := 2
 			if tiered {
 				shapes = 3
@@ -587,8 +587,8 @@ func randomCells(t *testing.T, tiered bool) {
 				err = fmt.Errorf("results %s, failure-free %s", ringSums(res.FinalInst), ringWant(w))
 			}
 			if err != nil {
-				t.Fatalf("%s/%s n=%d g=%d k=%d helper=%v %s every %v: %v\nreplay: go test ./internal/harness -run '%s/^draw=%d$' -gbcr.seed=%d",
-					kind, mode, n, cfg.CR.GroupSize, cfg.Tiers.Replicas, cfg.CR.HelperEnabled, spec, interval, err, name, k, *seedFlag)
+				t.Fatalf("%s/%s n=%d g=%d k=%d helper=%v %d MB %s every %v: %v\nreplay: go test ./internal/harness -run '%s/^draw=%d$' -gbcr.seed=%d",
+					kind, mode, n, cfg.CR.GroupSize, cfg.Tiers.Replicas, cfg.CR.HelperEnabled, footprintMB, spec, interval, err, name, k, *seedFlag)
 			}
 		})
 	}

@@ -30,12 +30,10 @@ func goldenCycle(t *testing.T, groupSize int) (trace, report []byte) {
 	return goldenMeasure(t, cfg, w)
 }
 
-// goldenMeasure runs one observed checkpointed measurement at 1 s with 20 MB
-// images and returns the JSONL event trace plus a JSON dump of the cycle
-// report.
+// goldenMeasure runs one observed checkpointed measurement at 1 s and returns
+// the JSONL event trace plus a JSON dump of the cycle report.
 func goldenMeasure(t *testing.T, cfg ClusterConfig, w workload.Workload) (trace, report []byte) {
 	t.Helper()
-	cfg.CR.DefaultFootprint = 20 << 20
 	var buf bytes.Buffer
 	js := obs.NewJSONL(&buf)
 	res, err := MeasureObserved(cfg, w, 1*sim.Second, obs.NewBus(js))

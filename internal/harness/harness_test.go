@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -31,7 +32,7 @@ func TestClusterConfigOptions(t *testing.T) {
 		"Storage.AggregateBW", "Storage.ClientBW", "Storage.OpenLatency", "Storage.Droop", "Storage.ShareJitter",
 		"Fabric.LinkBW", "Fabric.OOBLatency",
 		"MPI.LogMessages",
-		"CR.Protocol", "CR.GroupSize", "CR.Dynamic", "CR.HelperEnabled", "CR.DefaultFootprint", "CR.LocalSetup", "CR.Incremental",
+		"CR.Protocol", "CR.GroupSize", "CR.Dynamic", "CR.HelperEnabled", "CR.LocalSetup", "CR.Incremental",
 		"Tiers.Mode", "Tiers.Replicas"}
 	var got []string
 	var walk func(prefix string, typ reflect.Type)
@@ -53,6 +54,28 @@ func TestClusterConfigOptions(t *testing.T) {
 		t.Errorf("ClusterConfig's %d settable fields are\n  %v\nwant the %d\n  %v\n"+
 			"a new option needs two non-test callers that set it to different values; until then it is a constant",
 			len(got), got, len(want), want)
+	}
+}
+
+// TestModelVsSim holds the simulation to the paper's analytic model (Section
+// 5) on the paper's cluster: 32 ranks checkpointing in groups of 8 with
+// 180 MB images. A rank's individual checkpoint time is then equation (3a)'s,
+// the group's 8 writers sharing the aggregate throughput, each capped at the
+// client rate, to within 2 %.
+func TestModelVsSim(t *testing.T) {
+	cfg := PaperCluster(32)
+	cfg.CR.GroupSize = 8
+	cfg.CR.LocalSetup = 0
+	w := workload.CommGroups{N: 32, CommGroupSize: 8, Iters: 600,
+		Chunk: 100 * sim.Millisecond, FootprintMB: 180}
+	res, err := MeasureObserved(cfg, w, 10*sim.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meas := res.Report.MeanIndividual().Seconds()
+	pred := 180 << 20 / min(cfg.Storage.AggregateBW/8, cfg.Storage.ClientBW)
+	if off := math.Abs(meas-pred) / pred; off > 0.02 {
+		t.Errorf("mean individual checkpoint time %.4g s, eq. (3a) %.4g s: %.2f %% off, over 2 %%", meas, pred, 100*off)
 	}
 }
 

@@ -23,7 +23,6 @@ func equivCells() []Cell {
 	group := func(gs int) ClusterConfig {
 		cfg := smallCluster(n)
 		cfg.CR.GroupSize = gs
-		cfg.CR.DefaultFootprint = 20 << 20
 		return cfg
 	}
 	uncoord := group(0)

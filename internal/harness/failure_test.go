@@ -44,7 +44,8 @@ func (stuckInstance) Capture(int) ([]byte, error) { return nil, nil }
 // TestFailedRunReleasesGoroutines: every harness entry point that gives up on
 // a kernel — after an error, or after a crash it restarts from — must shut it
 // down, or each failed cell or attempt strands one goroutine (and stack) per
-// rank for the life of the process.
+// rank for the life of the process. Shut-down processes leave their
+// coroutines idle for reuse; those are released before each count.
 func TestFailedRunReleasesGoroutines(t *testing.T) {
 	const n = 16
 	cases := []struct {
@@ -75,11 +76,13 @@ func TestFailedRunReleasesGoroutines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			sim.ReleaseIdle()
 			before := runtime.NumGoroutine()
 			err := tc.run()
 			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 				t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
 			}
+			sim.ReleaseIdle()
 			// Give the runtime a moment to retire exited goroutines.
 			for i := 0; i < 50; i++ {
 				if runtime.NumGoroutine() <= before {

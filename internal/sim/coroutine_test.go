@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -223,8 +225,10 @@ func (r doneRecorder) ProcDone(_ Time, name string) { *r.done = append(*r.done, 
 
 // TestShutdownEveryProcessState: Shutdown owes a not-started, a parked and a
 // sleeping process the same thing — defers run, the observer hears it finish,
-// the goroutine behind the coroutine is released — and skips finished ones.
+// the coroutine goes idle — and skips finished ones. With the idle
+// coroutines released, not one goroutine is left over.
 func TestShutdownEveryProcessState(t *testing.T) {
+	ReleaseIdle()
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	var exited, unwound []string
@@ -267,6 +271,7 @@ func TestShutdownEveryProcessState(t *testing.T) {
 			t.Errorf("%s still live after Shutdown", p.Name())
 		}
 	}
+	ReleaseIdle()
 	expectGoroutines(t, before)
 }
 
@@ -303,10 +308,10 @@ func TestSpawnFromProcessBody(t *testing.T) {
 }
 
 // TestSpawnRunExitAllocCeiling pins what a process costs to create, run to
-// its end and retire: the Proc, its trampoline closure, and iter.Pull's
-// coroutine (the runtime's coro and goroutine, Pull's captured state and its
-// closures). A per-park allocation would show up in the alloc tests; a second
-// closure or channel per Spawn shows up here.
+// its end and retire: the Proc, and nothing else. Its coroutine comes off the
+// idle list and goes back on it, so a Spawn that built a fresh iter.Pull
+// coroutine (13 allocations) shows up here, as does a second closure or
+// channel per Spawn; a per-park allocation would show up in the alloc tests.
 func TestSpawnRunExitAllocCeiling(t *testing.T) {
 	k := NewKernel(1)
 	body := func(p *Proc) { p.Sleep(1) }
@@ -320,8 +325,200 @@ func TestSpawnRunExitAllocCeiling(t *testing.T) {
 		cycle()
 	}
 	k.procs = k.procs[:0]
-	const ceiling = 14 // 13 on go1.24: 3 of ours, 10 of iter.Pull
+	const ceiling = 1 // the Proc
 	if avg := testing.AllocsPerRun(200, cycle); avg > ceiling {
 		t.Fatalf("spawn-run-exit allocates %v/op, want <= %d", avg, ceiling)
 	}
+}
+
+// idleCoroutines returns a copy of the idle list, most recently retired last.
+func idleCoroutines() []*coroutine {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	return append([]*coroutine(nil), idle.cos...)
+}
+
+// TestCoroutineOutlivesEveryEnd: however a process ends — its body returns or
+// panics, or Shutdown kills it parked or before it started — it drops its
+// coroutine and body, the coroutine goes idle, and the next Spawn, on another
+// kernel, runs its body there: once, defers once, to a clean end.
+func TestCoroutineOutlivesEveryEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		body    func(p *Proc)
+		end     func(k *Kernel) error
+		wantErr string
+		defers  int // how often the first body's defer runs
+	}{
+		{"returned", func(p *Proc) { p.Sleep(1) }, (*Kernel).Run, "", 1},
+		{"panicked", func(p *Proc) { p.Sleep(1); panic("boom") }, (*Kernel).Run, `process "first" panicked: boom`, 1},
+		{"killed parked", func(p *Proc) { p.Park("forever") }, func(k *Kernel) error {
+			if err := k.RunUntil(10); err != nil {
+				return err
+			}
+			k.Shutdown()
+			return nil
+		}, "", 1},
+		{"killed not started", func(p *Proc) { t.Error("a killed not-started process ran its body") }, func(k *Kernel) error {
+			k.Shutdown()
+			return nil
+		}, "", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ReleaseIdle()
+			k := NewKernel(1)
+			defers := 0
+			first := k.Spawn("first", func(p *Proc) {
+				defer func() { defers++ }()
+				tc.body(p)
+			})
+			co := first.co
+			err := tc.end(k)
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("first kernel: error = %v, want one containing %q", err, tc.wantErr)
+			}
+			if defers != tc.defers {
+				t.Errorf("first body's defer ran %d times, want %d", defers, tc.defers)
+			}
+			if first.state != procDone || first.co != nil || first.body != nil {
+				t.Errorf("first process: state %v, holds coroutine %v, body %v; want done, neither", first.state, first.co != nil, first.body != nil)
+			}
+			if got := idleCoroutines(); len(got) != 1 || got[0] != co || co.p != nil {
+				t.Fatalf("idle list = %v, want just the first process's coroutine, holding no process", got)
+			}
+
+			k2 := NewKernel(2)
+			ran, nextDefers := 0, 0
+			next := k2.Spawn("next", func(p *Proc) {
+				defer func() { nextDefers++ }()
+				ran++
+				p.Sleep(5)
+			})
+			if next.co != co {
+				t.Fatal("the next Spawn built a coroutine instead of taking the idle one")
+			}
+			if err := k2.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if ran != 1 || nextDefers != 1 || k2.Now() != 5 {
+				t.Errorf("next body ran %d times, deferred %d times, ended at %v; want once, once, 5", ran, nextDefers, k2.Now())
+			}
+			if got := idleCoroutines(); len(got) != 1 || got[0] != co {
+				t.Errorf("after the next process the idle list holds %d coroutine(s), want the same one", len(got))
+			}
+		})
+	}
+	ReleaseIdle()
+}
+
+// TestIdleListCapped: more processes exiting than the idle list holds leave
+// it full and stop the rest, so at most maxIdle goroutines outlive the
+// kernel, and ReleaseIdle ends those.
+func TestIdleListCapped(t *testing.T) {
+	ReleaseIdle()
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	const n = maxIdle + 50
+	for i := 0; i < n; i++ {
+		k.Spawn("p", func(p *Proc) { p.Sleep(1) })
+	}
+	if err := k.RunUntil(0); err != nil { // every process started and asleep at once
+		t.Fatal(err)
+	}
+	if live := runtime.NumGoroutine() - before; live < n {
+		t.Fatalf("%d goroutines behind %d sleeping processes", live, n)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(idleCoroutines()); got != maxIdle {
+		t.Errorf("%d processes exited leaving %d coroutines idle, want %d", n, got, maxIdle)
+	}
+	expectGoroutines(t, before+maxIdle)
+	ReleaseIdle()
+	expectGoroutines(t, before)
+}
+
+// TestKernelsTradeCoroutines: coroutines retired by a kernel on one goroutine
+// run the processes of a kernel on another. First in turns, which pins that
+// they are traded; then both at once (CI runs it under -race), where the two
+// never need more coroutines than they have processes live together.
+func TestKernelsTradeCoroutines(t *testing.T) {
+	const procs = 8
+	ReleaseIdle()
+	// cell runs one kernel of procs processes to its end and reports the
+	// coroutines they ran on.
+	cell := func(seed int64) ([]*coroutine, error) {
+		k := NewKernel(seed)
+		var used []*coroutine
+		for i := 0; i < procs; i++ {
+			p := k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for j := 0; j < 3; j++ {
+					p.Sleep(Time(1 + p.K().Rand().Intn(5)))
+				}
+			})
+			used = append(used, p.co)
+		}
+		return used, k.Run()
+	}
+	onOtherGoroutine := func(seed int64) (used []*coroutine, err error) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			used, err = cell(seed)
+		}()
+		<-done
+		return used, err
+	}
+
+	built, err := cell(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 2; round <= 5; round++ {
+		run := cell
+		if round%2 == 0 {
+			run = onOtherGoroutine
+		}
+		used, err := run(int64(round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, co := range used {
+			if !slices.Contains(built, co) {
+				t.Fatalf("round %d ran a process on a new coroutine instead of the %d idle ones", round, procs)
+			}
+		}
+	}
+
+	used := make([][]*coroutine, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for g := range used {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50 && errs[g] == nil; i++ {
+				var cos []*coroutine
+				cos, errs[g] = cell(int64(100*g + i))
+				used[g] = append(used[g], cos...)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	distinct := map[*coroutine]bool{}
+	for _, cos := range used {
+		for _, co := range cos {
+			distinct[co] = true
+		}
+	}
+	if len(distinct) > 2*procs {
+		t.Errorf("two kernels of %d processes each ran on %d coroutines, want at most %d", procs, len(distinct), 2*procs)
+	}
+	ReleaseIdle()
 }

@@ -180,23 +180,30 @@ func (k *Kernel) RunUntil(limit Time) error {
 
 // resume switches to p's coroutine and returns when p parks or finishes: the
 // only place a process gains control, called by the event loop and Shutdown.
+// A finished process drops its body and retires its coroutine.
 func (k *Kernel) resume(p *Proc) {
 	k.running = p
 	p.state = procRunning
-	p.next()
+	p.co.next()
 	k.running = nil
+	if p.state == procDone {
+		p.co.retire()
+		p.co, p.body = nil, nil
+	}
 }
 
-// Shutdown terminates every live process so the goroutines backing their
-// coroutines are released: a coroutine never resumed to its end is a leaked
-// goroutine, started or not. Call it when abandoning a simulation mid-run
-// (e.g. after injecting a failure); using the kernel afterwards is invalid.
-// It must not be called from inside Run, an event callback, or a process body.
+// Shutdown terminates every live process so that their coroutines go back to
+// the idle list: a live process's coroutine is held by it, started or not,
+// and its goroutine leaks with a kernel dropped mid-run. Call it when
+// abandoning a simulation mid-run (e.g. after injecting a failure); using the
+// kernel afterwards is invalid. It must not be called from inside Run, an
+// event callback, or a process body.
 //
 // Each live process is marked killed and resumed once: a parked one panics
 // with the kill sentinel at its park point and unwinds through its defers, a
 // not-started one sees the mark before its body runs. Both end in the
-// trampoline's tail, so the process is done and the observer hears it.
+// trampoline's tail, so the process is done, the observer hears it, and
+// resume retires its coroutine.
 func (k *Kernel) Shutdown() {
 	if k.failure == nil {
 		k.failure = fmt.Errorf("sim: kernel shut down")

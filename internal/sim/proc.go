@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"sync"
 )
 
 type procState int
@@ -27,11 +28,11 @@ const (
 	wakeStart // Spawn's first resume
 )
 
-// Proc is a simulated process: a coroutine (iter.Pull) that the kernel's event
-// loop resumes when a wake makes it runnable and that switches back when it
-// parks or returns. Process bodies may only call Proc and Kernel methods while
-// they hold control. Nothing but process code ever runs on a process's stack:
-// events fired while it is parked run on the Run caller's.
+// Proc is a simulated process: a body run on a coroutine (iter.Pull) that the
+// kernel's event loop resumes when a wake makes it runnable and that switches
+// back when it parks or returns. Process bodies may only call Proc and Kernel
+// methods while they hold control. Nothing but process code ever runs on a
+// process's stack: events fired while it is parked run on the Run caller's.
 //
 // Blocking follows permit semantics similar to runtime parkers: Unpark on a
 // non-parked process stores a permit that makes the next Park return
@@ -40,8 +41,8 @@ const (
 type Proc struct {
 	k           *Kernel
 	name        string
-	next        func() (struct{}, bool) // switch to the coroutine; Kernel.resume only
-	yield       func(struct{}) bool     // switch back to whoever called next; the park point only
+	body        func(p *Proc) // nil once the process has exited
+	co          *coroutine    // runs body; nil once the process has exited
 	state       procState
 	blockReason string
 
@@ -58,12 +59,15 @@ type Proc struct {
 type killSentinel struct{}
 
 // Spawn creates a process that will start running at the current simulated
-// time (once the kernel reaches the start event). Its coroutine exists from
-// here on and ends only when the body returns or Shutdown kills it.
+// time (once the kernel reaches the start event). It takes an idle coroutine
+// left behind by an exited process, or builds one when none is idle; the
+// coroutine goes back to the idle list when the body returns, panics, or
+// Shutdown kills the process.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		k:           k,
 		name:        name,
+		body:        body,
 		blockReason: "not started",
 	}
 	k.procs = append(k.procs, p)
@@ -71,29 +75,117 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	if k.obs != nil {
 		k.obs.ProcSpawned(k.now, name)
 	}
-	// The process trampoline. It recovers everything the body can throw, so
-	// nothing ever propagates out of next.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killSentinel); !isKill {
-					k.Fail(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
-				}
-			}
-			p.state = procDone
-			k.live--
-			if k.obs != nil {
-				k.obs.ProcDone(k.now, p.name)
-			}
-		}()
-		if p.killed {
-			return
-		}
-		body(p)
-	})
+	p.co = takeIdle()
+	p.co.p = p
 	k.atWake(k.now, p, 0, wakeStart)
 	return p
+}
+
+// coroutine is a trampoline that runs one process after another: it runs
+// p's body to its end, switches back to the kernel that resumed it, and waits
+// idle until Spawn hands it the next process. The goroutine behind it lives
+// as long as the coroutine, not as long as one process.
+type coroutine struct {
+	next  func() (struct{}, bool) // switch to the coroutine; Kernel.resume only
+	stop  func()                  // end an idle coroutine and its goroutine
+	yield func(struct{}) bool     // switch back to whoever called next; the park and idle points only
+	p     *Proc                   // the process it runs; nil while idle
+}
+
+// maxIdle caps the idle list: above a 256-rank cell on each of four workers.
+// A coroutine retired past it is stopped.
+const maxIdle = 1024
+
+// idle holds the coroutines of exited processes for Spawn to reuse, whichever
+// kernel and goroutine retired them.
+var idle struct {
+	// shared: mutex hands idle coroutines between kernels run on different goroutines
+	mu  sync.Mutex
+	cos []*coroutine // guarded by mu
+}
+
+// takeIdle pops an idle coroutine, or builds a new one when none is idle.
+// This is the only place a coroutine is created.
+func takeIdle() *coroutine {
+	idle.mu.Lock()
+	if n := len(idle.cos); n > 0 {
+		c := idle.cos[n-1]
+		idle.cos[n-1] = nil
+		idle.cos = idle.cos[:n-1]
+		idle.mu.Unlock()
+		return c
+	}
+	idle.mu.Unlock()
+	c := new(coroutine)
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// retire hands an exited process's coroutine back to the idle list, or stops
+// it when the list is full. Only Kernel.resume calls it, after next has come
+// back: the coroutine is waiting at its idle yield by then, so no other
+// kernel can take and resume it before it gets there.
+func (c *coroutine) retire() {
+	c.p = nil
+	idle.mu.Lock()
+	if len(idle.cos) < maxIdle {
+		idle.cos = append(idle.cos, c)
+		idle.mu.Unlock()
+		return
+	}
+	idle.mu.Unlock()
+	c.stop()
+}
+
+// ReleaseIdle stops every idle coroutine, ending the goroutines kept for
+// future processes. Live processes are untouched: only Shutdown ends those.
+//
+//lint:allow-unused the goroutine-leak tests of sim and harness call it to count goroutines without the idle ones
+func ReleaseIdle() {
+	idle.mu.Lock()
+	cos := idle.cos
+	idle.cos = nil
+	idle.mu.Unlock()
+	for _, c := range cos {
+		c.stop()
+	}
+}
+
+// loop is the trampoline: run the current process, wait idle, repeat until
+// stopped. Nothing propagates out of next, because run recovers everything a
+// body can throw.
+func (c *coroutine) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run runs the current process's body, or nothing for a process killed
+// before it started, and ends it: a panic other than the kill sentinel fails
+// the run, and the process is done and the observer hears it.
+func (c *coroutine) run() {
+	p := c.p
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isKill := r.(killSentinel); !isKill {
+				k.Fail(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+			}
+		}
+		p.state = procDone
+		k.live--
+		if k.obs != nil {
+			k.obs.ProcDone(k.now, p.name)
+		}
+	}()
+	if p.killed {
+		return
+	}
+	p.body(p)
 }
 
 // Name returns the process name given at Spawn.
@@ -128,7 +220,7 @@ func (p *Proc) parkInternal(reason string, until Time) wakeKind {
 	if until >= 0 {
 		p.timer = p.k.atWake(until, p, tok, wakeTimer)
 	}
-	p.yield(struct{}{}) // back to the event loop until a wake resumes p
+	p.co.yield(struct{}{}) // back to the event loop until a wake resumes p
 	if p.killed {
 		//lint:allow-panic killSentinel is the Kill unwind mechanism, recovered by the process trampoline
 		panic(killSentinel{})

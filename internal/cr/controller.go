@@ -15,16 +15,14 @@ import (
 
 // Controller is the local C/R controller embedded in one MPI process. It
 // implements mpi.CRHooks (safe points and the send gate) and reacts to
-// coordinator messages immediately on arrival, like the controller thread in
-// the MVAPICH2 framework.
+// coordinator messages on arrival, like MVAPICH2's controller thread.
 //
-// The paper's checkpoint procedure (Section 3: Initial Synchronization,
-// Pre-checkpoint Coordination, Local Checkpointing, Post-checkpoint
-// Coordination) is written once per execution context — AtSafePoint parks the
-// application process through it, checkpointFinishedRank runs it from kernel
-// events for a rank that has no process left to park — and both are built
-// from the same steps: newRecord, teardownBusy, takeSnapshot, writeFailed,
-// commit, resume. Each asks the protocol whether phases 1, 2 and 4 exist.
+// The paper's checkpoint procedure (Section 3) is written once per execution
+// context — AtSafePoint parks the application process through it,
+// checkpointFinishedRank runs it from kernel events for a rank with no
+// process left to park — from the same steps: newRecord, teardownBusy,
+// takeSnapshot, writeFailed, commit, resume. Where the rank stands in the
+// cycle is one state, which only transition moves.
 type Controller struct {
 	co   *Coordinator
 	rank *mpi.Rank
@@ -37,25 +35,14 @@ type Controller struct {
 	epoch      int      // completed checkpoints
 	lastCkptAt sim.Time // when the previous snapshot was taken (incremental)
 
-	// Cycle state.
-	cycleActive bool
-	rep         *CycleReport // the cycle's; this rank writes only its own slot
-	baseEpoch   int
-	groupOf     []int // rank → group, -1 in none; the coordinator's, shared read-only by every controller
-	myGroup     int
-	turnStarted []bool
-	groupDone   []bool
-	mySaved     bool
-	activating  bool
-	inCkpt      bool
-	goFlag      bool
-	resumeFlag  bool
-	abortFlag   bool
-
-	// finishedStep advances a finished rank through phases 1 and 2; msgGo and
-	// connection events run it. Nil outside those phases: it is cleared when
-	// the teardown completes and when the cycle aborts.
-	finishedStep func()
+	// Cycle state. Turns start and groups finish in schedule order (the
+	// coordinator's messages share one FIFO): started and done count them.
+	state         state
+	rep           *CycleReport // the cycle's; this rank writes only its own slot
+	baseEpoch     int
+	groupOf       []int // rank → group, -1 in none; the coordinator's, shared read-only by every controller
+	myGroup       int
+	started, done int
 
 	// write is this cycle's snapshot write once started; an abort cancels it,
 	// so a discarded epoch's image never lands at a tier the failure spared.
@@ -64,6 +51,96 @@ type Controller struct {
 	// bufStart snapshots the rank's buffering counters at cycle start so
 	// endCycle can attribute the cycle's deferral activity to its record.
 	bufStart mpi.RankStats
+}
+
+// state is where a controller stands in the checkpointing cycle. From sync
+// on, the rank is stopped for its own checkpoint.
+type state uint8
+
+const (
+	stateIdle       state = iota // no cycle
+	stateTurn                    // in a cycle; its group's turn has not come
+	stateRequested               // a safe point is requested
+	stateSaved                   // resumed with this cycle's snapshot
+	stateSync                    // stopped and ready; waits for its group's msgGo (phase 1)
+	stateTeardown                // flushes and closes its connections (phase 2)
+	stateWrite                   // local setup, capture and write (phase 3)
+	stateResumeWait              // saved; waits for its group to finish (phase 4)
+	stateCommitted               // the cycle committed before the process woke to resume
+	stateAborting                // the cycle aborted before the process woke to return
+)
+
+// event is what moves a controller from one state to the next.
+type event uint8
+
+const (
+	evRequest   event = iota // msgCkptRequest
+	evTurn                   // msgTurn, for any group
+	evAsk                    // a safe point is requested
+	evStop                   // the rank stops and reports ready
+	evFreeze                 // the rank stops to checkpoint alone: no phases 1, 2 and 4
+	evGo                     // msgGo
+	evTornDown               // no connection handshake is left
+	evCommit                 // the snapshot is written and archived
+	evGroupDone              // msgGroupDone, for any group
+	evResume                 // execution resumes
+	evCycleDone              // msgCycleDone
+	evAbort                  // msgAbort
+	evReturn                 // the stopped process leaves the aborted cycle
+)
+
+var (
+	stateNames = [...]string{"idle", "turn", "requested", "saved", "sync",
+		"teardown", "write", "resume-wait", "committed", "aborting"}
+	eventNames = [...]string{"request", "turn", "ask", "stop", "freeze", "go",
+		"torn-down", "commit", "group-done", "resume", "cycle-done", "abort", "return"}
+)
+
+// edges is the transition table: edges[s][e] is where e moves s, and an event
+// missing from s's row is illegal there. A finished rank stops straight from
+// turn; a retried cycle can begin before an aborted process wakes to return.
+var edges = [len(stateNames)]map[event]state{
+	stateIdle: {evRequest: stateTurn},
+	stateTurn: {evTurn: stateTurn, evGroupDone: stateTurn, evAbort: stateIdle, evReturn: stateTurn,
+		evAsk: stateRequested, evStop: stateSync, evFreeze: stateWrite},
+	stateRequested: {evStop: stateSync, evFreeze: stateWrite, evAbort: stateIdle, evReturn: stateRequested},
+	stateSync:      {evTurn: stateSync, evGroupDone: stateSync, evGo: stateTeardown, evAbort: stateAborting},
+	stateTeardown:  {evTornDown: stateWrite, evAbort: stateAborting},
+	stateWrite:     {evCommit: stateResumeWait, evAbort: stateAborting},
+	stateResumeWait: {evTurn: stateResumeWait, evGroupDone: stateResumeWait, evResume: stateSaved,
+		evCycleDone: stateCommitted, evAbort: stateAborting},
+	stateSaved:     {evTurn: stateSaved, evGroupDone: stateSaved, evCycleDone: stateIdle, evAbort: stateIdle},
+	stateCommitted: {evResume: stateIdle},
+	stateAborting:  {evReturn: stateIdle, evRequest: stateTurn},
+}
+
+// transition moves the state along e's edge and reports whether it had one;
+// an event with no edge from the state fails the run and keeps the state.
+func (c *Controller) transition(e event) bool {
+	to, ok := edges[c.state][e]
+	if !ok {
+		c.co.k.Fail(fmt.Errorf("cr: rank %d: illegal event %s in state %s", c.rank.World(), eventNames[e], stateNames[c.state]))
+		return false
+	}
+	c.state = to
+	return true
+}
+
+// gated reports whether the state alone decides the send and connection gates
+// (ok, and then allowed) or a blocking protocol's schedule does. A finished
+// rank in sync holds nothing: a peer may wait in the quiesce for its words.
+func (c *Controller) gated() (allowed, ok bool) {
+	switch c.state {
+	case stateIdle, stateCommitted, stateAborting:
+		return true, true
+	case stateSync:
+		if !c.rank.Finished() {
+			return false, true
+		}
+	case stateTeardown, stateWrite, stateResumeWait: // nothing is posted until the process resumes
+		return false, true
+	}
+	return true, !c.co.proto.Blocking()
 }
 
 // attach makes c rank's controller and returns it.
@@ -83,11 +160,11 @@ func (c *Controller) ConnMeta() int64 { return int64(c.epoch) }
 // ConnChanged re-evaluates connection states during checkpoint teardown: it
 // wakes the parked process, or steps a finished rank.
 func (c *Controller) ConnChanged(peer int) {
-	if !c.inCkpt {
+	if c.state < stateSync {
 		return
 	}
 	c.unparkSelf()
-	if c.finishedStep != nil {
+	if c.state == stateTeardown && c.rank.Finished() {
 		c.finishedStep()
 	}
 }
@@ -95,52 +172,34 @@ func (c *Controller) ConnChanged(peer int) {
 // SendAllowed implements the consistency gate (Section 3.2): a group that
 // has taken its checkpoint must not exchange messages with a group that has
 // not. Blocked traffic lands in the MPI outbox (message/request buffering).
+// Uncoordinated protocols have no cross-group gate: in-flight messages are
+// covered by the sender log, not by blocking.
 func (c *Controller) SendAllowed(dst int) bool {
-	if !c.cycleActive {
-		return true
-	}
-	if c.inCkpt {
-		// The process is stopped for its own checkpoint: nothing is posted
-		// until it resumes.
-		return false
-	}
-	if !c.co.proto.Blocking() {
-		// Uncoordinated: no cross-group consistency gate — in-flight
-		// messages are covered by the sender log, not by blocking.
-		return true
+	if allowed, ok := c.gated(); ok {
+		return allowed
 	}
 	g := c.groupOf[dst]
-	if g < 0 {
-		return true
-	}
-	if g == c.myGroup {
+	if g < 0 || g == c.myGroup {
 		// Same schedule; the connection layer quiesces intra-group traffic
 		// during the actual checkpoint.
 		return true
 	}
-	if c.turnStarted[g] && !c.groupDone[g] {
+	if g < c.started && g >= c.done {
 		// That group is checkpointing right now.
 		return false
 	}
-	return c.groupDone[g] == c.mySaved
+	return (g < c.done) == (c.state == stateSaved)
 }
 
 // acceptConn epoch-gates passive connection acceptance: reconnection across
 // the recovery line is deferred until both sides have checkpointed.
+// Uncoordinated connections never tear down, so there is no line to gate.
 func (c *Controller) acceptConn(peer int, meta int64) bool {
-	if !c.cycleActive {
-		return true
-	}
-	if c.inCkpt {
-		return false
-	}
-	if !c.co.proto.Blocking() {
-		// Uncoordinated: connections never tear down, so there is no
-		// recovery line to gate reconnection against.
-		return true
+	if allowed, ok := c.gated(); ok {
+		return allowed
 	}
 	peerView := c.baseEpoch
-	if g := c.groupOf[peer]; g >= 0 && c.groupDone[g] {
+	if g := c.groupOf[peer]; g >= 0 && g < c.done {
 		peerView++
 	}
 	return peerView == c.epoch
@@ -152,17 +211,26 @@ func (c *Controller) onOOB(src int, payload any) {
 	case msgCkptRequest:
 		c.startCycle(m)
 	case msgTurn:
-		c.onTurn(m)
+		c.transition(evTurn)
+		c.started = m.group + 1
+		if m.group == c.myGroup && !c.co.polled() {
+			c.stop() // polled mode already stopped at cycle start
+		}
 	case msgGo:
-		if m.group == c.myGroup {
-			c.goFlag = true
-			c.unparkSelf()
-			if c.finishedStep != nil {
-				c.finishedStep()
-			}
+		c.transition(evGo)
+		c.unparkSelf()
+		if c.state == stateTeardown && c.rank.Finished() {
+			c.rep.Records[c.rank.World()].GoAt = c.co.k.Now()
+			c.phase(protocol.PhaseTeardown)
+			c.finishedStep()
 		}
 	case msgGroupDone:
-		c.onGroupDone(m)
+		c.transition(evGroupDone)
+		c.done = m.group + 1
+		if m.group == c.myGroup {
+			c.unparkSelf()
+		}
+		c.releaseAligned()
 	case msgCycleDone:
 		c.endCycle()
 	case msgAbort:
@@ -187,41 +255,26 @@ func (c *Controller) unparkSelf() {
 }
 
 func (c *Controller) startCycle(m msgCkptRequest) {
-	c.cycleActive = true
+	c.transition(evRequest)
 	c.bufStart = c.rank.Stats()
 	c.rep = m.rep
 	c.baseEpoch = c.epoch
 	c.groupOf = m.groupOf
 	c.myGroup = m.groupOf[c.rank.World()]
-	c.turnStarted = make([]bool, len(m.rep.Groups))
-	c.groupDone = make([]bool, len(m.rep.Groups))
-	c.mySaved = false
-	c.goFlag = false
-	c.resumeFlag = false
-	c.abortFlag = false
+	c.started, c.done = 0, 0
 	blocking := c.co.proto.Blocking()
 	if blocking && c.co.cfg.HelperEnabled {
 		// Passive coordination: bound protocol-processing delay while the
 		// application computes (Section 4.4).
 		c.rank.SetHelper(true)
 	}
-	// Uncoordinated: no helper, no turns, no quiesce barrier — the rank heads
-	// for its own safe point immediately and checkpoints alone. Polled
-	// (restartable) mode: every rank quiesces at its next boundary before any
-	// group writes. Boundary-only safe points cannot interrupt a blocked
-	// receive, so the per-group stop of the signal protocol could deadlock
-	// against the consistency gate; a global quiesce followed by staggered
-	// group writes is the sound equivalent (the SCR-style application-level
-	// discipline). Signal mode under a blocking protocol stops on msgTurn.
+	// Uncoordinated: no helper, no turns, no quiesce — the rank stops now and
+	// checkpoints alone. Polled mode: boundary-only safe points cannot
+	// interrupt a blocked receive, so a per-group stop could deadlock against
+	// the consistency gate; every rank quiesces first, then groups write in
+	// turn (the SCR-style discipline). Signal mode stops on msgTurn.
 	if !blocking || c.co.polled() {
 		c.stop()
-	}
-}
-
-func (c *Controller) onTurn(m msgTurn) {
-	c.turnStarted[m.group] = true
-	if m.group == c.myGroup && !c.co.polled() {
-		c.stop() // polled mode already stopped at cycle start
 	}
 }
 
@@ -234,43 +287,26 @@ func (c *Controller) stop() {
 	case c.rank.Finished():
 		c.checkpointFinishedRank()
 	case c.co.polled():
-		c.activating = true
+		c.transition(evAsk)
 		c.rank.RequestSafePointPolled()
 	default:
-		c.activating = true
+		c.transition(evAsk)
 		c.rank.RequestSafePoint()
 	}
 }
 
-func (c *Controller) onGroupDone(m msgGroupDone) {
-	c.groupDone[m.group] = true
-	if m.group == c.myGroup {
-		c.resumeFlag = true
-		c.unparkSelf()
-	}
-	c.releaseAligned()
-}
-
-// onAbort cancels this rank's participation in an aborted cycle: the
-// optimistic epoch increment rolls back (the written snapshot was discarded
-// with the epoch), stopped processes wake out of their phase waits via
-// abortFlag, and deferral gates reopen. The retried cycle arrives as a fresh
-// msgCkptRequest.
+// onAbort cancels this rank's part in an aborted cycle: the optimistic epoch
+// increment rolls back (the snapshot was discarded with the epoch), a stopped
+// process wakes to return, and the gates reopen. A fresh msgCkptRequest
+// retries the cycle.
 func (c *Controller) onAbort(m msgAbort) {
-	if !c.cycleActive || m.cycle != c.rep.Cycle {
-		return
-	}
 	c.emit(obs.Instant, obs.KindCycleAbort, 0)
-	if c.mySaved {
+	if c.state == stateResumeWait || c.state == stateSaved {
 		c.epoch--
-		c.mySaved = false
 	}
-	c.abortFlag = true
-	c.goFlag = false
-	c.cycleActive = false
-	c.finishedStep = nil
-	if c.rank.Finished() {
-		c.inCkpt = false // no process will wake to run abortReturn
+	c.transition(evAbort)
+	if c.state == stateAborting && c.rank.Finished() {
+		c.transition(evReturn) // no process will wake to run abortReturn
 	}
 	c.rank.SetHelper(false)
 	if c.write != nil {
@@ -281,7 +317,9 @@ func (c *Controller) onAbort(m msgAbort) {
 }
 
 func (c *Controller) endCycle() {
-	c.cycleActive = false
+	if !c.transition(evCycleDone) {
+		return
+	}
 	c.rank.SetHelper(false)
 	c.releaseAligned()
 	// File the cycle's deferral activity into this rank's record, which its
@@ -318,26 +356,27 @@ func (c *Controller) phase(p protocol.Phase) {
 
 // abortReturn is the common exit for a member whose cycle aborted while it
 // was stopped: execution resumes, and its record goes with the aborted
-// cycle's report.
+// cycle's report. A retried cycle may already have begun.
 func (c *Controller) abortReturn() {
-	c.inCkpt = false
+	c.transition(evReturn)
 	c.emit(obs.Instant, obs.KindAbortResume, 0)
 	c.releaseAligned()
 }
 
 // AtSafePoint is the member's checkpoint procedure in application context:
-// the four phases of the checkpointing cycle, each wait a park of the
-// process. A non-blocking protocol has no phases 1, 2 and 4 — the rank
-// freezes, writes, and resumes alone; consistency with the rest of the job
-// then comes from sender-based message logging at the MPI layer.
+// the cycle's four phases, each wait a park until the state moves on. A
+// non-blocking protocol has no phases 1, 2 and 4: the rank writes and resumes
+// alone, and sender-based message logging keeps the job consistent.
 func (c *Controller) AtSafePoint(e *mpi.Env) {
-	if !c.activating {
+	if c.state != stateRequested {
 		return // spurious (stale interrupt)
 	}
-	c.activating = false
-	c.inCkpt = true
 	p, k := e.Proc(), c.co.k
-	blocking := c.co.proto.Blocking()
+	blocking, ev := c.co.proto.Blocking(), evFreeze
+	if blocking {
+		ev = evStop
+	}
+	c.transition(ev)
 	c.emit(obs.Instant, obs.KindSafePoint, 0)
 	rec := c.newRecord()
 
@@ -347,10 +386,12 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		c.phase(protocol.PhaseSync)
 		c.emit(obs.Begin, obs.KindCkptSync, 0)
 		c.sendCo(msgReady{cycle: c.rep.Cycle, rank: c.rank.World()})
-		ok := c.waitFlag(p, &c.goFlag, "cr: initial synchronization")
+		for c.state == stateSync {
+			p.Park("cr: initial synchronization")
+		}
 		rec.GoAt = k.Now()
 		c.emit(obs.End, obs.KindCkptSync, 0)
-		if !ok {
+		if c.state != stateTeardown {
 			c.abortReturn()
 			return
 		}
@@ -365,10 +406,11 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		}
 		rec.TeardownDone = k.Now()
 		c.emit(obs.End, obs.KindCkptTeardown, 0)
-		if c.abortFlag {
+		if c.state != stateTeardown {
 			c.abortReturn()
 			return
 		}
+		c.transition(evTornDown)
 	}
 
 	// Phase 3: Local Checkpointing — BLCR-style snapshot written to the
@@ -388,11 +430,9 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 			tr.Wait(p)
 			err = tr.Err()
 		}
-		if c.abortFlag || c.rep.Cycle != rec.Cycle {
+		if c.state != stateWrite {
 			// The cycle aborted (another member failed) while our write was in
-			// flight; the snapshot belongs to the discarded epoch. A retried
-			// cycle that already began has cleared abortFlag: hence the
-			// comparison.
+			// flight; the snapshot belongs to the discarded epoch.
 			c.emit(obs.End, obs.KindCkptWrite, 0)
 			c.abortReturn()
 			return
@@ -410,7 +450,7 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 		if blocking {
 			// The coordinator retries the whole cycle: wait here for its abort
 			// to arrive before resuming execution.
-			for !c.abortFlag {
+			for c.state == stateWrite {
 				p.Park("cr: awaiting cycle abort")
 			}
 			c.abortReturn()
@@ -427,11 +467,12 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	c.phase(protocol.PhaseResume)
 	if blocking {
 		c.emit(obs.Begin, obs.KindCkptResumeWait, 0)
-		ok := c.waitFlag(p, &c.resumeFlag, "cr: post-checkpoint coordination")
+		for c.state == stateResumeWait && c.done <= c.myGroup {
+			p.Park("cr: post-checkpoint coordination")
+		}
 		c.emit(obs.End, obs.KindCkptResumeWait, 0)
-		if !ok {
-			// Aborted after our save: onAbort already rolled back the epoch and
-			// dropped mySaved.
+		if c.state == stateAborting {
+			// Aborted after our save: onAbort already rolled back the epoch.
 			c.abortReturn()
 			return
 		}
@@ -440,23 +481,52 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 }
 
 // checkpointFinishedRank is the member's checkpoint procedure in event
-// context, for a rank whose body already returned: the process is idle in
-// finalize and cannot park, so each wait of AtSafePoint becomes the event
-// that ends it — msgGo and connection events through finishedStep, one timer
-// for the local setup, the transfer's completion. With no execution to
-// resume, the rank does not wait for its group: it resumes as its write ends.
+// context, for a rank whose process idles in finalize and cannot park: each
+// wait of AtSafePoint becomes the event that ends it (msgGo and connection
+// events, a timer, the write's completion). With no execution to resume, the
+// rank does not wait for its group: it resumes as its write ends.
 func (c *Controller) checkpointFinishedRank() {
-	k := c.co.k
-	blocking := c.co.proto.Blocking()
-	c.inCkpt = true
 	rec := c.newRecord()
-	// onAbort deactivates the cycle before it cancels the write, so every
-	// continuation below sees an abort as a stale cycle and stands down.
-	stale := func() bool { return c.rep.Cycle != rec.Cycle || !c.cycleActive }
+	if !c.co.proto.Blocking() {
+		c.transition(evFreeze)
+		c.finishedWrite(rec, nil, 1, c.co.cfg.LocalSetup)
+		return
+	}
+	// Phases 1 and 2: report readiness; msgGo starts the teardown.
+	c.transition(evStop)
+	c.phase(protocol.PhaseSync)
+	c.sendCo(msgReady{cycle: c.rep.Cycle, rank: c.rank.World()})
+}
 
-	// Phase 3, entered once phases 1 and 2 (if the protocol has them) are done.
-	var write func(snap *blcr.Snapshot, attempt int)
-	write = func(snap *blcr.Snapshot, attempt int) {
+// finishedStep advances a finished rank's teardown: msgGo and every
+// connection event re-check it until every handshake has settled, and then
+// phase 3 begins.
+func (c *Controller) finishedStep() {
+	if c.teardownBusy() {
+		return
+	}
+	rec := &c.rep.Records[c.rank.World()]
+	rec.TeardownDone = c.co.k.Now()
+	c.transition(evTornDown)
+	c.finishedWrite(rec, nil, 1, c.co.cfg.LocalSetup)
+}
+
+// finishedWrite is a finished rank's phase 3 from the given attempt on,
+// after delay (the local setup, or a retry's backoff): it commits and resumes
+// as its write lands. onAbort moves the state before it cancels the write, so
+// a continuation that finds the rank out of this cycle's write stands down.
+func (c *Controller) finishedWrite(rec *CkptRecord, snap *blcr.Snapshot, attempt int, delay sim.Time) {
+	k := c.co.k
+	stale := func() bool { return c.state != stateWrite || c.rep.Cycle != rec.Cycle }
+	k.After(delay, func() {
+		if stale() {
+			return
+		}
+		if snap == nil {
+			if snap = c.takeSnapshot(rec); snap == nil {
+				return
+			}
+		}
 		tr, err := c.startWrite(snap)
 		if err != nil {
 			k.Fail(fmt.Errorf("cr: rank %d starting snapshot write: %w", c.rank.World(), err))
@@ -467,8 +537,8 @@ func (c *Controller) checkpointFinishedRank() {
 				return // the snapshot belongs to the discarded epoch
 			}
 			if err := tr.Err(); err != nil {
-				if backoff, ok := c.writeFailed(err, attempt); ok && !blocking {
-					k.After(backoff, func() { write(snap, attempt+1) })
+				if backoff, ok := c.writeFailed(err, attempt); ok && !c.co.proto.Blocking() {
+					c.finishedWrite(rec, snap, attempt+1, backoff)
 				}
 				return // blocking: the coordinator's abort ends this attempt
 			}
@@ -477,41 +547,7 @@ func (c *Controller) checkpointFinishedRank() {
 			c.phase(protocol.PhaseResume)
 			c.resume(rec)
 		})
-	}
-	localCheckpoint := func() {
-		k.After(c.co.cfg.LocalSetup, func() {
-			if stale() {
-				return // the cycle aborted while the local setup ran
-			}
-			if snap := c.takeSnapshot(rec); snap != nil {
-				write(snap, 1)
-			}
-		})
-	}
-	if !blocking {
-		localCheckpoint()
-		return
-	}
-
-	// Phases 1 and 2: report readiness, then on msgGo disconnect and re-check
-	// on each connection event until every handshake has settled.
-	c.phase(protocol.PhaseSync)
-	c.sendCo(msgReady{cycle: c.rep.Cycle, rank: c.rank.World()})
-	c.finishedStep = func() {
-		if !c.goFlag {
-			return
-		}
-		if rec.GoAt == 0 {
-			rec.GoAt = k.Now() // the first run past the gate is msgGo's
-			c.phase(protocol.PhaseTeardown)
-		}
-		if c.teardownBusy() {
-			return
-		}
-		c.finishedStep = nil
-		rec.TeardownDone = k.Now()
-		localCheckpoint()
-	}
+	})
 }
 
 // newRecord opens the rank's record of this cycle, its slot of the cycle's
@@ -530,8 +566,7 @@ func (c *Controller) newRecord() *CkptRecord {
 // teardownBusy drives every established connection into the
 // flush-and-disconnect protocol and reports whether any handshake has yet to
 // settle. Half-open outgoing connections (deferred by an epoch-mismatched
-// peer) are left alone: they carry no data and complete after the recovery
-// line passes.
+// peer) carry no data and complete after the recovery line: left alone.
 func (c *Controller) teardownBusy() bool {
 	ep := c.rank.Endpoint()
 	busy := false
@@ -578,13 +613,8 @@ func (c *Controller) takeSnapshot(rec *CkptRecord) *blcr.Snapshot {
 }
 
 const (
-	// incrementalFloor is the minimum fraction of the full footprint an
-	// incremental snapshot writes (page-table metadata and always-hot pages).
-	incrementalFloor = 0.05
-	// dirtyBW is the rate at which a running process dirties memory, in
-	// bytes per second of execution (1 MB/s: ~50 MB between the incremental
-	// extension's checkpoints).
-	dirtyBW = 1 << 20
+	incrementalFloor = 0.05    // of the footprint, always written: page tables, hot pages
+	dirtyBW          = 1 << 20 // bytes a running process dirties a second: ~50 MB between checkpoints
 )
 
 // incrementalSize models the dirty-page image written by an incremental
@@ -599,9 +629,8 @@ func (c *Controller) incrementalSize(full int64) int64 {
 	return dirty
 }
 
-// startWrite begins storing snap through the storage stack, acknowledging at
-// its fastest durable tier, and remembers the transfer so an abort can cancel
-// it. Application-context callers Wait on the result.
+// startWrite begins storing snap through the storage stack, acknowledged at
+// its fastest durable tier, and remembers the transfer for an abort to cancel.
 func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err error) {
 	tr, err = c.co.tiers.StartWrite(snap.Epoch, snap.Rank, snap.Size())
 	c.write = tr
@@ -609,13 +638,10 @@ func (c *Controller) startWrite(snap *blcr.Snapshot) (tr *storage.Transfer, err 
 }
 
 // writeFailed classifies a failed snapshot write, attempt counting from 1.
-// Anything but a storage outage is a simulator error and fails the run (ok
-// false). Who retries an outage is the protocol's commit rule: a blocking
-// protocol hands the cycle back to the coordinator for a group-wide abort and
-// retry, and the member awaits that abort; otherwise there is no cycle-wide
-// rollback to coordinate, so the rank retries alone after backoff — the same
-// capped backoff, bounded by the same maxCycleRetries, the coordinator
-// applies cycle-wide.
+// Anything but a storage outage fails the run (ok false). A blocking protocol
+// hands an outage to the coordinator, which aborts and retries the cycle;
+// otherwise the rank retries alone, after the same capped backoff and at most
+// maxCycleRetries times.
 func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok bool) {
 	world := c.rank.World()
 	blocking := c.co.proto.Blocking()
@@ -638,14 +664,12 @@ func (c *Controller) writeFailed(err error, attempt int) (backoff sim.Time, ok b
 }
 
 // commit makes a written snapshot this rank's checkpoint: the epoch advances
-// (optimistically under a blocking protocol — onAbort rolls it back), the
-// image is archived, and the coordinator is told. A protocol without a global
-// commit marks the image durable per rank here: it is a restart candidate as
-// soon as its own write completed. An archive error means the protocol
-// double-checkpointed this rank, and fails the run.
+// (optimistically under a blocking protocol: onAbort rolls it back), the image
+// is archived — durable at once without a global commit — and the coordinator
+// is told. An archive error means a double checkpoint, and fails the run.
 func (c *Controller) commit(snap *blcr.Snapshot) {
 	c.epoch++
-	c.mySaved = true
+	c.transition(evCommit)
 	err := c.co.snaps.Put(snap)
 	if err == nil && !c.co.proto.Blocking() {
 		err = c.co.snaps.SetRankDurable(snap.Epoch, snap.Rank)
@@ -660,7 +684,7 @@ func (c *Controller) commit(snap *blcr.Snapshot) {
 // of record for the cycle, mirrored into the bus registry (a no-op without a
 // bus) for -metrics-json export.
 func (c *Controller) resume(rec *CkptRecord) {
-	c.inCkpt = false
+	c.transition(evResume)
 	rec.ResumeAt = c.co.k.Now()
 	c.emit(obs.Instant, obs.KindResume, int64(rec.Individual()))
 	m := c.co.bus.Metrics()
@@ -679,13 +703,4 @@ func (c *Controller) sendCo(payload any) {
 	if err := c.rank.Endpoint().SendOOB(CoordinatorID, payload); err != nil {
 		c.co.k.Fail(fmt.Errorf("cr: rank %d reporting to coordinator: %w", c.rank.World(), err))
 	}
-}
-
-// waitFlag parks the application process until the flag is set by a
-// coordinator message, or the cycle aborts. It returns false on abort.
-func (c *Controller) waitFlag(p *sim.Proc, flag *bool, reason string) bool {
-	for !*flag && !c.abortFlag {
-		p.Park(reason)
-	}
-	return !c.abortFlag
 }

@@ -145,46 +145,30 @@ type (
 	}
 	// msgTurn announces that a group's checkpoint begins. Members reach a
 	// safe point; everyone else stops sending to that group.
-	msgTurn struct {
-		cycle, group int
-	}
+	msgTurn struct{ cycle, group int }
 	// msgGo releases a group's members into pre-checkpoint coordination
 	// once all of them reached their safe point (Initial Synchronization).
-	msgGo struct {
-		cycle, group int
-	}
+	msgGo struct{ cycle, group int }
 	// msgGroupDone announces that every member of a group has saved its
 	// snapshot: the group resumes and cross-group gates involving it are
 	// re-evaluated.
-	msgGroupDone struct {
-		cycle, group int
-	}
+	msgGroupDone struct{ cycle, group int }
 	// msgCycleDone marks the global checkpoint complete.
-	msgCycleDone struct {
-		cycle int
-	}
+	msgCycleDone struct{ cycle int }
 	// msgReady tells the coordinator a member reached its safe point.
-	msgReady struct {
-		cycle, rank int
-	}
+	msgReady struct{ cycle, rank int }
 	// msgSaved tells the coordinator a member's snapshot is on storage:
 	// acknowledged at the fastest tier of the stack that accepted it.
-	msgSaved struct {
-		cycle, rank int
-	}
+	msgSaved struct{ cycle, rank int }
 	// msgWriteFailed tells the coordinator a member's snapshot write was
 	// aborted mid-cycle (storage outage). The coordinator answers by
 	// aborting the whole cycle.
-	msgWriteFailed struct {
-		cycle, rank int
-	}
+	msgWriteFailed struct{ cycle, rank int }
 	// msgAbort cancels an in-progress cycle on every rank: partial
 	// snapshots are discarded, optimistic epoch increments roll back, and
 	// stopped processes resume. The coordinator retries the checkpoint
 	// after a bounded backoff.
-	msgAbort struct {
-		cycle int
-	}
+	msgAbort struct{ cycle int }
 )
 
 // CkptRecord captures one rank's participation in one checkpoint cycle, the

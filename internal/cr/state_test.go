@@ -1,0 +1,118 @@
+package cr
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"gbcr/internal/obs"
+	"gbcr/internal/sim"
+)
+
+// legalEdges is the controller's transition table written out once more, one
+// "from event to" edge a string, so that changing an edge takes a change here.
+var legalEdges = []string{
+	"idle request turn",
+	"turn turn turn", "turn group-done turn", "turn abort idle", "turn return turn",
+	"turn ask requested", "turn stop sync", "turn freeze write",
+	"requested stop sync", "requested freeze write", "requested abort idle", "requested return requested",
+	"sync turn sync", "sync group-done sync", "sync go teardown", "sync abort aborting",
+	"teardown torn-down write", "teardown abort aborting",
+	"write commit resume-wait", "write abort aborting",
+	"resume-wait turn resume-wait", "resume-wait group-done resume-wait", "resume-wait resume saved",
+	"resume-wait cycle-done committed", "resume-wait abort aborting",
+	"saved turn saved", "saved group-done saved", "saved cycle-done idle", "saved abort idle",
+	"committed resume idle",
+	"aborting return idle", "aborting request turn",
+}
+
+// TestTransitionTable puts every (state, event) pair through transition on a
+// fresh cluster: a listed edge reaches its state and leaves the run going,
+// and any other pair keeps the state and fails the run with a message naming
+// the rank, the state and the event.
+func TestTransitionTable(t *testing.T) {
+	want := map[string]string{}
+	for _, e := range legalEdges {
+		f := strings.Fields(e)
+		want[f[0]+" "+f[1]] = f[2]
+	}
+	legal := 0
+	for s := range stateNames {
+		for e := range eventNames {
+			pair := stateNames[s] + " " + eventNames[e]
+			c := newCluster(t, 2, testDefaults())
+			ctl := c.co.Controller(1)
+			ctl.state = state(s)
+			ctl.transition(event(e))
+			err := c.k.Run()
+			if to, ok := want[pair]; ok {
+				legal++
+				if err != nil || stateNames[ctl.state] != to {
+					t.Errorf("%s: reached %s (run: %v), want %s", pair, stateNames[ctl.state], err, to)
+				}
+				continue
+			}
+			msg := fmt.Sprintf("cr: rank 1: illegal event %s in state %s", eventNames[e], stateNames[s])
+			if err == nil || err.Error() != msg || ctl.state != state(s) {
+				t.Errorf("%s: run error %v in state %s, want %q in %s", pair, err, stateNames[ctl.state], msg, stateNames[s])
+			}
+		}
+	}
+	if legal != len(want) {
+		t.Errorf("%d of the %d listed edges name a state or event the controller lacks", len(want)-legal, len(want))
+	}
+}
+
+// TestIllegalTransitionFailsRun seeds an illegal edge into a running job: a
+// msgGo reaching a rank with no cycle in progress fails the run, and the
+// message names the rank, its state and the event.
+func TestIllegalTransitionFailsRun(t *testing.T) {
+	c := newCluster(t, 2, testDefaults())
+	defer c.k.Shutdown()
+	c.j.LaunchAll(computeLoop(4, 100*sim.Millisecond))
+	c.k.At(150*sim.Millisecond, func() { c.co.send(1, msgGo{group: 0}) })
+	const want = "cr: rank 1: illegal event go in state idle"
+	if err := c.k.Run(); err == nil || err.Error() != want {
+		t.Fatalf("Run() = %v, want %q", err, want)
+	}
+}
+
+// TestRetryOvertakesAbortedProcess: a cycle aborts while both members sleep
+// out a local setup longer than the retry backoff, so the retried cycle's
+// request reaches them while they are still stopped in the aborted one
+// (aborting → turn). Each wakes, finds its cycle gone and returns, then
+// stops again for the retry, which commits the epoch.
+func TestRetryOvertakesAbortedProcess(t *testing.T) {
+	cfg := testDefaults()
+	cfg.Footprint = 10 * testMB
+	cfg.LocalSetup = 500 * sim.Millisecond
+	c := newCluster(t, 2, cfg)
+	mem := &obs.MemorySink{}
+	c.co.SetObs(obs.NewBus(mem))
+	c.j.LaunchAll(computeLoop(40, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	c.k.At(1100*sim.Millisecond, func() {
+		if got := c.co.Controller(1).state; got != stateWrite {
+			t.Errorf("rank 1 in %s at the abort, want write", stateNames[got])
+		}
+		c.co.onWriteFailed(msgWriteFailed{cycle: c.co.cycle, rank: 0})
+	})
+	c.k.At(1300*sim.Millisecond, func() {
+		if got := c.co.Controller(1).state; got != stateRequested {
+			t.Errorf("rank 1 in %s once the retry began, want requested", stateNames[got])
+		}
+	})
+	runSim(t, c.k)
+	if c.co.Aborts() != 1 || c.co.Epoch() != 1 {
+		t.Fatalf("aborts %d, epoch %d; want 1 and 1", c.co.Aborts(), c.co.Epoch())
+	}
+	returns := 0
+	for _, e := range mem.ByLayer(obs.LayerCR) {
+		if e.What == obs.KindAbortResume {
+			returns++
+		}
+	}
+	if returns != 2 {
+		t.Errorf("%d abort returns, want one a member", returns)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -168,7 +169,7 @@ func matrix() []row {
 	race := workload.Ring{N: 8, Iters: 200, Chunk: 50 * sim.Millisecond, FootprintMB: 180}
 	mine := motif.Mine{Graphs: 32, Vertices: 12, Degree: 3, Labels: 4,
 		MinSup: 10, MaxLen: 3, Seed: 5, LevelCompute: 400 * sim.Millisecond}
-	return []row{
+	rows := []row{
 		{name: "ring4", n: 4, w: ring4, interval: 600 * sim.Millisecond, kinds: spellings, modes: modes,
 			specs: specs, results: ringSums, want: ringWant(ring4)},
 		{name: "allgather", n: 4, w: workload.AllgatherLoop{N: 4, Iters: 40, Chunk: 50 * sim.Millisecond, FootprintMB: 10},
@@ -226,6 +227,25 @@ func matrix() []row {
 			modes: []tier.Mode{tier.ModeRAM}, specs: []string{noFault},
 			tweak: func(c *ClusterConfig) { c.Tiers.Replicas = 3 }},
 	}
+	// Sub-millisecond intervals on the paper's storage: cycles run back to
+	// back, so a request can reach a finished rank at the instant its
+	// reconnect to a peer comes up, with its last word to that peer still in
+	// its outbox. Held there through the quiesce, the word kept the peer
+	// from its safe point: every row with more than one group deadlocked.
+	for _, n := range []int{3, 4, 8} {
+		for _, g := range []int{1, 2} {
+			for _, us := range []sim.Time{100, 300} {
+				w := workload.Ring{N: n, Iters: 40, Chunk: 50 * sim.Millisecond, FootprintMB: 16}
+				rows = append(rows, row{name: fmt.Sprintf("ring%dg%d-%dus", n, g, us), n: n, w: w,
+					interval: us * sim.Microsecond, kinds: onlyGroup, modes: []tier.Mode{tier.ModeCentral, tier.ModeHierarchy},
+					specs: []string{noFault, "crash@2s"}, results: ringSums, want: ringWant(w), tweak: func(c *ClusterConfig) {
+						p := PaperCluster(c.N)
+						c.Storage, c.CR.LocalSetup, c.CR.GroupSize = p.Storage, p.CR.LocalSetup, g
+					}})
+			}
+		}
+	}
+	return rows
 }
 
 // TestConformance runs every cell of the matrix. Beyond its golden line,
@@ -517,9 +537,10 @@ func TestShardedFaultScenarioEquivalence(t *testing.T) {
 const draws = 20
 
 // TestQuickScenarioCrashEquivalence draws random central-storage cells: n,
-// kind, group size, helper, footprint, chunk, iterations, interval, and a
-// timed or phase crash. Whatever instant or phase the fault kills the job
-// in, the rerun from the recovery line reproduces the failure-free results.
+// kind, group size, helper, footprint, chunk, iterations, interval (one in
+// four below a millisecond), and a timed or phase crash. Whatever instant or
+// phase the fault kills the job in, the rerun from the recovery line
+// reproduces the failure-free results.
 // Draw K depends only on K and -gbcr.seed (default 1, so tier-1 draws the
 // same cells on every run).
 func TestQuickScenarioCrashEquivalence(t *testing.T) { randomCells(t, false) }
@@ -579,6 +600,9 @@ func randomCells(t *testing.T, tiered bool) {
 					rng.Intn(1700)+300, rng.Intn(n), rng.Intn(cfg.Tiers.Replicas+1)+1)
 			}
 			interval := sim.Time(rng.Intn(300)+400) * sim.Millisecond
+			if rng.Intn(4) == 0 { // back-to-back cycles: log-uniform over 100µs..1ms
+				interval = sim.Time(float64(100*sim.Microsecond) * math.Pow(10, rng.Float64()))
+			}
 			res, err := RunScenario(cfg, w, mustParse(t, spec), interval, nil)
 			if err == nil && res.Failures != 1 {
 				err = fmt.Errorf("failures = %d, want 1", res.Failures)

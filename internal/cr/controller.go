@@ -14,8 +14,8 @@ import (
 )
 
 // Controller is the local C/R controller embedded in one MPI process. It
-// implements mpi.CRHooks (safe points and the send gate) and reacts to
-// coordinator messages on arrival, like MVAPICH2's controller thread.
+// implements mpi.CRHooks (safe points, the send and connection gates) and
+// reacts to coordinator messages on arrival, like MVAPICH2's controller thread.
 //
 // The paper's checkpoint procedure (Section 3) is written once per execution
 // context — AtSafePoint parks the application process through it,
@@ -148,9 +148,6 @@ func (c *Controller) attach(co *Coordinator, rank *mpi.Rank) *Controller {
 	*c = Controller{co: co, rank: rank}
 	rank.SetHooks(c)
 	rank.SetIndependentCkpt(!co.proto.Blocking())
-	ep := rank.Endpoint()
-	ep.AcceptConn = c.acceptConn
-	ep.OnOOB = c.onOOB
 	return c
 }
 
@@ -191,10 +188,10 @@ func (c *Controller) SendAllowed(dst int) bool {
 	return (g < c.done) == (c.state == stateSaved)
 }
 
-// acceptConn epoch-gates passive connection acceptance: reconnection across
+// AcceptConn epoch-gates passive connection acceptance: reconnection across
 // the recovery line is deferred until both sides have checkpointed.
 // Uncoordinated connections never tear down, so there is no line to gate.
-func (c *Controller) acceptConn(peer int, meta int64) bool {
+func (c *Controller) AcceptConn(peer int, meta int64) bool {
 	if allowed, ok := c.gated(); ok {
 		return allowed
 	}
@@ -205,8 +202,8 @@ func (c *Controller) acceptConn(peer int, meta int64) bool {
 	return peerView == c.epoch
 }
 
-// onOOB handles coordinator traffic immediately on arrival.
-func (c *Controller) onOOB(src int, payload any) {
+// OOB handles coordinator traffic immediately on arrival.
+func (c *Controller) OOB(src int, payload any) {
 	switch m := payload.(type) {
 	case msgCkptRequest:
 		c.startCycle(m)

@@ -84,9 +84,7 @@ func writeRetryBackoff(attempt int) sim.Time {
 
 // DefaultConfig returns a regular-protocol configuration with the helper
 // thread enabled.
-func DefaultConfig() Config {
-	return Config{HelperEnabled: true}
-}
+func DefaultConfig() Config { return Config{HelperEnabled: true} }
 
 // protocolOptions projects the configuration onto the protocol-policy
 // options for an n-rank job with the given MPI logging state.
@@ -241,9 +239,7 @@ func (r *CycleReport) VulnerabilityWindow() sim.Time {
 func (r *CycleReport) MaxIndividual() sim.Time {
 	var m sim.Time
 	for _, rec := range r.Records {
-		if d := rec.Individual(); d > m {
-			m = d
-		}
+		m = max(m, rec.Individual())
 	}
 	return m
 }
@@ -290,37 +286,23 @@ func (r *CycleReport) StorageShare() float64 {
 // (stopped but not writing), 'W' is the storage write. The staggered
 // group-by-group schedule is directly visible.
 func (r *CycleReport) Gantt(width int) string {
-	if width < 10 {
-		width = 10
-	}
+	width = max(width, 10)
 	end := r.DoneAt
 	for _, rec := range r.Records {
-		if rec.ResumeAt > end {
-			end = rec.ResumeAt
-		}
+		end = max(end, rec.ResumeAt)
 	}
 	span := end - r.RequestAt
 	if span <= 0 {
 		return ""
 	}
 	col := func(t sim.Time) int {
-		c := int(int64(t-r.RequestAt) * int64(width) / int64(span))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
+		return min(max(int(int64(t-r.RequestAt)*int64(width)/int64(span)), 0), width-1)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "checkpoint cycle %d: %v ... %v (W=write, c=coordination)\n",
 		r.Cycle, r.RequestAt, end)
 	for rank, rec := range r.Records {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = '.'
-		}
+		row := []byte(strings.Repeat(".", width))
 		for i := col(rec.SafePointAt); i <= col(rec.ResumeAt); i++ {
 			row[i] = 'c'
 		}

@@ -11,10 +11,7 @@ func FormStaticGroups(n, size int) [][]int {
 	}
 	var groups [][]int
 	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+size, n)
 		g := make([]int, 0, hi-lo)
 		for r := lo; r < hi; r++ {
 			g = append(g, r)
@@ -48,9 +45,7 @@ func FormDynamicGroups(n, maxSize int, traffic []map[int]int64) [][]int {
 			}
 			key := [2]int{min(i, j), max(i, j)}
 			weight[key] += w
-			if weight[key] > maxW {
-				maxW = weight[key]
-			}
+			maxW = max(maxW, weight[key])
 		}
 	}
 	if maxW == 0 {
@@ -123,10 +118,7 @@ func FormDynamicGroups(n, maxSize int, traffic []map[int]int64) [][]int {
 			flush()
 			// Split oversized components into rank-ordered chunks.
 			for lo := 0; lo < len(c); lo += maxSize {
-				hi := lo + maxSize
-				if hi > len(c) {
-					hi = len(c)
-				}
+				hi := min(lo+maxSize, len(c))
 				groups = append(groups, c[lo:hi:hi])
 			}
 			continue

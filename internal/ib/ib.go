@@ -288,27 +288,89 @@ type Endpoint struct {
 
 	stats Stats
 
-	// OnMessage receives application payloads from established (or
-	// draining) connections, in FIFO order per source.
-	OnMessage func(src int, size int64, payload any)
-	// OnWork is invoked (in kernel context) whenever a packet arrives and
-	// processing work is pending. The owner decides when to call Progress.
-	OnWork func()
-	// OnConnUp is invoked when a connection to peer becomes established.
-	OnConnUp func(peer int)
-	// OnConnDown is invoked when a connection to peer is fully torn down.
-	OnConnDown func(peer int)
-	// AcceptConn, if non-nil, gates passive connection acceptance. Return
-	// false to defer the request; deferred requests are retried on
-	// Reexamine. meta is the opaque value the initiator passed to Connect
-	// (the checkpoint layer uses it to carry the initiator's epoch).
-	AcceptConn func(peer int, meta int64) bool
-	// OnOOB receives application out-of-band payloads (checkpoint
+	// Funcs is the default handler: set its fields to receive upcalls
+	// without installing one (SetHandler).
+	Funcs
+	h Handler
+}
+
+// Handler receives an endpoint's upcalls, all in kernel context. Installing
+// one (SetHandler) replaces the endpoint's Funcs.
+type Handler interface {
+	// Message receives an application payload from an established (or
+	// draining) connection, in FIFO order per source.
+	Message(src int, size int64, payload any)
+	// Work reports a packet arrival with processing work pending. The owner
+	// decides when to call Progress.
+	Work()
+	// ConnUp reports that the connection to peer became established.
+	ConnUp(peer int)
+	// ConnDown reports that the connection to peer is fully torn down.
+	ConnDown(peer int)
+	// Accept gates passive connection acceptance. Returning false defers
+	// the request; deferred requests are retried on Reexamine. meta is the
+	// opaque value the initiator passed to Connect (the checkpoint layer
+	// uses it to carry the initiator's epoch).
+	Accept(peer int, meta int64) bool
+	// OOB receives an application out-of-band payload (checkpoint
 	// coordination traffic) at arrival time, never queued for Progress — the
 	// model of the checkpoint controller thread, which listens on its own
 	// channel and is not subject to the MPI progress rule.
-	OnOOB func(src int, payload any)
+	OOB(src int, payload any)
 }
+
+// Funcs holds an endpoint's optional upcall funcs, one per Handler method;
+// it is the handler until SetHandler installs another. A nil func accepts
+// every connection and drops what it would have received.
+type Funcs struct {
+	OnMessage  func(src int, size int64, payload any)
+	OnWork     func()
+	OnConnUp   func(peer int)
+	OnConnDown func(peer int)
+	AcceptConn func(peer int, meta int64) bool
+	OnOOB      func(src int, payload any)
+}
+
+// funcs is Funcs as a Handler. Its methods are not Funcs', so they are not
+// promoted to Endpoint beside the handler they would bypass.
+type funcs Funcs
+
+func (f *funcs) Message(src int, size int64, payload any) {
+	if f.OnMessage != nil {
+		f.OnMessage(src, size, payload)
+	}
+}
+
+func (f *funcs) Work() {
+	if f.OnWork != nil {
+		f.OnWork()
+	}
+}
+
+func (f *funcs) ConnUp(peer int) {
+	if f.OnConnUp != nil {
+		f.OnConnUp(peer)
+	}
+}
+
+func (f *funcs) ConnDown(peer int) {
+	if f.OnConnDown != nil {
+		f.OnConnDown(peer)
+	}
+}
+
+func (f *funcs) Accept(peer int, meta int64) bool {
+	return f.AcceptConn == nil || f.AcceptConn(peer, meta)
+}
+
+func (f *funcs) OOB(src int, payload any) {
+	if f.OnOOB != nil {
+		f.OnOOB(src, payload)
+	}
+}
+
+// SetHandler routes the endpoint's upcalls to h instead of its Funcs.
+func (ep *Endpoint) SetHandler(h Handler) { ep.h = h }
 
 // AddEndpoint registers a new endpoint with the given id (ids need not be
 // contiguous; the checkpoint coordinator uses a negative id).
@@ -318,6 +380,7 @@ func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
 	}
 	ep := &Endpoint{f: f, id: id}
 	ep.deliverNext = ep.deliver
+	ep.h = (*funcs)(&ep.Funcs)
 	f.eps[id] = ep
 	return ep, nil
 }
@@ -602,22 +665,18 @@ func (ep *Endpoint) receive(it workItem) {
 		return
 	}
 	if it.oob {
-		if ep.OnOOB != nil {
-			ep.OnOOB(it.src, it.payload)
-		}
+		ep.h.OOB(it.src, it.payload)
 		return
 	}
 	ep.work.push(it)
-	if ep.OnWork != nil {
-		ep.OnWork()
-	}
+	ep.h.Work()
 }
 
 // PendingWork reports whether Progress has queued packets to process.
 func (ep *Endpoint) PendingWork() bool { return ep.work.len() > 0 }
 
 // Progress processes all queued arrivals: connection-management handshakes,
-// flush markers, and application deliveries (via OnMessage).
+// flush markers, and application deliveries (via the handler's Message).
 func (ep *Endpoint) Progress() {
 	for ep.work.len() > 0 {
 		// control packets allocate per connection, not per message
@@ -679,9 +738,7 @@ func (ep *Endpoint) process(it workItem) {
 	default:
 		ep.promoteOnInband(it.src)
 		ep.stats.MessagesDelivered++
-		if ep.OnMessage != nil {
-			ep.OnMessage(it.src, it.size, it.payload)
-		}
+		ep.h.Message(it.src, it.size, it.payload)
 	}
 }
 
@@ -699,13 +756,11 @@ func (ep *Endpoint) promoteOnInband(peer int) {
 	c.retries = 0
 	c.state = StateConnected
 	ep.emit(obs.KindConnUp, peer)
-	if ep.OnConnUp != nil {
-		ep.OnConnUp(peer)
-	}
+	ep.h.ConnUp(peer)
 }
 
 // Connect initiates connection establishment toward peer. meta is an opaque
-// value shown to the peer's AcceptConn hook. Calling Connect on a connection
+// value shown to the peer's Accept upcall. Calling Connect on a connection
 // that exists in any state is a no-op.
 func (ep *Endpoint) Connect(peer int, meta int64) error {
 	if peer == ep.id {
@@ -758,7 +813,7 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 			return
 		}
 	}
-	if ep.AcceptConn != nil && !ep.AcceptConn(peer, req.meta) {
+	if !ep.h.Accept(peer, req.meta) {
 		ep.deferred = append(ep.deferred, it)
 		ep.f.bus.Metrics().Counter(obs.LayerIB, "deferred_connects").Inc()
 		ep.emit(obs.KindCMDefer, peer)
@@ -792,9 +847,7 @@ func (ep *Endpoint) handleConnRep(peer int) {
 	c.state = StateConnected
 	ep.emit(obs.KindConnUp, peer)
 	ep.sendCM(peer, cmConnRtu{})
-	if ep.OnConnUp != nil {
-		ep.OnConnUp(peer)
-	}
+	ep.h.ConnUp(peer)
 }
 
 func (ep *Endpoint) handleConnRtu(peer int) {
@@ -806,14 +859,12 @@ func (ep *Endpoint) handleConnRtu(peer int) {
 	c.retries = 0
 	c.state = StateConnected
 	ep.emit(obs.KindConnUp, peer)
-	if ep.OnConnUp != nil {
-		ep.OnConnUp(peer)
-	}
+	ep.h.ConnUp(peer)
 }
 
 // Disconnect starts the flush-and-teardown protocol toward peer: in-band
 // flush markers drain both directions, then an out-of-band disconnect
-// handshake destroys the connection. OnConnDown fires on both sides when
+// handshake destroys the connection. ConnDown fires on both sides when
 // complete. Disconnect on a non-established connection is a no-op.
 func (ep *Endpoint) Disconnect(peer int) {
 	c := ep.connTo(peer)
@@ -893,7 +944,5 @@ func (ep *Endpoint) closeConn(peer int) {
 	ep.stats.Disconnects++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "disconnects").Inc()
 	ep.emit(obs.KindConnDown, peer)
-	if ep.OnConnDown != nil {
-		ep.OnConnDown(peer)
-	}
+	ep.h.ConnDown(peer)
 }

@@ -356,6 +356,91 @@ func TestOOBDelivery(t *testing.T) {
 	}
 }
 
+// recorder is a Handler that logs its upcalls and drives its endpoint's
+// progress on Work.
+type recorder struct {
+	ep     *Endpoint
+	refuse bool
+	log    []string
+}
+
+func (r *recorder) note(format string, args ...any) {
+	r.log = append(r.log, fmt.Sprintf(format, args...))
+}
+
+func (r *recorder) Message(src int, size int64, payload any) {
+	r.note("message %d %d %v", src, size, payload)
+}
+func (r *recorder) Work()               { r.note("work"); r.ep.Progress() }
+func (r *recorder) ConnUp(peer int)     { r.note("up %d", peer) }
+func (r *recorder) ConnDown(peer int)   { r.note("down %d", peer) }
+func (r *recorder) OOB(src int, pl any) { r.note("oob %d %v", src, pl) }
+func (r *recorder) Accept(peer int, meta int64) bool {
+	r.note("accept %d %d", peer, meta)
+	return !r.refuse
+}
+
+// TestHandlerUpcalls: a handler installed with SetHandler receives each of
+// the six upcalls across one connect, send, OOB packet and disconnect, in
+// place of the endpoint's Funcs; a refusing Accept defers the connection
+// until Reexamine, as AcceptConn does. A bare endpoint (nil Funcs) accepts
+// every connection and drops what it receives.
+func TestHandlerUpcalls(t *testing.T) {
+	k, f, a, b := testPair(t)
+	h := &recorder{ep: b, refuse: true}
+	b.OnMessage = func(int, int64, any) { t.Error("Funcs.OnMessage called with a handler installed") }
+	b.SetHandler(h)
+	step := func(want ...string) {
+		t.Helper()
+		if err := k.RunUntil(k.Now() + 10*sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(h.log) != fmt.Sprint(want) {
+			t.Fatalf("upcalls %q, want %q", h.log, want)
+		}
+		h.log = nil
+	}
+	connect(t, a, 1, 7)
+	step("accept 0 7")
+	if len(b.deferred) != 1 || a.Connected(1) {
+		t.Fatalf("refused connect: %d deferred, connected %v; want 1 deferred, not connected", len(b.deferred), a.Connected(1))
+	}
+	h.refuse = false
+	k.At(k.Now(), b.Reexamine)
+	step("accept 0 7", "up 0")
+	if err := a.Send(1, 64, "data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendOOB(1, "ctl"); err != nil {
+		t.Fatal(err)
+	}
+	step("work", "message 0 64 data", "oob 0 ctl")
+	a.Disconnect(1)
+	step("work", "down 0")
+
+	bare := addEP(t, f, 2)
+	connect(t, a, 2, 0)
+	if err := k.RunUntil(k.Now() + 10*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !bare.Connected(0) {
+		t.Fatal("a bare endpoint refused a connection")
+	}
+	if err := a.Send(2, 64, "data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendOOB(2, "ctl"); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(k.Now() + 10*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	bare.Progress()
+	if st := bare.Stats(); st.MessagesDelivered != 1 || bare.PendingWork() {
+		t.Fatalf("bare endpoint: %d delivered, pending %v; want the message delivered and dropped", st.MessagesDelivered, bare.PendingWork())
+	}
+}
+
 func TestStats(t *testing.T) {
 	k, _, a, b := testPair(t)
 	b.OnMessage = func(int, int64, any) {}

@@ -41,7 +41,7 @@ func (req *Request) completeTx() { req.r.completeReq(req) }
 // getReq returns a blank request. The library's blocking calls take theirs
 // from here and hand them back with putReq.
 func (r *Rank) getReq() *Request {
-	req := r.reqFree.get()
+	req := r.job.reqFree.get()
 	req.r = r
 	return req
 }
@@ -52,7 +52,7 @@ func (r *Rank) getReq() *Request {
 // posted or the rendezvous table still point at them.
 func (r *Rank) putReq(req *Request) {
 	tx := req.txDone
-	r.reqFree.put(req)
+	r.job.reqFree.put(req)
 	req.txDone = tx
 }
 

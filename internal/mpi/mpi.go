@@ -16,12 +16,33 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"gbcr/internal/blcr"
 	"gbcr/internal/ib"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 )
+
+// names holds each rank's process name and park reason for every job: a
+// simulation wires its ranks anew, and the strings never change. It grows to
+// the largest rank seen.
+var names struct {
+	// shared: mutex guards the table against jobs built on different goroutines
+	mu         sync.Mutex
+	proc, wait []string
+}
+
+// rankNames returns rank i's process name and park reason.
+func rankNames(i int) (proc, wait string) {
+	names.mu.Lock()
+	defer names.mu.Unlock()
+	for n := len(names.proc); n <= i; n++ {
+		names.proc = append(names.proc, "rank"+strconv.Itoa(n))
+		names.wait = append(names.wait, "MPI wait (rank "+strconv.Itoa(n)+")")
+	}
+	return names.proc[i], names.wait[i]
+}
 
 // ANY is the wildcard for Recv source and tag matching (MPI_ANY_SOURCE /
 // MPI_ANY_TAG).
@@ -72,10 +93,14 @@ type CRHooks interface {
 	// request buffering) until Rank.ReleaseDst.
 	SendAllowed(dstWorld int) bool
 	// ConnMeta is the opaque value an outgoing connection request presents
-	// to the peer's AcceptConn hook.
+	// to the peer's AcceptConn.
 	ConnMeta() int64
 	// ConnChanged reports that the connection to peer came up or went down.
 	ConnChanged(peer int)
+	// AcceptConn gates the rank's passive connection acceptance, and OOB
+	// takes the coordinator's out-of-band traffic (ib.Handler's Accept, OOB).
+	AcceptConn(peer int, meta int64) bool
+	OOB(src int, payload any)
 }
 
 // RankStats counts per-rank library activity.
@@ -98,6 +123,7 @@ type Job struct {
 	peerAt []peer // the unused rest of the peer records' current chunk; see newPeer
 
 	pktFree freeList[wirePkt] // see newPkt, onMessage
+	reqFree freeList[Request] // see getReq, putReq
 	stage   *libStateV2       // see staging; nil until a rank's library state is restored from a v2 image
 }
 
@@ -126,16 +152,9 @@ func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
 		r := &slab[i]
-		*r = Rank{
-			job:        j,
-			world:      i,
-			ep:         ep,
-			waitReason: "MPI wait (rank " + strconv.Itoa(i) + ")",
-		}
-		r.ep.OnWork = r.onWork
-		r.ep.OnMessage = r.onMessage
-		r.ep.OnConnUp = r.onConnUp
-		r.ep.OnConnDown = r.onConnDown
+		*r = Rank{job: j, world: i, ep: ep}
+		_, r.waitReason = rankNames(i)
+		ep.SetHandler((*rankEP)(r))
 		j.ranks[i] = r
 	}
 	return j, nil
@@ -153,17 +172,19 @@ func (j *Job) Config() Config { return j.cfg }
 // Rank returns rank i.
 func (j *Job) Rank(i int) *Rank { return j.ranks[i] }
 
-// Launch starts rank i's application body as a simulated process. The
-// returned Env is also passed to body. Launching a rank twice spawns nothing
-// and fails the simulation: the kernel's Run returns the error.
+// Launch starts rank i's application body as a simulated process, passing it
+// the rank's Env. Launching a rank twice spawns nothing and fails the
+// simulation: the kernel's Run returns the error.
 func (j *Job) Launch(i int, body func(e *Env)) *Rank {
 	r := j.ranks[i]
 	if r.proc != nil {
 		j.k.Fail(fmt.Errorf("mpi: rank %d launched twice", i))
 		return r
 	}
-	r.proc = j.k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-		body(&Env{r: r, p: p})
+	name, _ := rankNames(i)
+	r.proc = j.k.Spawn(name, func(p *sim.Proc) {
+		r.env = Env{r: r, p: p}
+		body(&r.env)
 		r.finished = true
 		r.finishedAt = p.Now()
 		// A finished rank sits in finalize: it keeps making progress so
@@ -200,9 +221,7 @@ func (j *Job) FinishTime() sim.Time {
 			//lint:allow-panic documented precondition: callers must check Finished first
 			panic("mpi: FinishTime on unfinished job")
 		}
-		if r.finishedAt > t {
-			t = r.finishedAt
-		}
+		t = max(t, r.finishedAt)
 	}
 	return t
 }
@@ -229,13 +248,12 @@ type Rank struct {
 	lastProgress sim.Time
 
 	// Matching state.
-	rdv        []rdvSlot         // rendezvous sends awaiting CTS and receives awaiting data, by id
-	posted     []*Request        // posted receive queue (FIFO)
-	unexpected []inMsg           // unexpected message queue (FIFO)
-	reqFree    freeList[Request] // see getReq/putReq
+	rdv        []rdvSlot  // rendezvous sends awaiting CTS and receives awaiting data, by id
+	posted     []*Request // posted receive queue (FIFO)
+	unexpected []inMsg    // unexpected message queue (FIFO)
 
-	// Park reason, formatted once: a blocked rank parks per message.
-	waitReason string
+	env        Env    // what Launch passes the body
+	waitReason string // see rankNames: a blocked rank parks per message
 
 	// peers indexes one record per rank this one has exchanged a message
 	// with, in ascending world order, found by binary search (peer, peerIfAny).
@@ -394,11 +412,27 @@ func (r *Rank) SetHelper(on bool) {
 	}
 }
 
-// onWork is the endpoint's packet-arrival notification. Processing follows
+// rankEP is a rank as its endpoint's ib.Handler: installing it is a pointer
+// conversion, so wiring a rank binds no method value. The checkpoint layer,
+// once attached, gates connections and takes the coordinator's traffic.
+type rankEP Rank
+
+func (h *rankEP) Message(src int, size int64, pkt any) { (*Rank)(h).onMessage(src, size, pkt) }
+func (h *rankEP) Accept(peer int, meta int64) bool {
+	return h.hooks == nil || h.hooks.AcceptConn(peer, meta)
+}
+func (h *rankEP) OOB(src int, payload any) {
+	if h.hooks != nil {
+		h.hooks.OOB(src, payload)
+	}
+}
+
+// Work is the endpoint's packet-arrival notification. Processing follows
 // the MPI progress rule: immediate when the application is inside the
 // library, helper-bounded when the helper thread is on, otherwise deferred
 // to the next library call.
-func (r *Rank) onWork() {
+func (h *rankEP) Work() {
+	r := (*Rank)(h)
 	if r.inMPI {
 		r.progressNow()
 		return
@@ -421,11 +455,7 @@ func (r *Rank) ensureHelperTick() {
 		return
 	}
 	k := r.job.k
-	due := r.lastProgress + helperInterval
-	if due < k.Now() {
-		due = k.Now()
-	}
-	r.helperTick = k.At(due, r.helperTickFire)
+	r.helperTick = k.At(max(r.lastProgress+helperInterval, k.Now()), r.helperTickFire)
 }
 
 // helperTickFire is the helper thread's periodic progress check. When the
@@ -447,18 +477,16 @@ func (r *Rank) helperTickFire() {
 	}
 }
 
-// onConnUp drains deferred packets for the newly established connection and
-// notifies the checkpoint layer.
-func (r *Rank) onConnUp(peer int) {
-	r.drainOutbox(peer)
-	if r.hooks != nil {
-		r.hooks.ConnChanged(peer)
-	}
+// ConnUp drains deferred packets for the newly established connection, then
+// reports the change to the checkpoint layer as ConnDown does.
+func (h *rankEP) ConnUp(peer int) {
+	(*Rank)(h).drainOutbox(peer)
+	h.ConnDown(peer)
 }
 
-func (r *Rank) onConnDown(peer int) {
-	if r.hooks != nil {
-		r.hooks.ConnChanged(peer)
+func (h *rankEP) ConnDown(peer int) {
+	if h.hooks != nil {
+		h.hooks.ConnChanged(peer)
 	}
 }
 

@@ -402,8 +402,10 @@ func (h *spHooks) SendAllowed(dst int) bool {
 	}
 	return !h.gate[dst]
 }
-func (*spHooks) ConnMeta() int64 { return 0 }
-func (*spHooks) ConnChanged(int) {}
+func (*spHooks) ConnMeta() int64            { return 0 }
+func (*spHooks) ConnChanged(int)            {}
+func (*spHooks) AcceptConn(int, int64) bool { return true }
+func (*spHooks) OOB(int, any)               {}
 
 func TestSafePointInterruptsCompute(t *testing.T) {
 	k, j := newTestJob(t, 1)

@@ -98,17 +98,17 @@ func checkRecycling(j *Job) error {
 		}
 		freePkt[p] = true
 	}
-	for _, r := range j.ranks {
-		freeReq := make(map[*Request]bool)
-		for _, req := range r.reqFree {
-			if freeReq[req] {
-				return fmt.Errorf("rank %d: request %p is on the free list twice", r.world, req)
-			}
-			if req.r != nil || req.complete || req.isSend || req.comm != nil || req.data != nil || req.discard {
-				return fmt.Errorf("rank %d: free request %p is not blank: %+v", r.world, req, *req)
-			}
-			freeReq[req] = true
+	freeReq := make(map[*Request]bool)
+	for _, req := range j.reqFree {
+		if freeReq[req] {
+			return fmt.Errorf("request %p is on the free list twice", req)
 		}
+		if req.r != nil || req.complete || req.isSend || req.comm != nil || req.data != nil || req.discard {
+			return fmt.Errorf("free request %p is not blank: %+v", req, *req)
+		}
+		freeReq[req] = true
+	}
+	for _, r := range j.ranks {
 		live := func(where string, req *Request) error {
 			if freeReq[req] {
 				return fmt.Errorf("rank %d: request %p is on the free list and in %s", r.world, req, where)

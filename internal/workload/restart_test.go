@@ -71,9 +71,11 @@ func (h *pollCapture) AtSafePoint(e *mpi.Env) {
 	h.r.RequestSafePointPolled()
 }
 
-func (*pollCapture) SendAllowed(int) bool { return true }
-func (*pollCapture) ConnMeta() int64      { return 0 }
-func (*pollCapture) ConnChanged(int)      {}
+func (*pollCapture) SendAllowed(int) bool       { return true }
+func (*pollCapture) ConnMeta() int64            { return 0 }
+func (*pollCapture) ConnChanged(int)            {}
+func (*pollCapture) AcceptConn(int, int64) bool { return true }
+func (*pollCapture) OOB(int, any)               {}
 
 // run launches w on a fresh n-rank job from states and runs it to the end,
 // serving a safe point in every poll. It returns the instance, every rank's

@@ -152,9 +152,12 @@ func (co *Coordinator) Snapshots() *blcr.Store { return co.snaps }
 // Reports returns the completed cycle reports. Call it after the simulation
 // has quiesced: the last group resumes, completing its records (ResumeAt,
 // after the write, so never zero), shortly after the cycle completes; reading
-// earlier returns an error. DrainedAt is read here, so it reflects the drains
-// that have landed by the time of the call.
+// earlier, or with a cycle left open, is an error. DrainedAt is read here, so
+// it reflects the drains that have landed by the time of the call.
 func (co *Coordinator) Reports() ([]*CycleReport, error) {
+	if co.cur != nil {
+		return nil, fmt.Errorf("cr: cycle %d never completed", co.cur.Cycle)
+	}
 	for _, rep := range co.reports {
 		for rank, rec := range rep.Records {
 			if rec.ResumeAt == 0 {

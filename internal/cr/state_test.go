@@ -116,3 +116,26 @@ func TestRetryOvertakesAbortedProcess(t *testing.T) {
 		t.Errorf("%d abort returns, want one a member", returns)
 	}
 }
+
+// TestPolledRequestLeftOpenIsReported: under the polled discipline a safe
+// point waits for an explicit boundary, and a pure-compute body never reaches
+// one. A write failure aborts the first cycle while both members wait; the
+// retry's request is still pending when each body returns, nothing serves it,
+// and the run ends without an error and without the epoch. Reports says so,
+// naming the cycle, instead of returning no report for it.
+func TestPolledRequestLeftOpenIsReported(t *testing.T) {
+	cfg := testDefaults()
+	cfg.Footprint = 10 * testMB
+	c := newCluster(t, 2, cfg)
+	c.co.SetCapture(noAppState)
+	c.j.LaunchAll(computeLoop(40, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	c.k.At(1100*sim.Millisecond, func() { c.co.onWriteFailed(msgWriteFailed{cycle: c.co.cycle, rank: 0}) })
+	runSim(t, c.k)
+	if c.co.Aborts() != 1 || c.co.Epoch() != 0 {
+		t.Fatalf("aborts %d, epoch %d; want 1 and 0", c.co.Aborts(), c.co.Epoch())
+	}
+	if _, err := c.co.Reports(); err == nil || !strings.Contains(err.Error(), "cycle 2 never completed") {
+		t.Fatalf("Reports returned %v, want the open retry named", err)
+	}
+}

@@ -21,6 +21,7 @@ import (
 
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
+	"gbcr/internal/slab"
 )
 
 // MB is one mebibyte in bytes.
@@ -90,7 +91,7 @@ type Fabric struct {
 	k          *sim.Kernel
 	cfg        Config
 	bus        *obs.Bus
-	eps        map[int]*Endpoint
+	eps        []*Endpoint // by id+1: ids run from -1, the checkpoint coordinator's
 	dropFilter DropFilter
 
 	// Out-of-band packets on the wire, from every endpoint. Each arrives
@@ -101,8 +102,21 @@ type Fabric struct {
 	oob        fifo[oobFlight]
 	deliverOOB func()
 
-	connAt []conn // the unused rest of the connection records' current chunk; see newConn
+	connAt []conn // the unused rest of the connection records' current chunk; see open
+
+	// What Reserve set aside for the endpoints to come; see AddEndpoint.
+	epAt      []Endpoint
+	connWin   slab.Windows[*conn]
+	flightWin slab.Windows[flight]
 }
+
+// Window sizes of an endpoint's reserved connection index and in-flight
+// queue: a rank of the paper's workloads talks to a handful of peers and
+// rarely has more than a packet or two on the wire.
+const (
+	connWindow   = 4
+	flightWindow = 2
+)
 
 // SetDropFilter installs (or, with nil, removes) the protocol-packet drop
 // filter. Installing a filter also arms handshake retransmission timers on
@@ -115,7 +129,7 @@ func New(k *sim.Kernel, cfg Config) (*Fabric, error) {
 	if cfg.LinkBW <= 0 {
 		return nil, fmt.Errorf("ib: LinkBW must be positive, got %v", cfg.LinkBW)
 	}
-	f := &Fabric{k: k, cfg: cfg, eps: make(map[int]*Endpoint)}
+	f := &Fabric{k: k, cfg: cfg}
 	f.deliverOOB = func() {
 		fl := f.oob.pop()
 		fl.dst.receive(workItem{src: fl.src, oob: true, payload: fl.payload})
@@ -372,16 +386,42 @@ func (f *funcs) OOB(src int, payload any) {
 // SetHandler routes the endpoint's upcalls to h instead of its Funcs.
 func (ep *Endpoint) SetHandler(h Handler) { ep.h = h }
 
-// AddEndpoint registers a new endpoint with the given id (ids need not be
-// contiguous; the checkpoint coordinator uses a negative id).
+// Reserve sets aside room for the next n endpoints: their records, the first
+// windows of their connection indexes and in-flight queues, and the fabric's
+// index of them are one allocation each, instead of each growing per
+// endpoint. Endpoints past the reservation are built one by one.
+func (f *Fabric) Reserve(n int) {
+	f.epAt = make([]Endpoint, n)
+	f.connWin = slab.NewWindows[*conn](n, connWindow)
+	f.flightWin = slab.NewWindows[flight](n, flightWindow)
+	f.eps = slices.Grow(f.eps, n)
+}
+
+// endpoint returns the endpoint registered under id, or nil.
+func (f *Fabric) endpoint(id int) *Endpoint {
+	if i := uint(id + 1); i < uint(len(f.eps)) {
+		return f.eps[i]
+	}
+	return nil
+}
+
+// AddEndpoint registers a new endpoint with the given id. Ids need not be
+// contiguous, and the checkpoint coordinator's is -1, the lowest allowed.
 func (f *Fabric) AddEndpoint(id int) (*Endpoint, error) {
-	if _, dup := f.eps[id]; dup {
+	if id < -1 {
+		return nil, fmt.Errorf("ib: endpoint id %d below -1", id)
+	}
+	if f.endpoint(id) != nil {
 		return nil, fmt.Errorf("ib: duplicate endpoint id %d", id)
 	}
-	ep := &Endpoint{f: f, id: id}
+	for len(f.eps) <= id+1 {
+		f.eps = append(f.eps, nil)
+	}
+	ep := slab.Take(&f.epAt, 1)
+	*ep = Endpoint{f: f, id: id, conns: f.connWin.Next(), inflight: fifo[flight]{buf: f.flightWin.Next()}}
 	ep.deliverNext = ep.deliver
 	ep.h = (*funcs)(&ep.Funcs)
-	f.eps[id] = ep
+	f.eps[id+1] = ep
 	return ep, nil
 }
 
@@ -417,24 +457,14 @@ func (ep *Endpoint) connTo(peer int) *conn {
 	return nil
 }
 
-// newConn returns a blank connection record from the fabric's slab, which is
-// allocated in chunks of one record an endpoint and never regrown: a record's
-// pointer is good for the fabric's life.
-func (f *Fabric) newConn() *conn {
-	if len(f.connAt) == 0 {
-		f.connAt = make([]conn, len(f.eps))
-	}
-	c := &f.connAt[0]
-	f.connAt = f.connAt[1:]
-	return c
-}
-
 // open opens a connection toward peer, whose endpoint is remote, in the
 // peer's closed record if it has one.
 func (ep *Endpoint) open(peer int, remote *Endpoint, state ConnState, meta int64) *conn {
 	i, ok := ep.find(peer)
 	if !ok {
-		ep.conns = slices.Insert(ep.conns, i, ep.f.newConn())
+		// Records come in chunks, one a slot of the fabric's endpoint index,
+		// never regrown: a record's pointer is good for the fabric's life.
+		ep.conns = slices.Insert(ep.conns, i, slab.Take(&ep.f.connAt, len(ep.f.eps)))
 	}
 	c := ep.conns[i]
 	*c = conn{peer: peer, remote: remote, state: state, meta: meta}
@@ -494,7 +524,7 @@ func (ep *Endpoint) transmit(peer *Endpoint, size int64, payload any) {
 // SendOOB sends a payload over the out-of-band management channel. It does
 // not require a connection and does not consume link bandwidth.
 func (ep *Endpoint) SendOOB(dst int, payload any) error {
-	peer := ep.f.eps[dst]
+	peer := ep.f.endpoint(dst)
 	if peer == nil {
 		return fmt.Errorf("ib: endpoint %d sending OOB to unknown endpoint %d", ep.id, dst)
 	}
@@ -766,7 +796,7 @@ func (ep *Endpoint) Connect(peer int, meta int64) error {
 	if peer == ep.id {
 		return fmt.Errorf("ib: endpoint %d connecting to itself", ep.id)
 	}
-	remote := ep.f.eps[peer]
+	remote := ep.f.endpoint(peer)
 	if remote == nil {
 		return fmt.Errorf("ib: endpoint %d connecting to unknown endpoint %d", ep.id, peer)
 	}
@@ -820,7 +850,7 @@ func (ep *Endpoint) handleConnReq(it workItem, req cmConnReq) {
 		return
 	}
 	// The REQ came from a registered endpoint: only those can send.
-	c = ep.open(peer, ep.f.eps[peer], StateAccepting, req.meta)
+	c = ep.open(peer, ep.f.endpoint(peer), StateAccepting, req.meta)
 	ep.stats.ConnectsAccepted++
 	ep.f.bus.Metrics().Counter(obs.LayerIB, "accepts").Inc()
 	ep.emit(obs.KindCMRep, peer)

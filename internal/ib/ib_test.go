@@ -785,10 +785,10 @@ func TestFabricAccessorsAndValidation(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := newFabric(t, k, PaperConfig())
 	ep := addEP(t, f, 5)
-	if f.eps[5] != ep || ep.id != 5 {
+	if f.endpoint(5) != ep || ep.id != 5 {
 		t.Fatal("fabric accessors")
 	}
-	if f.eps[99] != nil {
+	if f.endpoint(99) != nil || f.endpoint(-1) != nil {
 		t.Fatal("unknown endpoint should be nil")
 	}
 	if ConnState(99).String() == "" {
@@ -850,5 +850,66 @@ func TestDuplicateConnReqIgnored(t *testing.T) {
 	}
 	if b.Stats().ConnectsAccepted != 1 {
 		t.Fatalf("accepted %d times", b.Stats().ConnectsAccepted)
+	}
+}
+
+// TestWindowsOutgrownAlone: a reserved endpoint's connection index and
+// in-flight queue start in windows of the fabric's slabs, endpoint 0's just
+// before endpoint 1's. Endpoint 1 fills part of both; then endpoint 0 outgrows
+// both, connecting to five peers and putting three packets on the wire at
+// once. Each moves away on its own: endpoint 1 keeps its connections, and its
+// packet arrives as sent.
+func TestWindowsOutgrownAlone(t *testing.T) {
+	const n = 8
+	k := sim.NewKernel(1)
+	f := newFabric(t, k, PaperConfig())
+	f.Reserve(n)
+	eps := make([]*Endpoint, n)
+	got := make(map[string]int) // payload → receiver
+	for i := range eps {
+		eps[i] = addEP(t, f, i)
+		eps[i].OnWork = eps[i].Progress
+		eps[i].OnMessage = func(_ int, _ int64, payload any) { got[payload.(string)] = i }
+	}
+	a, b := eps[0], eps[1]
+	connect(t, b, 2, 0)
+	connect(t, b, 3, 0)
+	for peer := 2; peer <= 6; peer++ {
+		connect(t, a, peer, 0)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sends := []struct {
+		from *Endpoint
+		to   int
+		what string
+	}{{b, 2, "1->2"}, {a, 2, "0->2"}, {a, 3, "0->3"}, {a, 4, "0->4"}}
+	for _, s := range sends {
+		if err := s.from.Send(s.to, 64, s.what); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.inflight.len() != 3 || b.inflight.len() != 1 {
+		t.Fatalf("%d and %d packets on the wire, want 3 and 1", a.inflight.len(), b.inflight.len())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sends {
+		if got[s.what] != s.to {
+			t.Errorf("%q arrived at %d, want %d", s.what, got[s.what], s.to)
+		}
+	}
+	for i, want := range []string{"[2 3 4 5 6]", "[2 3]"} {
+		ep, peers := eps[i], []int(nil)
+		ep.EachConn(func(peer int, state ConnState) {
+			if state == StateConnected {
+				peers = append(peers, peer)
+			}
+		})
+		if fmt.Sprint(peers) != want {
+			t.Errorf("endpoint %d connected to %v, want %s", ep.id, peers, want)
+		}
 	}
 }

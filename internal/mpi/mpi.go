@@ -22,6 +22,7 @@ import (
 	"gbcr/internal/ib"
 	"gbcr/internal/obs"
 	"gbcr/internal/sim"
+	"gbcr/internal/slab"
 )
 
 // names holds each rank's process name and park reason for every job: a
@@ -120,7 +121,7 @@ type Job struct {
 	bus    *obs.Bus
 	ranks  []*Rank
 	world  []int  // the identity rank list every World communicator shares
-	peerAt []peer // the unused rest of the peer records' current chunk; see newPeer
+	peerAt []peer // the unused rest of the peer records' current chunk; see Rank.peer
 
 	pktFree freeList[wirePkt] // see newPkt, onMessage
 	reqFree freeList[Request] // see getReq, putReq
@@ -144,15 +145,19 @@ func (r *Rank) emit(what obs.Kind, peer int, arg, val int64) {
 // the fabric.
 func NewJob(k *sim.Kernel, fabric *ib.Fabric, cfg Config, n int) (*Job, error) {
 	j := &Job{k: k, fabric: fabric, cfg: cfg, ranks: make([]*Rank, n), world: make([]int, n)}
-	slab := make([]Rank, n) // one allocation for every rank's record
-	for i := range slab {
+	fabric.Reserve(n + 1) // the ranks' endpoints and the checkpoint coordinator's
+	// One allocation for every rank's record, and one each for the first
+	// windows of their peer indexes and posted-receive queues: a rank talks
+	// to a handful of peers and rarely has more than two receives posted.
+	recs, peers, posted := make([]Rank, n), slab.NewWindows[*peer](n, 4), slab.NewWindows[*Request](n, 2)
+	for i := range recs {
 		j.world[i] = i
 		ep, err := fabric.AddEndpoint(i)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: registering rank %d: %w", i, err)
 		}
-		r := &slab[i]
-		*r = Rank{job: j, world: i, ep: ep}
+		r := &recs[i]
+		*r = Rank{job: j, world: i, ep: ep, peers: peers.Next(), posted: posted.Next()}
 		_, r.waitReason = rankNames(i)
 		ep.SetHandler((*rankEP)(r))
 		j.ranks[i] = r
@@ -261,7 +266,7 @@ type Rank struct {
 	// nothing until the first message, one lookup a message serves every
 	// per-peer field, and snapshots and replay walk it in the order they must
 	// write. A dense table indexed by world rank would be O(N) a rank, O(N²) a
-	// job. The records come from the job's slab (newPeer) and never move.
+	// job. The records come from the job's slab (Rank.peer) and never move.
 	peers []*peer
 
 	// Checkpoint integration.
@@ -315,18 +320,6 @@ func (pr *peer) logged(p payload, comm int64, srcComm, tag int, seq int64) {
 	pr.log.Entry(d, zeros, int64(pr.world), comm, int64(srcComm), int64(tag), seq)
 }
 
-// newPeer returns a blank record for world from the job's slab, which is
-// allocated in chunks of one record a rank and never regrown: a record's
-// pointer is good for the job's life.
-func (j *Job) newPeer(world int) *peer {
-	if len(j.peerAt) == 0 {
-		j.peerAt = make([]peer, len(j.ranks))
-	}
-	pr := &j.peerAt[0]
-	j.peerAt, pr.world = j.peerAt[1:], world
-	return pr
-}
-
 // findPeer returns the index of world's record in r.peers, or, when there is
 // none, the index at which it would be inserted.
 func (r *Rank) findPeer(world int) (int, bool) {
@@ -355,8 +348,11 @@ func (r *Rank) peerIfAny(world int) *peer {
 func (r *Rank) peer(world int) *peer {
 	i, ok := r.findPeer(world)
 	if !ok {
-		// cold: once per pair of ranks that talk, never per message
-		r.peers = slices.Insert(r.peers, i, r.job.newPeer(world))
+		// cold: once per pair of ranks that talk, never per message. The
+		// job's records come in chunks of one a rank, never regrown.
+		pr := slab.Take(&r.job.peerAt, len(r.job.ranks))
+		pr.world = world
+		r.peers = slices.Insert(r.peers, i, pr)
 	}
 	return r.peers[i]
 }

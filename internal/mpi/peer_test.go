@@ -234,3 +234,77 @@ func TestCaptureIndependentOfTouchOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowsOutgrownAlone: a rank's peer index and posted-receive queue
+// start in windows of the job's slabs, rank 0's just before rank 1's. Rank 1
+// fills part of both; then rank 0 outgrows both, talking to five peers with
+// three receives posted. Each moves away on its own, so rank 1 keeps its
+// records and its receives match what was sent to them.
+func TestWindowsOutgrownAlone(t *testing.T) {
+	const n = 8
+	k, j := newTestJob(t, n)
+	msg := func(src, dst int) []byte { return []byte(fmt.Sprintf("%d->%d", src, dst)) }
+	got := make(map[[2]int][]byte)
+	recvAll := func(e *Env, w *Comm, srcs ...int) {
+		reqs := make([]*Request, len(srcs))
+		for i, src := range srcs {
+			reqs[i] = irecv(e, w, src, 1)
+		}
+		e.Compute(sim.Millisecond) // until the other rank has posted too
+		wait(e, reqs...)
+		for i, src := range srcs {
+			got[[2]int{src, e.Rank()}] = reqs[i].data
+		}
+	}
+	j.Launch(1, func(e *Env) {
+		w := e.World()
+		e.Send(w, 2, 1, msg(1, 2))
+		recvAll(e, w, 6, 7)
+	})
+	j.Launch(0, func(e *Env) {
+		w := e.World()
+		e.Compute(sim.Microsecond) // after rank 1 has filled its windows
+		for dst := 2; dst <= 6; dst++ {
+			e.Send(w, dst, 1, msg(0, dst))
+		}
+		recvAll(e, w, 3, 4, 5)
+	})
+	for i := 2; i < n; i++ {
+		j.Launch(i, func(e *Env) {
+			w := e.World()
+			if i == 2 {
+				got[[2]int{1, 2}], _ = e.Recv(w, 1, 1)
+			}
+			if i <= 6 {
+				got[[2]int{0, i}], _ = e.Recv(w, 0, 1)
+			}
+			switch {
+			case i >= 3 && i <= 5:
+				e.Send(w, 0, 1, msg(i, 0))
+			case i >= 6:
+				e.Compute(2 * sim.Millisecond)
+				e.Send(w, 1, 1, msg(i, 1))
+			}
+		})
+	}
+	run(t, k)
+	if len(got) != 11 {
+		t.Errorf("%d messages received, want 11", len(got))
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if data, ok := got[[2]int{src, dst}]; ok && !bytes.Equal(data, msg(src, dst)) {
+				t.Errorf("%d received %q from %d, want %q", dst, data, src, msg(src, dst))
+			}
+		}
+	}
+	for r, want := range []string{"[2 3 4 5 6]", "[2 6 7]"} {
+		var worlds []int
+		for _, pr := range j.Rank(r).peers {
+			worlds = append(worlds, pr.world)
+		}
+		if fmt.Sprint(worlds) != want {
+			t.Errorf("rank %d indexes peers %v, want %s", r, worlds, want)
+		}
+	}
+}

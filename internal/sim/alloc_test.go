@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // nop is a shared no-capture callback: referencing it allocates nothing, so
 // the alloc counts below measure only the kernel.
@@ -196,5 +199,14 @@ func TestZeroAllocCancelDiscard(t *testing.T) {
 	avg := testing.AllocsPerRun(200, cycle)
 	if avg != 0 {
 		t.Fatalf("schedule+cancel cycle allocates %v/op, want 0", avg)
+	}
+}
+
+// TestEventSize: an event is 64 B, a size class of its own, so a chunk of
+// eventChunk events costs no more than as many single ones. With wakeKind an
+// int it was 72 B, which the allocator rounds up to 80.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Errorf("event is %d B, want 64", got)
 	}
 }

@@ -416,7 +416,7 @@ func TestCoroutineOutlivesEveryEnd(t *testing.T) {
 // kernel, and ReleaseIdle ends those.
 func TestIdleListCapped(t *testing.T) {
 	ReleaseIdle()
-	before := runtime.NumGoroutine()
+	before, cos := runtime.NumGoroutine(), coroutineGoroutines()
 	k := NewKernel(1)
 	const n = maxIdle + 50
 	for i := 0; i < n; i++ {
@@ -425,7 +425,7 @@ func TestIdleListCapped(t *testing.T) {
 	if err := k.RunUntil(0); err != nil { // every process started and asleep at once
 		t.Fatal(err)
 	}
-	if live := runtime.NumGoroutine() - before; live < n {
+	if live := coroutineGoroutines() - cos; live != n {
 		t.Fatalf("%d goroutines behind %d sleeping processes", live, n)
 	}
 	if err := k.Run(); err != nil {
@@ -437,6 +437,20 @@ func TestIdleListCapped(t *testing.T) {
 	expectGoroutines(t, before+maxIdle)
 	ReleaseIdle()
 	expectGoroutines(t, before)
+}
+
+// coroutineGoroutines counts the goroutines behind coroutines, live or idle,
+// in a dump of every goroutine's stack. runtime.NumGoroutine also counts a
+// goroutine on its way out, such as the one that ran the previous test: it
+// reports the test's end before it exits, and under -race it can take a while.
+func coroutineGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "sim.(*coroutine).loop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 // TestKernelsTradeCoroutines: coroutines retired by a kernel on one goroutine

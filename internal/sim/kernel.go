@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+
+	"gbcr/internal/slab"
 )
 
 // Kernel is the discrete-event simulation engine. It owns the virtual clock,
@@ -25,8 +27,12 @@ type Kernel struct {
 	failure   error
 	rng       *rand.Rand
 	obs       Observer
-	running   *Proc // nil while the event loop or a callback has control
+	running   *Proc   // nil while the event loop or a callback has control
+	evAt      []event // the unused rest of the events' current chunk; see alloc
 }
+
+// eventChunk is how many events one allocation adds to a kernel's pool.
+const eventChunk = 16
 
 // yieldEvery is how many events fire between two runtime.Gosched calls of the
 // event loop (one pass over an empty run queue, ≈ 2 ns an event); see RunUntil.
@@ -49,8 +55,9 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 
 // alloc takes an event from the free list (bumping its generation, which
-// invalidates any handles to its previous life) or allocates a fresh one,
-// and stamps it with the next sequence number.
+// invalidates any handles to its previous life) or, when the list is empty,
+// the next one of the kernel's current chunk, and stamps it with the next
+// sequence number.
 func (k *Kernel) alloc(t Time) *event {
 	var e *event
 	if n := len(k.q.free); n > 0 {
@@ -62,7 +69,8 @@ func (k *Kernel) alloc(t Time) *event {
 		e.fired = false
 	} else {
 		// pool refill on a cold miss; the steady state recycles every event
-		e = &event{k: k}
+		e = slab.Take(&k.evAt, eventChunk)
+		e.k = k
 	}
 	k.seq++
 	e.at = t

@@ -18,8 +18,9 @@ const (
 	procDone
 )
 
-// wakeKind records why a parked process was woken.
-type wakeKind int
+// wakeKind records why a parked process was woken. One byte, so it packs
+// beside event's flags: event is 64 B, a size class of its own (see alloc).
+type wakeKind uint8
 
 const (
 	wakeTimer wakeKind = iota

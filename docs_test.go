@@ -1,6 +1,7 @@
 package gbcr
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,16 +20,54 @@ var (
 	docFlagRE  = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
 	flagDefRE  = regexp.MustCompile(`flag\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
 	metricRE   = regexp.MustCompile(`"name": "(\w+\.\w+)"`)
+	plannedRE  = regexp.MustCompile("[^`\n]+")
 	// changesEntryRE is one numbered CHANGES.md entry, one line.
 	changesEntryRE = regexp.MustCompile(`(?m)^(- \*\*PR (\d+).*)$`)
 )
 
 // TestDocsResolve keeps the prose from outliving the code: in README.md,
-// DESIGN.md and EXPERIMENTS.md every back-quoted pkg.Ident (or
+// DESIGN.md, EXPERIMENTS.md and ROADMAP.md every back-quoted pkg.Ident (or
 // pkg.Type.Member) whose pkg is a first-party package must be declared in the
 // tree — or be a per_layer metric of BENCHMARK.json — and every -flag
-// following ckptsim, figures or gbcrlint must be one that command defines.
+// following ckptsim, figures or gbcrlint must be one that command defines. A
+// line that contains "planned:" names what is not built yet and is not
+// checked.
 func TestDocsResolve(t *testing.T) {
+	known := docsKnown(t)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, msg := range unresolved(known, string(data)) {
+			t.Errorf("%s: %s", doc, msg)
+		}
+	}
+}
+
+// TestDocsPlannedMarker shows the exemption is per line: an unknown flag
+// fails unless its own line says "planned:".
+func TestDocsPlannedMarker(t *testing.T) {
+	known := docsKnown(t)
+	for _, c := range []struct {
+		text string
+		errs int
+	}{
+		{"Run `ckptsim -nosuchflag` and `obs.NoSuchThing`.\n", 2},
+		{"Not built yet (planned: `ckptsim -nosuchflag`, `obs.NoSuchThing`).\n", 0},
+		{"planned: `ckptsim -nosuchflag`\nbut here `ckptsim -nosuchflag` runs.\n", 1},
+		{"`ckptsim -workload ring -n 8` and `obs.Kind`\n", 0},
+	} {
+		if got := unresolved(known, c.text); len(got) != c.errs {
+			t.Errorf("%q: %d errors %q, want %d", c.text, len(got), got, c.errs)
+		}
+	}
+}
+
+// docsKnown collects what a document may name: "package p", "p.Name",
+// "p.Type.Member", "type p.Name", metric names, "cmd -flag", and " -flag"
+// for a flag of any command.
+func docsKnown(t *testing.T) map[string]bool {
 	read := func(path string) string {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -37,8 +75,6 @@ func TestDocsResolve(t *testing.T) {
 		}
 		return string(data)
 	}
-	// "package p", "p.Name", "p.Type.Member", "type p.Name", metric names,
-	// "cmd -flag", and " -flag" for a flag of any command.
 	known := map[string]bool{" -race": true, " -count": true} // the go tool's own, mentioned by themselves
 	for _, m := range metricRE.FindAllStringSubmatch(read("BENCHMARK.json"), -1) {
 		known[m[1]] = true
@@ -88,64 +124,73 @@ func TestDocsResolve(t *testing.T) {
 			known[tool+" -"+m[1]+m[2]], known[" -"+m[1]+m[2]] = true, true
 		}
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		checkFlags := func(tool, args string) {
-			for _, m := range docFlagRE.FindAllStringSubmatch(args, -1) {
-				if !known[tool+" -"+m[1]] {
-					t.Errorf("%s: `%s`: no flag -%s in cmd/%s", doc, strings.TrimSpace(args), m[1], tool)
-				}
-			}
+	return known
+}
+
+// unresolved returns one message for each name or flag in text's code spans
+// that known lacks. A line that contains "planned:" is blanked first, back
+// quotes kept, so the spans after it still pair up.
+func unresolved(known map[string]bool, text string) []string {
+	lines := strings.SplitAfter(text, "\n")
+	for i, line := range lines {
+		if strings.Contains(line, "planned:") {
+			lines[i] = plannedRE.ReplaceAllString(line, " ")
 		}
-		// Odd segments of a split on back quotes are code, inline or fenced.
-		for i, code := range strings.Split(read(doc), "`") {
-			if i%2 == 0 {
-				continue
-			}
-			for _, m := range docIdentRE.FindAllStringSubmatch(code, -1) {
-				pkg, name, member := m[1], m[2], m[3]
-				switch {
-				case !known["package "+pkg] || known[m[0]] || name == "go" || name == "txt": // not ours; declared or a metric; a file
-				case !known[pkg+"."+name]:
-					t.Errorf("%s: `%s`: package %s declares no %s", doc, m[0], pkg, name)
-				case member != "" && known["type "+pkg+"."+name]:
-					t.Errorf("%s: `%s`: %s.%s has no field or method %s", doc, m[0], pkg, name, member)
-				}
-			}
-			code = strings.ReplaceAll(strings.ReplaceAll(code, "\\\n", " "), "internal/figures", "")
-			if strings.HasPrefix(code, "-") {
-				checkFlags("", code)
-			}
-			for _, m := range docToolRE.FindAllStringSubmatch(code, -1) {
-				checkFlags(m[1], m[2])
+	}
+	var msgs []string
+	checkFlags := func(tool, args string) {
+		for _, m := range docFlagRE.FindAllStringSubmatch(args, -1) {
+			if !known[tool+" -"+m[1]] {
+				msgs = append(msgs, fmt.Sprintf("`%s`: no flag -%s in cmd/%s", strings.TrimSpace(args), m[1], tool))
 			}
 		}
 	}
+	// Odd segments of a split on back quotes are code, inline or fenced.
+	for i, code := range strings.Split(strings.Join(lines, ""), "`") {
+		if i%2 == 0 {
+			continue
+		}
+		for _, m := range docIdentRE.FindAllStringSubmatch(code, -1) {
+			pkg, name, member := m[1], m[2], m[3]
+			switch {
+			case !known["package "+pkg] || known[m[0]] || name == "go" || name == "txt": // not ours; declared or a metric; a file
+			case !known[pkg+"."+name]:
+				msgs = append(msgs, fmt.Sprintf("`%s`: package %s declares no %s", m[0], pkg, name))
+			case member != "" && known["type "+pkg+"."+name]:
+				msgs = append(msgs, fmt.Sprintf("`%s`: %s.%s has no field or method %s", m[0], pkg, name, member))
+			}
+		}
+		code = strings.ReplaceAll(strings.ReplaceAll(code, "\\\n", " "), "internal/figures", "")
+		if strings.HasPrefix(code, "-") {
+			checkFlags("", code)
+		}
+		for _, m := range docToolRE.FindAllStringSubmatch(code, -1) {
+			checkFlags(m[1], m[2])
+		}
+	}
+	return msgs
 }
 
-// TestDocsBudget holds the kept documents to their size caps: every
-// CHANGES.md entry numbered 31 or later is at most 1,500 bytes, ROADMAP.md
-// at most 32 KiB, and DESIGN.md at most 90,000 bytes.
+// TestDocsBudget holds every document a reader starts from to its size cap,
+// and every numbered CHANGES.md entry to 1,500 bytes.
 func TestDocsBudget(t *testing.T) {
 	changes, err := os.ReadFile("CHANGES.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := 0
-	for _, m := range changesEntryRE.FindAllStringSubmatch(string(changes), -1) {
-		if pr, err := strconv.Atoi(m[2]); err == nil && pr >= 31 {
-			entries++
-			if len(m[1]) > 1500 {
-				t.Errorf("CHANGES.md: entry %d is %d bytes, over 1,500", pr, len(m[1]))
-			}
-		}
+	entries := changesEntryRE.FindAllStringSubmatch(string(changes), -1)
+	if len(entries) == 0 {
+		t.Error("CHANGES.md: no numbered entry")
 	}
-	if entries == 0 {
-		t.Error("CHANGES.md: no entry numbered 31 or later")
+	for _, m := range entries {
+		if len(m[1]) > 1500 {
+			t.Errorf("CHANGES.md: entry %s is %d bytes, over 1,500", m[2], len(m[1]))
+		}
 	}
 	for _, doc := range []struct {
 		path string
 		max  int64
-	}{{"ROADMAP.md", 32 << 10}, {"DESIGN.md", 90000}} {
+	}{{"DESIGN.md", 40000}, {"README.md", 26000}, {"CHANGES.md", 64 << 10}, {"ROADMAP.md", 32 << 10}} {
 		fi, err := os.Stat(doc.path)
 		if err != nil {
 			t.Fatal(err)

@@ -171,16 +171,3 @@ func (st *Store) recoverable(epoch, rank int) bool {
 	set := st.copies(epoch, rank)
 	return set == nil || set.len() > 0
 }
-
-// RecoverySource returns the first tier in order (fastest-first) that still
-// holds a copy of (epoch, rank). ok is false when no tier in order does:
-// every copy was lost, or the epoch is untracked. A cluster's restart line
-// selects only epochs with a surviving copy, so its lookups always succeed.
-func (st *Store) RecoverySource(epoch, rank int, order []string) (string, bool) {
-	for _, tier := range order {
-		if st.TierCopies(epoch, rank, tier) > 0 {
-			return tier, true
-		}
-	}
-	return "", false
-}

@@ -1,9 +1,22 @@
 package blcr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// fastestFirst is the search order the hierarchy hands to RecoverySource.
+// fastestFirst is the hierarchy stack the tests lay copies out on.
 var fastestFirst = []string{"ram", "burst", "central"}
+
+// copiesAt counts (epoch, rank)'s copies at each tier of fastestFirst: the
+// first non-zero entry is the level a restart reads from.
+func copiesAt(st *Store, epoch, rank int) []int {
+	n := make([]int, len(fastestFirst))
+	for i, tier := range fastestFirst {
+		n[i] = st.TierCopies(epoch, rank, tier)
+	}
+	return n
+}
 
 // trackEpoch registers the standard copy layout for one rank of an epoch:
 // a k+1 RAM set on ring partners, one burst copy, one central copy.
@@ -16,34 +29,32 @@ func trackEpoch(st *Store, epoch, rank, n, k int) {
 	st.AddReplica(epoch, rank, "central", -1)
 }
 
-func TestRecoverySourceFallsThroughTiers(t *testing.T) {
+func TestTierCopiesFallThroughTiers(t *testing.T) {
 	const n = 4
 	st := NewStore(n)
 	fullEpoch(t, st, n, 1)
 	trackEpoch(st, 1, 0, n, 1)
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "ram" {
-		t.Fatalf("RecoverySource = (%q, %v), want (ram, true)", src, ok)
-	}
-	// Both RAM copies lost with their nodes: fall through to burst.
-	st.DropTierCopies(1, 0, "ram")
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "burst" {
-		t.Fatalf("RecoverySource = (%q, %v), want (burst, true)", src, ok)
-	}
-	// The burst copy evicted: fall through to central.
-	st.DropTierCopies(1, 0, "burst")
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); !ok || src != "central" {
-		t.Fatalf("RecoverySource = (%q, %v), want (central, true)", src, ok)
-	}
-	// Every copy gone: the snapshot is unrecoverable.
-	st.DropTierCopies(1, 0, "central")
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); ok {
-		t.Fatalf("RecoverySource = (%q, %v) after total loss, want ok=false", src, ok)
+	for _, step := range []struct {
+		drop string // the tier whose copies go first; "" for none
+		want []int  // copies left at ram, burst, central
+	}{
+		{"", []int{2, 1, 1}},
+		{"ram", []int{0, 1, 1}},     // both RAM copies lost with their nodes
+		{"burst", []int{0, 0, 1}},   // the burst copy evicted
+		{"central", []int{0, 0, 0}}, // every copy gone: unrecoverable
+	} {
+		if step.drop != "" {
+			st.DropTierCopies(1, 0, step.drop)
+		}
+		if got := copiesAt(st, 1, 0); !slices.Equal(got, step.want) {
+			t.Fatalf("after dropping %q: copies at ram/burst/central = %v, want %v", step.drop, got, step.want)
+		}
 	}
 }
 
 // TestUntrackedEpochIsRecoverable: a stand-alone store that no hierarchy
 // writes to records no copies; its committed epochs are restart candidates
-// all the same, but no tier is named as their source.
+// all the same, but no tier holds a copy of them.
 func TestUntrackedEpochIsRecoverable(t *testing.T) {
 	st := NewStore(2)
 	fullEpoch(t, st, 2, 1)
@@ -53,8 +64,8 @@ func TestUntrackedEpochIsRecoverable(t *testing.T) {
 	if epoch, s, _ := st.LatestRankDurable(0); epoch != 1 || s == nil {
 		t.Fatalf("LatestRankDurable = (%d, %v), want epoch 1", epoch, s)
 	}
-	if src, ok := st.RecoverySource(1, 0, fastestFirst); ok {
-		t.Fatalf("RecoverySource = (%q, %v) with no copy recorded, want ok=false", src, ok)
+	if got := copiesAt(st, 1, 0); !slices.Equal(got, []int{0, 0, 0}) {
+		t.Fatalf("copies at ram/burst/central = %v with no copy recorded, want none", got)
 	}
 }
 
@@ -86,8 +97,8 @@ func TestLatestVerifiedSkipsEpochWithAllCopiesLost(t *testing.T) {
 		if snaps[r] == nil {
 			t.Fatalf("fallback epoch missing rank %d", r)
 		}
-		if src, ok := st.RecoverySource(1, r, fastestFirst); !ok || src != "burst" {
-			t.Fatalf("rank %d RecoverySource = (%q, %v), want (burst, true)", r, src, ok)
+		if got := copiesAt(st, 1, r); !slices.Equal(got, []int{0, 1, 1}) {
+			t.Fatalf("rank %d copies at ram/burst/central = %v, want [0 1 1] (reads from burst)", r, got)
 		}
 	}
 }

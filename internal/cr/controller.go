@@ -415,6 +415,11 @@ func (c *Controller) AtSafePoint(e *mpi.Env) {
 	// freeze, file creation).
 	if c.co.cfg.LocalSetup > 0 {
 		p.Sleep(c.co.cfg.LocalSetup)
+		if c.state != stateWrite {
+			// Aborted during the setup: no image of the discarded epoch.
+			c.abortReturn()
+			return
+		}
 	}
 	snap := c.takeSnapshot(rec)
 	if snap == nil {

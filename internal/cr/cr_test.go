@@ -865,22 +865,30 @@ func TestLocalStagingDrainGatesRestartLine(t *testing.T) {
 	c.co.ScheduleCheckpoint(sim.Second)
 	c.co.ScheduleCheckpoint(10 * sim.Second)
 	snaps := c.co.Snapshots()
-	order := h.OrderNames()
-	line := func() int { e, _, _ := snaps.LatestVerified(); return e }
-	src := func(epoch, rank int) string { s, _ := snaps.RecoverySource(epoch, rank, order); return s }
+	// line returns the restart line's epoch and the level each rank reads it
+	// back from.
+	line := func() (int, []tier.Level) {
+		e, s, _ := snaps.LatestVerified()
+		_, from, err := h.ReadBack(c.k.Now(), s)
+		if err != nil {
+			t.Error(err)
+		}
+		return e, from
+	}
+	local, central := []tier.Level{tier.Local, tier.Local}, []tier.Level{tier.Central, tier.Central}
 	c.k.At(12100*sim.Millisecond, func() {
 		if !snaps.Complete(2) || h.ColdAt(2) != 0 {
 			t.Errorf("test premise: at 12.1 s epoch 2 must be committed (%v) and still draining (cold at %v)",
 				snaps.Complete(2), h.ColdAt(2))
 		}
 		// Process crash mid-drain: every rank's local copy survives.
-		if line() != 2 || src(2, 0) != "local" || src(2, 1) != "local" {
-			t.Errorf("mid-drain crash: line %d from %s/%s, want epoch 2 from local/local", line(), src(2, 0), src(2, 1))
+		if e, from := line(); e != 2 || !slices.Equal(from, local) {
+			t.Errorf("mid-drain crash: line %d from %v, want epoch 2 from local/local", e, from)
 		}
 		// Node 1 lost mid-drain: its image of epoch 2 existed nowhere else.
 		snaps.DropNodeReplicas(1)
-		if line() != 1 || src(1, 0) != "central" || src(1, 1) != "central" {
-			t.Errorf("mid-drain node loss: line %d from %s/%s, want epoch 1 from central/central", line(), src(1, 0), src(1, 1))
+		if e, from := line(); e != 1 || !slices.Equal(from, central) {
+			t.Errorf("mid-drain node loss: line %d from %v, want epoch 1 from central/central", e, from)
 		}
 	})
 	c.k.At(16*sim.Second, func() {
@@ -889,8 +897,8 @@ func TestLocalStagingDrainGatesRestartLine(t *testing.T) {
 		}
 		// Node 0 lost after the drain: epoch 2 recovers from central.
 		snaps.DropNodeReplicas(0)
-		if line() != 2 || src(2, 0) != "central" {
-			t.Errorf("post-drain node loss: line %d, rank 0 from %s; want epoch 2 from central", line(), src(2, 0))
+		if e, from := line(); e != 2 || from[0] != tier.Central {
+			t.Errorf("post-drain node loss: line %d, rank 0 from %v; want epoch 2 from central", e, from)
 		}
 	})
 	runSim(t, c.k)

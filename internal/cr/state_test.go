@@ -139,3 +139,49 @@ func TestPolledRequestLeftOpenIsReported(t *testing.T) {
 		t.Fatalf("Reports returned %v, want the open retry named", err)
 	}
 }
+
+// TestAbortDuringLocalSetupWritesNothing: the cycle aborts at 1.02 s, while
+// both members sleep out the local setup of the checkpoint requested at 1 s.
+// Waking at 1.5 s, each finds its cycle gone and returns without capturing or
+// writing an image of the discarded epoch, so the retry's two writes are the
+// only ones and it commits at 2.2 s. Members that wrote the discarded image
+// first would hold storage and their processes 0.2 s longer, and the retry
+// would commit at 2.4 s.
+func TestAbortDuringLocalSetupWritesNothing(t *testing.T) {
+	cfg := testDefaults()
+	cfg.Footprint = 10 * testMB
+	cfg.LocalSetup = 500 * sim.Millisecond
+	c := newCluster(t, 2, cfg)
+	mem := &obs.MemorySink{}
+	c.co.SetObs(obs.NewBus(mem))
+	c.j.LaunchAll(computeLoop(40, 100*sim.Millisecond))
+	c.co.ScheduleCheckpoint(sim.Second)
+	c.k.At(1020*sim.Millisecond, func() {
+		c.co.onWriteFailed(msgWriteFailed{cycle: c.co.cycle, rank: 0})
+	})
+	runSim(t, c.k)
+	if c.co.Aborts() != 1 || c.co.Epoch() != 1 {
+		t.Fatalf("aborts %d, epoch %d; want 1 and 1", c.co.Aborts(), c.co.Epoch())
+	}
+	returned := map[int]sim.Time{}
+	writes := 0
+	for _, e := range mem.ByLayer(obs.LayerCR) {
+		switch {
+		case e.What == obs.KindAbortResume:
+			returned[e.Rank] = e.At
+		case e.What == obs.KindCkptWrite && e.Type == obs.Begin:
+			writes++
+			if at, ok := returned[e.Rank]; !ok {
+				t.Errorf("rank %d began a write at %v, before it returned from the aborted cycle", e.Rank, e.At)
+			} else if at > 1550*sim.Millisecond {
+				t.Errorf("rank %d returned from the aborted cycle at %v, want at the end of its setup", e.Rank, at)
+			}
+		}
+	}
+	if writes != 2 || c.st.Transfers() != 2 {
+		t.Errorf("%d ckpt-write spans, %d storage transfers; want 2 and 2, the retry's", writes, c.st.Transfers())
+	}
+	if done := c.reports(t)[0].DoneAt; done >= 2400*sim.Millisecond {
+		t.Errorf("retry committed at %v, want before 2.4 s", done)
+	}
+}

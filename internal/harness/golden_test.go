@@ -62,13 +62,19 @@ func goldenMeasure(t *testing.T, cfg ClusterConfig, w workload.Workload) (trace,
 // -update.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", name), got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
+	matchGolden(t, name, got)
+}
+
+// matchGolden compares got with testdata/name, under -update too.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
@@ -81,16 +87,21 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestWholeJobPathGolden pins the group=0 and group=n configurations — the
 // group protocol with one group covering the job — byte-for-byte
 // against traces and cycle reports captured before coordination policy moved
-// into package cr/protocol. Any drift in event wording, ordering, timing, or
-// per-rank records is a regression. Regenerate deliberately with
+// into package cr/protocol. Both spellings must produce exactly the bytes of
+// default_g0.*: any drift in event wording, ordering, timing, or per-rank
+// records, or between the two, is a regression. Regenerate deliberately with
 // `go test ./internal/harness -run Golden -update`.
 func TestWholeJobPathGolden(t *testing.T) {
 	for _, gs := range []int{0, 4} {
 		gs := gs
 		t.Run(fmt.Sprintf("group=%d", gs), func(t *testing.T) {
+			check := checkGolden
+			if gs != 0 {
+				check = matchGolden // group=0 writes the golden under -update
+			}
 			trace, rep := goldenCycle(t, gs)
-			checkGolden(t, fmt.Sprintf("default_g%d.trace.jsonl", gs), trace)
-			checkGolden(t, fmt.Sprintf("default_g%d.report.json", gs), rep)
+			check(t, "default_g0.trace.jsonl", trace)
+			check(t, "default_g0.report.json", rep)
 		})
 	}
 }

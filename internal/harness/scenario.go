@@ -124,9 +124,10 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 // readBack restarts a lost job: the protocol selects the restart line from
 // the dead attempt's archive (the newest verified committed epoch for the
 // blocking protocols, a per-rank, possibly mixed-epoch line for the
-// uncoordinated one), its states become sc's, and each rank's read-back
-// is priced by the tier that serves it and counted in res. With no usable
-// line, the previous states (or nil: from scratch) carry over unchanged.
+// uncoordinated one), its states become sc's, and the tier stack prices the
+// read-back (tier.Hierarchy.ReadBack), counted in res by the level that
+// served each rank. With no usable line, the previous states (or nil: from
+// scratch) carry over unchanged.
 func (res *AvailabilityResult) readBack(c *Cluster, sc *scenario) error {
 	line := c.Coord.Protocol().RestartLine(c.Coord.Snapshots())
 	res.CorruptSkipped += line.Skipped
@@ -134,27 +135,16 @@ func (res *AvailabilityResult) readBack(c *Cluster, sc *scenario) error {
 		return nil
 	}
 	sc.app, sc.lib = make([][]byte, len(line.Snaps)), make([][]byte, len(line.Snaps))
-	order := c.Tiers.OrderNames()
-	// readback is the serial estimate of the concurrent read-back from the
-	// shared tiers (all ranks read at once at the aggregate rate); parMax is
-	// the parallel estimate for the node-resident tiers, whose reads ride
-	// disjoint fabric links and disks.
-	var readback, parMax sim.Time
 	for i, s := range line.Snaps {
-		if s == nil {
-			continue // this rank restarts from scratch
+		if s != nil { // a nil snapshot restarts its rank from scratch
+			sc.app[i], sc.lib[i] = s.AppState, s.LibState
 		}
-		sc.app[i], sc.lib[i] = s.AppState, s.LibState
-		src, ok := c.Coord.Snapshots().RecoverySource(s.Epoch, i, order)
-		if !ok {
-			return fmt.Errorf("harness: restart line holds rank %d's epoch %d, which has no copy at any tier", i, s.Epoch)
-		}
-		level := tier.Level(src)
-		if rt := c.Tiers.ReadTime(level, s.Size()); c.Tiers.ParallelRead(level) {
-			parMax = max(parMax, rt)
-		} else {
-			readback += rt
-		}
+	}
+	took, levels, err := c.Tiers.ReadBack(res.Wall, line.Snaps)
+	if err != nil {
+		return err
+	}
+	for _, level := range levels {
 		switch level {
 		case tier.RAM:
 			res.RecoveredRAM++
@@ -162,11 +152,10 @@ func (res *AvailabilityResult) readBack(c *Cluster, sc *scenario) error {
 			res.RecoveredLocal++
 		case tier.Burst:
 			res.RecoveredBurst++
-		default:
+		case tier.Central:
 			res.RecoveredCentral++
 		}
-		c.Tiers.Recovered(res.Wall, i, level, s.Size())
 	}
-	res.Wall += readback + parMax
+	res.Wall += took
 	return nil
 }

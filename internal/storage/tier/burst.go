@@ -42,13 +42,11 @@ func newBurstTier(h *Hierarchy, k *sim.Kernel) (*burstTier, error) {
 	return &burstTier{h: h, sys: sys}, nil
 }
 
-func (t *burstTier) Level() Level       { return Burst }
-func (t *burstTier) ParallelRead() bool { return false }
+func (t *burstTier) Level() Level { return Burst }
 
-// ReadTime mirrors the central service's restart estimate against the
-// buffer's aggregate rate: concurrent readers share the appliance, so
-// callers sum across ranks.
-func (t *burstTier) ReadTime(size int64) sim.Time {
+// readTime mirrors the central service's restart estimate against the
+// buffer's aggregate rate: concurrent readers share the appliance.
+func (t *burstTier) readTime(size int64) sim.Time {
 	return sim.Seconds(float64(size) / t.sys.Config().AggregateBW)
 }
 

@@ -16,12 +16,11 @@ type centralTier struct {
 	sys *storage.System
 }
 
-func (t *centralTier) Level() Level       { return Central }
-func (t *centralTier) ParallelRead() bool { return false }
+func (t *centralTier) Level() Level { return Central }
 
-// ReadTime is one rank's share of a concurrent restart read-back: size over
-// the aggregate rate, summed across concurrent readers by the caller.
-func (t *centralTier) ReadTime(size int64) sim.Time {
+// readTime is one rank's share of a concurrent restart read-back: size over
+// the aggregate rate.
+func (t *centralTier) readTime(size int64) sim.Time {
 	return sim.Seconds(float64(size) / t.sys.Config().AggregateBW)
 }
 

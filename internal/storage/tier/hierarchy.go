@@ -20,8 +20,9 @@ import (
 //     it reaches central storage, as background kernel events whose
 //     transfers share bandwidth with foreground traffic;
 //   - restart reads come from the fastest tier that still holds a copy,
-//     resolved through the blcr residency ledger; a lost node takes its
-//     node-resident copies with it (blcr.Store.DropNodeReplicas).
+//     resolved through the blcr residency ledger and priced by ReadBack; a
+//     lost node takes its node-resident copies with it
+//     (blcr.Store.DropNodeReplicas).
 //
 // ModeCentral is the one-level stack [central]: writes acknowledge at central
 // storage and nothing drains, but the ledger records every copy all the same,
@@ -114,16 +115,6 @@ func (h *Hierarchy) SetObs(b *obs.Bus) { h.bus = b }
 // its central writes alone.
 func (h *Hierarchy) tiered() bool { return len(h.tiers) > 1 }
 
-// OrderNames returns the tier stack's residency names fastest-first, the
-// search order for blcr.Store.RecoverySource.
-func (h *Hierarchy) OrderNames() []string {
-	names := make([]string, len(h.tiers))
-	for i, t := range h.tiers {
-		names[i] = string(t.Level())
-	}
-	return names
-}
-
 // BurstSystem returns the burst tier's rate model for fault injection
 // (availability windows), or nil when the mode has no burst tier.
 func (h *Hierarchy) BurstSystem() *storage.System {
@@ -133,34 +124,6 @@ func (h *Hierarchy) BurstSystem() *storage.System {
 		}
 	}
 	return nil
-}
-
-// tierFor returns the tier at the given level, or nil.
-func (h *Hierarchy) tierFor(level Level) Tier {
-	for _, t := range h.tiers {
-		if t.Level() == level {
-			return t
-		}
-	}
-	return nil
-}
-
-// ReadTime estimates one image's restart read-back from the named tier.
-// Unknown levels fall back to the cold tier's estimate.
-func (h *Hierarchy) ReadTime(level Level, size int64) sim.Time {
-	if t := h.tierFor(level); t != nil {
-		return t.ReadTime(size)
-	}
-	return h.tiers[len(h.tiers)-1].ReadTime(size)
-}
-
-// ParallelRead reports whether the named tier serves concurrent restart
-// reads over independent links.
-func (h *Hierarchy) ParallelRead(level Level) bool {
-	if t := h.tierFor(level); t != nil {
-		return t.ParallelRead()
-	}
-	return false
 }
 
 // StartWrite begins storing (epoch, rank)'s image and returns the
@@ -211,19 +174,45 @@ func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
 	h.drainNext(idx, epoch, rank, size, 0)
 }
 
-// Recovered reports one rank's restart read-back of size bytes from level,
-// at instant at of the caller's clock. A one-level stack reports nothing.
-func (h *Hierarchy) Recovered(at sim.Time, rank int, level Level, size int64) {
-	if !h.tiered() {
-		return
+// ReadBack prices a restart's read-back of snaps, one image a rank (nil: the
+// rank restarts from scratch), at instant at of the caller's clock. Each rank
+// reads from the fastest level that still holds a copy of its epoch, priced
+// by that tier's own estimate: reads from a shared tier queue at its
+// aggregate rate and add up, reads from a node-resident tier ride disjoint
+// links and disks and only the slowest counts. It returns the total and each
+// rank's level ("" for a nil snapshot). A tiered stack reports every read as
+// a tier-recover event and counter; a one-level stack reports nothing.
+func (h *Hierarchy) ReadBack(at sim.Time, snaps []*blcr.Snapshot) (sim.Time, []Level, error) {
+	if h.arch == nil {
+		return 0, nil, fmt.Errorf("tier: read-back before Bind")
 	}
-	h.bus.Emit(obs.Event{At: at, Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: obs.KindTierRecover, Detail: string(level), Arg: size})
-	for i, t := range h.tiers {
-		if t.Level() == level {
+	levels := make([]Level, len(snaps))
+	var shared, node sim.Time
+	for rank, s := range snaps {
+		if s == nil {
+			continue
+		}
+		i := 0
+		for i < len(h.tiers) && h.arch.TierCopies(s.Epoch, rank, string(h.tiers[i].Level())) == 0 {
+			i++
+		}
+		if i == len(h.tiers) {
+			return 0, nil, fmt.Errorf("tier: restart line holds rank %d's epoch %d, which has no copy at any tier", rank, s.Epoch)
+		}
+		t, size := h.tiers[i], s.Size()
+		if _, ok := t.(*nodeTier); ok {
+			node = max(node, t.readTime(size))
+		} else {
+			shared += t.readTime(size)
+		}
+		levels[rank] = t.Level()
+		if h.tiered() {
+			h.bus.Emit(obs.Event{At: at, Rank: rank, Layer: obs.LayerStorage,
+				Type: obs.Instant, What: obs.KindTierRecover, Detail: string(levels[rank]), Arg: size})
 			h.bus.Metrics().Counter(obs.LayerStorage, h.names[i].recovers).Inc()
 		}
 	}
+	return shared + node, levels, nil
 }
 
 // drainNext moves (epoch, rank)'s image from tier from to the next tier

@@ -45,13 +45,11 @@ func newNodeTier(h *Hierarchy, k *sim.Kernel, n int, level Level, partners, wire
 	return &nodeTier{h: h, sys: sys, level: level, n: n, partners: partners, wire: wire, bw: bw}, nil
 }
 
-func (t *nodeTier) Level() Level       { return t.level }
-func (t *nodeTier) ParallelRead() bool { return true }
+func (t *nodeTier) Level() Level { return t.level }
 
-// ReadTime is one link hop from the nearest surviving replica, or one read of
-// the node's own disk; concurrent recoveries use distinct links and disks, so
-// callers take the max across ranks.
-func (t *nodeTier) ReadTime(size int64) sim.Time {
+// readTime is one link hop from the nearest surviving replica, or one read of
+// the node's own disk; concurrent recoveries use distinct links and disks.
+func (t *nodeTier) readTime(size int64) sim.Time {
 	return sim.Seconds(float64(size) / t.bw)
 }
 

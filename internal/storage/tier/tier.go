@@ -179,10 +179,8 @@ type Tier interface {
 	// it reserved. The hierarchy calls it before anything else learns the
 	// write ended.
 	landed(epoch, rank int, size int64, ok bool)
-	// ReadTime estimates one image's restart read-back from this tier.
-	ReadTime(size int64) sim.Time
-	// ParallelRead reports whether concurrent rank read-backs proceed over
-	// independent links or disks (the node-resident tiers) rather than sharing
-	// one service, so restart accounting takes the max instead of the sum.
-	ParallelRead() bool
+	// readTime estimates one image's restart read-back from this tier: one
+	// reader's share of a shared tier, one link or disk of a node-resident
+	// one (Hierarchy.ReadBack sums the first and takes the max of the second).
+	readTime(size int64) sim.Time
 }

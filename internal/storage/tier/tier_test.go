@@ -2,6 +2,7 @@ package tier
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,6 +81,21 @@ func (r *rig) write(t testing.TB, epoch, rank int, size int64) sim.Time {
 		t.Fatal(err)
 	}
 	return el
+}
+
+// readBack reads back epoch's images of the given ranks, size bytes each, the
+// job's other ranks restarting from scratch, and returns each rank's level.
+func (r *rig) readBack(t testing.TB, epoch int, size int64, ranks ...int) []Level {
+	t.Helper()
+	snaps := make([]*blcr.Snapshot, r.h.n)
+	for _, rank := range ranks {
+		snaps[rank] = blcr.New(rank, epoch, 0, size, nil, nil)
+	}
+	_, levels, err := r.h.ReadBack(r.k.Now(), snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return levels
 }
 
 func TestModePredicates(t *testing.T) {
@@ -183,8 +199,8 @@ func TestDrainCascadeReachesCentral(t *testing.T) {
 	if b, c := r.count("tier_drains_burst"), r.count("tier_drains_central"); b != 1 || c != 1 {
 		t.Errorf("drains into burst %d, into central %d; want 1 each", b, c)
 	}
-	if src, ok := r.arch.RecoverySource(1, 0, r.h.OrderNames()); !ok || src != string(RAM) {
-		t.Errorf("RecoverySource = (%q, %v), want (ram, true)", src, ok)
+	if got := r.readBack(t, 1, 100, 0)[0]; got != RAM {
+		t.Errorf("rank 0 reads back from %q, want ram", got)
 	}
 }
 
@@ -273,8 +289,8 @@ func TestDrainAbandonedAfterRetryBudget(t *testing.T) {
 	if err := r.h.CheckCommit(1); err != nil {
 		t.Fatalf("RAM copies should keep the epoch committable: %v", err)
 	}
-	if src, ok := r.arch.RecoverySource(1, 0, r.h.OrderNames()); !ok || src != string(RAM) {
-		t.Fatalf("RecoverySource = (%q, %v), want (ram, true)", src, ok)
+	if got := r.readBack(t, 1, 100, 0)[0]; got != RAM {
+		t.Fatalf("rank 0 reads back from %q, want ram", got)
 	}
 }
 
@@ -307,8 +323,8 @@ func TestWriteBeforeBindRejected(t *testing.T) {
 func TestCentralStack(t *testing.T) {
 	for _, mode := range []Mode{"", ModeCentral} {
 		r := newRig(t, Config{Mode: mode}, 2, 1000, 1000)
-		if got := r.h.OrderNames(); len(got) != 1 || got[0] != string(Central) {
-			t.Fatalf("mode %q stacks %v, want [central]", mode, got)
+		if got := mode.Levels(); len(got) != 1 || got[0] != Central || len(r.h.tiers) != 1 {
+			t.Fatalf("mode %q stacks %v (%d tiers), want [central]", mode, got, len(r.h.tiers))
 		}
 		for rank := 0; rank < 2; rank++ {
 			r.write(t, 1, rank, 100)
@@ -431,17 +447,17 @@ func TestLocalStagesOnTheRanksOwnDisk(t *testing.T) {
 	if got := r.h.ColdAt(1); got != 3*sim.Second {
 		t.Errorf("ColdAt = %v, want 3s (the last drain's landing)", got)
 	}
+	if got := r.readBack(t, 1, size, 0, 1); got[0] != Local || got[1] != Local {
+		t.Errorf("ranks recover from %v, want local", got)
+	}
+	// Each single staged copy is on its rank's own node and goes with it.
 	for rank := 0; rank < 2; rank++ {
-		if src, _ := r.arch.RecoverySource(1, rank, r.h.OrderNames()); src != string(Local) {
-			t.Errorf("rank %d recovers from %q, want local", rank, src)
-		}
-		// The single staged copy is on the rank's own node and goes with it.
 		if lost := r.arch.DropNodeReplicas(rank); lost != 1 {
 			t.Errorf("node %d held %d copies, want 1", rank, lost)
 		}
-		if src, _ := r.arch.RecoverySource(1, rank, r.h.OrderNames()); src != string(Central) {
-			t.Errorf("rank %d recovers from %q after losing its node, want central", rank, src)
-		}
+	}
+	if got := r.readBack(t, 1, size, 0, 1); got[0] != Central || got[1] != Central {
+		t.Errorf("ranks recover from %v after losing their nodes, want central", got)
 	}
 }
 
@@ -473,12 +489,91 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 	if burst.used != 0 || len(burst.resident) != 0 {
 		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.used, len(burst.resident))
 	}
-	for _, level := range r.h.OrderNames() {
-		if got := r.arch.TierCopies(1, 0, level); got != 0 {
+	for _, level := range ModeBurst.Levels() {
+		if got := r.arch.TierCopies(1, 0, string(level)); got != 0 {
 			t.Errorf("cancelled write registered %d %s copies", got, level)
 		}
 	}
 	if d := r.count("tier_drains_central"); d != 0 || r.central.Transfers() != 0 {
 		t.Errorf("cancelled write started a drain (%d drains, %d central transfers)", d, r.central.Transfers())
+	}
+}
+
+// TestReadBackPricesEachRanksFastestCopy: after node losses and an eviction,
+// one restart reads rank 0 and rank 3 from RAM, rank 1 from the burst buffer
+// and rank 2 from central storage; rank 4 restarts from scratch. The shared
+// reads add up, the node-resident ones overlap: 1 s from burst + 0.5 s from
+// central + the slower RAM read, 0.3 s.
+func TestReadBackPricesEachRanksFastestCopy(t *testing.T) {
+	r := newRig(t, Config{Mode: ModeHierarchy, Replicas: 1}, 5, 1000, 1000)
+	for rank := 0; rank < 4; rank++ {
+		r.write(t, 1, rank, 100)
+	}
+	// Rank r's RAM copies sit on nodes r and r+1.
+	for _, node := range []int{1, 2, 3} {
+		r.arch.DropNodeReplicas(node)
+	}
+	r.arch.DropTierCopies(1, 2, string(Burst))
+	mem := &obs.MemorySink{}
+	r.h.SetObs(obs.NewBus(mem))
+	snaps := []*blcr.Snapshot{
+		blcr.New(0, 1, 0, 100, nil, nil),
+		blcr.New(1, 1, 0, gib, nil, nil),
+		blcr.New(2, 1, 0, 500, nil, nil),
+		blcr.New(3, 1, 0, 300, nil, nil),
+		nil,
+	}
+	const at = 7 * sim.Second
+	took, levels, err := r.h.ReadBack(at, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Level{RAM, Burst, Central, RAM, ""}; !slices.Equal(levels, want) {
+		t.Errorf("levels %v, want %v", levels, want)
+	}
+	if want := 1800 * sim.Millisecond; took != want {
+		t.Errorf("read-back took %v, want %v", took, want)
+	}
+	var got []Level
+	for _, e := range mem.Events() {
+		if e.What == obs.KindTierRecover && e.At == at && e.Arg == snaps[e.Rank].Size() {
+			got = append(got, Level(e.Detail))
+		}
+	}
+	if want := levels[:4]; !slices.Equal(got, want) {
+		t.Errorf("tier-recover events %v, want %v at %v", got, want, at)
+	}
+	m := r.h.bus.Metrics()
+	for i, level := range ModeHierarchy.Levels() {
+		if n, want := m.Counter(obs.LayerStorage, "tier_recover_"+string(level)).Value(), []int64{2, 1, 1}[i]; n != want {
+			t.Errorf("tier_recover_%s = %d, want %d", level, n, want)
+		}
+	}
+
+	// The one-level stack reads everything from central and reports nothing.
+	r = newRig(t, Config{Mode: ModeCentral}, 2, 1000, 1000)
+	r.write(t, 1, 0, 100)
+	r.write(t, 1, 1, 100)
+	mem = &obs.MemorySink{}
+	r.h.SetObs(obs.NewBus(mem))
+	took, levels, err = r.h.ReadBack(at, snaps[:2:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(levels, []Level{Central, Central}) || took != sim.Seconds(0.1)+sim.Seconds(gib/1000.0) {
+		t.Errorf("central read-back: levels %v in %v", levels, took)
+	}
+	if n := len(mem.Events()); n != 0 || r.h.bus.Metrics().Counter(obs.LayerStorage, "tier_recover_central").Value() != 0 {
+		t.Errorf("one-level stack reported its read-back: %d events", n)
+	}
+	// A read-back allocates only the levels it returns.
+	if a := testing.AllocsPerRun(10, func() { r.h.ReadBack(at, snaps[:2:2]) }); a > 1 {
+		t.Errorf("a read-back allocates %.0f objects, want 1", a)
+	}
+
+	// A rank whose epoch has no copy left is an error.
+	r.arch.DropTierCopies(1, 0, string(Central))
+	if _, _, err := r.h.ReadBack(at, snaps[:2:2]); err == nil || !strings.Contains(err.Error(), "rank 0's epoch 1") {
+		t.Errorf("read-back of a lost image returned %v", err)
 	}
 }

@@ -13,8 +13,8 @@ func benchNop() {}
 
 // BenchmarkParkUnparkPingPong measures the closure-free wake path: two
 // processes alternately unpark each other at the same instant, so every
-// round trip is two run-queue events plus two resumes (loop → pong → loop →
-// ping, four coroutine switches) and zero clock movement.
+// round trip is two same-instant events plus two resumes (loop → pong →
+// loop → ping, four coroutine switches) and zero clock movement.
 func BenchmarkParkUnparkPingPong(b *testing.B) {
 	k := NewKernel(1)
 	n := b.N
@@ -60,8 +60,8 @@ func BenchmarkCancelChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSameTimeFanout measures the run-queue path: each op is a burst
-// of 16 events scheduled at exactly the current instant from inside a
+// BenchmarkSameTimeFanout measures appends to the firing chain: each op is a
+// burst of 16 events scheduled at exactly the current instant from inside a
 // callback, the Unpark/broadcast shape.
 func BenchmarkSameTimeFanout(b *testing.B) {
 	k := NewKernel(1)
@@ -85,4 +85,33 @@ func BenchmarkSameTimeFanout(b *testing.B) {
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkInstantFanIn measures many processes waking at one instant, the
+// CommGroups compute shape: 256 processes each Sleep to one shared future
+// instant per round, so an op is one round of 256 timer events and 256
+// resumes. The first round (spawns, coroutine starts, queue capacity) runs
+// before the timer.
+func BenchmarkInstantFanIn(b *testing.B) {
+	const procs, period = 256, Time(1000)
+	k := NewKernel(1)
+	for i := 0; i < procs; i++ {
+		k.Spawn("rank", func(p *Proc) {
+			for {
+				p.Sleep(period - p.Now()%period)
+			}
+		})
+	}
+	if err := k.RunUntil(period); err != nil {
+		b.Fatal(err)
+	}
+	start := k.EventsProcessed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.RunUntil(Time(b.N+1) * period); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.EventsProcessed()-start), "ns/event")
+	k.Shutdown()
 }

@@ -7,10 +7,10 @@ package sim
 // which is how external handles detect that the event they referred to is
 // long gone (see Event).
 type event struct {
-	at  Time
-	seq uint64
-	gen uint64
-	k   *Kernel
+	at   Time
+	next *event // the next event of its chain, in scheduling order; see eventQueue
+	gen  uint64
+	k    *Kernel
 
 	// Exactly one of fn / wake is set. fn is the general callback; wake is
 	// the closure-free fast path used by Unpark, Interrupt, timer wakes,

@@ -19,7 +19,6 @@ import (
 // wake that makes a process runnable resumes it until it parks or finishes.
 type Kernel struct {
 	now       Time
-	seq       uint64
 	processed uint64
 	q         eventQueue
 	procs     []*Proc
@@ -35,7 +34,8 @@ type Kernel struct {
 const eventChunk = 16
 
 // yieldEvery is how many events fire between two runtime.Gosched calls of the
-// event loop (one pass over an empty run queue, ≈ 2 ns an event); see RunUntil.
+// event loop (a Gosched with no other goroutine ready costs ≈ 2 ns an event);
+// see RunUntil.
 const yieldEvery = 64
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
@@ -56,8 +56,7 @@ func (k *Kernel) EventsProcessed() uint64 { return k.processed }
 
 // alloc takes an event from the free list (bumping its generation, which
 // invalidates any handles to its previous life) or, when the list is empty,
-// the next one of the kernel's current chunk, and stamps it with the next
-// sequence number.
+// the next one of the kernel's current chunk, and sets its instant.
 func (k *Kernel) alloc(t Time) *event {
 	var e *event
 	if n := len(k.q.free); n > 0 {
@@ -72,15 +71,14 @@ func (k *Kernel) alloc(t Time) *event {
 		e = slab.Take(&k.evAt, eventChunk)
 		e.k = k
 	}
-	k.seq++
 	e.at = t
-	e.seq = k.seq
 	return e
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the simulation logic and panics. Events at exactly the current
-// time take the run-queue fast path and skip heap discipline.
+// error in the simulation logic and panics. An event at an instant that
+// already has an open chain, such as the current one, joins that chain
+// without touching the heap.
 func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		//lint:allow-panic scheduling into the past corrupts the event queue; no caller can handle it
@@ -88,7 +86,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	}
 	e := k.alloc(t)
 	e.fn = fn
-	k.q.schedule(e, k.now)
+	k.q.schedule(e)
 	return Event{e: e, gen: e.gen}
 }
 
@@ -108,7 +106,7 @@ func (k *Kernel) atWake(t Time, p *Proc, tok uint64, kind wakeKind) Event {
 	e.wake = p
 	e.wakeTok = tok
 	e.wakeKind = kind
-	k.q.schedule(e, k.now)
+	k.q.schedule(e)
 	return Event{e: e, gen: e.gen}
 }
 
@@ -131,10 +129,10 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 // limit and remaining events stay queued; a subsequent call resumes.
 //
 // This is the event loop, and only the caller's goroutine ever runs it:
-// events fire in (at, seq) order, a callback runs right here, and a wake that
-// makes a process runnable resumes its coroutine and carries on when it comes
-// back, parked or finished. A callback's panic therefore unwinds straight to
-// the caller, no process stack in between.
+// events fire in (at, scheduling order), a callback runs right here, and a
+// wake that makes a process runnable resumes its coroutine and carries on
+// when it comes back, parked or finished. A callback's panic therefore
+// unwinds straight to the caller, no process stack in between.
 //
 // A coroutine switch never enters the Go scheduler, so the loop yields every
 // yieldEvery events: on one P the collector's background goroutines (mark

@@ -1,86 +1,110 @@
 package sim
 
 // eventQueue is the kernel's scheduling structure, specialized to *event so
-// the hot path pays no interface boxing or indirect method dispatch:
+// the hot path pays no interface boxing or indirect method dispatch.
 //
-//   - a hand-rolled 4-ary min-heap keyed on (at, seq) for future events —
-//     half the depth of a binary heap, and every sift touches only
-//     adjacent *event pointers;
-//   - a FIFO ring buffer (the run queue) for events scheduled at exactly
-//     the current instant, the Unpark/tryWake/Spawn shape — they are
-//     already in (at, seq) order by construction, so heap discipline is
-//     skipped entirely;
-//   - a free list of recycled events feeding the kernel's allocator.
+// Events queued for one instant form chains: intrusive FIFO lists linked
+// through event.next, in scheduling order. A hand-rolled 4-ary min-heap holds
+// one 16-byte chain value per chain, keyed on (head.at, seq), where seq
+// numbers chains in the order they were started. Most events join a chain
+// that is already in the heap, so scheduling one is a pointer store and
+// popping one advances its chain's head without a sift; only a chain's first
+// event pushes and its last pops.
 //
-// Global firing order is strictly (at, seq) regardless of which structure
-// holds an event: next merges the two fronts under the same comparison the
-// old single heap used, so the refactor is invisible to every trace.
+// open holds, per hashed instant, the tail of the newest chain. A schedule
+// whose slot holds a tail at its own instant appends to that chain; anything
+// else starts a new chain, which takes the slot. A chain that loses its slot
+// is sealed: later events at its instant start a chain with a higher seq,
+// which fires after it. Firing order is therefore exactly (at, scheduling
+// order), the order a heap of single events keyed on a global sequence
+// number gave. Invariant: a slot is nil or the tail of a chain in the heap.
 //
 // Canceled events are discarded lazily — each is examined exactly once, at
-// the front of its structure — except that when more than half the heap is
-// canceled, maybeCompact sweeps it in one O(n) pass.
+// the head of its chain — except that when more than half the queued events
+// are canceled, maybeCompact sweeps every chain in one O(n) pass.
 type eventQueue struct {
-	heap []*event
-
-	runq     []*event // ring buffer; len(runq) is always a power of two
-	runqHead int
-	runqLen  int
+	heap []chain
+	open [openSlots]*event
+	seq  uint64 // seq of the newest chain
+	n    int    // events in chains, canceled ones included
 
 	free []*event
 
-	nCanceled int // canceled events still sitting in heap or runq
+	nCanceled int // canceled events still sitting in chains
 }
 
-// evLess orders events by (at, seq); the seq tie-break makes event ordering
-// — and therefore the whole simulation — deterministic.
-func evLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// chain is one heap entry: the head of a FIFO of events at one instant.
+type chain struct {
+	seq  uint64
+	head *event
 }
 
-// schedule inserts e: the run queue when it fires at the current instant
-// (seq order is FIFO order there), the heap otherwise.
-func (q *eventQueue) schedule(e *event, now Time) {
-	if e.at == now {
-		q.pushRunq(e)
+// openSlots is the size of the open-tail table; slot hashes into it.
+const openSlots = 16
+
+// slot is the open-tail table index of instant at (Fibonacci hashing: the
+// top four bits of the product).
+func slot(at Time) int { return int(uint64(at) * 0x9E3779B97F4A7C15 >> 60) }
+
+// before orders chains by (instant, seq); no two chains share a seq, so the
+// order — and therefore the whole simulation — is deterministic.
+func before(a, b chain) bool {
+	return a.head.at < b.head.at || (a.head.at == b.head.at && a.seq < b.seq)
+}
+
+// schedule appends e to the open chain for its instant, or starts a chain.
+func (q *eventQueue) schedule(e *event) {
+	e.next = nil
+	q.n++
+	s := &q.open[slot(e.at)]
+	if t := *s; t != nil && t.at == e.at {
+		t.next = e
+		*s = e
 		return
 	}
-	q.heapPush(e)
+	*s = e
+	q.seq++
+	// heap growth is amortized doubling; the steady state reuses capacity
+	q.heap = append(q.heap, chain{seq: q.seq, head: e})
+	q.siftUp(len(q.heap) - 1)
 }
 
 // next returns the earliest pending event without removing it, or nil when
 // none remain. Canceled events reaching the front are recycled as they are
 // found, so each is examined exactly once across all calls.
 func (q *eventQueue) next() *event {
-	for q.runqLen > 0 && q.runq[q.runqHead].canceled {
+	for len(q.heap) > 0 {
+		e := q.heap[0].head
+		if !e.canceled {
+			return e
+		}
 		q.nCanceled--
-		q.recycle(q.popRunq())
+		q.pop(e)
+		q.recycle(e)
 	}
-	for len(q.heap) > 0 && q.heap[0].canceled {
-		q.nCanceled--
-		q.recycle(q.heapPopTop())
-	}
-	var r *event
-	if q.runqLen > 0 {
-		r = q.runq[q.runqHead]
-	}
-	if len(q.heap) == 0 {
-		return r
-	}
-	h := q.heap[0]
-	if r == nil || evLess(h, r) {
-		return h
-	}
-	return r
+	return nil
 }
 
 // pop removes e, which must be the event the immediately preceding next
-// call returned (peek-then-commit: no structure is rescanned).
+// call returned (peek-then-commit): it advances the top chain's head, and a
+// drained chain leaves the heap and, if it is still open, its slot.
 func (q *eventQueue) pop(e *event) {
-	if q.runqLen > 0 && q.runq[q.runqHead] == e {
-		q.popRunq()
+	q.n--
+	if e.next != nil {
+		q.heap[0].head = e.next
 		return
 	}
-	q.heapPopTop()
+	if s := &q.open[slot(e.at)]; *s == e {
+		*s = nil
+	}
+	h := q.heap
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = chain{}
+	q.heap = h[:n]
+	if n > 0 {
+		q.siftDown(0)
+	}
 }
 
 // recycle clears an event's references (so closures and procs can be
@@ -92,130 +116,94 @@ func (q *eventQueue) recycle(e *event) {
 	q.free = append(q.free, e)
 }
 
-// pushRunq appends to the ring, growing it when full.
-func (q *eventQueue) pushRunq(e *event) {
-	if q.runqLen == len(q.runq) {
-		// ring growth is amortized doubling; the steady state never grows
-		q.growRunq()
-	}
-	q.runq[(q.runqHead+q.runqLen)&(len(q.runq)-1)] = e
-	q.runqLen++
-}
-
-// popRunq removes and returns the ring's front element.
-func (q *eventQueue) popRunq() *event {
-	e := q.runq[q.runqHead]
-	q.runq[q.runqHead] = nil
-	q.runqHead = (q.runqHead + 1) & (len(q.runq) - 1)
-	q.runqLen--
-	return e
-}
-
-// growRunq doubles the ring, unwrapping it to the front of the new buffer.
-func (q *eventQueue) growRunq() {
-	n := len(q.runq) * 2
-	if n == 0 {
-		n = 8
-	}
-	buf := make([]*event, n)
-	for i := 0; i < q.runqLen; i++ {
-		buf[i] = q.runq[(q.runqHead+i)&(len(q.runq)-1)]
-	}
-	q.runq = buf
-	q.runqHead = 0
-}
-
 // 4-ary heap: children of node i are 4i+1..4i+4, parent is (i-1)/4.
-
-func (q *eventQueue) heapPush(e *event) {
-	// heap growth is amortized doubling; the steady state reuses capacity
-	q.heap = append(q.heap, e)
-	q.siftUp(len(q.heap) - 1)
-}
-
-func (q *eventQueue) heapPopTop() *event {
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	q.heap = h[:n]
-	if n > 0 {
-		q.heap[0] = last
-		q.siftDown(0)
-	}
-	return top
-}
 
 // siftUp moves the element at index i up to its heap position, shifting
 // ancestors down (one store per level, not a swap).
 func (q *eventQueue) siftUp(i int) {
 	h := q.heap
-	e := h[i]
+	c := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !evLess(e, h[p]) {
+		if !before(c, h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = c
 }
 
 // siftDown moves the element at index i down to its heap position.
 func (q *eventQueue) siftDown(i int) {
 	h := q.heap
 	n := len(h)
-	e := h[i]
+	c := h[i]
 	for {
-		c := i<<2 + 1
-		if c >= n {
+		f := i<<2 + 1
+		if f >= n {
 			break
 		}
-		end := c + 4
+		end := f + 4
 		if end > n {
 			end = n
 		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if evLess(h[j], h[m]) {
+		m := f
+		for j := f + 1; j < end; j++ {
+			if before(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !evLess(h[m], e) {
+		if !before(h[m], c) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = e
+	h[i] = c
 }
 
-// compactMin is the heap size below which lazy discard is always cheaper
+// compactMin is the queue size below which lazy discard is always cheaper
 // than a sweep.
 const compactMin = 64
 
-// maybeCompact sweeps canceled events out of the heap once they outnumber
-// the live ones: one pass filters them into the free list, then the
-// survivors are re-heapified bottom-up in O(n).
+// maybeCompact sweeps canceled events out of the chains once they outnumber
+// the live ones: one pass unlinks them into the free list, moves an open
+// slot to its chain's new tail, and drops emptied chains; the surviving
+// chains are then re-heapified bottom-up in O(n).
 func (q *eventQueue) maybeCompact() {
-	if len(q.heap) < compactMin || q.nCanceled*2 <= len(q.heap) {
+	if q.n < compactMin || q.nCanceled*2 <= q.n {
 		return
 	}
 	h := q.heap
 	live := h[:0]
-	for _, e := range h {
-		if e.canceled {
+	for _, c := range h {
+		s := &q.open[slot(c.head.at)]
+		var head, tail, last *event
+		for e := c.head; e != nil; e = e.next {
+			last = e
+			if !e.canceled {
+				if tail == nil {
+					head = e
+				} else {
+					tail.next = e
+				}
+				tail = e
+				continue
+			}
 			q.nCanceled--
+			q.n--
 			q.recycle(e)
-		} else {
-			live = append(live, e)
+		}
+		if *s == last {
+			*s = tail
+		}
+		if tail != nil {
+			tail.next = nil
+			live = append(live, chain{seq: c.seq, head: head})
 		}
 	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
-	}
+	clear(h[len(live):])
 	q.heap = live
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
 		q.siftDown(i)

@@ -2,13 +2,14 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 // len reports how many events are queued, including not-yet-discarded
 // canceled ones.
-func (q *eventQueue) len() int { return len(q.heap) + q.runqLen }
+func (q *eventQueue) len() int { return q.n }
 
 // churnResult is everything one churn run observed, for cross-run and
 // invariant comparison.
@@ -21,12 +22,43 @@ type churnResult struct {
 }
 
 // churnRun drives a kernel through a randomized schedule/cancel/reschedule
-// workload heavy enough to cycle events through the pool many times:
-// callbacks schedule children (some at the current instant, exercising the
-// run queue) and cancel still-future events (exercising lazy discard and
-// compaction). Event ids are assigned in scheduling order, so ids are also
-// sequence order.
+// workload heavy enough to cycle events through the pool many times, its
+// times drawn by spreadInstants.
 func churnRun(t *testing.T, seed int64) churnResult {
+	t.Helper()
+	return churn(t, seed, spreadInstants)
+}
+
+// spreadInstants draws an event time over a window of 40 ns ahead of now
+// (one child in four at now itself); now < 0 draws an initial time.
+func spreadInstants(rng *rand.Rand, now Time) Time {
+	if now < 0 {
+		return Time(rng.Intn(60))
+	}
+	if rng.Intn(4) == 0 {
+		return now
+	}
+	return now + Time(1+rng.Intn(40))
+}
+
+// collidingInstants returns the first n positive instants that share slot
+// 1's open-tail entry, ascending.
+func collidingInstants(n int) []Time {
+	var ts []Time
+	for t := Time(1); len(ts) < n; t++ {
+		if slot(t) == slot(1) {
+			ts = append(ts, t)
+		}
+	}
+	return ts
+}
+
+// churn is churnRun with the event times drawn by instant (now is -1 for the
+// initial batch). Callbacks schedule children (some at the current instant,
+// appending to the firing chain) and cancel still-future events (exercising
+// lazy discard and compaction). Event ids are assigned in scheduling order,
+// so the firing order must be ascending (at, id).
+func churn(t *testing.T, seed int64, instant func(rng *rand.Rand, now Time) Time) churnResult {
 	t.Helper()
 	k := NewKernel(seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -49,14 +81,8 @@ func churnRun(t *testing.T, seed int64) churnResult {
 		res.at = append(res.at, at)
 		ev := k.At(at, func() {
 			res.fired = append(res.fired, id)
-			// Children: sometimes at the current instant (run-queue path),
-			// sometimes in the future (heap path).
 			for n := rng.Intn(3); n > 0; n-- {
-				if rng.Intn(4) == 0 {
-					schedule(k.Now())
-				} else {
-					schedule(k.Now() + Time(1+rng.Intn(40)))
-				}
+				schedule(instant(rng, k.Now()))
 			}
 			// Cancel a random still-future event. Only events with at
 			// strictly after now are eligible, so a canceled event provably
@@ -77,7 +103,7 @@ func churnRun(t *testing.T, seed int64) churnResult {
 	}
 
 	for i := 0; i < 40; i++ {
-		schedule(Time(rng.Intn(60)))
+		schedule(instant(rng, -1))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -86,14 +112,33 @@ func churnRun(t *testing.T, seed int64) churnResult {
 	return res
 }
 
-// TestQuickChurnOrdering checks, across random seeds, that the split
-// run-queue/heap/pool structure preserves the single-heap contract: firing
-// order is exactly (at, submission-order), canceled-in-advance events never
-// fire, everything else fires exactly once, and two runs with the same seed
-// are identical.
+// TestQuickChurnOrdering checks, across random seeds, that chains, the
+// open-tail table and the pool keep the single-heap contract: firing order is
+// exactly (at, scheduling order), canceled-in-advance events never fire,
+// everything else fires exactly once, and two runs with the same seed are
+// identical.
 func TestQuickChurnOrdering(t *testing.T) {
+	checkChurn(t, spreadInstants)
+}
+
+// TestQuickChurnOrderingColliding is TestQuickChurnOrdering with every time
+// drawn from the next four of a run of instants that share one open-tail
+// slot, so chains are sealed and restarted all the time: scheduling at one
+// instant seals the open chain of another.
+func TestQuickChurnOrderingColliding(t *testing.T) {
+	coll := collidingInstants(64)
+	checkChurn(t, func(rng *rand.Rand, now Time) Time {
+		i := sort.Search(len(coll), func(i int) bool { return coll[i] >= now })
+		return coll[min(i+rng.Intn(4), len(coll)-1)]
+	})
+}
+
+// checkChurn runs the churn property over random seeds with times drawn by
+// instant.
+func checkChurn(t *testing.T, instant func(rng *rand.Rand, now Time) Time) {
+	t.Helper()
 	f := func(seed int64) bool {
-		a := churnRun(t, seed)
+		a := churn(t, seed, instant)
 
 		// Firing order is strictly increasing in (at, id).
 		for i := 1; i < len(a.fired); i++ {
@@ -130,7 +175,7 @@ func TestQuickChurnOrdering(t *testing.T) {
 		}
 
 		// Determinism: an identical second run fires the same sequence.
-		b := churnRun(t, seed)
+		b := churn(t, seed, instant)
 		if len(a.fired) != len(b.fired) {
 			t.Errorf("seed %d: runs fired %d vs %d events",
 				seed, len(a.fired), len(b.fired))
@@ -200,9 +245,9 @@ func TestStaleHandleSafety(t *testing.T) {
 	}
 }
 
-// TestCancelHeavyCompaction cancels most of a large heap and checks that
-// compaction reclaims the space immediately while the survivors still fire
-// in order.
+// TestCancelHeavyCompaction cancels most of a large queue (one chain per
+// instant) and checks that compaction reclaims the space immediately while
+// the survivors still fire in order.
 func TestCancelHeavyCompaction(t *testing.T) {
 	k := NewKernel(1)
 	var fired []Time
@@ -241,25 +286,25 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	}
 }
 
-// TestRunqOrderAgainstHeap pins the merge rule between the two structures:
-// an event scheduled at the current instant (run queue) and an event that was
-// scheduled earlier for the same instant (heap) fire in seq order, exactly
-// as a single heap would have fired them.
+// TestRunqOrderAgainstHeap pins the order at one instant: an event scheduled
+// at the current instant joins the tail of the firing chain, so it fires
+// after an event scheduled earlier for the same instant, exactly as a single
+// heap keyed on a global sequence number would have fired them.
 func TestRunqOrderAgainstHeap(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	mark := func(s string) func() {
 		return func() { order = append(order, s) }
 	}
-	k.At(10, mark("A")) // seq 1, heap
-	k.At(10, func() {   // seq 2, heap
+	k.At(10, mark("A")) // scheduled 1st, starts the chain for 10
+	k.At(10, func() {   // 2nd, appended
 		order = append(order, "B")
-		// now = 10: C takes the run-queue path, but D (seq 3) is still in
-		// the heap for the same instant with a lower seq — the merge must
-		// fire D first, exactly as a single heap would have.
-		k.At(10, mark("C")) // seq 4, run queue
+		// now = 10: C is scheduled at the firing instant, but D (3rd) is
+		// still queued for it — C joins the chain behind D, so D fires
+		// first, exactly as a single heap would have.
+		k.At(10, mark("C")) // 4th, appended at now
 	})
-	k.At(10, mark("D")) // seq 3, heap
+	k.At(10, mark("D")) // 3rd, appended
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,5 +318,82 @@ func TestRunqOrderAgainstHeap(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("fired %q, want %q", got, want)
+	}
+}
+
+// TestSealedChainOrder schedules two instants that share an open-tail slot
+// interleaved (A, B, A, B), so every chain but the last is sealed; cancels
+// the open tail at B and forces a compaction; schedules at B again; and
+// schedules at A from a callback at A. The firing order must be the
+// reference sort by (at, scheduling index).
+func TestSealedChainOrder(t *testing.T) {
+	coll := collidingInstants(2)
+	a, b := coll[0], coll[1]
+	far := b + 1000
+	k := NewKernel(1)
+	var at []Time // at[id] of every event, ids in scheduling order
+	dead := map[int]bool{}
+	var fired []int
+	var sched func(t Time, then func()) Event
+	sched = func(t Time, then func()) Event {
+		id := len(at)
+		at = append(at, t)
+		return k.At(t, func() {
+			fired = append(fired, id)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	cancel := func(id int, ev Event) {
+		ev.Cancel()
+		dead[id] = true
+	}
+
+	var fillers []Event
+	for i := 0; i < 100; i++ {
+		fillers = append(fillers, sched(far, nil))
+	}
+	sched(a, func() {
+		sched(a, func() { sched(a, nil) }) // at now, from a callback
+	})
+	sched(b, nil)
+	sched(a, func() { sched(a, nil) })
+	sched(b, nil)
+	tailID := len(at)
+	tail := sched(b, nil) // appends to B's open chain: the open tail
+	cancel(tailID, tail)
+	compacted := false
+	for i, ev := range fillers {
+		cancel(i, ev)
+		if k.q.nCanceled == 0 {
+			compacted = true
+			break
+		}
+	}
+	if !compacted {
+		t.Fatal("canceling fillers never triggered maybeCompact")
+	}
+	sched(b, nil) // must append to B's chain behind the canceled tail's place
+	sched(b, nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []int
+	for id := range at {
+		if !dead[id] {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return at[want[i]] < at[want[j]] })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("firing %d: event %d (at %v), want %d (at %v)\nfired %v\nwant  %v",
+				i, fired[i], at[fired[i]], want[i], at[want[i]], fired, want)
+		}
 	}
 }

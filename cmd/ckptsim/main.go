@@ -19,8 +19,9 @@
 //	ckptsim -workload commgroups -group 8 -at 10,20,30,40   # one cell per time, merged outputs
 //	ckptsim -workload ring -mtbf 20 -interval 8 -memprofile m.out   # host allocation profile
 //
-// Invalid flags and failed runs exit with status 1 and a one-line message; a
-// failed run still writes the trace and metrics files it was asked for.
+// Invalid flags, a flag the run does not read, and failed runs exit with
+// status 1 and a one-line message; a failed run still writes the trace and
+// metrics files it was asked for.
 package main
 
 import (
@@ -50,24 +51,33 @@ import (
 // the group protocol with one group covering the job.
 var protocols = []string{string(protocol.Group), string(protocol.WholeJob), string(protocol.Uncoordinated)}
 
-// shapeFlags lists which of the workload-shape flags (-n, -comm, -footprint,
-// -iters) each workload reads; hpl and motif are the paper's fixed problems.
-var shapeFlags = map[string][]string{
-	"commgroups": {"n", "comm", "footprint", "iters"},
-	"barrier":    {"n", "comm", "footprint"},
-	"hpl":        nil,
-	"motif":      nil,
-	"ring":       {"n", "footprint", "iters"},
-	"allgather":  {"n", "footprint", "iters"},
-	"stencil":    {"n", "footprint", "iters"},
-}
-
-// shapeFlagList renders a workload's shape flags for a message.
-func shapeFlagList(workload string) string {
-	if len(shapeFlags[workload]) == 0 {
-		return "none of the shape flags (its size is fixed)"
-	}
-	return "only -" + strings.Join(shapeFlags[workload], ", -")
+// workloads lists the -workload choices: the shape flags each reads (hpl
+// and motif are the paper's fixed problems), and a constructor that takes
+// -n, -comm, -iters and -footprint and returns the workload and its ranks.
+var workloads = []struct {
+	name  string
+	reads []string
+	build func(n, comm, iters int, foot int64) (workload.Workload, int)
+}{
+	{"commgroups", []string{"n", "comm", "footprint", "iters"}, func(n, comm, iters int, foot int64) (workload.Workload, int) {
+		return workload.CommGroups{N: n, CommGroupSize: comm, Iters: iters,
+			Chunk: 100 * sim.Millisecond, FootprintMB: foot}, n
+	}},
+	{"barrier", []string{"n", "comm", "footprint"}, func(n, comm, _ int, foot int64) (workload.Workload, int) {
+		return workload.BarrierPhases{N: n, CommGroupSize: comm, Chunk: 100 * sim.Millisecond,
+			BarrierEvery: sim.Minute, Phases: 3, FootprintMB: foot}, n
+	}},
+	{"hpl", nil, func(int, int, int, int64) (workload.Workload, int) { w := hpl.PaperTimed(); return w, w.P * w.Q }},
+	{"motif", nil, func(int, int, int, int64) (workload.Workload, int) { w := motif.PaperTimed(); return w, w.N }},
+	{"ring", []string{"n", "footprint", "iters"}, func(n, _, iters int, foot int64) (workload.Workload, int) {
+		return workload.Ring{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: foot}, n
+	}},
+	{"allgather", []string{"n", "footprint", "iters"}, func(n, _, iters int, foot int64) (workload.Workload, int) {
+		return workload.AllgatherLoop{N: n, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: foot}, n
+	}},
+	{"stencil", []string{"n", "footprint", "iters"}, func(n, _, iters int, foot int64) (workload.Workload, int) {
+		return workload.Stencil{N: n, Cells: 64, Iters: iters, Chunk: 50 * sim.Millisecond, FootprintMB: foot}, n
+	}},
 }
 
 // stopProfiles ends the -cpuprofile and -memprofile profiles once they have
@@ -85,15 +95,23 @@ func fail(format string, args ...any) {
 }
 
 func main() {
+	names := make([]string, len(workloads))
+	readers := make(map[string][]string) // shape flag -> the workloads reading it, for its usage line
+	for i, wl := range workloads {
+		names[i] = wl.name
+		for _, f := range wl.reads {
+			readers[f] = append(readers[f], wl.name)
+		}
+	}
 	var (
-		name      = flag.String("workload", "commgroups", "workload: commgroups, barrier, hpl, motif, ring, allgather, stencil")
-		n         = flag.Int("n", 32, "number of ranks (commgroups/barrier/ring/allgather/stencil)")
-		comm      = flag.Int("comm", 8, "communication group size (commgroups/barrier)")
+		name      = flag.String("workload", "commgroups", "workload: "+strings.Join(names, ", "))
+		n         = flag.Int("n", 32, "number of ranks ("+strings.Join(readers["n"], "/")+")")
+		comm      = flag.Int("comm", 8, "communication group size ("+strings.Join(readers["comm"], "/")+"; the default shrinks to a smaller job)")
 		group     = flag.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
 		proto     = flag.String("protocol", "group", "coordination protocol: "+strings.Join(protocols, ", "))
 		at        = flag.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
-		foot      = flag.Int64("footprint", 180, "per-process footprint in MB (commgroups/barrier/ring/allgather/stencil)")
-		iters     = flag.Int("iters", 900, "iterations (commgroups/ring/allgather/stencil)")
+		foot      = flag.Int64("footprint", 180, "per-process footprint in MB ("+strings.Join(readers["footprint"], "/")+")")
+		iters     = flag.Int("iters", 900, "iterations ("+strings.Join(readers["iters"], "/")+")")
 		dynamic   = flag.Bool("dynamic", false, "dynamic group formation from the communication pattern")
 		helper    = flag.Bool("helper", true, "enable the passive-coordination helper thread")
 		verbose   = flag.Bool("v", false, "print per-rank checkpoint records")
@@ -111,78 +129,63 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	)
 	flag.Parse()
-
-	// Flags that only steer the failure runner are rejected, not ignored,
-	// when nothing enables that runner: a silently dropped -interval or
-	// -seed would misreport what the run measured.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	mtbfT := seconds("mtbf", *mtbf)
 	intervalT := seconds("interval", *interval)
 	failureRun := mtbfT > 0 || *faults != ""
-	if set["interval"] && !failureRun {
-		fail("-interval only applies to failure runs; add -mtbf or -faults")
-	}
-	if set["seed"] && !failureRun {
-		fail("-seed only applies to failure runs; add -mtbf or -faults")
-	}
 
-	// Protocol selection. Group-structure flags only make sense under the
-	// group protocol; passing them with another kind is rejected, not
-	// ignored, so the printed protocol line always matches what ran.
+	// The names come first, so that a misspelt one is reported as such.
 	kind := protocol.Kind(*proto)
-	if last := len(protocols) - 1; !slices.Contains(protocols, *proto) {
-		fail("unknown -protocol %q (want %s, or %s)", *proto, strings.Join(protocols[:last], ", "), protocols[last])
+	if !slices.Contains(protocols, *proto) {
+		fail("unknown -protocol %q (want one of %s)", *proto, strings.Join(protocols, ", "))
 	}
-	if kind != protocol.Group {
-		if set["group"] {
-			fail("-group only applies to -protocol group; %s fixes the group structure", kind)
-		}
-		if set["dynamic"] {
-			fail("-dynamic only applies to -protocol group; %s does not form groups", kind)
-		}
-		*group = 0 // one group, or none
-	}
-	if kind == protocol.Uncoordinated && set["helper"] {
-		fail("-helper does not apply to -protocol uncoord; there is no passive-coordination state to bound")
-	}
-
-	// Storage-hierarchy selection. Like the group-structure flags, unusable
-	// combinations are rejected rather than ignored: -replicas without a
-	// RAM-bearing mode here; a tiered mode under a protocol whose commit model
-	// the hierarchy does not support by cfg.Validate, once cfg is assembled.
 	mode := tier.Mode(*storeMode)
 	if !mode.Valid() {
 		fail("unknown -storage %q (want central, burst, ram, hierarchy, or local)", *storeMode)
 	}
-	if set["replicas"] && !mode.HasRAM() {
-		fail("-replicas only applies to -storage ram or hierarchy; %s has no RAM replication tier", mode)
+	wi := slices.Index(names, *name)
+	if wi < 0 {
+		fail("unknown workload %q (want one of %s)", *name, strings.Join(names, ", "))
 	}
-	if *replicas < 0 {
-		fail("-replicas must not be negative, got %d", *replicas)
-	}
-
-	// Issuance times. Multiple -at values form a cell matrix that runs on
-	// the Runner's worker pool. Combinations it cannot honor are rejected,
-	// not ignored: a failure run is one serial restart chain, so there are
-	// no cells to spread.
+	wl := workloads[wi]
+	// Multiple -at values form a cell matrix run on the Runner's worker pool.
 	ats := parseTimes(*at)
 	multiCell := len(ats) > 1
-	if multiCell && failureRun {
-		fail("-at lists do not apply to failure runs; an availability run is one serial restart chain")
-	}
-	if multiCell && *verbose {
-		fail("-v only applies to single-cell runs; use -trace for the merged timeline")
-	}
 
-	if *n <= 0 {
-		fail("-n must be positive, got %d", *n)
+	// A flag that only some runs read is rejected, not ignored, where this
+	// run does not read it: a silently dropped -interval or -n would
+	// misreport what the run measured. A failure run is one serial restart
+	// chain that checkpoints every -interval, so it reads no -at.
+	reads := "none of the shape flags (its size is fixed)"
+	if len(wl.reads) > 0 {
+		reads = "only -" + strings.Join(wl.reads, ", -")
 	}
-	if *comm <= 0 {
-		fail("-comm must be positive, got %d", *comm)
+	reads = "does not apply to -workload " + wl.name + ", which reads " + reads
+	for _, r := range []struct {
+		flag    string
+		applies bool
+		why     string
+	}{
+		{"interval", failureRun, "only applies to failure runs; add -mtbf or -faults"},
+		{"seed", failureRun, "only applies to failure runs; add -mtbf or -faults"},
+		{"at", !failureRun, "does not apply to failure runs, which checkpoint every -interval"},
+		{"v", !failureRun && !multiCell, "only applies to single-cell measurements; use -trace for the timeline"},
+		{"group", kind == protocol.Group, fmt.Sprintf("only applies to -protocol group; %s fixes the group structure", kind)},
+		{"dynamic", kind == protocol.Group, fmt.Sprintf("only applies to -protocol group; %s does not form groups", kind)},
+		{"helper", kind != protocol.Uncoordinated, "does not apply to -protocol uncoord; there is no passive-coordination state to bound"},
+		{"replicas", mode.HasRAM(), fmt.Sprintf("only applies to -storage ram or hierarchy; %s has no RAM replication tier", mode)},
+		{"n", slices.Contains(wl.reads, "n"), reads},
+		{"comm", slices.Contains(wl.reads, "comm"), reads},
+		{"footprint", slices.Contains(wl.reads, "footprint"), reads},
+		{"iters", slices.Contains(wl.reads, "iters"), reads},
+	} {
+		if set[r.flag] && !r.applies {
+			fail("-%s %s", r.flag, r.why)
+		}
 	}
-	if *group < 0 {
-		fail("-group must not be negative, got %d", *group)
+	if kind != protocol.Group {
+		*group = 0 // one group, or none
 	}
 	if *foot < 0 {
 		fail("-footprint must not be negative, got %d", *foot)
@@ -191,45 +194,12 @@ func main() {
 		fail("-iters must be positive, got %d", *iters)
 	}
 
-	var w workload.Workload
-	ranks := *n
-	switch *name {
-	case "commgroups":
-		w = workload.CommGroups{N: *n, CommGroupSize: *comm, Iters: *iters,
-			Chunk: 100 * sim.Millisecond, FootprintMB: *foot}
-	case "barrier":
-		w = workload.BarrierPhases{N: *n, CommGroupSize: *comm,
-			Chunk: 100 * sim.Millisecond, BarrierEvery: sim.Minute,
-			Phases: 3, FootprintMB: *foot}
-	case "hpl":
-		hw := hpl.PaperTimed()
-		ranks = hw.P * hw.Q
-		w = hw
-	case "motif":
-		mw := motif.PaperTimed()
-		ranks = mw.N
-		w = mw
-	case "ring":
-		w = workload.Ring{N: *n, Iters: *iters,
-			Chunk: 50 * sim.Millisecond, FootprintMB: *foot}
-	case "allgather":
-		w = workload.AllgatherLoop{N: *n, Iters: *iters,
-			Chunk: 50 * sim.Millisecond, FootprintMB: *foot}
-	case "stencil":
-		w = workload.Stencil{N: *n, Cells: 64, Iters: *iters,
-			Chunk: 50 * sim.Millisecond, FootprintMB: *foot}
-	default:
-		fail("unknown workload %q (want commgroups, barrier, hpl, motif, ring, allgather, or stencil)", *name)
+	// The default -comm and -group shrink to a smaller job; an explicit
+	// -group must fit (the workload checks -comm, cfg.Validate the rest).
+	if !set["comm"] {
+		*comm = min(*comm, *n)
 	}
-	// Like -interval and -group above, a shape flag the workload does not
-	// read is rejected, not ignored: "-workload hpl -n 7" would otherwise
-	// print a 32-rank result as if it had been asked for.
-	for _, f := range []string{"n", "comm", "footprint", "iters"} {
-		if set[f] && !slices.Contains(shapeFlags[*name], f) {
-			fail("-%s does not apply to -workload %s, which reads %s", f, *name, shapeFlagList(*name))
-		}
-	}
-	// The default group size shrinks to a smaller job; an explicit one must fit.
+	w, ranks := wl.build(*n, *comm, *iters, *foot)
 	if !set["group"] {
 		*group = min(*group, ranks)
 	} else if *group > ranks {
@@ -263,11 +233,8 @@ func main() {
 		for i, t := range ats {
 			cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: t}
 		}
-		run, err := harness.NewRunner(0).RunCaptured(cells, harness.Capture{
-			Trace:  *showTrace,
-			JSONL:  *traceJSON != "",
-			Chrome: *traceChr != "",
-		})
+		run, err := harness.NewRunner(0).RunCaptured(cells,
+			harness.Capture{Trace: *showTrace, JSONL: *traceJSON != "", Chrome: *traceChr != ""})
 		if err != nil {
 			fail("%v", err)
 		}
@@ -385,7 +352,7 @@ func main() {
 		return
 	}
 
-	res, err := harness.MeasureObserved(cfg, w, ats[0], bus)
+	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: ats[0]}, bus)
 	writeOutputs()
 	if err != nil {
 		fail("%v", err)

@@ -72,6 +72,10 @@ func TestRejectedInput(t *testing.T) {
 		{"fault phase outside the protocol", append(ring, "-interval", "2", "-protocol", "uncoord", "-faults", "crash:phase=sync")},
 		{"unknown protocol", append(ring, "-protocol", "chandy")},
 		{"group past the job", []string{"-workload", "ring", "-n", "4", "-iters", "20", "-group", "8", "-at", "0.5"}},
+		{"at on a failure run", []string{"-workload", "ring", "-n", "4", "-iters", "40", "-interval", "1", "-faults", "crash@1s", "-at", "30"}},
+		{"v on a failure run", []string{"-workload", "ring", "-n", "4", "-iters", "40", "-interval", "1", "-faults", "crash@1s", "-v"}},
+		{"comm past the job", []string{"-workload", "commgroups", "-n", "4", "-comm", "64"}},
+		{"comm zero", []string{"-workload", "commgroups", "-n", "4", "-comm", "0"}},
 		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
 	}
 	for _, tc := range cases {
@@ -184,6 +188,15 @@ func TestDefaultGroupFitsSmallJobs(t *testing.T) {
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err == nil || stderr.String() != "ckptsim: -group 8 exceeds the job size 4\n" {
 		t.Errorf("explicit -group 8 on 4 ranks: %v, stderr %q", err, stderr.String())
+	}
+}
+
+// TestDefaultCommFitsSmallJobs: the default -comm 8 shrinks to a job of
+// fewer ranks, and the report names the group size that ran.
+func TestDefaultCommFitsSmallJobs(t *testing.T) {
+	out, err := exec.Command(bin, "-workload", "commgroups", "-n", "4", "-iters", "20", "-footprint", "10", "-at", "0.5").CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("workload:              commgroups(n=4,comm=4) (4 ranks)\n")) {
+		t.Errorf("commgroups on 4 ranks with the default -comm: %v\n%s", err, out)
 	}
 }
 

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	figures [-only fig1,fig3,fig4,fig5,fig6,fig7,ablations,extensions,extprotocols,exttiers] [-json] [-workers N]
-//	figures -only extprotocols -protocol group,uncoord
 //	figures -only fig3 -cpuprofile cpu.out -memprofile mem.out
 //
 // Sweep matrices run concurrently on a worker pool bounded by GOMAXPROCS;
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"gbcr/cmd/internal/prof"
-	"gbcr/internal/cr/protocol"
 	"gbcr/internal/figures"
 	"gbcr/internal/obs"
 )
@@ -54,51 +52,24 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit every figure's data series as JSON on stdout")
 	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	metrics := flag.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
-	zoo := figures.ProtocolZoo()
-	names := make([]string, len(zoo))
-	for i, kind := range zoo {
-		names[i] = string(kind)
-	}
-	protoFlag := flag.String("protocol", "", "comma-separated protocol kinds for the extprotocols table (default: all; e.g. "+strings.Join(names, ",")+")")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 	memProf := flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	flag.Parse()
 	if *workers < 0 {
 		fail(fmt.Errorf("-workers must not be negative, got %d", *workers))
 	}
-	kinds := zoo
-	if *protoFlag != "" {
-		kinds = nil
-		for _, s := range strings.Split(*protoFlag, ",") {
-			kind := protocol.Kind(strings.TrimSpace(s))
-			if !slices.Contains(zoo, kind) {
-				fail(fmt.Errorf("unknown protocol %q in -protocol (want %s)", s, strings.Join(names, ", ")))
-			}
-			kinds = append(kinds, kind)
-		}
-	}
 	known := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "ablations", "extensions", "extprotocols", "exttiers"}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, f := range strings.Split(*only, ",") {
 			name := strings.TrimSpace(f)
-			ok := false
-			for _, k := range known {
-				if name == k {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !slices.Contains(known, name) {
 				fail(fmt.Errorf("unknown figure %q in -only (want %s)", name, strings.Join(known, ", ")))
 			}
 			want[name] = true
 		}
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
-	if *protoFlag != "" && !sel("extprotocols") {
-		fail(fmt.Errorf("-protocol only applies to the extprotocols table; add extprotocols to -only"))
-	}
 
 	stop, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -171,9 +142,7 @@ func main() {
 	run("fig7", one(g.Fig7))
 	run("ablations", g.Ablations)
 	run("extensions", g.Extensions)
-	run("extprotocols", one(func() (*figures.Table, error) {
-		return g.ExtensionProtocolsFor(kinds)
-	}))
+	run("extprotocols", one(g.ExtensionProtocols))
 	run("exttiers", one(g.ExtensionTiers))
 
 	if *asJSON {

@@ -40,8 +40,6 @@ func TestRejectedInput(t *testing.T) {
 	}{
 		{"unknown figure", []string{"-only", "fig1,fig2"}},
 		{"negative workers", []string{"-only", "fig1", "-workers", "-1"}},
-		{"unknown protocol", []string{"-only", "extprotocols", "-protocol", "group,chandy"}},
-		{"protocol without extprotocols", []string{"-only", "fig1", "-protocol", "uncoord"}},
 		{"profile in a missing directory", []string{"-only", "fig1", "-cpuprofile", filepath.Join(t.TempDir(), "missing", "c.out")}},
 	}
 	for _, tc := range cases {

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -199,4 +201,60 @@ func TestDocsBudget(t *testing.T) {
 			t.Errorf("%s is %d bytes, over %d", doc.path, fi.Size(), doc.max)
 		}
 	}
+}
+
+// TestExperimentsQuoteFigures holds EXPERIMENTS.md's tables to the binary:
+// every table row whose cells after the label are all numbers (bold marks
+// stripped) must appear as a contiguous run of the numbers in some row of
+// docs/figures.txt, which CI regenerates and diffs.
+func TestExperimentsQuoteFigures(t *testing.T) {
+	exp, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := os.ReadFile("docs/figures.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	numeric := func(s string) bool { _, err := strconv.ParseFloat(s, 64); return err == nil }
+	var runs [][]string // the numbers of each docs/figures.txt row
+	for _, line := range strings.Split(string(figs), "\n") {
+		runs = append(runs, slices.DeleteFunc(strings.Fields(line), func(f string) bool { return !numeric(f) }))
+	}
+	quoted, rows := 0, 0
+	inBody := false // past a table's |---| separator
+	for _, line := range strings.Split(string(exp), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			inBody = false
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, "**", ""), "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if strings.HasPrefix(cells[0], "---") {
+			inBody = true
+			continue
+		}
+		nums := cells[1:]
+		if !inBody || len(nums) == 0 || slices.ContainsFunc(nums, func(s string) bool { return !numeric(s) }) {
+			continue
+		}
+		rows++
+		quoted += len(nums)
+		if !slices.ContainsFunc(runs, func(run []string) bool {
+			for i := 0; i+len(nums) <= len(run); i++ {
+				if slices.Equal(run[i:i+len(nums)], nums) {
+					return true
+				}
+			}
+			return false
+		}) {
+			t.Errorf("EXPERIMENTS.md row %q: %v is not a run of numbers in any docs/figures.txt row", cells[0], nums)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("EXPERIMENTS.md has no all-numeric table row")
+	}
+	t.Logf("%d rows, %d numbers quoted", rows, quoted)
 }

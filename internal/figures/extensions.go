@@ -363,14 +363,12 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 	})
 }
 
-// ProtocolZoo lists the protocol zoo's members, as the cr.Config.Protocol
+// protocolZoo lists the protocol zoo's members, as the cr.Config.Protocol
 // spellings that select them: group-based blocking as the paper runs it
 // (checkpoint group 8), whole-job blocking (the ICPP'06 baseline: the group
 // protocol with one group), and uncoordinated checkpointing, which requires
 // sender-based message logging.
-func ProtocolZoo() []protocol.Kind {
-	return []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated}
-}
+var protocolZoo = []protocol.Kind{protocol.Group, protocol.WholeJob, protocol.Uncoordinated}
 
 // protocolZooConfig builds the micro-cluster configuration for one member of
 // the protocol zoo, and names its row.
@@ -391,15 +389,13 @@ func protocolZooConfig(kind protocol.Kind) (harness.ClusterConfig, string) {
 	return cfg, string(kind)
 }
 
-// ExtensionProtocolsFor compares the protocol zoo end to end on one
+// ExtensionProtocols compares the protocol zoo end to end on one
 // restartable workload: failure-free checkpoint cost, and recovery behaviour
-// under an identical injected crash, for each of the given members of
-// ProtocolZoo (cmd/figures -protocol narrows the run this way). Each
-// kind's overhead is measured against its own faithful baseline — the
+// under an identical injected crash, for each member. Each kind's overhead is measured against its own faithful baseline — the
 // uncoordinated row's baseline already pays for message logging, so its
 // overhead column isolates the checkpointing cost, while ExtensionLogging
 // prices the logging tax itself.
-func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error) {
+func (g *Generator) ExtensionProtocols() (*Table, error) {
 	t := &Table{
 		Title:     "Extension: protocol zoo — failure-free cost and crash recovery (ring, 32 ranks)",
 		Unit:      "(mixed)",
@@ -416,7 +412,7 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 	if err != nil {
 		return nil, fmt.Errorf("figures: protocols extension: %w", err)
 	}
-	for _, kind := range kinds {
+	for _, kind := range protocolZoo {
 		_, label := protocolZooConfig(kind)
 		t.Rows = append(t.Rows, label)
 	}
@@ -425,8 +421,8 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 		"recovery = crash-run wall minus failure-free wall for one crash at 17s (lost work + restart read-back)",
 		"availability = failure-free baseline / crash-run wall; restartable runs use the polled discipline,",
 		"so the blocking rows quiesce all ranks at the poll and their delays track the shared storage write")
-	return g.fill("protocols extension", t, len(kinds), func(i int) error {
-		cfg, _ := protocolZooConfig(kinds[i])
+	return g.fill("protocols extension", t, len(protocolZoo), func(i int) error {
+		cfg, _ := protocolZooConfig(protocolZoo[i])
 		base, err := g.R.Baseline(cfg, w)
 		if err != nil {
 			return err
@@ -436,7 +432,7 @@ func (g *Generator) ExtensionProtocolsFor(kinds []protocol.Kind) (*Table, error)
 			return err
 		}
 		if ff.Checkpoints == 0 {
-			return fmt.Errorf("%s: failure-free run committed no epochs", kinds[i])
+			return fmt.Errorf("%s: failure-free run committed no epochs", protocolZoo[i])
 		}
 		crash, err := harness.RunScenario(cfg, w, crashScn, interval, nil)
 		if err != nil {

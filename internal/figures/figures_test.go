@@ -455,7 +455,7 @@ func TestDynamicFormationRecoversHPLRows(t *testing.T) {
 	cfg := harness.PaperCluster(w.P * w.Q)
 	cfg.CR.GroupSize = 4
 	cfg.CR.Dynamic = true
-	res, err := harness.MeasureObserved(cfg, w, 100*sim.Second, nil)
+	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 100 * sim.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestExtensionAvailability(t *testing.T) {
 // so none of them can hide the 1 GB at 140 MB/s), and a crash at the same
 // instant costs each of them a comparable recovery.
 func TestExtensionProtocols(t *testing.T) {
-	e := mustT(t, func() (*Table, error) { return tg.ExtensionProtocolsFor(ProtocolZoo()) })
+	e := mustT(t, tg.ExtensionProtocols)
 	want := []string{"group(8) blocking", "whole-job blocking", "uncoordinated+logging"}
 	if len(e.Rows) != len(want) {
 		t.Fatalf("rows = %v, want %v", e.Rows, want)

@@ -21,7 +21,7 @@ func Example() {
 		N: 8, CommGroupSize: 2, Iters: 100,
 		Chunk: 100 * sim.Millisecond, FootprintMB: 100,
 	}
-	res, err := harness.MeasureObserved(cfg, w, 2*sim.Second, nil)
+	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: 2 * sim.Second}, nil)
 	if err != nil {
 		fmt.Println("measure failed:", err)
 		return

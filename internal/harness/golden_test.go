@@ -36,7 +36,7 @@ func goldenMeasure(t *testing.T, cfg ClusterConfig, w workload.Workload) (trace,
 	t.Helper()
 	var buf bytes.Buffer
 	js := obs.NewJSONL(&buf)
-	res, err := MeasureObserved(cfg, w, 1*sim.Second, obs.NewBus(js))
+	res, err := NewRunner(1).Measure(Cell{Config: cfg, Workload: w, IssuedAt: 1 * sim.Second}, obs.NewBus(js))
 	if err != nil {
 		t.Fatal(err)
 	}

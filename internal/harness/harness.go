@@ -170,11 +170,6 @@ func (r Result) MaxIndividual() sim.Time { return r.Report.MaxIndividual() }
 // Total is the Total Checkpoint Time.
 func (r Result) Total() sim.Time { return r.Report.Total() }
 
-func (r Result) String() string {
-	return fmt.Sprintf("%s group=%d t=%v: effective=%v individual=%v total=%v",
-		r.Workload, r.GroupSize, r.IssuedAt, r.EffectiveDelay(), r.MaxIndividual(), r.Total())
-}
-
 // Baseline runs the workload with no checkpoint and returns its completion
 // time.
 func Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, error) {
@@ -208,17 +203,4 @@ func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, ba
 	}
 	return Result{Workload: w.Name(), GroupSize: cfg.CR.GroupSize, IssuedAt: issuedAt,
 		Baseline: baseline, WithCkpt: c.Job.FinishTime(), Report: reps[0]}, nil
-}
-
-// MeasureObserved runs baseline and checkpointed executions and reports the
-// delay metrics, with an observability bus attached to the checkpointed run
-// (bus may be nil): events from every layer flow to the bus's sinks and its
-// registry accumulates the run's metrics. The baseline run is not observed,
-// so the exported timeline covers exactly the checkpointed execution.
-func MeasureObserved(cfg ClusterConfig, w workload.Workload, issuedAt sim.Time, bus *obs.Bus) (Result, error) {
-	base, err := Baseline(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	return measureWithBaselineObs(cfg, w, issuedAt, base, bus)
 }

@@ -30,7 +30,6 @@ type Runner struct {
 	// shared: mutex serializes the memo table and aggregate across worker goroutines
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry // guarded by mu
-	hits      int                       // guarded by mu
 	agg       *obs.Aggregate            // guarded by mu
 }
 
@@ -84,9 +83,7 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 	key := BaselineKey(cfg, w)
 	r.mu.Lock()
 	e, ok := r.baselines[key]
-	if ok {
-		r.hits++
-	} else {
+	if !ok {
 		e = &baselineEntry{}
 		r.baselines[key] = e
 	}
@@ -97,7 +94,8 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 
 // Measure runs one checkpointed cell, taking the baseline from the cache,
 // with an optional caller-owned bus attached to the checkpointed run
-// (RunCaptured's per-cell sinks hang off it). With an aggregate installed,
+// (RunCaptured's per-cell sinks hang off it). The baseline run is not
+// observed, so the bus's timeline covers exactly the checkpointed execution. With an aggregate installed,
 // the cell's metrics are merged into it. Cells are independent simulations,
 // so calls from ForEach's workers give the results a serial loop would.
 func (r *Runner) Measure(c Cell, bus *obs.Bus) (Result, error) {

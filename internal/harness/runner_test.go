@@ -84,13 +84,13 @@ func TestRunnerMeasureMatchesSerial(t *testing.T) {
 	}
 }
 
-// cacheStats reads the baseline cache's hits and misses so far. A hit
-// includes waiting on an in-flight computation of the same key; every miss
-// added one entry.
-func cacheStats(r *Runner) (hits, misses int) {
+// cacheStats reads the baseline cache's hits and misses after calls
+// Baseline calls. Every miss added one entry, so every other call was a hit
+// (which includes waiting on an in-flight computation of the same key).
+func cacheStats(r *Runner, calls int) (hits, misses int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hits, len(r.baselines)
+	return calls - len(r.baselines), len(r.baselines)
 }
 
 func TestRunnerWorkersDefault(t *testing.T) {
@@ -122,7 +122,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if first != again {
 		t.Fatalf("cached baseline %v != first %v", again, first)
 	}
-	if hits, misses := cacheStats(r); hits != 1 || misses != 1 {
+	if hits, misses := cacheStats(r, 2); hits != 1 || misses != 1 {
 		t.Fatalf("after identical repeat: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
@@ -134,7 +134,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if _, err := r.Baseline(grouped, w); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cacheStats(r); hits != 2 || misses != 1 {
+	if hits, misses := cacheStats(r, 3); hits != 2 || misses != 1 {
 		t.Fatalf("after CR-only change: hits=%d misses=%d, want 2/1", hits, misses)
 	}
 
@@ -144,7 +144,7 @@ func TestBaselineCacheHits(t *testing.T) {
 	if _, err := r.Baseline(staged, w); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cacheStats(r); hits != 3 || misses != 1 {
+	if hits, misses := cacheStats(r, 4); hits != 3 || misses != 1 {
 		t.Fatalf("after Tiers-only change: hits=%d misses=%d, want 3/1", hits, misses)
 	}
 }
@@ -188,7 +188,7 @@ func TestBaselineCacheMisses(t *testing.T) {
 	if _, err := r.Baseline(base, wSlower); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cacheStats(r); hits != 0 || misses != 2 {
+	if hits, misses := cacheStats(r, 2); hits != 0 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }
@@ -272,7 +272,7 @@ func TestRunnerConcurrentBaselineDedup(t *testing.T) {
 			t.Fatalf("goroutine %d saw baseline %v, others %v", i, ti, times[0])
 		}
 	}
-	if hits, misses := cacheStats(r); misses != 1 || hits != len(times)-1 {
+	if hits, misses := cacheStats(r, len(times)); misses != 1 || hits != len(times)-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", hits, misses, len(times)-1)
 	}
 }

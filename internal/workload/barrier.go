@@ -16,7 +16,7 @@ import (
 // Checkpoint Time.
 type BarrierPhases struct {
 	N             int
-	CommGroupSize int
+	CommGroupSize int      // communication group size, 1..N
 	Chunk         sim.Time // computation per iteration
 	BarrierEvery  sim.Time // accumulated compute between global barriers
 	Phases        int      // number of barrier-terminated phases
@@ -33,6 +33,9 @@ func (w BarrierPhases) Name() string {
 func (w BarrierPhases) Launch(j *mpi.Job) (Instance, error) {
 	if err := checkSize("barrier", w.N, j); err != nil {
 		return nil, err
+	}
+	if w.CommGroupSize < 1 || w.CommGroupSize > w.N {
+		return nil, fmt.Errorf("workload: barrier: communication group size %d is outside 1..N=%d", w.CommGroupSize, w.N)
 	}
 	msg := int64(w.MsgBytes)
 	if msg <= 0 {

@@ -14,7 +14,7 @@ import (
 // communication group. Group size 1 is the embarrassingly parallel case.
 type CommGroups struct {
 	N             int      // total ranks
-	CommGroupSize int      // communication group size (16/8/4/2/1 in Fig. 3)
+	CommGroupSize int      // communication group size, 1..N (16/8/4/2/1 in Fig. 3)
 	Iters         int      // iterations to run
 	Chunk         sim.Time // computation per iteration
 	MsgBytes      int      // exchange payload (eager-sized by default)
@@ -30,6 +30,9 @@ func (w CommGroups) Name() string {
 func (w CommGroups) Launch(j *mpi.Job) (Instance, error) {
 	if err := checkSize("commgroups", w.N, j); err != nil {
 		return nil, err
+	}
+	if w.CommGroupSize < 1 || w.CommGroupSize > w.N {
+		return nil, fmt.Errorf("workload: commgroups: communication group size %d is outside 1..N=%d", w.CommGroupSize, w.N)
 	}
 	msg := int64(w.MsgBytes)
 	if msg <= 0 {

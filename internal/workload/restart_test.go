@@ -159,8 +159,8 @@ func TestRestoreMidRun(t *testing.T) {
 }
 
 // TestLaunchRejectsSizeMismatch: a workload whose rank count is not the
-// job's, or a relaunch with one state too few, is an error, not a panic or
-// a deadlock.
+// job's, a communication group outside the job, or a relaunch with one state
+// too few, is an error, not a panic or a deadlock.
 func TestLaunchRejectsSizeMismatch(t *testing.T) {
 	mine := restartRows(4)[3].w
 	cases := []struct {
@@ -174,6 +174,10 @@ func TestLaunchRejectsSizeMismatch(t *testing.T) {
 		{"stencil", workload.Stencil{N: 5, Cells: 2, Iters: 2}, "does not match N=5"},
 		{"commgroups", workload.CommGroups{N: 5, CommGroupSize: 2, Iters: 2}, "does not match N=5"},
 		{"barrier", workload.BarrierPhases{N: 5, CommGroupSize: 2, Chunk: 1, BarrierEvery: 1, Phases: 1}, "does not match N=5"},
+		{"commgroups group zero", workload.CommGroups{N: 4, CommGroupSize: 0, Iters: 2}, "size 0 is outside 1..N=4"},
+		{"commgroups group past the job", workload.CommGroups{N: 4, CommGroupSize: 5, Iters: 2}, "size 5 is outside 1..N=4"},
+		{"barrier group zero", workload.BarrierPhases{N: 4, CommGroupSize: 0, Chunk: 1, BarrierEvery: 1, Phases: 1}, "size 0 is outside 1..N=4"},
+		{"barrier group past the job", workload.BarrierPhases{N: 4, CommGroupSize: 5, Chunk: 1, BarrierEvery: 1, Phases: 1}, "size 5 is outside 1..N=4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@
 //
 // Invalid flags, a flag the run does not read, and failed runs exit with
 // status 1 and a one-line message; a failed run still writes the trace and
-// metrics files it was asked for.
+// metrics files it was asked for, unless it failed before recording anything.
 package main
 
 import (
@@ -123,7 +123,7 @@ func main() {
 		interval  = flag.Float64("interval", 0, "periodic checkpoint interval in seconds (with -mtbf or -faults)")
 		seed      = flag.Int64("seed", 1, "failure-injection seed (with -mtbf or -faults)")
 		faults    = flag.String("faults", "", "fault scenario: a spec like 'crash@12s;outage@20s+5s;mtbf=90s' or a file holding one")
-		storeMode = flag.String("storage", "central", "checkpoint storage: central, burst, ram, hierarchy, local (node-local disk staging)")
+		storeMode = flag.String("storage", "central", "checkpoint storage: "+tier.ModeNames("")+" (node-local disk staging)")
 		replicas  = flag.Int("replicas", 0, "RAM-tier partner replicas per rank (with -storage ram or hierarchy; 0 = default 2)")
 		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
@@ -142,7 +142,7 @@ func main() {
 	}
 	mode := tier.Mode(*storeMode)
 	if !mode.Valid() {
-		fail("unknown -storage %q (want central, burst, ram, hierarchy, or local)", *storeMode)
+		fail("unknown -storage %q (want %s)", *storeMode, tier.ModeNames("or"))
 	}
 	wi := slices.Index(names, *name)
 	if wi < 0 {
@@ -174,7 +174,7 @@ func main() {
 		{"group", kind == protocol.Group, fmt.Sprintf("only applies to -protocol group; %s fixes the group structure", kind)},
 		{"dynamic", kind == protocol.Group, fmt.Sprintf("only applies to -protocol group; %s does not form groups", kind)},
 		{"helper", kind != protocol.Uncoordinated, "does not apply to -protocol uncoord; there is no passive-coordination state to bound"},
-		{"replicas", mode.HasRAM(), fmt.Sprintf("only applies to -storage ram or hierarchy; %s has no RAM replication tier", mode)},
+		{"replicas", mode.Has(tier.RAM), fmt.Sprintf("only applies to -storage ram or hierarchy; %s has no RAM replication tier", mode)},
 		{"n", slices.Contains(wl.reads, "n"), reads},
 		{"comm", slices.Contains(wl.reads, "comm"), reads},
 		{"footprint", slices.Contains(wl.reads, "footprint"), reads},
@@ -280,7 +280,14 @@ func main() {
 			bus.AddSink(chrome)
 		}
 	}
-	writeOutputs := func() {
+	// writeOutputs writes the exports after a run, also a failed one, whose
+	// timeline is the one worth reading. A run that failed having recorded
+	// nothing — input the workload rejects at launch — writes no file, as a
+	// flag ckptsim rejects itself writes none.
+	writeOutputs := func(err error) {
+		if err != nil && len(bus.Metrics().Snapshot().Counters) == 0 {
+			return
+		}
 		export(*traceJSON, func(w io.Writer) error {
 			if jsonl.Err() != nil {
 				return jsonl.Err()
@@ -312,7 +319,7 @@ func main() {
 			iv = scn.MTBF / 4
 		}
 		fr, err := harness.RunScenario(cfg, rw, scn, iv, bus)
-		writeOutputs() // a failed run's timeline is the one worth reading
+		writeOutputs(err)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -353,7 +360,7 @@ func main() {
 	}
 
 	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: ats[0]}, bus)
-	writeOutputs()
+	writeOutputs(err)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -458,7 +465,7 @@ func header(w workload.Workload, cfg harness.ClusterConfig) {
 	fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), cfg.N)
 	fmt.Printf("protocol:              %s\n", protocolName(cfg.CR.Protocol, cfg.CR.GroupSize, cfg.N, cfg.CR.Dynamic))
 	switch mode := cfg.Tiers.Mode; {
-	case mode.HasRAM():
+	case mode.Has(tier.RAM):
 		fmt.Printf("storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
 	case mode.Tiered():
 		fmt.Printf("storage:               %s\n", mode)

@@ -36,6 +36,9 @@ func TestMain(m *testing.M) {
 // never a panic, a stack overflow, or a run that reports garbage.
 func TestRejectedInput(t *testing.T) {
 	ring := []string{"-workload", "ring", "-n", "8", "-iters", "50"}
+	out := t.TempDir() // no rejected run may leave a file here
+	exports := []string{"-trace-json", filepath.Join(out, "t.jsonl"),
+		"-trace-chrome", filepath.Join(out, "t.json"), "-metrics-json", filepath.Join(out, "m.json")}
 	cases := []struct {
 		name string
 		args []string
@@ -74,7 +77,7 @@ func TestRejectedInput(t *testing.T) {
 		{"group past the job", []string{"-workload", "ring", "-n", "4", "-iters", "20", "-group", "8", "-at", "0.5"}},
 		{"at on a failure run", []string{"-workload", "ring", "-n", "4", "-iters", "40", "-interval", "1", "-faults", "crash@1s", "-at", "30"}},
 		{"v on a failure run", []string{"-workload", "ring", "-n", "4", "-iters", "40", "-interval", "1", "-faults", "crash@1s", "-v"}},
-		{"comm past the job", []string{"-workload", "commgroups", "-n", "4", "-comm", "64"}},
+		{"comm past the job", append([]string{"-workload", "commgroups", "-n", "4", "-comm", "64"}, exports...)},
 		{"comm zero", []string{"-workload", "commgroups", "-n", "4", "-comm", "0"}},
 		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
 	}
@@ -94,6 +97,9 @@ func TestRejectedInput(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("rejected run wrote to stdout: %q", stdout.String())
+			}
+			if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
+				t.Errorf("rejected run left files %v (%v)", files, err)
 			}
 		})
 	}

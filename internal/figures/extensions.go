@@ -314,7 +314,7 @@ func (g *Generator) ExtensionTiers() (*Table, error) {
 	modes := []tier.Mode{tier.ModeCentral, tier.ModeBurst, tier.ModeRAM, tier.ModeHierarchy}
 	for _, mode := range modes {
 		label := string(mode)
-		if mode.HasRAM() {
+		if mode.Has(tier.RAM) {
 			label = fmt.Sprintf("%s (k=%d)", mode, tierZooConfig(mode).Tiers.ReplicaCount())
 		}
 		t.Rows = append(t.Rows, label)

@@ -577,7 +577,7 @@ func randomCells(t *testing.T, tiered bool) {
 				cfg.MPI.LogMessages = true
 			}
 			cfg.Tiers.Mode = mode
-			if mode.HasRAM() {
+			if mode.Has(tier.RAM) {
 				cfg.Tiers.Replicas = rng.Intn(min(2, n-1)) + 1
 			}
 			w := workload.Ring{N: n, Iters: rng.Intn(60) + 100,

@@ -78,7 +78,7 @@ func RunScenario(cfg ClusterConfig, w workload.Restartable, scn fault.Scenario,
 	switch {
 	case interval <= 0:
 		err = fmt.Errorf("harness: checkpoint interval must be positive, got %v", interval)
-	case err == nil && scn.HasKind(fault.BurstBufferOutage) && !cfg.Tiers.Mode.HasBurst():
+	case err == nil && scn.HasKind(fault.BurstBufferOutage) && !cfg.Tiers.Mode.Has(tier.Burst):
 		err = fmt.Errorf("harness: scenario injects a burst-buffer outage but storage mode %q has no burst tier", cfg.Tiers.Mode)
 	}
 	if err != nil {

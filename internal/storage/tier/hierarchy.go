@@ -3,6 +3,7 @@ package tier
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gbcr/internal/blcr"
 	"gbcr/internal/obs"
@@ -34,20 +35,10 @@ type Hierarchy struct {
 	k     *sim.Kernel
 	bus   *obs.Bus
 	arch  *blcr.Store
-	tiers []Tier
-	names []tierNames // parallel to tiers when tiered, else nil
+	tiers []tier // fastest-first, the last one cold
 	n     int
 
 	cold []coldMark // indexed by epoch: progress toward the cold tier
-}
-
-// tierNames are one tier's counter names and the label of the drain into it,
-// built with a tiered stack so no write, drain or recovery concatenates a
-// string. A one-level stack counts and labels nothing (tiered) and builds
-// none.
-type tierNames struct {
-	writes, recovers, drains string
-	drainIn                  string // "<tier above>-><this tier>"; empty for the first
 }
 
 // coldMark counts the ranks whose image of one epoch has reached the cold
@@ -69,35 +60,21 @@ func NewHierarchy(k *sim.Kernel, cfg Config, n int, central *storage.System, lin
 	if central == nil {
 		return nil, fmt.Errorf("tier: nil central storage system")
 	}
-	h := &Hierarchy{k: k, n: n}
-	for _, level := range cfg.Mode.Levels() {
-		var t Tier
-		var err error
-		switch level {
-		case RAM:
-			t, err = newNodeTier(h, k, n, RAM, cfg.ReplicaCount(), cfg.ReplicaCount(), linkBW)
-		case Local:
-			t, err = newNodeTier(h, k, n, Local, 0, 1, localDiskBW)
-		case Burst:
-			t, err = newBurstTier(h, k)
-		case Central:
-			t = &centralTier{h: h, sys: central}
-		}
+	levels := cfg.Mode.Levels()
+	h := &Hierarchy{k: k, n: n, tiers: make([]tier, len(levels))}
+	for i, level := range levels {
+		t, err := newTier(k, level, n, cfg.ReplicaCount(), central, linkBW)
 		if err != nil {
 			return nil, err
 		}
-		h.tiers = append(h.tiers, t)
-	}
-	if h.tiered() {
-		h.names = make([]tierNames, len(h.tiers))
-		for i, t := range h.tiers {
-			level := string(t.Level())
-			h.names[i] = tierNames{writes: "tier_writes_" + level,
-				recovers: "tier_recover_" + level, drains: "tier_drains_" + level}
+		if len(levels) > 1 {
+			name := string(level)
+			t.writes, t.recovers, t.drains = "tier_writes_"+name, "tier_recover_"+name, "tier_drains_"+name
 			if i > 0 {
-				h.names[i].drainIn = string(h.tiers[i-1].Level()) + "->" + level
+				t.drainIn = string(levels[i-1]) + "->" + name
 			}
 		}
+		h.tiers[i] = t
 	}
 	return h, nil
 }
@@ -119,8 +96,8 @@ func (h *Hierarchy) tiered() bool { return len(h.tiers) > 1 }
 // (availability windows), or nil when the mode has no burst tier.
 func (h *Hierarchy) BurstSystem() *storage.System {
 	for _, t := range h.tiers {
-		if bt, ok := t.(*burstTier); ok {
-			return bt.sys
+		if t.level == Burst {
+			return t.sys
 		}
 	}
 	return nil
@@ -136,22 +113,22 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 	if h.arch == nil {
 		return nil, fmt.Errorf("tier: write before Bind")
 	}
-	for i, t := range h.tiers {
-		tr, err := t.StartWrite(epoch, rank, size)
+	for i := range h.tiers {
+		tr, err := h.startWrite(&h.tiers[i], size)
 		if err != nil {
 			if errors.Is(err, ErrFull) && i+1 < len(h.tiers) {
-				h.noteSpill(t.Level(), h.tiers[i+1].Level(), epoch, rank, size)
+				h.noteSpill(h.tiers[i].level, h.tiers[i+1].level, epoch, rank, size)
 				continue
 			}
 			return nil, err
 		}
-		// One callback a write: the tier settles the transfer first, then
+		// One callback a write: the level settles the transfer first, then
 		// the hierarchy acknowledges it. Capturing int32s keeps the closure
 		// in the 48-byte size class, where ints would make it 64.
 		e, r, idx := int32(epoch), int32(rank), int32(i)
 		tr.OnDone(func() {
 			ok := tr.Err() == nil
-			h.tiers[idx].landed(int(e), int(r), size, ok)
+			h.landed(int(idx), int(e), int(r), size, ok)
 			if ok {
 				h.ack(int(idx), int(e), int(r), size)
 			}
@@ -165,11 +142,10 @@ func (h *Hierarchy) StartWrite(epoch, rank int, size int64) (*storage.Transfer, 
 // ack runs when the image is durable at tier idx: it announces the
 // acknowledgement and schedules the drain toward the cold tier.
 func (h *Hierarchy) ack(idx, epoch, rank int, size int64) {
-	if h.tiered() {
-		level := h.tiers[idx].Level()
-		h.bus.Metrics().Counter(obs.LayerStorage, h.names[idx].writes).Inc()
+	if t := &h.tiers[idx]; h.tiered() {
+		h.bus.Metrics().Counter(obs.LayerStorage, t.writes).Inc()
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-			Type: obs.Instant, What: obs.KindTierWrite, Detail: string(level), Arg: size})
+			Type: obs.Instant, What: obs.KindTierWrite, Detail: string(t.level), Arg: size})
 	}
 	h.drainNext(idx, epoch, rank, size, 0)
 }
@@ -193,23 +169,23 @@ func (h *Hierarchy) ReadBack(at sim.Time, snaps []*blcr.Snapshot) (sim.Time, []L
 			continue
 		}
 		i := 0
-		for i < len(h.tiers) && h.arch.TierCopies(s.Epoch, rank, string(h.tiers[i].Level())) == 0 {
+		for i < len(h.tiers) && h.arch.TierCopies(s.Epoch, rank, string(h.tiers[i].level)) == 0 {
 			i++
 		}
 		if i == len(h.tiers) {
 			return 0, nil, fmt.Errorf("tier: restart line holds rank %d's epoch %d, which has no copy at any tier", rank, s.Epoch)
 		}
-		t, size := h.tiers[i], s.Size()
-		if _, ok := t.(*nodeTier); ok {
+		t, size := &h.tiers[i], s.Size()
+		if t.node {
 			node = max(node, t.readTime(size))
 		} else {
 			shared += t.readTime(size)
 		}
-		levels[rank] = t.Level()
+		levels[rank] = t.level
 		if h.tiered() {
 			h.bus.Emit(obs.Event{At: at, Rank: rank, Layer: obs.LayerStorage,
 				Type: obs.Instant, What: obs.KindTierRecover, Detail: string(levels[rank]), Arg: size})
-			h.bus.Metrics().Counter(obs.LayerStorage, h.names[i].recovers).Inc()
+			h.bus.Metrics().Counter(obs.LayerStorage, t.recovers).Inc()
 		}
 	}
 	return shared + node, levels, nil
@@ -224,28 +200,28 @@ func (h *Hierarchy) drainNext(from, epoch, rank int, size int64, tries int) {
 	if next >= len(h.tiers) {
 		return
 	}
-	tr, err := h.tiers[next].StartWrite(epoch, rank, size)
+	t := &h.tiers[next]
+	tr, err := h.startWrite(t, size)
 	if err != nil {
 		if errors.Is(err, ErrFull) && next+1 < len(h.tiers) {
-			h.noteSpill(h.tiers[next].Level(), h.tiers[next+1].Level(), epoch, rank, size)
+			h.noteSpill(t.level, h.tiers[next+1].level, epoch, rank, size)
 			h.drainNext(next, epoch, rank, size, 0)
 			return
 		}
 		h.retryDrain(from, epoch, rank, size, tries, err)
 		return
 	}
-	names := &h.names[next]
 	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Begin, What: obs.KindTierDrain, Detail: names.drainIn, Arg: size})
+		Type: obs.Begin, What: obs.KindTierDrain, Detail: t.drainIn, Arg: size})
 	tr.OnDone(func() {
-		h.tiers[next].landed(epoch, rank, size, tr.Err() == nil)
+		h.landed(next, epoch, rank, size, tr.Err() == nil)
 		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-			Type: obs.End, What: obs.KindTierDrain, Detail: names.drainIn, Arg: size})
+			Type: obs.End, What: obs.KindTierDrain, Detail: t.drainIn, Arg: size})
 		if err := tr.Err(); err != nil {
 			h.retryDrain(from, epoch, rank, size, tries, err)
 			return
 		}
-		h.bus.Metrics().Counter(obs.LayerStorage, names.drains).Inc()
+		h.bus.Metrics().Counter(obs.LayerStorage, t.drains).Inc()
 		h.bus.Metrics().Counter(obs.LayerStorage, "tier_drain_bytes").Add(size)
 		h.drainNext(next, epoch, rank, size, 0)
 	})
@@ -267,8 +243,72 @@ func (h *Hierarchy) retryDrain(from, epoch, rank int, size int64, tries int, cau
 	h.k.After(delay, func() { h.drainNext(from, epoch, rank, size, tries) })
 }
 
+// startWrite begins storing an image of size bytes at level t and returns the
+// in-flight transfer. A bounded level first evicts its oldest images that
+// have a central copy to make room, and declines with an error wrapping
+// ErrFull when none is left.
+func (h *Hierarchy) startWrite(t *tier, size int64) (*storage.Transfer, error) {
+	for t.capacity > 0 && t.used+size > t.capacity {
+		i := slices.IndexFunc(t.resident, func(e stored) bool {
+			return h.arch.TierCopies(e.epoch, e.rank, string(Central)) > 0
+		})
+		if i < 0 {
+			return nil, fmt.Errorf("tier: %s holds %d of %d bytes, nothing evictable: %w",
+				t.level, t.used, t.capacity, ErrFull)
+		}
+		e := t.resident[i]
+		h.arch.DropTierCopies(e.epoch, e.rank, string(t.level))
+		t.used -= e.size
+		t.resident = slices.Delete(t.resident, i, i+1)
+		h.bus.Metrics().Counter(obs.LayerStorage, "tier_evictions").Inc()
+		h.bus.Emit(obs.Event{At: h.k.Now(), Rank: e.rank, Layer: obs.LayerStorage,
+			Type: obs.Instant, What: obs.KindTierEvict,
+			Detail: fmt.Sprintf("epoch %d drained, releasing buffer space", e.epoch), Arg: e.size})
+	}
+	tr, err := t.sys.Start(int64(t.wire) * size)
+	if err != nil {
+		return nil, err
+	}
+	if t.capacity > 0 {
+		t.used += size
+	}
+	return tr, nil
+}
+
+// landed settles a transfer startWrite returned for level i, once it has
+// ended and before anything else learns so: on success (ok) it records the
+// copies and on failure releases the reservation. A node-resident level
+// places its copies on the ring and releases the rank's older epochs there;
+// a first arrival at the last level counts toward the epoch going cold.
+func (h *Hierarchy) landed(i, epoch, rank int, size int64, ok bool) {
+	t, level := &h.tiers[i], string(h.tiers[i].level)
+	switch {
+	case !ok:
+		if t.capacity > 0 {
+			t.used -= size
+		}
+		return
+	case t.node:
+		for c := 0; c < t.copies; c++ {
+			h.arch.AddReplica(epoch, rank, level, (rank+c)%h.n)
+		}
+		// Double-buffer release: the freshly durable image supersedes the
+		// rank's older copies at this level.
+		for e := epoch - 1; e >= 1; e-- {
+			h.arch.DropTierCopies(e, rank, level)
+		}
+		return
+	case i == len(h.tiers)-1 && h.arch.TierCopies(epoch, rank, level) == 0:
+		h.noteCold(epoch)
+	}
+	h.arch.AddReplica(epoch, rank, level, -1)
+	if t.capacity > 0 {
+		t.resident = append(t.resident, stored{epoch: epoch, rank: rank, size: size})
+	}
+}
+
 // noteCold records that one more rank's image of epoch reached the cold tier
-// (called by the central tier on a first arrival).
+// (on its first arrival there).
 func (h *Hierarchy) noteCold(epoch int) {
 	if epoch >= len(h.cold) {
 		h.cold = append(h.cold, make([]coldMark, epoch+1-len(h.cold))...)
@@ -297,14 +337,6 @@ func (h *Hierarchy) noteSpill(from, to Level, epoch, rank int, size int64) {
 		Detail: fmt.Sprintf("%s full, writing through to %s (epoch %d)", from, to, epoch), Arg: size})
 }
 
-// noteEvict records a burst-buffer eviction (called by the burst tier).
-func (h *Hierarchy) noteEvict(epoch, rank int, size int64) {
-	h.bus.Metrics().Counter(obs.LayerStorage, "tier_evictions").Inc()
-	h.bus.Emit(obs.Event{At: h.k.Now(), Rank: rank, Layer: obs.LayerStorage,
-		Type: obs.Instant, What: obs.KindTierEvict,
-		Detail: fmt.Sprintf("epoch %d drained, releasing buffer space", epoch), Arg: size})
-}
-
 // CheckCommit verifies an epoch's replication degree before the coordinator
 // commits it: every rank must hold a full copy set at some tier — k partner
 // replicas plus the self copy for RAM, one copy for the local disk and the
@@ -318,11 +350,7 @@ func (h *Hierarchy) CheckCommit(epoch int) error {
 	for rank := 0; rank < h.n; rank++ {
 		ok := false
 		for _, t := range h.tiers {
-			need := 1
-			if nt, ok := t.(*nodeTier); ok {
-				need = nt.partners + 1
-			}
-			if h.arch.TierCopies(epoch, rank, string(t.Level())) >= need {
+			if h.arch.TierCopies(epoch, rank, string(t.level)) >= t.copies {
 				ok = true
 				break
 			}

@@ -12,19 +12,15 @@
 // foreground checkpoint traffic. On restart the blcr residency ledger is
 // searched fastest-first, so recovery reads come from RAM partner replicas
 // when they survived the failure and fall through to the burst buffer and
-// central storage when they did not.
-//
-// Every tier reuses the fluid-flow rate model of the storage package: the
-// node-resident tiers (RAM, local disk) are a storage.System whose per-client
-// cap is the fabric link or disk bandwidth, the burst tier is a storage.System
-// with the buffer appliance's aggregate and per-client rates, and the cold
-// tier is the cluster's shared central System itself, so drains are visible
-// in its schedules.
+// central storage when they did not. Every tier is a storage.System of the
+// storage package's fluid-flow rate model.
 package tier
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"gbcr/internal/sim"
 	"gbcr/internal/storage"
@@ -70,37 +66,65 @@ const (
 	ModeLocal Mode = "local"
 )
 
-// stacks lists each mode's tiers fastest-first. Every stack ends at Central.
-var stacks = map[Mode][]Level{
-	"":            {Central},
-	ModeCentral:   {Central},
-	ModeBurst:     {Burst, Central},
-	ModeRAM:       {RAM, Central},
-	ModeHierarchy: {RAM, Burst, Central},
-	ModeLocal:     {Local, Central},
+// stacks is the one list of modes: each mode's tiers fastest-first, in the
+// order messages name the modes. Every stack ends at Central.
+var stacks = []struct {
+	mode   Mode
+	levels []Level
+}{
+	{ModeCentral, []Level{Central}},
+	{ModeBurst, []Level{Burst, Central}},
+	{ModeRAM, []Level{RAM, Central}},
+	{ModeHierarchy, []Level{RAM, Burst, Central}},
+	{ModeLocal, []Level{Local, Central}},
+}
+
+// stack returns the mode's tiers, or nil for an unknown mode; the zero value
+// is ModeCentral.
+func (m Mode) stack() []Level {
+	if m == "" {
+		m = ModeCentral
+	}
+	for _, s := range stacks {
+		if s.mode == m {
+			return s.levels
+		}
+	}
+	return nil
 }
 
 // Valid reports whether the mode is one of the known values (including the
 // zero value, central).
-func (m Mode) Valid() bool { return stacks[m] != nil }
+func (m Mode) Valid() bool { return m.stack() != nil }
 
 // Tiered reports whether the mode stacks more than one level, so that
 // writes acknowledge above central storage and drain down to it.
-func (m Mode) Tiered() bool { return len(stacks[m]) > 1 }
+func (m Mode) Tiered() bool { return len(m.stack()) > 1 }
 
-// HasRAM reports whether the mode includes the RAM replication tier.
-func (m Mode) HasRAM() bool { return m == ModeRAM || m == ModeHierarchy }
-
-// HasBurst reports whether the mode includes the burst-buffer tier.
-func (m Mode) HasBurst() bool { return m == ModeBurst || m == ModeHierarchy }
+// Has reports whether the mode's stack includes level; an unknown mode has
+// none.
+func (m Mode) Has(level Level) bool { return slices.Contains(m.stack(), level) }
 
 // Levels returns the mode's tiers fastest-first; an unknown mode has only
 // the cold tier. Callers must not modify the result.
 func (m Mode) Levels() []Level {
-	if s := stacks[m]; s != nil {
+	if s := m.stack(); s != nil {
 		return s
 	}
-	return stacks[ModeCentral]
+	return stacks[0].levels
+}
+
+// ModeNames lists the known modes in table order, comma-separated, with conj
+// (such as "or") before the last one unless conj is empty.
+func ModeNames(conj string) string {
+	names := make([]string, len(stacks))
+	for i, s := range stacks {
+		names[i] = string(s.mode)
+	}
+	if conj != "" {
+		names[len(names)-1] = conj + " " + names[len(names)-1]
+	}
+	return strings.Join(names, ", ")
 }
 
 // Config parameterizes a hierarchy. All fields are scalars so the struct
@@ -152,35 +176,101 @@ func (c Config) ReplicaCount() int {
 // Validate checks the configuration against a job of n ranks.
 func (c Config) Validate(n int) error {
 	if !c.Mode.Valid() {
-		return fmt.Errorf("tier: unknown storage mode %q (want central, burst, ram, hierarchy, or local)", c.Mode)
+		return fmt.Errorf("tier: unknown storage mode %q (want %s)", c.Mode, ModeNames("or"))
 	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("tier: replicas must be >= 0, got %d", c.Replicas)
 	}
-	if c.Mode.HasRAM() && c.ReplicaCount() >= n {
+	if c.Mode.Has(RAM) && c.ReplicaCount() >= n {
 		return fmt.Errorf("tier: %d RAM replicas need at least %d distinct partner nodes, job has only %d ranks",
 			c.ReplicaCount(), c.ReplicaCount()+1, n)
 	}
 	return nil
 }
 
-// Tier is one level of the checkpoint storage hierarchy.
-type Tier interface {
-	// Level names the tier; it doubles as the residency-tier string in the
-	// blcr ledger.
-	Level() Level
-	// StartWrite begins storing (epoch, rank)'s image of size bytes and
-	// returns the in-flight transfer. A non-nil error means the tier
-	// declined synchronously — an error wrapping ErrFull when nothing
-	// evictable remains. Event context.
-	StartWrite(epoch, rank int, size int64) (*storage.Transfer, error)
-	// landed settles a transfer StartWrite returned, once it has ended: on
-	// success (ok) the tier records residency, on failure it releases what
-	// it reserved. The hierarchy calls it before anything else learns the
-	// write ended.
-	landed(epoch, rank int, size int64, ok bool)
-	// readTime estimates one image's restart read-back from this tier: one
-	// reader's share of a shared tier, one link or disk of a node-resident
-	// one (Hierarchy.ReadBack sums the first and takes the max of the second).
-	readTime(size int64) sim.Time
+// tier is one level of the hierarchy. The levels differ only in data — a
+// rate model, the copies one write places, whether those copies live on
+// compute nodes, a capacity — so newTier builds every level and the
+// Hierarchy reads these fields, never a level's type:
+//
+//   - Central, the cold tier, is the cluster's shared storage System itself,
+//     not a copy, so drains share one fluid-flow schedule with foreground
+//     writes and restart reads: the background-drain interference the
+//     hierarchy exists to model. Alone, it is the one-level stack.
+//   - RAM is partner-replicated node memory: a rank's image stays in its own
+//     memory and goes to k partners on a placement ring (ranks r+1 … r+k mod
+//     N), so any k concurrent node losses leave a copy. The k copies leave
+//     through the writer's one fabric link, one transfer of k×size bytes;
+//     ranks replicate in parallel on disjoint links (AggregateBW = N×link).
+//   - Local is the Section 2.1 staging disk: one unreplicated copy on the
+//     rank's own disk, every node writing in parallel at the disk's rate.
+//   - Burst is the shared burst-buffer appliance, with its own fair-shared
+//     rate model and bounded capacity.
+//
+// A node-resident level is double-buffered: once epoch e's copy set is
+// durable, the rank's older copies there are released (Hierarchy.landed). A
+// bounded level reserves capacity as it accepts a write, so concurrent
+// writers cannot oversubscribe it, and returns it when the write fails or
+// the image is evicted (Hierarchy.startWrite).
+type tier struct {
+	level    Level
+	sys      *storage.System
+	copies   int      // copies one write places: k+1 for RAM, 1 otherwise
+	wire     int      // image sizes one write moves
+	node     bool     // copies live on compute nodes and vanish with them
+	capacity int64    // bytes; 0 is unbounded
+	used     int64    // bytes reserved at a bounded level
+	resident []stored // a bounded level's images, in arrival order
+
+	// The level's counter names and the label of the drain into it
+	// ("<level above>-><level>"), built with a tiered stack so no write,
+	// drain or recovery concatenates a string. A one-level stack counts
+	// and labels nothing (Hierarchy.tiered) and leaves them empty.
+	writes, recovers, drains, drainIn string
+}
+
+// stored is one image resident at a bounded level.
+type stored struct {
+	epoch, rank int
+	size        int64
+}
+
+// newTier builds level for an n-rank job whose RAM level keeps replicas
+// partner copies; central is the cluster's shared System and linkBW the
+// fabric link bandwidth.
+func newTier(k *sim.Kernel, level Level, n, replicas int, central *storage.System, linkBW float64) (tier, error) {
+	t := tier{level: level, sys: central, copies: 1, wire: 1}
+	var cfg storage.Config
+	switch level {
+	case Central:
+		return t, nil
+	case RAM:
+		t.copies, t.wire, t.node = replicas+1, replicas, true
+		cfg = storage.Config{AggregateBW: linkBW * float64(n), ClientBW: linkBW}
+	case Local:
+		t.node = true
+		cfg = storage.Config{AggregateBW: localDiskBW * float64(n), ClientBW: localDiskBW}
+	case Burst:
+		t.capacity = burstCapacity
+		cfg = storage.Config{AggregateBW: burstAggBW, ClientBW: burstClientBW, OpenLatency: burstOpenLatency}
+	}
+	sys, err := storage.New(k, cfg)
+	if err != nil {
+		return tier{}, fmt.Errorf("tier: %s tier: %w", level, err)
+	}
+	t.sys = sys
+	return t, nil
+}
+
+// readTime estimates one image's restart read-back from this level: one link
+// hop from the nearest surviving replica or one read of the node's own disk
+// for a node-resident level, whose concurrent recoveries use distinct links
+// and disks; one reader's share of the aggregate rate for a shared one.
+// Hierarchy.ReadBack takes the max of the first and sums the second.
+func (t *tier) readTime(size int64) sim.Time {
+	bw := t.sys.Config().AggregateBW
+	if t.node {
+		bw = t.sys.Config().ClientBW
+	}
+	return sim.Seconds(float64(size) / bw)
 }

@@ -100,22 +100,26 @@ func (r *rig) readBack(t testing.TB, epoch int, size int64, ranks ...int) []Leve
 
 func TestModePredicates(t *testing.T) {
 	for _, tc := range []struct {
-		mode                            Mode
-		valid, tiered, hasRAM, hasBurst bool
-		levels                          int
+		mode          Mode
+		valid, tiered bool
+		has           []Level // the levels Has reports, of all four
+		levels        int
 	}{
-		{"", true, false, false, false, 1},
-		{ModeCentral, true, false, false, false, 1},
-		{ModeBurst, true, true, false, true, 2},
-		{ModeRAM, true, true, true, false, 2},
-		{ModeHierarchy, true, true, true, true, 3},
-		{ModeLocal, true, true, false, false, 2},
-		{"bogus", false, false, false, false, 1},
+		{"", true, false, []Level{Central}, 1},
+		{ModeCentral, true, false, []Level{Central}, 1},
+		{ModeBurst, true, true, []Level{Burst, Central}, 2},
+		{ModeRAM, true, true, []Level{RAM, Central}, 2},
+		{ModeHierarchy, true, true, []Level{RAM, Burst, Central}, 3},
+		{ModeLocal, true, true, []Level{Local, Central}, 2},
+		{"bogus", false, false, nil, 1},
 	} {
-		if tc.mode.Valid() != tc.valid || tc.mode.Tiered() != tc.tiered ||
-			tc.mode.HasRAM() != tc.hasRAM || tc.mode.HasBurst() != tc.hasBurst {
-			t.Errorf("mode %q predicates: valid=%v tiered=%v ram=%v burst=%v",
-				tc.mode, tc.mode.Valid(), tc.mode.Tiered(), tc.mode.HasRAM(), tc.mode.HasBurst())
+		if tc.mode.Valid() != tc.valid || tc.mode.Tiered() != tc.tiered {
+			t.Errorf("mode %q predicates: valid=%v tiered=%v", tc.mode, tc.mode.Valid(), tc.mode.Tiered())
+		}
+		for _, level := range []Level{RAM, Local, Burst, Central} {
+			if got, want := tc.mode.Has(level), slices.Contains(tc.has, level); got != want {
+				t.Errorf("mode %q Has(%s) = %v, want %v", tc.mode, level, got, want)
+			}
 		}
 		if got := len(tc.mode.Levels()); got != tc.levels {
 			t.Errorf("mode %q has %d levels, want %d", tc.mode, got, tc.levels)
@@ -466,15 +470,14 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 	// reservation is returned, no residency is registered, and no drain starts.
 	// The 1 GiB image takes 2 s at one writer's 512 MB/s.
 	r := newRig(t, Config{Mode: ModeBurst}, 2, gib, gib)
-	burst := r.h.tiers[0].(*burstTier)
 	cause := errors.New("cycle aborted")
 	r.k.After(0, func() {
 		tr, err := r.h.StartWrite(1, 0, gib)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if burst.used != gib {
-			t.Errorf("in-flight write reserves %d bytes, want %d", burst.used, gib)
+		if r.h.tiers[0].used != gib {
+			t.Errorf("in-flight write reserves %d bytes, want %d", r.h.tiers[0].used, gib)
 		}
 		r.k.After(500*sim.Millisecond, func() { tr.Cancel(cause) })
 		tr.OnDone(func() {
@@ -486,8 +489,8 @@ func TestCancelledAckWriteLeavesNothingBehind(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if burst.used != 0 || len(burst.resident) != 0 {
-		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", burst.used, len(burst.resident))
+	if r.h.tiers[0].used != 0 || len(r.h.tiers[0].resident) != 0 {
+		t.Errorf("cancelled write left %d bytes reserved, %d resident entries", r.h.tiers[0].used, len(r.h.tiers[0].resident))
 	}
 	for _, level := range ModeBurst.Levels() {
 		if got := r.arch.TierCopies(1, 0, string(level)); got != 0 {

@@ -19,13 +19,15 @@
 //	ckptsim -workload commgroups -group 8 -at 10,20,30,40   # one cell per time, merged outputs
 //	ckptsim -workload ring -mtbf 20 -interval 8 -memprofile m.out   # host allocation profile
 //
-// Invalid flags, a flag the run does not read, and failed runs exit with
-// status 1 and a one-line message; a failed run still writes the trace and
-// metrics files it was asked for, unless it failed before recording anything.
+// Flags that do not parse exit with status 2 and the usage; invalid input, a
+// flag the run does not read, and failed runs with status 1 and a one-line
+// message. A failed run still writes the trace and metrics files it was asked
+// for, unless it failed before recording anything.
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +37,7 @@ import (
 	"strconv"
 	"strings"
 
-	"gbcr/cmd/internal/prof"
+	"gbcr/cmd/internal/cli"
 	"gbcr/internal/cr/protocol"
 	"gbcr/internal/fault"
 	"gbcr/internal/harness"
@@ -80,21 +82,13 @@ var workloads = []struct {
 	}},
 }
 
-// stopProfiles ends the -cpuprofile and -memprofile profiles once they have
-// started; fail calls it, so a failed run still writes them.
-var stopProfiles = func() error { return nil }
-
-// fail prints a one-line message and exits with status 1.
-func fail(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if err := stopProfiles(); err != nil {
-		msg += "; writing profiles: " + err.Error()
-	}
-	fmt.Fprintf(os.Stderr, "ckptsim: %s\n", msg)
-	os.Exit(1)
+func main() {
+	os.Exit(cli.Status("ckptsim", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
-func main() {
+// run is one ckptsim invocation: it writes the report to stdout and returns
+// the reason it rejected the input or the run failed.
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	names := make([]string, len(workloads))
 	readers := make(map[string][]string) // shape flag -> the workloads reading it, for its usage line
 	for i, wl := range workloads {
@@ -103,54 +97,64 @@ func main() {
 			readers[f] = append(readers[f], wl.name)
 		}
 	}
+	fs := flag.NewFlagSet("ckptsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name      = flag.String("workload", "commgroups", "workload: "+strings.Join(names, ", "))
-		n         = flag.Int("n", 32, "number of ranks ("+strings.Join(readers["n"], "/")+")")
-		comm      = flag.Int("comm", 8, "communication group size ("+strings.Join(readers["comm"], "/")+"; the default shrinks to a smaller job)")
-		group     = flag.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
-		proto     = flag.String("protocol", "group", "coordination protocol: "+strings.Join(protocols, ", "))
-		at        = flag.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
-		foot      = flag.Int64("footprint", 180, "per-process footprint in MB ("+strings.Join(readers["footprint"], "/")+")")
-		iters     = flag.Int("iters", 900, "iterations ("+strings.Join(readers["iters"], "/")+")")
-		dynamic   = flag.Bool("dynamic", false, "dynamic group formation from the communication pattern")
-		helper    = flag.Bool("helper", true, "enable the passive-coordination helper thread")
-		verbose   = flag.Bool("v", false, "print per-rank checkpoint records")
-		showTrace = flag.Bool("trace", false, "print the protocol timeline")
-		traceJSON = flag.String("trace-json", "", "write the full event timeline as JSON Lines to this file")
-		traceChr  = flag.String("trace-chrome", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) to this file")
-		metrics   = flag.String("metrics-json", "", "write the run's metrics registry as JSON to this file")
-		mtbf      = flag.Float64("mtbf", 0, "run to completion under failures with this MTBF in seconds (restartable workloads)")
-		interval  = flag.Float64("interval", 0, "periodic checkpoint interval in seconds (with -mtbf or -faults)")
-		seed      = flag.Int64("seed", 1, "failure-injection seed (with -mtbf or -faults)")
-		faults    = flag.String("faults", "", "fault scenario: a spec like 'crash@12s;outage@20s+5s;mtbf=90s' or a file holding one")
-		storeMode = flag.String("storage", "central", "checkpoint storage: "+tier.ModeNames("")+" (node-local disk staging)")
-		replicas  = flag.Int("replicas", 0, "RAM-tier partner replicas per rank (with -storage ram or hierarchy; 0 = default 2)")
-		cpuProf   = flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
+		name      = fs.String("workload", "commgroups", "workload: "+strings.Join(names, ", "))
+		n         = fs.Int("n", 32, "number of ranks ("+strings.Join(readers["n"], "/")+")")
+		comm      = fs.Int("comm", 8, "communication group size ("+strings.Join(readers["comm"], "/")+"; the default shrinks to a smaller job)")
+		group     = fs.Int("group", 8, "checkpoint group size (0 = regular, all at once)")
+		proto     = fs.String("protocol", "group", "coordination protocol: "+strings.Join(protocols, ", "))
+		at        = fs.String("at", "10", "checkpoint issuance time(s) in seconds; a comma-separated list runs one cell per time")
+		foot      = fs.Int64("footprint", 180, "per-process footprint in MB ("+strings.Join(readers["footprint"], "/")+")")
+		iters     = fs.Int("iters", 900, "iterations ("+strings.Join(readers["iters"], "/")+")")
+		dynamic   = fs.Bool("dynamic", false, "dynamic group formation from the communication pattern")
+		helper    = fs.Bool("helper", true, "enable the passive-coordination helper thread")
+		verbose   = fs.Bool("v", false, "print per-rank checkpoint records")
+		showTrace = fs.Bool("trace", false, "print the protocol timeline")
+		traceJSON = fs.String("trace-json", "", "write the full event timeline as JSON Lines to this file")
+		traceChr  = fs.String("trace-chrome", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) to this file")
+		metrics   = fs.String("metrics-json", "", "write the run's metrics registry as JSON to this file")
+		mtbf      = fs.Float64("mtbf", 0, "run to completion under failures with this MTBF in seconds (restartable workloads)")
+		interval  = fs.Float64("interval", 0, "periodic checkpoint interval in seconds (with -mtbf or -faults)")
+		seed      = fs.Int64("seed", 1, "failure-injection seed (with -mtbf or -faults)")
+		faults    = fs.String("faults", "", "fault scenario: a spec like 'crash@12s;outage@20s+5s;mtbf=90s' or a file holding one")
+		storeMode = fs.String("storage", "central", "checkpoint storage: "+tier.ModeNames("")+" (node-local disk staging)")
+		replicas  = fs.Int("replicas", 0, "RAM-tier partner replicas per rank (with -storage ram or hierarchy; 0 = default 2)")
+		cpuProf   = fs.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	mtbfT := seconds("mtbf", *mtbf)
-	intervalT := seconds("interval", *interval)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mtbfT, mtbfErr := seconds("mtbf", *mtbf)
+	intervalT, intervalErr := seconds("interval", *interval)
+	if err := cmp.Or(mtbfErr, intervalErr); err != nil {
+		return err
+	}
 	failureRun := mtbfT > 0 || *faults != ""
 
 	// The names come first, so that a misspelt one is reported as such.
 	kind := protocol.Kind(*proto)
 	if !slices.Contains(protocols, *proto) {
-		fail("unknown -protocol %q (want one of %s)", *proto, strings.Join(protocols, ", "))
+		return fmt.Errorf("unknown -protocol %q (want one of %s)", *proto, strings.Join(protocols, ", "))
 	}
 	mode := tier.Mode(*storeMode)
 	if !mode.Valid() {
-		fail("unknown -storage %q (want %s)", *storeMode, tier.ModeNames("or"))
+		return fmt.Errorf("unknown -storage %q (want %s)", *storeMode, tier.ModeNames("or"))
 	}
 	wi := slices.Index(names, *name)
 	if wi < 0 {
-		fail("unknown workload %q (want one of %s)", *name, strings.Join(names, ", "))
+		return fmt.Errorf("unknown workload %q (want one of %s)", *name, strings.Join(names, ", "))
 	}
 	wl := workloads[wi]
 	// Multiple -at values form a cell matrix run on the Runner's worker pool.
-	ats := parseTimes(*at)
+	ats, err := parseTimes(*at)
+	if err != nil {
+		return err
+	}
 	multiCell := len(ats) > 1
 
 	// A flag that only some runs read is rejected, not ignored, where this
@@ -181,17 +185,17 @@ func main() {
 		{"iters", slices.Contains(wl.reads, "iters"), reads},
 	} {
 		if set[r.flag] && !r.applies {
-			fail("-%s %s", r.flag, r.why)
+			return fmt.Errorf("-%s %s", r.flag, r.why)
 		}
 	}
 	if kind != protocol.Group {
 		*group = 0 // one group, or none
 	}
 	if *foot < 0 {
-		fail("-footprint must not be negative, got %d", *foot)
+		return fmt.Errorf("-footprint must not be negative, got %d", *foot)
 	}
 	if *iters <= 0 {
-		fail("-iters must be positive, got %d", *iters)
+		return fmt.Errorf("-iters must be positive, got %d", *iters)
 	}
 
 	// The default -comm and -group shrink to a smaller job; an explicit
@@ -203,7 +207,7 @@ func main() {
 	if !set["group"] {
 		*group = min(*group, ranks)
 	} else if *group > ranks {
-		fail("-group %d exceeds the job size %d", *group, ranks)
+		return fmt.Errorf("-group %d exceeds the job size %d", *group, ranks)
 	}
 
 	cfg := harness.PaperCluster(ranks)
@@ -215,44 +219,53 @@ func main() {
 	cfg.Tiers.Mode = mode
 	cfg.Tiers.Replicas = *replicas
 	if err := cfg.Validate(); err != nil {
-		fail("%v", err)
+		return err
 	}
-	stop, err := prof.Start(*cpuProf, *memProf)
+	stop, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	stopProfiles = stop
-	defer func() {
-		if err := stop(); err != nil {
-			fail("writing profiles: %v", err)
+	defer func() { err = stop(err) }()
+	// export writes the -trace-json, -trace-chrome and -metrics-json files
+	// the flags ask for, each rendered into memory first, so a failed
+	// encoding never leaves a truncated file.
+	export := func(renders ...func(io.Writer) error) error {
+		for i, path := range []string{*traceJSON, *traceChr, *metrics} {
+			var buf bytes.Buffer
+			if path == "" {
+				continue
+			} else if err := renders[i](&buf); err != nil {
+				return fmt.Errorf("encoding %s: %v", path, err)
+			} else if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				return err
+			}
 		}
-	}()
+		return nil
+	}
 
 	if multiCell {
 		cells := make([]harness.Cell, len(ats))
 		for i, t := range ats {
 			cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: t}
 		}
-		run, err := harness.NewRunner(0).RunCaptured(cells,
+		mc, err := harness.NewRunner(0).RunCaptured(cells,
 			harness.Capture{Trace: *showTrace, JSONL: *traceJSON != "", Chrome: *traceChr != ""})
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		export(*traceJSON, run.WriteJSONL)
-		export(*traceChr, run.WriteChrome)
-		export(*metrics, run.Aggregate().WriteJSON)
-		header(w, cfg)
-		for i, res := range run.Results {
-			fmt.Printf("cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
+		if err := export(mc.WriteJSONL, mc.WriteChrome, mc.Aggregate().WriteJSON); err != nil {
+			return err
+		}
+		header(stdout, w, cfg)
+		for i, res := range mc.Results {
+			fmt.Fprintf(stdout, "cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
 				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
 		}
 		if *showTrace {
-			fmt.Println("\nmerged timeline:")
-			if err := run.RenderTimeline(os.Stdout); err != nil {
-				fail("%v", err)
-			}
+			fmt.Fprintln(stdout, "\nmerged timeline:")
+			return mc.RenderTimeline(stdout)
 		}
-		return
+		return nil
 	}
 
 	// Build the observability bus only when some output is requested: a nil
@@ -283,28 +296,32 @@ func main() {
 	// writeOutputs writes the exports after a run, also a failed one, whose
 	// timeline is the one worth reading. A run that failed having recorded
 	// nothing — input the workload rejects at launch — writes no file, as a
-	// flag ckptsim rejects itself writes none.
-	writeOutputs := func(err error) {
+	// flag ckptsim rejects itself writes none. It returns the first export
+	// error, or else the run's.
+	writeOutputs := func(err error) error {
 		if err != nil && len(bus.Metrics().Snapshot().Counters) == 0 {
-			return
-		}
-		export(*traceJSON, func(w io.Writer) error {
-			if jsonl.Err() != nil {
-				return jsonl.Err()
-			}
-			_, err := w.Write(jsonlB.Bytes())
 			return err
-		})
-		export(*traceChr, func(w io.Writer) error { return chrome.Render(w) })
-		export(*metrics, func(w io.Writer) error { return bus.Metrics().Snapshot().WriteJSON(w) })
+		}
+		return cmp.Or(export(func(w io.Writer) error {
+			_, err := w.Write(jsonlB.Bytes())
+			return cmp.Or(jsonl.Err(), err)
+		}, func(w io.Writer) error { return chrome.Render(w) },
+			func(w io.Writer) error { return bus.Metrics().Snapshot().WriteJSON(w) }), err)
 	}
 
 	if failureRun {
 		rw, ok := w.(workload.Restartable)
 		if !ok {
-			fail("-mtbf/-faults require a restartable workload (ring, allgather, stencil)")
+			return fmt.Errorf("-mtbf/-faults require a restartable workload (ring, allgather, stencil)")
 		}
-		scn := loadScenario(*faults)
+		spec := *faults // a scenario spec, or the name of a file holding one
+		if data, err := os.ReadFile(spec); err == nil {
+			spec = strings.TrimSpace(string(data))
+		}
+		scn, err := fault.Parse(spec)
+		if err != nil {
+			return err
+		}
 		if set["mtbf"] {
 			scn.MTBF = mtbfT
 		}
@@ -314,173 +331,138 @@ func main() {
 		iv := intervalT
 		if iv <= 0 {
 			if scn.MTBF <= 0 {
-				fail("-faults without a scenario MTBF needs an explicit -interval")
+				return fmt.Errorf("-faults without a scenario MTBF needs an explicit -interval")
 			}
 			iv = scn.MTBF / 4
 		}
 		fr, err := harness.RunScenario(cfg, rw, scn, iv, bus)
-		writeOutputs(err)
-		if err != nil {
-			fail("%v", err)
+		if err := writeOutputs(err); err != nil {
+			return err
 		}
-		header(w, cfg)
+		header(stdout, w, cfg)
 		if scn.MTBF > 0 {
-			fmt.Printf("checkpoint interval:   %v (MTBF %v)\n", iv, scn.MTBF)
+			fmt.Fprintf(stdout, "checkpoint interval:   %v (MTBF %v)\n", iv, scn.MTBF)
 		} else {
-			fmt.Printf("checkpoint interval:   %v\n", iv)
+			fmt.Fprintf(stdout, "checkpoint interval:   %v\n", iv)
 		}
 		if len(scn.Faults) > 0 {
-			fmt.Printf("injected faults:       %s\n", scn.String())
+			fmt.Fprintf(stdout, "injected faults:       %s\n", scn.String())
 		}
-		fmt.Printf("wall time to finish:   %v\n", fr.Wall)
-		fmt.Printf("failures survived:     %d\n", fr.Failures)
-		fmt.Printf("checkpoints completed: %d\n", fr.Checkpoints)
+		fmt.Fprintf(stdout, "wall time to finish:   %v\n", fr.Wall)
+		fmt.Fprintf(stdout, "failures survived:     %d\n", fr.Failures)
+		fmt.Fprintf(stdout, "checkpoints completed: %d\n", fr.Checkpoints)
 		if fr.CycleAborts > 0 {
-			fmt.Printf("cycles aborted:        %d\n", fr.CycleAborts)
+			fmt.Fprintf(stdout, "cycles aborted:        %d\n", fr.CycleAborts)
 		}
 		if fr.CorruptSkipped > 0 {
-			fmt.Printf("corrupt epochs skipped: %d\n", fr.CorruptSkipped)
+			fmt.Fprintf(stdout, "corrupt epochs skipped: %d\n", fr.CorruptSkipped)
 		}
 		if mode.Tiered() && fr.Failures > 0 {
 			by := map[tier.Level]int{tier.RAM: fr.RecoveredRAM, tier.Local: fr.RecoveredLocal,
 				tier.Burst: fr.RecoveredBurst, tier.Central: fr.RecoveredCentral}
-			fmt.Print("recovered from tiers: ")
+			fmt.Fprint(stdout, "recovered from tiers: ")
 			for _, level := range mode.Levels() {
-				fmt.Printf(" %s=%d", level, by[level])
+				fmt.Fprintf(stdout, " %s=%d", level, by[level])
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if *showTrace {
-			fmt.Println("\nfault injections:")
+			fmt.Fprintln(stdout, "\nfault injections:")
 			for _, e := range mem.ByLayer(obs.LayerFault) {
-				fmt.Println(e)
+				fmt.Fprintln(stdout, e)
 			}
 		}
-		return
+		return nil
 	}
 
 	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: ats[0]}, bus)
-	writeOutputs(err)
-	if err != nil {
-		fail("%v", err)
+	if err := writeOutputs(err); err != nil {
+		return err
 	}
-	header(w, cfg)
-	fmt.Printf("checkpoint issued at:  %v\n", res.IssuedAt)
-	fmt.Printf("baseline completion:   %v\n", res.Baseline)
-	fmt.Printf("with checkpoint:       %v\n", res.WithCkpt)
-	fmt.Printf("effective ckpt delay:  %v\n", res.EffectiveDelay())
-	fmt.Printf("individual ckpt time:  %v mean, %v max\n",
+	header(stdout, w, cfg)
+	fmt.Fprintf(stdout, "checkpoint issued at:  %v\n", res.IssuedAt)
+	fmt.Fprintf(stdout, "baseline completion:   %v\n", res.Baseline)
+	fmt.Fprintf(stdout, "with checkpoint:       %v\n", res.WithCkpt)
+	fmt.Fprintf(stdout, "effective ckpt delay:  %v\n", res.EffectiveDelay())
+	fmt.Fprintf(stdout, "individual ckpt time:  %v mean, %v max\n",
 		res.Report.MeanIndividual(), res.Report.MaxIndividual())
-	fmt.Printf("total ckpt time:       %v\n", res.Total())
+	fmt.Fprintf(stdout, "total ckpt time:       %v\n", res.Total())
 	if mode.Tiered() {
-		fmt.Printf("vulnerability window:  %v\n", res.Report.VulnerabilityWindow())
+		fmt.Fprintf(stdout, "vulnerability window:  %v\n", res.Report.VulnerabilityWindow())
 	}
-	fmt.Printf("storage share:         %.1f%%\n", 100*res.Report.StorageShare())
-	fmt.Printf("groups:                %v\n", res.Report.Groups)
+	fmt.Fprintf(stdout, "storage share:         %.1f%%\n", 100*res.Report.StorageShare())
+	fmt.Fprintf(stdout, "groups:                %v\n", res.Report.Groups)
 	if *showTrace {
-		fmt.Println("\ncycle gantt:")
-		fmt.Print(res.Report.Gantt(72))
-		fmt.Println("\nprotocol timeline (cr layer):")
+		fmt.Fprintln(stdout, "\ncycle gantt:")
+		fmt.Fprint(stdout, res.Report.Gantt(72))
+		fmt.Fprintln(stdout, "\nprotocol timeline (cr layer):")
 		for _, e := range mem.ByLayer(obs.LayerCR) {
-			fmt.Println(e)
+			fmt.Fprintln(stdout, e)
 		}
-		fmt.Println("\nevent counts by rank and layer:")
-		fmt.Print(mem.Summary())
+		fmt.Fprintln(stdout, "\nevent counts by rank and layer:")
+		fmt.Fprint(stdout, mem.Summary())
 	}
 	if *verbose {
-		fmt.Println("\nper-rank records:")
+		fmt.Fprintln(stdout, "\nper-rank records:")
 		for rank, rec := range res.Report.Records {
-			fmt.Printf("  rank %2d group %d: stop %v, write %v..%v (%.0f MB), resume %v, downtime %v\n",
+			fmt.Fprintf(stdout, "  rank %2d group %d: stop %v, write %v..%v (%.0f MB), resume %v, downtime %v\n",
 				rank, rec.Group, rec.SafePointAt, rec.WriteStart, rec.WriteEnd,
 				float64(rec.Footprint)/(1<<20), rec.ResumeAt, rec.Individual())
 		}
 	}
+	return nil
 }
 
 // parseTimes parses the -at flag: one or more comma-separated checkpoint
 // issuance times in seconds.
-func parseTimes(arg string) []sim.Time {
+func parseTimes(arg string) ([]sim.Time, error) {
 	parts := strings.Split(arg, ",")
-	out := make([]sim.Time, 0, len(parts))
-	for _, p := range parts {
+	out := make([]sim.Time, len(parts))
+	for i, p := range parts {
 		p = strings.TrimSpace(p)
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			fail("-at: %q is not a number", p)
+			return nil, fmt.Errorf("-at: %q is not a number", p)
 		}
-		out = append(out, seconds("at", v))
+		if out[i], err = seconds("at", v); err != nil {
+			return nil, err
+		}
 	}
-	return out
-}
-
-// export renders one output into memory and writes it to path, so a failed
-// encoding never leaves a truncated file; an unset flag (empty path) is a
-// no-op.
-func export(path string, render func(io.Writer) error) {
-	if path == "" {
-		return
-	}
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
-		fail("encoding %s: %v", path, err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		fail("%v", err)
-	}
+	return out, nil
 }
 
 // seconds converts a seconds-valued flag to simulated time, rejecting what
 // the int64-nanosecond clock cannot represent: NaN, ±Inf, and magnitudes
 // that overflow it. Negative times are rejected as well.
-func seconds(flagName string, v float64) sim.Time {
+func seconds(flagName string, v float64) (sim.Time, error) {
 	if math.IsNaN(v) || v*float64(sim.Second) >= math.MaxInt64 {
-		fail("-%s must be a finite time below %v, got %v", flagName, sim.Time(math.MaxInt64), v)
+		return 0, fmt.Errorf("-%s must be a finite time below %v, got %v", flagName, sim.Time(math.MaxInt64), v)
 	}
 	if v < 0 {
-		fail("-%s must not be negative, got %v", flagName, v)
+		return 0, fmt.Errorf("-%s must not be negative, got %v", flagName, v)
 	}
-	return sim.Seconds(v)
-}
-
-// loadScenario parses the -faults argument: the name of a file holding a
-// scenario spec, or the spec itself.
-func loadScenario(arg string) fault.Scenario {
-	if arg == "" {
-		return fault.Scenario{}
-	}
-	spec := arg
-	if data, err := os.ReadFile(arg); err == nil {
-		spec = strings.TrimSpace(string(data))
-	}
-	scn, err := fault.Parse(spec)
-	if err != nil {
-		fail("%v", err)
-	}
-	return scn
+	return sim.Seconds(v), nil
 }
 
 // header prints the lines every report starts with: what ran, under which
 // protocol, and — for a multi-level storage stack — against which storage.
-func header(w workload.Workload, cfg harness.ClusterConfig) {
-	fmt.Printf("workload:              %s (%d ranks)\n", w.Name(), cfg.N)
-	fmt.Printf("protocol:              %s\n", protocolName(cfg.CR.Protocol, cfg.CR.GroupSize, cfg.N, cfg.CR.Dynamic))
+func header(stdout io.Writer, w workload.Workload, cfg harness.ClusterConfig) {
+	fmt.Fprintf(stdout, "workload:              %s (%d ranks)\n", w.Name(), cfg.N)
+	proto := "uncoordinated + sender-based message logging"
+	switch group := cfg.CR.GroupSize; {
+	case cfg.CR.Protocol == protocol.Uncoordinated:
+	case cfg.CR.Dynamic:
+		proto = fmt.Sprintf("group-based (dynamic formation, max size %d)", group)
+	case group <= 0 || group >= cfg.N:
+		proto = "regular coordinated (all at once)"
+	default:
+		proto = fmt.Sprintf("group-based (static groups of %d)", group)
+	}
+	fmt.Fprintf(stdout, "protocol:              %s\n", proto)
 	switch mode := cfg.Tiers.Mode; {
 	case mode.Has(tier.RAM):
-		fmt.Printf("storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
+		fmt.Fprintf(stdout, "storage:               %s (%d RAM replicas)\n", mode, cfg.Tiers.ReplicaCount())
 	case mode.Tiered():
-		fmt.Printf("storage:               %s\n", mode)
-	}
-}
-
-func protocolName(kind protocol.Kind, group, ranks int, dynamic bool) string {
-	switch {
-	case kind == protocol.Uncoordinated:
-		return "uncoordinated + sender-based message logging"
-	case dynamic:
-		return fmt.Sprintf("group-based (dynamic formation, max size %d)", group)
-	case group <= 0 || group >= ranks:
-		return "regular coordinated (all at once)"
-	default:
-		return fmt.Sprintf("group-based (static groups of %d)", group)
+		fmt.Fprintf(stdout, "storage:               %s\n", mode)
 	}
 }

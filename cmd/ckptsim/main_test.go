@@ -9,31 +9,72 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"gbcr/cmd/internal/cli"
 )
 
-// bin is the ckptsim binary under test, built once by TestMain.
-var bin string
+// runMainEnv, set to 1, makes this test binary run main instead of the
+// tests, so TestExitStatus can see the statuses the process exits with.
+const runMainEnv = "GBCR_RUN_MAIN"
 
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "ckptsim-test")
-	if err != nil {
-		panic(err)
+	if os.Getenv(runMainEnv) == "1" {
+		main()
 	}
-	bin = filepath.Join(dir, "ckptsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		os.RemoveAll(dir)
-		panic("building ckptsim: " + err.Error() + "\n" + string(out))
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
+	os.Exit(m.Run())
 }
 
-// TestRejectedInput pins the CLI contract for malformed input: exit status
-// 1, nothing on stdout, and exactly one "ckptsim: ..." line on stderr —
-// never a panic, a stack overflow, or a run that reports garbage.
+// ckptsim runs the command in-process and returns what it wrote and the
+// error it returned.
+func ckptsim(args ...string) (stdout, stderr []byte, err error) {
+	var o, e bytes.Buffer
+	err = run(args, &o, &e)
+	return o.Bytes(), e.Bytes(), err
+}
+
+// TestExitStatus pins the statuses main gives run's errors, in a child
+// process: 0 on success and -h, 1 with exactly one "ckptsim: ..." line on
+// stderr and nothing on stdout for rejected input, 2 with the usage for a
+// flag that does not parse.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		status int
+		stderr string // its prefix
+	}{
+		{[]string{"-workload", "ring", "-n", "4", "-iters", "20", "-at", "0.5"}, 0, ""},
+		{[]string{"-h"}, 0, "Usage of ckptsim:\n"},
+		{[]string{"-workload", "nosuch"}, 1, "ckptsim: unknown workload \"nosuch\""},
+		{[]string{"-nosuchflag"}, 2, "flag provided but not defined: -nosuchflag\nUsage of ckptsim:\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if cmd.ProcessState == nil {
+			t.Fatal(err)
+		}
+		name := strings.Join(c.args, " ")
+		if status := cmd.ProcessState.ExitCode(); status != c.status {
+			t.Errorf("%s: exit status %d (%v), want %d\nstderr: %s", name, status, err, c.status, stderr.String())
+		}
+		if !strings.HasPrefix(stderr.String(), c.stderr) || c.stderr == "" && stderr.Len() > 0 {
+			t.Errorf("%s: stderr %q, want it to start with %q", name, stderr.String(), c.stderr)
+		}
+		if c.status == 1 && (strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0) {
+			t.Errorf("%s: want one stderr line and no stdout, got %q and %q", name, stderr.String(), stdout.String())
+		}
+	}
+}
+
+// TestRejectedInput pins the CLI contract for malformed input: an error of
+// one line (main prints it as "ckptsim: ..." and exits 1), nothing on stdout
+// or stderr, and no file written — never a panic, a stack overflow, or a run
+// that reports garbage.
 func TestRejectedInput(t *testing.T) {
 	ring := []string{"-workload", "ring", "-n", "8", "-iters", "50"}
 	out := t.TempDir() // no rejected run may leave a file here
@@ -83,20 +124,12 @@ func TestRejectedInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.args...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-				t.Fatalf("want exit status 1, got %v\nstderr: %s", err, stderr.String())
+			stdout, stderr, err := ckptsim(tc.args...)
+			if err == nil || errors.Is(err, cli.ErrUsage) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("want a one-line error other than a usage one, got %v", err)
 			}
-			msg := stderr.String()
-			if !strings.HasPrefix(msg, "ckptsim: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
-				t.Errorf("want one \"ckptsim: ...\" line on stderr, got %q", msg)
-			}
-			if stdout.Len() != 0 {
-				t.Errorf("rejected run wrote to stdout: %q", stdout.String())
+			if len(stdout)+len(stderr) != 0 {
+				t.Errorf("rejected run wrote %q to stdout and %q to stderr", stdout, stderr)
 			}
 			if files, err := os.ReadDir(out); err != nil || len(files) != 0 {
 				t.Errorf("rejected run left files %v (%v)", files, err)
@@ -109,17 +142,17 @@ func TestRejectedInput(t *testing.T) {
 // and a four-wide worker pool: every merged export must be byte-identical.
 func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 	files := []string{"trace.jsonl", "trace.json", "metrics.json"}
-	run := func(gomaxprocs string) (stdout []byte, exports [][]byte) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(gomaxprocs int) (stdout []byte, exports [][]byte) {
 		dir := t.TempDir()
-		cmd := exec.Command(bin, "-workload", "commgroups", "-n", "8", "-comm", "4", "-group", "4",
+		runtime.GOMAXPROCS(gomaxprocs) // the width of the -at list's worker pool
+		stdout, _, err := ckptsim("-workload", "commgroups", "-n", "8", "-comm", "4", "-group", "4",
 			"-iters", "250", "-footprint", "20", "-at", "5,10,15,20",
 			"-trace-json", filepath.Join(dir, files[0]),
 			"-trace-chrome", filepath.Join(dir, files[1]),
 			"-metrics-json", filepath.Join(dir, files[2]))
-		cmd.Env = append(os.Environ(), "GOMAXPROCS="+gomaxprocs)
-		stdout, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("GOMAXPROCS=%s: %v", gomaxprocs, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", gomaxprocs, err)
 		}
 		for _, f := range files {
 			data, err := os.ReadFile(filepath.Join(dir, f))
@@ -127,14 +160,14 @@ func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(data) == 0 {
-				t.Fatalf("GOMAXPROCS=%s: %s is empty", gomaxprocs, f)
+				t.Fatalf("GOMAXPROCS=%d: %s is empty", gomaxprocs, f)
 			}
 			exports = append(exports, data)
 		}
 		return stdout, exports
 	}
-	out1, exp1 := run("1")
-	out4, exp4 := run("4")
+	out1, exp1 := run(1)
+	out4, exp4 := run(4)
 	if !bytes.Equal(out1, out4) {
 		t.Errorf("stdout differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", out1, out4)
 	}
@@ -147,8 +180,8 @@ func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 
 // TestLocalStagingAccepted: -storage local is a storage mode like the others.
 func TestLocalStagingAccepted(t *testing.T) {
-	out, err := exec.Command(bin, "-workload", "ring", "-n", "4", "-group", "2", "-iters", "100",
-		"-footprint", "20", "-storage", "local", "-at", "1").Output()
+	out, _, err := ckptsim("-workload", "ring", "-n", "4", "-group", "2", "-iters", "100",
+		"-footprint", "20", "-storage", "local", "-at", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +197,8 @@ func TestLocalStagingAccepted(t *testing.T) {
 func TestNearZeroDegradeRuns(t *testing.T) {
 	var want string
 	for _, factor := range []string{"1e-9", "1e-11", "1e-300"} {
-		out, err := exec.Command(bin, "-workload", "ring", "-n", "4", "-iters", "20", "-interval", "0.5",
-			"-faults", "degrade@1s+1s:factor="+factor).CombinedOutput()
+		out, _, err := ckptsim("-workload", "ring", "-n", "4", "-iters", "20", "-interval", "0.5",
+			"-faults", "degrade@1s+1s:factor="+factor)
 		if err != nil {
 			t.Fatalf("factor=%s: %v\n%s", factor, err, out)
 		}
@@ -185,22 +218,19 @@ func TestNearZeroDegradeRuns(t *testing.T) {
 func TestDefaultGroupFitsSmallJobs(t *testing.T) {
 	small := []string{"-workload", "ring", "-n", "4", "-iters", "20", "-at", "0.5"}
 	for _, proto := range []string{"group", "wholejob", "uncoord"} {
-		if out, err := exec.Command(bin, append(small, "-protocol", proto)...).CombinedOutput(); err != nil {
-			t.Errorf("-protocol %s: %v\n%s", proto, err, out)
+		if _, _, err := ckptsim(append(small, "-protocol", proto)...); err != nil {
+			t.Errorf("-protocol %s: %v", proto, err)
 		}
 	}
-	var stderr bytes.Buffer
-	cmd := exec.Command(bin, append(small, "-group", "8")...)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil || stderr.String() != "ckptsim: -group 8 exceeds the job size 4\n" {
-		t.Errorf("explicit -group 8 on 4 ranks: %v, stderr %q", err, stderr.String())
+	if _, _, err := ckptsim(append(small, "-group", "8")...); err == nil || err.Error() != "-group 8 exceeds the job size 4" {
+		t.Errorf("explicit -group 8 on 4 ranks: %v", err)
 	}
 }
 
 // TestDefaultCommFitsSmallJobs: the default -comm 8 shrinks to a job of
 // fewer ranks, and the report names the group size that ran.
 func TestDefaultCommFitsSmallJobs(t *testing.T) {
-	out, err := exec.Command(bin, "-workload", "commgroups", "-n", "4", "-iters", "20", "-footprint", "10", "-at", "0.5").CombinedOutput()
+	out, _, err := ckptsim("-workload", "commgroups", "-n", "4", "-iters", "20", "-footprint", "10", "-at", "0.5")
 	if err != nil || !bytes.Contains(out, []byte("workload:              commgroups(n=4,comm=4) (4 ranks)\n")) {
 		t.Errorf("commgroups on 4 ranks with the default -comm: %v\n%s", err, out)
 	}
@@ -220,7 +250,7 @@ func TestProtocolCrashExports(t *testing.T) {
 		jsonl, chrome := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "trace.json")
 		args := append([]string{"-workload", "ring", "-n", "8", "-iters", "200", "-interval", "2",
 			"-faults", "crash@3s", "-trace-json", jsonl, "-trace-chrome", chrome, "-protocol"}, proto...)
-		out, err := exec.Command(bin, args...).Output()
+		out, _, err := ckptsim(args...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -259,17 +289,10 @@ func TestProtocolCrashExports(t *testing.T) {
 // still leaves the requested timeline, the one file needed to see why.
 func TestFailedRunStillWritesTrace(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	var stderr bytes.Buffer
-	cmd := exec.Command(bin, "-workload", "ring", "-n", "8", "-group", "2", "-iters", "200",
+	_, _, err := ckptsim("-workload", "ring", "-n", "8", "-group", "2", "-iters", "200",
 		"-interval", "2", "-storage", "burst", "-faults", "outage@2s+30s", "-trace-json", trace)
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("want exit status 1, got %v\nstderr: %s", err, stderr.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "consecutive times; giving up") || strings.Count(msg, "\n") != 1 {
-		t.Errorf("want the one-line give-up diagnostic, got %q", msg)
+	if err == nil || !strings.HasSuffix(err.Error(), "consecutive times; giving up") {
+		t.Errorf("want the give-up diagnostic, got %v", err)
 	}
 	data, err := os.ReadFile(trace)
 	if err != nil {
@@ -292,9 +315,9 @@ func TestFailedRunStillWritesTrace(t *testing.T) {
 func TestProfilesWritten(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	if out, err := exec.Command(bin, "-workload", "ring", "-n", "8", "-iters", "100", "-mtbf", "20", "-interval", "8",
-		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput(); err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	if _, _, err := ckptsim("-workload", "ring", "-n", "8", "-iters", "100", "-mtbf", "20", "-interval", "8",
+		"-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatal(err)
 	}
 	for _, path := range []string{cpu, mem} {
 		data, err := os.ReadFile(path)

@@ -9,8 +9,8 @@
 //
 // Sweep matrices run concurrently on a worker pool bounded by GOMAXPROCS;
 // -workers overrides the bound (1 forces serial execution). Results are
-// bit-identical at any worker count. Errors exit with status 1 and a
-// one-line message.
+// bit-identical at any worker count. Errors exit 1 with a one-line message,
+// flags that do not parse 2 with the usage.
 package main
 
 import (
@@ -18,12 +18,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
-	"gbcr/cmd/internal/prof"
+	"gbcr/cmd/internal/cli"
 	"gbcr/internal/figures"
 	"gbcr/internal/obs"
 )
@@ -35,28 +36,26 @@ type figureJSON struct {
 	Tables []*figures.Table `json:"tables"`
 }
 
-// stopProfiles ends the -cpuprofile and -memprofile profiles once they have
-// started; fail calls it, so a failed run still writes them.
-var stopProfiles = func() error { return nil }
-
-func fail(err error) {
-	if perr := stopProfiles(); perr != nil {
-		err = fmt.Errorf("%w; writing profiles: %v", err, perr)
-	}
-	fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-	os.Exit(1)
+func main() {
+	os.Exit(cli.Status("figures", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
 }
 
-func main() {
-	only := flag.String("only", "", "comma-separated subset: fig1,fig3,fig4,fig5,fig6,fig7,ablations,extensions,extprotocols,exttiers (default: all)")
-	asJSON := flag.Bool("json", false, "emit every figure's data series as JSON on stdout")
-	workers := flag.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	metrics := flag.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
-	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
-	memProf := flag.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
-	flag.Parse()
+// run is one figures invocation: it writes the tables to stdout and their
+// timings to stderr, and returns the reason it rejected the input or failed.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated subset: fig1,fig3,fig4,fig5,fig6,fig7,ablations,extensions,extprotocols,exttiers (default: all)")
+	asJSON := fs.Bool("json", false, "emit every figure's data series as JSON on stdout")
+	workers := fs.Int("workers", 0, "experiment worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	metrics := fs.String("metrics-json", "", "write aggregated per-layer metrics across all measured cells as JSON to this file")
+	cpuProf := fs.String("cpuprofile", "", "write a host CPU profile (pprof) of the run to this file")
+	memProf := fs.String("memprofile", "", "write a host allocation profile (pprof) of the run to this file")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *workers < 0 {
-		fail(fmt.Errorf("-workers must not be negative, got %d", *workers))
+		return fmt.Errorf("-workers must not be negative, got %d", *workers)
 	}
 	known := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "ablations", "extensions", "extprotocols", "exttiers"}
 	want := map[string]bool{}
@@ -64,23 +63,17 @@ func main() {
 		for _, f := range strings.Split(*only, ",") {
 			name := strings.TrimSpace(f)
 			if !slices.Contains(known, name) {
-				fail(fmt.Errorf("unknown figure %q in -only (want %s)", name, strings.Join(known, ", ")))
+				return fmt.Errorf("unknown figure %q in -only (want %s)", name, strings.Join(known, ", "))
 			}
 			want[name] = true
 		}
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
-	stop, err := prof.Start(*cpuProf, *memProf)
+	stop, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	stopProfiles = stop
-	defer func() {
-		if err := stop(); err != nil {
-			fail(err)
-		}
-	}()
+	defer func() { err = stop(err) }()
 
 	g := figures.NewGenerator(*workers)
 	var agg *obs.Aggregate
@@ -90,75 +83,69 @@ func main() {
 		agg = obs.NewAggregate()
 		g.R.SetAggregate(agg)
 	}
+	one := func(t *figures.Table, err error) ([]*figures.Table, error) { return []*figures.Table{t}, err }
+	var fig5 *figures.Table // Fig 6 reads Fig 5's table, made once
+	figure := func(name string) ([]*figures.Table, error) {
+		switch name {
+		case "fig1":
+			return one(g.Fig1())
+		case "fig3":
+			return one(g.Fig3())
+		case "fig4":
+			return one(g.Fig4())
+		case "fig7":
+			return one(g.Fig7())
+		case "ablations":
+			return g.Ablations()
+		case "extensions":
+			return g.Extensions()
+		case "extprotocols":
+			return one(g.ExtensionProtocols())
+		case "exttiers":
+			return one(g.ExtensionTiers())
+		}
+		var err error // fig5 or fig6
+		if fig5 == nil {
+			fig5, err = g.Fig5()
+		}
+		if name == "fig6" && err == nil {
+			return one(g.Fig6(fig5), nil)
+		}
+		return one(fig5, err)
+	}
 	out := []figureJSON{}
-
-	run := func(name string, fn func() ([]*figures.Table, error)) {
-		if !sel(name) {
-			return
+	for _, name := range known {
+		if len(want) > 0 && !want[name] {
+			continue
 		}
 		start := time.Now()
-		tables, err := fn()
+		tables, err := figure(name)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if *asJSON {
 			out = append(out, figureJSON{Name: name, Tables: tables})
 		} else {
 			for _, t := range tables {
-				fmt.Println(t)
+				fmt.Fprintln(stdout, t)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	one := func(fn func() (*figures.Table, error)) func() ([]*figures.Table, error) {
-		return func() ([]*figures.Table, error) {
-			t, err := fn()
-			if err != nil {
-				return nil, err
-			}
-			return []*figures.Table{t}, nil
-		}
-	}
-
-	run("fig1", one(g.Fig1))
-	run("fig3", one(g.Fig3))
-	run("fig4", one(g.Fig4))
-	var fig5 *figures.Table
-	run("fig5", one(func() (*figures.Table, error) {
-		var err error
-		fig5, err = g.Fig5()
-		return fig5, err
-	}))
-	run("fig6", one(func() (*figures.Table, error) {
-		if fig5 == nil {
-			var err error
-			fig5, err = g.Fig5()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return g.Fig6(fig5), nil
-	}))
-	run("fig7", one(g.Fig7))
-	run("ablations", g.Ablations)
-	run("extensions", g.Extensions)
-	run("extprotocols", one(g.ExtensionProtocols))
-	run("exttiers", one(g.ExtensionTiers))
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fail(err)
+			return err
 		}
 	}
-	if *metrics != "" {
-		var buf bytes.Buffer
-		if err := agg.Snapshot().WriteJSON(&buf); err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*metrics, buf.Bytes(), 0o644); err != nil {
-			fail(err)
-		}
+	if *metrics == "" {
+		return nil
 	}
+	var buf bytes.Buffer
+	if err := agg.Snapshot().WriteJSON(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(*metrics, buf.Bytes(), 0o644)
 }

@@ -20,7 +20,7 @@ var (
 	docIdentRE = regexp.MustCompile(`\b([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
 	docToolRE  = regexp.MustCompile(`\b(ckptsim|figures|gbcrlint)\b([^\n|;&#>]*)`)
 	docFlagRE  = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
-	flagDefRE  = regexp.MustCompile(`flag\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
+	flagDefRE  = regexp.MustCompile(`\bfs\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
 	metricRE   = regexp.MustCompile(`"name": "(\w+\.\w+)"`)
 	plannedRE  = regexp.MustCompile("[^`\n]+")
 	// changesEntryRE is one numbered CHANGES.md entry, one line.

@@ -624,7 +624,7 @@ const (
 // the previous snapshot, capped at the full footprint.
 func (c *Controller) incrementalSize(full int64) int64 {
 	elapsed := (c.co.k.Now() - c.lastCkptAt).Seconds()
-	dirty := int64(incrementalFloor*float64(full) + dirtyBW*elapsed)
+	dirty := int64(float64(incrementalFloor*float64(full)) + float64(dirtyBW*elapsed)) // float64() rounds: no fused multiply-add
 	if dirty > full {
 		return full
 	}

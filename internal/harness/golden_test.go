@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gbcr/internal/cr"
@@ -58,10 +62,47 @@ func goldenMeasure(t *testing.T, cfg ClusterConfig, w workload.Workload) (trace,
 	return buf.Bytes(), append(rep, '\n')
 }
 
+// digestFile holds the goldens kept only as a sha256: traces no one reads
+// in a diff, which default_g0.trace.jsonl shows the form of. Its lines are
+// sha256sum's, "<sha256>  <name>", so `sha256sum -c` checks files rewritten
+// by -update against it.
+const digestFile = "testdata/golden.sha256"
+
 // checkGolden compares got with testdata/name, or rewrites the file under
-// -update.
+// -update. A golden named in digestFile is compared by its digest, and on a
+// mismatch the bytes got are left in a file the error names.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
+	data, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(got)
+	line := hex.EncodeToString(sum[:]) + "  " + name + "\n"
+	lines := strings.SplitAfter(string(data), "\n")
+	for i, l := range lines {
+		if !strings.HasSuffix(l, "  "+name+"\n") {
+			continue
+		}
+		switch {
+		case *updateGolden:
+			lines[i] = line
+			if err := os.WriteFile(digestFile, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		case l != line:
+			f, err := os.CreateTemp("", name+".*")
+			if err == nil {
+				_, err = f.Write(got)
+				err = errors.Join(err, f.Close())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Errorf("%s diverged from its digest in %s; the %d bytes it got are in %s", name, digestFile, len(got), f.Name())
+		}
+		return
+	}
 	if *updateGolden {
 		if err := os.WriteFile(filepath.Join("testdata", name), got, 0o644); err != nil {
 			t.Fatal(err)

@@ -205,7 +205,7 @@ func (s *System) begin(n int64, read bool) (*Transfer, error) {
 	t.finishFn = t.finish
 	t.onDone = t.doneBuf[:0]
 	if j := s.cfg.ShareJitter; j > 0 {
-		t.weight = 1 + j*(2*s.k.Rand().Float64()-1)
+		t.weight = 1 + float64(j*(2*s.k.Rand().Float64()-1)) // float64() rounds: no fused multiply-add
 	}
 	s.transfers++
 	if read {
@@ -311,7 +311,7 @@ func (s *System) settle() {
 	for _, t := range s.active {
 		dt := (now - t.last).Seconds()
 		if dt > 0 {
-			t.remaining -= t.rate * dt
+			t.remaining -= float64(t.rate * dt) // float64() rounds: no fused multiply-add
 			if t.remaining < 0 {
 				t.remaining = 0
 			}
@@ -333,7 +333,7 @@ func (s *System) reschedule() {
 		Type: obs.Instant, What: obs.KindRateRecompute, Arg: int64(n)})
 	agg := s.cfg.AggregateBW * s.availability
 	if n > 4 && s.cfg.Droop != 0 {
-		agg *= 1 - s.cfg.Droop*math.Log2(float64(n)/4)
+		agg *= 1 - float64(s.cfg.Droop*math.Log2(float64(n)/4)) // float64() rounds: no fused multiply-add
 	}
 	var sumW float64
 	for _, t := range s.active {

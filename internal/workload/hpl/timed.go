@@ -125,6 +125,6 @@ func (inst *TimedInstance) run(e *mpi.Env) {
 // image grows from ~45% of the base toward 100% over the run.
 func (inst *TimedInstance) Footprint(rank int) int64 {
 	progress := float64(inst.step[rank]) / float64(inst.cfg.Steps)
-	frac := 0.45 + 0.55*progress
+	frac := 0.45 + float64(0.55*progress) // float64() rounds: no fused multiply-add
 	return int64(float64(inst.cfg.BaseFootprintMB<<20) * frac)
 }

@@ -90,7 +90,7 @@ func (inst *StencilInstance) run(e *mpi.Env, st *stencilState, p SafePoint) {
 			if (me == 0 && c == 1) || (me == w.N-1 && c == w.Cells) {
 				continue // fixed boundary cells
 			}
-			next[c] = 0.5*st.Field[c] + 0.25*(st.Field[c-1]+st.Field[c+1])
+			next[c] = float64(0.5*st.Field[c]) + float64(0.25*(st.Field[c-1]+st.Field[c+1])) // float64() rounds: no fused multiply-add
 		}
 		st.Field, next = next, st.Field
 	}

@@ -28,6 +28,7 @@ package main
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -226,88 +227,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = stop(err) }()
-	// export writes the -trace-json, -trace-chrome and -metrics-json files
-	// the flags ask for, each rendered into memory first, so a failed
-	// encoding never leaves a truncated file.
-	export := func(renders ...func(io.Writer) error) error {
-		for i, path := range []string{*traceJSON, *traceChr, *metrics} {
-			var buf bytes.Buffer
-			if path == "" {
-				continue
-			} else if err := renders[i](&buf); err != nil {
-				return fmt.Errorf("encoding %s: %v", path, err)
-			} else if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if multiCell {
-		cells := make([]harness.Cell, len(ats))
-		for i, t := range ats {
-			cells[i] = harness.Cell{Config: cfg, Workload: w, IssuedAt: t}
-		}
-		mc, err := harness.NewRunner(0).RunCaptured(cells,
-			harness.Capture{Trace: *showTrace, JSONL: *traceJSON != "", Chrome: *traceChr != ""})
-		if err != nil {
-			return err
-		}
-		if err := export(mc.WriteJSONL, mc.WriteChrome, mc.Aggregate().WriteJSON); err != nil {
-			return err
-		}
-		header(stdout, w, cfg)
-		for i, res := range mc.Results {
-			fmt.Fprintf(stdout, "cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
-				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
-		}
-		if *showTrace {
-			fmt.Fprintln(stdout, "\nmerged timeline:")
-			return mc.RenderTimeline(stdout)
-		}
-		return nil
-	}
-
-	// Build the observability bus only when some output is requested: a nil
-	// bus keeps the instrumented hot paths on their single-pointer-check
-	// disabled route.
-	var (
-		bus    *obs.Bus
-		mem    *obs.MemorySink
-		jsonl  *obs.JSONLSink
-		jsonlB bytes.Buffer
-		chrome *obs.ChromeSink
-	)
-	if *showTrace || *traceJSON != "" || *traceChr != "" || *metrics != "" {
-		bus = obs.NewBus()
-		if *showTrace {
-			mem = &obs.MemorySink{}
-			bus.AddSink(mem)
-		}
-		if *traceJSON != "" {
-			jsonl = obs.NewJSONL(&jsonlB)
-			bus.AddSink(jsonl)
-		}
-		if *traceChr != "" {
-			chrome = obs.NewChrome()
-			bus.AddSink(chrome)
-		}
-	}
-	// writeOutputs writes the exports after a run, also a failed one, whose
-	// timeline is the one worth reading. A run that failed having recorded
-	// nothing — input the workload rejects at launch — writes no file, as a
-	// flag ckptsim rejects itself writes none. It returns the first export
-	// error, or else the run's.
-	writeOutputs := func(err error) error {
-		if err != nil && len(bus.Metrics().Snapshot().Counters) == 0 {
-			return err
-		}
-		return cmp.Or(export(func(w io.Writer) error {
-			_, err := w.Write(jsonlB.Bytes())
-			return cmp.Or(jsonl.Err(), err)
-		}, func(w io.Writer) error { return chrome.Render(w) },
-			func(w io.Writer) error { return bus.Metrics().Snapshot().WriteJSON(w) }), err)
-	}
+	out := outputs{trace: *showTrace, jsonl: *traceJSON, chrome: *traceChr, metrics: *metrics}
 
 	if failureRun {
 		rw, ok := w.(workload.Restartable)
@@ -335,8 +255,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			iv = scn.MTBF / 4
 		}
-		fr, err := harness.RunScenario(cfg, rw, scn, iv, bus)
-		if err := writeOutputs(err); err != nil {
+		rec := out.record(nil)
+		fr, err := harness.RunScenario(cfg, rw, scn, iv, rec.bus)
+		if err := out.export([]*recording{rec}, err); err != nil {
 			return err
 		}
 		header(stdout, w, cfg)
@@ -368,18 +289,56 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		if *showTrace {
 			fmt.Fprintln(stdout, "\nfault injections:")
-			for _, e := range mem.ByLayer(obs.LayerFault) {
+			for _, e := range rec.mem.ByLayer(obs.LayerFault) {
 				fmt.Fprintln(stdout, e)
 			}
 		}
 		return nil
 	}
 
-	res, err := harness.NewRunner(1).Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: ats[0]}, bus)
-	if err := writeOutputs(err); err != nil {
+	// Each -at time is one cell, measured on the Runner's worker pool with a
+	// recording of its own; an issuance time at or past the failure-free end
+	// would checkpoint a finished job, which measures nothing.
+	runner := harness.NewRunner(0)
+	base, err := runner.Baseline(cfg, w)
+	if err != nil {
+		return err
+	}
+	recs := make([]*recording, len(ats))
+	for i, t := range ats {
+		var c *cell
+		if multiCell {
+			c = &cell{i, w.Name(), cfg.CR.GroupSize, t}
+		}
+		recs[i] = out.record(c)
+		if t >= base {
+			return recs[i].wrap(fmt.Errorf("-at %v is not before the job's failure-free end at %v", t, base))
+		}
+	}
+	results := make([]harness.Result, len(ats))
+	err = runner.ForEach(len(ats), func(i int) (err error) {
+		results[i], err = runner.Measure(harness.Cell{Config: cfg, Workload: w, IssuedAt: ats[i]}, recs[i].bus)
+		return recs[i].wrap(err)
+	})
+	if err := out.export(recs, err); err != nil {
 		return err
 	}
 	header(stdout, w, cfg)
+	if multiCell {
+		for i, res := range results {
+			fmt.Fprintf(stdout, "cell %d: at=%-6v baseline=%v with=%v delay=%v total=%v\n",
+				i, res.IssuedAt, res.Baseline, res.WithCkpt, res.EffectiveDelay(), res.Total())
+		}
+		if *showTrace {
+			fmt.Fprintln(stdout, "\nmerged timeline:")
+			for _, rec := range recs {
+				fmt.Fprintf(stdout, "=== %s ===\n", rec.cell)
+				rec.mem.Render(stdout)
+			}
+		}
+		return nil
+	}
+	res, mem := results[0], recs[0].mem
 	fmt.Fprintf(stdout, "checkpoint issued at:  %v\n", res.IssuedAt)
 	fmt.Fprintf(stdout, "baseline completion:   %v\n", res.Baseline)
 	fmt.Fprintf(stdout, "with checkpoint:       %v\n", res.WithCkpt)
@@ -411,6 +370,105 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// outputs names what a run records: the -trace timeline, and the -trace-json,
+// -trace-chrome and -metrics-json files ("" when not asked for).
+type outputs struct {
+	trace                  bool
+	jsonl, chrome, metrics string
+}
+
+// cell is one cell of an -at list: its JSONL header object in the merged
+// trace, and as a string its Chrome process name (its PID is Index+1), its
+// timeline line and the prefix of its errors. None of these depends on the
+// schedule, so no merged output does.
+type cell struct {
+	Index    int      `json:"cell"`
+	Workload string   `json:"workload"`
+	Group    int      `json:"group"`
+	At       sim.Time `json:"at"`
+}
+
+func (c *cell) String() string {
+	return fmt.Sprintf("cell %d: %s group=%d at=%v", c.Index, c.Workload, c.Group, c.At)
+}
+
+// recording is what one simulation records: its bus, nil when no output is
+// asked for, and the sinks the flags name.
+type recording struct {
+	cell   *cell // nil for a run alone
+	bus    *obs.Bus
+	mem    *obs.MemorySink
+	jsonl  *obs.JSONLSink
+	lines  bytes.Buffer // what jsonl wrote
+	chrome *obs.ChromeSink
+}
+
+// record builds the recording of one simulation: c is its cell in an -at
+// list, or nil. With no output asked for the bus stays nil, which keeps the
+// instrumented hot paths on their single-pointer-check disabled route.
+func (o outputs) record(c *cell) *recording {
+	rec := &recording{cell: c}
+	if o == (outputs{}) {
+		return rec
+	}
+	rec.bus = obs.NewBus()
+	if o.trace {
+		rec.mem = &obs.MemorySink{}
+		rec.bus.AddSink(rec.mem)
+	}
+	if o.jsonl != "" {
+		rec.jsonl = obs.NewJSONL(&rec.lines)
+		rec.bus.AddSink(rec.jsonl)
+	}
+	if o.chrome != "" {
+		rec.chrome = obs.NewChrome()
+		if c != nil {
+			rec.chrome.PID, rec.chrome.ProcessName = c.Index+1, c.String()
+		}
+		rec.bus.AddSink(rec.chrome)
+	}
+	return rec
+}
+
+// wrap names a list's cell in err.
+func (r *recording) wrap(err error) error {
+	if err != nil && r.cell != nil {
+		err = fmt.Errorf("%s: %w", r.cell, err)
+	}
+	return err
+}
+
+// export writes the files o names from recs, one recording a simulation in
+// cell order, after the run that recorded them returned runErr: the JSONL
+// traces one after the other, each under its cell's header object in a list,
+// the Chrome traces as one file, and the aggregate of the metrics. A failed
+// run writes what it recorded, its timeline being the one worth reading; a
+// run that failed having recorded nothing, input the workload rejects at
+// launch, writes no file, as a flag ckptsim rejects itself writes none. It
+// returns the first export error, or else runErr.
+func (o outputs) export(recs []*recording, runErr error) error {
+	agg, chromes := obs.NewAggregate(), make([]*obs.ChromeSink, len(recs))
+	for i, rec := range recs {
+		agg.Merge(rec.bus.Metrics().Snapshot())
+		chromes[i] = rec.chrome
+	}
+	metrics := agg.Snapshot()
+	if runErr != nil && len(metrics.Counters) == 0 {
+		return runErr
+	}
+	return cmp.Or(cli.WriteFile(o.jsonl, func(w io.Writer) (err error) {
+		for _, rec := range recs {
+			if rec.cell != nil {
+				err = cmp.Or(err, json.NewEncoder(w).Encode(rec.cell))
+			}
+			_, werr := w.Write(rec.lines.Bytes())
+			err = cmp.Or(err, werr, rec.jsonl.Err())
+		}
+		return err
+	}), cli.WriteFile(o.chrome, func(w io.Writer) error { return obs.RenderChromeMulti(w, chromes) }),
+		cli.WriteFile(o.metrics, metrics.WriteJSON), runErr)
 }
 
 // parseTimes parses the -at flag: one or more comma-separated checkpoint

@@ -80,6 +80,7 @@ func TestRejectedInput(t *testing.T) {
 	out := t.TempDir() // no rejected run may leave a file here
 	exports := []string{"-trace-json", filepath.Join(out, "t.jsonl"),
 		"-trace-chrome", filepath.Join(out, "t.json"), "-metrics-json", filepath.Join(out, "m.json")}
+	small := []string{"-workload", "commgroups", "-n", "4", "-iters", "20", "-footprint", "10"}
 	cases := []struct {
 		name string
 		args []string
@@ -121,12 +122,20 @@ func TestRejectedInput(t *testing.T) {
 		{"comm past the job", append([]string{"-workload", "commgroups", "-n", "4", "-comm", "64"}, exports...)},
 		{"comm zero", []string{"-workload", "commgroups", "-n", "4", "-comm", "0"}},
 		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
+		{"at after the job", append(append(small, "-at", "100"), exports...)},
+		{"at after the job in a list", append(append(small, "-at", "0.5,100"), exports...)},
+	}
+	// The prefix of the error, where a case pins one.
+	wants := map[string]string{
+		"at after the job":           "-at 100s is not before the job's failure-free end at 2.00039s",
+		"at after the job in a list": "cell 1: commgroups(n=4,comm=4) group=4 at=100s: -at 100s is not before",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, err := ckptsim(tc.args...)
-			if err == nil || errors.Is(err, cli.ErrUsage) || strings.Contains(err.Error(), "\n") {
-				t.Fatalf("want a one-line error other than a usage one, got %v", err)
+			if err == nil || errors.Is(err, cli.ErrUsage) || strings.Contains(err.Error(), "\n") ||
+				!strings.HasPrefix(err.Error(), wants[tc.name]) {
+				t.Fatalf("want a one-line error other than a usage one starting %q, got %v", wants[tc.name], err)
 			}
 			if len(stdout)+len(stderr) != 0 {
 				t.Errorf("rejected run wrote %q to stdout and %q to stderr", stdout, stderr)
@@ -138,19 +147,25 @@ func TestRejectedInput(t *testing.T) {
 	}
 }
 
-// TestMultiCellOutputsIndependentOfWidth runs the same -at list on a one-
-// and a four-wide worker pool: every merged export must be byte-identical.
+// listArgs is the job the -at list tests run: 8 ranks in communication and
+// checkpoint groups of 4, small enough that a cell takes a fraction of a
+// second.
+var listArgs = []string{"-workload", "commgroups", "-n", "8", "-comm", "4", "-group", "4",
+	"-iters", "250", "-footprint", "20"}
+
+// TestMultiCellOutputsIndependentOfWidth runs the same -at list on one-, two-
+// and four-wide worker pools: stdout, the merged -trace timeline included,
+// and every merged export must be byte-identical.
 func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 	files := []string{"trace.jsonl", "trace.json", "metrics.json"}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func(gomaxprocs int) (stdout []byte, exports [][]byte) {
 		dir := t.TempDir()
 		runtime.GOMAXPROCS(gomaxprocs) // the width of the -at list's worker pool
-		stdout, _, err := ckptsim("-workload", "commgroups", "-n", "8", "-comm", "4", "-group", "4",
-			"-iters", "250", "-footprint", "20", "-at", "5,10,15,20",
+		stdout, _, err := ckptsim(append(listArgs, "-at", "5,10,15,20", "-trace",
 			"-trace-json", filepath.Join(dir, files[0]),
 			"-trace-chrome", filepath.Join(dir, files[1]),
-			"-metrics-json", filepath.Join(dir, files[2]))
+			"-metrics-json", filepath.Join(dir, files[2]))...)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", gomaxprocs, err)
 		}
@@ -167,14 +182,46 @@ func TestMultiCellOutputsIndependentOfWidth(t *testing.T) {
 		return stdout, exports
 	}
 	out1, exp1 := run(1)
-	out4, exp4 := run(4)
-	if !bytes.Equal(out1, out4) {
-		t.Errorf("stdout differs between GOMAXPROCS=1 and 4:\n%s\nvs\n%s", out1, out4)
+	if !bytes.Contains(out1, []byte("\nmerged timeline:\n=== cell 0: ")) {
+		t.Fatalf("stdout has no merged timeline:\n%s", out1)
 	}
-	for i, f := range files {
-		if !bytes.Equal(exp1[i], exp4[i]) {
-			t.Errorf("%s differs between GOMAXPROCS=1 and 4 (%d vs %d bytes)", f, len(exp1[i]), len(exp4[i]))
+	for _, width := range []int{2, 4} {
+		out, exp := run(width)
+		if !bytes.Equal(out1, out) {
+			t.Errorf("stdout differs between GOMAXPROCS=1 and %d:\n%s\nvs\n%s", width, out1, out)
 		}
+		for i, f := range files {
+			if !bytes.Equal(exp1[i], exp[i]) {
+				t.Errorf("%s differs between GOMAXPROCS=1 and %d (%d vs %d bytes)", f, width, len(exp1[i]), len(exp[i]))
+			}
+		}
+	}
+}
+
+// TestListCellRecordsItsRunAlone: a cell of an -at list records what the
+// same issuance time records run alone, so cell 1's -trace-json body, the
+// lines after its header object, is the -at 10 run's file byte for byte.
+func TestListCellRecordsItsRunAlone(t *testing.T) {
+	dir := t.TempDir()
+	list, alone := filepath.Join(dir, "list.jsonl"), filepath.Join(dir, "alone.jsonl")
+	for _, c := range [][]string{{"5,10", list}, {"10", alone}} {
+		if _, _, err := ckptsim(append(listArgs, "-at", c[0], "-trace-json", c[1])...); err != nil {
+			t.Fatalf("-at %s: %v", c[0], err)
+		}
+	}
+	got, err := os.ReadFile(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(alone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cell1, found := bytes.Cut(got, []byte("\n{\"cell\":1,"))
+	_, cell1, _ = bytes.Cut(cell1, []byte("\n"))
+	if !found || len(want) == 0 || !bytes.Equal(cell1, want) {
+		t.Errorf("cell 1 of -at 5,10 recorded %d bytes (header found: %v), -at 10 alone %d: not the same",
+			len(cell1), found, len(want))
 	}
 }
 

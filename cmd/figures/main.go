@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -140,12 +139,5 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 	}
-	if *metrics == "" {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := agg.Snapshot().WriteJSON(&buf); err != nil {
-		return err
-	}
-	return os.WriteFile(*metrics, buf.Bytes(), 0o644)
+	return cli.WriteFile(*metrics, agg.Snapshot().WriteJSON)
 }

@@ -1,9 +1,10 @@
 // Package cli holds what the commands share: the exit status of a run(args,
-// stdout, stderr) error function, and the pprof files of -cpuprofile and
-// -memprofile.
+// stdout, stderr) error function, the export files they write, and the
+// pprof files of -cpuprofile and -memprofile.
 package cli
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +39,20 @@ func Status(name string, err error, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "%s: %v\n", name, err)
 	return 1
+}
+
+// WriteFile writes what render renders to path, unless path is empty. It
+// renders into memory first, so a failed encoding never leaves a truncated
+// file.
+func WriteFile(path string, render func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return fmt.Errorf("encoding %s: %v", path, err)
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // StartProfiles creates both files up front, so a path that cannot be written fails

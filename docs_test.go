@@ -18,11 +18,13 @@ import (
 
 var (
 	docIdentRE = regexp.MustCompile(`\b([a-z]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
-	docToolRE  = regexp.MustCompile(`\b(ckptsim|figures|gbcrlint)\b([^\n|;&#>]*)`)
-	docFlagRE  = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
-	flagDefRE  = regexp.MustCompile(`\bfs\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
-	metricRE   = regexp.MustCompile(`"name": "(\w+\.\w+)"`)
-	plannedRE  = regexp.MustCompile("[^`\n]+")
+	// docMemberRE is an unqualified Type.Member, not the tail of a pkg.Type.Member.
+	docMemberRE = regexp.MustCompile(`(?:^|[^\w.])([A-Z]\w*)\.([A-Za-z_]\w*)`)
+	docToolRE   = regexp.MustCompile(`\b(ckptsim|figures|gbcrlint)\b([^\n|;&#>]*)`)
+	docFlagRE   = regexp.MustCompile(`(?:^|\s)-([A-Za-z][\w-]*)`)
+	flagDefRE   = regexp.MustCompile(`\bfs\.\w+\("([\w-]+)"|"--?([a-z][\w-]*)"`)
+	metricRE    = regexp.MustCompile(`"name": "(\w+\.\w+)"`)
+	plannedRE   = regexp.MustCompile("[^`\n]+")
 	// changesEntryRE is one numbered CHANGES.md entry, one line.
 	changesEntryRE = regexp.MustCompile(`(?m)^(- \*\*PR (\d+).*)$`)
 )
@@ -30,7 +32,8 @@ var (
 // TestDocsResolve keeps the prose from outliving the code: in README.md,
 // DESIGN.md, EXPERIMENTS.md and ROADMAP.md every back-quoted pkg.Ident (or
 // pkg.Type.Member) whose pkg is a first-party package must be declared in the
-// tree — or be a per_layer metric of BENCHMARK.json — and every -flag
+// tree — or be a per_layer metric of BENCHMARK.json —, so must every
+// Type.Member whose Type one first-party package alone declares, and every -flag
 // following ckptsim, figures or gbcrlint must be one that command defines. A
 // line that contains "planned:" names what is not built yet and is not
 // checked.
@@ -59,6 +62,7 @@ func TestDocsPlannedMarker(t *testing.T) {
 		{"Not built yet (planned: `ckptsim -nosuchflag`, `obs.NoSuchThing`).\n", 0},
 		{"planned: `ckptsim -nosuchflag`\nbut here `ckptsim -nosuchflag` runs.\n", 1},
 		{"`ckptsim -workload ring -n 8` and `obs.Kind`\n", 0},
+		{"`Runner.Measure`, `Runner.NoSuchMethod` and `Kernel.Fail`\n", 1},
 	} {
 		if got := unresolved(known, c.text); len(got) != c.errs {
 			t.Errorf("%q: %d errors %q, want %d", c.text, len(got), got, c.errs)
@@ -98,7 +102,8 @@ func docsKnown(t *testing.T) map[string]bool {
 			case *ast.FuncDecl:
 				name := n.Name.Name
 				if n.Recv != nil {
-					name = strings.TrimPrefix(types.ExprString(n.Recv.List[0].Type), "*") + "." + name
+					recv, _, _ := strings.Cut(types.ExprString(n.Recv.List[0].Type), "[") // Codec[T] is Codec
+					name = strings.TrimPrefix(recv, "*") + "." + name
 				}
 				known[pkg+name] = true
 				return false
@@ -139,6 +144,13 @@ func unresolved(known map[string]bool, text string) []string {
 			lines[i] = plannedRE.ReplaceAllString(line, " ")
 		}
 	}
+	owners := make(map[string][]string) // type name -> the packages declaring it
+	for k := range known {
+		if qualified, ok := strings.CutPrefix(k, "type "); ok {
+			pkg, name, _ := strings.Cut(qualified, ".")
+			owners[name] = append(owners[name], pkg)
+		}
+	}
 	var msgs []string
 	checkFlags := func(tool, args string) {
 		for _, m := range docFlagRE.FindAllStringSubmatch(args, -1) {
@@ -160,6 +172,11 @@ func unresolved(known map[string]bool, text string) []string {
 				msgs = append(msgs, fmt.Sprintf("`%s`: package %s declares no %s", m[0], pkg, name))
 			case member != "" && known["type "+pkg+"."+name]:
 				msgs = append(msgs, fmt.Sprintf("`%s`: %s.%s has no field or method %s", m[0], pkg, name, member))
+			}
+		}
+		for _, m := range docMemberRE.FindAllStringSubmatch(code, -1) {
+			if pkgs := owners[m[1]]; len(pkgs) == 1 && !known[pkgs[0]+"."+m[1]+"."+m[2]] {
+				msgs = append(msgs, fmt.Sprintf("`%s.%s`: %s.%s has no field or method %s", m[1], m[2], pkgs[0], m[1], m[2]))
 			}
 		}
 		code = strings.ReplaceAll(strings.ReplaceAll(code, "\\\n", " "), "internal/figures", "")

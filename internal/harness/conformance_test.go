@@ -430,7 +430,7 @@ func buildTraces() (b traceBatch) {
 				err = js.Err()
 			}
 			if err == nil {
-				err = ch.Render(&cb)
+				err = obs.RenderChromeMulti(&cb, []*obs.ChromeSink{ch})
 			}
 			if err != nil {
 				return fmt.Errorf("%v: %w", b.pairs[i], err)

@@ -7,7 +7,9 @@
 // One function runs every simulation: attempt, which Run wraps for a fresh
 // launch and RunScenario chains across restarts. Runner is a worker pool
 // that memoizes baselines; its Measure gives the results of a serial
-// Baseline and MeasureWithBaseline at any worker count. All entry points
+// Baseline and MeasureWithBaseline at any worker count, and records into
+// the caller's bus, so what a cell records and how cells merge is the
+// caller's (cmd/ckptsim, the figures' aggregate). All entry points
 // return errors instead of panicking, so the stack is usable as an
 // embedded service component.
 package harness

@@ -251,7 +251,7 @@ func observedRun(t *testing.T) (jsonl, chrome, metrics []byte) {
 		t.Fatal(js.Err())
 	}
 	var cb, mb bytes.Buffer
-	if err := ch.Render(&cb); err != nil {
+	if err := obs.RenderChromeMulti(&cb, []*obs.ChromeSink{ch}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bus.Metrics().Snapshot().WriteJSON(&mb); err != nil {

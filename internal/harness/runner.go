@@ -93,11 +93,13 @@ func (r *Runner) Baseline(cfg ClusterConfig, w workload.Workload) (sim.Time, err
 }
 
 // Measure runs one checkpointed cell, taking the baseline from the cache,
-// with an optional caller-owned bus attached to the checkpointed run
-// (RunCaptured's per-cell sinks hang off it). The baseline run is not
-// observed, so the bus's timeline covers exactly the checkpointed execution. With an aggregate installed,
-// the cell's metrics are merged into it. Cells are independent simulations,
-// so calls from ForEach's workers give the results a serial loop would.
+// with an optional caller-owned bus attached to the checkpointed run; give
+// each cell a bus of its own, as ckptsim's -at list does, and the cells'
+// recordings merge in cell order whatever the schedule. The baseline run is
+// not observed, so the bus's timeline covers exactly the checkpointed
+// execution. With an aggregate installed, the cell's metrics are merged into
+// it. Cells are independent simulations, so calls from ForEach's workers
+// give the results a serial loop would.
 func (r *Runner) Measure(c Cell, bus *obs.Bus) (Result, error) {
 	base, err := r.Baseline(c.Config, c.Workload)
 	if err != nil {
@@ -126,9 +128,9 @@ type Cell struct {
 }
 
 // ForEach runs fn(0..n-1) on the worker pool and waits for all of them.
-// It is the one scheduling primitive: figure grids call Measure (or run
-// fault-injection scenarios, storage-only runs, ...) from fn, and
-// RunCaptured is built on it. Panics in fn are captured as errors so a
+// It is the one scheduling primitive: figure grids and ckptsim's -at lists
+// call Measure (or run fault-injection scenarios, storage-only runs, ...)
+// from fn. Panics in fn are captured as errors so a
 // misbehaving cell cannot take down an embedding service. The first error
 // in index order is returned.
 func (r *Runner) ForEach(n int, fn func(i int) error) error {

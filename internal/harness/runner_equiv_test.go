@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gbcr/internal/cr/protocol"
+	"gbcr/internal/obs"
 	"gbcr/internal/sim"
 	"gbcr/internal/storage/tier"
 	"gbcr/internal/workload"
@@ -43,40 +44,54 @@ func equivCells() []Cell {
 	}
 }
 
-// capturedOutputs holds every merged artifact of one RunCaptured execution.
+// capturedOutputs holds every merged artifact of one matrix execution.
 type capturedOutputs struct {
 	timeline, jsonl, chrome, metrics []byte
 	results                          []Result
 }
 
+// captureAtWidth measures cells on a pool of the given width through ForEach
+// and Measure, each cell with a private bus and sinks, and merges the
+// captures in cell order: a header line and the cell's events for the text
+// timeline and JSONL, one Chrome process per cell, the aggregate of the
+// metrics.
 func captureAtWidth(t *testing.T, cells []Cell, workers int) capturedOutputs {
 	t.Helper()
-	run, err := NewRunner(workers).RunCaptured(cells, Capture{Trace: true, JSONL: true, Chrome: true})
+	r := NewRunner(workers)
+	mems := make([]*obs.MemorySink, len(cells))
+	jsonls := make([]bytes.Buffer, len(cells))
+	chromes := make([]*obs.ChromeSink, len(cells))
+	agg := obs.NewAggregate()
+	out := capturedOutputs{results: make([]Result, len(cells))}
+	err := r.ForEach(len(cells), func(i int) (err error) {
+		bus := obs.NewBus()
+		mems[i], chromes[i] = &obs.MemorySink{}, obs.NewChrome()
+		chromes[i].PID = i + 1
+		bus.AddSink(mems[i])
+		bus.AddSink(obs.NewJSONL(&jsonls[i]))
+		bus.AddSink(chromes[i])
+		out.results[i], err = r.Measure(cells[i], bus)
+		agg.Merge(bus.Metrics().Snapshot())
+		return err
+	})
 	if err != nil {
-		t.Fatalf("RunCaptured(workers=%d): %v", workers, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	var out capturedOutputs
-	var buf bytes.Buffer
-	if err := run.RenderTimeline(&buf); err != nil {
+	var timeline, jsonl, chrome, metrics bytes.Buffer
+	for i := range cells {
+		label := fmt.Sprintf("cell %d: group=%d at=%v\n", i, cells[i].Config.CR.GroupSize, cells[i].IssuedAt)
+		timeline.WriteString(label)
+		mems[i].Render(&timeline)
+		jsonl.WriteString(label)
+		jsonl.Write(jsonls[i].Bytes())
+	}
+	if err := obs.RenderChromeMulti(&chrome, chromes); err != nil {
 		t.Fatal(err)
 	}
-	out.timeline = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := run.WriteJSONL(&buf); err != nil {
+	if err := agg.Snapshot().WriteJSON(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	out.jsonl = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := run.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out.chrome = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := run.Aggregate().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out.metrics = append([]byte(nil), buf.Bytes()...)
-	out.results = run.Results
+	out.timeline, out.jsonl, out.chrome, out.metrics = timeline.Bytes(), jsonl.Bytes(), chrome.Bytes(), metrics.Bytes()
 	return out
 }
 
@@ -116,24 +131,5 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 				t.Errorf("results (cycle reports included) differ from serial")
 			}
 		})
-	}
-}
-
-// TestCapturedRunWithoutCaptures covers the render rejection paths: an
-// output that was not captured is an error, not an empty file.
-func TestCapturedRunWithoutCaptures(t *testing.T) {
-	run, err := NewRunner(2).RunCaptured(equivCells()[:2], Capture{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run.RenderTimeline(&buf); err == nil {
-		t.Fatal("timeline rendered without capture")
-	}
-	if err := run.WriteJSONL(&buf); err == nil {
-		t.Fatal("JSONL written without capture")
-	}
-	if err := run.WriteChrome(&buf); err == nil {
-		t.Fatal("Chrome written without capture")
 	}
 }

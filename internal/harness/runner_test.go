@@ -207,12 +207,6 @@ func TestRunnerErrorPropagation(t *testing.T) {
 		t.Fatal("negative issuance time must error")
 	}
 
-	// A bad cell in a batch reports its index and spares the good cells.
-	good := Cell{Config: PaperCluster(8), Workload: w, IssuedAt: 100 * sim.Millisecond}
-	_, err := r.RunCaptured([]Cell{good, {Config: bad, Workload: w, IssuedAt: sim.Second}}, Capture{})
-	if err == nil || !strings.Contains(err.Error(), "cell 1") {
-		t.Fatalf("batch error should name cell 1, got: %v", err)
-	}
 }
 
 func TestForEachPanicBecomesError(t *testing.T) {

@@ -22,7 +22,7 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// ChromeSink buffers events and, on Close, writes a Chrome trace-event file:
+// ChromeSink buffers events for a Chrome trace-event file (RenderChromeMulti):
 // every rank becomes one track (thread), system-wide activity (coordinator,
 // storage, kernel) a "system" track, Begin/End pairs become duration spans,
 // and Instants become instant events. Load the file in chrome://tracing or
@@ -42,8 +42,8 @@ type ChromeSink struct {
 	lastTS float64
 }
 
-// NewChrome returns an empty Chrome trace sink. Call Close after the run to
-// write the file.
+// NewChrome returns an empty Chrome trace sink. Call RenderChromeMulti after
+// the run to write the file.
 func NewChrome() *ChromeSink {
 	return &ChromeSink{tids: make(map[int]bool), open: make(map[int][]string)}
 }
@@ -167,16 +167,11 @@ func (s *ChromeSink) renderEvents() []chromeEvent {
 	return append(meta, append(s.events, closing...)...)
 }
 
-// Render writes the complete trace file to w. The output is deterministic:
-// events appear in emission (kernel) order, preceded by thread-name
-// metadata in track order.
-func (s *ChromeSink) Render(w io.Writer) error {
-	return RenderChromeMulti(w, []*ChromeSink{s})
-}
-
 // RenderChromeMulti writes several sinks as one trace file, in slice order.
-// Give each sink a distinct PID (and a ProcessName) so a merged multi-cell
-// run renders one Chrome process per cell.
+// The output is deterministic: each sink's events appear in emission
+// (kernel) order, preceded by thread-name metadata in track order. Give each
+// sink a distinct PID (and a ProcessName) so a merged multi-cell run renders
+// one Chrome process per cell.
 func RenderChromeMulti(w io.Writer, sinks []*ChromeSink) error {
 	var all []chromeEvent
 	for _, s := range sinks {

@@ -185,7 +185,7 @@ func TestChromeSinkStructure(t *testing.T) {
 		ch.Emit(e)
 	}
 	var buf bytes.Buffer
-	if err := ch.Render(&buf); err != nil {
+	if err := RenderChromeMulti(&buf, []*ChromeSink{ch}); err != nil {
 		t.Fatal(err)
 	}
 	var f chromeFile
@@ -245,7 +245,7 @@ func TestChromeSinkClosesDanglingSpans(t *testing.T) {
 	ch.Emit(Event{At: 15 * sim.Millisecond, Rank: 1, Layer: LayerCR, Type: Instant, What: KindCrash})
 	render := func() chromeFile {
 		var buf bytes.Buffer
-		if err := ch.Render(&buf); err != nil {
+		if err := RenderChromeMulti(&buf, []*ChromeSink{ch}); err != nil {
 			t.Fatal(err)
 		}
 		var f chromeFile

@@ -67,8 +67,8 @@ var workloads = []struct {
 			Chunk: 100 * sim.Millisecond, FootprintMB: foot}, n
 	}},
 	{"barrier", []string{"n", "comm", "footprint"}, func(n, comm, _ int, foot int64) (workload.Workload, int) {
-		return workload.BarrierPhases{N: n, CommGroupSize: comm, Chunk: 100 * sim.Millisecond,
-			BarrierEvery: sim.Minute, Phases: 3, FootprintMB: foot}, n
+		return workload.CommGroups{N: n, CommGroupSize: comm, Iters: 3 * 600, Chunk: 100 * sim.Millisecond,
+			BarrierEvery: sim.Minute, FootprintMB: foot}, n
 	}},
 	{"hpl", nil, func(int, int, int, int64) (workload.Workload, int) { w := hpl.PaperTimed(); return w, w.P * w.Q }},
 	{"motif", nil, func(int, int, int, int64) (workload.Workload, int) { w := motif.PaperTimed(); return w, w.N }},

@@ -124,11 +124,15 @@ func TestRejectedInput(t *testing.T) {
 		{"profile in a missing directory", append(ring, "-at", "1", "-memprofile", filepath.Join(t.TempDir(), "missing", "m.out"))},
 		{"at after the job", append(append(small, "-at", "100"), exports...)},
 		{"at after the job in a list", append(append(small, "-at", "0.5,100"), exports...)},
+		// Before the end, but the request's trip reaches each rank after it
+		// finished: the checkpoint delays nothing.
+		{"at reaches only finished ranks", append(small, "-at", "2.0003")},
 	}
 	// The prefix of the error, where a case pins one.
 	wants := map[string]string{
-		"at after the job":           "-at 100s is not before the job's failure-free end at 2.00039s",
-		"at after the job in a list": "cell 1: commgroups(n=4,comm=4) group=4 at=100s: -at 100s is not before",
+		"at after the job":               "-at 100s is not before the job's failure-free end at 2.00039s",
+		"at after the job in a list":     "cell 1: commgroups(n=4,comm=4) group=4 at=100s: -at 100s is not before",
+		"at reaches only finished ranks": "harness: checkpointed run: the checkpoint issued at 2.0003s reached every rank after it finished",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -63,13 +63,41 @@ const (
 	BurstBufferOutage
 )
 
-var kindNames = [...]string{"crash", "outage", "cmdrop", "corrupt", "memloss", "bboutage"}
+// kinds is the spec grammar, one row a kind: the name a spec writes, whether
+// the kind reads a trigger time ("@T") and a window ("+D"), and the options
+// it reads, in the order String writes them. injector.go is the reader, and
+// a time, window or option outside its kind's row is rejected, the rule
+// ckptsim applies to workload-shape flags: dropped silently, the spec a
+// report echoes would not be the spec that was typed. A crash reads @T only
+// without a phase.
+var kinds = [...]kindRow{
+	RankCrash:         {"crash", true, false, []string{"rank", "phase", "epoch"}},
+	StorageOutage:     {"outage", true, true, []string{"factor"}},
+	CMDrop:            {"cmdrop", true, false, []string{"rank", "type", "count"}},
+	SnapshotCorrupt:   {"corrupt", false, false, []string{"rank", "epoch"}},
+	NodeMemoryLoss:    {"memloss", true, false, []string{"rank", "count"}},
+	BurstBufferOutage: {"bboutage", true, true, []string{"factor"}},
+}
+
+type kindRow struct {
+	name       string
+	at, window bool
+	opts       []string
+}
 
 func (kd Kind) String() string {
-	if int(kd) < len(kindNames) {
-		return kindNames[kd]
+	if kd >= 0 && int(kd) < len(kinds) {
+		return kinds[kd].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(kd))
+}
+
+// cmClasses maps each cmdrop type= class onto the wire packet kinds it
+// covers: "DISC" both disconnect packets, "FLUSH" both flush packets. No
+// type= covers everything.
+var cmClasses = map[string][]string{
+	"REQ": {"REQ"}, "REP": {"REP"}, "RTU": {"RTU"},
+	"DISC": {"DISC_REQ", "DISC_REP"}, "FLUSH": {"FLUSH", "FLUSH_ACK"},
 }
 
 // Fault is one injectable event. Which fields matter depends on Kind; the
@@ -104,38 +132,40 @@ type Fault struct {
 }
 
 // String renders the fault in the scenario spec grammar, round-tripping
-// through Parse.
+// through Parse. It writes the time, window and options the kind reads, each
+// option only when it differs from what omitting it says.
 func (f Fault) String() string {
 	s := f.Kind.String()
-	switch f.Kind {
-	case StorageOutage, BurstBufferOutage:
+	if f.Kind < 0 || int(f.Kind) >= len(kinds) {
+		return s
+	}
+	row := kinds[f.Kind]
+	switch {
+	case row.window:
 		s += "@" + time.Duration(f.At).String() + "+" + time.Duration(f.Duration).String()
-	case SnapshotCorrupt:
-		// Fires when its epoch commits; no trigger time.
-	default:
-		if f.At > 0 {
-			s += "@" + time.Duration(f.At).String()
-		}
+	case row.at && f.At > 0:
+		s += "@" + time.Duration(f.At).String()
 	}
 	var kvs []string
-	add := func(k, v string) { kvs = append(kvs, k+"="+v) }
-	if f.Rank >= 0 {
-		add("rank", fmt.Sprintf("%d", f.Rank))
-	}
-	if f.Phase != 0 {
-		add("phase", f.Phase.String())
-	}
-	if f.Epoch > 0 {
-		add("epoch", fmt.Sprintf("%d", f.Epoch))
-	}
-	if (f.Kind == StorageOutage || f.Kind == BurstBufferOutage) && f.Factor > 0 {
-		add("factor", fmt.Sprintf("%g", f.Factor))
-	}
-	if f.CMType != "" {
-		add("type", f.CMType)
-	}
-	if f.Count > 1 {
-		add("count", fmt.Sprintf("%d", f.Count))
+	for _, key := range row.opts {
+		var v string
+		switch {
+		case key == "rank" && f.Rank >= 0:
+			v = fmt.Sprint(f.Rank)
+		case key == "phase" && f.Phase != 0:
+			v = f.Phase.String()
+		case key == "epoch" && f.Epoch > 0:
+			v = fmt.Sprint(f.Epoch)
+		case key == "factor" && f.Factor > 0:
+			v = fmt.Sprintf("%g", f.Factor)
+		case key == "type":
+			v = f.CMType
+		case key == "count" && f.Count > 1:
+			v = fmt.Sprint(f.Count)
+		}
+		if v != "" {
+			kvs = append(kvs, key+"="+v)
+		}
 	}
 	if len(kvs) > 0 {
 		s += ":" + strings.Join(kvs, ",")
@@ -155,16 +185,14 @@ func (f Fault) validate() error {
 			return errors.New("crash epoch=N scopes a phase trigger; add phase=")
 		}
 	case StorageOutage, BurstBufferOutage:
-		if f.At < 0 || f.Duration <= 0 {
+		if f.Duration <= 0 {
 			return errors.New("outage needs a time and a positive duration (@dur+dur)")
 		}
 		if !(f.Factor >= 0 && f.Factor < 1) { // written so that NaN fails it
 			return fmt.Errorf("outage factor %g outside [0, 1)", f.Factor)
 		}
 	case CMDrop:
-		switch f.CMType {
-		case "", "REQ", "REP", "RTU", "DISC", "FLUSH":
-		default:
+		if _, ok := cmClasses[f.CMType]; !ok && f.CMType != "" {
 			return fmt.Errorf("unknown cmdrop type %q (want REQ, REP, RTU, DISC, or FLUSH)", f.CMType)
 		}
 	case SnapshotCorrupt:
@@ -178,8 +206,6 @@ func (f Fault) validate() error {
 		if f.At <= 0 {
 			return errors.New("memloss needs a trigger time (@dur)")
 		}
-	default:
-		return fmt.Errorf("unknown fault kind %v", f.Kind)
 	}
 	return nil
 }

@@ -1,42 +1,67 @@
 package fault
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gbcr/internal/sim"
 )
 
+// roundTrip are specs whose String parses back to the same Scenario; they
+// seed FuzzParse too.
+var roundTrip = []string{
+	"crash@12s",
+	"crash@1.5s:rank=3",
+	"crash:rank=3,phase=write,epoch=1",
+	"outage@20s+5s",
+	"outage@20s+5s:factor=0.25",
+	"cmdrop:type=REQ,count=2",
+	"cmdrop@3s:rank=1,type=DISC",
+	"corrupt:rank=0,epoch=1",
+	"memloss@17s",
+	"memloss@17s:rank=2,count=3",
+	"bboutage@20s+5s",
+	"bboutage@20s+5s:factor=0.5",
+	"crash@12s;outage@20s+5s;mtbf=1m30s;seed=7",
+	"memloss@3s:count=2;bboutage@8s+2s;seed=11",
+}
+
+// checkRoundTrip fails t if String of an accepted spec does not parse back
+// to an equal Scenario; a rejected spec passes.
+func checkRoundTrip(t *testing.T, spec string) {
+	scn, err := Parse(spec)
+	if err != nil {
+		return
+	}
+	again, err := Parse(scn.String())
+	if err != nil {
+		t.Fatalf("Parse(String(%q)) = Parse(%q): %v", spec, scn.String(), err)
+	}
+	if !reflect.DeepEqual(scn, again) {
+		t.Fatalf("round trip of %q through %q: %+v != %+v", spec, scn.String(), scn, again)
+	}
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"crash@12s",
-		"crash@1.5s:rank=3",
-		"crash:rank=3,phase=write,epoch=1",
-		"outage@20s+5s",
-		"outage@20s+5s:factor=0.25",
-		"cmdrop:type=REQ,count=2",
-		"cmdrop@3s:rank=1,type=DISC",
-		"corrupt:rank=0,epoch=1",
-		"memloss@17s",
-		"memloss@17s:rank=2,count=3",
-		"bboutage@20s+5s",
-		"bboutage@20s+5s:factor=0.5",
-		"crash@12s;outage@20s+5s;mtbf=1m30s;seed=7",
-		"memloss@3s:count=2;bboutage@8s+2s;seed=11",
-	} {
-		scn, err := Parse(spec)
-		if err != nil {
+	for _, spec := range roundTrip {
+		if _, err := Parse(spec); err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		again, err := Parse(scn.String())
-		if err != nil {
-			t.Fatalf("Parse(String(%q)) = Parse(%q): %v", spec, scn.String(), err)
-		}
-		if !reflect.DeepEqual(scn, again) {
-			t.Fatalf("round trip of %q: %+v != %+v", spec, scn, again)
-		}
+		checkRoundTrip(t, spec)
 	}
+}
+
+// FuzzParse: Parse never panics, and String of every spec it accepts parses
+// back to an equal Scenario.
+func FuzzParse(f *testing.F) {
+	for _, spec := range roundTrip {
+		f.Add(spec)
+	}
+	f.Fuzz(checkRoundTrip)
 }
 
 func TestParseScenarioSettings(t *testing.T) {
@@ -85,7 +110,7 @@ func TestParseErrors(t *testing.T) {
 		"cmdrop:count=-1",           // negative count
 		"corrupt:epoch=1",           // corrupt needs a rank
 		"corrupt:rank=1",            // corrupt needs an epoch
-		"crash@5s:color=red",        // unknown option
+		"crash@5s:color=red",        // not an option of any kind
 		"crash@5s:rank",             // malformed option
 		"mtbf=banana",               // bad setting value
 		"mtbf=0s",                   // "no MTBF" is said by omitting it
@@ -93,19 +118,12 @@ func TestParseErrors(t *testing.T) {
 		"seed=pi",                   // bad seed
 		"crash@5s;outage@1s",        // error in later segment
 		"memloss",                   // memloss needs a trigger time
-		"memloss@5s:phase=write",    // memloss fires at a time, not a phase
 		"bboutage@5s",               // no window length
 		"bboutage@5s+2s:factor=1.5", // factor out of range
-		// Options the fault's kind does not read (kindOptions), and values
-		// that used to run as "any" or as the default, are not dropped.
-		"crash@1s:factor=0.5",
-		"crash@1s:type=REQ,count=7",
-		"outage@1s+1s:rank=3,phase=write",
-		"degrade@1s+1s:count=2",
-		"bboutage@1s+1s:epoch=1",
-		"cmdrop@1s:phase=write",
-		"corrupt:epoch=1,rank=0,count=3",
-		"memloss@1s:epoch=2",
+		"cmdrop@-1s",                // a time is not negative
+		"degrade@1s+1s:count=2",     // the alias reads what outage reads
+		// Values that used to run as "any" or as the default are not
+		// dropped.
 		"crash@1s:epoch=2",           // epoch scopes a phase trigger; there is none
 		"crash@1s:rank=-3",           // "any rank" is said by omitting rank
 		"crash:phase=write,epoch=-1", // "any epoch" by omitting epoch
@@ -113,18 +131,82 @@ func TestParseErrors(t *testing.T) {
 		"corrupt:epoch=1,rank=-1",    // corrupt needs a real rank
 		"memloss@1s:count=0",         // a node loss loses at least one node
 		"cmdrop:count=0",             // a drop drops at least one packet
-		// Times and windows the fault's kind does not read (kindTiming).
-		"crash@5s+3s",
-		"crash@5s:phase=write",
-		"corrupt@5s:epoch=1,rank=0",
-		"memloss@5s+2s",
-		"cmdrop@3s+1s:type=REQ",
+		"crash@5s:phase=write",       // a crash reads @T only without a phase
 	} {
-		_, err := Parse(spec)
-		if err == nil {
-			t.Errorf("Parse(%q) accepted", spec)
-		} else if msg := err.Error(); !strings.HasPrefix(msg, "fault: ") || !strings.Contains(msg, ` in "`) || strings.Contains(msg, "\n") {
-			t.Errorf("Parse(%q): %q is not the one-line `fault: ... in \"<segment>\"` form", spec, msg)
+		checkRejected(t, spec, "")
+	}
+}
+
+// checkRejected fails t unless Parse rejects spec with a one-line
+// `fault: ... in "<segment>"` error containing want.
+func checkRejected(t *testing.T, spec, want string) {
+	t.Helper()
+	_, err := Parse(spec)
+	if err == nil {
+		t.Errorf("Parse(%q) accepted", spec)
+	} else if msg := err.Error(); !strings.HasPrefix(msg, "fault: ") || !strings.Contains(msg, ` in "`) ||
+		strings.Contains(msg, "\n") || !strings.Contains(msg, want) {
+		t.Errorf("Parse(%q): %q is not the one-line `fault: ... in \"<segment>\"` form containing %q", spec, msg, want)
+	}
+}
+
+// TestKindTable: for every kind, and for each option, the trigger time @T
+// and the window +D, Parse accepts a spec that adds it to the kind's
+// smallest spec exactly when the kind's row in kinds reads it.
+func TestKindTable(t *testing.T) {
+	keys := []string{"rank", "phase", "epoch", "factor", "type", "count"}
+	vals := map[string]string{"rank": "1", "phase": "write", "epoch": "1", "factor": "0.25", "type": "REQ", "count": "2"}
+	for k, row := range kinds {
+		// The smallest spec reads the time and window its row names, and
+		// what validate asks for: a corrupt names its snapshot.
+		at, win, base := "", "", map[string]string{}
+		if row.at {
+			at = "@1s"
+		}
+		if row.window {
+			win = "+1s"
+		}
+		if Kind(k) == SnapshotCorrupt {
+			base = map[string]string{"rank": "0", "epoch": "1"}
+		}
+		spec := func(at, win string, opts map[string]string) string {
+			s, sep := row.name+at+win, ":"
+			for _, key := range keys {
+				if v, ok := opts[key]; ok {
+					s, sep = s+sep+key+"="+v, ","
+				}
+			}
+			return s
+		}
+		for _, key := range keys {
+			opts, at := maps.Clone(base), at
+			opts[key] = vals[key]
+			if Kind(k) == RankCrash && (key == "phase" || key == "epoch") {
+				// A phase trigger replaces a crash's time, and an epoch
+				// scopes one.
+				opts["phase"], at = "write", ""
+			}
+			if s := spec(at, win, opts); slices.Contains(row.opts, key) {
+				if _, err := Parse(s); err != nil {
+					t.Errorf("%s reads %s, but Parse(%q): %v", row.name, key, s, err)
+				}
+			} else {
+				checkRejected(t, s, fmt.Sprintf("has no option %q", key))
+			}
+		}
+		if s := spec("@1s", win, base); row.at {
+			if _, err := Parse(s); err != nil {
+				t.Errorf("%s reads @T, but Parse(%q): %v", row.name, s, err)
+			}
+		} else {
+			checkRejected(t, s, "reads no trigger time")
+		}
+		if s := spec("@1s", "+1s", base); row.window {
+			if _, err := Parse(s); err != nil {
+				t.Errorf("%s reads +D, but Parse(%q): %v", row.name, s, err)
+			}
+		} else {
+			checkRejected(t, s, "reads no")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"gbcr/internal/blcr"
 	"gbcr/internal/cr"
@@ -82,7 +83,7 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 	var drops []int
 	for i, f := range in.scn.Faults {
 		switch f.Kind {
-		case RankCrash:
+		case RankCrash, NodeMemoryLoss:
 			if in.fired[i] {
 				continue
 			}
@@ -90,7 +91,7 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 				phaseCrashes = append(phaseCrashes, i)
 				continue
 			}
-			in.armTimedCrash(t, i, f, offset)
+			in.armLoss(t, i, f, offset)
 		case StorageOutage:
 			in.armWindow(t, t.Storage, obs.KindOutage, f, offset)
 		case CMDrop:
@@ -99,11 +100,6 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 			}
 		case SnapshotCorrupt:
 			// Applied by OnEpochCommitted when the target epoch commits.
-		case NodeMemoryLoss:
-			if in.fired[i] {
-				continue
-			}
-			in.armMemLoss(t, i, f, offset)
 		case BurstBufferOutage:
 			// Runners reject bboutage scenarios on stacks without a burst tier.
 			in.armWindow(t, t.Tiers.BurstSystem(), obs.KindBBOutage, f, offset)
@@ -117,20 +113,34 @@ func (in *Injector) Arm(t Target, offset sim.Time) {
 	}
 }
 
-func (in *Injector) armTimedCrash(t Target, i int, f Fault, offset sim.Time) {
-	d := f.At - offset
-	if d < 0 {
-		// The crash instant fell inside a previous attempt that ended (to a
-		// stochastic loss) before reaching it; deliver at attempt start so
-		// the fault still happens exactly once.
-		d = 0
-	}
-	t.K.After(d, func() {
+// armLoss schedules a timed crash or node loss: a fail-stop job loss at At.
+// A node loss also destroys every node-resident checkpoint copy (RAM
+// replicas, local-disk staging) held by Count consecutive nodes starting at
+// the target rank, in the same kernel event as the crash, so the restart line
+// is computed against the surviving copies only. Without a node-resident tier
+// the drop is vacuous and the node loss is a plain crash.
+func (in *Injector) armLoss(t Target, i int, f Fault, offset sim.Time) {
+	// An instant that fell inside a previous attempt, which ended (to a
+	// stochastic loss) before reaching it, is delivered at attempt start so
+	// the fault still happens exactly once.
+	t.K.After(max(f.At-offset, 0), func() {
 		if t.Job.Finished() {
 			return
 		}
 		in.fired[i] = true
-		in.emit(t.K.Now(), obs.Instant, obs.KindCrash, crashDetail(f), int64(f.Rank))
+		if f.Kind == NodeMemoryLoss {
+			first, count := max(f.Rank, 0), max(f.Count, 1)
+			lost := 0
+			// Nodes past the job hold nothing; a count may name far more.
+			for node := first; node < first+min(count, t.Job.Size()-first); node++ {
+				lost += t.Coord.Snapshots().DropNodeReplicas(node)
+			}
+			in.emit(t.K.Now(), obs.Instant, obs.KindMemLoss,
+				fmt.Sprintf("nodes %d..%d lost, %d node-resident copies destroyed", first, first+count-1, lost),
+				int64(count))
+		} else {
+			in.emit(t.K.Now(), obs.Instant, obs.KindCrash, "timed", int64(f.Rank))
+		}
 		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
 	})
 }
@@ -143,29 +153,16 @@ func (in *Injector) armPhaseCrashes(t Target, idx []int) {
 		}
 		for _, i := range idx {
 			f := in.scn.Faults[i]
-			if in.fired[i] || f.Phase != phase {
-				continue
-			}
-			if f.Rank >= 0 && f.Rank != rank {
-				continue
-			}
-			if f.Epoch > 0 && f.Epoch != epoch {
+			if in.fired[i] || f.Phase != phase || f.Rank >= 0 && f.Rank != rank || f.Epoch > 0 && f.Epoch != epoch {
 				continue
 			}
 			in.fired[i] = true
-			in.emit(t.K.Now(), obs.Instant, obs.KindCrash, crashDetail(f), int64(rank))
+			in.emit(t.K.Now(), obs.Instant, obs.KindCrash, fmt.Sprintf("phase=%s epoch=%d", f.Phase, f.Epoch), int64(rank))
 			t.K.Fail(fmt.Errorf("rank %d crashed in phase %q of epoch %d: %w",
 				rank, phase, epoch, ErrRankCrash))
 			return
 		}
 	}
-}
-
-func crashDetail(f Fault) string {
-	if f.Phase != 0 {
-		return fmt.Sprintf("phase=%s epoch=%d", f.Phase, f.Epoch)
-	}
-	return "timed"
 }
 
 // armWindow schedules an availability window on one storage system: the
@@ -190,43 +187,6 @@ func (in *Injector) armWindow(t Target, sys *storage.System, kind obs.Kind, f Fa
 	})
 }
 
-// armMemLoss schedules a node-loss fault: a fail-stop job loss that also
-// destroys every node-resident checkpoint copy (RAM replicas, local-disk
-// staging) held by Count consecutive nodes starting at the target rank. The
-// residency drop happens in the same kernel event as the crash, so the
-// restart line is computed against the surviving copies only. Without a
-// node-resident tier the drop is vacuous and the fault degenerates to a plain
-// crash.
-func (in *Injector) armMemLoss(t Target, i int, f Fault, offset sim.Time) {
-	d := f.At - offset
-	if d < 0 {
-		d = 0
-	}
-	t.K.After(d, func() {
-		if t.Job.Finished() {
-			return
-		}
-		in.fired[i] = true
-		first := f.Rank
-		if first < 0 {
-			first = 0
-		}
-		count := f.Count
-		if count < 1 {
-			count = 1
-		}
-		lost := 0
-		// Nodes past the job hold nothing; a count may name far more.
-		for node := first; node < first+min(count, t.Job.Size()-first); node++ {
-			lost += t.Coord.Snapshots().DropNodeReplicas(node)
-		}
-		in.emit(t.K.Now(), obs.Instant, obs.KindMemLoss,
-			fmt.Sprintf("nodes %d..%d lost, %d node-resident copies destroyed", first, first+count-1, lost),
-			int64(count))
-		t.K.Fail(fmt.Errorf("%v at %v: %w", f, offset+t.K.Now(), ErrRankCrash))
-	})
-}
-
 func (in *Injector) armDrops(t Target, idx []int, offset sim.Time) {
 	t.Fabric.SetDropFilter(func(src, dst int, kind string) bool {
 		for _, i := range idx {
@@ -248,20 +208,10 @@ func (in *Injector) armDrops(t Target, idx []int, offset sim.Time) {
 	})
 }
 
-// cmTypeMatches maps the spec's packet classes onto wire packet kinds:
-// "DISC" covers both disconnect packets, "FLUSH" both flush packets, ""
-// everything.
+// cmTypeMatches reports whether a wire packet kind falls in the spec's
+// packet class (cmClasses), "" matching everything.
 func cmTypeMatches(want, kind string) bool {
-	switch want {
-	case "":
-		return true
-	case "DISC":
-		return kind == "DISC_REQ" || kind == "DISC_REP"
-	case "FLUSH":
-		return kind == "FLUSH" || kind == "FLUSH_ACK"
-	default:
-		return want == kind
-	}
+	return want == "" || slices.Contains(cmClasses[want], kind)
 }
 
 // OnEpochCommitted applies pending SnapshotCorrupt faults whose epoch has

@@ -91,8 +91,8 @@ func (s Scenario) CheckRanks(n int) error {
 // multi-tier storage hierarchy: the former is a crash that also destroys the
 // RAM-tier copies of count consecutive nodes, the latter an availability
 // window on the burst-buffer tier. Keys: rank, phase, epoch, factor, type,
-// count; a key the fault's kind does not read (kindOptions), or a time or
-// window it does not read (kindTiming), is an error, not ignored. Examples:
+// count; a key, a time or a window outside the kind's row of kinds is an
+// error, not ignored. Examples:
 //
 //	crash@12s
 //	crash:phase=write,epoch=1,rank=3
@@ -138,35 +138,30 @@ func Parse(spec string) (Scenario, error) {
 }
 
 func parseFault(seg string) (Fault, error) {
-	f := Fault{Rank: -1}
 	head, opts, hasOpts := strings.Cut(seg, ":")
 	head, at, hasAt := strings.Cut(head, "@")
 	atPart, durPart, hasDur := strings.Cut(at, "+")
-	switch head {
-	case "crash":
-		f.Kind = RankCrash
-	case "outage":
-		f.Kind = StorageOutage
-	case "degrade":
-		f.Kind = StorageOutage
-		f.Factor = 0.5
-	case "cmdrop":
-		f.Kind = CMDrop
-		f.Count = 1
-	case "corrupt":
-		f.Kind = SnapshotCorrupt
-	case "memloss":
-		f.Kind = NodeMemoryLoss
-		f.Count = 1
-	case "bboutage":
-		f.Kind = BurstBufferOutage
-	default:
+	f := Fault{Rank: -1}
+	name := head
+	if head == "degrade" {
+		name, f.Factor = "outage", 0.5
+	}
+	k := slices.IndexFunc(kinds[:], func(r kindRow) bool { return r.name == name })
+	if k < 0 {
 		return Fault{}, fmt.Errorf("fault: unknown kind %q in %q", head, seg)
+	}
+	f.Kind = Kind(k)
+	row := kinds[k]
+	if slices.Contains(row.opts, "count") {
+		f.Count = 1
 	}
 	if hasAt {
 		d, err := time.ParseDuration(atPart)
 		if err != nil {
 			return Fault{}, fmt.Errorf("fault: bad time in %q: %w", seg, err)
+		}
+		if d < 0 {
+			return Fault{}, fmt.Errorf("fault: negative time in %q", seg)
 		}
 		f.At = sim.Time(d)
 		if hasDur {
@@ -188,13 +183,12 @@ func parseFault(seg string) (Fault, error) {
 			}
 		}
 	}
-	tm := kindTiming[f.Kind]
 	switch {
 	case hasAt && f.Kind == RankCrash && f.Phase != 0:
 		return Fault{}, fmt.Errorf("fault: crash fires at a time or at a phase, not both, in %q", seg)
-	case hasAt && !tm.at:
+	case hasAt && !row.at:
 		return Fault{}, fmt.Errorf("fault: %s reads no trigger time (@dur) in %q", head, seg)
-	case hasDur && !tm.window:
+	case hasDur && !row.window:
 		return Fault{}, fmt.Errorf("fault: %s reads no window (+dur) in %q", head, seg)
 	}
 	if err := f.validate(); err != nil {
@@ -203,37 +197,12 @@ func parseFault(seg string) (Fault, error) {
 	return f, nil
 }
 
-// kindTiming says whether each fault kind reads a trigger time ("@T") and a
-// window ("+D"); injector.go is the reader, and like an unread option an
-// unread time or window is rejected. A crash reads @T only without a phase.
-var kindTiming = [...]struct{ at, window bool }{
-	RankCrash:         {true, false},
-	StorageOutage:     {true, true},
-	CMDrop:            {true, false},
-	SnapshotCorrupt:   {false, false},
-	NodeMemoryLoss:    {true, false},
-	BurstBufferOutage: {true, true},
-}
-
-// kindOptions lists the options each fault kind reads (injector.go is the
-// reader). An option outside its kind's list is rejected, the rule ckptsim
-// applies to workload-shape flags: dropped silently, the spec a report echoes
-// would not be the spec that was typed.
-var kindOptions = [...][]string{
-	RankCrash:         {"rank", "phase", "epoch"},
-	StorageOutage:     {"factor"},
-	CMDrop:            {"rank", "type", "count"},
-	SnapshotCorrupt:   {"rank", "epoch"},
-	NodeMemoryLoss:    {"rank", "count"},
-	BurstBufferOutage: {"factor"},
-}
-
 // applyOpt sets one key=val option on f; head is the kind as it was typed.
 // "Any rank", "any epoch" and the default count are said by omitting the
 // option, so zero and negative values are errors too.
 func applyOpt(f *Fault, head, key, val string) error {
-	if !slices.Contains(kindOptions[f.Kind], key) {
-		return fmt.Errorf("%s has no option %q (it reads %s)", head, key, strings.Join(kindOptions[f.Kind], ", "))
+	if opts := kinds[f.Kind].opts; !slices.Contains(opts, key) {
+		return fmt.Errorf("%s has no option %q (it reads %s)", head, key, strings.Join(opts, ", "))
 	}
 	switch key {
 	case "rank":

@@ -96,16 +96,14 @@ type stridedPairs struct {
 func (w stridedPairs) Name() string { return fmt.Sprintf("stridedpairs(n=%d)", w.n) }
 
 func (w stridedPairs) Launch(j *mpi.Job) (workload.Instance, error) {
-	for i := 0; i < w.n; i++ {
-		j.Launch(i, func(e *mpi.Env) {
-			world := e.World()
-			partner := (e.Rank() + w.n/2) % w.n
-			for it := 0; it < w.iters; it++ {
-				e.Compute(w.chunk)
-				e.SendrecvSize(world, partner, 1, 1024, partner, 1)
-			}
-		})
-	}
+	j.LaunchAll(func(e *mpi.Env) {
+		world := e.World()
+		partner := (e.Rank() + w.n/2) % w.n
+		for it := 0; it < w.iters; it++ {
+			e.Compute(w.chunk)
+			e.SendrecvSize(world, partner, 1, 1024, partner, 1)
+		}
+	})
 	return workload.ConstFootprint(w.footprintMB << 20), nil
 }
 

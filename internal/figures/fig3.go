@@ -74,9 +74,9 @@ func (g *Generator) Fig4() (*Table, error) {
 		RowHeader: "metric",
 		Rows:      []string{"Effective Ckpt Delay", "Individual Ckpt Time", "Total Ckpt Time"},
 	}
-	w := workload.BarrierPhases{
-		N: microN, CommGroupSize: 8, Chunk: microChunk,
-		BarrierEvery: sim.Minute, Phases: 3, FootprintMB: microFootprint,
+	w := workload.CommGroups{
+		N: microN, CommGroupSize: 8, Iters: 3 * 600, Chunk: microChunk,
+		BarrierEvery: sim.Minute, FootprintMB: microFootprint,
 	}
 	cfg := harness.PaperCluster(microN)
 	cfg.CR.GroupSize = 8

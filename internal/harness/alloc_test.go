@@ -36,8 +36,8 @@ func TestWiringAllocsPerRank(t *testing.T) {
 		})
 	}
 	a32, a64 := allocs(32), allocs(64)
-	if slope := (a64 - a32) / 32; slope > 12 {
-		t.Errorf("%.1f allocations a rank (%.0f at 32 ranks, %.0f at 64), want ≤ 12", slope, a32, a64)
+	if slope := (a64 - a32) / 32; slope > 10 {
+		t.Errorf("%.1f allocations a rank (%.0f at 32 ranks, %.0f at 64), want ≤ 10", slope, a32, a64)
 	} else {
 		t.Logf("%.1f allocations a rank (%.0f at 32 ranks, %.0f at 64)", slope, a32, a64)
 	}

@@ -189,7 +189,8 @@ func MeasureWithBaseline(cfg ClusterConfig, w workload.Workload, issuedAt, basel
 }
 
 // measureWithBaselineObs is MeasureWithBaseline with an optional bus attached
-// to the checkpointed run.
+// to the checkpointed run. A checkpoint that stopped every rank only once it
+// had finished delayed nothing, whatever its cycle's times, and is an error.
 func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, baseline sim.Time, bus *obs.Bus) (Result, error) {
 	c, _, err := Run(cfg, w, bus, issuedAt)
 	if err != nil {
@@ -199,10 +200,24 @@ func measureWithBaselineObs(cfg ClusterConfig, w workload.Workload, issuedAt, ba
 	if err == nil && len(reps) != 1 {
 		err = fmt.Errorf("expected 1 checkpoint cycle, got %d (issued at %v, job finished at %v)",
 			len(reps), issuedAt, c.Job.FinishTime())
+	} else if err == nil && stoppedAfterFinish(c.Job, reps[0]) {
+		err = fmt.Errorf("the checkpoint issued at %v reached every rank after it finished (job finished at %v)",
+			issuedAt, c.Job.FinishTime())
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: checkpointed run: %w", err)
 	}
 	return Result{Workload: w.Name(), GroupSize: cfg.CR.GroupSize, IssuedAt: issuedAt,
 		Baseline: baseline, WithCkpt: c.Job.FinishTime(), Report: reps[0]}, nil
+}
+
+// stoppedAfterFinish reports whether every rank reached the cycle's safe
+// point at or after its own finish.
+func stoppedAfterFinish(j *mpi.Job, rep *cr.CycleReport) bool {
+	for i, rec := range rep.Records {
+		if rec.SafePointAt < j.Rank(i).FinishedAt() {
+			return false
+		}
+	}
+	return true
 }

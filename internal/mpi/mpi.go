@@ -373,6 +373,9 @@ func (r *Rank) Stats() RankStats { return r.stats }
 // Finished reports whether the rank's body has returned.
 func (r *Rank) Finished() bool { return r.finished }
 
+// FinishedAt returns when the rank's body returned; zero before it has.
+func (r *Rank) FinishedAt() sim.Time { return r.finishedAt }
+
 // SetHooks installs the checkpoint layer's hooks.
 func (r *Rank) SetHooks(h CRHooks) { r.hooks = h }
 

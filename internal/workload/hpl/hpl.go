@@ -66,9 +66,7 @@ func (s Solve) Launch(j *mpi.Job) (workload.Instance, error) {
 		return nil, fmt.Errorf("hpl: job size %d does not match %dx%d grid", j.Size(), s.P, s.Q)
 	}
 	inst := &SolveInstance{cfg: s, localBytes: make([]int64, s.P*s.Q)}
-	for r := 0; r < s.P*s.Q; r++ {
-		j.Launch(r, func(e *mpi.Env) { inst.run(e) })
-	}
+	j.LaunchAll(inst.run)
 	return inst, nil
 }
 

@@ -89,9 +89,7 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 		return nil, fmt.Errorf("hpl: negative payload size (PanelKB=%d, UpdateKB=%d)", w.PanelKB, w.UpdateKB)
 	}
 	inst := &TimedInstance{cfg: w, step: make([]int, n)}
-	for r := 0; r < n; r++ {
-		j.Launch(r, func(e *mpi.Env) { inst.run(e) })
-	}
+	j.LaunchAll(inst.run)
 	return inst, nil
 }
 

@@ -304,14 +304,12 @@ func (w Timed) Launch(j *mpi.Job) (workload.Instance, error) {
 		return nil, fmt.Errorf("motif: negative payload size (ExchangeKB=%d)", w.ExchangeKB)
 	}
 	exchange := int64(w.ExchangeKB) << 10
-	for r := 0; r < w.N; r++ {
-		j.Launch(r, func(e *mpi.Env) {
-			world := e.World()
-			for _, chunk := range w.Chunks {
-				e.Compute(chunk)
-				e.AllgatherSize(world, exchange)
-			}
-		})
-	}
+	j.LaunchAll(func(e *mpi.Env) {
+		world := e.World()
+		for _, chunk := range w.Chunks {
+			e.Compute(chunk)
+			e.AllgatherSize(world, exchange)
+		}
+	})
 	return workload.ConstFootprint(w.FootprintMB << 20), nil
 }

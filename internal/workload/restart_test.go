@@ -173,11 +173,11 @@ func TestLaunchRejectsSizeMismatch(t *testing.T) {
 		{"allgather", workload.AllgatherLoop{N: 5, Iters: 2}, "does not match N=5"},
 		{"stencil", workload.Stencil{N: 5, Cells: 2, Iters: 2}, "does not match N=5"},
 		{"commgroups", workload.CommGroups{N: 5, CommGroupSize: 2, Iters: 2}, "does not match N=5"},
-		{"barrier", workload.BarrierPhases{N: 5, CommGroupSize: 2, Chunk: 1, BarrierEvery: 1, Phases: 1}, "does not match N=5"},
+		{"barrier", workload.CommGroups{N: 5, CommGroupSize: 2, Iters: 2, BarrierEvery: 1}, "barrier: job size 4 does not match N=5"},
 		{"commgroups group zero", workload.CommGroups{N: 4, CommGroupSize: 0, Iters: 2}, "size 0 is outside 1..N=4"},
 		{"commgroups group past the job", workload.CommGroups{N: 4, CommGroupSize: 5, Iters: 2}, "size 5 is outside 1..N=4"},
-		{"barrier group zero", workload.BarrierPhases{N: 4, CommGroupSize: 0, Chunk: 1, BarrierEvery: 1, Phases: 1}, "size 0 is outside 1..N=4"},
-		{"barrier group past the job", workload.BarrierPhases{N: 4, CommGroupSize: 5, Chunk: 1, BarrierEvery: 1, Phases: 1}, "size 5 is outside 1..N=4"},
+		{"barrier group zero", workload.CommGroups{N: 4, CommGroupSize: 0, Iters: 2, BarrierEvery: 1}, "barrier: communication group size 0 is outside 1..N=4"},
+		{"barrier group past the job", workload.CommGroups{N: 4, CommGroupSize: 5, Iters: 2, BarrierEvery: 1}, "barrier: communication group size 5 is outside 1..N=4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package workload provides the applications used in the paper's
-// evaluation: the communication-group micro-benchmark (Figure 3), the
-// barrier-synchronized placement benchmark (Figure 4), and a
-// restart-capable ring kernel used by the functional-recovery tests. The
+// evaluation: the communication-group micro-benchmark (Figure 3, and with a
+// periodic global barrier the Figure 4 placement benchmark), and the
+// restart-capable kernels used by the functional-recovery tests. The
 // HPL and MotifMiner applications live in subpackages.
 package workload
 

@@ -140,10 +140,12 @@ func TestCommGroupsEmbarrassinglyParallel(t *testing.T) {
 	}
 }
 
+// TestBarrierPhasesStructure: CommGroups with BarrierEvery set runs
+// barrier-terminated phases (Figure 4).
 func TestBarrierPhasesStructure(t *testing.T) {
 	k, j := newJob(t, 4)
-	w := BarrierPhases{N: 4, CommGroupSize: 2, Chunk: 100 * sim.Millisecond,
-		BarrierEvery: 500 * sim.Millisecond, Phases: 3, FootprintMB: 16}
+	w := CommGroups{N: 4, CommGroupSize: 2, Iters: 3 * 5, Chunk: 100 * sim.Millisecond,
+		BarrierEvery: 500 * sim.Millisecond, FootprintMB: 16}
 	launch(t, w, j)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -153,7 +155,7 @@ func TestBarrierPhasesStructure(t *testing.T) {
 		t.Fatalf("3 phases of 500ms: finish %v", ft)
 	}
 	// Barriers ran: collectives counter is nonzero.
-	if j.Rank(0).Stats().CollectivesRun < 3 {
+	if j.Rank(0).Stats().CollectivesRun != 3 {
 		t.Fatalf("barriers missing: %+v", j.Rank(0).Stats())
 	}
 }
@@ -284,7 +286,7 @@ func TestWorkloadNamesAndFootprints(t *testing.T) {
 		got, want string
 	}{
 		{CommGroups{N: 32, CommGroupSize: 8}.Name(), "commgroups(n=32,comm=8)"},
-		{BarrierPhases{N: 32, CommGroupSize: 8, BarrierEvery: sim.Minute}.Name(), "barrier(n=32,comm=8,every=60s)"},
+		{CommGroups{N: 32, CommGroupSize: 8, BarrierEvery: sim.Minute}.Name(), "barrier(n=32,comm=8,every=60s)"},
 		{Ring{N: 6}.Name(), "ring(n=6)"},
 		{AllgatherLoop{N: 6}.Name(), "allgatherloop(n=6)"},
 		{Stencil{N: 6, Cells: 4}.Name(), "stencil(n=6,cells=4)"},
